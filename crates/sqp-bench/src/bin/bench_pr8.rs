@@ -3,8 +3,8 @@
 //! `ServeEngine`, once through `sqp-net` over real loopback sockets
 //! (`net_loop`), where each op is a full framed TCP round trip and the
 //! mid-run publish arrives through the admin port from a snapshot file on
-//! disk. The delta between the two reports is the network stack: framing,
-//! syscalls, and the server's reader/worker handoff.
+//! disk. The delta between the two reports is the network stack: framing
+//! and syscalls (the server runs each connection on one thread).
 //!
 //! The acceptance gate is `wire p99 ≤ 5× in-process p99`. The p99 op is a
 //! `batch_size`-entry batched suggest on both sides (one every 8th op), so
@@ -159,8 +159,8 @@ fn main() {
         json_escape(
             "in_process and wire run byte-identical seeded traffic (same corpus, same \
              per-thread PRNGs, same op mix including the EVICT maintenance sweeps), so their \
-             delta is the network stack: u32-length framing, one loopback TCP round trip per \
-             op, and the server's reader-thread/worker-pool handoff. Every 8th op is a \
+             delta is the network stack: u32-length framing and one loopback TCP round trip per \
+             op into the server's per-connection thread. Every 8th op is a \
              batch_size-entry batched suggest, which dominates the p99 on both sides — the \
              gate therefore compares the wire's overhead against real model work, not against \
              a near-zero baseline. The wire trainer publishes through the admin port from a \

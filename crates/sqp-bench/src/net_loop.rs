@@ -12,8 +12,8 @@
 //!
 //! Because the workload is byte-identical to [`run`](crate::serve_loop::run)
 //! for the same [`ServeLoopConfig`], subtracting the two
-//! [`ServeLoopReport`]s isolates the network stack: framing, one syscall
-//! round trip per op, and the server's reader/worker handoff. `bench_pr8`
+//! [`ServeLoopReport`]s isolates the network stack: framing and one
+//! syscall round trip per op into the server's connection thread. `bench_pr8`
 //! gates that overhead (wire p99 ≤ 5× in-process p99).
 
 use crate::serve_loop::{build_engine, ServeLoopConfig, ServeLoopReport};

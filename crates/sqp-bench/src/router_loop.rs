@@ -431,7 +431,9 @@ pub fn run_chaos_roll(seed: u64) -> ChaosRollReport {
     // read of the same file, published to the quarantined replica, lifts
     // its quarantine and converges the tier.
     let (snapshot, _) = sqp_store::load_snapshot(&new_path).unwrap();
-    router.publish_to(failed_replica, Arc::new(snapshot));
+    router
+        .try_publish_to(failed_replica, Arc::new(snapshot))
+        .expect("the quarantined replica is still in the tier");
     let stats = router.stats();
     assert!(stats.is_converged());
     assert_eq!(stats.quarantined(), 0);

@@ -14,7 +14,7 @@
 //!   (`PUBLISH`) or upgrades replica-by-replica with per-replica failure
 //!   isolation (`ROLLING_PUBLISH`, via [`RouterPublish`]).
 //!
-//! [`AdminSurface`] is what the server's worker actually calls; it is a
+//! [`AdminSurface`] is what a connection's thread actually calls; it is a
 //! separate trait from `ServeSurface` so a tier opts into remote
 //! publication explicitly — implementing it means "frames on my admin
 //! port may read snapshot files from my local disk".
@@ -27,8 +27,8 @@ use std::path::Path;
 
 /// Admin operations a served tier exposes on the admin port.
 ///
-/// Both methods are synchronous: the worker thread that picked up the
-/// admin frame performs the disk load and the publish, then replies. Errors
+/// Both methods are synchronous: the thread serving the admin connection
+/// performs the disk load and the publish, then replies. Errors
 /// come back as strings because they cross the wire as `R_ERROR` message
 /// text — the typed detail (which replica, which io error) is already
 /// folded into the message by `sqp-store`'s error types.

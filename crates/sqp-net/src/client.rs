@@ -5,9 +5,9 @@
 //! driving millions of requests allocates only for the answers it keeps.
 //! One client is one connection and is deliberately `!Sync` usage-wise:
 //! the protocol answers in request order, so concurrent callers would
-//! read each other's replies. Open one client per thread instead — that
-//! is also what gives the server's per-connection fairness something to
-//! be fair between.
+//! read each other's replies. Open one client per thread instead — the
+//! server runs one thread per connection, so that is also what lets
+//! requests execute in parallel.
 
 use crate::frame::{read_frame, write_frame, FrameRead};
 use crate::wire::{self, BatchEntry, Reply, RollSummary, WireError, WireStats};
@@ -99,10 +99,9 @@ impl From<io::Error> for NetError {
 pub enum ServeAnswer {
     /// Ranked suggestions (possibly empty).
     Suggestions(Vec<Suggestion>),
-    /// The request was shed — by the server queue (`limit == 0`) or the
-    /// engine's admission budget (`limit` = the exhausted budget).
+    /// The request was shed by the engine's admission budget.
     Overloaded {
-        /// The exhausted budget, or 0 for a server-queue shed.
+        /// The exhausted budget (`0` is reserved — see WIRE.md).
         limit: u64,
     },
 }
@@ -114,7 +113,7 @@ pub enum BatchAnswer {
     Lists(Vec<Vec<Suggestion>>),
     /// The whole batch was shed (batches are all-or-nothing).
     Overloaded {
-        /// The exhausted budget, or 0 for a server-queue shed.
+        /// The exhausted budget (`0` is reserved — see WIRE.md).
         limit: u64,
     },
 }
@@ -175,7 +174,8 @@ impl NetClient {
     }
 
     /// Shut down the write half, telling the server no more requests are
-    /// coming; queued replies still arrive until it closes.
+    /// coming; replies to requests already sent still arrive until it
+    /// closes.
     pub fn finish_sending(&self) -> io::Result<()> {
         self.stream.shutdown(std::net::Shutdown::Write)
     }

@@ -9,10 +9,10 @@
 //! workspace.
 //!
 //! * [`NetServer`] — accept loops on a public serve port and a separate
-//!   admin port, per-connection reader threads that do framing only, and
-//!   a shared worker pool executing engine calls. Connections are
-//!   keep-alive; each has a bounded request queue that load-sheds with a
-//!   typed `R_OVERLOADED` reply instead of stalling intake.
+//!   admin port, and one thread per keep-alive connection that reads,
+//!   executes and answers that connection's frames in order. The
+//!   engine's admission budget load-sheds with a typed `R_OVERLOADED`
+//!   reply.
 //! * [`NetClient`] — a blocking keep-alive client reusing its buffers
 //!   across requests.
 //! * [`RemoteEngine`] — a resilient [`ServeSurface`](sqp_serve::ServeSurface)

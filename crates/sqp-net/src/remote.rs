@@ -10,7 +10,7 @@
 //! * **Deadlines** — every operation carries a wall-clock deadline threaded
 //!   through the [`Clock`] seam; connects, reads, and writes are all
 //!   bounded by the remaining budget, so a black-holed endpoint costs at
-//!   most the deadline, never a hung worker.
+//!   most the deadline, never a hung caller.
 //! * **Retries with backoff** — failed attempts retry with capped
 //!   exponential backoff and deterministic per-operation jitter, but only
 //!   for idempotent operations (`SUGGEST`, `SUGGEST_BATCH`, `STATS`,
@@ -216,10 +216,10 @@ impl fmt::Display for DegradedReason {
 pub enum RemoteOutcome<T> {
     /// An endpoint answered.
     Answered(T),
-    /// An endpoint answered with a typed shed (server queue or engine
-    /// admission budget — `limit` 0 means queue).
+    /// An endpoint answered with a typed shed: its engine admission
+    /// budget was exhausted.
     Shed {
-        /// The exhausted budget, or 0 for a server-queue shed.
+        /// The exhausted budget (`0` is reserved — see WIRE.md).
         limit: u64,
     },
     /// No endpoint answered; serving degrades instead of erroring.

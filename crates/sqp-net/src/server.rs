@@ -1,54 +1,47 @@
-//! The TCP serving front-end: accept loops, per-connection readers, and a
-//! shared worker pool over one [`ServeSurface`].
+//! The TCP serving front-end: two accept loops and one thread per
+//! connection over one [`ServeSurface`].
 //!
 //! # Topology
 //!
 //! ```text
-//!                    ┌────────────────────────────────────────────┐
-//!   serve port ──►   │ accept loop ─┬─► reader (conn 1) ─┐        │
-//!   admin port ──►   │ accept loop ─┼─► reader (conn 2) ─┤ ready  │
-//!                    │              └─► reader (conn N) ─┤ queue  │
-//!                    │                                   ▼        │
-//!                    │               worker pool ──► ServeSurface │
-//!                    └────────────────────────────────────────────┘
+//!   serve port ──► accept loop ─┬─► connection thread 1 ─┐
+//!   admin port ──► accept loop ─┼─► connection thread 2 ─┼─► ServeSurface
+//!                               └─► connection thread N ─┘
 //! ```
 //!
-//! Readers do **framing only** — they never touch the engine — so a slow
-//! model call on one connection cannot stall byte intake on another. Each
-//! complete frame lands in that connection's bounded queue; the connection
-//! itself is the schedulable unit (an atomic `scheduled` flag keeps it on
-//! at most one worker at a time), which makes replies come back in request
-//! order even though many workers serve many connections.
+//! A connection's thread does the whole job for that connection: read a
+//! frame, decode it, call the surface, encode and write the reply, into
+//! read, write and batch buffers it owns and reuses. One thread per
+//! connection is what makes replies come back in request order, and a
+//! client that pipelines is paced by plain TCP backpressure: the thread
+//! does not read frame `n + 1` until reply `n` is written.
 //!
 //! # Overload behavior
 //!
-//! The per-connection queue has a **soft** bound and a **hard** bound:
+//! The one typed overload bound is the engine's admission control:
+//! traffic opcodes use the surface's `try_*` forms, and a typed
+//! [`Overloaded`](sqp_serve::Overloaded) becomes `R_OVERLOADED` with the
+//! exhausted budget (always `> 0`) in the body. Engine calls in flight
+//! are bounded by open connections; `EngineConfig::max_in_flight` is the
+//! knob that caps them lower.
 //!
-//! * past the soft bound (`queue_depth`), an arriving frame is replaced by
-//!   a pre-marked shed entry — the worker answers it with `R_OVERLOADED`
-//!   in FIFO position without doing engine work, so a pipelining client
-//!   still sees exactly one reply per request, in order;
-//! * past the hard bound (`4 × queue_depth`, all entries counted), the
-//!   reader stops reading the socket until the worker drains — classic
-//!   TCP backpressure — so a hostile pipeliner cannot grow server memory.
+//! # Failure isolation
 //!
-//! Engine-level admission control is separate: traffic opcodes use the
-//! surface's `try_*` forms, and a typed [`Overloaded`](sqp_serve::Overloaded)
-//! from the engine also becomes `R_OVERLOADED` (with the exhausted budget
-//! in the body). `R_OVERLOADED { limit: 0 }` therefore always means "the
-//! server's own queue shed you", a distinction `NetServerStats` keeps too
-//! (`queue_shed` vs `engine_shed`).
+//! A panic inside a request handler unwinds that connection's thread
+//! only: the client sees a disconnect, the panic is counted in
+//! [`NetServerStats::handler_panics`], and every other connection (and
+//! the accept loops) keeps serving.
 
 use crate::admin::AdminSurface;
 use crate::frame::{read_frame, write_frame, FrameRead};
-use crate::wire::{self, Request, WireError, WireStats};
+use crate::wire::{self, Request, WireStats};
 use sqp_serve::{ServeSurface, SuggestRequest};
-use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::collections::HashMap;
+use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -68,23 +61,12 @@ pub struct ServerConfig {
     pub addr: SocketAddr,
     /// Address for the admin listener.
     pub admin_addr: SocketAddr,
-    /// Worker threads executing engine calls. `0` means one per
-    /// available core, minimum 2.
-    pub workers: usize,
-    /// Soft bound of each connection's request queue; frames past it are
-    /// answered `R_OVERLOADED` without engine work. The hard bound
-    /// (reader stops reading) is four times this.
-    pub queue_depth: usize,
     /// Maximum accepted frame *body* length, both directions.
     pub max_frame_len: usize,
-    /// How many queue entries a worker drains from one connection before
-    /// putting it back and taking the next ready connection (fairness
-    /// under pipelining).
-    pub drain_batch: usize,
     /// Per-write socket timeout. A client that stops reading its replies
     /// eventually times a write out and is disconnected, so it can never
-    /// pin a worker (or wedge shutdown's drain) indefinitely. `None`
-    /// disables the guard.
+    /// pin its connection thread (or wedge shutdown's join)
+    /// indefinitely. `None` disables the guard.
     pub write_timeout: Option<Duration>,
 }
 
@@ -93,10 +75,7 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".parse().expect("static addr"),
             admin_addr: "127.0.0.1:0".parse().expect("static addr"),
-            workers: 0,
-            queue_depth: 64,
             max_frame_len: wire::DEFAULT_MAX_FRAME,
-            drain_batch: 32,
             write_timeout: Some(Duration::from_secs(5)),
         }
     }
@@ -112,7 +91,9 @@ pub struct NetServerStats {
     pub frames_in: u64,
     /// Reply frames written.
     pub replies_out: u64,
-    /// Requests shed by a connection queue's soft bound.
+    /// Always 0: the server has no request queue of its own to shed
+    /// from. The field stays only because `benchmark/` reads it; it
+    /// goes when that crate is next revised.
     pub queue_shed: u64,
     /// Requests shed by the engine's admission control.
     pub engine_shed: u64,
@@ -122,6 +103,10 @@ pub struct NetServerStats {
     pub publishes_ok: u64,
     /// Admin publishes that failed or rolled with failures.
     pub publishes_failed: u64,
+    /// Connection threads that unwound from a panic in a request
+    /// handler. Each cost exactly one connection; anything but 0 is a
+    /// bug in the surface being served.
+    pub handler_panics: u64,
 }
 
 #[derive(Default)]
@@ -129,11 +114,11 @@ struct Counters {
     accepted: AtomicU64,
     frames_in: AtomicU64,
     replies_out: AtomicU64,
-    queue_shed: AtomicU64,
     engine_shed: AtomicU64,
     protocol_errors: AtomicU64,
     publishes_ok: AtomicU64,
     publishes_failed: AtomicU64,
+    handler_panics: AtomicU64,
 }
 
 impl Counters {
@@ -146,154 +131,66 @@ impl Counters {
             accepted: self.accepted.load(Ordering::Relaxed),
             frames_in: self.frames_in.load(Ordering::Relaxed),
             replies_out: self.replies_out.load(Ordering::Relaxed),
-            queue_shed: self.queue_shed.load(Ordering::Relaxed),
+            queue_shed: 0,
             engine_shed: self.engine_shed.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             publishes_ok: self.publishes_ok.load(Ordering::Relaxed),
             publishes_failed: self.publishes_failed.load(Ordering::Relaxed),
+            handler_panics: self.handler_panics.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// One queued unit of work for a connection's worker.
-enum Item {
-    /// A complete frame body, in a buffer borrowed from the pool.
-    Frame(Vec<u8>),
-    /// A request refused at the soft bound; reply `R_OVERLOADED` in FIFO
-    /// position without engine work (the frame bytes were returned to
-    /// the pool at enqueue time).
-    Shed,
-    /// The reader hit an unrecoverable framing problem; reply a typed
-    /// error, then close.
-    Fatal(WireError),
-}
-
-struct ConnQueue {
-    items: VecDeque<Item>,
-    /// Reusable frame-body buffers, swapped between reader and worker so
-    /// the steady state allocates nothing.
-    pool: Vec<Vec<u8>>,
-    /// The reader has exited; once `items` drains the worker closes.
-    read_closed: bool,
-    /// The connection was killed (write error / fatal frame / shutdown);
-    /// everything still queued is dropped.
-    dead: bool,
-}
-
-struct Conn {
-    id: u64,
-    stream: TcpStream,
-    admin: bool,
-    queue: Mutex<ConnQueue>,
-    /// Signaled by the worker after draining (for the reader's hard-bound
-    /// backpressure wait) and by `kill`/shutdown.
-    queue_cv: Condvar,
-    /// True while the connection sits in the ready queue or on a worker.
-    /// Whoever flips it false→true owns enqueueing it — this is what
-    /// keeps a connection on at most one worker (in-order replies).
-    scheduled: AtomicBool,
-}
-
-impl Conn {
-    fn kill(&self) {
-        let mut q = self.queue.lock().expect("conn queue poisoned");
-        q.dead = true;
-        q.items.clear();
-        drop(q);
-        self.queue_cv.notify_all();
-        let _ = self.stream.shutdown(Shutdown::Both);
-    }
-
-    /// Worker-side close: stop accepting work and FIN the write half,
-    /// but leave the read half to the reader, which drains it to EOF
-    /// before the socket drops. Closing with unread bytes still queued
-    /// would turn the close into a TCP RST, and an RST can destroy an
-    /// already-written reply (e.g. the typed `R_ERROR`) before the
-    /// client reads it.
-    fn close_write(&self) {
-        let mut q = self.queue.lock().expect("conn queue poisoned");
-        q.dead = true;
-        q.items.clear();
-        drop(q);
-        self.queue_cv.notify_all();
-        let _ = self.stream.shutdown(Shutdown::Write);
     }
 }
 
 struct Shared {
     surface: Arc<dyn NetSurface>,
-    queue_depth: usize,
-    hard_cap: usize,
     max_frame_len: usize,
-    drain_batch: usize,
     write_timeout: Option<Duration>,
-    ready: Mutex<VecDeque<Arc<Conn>>>,
-    ready_cv: Condvar,
-    conns: Mutex<HashMap<u64, Arc<Conn>>>,
-    reader_handles: Mutex<Vec<thread::JoinHandle<()>>>,
+    /// Open connections, so `shutdown()` can unblock a thread parked in
+    /// `read`. A connection's thread removes its own entry on exit.
+    conns: Mutex<HashMap<u64, Arc<TcpStream>>>,
+    conn_handles: Mutex<Vec<thread::JoinHandle<()>>>,
     next_id: AtomicU64,
-    /// Stop accepting and reading (phase 1 of shutdown).
+    /// Stop accepting; connection threads exit after the reply in hand.
     closing: AtomicBool,
-    /// Workers may exit once the ready queue is empty (phase 2).
-    workers_stop: AtomicBool,
     counters: Counters,
 }
 
 impl Shared {
-    fn schedule(&self, conn: &Arc<Conn>) {
-        if !conn.scheduled.swap(true, Ordering::AcqRel) {
-            let mut ready = self.ready.lock().expect("ready queue poisoned");
-            ready.push_back(Arc::clone(conn));
-            drop(ready);
-            self.ready_cv.notify_one();
-        }
+    /// The map is only ever inserted into and removed from, so it is
+    /// valid at every step and a poisoned lock is safe to recover.
+    fn lock_conns(&self) -> MutexGuard<'_, HashMap<u64, Arc<TcpStream>>> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// A running TCP front-end over a [`ServeSurface`]. Dropping the server
-/// (or calling [`shutdown`](NetServer::shutdown)) stops accepting,
-/// unblocks every reader, lets workers drain all queued replies, and
-/// joins every thread.
+/// (or calling [`shutdown`](NetServer::shutdown)) stops accepting, lets
+/// every connection finish the reply it is working on, and joins every
+/// thread.
 pub struct NetServer {
     shared: Arc<Shared>,
     serve_addr: SocketAddr,
     admin_addr: SocketAddr,
     accept_handles: Mutex<Vec<(SocketAddr, thread::JoinHandle<()>)>>,
-    worker_handles: Mutex<Vec<thread::JoinHandle<()>>>,
     stopped: AtomicBool,
 }
 
 impl NetServer {
-    /// Bind both listeners and spawn the accept loops and worker pool.
+    /// Bind both listeners and spawn the accept loops.
     pub fn start<S: NetSurface + 'static>(surface: Arc<S>, cfg: ServerConfig) -> io::Result<Self> {
         let serve_listener = TcpListener::bind(cfg.addr)?;
         let admin_listener = TcpListener::bind(cfg.admin_addr)?;
         let serve_addr = serve_listener.local_addr()?;
         let admin_addr = admin_listener.local_addr()?;
 
-        let workers = if cfg.workers == 0 {
-            thread::available_parallelism()
-                .map_or(2, |n| n.get())
-                .max(2)
-        } else {
-            cfg.workers
-        };
-        let queue_depth = cfg.queue_depth.max(1);
-
         let shared = Arc::new(Shared {
             surface: surface as Arc<dyn NetSurface>,
-            queue_depth,
-            hard_cap: queue_depth.saturating_mul(4),
             max_frame_len: cfg.max_frame_len,
-            drain_batch: cfg.drain_batch.max(1),
             write_timeout: cfg.write_timeout,
-            ready: Mutex::new(VecDeque::new()),
-            ready_cv: Condvar::new(),
             conns: Mutex::new(HashMap::new()),
-            reader_handles: Mutex::new(Vec::new()),
+            conn_handles: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(0),
             closing: AtomicBool::new(false),
-            workers_stop: AtomicBool::new(false),
             counters: Counters::default(),
         });
 
@@ -312,22 +209,11 @@ impl NetServer {
             accept_handles.push((addr, handle));
         }
 
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let shared = Arc::clone(&shared);
-            worker_handles.push(
-                thread::Builder::new()
-                    .name(format!("sqp-net-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
-            );
-        }
-
         Ok(NetServer {
             shared,
             serve_addr,
             admin_addr,
             accept_handles: Mutex::new(accept_handles),
-            worker_handles: Mutex::new(worker_handles),
             stopped: AtomicBool::new(false),
         })
     }
@@ -347,22 +233,13 @@ impl NetServer {
         self.shared.counters.snapshot()
     }
 
-    /// Connections currently registered (readers still attached).
+    /// Connections currently open (their threads still running).
     pub fn active_connections(&self) -> usize {
-        self.shared.conns.lock().expect("conns poisoned").len()
+        self.shared.lock_conns().len()
     }
 
-    /// True while no worker thread has died. A worker exiting before
-    /// shutdown means a request handler panicked — the fuzz and soak
-    /// suites poll this so a swallowed panic cannot masquerade as a
-    /// clean run.
-    pub fn workers_alive(&self) -> bool {
-        let handles = self.worker_handles.lock().expect("workers poisoned");
-        handles.iter().all(|h| !h.is_finished())
-    }
-
-    /// Stop accepting, drain every queued reply, and join all threads.
-    /// Idempotent; also runs on drop.
+    /// Stop accepting, let every connection finish the reply it is
+    /// working on, and join all threads. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         if self.stopped.swap(true, Ordering::AcqRel) {
             return;
@@ -387,46 +264,18 @@ impl NetServer {
             let _ = h.join();
         }
 
-        // Unblock readers mid-`read`; their write halves stay open so the
-        // workers can still flush queued replies (clean drain).
-        let conns: Vec<Arc<Conn>> = {
-            let conns = self.shared.conns.lock().expect("conns poisoned");
-            conns.values().cloned().collect()
-        };
-        for conn in &conns {
-            let _ = conn.stream.shutdown(Shutdown::Read);
-            conn.queue_cv.notify_all();
+        // No new connection can register now. Unblock every thread parked
+        // in `read`; the write halves stay open, so a thread that is
+        // mid-request still delivers its reply before it sees `closing`.
+        for stream in self.shared.lock_conns().values() {
+            let _ = stream.shutdown(Shutdown::Read);
         }
-        loop {
-            let handles: Vec<_> = {
-                let mut readers = self.shared.reader_handles.lock().expect("readers poisoned");
-                readers.drain(..).collect()
-            };
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
-
-        // Every reader has exited (each scheduling its connection one
-        // last time), so the ready queue now holds all remaining work.
-        self.shared.workers_stop.store(true, Ordering::Release);
-        self.shared.ready_cv.notify_all();
-        for h in self
-            .worker_handles
-            .lock()
-            .expect("workers poisoned")
-            .drain(..)
-        {
+        let handles =
+            std::mem::take(&mut *self.shared.conn_handles.lock().expect("handles poisoned"));
+        for h in handles {
+            // A handler panic was already counted by the thread's guard.
             let _ = h.join();
         }
-
-        for conn in &conns {
-            conn.kill();
-        }
-        self.shared.conns.lock().expect("conns poisoned").clear();
     }
 }
 
@@ -441,331 +290,164 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener, admin: bool) {
         if shared.closing.load(Ordering::Acquire) {
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(stream) = stream else {
+            // Typically EMFILE, which lasts until some connection closes:
+            // back off instead of spinning a core on the failing accept.
+            thread::sleep(Duration::from_millis(5));
+            continue;
+        };
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(shared.write_timeout);
         Counters::bump(&shared.counters.accepted);
 
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let conn = Arc::new(Conn {
-            id,
-            stream,
-            admin,
-            queue: Mutex::new(ConnQueue {
-                items: VecDeque::new(),
-                pool: Vec::new(),
-                read_closed: false,
-                dead: false,
-            }),
-            queue_cv: Condvar::new(),
-            scheduled: AtomicBool::new(false),
-        });
-        shared
-            .conns
-            .lock()
-            .expect("conns poisoned")
-            .insert(id, Arc::clone(&conn));
+        let stream = Arc::new(stream);
+        shared.lock_conns().insert(id, Arc::clone(&stream));
 
         let shared2 = Arc::clone(shared);
-        let handle = thread::Builder::new()
-            .name(format!("sqp-net-reader-{id}"))
-            .spawn(move || reader_loop(&shared2, &conn));
-        match handle {
-            Ok(h) => shared
-                .reader_handles
-                .lock()
-                .expect("readers poisoned")
-                .push(h),
+        let spawned = thread::Builder::new()
+            .name(format!("sqp-net-conn-{id}"))
+            .spawn(move || serve_conn(&shared2, id, &stream, admin));
+        match spawned {
+            Ok(h) => {
+                let mut handles = shared.conn_handles.lock().expect("handles poisoned");
+                handles.retain(|h| !h.is_finished());
+                handles.push(h);
+            }
+            // Could not spawn a thread: drop the connection (the failed
+            // spawn already dropped the closure's handle on the socket).
             Err(_) => {
-                // Could not spawn a reader: drop the connection.
-                let removed = shared.conns.lock().expect("conns poisoned").remove(&id);
-                if let Some(conn) = removed {
-                    conn.kill();
-                }
+                shared.lock_conns().remove(&id);
             }
         }
     }
 }
 
-fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
-    let mut stream = &conn.stream;
-    loop {
-        if shared.closing.load(Ordering::Acquire) {
-            break;
+/// Unregisters a connection when its thread exits, normally or by
+/// unwinding, and counts the unwinding case.
+struct ConnGuard<'a> {
+    shared: &'a Shared,
+    id: u64,
+}
+
+impl Drop for ConnGuard<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            Counters::bump(&self.shared.counters.handler_panics);
         }
-        let mut buf = {
-            let mut q = conn.queue.lock().expect("conn queue poisoned");
-            q.pool.pop().unwrap_or_default()
-        };
-        match read_frame(&mut stream, &mut buf, shared.max_frame_len) {
+        self.shared.lock_conns().remove(&self.id);
+    }
+}
+
+/// One connection's whole life: frames in, replies out, in order.
+fn serve_conn(shared: &Shared, id: u64, stream: &TcpStream, admin: bool) {
+    let _guard = ConnGuard { shared, id };
+    let mut io = stream;
+    // Per-connection scratch, reused across every frame.
+    let mut rbuf: Vec<u8> = Vec::new();
+    let mut wbuf: Vec<u8> = Vec::new();
+    let mut batch: Vec<SuggestRequest> = Vec::new();
+
+    // `closing` is only looked at between frames, so every frame that was
+    // fully read is answered (`frames_in == replies_out` at shutdown).
+    while !shared.closing.load(Ordering::Acquire) {
+        match read_frame(&mut io, &mut rbuf, shared.max_frame_len) {
             Ok(FrameRead::Frame) => {
                 Counters::bump(&shared.counters.frames_in);
-                if !enqueue(shared, conn, buf) {
+                let keep_open = match wire::decode_request(&rbuf) {
+                    Ok(req) if req.is_admin() && !admin => {
+                        wire::encode_error(
+                            &mut wbuf,
+                            wire::code::ADMIN_ONLY,
+                            "admin opcodes are only served on the admin port",
+                        );
+                        false
+                    }
+                    Ok(req) => {
+                        execute(shared, req, &mut wbuf, &mut batch);
+                        true
+                    }
+                    Err(err) => {
+                        wire::encode_error(&mut wbuf, err.code(), &err.to_string());
+                        false
+                    }
+                };
+                if !keep_open {
+                    // Both refusals leave the stream untrustworthy.
+                    Counters::bump(&shared.counters.protocol_errors);
+                }
+                if !(write_reply(shared, stream, &mut wbuf) && keep_open) {
                     break;
                 }
             }
             Ok(FrameRead::CleanEof) => break,
             Ok(FrameRead::Reject(err)) => {
-                // The stream is desynchronized past this prefix; hand the
-                // typed error to the worker (the reply keeps FIFO
-                // position behind anything already queued) and stop
-                // parsing frames.
-                enqueue_item(shared, conn, Item::Fatal(err));
+                // The stream is desynchronized past this prefix: answer
+                // with the typed error and stop parsing frames.
+                Counters::bump(&shared.counters.protocol_errors);
+                wire::encode_error(&mut wbuf, err.code(), &err.to_string());
+                write_reply(shared, stream, &mut wbuf);
                 break;
             }
-            // Torn frame, reset, or our own shutdown(Read).
+            // Torn frame, reset, or shutdown's `Shutdown::Read`.
             Err(_) => break,
         }
     }
 
-    // Leave the receive queue empty before the socket can drop: a close
-    // with unread inbound bytes becomes a TCP RST, and an RST can wipe
-    // out replies (including a just-written typed error) that the client
-    // has not read yet. Bounded: EOF, error, or a 200ms timeout ends it.
-    drain_until_eof(&conn.stream);
-
-    {
-        let mut q = conn.queue.lock().expect("conn queue poisoned");
-        q.read_closed = true;
-    }
-    // Schedule one final time so a worker observes `read_closed` and
-    // closes the socket even if nothing is queued.
-    shared.schedule(conn);
-    shared
-        .conns
-        .lock()
-        .expect("conns poisoned")
-        .remove(&conn.id);
+    // FIN the write half, then leave the receive queue empty before the
+    // socket drops: a close with unread inbound bytes becomes a TCP RST,
+    // and an RST can wipe out replies (including a just-written typed
+    // error) that the client has not read yet.
+    let _ = stream.shutdown(Shutdown::Write);
+    drain_until_eof(stream);
 }
 
 /// Discard inbound bytes until EOF or a short deadline, so the socket
-/// can close with an empty receive queue (FIN, not RST).
-fn drain_until_eof(stream: &TcpStream) {
+/// can close with an empty receive queue (FIN, not RST). Bounded: EOF,
+/// an error, or a 200ms read timeout ends it.
+fn drain_until_eof(mut stream: &TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut scrap = [0u8; 4096];
-    let mut stream_ref = stream;
-    use std::io::Read;
     for _ in 0..256 {
-        match stream_ref.read(&mut scrap) {
+        match stream.read(&mut scrap) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
     }
 }
 
-/// Queue a complete frame, applying the soft (shed) and hard
-/// (backpressure) bounds. Returns false when the connection is dead and
-/// the reader should stop.
-fn enqueue(shared: &Arc<Shared>, conn: &Arc<Conn>, buf: Vec<u8>) -> bool {
-    let mut q = conn.queue.lock().expect("conn queue poisoned");
-    while q.items.len() >= shared.hard_cap {
-        if q.dead || shared.closing.load(Ordering::Acquire) {
-            return false;
-        }
-        let (guard, _) = conn
-            .queue_cv
-            .wait_timeout(q, Duration::from_millis(50))
-            .expect("conn queue poisoned");
-        q = guard;
-    }
-    if q.dead {
-        return false;
-    }
-    if q.items.len() >= shared.queue_depth {
-        if q.pool.len() < shared.queue_depth {
-            q.pool.push(buf);
-        }
-        q.items.push_back(Item::Shed);
-        Counters::bump(&shared.counters.queue_shed);
-    } else {
-        q.items.push_back(Item::Frame(buf));
-    }
-    drop(q);
-    shared.schedule(conn);
-    true
-}
-
-fn enqueue_item(shared: &Arc<Shared>, conn: &Arc<Conn>, item: Item) {
-    let mut q = conn.queue.lock().expect("conn queue poisoned");
-    if q.dead {
-        return;
-    }
-    q.items.push_back(item);
-    drop(q);
-    shared.schedule(conn);
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    // Per-worker scratch, reused across every frame this worker handles.
-    let mut wbuf: Vec<u8> = Vec::new();
-    let mut batch: Vec<SuggestRequest> = Vec::new();
-    loop {
-        let conn = {
-            let mut ready = shared.ready.lock().expect("ready queue poisoned");
-            loop {
-                if let Some(conn) = ready.pop_front() {
-                    break conn;
-                }
-                if shared.workers_stop.load(Ordering::Acquire) {
-                    return;
-                }
-                ready = shared.ready_cv.wait(ready).expect("ready queue poisoned");
-            }
-        };
-        process_conn(shared, &conn, &mut wbuf, &mut batch);
-    }
-}
-
-fn process_conn(
-    shared: &Arc<Shared>,
-    conn: &Arc<Conn>,
-    wbuf: &mut Vec<u8>,
-    batch: &mut Vec<SuggestRequest>,
-) {
-    let mut drained = 0usize;
-    loop {
-        let item = {
-            let mut q = conn.queue.lock().expect("conn queue poisoned");
-            let item = q.items.pop_front();
-            if item.is_some() {
-                // The reader may be parked on the hard bound.
-                conn.queue_cv.notify_one();
-            }
-            item
-        };
-        let Some(item) = item else { break };
-        drained += 1;
-        if !handle_item(shared, conn, item, wbuf, batch) {
-            conn.close_write();
-            conn.scheduled.store(false, Ordering::Release);
-            return;
-        }
-        if drained >= shared.drain_batch {
-            // Fairness: put this connection at the back of the line and
-            // serve someone else. It stays `scheduled` because it is
-            // still in the ready queue.
-            let mut ready = shared.ready.lock().expect("ready queue poisoned");
-            ready.push_back(Arc::clone(conn));
-            drop(ready);
-            shared.ready_cv.notify_one();
-            return;
-        }
-    }
-
-    // Queue drained. If the reader is gone this connection is done:
-    // everything it will ever owe has been written.
-    let finished = {
-        let q = conn.queue.lock().expect("conn queue poisoned");
-        q.read_closed && q.items.is_empty()
-    };
-    if finished {
-        conn.kill();
-    }
-    conn.scheduled.store(false, Ordering::Release);
-    // Re-check: the reader may have enqueued between our final pop and
-    // the flag store; whoever wins the swap inside `schedule` enqueues.
-    let has_work = {
-        let q = conn.queue.lock().expect("conn queue poisoned");
-        !q.items.is_empty() || (q.read_closed && !q.dead)
-    };
-    if has_work {
-        shared.schedule(conn);
-    }
-}
-
-/// Execute one queued item. Returns false when the connection must close
-/// (fatal protocol error or a failed reply write).
-fn handle_item(
-    shared: &Arc<Shared>,
-    conn: &Arc<Conn>,
-    item: Item,
-    wbuf: &mut Vec<u8>,
-    batch: &mut Vec<SuggestRequest>,
-) -> bool {
-    wbuf.clear();
-    let mut close_after_reply = false;
-    let mut frame_buf = None;
-
-    match item {
-        Item::Shed => {
-            // Shed by our own queue: limit 0 distinguishes it from an
-            // engine-budget shed on the wire.
-            wire::encode_overloaded(wbuf, 0);
-        }
-        Item::Fatal(err) => {
-            Counters::bump(&shared.counters.protocol_errors);
-            wire::encode_error(wbuf, err.code(), &err.to_string());
-            close_after_reply = true;
-        }
-        Item::Frame(buf) => {
-            match wire::decode_request(&buf) {
-                Err(err) => {
-                    Counters::bump(&shared.counters.protocol_errors);
-                    wire::encode_error(wbuf, err.code(), &err.to_string());
-                    close_after_reply = true;
-                }
-                Ok(req) if req.is_admin() && !conn.admin => {
-                    Counters::bump(&shared.counters.protocol_errors);
-                    wire::encode_error(
-                        wbuf,
-                        wire::code::ADMIN_ONLY,
-                        "admin opcodes are only served on the admin port",
-                    );
-                    close_after_reply = true;
-                }
-                Ok(req) => execute(shared, req, wbuf, batch),
-            }
-            frame_buf = Some(buf);
-        }
-    }
-
-    let mut stream = &conn.stream;
-    let write_ok = match write_frame(&mut stream, wbuf, shared.max_frame_len) {
-        Ok(()) => {
-            Counters::bump(&shared.counters.replies_out);
-            true
-        }
+/// Frame and write the reply in `wbuf`, leaving it empty for the next
+/// one. Returns false when the write failed and the connection must
+/// close.
+fn write_reply(shared: &Shared, mut stream: &TcpStream, wbuf: &mut Vec<u8>) -> bool {
+    // Counted before the bytes can reach the client, so whoever has read
+    // reply `n` never observes `replies_out < n` (the soaks and the
+    // benchmark compare it with `frames_in` the moment their last reply
+    // arrives). A failed write takes the count back.
+    Counters::bump(&shared.counters.replies_out);
+    let mut written = write_frame(&mut stream, wbuf, shared.max_frame_len);
+    if matches!(&written, Err(e) if e.kind() == io::ErrorKind::InvalidInput) {
         // The assembled reply exceeded the frame limit (e.g. a huge
         // batch): substitute a typed, guaranteed-small error. Framing is
         // intact, so the connection survives.
-        Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
-            wbuf.clear();
-            wire::encode_error(
-                wbuf,
-                wire::code::LIMIT_EXCEEDED,
-                "reply exceeds the frame size limit",
-            );
-            match write_frame(&mut stream, wbuf, shared.max_frame_len) {
-                Ok(()) => {
-                    Counters::bump(&shared.counters.replies_out);
-                    true
-                }
-                Err(_) => false,
-            }
-        }
-        Err(_) => false,
-    };
-
-    // Return the frame body to the connection's pool (bounded so an idle
-    // connection does not pin more than a queue's worth of buffers).
-    if let Some(buf) = frame_buf {
-        let mut q = conn.queue.lock().expect("conn queue poisoned");
-        if q.pool.len() < shared.queue_depth {
-            q.pool.push(buf);
-        }
+        wbuf.clear();
+        wire::encode_error(
+            wbuf,
+            wire::code::LIMIT_EXCEEDED,
+            "reply exceeds the frame size limit",
+        );
+        written = write_frame(&mut stream, wbuf, shared.max_frame_len);
     }
-
-    write_ok && !close_after_reply
+    wbuf.clear();
+    if written.is_err() {
+        shared.counters.replies_out.fetch_sub(1, Ordering::Relaxed);
+    }
+    written.is_ok()
 }
 
 /// Decode-independent request execution: surface calls plus reply
 /// encoding. `wbuf` receives the reply body.
-fn execute(
-    shared: &Arc<Shared>,
-    req: Request<'_>,
-    wbuf: &mut Vec<u8>,
-    batch: &mut Vec<SuggestRequest>,
-) {
+fn execute(shared: &Shared, req: Request<'_>, wbuf: &mut Vec<u8>, batch: &mut Vec<SuggestRequest>) {
     let surface = &*shared.surface;
     match req {
         Request::Track { user, now, query } => {

@@ -72,7 +72,7 @@ pub mod op {
     pub const R_BATCH: u8 = 0x83;
     /// Reply to [`STATS`].
     pub const R_STATS: u8 = 0x84;
-    /// The surface (or the server's own queue) shed the request.
+    /// The surface shed the request.
     pub const R_OVERLOADED: u8 = 0x85;
     /// Typed protocol or execution error.
     pub const R_ERROR: u8 = 0x86;
@@ -645,8 +645,8 @@ pub enum Reply<'a> {
     Stats(WireStats),
     /// `R_OVERLOADED`: the request was shed.
     Overloaded {
-        /// The in-flight budget that was exhausted (0 when the shed came
-        /// from the server's connection queue rather than the engine).
+        /// The in-flight budget that was exhausted. `0` is reserved:
+        /// this server never emits it, decoders still accept it.
         limit: u64,
     },
     /// `R_ERROR`: typed error.

@@ -19,8 +19,8 @@
 //!   suggestions and wire-level `STATS` reports the fully-propagated
 //!   generation;
 //! * **clean drain** — the server's own accounting agrees with the
-//!   clients' (`replies_out == frames_in`, nothing stuck in a queue),
-//!   all workers alive, then `shutdown()` joins everything.
+//!   clients' (`replies_out == frames_in`, no frame left unanswered),
+//!   no handler panicked, then `shutdown()` joins everything.
 
 use sqp_logsim::RawLogRecord;
 use sqp_net::{BatchAnswer, BatchEntry, NetClient, NetServer, ServeAnswer, ServerConfig};
@@ -116,15 +116,8 @@ fn soak_mixed_traffic_with_mid_flight_rolling_publish() {
     )
     .expect("save ::new snapshot");
 
-    let server = NetServer::start(
-        Arc::clone(&router),
-        ServerConfig {
-            workers: 4,
-            queue_depth: 32,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server start");
+    let server =
+        NetServer::start(Arc::clone(&router), ServerConfig::default()).expect("server start");
     let serve_addr = server.serve_addr();
     let admin_addr = server.admin_addr();
 
@@ -285,10 +278,13 @@ fn soak_mixed_traffic_with_mid_flight_rolling_publish() {
     drop(check);
 
     // Clean drain: the server's own ledger balances (one reply written
-    // per frame read; the final stats probe counts too), and no worker
-    // died along the way.
-    assert!(server.workers_alive(), "no worker may die during the soak");
+    // per frame read; the final stats probe counts too), and no handler
+    // panicked along the way.
     let stats = server.stats();
+    assert_eq!(
+        stats.handler_panics, 0,
+        "no handler may panic during the soak"
+    );
     assert_eq!(
         stats.replies_out, stats.frames_in,
         "server must reply to every frame it read (clean drain)"

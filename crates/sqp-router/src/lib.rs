@@ -12,7 +12,7 @@
 //! * [`RouterEngine`] — owns N independently locked replicas, exposes the
 //!   single engine's serve surface (`track_and_suggest`, `suggest_batch`,
 //!   `try_track_and_suggest`, …) so callers promote transparently, and
-//!   adds per-replica publication ([`RouterEngine::publish_to`]) with
+//!   adds per-replica publication ([`RouterEngine::try_publish_to`]) with
 //!   quarantine marks — the primitives rolling upgrades are built from;
 //! * [`RouterStats`] — per-replica generation/health/shed introspection
 //!   plus the generation envelope (min/max/skew) an operator watches

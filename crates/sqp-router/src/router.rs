@@ -617,24 +617,12 @@ impl RouterEngine {
     /// Publish to the single replica with `id` (one atomic swap) and mark
     /// it active. This is the step primitive rolling upgrades are built
     /// from. Returns the replica's new (tier-comparable) generation.
-    /// Publishers running concurrently with membership changes use
-    /// [`try_publish_to`](Self::try_publish_to) instead — an id is not a
-    /// handle, and the replica it names may retire between resolutions.
     ///
-    /// # Panics
-    ///
-    /// Panics if no live replica has this id.
-    pub fn publish_to(&self, id: usize, snapshot: Arc<ModelSnapshot>) -> u64 {
-        self.try_publish_to(id, snapshot)
-            .unwrap_or_else(|| panic!("no live replica with id {id}"))
-    }
-
-    /// Fallible [`publish_to`](Self::publish_to): resolves `id` against
-    /// the **current** membership and returns `None` — touching nothing —
-    /// when no live replica has it (retired or removed by a concurrent
-    /// membership change). The publication path a rolling upgrade uses,
-    /// because a roll takes no membership lock and the tier may shrink
-    /// under it.
+    /// `id` is resolved against the **current** membership: an id is not
+    /// a handle, and the replica it names may have retired or been
+    /// removed by a concurrent membership change (a roll takes no
+    /// membership lock). In that case nothing is touched and the result
+    /// is `None`.
     pub fn try_publish_to(&self, id: usize, snapshot: Arc<ModelSnapshot>) -> Option<u64> {
         let state = self.state();
         let slot = state.slot(id as u32)?;
@@ -646,19 +634,8 @@ impl RouterEngine {
     /// Pin the replica with `id` on its current (last-good) snapshot and
     /// record why its publication failed. The replica keeps serving —
     /// quarantine is a publication-side state, not a traffic stop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no live replica has this id.
-    pub fn mark_quarantined(&self, id: usize, error: impl Into<String>) {
-        if !self.try_mark_quarantined(id, error) {
-            panic!("no live replica with id {id}");
-        }
-    }
-
-    /// Fallible [`mark_quarantined`](Self::mark_quarantined): returns
-    /// whether `id` still named a live replica (and was marked). A
-    /// replica that left the tier mid-roll has nothing to quarantine.
+    /// Returns whether `id` still named a live replica (and was marked):
+    /// a replica that left the tier mid-roll has nothing to quarantine.
     pub fn try_mark_quarantined(&self, id: usize, error: impl Into<String>) -> bool {
         let state = self.state();
         let Some(slot) = state.slot(id as u32) else {
@@ -1083,7 +1060,8 @@ mod tests {
     #[test]
     fn per_replica_publish_creates_and_reports_skew() {
         let r = router(3);
-        r.publish_to(0, snapshot("new"));
+        r.try_publish_to(0, snapshot("new"))
+            .expect("replica 0 is live");
         let stats = r.stats();
         assert_eq!(stats.min_generation(), 0);
         assert_eq!(stats.max_generation(), 1);
@@ -1094,7 +1072,7 @@ mod tests {
     #[test]
     fn quarantine_marks_report_and_publish_clears() {
         let r = router(2);
-        r.mark_quarantined(1, "checksum mismatch");
+        assert!(r.try_mark_quarantined(1, "checksum mismatch"));
         assert!(r.is_quarantined(1));
         let stats = r.stats();
         assert_eq!(stats.quarantined(), 1);
@@ -1105,10 +1083,11 @@ mod tests {
         // A quarantined replica still serves.
         r.track(2, "start", 100);
         let home = r.replica_for(2);
-        r.mark_quarantined(home, "still serving?");
+        assert!(r.try_mark_quarantined(home, "still serving?"));
         assert_eq!(r.suggest(2, 1, 110)[0].query, "old::next");
         // Publishing good bytes lifts the quarantine.
-        r.publish_to(1, snapshot("new"));
+        r.try_publish_to(1, snapshot("new"))
+            .expect("replica 1 is live");
         assert!(!r.is_quarantined(1));
         r.mark_active(home);
         assert_eq!(r.stats().quarantined(), 0);
@@ -1168,7 +1147,8 @@ mod tests {
         assert!(r.try_suggest_batch(&requests, 130).is_err());
 
         // Aggregated stats fold counters and report the trailing edge.
-        r.publish_to(0, snapshot("new"));
+        r.try_publish_to(0, snapshot("new"))
+            .expect("replica 0 is live");
         let folded = r.aggregate_stats();
         assert_eq!(folded.publishes, 0, "tier not fully propagated yet");
         assert_eq!(folded.tracks, 24);
@@ -1255,7 +1235,8 @@ mod tests {
     fn join_seeds_from_the_freshest_replica_and_offsets_generation() {
         let r = router(2);
         r.publish(snapshot("new"));
-        r.publish_to(0, snapshot("newer"));
+        r.try_publish_to(0, snapshot("newer"))
+            .expect("replica 0 is live");
         // Tier: replica 0 at gen 2, replica 1 at gen 1.
         let report = r.join_replica(10);
         let stats = r.stats();
