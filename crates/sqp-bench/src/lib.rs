@@ -6,6 +6,7 @@
 //! workspace builds with no external crates); [`baseline`] preserves the
 //! pre-arena hashmap counter for equivalence tests and speedup accounting.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod baseline;
@@ -48,7 +49,7 @@ pub fn bench_unaggregated_sessions(n_sessions: usize, seed: u64) -> Vec<(QuerySe
     let mut interner = sqp_common::Interner::new();
     sessions
         .iter()
-        .map(|s| (interner.intern_session(&s.queries), 1))
+        .map(|s| (s.queries().map(|q| interner.intern(q)).collect(), 1))
         .collect()
 }
 

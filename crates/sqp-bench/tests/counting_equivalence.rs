@@ -1,8 +1,7 @@
 //! Equivalence: the arena suffix-trie counter must reproduce the old
 //! hashmap-of-owned-windows counter **exactly** — same windows, same totals,
 //! same session-start counts, same continuation distributions — on the
-//! paper's toy corpus and on randomized simulated corpora, sequentially and
-//! in parallel.
+//! paper's toy corpus and on randomized simulated corpora.
 
 use sqp_bench::baseline::BaselineWindowCounts;
 use sqp_common::{seq, QueryId, QuerySeq};
@@ -22,11 +21,10 @@ fn toy_corpus() -> Vec<(QuerySeq, u64)> {
     ]
 }
 
-/// Assert the two counters agree on every observable quantity. `threads > 1`
-/// forces sharded counting + merge regardless of the host's core count.
-fn assert_equivalent(sessions: &[(QuerySeq, u64)], max_len: Option<usize>, threads: usize) {
+/// Assert the two counters agree on every observable quantity.
+fn assert_equivalent(sessions: &[(QuerySeq, u64)], max_len: Option<usize>) {
     let baseline = BaselineWindowCounts::build(sessions, max_len);
-    let trie = WindowCounts::build_sharded(sessions, max_len, threads);
+    let trie = WindowCounts::build(sessions, max_len);
 
     assert_eq!(trie.n_queries, baseline.n_queries);
     assert_eq!(trie.total_sessions, baseline.total_sessions);
@@ -90,8 +88,7 @@ fn baseline_escape(c: &BaselineWindowCounts, s: &[QueryId]) -> f64 {
 
 #[test]
 fn toy_corpus_equivalence_and_paper_numbers() {
-    assert_equivalent(&toy_corpus(), None, 1);
-    assert_equivalent(&toy_corpus(), None, 3);
+    assert_equivalent(&toy_corpus(), None);
 
     // Golden numbers straight off the trie: P(q0|q1) = 16/20 = 0.8 (Fig 3)
     // and P(q0|[q1,q0]) = 3/10 (Table II).
@@ -125,18 +122,16 @@ fn toy_corpus_kl_pins_through_training() {
 #[test]
 fn bounded_depths_match_on_toy() {
     for d in [1, 2, 3] {
-        assert_equivalent(&toy_corpus(), Some(d), 1);
-        assert_equivalent(&toy_corpus(), Some(d), 2);
+        assert_equivalent(&toy_corpus(), Some(d));
     }
 }
 
 #[test]
-fn simulated_corpora_match_sequential_and_parallel() {
+fn simulated_corpora_match() {
     for (n, seed) in [(2_000usize, 7u64), (5_000, 42)] {
         let sessions = sqp_bench::bench_sessions(n, seed);
         for max_len in [None, Some(1), Some(2), Some(4)] {
-            assert_equivalent(&sessions, max_len, 1);
-            assert_equivalent(&sessions, max_len, 4);
+            assert_equivalent(&sessions, max_len);
         }
     }
 }
@@ -161,7 +156,6 @@ fn randomized_small_corpora_match() {
         } else {
             Some(rng.random_range(1usize..5))
         };
-        let threads = rng.random_range(1usize..5);
-        assert_equivalent(&sessions, max_len, threads);
+        assert_equivalent(&sessions, max_len);
     }
 }

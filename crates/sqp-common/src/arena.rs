@@ -12,12 +12,13 @@
 //!   zero per-window allocations, and no re-hashing of whole sequences;
 //! * **freezing** lays the nodes out in a canonical breadth-first order with
 //!   id-sorted CSR child arrays, so lookups on the serve path are
-//!   allocation-free binary searches (O(log fan-out) per edge) and
-//!   iteration order is deterministic regardless of how many threads
-//!   counted;
-//! * **merging** two builders is linear in the smaller one, which is what
-//!   makes sharded parallel counting both cheap and exactly equal to the
-//!   sequential result (counts are additive, layout is canonicalized).
+//!   allocation-free binary searches (O(log fan-out) per edge) and the
+//!   layout depends only on the counts, never on insertion order;
+//! * **loading** needs no builder: the canonical layout's
+//!   `(parent, key, total, at_start)` rows, in id order, *are* the CSR
+//!   arrays — edge `e` leads to node `e + 1` — so
+//!   [`SuffixTrie::from_parts`] fills the frozen form in one pass and
+//!   rejects any row sequence that is not canonical.
 //!
 //! Node payloads are the window statistics of the paper's Eq. (6): total
 //! weighted occurrences and occurrences at a session start. Continuation
@@ -211,43 +212,6 @@ impl TrieBuilder {
             .enumerate()
             .filter(|(_, &v)| v != 0)
             .map(|(q, &v)| (q as u32, v - 1))
-    }
-
-    /// Add every count of `other` into `self`. Node ids differ between
-    /// builders; the walk maps them via the edge structure, creating missing
-    /// nodes on the fly. Builders always create a parent before its
-    /// children, so a single ascending pass over `other`'s edges suffices.
-    pub fn merge(&mut self, other: &TrieBuilder) {
-        let mut map = vec![u32::MAX; other.counts.len()];
-        map[0] = 0;
-        self.counts[0].0 += other.counts[0].0;
-        self.counts[0].1 += other.counts[0].1;
-        // Depth-1 first (their parent is the root, already mapped)…
-        for (q, child) in other.root_edges() {
-            let mapped = self.root_child_or_insert(QueryId(q));
-            map[child as usize] = mapped;
-            self.counts[mapped as usize].0 += other.counts[child as usize].0;
-            self.counts[mapped as usize].1 += other.counts[child as usize].1;
-        }
-        // …then deeper edges in ascending child-id order: a builder always
-        // creates a parent before its children, so parents are mapped by the
-        // time their children come up.
-        let mut edges: Vec<(u32, u64)> = other
-            .edges
-            .iter()
-            .map(|(key, child)| (child, key))
-            .collect();
-        edges.sort_unstable();
-        for (child, key) in edges {
-            let parent = (key >> 32) as u32;
-            let q = QueryId(key as u32);
-            let mapped_parent = map[parent as usize];
-            debug_assert_ne!(mapped_parent, u32::MAX, "child visited before parent");
-            let mapped = self.child_or_insert(mapped_parent, q);
-            map[child as usize] = mapped;
-            self.counts[mapped as usize].0 += other.counts[child as usize].0;
-            self.counts[mapped as usize].1 += other.counts[child as usize].1;
-        }
     }
 
     /// Number of nodes including the root.
@@ -539,50 +503,161 @@ impl SuffixTrie {
     }
 
     /// Flatten for serialization: one `(parent, key, total, at_start)` row
-    /// per non-root node, in id order. Within the canonical layout this
+    /// per non-root node, in id order — strictly ascending by
+    /// `(parent, key)`, every parent smaller than its row's id. This
     /// round-trips exactly through [`SuffixTrie::from_parts`].
-    pub fn parts(&self) -> impl Iterator<Item = (u32, u32, u64, u64)> + '_ {
+    pub fn parts(&self) -> impl ExactSizeIterator<Item = (u32, u32, u64, u64)> + '_ {
         self.nodes
             .iter()
             .skip(1)
             .map(|n| (n.parent, n.key.0, n.total, n.at_start))
     }
 
-    /// Rebuild from [`SuffixTrie::parts`] rows. Validates the parent
-    /// ordering instead of trusting the input (it may come from disk).
+    /// Rebuild from [`SuffixTrie::parts`] rows in one pass; row `i` is node
+    /// `i + 1`. The rows may come from disk, so nothing about them is
+    /// trusted: a parent must precede its row, and rows must ascend
+    /// strictly by `(parent, key)`. Together these make every node's
+    /// children one contiguous, key-sorted run — the frozen layout itself —
+    /// so a valid row sequence yields exactly the trie that was flattened
+    /// and anything else is an error.
     pub fn from_parts(
         window_len: u32,
-        rows: &[(u32, u32, u64, u64)],
-    ) -> Result<SuffixTrie, String> {
-        // Keys we serialize are dense interner ids, so any legitimate key is
-        // comfortably below this bound; without it a single crafted row with
-        // a huge depth-1 key would force a multi-gigabyte dense-array
-        // allocation before any error could be returned.
-        let max_key = rows.len() * 16 + 65_536;
-        let mut builder = TrieBuilder::new();
-        // ids in the flat form are 1-based row indexes; parents must come
-        // earlier, which also guarantees the builder walk is valid.
-        let mut ids = Vec::with_capacity(rows.len() + 1);
-        ids.push(0u32);
-        for (i, &(parent, key, total, at_start)) in rows.iter().enumerate() {
-            let id = (i + 1) as u32;
-            if parent >= id {
-                return Err(format!("node {id} references later parent {parent}"));
+        rows: impl ExactSizeIterator<Item = (u32, u32, u64, u64)>,
+    ) -> Result<SuffixTrie, TrieRowError> {
+        let n_rows = rows.len();
+        // Keys are dense interner ids, and every id that occurs at all
+        // occurs as a depth-1 row, so a legitimate key is below the row
+        // count; the slack keeps hand-built test tries loadable.
+        let max_key = n_rows.saturating_mul(16).saturating_add(65_536);
+        let mut nodes = Vec::with_capacity(n_rows + 1);
+        nodes.push(Node {
+            total: 0,
+            at_start: 0,
+            cont_total: 0,
+            first_child: 0,
+            n_children: 0,
+            parent: 0,
+            key: QueryId(0),
+            depth: 0,
+        });
+        let mut child_keys = Vec::with_capacity(n_rows);
+        let mut child_ids = Vec::with_capacity(n_rows);
+        let mut child_totals = Vec::with_capacity(n_rows);
+        let mut previous: Option<(u32, u32)> = None;
+        for (row, (parent, key, total, at_start)) in rows.enumerate() {
+            let node = u32::try_from(row + 1).map_err(|_| TrieRowError::TooManyRows)?;
+            if parent >= node {
+                return Err(TrieRowError::ForwardParent { node, parent });
             }
             if key as usize > max_key {
-                return Err(format!("node {id} has implausible query id {key}"));
+                return Err(TrieRowError::ImplausibleKey { node, key });
             }
-            let before = builder.len();
-            let mapped = builder.child_or_insert(ids[parent as usize], QueryId(key));
-            if builder.len() == before {
-                return Err(format!("duplicate edge into node {id}"));
+            if previous.is_some_and(|p| p >= (parent, key)) {
+                return Err(TrieRowError::OutOfOrder { node });
             }
-            builder.counts[mapped as usize] = (total, at_start);
-            ids.push(mapped);
+            previous = Some((parent, key));
+
+            let above = &mut nodes[parent as usize];
+            if above.n_children == 0 {
+                above.first_child = row as u32;
+            }
+            above.n_children += 1;
+            above.cont_total = above
+                .cont_total
+                .checked_add(total)
+                .ok_or(TrieRowError::CountOverflow { node: parent })?;
+            let depth = above.depth + 1;
+            nodes.push(Node {
+                total,
+                at_start,
+                cont_total: 0,
+                first_child: 0,
+                n_children: 0,
+                parent,
+                key: QueryId(key),
+                depth,
+            });
+            child_keys.push(QueryId(key));
+            child_ids.push(node);
+            child_totals.push(total);
         }
-        Ok(builder.freeze(window_len))
+        // A childless node's (empty) range starts where the next edge
+        // would go, as `freeze` leaves it.
+        let mut next_edge = n_rows as u32;
+        for node in nodes.iter_mut().rev() {
+            if node.n_children == 0 {
+                node.first_child = next_edge;
+            } else {
+                next_edge = node.first_child;
+            }
+        }
+        Ok(SuffixTrie {
+            nodes,
+            child_keys,
+            child_ids,
+            child_totals,
+            window_len,
+        })
     }
 }
+
+/// Why a row sequence is not the canonical flattening of any trie — what
+/// [`SuffixTrie::from_parts`] returns instead of building from it. `node`
+/// is the 1-based row number, which is the id the row would have had.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TrieRowError {
+    /// A row names a parent that does not come before it.
+    ForwardParent {
+        /// The offending row's node id.
+        node: u32,
+        /// The parent it names.
+        parent: u32,
+    },
+    /// A row's key is larger than any interner id its file could hold.
+    ImplausibleKey {
+        /// The offending row's node id.
+        node: u32,
+        /// The key it carries.
+        key: u32,
+    },
+    /// A row does not sort strictly after the one before it by
+    /// `(parent, key)`: a duplicate edge, keys descending within a parent,
+    /// or a parent going backwards.
+    OutOfOrder {
+        /// The offending row's node id.
+        node: u32,
+    },
+    /// The totals of one node's children do not fit a `u64`.
+    CountOverflow {
+        /// The parent whose continuation total overflowed.
+        node: u32,
+    },
+    /// More rows than `u32` node ids.
+    TooManyRows,
+}
+
+impl std::fmt::Display for TrieRowError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            TrieRowError::ForwardParent { node, parent } => {
+                write!(f, "node {node} references later parent {parent}")
+            }
+            TrieRowError::ImplausibleKey { node, key } => {
+                write!(f, "node {node} has implausible query id {key}")
+            }
+            TrieRowError::OutOfOrder { node } => write!(
+                f,
+                "node {node} is not strictly after its predecessor by (parent, key)"
+            ),
+            TrieRowError::CountOverflow { node } => {
+                write!(f, "continuation total of node {node} overflows u64")
+            }
+            TrieRowError::TooManyRows => write!(f, "more trie rows than u32 node ids"),
+        }
+    }
+}
+
+impl std::error::Error for TrieRowError {}
 
 #[cfg(test)]
 mod tests {
@@ -640,18 +715,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_joint_build() {
-        let sessions: &[(&[u32], u64)] =
-            &[(&[0, 1, 0], 2), (&[1, 0], 3), (&[2, 0, 1], 1), (&[0], 7)];
-        let joint = build(sessions, 4).freeze(3);
-        let mut a = build(&sessions[..2], 4);
-        let b = build(&sessions[2..], 4);
-        a.merge(&b);
-        assert_eq!(a.freeze(3), joint);
-    }
-
-    #[test]
-    fn canonical_layout_is_shard_invariant() {
+    fn canonical_layout_ignores_insertion_order() {
         // Different insertion orders must freeze identically.
         let fwd = build(&[(&[3, 1], 1), (&[0, 2], 1)], 2).freeze(2);
         let rev = build(&[(&[0, 2], 1), (&[3, 1], 1)], 2).freeze(2);
@@ -694,14 +758,97 @@ mod tests {
     #[test]
     fn parts_roundtrip() {
         let t = build(&[(&[0, 1, 0], 2), (&[1, 1], 5)], 3).freeze(2);
-        let rows: Vec<_> = t.parts().collect();
-        let back = SuffixTrie::from_parts(2, &rows).unwrap();
+        let back = SuffixTrie::from_parts(2, t.parts()).unwrap();
         assert_eq!(t, back);
+        // The root alone flattens to no rows and loads back.
+        let empty = SuffixTrie::from_parts(0, std::iter::empty()).unwrap();
+        assert_eq!(empty, SuffixTrie::empty());
     }
 
     #[test]
-    fn from_parts_rejects_forward_parents() {
-        assert!(SuffixTrie::from_parts(1, &[(5, 0, 1, 1)]).is_err());
+    fn random_tries_roundtrip_through_their_rows() {
+        use crate::rng::{Rng, StdRng};
+        for case in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(0x7e1e + case);
+            let vocabulary = rng.random_range(1u32..9);
+            let depth_limit = rng.random_range(1usize..6);
+            let mut builder = TrieBuilder::new();
+            for _ in 0..rng.random_range(0usize..40) {
+                let session: Vec<QueryId> = (0..rng.random_range(1usize..8))
+                    .map(|_| QueryId(rng.random_range(0u32..vocabulary)))
+                    .collect();
+                builder.count_session(&session, rng.random_range(1u64..50), depth_limit);
+            }
+            let window_len = depth_limit as u32 - 1;
+            let frozen = builder.freeze(window_len);
+            let loaded = SuffixTrie::from_parts(window_len, frozen.parts()).unwrap();
+            assert_eq!(loaded, frozen, "case {case}");
+            assert_eq!(loaded.window_count(), frozen.window_count(), "case {case}");
+        }
+    }
+
+    /// A valid flattening to corrupt: root → {0, 1}, 0 → {0, 1}, 1 → {0}.
+    fn valid_rows() -> Vec<(u32, u32, u64, u64)> {
+        let t = build(&[(&[0, 1], 2), (&[0, 0], 1), (&[1, 0], 4)], 2).freeze(1);
+        let rows: Vec<_> = t.parts().collect();
+        assert_eq!(
+            rows.iter().map(|r| (r.0, r.1)).collect::<Vec<_>>(),
+            [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
+        );
+        rows
+    }
+
+    fn load(rows: &[(u32, u32, u64, u64)]) -> Result<SuffixTrie, TrieRowError> {
+        SuffixTrie::from_parts(1, rows.iter().copied())
+    }
+
+    #[test]
+    fn from_parts_rejects_rows_that_are_not_canonical() {
+        let valid = valid_rows();
+        assert!(load(&valid).is_ok());
+
+        // Duplicate edge: (1, 0) twice.
+        let mut rows = valid.clone();
+        rows[3] = rows[2];
+        assert_eq!(load(&rows), Err(TrieRowError::OutOfOrder { node: 4 }));
+
+        // Keys descending within a parent.
+        let mut rows = valid.clone();
+        rows.swap(2, 3);
+        assert_eq!(load(&rows), Err(TrieRowError::OutOfOrder { node: 4 }));
+
+        // Parent going backwards: node 2's child listed before node 1's.
+        let mut rows = valid.clone();
+        rows.swap(3, 4);
+        assert_eq!(load(&rows), Err(TrieRowError::OutOfOrder { node: 5 }));
+
+        // Forward parent, self parent, and a parent past the end.
+        for parent in [4, 3, 5, u32::MAX] {
+            let mut rows = valid.clone();
+            rows[2].0 = parent;
+            assert_eq!(
+                load(&rows),
+                Err(TrieRowError::ForwardParent { node: 3, parent })
+            );
+        }
+        assert!(SuffixTrie::from_parts(1, [(5, 0, 1, 1)].into_iter()).is_err());
+
+        // A key no interner of this file's size could have issued — the
+        // loader must not size anything by it.
+        let mut rows = valid.clone();
+        rows[4].1 = u32::MAX;
+        assert_eq!(
+            load(&rows),
+            Err(TrieRowError::ImplausibleKey {
+                node: 5,
+                key: u32::MAX
+            })
+        );
+
+        // Children whose totals overflow their parent's continuation sum.
+        let mut rows = valid;
+        rows[0].2 = u64::MAX;
+        assert_eq!(load(&rows), Err(TrieRowError::CountOverflow { node: 0 }));
     }
 
     #[test]

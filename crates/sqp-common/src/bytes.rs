@@ -15,10 +15,11 @@
 
 use std::sync::Arc;
 
-/// Shared immutable byte storage with a read cursor.
+/// Shared immutable byte storage with a read cursor. Built from a
+/// `Vec<u8>` without copying it.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -71,8 +72,12 @@ impl Bytes {
         }
     }
 
+    /// Borrow the next `n` bytes and advance past them.
+    ///
+    /// # Panics
+    /// Panics when `n` exceeds [`Bytes::remaining`].
     #[inline]
-    fn take(&mut self, n: usize) -> &[u8] {
+    pub fn get_slice(&mut self, n: usize) -> &[u8] {
         assert!(n <= self.remaining(), "read past end of buffer");
         let s = &self.data[self.start..self.start + n];
         self.start += n;
@@ -82,31 +87,31 @@ impl Bytes {
     /// Read a little-endian `u16`.
     #[inline]
     pub fn get_u16_le(&mut self) -> u16 {
-        u16::from_le_bytes(self.take(2).try_into().unwrap())
+        u16::from_le_bytes(self.get_slice(2).try_into().unwrap())
     }
 
     /// Read a little-endian `u32`.
     #[inline]
     pub fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
+        u32::from_le_bytes(self.get_slice(4).try_into().unwrap())
     }
 
     /// Read a little-endian `u64`.
     #[inline]
     pub fn get_u64_le(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
+        u64::from_le_bytes(self.get_slice(8).try_into().unwrap())
     }
 
     /// Read a little-endian `f64`.
     #[inline]
     pub fn get_f64_le(&mut self) -> f64 {
-        f64::from_le_bytes(self.take(8).try_into().unwrap())
+        f64::from_le_bytes(self.get_slice(8).try_into().unwrap())
     }
 
     /// Copy exactly `dst.len()` bytes out.
     #[inline]
     pub fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        dst.copy_from_slice(self.take(dst.len()));
+        dst.copy_from_slice(self.get_slice(dst.len()));
     }
 
     /// Split off the next `n` bytes as a shared view.
@@ -127,7 +132,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: v.into(),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -217,7 +222,7 @@ impl BytesMut {
         &self.data
     }
 
-    /// Finish writing, producing shareable storage.
+    /// Finish writing, producing shareable storage (no copy).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }

@@ -231,11 +231,9 @@ impl Interner {
             if data.remaining() < len {
                 return Err(format!("truncated content of interned string {i}"));
             }
-            let mut raw = vec![0u8; len];
-            data.copy_to_slice(&mut raw);
-            let s = String::from_utf8(raw)
+            let s = std::str::from_utf8(data.get_slice(len))
                 .map_err(|_| format!("interned string {i} is not valid UTF-8"))?;
-            let id = out.intern(&s);
+            let id = out.intern(s);
             if id.index() != i {
                 return Err(format!("duplicate interned string at id {i}"));
             }

@@ -30,6 +30,7 @@
 //! * [`mem`] — approximate heap-size accounting for the memory-footprint
 //!   experiment (Table VII of the paper).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod arena;

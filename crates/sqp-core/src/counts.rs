@@ -12,16 +12,13 @@
 //! The counts live in a [`SuffixTrie`]: a session of length L costs
 //! O(L·min(L, D+1)) constant-time trie steps with **zero per-window
 //! allocations**, instead of the old hashmap's owned `Box<[QueryId]>` key
-//! per window. Counting shards across threads ([`WindowCounts::build_with`])
-//! with bit-identical results: per-shard tries merge additively and the
-//! frozen layout is canonical.
+//! per window. Counting runs on one thread: on aggregated sessions nearly
+//! every window is distinct, so per-shard tries share almost nothing and
+//! merging them re-inserted every edge — two threads measured slower than
+//! one (ROADMAP item 1 has the numbers).
 
 use sqp_common::arena::{SuffixTrie, TrieBuilder};
 use sqp_common::{QueryId, QuerySeq};
-
-/// Sessions below this count train sequentially even when parallelism is
-/// requested — thread startup would dominate.
-const PARALLEL_MIN_SESSIONS: usize = 2_048;
 
 /// All window statistics of a training corpus up to a maximum window length.
 #[derive(Debug)]
@@ -101,35 +98,6 @@ impl WindowCounts {
     /// Count windows of length `1..=max_len` over weighted sessions.
     /// `max_len = None` counts every possible window (unbounded VMM).
     pub fn build(sessions: &[(QuerySeq, u64)], max_len: Option<usize>) -> Self {
-        Self::build_with(sessions, max_len, false)
-    }
-
-    /// Count windows, optionally sharding sessions across threads. The
-    /// result is bit-identical either way — per-shard tries merge
-    /// additively and the frozen arena layout is canonical — so `parallel`
-    /// is purely a throughput knob.
-    pub fn build_with(
-        sessions: &[(QuerySeq, u64)],
-        max_len: Option<usize>,
-        parallel: bool,
-    ) -> Self {
-        let threads = if parallel && sessions.len() >= PARALLEL_MIN_SESSIONS {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            1
-        };
-        Self::build_sharded(sessions, max_len, threads)
-    }
-
-    /// Count with an explicit shard count (tests force `threads > 1` to
-    /// exercise the merge path regardless of the host's core count).
-    pub fn build_sharded(
-        sessions: &[(QuerySeq, u64)],
-        max_len: Option<usize>,
-        threads: usize,
-    ) -> Self {
         let longest = sessions.iter().map(|(s, _)| s.len()).max().unwrap_or(0);
         let max_len = max_len.unwrap_or(longest).min(longest.max(1));
         // Depth max_len+1 nodes carry the continuation counts of
@@ -137,29 +105,15 @@ impl WindowCounts {
         // children's totals).
         let depth_limit = max_len + 1;
 
-        let threads = threads.clamp(1, sessions.len().max(1));
-
-        let (builder, total_sessions) = if threads <= 1 {
-            Self::count_shard(sessions, depth_limit)
-        } else {
-            let chunk = sessions.len().div_ceil(threads);
-            let mut shards: Vec<(TrieBuilder, u64)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = sessions
-                    .chunks(chunk)
-                    .map(|shard| scope.spawn(move || Self::count_shard(shard, depth_limit)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("counting shard panicked"))
-                    .collect()
-            });
-            let (mut builder, mut total_sessions) = shards.remove(0);
-            for (shard, sessions_in_shard) in &shards {
-                builder.merge(shard);
-                total_sessions += sessions_in_shard;
-            }
-            (builder, total_sessions)
-        };
+        // Distinct windows are bounded by total counting steps; a rough hint
+        // avoids mid-count rehashing without a second pass.
+        let positions: usize = sessions.iter().map(|(s, _)| s.len()).sum();
+        let mut builder = TrieBuilder::with_edge_capacity((positions / 2).min(1 << 26));
+        let mut total_sessions = 0u64;
+        for (s, f) in sessions {
+            total_sessions += f;
+            builder.count_session(s, *f, depth_limit);
+        }
 
         let trie = builder.freeze(max_len as u32);
         let (root_keys, root_counts) = trie.continuations(SuffixTrie::ROOT);
@@ -174,17 +128,15 @@ impl WindowCounts {
         }
     }
 
-    fn count_shard(sessions: &[(QuerySeq, u64)], depth_limit: usize) -> (TrieBuilder, u64) {
-        // Distinct windows are bounded by total counting steps; a rough hint
-        // avoids mid-count rehashing without a second pass.
-        let positions: usize = sessions.iter().map(|(s, _)| s.len()).sum();
-        let mut builder = TrieBuilder::with_edge_capacity((positions / 2).min(1 << 26));
-        let mut total_sessions = 0u64;
-        for (s, f) in sessions {
-            total_sessions += f;
-            builder.count_session(s, *f, depth_limit);
-        }
-        (builder, total_sessions)
+    /// [`WindowCounts::build`]. `_parallel` is ignored — counting runs on
+    /// one thread (see the module docs) — and this entry point stays only
+    /// because `benchmark/` calls it; the next `benchmark` PR drops it.
+    pub fn build_with(
+        sessions: &[(QuerySeq, u64)],
+        max_len: Option<usize>,
+        _parallel: bool,
+    ) -> Self {
+        Self::build(sessions, max_len)
     }
 
     /// Counts for a window, if observed.
@@ -409,30 +361,6 @@ mod tests {
         assert_eq!(c.n_queries, 0);
         assert_eq!(c.window_count(), 0);
         assert!(c.candidates(1).is_empty());
-    }
-
-    #[test]
-    fn sharded_build_is_bit_identical() {
-        let mut sessions: Vec<(QuerySeq, u64)> = Vec::new();
-        for i in 0..4_000u32 {
-            let a = i % 13;
-            let b = (i * 7 + 1) % 13;
-            let c = (i * 3 + 5) % 13;
-            sessions.push((seq(&[a, b, c, a % 5]), 1 + u64::from(i % 4)));
-        }
-        let seq_counts = WindowCounts::build_with(&sessions, None, false);
-        // Explicit shard counts exercise the merge path even on one core;
-        // build_with(parallel=true) must agree as well.
-        for counts in [
-            WindowCounts::build_sharded(&sessions, None, 3),
-            WindowCounts::build_sharded(&sessions, None, 7),
-            WindowCounts::build_with(&sessions, None, true),
-        ] {
-            assert_eq!(seq_counts.trie(), counts.trie());
-            assert_eq!(seq_counts.total_sessions, counts.total_sessions);
-            assert_eq!(seq_counts.total_occurrences, counts.total_occurrences);
-            assert_eq!(seq_counts.n_queries, counts.n_queries);
-        }
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl Mvmm {
         }
         let counts: Vec<crate::counts::WindowCounts> = depths
             .iter()
-            .map(|d| crate::counts::WindowCounts::build_with(sessions, *d, cfg.parallel))
+            .map(|d| crate::counts::WindowCounts::build(sessions, *d))
             .collect();
         let counts_for = |c: &VmmConfig| {
             let i = depths.iter().position(|d| *d == c.max_depth).unwrap();

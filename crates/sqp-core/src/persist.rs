@@ -203,6 +203,12 @@ fn expect_consumed(data: &Bytes) -> Result<(), String> {
     }
 }
 
+/// The order every context table is written in: shorter contexts first,
+/// ties by id sequence — so a reader that reinserts finds parents present.
+fn by_length_then_ids(a: &[QueryId], b: &[QueryId]) -> std::cmp::Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
 fn put_seq(buf: &mut BytesMut, seq: &[QueryId]) {
     buf.put_u32_le(seq.len() as u32);
     for q in seq {
@@ -300,7 +306,7 @@ fn ngram_to_bytes(model: &NGram) -> Bytes {
         .iter()
         .map(|(ctx, counts)| (ctx, counts.as_ref()))
         .collect();
-    states.sort_by_key(|(ctx, _)| (ctx.len(), (*ctx).clone()));
+    states.sort_by(|(a, _), (b, _)| by_length_then_ids(a, b));
     let mut buf = BytesMut::with_capacity(8 + states.len() * 32);
     buf.put_u32_le(states.len() as u32);
     for (ctx, counts) in states {
@@ -344,7 +350,7 @@ fn backoff_to_bytes(model: &BackoffNgram) -> Bytes {
     buf.put_u64_le(model.n_queries as u64);
     put_counts(&mut buf, &model.unigrams);
     let mut states: Vec<&QuerySeq> = model.states.keys().collect();
-    states.sort_by_key(|ctx| (ctx.len(), (*ctx).clone()));
+    states.sort_by(|a, b| by_length_then_ids(a, b));
     buf.put_u32_le(states.len() as u32);
     for ctx in states {
         put_seq(&mut buf, ctx);
@@ -415,7 +421,7 @@ pub(crate) fn vmm_to_bytes(model: &Vmm) -> Bytes {
 
     // Nodes in (length, context) order so reinsertion finds parents.
     let mut nodes: Vec<_> = model.pst.iter().collect();
-    nodes.sort_by_key(|n| (n.context.len(), n.context.clone()));
+    nodes.sort_by(|a, b| by_length_then_ids(&a.context, &b.context));
     buf.put_u64_le(nodes.len() as u64);
     for node in nodes {
         put_seq(&mut buf, &node.context);
@@ -521,16 +527,16 @@ pub(crate) fn vmm_from_bytes(mut data: Bytes) -> Result<Vmm, String> {
     if data.remaining() < rows_bytes {
         return Err("truncated trie rows".into());
     }
-    let rows: Vec<(u32, u32, u64, u64)> = (0..n_rows)
-        .map(|_| {
-            let parent = data.get_u32_le();
-            let key = data.get_u32_le();
-            let total = data.get_u64_le();
-            let at_start = data.get_u64_le();
-            (parent, key, total, at_start)
-        })
-        .collect();
-    let windows = SuffixTrie::from_parts(window_len, &rows)?;
+    // The rows are the trie's serving layout already: they stream straight
+    // into the frozen arrays, validated row by row.
+    let rows = (0..n_rows).map(|_| {
+        let parent = data.get_u32_le();
+        let key = data.get_u32_le();
+        let total = data.get_u64_le();
+        let at_start = data.get_u64_le();
+        (parent, key, total, at_start)
+    });
+    let windows = SuffixTrie::from_parts(window_len, rows).map_err(|e| e.to_string())?;
 
     Ok(Vmm {
         pst,

@@ -25,7 +25,7 @@ use crate::model::{Recommender, SequenceScorer, WeightedSessions};
 use crate::pst::{NodeDist, Pst};
 use sqp_common::arena::SuffixTrie;
 use sqp_common::topk::Scored;
-use sqp_common::{FxHashSet, QueryId, QuerySeq};
+use sqp_common::QueryId;
 
 /// VMM training parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -37,9 +37,9 @@ pub struct VmmConfig {
     pub max_depth: Option<usize>,
     /// Minimum continuation support for a candidate context.
     pub min_support: u64,
-    /// Shard window counting across threads. Results are bit-identical to
-    /// sequential training (the arena layout is canonical), so this is
-    /// purely a throughput knob; tiny corpora ignore it.
+    /// Ignored: window counting runs on one thread (see
+    /// [`crate::counts`]). The field and [`VmmConfig::parallel`] stay only
+    /// because `benchmark/` sets them; the next `benchmark` PR drops both.
     pub parallel: bool,
 }
 
@@ -72,7 +72,7 @@ impl VmmConfig {
         }
     }
 
-    /// Enable (or disable) parallel counting.
+    /// Set the (ignored) `parallel` field.
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
         self
@@ -133,7 +133,7 @@ fn kl_counts_base10(
 impl Vmm {
     /// Train on weighted sessions.
     pub fn train(sessions: &WeightedSessions, config: VmmConfig) -> Self {
-        let counts = WindowCounts::build_with(sessions, config.max_depth, config.parallel);
+        let counts = WindowCounts::build(sessions, config.max_depth);
         Self::train_from_counts(counts, config)
     }
 
@@ -183,21 +183,27 @@ impl Vmm {
 
         // Stages (a) + (b): decide the suffix-closed state set, walking the
         // candidate nodes in (length, sequence) order — the trie's canonical
-        // id order — so parents are decided before children.
-        let mut states: FxHashSet<QuerySeq> = FxHashSet::default();
-        let mut path: Vec<QueryId> = Vec::new();
+        // id order — so a node's trie parent, and every shorter window, is
+        // decided before it.
+        //
+        // `link[n]` is the node of n's window minus its oldest query — the
+        // PST parent, whose distribution the KL test compares against. With
+        // path(n) = path(p)·q it is `child(link[p], q)`, and p is itself a
+        // candidate (its continuation support counts n), so links fill in
+        // as the walk goes. `state[n]` marks the chosen windows; the marked
+        // set stays suffix-closed, which lets a chain walk stop early.
+        let n_windows = trie.window_count() + 1;
+        let mut link = vec![SuffixTrie::ROOT; n_windows];
+        let mut state = vec![false; n_windows];
         for node in counts.candidate_nodes(config.min_support) {
             if trie.depth(node) == 1 {
-                states.insert(Box::from([trie.key(node)]));
+                state[node as usize] = true;
                 continue;
             }
-            trie.path(node, &mut path);
-            if states.contains(path.as_slice()) {
-                continue; // already pulled in as a suffix of a deeper state
-            }
             let parent = trie
-                .find(&path[1..])
+                .child(link[trie.parent(node) as usize], trie.key(node))
                 .expect("suffix of an observed window is observed");
+            link[node as usize] = parent;
             let parent_total = trie.cont_total(parent);
             let child_total = trie.cont_total(node);
             if parent_total == 0 || child_total == 0 {
@@ -219,28 +225,28 @@ impl Vmm {
             );
             if d > config.epsilon {
                 // Add the candidate and its whole suffix chain.
-                let mut suffix: &[QueryId] = &path;
-                while !suffix.is_empty() {
-                    states.insert(suffix.into());
-                    suffix = &suffix[1..];
+                let mut suffix = node;
+                while suffix != SuffixTrie::ROOT && !state[suffix as usize] {
+                    state[suffix as usize] = true;
+                    suffix = link[suffix as usize];
                 }
             }
         }
 
-        // Stage (c): materialize the tree with smoothed distributions.
-        let mut ordered: Vec<QuerySeq> = states.into_iter().collect();
-        ordered.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        // Stage (c): materialize the tree with smoothed distributions. Id
+        // order is (length, sequence) order, so parents are inserted first.
         let (root_keys, root_counts) = counts.root_continuations();
         let mut pst = Pst::new(NodeDist::from_sorted_slices(
             root_keys,
             root_counts,
             n_queries,
         ));
-        for s in ordered {
-            let node = trie.find(&s).expect("state is an observed window");
+        let mut path: Vec<QueryId> = Vec::new();
+        for node in (0..n_windows as u32).filter(|&n| state[n as usize]) {
+            trie.path(node, &mut path);
             let (keys, cnts) = trie.continuations(node);
             let dist = NodeDist::from_sorted_slices(keys, cnts, n_queries);
-            pst.insert(s, dist);
+            pst.insert(path.as_slice().into(), dist);
         }
         pst
     }
@@ -579,31 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_training_equals_sequential() {
-        // Large enough corpus to cross the parallel threshold.
-        let mut sessions: Vec<(QuerySeq, u64)> = Vec::new();
-        for i in 0..4_000u32 {
-            let a = i % 11;
-            let b = (i * 5 + 2) % 11;
-            let c = (i * 3 + 7) % 11;
-            sessions.push((seq(&[a, b, c]), 1 + u64::from(i % 3)));
-        }
-        let serial = Vmm::train(&sessions, VmmConfig::with_epsilon(0.02));
-        let parallel = Vmm::train(&sessions, VmmConfig::with_epsilon(0.02).parallel(true));
-        assert_eq!(serial.node_count(), parallel.node_count());
-        assert_eq!(serial.window_trie(), parallel.window_trie());
-        for q in 0..11u32 {
-            let a = serial.recommend(&seq(&[q]), 5);
-            let b = parallel.recommend(&seq(&[q]), 5);
-            assert_eq!(a.len(), b.len(), "context [{q}]");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.query, y.query);
-                assert_eq!(x.score, y.score);
-            }
-        }
-    }
-
-    #[test]
     fn memory_accounting_positive_and_monotone() {
         let small = toy_vmm();
         let full = Vmm::train(&toy_corpus(), VmmConfig::with_epsilon(0.0));
@@ -623,6 +604,7 @@ mod tests {
 mod randomized_tests {
     use super::*;
     use sqp_common::rng::{Rng, StdRng};
+    use sqp_common::QuerySeq;
 
     fn arbitrary_corpus(rng: &mut StdRng) -> Vec<(QuerySeq, u64)> {
         let n = rng.random_range(1usize..25);

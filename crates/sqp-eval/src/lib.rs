@@ -5,6 +5,7 @@
 //! reasons, the Figure 2 entropy curve, the §V-H user study driven by a
 //! simulated labeler oracle, and the Figure 12 training-time sweep.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod accuracy;

@@ -7,6 +7,7 @@
 //! All binaries accept `--train-sessions N --test-sessions N --seed N
 //! --reduction N --quick`.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod data_figs;

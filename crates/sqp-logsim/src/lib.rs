@@ -13,6 +13,7 @@
 //! assert!(!logs.train.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod config;

@@ -59,6 +59,7 @@
 //! server.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod admin;

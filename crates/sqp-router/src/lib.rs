@@ -22,6 +22,7 @@
 //! with per-replica validation and quarantine-on-failure) lives in
 //! `sqp-store`'s `rollout` module, which builds on the primitives here.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod ring;

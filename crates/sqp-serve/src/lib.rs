@@ -63,6 +63,7 @@
 //! assert_eq!(engine.generation(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod engine;

@@ -49,8 +49,9 @@ pub struct TrainingConfig {
     pub reduction_threshold: u64,
     /// The model to train.
     pub model: ModelSpec,
-    /// Shard segmentation and window counting across threads. Training is
-    /// deterministic either way; production builds want this on.
+    /// Shard segmentation's pass over the raw records across threads. The
+    /// trained model is byte-identical either way; production builds want
+    /// this on.
     pub parallel: bool,
 }
 
@@ -125,7 +126,7 @@ impl ModelSnapshot {
         let trained_sessions = reduced.total_sessions();
         let model: Box<dyn Recommender> = match &cfg.model {
             ModelSpec::Mvmm(c) => Box::new(Mvmm::train(&reduced.sessions, c)),
-            ModelSpec::Vmm(c) => Box::new(Vmm::train(&reduced.sessions, c.parallel(cfg.parallel))),
+            ModelSpec::Vmm(c) => Box::new(Vmm::train(&reduced.sessions, *c)),
             ModelSpec::Adjacency => Box::new(sqp_core::Adjacency::train(&reduced.sessions)),
             ModelSpec::Cooccurrence => Box::new(sqp_core::Cooccurrence::train(&reduced.sessions)),
             ModelSpec::NGram => Box::new(sqp_core::NGram::train(&reduced.sessions)),

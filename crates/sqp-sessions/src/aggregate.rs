@@ -1,11 +1,18 @@
 //! Session aggregation — the paper's §V-A.3.
 //!
 //! *"After session segmentation, identical sessions from different users are
-//! aggregated."* Queries are interned here, so everything downstream works on
-//! dense [`QueryId`]s.
+//! aggregated."* Final [`QueryId`]s are assigned here, so everything
+//! downstream works on dense ids.
+//!
+//! [`Segmented`] already holds every session as a span of provisional ids,
+//! so no query text is hashed per record: one scan of the flat buffer maps
+//! each provisional id to a final one the first time it appears — one
+//! `intern` per *distinct* query, in first-seen order over sessions sorted
+//! by (machine id, start time) — and identical sessions are then counted as
+//! borrowed id slices of the remapped buffer.
 
-use crate::segment::TextSession;
-use sqp_common::{Counter, FxHashMap, Interner, QueryId, QuerySeq};
+use crate::segment::Segmented;
+use sqp_common::{FxHashMap, Interner, QueryId, QuerySeq};
 
 /// Aggregated sessions: each distinct query sequence with its frequency.
 #[derive(Clone, Debug, Default)]
@@ -69,31 +76,63 @@ impl Aggregated {
 }
 
 /// Intern and aggregate segmented sessions.
-pub fn aggregate(sessions: &[TextSession], interner: &mut Interner) -> Aggregated {
-    let mut counts: Counter<QuerySeq> = Counter::new();
-    for s in sessions {
-        let seq: QuerySeq = s.queries.iter().map(|q| interner.intern(q)).collect();
-        counts.observe(seq);
+///
+/// `interner` may already hold queries (a test epoch aggregated after its
+/// training epoch); queries new to it get the next ids in first-seen order.
+pub fn aggregate(sessions: &Segmented, interner: &mut Interner) -> Aggregated {
+    const UNSEEN: u32 = u32::MAX;
+    let mut final_id = vec![UNSEEN; sessions.table.len()];
+    let ids: Vec<QueryId> = sessions
+        .ids
+        .iter()
+        .map(|&provisional| {
+            let slot = &mut final_id[provisional.index()];
+            if *slot == UNSEEN {
+                *slot = interner.intern(sessions.table.resolve(provisional)).0;
+            }
+            QueryId(*slot)
+        })
+        .collect();
+
+    let mut counts: FxHashMap<&[QueryId], u64> = FxHashMap::default();
+    for i in 0..sessions.len() {
+        *counts.entry(&ids[sessions.span(i)]).or_insert(0) += 1;
     }
-    let map: FxHashMap<QuerySeq, u64> = counts.into_map();
-    Aggregated::from_weighted(map.into_iter().collect())
+    Aggregated::from_weighted(
+        counts
+            .into_iter()
+            .map(|(seq, freq)| (QuerySeq::from(seq), freq))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::segment_default;
+    use crate::segment::tests::rec;
 
-    fn ts(machine: u64, queries: &[&str]) -> TextSession {
-        TextSession {
-            machine_id: machine,
-            start_time: 0,
-            queries: queries.iter().map(|s| s.to_string()).collect(),
-        }
+    /// One session per entry: machine `i + 1` issues `queries` a second
+    /// apart.
+    fn sessions(each: &[&[&str]]) -> Segmented {
+        let records: Vec<_> = each
+            .iter()
+            .enumerate()
+            .flat_map(|(machine, queries)| {
+                queries
+                    .iter()
+                    .enumerate()
+                    .map(move |(t, q)| rec(machine as u64 + 1, t as u64, q))
+            })
+            .collect();
+        let segmented = segment_default(&records);
+        assert_eq!(segmented.len(), each.len());
+        segmented
     }
 
     #[test]
     fn identical_sessions_merge() {
-        let sessions = vec![ts(1, &["a", "b"]), ts(2, &["a", "b"]), ts(3, &["a", "c"])];
+        let sessions = sessions(&[&["a", "b"], &["a", "b"], &["a", "c"]]);
         let mut interner = Interner::new();
         let agg = aggregate(&sessions, &mut interner);
         assert_eq!(agg.unique_sessions(), 2);
@@ -104,22 +143,18 @@ mod tests {
 
     #[test]
     fn mass_is_preserved() {
-        let sessions: Vec<TextSession> = (0..40)
-            .map(|i| ts(i, &[["x", "y", "z"][i as usize % 3]]))
+        let each: Vec<&[&str]> = (0..40)
+            .map(|i| [&["x"][..], &["y"], &["z"]][i % 3])
             .collect();
         let mut interner = Interner::new();
-        let agg = aggregate(&sessions, &mut interner);
+        let agg = aggregate(&sessions(&each), &mut interner);
         assert_eq!(agg.total_sessions(), 40);
         assert_eq!(agg.total_searches(), 40);
     }
 
     #[test]
     fn searches_weighted_by_length_and_freq() {
-        let sessions = vec![
-            ts(1, &["a", "b", "c"]),
-            ts(2, &["a", "b", "c"]),
-            ts(3, &["d"]),
-        ];
+        let sessions = sessions(&[&["a", "b", "c"], &["a", "b", "c"], &["d"]]);
         let mut interner = Interner::new();
         let agg = aggregate(&sessions, &mut interner);
         assert_eq!(agg.total_searches(), 7);
@@ -128,7 +163,7 @@ mod tests {
 
     #[test]
     fn length_histogram_weighted() {
-        let sessions = vec![ts(1, &["a", "b"]), ts(2, &["a", "b"]), ts(3, &["c"])];
+        let sessions = sessions(&[&["a", "b"], &["a", "b"], &["c"]]);
         let mut interner = Interner::new();
         let agg = aggregate(&sessions, &mut interner);
         let h = agg.length_histogram();
@@ -138,13 +173,7 @@ mod tests {
 
     #[test]
     fn rank_frequency_is_descending() {
-        let sessions = vec![
-            ts(1, &["a"]),
-            ts(2, &["a"]),
-            ts(3, &["a"]),
-            ts(4, &["b"]),
-            ts(5, &["c"]),
-        ];
+        let sessions = sessions(&[&["a"], &["a"], &["a"], &["b"], &["c"]]);
         let mut interner = Interner::new();
         let agg = aggregate(&sessions, &mut interner);
         let rf = agg.rank_frequency();
@@ -156,7 +185,7 @@ mod tests {
 
     #[test]
     fn deterministic_ordering_breaks_frequency_ties() {
-        let sessions = vec![ts(1, &["b"]), ts(2, &["a"])];
+        let sessions = sessions(&[&["b"], &["a"]]);
         let mut interner = Interner::new();
         let agg = aggregate(&sessions, &mut interner);
         // Both have frequency 1; order must be stable by sequence.
@@ -165,9 +194,21 @@ mod tests {
     }
 
     #[test]
+    fn ids_follow_session_order_not_input_order() {
+        // Machine 9's record comes first in the log, machine 2's session
+        // comes first in (machine, start time) order — and so do its ids.
+        let records = [rec(9, 0, "late"), rec(2, 5, "early"), rec(2, 6, "late")];
+        let mut interner = Interner::new();
+        interner.intern("already there");
+        aggregate(&segment_default(&records), &mut interner);
+        let texts: Vec<&str> = interner.iter().map(|(_, t)| t).collect();
+        assert_eq!(texts, ["already there", "early", "late"]);
+    }
+
+    #[test]
     fn empty_input() {
         let mut interner = Interner::new();
-        let agg = aggregate(&[], &mut interner);
+        let agg = aggregate(&segment_default(&[]), &mut interner);
         assert_eq!(agg.unique_sessions(), 0);
         assert_eq!(agg.total_sessions(), 0);
     }

@@ -206,6 +206,9 @@ mod tests {
         }
         let sessions = crate::segment_default(c.records());
         assert_eq!(sessions.len(), 6);
-        assert_eq!(sessions[0].queries, ["garden", "garden shed"]);
+        assert_eq!(
+            sessions.get(0).queries().collect::<Vec<_>>(),
+            ["garden", "garden shed"]
+        );
     }
 }

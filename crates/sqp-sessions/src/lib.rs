@@ -15,6 +15,7 @@
 //! assert!(!processed.ground_truth.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod aggregate;
@@ -35,7 +36,8 @@ pub use index::{QueryTrainingIndex, UnpredictableReason};
 pub use pipeline::{process, EpochData, PipelineConfig, ProcessedLogs};
 pub use reduce::{reduce, ReductionReport};
 pub use segment::{
-    segment, segment_default, segment_with_parallelism, TextSession, DEFAULT_CUTOFF_SECS,
+    segment, segment_default, segment_with_parallelism, Segmented, SessionRef, TextSession,
+    DEFAULT_CUTOFF_SECS,
 };
 pub use segment_ext::{queries_related, segment_with, SegmentStrategy};
 pub use stats::{corpus_stats, CorpusStats};

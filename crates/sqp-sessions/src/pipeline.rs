@@ -7,7 +7,7 @@ use crate::aggregate::{aggregate, Aggregated};
 use crate::contexts::GroundTruth;
 use crate::index::QueryTrainingIndex;
 use crate::reduce::{reduce, ReductionReport};
-use crate::segment::{segment_with_parallelism, TextSession};
+use crate::segment::{segment_with_parallelism, Segmented, TextSession};
 use crate::stats::{corpus_stats, CorpusStats};
 use sqp_common::{Histogram, Interner};
 use sqp_logsim::SimulatedLogs;
@@ -24,8 +24,8 @@ pub struct PipelineConfig {
     pub reduction_threshold: u64,
     /// Continuations kept per ground-truth context (the paper's n = 5).
     pub ground_truth_n: usize,
-    /// Shard per-machine segmentation across threads. Deterministic either
-    /// way (machines are independent; output order is by machine id).
+    /// Shard segmentation's key pass across threads. Deterministic either
+    /// way (see [`segment_with_parallelism`]).
     pub parallel: bool,
 }
 
@@ -80,7 +80,7 @@ fn process_epoch(
     records: &[sqp_logsim::RawLogRecord],
     cfg: &PipelineConfig,
     interner: &mut Interner,
-) -> (EpochData, Vec<TextSession>) {
+) -> (EpochData, Segmented) {
     let sessions = segment_with_parallelism(records, cfg.session_cutoff_secs, cfg.parallel);
     let stats = corpus_stats(&sessions);
     let aggregated_full = aggregate(&sessions, interner);
@@ -116,7 +116,7 @@ pub fn process(logs: &SimulatedLogs, cfg: &PipelineConfig) -> ProcessedLogs {
         test,
         ground_truth,
         train_index,
-        test_sessions,
+        test_sessions: test_sessions.to_text_sessions(),
     }
 }
 

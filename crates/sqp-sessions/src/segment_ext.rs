@@ -9,9 +9,8 @@
 //! study how the choice affects every model, and power the
 //! `ablation_reduction`-style sensitivity analyses.
 
-use crate::segment::TextSession;
+use crate::segment::{segment_by, Segmented};
 use sqp_common::dist::levenshtein_str;
-use sqp_common::FxHashMap;
 use sqp_logsim::RawLogRecord;
 
 /// Strategy for deciding where one session ends and the next begins.
@@ -59,70 +58,28 @@ pub fn queries_related(a: &str, b: &str) -> bool {
     shared * 2 >= wa.len().min(wb.len())
 }
 
-/// Segment records with the chosen strategy. Output ordering matches
-/// [`crate::segment::segment`]: by machine id, then time.
-pub fn segment_with(records: &[RawLogRecord], strategy: SegmentStrategy) -> Vec<TextSession> {
-    let mut by_machine: FxHashMap<u64, Vec<&RawLogRecord>> = FxHashMap::default();
-    for r in records {
-        by_machine.entry(r.machine_id).or_default().push(r);
-    }
-    let mut machines: Vec<u64> = by_machine.keys().copied().collect();
-    machines.sort_unstable();
-
-    let mut sessions = Vec::new();
-    for m in machines {
-        let mut recs = by_machine.remove(&m).unwrap();
-        recs.sort_by_key(|r| r.timestamp);
-
-        let mut current: Option<TextSession> = None;
-        let mut last_activity = 0u64;
-        for r in recs {
-            let split = match (&current, strategy) {
-                (None, _) => true,
-                (Some(_), SegmentStrategy::TimeGap { cutoff_secs }) => {
-                    r.timestamp.saturating_sub(last_activity) > cutoff_secs
-                }
-                (
-                    Some(cur),
-                    SegmentStrategy::SimilarityEnhanced {
-                        cutoff_secs,
-                        hard_factor,
-                    },
-                ) => {
-                    let gap = r.timestamp.saturating_sub(last_activity);
-                    if gap > cutoff_secs.saturating_mul(hard_factor.max(1)) {
-                        true
-                    } else if gap > cutoff_secs {
-                        // Long pause: stay in-session only for an obvious
-                        // reformulation of the latest query.
-                        let prev = cur.queries.last().map(String::as_str).unwrap_or("");
-                        !queries_related(prev, &r.query)
-                    } else {
-                        false
-                    }
-                }
-                (Some(cur), SegmentStrategy::FixedLength { max_queries }) => {
-                    cur.queries.len() >= max_queries.max(1)
-                }
-            };
-            if split {
-                if let Some(s) = current.take() {
-                    sessions.push(s);
-                }
-                current = Some(TextSession {
-                    machine_id: m,
-                    start_time: r.timestamp,
-                    queries: Vec::new(),
-                });
+/// Segment records with the chosen strategy. Same ordering pass and
+/// output ordering as [`crate::segment::segment`] — by machine id, then
+/// time — with the strategy as the cut rule.
+pub fn segment_with(records: &[RawLogRecord], strategy: SegmentStrategy) -> Segmented {
+    segment_by(records, 1, |table, b| match strategy {
+        SegmentStrategy::TimeGap { cutoff_secs } => b.gap > cutoff_secs,
+        SegmentStrategy::SimilarityEnhanced {
+            cutoff_secs,
+            hard_factor,
+        } => {
+            if b.gap > cutoff_secs.saturating_mul(hard_factor.max(1)) {
+                true
+            } else if b.gap > cutoff_secs {
+                // Long pause: stay in-session only for an obvious
+                // reformulation of the latest query.
+                !queries_related(table.resolve(b.prev), table.resolve(b.next))
+            } else {
+                false
             }
-            current.as_mut().unwrap().queries.push(r.query.clone());
-            last_activity = last_activity.max(r.last_activity());
         }
-        if let Some(s) = current.take() {
-            sessions.push(s);
-        }
-    }
-    sessions
+        SegmentStrategy::FixedLength { max_queries } => b.open_len >= max_queries.max(1),
+    })
 }
 
 #[cfg(test)]
@@ -151,7 +108,7 @@ mod tests {
         ];
         let a = segment_with(&records, SegmentStrategy::TimeGap { cutoff_secs: MIN30 });
         let b = segment_default(&records);
-        assert_eq!(a, b);
+        assert_eq!(a.to_text_sessions(), b.to_text_sessions());
     }
 
     #[test]
@@ -172,7 +129,7 @@ mod tests {
             },
         );
         assert_eq!(enhanced.len(), 1);
-        assert_eq!(enhanced[0].queries.len(), 2);
+        assert_eq!(enhanced.get(0).len(), 2);
     }
 
     #[test]
@@ -212,7 +169,7 @@ mod tests {
     fn fixed_length_chunks() {
         let records: Vec<RawLogRecord> = (0..7).map(|i| rec(1, i * 10, &format!("q{i}"))).collect();
         let sessions = segment_with(&records, SegmentStrategy::FixedLength { max_queries: 3 });
-        let lens: Vec<usize> = sessions.iter().map(|s| s.queries.len()).collect();
+        let lens: Vec<usize> = sessions.iter().map(|s| s.len()).collect();
         assert_eq!(lens, vec![3, 3, 1]);
     }
 
@@ -240,9 +197,9 @@ mod tests {
             SegmentStrategy::FixedLength { max_queries: 4 },
         ] {
             let sessions = segment_with(&records, strategy);
-            let total: usize = sessions.iter().map(|s| s.queries.len()).sum();
+            let total: usize = sessions.iter().map(|s| s.len()).sum();
             assert_eq!(total, records.len(), "{strategy:?} lost records");
-            assert!(sessions.iter().all(|s| !s.queries.is_empty()));
+            assert!(sessions.iter().all(|s| !s.is_empty()));
         }
     }
 

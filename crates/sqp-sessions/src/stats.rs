@@ -1,7 +1,7 @@
 //! Corpus statistics — Table IV, Figure 5, Figure 6, Figure 7.
 
-use crate::segment::TextSession;
-use sqp_common::{FxHashSet, Histogram};
+use crate::segment::Segmented;
+use sqp_common::Histogram;
 
 /// Summary statistics of a segmented corpus (the paper's Table IV).
 #[derive(Clone, Debug, PartialEq)]
@@ -16,22 +16,17 @@ pub struct CorpusStats {
     pub length_histogram: Histogram,
 }
 
-/// Compute Table IV statistics over segmented sessions.
-pub fn corpus_stats(sessions: &[TextSession]) -> CorpusStats {
-    let mut unique: FxHashSet<&str> = FxHashSet::default();
+/// Compute Table IV statistics over segmented sessions. Read off the
+/// segmentation's own table and spans — no query text is touched.
+pub fn corpus_stats(sessions: &Segmented) -> CorpusStats {
     let mut hist = Histogram::new();
-    let mut searches = 0u64;
-    for s in sessions {
-        hist.observe(s.queries.len() as u64);
-        searches += s.queries.len() as u64;
-        for q in &s.queries {
-            unique.insert(q.as_str());
-        }
+    for s in sessions.iter() {
+        hist.observe(s.len() as u64);
     }
     CorpusStats {
         n_sessions: sessions.len() as u64,
-        n_searches: searches,
-        n_unique_queries: unique.len() as u64,
+        n_searches: sessions.searches() as u64,
+        n_unique_queries: sessions.unique_queries() as u64,
         length_histogram: hist,
     }
 }
@@ -46,19 +41,21 @@ impl CorpusStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ts(queries: &[&str]) -> TextSession {
-        TextSession {
-            machine_id: 0,
-            start_time: 0,
-            queries: queries.iter().map(|s| s.to_string()).collect(),
-        }
-    }
+    use crate::segment::segment_default;
+    use crate::segment::tests::rec;
 
     #[test]
     fn counts_sessions_searches_uniques() {
-        let sessions = vec![ts(&["a", "b"]), ts(&["a"]), ts(&["c", "c", "d"])];
-        let st = corpus_stats(&sessions);
+        // Three machines, one session each: [a, b], [a], [c, c, d].
+        let records = [
+            rec(1, 0, "a"),
+            rec(1, 1, "b"),
+            rec(2, 0, "a"),
+            rec(3, 0, "c"),
+            rec(3, 1, "c"),
+            rec(3, 2, "d"),
+        ];
+        let st = corpus_stats(&segment_default(&records));
         assert_eq!(st.n_sessions, 3);
         assert_eq!(st.n_searches, 6);
         assert_eq!(st.n_unique_queries, 4);
@@ -70,7 +67,7 @@ mod tests {
 
     #[test]
     fn empty_corpus() {
-        let st = corpus_stats(&[]);
+        let st = corpus_stats(&segment_default(&[]));
         assert_eq!(st.n_sessions, 0);
         assert_eq!(st.n_searches, 0);
         assert_eq!(st.n_unique_queries, 0);

@@ -257,16 +257,25 @@ fn required_section(
     Ok(entry)
 }
 
-/// Reconstruct a snapshot and its metadata from v3 container bytes.
+/// Reconstruct a snapshot and its metadata from v3 container bytes the
+/// caller only borrows; the decoder works on a copy. A caller that owns
+/// the buffer hands it to [`snapshot_from_vec`] instead.
+pub fn snapshot_from_bytes(raw: &[u8]) -> Result<(ModelSnapshot, SnapshotMeta), SnapshotError> {
+    snapshot_from_vec(raw.to_vec())
+}
+
+/// Reconstruct a snapshot and its metadata from an owned buffer of v3
+/// container bytes — what a file read yields — without copying it.
 ///
 /// Integrity order: magic → version → whole-file checksum → section table
 /// → payloads. Any violation returns the matching [`SnapshotError`]
 /// variant; no code path panics and no partial snapshot escapes.
-pub fn snapshot_from_bytes(raw: &[u8]) -> Result<(ModelSnapshot, SnapshotMeta), SnapshotError> {
-    let entries = parse_section_table(raw)?;
-    // One shared copy of the file; the interner and model payloads below
-    // are zero-copy cursor views into it.
-    let shared = Bytes::from(raw.to_vec());
+pub fn snapshot_from_vec(raw: Vec<u8>) -> Result<(ModelSnapshot, SnapshotMeta), SnapshotError> {
+    let entries = parse_section_table(&raw)?;
+    // The file itself becomes the shared storage; the interner and model
+    // payloads below are zero-copy cursor views into it.
+    let shared = Bytes::from(raw);
+    let raw = shared.as_slice();
 
     // META.
     let meta_entry = required_section(&entries, SECTION_META, "meta")?;
@@ -418,8 +427,7 @@ pub fn load_snapshot_with(
     io: &dyn sqp_common::fsio::FsIo,
     path: &Path,
 ) -> Result<(ModelSnapshot, SnapshotMeta), SnapshotError> {
-    let raw = io.read(path)?;
-    snapshot_from_bytes(&raw)
+    snapshot_from_vec(io.read(path)?)
 }
 
 #[cfg(test)]

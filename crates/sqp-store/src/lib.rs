@@ -99,6 +99,7 @@
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod error;
@@ -112,8 +113,8 @@ pub mod warm;
 pub use error::{RetrainError, SnapshotError};
 pub use format::{
     checksum_fnv1a, load_snapshot, load_snapshot_with, parse_section_table, save_snapshot,
-    save_snapshot_with, snapshot_from_bytes, snapshot_to_bytes, SectionEntry, SnapshotMeta,
-    FORMAT_VERSION, MAGIC,
+    save_snapshot_with, snapshot_from_bytes, snapshot_from_vec, snapshot_to_bytes, SectionEntry,
+    SnapshotMeta, FORMAT_VERSION, MAGIC,
 };
 pub use quarantine::{
     newest_good_snapshot, quarantine_file, quarantine_path, validate_snapshot_file,

@@ -38,8 +38,9 @@ fn main() {
     // 2. Pipeline: 30-minute segmentation → aggregation → reduction.
     let sessions = segment_default(&records);
     println!("segmented into {} sessions:", sessions.len());
-    for s in &sessions {
-        println!("  machine {}: {}", s.machine_id, s.queries.join(" => "));
+    for s in sessions.iter() {
+        let queries: Vec<&str> = s.queries().collect();
+        println!("  machine {}: {}", s.machine_id, queries.join(" => "));
     }
     let mut interner = Interner::new();
     let aggregated = aggregate(&sessions, &mut interner);

@@ -124,12 +124,10 @@ fn similarity_enhanced_segmentation_changes_the_corpus_sanely() {
         },
     );
     // Same records, fewer-or-equal sessions, same total query mass.
-    let mass =
-        |ss: &[sqp::sessions::TextSession]| -> usize { ss.iter().map(|s| s.queries.len()).sum() };
-    assert_eq!(mass(&plain), mass(&enhanced));
+    assert_eq!(plain.searches(), enhanced.searches());
     assert!(enhanced.len() <= plain.len());
     // And the merged sessions are longer on average.
-    let mean = |ss: &[sqp::sessions::TextSession]| mass(ss) as f64 / ss.len() as f64;
+    let mean = |ss: &sqp::sessions::Segmented| ss.searches() as f64 / ss.len() as f64;
     assert!(mean(&enhanced) >= mean(&plain));
 }
 

@@ -21,7 +21,7 @@ fn seed_records() -> Vec<sqp::logsim::RawLogRecord> {
 /// session shape many times over).
 fn corpus_contexts(records: &[sqp::logsim::RawLogRecord]) -> Vec<Vec<String>> {
     let mut contexts = Vec::new();
-    for session in sqp::sessions::segment_default(records) {
+    for session in sqp::sessions::segment_default(records).to_text_sessions() {
         for i in 1..=session.queries.len() {
             contexts.push(session.queries[..i].to_vec());
             if contexts.len() >= 4_000 {
