@@ -27,6 +27,7 @@
 //!   with real/no-op production implementations (`sqp-faults` provides the
 //!   fault-injecting ones);
 //! * [`bytes`] — little-endian byte buffers for the wire codecs;
+//! * [`scratch`] — per-thread scratch buffers for the serve path;
 //! * [`mem`] — approximate heap-size accounting for the memory-footprint
 //!   experiment (Table VII of the paper).
 
@@ -47,6 +48,7 @@ pub mod intern;
 pub mod math;
 pub mod mem;
 pub mod rng;
+pub mod scratch;
 pub mod topk;
 
 pub use arena::{SuffixTrie, TrieBuilder};

@@ -11,7 +11,7 @@
 
 use crate::frame::{read_frame, write_frame, FrameRead};
 use crate::wire::{self, BatchEntry, Reply, RollSummary, WireError, WireStats};
-use sqp_serve::Suggestion;
+use sqp_serve::{SuggestSink, Suggestion};
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -185,13 +185,26 @@ impl NetClient {
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<Reply<'_>, NetError> {
+    /// Read the next reply frame into `rbuf`.
+    fn recv_frame(&mut self) -> Result<(), NetError> {
         match read_frame(&mut self.stream, &mut self.rbuf, self.max_frame_len)? {
-            FrameRead::Frame => {}
-            FrameRead::CleanEof => return Err(NetError::Disconnected),
-            FrameRead::Reject(err) => return Err(NetError::Wire(err)),
+            FrameRead::Frame => Ok(()),
+            FrameRead::CleanEof => Err(NetError::Disconnected),
+            FrameRead::Reject(err) => Err(NetError::Wire(err)),
         }
+    }
+
+    fn recv(&mut self) -> Result<Reply<'_>, NetError> {
+        self.recv_frame()?;
         wire::decode_reply(&self.rbuf).map_err(NetError::Wire)
+    }
+
+    /// [`recv`](Self::recv), handing the lists of a suggestion reply to
+    /// `sink` during the decoder's single validating walk. The sink is
+    /// only meaningful when the reply is `Ok`.
+    fn recv_into(&mut self, sink: &mut dyn SuggestSink) -> Result<Reply<'_>, NetError> {
+        self.recv_frame()?;
+        wire::decode_reply_into(&self.rbuf, sink).map_err(NetError::Wire)
     }
 
     /// Track `query` for `user` at `now`.
@@ -234,14 +247,17 @@ impl NetClient {
     }
 
     fn recv_serve_answer(&mut self) -> Result<ServeAnswer, NetError> {
-        match self.recv()? {
-            Reply::Suggestions(list) => Ok(ServeAnswer::Suggestions(owned_suggestions(&list))),
+        let mut suggestions: Vec<Suggestion> = Vec::new();
+        match self.recv_into(&mut suggestions)? {
+            Reply::Suggestions(_) => Ok(ServeAnswer::Suggestions(suggestions)),
             Reply::Overloaded { limit } => Ok(ServeAnswer::Overloaded { limit }),
             other => Err(unexpected(&other)),
         }
     }
 
-    /// Batched suggestion at one shared timestamp.
+    /// Batched suggestion at one shared timestamp. The reply is validated
+    /// and copied into owned lists in one walk; a reply that fails to
+    /// decode part-way is an `Err`, never a shorter answer.
     pub fn suggest_batch(
         &mut self,
         entries: &[BatchEntry],
@@ -250,10 +266,10 @@ impl NetClient {
         self.wbuf.clear();
         wire::encode_suggest_batch(&mut self.wbuf, entries, now);
         self.send()?;
-        match self.recv()? {
-            Reply::Batch(lists) => Ok(BatchAnswer::Lists(
-                lists.iter().map(|l| owned_suggestions(&l)).collect(),
-            )),
+        // Sized by what was asked for, not by what the reply claims.
+        let mut lists: Vec<Vec<Suggestion>> = Vec::with_capacity(entries.len());
+        match self.recv_into(&mut lists)? {
+            Reply::Batch(_) => Ok(BatchAnswer::Lists(lists)),
             Reply::Overloaded { limit } => Ok(BatchAnswer::Overloaded { limit }),
             other => Err(unexpected(&other)),
         }
@@ -320,15 +336,6 @@ impl NetClient {
             other => Err(unexpected(&other)),
         }
     }
-}
-
-fn owned_suggestions(list: &wire::SuggestionList<'_>) -> Vec<Suggestion> {
-    list.iter()
-        .map(|(score, query)| Suggestion {
-            query: query.to_string(),
-            score,
-        })
-        .collect()
 }
 
 fn unexpected(reply: &Reply<'_>) -> NetError {

@@ -75,7 +75,8 @@ use sqp_common::clock::{Clock, RealClock};
 use sqp_common::hash::FxHasher;
 use sqp_serve::TrackOutcome;
 use sqp_serve::{
-    EngineStats, ModelSnapshot, Overloaded, ServeSurface, SuggestRequest, Suggestion, Swap,
+    EngineStats, ModelSnapshot, Overloaded, ServeSurface, SuggestRequest, SuggestSink, Suggestion,
+    Swap,
 };
 use sqp_store::{save_snapshot, SnapshotMeta};
 use std::fmt;
@@ -959,6 +960,30 @@ impl RemoteEngine {
     }
 }
 
+/// Hand a finished remote outcome to a caller's sink. Only a whole,
+/// validated answer is ever replayed: retries and failover may run an
+/// operation more than once, so the sink cannot be written to while an
+/// attempt is still in doubt. A shed is the typed error and leaves the
+/// sink alone; degraded serving is `lists` empty lists, not an error — the
+/// search box renders nothing instead of breaking.
+fn deliver<T>(
+    outcome: RemoteOutcome<T>,
+    lists: usize,
+    sink: &mut dyn SuggestSink,
+    replay: impl FnOnce(T, &mut dyn SuggestSink),
+) -> Result<(), Overloaded> {
+    match outcome {
+        RemoteOutcome::Answered(answer) => replay(answer, sink),
+        RemoteOutcome::Shed { limit } => {
+            return Err(Overloaded {
+                limit: limit as usize,
+            })
+        }
+        RemoteOutcome::Degraded(_) => (0..lists).for_each(|_| sink.list(0)),
+    }
+    Ok(())
+}
+
 impl ServeSurface for RemoteEngine {
     fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
         match self.remote_track(user, query, now) {
@@ -972,62 +997,40 @@ impl ServeSurface for RemoteEngine {
         }
     }
 
-    fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {
-        match self.remote_track_and_suggest(user, query, k, now) {
-            RemoteOutcome::Answered(s) => s,
-            // Degraded serving is an empty suggestion list, not an error:
-            // the search box renders nothing instead of breaking.
-            RemoteOutcome::Shed { .. } | RemoteOutcome::Degraded(_) => Vec::new(),
-        }
+    fn try_suggest_into(
+        &self,
+        user: u64,
+        k: usize,
+        now: u64,
+        sink: &mut dyn SuggestSink,
+    ) -> Result<(), Overloaded> {
+        deliver(self.remote_suggest(user, k, now), 1, sink, |list, sink| {
+            sink.replay(&list)
+        })
     }
 
-    fn try_track_and_suggest(
+    fn try_track_and_suggest_into(
         &self,
         user: u64,
         query: &str,
         k: usize,
         now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        match self.remote_track_and_suggest(user, query, k, now) {
-            RemoteOutcome::Answered(s) => Ok(s),
-            RemoteOutcome::Shed { limit } => Err(Overloaded {
-                limit: limit as usize,
-            }),
-            RemoteOutcome::Degraded(_) => Ok(Vec::new()),
-        }
+        sink: &mut dyn SuggestSink,
+    ) -> Result<(), Overloaded> {
+        let outcome = self.remote_track_and_suggest(user, query, k, now);
+        deliver(outcome, 1, sink, |list, sink| sink.replay(&list))
     }
 
-    fn try_suggest(&self, user: u64, k: usize, now: u64) -> Result<Vec<Suggestion>, Overloaded> {
-        match self.remote_suggest(user, k, now) {
-            RemoteOutcome::Answered(s) => Ok(s),
-            RemoteOutcome::Shed { limit } => Err(Overloaded {
-                limit: limit as usize,
-            }),
-            RemoteOutcome::Degraded(_) => Ok(Vec::new()),
-        }
-    }
-
-    fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
-        match self.remote_suggest_batch(requests, now) {
-            RemoteOutcome::Answered(lists) => lists,
-            RemoteOutcome::Shed { .. } | RemoteOutcome::Degraded(_) => {
-                vec![Vec::new(); requests.len()]
-            }
-        }
-    }
-
-    fn try_suggest_batch(
+    fn try_suggest_batch_into(
         &self,
         requests: &[SuggestRequest],
         now: u64,
-    ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
-        match self.remote_suggest_batch(requests, now) {
-            RemoteOutcome::Answered(lists) => Ok(lists),
-            RemoteOutcome::Shed { limit } => Err(Overloaded {
-                limit: limit as usize,
-            }),
-            RemoteOutcome::Degraded(_) => Ok(vec![Vec::new(); requests.len()]),
-        }
+        sink: &mut dyn SuggestSink,
+    ) -> Result<(), Overloaded> {
+        let outcome = self.remote_suggest_batch(requests, now);
+        deliver(outcome, requests.len(), sink, |lists, sink| {
+            lists.iter().for_each(|list| sink.replay(list))
+        })
     }
 
     fn evict_idle(&self, now: u64) -> usize {

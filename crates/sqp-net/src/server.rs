@@ -16,14 +16,27 @@
 //! client that pipelines is paced by plain TCP backpressure: the thread
 //! does not read frame `n + 1` until reply `n` is written.
 //!
+//! # Suggestions are rendered into the frame
+//!
+//! For `SUGGEST`, `TRACK_SUGGEST` and `SUGGEST_BATCH` the reply buffer
+//! *is* the surface's [`SuggestSink`](sqp_serve::SuggestSink): the thread
+//! writes the reply header, wraps the buffer in a [`ListWriter`] and hands
+//! that to the surface's `try_*_into` form, so each suggestion's text is
+//! copied once, from the model's interner into the bytes that go to the
+//! socket. No `Vec<Suggestion>` exists on this path. Only the surface
+//! writes to the sink, only whole answers (see `sqp_serve::sink`), and it
+//! has returned before the frame is written.
+//!
 //! # Overload behavior
 //!
 //! The one typed overload bound is the engine's admission control:
 //! traffic opcodes use the surface's `try_*` forms, and a typed
-//! [`Overloaded`](sqp_serve::Overloaded) becomes `R_OVERLOADED` with the
-//! exhausted budget (always `> 0`) in the body. Engine calls in flight
-//! are bounded by open connections; `EngineConfig::max_in_flight` is the
-//! knob that caps them lower.
+//! [`Overloaded`] becomes `R_OVERLOADED` with the
+//! exhausted budget (always `> 0`) in the body: the reply buffer is
+//! truncated back to where the reply began, so a shed reply carries
+//! nothing of the answer it replaced. Engine calls in flight are bounded
+//! by open connections; `EngineConfig::max_in_flight` is the knob that
+//! caps them lower.
 //!
 //! # Failure isolation
 //!
@@ -34,8 +47,8 @@
 
 use crate::admin::AdminSurface;
 use crate::frame::{read_frame, write_frame, FrameRead};
-use crate::wire::{self, Request, WireStats};
-use sqp_serve::{ServeSurface, SuggestRequest};
+use crate::wire::{self, ListWriter, Request, WireStats};
+use sqp_serve::{Overloaded, ServeSurface, SuggestRequest};
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -445,47 +458,60 @@ fn write_reply(shared: &Shared, mut stream: &TcpStream, wbuf: &mut Vec<u8>) -> b
     written.is_ok()
 }
 
+/// Close a suggest-family reply that began at `start` in `wbuf`. The
+/// surface was handed the reply frame itself as its sink; on a shed the
+/// frame is rewound to where the reply began (dropping the header, and
+/// anything a surface wrote before refusing) and the typed `R_OVERLOADED`
+/// takes its place, so no stale byte can ride along with it.
+fn shed_if_overloaded(
+    shared: &Shared,
+    wbuf: &mut Vec<u8>,
+    start: usize,
+    answered: Result<(), Overloaded>,
+) {
+    if let Err(overloaded) = answered {
+        Counters::bump(&shared.counters.engine_shed);
+        wbuf.truncate(start);
+        wire::encode_overloaded(wbuf, overloaded.limit as u64);
+    }
+}
+
 /// Decode-independent request execution: surface calls plus reply
-/// encoding. `wbuf` receives the reply body.
+/// encoding. The reply body is appended to `wbuf`. The three
+/// suggest opcodes hand the surface a [`ListWriter`] over `wbuf`, so the
+/// answer is rendered from the model's interner straight into the frame.
 fn execute(shared: &Shared, req: Request<'_>, wbuf: &mut Vec<u8>, batch: &mut Vec<SuggestRequest>) {
     let surface = &*shared.surface;
+    let start = wbuf.len();
     match req {
         Request::Track { user, now, query } => {
             let outcome = surface.track(user, query, now);
             wire::encode_ack(wbuf, outcome.new_session, outcome.context_len);
         }
-        Request::Suggest { user, now, k } => match surface.try_suggest(user, k, now) {
-            Ok(suggestions) => wire::encode_suggestions(wbuf, &suggestions),
-            Err(overloaded) => {
-                Counters::bump(&shared.counters.engine_shed);
-                wire::encode_overloaded(wbuf, overloaded.limit as u64);
-            }
-        },
+        Request::Suggest { user, now, k } => {
+            let mut frame = ListWriter::suggestions(wbuf);
+            let answered = surface.try_suggest_into(user, k, now, &mut frame);
+            shed_if_overloaded(shared, wbuf, start, answered);
+        }
         Request::TrackSuggest {
             user,
             now,
             k,
             query,
-        } => match surface.try_track_and_suggest(user, query, k, now) {
-            Ok(suggestions) => wire::encode_suggestions(wbuf, &suggestions),
-            Err(overloaded) => {
-                Counters::bump(&shared.counters.engine_shed);
-                wire::encode_overloaded(wbuf, overloaded.limit as u64);
-            }
-        },
+        } => {
+            let mut frame = ListWriter::suggestions(wbuf);
+            let answered = surface.try_track_and_suggest_into(user, query, k, now, &mut frame);
+            shed_if_overloaded(shared, wbuf, start, answered);
+        }
         Request::SuggestBatch { now, entries } => {
             batch.clear();
             batch.extend(entries.iter().map(|e| SuggestRequest {
                 user: e.user,
                 k: e.k,
             }));
-            match surface.try_suggest_batch(batch, now) {
-                Ok(lists) => wire::encode_batch(wbuf, &lists),
-                Err(overloaded) => {
-                    Counters::bump(&shared.counters.engine_shed);
-                    wire::encode_overloaded(wbuf, overloaded.limit as u64);
-                }
-            }
+            let mut frame = ListWriter::batch(wbuf, batch.len());
+            let answered = surface.try_suggest_batch_into(batch, now, &mut frame);
+            shed_if_overloaded(shared, wbuf, start, answered);
         }
         Request::Stats => {
             let stats = surface.stats();

@@ -17,8 +17,28 @@
 //! [`BatchEntries`]) are validated up front and then iterated straight off
 //! the raw bytes, so a server turns a frame into engine calls without
 //! copying a single query string.
+//!
+//! # The suggestion-list grammar has one encoder and one walker
+//!
+//! `R_SUGGESTIONS` carries one list, `R_BATCH` a count and that many
+//! lists; a list is a count and that many `(score, query)` pairs. Both
+//! directions speak it through [`SuggestSink`]:
+//!
+//! * **Encoding** is [`ListWriter`], a sink over the reply buffer. The
+//!   server hands it to the serving tier, which renders straight into the
+//!   frame; [`encode_suggestions`]/[`encode_batch`] replay owned lists
+//!   into the same writer. Nothing else emits the grammar.
+//! * **Decoding** is one walk — bounds, protocol limits, UTF-8 — that
+//!   pushes what it validates into a sink: [`decode_reply_into`].
+//!   [`decode_reply`] is that walk with a sink that keeps nothing (the
+//!   borrowed [`SuggestionList`]/[`BatchLists`] views then re-read bytes
+//!   the walk has already vetted); a client that wants owned lists passes
+//!   a `Vec` and pays one validation and one copy per string. A sink may
+//!   have been written to when the walk fails — the error, not the sink,
+//!   is the answer — so callers drop it.
 
 use sqp_common::bytes::{get_uvarint, put_uvarint};
+use sqp_serve::{SuggestSink, Suggestion};
 use std::fmt;
 
 /// Size of the frame length prefix (`u32` little-endian), in bytes.
@@ -202,10 +222,16 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
-    fn u64_le(&mut self) -> Result<u64, WireError> {
-        let end = self.at.checked_add(8).ok_or(WireError::Truncated)?;
+    /// The next `len` bytes, or `Truncated`.
+    fn take(&mut self, len: usize) -> Result<&'a [u8], WireError> {
+        let end = self.at.checked_add(len).ok_or(WireError::Truncated)?;
         let bytes = self.buf.get(self.at..end).ok_or(WireError::Truncated)?;
         self.at = end;
+        Ok(bytes)
+    }
+
+    fn u64_le(&mut self) -> Result<u64, WireError> {
+        let bytes = self.take(8)?;
         Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
     }
 
@@ -233,10 +259,23 @@ impl<'a> Reader<'a> {
 
     fn str_field(&mut self, what: &'static str, max: usize) -> Result<&'a str, WireError> {
         let len = self.bounded(what, max)?;
-        let end = self.at.checked_add(len).ok_or(WireError::Truncated)?;
-        let bytes = self.buf.get(self.at..end).ok_or(WireError::Truncated)?;
-        self.at = end;
-        std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::BadUtf8)
+    }
+
+    /// The one walker of the suggestion-list grammar: a list is a bounded
+    /// count and that many `(score, query)` pairs, checked for bounds,
+    /// protocol limits and UTF-8 and handed to `sink` as they pass.
+    /// Returns the list's count and the offset of its first pair.
+    fn walk_list(&mut self, sink: &mut dyn SuggestSink) -> Result<(usize, usize), WireError> {
+        let count = self.bounded("suggestion count", MAX_K)?;
+        let entries = self.at;
+        sink.list(count);
+        for _ in 0..count {
+            let score = self.f64_le()?;
+            let query = self.str_field("query length", MAX_QUERY_LEN)?;
+            sink.suggestion(query, score);
+        }
+        Ok((count, entries))
     }
 
     fn done(&self) -> Result<(), WireError> {
@@ -603,20 +642,20 @@ impl<'a> BatchLists<'a> {
         self.count == 0
     }
 
-    /// Iterate the per-entry lists in request order.
+    /// Iterate the per-entry lists in request order. Finding where a list
+    /// ends only needs its lengths: the text was validated when the reply
+    /// was decoded and is not looked at again here.
     pub fn iter(&self) -> impl Iterator<Item = SuggestionList<'a>> + 'a {
         let raw = self.raw;
         let mut at = 0usize;
         (0..self.count).map(move |_| {
             let mut r = Reader { buf: raw, at };
-            let count = r
-                .bounded("suggestion count", MAX_K)
-                .expect("validated batch list");
+            let count = r.uvarint().expect("validated batch list") as usize;
             let entries_start = r.at;
             for _ in 0..count {
-                r.f64_le().expect("validated batch list");
-                r.str_field("query length", MAX_QUERY_LEN)
-                    .expect("validated batch list");
+                r.take(8).expect("validated batch list");
+                let len = r.uvarint().expect("validated batch list") as usize;
+                r.take(len).expect("validated batch list");
             }
             at = r.at;
             SuggestionList {
@@ -672,8 +711,27 @@ pub enum Reply<'a> {
     },
 }
 
+/// A sink that keeps nothing: what [`decode_reply`] validates into.
+struct Discard;
+
+impl SuggestSink for Discard {
+    fn list(&mut self, _len: usize) {}
+    fn suggestion(&mut self, _query: &str, _score: f64) {}
+}
+
 /// Decode a reply frame body (everything after the length prefix).
 pub fn decode_reply(body: &[u8]) -> Result<Reply<'_>, WireError> {
+    decode_reply_into(body, &mut Discard)
+}
+
+/// [`decode_reply`], handing the lists of an `R_SUGGESTIONS` (one list) or
+/// `R_BATCH` (one per entry) body to `sink` during the single validating
+/// walk; any other reply leaves the sink alone. On `Err` the sink may hold
+/// a validated prefix of the lists — drop it.
+pub fn decode_reply_into<'a>(
+    body: &'a [u8],
+    sink: &mut dyn SuggestSink,
+) -> Result<Reply<'a>, WireError> {
     let mut r = Reader::new(body);
     let opcode = r.u8().map_err(|_| WireError::EmptyFrame)?;
     let reply = match opcode {
@@ -686,14 +744,9 @@ pub fn decode_reply(body: &[u8]) -> Result<Reply<'_>, WireError> {
             }
         }
         op::R_SUGGESTIONS => {
-            let count = r.bounded("suggestion count", MAX_K)?;
-            let start = r.at;
-            for _ in 0..count {
-                r.f64_le()?;
-                r.str_field("query length", MAX_QUERY_LEN)?;
-            }
+            let (count, entries) = r.walk_list(sink)?;
             Reply::Suggestions(SuggestionList {
-                raw: &body[start..r.at],
+                raw: &body[entries..r.at],
                 count,
             })
         }
@@ -701,11 +754,7 @@ pub fn decode_reply(body: &[u8]) -> Result<Reply<'_>, WireError> {
             let count = r.bounded("batch size", MAX_BATCH)?;
             let start = r.at;
             for _ in 0..count {
-                let inner = r.bounded("suggestion count", MAX_K)?;
-                for _ in 0..inner {
-                    r.f64_le()?;
-                    r.str_field("query length", MAX_QUERY_LEN)?;
-                }
+                r.walk_list(sink)?;
             }
             Reply::Batch(BatchLists {
                 raw: &body[start..r.at],
@@ -751,27 +800,54 @@ pub fn encode_ack(buf: &mut Vec<u8>, new_session: bool, context_len: usize) {
     put_uvarint(buf, context_len as u64);
 }
 
-/// Append one suggestion list (count prefix plus entries) to `buf`.
-fn put_suggestions(buf: &mut Vec<u8>, suggestions: &[sqp_serve::Suggestion]) {
-    put_uvarint(buf, suggestions.len() as u64);
-    for s in suggestions {
-        put_u64_le(buf, s.score.to_bits());
-        put_str(buf, &s.query);
+/// The one encoder of the suggestion-list grammar: a [`SuggestSink`] that
+/// appends each list, in wire form, to a reply body. A connection's thread
+/// hands one to the serving tier so an answer is rendered straight into
+/// the frame it leaves in; the writer holds no state of its own, so a
+/// reply that turns out not to be an answer (a shed) is undone by
+/// truncating the buffer to where the reply began.
+pub struct ListWriter<'a> {
+    buf: &'a mut Vec<u8>,
+}
+
+impl<'a> ListWriter<'a> {
+    /// Begin an `R_SUGGESTIONS` body in `buf`; exactly one list must
+    /// follow.
+    pub fn suggestions(buf: &'a mut Vec<u8>) -> Self {
+        buf.push(op::R_SUGGESTIONS);
+        ListWriter { buf }
+    }
+
+    /// Begin an `R_BATCH` body in `buf`; exactly `lists` lists must
+    /// follow.
+    pub fn batch(buf: &'a mut Vec<u8>, lists: usize) -> Self {
+        buf.push(op::R_BATCH);
+        put_uvarint(buf, lists as u64);
+        ListWriter { buf }
+    }
+}
+
+impl SuggestSink for ListWriter<'_> {
+    fn list(&mut self, len: usize) {
+        put_uvarint(self.buf, len as u64);
+    }
+
+    fn suggestion(&mut self, query: &str, score: f64) {
+        put_u64_le(self.buf, score.to_bits());
+        put_str(self.buf, query);
     }
 }
 
 /// Append an `R_SUGGESTIONS` reply body to `buf`.
-pub fn encode_suggestions(buf: &mut Vec<u8>, suggestions: &[sqp_serve::Suggestion]) {
-    buf.push(op::R_SUGGESTIONS);
-    put_suggestions(buf, suggestions);
+pub fn encode_suggestions(buf: &mut Vec<u8>, suggestions: &[Suggestion]) {
+    ListWriter::suggestions(buf).replay(suggestions);
 }
 
 /// Append an `R_BATCH` reply body to `buf`.
-pub fn encode_batch(buf: &mut Vec<u8>, lists: &[Vec<sqp_serve::Suggestion>]) {
-    buf.push(op::R_BATCH);
-    put_uvarint(buf, lists.len() as u64);
+pub fn encode_batch(buf: &mut Vec<u8>, lists: &[Vec<Suggestion>]) {
+    let mut writer = ListWriter::batch(buf, lists.len());
     for list in lists {
-        put_suggestions(buf, list);
+        writer.replay(list);
     }
 }
 
@@ -834,7 +910,6 @@ pub fn encode_evicted(buf: &mut Vec<u8>, count: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqp_serve::Suggestion;
 
     #[test]
     fn request_roundtrips() {

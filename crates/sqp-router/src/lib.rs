@@ -9,11 +9,14 @@
 //!   replica ids: sticky per user, ~1/N remapping under resize, no
 //!   `RandomState` anywhere (routing survives restarts and agrees across
 //!   processes);
-//! * [`RouterEngine`] — owns N independently locked replicas, exposes the
-//!   single engine's serve surface (`track_and_suggest`, `suggest_batch`,
-//!   `try_track_and_suggest`, …) so callers promote transparently, and
-//!   adds per-replica publication ([`RouterEngine::try_publish_to`]) with
-//!   quarantine marks — the primitives rolling upgrades are built from;
+//! * [`RouterEngine`] — owns N independently locked replicas and speaks
+//!   the single engine's [`ServeSurface`](sqp_serve::ServeSurface), so
+//!   callers promote transparently: single-user calls go to the user's
+//!   home replica, batches through one scatter/gather that reorders
+//!   replica answers in a flat arena before any of them reaches the
+//!   caller's [`SuggestSink`](sqp_serve::SuggestSink). It adds per-replica
+//!   publication ([`RouterEngine::try_publish_to`]) with quarantine marks
+//!   — the primitives rolling upgrades are built from;
 //! * [`RouterStats`] — per-replica generation/health/shed introspection
 //!   plus the generation envelope (min/max/skew) an operator watches
 //!   during a roll.

@@ -12,6 +12,22 @@
 //! snapshot handle (the single-engine no-torn-reads guarantee, inherited
 //! per replica).
 //!
+//! # Batches
+//!
+//! A batch names users on several replicas and must come back in request
+//! order. There is one scatter/gather (`RouterEngine::scatter_gather`)
+//! behind both [`RouterEngine::suggest_batch`] and the surface's
+//! admission-controlled `try_suggest_batch_into`: requests are sorted into
+//! one contiguous run per replica, each replica renders its run against
+//! its own snapshot into a flat per-thread arena (one text buffer, one
+//! `(score, range)` per suggestion, one span per list), and only when the
+//! **last** involved replica has answered is the arena replayed into the
+//! caller's [`SuggestSink`] in request order. With admission, every
+//! involved replica's permit is taken before any replica runs, so a shed
+//! batch computed nothing, counted nothing and wrote nothing. A batch
+//! whose users all live on one replica skips the arena and renders
+//! straight into the caller's sink.
+//!
 //! Publication comes in two shapes, both replica-at-a-time underneath:
 //! [`RouterEngine::publish`] fans one in-memory snapshot out to every
 //! replica (an atomic swap each), while the rolling/fan-out *from disk*
@@ -57,10 +73,12 @@
 
 use crate::ring::{HashRing, WouldEmptyRing, DEFAULT_VNODES};
 use sqp_common::hash::fx_hash_one;
+use sqp_common::scratch;
 use sqp_serve::{
     EngineConfig, EngineStats, ModelSnapshot, Overloaded, ServeEngine, ServeSurface,
-    SuggestRequest, Suggestion, Swap, TrackOutcome,
+    SuggestRequest, SuggestSink, Suggestion, Swap, TrackOutcome,
 };
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -117,6 +135,71 @@ impl ReplicaSlot {
     fn generation(&self) -> u64 {
         self.gen_offset + self.engine.generation()
     }
+}
+
+/// Where a multi-replica batch waits to be put back in request order: the
+/// replicas' lists in the order they were rendered, flat — one text
+/// buffer, one `(score, text range)` per suggestion, one suggestion range
+/// per list — so gathering costs three growing buffers, not a `String` per
+/// suggestion.
+#[derive(Default)]
+struct Gather {
+    text: String,
+    /// `(score, start, end)`: the suggestion's text is `text[start..end]`.
+    suggestions: Vec<(f64, usize, usize)>,
+    /// `(start, end)` into `suggestions`, one per rendered list.
+    lists: Vec<(usize, usize)>,
+}
+
+impl Gather {
+    fn clear(&mut self) {
+        self.text.clear();
+        self.suggestions.clear();
+        self.lists.clear();
+    }
+
+    /// Write the `at`-th rendered list to `sink`.
+    fn replay_list(&self, at: usize, sink: &mut dyn SuggestSink) {
+        let (start, end) = self.lists[at];
+        sink.list(end - start);
+        for &(score, from, to) in &self.suggestions[start..end] {
+            sink.suggestion(&self.text[from..to], score);
+        }
+    }
+}
+
+impl SuggestSink for Gather {
+    fn list(&mut self, len: usize) {
+        let start = self.suggestions.len();
+        self.lists.push((start, start + len));
+    }
+
+    fn suggestion(&mut self, query: &str, score: f64) {
+        let from = self.text.len();
+        self.text.push_str(query);
+        self.suggestions.push((score, from, self.text.len()));
+    }
+}
+
+/// The scatter/gather's working buffers, kept per thread (a connection's
+/// thread serves batch after batch) so a warmed-up batch allocates nothing
+/// here whatever its size.
+#[derive(Default)]
+struct Scratch {
+    /// Run boundaries: slot `s` owns `scattered[runs[s]..runs[s + 1]]`.
+    runs: Vec<usize>,
+    /// Per slot, the next free index of its run while scattering.
+    cursors: Vec<usize>,
+    /// Per request: its slot while counting, then its index in `scattered`
+    /// — which is also the index of its list in `gather`.
+    placed: Vec<usize>,
+    /// The requests, grouped by slot, request order kept within a slot.
+    scattered: Vec<SuggestRequest>,
+    gather: Gather,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// One immutable membership view: the ring and the replica slots it
@@ -448,32 +531,6 @@ impl RouterEngine {
             .track_and_suggest(user, query, k, now)
     }
 
-    /// Admission-controlled [`track_and_suggest`](Self::track_and_suggest):
-    /// the home replica's in-flight budget decides, so overload on one
-    /// replica sheds only its own users.
-    pub fn try_track_and_suggest(
-        &self,
-        user: u64,
-        query: &str,
-        k: usize,
-        now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        self.state()
-            .slot_for(user)
-            .engine
-            .try_track_and_suggest(user, query, k, now)
-    }
-
-    /// Admission-controlled [`suggest`](Self::suggest).
-    pub fn try_suggest(
-        &self,
-        user: u64,
-        k: usize,
-        now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        self.state().slot_for(user).engine.try_suggest(user, k, now)
-    }
-
     /// Batched suggestion across the tier: requests are scattered to each
     /// user's home replica (preserving request order within each
     /// sub-batch, so same-replica callers keep the single engine's stripe
@@ -481,67 +538,109 @@ impl RouterEngine {
     /// Each sub-batch runs against exactly one replica snapshot, so every
     /// entry's suggestions are wholly from one model even mid-roll; the
     /// whole batch runs against exactly one membership view, loaded once.
+    /// Takes no admission permits; the admission-controlled form is
+    /// [`ServeSurface::try_suggest_batch_into`].
     pub fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
-        let state = self.state();
-        // Fast path: a single-replica tier is just the engine.
-        if state.slots.len() == 1 {
-            return state.slots[0].engine.suggest_batch(requests, now);
-        }
-        let mut per_slot: Vec<Vec<usize>> = vec![Vec::new(); state.slots.len()];
-        for (at, request) in requests.iter().enumerate() {
-            let id = state.ring.route(request.user);
-            per_slot[state.slot_index(id).expect("routed id has a slot")].push(at);
-        }
-        let mut out: Vec<Vec<Suggestion>> = vec![Vec::new(); requests.len()];
-        let mut sub: Vec<SuggestRequest> = Vec::new();
-        for (slot, members) in state.slots.iter().zip(&per_slot) {
-            if members.is_empty() {
-                continue;
-            }
-            sub.clear();
-            sub.extend(members.iter().map(|&at| requests[at]));
-            let answers = slot.engine.suggest_batch(&sub, now);
-            for (&at, answer) in members.iter().zip(answers) {
-                out[at] = answer;
-            }
-        }
+        let mut out = Vec::with_capacity(requests.len());
+        self.scatter_gather(requests, now, &mut out, false)
+            .expect("only admission sheds, and none was asked for");
         out
     }
 
-    /// Admission-controlled [`suggest_batch`](Self::suggest_batch),
-    /// all-or-nothing: each involved replica's sub-batch costs one of its
-    /// permits, and the first replica that sheds fails the whole call (the
-    /// answers already computed by earlier replicas are discarded, so the
-    /// caller never merges partial answers with partial sheds). Uninvolved
-    /// replicas spend nothing.
-    pub fn try_suggest_batch(
+    /// The tier's one scatter/gather: one list per request to `sink`, in
+    /// request order.
+    ///
+    /// *Scatter* is a counting sort of the requests by home replica into
+    /// one contiguous run per replica. With `admit`, every involved
+    /// replica's permit is then taken **before any replica runs**: the
+    /// batch is all-or-nothing, so the first refusal fails the call with
+    /// nothing computed, nothing added to any replica's `suggests` and
+    /// nothing written. Uninvolved replicas spend nothing.
+    ///
+    /// *Gather*: a batch that lives on one replica (always, for a
+    /// one-replica tier) renders straight into `sink`. Otherwise each
+    /// replica renders its run into the per-thread [`Gather`] arena, and
+    /// only after the last replica has answered is the arena replayed into
+    /// `sink` in request order — the caller's sink never sees replica
+    /// order, and never sees part of a batch.
+    fn scatter_gather(
         &self,
         requests: &[SuggestRequest],
         now: u64,
-    ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
+        sink: &mut dyn SuggestSink,
+        admit: bool,
+    ) -> Result<(), Overloaded> {
         let state = self.state();
-        if state.slots.len() == 1 {
-            return state.slots[0].engine.try_suggest_batch(requests, now);
-        }
-        let mut per_slot: Vec<Vec<usize>> = vec![Vec::new(); state.slots.len()];
-        for (at, request) in requests.iter().enumerate() {
-            let id = state.ring.route(request.user);
-            per_slot[state.slot_index(id).expect("routed id has a slot")].push(at);
-        }
-        let mut out: Vec<Vec<Suggestion>> = vec![Vec::new(); requests.len()];
-        let mut sub: Vec<SuggestRequest> = Vec::new();
-        for (slot, members) in state.slots.iter().zip(&per_slot) {
-            if members.is_empty() {
-                continue;
+        scratch::with(&SCRATCH, |scratch| {
+            let Scratch {
+                runs,
+                cursors,
+                placed,
+                scattered,
+                gather,
+            } = scratch;
+            // `runs[s]..runs[s + 1]` is slot `s`'s run within `scattered`;
+            // `placed[at]` is where request `at` went.
+            runs.clear();
+            runs.resize(state.slots.len() + 1, 0);
+            placed.clear();
+            if let [_] = state.slots.as_slice() {
+                // A one-replica tier has nothing to route.
+                runs[1] = requests.len();
+            } else {
+                for request in requests {
+                    let id = state.ring.route(request.user);
+                    let slot = state.slot_index(id).expect("routed id has a slot");
+                    placed.push(slot);
+                    runs[slot + 1] += 1;
+                }
+                for slot in 0..state.slots.len() {
+                    runs[slot + 1] += runs[slot];
+                }
             }
-            sub.clear();
-            sub.extend(members.iter().map(|&at| requests[at]));
-            let answers = slot.engine.try_suggest_batch(&sub, now)?;
-            for (&at, answer) in members.iter().zip(answers) {
-                out[at] = answer;
+            let involved = || {
+                state
+                    .slots
+                    .iter()
+                    .zip(runs.windows(2))
+                    .filter(|(_, run)| run[0] < run[1])
+            };
+            let _permits = if admit {
+                involved()
+                    .map(|(slot, _)| slot.engine.admit())
+                    .collect::<Result<Vec<_>, _>>()?
+            } else {
+                Vec::new()
+            };
+            if involved().nth(1).is_none() {
+                // One run is the whole batch, already in request order:
+                // render straight into the caller's sink.
+                if let Some((slot, _)) = involved().next() {
+                    slot.engine.suggest_batch_into(requests, now, sink);
+                }
+                return Ok(());
             }
-        }
-        Ok(out)
+
+            cursors.clear();
+            cursors.extend_from_slice(&runs[..state.slots.len()]);
+            scattered.clear();
+            scattered.resize(requests.len(), SuggestRequest { user: 0, k: 0 });
+            for (request, place) in requests.iter().zip(placed.iter_mut()) {
+                let cursor = &mut cursors[*place];
+                *place = *cursor;
+                scattered[*cursor] = *request;
+                *cursor += 1;
+            }
+            gather.clear();
+            for (slot, run) in involved() {
+                slot.engine
+                    .suggest_batch_into(&scattered[run[0]..run[1]], now, gather);
+            }
+            for &place in placed.iter() {
+                gather.replay_list(place, sink);
+            }
+            Ok(())
+        })
     }
 
     /// The tier's counters and gauges folded into one [`EngineStats`]:
@@ -912,39 +1011,49 @@ impl RouterEngine {
 
 /// The router speaks the same [`ServeSurface`] as a single engine, so the
 /// network front-end (`sqp-net`) and the stress harness
-/// (`sqp-bench::serve_loop`) run unchanged on a replicated tier. Every
-/// method delegates to the inherent routed implementation; the
-/// tier-summary accessors report the trailing edge
+/// (`sqp-bench::serve_loop`) run unchanged on a replicated tier. The
+/// admission-controlled suggest family lives here and nowhere else (the
+/// `Vec`-returning `try_*` forms are the trait's provided ones): a
+/// single-user call is decided by the home replica's in-flight budget, so
+/// overload on one replica sheds only its own users, and a batch goes
+/// through the tier's one scatter/gather with every involved replica's
+/// permit taken first. The tier-summary accessors report the trailing edge
 /// ([`RouterStats::min_generation`]) and fold counters across replicas
 /// ([`RouterEngine::aggregate_stats`]).
 impl ServeSurface for RouterEngine {
     fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
         RouterEngine::track(self, user, query, now)
     }
-    fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {
-        RouterEngine::track_and_suggest(self, user, query, k, now)
+    fn try_suggest_into(
+        &self,
+        user: u64,
+        k: usize,
+        now: u64,
+        sink: &mut dyn SuggestSink,
+    ) -> Result<(), Overloaded> {
+        let state = self.state();
+        let home = &state.slot_for(user).engine;
+        home.try_suggest_into(user, k, now, sink)
     }
-    fn try_track_and_suggest(
+    fn try_track_and_suggest_into(
         &self,
         user: u64,
         query: &str,
         k: usize,
         now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        RouterEngine::try_track_and_suggest(self, user, query, k, now)
+        sink: &mut dyn SuggestSink,
+    ) -> Result<(), Overloaded> {
+        let state = self.state();
+        let home = &state.slot_for(user).engine;
+        home.try_track_and_suggest_into(user, query, k, now, sink)
     }
-    fn try_suggest(&self, user: u64, k: usize, now: u64) -> Result<Vec<Suggestion>, Overloaded> {
-        RouterEngine::try_suggest(self, user, k, now)
-    }
-    fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
-        RouterEngine::suggest_batch(self, requests, now)
-    }
-    fn try_suggest_batch(
+    fn try_suggest_batch_into(
         &self,
         requests: &[SuggestRequest],
         now: u64,
-    ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
-        RouterEngine::try_suggest_batch(self, requests, now)
+        sink: &mut dyn SuggestSink,
+    ) -> Result<(), Overloaded> {
+        self.scatter_gather(requests, now, sink, true)
     }
     fn evict_idle(&self, now: u64) -> usize {
         RouterEngine::evict_idle(self, now)
@@ -1025,7 +1134,12 @@ mod tests {
 
     #[test]
     fn batch_matches_individual_calls_across_replicas() {
-        let r = router(4);
+        for replicas in [1, 4] {
+            batch_matches_individual_calls(&router(replicas));
+        }
+    }
+
+    fn batch_matches_individual_calls(r: &RouterEngine) {
         for user in 0..64 {
             r.track(user, "start", 100);
         }
@@ -1140,11 +1254,40 @@ mod tests {
         let ok = r.try_suggest_batch(&requests, 120).unwrap();
         assert_eq!(ok.len(), 24);
         assert!(ok.iter().all(|s| s[0].query == "old::next"));
-        // Saturate one involved replica: the whole batch sheds.
-        let home = r.replica_for(requests[0].user);
-        let home_engine = r.replica(home);
-        let _permit = home_engine.admit().unwrap();
-        assert!(r.try_suggest_batch(&requests, 130).is_err());
+        // Saturate the *last* involved replica: the whole batch sheds, and
+        // a shed batch contributes nothing — no replica counts suggestions
+        // it never served, no permit stays taken, the sink stays untouched.
+        let suggests_before: Vec<u64> = r
+            .stats()
+            .replicas
+            .iter()
+            .map(|x| x.stats.suggests)
+            .collect();
+        assert!(
+            suggests_before.iter().all(|&n| n > 0),
+            "every replica involved"
+        );
+        let last_engine = r.replica(2);
+        let permit = last_engine.admit().unwrap();
+        let mut sink: Vec<Vec<Suggestion>> = Vec::new();
+        assert_eq!(
+            r.try_suggest_batch_into(&requests, 130, &mut sink),
+            Err(Overloaded { limit: 1 })
+        );
+        assert!(sink.is_empty(), "a shed batch wrote to the sink: {sink:?}");
+        let after = r.stats();
+        let suggests_after: Vec<u64> = after.replicas.iter().map(|x| x.stats.suggests).collect();
+        assert_eq!(suggests_after, suggests_before);
+        assert_eq!(
+            after.replicas.iter().map(|x| x.in_flight).sum::<u64>(),
+            1,
+            "only the test's own permit is out"
+        );
+        drop(permit);
+        // The unadmitted form never sheds and answers the same lists.
+        assert_eq!(r.suggest_batch(&requests, 130), ok);
+        let _permit = last_engine.admit().unwrap();
+        assert_eq!(r.suggest_batch(&requests, 130), ok);
 
         // Aggregated stats fold counters and report the trailing edge.
         r.try_publish_to(0, snapshot("new"))
@@ -1152,6 +1295,7 @@ mod tests {
         let folded = r.aggregate_stats();
         assert_eq!(folded.publishes, 0, "tier not fully propagated yet");
         assert_eq!(folded.tracks, 24);
+        assert_eq!(folded.suggests, 3 * 24, "three answered batches, one shed");
         assert_eq!(folded.active_sessions, 24);
         assert_eq!(folded.shed, 1);
         let surface: &dyn ServeSurface = &r;

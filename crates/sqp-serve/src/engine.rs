@@ -15,17 +15,56 @@
 //! * [`publish`](ServeEngine::publish) — atomically swap in a freshly
 //!   trained snapshot while concurrent readers keep serving the old one.
 //!
+//! # One suggest path, written to a sink
+//!
+//! The session-backed suggest operations exist once, as
+//! [`suggest_batch_into`](ServeEngine::suggest_batch_into) (a single
+//! `suggest` is a batch of one) and
+//! [`track_and_suggest_into`](ServeEngine::track_and_suggest_into). Both
+//! write their answer to a [`SuggestSink`] — one `list` per request, in
+//! request order, with every session lock already released — through
+//! per-thread scratch buffers, so between the session lookup and the sink
+//! a warmed-up call allocates nothing. The `Vec`-returning methods are
+//! those same calls with a `Vec` sink. Neither takes an admission permit:
+//! the admission-controlled sink forms are the engine's
+//! [`ServeSurface`](crate::ServeSurface) impl, which takes the permit
+//! first and therefore never touches the sink on a shed.
+//!
 //! Every suggestion is computed against exactly one snapshot handle loaded
 //! at the start of the request, so a mid-request publication can never mix
 //! two models' vocabularies (no torn reads — asserted by the concurrency
 //! tests in the umbrella crate).
 
 use crate::session::{SessionTracker, TrackOutcome, TrackerConfig};
+use crate::sink::SuggestSink;
 use crate::snapshot::{ModelSnapshot, Suggestion};
 use crate::swap::Swap;
 use sqp_common::hazard::{Hazard, NoHazard};
+use sqp_common::scratch;
+use sqp_common::topk::Scored;
+use sqp_common::QueryId;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The suggest path's working buffers, kept per thread so a warmed-up
+/// request allocates nothing between the session lookup and the sink.
+#[derive(Default)]
+struct Scratch {
+    /// Flat arena of a batch's covered contexts, as ids.
+    ids: Vec<QueryId>,
+    /// Per request: its range in `ids`, or `None` when there is nothing to
+    /// rank against.
+    spans: Vec<Option<(usize, usize)>>,
+    /// One context, resolved while its stripe is held.
+    context: Vec<QueryId>,
+    /// One request's ranked candidates.
+    topk: Vec<Scored>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
 
 /// Engine construction parameters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -89,12 +128,20 @@ pub struct SuggestRequest {
 /// lock — [`ServeEngine::stats`] is plain atomic loads, so a stats poller
 /// (e.g. a router collecting per-replica health every tick) never contends
 /// with `track_and_suggest` traffic.
+///
+/// `tracks` and `suggests` count work that was **accepted**: a request
+/// shed by admission control adds one to `shed` and nothing else (a shed
+/// router batch contributes nothing to any replica's `suggests`, however
+/// many replicas it would have touched), and a track refused by draining
+/// mode counts in [`ServeEngine::drain_refused`] only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Queries recorded via `track` (including the tracked half of
-    /// `track_and_suggest`).
+    /// `track_and_suggest`). Refused and shed tracks recorded nothing and
+    /// are not counted.
     pub tracks: u64,
-    /// Suggestion computations served (batch entries count individually).
+    /// Suggestion computations served (batch entries count individually;
+    /// an entry answered with the empty list was still served).
     pub suggests: u64,
     /// Snapshots published.
     pub publishes: u64,
@@ -254,6 +301,179 @@ impl ServeEngine {
         self.in_flight.load(Ordering::Acquire)
     }
 
+    /// Record a query issued by `user` at `now` (seconds since any fixed
+    /// epoch — only gaps matter).
+    pub fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
+        let outcome = if self.is_draining() {
+            match self.tracker.track_existing(user, query, now) {
+                Some(outcome) => outcome,
+                None => return self.refuse_drain(),
+            }
+        } else {
+            self.tracker.track(user, query, now)
+        };
+        self.tracks.fetch_add(1, Ordering::Relaxed);
+        outcome
+    }
+
+    /// Record `query` for `user` and immediately suggest against the
+    /// updated context — the common search-box round trip — writing
+    /// exactly one list to `sink`. One snapshot load and one stripe
+    /// acquisition: the context is updated and resolved to ids in the same
+    /// critical section, and model inference runs after the lock is
+    /// released. A track refused by draining mode answers the empty list.
+    pub fn track_and_suggest_into(
+        &self,
+        user: u64,
+        query: &str,
+        k: usize,
+        now: u64,
+        sink: &mut dyn SuggestSink,
+    ) {
+        let snapshot = self.current.load();
+        let draining = self.is_draining();
+        scratch::with(&SCRATCH, |scratch| {
+            scratch.topk.clear();
+            let covered = {
+                let shard_idx = self.tracker.shard_index(user);
+                let mut shard = self.tracker.lock_shard(shard_idx);
+                // Chaos seam, struck while the stripe is held: an injected
+                // panic here poisons the lock, exercising the tracker's
+                // poison recovery; an injected stall models a slow shard.
+                self.hazard.strike(&self.shard_sites[shard_idx]);
+                // Same rule as `SessionTracker::track_existing`, applied
+                // inside this path's own critical section: a draining
+                // engine extends only a session that is live *right now*.
+                let cutoff = self.tracker.config().idle_cutoff_secs;
+                let refused = draining
+                    && !shard.sessions.get(&user).is_some_and(|state| {
+                        !state.ring.is_empty() && now.saturating_sub(state.last_seen) <= cutoff
+                    });
+                if refused {
+                    drop(shard);
+                    self.refuse_drain();
+                    false
+                } else {
+                    self.tracks.fetch_add(1, Ordering::Relaxed);
+                    self.suggests.fetch_add(1, Ordering::Relaxed);
+                    let (_, state, inserted) = shard.track(user, query, now, self.tracker.config());
+                    self.tracker.note_insert(inserted);
+                    snapshot.resolve_context_into(state.ring.iter(), &mut scratch.context)
+                }
+            };
+            if covered {
+                snapshot.recommend_ids_into(&scratch.context, k, &mut scratch.topk);
+            }
+            snapshot.render(&scratch.topk, sink);
+        });
+    }
+
+    /// Batched suggestion: rank every request against **one** snapshot
+    /// handle loaded up front and write one list per request to `sink`, in
+    /// request order. Runs in two phases so that no model inference (and
+    /// no sink call) ever happens under a session lock:
+    ///
+    /// 1. **Resolve** — walk the requests in order, carrying the stripe
+    ///    lock across consecutive requests that hash to the same shard, and
+    ///    copy each live context out as interned ids into one flat arena.
+    ///    The critical section per request is a map probe plus one interner
+    ///    lookup per context entry.
+    /// 2. **Rank** — with all locks released, run `recommend_into` per
+    ///    request through a single reused top-k buffer and render each
+    ///    result straight into the sink.
+    ///
+    /// Callers that pre-group users by shard get maximal lock amortization
+    /// for free. At most one stripe lock is ever held, and it is released
+    /// before the next stripe is taken, so concurrent batches cannot
+    /// deadlock whatever their request orders. The arena, the spans and
+    /// the top-k buffer are per-thread scratch, so a warmed-up call
+    /// allocates nothing of its own.
+    pub fn suggest_batch_into(
+        &self,
+        requests: &[SuggestRequest],
+        now: u64,
+        sink: &mut dyn SuggestSink,
+    ) {
+        self.suggests
+            .fetch_add(requests.len() as u64, Ordering::Relaxed);
+        let snapshot = self.current.load();
+        let cutoff = self.tracker.config().idle_cutoff_secs;
+        scratch::with(&SCRATCH, |scratch| {
+            let Scratch {
+                ids,
+                spans,
+                context,
+                topk,
+            } = scratch;
+            // Phase 1: copy covered contexts out as ids. `spans[i]` is the
+            // request's range within the flat `ids` arena, or `None` when
+            // the session is absent, expired, or its context is uncovered.
+            ids.clear();
+            spans.clear();
+            let mut held: Option<(usize, std::sync::MutexGuard<'_, crate::session::Shard>)> = None;
+            for req in requests {
+                let shard_idx = self.tracker.shard_index(req.user);
+                if !matches!(&held, Some((idx, _)) if *idx == shard_idx) {
+                    // Release the previous stripe *before* locking the
+                    // next: at most one stripe lock is ever held, so
+                    // concurrent batches cannot form a lock-order cycle.
+                    drop(held.take());
+                    held = Some((shard_idx, self.tracker.lock_shard(shard_idx)));
+                    // Chaos seam: same semantics as in
+                    // `track_and_suggest_into`.
+                    self.hazard.strike(&self.shard_sites[shard_idx]);
+                }
+                let (_, guard) = held.as_mut().expect("stripe lock just taken");
+                let covered = match guard.sessions.get(&req.user) {
+                    Some(state) if now.saturating_sub(state.last_seen) <= cutoff => {
+                        snapshot.resolve_context_into(state.ring.iter(), context)
+                    }
+                    _ => false,
+                };
+                spans.push(covered.then(|| {
+                    let start = ids.len();
+                    ids.extend_from_slice(context);
+                    (start, ids.len())
+                }));
+            }
+            drop(held);
+
+            // Phase 2: model inference and rendering, lock-free.
+            for (req, span) in requests.iter().zip(spans.iter()) {
+                topk.clear();
+                if let Some((start, end)) = *span {
+                    snapshot.recommend_ids_into(&ids[start..end], req.k, topk);
+                }
+                snapshot.render(topk, sink);
+            }
+        });
+    }
+
+    /// Top-`k` suggestions for `user`'s tracked session — a batch of one.
+    /// Empty when the user has no live session or the context is
+    /// uncovered by the current model.
+    pub fn suggest(&self, user: u64, k: usize, now: u64) -> Vec<Suggestion> {
+        let mut out = Vec::new();
+        self.suggest_batch_into(&[SuggestRequest { user, k }], now, &mut out);
+        out
+    }
+
+    /// [`track_and_suggest_into`](Self::track_and_suggest_into) as an
+    /// owned list.
+    pub fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {
+        let mut out = Vec::new();
+        self.track_and_suggest_into(user, query, k, now, &mut out);
+        out
+    }
+
+    /// [`suggest_batch_into`](Self::suggest_batch_into) as owned lists,
+    /// one per request, in request order.
+    pub fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
+        let mut out = Vec::with_capacity(requests.len());
+        self.suggest_batch_into(requests, now, &mut out);
+        out
+    }
+
     /// Admission-controlled [`suggest`](Self::suggest).
     pub fn try_suggest(
         &self,
@@ -277,9 +497,7 @@ impl ServeEngine {
         Ok(self.track_and_suggest(user, query, k, now))
     }
 
-    /// Admission-controlled [`suggest_batch`](Self::suggest_batch). The
-    /// whole batch costs one permit: it shares one snapshot load and its
-    /// buffers, so per-entry admission would overcount its footprint.
+    /// Admission-controlled [`suggest_batch`](Self::suggest_batch).
     pub fn try_suggest_batch(
         &self,
         requests: &[SuggestRequest],
@@ -287,149 +505,6 @@ impl ServeEngine {
     ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
         let _permit = self.admit()?;
         Ok(self.suggest_batch(requests, now))
-    }
-
-    /// Record a query issued by `user` at `now` (seconds since any fixed
-    /// epoch — only gaps matter).
-    pub fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
-        self.tracks.fetch_add(1, Ordering::Relaxed);
-        if self.is_draining() {
-            return match self.tracker.track_existing(user, query, now) {
-                Some(outcome) => outcome,
-                None => self.refuse_drain(),
-            };
-        }
-        self.tracker.track(user, query, now)
-    }
-
-    /// Top-`k` suggestions for `user`'s tracked session. Empty when the
-    /// user has no live session or the context is uncovered by the current
-    /// model.
-    pub fn suggest(&self, user: u64, k: usize, now: u64) -> Vec<Suggestion> {
-        self.suggest_batch(&[SuggestRequest { user, k }], now)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Record `query` for `user` and immediately suggest against the
-    /// updated context — the common search-box round trip. One snapshot
-    /// load and one stripe acquisition: the context is updated and resolved
-    /// to ids in the same critical section, and model inference runs after
-    /// the lock is released.
-    pub fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {
-        self.tracks.fetch_add(1, Ordering::Relaxed);
-        self.suggests.fetch_add(1, Ordering::Relaxed);
-        let snapshot = self.current.load();
-        let draining = self.is_draining();
-        let mut ids = Vec::new();
-        let covered = {
-            let shard_idx = self.tracker.shard_index(user);
-            let mut shard = self.tracker.lock_shard(shard_idx);
-            // Chaos seam, struck while the stripe is held: an injected
-            // panic here poisons the lock, exercising the tracker's poison
-            // recovery; an injected stall models a slow shard.
-            self.hazard.strike(&self.shard_sites[shard_idx]);
-            if draining {
-                // Same rule as `SessionTracker::track_existing`, applied
-                // inside this path's own critical section: only a session
-                // that is live *right now* may be extended.
-                let cutoff = self.tracker.config().idle_cutoff_secs;
-                let live = shard.sessions.get(&user).is_some_and(|state| {
-                    !state.ring.is_empty() && now.saturating_sub(state.last_seen) <= cutoff
-                });
-                if !live {
-                    drop(shard);
-                    self.refuse_drain();
-                    return Vec::new();
-                }
-            }
-            let (_, state, inserted) = shard.track(user, query, now, self.tracker.config());
-            self.tracker.note_insert(inserted);
-            snapshot.resolve_context_into(state.ring.iter(), &mut ids)
-        };
-        if !covered {
-            return Vec::new();
-        }
-        let mut topk = Vec::new();
-        snapshot.recommend_ids_into(&ids, k, &mut topk);
-        let mut rendered = Vec::with_capacity(topk.len());
-        snapshot.render_into(&topk, &mut rendered);
-        rendered
-    }
-
-    /// Batched suggestion: rank every request against **one** snapshot
-    /// handle loaded up front. Runs in two phases so that no model
-    /// inference ever happens under a session lock:
-    ///
-    /// 1. **Resolve** — walk the requests in order, carrying the stripe
-    ///    lock across consecutive requests that hash to the same shard, and
-    ///    copy each live context out as interned ids into one flat arena.
-    ///    The critical section per request is a map probe plus one interner
-    ///    lookup per context entry.
-    /// 2. **Rank** — with all locks released, run `recommend_into` per
-    ///    request through a single reused top-k buffer and render the
-    ///    results.
-    ///
-    /// Results are returned in request order; callers that pre-group users
-    /// by shard get maximal lock amortization for free. At most one stripe
-    /// lock is ever held, and it is released before the next stripe is
-    /// taken, so concurrent batches cannot deadlock whatever their request
-    /// orders.
-    pub fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
-        self.suggests
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        let snapshot = self.current.load();
-        let cutoff = self.tracker.config().idle_cutoff_secs;
-
-        // Phase 1: copy covered contexts out as ids. `spans[i]` is the
-        // request's range within the flat `ids` arena, or `None` when the
-        // session is absent, expired, or its context is uncovered.
-        let mut ids: Vec<sqp_common::QueryId> = Vec::new();
-        let mut spans: Vec<Option<(usize, usize)>> = Vec::with_capacity(requests.len());
-        let mut scratch: Vec<sqp_common::QueryId> = Vec::new();
-        let mut held: Option<(usize, std::sync::MutexGuard<'_, crate::session::Shard>)> = None;
-        for req in requests {
-            let shard_idx = self.tracker.shard_index(req.user);
-            if !matches!(&held, Some((idx, _)) if *idx == shard_idx) {
-                // Release the previous stripe *before* locking the next: at
-                // most one stripe lock is ever held, so concurrent batches
-                // cannot form a lock-order cycle.
-                drop(held.take());
-                held = Some((shard_idx, self.tracker.lock_shard(shard_idx)));
-                // Chaos seam: same semantics as in `track_and_suggest`.
-                self.hazard.strike(&self.shard_sites[shard_idx]);
-            }
-            let (_, guard) = held.as_mut().expect("stripe lock just taken");
-            let covered = match guard.sessions.get(&req.user) {
-                Some(state) if now.saturating_sub(state.last_seen) <= cutoff => {
-                    snapshot.resolve_context_into(state.ring.iter(), &mut scratch)
-                }
-                _ => false,
-            };
-            if covered {
-                let start = ids.len();
-                ids.extend_from_slice(&scratch);
-                spans.push(Some((start, ids.len())));
-            } else {
-                spans.push(None);
-            }
-        }
-        drop(held);
-
-        // Phase 2: model inference and rendering, lock-free.
-        let mut topk: Vec<sqp_common::topk::Scored> = Vec::new();
-        let mut out: Vec<Vec<Suggestion>> = Vec::with_capacity(requests.len());
-        for (req, span) in requests.iter().zip(&spans) {
-            let Some((start, end)) = span else {
-                out.push(Vec::new());
-                continue;
-            };
-            snapshot.recommend_ids_into(&ids[*start..*end], req.k, &mut topk);
-            let mut rendered = Vec::with_capacity(topk.len());
-            snapshot.render_into(&topk, &mut rendered);
-            out.push(rendered);
-        }
-        out
     }
 
     /// Stateless suggestion for an explicit context (oldest query first),
@@ -494,6 +569,7 @@ impl ServeEngine {
 mod tests {
     use super::*;
     use crate::snapshot::{ModelSpec, TrainingConfig};
+    use crate::surface::ServeSurface;
     use sqp_logsim::RawLogRecord;
 
     fn rec(machine: u64, ts: u64, q: &str) -> RawLogRecord {
@@ -684,6 +760,72 @@ mod tests {
         // Leaving draining mode re-admits new sessions.
         e.set_draining(false);
         assert!(e.track(2, "start", 150).new_session);
+    }
+
+    #[test]
+    fn refused_and_shed_requests_are_not_counted_as_served() {
+        // Draining: a refused track recorded nothing, so it is not a
+        // "query recorded" (nor, for the fused form, a suggestion served).
+        let e = engine();
+        e.track(1, "start", 100);
+        e.set_draining(true);
+        e.track(2, "start", 110);
+        assert!(e.track_and_suggest(3, "start", 3, 110).is_empty());
+        e.track(1, "old::next", 120);
+        let stats = e.stats();
+        assert_eq!((stats.tracks, stats.suggests), (2, 0));
+        assert_eq!(e.drain_refused(), 2);
+
+        // Admission: a shed request counts in `shed` and nowhere else,
+        // and leaves the sink untouched.
+        let e = ServeEngine::new(
+            snapshot("old"),
+            EngineConfig {
+                max_in_flight: 1,
+                ..EngineConfig::default()
+            },
+        );
+        e.track(1, "start", 100);
+        let permit = e.admit().unwrap();
+        let mut sink: Vec<Vec<Suggestion>> = Vec::new();
+        let requests = [SuggestRequest { user: 1, k: 3 }; 2];
+        assert!(e.try_suggest_into(1, 3, 110, &mut sink).is_err());
+        assert!(e
+            .try_track_and_suggest_into(1, "start", 3, 110, &mut sink)
+            .is_err());
+        assert!(e.try_suggest_batch_into(&requests, 110, &mut sink).is_err());
+        assert!(sink.is_empty(), "a shed wrote to the sink: {sink:?}");
+        let stats = e.stats();
+        assert_eq!((stats.tracks, stats.suggests, stats.shed), (1, 0, 3));
+        assert_eq!(e.tracker().context(1, 120), vec!["start"]);
+        drop(permit);
+        e.try_suggest_batch_into(&requests, 110, &mut sink).unwrap();
+        assert_eq!(sink.len(), 2, "one list per request");
+        assert_eq!(e.stats().suggests, 2);
+    }
+
+    #[test]
+    fn every_form_writes_one_list_per_request_through_the_same_path() {
+        let e = engine();
+        e.track(1, "start", 100);
+        let mut lists: Vec<Vec<Suggestion>> = Vec::new();
+        let one = |user, k| [SuggestRequest { user, k }];
+        e.suggest_batch_into(&one(1, 3), 110, &mut lists); // covered
+        e.suggest_batch_into(&one(9, 3), 110, &mut lists); // unknown user
+        e.suggest_batch_into(&one(1, 0), 110, &mut lists); // k = 0
+        e.track_and_suggest_into(2, "start", 3, 110, &mut lists);
+        e.track_and_suggest_into(2, "unseen", 3, 111, &mut lists); // uncovered
+        assert_eq!(
+            lists,
+            vec![
+                e.suggest(1, 3, 110),
+                vec![],
+                vec![],
+                e.suggest_context(&["start"], 3),
+                vec![]
+            ]
+        );
+        assert_eq!(lists[0][0].query, "old::next");
     }
 
     #[test]

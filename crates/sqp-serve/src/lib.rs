@@ -68,6 +68,7 @@
 
 pub mod engine;
 pub mod session;
+pub mod sink;
 pub mod snapshot;
 pub mod surface;
 pub mod swap;
@@ -78,6 +79,7 @@ pub use engine::{
 pub use session::{
     ExportBatch, SessionExport, SessionTracker, TrackOutcome, TrackerConfig, DEFAULT_CUTOFF_SECS,
 };
+pub use sink::SuggestSink;
 pub use snapshot::{ModelSnapshot, ModelSpec, Suggestion, TrainingConfig};
 pub use surface::ServeSurface;
 pub use swap::Swap;

@@ -11,6 +11,7 @@
 //! so ids resolved against snapshot N are never mixed with a model from
 //! snapshot N+1.
 
+use crate::sink::SuggestSink;
 use sqp_common::topk::Scored;
 use sqp_common::{Interner, QueryId};
 use sqp_core::{Mvmm, MvmmConfig, Recommender, Vmm, VmmConfig};
@@ -184,14 +185,21 @@ impl ModelSnapshot {
         self.model.recommend_into(ids, k, out);
     }
 
-    /// Materialize scored ids as textual [`Suggestion`]s, appending to `out`.
-    pub fn render_into(&self, scored: &[Scored], out: &mut Vec<Suggestion>) {
+    /// Write scored ids to `sink` as one list of `(text, score)` — the one
+    /// place in the workspace where a model's ids become query text. The
+    /// text is borrowed from the snapshot's interner; what it costs to keep
+    /// is the sink's business (a `Vec<Suggestion>` copies each string, a
+    /// wire frame copies the bytes once).
+    pub fn render(&self, scored: &[Scored], sink: &mut dyn SuggestSink) {
+        sink.list(scored.len());
         for s in scored {
-            out.push(Suggestion {
-                query: self.interner.resolve(s.query).to_owned(),
-                score: s.score,
-            });
+            sink.suggestion(self.interner.resolve(s.query), s.score);
         }
+    }
+
+    /// [`render`](Self::render) into an owned list, appending to `out`.
+    pub fn render_into(&self, scored: &[Scored], out: &mut Vec<Suggestion>) {
+        self.render(scored, out);
     }
 
     /// Top-`k` suggestions for the session so far (oldest query first).
@@ -199,12 +207,11 @@ impl ModelSnapshot {
     pub fn suggest(&self, context: &[&str], k: usize) -> Vec<Suggestion> {
         let mut ids = Vec::new();
         let mut scored = Vec::new();
-        if !self.resolve_context_into(context.iter().copied(), &mut ids) {
-            return Vec::new();
+        if self.resolve_context_into(context.iter().copied(), &mut ids) {
+            self.recommend_ids_into(&ids, k, &mut scored);
         }
-        self.recommend_ids_into(&ids, k, &mut scored);
-        let mut out = Vec::with_capacity(scored.len());
-        self.render_into(&scored, &mut out);
+        let mut out = Vec::new();
+        self.render(&scored, &mut out);
         out
     }
 

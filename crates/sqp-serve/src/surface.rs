@@ -1,12 +1,16 @@
 //! [`ServeSurface`]: the one trait every serving tier speaks.
 //!
 //! Three layers sit on top of a serving tier and none of them should care
-//! whether the tier is a single [`ServeEngine`] or a replicated
-//! `RouterEngine` (`sqp-router` implements this trait for it):
+//! whether the tier is a single [`ServeEngine`], a replicated
+//! `RouterEngine` (`sqp-router`) or a `RemoteEngine` on the far side of a
+//! socket (`sqp-net`):
 //!
 //! * the **network front-end** (`sqp-net`) translates wire frames into
-//!   these calls — including the admission-controlled `try_*` forms, whose
-//!   typed [`Overloaded`] rejection becomes a wire-level shed reply;
+//!   these calls, handing the admission-controlled sink forms a
+//!   [`SuggestSink`] over the connection's reply frame — suggestions go
+//!   from the model's interner to the socket buffer without becoming
+//!   `String`s — and turning a typed [`Overloaded`] into a wire-level
+//!   shed reply;
 //! * the **stress harness** (`sqp-bench::serve_loop`) drives byte-identical
 //!   seeded traffic through any implementation so two tiers' reports are
 //!   directly comparable;
@@ -14,54 +18,117 @@
 //!   [`generation`](ServeSurface::generation), which implementations keep
 //!   lock-free so a poller never contends with traffic.
 //!
+//! # The suggest family
+//!
+//! An implementation writes three methods — `try_suggest_into`,
+//! `try_track_and_suggest_into`, `try_suggest_batch_into` — each
+//! admission-controlled and each writing whole answers to a
+//! [`SuggestSink`] (see [`crate::sink`] for the call protocol and for what
+//! a shed leaves behind: nothing). The five `Vec`-returning forms are
+//! provided on top of those with a `Vec` sink, so there is one suggest
+//! path per tier, not an owned one beside a streaming one.
+//!
 //! The trait requires `Send + Sync`: a surface is always shared across
-//! threads (worker pools, reader threads, stats pollers), and requiring it
-//! here turns a accidentally-non-`Sync` implementation into a compile
-//! error at `impl` time rather than a usage error at spawn time.
+//! threads (connection threads, stats pollers), and requiring it here turns
+//! an accidentally-non-`Sync` implementation into a compile error at `impl`
+//! time rather than a usage error at spawn time.
 
 use crate::engine::{EngineStats, Overloaded, ServeEngine, SuggestRequest};
 use crate::session::TrackOutcome;
+use crate::sink::SuggestSink;
 use crate::snapshot::{ModelSnapshot, Suggestion};
 use std::sync::Arc;
 
 /// The operations a serving tier exposes to front-ends, harnesses, and
-/// operators — the common surface of [`ServeEngine`] and `RouterEngine`.
+/// operators — the common surface of [`ServeEngine`], `RouterEngine` and
+/// `RemoteEngine`.
 ///
 /// Admission: the `try_*` forms shed with [`Overloaded`] when the tier's
-/// in-flight budget is exhausted; the plain forms never shed. A network
-/// front-end uses `try_*` so overload turns into a typed wire reply
-/// instead of a stalled connection.
+/// in-flight budget is exhausted, before writing anything. The plain
+/// `Vec` forms never report a shed: a shed answer comes back empty.
 pub trait ServeSurface: Send + Sync {
     /// Record `query` for `user` at `now` without suggesting.
     fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome;
 
-    /// Record `query` for `user` and suggest against the updated context.
-    fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion>;
+    /// Suggest against `user`'s tracked session: exactly one list to
+    /// `sink`, or `Err` and nothing.
+    fn try_suggest_into(
+        &self,
+        user: u64,
+        k: usize,
+        now: u64,
+        sink: &mut dyn SuggestSink,
+    ) -> Result<(), Overloaded>;
 
-    /// Admission-controlled [`track_and_suggest`](Self::track_and_suggest).
+    /// Record `query` for `user` and suggest against the updated context:
+    /// exactly one list to `sink`, or `Err`, nothing written and nothing
+    /// recorded.
+    fn try_track_and_suggest_into(
+        &self,
+        user: u64,
+        query: &str,
+        k: usize,
+        now: u64,
+        sink: &mut dyn SuggestSink,
+    ) -> Result<(), Overloaded>;
+
+    /// Batched suggestion: one list per request to `sink`, in request
+    /// order. The batch is all-or-nothing: if any involved replica's
+    /// budget is exhausted the whole call sheds with the sink untouched,
+    /// so a caller never has to merge partial answers with partial sheds.
+    fn try_suggest_batch_into(
+        &self,
+        requests: &[SuggestRequest],
+        now: u64,
+        sink: &mut dyn SuggestSink,
+    ) -> Result<(), Overloaded>;
+
+    /// [`try_suggest_into`](Self::try_suggest_into) as an owned list.
+    fn try_suggest(&self, user: u64, k: usize, now: u64) -> Result<Vec<Suggestion>, Overloaded> {
+        let mut out = Vec::new();
+        self.try_suggest_into(user, k, now, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`try_track_and_suggest_into`](Self::try_track_and_suggest_into) as
+    /// an owned list.
     fn try_track_and_suggest(
         &self,
         user: u64,
         query: &str,
         k: usize,
         now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded>;
+    ) -> Result<Vec<Suggestion>, Overloaded> {
+        let mut out = Vec::new();
+        self.try_track_and_suggest_into(user, query, k, now, &mut out)?;
+        Ok(out)
+    }
 
-    /// Admission-controlled suggestion against `user`'s tracked session.
-    fn try_suggest(&self, user: u64, k: usize, now: u64) -> Result<Vec<Suggestion>, Overloaded>;
-
-    /// Batched suggestion in request order.
-    fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>>;
-
-    /// Admission-controlled [`suggest_batch`](Self::suggest_batch). The
-    /// batch is all-or-nothing: if any involved replica's budget is
-    /// exhausted the whole call sheds, so a caller never has to merge
-    /// partial answers with partial sheds.
+    /// [`try_suggest_batch_into`](Self::try_suggest_batch_into) as owned
+    /// lists.
     fn try_suggest_batch(
         &self,
         requests: &[SuggestRequest],
         now: u64,
-    ) -> Result<Vec<Vec<Suggestion>>, Overloaded>;
+    ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
+        let mut out = Vec::with_capacity(requests.len());
+        self.try_suggest_batch_into(requests, now, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`try_track_and_suggest`](Self::try_track_and_suggest) with a shed
+    /// reported as no suggestions.
+    fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {
+        self.try_track_and_suggest(user, query, k, now)
+            .unwrap_or_default()
+    }
+
+    /// [`try_suggest_batch`](Self::try_suggest_batch) with a shed reported
+    /// as one empty list per request.
+    fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
+        self.try_suggest_batch(requests, now)
+            .unwrap_or_else(|_| vec![Vec::new(); requests.len()])
+    }
 
     /// Drop idle sessions; returns how many.
     fn evict_idle(&self, now: u64) -> usize;
@@ -93,30 +160,38 @@ impl ServeSurface for ServeEngine {
     fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
         ServeEngine::track(self, user, query, now)
     }
-    fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {
-        ServeEngine::track_and_suggest(self, user, query, k, now)
+    fn try_suggest_into(
+        &self,
+        user: u64,
+        k: usize,
+        now: u64,
+        sink: &mut dyn SuggestSink,
+    ) -> Result<(), Overloaded> {
+        self.try_suggest_batch_into(&[SuggestRequest { user, k }], now, sink)
     }
-    fn try_track_and_suggest(
+    fn try_track_and_suggest_into(
         &self,
         user: u64,
         query: &str,
         k: usize,
         now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        ServeEngine::try_track_and_suggest(self, user, query, k, now)
+        sink: &mut dyn SuggestSink,
+    ) -> Result<(), Overloaded> {
+        let _permit = self.admit()?;
+        self.track_and_suggest_into(user, query, k, now, sink);
+        Ok(())
     }
-    fn try_suggest(&self, user: u64, k: usize, now: u64) -> Result<Vec<Suggestion>, Overloaded> {
-        ServeEngine::try_suggest(self, user, k, now)
-    }
-    fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
-        ServeEngine::suggest_batch(self, requests, now)
-    }
-    fn try_suggest_batch(
+    /// The whole batch costs one permit: it shares one snapshot load and
+    /// its buffers, so per-entry admission would overcount its footprint.
+    fn try_suggest_batch_into(
         &self,
         requests: &[SuggestRequest],
         now: u64,
-    ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
-        ServeEngine::try_suggest_batch(self, requests, now)
+        sink: &mut dyn SuggestSink,
+    ) -> Result<(), Overloaded> {
+        let _permit = self.admit()?;
+        self.suggest_batch_into(requests, now, sink);
+        Ok(())
     }
     fn evict_idle(&self, now: u64) -> usize {
         ServeEngine::evict_idle(self, now)
@@ -195,6 +270,16 @@ mod tests {
             .try_suggest_batch(&[SuggestRequest { user: 1, k: 1 }], 120)
             .unwrap();
         assert_eq!(batch[0][0].query, "start::next");
+        // The owned forms are the sink forms with a `Vec` sink.
+        let mut lists: Vec<Vec<Suggestion>> = Vec::new();
+        surface
+            .try_suggest_batch_into(&[SuggestRequest { user: 1, k: 1 }], 120, &mut lists)
+            .unwrap();
+        assert_eq!(lists, batch);
+        assert_eq!(
+            surface.suggest_batch(&[SuggestRequest { user: 1, k: 1 }], 120),
+            batch
+        );
         assert_eq!(surface.publish(snapshot), 1);
         assert_eq!(surface.generation(), 1);
         let stats = surface.stats();

@@ -75,6 +75,9 @@ fn provenance_of(suggestions: &[sqp::Suggestion]) -> Option<&'static str> {
 
 #[test]
 fn suggestions_during_swaps_come_wholly_from_one_snapshot() {
+    const READERS: usize = 4;
+    const FLIPS: u64 = 200;
+
     let engine = Arc::new(ServeEngine::new(
         tagged_snapshot("old"),
         EngineConfig::default(),
@@ -84,66 +87,85 @@ fn suggestions_during_swaps_come_wholly_from_one_snapshot() {
         engine.track(user, "seed", 1_000);
     }
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let saw_old = Arc::new(AtomicU64::new(0));
-    let saw_new = Arc::new(AtomicU64::new(0));
-
-    std::thread::scope(|scope| {
-        for reader in 0..4u64 {
-            let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
-            let saw_old = Arc::clone(&saw_old);
-            let saw_new = Arc::clone(&saw_new);
-            scope.spawn(move || {
-                let reqs: Vec<SuggestRequest> =
-                    (0..16).map(|user| SuggestRequest { user, k: 3 }).collect();
-                while !stop.load(Ordering::Relaxed) {
-                    // Mixed read paths: stateless, tracked, batched.
-                    let stateless = engine.suggest_context(&["seed"], 3);
-                    assert!(!stateless.is_empty());
-                    let tags = [
-                        provenance_of(&stateless),
-                        provenance_of(&engine.suggest(reader % 16, 3, 1_001)),
-                    ];
-                    for batch_result in engine.suggest_batch(&reqs, 1_001) {
-                        provenance_of(&batch_result);
-                    }
-                    for tag in tags.into_iter().flatten() {
-                        match tag {
-                            "old" => saw_old.fetch_add(1, Ordering::Relaxed),
-                            _ => saw_new.fetch_add(1, Ordering::Relaxed),
-                        };
-                    }
-                }
-            });
+    let stop = AtomicBool::new(false);
+    // The handshake: `passes[r]` counts the read passes reader `r` has
+    // completed. The writer flips, then waits until every reader's count
+    // has advanced by two — the first increment may belong to a pass that
+    // straddled the flip, the second belongs to a pass that began after
+    // it. Readers never wait, so every flip still lands in the middle of
+    // somebody's pass (the torn-read window this test is about), and each
+    // reader provably ran a whole pass under every published snapshot:
+    // "both were observed" holds by construction, not by scheduler luck.
+    let passes: [AtomicU64; READERS] = std::array::from_fn(|_| AtomicU64::new(0));
+    let await_passes = |beyond: u64| {
+        let seen: Vec<u64> = passes.iter().map(|p| p.load(Ordering::Acquire)).collect();
+        for (pass, seen) in passes.iter().zip(seen) {
+            while pass.load(Ordering::Acquire) < seen + beyond {
+                std::thread::yield_now();
+            }
         }
+    };
+
+    let observed: Vec<(u64, u64)> = std::thread::scope(|scope| {
+        let readers: Vec<_> = passes
+            .iter()
+            .enumerate()
+            .map(|(reader, pass)| {
+                let engine = Arc::clone(&engine);
+                let stop = &stop;
+                scope.spawn(move || {
+                    let reqs: Vec<SuggestRequest> =
+                        (0..16).map(|user| SuggestRequest { user, k: 3 }).collect();
+                    let (mut saw_old, mut saw_new) = (0u64, 0u64);
+                    while !stop.load(Ordering::Acquire) {
+                        // Mixed read paths: stateless, tracked, batched.
+                        let stateless = engine.suggest_context(&["seed"], 3);
+                        assert!(!stateless.is_empty());
+                        let tags = [
+                            provenance_of(&stateless),
+                            provenance_of(&engine.suggest(reader as u64 % 16, 3, 1_001)),
+                        ];
+                        for batch_result in engine.suggest_batch(&reqs, 1_001) {
+                            provenance_of(&batch_result);
+                        }
+                        for tag in tags.into_iter().flatten() {
+                            match tag {
+                                "old" => saw_old += 1,
+                                _ => saw_new += 1,
+                            }
+                        }
+                        pass.fetch_add(1, Ordering::Release);
+                    }
+                    (saw_old, saw_new)
+                })
+            })
+            .collect();
 
         // Writer: flip between the two snapshots many times mid-traffic.
+        // Every reader first completes a pass on the initial snapshot.
+        await_passes(1);
         let new_snapshot = tagged_snapshot("new");
         let old_snapshot = tagged_snapshot("old");
-        for flip in 0..200 {
+        for flip in 0..FLIPS {
             let next = if flip % 2 == 0 {
                 Arc::clone(&new_snapshot)
             } else {
                 Arc::clone(&old_snapshot)
             };
             engine.publish(next);
-            std::thread::yield_now();
+            await_passes(2);
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true, Ordering::Release);
+        readers.into_iter().map(|r| r.join().unwrap()).collect()
     });
 
-    assert_eq!(engine.generation(), 200);
-    // With 200 flips under continuous reads, both snapshots must have been
-    // observed — otherwise the test never exercised the race.
-    assert!(
-        saw_old.load(Ordering::Relaxed) > 0,
-        "old snapshot never seen"
-    );
-    assert!(
-        saw_new.load(Ordering::Relaxed) > 0,
-        "new snapshot never seen"
-    );
+    assert_eq!(engine.generation(), FLIPS);
+    for (reader, (saw_old, saw_new)) in observed.into_iter().enumerate() {
+        assert!(
+            saw_old > 0 && saw_new > 0,
+            "reader {reader} saw old {saw_old} times and new {saw_new} times"
+        );
+    }
 }
 
 #[test]
