@@ -95,9 +95,33 @@ pub fn fx_hash_one<T: std::hash::Hash>(value: &T) -> u64 {
     h.finish()
 }
 
+/// FNV-1a 64 offset basis: the `state` a fresh [`fnv1a`] fold starts from.
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into an FNV-1a 64 `state`: per byte, XOR it in, then
+/// multiply by the prime `0x100000001b3` (wrapping). The replay digests of
+/// the soak and fuzz harnesses are chains of this fold.
+#[inline]
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors_and_chains() {
+        assert_eq!(fnv1a(FNV_OFFSET_BASIS, b""), FNV_OFFSET_BASIS);
+        assert_eq!(fnv1a(FNV_OFFSET_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET_BASIS, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET_BASIS, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET_BASIS, b"foobar")
+        );
+    }
 
     #[test]
     fn deterministic_across_instances() {

@@ -11,8 +11,6 @@
 //!   fixed-size-row format below; the pair-wise and N-gram baselines
 //!   serialize their raw count tables (reconstruction is exact because
 //!   ranked lists and smoothing are deterministic functions of the counts).
-//! * The legacy bare-VMM entry points [`Vmm::to_bytes`] /
-//!   [`Vmm::from_bytes`] (**deprecated** — see below).
 //!
 //! The VMM payload is a small, versioned, length-prefixed binary layout;
 //! reconstruction is exact because node distributions are rebuilt from the
@@ -30,9 +28,9 @@
 //! these payloads in the **snapshot v3** container — interner block, model
 //! payload behind its [`ModelKind`] tag, lifecycle metadata, and a
 //! whole-file checksum — specified byte-by-byte in the repository's
-//! `FORMAT.md`. New code should persist through `sqp_store::save_snapshot`
-//! / `sqp_store::load_snapshot`; the bare-Vmm entry points remain only for
-//! id-level tooling that manages its own interner.
+//! `FORMAT.md`. Persist through `sqp_store::save_snapshot` /
+//! `sqp_store::load_snapshot`; [`model_to_bytes`] / [`model_from_bytes`]
+//! alone serve id-level tooling that manages its own interner.
 
 use crate::model::Recommender;
 use crate::pst::{NodeDist, Pst};
@@ -406,7 +404,7 @@ fn backoff_from_bytes(mut data: Bytes) -> Result<BackoffNgram, String> {
 
 /// Serialize a trained VMM as a self-delimiting v2 payload (magic,
 /// version, config, PST nodes, window-trie rows).
-pub(crate) fn vmm_to_bytes(model: &Vmm) -> Bytes {
+fn vmm_to_bytes(model: &Vmm) -> Bytes {
     let mut buf = BytesMut::with_capacity(64 + model.node_count() * 48);
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
@@ -447,7 +445,7 @@ pub(crate) fn vmm_to_bytes(model: &Vmm) -> Bytes {
 }
 
 /// Reconstruct a VMM serialized with [`vmm_to_bytes`].
-pub(crate) fn vmm_from_bytes(mut data: Bytes) -> Result<Vmm, String> {
+fn vmm_from_bytes(mut data: Bytes) -> Result<Vmm, String> {
     if data.remaining() < 8 {
         return Err("truncated header".into());
     }
@@ -549,33 +547,8 @@ pub(crate) fn vmm_from_bytes(mut data: Bytes) -> Result<Vmm, String> {
     })
 }
 
-impl Vmm {
-    /// Serialize the trained model as a bare v2 payload.
-    #[deprecated(
-        since = "0.1.0",
-        note = "a bare-VMM blob cannot boot a serving process (no interner); \
-                persist full snapshots via sqp_store::save_snapshot (format v3, \
-                see FORMAT.md) or sqp_core::persist::model_to_bytes"
-    )]
-    pub fn to_bytes(&self) -> Bytes {
-        vmm_to_bytes(self)
-    }
-
-    /// Reconstruct a model serialized with [`Vmm::to_bytes`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "load full snapshots via sqp_store::load_snapshot (format v3, \
-                see FORMAT.md) or sqp_core::persist::model_from_bytes"
-    )]
-    pub fn from_bytes(data: Bytes) -> Result<Vmm, String> {
-        vmm_from_bytes(data)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the v2 entry points stay covered until removed
-
     use super::*;
     use crate::model::{Recommender, SequenceScorer};
     use crate::toy::{toy_corpus, toy_test_sequence, TOY_EPSILON};
@@ -585,11 +558,28 @@ mod tests {
         Vmm::train(&toy_corpus(), VmmConfig::with_epsilon(TOY_EPSILON))
     }
 
+    fn to_bytes(model: &Vmm) -> Bytes {
+        let (kind, blob) = model_to_bytes(model).expect("a VMM is persistable");
+        assert_eq!(kind, ModelKind::Vmm);
+        blob
+    }
+
+    fn from_bytes(data: Bytes) -> Result<Box<dyn Recommender>, String> {
+        model_from_bytes(ModelKind::Vmm, data)
+    }
+
+    fn as_vmm(model: &dyn Recommender) -> &Vmm {
+        model
+            .as_any()
+            .and_then(|any| any.downcast_ref())
+            .expect("a Vmm payload restores a Vmm")
+    }
+
     #[test]
     fn roundtrip_preserves_everything_observable() {
         let original = trained();
-        let blob = original.to_bytes();
-        let restored = Vmm::from_bytes(blob).expect("roundtrip");
+        let restored = from_bytes(to_bytes(&original)).expect("roundtrip");
+        let restored = as_vmm(restored.as_ref());
 
         assert_eq!(restored.node_count(), original.node_count());
         assert_eq!(restored.name(), original.name());
@@ -632,8 +622,11 @@ mod tests {
         let logs = sqp_logsim::generate(&sqp_logsim::SimConfig::small(3_000, 500, 21));
         let p = sqp_sessions::process(&logs, &sqp_sessions::PipelineConfig::default());
         let original = Vmm::train(&p.train.aggregated.sessions, VmmConfig::bounded(3, 0.02));
-        let restored = Vmm::from_bytes(original.to_bytes()).unwrap();
-        assert_eq!(restored.node_count(), original.node_count());
+        let restored = from_bytes(to_bytes(&original)).unwrap();
+        assert_eq!(
+            as_vmm(restored.as_ref()).node_count(),
+            original.node_count()
+        );
         for e in p.ground_truth.entries.iter().take(200) {
             let a = original.recommend(&e.context, 5);
             let b = restored.recommend(&e.context, 5);
@@ -647,19 +640,19 @@ mod tests {
     #[test]
     fn serialization_is_deterministic() {
         let m = trained();
-        assert_eq!(m.to_bytes(), m.to_bytes());
+        assert_eq!(to_bytes(&m), to_bytes(&m));
         // Two identically-trained models serialize identically.
-        assert_eq!(trained().to_bytes(), m.to_bytes());
+        assert_eq!(to_bytes(&trained()), to_bytes(&m));
     }
 
     #[test]
     fn rejects_garbage_and_truncation() {
-        assert!(Vmm::from_bytes(Bytes::from_static(b"")).is_err());
-        assert!(Vmm::from_bytes(Bytes::from_static(b"NOPE0000")).is_err());
-        let blob = trained().to_bytes();
+        assert!(from_bytes(Bytes::from_static(b"")).is_err());
+        assert!(from_bytes(Bytes::from_static(b"NOPE0000")).is_err());
+        let blob = to_bytes(&trained());
         for cut in [3, 8, 20, blob.len() / 2, blob.len() - 1] {
             assert!(
-                Vmm::from_bytes(blob.slice(0..cut)).is_err(),
+                from_bytes(blob.slice(0..cut)).is_err(),
                 "cut at {cut} should fail"
             );
         }
@@ -667,9 +660,9 @@ mod tests {
 
     #[test]
     fn rejects_wrong_version() {
-        let mut raw = trained().to_bytes().to_vec();
+        let mut raw = to_bytes(&trained()).to_vec();
         raw[4] = 99; // bump the version field
-        assert!(Vmm::from_bytes(Bytes::from(raw)).is_err());
+        assert!(from_bytes(Bytes::from(raw)).is_err());
     }
 
     #[test]
@@ -685,7 +678,8 @@ mod tests {
             },
         ] {
             let m = Vmm::train(&toy_corpus(), cfg);
-            let r = Vmm::from_bytes(m.to_bytes()).unwrap();
+            let r = from_bytes(to_bytes(&m)).unwrap();
+            let r = as_vmm(r.as_ref());
             assert_eq!(r.config(), &cfg);
             assert_eq!(r.node_count(), m.node_count());
         }

@@ -11,7 +11,7 @@
 
 use crate::plan::FaultPlan;
 use sqp_common::clock::{Clock, RealClock};
-use sqp_common::hash::fx_hash_one;
+use sqp_common::hash::{fnv1a, fx_hash_one, FNV_OFFSET_BASIS};
 use sqp_common::hazard::Hazard;
 use sqp_common::rng::{Rng, StdRng};
 use std::collections::BTreeMap;
@@ -156,9 +156,8 @@ impl Chaos {
     /// digest on every run with the same plan; the chaos soak asserts
     /// exactly that.
     pub fn digest(&self) -> u64 {
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = 0xcbf29ce484222325u64 ^ self.plan.seed;
-        let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(PRIME);
+        let mut h = FNV_OFFSET_BASIS ^ self.plan.seed;
+        let fold = |h: u64, v: u64| fnv1a(h, &v.to_le_bytes());
         let s = self.stats();
         for v in [
             s.reads,
@@ -225,7 +224,7 @@ impl Chaos {
         });
         stream.strikes += 1;
         let draw: f64 = stream.rng.random();
-        stream.decisions = (stream.decisions ^ draw.to_bits()).wrapping_mul(0x100000001b3);
+        stream.decisions = fnv1a(stream.decisions, &draw.to_bits().to_le_bytes());
         (stream.strikes, draw)
     }
 }

@@ -17,6 +17,7 @@
 //! the sweep is bit-replayable from its seed — a failure can be
 //! reproduced by its case index alone.
 
+use sqp_common::hash::{fnv1a, FNV_OFFSET_BASIS};
 use sqp_common::rng::{Rng, StdRng};
 use sqp_logsim::RawLogRecord;
 use sqp_net::wire::{self, BatchEntry};
@@ -162,13 +163,6 @@ fn run_case(addr: SocketAddr, case: usize, bytes: &[u8]) -> Vec<u8> {
     outcome
 }
 
-fn fnv1a(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= u64::from(b);
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// One full sweep against a fresh server; returns the outcome digest.
 fn sweep() -> u64 {
     let server = NetServer::start(
@@ -182,11 +176,11 @@ fn sweep() -> u64 {
     let addr = server.serve_addr();
 
     let mut rng = StdRng::seed_from_u64(SEED);
-    let mut digest = 0xCBF2_9CE4_8422_2325u64;
+    let mut digest = FNV_OFFSET_BASIS;
     for case in 0..CASES {
         let bytes = malformed_case(&mut rng);
         let outcome = run_case(addr, case, &bytes);
-        fnv1a(&mut digest, &outcome);
+        digest = fnv1a(digest, &outcome);
         if case % 1024 == 0 {
             assert_eq!(
                 server.stats().handler_panics,

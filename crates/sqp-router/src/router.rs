@@ -1011,7 +1011,7 @@ impl RouterEngine {
 
 /// The router speaks the same [`ServeSurface`] as a single engine, so the
 /// network front-end (`sqp-net`) and the stress harness
-/// (`sqp-bench::serve_loop`) run unchanged on a replicated tier. The
+/// (`sqp-soak::serve_loop`) run unchanged on a replicated tier. The
 /// admission-controlled suggest family lives here and nowhere else (the
 /// `Vec`-returning `try_*` forms are the trait's provided ones): a
 /// single-user call is decided by the home replica's in-flight budget, so

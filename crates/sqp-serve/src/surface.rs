@@ -11,9 +11,8 @@
 //!   from the model's interner to the socket buffer without becoming
 //!   `String`s — and turning a typed [`Overloaded`] into a wire-level
 //!   shed reply;
-//! * the **stress harness** (`sqp-bench::serve_loop`) drives byte-identical
-//!   seeded traffic through any implementation so two tiers' reports are
-//!   directly comparable;
+//! * the **stress harness** (`sqp-soak::serve_loop`) drives byte-identical
+//!   seeded traffic through any implementation;
 //! * **operations** polls [`stats`](ServeSurface::stats) /
 //!   [`generation`](ServeSurface::generation), which implementations keep
 //!   lock-free so a poller never contends with traffic.

@@ -26,6 +26,7 @@
 //!   joins and retires are real); its invariants hold but its
 //!   interleavings are real, so it is excluded from the content digest.
 
+use sqp_common::hash::{fnv1a, FNV_OFFSET_BASIS};
 use sqp_common::rng::{Rng, StdRng};
 use sqp_logsim::RawLogRecord;
 use sqp_router::{RouterConfig, RouterEngine};
@@ -41,19 +42,8 @@ pub const USERS_PER_WORKER: u64 = 32;
 /// Operations per worker per phase.
 pub const OPS_PER_WORKER: u64 = 120;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 fn fnv_u64(hash: u64, v: u64) -> u64 {
-    fnv_fold(hash, &v.to_le_bytes())
+    fnv1a(hash, &v.to_le_bytes())
 }
 
 /// Per-phase, per-worker ledger. `content` folds every outcome the phase
@@ -81,7 +71,7 @@ impl Default for PhaseTally {
             answered: 0,
             refused: 0,
             resets: 0,
-            content: FNV_OFFSET,
+            content: FNV_OFFSET_BASIS,
         }
     }
 }
@@ -251,7 +241,7 @@ fn drive_worker(
             for (request, got) in requests.iter().zip(router.suggest_batch(&requests, now)) {
                 tally.content = fnv_u64(tally.content, request.user);
                 for s in &got {
-                    tally.content = fnv_fold(tally.content, s.query.as_bytes());
+                    tally.content = fnv1a(tally.content, s.query.as_bytes());
                 }
             }
             tally.answered += 1;
@@ -261,7 +251,7 @@ fn drive_worker(
             let got = router.suggest(user, 3, now);
             tally.content = fnv_u64(tally.content, user);
             for s in &got {
-                tally.content = fnv_fold(tally.content, s.query.as_bytes());
+                tally.content = fnv1a(tally.content, s.query.as_bytes());
             }
             tally.answered += 1;
         } else {
@@ -535,7 +525,7 @@ pub fn run_membership_soak(seed: u64) -> MembershipSoakReport {
         final_replicas: stats.replica_ids.clone(),
         final_ring_generation: stats.ring_generation,
         digest: {
-            let mut d = FNV_OFFSET;
+            let mut d = FNV_OFFSET_BASIS;
             for tally in [&steady, &after_join, &after_drain, &after_kill] {
                 d = fnv_u64(d, tally.sent);
                 d = fnv_u64(d, tally.answered);

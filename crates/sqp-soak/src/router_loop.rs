@@ -1,10 +1,7 @@
-//! Router-tier workloads: the replicated counterpart of [`serve_loop`].
+//! Router-tier scenarios over a [`RouterEngine`] (the plain stress
+//! workload runs on a tier through
+//! [`serve_loop::run_on`](crate::serve_loop::run_on)):
 //!
-//! Three harnesses, all over a [`RouterEngine`]:
-//!
-//! * [`run_router`] — the exact [`serve_loop`] stress workload (same seeds,
-//!   same op mix) pointed at an N-replica tier, so "router overhead vs
-//!   single engine" is one subtraction between two [`ServeLoopReport`]s.
 //! * [`run_skew_soak`] — the **generation-skew acceptance scenario**: a
 //!   rolling upgrade is deliberately held mid-roll while worker threads
 //!   hammer mixed traffic, and every suggestion's provenance is read off
@@ -18,10 +15,7 @@
 //!   quarantine and keep serving its last-good model while the rest of the
 //!   tier completes, and the whole scenario must replay bit-identically
 //!   from the seed (asserted via [`Chaos::digest`]).
-//!
-//! [`serve_loop`]: crate::serve_loop
 
-use crate::serve_loop::{build_parts, run_on, ServeLoopConfig, ServeLoopReport};
 use sqp_faults::{Chaos, FaultPlan};
 use sqp_logsim::RawLogRecord;
 use sqp_router::{RouterConfig, RouterEngine};
@@ -31,22 +25,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Run the [`serve_loop`](crate::serve_loop) stress workload against an
-/// N-replica router tier. Identical `cfg` produces identical traffic to
-/// [`run`](crate::serve_loop::run) on a single engine, so the two reports
-/// measure the routing layer's overhead and nothing else.
-pub fn run_router(cfg: &ServeLoopConfig, replicas: usize) -> ServeLoopReport {
-    let (snapshot, vocabulary, records) = build_parts(cfg);
-    let router = RouterEngine::new(
-        snapshot,
-        RouterConfig {
-            replicas,
-            ..RouterConfig::default()
-        },
-    );
-    run_on(&router, cfg, &vocabulary, &records)
-}
 
 fn rec(machine: u64, ts: u64, q: &str) -> RawLogRecord {
     RawLogRecord {
@@ -449,27 +427,6 @@ pub fn run_chaos_roll(seed: u64) -> ChaosRollReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn router_runs_the_serve_loop_workload() {
-        let cfg = ServeLoopConfig {
-            threads: 2,
-            ops_per_thread: 400,
-            users_per_thread: 16,
-            suggest_k: 3,
-            batch_size: 4,
-            swaps: 1,
-            corpus_sessions: 200,
-            seed: 11,
-        };
-        let report = run_router(&cfg, 3);
-        assert!(report.ops_total >= 800);
-        assert_eq!(report.swaps_completed, 1);
-        // Fan-out publish: the tier's trailing edge reached the new
-        // generation.
-        assert_eq!(report.final_generation, 1);
-        assert!(report.nonempty_suggestions > 0);
-    }
 
     #[test]
     fn chaos_roll_hits_each_victim_position() {

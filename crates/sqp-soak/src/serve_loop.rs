@@ -3,16 +3,14 @@
 //! Drives a serving surface with N worker threads of mixed traffic —
 //! `track_and_suggest` round trips, batched suggests, periodic idle
 //! eviction — while a trainer thread retrains the model mid-run and
-//! atomically publishes the new snapshots. Every operation's latency is
-//! recorded; the report carries throughput plus the p50/p99/max tail, which
-//! is exactly what a publication stall would show up in.
+//! atomically publishes the new snapshots. The report carries operation
+//! and publication accounting; latency and throughput are `benchmark/`'s
+//! job.
 //!
-//! The workload is generic over [`ServeSurface`] (defined in `sqp-serve`,
-//! re-exported here) — implemented by the single [`ServeEngine`] and by
-//! the replicated [`RouterEngine`](sqp_router::RouterEngine) tier (see
-//! [`run_on`] / `router_loop`) — so "router overhead vs single engine" is
-//! measured on byte-identical traffic, and the same seeded workload can be
-//! replayed over real sockets by `net_loop`.
+//! The workload is generic over [`ServeSurface`] — implemented by the
+//! single [`ServeEngine`] and by the replicated
+//! [`RouterEngine`](sqp_router::RouterEngine) tier — so [`run_on`] drives
+//! either with byte-identical traffic.
 //!
 //! The harness is deterministic in *workload* (seeded per-thread PRNGs over
 //! a fixed simulated corpus) but not in interleaving — it is a stress
@@ -25,17 +23,11 @@
 use sqp_common::rng::{Rng, StdRng};
 use sqp_core::VmmConfig;
 use sqp_serve::{
-    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, SuggestRequest, TrainingConfig,
+    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, SuggestRequest,
+    TrainingConfig,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-// The serving-surface abstraction the workload is generic over was born
-// here; it now lives in `sqp-serve` (with the admission-controlled and
-// stats accessors the network front-end needs) and is re-exported so
-// existing `serve_loop::ServeSurface` imports keep working.
-pub use sqp_serve::ServeSurface;
 
 /// Workload shape for one `serve_loop` run.
 #[derive(Clone, Copy, Debug)]
@@ -63,21 +55,6 @@ impl ServeLoopConfig {
     /// a single-user round trip.
     pub const BATCH_EVERY: usize = 8;
 
-    /// The `bench_pr2` profile: 8 threads, 2 mid-run swaps, 10k-session
-    /// corpus.
-    pub fn bench() -> Self {
-        Self {
-            threads: 8,
-            ops_per_thread: 30_000,
-            users_per_thread: 512,
-            suggest_k: 5,
-            batch_size: 32,
-            swaps: 2,
-            corpus_sessions: 10_000,
-            seed: 42,
-        }
-    }
-
     /// A fast profile for CI tests: 4 threads, 1 swap, small corpus.
     pub fn smoke() -> Self {
         Self {
@@ -93,7 +70,7 @@ impl ServeLoopConfig {
     }
 }
 
-/// What a `serve_loop` run measured.
+/// What a `serve_loop` run observed.
 #[derive(Clone, Debug)]
 pub struct ServeLoopReport {
     /// Worker threads that ran.
@@ -106,16 +83,6 @@ pub struct ServeLoopReport {
     pub suggests_total: u64,
     /// Suggestions that came back non-empty (covered contexts).
     pub nonempty_suggestions: u64,
-    /// Wall-clock for the traffic phase, seconds.
-    pub elapsed_secs: f64,
-    /// Operations per second across all workers.
-    pub throughput_ops_per_sec: f64,
-    /// Median operation latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile operation latency, microseconds.
-    pub p99_us: f64,
-    /// Worst operation latency, microseconds.
-    pub max_us: f64,
     /// Model publications performed by the trainer thread.
     pub swaps_completed: u64,
     /// Publications that landed while worker traffic was still flowing
@@ -127,14 +94,6 @@ pub struct ServeLoopReport {
     pub active_sessions: usize,
     /// Sessions reclaimed by the post-run idle eviction sweep.
     pub evicted_at_end: usize,
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[idx] as f64 / 1_000.0
 }
 
 /// Build the initial trained snapshot for `cfg`, plus the raw records (for
@@ -186,8 +145,7 @@ pub fn run(cfg: &ServeLoopConfig) -> ServeLoopReport {
 
 /// Run the stress loop against any [`ServeSurface`] with a pre-built corpus
 /// (from [`build_parts`]). Traffic is identical for identical `cfg`
-/// regardless of the surface, so reports from a single engine and a router
-/// tier are directly comparable.
+/// regardless of the surface.
 pub fn run_on<S: ServeSurface>(
     engine: &S,
     cfg: &ServeLoopConfig,
@@ -206,12 +164,6 @@ pub fn run_on<S: ServeSurface>(
     // construction — genuinely raced live traffic.
     let active_workers = AtomicU64::new(0);
 
-    let started = Instant::now();
-    let mut latencies: Vec<Vec<u64>> = Vec::new();
-    // Wall-clock of the traffic phase alone: stamped the moment the last
-    // worker joins, so a trainer still finishing its final retrain does not
-    // deflate the throughput number.
-    let mut elapsed = 0.0f64;
     std::thread::scope(|scope| {
         // Trainer: retrain and publish at evenly spaced points of the run.
         let trainer_engine = engine;
@@ -245,78 +197,66 @@ pub fn run_on<S: ServeSurface>(
         });
 
         // Workers: seeded mixed traffic.
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|thread| {
-                let ops_done = &ops_done;
-                let nonempty = &nonempty;
-                let swaps_done = &swaps_done;
-                let active_workers = &active_workers;
-                let cfg = *cfg;
-                scope.spawn(move || {
-                    active_workers.fetch_add(1, Ordering::Relaxed);
-                    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (thread as u64) << 32);
-                    let mut lat = Vec::with_capacity(cfg.ops_per_thread);
-                    let user_base = thread as u64 * 1_000_000;
-                    // At least `ops_per_thread` ops, then keep the traffic
-                    // flowing until every scheduled publish has landed — the
-                    // swap must race live requests, not an idle engine. Every
-                    // op (tail included) is timed and counted.
-                    let mut op = 0usize;
-                    while op < cfg.ops_per_thread
-                        || swaps_done.load(Ordering::Relaxed) < cfg.swaps as u64
-                    {
-                        // A coarse logical clock: sessions stay inside the
-                        // 30-minute rule, with occasional long gaps forcing
-                        // fresh sessions and giving eviction something to do.
-                        let now = (op as u64) * 2 + if op.is_multiple_of(101) { 3_600 } else { 0 };
-                        let t = Instant::now();
-                        if op % ServeLoopConfig::BATCH_EVERY == 7 {
-                            let reqs: Vec<SuggestRequest> = (0..cfg.batch_size)
-                                .map(|_| SuggestRequest {
-                                    user: user_base
-                                        + rng.random_range(0u64..cfg.users_per_thread as u64),
-                                    k: cfg.suggest_k,
-                                })
-                                .collect();
-                            let got = engine.suggest_batch(&reqs, now);
-                            nonempty.fetch_add(
-                                got.iter().filter(|s| !s.is_empty()).count() as u64,
-                                Ordering::Relaxed,
-                            );
-                        } else if op.is_multiple_of(997) {
-                            // Rare maintenance sweep from inside traffic.
-                            engine.evict_idle(now);
+        for thread in 0..cfg.threads {
+            let ops_done = &ops_done;
+            let nonempty = &nonempty;
+            let swaps_done = &swaps_done;
+            let active_workers = &active_workers;
+            let cfg = *cfg;
+            scope.spawn(move || {
+                active_workers.fetch_add(1, Ordering::Relaxed);
+                let mut rng = StdRng::seed_from_u64(cfg.seed ^ (thread as u64) << 32);
+                let user_base = thread as u64 * 1_000_000;
+                // At least `ops_per_thread` ops, then keep the traffic
+                // flowing until every scheduled publish has landed — the
+                // swap must race live requests, not an idle engine. Every
+                // op (tail included) is counted.
+                let mut op = 0usize;
+                while op < cfg.ops_per_thread
+                    || swaps_done.load(Ordering::Relaxed) < cfg.swaps as u64
+                {
+                    // A coarse logical clock: sessions stay inside the
+                    // 30-minute rule, with occasional long gaps forcing
+                    // fresh sessions and giving eviction something to do.
+                    let now = (op as u64) * 2 + if op.is_multiple_of(101) { 3_600 } else { 0 };
+                    if op % ServeLoopConfig::BATCH_EVERY == 7 {
+                        let reqs: Vec<SuggestRequest> = (0..cfg.batch_size)
+                            .map(|_| SuggestRequest {
+                                user: user_base
+                                    + rng.random_range(0u64..cfg.users_per_thread as u64),
+                                k: cfg.suggest_k,
+                            })
+                            .collect();
+                        let got = engine.suggest_batch(&reqs, now);
+                        nonempty.fetch_add(
+                            got.iter().filter(|s| !s.is_empty()).count() as u64,
+                            Ordering::Relaxed,
+                        );
+                    } else if op.is_multiple_of(997) {
+                        // Rare maintenance sweep from inside traffic.
+                        engine.evict_idle(now);
+                    } else {
+                        let user = user_base + rng.random_range(0u64..cfg.users_per_thread as u64);
+                        // ~3% out-of-vocabulary probes.
+                        let query = if rng.random_range(0u32..32) == 0 {
+                            format!("oov-{thread}-{op}")
                         } else {
-                            let user =
-                                user_base + rng.random_range(0u64..cfg.users_per_thread as u64);
-                            // ~3% out-of-vocabulary probes.
-                            let query = if rng.random_range(0u32..32) == 0 {
-                                format!("oov-{thread}-{op}")
-                            } else {
-                                vocabulary[rng.random_range(0usize..vocabulary.len())].clone()
-                            };
-                            let got = engine.track_and_suggest(user, &query, cfg.suggest_k, now);
-                            if !got.is_empty() {
-                                nonempty.fetch_add(1, Ordering::Relaxed);
-                            }
+                            vocabulary[rng.random_range(0usize..vocabulary.len())].clone()
+                        };
+                        let got = engine.track_and_suggest(user, &query, cfg.suggest_k, now);
+                        if !got.is_empty() {
+                            nonempty.fetch_add(1, Ordering::Relaxed);
                         }
-                        lat.push(t.elapsed().as_nanos() as u64);
-                        ops_done.fetch_add(1, Ordering::Relaxed);
-                        op += 1;
                     }
-                    active_workers.fetch_sub(1, Ordering::Relaxed);
-                    lat
-                })
-            })
-            .collect();
-        latencies = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        elapsed = started.elapsed().as_secs_f64();
-        // (scope exit still joins the trainer, outside the timed window)
+                    ops_done.fetch_add(1, Ordering::Relaxed);
+                    op += 1;
+                }
+                active_workers.fetch_sub(1, Ordering::Relaxed);
+            });
+        }
     });
 
-    let mut all: Vec<u64> = latencies.into_iter().flatten().collect();
-    all.sort_unstable();
-    let ops_total = all.len() as u64;
+    let ops_total = ops_done.load(Ordering::Relaxed);
     let suggests_total = engine.suggests_total();
     let active_sessions = engine.active_sessions();
     let evicted_at_end = engine.evict_idle(u64::MAX / 2);
@@ -326,29 +266,10 @@ pub fn run_on<S: ServeSurface>(
         ops_total,
         suggests_total,
         nonempty_suggestions: nonempty.load(Ordering::Relaxed),
-        elapsed_secs: elapsed,
-        throughput_ops_per_sec: ops_total as f64 / elapsed.max(1e-9),
-        p50_us: percentile_us(&all, 0.50),
-        p99_us: percentile_us(&all, 0.99),
-        max_us: percentile_us(&all, 1.0),
         swaps_completed: swaps_done.load(Ordering::Relaxed),
         mid_run_swaps: mid_run_swaps.load(Ordering::Relaxed),
         final_generation: engine.generation(),
         active_sessions,
         evicted_at_end,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentiles_of_known_distribution() {
-        let ns: Vec<u64> = (1..=100).map(|i| i * 1_000).collect();
-        assert!((percentile_us(&ns, 0.50) - 50.0).abs() <= 1.0);
-        assert!((percentile_us(&ns, 0.99) - 99.0).abs() <= 1.0);
-        assert_eq!(percentile_us(&ns, 1.0), 100.0);
-        assert_eq!(percentile_us(&[], 0.5), 0.0);
     }
 }

@@ -2,13 +2,9 @@
 //!
 //! This is the hashmap-of-owned-sequences algorithm the arena suffix trie
 //! replaced: every O(L²) window of every session is materialized as an owned
-//! `Box<[QueryId]>` key and re-hashed in full. It exists for two reasons:
-//!
-//! * **equivalence testing** — the trie counter must reproduce these counts
-//!   exactly (`tests/counting_equivalence.rs`);
-//! * **speedup accounting** — `bench_pr1` measures both implementations on
-//!   the same corpus, so the training-core speedup is recorded in-repo
-//!   rather than asserted from memory.
+//! `Box<[QueryId]>` key and re-hashed in full. It exists for equivalence
+//! testing: the trie counter must reproduce these counts exactly
+//! (`tests/counting_equivalence.rs`).
 
 use sqp_common::{Counter, FxHashMap, FxHashSet, QueryId, QuerySeq};
 

@@ -1,10 +1,10 @@
 //! The seeded chaos soak: the resilience storyline must play out exactly,
 //! and must be bit-replayable from the seed.
 //!
-//! Run directly with `cargo test -p sqp-bench --test chaos_soak` (the CI
+//! Run directly with `cargo test -p sqp-soak --test chaos_soak` (the CI
 //! `chaos-smoke` job does).
 
-use sqp_bench::chaos::{run_overload_soak, run_replay_soak};
+use sqp_soak::chaos::{run_overload_soak, run_replay_soak};
 use sqp_store::BreakerState;
 
 #[test]
@@ -91,5 +91,4 @@ fn overload_sheds_typed_and_leaks_nothing() {
         "admission control must not starve everyone"
     );
     assert_eq!(report.in_flight_after, 0, "permits leaked");
-    assert!(report.p99_us >= report.p50_us);
 }

@@ -3,7 +3,9 @@
 //! same session-start counts, same continuation distributions — on the
 //! paper's toy corpus and on randomized simulated corpora.
 
-use sqp_bench::baseline::BaselineWindowCounts;
+mod baseline;
+
+use baseline::BaselineWindowCounts;
 use sqp_common::{seq, QueryId, QuerySeq};
 use sqp_core::counts::WindowCounts;
 
@@ -129,7 +131,7 @@ fn bounded_depths_match_on_toy() {
 #[test]
 fn simulated_corpora_match() {
     for (n, seed) in [(2_000usize, 7u64), (5_000, 42)] {
-        let sessions = sqp_bench::bench_sessions(n, seed);
+        let sessions = sqp_soak::bench_sessions(n, seed);
         for max_len in [None, Some(1), Some(2), Some(4)] {
             assert_equivalent(&sessions, max_len);
         }

@@ -9,7 +9,7 @@
 //! report, digest included — and the digest actually depends on the
 //! seed, so it cannot be a constant that would vacuously pass.
 
-use sqp_bench::membership_loop::{run_membership_soak, OPS_PER_WORKER, WORKERS};
+use sqp_soak::membership_loop::{run_membership_soak, OPS_PER_WORKER, WORKERS};
 
 #[test]
 fn membership_soak_replays_bit_identically() {

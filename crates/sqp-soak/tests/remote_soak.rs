@@ -26,12 +26,13 @@
 //! [`Overloaded`](sqp_serve::Overloaded) — never as a degraded or empty
 //! answer.
 
-use sqp_bench::serve_loop::{build_parts, ServeLoopConfig};
 use sqp_common::breaker::{BreakerConfig, BreakerState};
+use sqp_common::hash::{fnv1a, FNV_OFFSET_BASIS};
 use sqp_common::rng::{Rng, StdRng};
 use sqp_faults::{Chaos, ChaosProxy, FaultPlan};
 use sqp_net::{EndpointConfig, NetServer, RemoteConfig, RemoteEngine, RemoteOutcome, ServerConfig};
 use sqp_serve::{EngineConfig, ServeEngine, ServeSurface, SuggestRequest};
+use sqp_soak::serve_loop::{build_parts, ServeLoopConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,19 +46,8 @@ const SUGGEST_K: usize = 3;
 /// endpoint inflicts on a deadline-free client.
 const HANG_BOUND_MS: u64 = 4_000;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 fn fold_u64(h: u64, v: u64) -> u64 {
-    fold(h, &v.to_le_bytes())
+    fnv1a(h, &v.to_le_bytes())
 }
 
 /// One worker's accounting for one phase.
@@ -83,7 +73,7 @@ impl Default for PhaseTally {
             shed: 0,
             degraded: 0,
             max_ms: 0,
-            content: FNV_OFFSET,
+            content: FNV_OFFSET_BASIS,
         }
     }
 }
@@ -122,8 +112,9 @@ fn drive_phase(
                                     tally.answered += 1;
                                     for list in &lists {
                                         for s in list {
-                                            tally.content = fold(tally.content, s.query.as_bytes());
-                                            tally.content = fold(tally.content, &[0xff]);
+                                            tally.content =
+                                                fnv1a(tally.content, s.query.as_bytes());
+                                            tally.content = fnv1a(tally.content, &[0xff]);
                                         }
                                     }
                                 }
@@ -136,8 +127,8 @@ fn drive_phase(
                                 RemoteOutcome::Answered(list) => {
                                     tally.answered += 1;
                                     for s in &list {
-                                        tally.content = fold(tally.content, s.query.as_bytes());
-                                        tally.content = fold(tally.content, &[0xff]);
+                                        tally.content = fnv1a(tally.content, s.query.as_bytes());
+                                        tally.content = fnv1a(tally.content, &[0xff]);
                                     }
                                 }
                                 RemoteOutcome::Shed { .. } => tally.shed += 1,
@@ -150,8 +141,8 @@ fn drive_phase(
                                 RemoteOutcome::Answered(list) => {
                                     tally.answered += 1;
                                     for s in &list {
-                                        tally.content = fold(tally.content, s.query.as_bytes());
-                                        tally.content = fold(tally.content, &[0xff]);
+                                        tally.content = fnv1a(tally.content, s.query.as_bytes());
+                                        tally.content = fnv1a(tally.content, &[0xff]);
                                     }
                                 }
                                 RemoteOutcome::Shed { .. } => tally.shed += 1,
@@ -373,7 +364,7 @@ fn run_scenario(seed: u64) -> ScenarioReport {
     // The replay digest: seed, per-phase per-worker sent counts and
     // resolution totals (all deterministic by the assertions above), plus
     // the healthy phase's answer content in full.
-    let mut digest = fold_u64(FNV_OFFSET, seed);
+    let mut digest = fold_u64(FNV_OFFSET_BASIS, seed);
     for (p, tallies) in [&phase_a, &phase_b, &phase_c, &phase_d, &phase_e]
         .iter()
         .enumerate()

@@ -13,9 +13,9 @@
 //! and the on-disk generation warm-starting a second engine that agrees
 //! with the live one.
 
-use sqp_bench::serve_loop::{self, ServeLoopConfig};
 use sqp_logsim::RawLogRecord;
 use sqp_serve::{EngineConfig, ModelSpec, ServeEngine, TrainingConfig};
+use sqp_soak::serve_loop::{self, ServeLoopConfig};
 use sqp_store::{RetrainConfig, Retrainer, WarmStart};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -1,6 +1,6 @@
 //! The `router-soak` acceptance suite for the replicated serving tier.
 //!
-//! Two scenarios, both built on `sqp_bench::router_loop` (every invariant
+//! Two scenarios, both built on `sqp_soak::router_loop` (every invariant
 //! is asserted *inside* the harnesses — a violated guarantee panics there
 //! with the failing evidence; the assertions here check the scenarios were
 //! not vacuous):
@@ -18,7 +18,7 @@
 //!   the whole scenario — fault decisions included — replays
 //!   bit-identically from the seed.
 
-use sqp_bench::router_loop::{run_chaos_roll, run_skew_soak};
+use sqp_soak::router_loop::{run_chaos_roll, run_skew_soak};
 
 #[test]
 fn generation_skew_under_live_traffic() {

@@ -27,7 +27,7 @@
 //!
 //! Everything runs through the [`FsIo`] seam, so the chaos harness can
 //! fail exactly one replica's read mid-roll and replay it bit-identically
-//! (the `router-soak` tests in `sqp-bench` do exactly that).
+//! (the `router-soak` tests in `sqp-soak` do exactly that).
 
 use crate::error::SnapshotError;
 use crate::format::{load_snapshot_with, SnapshotMeta};
