@@ -2,8 +2,8 @@
 //! retry backoff.
 //!
 //! Two independent resilience layers run the *same* failure-containment
-//! state machine: the supervised retrain loop (`sqp-store::Supervisor`
-//! trips to serve-last-good when retraining keeps failing) and the remote
+//! state machine: the retrain loop (`sqp-store::Retrainer` trips to
+//! serve-last-good when retraining keeps failing) and the remote
 //! serving client (`sqp-net::RemoteEngine` trips a flapping endpoint out
 //! of its failover rotation). This module is that state machine, extracted
 //! once so a third copy never grows:

@@ -9,7 +9,6 @@
 
 use crate::hash::fx_hash_one;
 use crate::QueryId;
-use std::sync::{Arc, RwLock};
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
@@ -257,69 +256,6 @@ impl crate::mem::HeapSize for Interner {
     }
 }
 
-/// Thread-shareable interner for the parallel training paths.
-#[derive(Clone, Default)]
-pub struct SharedInterner {
-    inner: Arc<RwLock<Interner>>,
-}
-
-impl SharedInterner {
-    /// Wrap a fresh interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wrap an existing interner.
-    pub fn from_interner(interner: Interner) -> Self {
-        Self {
-            inner: Arc::new(RwLock::new(interner)),
-        }
-    }
-
-    /// Intern with a write lock.
-    pub fn intern(&self, query: &str) -> QueryId {
-        self.inner
-            .write()
-            .expect("interner lock poisoned")
-            .intern(query)
-    }
-
-    /// Read-only lookup.
-    pub fn get(&self, query: &str) -> Option<QueryId> {
-        self.inner
-            .read()
-            .expect("interner lock poisoned")
-            .get(query)
-    }
-
-    /// Resolve to an owned string (the lock cannot escape).
-    pub fn resolve_owned(&self, id: QueryId) -> Option<String> {
-        self.inner
-            .read()
-            .expect("interner lock poisoned")
-            .try_resolve(id)
-            .map(str::to_owned)
-    }
-
-    /// Distinct query count.
-    pub fn len(&self) -> usize {
-        self.inner.read().expect("interner lock poisoned").len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner
-            .read()
-            .expect("interner lock poisoned")
-            .is_empty()
-    }
-
-    /// Run `f` with the underlying interner borrowed read-only.
-    pub fn with<R>(&self, f: impl FnOnce(&Interner) -> R) -> R {
-        f(&self.inner.read().expect("interner lock poisoned"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,26 +385,6 @@ mod tests {
         bad.put_u32_le(2);
         bad.put_slice(&[0xff, 0xfe]);
         assert!(Interner::deserialize(&mut bad.freeze()).is_err());
-    }
-
-    #[test]
-    fn shared_interner_threaded() {
-        let shared = SharedInterner::new();
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let s = shared.clone();
-            handles.push(std::thread::spawn(move || {
-                for k in 0..100 {
-                    s.intern(&format!("query-{}", (t * 7 + k) % 50));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(shared.len(), 50);
-        let id = shared.get("query-0").unwrap();
-        assert_eq!(shared.resolve_owned(id).unwrap(), "query-0");
     }
 
     #[test]

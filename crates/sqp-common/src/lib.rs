@@ -20,7 +20,7 @@
 //! * [`rng`] — a seedable xoshiro256++ PRNG (the workspace builds with no
 //!   external crates, so this replaces `rand`);
 //! * [`breaker`] — the shared Closed/Open/HalfOpen circuit breaker and
-//!   capped-exponential [`Backoff`] used by both the supervised retrain loop
+//!   capped-exponential [`Backoff`] used by both the retrain loop
 //!   (`sqp-store`) and the remote serving client (`sqp-net`);
 //! * [`fsio`], [`clock`], [`hazard`] — the fault seams: filesystem, time,
 //!   and chaos-injection-point traits the resilient serving stack crosses,
@@ -59,7 +59,7 @@ pub use fsio::{FsIo, RealFs};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use hazard::{Hazard, NoHazard};
 pub use hist::Histogram;
-pub use intern::{Interner, SharedInterner};
+pub use intern::Interner;
 pub use mem::HeapSize;
 
 /// Identifier of an interned query string.

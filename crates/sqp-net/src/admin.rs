@@ -17,7 +17,11 @@
 //! [`AdminSurface`] is what a connection's thread actually calls; it is a
 //! separate trait from `ServeSurface` so a tier opts into remote
 //! publication explicitly — implementing it means "frames on my admin
-//! port may read snapshot files from my local disk".
+//! port may read snapshot files from my local disk". The two tiers above
+//! are its only implementors: publication always enters through a
+//! server's admin port ([`NetClient::publish`](crate::NetClient::publish) /
+//! [`rolling_publish`](crate::NetClient::rolling_publish)), never through
+//! the serving client.
 
 use crate::wire::RollSummary;
 use sqp_router::RouterEngine;

@@ -1,8 +1,8 @@
 //! [`RemoteEngine`]: a resilient cross-process serving tier.
 //!
-//! `RemoteEngine` implements [`ServeSurface`] (and [`AdminSurface`]) over
-//! one or more [`NetClient`] endpoints, so a *remote* server tier is a
-//! drop-in replacement for an in-process [`ServeEngine`](sqp_serve::ServeEngine)
+//! `RemoteEngine` implements [`ServeSurface`] over one or more
+//! [`NetClient`] endpoints, so a *remote* server tier is a drop-in
+//! replacement for an in-process [`ServeEngine`](sqp_serve::ServeEngine)
 //! anywhere the workspace is generic over the surface trait — the
 //! `serve_loop` stress harness, benchmarks, operators polling stats.
 //! Unlike a bare `NetClient`, it is resilient by construction:
@@ -67,9 +67,8 @@
 //! Membership changes serialize on a control-plane mutex that serving
 //! never touches.
 
-use crate::admin::AdminSurface;
 use crate::client::{BatchAnswer, NetClient, NetError, ServeAnswer};
-use crate::wire::{BatchEntry, RollSummary, WireStats};
+use crate::wire::{BatchEntry, WireStats};
 use sqp_common::breaker::{Admission, Backoff, Breaker, BreakerConfig, BreakerStats};
 use sqp_common::clock::{Clock, RealClock};
 use sqp_common::hash::FxHasher;
@@ -78,33 +77,25 @@ use sqp_serve::{
     EngineStats, ModelSnapshot, Overloaded, ServeSurface, SuggestRequest, SuggestSink, Suggestion,
     Swap,
 };
-use sqp_store::{save_snapshot, SnapshotMeta};
 use std::fmt;
 use std::hash::Hasher;
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// One remote endpoint: its public serve port and (optionally) its admin
-/// port for snapshot publication.
+/// One remote endpoint: its public serve port. A `RemoteEngine` never
+/// talks to a server's admin port — see [`ServeSurface::publish`] on it.
 #[derive(Clone, Copy, Debug)]
 pub struct EndpointConfig {
     /// The endpoint's serve listener.
     pub serve_addr: SocketAddr,
-    /// The endpoint's admin listener; `None` opts this endpoint out of
-    /// admin fan-out ([`AdminSurface`] / [`ServeSurface::publish`]).
-    pub admin_addr: Option<SocketAddr>,
 }
 
 impl EndpointConfig {
-    /// A serve-only endpoint (no admin port).
+    /// An endpoint reached through its serve port.
     pub fn serve_only(serve_addr: SocketAddr) -> Self {
-        Self {
-            serve_addr,
-            admin_addr: None,
-        }
+        Self { serve_addr }
     }
 }
 
@@ -129,9 +120,6 @@ pub struct RemoteConfig {
     pub backoff_initial: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
-    /// Fraction in `[0, 1]` by which backoff delays are jittered downward
-    /// (deterministically, from `seed`).
-    pub backoff_jitter: f64,
     /// Per-endpoint circuit breaker (trip threshold + cooldown).
     pub breaker: BreakerConfig,
     /// Connections opened per endpoint at construction (best-effort).
@@ -140,10 +128,6 @@ pub struct RemoteConfig {
     pub pool_cap: usize,
     /// Seed for backoff jitter streams (replayable chaos runs fix this).
     pub seed: u64,
-    /// Where [`ServeSurface::publish`] spools snapshots before admin
-    /// fan-out. The path must be readable by the *servers* (shared or
-    /// local filesystem); `None` makes `publish` a counted no-op.
-    pub spool_dir: Option<PathBuf>,
 }
 
 impl Default for RemoteConfig {
@@ -155,7 +139,6 @@ impl Default for RemoteConfig {
             max_attempts: 4,
             backoff_initial: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(200),
-            backoff_jitter: 0.5,
             breaker: BreakerConfig {
                 threshold: 3,
                 cooldown: Duration::from_millis(500),
@@ -163,7 +146,6 @@ impl Default for RemoteConfig {
             pool_warmup: 1,
             pool_cap: 4,
             seed: 0,
-            spool_dir: None,
         }
     }
 }
@@ -278,7 +260,8 @@ pub struct RemoteStats {
     /// Typed sheds observed (mapped to [`Overloaded`] on the `try_*`
     /// surface forms).
     pub sheds: u64,
-    /// `publish` calls dropped because no spool directory is configured.
+    /// [`ServeSurface::publish`] calls, every one of which is dropped: a
+    /// remote tier is published to through its servers' admin ports.
     pub publishes_skipped: u64,
     /// Per-endpoint detail.
     pub endpoints: Vec<EndpointStats>,
@@ -295,7 +278,6 @@ struct EndpointCounters {
 
 struct Endpoint {
     serve_addr: SocketAddr,
-    admin_addr: Option<SocketAddr>,
     pool: Mutex<Vec<NetClient>>,
     breaker: Breaker,
     counters: EndpointCounters,
@@ -319,7 +301,6 @@ impl Endpoint {
     fn connect(cfg: EndpointConfig, remote: &RemoteConfig) -> Self {
         let ep = Self {
             serve_addr: cfg.serve_addr,
-            admin_addr: cfg.admin_addr,
             pool: Mutex::new(Vec::new()),
             breaker: Breaker::new(remote.breaker),
             counters: EndpointCounters::default(),
@@ -424,7 +405,6 @@ pub struct RemoteEngine {
     /// Monotonic operation counter: round-robin cursor for user-less
     /// operations and jitter-stream selector for backoff.
     op_seq: AtomicU64,
-    spool_seq: AtomicU64,
     degraded: AtomicU64,
     failovers: AtomicU64,
     retries: AtomicU64,
@@ -461,7 +441,6 @@ impl RemoteEngine {
             endpoints: Swap::new(Arc::new(endpoints)),
             membership: Mutex::new(()),
             op_seq: AtomicU64::new(0),
-            spool_seq: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -659,6 +638,10 @@ impl RemoteEngine {
         }
     }
 
+    /// Fraction by which `call`'s backoff delays are jittered downward
+    /// (deterministically, from [`RemoteConfig::seed`]).
+    const BACKOFF_JITTER: f64 = 0.5;
+
     /// The resilience core: run `op` against the healthiest admissible
     /// endpoint, with deadline, retry/backoff, breaker accounting, and
     /// failover. See the module docs for the policy.
@@ -682,7 +665,7 @@ impl RemoteEngine {
         let mut backoff = Backoff::with_jitter(
             self.cfg.backoff_initial,
             self.cfg.backoff_cap,
-            self.cfg.backoff_jitter,
+            Self::BACKOFF_JITTER,
             self.cfg.seed ^ seq,
         );
         let max_attempts = self.cfg.max_attempts.max(1);
@@ -938,26 +921,6 @@ impl RemoteEngine {
         }
         Some(agg)
     }
-
-    fn admin_fan_out<T>(
-        &self,
-        mut op: impl FnMut(&mut NetClient) -> Result<T, NetError>,
-    ) -> Vec<(SocketAddr, Result<T, String>)> {
-        self.snapshot()
-            .iter()
-            .filter_map(|ep| ep.admin_addr.map(|admin| (ep.serve_addr, admin)))
-            .map(|(serve, admin)| {
-                let result = NetClient::connect_timeout(admin, self.cfg.connect_timeout)
-                    .map_err(NetError::from)
-                    .and_then(|mut client| {
-                        let _ = client.set_io_timeout(Some(self.cfg.deadline));
-                        op(&mut client)
-                    })
-                    .map_err(|e| e.to_string());
-                (serve, result)
-            })
-            .collect()
-    }
 }
 
 /// Hand a finished remote outcome to a caller's sink. Only a whole,
@@ -1040,24 +1003,13 @@ impl ServeSurface for RemoteEngine {
             .sum::<u64>() as usize
     }
 
-    fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64 {
-        let Some(dir) = self.cfg.spool_dir.clone() else {
-            // Nowhere the servers could load from: counted no-op.
-            self.publishes_skipped.fetch_add(1, Ordering::Relaxed);
-            return self.generation();
-        };
-        let seq = self.spool_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let path = dir.join(format!("remote-spool-{seq:06}.sqps"));
-        let meta = SnapshotMeta::describe(&snapshot, seq, 0);
-        if std::fs::create_dir_all(&dir).is_err() || save_snapshot(&path, &snapshot, &meta).is_err()
-        {
-            self.publishes_skipped.fetch_add(1, Ordering::Relaxed);
-            return self.generation();
-        }
-        match self.admin_publish(&path) {
-            Ok(generation) => generation,
-            Err(_) => self.generation(),
-        }
+    /// A counted no-op: servers load snapshots from their own disks, so
+    /// a remote tier is published to through each server's admin port
+    /// ([`NetClient::publish`] / [`NetClient::rolling_publish`]), never
+    /// through the serving client. Returns the tier's current generation.
+    fn publish(&self, _snapshot: Arc<ModelSnapshot>) -> u64 {
+        self.publishes_skipped.fetch_add(1, Ordering::Relaxed);
+        self.generation()
     }
 
     fn generation(&self) -> u64 {
@@ -1079,70 +1031,6 @@ impl ServeSurface for RemoteEngine {
     fn active_sessions(&self) -> usize {
         self.remote_wire_stats()
             .map_or(0, |s| s.active_sessions as usize)
-    }
-}
-
-impl AdminSurface for RemoteEngine {
-    fn admin_publish(&self, path: &std::path::Path) -> Result<u64, String> {
-        let path_str = path.to_string_lossy().into_owned();
-        let results = self.admin_fan_out(|c| c.publish(&path_str));
-        if results.is_empty() {
-            return Err("no endpoint has an admin address".to_string());
-        }
-        let mut min_generation = u64::MAX;
-        let mut failures = Vec::new();
-        for (addr, result) in results {
-            match result {
-                Ok(generation) => min_generation = min_generation.min(generation),
-                Err(e) => failures.push(format!("{addr}: {e}")),
-            }
-        }
-        if failures.is_empty() {
-            Ok(min_generation)
-        } else {
-            Err(failures.join("; "))
-        }
-    }
-
-    fn admin_rolling_publish(&self, path: &std::path::Path, abort_on_failure: bool) -> RollSummary {
-        let path_str = path.to_string_lossy().into_owned();
-        let mut total = RollSummary::default();
-        let admins: Vec<(SocketAddr, SocketAddr)> = self
-            .snapshot()
-            .iter()
-            .filter_map(|ep| ep.admin_addr.map(|admin| (ep.serve_addr, admin)))
-            .collect();
-        for (i, (_, admin)) in admins.iter().enumerate() {
-            if total.aborted {
-                // Count every replica behind the not-yet-rolled endpoints
-                // as skipped, mirroring the in-process roll report.
-                total.skipped += admins.len() as u64 - i as u64;
-                break;
-            }
-            let result = NetClient::connect_timeout(*admin, self.cfg.connect_timeout)
-                .map_err(NetError::from)
-                .and_then(|mut client| {
-                    let _ = client.set_io_timeout(Some(self.cfg.deadline));
-                    client.rolling_publish(&path_str, abort_on_failure)
-                });
-            match result {
-                Ok(summary) => {
-                    total.upgraded += summary.upgraded;
-                    total.failed += summary.failed;
-                    total.skipped += summary.skipped;
-                    if summary.aborted || (abort_on_failure && summary.failed > 0) {
-                        total.aborted = true;
-                    }
-                }
-                Err(_) => {
-                    total.failed += 1;
-                    if abort_on_failure {
-                        total.aborted = true;
-                    }
-                }
-            }
-        }
-        total
     }
 }
 

@@ -4,14 +4,14 @@
 //! Two scenarios, driven by the `chaos_soak` integration test:
 //!
 //! * [`run_replay_soak`] — the **deterministic resilience storyline**: a
-//!   fixed fleet of serving workers plus a scripted supervised-retrain
-//!   driver, run against a [`FaultPlan`] that injects training panics
-//!   (tripping the circuit breaker), a corrupted snapshot write
-//!   (quarantine + rollback), transient write errors (retry/backoff), and
-//!   a short read (a second quarantine). Every fault decision folds into
-//!   the chaos [`digest`](sqp_faults::Chaos::digest); two runs with the
-//!   same seed are bit-identical, which is how "replayable from the seed"
-//!   is asserted rather than assumed.
+//!   fixed fleet of serving workers plus a scripted retrain driver, run
+//!   against a [`FaultPlan`] that injects training panics (tripping the
+//!   circuit breaker), a corrupted snapshot write (quarantine + rollback),
+//!   transient write errors (retry/backoff), and a short read (a second
+//!   quarantine). Every fault decision folds into the chaos
+//!   [`digest`](sqp_faults::Chaos::digest); two runs with the same seed
+//!   are bit-identical, which is how "replayable from the seed" is
+//!   asserted rather than assumed.
 //! * [`run_overload_soak`] — **admission control under stall faults**: a
 //!   bounded in-flight budget, every serve-path strike stalled, more
 //!   workers than budget. Some requests shed (typed, counted) and every
@@ -29,7 +29,6 @@ use sqp_logsim::RawLogRecord;
 use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
 use sqp_store::{
     latest_generation_on_disk, RetrainConfig, Retrainer, RetrainerHealth, StepOutcome,
-    SuperviseConfig, Supervisor,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -42,7 +41,7 @@ pub struct ReplaySoakReport {
     pub digest: u64,
     /// Injected-fault counters.
     pub stats: ChaosStats,
-    /// Final health of the supervised retrain loop.
+    /// Final health of the retrain loop.
     pub health: RetrainerHealth,
     /// Serving requests issued by the worker fleet (admission unlimited in
     /// this scenario, so every one must have been answered).
@@ -179,7 +178,7 @@ pub fn run_replay_soak(seed: u64) -> ReplaySoakReport {
         EngineConfig::default(),
         chaos.clone(),
     );
-    let retrainer = Retrainer::new(
+    let retrainer = Retrainer::with_seams(
         RetrainConfig {
             training: training(),
             min_batch: 1,
@@ -189,19 +188,14 @@ pub fn run_replay_soak(seed: u64) -> ReplaySoakReport {
             window_records: 12,
             snapshot_dir: Some(dir.clone()),
             keep: 3,
-            ..RetrainConfig::default()
-        },
-        batch("seed", 0),
-    );
-    let supervisor = Supervisor::with_seams(
-        &retrainer,
-        SuperviseConfig {
             max_save_attempts: 3,
             backoff_initial: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(100),
             breaker_threshold: 2,
             cooldown,
+            ..RetrainConfig::default()
         },
+        batch("seed", 0),
         Arc::new(chaos.faulty_fs()),
         clock.clone(),
         chaos.clone(),
@@ -232,25 +226,25 @@ pub fn run_replay_soak(seed: u64) -> ReplaySoakReport {
         handles.into_iter().map(|h| h.join().unwrap()).sum()
     });
 
-    // Scripted supervised-retrain driver (the deterministic fs user).
+    // Scripted retrain driver (the deterministic fs user).
     let mut script = Vec::new();
     retrainer.ingest_batch(batch("b1", 100));
-    script.push(label(&supervisor.step(&engine))); // panic #1
-    script.push(label(&supervisor.step(&engine))); // panic #2 → trip
-    script.push(label(&supervisor.step(&engine))); // refused: open
+    script.push(label(&retrainer.step(&engine))); // panic #1
+    script.push(label(&retrainer.step(&engine))); // panic #2 → trip
+    script.push(label(&retrainer.step(&engine))); // refused: open
     clock.sleep(cooldown + Duration::from_millis(1));
-    script.push(label(&supervisor.step(&engine))); // half-open probe → gen 1
+    script.push(label(&retrainer.step(&engine))); // half-open probe → gen 1
     retrainer.ingest_batch(batch("b2", 200));
-    script.push(label(&supervisor.step(&engine))); // corrupt → quarantine 2, rollback 1
+    script.push(label(&retrainer.step(&engine))); // corrupt → quarantine 2, rollback 1
     retrainer.ingest_batch(batch("b3", 300));
-    script.push(label(&supervisor.step(&engine))); // 2 retries → gen 3
+    script.push(label(&retrainer.step(&engine))); // 2 retries → gen 3
     retrainer.ingest_batch(batch("b4", 400));
-    script.push(label(&supervisor.step(&engine))); // short read → quarantine 4, rollback 3
+    script.push(label(&retrainer.step(&engine))); // short read → quarantine 4, rollback 3
 
     let report = ReplaySoakReport {
         digest: chaos.digest(),
         stats: chaos.stats(),
-        health: supervisor.health(),
+        health: retrainer.health(),
         served,
         script,
         latest_generation: latest_generation_on_disk(&dir),

@@ -1,6 +1,7 @@
 //! Acceptance test for the end-to-end retrain loop: a live [`ServeEngine`]
-//! serves concurrent traffic while a [`Retrainer`] ingests fresh simulated
-//! log records, writes snapshot generations to disk, and hot-swaps them in.
+//! serves concurrent traffic while a spawned [`Retrainer`] ingests fresh
+//! simulated log records, writes snapshot generations to disk, loads each
+//! back, validates it, and hot-swaps it in.
 //!
 //! Reuses the `serve_loop` swap-verification machinery: the engine and
 //! traffic vocabulary come from [`serve_loop::build_engine`], and the
@@ -9,14 +10,15 @@
 //! necessarily raced live requests.
 //!
 //! Verifies the acceptance criteria directly: ≥ 2 snapshot generations
-//! published mid-traffic, post-swap suggestions reflecting the new corpus,
-//! and the on-disk generation warm-starting a second engine that agrees
-//! with the live one.
+//! published mid-traffic with no failed step, post-swap suggestions
+//! reflecting the new corpus, and the newest on-disk generation — the
+//! loop's last-good one — warm-starting a second engine that agrees with
+//! the live one.
 
 use sqp_logsim::RawLogRecord;
 use sqp_serve::{EngineConfig, ModelSpec, ServeEngine, TrainingConfig};
 use sqp_soak::serve_loop::{self, ServeLoopConfig};
-use sqp_store::{RetrainConfig, Retrainer, WarmStart};
+use sqp_store::{latest_generation_on_disk, RetrainConfig, Retrainer, WarmStart};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -69,6 +71,7 @@ fn retrainer_publishes_generations_under_live_traffic() {
             snapshot_dir: Some(dir.clone()),
             keep: TARGET_GENERATIONS as usize,
             poll: Duration::from_millis(1),
+            ..RetrainConfig::default()
         },
         records,
     );
@@ -79,7 +82,7 @@ fn retrainer_publishes_generations_under_live_traffic() {
         .map(|_| AtomicU64::new(0))
         .collect();
 
-    std::thread::scope(|scope| {
+    let health = std::thread::scope(|scope| {
         let trainer_handle = retrainer.spawn(scope, &engine);
 
         let workers: Vec<_> = (0..cfg.threads)
@@ -107,10 +110,15 @@ fn retrainer_publishes_generations_under_live_traffic() {
             .collect();
 
         // Feed the loop one fresh burst per target generation, waiting for
-        // each publish to land before the next burst.
+        // each publish to land before the next burst — and, before each
+        // burst, for a worker to have served under the generation it will
+        // replace, so "every publish raced traffic" is forced, not hoped.
         for generation in 1..=TARGET_GENERATIONS {
+            while ops_at_generation[generation as usize - 1].load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
             retrainer.ingest_batch(fresh_batch(generation));
-            while retrainer.generations_published() < generation {
+            while engine.generation() < generation {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
@@ -118,18 +126,21 @@ fn retrainer_publishes_generations_under_live_traffic() {
             w.join().unwrap();
         }
         retrainer.shutdown();
-        let report = trainer_handle.join().unwrap();
-        assert!(
-            report.errors.is_empty(),
-            "retrain errors: {:?}",
-            report.errors
-        );
-        assert!(
-            report.published >= TARGET_GENERATIONS,
-            "only {} generations published",
-            report.published
-        );
+        trainer_handle.join().unwrap()
     });
+    // Every step of the spawned loop saved, loaded back and validated what
+    // it published: none failed, and the newest file on disk is the one the
+    // loop last validated.
+    assert_eq!(health.failures, 0, "retrain error: {:?}", health.last_error);
+    assert!(
+        health.retrains_ok >= TARGET_GENERATIONS,
+        "only {} generations published",
+        health.retrains_ok
+    );
+    assert_eq!(
+        health.last_good_generation,
+        Some(latest_generation_on_disk(&dir))
+    );
 
     // ≥ 2 generations landed, all of them mid-traffic.
     assert!(engine.generation() >= TARGET_GENERATIONS);

@@ -71,12 +71,11 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// Why one supervised retrain step failed.
+/// Why one retrain step failed.
 ///
-/// Produced by the supervised loop
-/// ([`Supervisor::step`](crate::Supervisor::step)); every variant leaves
-/// the serving engine on its last good snapshot — a failed step degrades
-/// freshness, never correctness.
+/// Produced by [`Retrainer::step`](crate::Retrainer::step); every variant
+/// leaves the serving engine on its last good snapshot — a failed step
+/// degrades freshness, never correctness.
 #[derive(Debug)]
 pub enum RetrainError {
     /// The training computation panicked; the payload text is preserved.
@@ -116,10 +115,20 @@ impl fmt::Display for RetrainError {
                 generation,
                 attempts,
                 last,
-            } => write!(
-                f,
-                "saving snapshot generation {generation} failed after {attempts} attempts: {last}"
-            ),
+            } => {
+                write!(
+                    f,
+                    "saving snapshot generation {generation} failed after {attempts} attempts: {last}"
+                )?;
+                if let SnapshotError::UnsupportedModel(_) = last {
+                    write!(
+                        f,
+                        "; train ModelSpec::Vmm, Adjacency, Cooccurrence, NGram or Backoff, \
+                         or run without a snapshot_dir"
+                    )?;
+                }
+                Ok(())
+            }
             RetrainError::Quarantined {
                 generation,
                 cause,

@@ -369,7 +369,7 @@ pub fn save_snapshot(
 }
 
 /// [`save_snapshot`] through an explicit [`FsIo`](sqp_common::fsio::FsIo)
-/// seam — the variant the supervised retrain loop uses so fault-injection
+/// seam — the variant the retrain loop uses so fault-injection
 /// harnesses can fail or corrupt the write deterministically. Atomicity is
 /// the seam's contract ([`FsIo::write_atomic`](sqp_common::fsio::FsIo)).
 pub fn save_snapshot_with(

@@ -20,28 +20,20 @@
 //!   file; [`WarmStart::publish_from_path`] hot-swaps a newly written file
 //!   into a live engine.
 //! * [`retrain`] — the **retrain loop**: a [`Retrainer`] buffers incoming
-//!   [`RawLogRecord`](sqp_logsim::RawLogRecord)s, re-runs the training
-//!   pipeline over a sliding corpus window on a background scoped thread,
-//!   writes each generation to disk, and publishes it through the engine's
-//!   swap cell — the repo's end-to-end
+//!   [`RawLogRecord`](sqp_logsim::RawLogRecord)s and, on a background
+//!   scoped thread, re-runs the training pipeline over a sliding corpus
+//!   window, writes each generation to disk, loads it back, validates it
+//!   ([`quarantine`]: [`validate_snapshot_file`], `*.quarantine` parking,
+//!   rollback to the [`newest_good_snapshot`]) and only then publishes it
+//!   through the engine's swap cell. Training panics are isolated, saves
+//!   retry with capped backoff, and a circuit breaker degrades to "serve
+//!   the last good snapshot" under persistent failure, all reported as
+//!   typed [`RetrainerHealth`] — the repo's end-to-end
 //!   log-stream → retrain → hot-swap → suggest scenario.
 //!
 //! Every load-path failure is a typed [`SnapshotError`]; corrupted,
 //! truncated, or wrong-version files can never produce a partial snapshot
 //! or a panic.
-//!
-//! On top of the happy-path loop sits the **resilience layer**:
-//!
-//! * [`quarantine`] — post-save validation ([`validate_snapshot_file`]):
-//!   a freshly written generation is loaded back and checked (container
-//!   integrity, metadata identity, probe-suggestion smoke test) before it
-//!   may serve; failures are parked as `*.quarantine` files and serving
-//!   rolls back to the [`newest_good_snapshot`] on disk.
-//! * [`supervise`] — the **supervised retrain loop**: a [`Supervisor`]
-//!   wraps the retrain cycle with panic isolation, capped-backoff save
-//!   retries, quarantine/rollback, and a circuit breaker that degrades to
-//!   "serve the last good snapshot" under persistent failure, reporting
-//!   typed [`RetrainerHealth`].
 //!
 //! And for the replicated tier ([`RouterEngine`](sqp_router::RouterEngine)):
 //!
@@ -52,7 +44,7 @@
 //!   itself), quarantining a failed replica on its last-good snapshot
 //!   while the roll continues or aborts by [`RollPolicy`].
 //!
-//! Both layers run on the [`sqp_common::fsio::FsIo`] /
+//! The retrain loop and the roll run on the [`sqp_common::fsio::FsIo`] /
 //! [`sqp_common::clock::Clock`] / [`sqp_common::hazard::Hazard`] seams, so
 //! the `sqp-faults` chaos harness can drive them through deterministic
 //! disk faults, virtual time, and scheduled panics.
@@ -90,7 +82,8 @@
 //!     retrainer.ingest(rec(u, 100, "news"));
 //!     retrainer.ingest(rec(u, 160, "news live stream"));
 //! }
-//! retrainer.retrain_once(&engine).unwrap();
+//! retrainer.step(&engine);
+//! assert_eq!(retrainer.health().retrains_ok, 1);
 //! assert_eq!(engine.generation(), 1);
 //! assert!(engine
 //!     .suggest_context(&["news"], 2)
@@ -107,7 +100,6 @@ pub mod format;
 pub mod quarantine;
 pub mod retrain;
 pub mod rollout;
-pub mod supervise;
 pub mod warm;
 
 pub use error::{RetrainError, SnapshotError};
@@ -121,11 +113,10 @@ pub use quarantine::{
 };
 pub use retrain::{
     latest_generation_on_disk, latest_generation_on_disk_with, parse_snapshot_name,
-    rotate_snapshots, rotate_snapshots_with, snapshot_file_name, PublishOutcome, RetrainConfig,
-    RetrainReport, Retrainer, RotationReport,
+    rotate_snapshots_with, snapshot_file_name, BreakerState, RetrainConfig, Retrainer,
+    RetrainerHealth, RotationReport, StepOutcome,
 };
 pub use rollout::{RollPolicy, RollReport, RollStep, RouterPublish};
-pub use supervise::{BreakerState, RetrainerHealth, StepOutcome, SuperviseConfig, Supervisor};
 pub use warm::{Published, WarmStart};
 
 // The model-kind tag is defined next to the model codecs in sqp-core;

@@ -1,6 +1,6 @@
 //! Snapshot quarantine and rollback: trust the disk, but verify it.
 //!
-//! The supervised retrain loop treats the on-disk file — not the in-memory
+//! The retrain loop treats the on-disk file — not the in-memory
 //! training result — as the publication source of truth: after saving a
 //! generation it loads the file back and validates it
 //! ([`validate_snapshot_file`]) before anything reaches the serving engine.
@@ -49,7 +49,7 @@ pub fn quarantine_file(io: &dyn FsIo, path: &Path) -> Result<PathBuf, SnapshotEr
 ///    for `probe.1` must equal `probe.0`'s (the freshly trained in-memory
 ///    snapshot): the file does not just parse, it *serves* identically.
 ///
-/// Returns the loaded snapshot — the supervised loop publishes this
+/// Returns the loaded snapshot — the retrain loop publishes this
 /// loaded-from-disk value, never the in-memory one, so what serves is
 /// exactly what a restart would recover.
 pub fn validate_snapshot_file(

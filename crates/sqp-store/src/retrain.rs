@@ -1,37 +1,71 @@
-//! The incremental retrain loop: log stream in, published snapshots out.
+//! The retrain loop: log stream in, validated snapshot generations out.
 //!
 //! Closes the paper's offline→online gap. Serving threads (or a log
 //! tailer) [`ingest`](Retrainer::ingest) raw records as traffic arrives; a
 //! background thread — spawned into a caller-owned
 //! [`scope`](std::thread::scope) so it can borrow the engine and can never
-//! outlive it — waits until enough new traffic has buffered, re-runs the
-//! full `segment → aggregate → reduce → train` pipeline over a sliding
-//! window of recent records
-//! ([`SlidingCorpus`]), writes the new
-//! generation to disk as a v3 snapshot, and publishes it through the
-//! engine's `Swap` cell. Serving never pauses: requests in flight finish
-//! on the old snapshot, later ones see the new one.
+//! outlive it — waits until enough new traffic has buffered and runs one
+//! [`step`](Retrainer::step): re-run the full
+//! `segment → aggregate → reduce → train` pipeline over a sliding window of
+//! recent records ([`SlidingCorpus`]), write the new generation to disk as
+//! a v3 snapshot, load the file back, validate it, and publish it through
+//! the engine's `Swap` cell. Serving never pauses: requests in flight
+//! finish on the old snapshot, later ones see the new one.
 //!
 //! ```text
 //! traffic ─▶ ingest ─▶ pending ─┐            (engine keeps serving)
 //!                               ▼
 //!              [retrain thread] drain → sliding window → train
 //!                               │
-//!                  save_snapshot(dir/snapshot-NNNNNNNN.sqps)
+//!              save dir/snapshot-NNNNNNNN.sqps → load back → validate
 //!                               │
 //!                  engine.publish(Arc<ModelSnapshot>)  — atomic swap
 //! ```
+//!
+//! **The publication policy**: a generation is published only after it was
+//! saved, loaded back and validated, and what is published is the *loaded*
+//! snapshot — serving state is exactly what a restart would recover. A
+//! failed step leaves the engine on its last good snapshot. With
+//! [`snapshot_dir: None`](RetrainConfig::snapshot_dir) there is nothing to
+//! persist or validate against; that memory-only mode publishes the
+//! trained snapshot directly.
+//!
+//! A step survives its own failures:
+//!
+//! * **Panic isolation** — training runs under
+//!   [`catch_unwind`](std::panic::catch_unwind); a crashed training
+//!   computation becomes a typed [`RetrainError::TrainingPanicked`], not a
+//!   dead loop, and the drained window stays in the sliding corpus for the
+//!   next attempt.
+//! * **Save retries** — disk writes retry with capped exponential backoff
+//!   (through the [`Clock`] seam, so tests run the waits virtually).
+//! * **Quarantine and rollback** — a file that fails validation
+//!   ([`validate_snapshot_file`]) is quarantined and serving rolls back to
+//!   the newest good generation on disk.
+//! * **Circuit breaker** — consecutive failures past a threshold trip the
+//!   loop [`BreakerState::Open`]: retrain attempts stop, the engine keeps
+//!   serving its last good snapshot, and after a cooldown one half-open
+//!   probe attempt decides between recovery and re-tripping. The state
+//!   machine is the shared [`sqp_common::breaker::Breaker`] — the same one
+//!   `sqp-net`'s `RemoteEngine` uses per endpoint.
 
-use crate::error::SnapshotError;
-use crate::format::{save_snapshot, SnapshotMeta};
+use crate::error::{RetrainError, SnapshotError};
+use crate::format::{save_snapshot_with, SnapshotMeta};
+use crate::quarantine::{newest_good_snapshot, quarantine_file, validate_snapshot_file};
+use sqp_common::breaker::{Admission, Backoff, Breaker, BreakerConfig};
+use sqp_common::clock::{Clock, RealClock};
 use sqp_common::fsio::{FsIo, RealFs};
+use sqp_common::hazard::{Hazard, NoHazard};
 use sqp_logsim::RawLogRecord;
 use sqp_serve::{ModelSnapshot, ServeEngine, TrainingConfig};
 use sqp_sessions::SlidingCorpus;
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+pub use sqp_common::breaker::BreakerState;
 
 /// Parameters of the retrain loop.
 #[derive(Clone, Debug)]
@@ -46,14 +80,32 @@ pub struct RetrainConfig {
     /// falls out of the next retrain.
     pub window_records: usize,
     /// Where snapshot generations are written (`snapshot-NNNNNNNN.sqps`).
-    /// `None` publishes in-memory only (tests, single-process setups).
+    /// `None` is the memory-only mode (tests, single-process setups): the
+    /// trained snapshot is published without being saved or validated. A
+    /// directory requires a persistable `training.model`
+    /// (`ModelSpec::Vmm`, `Adjacency`, `Cooccurrence`, `NGram` or
+    /// `Backoff`); the default MVMM has no on-disk form, so with a
+    /// directory every step fails [`RetrainError::SaveFailed`].
     pub snapshot_dir: Option<PathBuf>,
     /// How many snapshot generations to keep on disk (min 1); older files
-    /// are deleted after each successful save.
+    /// are deleted after each successful publish.
     pub keep: usize,
     /// How long the loop sleeps between checks for new traffic or
     /// shutdown.
     pub poll: Duration,
+    /// Snapshot-save attempts per step (min 1) before the step fails with
+    /// [`RetrainError::SaveFailed`].
+    pub max_save_attempts: u32,
+    /// Backoff before the first save retry; doubles per retry.
+    pub backoff_initial: Duration,
+    /// Backoff ceiling.
+    pub backoff_cap: Duration,
+    /// Consecutive step failures that trip the breaker open (min 1). A
+    /// failed half-open probe re-trips immediately regardless.
+    pub breaker_threshold: u32,
+    /// How long a tripped breaker stays open before allowing one half-open
+    /// probe attempt.
+    pub cooldown: Duration,
 }
 
 impl Default for RetrainConfig {
@@ -65,39 +117,71 @@ impl Default for RetrainConfig {
             snapshot_dir: None,
             keep: 3,
             poll: Duration::from_millis(5),
+            max_save_attempts: 3,
+            backoff_initial: Duration::from_millis(50),
+            backoff_cap: Duration::from_secs(2),
+            breaker_threshold: 3,
+            cooldown: Duration::from_secs(5),
         }
     }
 }
 
-/// What one successful retrain produced.
-#[derive(Clone, Debug)]
-pub struct PublishOutcome {
-    /// Metadata of the published snapshot (generation, corpus stats).
-    pub meta: SnapshotMeta,
-    /// Where the snapshot file was written, when a directory is configured
-    /// and the save succeeded.
-    pub path: Option<PathBuf>,
-    /// The serving engine's generation counter after the publish.
-    pub engine_generation: u64,
-    /// Why the on-disk save (or rotation) failed, if it did. The in-memory
-    /// publish has still happened — disk trouble degrades durability, not
-    /// serving freshness.
-    pub save_error: Option<String>,
+/// Point-in-time health of the retrain loop, for operators and tests.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RetrainerHealth {
+    /// Current breaker position.
+    pub breaker: BreakerState,
+    /// Consecutive failed steps (reset by any success).
+    pub consecutive_failures: u32,
+    /// Steps that published a validated generation.
+    pub retrains_ok: u64,
+    /// Steps that failed (panic, save exhaustion, quarantine).
+    pub failures: u64,
+    /// Individual save retries performed across all steps.
+    pub save_retries: u64,
+    /// Snapshot files quarantined after failing validation.
+    pub quarantined: u64,
+    /// Rollback publishes performed after a quarantine.
+    pub rollbacks: u64,
+    /// Unreadable files skipped over by rollback scans.
+    pub rollback_files_skipped: u64,
+    /// Rotation passes that reported per-file deletion errors.
+    pub rotation_errors: u64,
+    /// Times the breaker tripped open.
+    pub breaker_trips: u64,
+    /// Times a half-open probe closed the breaker again.
+    pub breaker_recoveries: u64,
+    /// Steps refused because the breaker was open.
+    pub steps_skipped_open: u64,
+    /// Generation of the last snapshot that passed validation and
+    /// published (including rollback targets).
+    pub last_good_generation: Option<u64>,
+    /// Human-readable description of the most recent failure.
+    pub last_error: Option<String>,
 }
 
-/// Summary returned when the background loop exits.
-#[derive(Clone, Debug, Default)]
-pub struct RetrainReport {
-    /// Snapshot generations published by this loop.
-    pub published: u64,
-    /// Raw records ingested over the loop's lifetime.
-    pub records_ingested: u64,
-    /// Snapshot files written to disk.
-    pub snapshots_written: u64,
-    /// Save/rotation errors encountered. The loop publishes in-memory
-    /// through save failures — a full disk must not stop publication —
-    /// so entries here mean degraded durability, not a stale model.
-    pub errors: Vec<String>,
+/// What one [`Retrainer::step`] did.
+#[derive(Debug)]
+pub enum StepOutcome {
+    /// Nothing to train on (empty window).
+    Idle,
+    /// The breaker is open; no retrain was attempted.
+    BreakerOpen {
+        /// Milliseconds until the cooldown elapses and a half-open probe
+        /// is allowed.
+        remaining_millis: u64,
+    },
+    /// A generation was trained, persisted, validated, and published.
+    Published {
+        /// The published generation number.
+        generation: u64,
+        /// Where it lives on disk (`None` when no snapshot directory is
+        /// configured).
+        path: Option<PathBuf>,
+    },
+    /// The step failed; the engine keeps serving its last good snapshot.
+    /// Details are also folded into [`RetrainerHealth`].
+    Failed(RetrainError),
 }
 
 struct Queue {
@@ -105,8 +189,24 @@ struct Queue {
     corpus: SlidingCorpus,
 }
 
-/// The incremental retrainer: a thread-safe ingest buffer plus the retrain
-/// loop that turns buffered traffic into published snapshot generations.
+#[derive(Debug, Default)]
+struct Tally {
+    retrains_ok: u64,
+    failures: u64,
+    save_retries: u64,
+    quarantined: u64,
+    rollbacks: u64,
+    rollback_files_skipped: u64,
+    rotation_errors: u64,
+    steps_skipped_open: u64,
+    /// Last validated-and-published snapshot: generation and path. The
+    /// path is additionally protected from rotation.
+    last_good: Option<(u64, PathBuf)>,
+    last_error: Option<String>,
+}
+
+/// The retrainer: a thread-safe ingest buffer plus the loop that turns
+/// buffered traffic into validated, published snapshot generations.
 ///
 /// All methods take `&self`; the intended shape is one `Retrainer` shared
 /// between serving threads (ingest side) and one background loop (retrain
@@ -115,13 +215,13 @@ struct Queue {
 /// # Examples
 ///
 /// Drive one retrain step synchronously (the background loop calls exactly
-/// this in a wait/retrain cycle):
+/// this in a wait/step cycle):
 ///
 /// ```
 /// use std::sync::Arc;
 /// use sqp_logsim::RawLogRecord;
 /// use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
-/// use sqp_store::{RetrainConfig, Retrainer};
+/// use sqp_store::{RetrainConfig, Retrainer, StepOutcome};
 ///
 /// let rec = |machine, ts, q: &str| RawLogRecord {
 ///     machine_id: machine, timestamp: ts, query: q.into(), clicks: vec![],
@@ -145,25 +245,32 @@ struct Queue {
 ///     retrainer.ingest(rec(u, 150, "maps satellite view"));
 /// }
 /// // …and one retrain step folds it into the serving model.
-/// let outcome = retrainer.retrain_once(&engine).unwrap();
-/// assert_eq!(outcome.meta.generation, 1);
+/// let outcome = retrainer.step(&engine);
+/// assert!(matches!(outcome, StepOutcome::Published { generation: 1, .. }));
+/// assert_eq!(retrainer.health().retrains_ok, 1);
 /// assert_eq!(engine.generation(), 1);
 /// let top = engine.suggest_context(&["maps"], 1);
 /// assert_eq!(top[0].query, "maps satellite view"); // new corpus wins
 /// ```
 pub struct Retrainer {
     cfg: RetrainConfig,
+    io: Arc<dyn FsIo>,
+    clock: Arc<dyn Clock>,
+    hazard: Arc<dyn Hazard>,
     queue: Mutex<Queue>,
     arrived: Condvar,
     stop: AtomicBool,
     generations: AtomicU64,
     ingested: AtomicU64,
+    breaker: Breaker,
+    tally: Mutex<Tally>,
 }
 
 impl Retrainer {
     /// A retrainer whose first generation trains on `seed` (typically the
     /// records behind the currently-serving snapshot) plus whatever
-    /// arrives before the first trigger.
+    /// arrives before the first trigger, wired to the production seams
+    /// (real filesystem, real clock, no-op hazard).
     ///
     /// Generation numbering continues from the newest `snapshot-*.sqps`
     /// already in `snapshot_dir`, so a process restart never reuses a
@@ -171,14 +278,39 @@ impl Retrainer {
     /// (FORMAT.md) holds across restarts and rotation never deletes a
     /// newer file in favour of a stale one.
     pub fn new(cfg: RetrainConfig, seed: Vec<RawLogRecord>) -> Self {
+        Self::with_seams(
+            cfg,
+            seed,
+            Arc::new(RealFs),
+            Arc::new(RealClock),
+            Arc::new(NoHazard),
+        )
+    }
+
+    /// [`new`](Retrainer::new) with explicit fault seams — the constructor
+    /// chaos harnesses use to inject disk faults, virtual time, and
+    /// scheduled panics.
+    pub fn with_seams(
+        cfg: RetrainConfig,
+        seed: Vec<RawLogRecord>,
+        io: Arc<dyn FsIo>,
+        clock: Arc<dyn Clock>,
+        hazard: Arc<dyn Hazard>,
+    ) -> Self {
         let window = cfg.window_records.max(1);
         let start_generation = cfg
             .snapshot_dir
             .as_deref()
-            .map(latest_generation_on_disk)
-            .unwrap_or(0);
+            .map_or(0, |dir| latest_generation_on_disk_with(&*io, dir));
+        let breaker = Breaker::new(BreakerConfig {
+            threshold: cfg.breaker_threshold,
+            cooldown: cfg.cooldown,
+        });
         Self {
             cfg,
+            io,
+            clock,
+            hazard,
             queue: Mutex::new(Queue {
                 pending: Vec::new(),
                 corpus: SlidingCorpus::with_seed(window, seed),
@@ -187,12 +319,9 @@ impl Retrainer {
             stop: AtomicBool::new(false),
             generations: AtomicU64::new(start_generation),
             ingested: AtomicU64::new(0),
+            breaker,
+            tally: Mutex::new(Tally::default()),
         }
-    }
-
-    /// The loop's configuration.
-    pub fn config(&self) -> &RetrainConfig {
-        &self.cfg
     }
 
     /// Lock the ingest queue, recovering from poisoning. The queue holds a
@@ -202,6 +331,13 @@ impl Retrainer {
     /// cannot have torn the state — serving and retraining safely continue.
     fn lock_queue(&self) -> MutexGuard<'_, Queue> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lock_tally(&self) -> MutexGuard<'_, Tally> {
+        // Poison recovery: `Tally` is counters plus small value fields,
+        // each updated by single assignments — no torn intermediate state
+        // is possible, so a poisoned lock still guards valid health data.
+        self.tally.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Buffer one raw record for the next retrain.
@@ -227,11 +363,13 @@ impl Retrainer {
         self.lock_queue().pending.len()
     }
 
-    /// The latest snapshot generation number. Starts at the newest
-    /// generation found in `snapshot_dir` (0 when none), so after a
-    /// restart this reflects on-disk history, not just this process's
-    /// publishes; [`RetrainReport::published`] counts the current run.
-    pub fn generations_published(&self) -> u64 {
+    /// The newest snapshot generation number issued — on disk, quarantined
+    /// or burned by a failed step. Starts at the newest generation found
+    /// in `snapshot_dir` (0 when none) and rises when a step *reserves* a
+    /// number, before it has saved or published anything: to learn that a
+    /// publish landed, read [`RetrainerHealth::retrains_ok`] or the
+    /// engine's generation instead.
+    pub fn latest_generation(&self) -> u64 {
         self.generations.load(Ordering::Acquire)
     }
 
@@ -253,33 +391,26 @@ impl Retrainer {
         self.stop.load(Ordering::Acquire)
     }
 
-    /// Run one retrain step now: drain buffered records into the sliding
-    /// window, train, attempt to save `snapshot-NNNNNNNN.sqps`, and publish
-    /// into `engine`. Returns `None` when the window is empty (nothing to
-    /// train on). The background loop is this in a wait/step cycle; calling
-    /// it directly gives single-threaded setups a synchronous retrain.
-    ///
-    /// A disk failure never blocks the in-memory publish: the freshly
-    /// trained snapshot is swapped in regardless, and the save failure is
-    /// reported in [`PublishOutcome::save_error`] (a full disk must not
-    /// leave the engine serving an ever-staler model).
-    pub fn retrain_once(&self, engine: &ServeEngine) -> Option<PublishOutcome> {
-        let window = self.drain_window()?;
-        let snapshot = ModelSnapshot::from_raw_logs(&window, &self.cfg.training);
-        let generation = self.generations.load(Ordering::Acquire) + 1;
-        let meta = SnapshotMeta::describe(&snapshot, generation, window.len() as u64);
-        let (path, save_error) = match &self.cfg.snapshot_dir {
-            Some(dir) => self.save_generation(dir, generation, &snapshot, &meta),
-            None => (None, None),
-        };
-        let engine_generation = engine.publish(Arc::new(snapshot));
-        self.generations.store(generation, Ordering::Release);
-        Some(PublishOutcome {
-            meta,
-            path,
-            engine_generation,
-            save_error,
-        })
+    /// Snapshot of the loop's health.
+    pub fn health(&self) -> RetrainerHealth {
+        let breaker = self.breaker.stats();
+        let tally = self.lock_tally();
+        RetrainerHealth {
+            breaker: breaker.state,
+            consecutive_failures: breaker.consecutive_failures,
+            retrains_ok: tally.retrains_ok,
+            failures: tally.failures,
+            save_retries: tally.save_retries,
+            quarantined: tally.quarantined,
+            rollbacks: tally.rollbacks,
+            rollback_files_skipped: tally.rollback_files_skipped,
+            rotation_errors: tally.rotation_errors,
+            breaker_trips: breaker.trips,
+            breaker_recoveries: breaker.recoveries,
+            steps_skipped_open: tally.steps_skipped_open,
+            last_good_generation: tally.last_good.as_ref().map(|(g, _)| *g),
+            last_error: tally.last_error.clone(),
+        }
     }
 
     /// Fold every buffered record into the sliding corpus and copy the
@@ -288,7 +419,7 @@ impl Retrainer {
     /// threads keep buffering mid-retrain. Drained records stay in the
     /// corpus, so a retrain that subsequently fails (panic, disk trouble)
     /// loses no traffic: the next attempt retrains on the same window.
-    pub fn drain_window(&self) -> Option<Vec<RawLogRecord>> {
+    fn drain_window(&self) -> Option<Vec<RawLogRecord>> {
         let mut queue = self.lock_queue();
         let drained: Vec<RawLogRecord> = queue.pending.drain(..).collect();
         queue.corpus.append(drained);
@@ -303,18 +434,17 @@ impl Retrainer {
     /// exhaustion, quarantine) never returns it, so a generation number
     /// on disk — good or quarantined — is globally unique and
     /// "lexicographic order is generation order" survives failed publishes.
-    pub fn reserve_generation(&self) -> u64 {
+    fn reserve_generation(&self) -> u64 {
         self.generations.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// Block until at least `min_batch` records are buffered or shutdown
     /// is requested, whichever comes first (checked every `poll`). Returns
-    /// true when the caller should run a final drain-and-exit step —
-    /// shared by [`run`](Retrainer::run) and the supervised loop.
+    /// true when the caller should run a final drain-and-exit step.
     ///
     /// A false return with an empty buffer never happens: the wait only
     /// ends below `min_batch` when shutting down.
-    pub fn wait_for_work(&self) -> bool {
+    fn wait_for_work(&self) -> bool {
         let mut queue = self.lock_queue();
         while queue.pending.len() < self.cfg.min_batch && !self.is_shutting_down() {
             let (guard, _) = self
@@ -327,58 +457,200 @@ impl Retrainer {
         self.is_shutting_down()
     }
 
-    /// Save one generation to disk and rotate, reporting failures instead
-    /// of propagating them (the caller publishes either way). A rotation
-    /// failure still returns the successfully written path.
-    fn save_generation(
-        &self,
-        dir: &Path,
-        generation: u64,
-        snapshot: &ModelSnapshot,
-        meta: &SnapshotMeta,
-    ) -> (Option<PathBuf>, Option<String>) {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return (None, Some(format!("create {}: {e}", dir.display())));
+    /// Record a failed step: count it, remember the error, and feed the
+    /// breaker (which trips at the threshold, or on any half-open probe
+    /// failure).
+    fn fail(&self, err: RetrainError) -> StepOutcome {
+        {
+            let mut tally = self.lock_tally();
+            tally.failures += 1;
+            tally.last_error = Some(err.to_string());
+        }
+        self.breaker.record_failure(self.clock.now_millis());
+        StepOutcome::Failed(err)
+    }
+
+    /// Record a successful publish: close the breaker (counting a recovery
+    /// if it was not closed) and remember the generation as last-good.
+    fn succeed(&self, generation: u64, path: Option<PathBuf>) -> StepOutcome {
+        {
+            let mut tally = self.lock_tally();
+            tally.retrains_ok += 1;
+            if let Some(p) = &path {
+                tally.last_good = Some((generation, p.clone()));
+            }
+        }
+        self.breaker.record_success();
+        StepOutcome::Published { generation, path }
+    }
+
+    /// Run one retrain step against `engine` now. The background loop is
+    /// this in a wait/step cycle; calling it directly gives single-threaded
+    /// setups a synchronous retrain.
+    ///
+    /// Pipeline: breaker admission → drain window → train (panic-isolated)
+    /// → reserve generation → save (with retries) → load-back validation →
+    /// publish the loaded snapshot → rotate. Any failure leaves the engine
+    /// on its last good snapshot and feeds the breaker.
+    pub fn step(&self, engine: &ServeEngine) -> StepOutcome {
+        let admission = self.breaker.admit(self.clock.now_millis());
+        if let Admission::Refused { remaining_millis } = admission {
+            self.lock_tally().steps_skipped_open += 1;
+            return StepOutcome::BreakerOpen { remaining_millis };
+        }
+
+        let Some(window) = self.drain_window() else {
+            // An idle step neither proves nor disproves recovery: release
+            // a held half-open probe slot so the next real step gets it.
+            if admission == Admission::Probe {
+                self.breaker.cancel_probe();
+            }
+            return StepOutcome::Idle;
+        };
+
+        // Train under panic isolation. The closure only borrows immutable
+        // data (the window, the config) plus the hazard seam; a panic
+        // cannot leave partial state behind, so AssertUnwindSafe holds.
+        let trained = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            self.hazard.strike("store.retrain.train");
+            ModelSnapshot::from_raw_logs(&window, &self.cfg.training)
+        }));
+        let snapshot = match trained {
+            Ok(snapshot) => snapshot,
+            Err(payload) => return self.fail(RetrainError::TrainingPanicked(panic_text(payload))),
+        };
+
+        let generation = self.reserve_generation();
+        let meta = SnapshotMeta::describe(&snapshot, generation, window.len() as u64);
+
+        let Some(dir) = self.cfg.snapshot_dir.as_deref() else {
+            // Memory-only mode: nothing to persist or validate against.
+            engine.publish(Arc::new(snapshot));
+            return self.succeed(generation, None);
+        };
+        if let Err(e) = self.io.create_dir_all(dir) {
+            return self.fail(RetrainError::SaveFailed {
+                generation,
+                attempts: 1,
+                last: SnapshotError::Io(e),
+            });
         }
         let path = dir.join(snapshot_file_name(generation));
-        if let Err(e) = save_snapshot(&path, snapshot, meta) {
-            return (None, Some(format!("save {}: {e}", path.display())));
-        }
-        match rotate_snapshots(dir, self.cfg.keep.max(1)) {
-            Ok(_) => (Some(path), None),
-            Err(e) => {
-                let err = format!("rotate {}: {e}", dir.display());
-                (Some(path), Some(err))
+
+        // Save with capped exponential backoff between attempts (jitter-free:
+        // one retrainer per store, so there is no retry storm to decorrelate
+        // and virtual-clock chaos digests stay stable).
+        let max_attempts = self.cfg.max_save_attempts.max(1);
+        let mut backoff = Backoff::new(self.cfg.backoff_initial, self.cfg.backoff_cap);
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            self.hazard.strike("store.retrain.save");
+            match save_snapshot_with(&*self.io, &path, &snapshot, &meta) {
+                Ok(()) => break,
+                Err(last) => {
+                    // Only disk errors are worth retrying: a model with no
+                    // on-disk form fails the same way on every attempt.
+                    let retryable = matches!(last, SnapshotError::Io(_));
+                    if !retryable || attempts >= max_attempts {
+                        return self.fail(RetrainError::SaveFailed {
+                            generation,
+                            attempts,
+                            last,
+                        });
+                    }
+                    self.lock_tally().save_retries += 1;
+                    self.clock.sleep(backoff.next_delay());
+                }
             }
+        }
+
+        // Disk as source of truth: load the file back, validate it against
+        // what we meant to write (probe: the window's first query), and
+        // publish the *loaded* snapshot.
+        self.hazard.strike("store.retrain.validate");
+        let probe_query = window.first().map(|r| r.query.as_str());
+        let probe_ctx: Vec<&str> = probe_query.into_iter().collect();
+        match validate_snapshot_file(&*self.io, &path, &meta, Some((&snapshot, &probe_ctx))) {
+            Ok(loaded) => {
+                engine.publish(Arc::new(loaded));
+                let rotation_error =
+                    match rotate_snapshots_with(&*self.io, dir, self.cfg.keep, Some(&path)) {
+                        Ok(report) if report.errors.is_empty() => None,
+                        Ok(report) => Some(report.errors.join("; ")),
+                        Err(e) => Some(e.to_string()),
+                    };
+                if let Some(e) = rotation_error {
+                    let mut tally = self.lock_tally();
+                    tally.rotation_errors += 1;
+                    tally.last_error = Some(format!("rotation: {e}"));
+                }
+                self.succeed(generation, Some(path))
+            }
+            Err(cause) => self.quarantine_and_rollback(engine, generation, &path, cause),
         }
     }
 
+    /// Validation failed: park the bad file under `*.quarantine`, roll the
+    /// engine back to the newest good generation on disk, and record the
+    /// failure.
+    fn quarantine_and_rollback(
+        &self,
+        engine: &ServeEngine,
+        generation: u64,
+        path: &Path,
+        cause: SnapshotError,
+    ) -> StepOutcome {
+        let mut cause = cause.to_string();
+        if let Err(e) = quarantine_file(&*self.io, path) {
+            // The rename itself failed (disk trouble on top of corruption):
+            // the bad file stays at its canonical name, but rollback still
+            // publishes a good model over it and the failure is recorded.
+            cause = format!("{cause}; quarantine rename failed: {e}");
+        }
+        let dir = path.parent().unwrap_or_else(|| Path::new("."));
+        let (found, skipped) = newest_good_snapshot(&*self.io, dir);
+        let rolled_back_to = found.map(|(good_path, good_snapshot, good_meta)| {
+            engine.publish(Arc::new(good_snapshot));
+            let mut tally = self.lock_tally();
+            tally.rollbacks += 1;
+            tally.last_good = Some((good_meta.generation, good_path));
+            good_meta.generation
+        });
+        {
+            let mut tally = self.lock_tally();
+            tally.quarantined += 1;
+            tally.rollback_files_skipped += skipped as u64;
+        }
+        self.fail(RetrainError::Quarantined {
+            generation,
+            cause,
+            rolled_back_to,
+        })
+    }
+
     /// The blocking retrain loop: wait for `min_batch` buffered records
-    /// (or shutdown), retrain, publish, repeat; on shutdown, drain any
-    /// remaining traffic into one final generation. Runs until
-    /// [`shutdown`](Retrainer::shutdown).
-    pub fn run(&self, engine: &ServeEngine) -> RetrainReport {
-        let mut report = RetrainReport::default();
+    /// (or shutdown), [`step`](Retrainer::step), repeat; on shutdown, drain
+    /// any remaining traffic through one final step. Runs until
+    /// [`shutdown`](Retrainer::shutdown) and returns the final health.
+    ///
+    /// While the breaker is open the loop naps one poll interval per
+    /// refused step instead of spinning.
+    pub fn run(&self, engine: &ServeEngine) -> RetrainerHealth {
         loop {
             let stopping = self.wait_for_work();
             if stopping && self.pending() == 0 {
                 break;
             }
-            if let Some(outcome) = self.retrain_once(engine) {
-                report.published += 1;
-                if outcome.path.is_some() {
-                    report.snapshots_written += 1;
-                }
-                if let Some(err) = outcome.save_error {
-                    report.errors.push(err);
-                }
-            }
+            let refused = matches!(self.step(engine), StepOutcome::BreakerOpen { .. });
             if stopping {
                 break;
             }
+            if refused {
+                self.clock.sleep(self.cfg.poll);
+            }
         }
-        report.records_ingested = self.records_ingested();
-        report
+        self.health()
     }
 
     /// Spawn [`run`](Retrainer::run) as a background thread inside a
@@ -388,8 +660,20 @@ impl Retrainer {
         &'env self,
         scope: &'scope std::thread::Scope<'scope, 'env>,
         engine: &'env ServeEngine,
-    ) -> std::thread::ScopedJoinHandle<'scope, RetrainReport> {
+    ) -> std::thread::ScopedJoinHandle<'scope, RetrainerHealth> {
         scope.spawn(move || self.run(engine))
+    }
+}
+
+/// Render a panic payload as text (panics carry `String` or `&str`
+/// payloads in practice; anything else gets a placeholder).
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else {
+        "<non-string panic payload>".to_string()
     }
 }
 
@@ -456,21 +740,6 @@ pub struct RotationReport {
     pub errors: Vec<String>,
 }
 
-/// Delete the oldest `snapshot-*.sqps` files in `dir` beyond `keep`.
-/// Returns how many files were removed; per-file failures become one
-/// summary [`SnapshotError::Io`]. Compatibility wrapper over
-/// [`rotate_snapshots_with`].
-pub fn rotate_snapshots(dir: &Path, keep: usize) -> Result<usize, SnapshotError> {
-    let report = rotate_snapshots_with(&RealFs, dir, keep, None)?;
-    if report.errors.is_empty() {
-        Ok(report.removed)
-    } else {
-        Err(SnapshotError::Io(std::io::Error::other(
-            report.errors.join("; "),
-        )))
-    }
-}
-
 /// Rotate snapshot generations in `dir` down to the newest `keep` (min 1),
 /// through an explicit [`FsIo`] seam.
 ///
@@ -482,7 +751,7 @@ pub fn rotate_snapshots(dir: &Path, keep: usize) -> Result<usize, SnapshotError>
 /// * candidates are ordered by parsed generation number, and the newest
 ///   `keep` are always retained — rotation can never delete the newest
 ///   good generation;
-/// * `protect` (the supervisor's last validated snapshot) is never
+/// * `protect` (the retrainer's last validated snapshot) is never
 ///   deleted, whatever its age;
 /// * a file that fails to delete is reported in
 ///   [`RotationReport::errors`] and the pass continues.
@@ -528,6 +797,7 @@ pub fn rotate_snapshots_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqp_faults::VirtualClock;
     use sqp_serve::{EngineConfig, ModelSpec};
 
     fn rec(machine: u64, ts: u64, q: &str) -> RawLogRecord {
@@ -574,10 +844,21 @@ mod tests {
         )
     }
 
-    #[test]
-    fn retrain_once_publishes_and_rotates_files() {
-        let dir = std::env::temp_dir().join(format!("sqp-retrain-rot-{}", std::process::id()));
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sqp-retrain-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn serves(e: &ServeEngine, query: &str) -> bool {
+        e.suggest_context(&["start"], 10)
+            .iter()
+            .any(|s| s.query == query)
+    }
+
+    #[test]
+    fn steps_publish_the_loaded_file_and_rotate() {
+        let dir = scratch_dir("rot");
         let e = engine("old");
         let retrainer = Retrainer::new(
             RetrainConfig {
@@ -590,11 +871,17 @@ mod tests {
         );
         for generation in 1..=4u64 {
             retrainer.ingest_batch(batch_records(&format!("g{generation}"), generation * 100));
-            let outcome = retrainer.retrain_once(&e).unwrap();
-            assert_eq!(outcome.save_error, None);
-            assert_eq!(outcome.meta.generation, generation);
-            assert_eq!(outcome.engine_generation, generation);
-            assert!(outcome.path.as_ref().unwrap().exists());
+            let outcome = retrainer.step(&e);
+            let StepOutcome::Published {
+                generation: published,
+                path,
+            } = outcome
+            else {
+                panic!("{outcome:?}");
+            };
+            assert_eq!(published, generation);
+            assert_eq!(e.generation(), generation);
+            assert!(path.unwrap().exists());
         }
         let mut kept: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
@@ -602,20 +889,46 @@ mod tests {
             .collect();
         kept.sort();
         assert_eq!(kept, ["snapshot-00000003.sqps", "snapshot-00000004.sqps"]);
-        assert_eq!(retrainer.generations_published(), 4);
+        assert_eq!(retrainer.latest_generation(), 4);
+        let health = retrainer.health();
+        assert_eq!((health.retrains_ok, health.failures), (4, 0));
+        assert_eq!(health.last_good_generation, Some(4));
         // The sliding window kept the newest traffic: g4's refinement is
         // among the served suggestions.
-        let suggestions = e.suggest_context(&["start"], 10);
-        assert!(suggestions.iter().any(|s| s.query == "g4::next"));
+        assert!(serves(&e, "g4::next"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn retrain_once_on_empty_window_is_a_noop() {
+    fn idle_and_memory_only_steps() {
         let e = engine("old");
-        let retrainer = Retrainer::new(RetrainConfig::default(), Vec::new());
-        assert!(retrainer.retrain_once(&e).is_none());
+        let retrainer = Retrainer::new(
+            RetrainConfig {
+                training: training(),
+                ..RetrainConfig::default()
+            },
+            Vec::new(),
+        );
+        assert!(matches!(retrainer.step(&e), StepOutcome::Idle));
         assert_eq!(e.generation(), 0);
+        retrainer.ingest_batch(batch_records("fresh", 100));
+        let outcome = retrainer.step(&e);
+        assert!(
+            matches!(
+                outcome,
+                StepOutcome::Published {
+                    generation: 1,
+                    path: None
+                }
+            ),
+            "{outcome:?}"
+        );
+        assert_eq!(e.generation(), 1);
+        let health = retrainer.health();
+        assert_eq!(health.retrains_ok, 1);
+        assert_eq!(health.breaker, BreakerState::Closed);
+        // No snapshot dir: last_good tracks only persisted generations.
+        assert_eq!(health.last_good_generation, None);
     }
 
     #[test]
@@ -632,19 +945,17 @@ mod tests {
             seed_records("old"),
         );
         retrainer.ingest_batch(batch_records("new", 100));
-        retrainer.retrain_once(&e).unwrap();
-        let suggestions = e.suggest_context(&["start"], 10);
-        assert!(suggestions.iter().any(|s| s.query == "new::next"));
+        assert!(matches!(retrainer.step(&e), StepOutcome::Published { .. }));
+        assert!(serves(&e, "new::next"));
         assert!(
-            !suggestions.iter().any(|s| s.query == "old::next"),
+            !serves(&e, "old::next"),
             "old traffic should have slid out of the window"
         );
     }
 
     #[test]
     fn generation_numbering_continues_across_restarts() {
-        let dir = std::env::temp_dir().join(format!("sqp-retrain-gen-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("gen");
         std::fs::create_dir_all(&dir).unwrap();
         // A previous run left generation 5 behind (content irrelevant for
         // numbering) plus an unrelated file that must be ignored.
@@ -661,15 +972,18 @@ mod tests {
             },
             seed_records("old"),
         );
-        assert_eq!(retrainer.generations_published(), 5, "seeded from disk");
-        let outcome = retrainer.retrain_once(&e).unwrap();
+        assert_eq!(retrainer.latest_generation(), 5, "seeded from disk");
+        let outcome = retrainer.step(&e);
         // The "restarted" process publishes generation 6, and rotation
         // (keep 2) retires the pre-restart file, never the new one — the
         // lexicographically-latest file is always the freshest model.
-        assert_eq!(outcome.meta.generation, 6);
+        assert!(
+            matches!(outcome, StepOutcome::Published { generation: 6, .. }),
+            "{outcome:?}"
+        );
         assert!(dir.join("snapshot-00000006.sqps").exists());
         retrainer.ingest_batch(batch_records("fresh", 100));
-        retrainer.retrain_once(&e).unwrap();
+        retrainer.step(&e);
         let mut kept: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|f| {
@@ -683,8 +997,8 @@ mod tests {
     }
 
     #[test]
-    fn save_failure_still_publishes_in_memory() {
-        let blocker = std::env::temp_dir().join(format!("sqp-retrain-blk-{}", std::process::id()));
+    fn save_failure_publishes_nothing() {
+        let blocker = scratch_dir("blk");
         // snapshot_dir points at a *file*, so create_dir_all fails.
         std::fs::write(&blocker, b"in the way").unwrap();
         let e = engine("old");
@@ -697,17 +1011,85 @@ mod tests {
             seed_records("old"),
         );
         retrainer.ingest_batch(batch_records("fresh", 100));
-        let outcome = retrainer.retrain_once(&e).unwrap();
-        assert!(outcome.save_error.is_some(), "save should have failed");
-        assert!(outcome.path.is_none());
-        // Serving freshness is preserved regardless of the disk.
-        assert_eq!(outcome.engine_generation, 1);
-        assert_eq!(e.generation(), 1);
-        assert!(e
-            .suggest_context(&["start"], 10)
-            .iter()
-            .any(|s| s.query == "fresh::next"));
+        let outcome = retrainer.step(&e);
+        assert!(
+            matches!(
+                outcome,
+                StepOutcome::Failed(RetrainError::SaveFailed { generation: 1, .. })
+            ),
+            "{outcome:?}"
+        );
+        // What could not be persisted does not serve.
+        assert_eq!(e.generation(), 0);
+        assert!(!serves(&e, "fresh::next"));
+        assert_eq!(retrainer.health().failures, 1);
+
+        // The drained window stayed in the corpus: once the directory is
+        // usable, the next step publishes the same traffic under the next
+        // number (1 was burned).
         std::fs::remove_file(&blocker).unwrap();
+        assert_eq!(retrainer.pending(), 0);
+        let outcome = retrainer.step(&e);
+        assert!(
+            matches!(outcome, StepOutcome::Published { generation: 2, .. }),
+            "{outcome:?}"
+        );
+        assert_eq!(e.generation(), 1);
+        assert!(serves(&e, "fresh::next"));
+        std::fs::remove_dir_all(&blocker).unwrap();
+    }
+
+    #[test]
+    fn unsaveable_model_fails_on_the_first_attempt() {
+        let dir = scratch_dir("mvmm");
+        let e = engine("old");
+        let clock = Arc::new(VirtualClock::new());
+        let retrainer = |snapshot_dir| {
+            Retrainer::with_seams(
+                // The default model is the MVMM, which has no on-disk form.
+                RetrainConfig {
+                    snapshot_dir,
+                    ..RetrainConfig::default()
+                },
+                seed_records("old"),
+                Arc::new(RealFs),
+                clock.clone(),
+                Arc::new(NoHazard),
+            )
+        };
+
+        let persisted = retrainer(Some(dir.clone()));
+        let outcome = persisted.step(&e);
+        assert!(
+            matches!(
+                outcome,
+                StepOutcome::Failed(RetrainError::SaveFailed {
+                    attempts: 1,
+                    last: SnapshotError::UnsupportedModel(_),
+                    ..
+                })
+            ),
+            "{outcome:?}"
+        );
+        assert_eq!(
+            clock.now_millis(),
+            0,
+            "a deterministic error is not slept on"
+        );
+        assert_eq!(e.generation(), 0);
+        let health = persisted.health();
+        assert_eq!((health.failures, health.save_retries), (1, 0));
+        let message = health.last_error.unwrap();
+        assert!(message.contains("ModelSpec::Vmm"), "{message}");
+
+        // Memory-only mode saves nothing, so any model publishes.
+        let outcome = retrainer(None).step(&e);
+        assert!(
+            matches!(outcome, StepOutcome::Published { path: None, .. }),
+            "{outcome:?}"
+        );
+        assert_eq!(e.generation(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -819,11 +1201,11 @@ mod tests {
             },
             seed_records("old"),
         );
-        let report = std::thread::scope(|scope| {
+        let health = std::thread::scope(|scope| {
             let handle = retrainer.spawn(scope, &e);
             retrainer.ingest_batch(batch_records("fresh", 100));
             // Wait for the triggered retrain to land, then stop.
-            while retrainer.generations_published() == 0 {
+            while e.generation() == 0 {
                 std::thread::yield_now();
             }
             retrainer.ingest(rec(99, 100, "tail"));
@@ -831,10 +1213,10 @@ mod tests {
             handle.join().unwrap()
         });
         // One triggered retrain plus the shutdown drain of the tail record.
-        assert_eq!(report.published, 2);
+        assert_eq!(health.retrains_ok, 2);
         assert_eq!(e.generation(), 2);
-        assert!(report.errors.is_empty(), "{:?}", report.errors);
-        assert_eq!(report.records_ingested, 13);
+        assert_eq!(health.failures, 0, "{:?}", health.last_error);
+        assert_eq!(retrainer.records_ingested(), 13);
         assert_eq!(retrainer.pending(), 0);
     }
 }

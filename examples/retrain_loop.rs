@@ -85,7 +85,7 @@ fn main() {
                 // The engine keeps serving while the retrainer works.
                 engine.track_and_suggest(machine, "rust", 3, wave * 10);
             }
-            while retrainer.generations_published() < wave {
+            while engine.generation() < wave {
                 std::thread::sleep(Duration::from_millis(1));
             }
             println!(
@@ -99,10 +99,14 @@ fn main() {
             );
         }
         retrainer.shutdown();
-        let report = loop_handle.join().unwrap();
+        let health = loop_handle.join().unwrap();
         println!(
-            "retrain loop: {} generations from {} ingested records, {} snapshots on disk",
-            report.published, report.records_ingested, report.snapshots_written
+            "retrain loop: {} generations saved, loaded back and validated from {} ingested \
+             records, {} failed steps, last_good_generation = {:?}",
+            health.retrains_ok,
+            retrainer.records_ingested(),
+            health.failures,
+            health.last_good_generation
         );
     });
 
