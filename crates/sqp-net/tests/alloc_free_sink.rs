@@ -3,7 +3,10 @@
 //! through a `ListWriter` sink, the engine ranks through per-thread
 //! scratch, and the router reorders a multi-replica batch through one
 //! per-thread arena. So the allocations of a warmed-up batch do not depend
-//! on `entries × k`, and a warmed-up single suggest makes none at all.
+//! on `entries × k`, and a warmed-up single suggest makes none at all. Nor
+//! does a `track_and_suggest` once its session's window has turned over:
+//! a session is one block, and a full window appends into the room the
+//! entry it drops leaves behind.
 //!
 //! Driven in process — the surface's sink forms into a reused frame
 //! buffer, exactly what a connection's thread does between `read_frame`
@@ -166,5 +169,35 @@ fn server_side_suggest_allocations_do_not_scale_with_the_answer() {
         0,
         "a warmed try_suggest_into allocated {single_allocs} times in {} calls",
         4 * USERS
+    );
+
+    // Tracking sessions: four rounds in which every user tracks a query
+    // and gets suggestions for it.
+    const TRACK_ROUNDS: u64 = 4;
+    let mut run_rounds = || {
+        for round in 0..TRACK_ROUNDS {
+            for user in 0..USERS {
+                let query = queries[((user * 7 + round * 13) as usize) % queries.len()];
+                frame.clear();
+                let mut sink = ListWriter::suggestions(&mut frame);
+                single
+                    .try_track_and_suggest_into(user, query, K, NOW, &mut sink)
+                    .expect("within budget");
+                std::hint::black_box(frame.len());
+            }
+        }
+    };
+    // Warm up with the very queries the measured rounds track, often
+    // enough to turn every 8-slot window over twice: from then on a window
+    // always holds the same eight queries' bytes, so no block grows again.
+    for _ in 0..4 {
+        run_rounds();
+    }
+    let track_allocs = allocations(1, &mut run_rounds);
+    assert_eq!(
+        track_allocs,
+        0,
+        "a warmed try_track_and_suggest_into allocated {track_allocs} times in {} calls",
+        TRACK_ROUNDS * USERS
     );
 }

@@ -51,13 +51,11 @@ use std::sync::Arc;
 /// request allocates nothing between the session lookup and the sink.
 #[derive(Default)]
 struct Scratch {
-    /// Flat arena of a batch's covered contexts, as ids.
+    /// Flat arena of a call's covered contexts, as ids.
     ids: Vec<QueryId>,
     /// Per request: its range in `ids`, or `None` when there is nothing to
     /// rank against.
     spans: Vec<Option<(usize, usize)>>,
-    /// One context, resolved while its stripe is held.
-    context: Vec<QueryId>,
     /// One request's ranked candidates.
     topk: Vec<Scored>,
 }
@@ -319,9 +317,11 @@ impl ServeEngine {
     /// Record `query` for `user` and immediately suggest against the
     /// updated context — the common search-box round trip — writing
     /// exactly one list to `sink`. One snapshot load and one stripe
-    /// acquisition: the context is updated and resolved to ids in the same
-    /// critical section, and model inference runs after the lock is
-    /// released. A track refused by draining mode answers the empty list.
+    /// acquisition: the context is updated and its ids read out in the same
+    /// critical section (one interner probe, for the new query, while the
+    /// session's cache is current under the loaded snapshot), and model
+    /// inference runs after the lock is released. A track refused by
+    /// draining mode answers the empty list.
     pub fn track_and_suggest_into(
         &self,
         user: u64,
@@ -333,6 +333,7 @@ impl ServeEngine {
         let snapshot = self.current.load();
         let draining = self.is_draining();
         scratch::with(&SCRATCH, |scratch| {
+            scratch.ids.clear();
             scratch.topk.clear();
             let covered = {
                 let shard_idx = self.tracker.shard_index(user);
@@ -347,7 +348,7 @@ impl ServeEngine {
                 let cutoff = self.tracker.config().idle_cutoff_secs;
                 let refused = draining
                     && !shard.sessions.get(&user).is_some_and(|state| {
-                        !state.ring.is_empty() && now.saturating_sub(state.last_seen) <= cutoff
+                        !state.is_empty() && now.saturating_sub(state.last_seen) <= cutoff
                     });
                 if refused {
                     drop(shard);
@@ -358,11 +359,11 @@ impl ServeEngine {
                     self.suggests.fetch_add(1, Ordering::Relaxed);
                     let (_, state, inserted) = shard.track(user, query, now, self.tracker.config());
                     self.tracker.note_insert(inserted);
-                    snapshot.resolve_context_into(state.ring.iter(), &mut scratch.context)
+                    snapshot.extend_from_session(state, &mut scratch.ids)
                 }
             };
             if covered {
-                snapshot.recommend_ids_into(&scratch.context, k, &mut scratch.topk);
+                snapshot.recommend_ids_into(&scratch.ids, k, &mut scratch.topk);
             }
             snapshot.render(&scratch.topk, sink);
         });
@@ -376,8 +377,9 @@ impl ServeEngine {
     /// 1. **Resolve** — walk the requests in order, carrying the stripe
     ///    lock across consecutive requests that hash to the same shard, and
     ///    copy each live context out as interned ids into one flat arena.
-    ///    The critical section per request is a map probe plus one interner
-    ///    lookup per context entry.
+    ///    The critical section per request is a map probe plus a copy of
+    ///    the session's cached ids — or, for a session last resolved under
+    ///    another snapshot, one interner lookup per context entry.
     /// 2. **Rank** — with all locks released, run `recommend_into` per
     ///    request through a single reused top-k buffer and render each
     ///    result straight into the sink.
@@ -399,12 +401,7 @@ impl ServeEngine {
         let snapshot = self.current.load();
         let cutoff = self.tracker.config().idle_cutoff_secs;
         scratch::with(&SCRATCH, |scratch| {
-            let Scratch {
-                ids,
-                spans,
-                context,
-                topk,
-            } = scratch;
+            let Scratch { ids, spans, topk } = scratch;
             // Phase 1: copy covered contexts out as ids. `spans[i]` is the
             // request's range within the flat `ids` arena, or `None` when
             // the session is absent, expired, or its context is uncovered.
@@ -424,17 +421,14 @@ impl ServeEngine {
                     self.hazard.strike(&self.shard_sites[shard_idx]);
                 }
                 let (_, guard) = held.as_mut().expect("stripe lock just taken");
-                let covered = match guard.sessions.get(&req.user) {
+                let start = ids.len();
+                let covered = match guard.sessions.get_mut(&req.user) {
                     Some(state) if now.saturating_sub(state.last_seen) <= cutoff => {
-                        snapshot.resolve_context_into(state.ring.iter(), context)
+                        snapshot.extend_from_session(state, ids)
                     }
                     _ => false,
                 };
-                spans.push(covered.then(|| {
-                    let start = ids.len();
-                    ids.extend_from_slice(context);
-                    (start, ids.len())
-                }));
+                spans.push(covered.then_some((start, ids.len())));
             }
             drop(held);
 

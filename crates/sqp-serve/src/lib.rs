@@ -17,16 +17,18 @@
 //!   are held while a model is consulted and no request can observe a
 //!   half-swapped model.
 //! * [`SessionTracker`] — sharded, lock-striped per-user context windows
-//!   (bounded ring buffers of recent query text) with the paper's 30-minute
+//!   (one block per session: the recent query text, and beside it the ids
+//!   that text resolved to under one snapshot) with the paper's 30-minute
 //!   rule applied online: long idle gaps start fresh sessions, and
 //!   [`SessionTracker::evict_idle`] reclaims abandoned ones.
 //!
 //! The engine's [`suggest_batch`](ServeEngine::suggest_batch) amortizes the
 //! per-request costs — one snapshot load per batch, stripe locks carried
-//! across same-shard runs, and id resolution plus top-k selection running
-//! through buffers reused across the whole batch. Session locks cover only
-//! map probes and interner lookups; model inference always runs with every
-//! lock released.
+//! across same-shard runs, and top-k selection running through buffers
+//! reused across the whole batch. Session locks cover only map probes and
+//! a copy of cached ids (interner lookups only for what a session has not
+//! yet resolved under the batch's snapshot); model inference always runs
+//! with every lock released.
 //!
 //! # Examples
 //!

@@ -7,21 +7,28 @@
 //! session (the stale context is discarded), mirroring what the offline
 //! pipeline's segmentation does to historical logs.
 //!
-//! Contexts store **query text**, not interned ids. Ids are only meaningful
-//! relative to one snapshot's interner, and the model under the tracker is
-//! hot-swapped by retrains — text is the stable representation, and the
-//! serving engine re-resolves it against whichever snapshot answers the
-//! request (batched, so the lookup cost is amortized).
+//! Query **text is the truth** of a context; interned ids are a cache
+//! beside it. Ids are only meaningful relative to one snapshot's interner,
+//! and the model under the tracker is hot-swapped by retrains, so handoff,
+//! [`SessionTracker::context`] and every vocabulary change read the text.
+//! But a context is resolved once per snapshot, not once per suggest: each
+//! session is **one heap block** — its id slots first, then its query
+//! texts end to end — tagged with the identity of the snapshot the ids were
+//! resolved under. A suggest whose snapshot carries that tag copies the ids
+//! and reads no text and probes no interner; a publish invalidates every
+//! session lazily, by tag mismatch on its next suggest.
 //!
 //! Concurrency is lock-striped: user ids hash onto `2^n` shards, each a
 //! mutex around an open hash map. Two users on different shards never
-//! contend, and the per-shard critical section is a map probe plus a
-//! ring-buffer push (the serve paths additionally resolve the context's
-//! interner ids in the same section — still a handful of hash probes;
-//! model inference always runs with the stripe released).
+//! contend, and the per-shard critical section is a map probe plus an
+//! append to the session's block (the serve paths additionally bring the
+//! session's id cache up to date in the same section — one interner probe
+//! for a newly tracked query, one per entry after a publish, none
+//! otherwise; model inference always runs with the stripe released).
 
+use sqp_common::bytes::{get_uvarint, put_uvarint, uvarint_len};
 use sqp_common::hash::fx_hash_one;
-use sqp_common::FxHashMap;
+use sqp_common::{FxHashMap, QueryId};
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -35,8 +42,8 @@ pub use sqp_sessions::DEFAULT_CUTOFF_SECS;
 pub struct TrackerConfig {
     /// Number of lock stripes; rounded up to a power of two, min 1.
     pub shards: usize,
-    /// Maximum queries retained per session context (ring buffer capacity).
-    /// Older queries are overwritten; VMM-family models match the longest
+    /// Maximum queries retained per session context (min 1, max 65 535).
+    /// Older queries are dropped; VMM-family models match the longest
     /// suffix anyway, so a short window loses nothing in practice.
     pub context_capacity: usize,
     /// Idle gap (seconds) after which a session is considered over — both
@@ -94,114 +101,209 @@ pub struct ExportBatch {
     pub skipped_idle: usize,
 }
 
-/// Bounded most-recent-queries window: a fixed-capacity ring that overwrites
-/// its oldest entry when full.
+/// An id slot whose query the tagged snapshot's interner does not know.
+/// No real id collides: `Interner` keeps `u32::MAX` for its own vacant slots.
+const UNKNOWN: u32 = u32::MAX;
+
+/// Bytes per id slot.
+const ID_BYTES: usize = std::mem::size_of::<u32>();
+
+/// Text bytes a new block reserves beyond its id slots — room for the first
+/// few queries of a session, so the common session never regrows its block.
+/// A constant, not a knob: a block grown from empty by doubling reallocates
+/// on most of a session's first tracks, which is where sessions spend them.
+const TEXT_RESERVE: usize = 192;
+
+/// Per-user state within a shard: the bounded most-recent-queries window
+/// and the ids it resolves to under one snapshot, in **one** heap block.
+///
+/// ```text
+/// block = [ id slot × capacity ][ entry ]*         oldest entry first
+/// slot  = u32 LE: the entry's QueryId under snapshot `tag`, or UNKNOWN
+/// entry = uvarint byte length, UTF-8 text
+/// ```
+///
+/// The text is the truth; slots `0..resolved` are a cache of it that holds
+/// only while the asking snapshot's identity equals `tag`. Entries frame
+/// themselves (no offset table), so a plain append dirties the block's
+/// tail and nothing else, and a cached suggest reads its head and nothing
+/// else. A full window drops its oldest entry by moving the rest down.
 #[derive(Debug)]
-pub(crate) struct ContextRing {
-    slots: Box<[Option<Box<str>>]>,
-    /// Index of the oldest live entry.
-    head: usize,
-    len: usize,
+pub(crate) struct Session {
+    block: Vec<u8>,
+    pub(crate) last_seen: u64,
+    /// Identity of the snapshot slots `0..resolved` were filled under
+    /// (`ModelSnapshot` identities start at 1; 0 is "none yet").
+    tag: u64,
+    /// Window slots, fixed at creation.
+    capacity: u16,
+    /// Live entries, `≤ capacity`.
+    len: u16,
+    /// Leading entries whose id slot is current under `tag`, `≤ len`.
+    resolved: u16,
 }
 
-impl ContextRing {
-    fn new(capacity: usize) -> Self {
+/// Byte range of the text of the entry starting at `at`, and where the
+/// next entry starts.
+fn entry_at(block: &[u8], mut at: usize) -> (std::ops::Range<usize>, usize) {
+    let len = get_uvarint(block, &mut at)
+        .and_then(|len| usize::try_from(len).ok())
+        // Invariant-impossible: `push` wrote this prefix from a `usize`.
+        .expect("session entry length prefix");
+    (at..at + len, at + len)
+}
+
+fn text(bytes: &[u8]) -> &str {
+    // Invariant-impossible: entries are appended from `&str` and only ever
+    // moved or dropped whole.
+    std::str::from_utf8(bytes).expect("session entry is whole UTF-8")
+}
+
+impl Session {
+    /// An empty window of `capacity` slots (at least 1; a request beyond
+    /// `u16::MAX` gets `u16::MAX`).
+    fn new(capacity: usize, last_seen: u64) -> Self {
+        let capacity = u16::try_from(capacity.max(1)).unwrap_or(u16::MAX);
+        let slots = usize::from(capacity) * ID_BYTES;
+        let mut block = Vec::with_capacity(slots + TEXT_RESERVE);
+        block.resize(slots, 0);
         Self {
-            slots: (0..capacity.max(1)).map(|_| None).collect(),
-            head: 0,
+            block,
+            last_seen,
+            tag: 0,
+            capacity,
             len: 0,
+            resolved: 0,
         }
     }
 
-    fn push(&mut self, query: Box<str>) {
-        let cap = self.slots.len();
-        if self.len == cap {
-            self.slots[self.head] = Some(query);
-            self.head = (self.head + 1) % cap;
-        } else {
-            self.slots[(self.head + self.len) % cap] = Some(query);
-            self.len += 1;
-        }
+    /// Where the entries start: just past the id slots.
+    fn text_start(&self) -> usize {
+        usize::from(self.capacity) * ID_BYTES
     }
 
+    /// Append `query` as the newest entry, unresolved; a full window drops
+    /// its oldest entry (and that entry's id slot) first.
+    fn push(&mut self, query: &str) {
+        if self.len == self.capacity {
+            let start = self.text_start();
+            let (_, next) = entry_at(&self.block, start);
+            self.block.copy_within(next.., start);
+            self.block.truncate(self.block.len() - (next - start));
+            self.block.copy_within(ID_BYTES..start, 0);
+            self.len -= 1;
+            self.resolved = self.resolved.saturating_sub(1);
+        }
+        // Grow first, so nothing between here and `len += 1` can fail and
+        // leave half an entry behind (see `SessionTracker::lock_shard`).
+        let len = query.len() as u64;
+        self.block.reserve(uvarint_len(len) + query.len());
+        put_uvarint(&mut self.block, len);
+        self.block.extend_from_slice(query.as_bytes());
+        self.len += 1;
+    }
+
+    /// Forget every entry and, with them, every cached id.
     fn clear(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = None);
-        self.head = 0;
+        self.block.truncate(self.text_start());
         self.len = 0;
+        self.resolved = 0;
     }
 
     fn len(&self) -> usize {
-        self.len
+        usize::from(self.len)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Oldest → newest.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
-        let cap = self.slots.len();
-        (0..self.len).map(move |i| {
-            self.slots[(self.head + i) % cap]
-                .as_deref()
-                // Invariant-impossible: `push` fills slots before `len`
-                // counts them, so the first `len` ring positions are
-                // always `Some`.
-                .expect("live ring slot")
+    /// The window's query text, oldest → newest.
+    pub(crate) fn texts(&self) -> impl Iterator<Item = &str> {
+        let mut at = self.text_start();
+        (0..self.len).map(move |_| {
+            let (span, next) = entry_at(&self.block, at);
+            at = next;
+            text(&self.block[span])
         })
     }
-}
 
-/// Per-user state within a shard.
-#[derive(Debug)]
-pub(crate) struct SessionState {
-    pub(crate) ring: ContextRing,
-    pub(crate) last_seen: u64,
+    /// The window as ids under the snapshot identified by `tag`, oldest →
+    /// newest, `None` where that snapshot does not know the query.
+    ///
+    /// `lookup` must be that snapshot's `Interner::get`. It is called only
+    /// for entries the cache does not already hold under `tag`: every entry
+    /// after a change of tag, the tail appended since the last call
+    /// otherwise — for an unchanged window under an unchanged tag, never.
+    pub(crate) fn ids_under(
+        &mut self,
+        tag: u64,
+        mut lookup: impl FnMut(&str) -> Option<QueryId>,
+    ) -> impl Iterator<Item = Option<QueryId>> + '_ {
+        if self.tag != tag {
+            self.tag = tag;
+            self.resolved = 0;
+        }
+        if self.resolved < self.len {
+            let mut at = self.text_start();
+            for slot in 0..usize::from(self.len) {
+                let (span, next) = entry_at(&self.block, at);
+                at = next;
+                if slot >= usize::from(self.resolved) {
+                    let id = lookup(text(&self.block[span])).map_or(UNKNOWN, |id| id.0);
+                    let slot = slot * ID_BYTES;
+                    self.block[slot..slot + ID_BYTES].copy_from_slice(&id.to_le_bytes());
+                }
+            }
+            self.resolved = self.len;
+        }
+        self.block[..usize::from(self.len) * ID_BYTES]
+            .chunks_exact(ID_BYTES)
+            .map(|slot| {
+                let id = u32::from_le_bytes(slot.try_into().expect("4-byte id slot"));
+                (id != UNKNOWN).then_some(QueryId(id))
+            })
+    }
 }
 
 /// One lock stripe of the session map.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
-    pub(crate) sessions: FxHashMap<u64, SessionState>,
+    pub(crate) sessions: FxHashMap<u64, Session>,
 }
 
 impl Shard {
-    /// Apply one tracked query while the stripe is locked: reset the ring
+    /// Apply one tracked query while the stripe is locked: reset the window
     /// if the idle cutoff has passed, append the query, stamp `last_seen`.
-    /// Returns the outcome, the updated state (so fused serve paths can
-    /// resolve the context in the same critical section), and whether a new
-    /// map entry was inserted (the caller bumps the tracker-wide resident
-    /// gauge while the stripe is still held, so the gauge never transiently
-    /// disagrees with an eviction on the same stripe).
+    /// Returns the outcome, the updated session (so fused serve paths can
+    /// bring its id cache up to date in the same critical section), and
+    /// whether a new map entry was inserted (the caller bumps the
+    /// tracker-wide resident gauge while the stripe is still held, so the
+    /// gauge never transiently disagrees with an eviction on the same
+    /// stripe).
     pub(crate) fn track(
         &mut self,
         user: u64,
         query: &str,
         now: u64,
         cfg: &TrackerConfig,
-    ) -> (TrackOutcome, &SessionState, bool) {
+    ) -> (TrackOutcome, &mut Session, bool) {
         let (state, inserted) = match self.sessions.entry(user) {
             Entry::Occupied(entry) => (entry.into_mut(), false),
-            Entry::Vacant(entry) => (
-                entry.insert(SessionState {
-                    ring: ContextRing::new(cfg.context_capacity),
-                    last_seen: now,
-                }),
-                true,
-            ),
+            Entry::Vacant(entry) => (entry.insert(Session::new(cfg.context_capacity, now)), true),
         };
         let expired =
-            !state.ring.is_empty() && now.saturating_sub(state.last_seen) > cfg.idle_cutoff_secs;
+            !state.is_empty() && now.saturating_sub(state.last_seen) > cfg.idle_cutoff_secs;
         if expired {
-            state.ring.clear();
+            state.clear();
         }
-        let new_session = expired || state.ring.is_empty();
-        state.ring.push(query.into());
+        let new_session = expired || state.is_empty();
+        state.push(query);
         state.last_seen = now;
         (
             TrackOutcome {
                 new_session,
-                context_len: state.ring.len(),
+                context_len: state.len(),
             },
             state,
             inserted,
@@ -269,7 +371,7 @@ impl SessionTracker {
 
     pub(crate) fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
         // Poison recovery: every mutation under a stripe lock (map entry
-        // upsert, ring push, retain) leaves the shard in a valid state at
+        // upsert, block append, retain) leaves the shard in a valid state at
         // every step — a panicking thread (e.g. an injected chaos panic at a
         // serve seam) cannot tear it, so the map is safe to keep serving.
         self.shards[index]
@@ -302,7 +404,7 @@ impl SessionTracker {
         let shard = self.lock_shard(self.shard_index(user));
         match shard.sessions.get(&user) {
             Some(state) if now.saturating_sub(state.last_seen) <= self.cfg.idle_cutoff_secs => {
-                state.ring.iter().map(str::to_owned).collect()
+                state.texts().map(str::to_owned).collect()
             }
             _ => Vec::new(),
         }
@@ -359,7 +461,7 @@ impl SessionTracker {
         let mut shard = self.lock_shard(self.shard_index(user));
         match shard.sessions.get(&user) {
             Some(state)
-                if !state.ring.is_empty()
+                if !state.is_empty()
                     && now.saturating_sub(state.last_seen) <= self.cfg.idle_cutoff_secs => {}
             _ => return None,
         }
@@ -389,13 +491,13 @@ impl SessionTracker {
                 if !filter(user) {
                     continue;
                 }
-                if state.ring.is_empty() || now.saturating_sub(state.last_seen) > cutoff {
+                if state.is_empty() || now.saturating_sub(state.last_seen) > cutoff {
                     batch.skipped_idle += 1;
                     continue;
                 }
                 batch.sessions.push(SessionExport {
                     user,
-                    queries: state.ring.iter().map(str::to_owned).collect(),
+                    queries: state.texts().map(str::to_owned).collect(),
                     last_seen: state.last_seen,
                 });
             }
@@ -429,18 +531,18 @@ impl SessionTracker {
             }
             Entry::Vacant(entry) => {
                 inserted = true;
-                entry.insert(SessionState {
-                    ring: ContextRing::new(self.cfg.context_capacity),
-                    last_seen: export.last_seen,
-                })
+                entry.insert(Session::new(self.cfg.context_capacity, export.last_seen))
             }
         };
-        state.ring.clear();
-        for query in &export.queries {
-            // Pushing oldest → newest into the bounded ring keeps the
-            // newest `context_capacity` queries when the destination window
-            // is smaller than the exported one.
-            state.ring.push(query.as_str().into());
+        // Text only: the ids stay unresolved until a suggest asks for them
+        // under whichever snapshot this tracker's engine then serves.
+        state.clear();
+        let newest = export
+            .queries
+            .len()
+            .saturating_sub(usize::from(state.capacity));
+        for query in &export.queries[newest..] {
+            state.push(query);
         }
         state.last_seen = export.last_seen;
         // Still under the stripe lock: the gauge and the map agree.
@@ -452,18 +554,225 @@ impl SessionTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::collections::VecDeque;
+
+    /// A snapshot as [`Session::ids_under`] sees one — an identity and a
+    /// lookup — that counts the lookups made through it.
+    struct Vocabulary {
+        tag: u64,
+        known: Vec<String>,
+        probes: Cell<usize>,
+    }
+
+    impl Vocabulary {
+        fn new(tag: u64, known: &[&str]) -> Self {
+            Self {
+                tag,
+                known: known.iter().map(|q| q.to_string()).collect(),
+                probes: Cell::new(0),
+            }
+        }
+
+        fn get(&self, query: &str) -> Option<QueryId> {
+            let at = self.known.iter().position(|known| known == query)?;
+            Some(QueryId(u32::try_from(at).unwrap()))
+        }
+
+        /// The session's ids under this vocabulary, and how many lookups
+        /// producing them took.
+        fn ids(&self, session: &mut Session) -> (Vec<Option<QueryId>>, usize) {
+            let before = self.probes.get();
+            let ids = session
+                .ids_under(self.tag, |query| {
+                    self.probes.set(self.probes.get() + 1);
+                    self.get(query)
+                })
+                .collect();
+            (ids, self.probes.get() - before)
+        }
+
+        /// What a session that caches nothing would answer.
+        fn fresh(&self, session: &Session) -> Vec<Option<QueryId>> {
+            session.texts().map(|query| self.get(query)).collect()
+        }
+    }
 
     #[test]
-    fn ring_overwrites_oldest() {
-        let mut ring = ContextRing::new(3);
-        for q in ["a", "b", "c", "d"] {
-            ring.push(q.into());
+    fn window_turns_over_at_every_capacity() {
+        // Multi-byte text on both sides of every dropped entry, the empty
+        // query, and two queries longer than a new block's whole reserve.
+        let long_ascii = "x".repeat(3 * TEXT_RESERVE);
+        let long_wide = "é".repeat(2 * TEXT_RESERVE);
+        let script = [
+            "naïve café",
+            "a",
+            "",
+            "日本語のクエリ",
+            long_ascii.as_str(),
+            "b",
+            "ünïcödé",
+            "",
+            long_wide.as_str(),
+            "🦀 rust",
+            "c",
+            "naïve café",
+            "日本語のクエリ",
+            "d",
+            "",
+            "e",
+            "ß",
+            "f",
+            "g",
+        ];
+        let vocabulary =
+            Vocabulary::new(1, &["a", "日本語のクエリ", "", "ünïcödé", &long_wide, "g"]);
+        for capacity in [1usize, 2, 8] {
+            let mut session = Session::new(capacity, 0);
+            let mut model: VecDeque<&str> = VecDeque::new();
+            for query in script {
+                session.push(query);
+                model.push_back(query);
+                if model.len() > capacity {
+                    model.pop_front();
+                }
+                assert_eq!(session.len(), model.len());
+                assert!(
+                    session.texts().eq(model.iter().copied()),
+                    "capacity {capacity} after {query:?}"
+                );
+                // The turnover shifted the cached ids with their entries:
+                // only the new entry is looked up, and the answer is what a
+                // full resolution from text gives.
+                let (ids, probes) = vocabulary.ids(&mut session);
+                assert_eq!(ids, vocabulary.fresh(&session), "capacity {capacity}");
+                assert_eq!(probes, 1, "capacity {capacity} after {query:?}");
+            }
         }
-        let got: Vec<&str> = ring.iter().collect();
-        assert_eq!(got, vec!["b", "c", "d"]);
-        ring.push("e".into());
-        let got: Vec<&str> = ring.iter().collect();
-        assert_eq!(got, vec!["c", "d", "e"]);
+    }
+
+    #[test]
+    fn a_resolved_window_is_never_looked_up_again_and_a_tracked_tail_only_once() {
+        let a = Vocabulary::new(1, &["q1", "q3", "q4"]);
+        let b = Vocabulary::new(2, &["q4", "q3", "q2"]);
+        let mut session = Session::new(4, 0);
+        session.push("q1");
+        session.push("q2");
+        let (ids, probes) = a.ids(&mut session);
+        assert_eq!(ids, vec![Some(QueryId(0)), None]);
+        assert_eq!(probes, 2);
+        // Unchanged window, unchanged snapshot: no text read, no lookup —
+        // and the unknown "q2" is cached as unknown, not asked again.
+        assert_eq!(a.ids(&mut session), (ids, 0));
+
+        // Plain tracks leave exactly the tail unresolved…
+        session.push("q3");
+        session.push("q4");
+        assert_eq!((session.resolved, session.len), (2, 4));
+        // …and the next suggest looks up only that tail, answering as if
+        // it had resolved the whole window afresh.
+        let (ids, probes) = a.ids(&mut session);
+        assert_eq!(ids, a.fresh(&session));
+        assert_eq!(probes, 2);
+        assert_eq!(a.ids(&mut session).1, 0);
+
+        // Another snapshot shares no cached id, whatever the overlap; going
+        // back to the first one does not revive its ids either.
+        let (ids, probes) = b.ids(&mut session);
+        assert_eq!(
+            ids,
+            vec![None, Some(QueryId(2)), Some(QueryId(1)), Some(QueryId(0))]
+        );
+        assert_eq!(probes, 4);
+        assert_eq!(b.ids(&mut session).1, 0);
+        let (ids, probes) = a.ids(&mut session);
+        assert_eq!(ids, a.fresh(&session));
+        assert_eq!(probes, 4);
+
+        // A turnover between suggests: the dropped entry takes its slot
+        // with it, the unresolved tail is still exactly the new entries.
+        session.push("q1");
+        session.push("q4");
+        assert_eq!((session.resolved, session.len), (2, 4));
+        let (ids, probes) = a.ids(&mut session);
+        assert_eq!(ids, a.fresh(&session));
+        assert_eq!(probes, 2);
+    }
+
+    #[test]
+    fn expiry_and_clear_leave_no_cached_id_behind() {
+        let cfg = TrackerConfig {
+            idle_cutoff_secs: 60,
+            ..TrackerConfig::default()
+        };
+        let vocabulary = Vocabulary::new(1, &["a", "b", "c"]);
+        let mut shard = Shard::default();
+        shard.track(1, "a", 0, &cfg);
+        let (_, session, _) = shard.track(1, "b", 10, &cfg);
+        assert_eq!(vocabulary.ids(session).1, 2);
+        // The idle gap resets the window: the one entry it now holds is
+        // looked up, not answered from the expired session's slot 0.
+        let (outcome, session, inserted) = shard.track(1, "c", 71, &cfg);
+        assert!(outcome.new_session && !inserted);
+        assert_eq!(session.resolved, 0);
+        assert_eq!(vocabulary.ids(session), (vec![Some(QueryId(2))], 1));
+
+        session.clear();
+        assert_eq!((session.len, session.resolved), (0, 0));
+        assert_eq!(vocabulary.ids(session), (vec![], 0));
+        session.push("b");
+        assert_eq!(vocabulary.ids(session), (vec![Some(QueryId(1))], 1));
+
+        // `SessionTracker::clear` drops the block itself.
+        let tracker = SessionTracker::new(cfg);
+        tracker.track(1, "a", 0);
+        assert!(tracker.clear(1));
+        assert!(tracker
+            .lock_shard(tracker.shard_index(1))
+            .sessions
+            .is_empty());
+    }
+
+    #[test]
+    fn import_installs_text_only_and_keeps_the_newest_suffix() {
+        let tracker = SessionTracker::new(TrackerConfig {
+            context_capacity: 2,
+            ..TrackerConfig::default()
+        });
+        let vocabulary = Vocabulary::new(1, &["q1", "q2", "q3", "q4", "q5"]);
+        let resolved = |user: u64| {
+            let mut shard = tracker.lock_shard(tracker.shard_index(user));
+            let session = shard.sessions.get_mut(&user).expect("resident");
+            (session.resolved, vocabulary.ids(session))
+        };
+        // Over an already-resolved resident session…
+        tracker.track(7, "q1", 100);
+        assert_eq!(resolved(7), (0, (vec![Some(QueryId(0))], 1)));
+        let export = SessionExport {
+            user: 7,
+            queries: ["q1", "q2", "q3", "q4", "q5"].map(String::from).to_vec(),
+            last_seen: 200,
+        };
+        assert!(tracker.import_session(&export));
+        assert_eq!(tracker.context(7, 200), vec!["q4", "q5"]);
+        assert_eq!(
+            resolved(7),
+            (0, (vec![Some(QueryId(3)), Some(QueryId(4))], 2))
+        );
+        // …and into a fresh one, with fewer queries than the window holds.
+        let short = SessionExport {
+            user: 8,
+            queries: vec!["q2".into()],
+            last_seen: 200,
+        };
+        assert!(tracker.import_session(&short));
+        assert_eq!(resolved(8), (0, (vec![Some(QueryId(1))], 1)));
+    }
+
+    #[test]
+    fn capacity_is_at_least_one_and_at_most_u16_max() {
+        assert_eq!(Session::new(0, 0).capacity, 1);
+        assert_eq!(Session::new(usize::MAX, 0).capacity, u16::MAX);
     }
 
     #[test]
@@ -546,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_capacity_bounds_context() {
+    fn capacity_bounds_context() {
         let cfg = TrackerConfig {
             context_capacity: 2,
             ..TrackerConfig::default()

@@ -11,12 +11,40 @@
 //! so ids resolved against snapshot N are never mixed with a model from
 //! snapshot N+1.
 
+use crate::session::Session;
 use crate::sink::SuggestSink;
 use sqp_common::topk::Scored;
 use sqp_common::{Interner, QueryId};
 use sqp_core::{Mvmm, MvmmConfig, Recommender, Vmm, VmmConfig};
 use sqp_logsim::RawLogRecord;
 use sqp_sessions::{aggregate, reduce, segment_with_parallelism, DEFAULT_CUTOFF_SECS};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The next [`ModelSnapshot`] identity. Identities are what sessions tag
+/// their cached ids with, so they must never repeat within a process — an
+/// address would, as soon as a dropped snapshot's allocation is reused.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+/// The covered-context rule, stated once: append the known ids of `entries`
+/// (a context oldest → newest, `None` = unknown to the snapshot) to `ids`.
+/// Suffix-matching models skip an unknown prefix, but an unknown *current*
+/// query means no evidence at all — so when the context is empty or its
+/// final entry is unknown this returns `false` and leaves `ids` as it was.
+fn extend_covered(
+    entries: impl IntoIterator<Item = Option<QueryId>>,
+    ids: &mut Vec<QueryId>,
+) -> bool {
+    let start = ids.len();
+    let mut final_known = false;
+    for entry in entries {
+        final_known = entry.is_some();
+        ids.extend(entry);
+    }
+    if !final_known {
+        ids.truncate(start);
+    }
+    final_known
+}
 
 /// Which model a snapshot trains.
 #[derive(Clone, Debug)]
@@ -101,6 +129,9 @@ pub struct Suggestion {
 /// assert_eq!(top[0].query, "rust atomics");
 /// ```
 pub struct ModelSnapshot {
+    /// Process-unique and fixed for the snapshot's life: every handle to
+    /// one snapshot reads the same identity, no two snapshots share one.
+    id: u64,
     interner: Interner,
     model: Box<dyn Recommender>,
     trained_sessions: u64,
@@ -145,6 +176,8 @@ impl ModelSnapshot {
         trained_sessions: u64,
     ) -> Self {
         Self {
+            // Relaxed: the counter orders nothing, it only never repeats.
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             interner,
             model,
             trained_sessions,
@@ -153,34 +186,36 @@ impl ModelSnapshot {
 
     /// Resolve a textual context into `ids` (cleared first).
     ///
-    /// Unknown queries stay in the context as placeholders only if they are
-    /// not the final query — suffix-matching models skip an unknown prefix,
-    /// but an unknown *current* query means no evidence at all. Returns
-    /// `false` when the context is empty or its final query is unknown.
+    /// Unknown queries are skipped unless they are the final query —
+    /// suffix-matching models skip an unknown prefix, but an unknown
+    /// *current* query means no evidence at all. Returns `false` (and
+    /// leaves `ids` empty) when the context is empty or its final query is
+    /// unknown.
     pub fn resolve_context_into<'a, I>(&self, context: I, ids: &mut Vec<QueryId>) -> bool
     where
         I: IntoIterator<Item = &'a str>,
     {
         ids.clear();
-        let mut final_known = false;
-        let mut nonempty = false;
-        for q in context {
-            nonempty = true;
-            match self.interner.get(q) {
-                Some(id) => {
-                    ids.push(id);
-                    final_known = true;
-                }
-                None => final_known = false,
-            }
-        }
-        nonempty && final_known
+        extend_covered(context.into_iter().map(|q| self.interner.get(q)), ids)
+    }
+
+    /// [`resolve_context_into`](Self::resolve_context_into) for a tracked
+    /// session, **appending** to `ids`: the same rule over the same
+    /// context, fed from the session's id cache — which probes this
+    /// snapshot's interner only for entries it does not already hold under
+    /// this snapshot's identity.
+    pub(crate) fn extend_from_session(
+        &self,
+        session: &mut Session,
+        ids: &mut Vec<QueryId>,
+    ) -> bool {
+        extend_covered(session.ids_under(self.id, |q| self.interner.get(q)), ids)
     }
 
     /// Top-`k` candidates for a pre-resolved context, written into a reused
-    /// buffer (cleared first). The batched serve path calls this once per
-    /// request with per-shard scratch, so a steady-state suggest performs
-    /// no intermediate allocations.
+    /// buffer (cleared first). The serve paths call this once per request
+    /// with per-thread scratch, so a steady-state suggest performs no
+    /// intermediate allocations.
     pub fn recommend_ids_into(&self, ids: &[QueryId], k: usize, out: &mut Vec<Scored>) {
         self.model.recommend_into(ids, k, out);
     }
