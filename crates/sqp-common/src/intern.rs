@@ -178,7 +178,7 @@ impl Interner {
     /// Layout (all integers little-endian, strings in id order so ids are
     /// implicit): `n_queries: u32`, `content_bytes: u64`, then per query
     /// `len: u32` followed by `len` UTF-8 bytes. Documented byte-for-byte in
-    /// the repository's `FORMAT.md` (the interner block of snapshot v3).
+    /// the repository's `FORMAT.md` (the snapshot's interner block).
     ///
     /// # Examples
     ///

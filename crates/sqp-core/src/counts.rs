@@ -19,11 +19,14 @@
 
 use sqp_common::arena::{SuffixTrie, TrieBuilder};
 use sqp_common::{QueryId, QuerySeq};
+use std::sync::Arc;
 
 /// All window statistics of a training corpus up to a maximum window length.
 #[derive(Debug)]
 pub struct WindowCounts {
-    trie: SuffixTrie,
+    /// Shared, not copied: every model trained off these counts keeps this
+    /// same arena as its distributions and its escape table.
+    trie: Arc<SuffixTrie>,
     /// Number of distinct queries in the corpus — the paper's |Q|.
     pub n_queries: usize,
     /// Total weighted sessions.
@@ -120,7 +123,7 @@ impl WindowCounts {
         let n_queries = root_keys.len();
         let total_occurrences = root_counts.iter().sum();
         WindowCounts {
-            trie,
+            trie: Arc::new(trie),
             n_queries,
             total_sessions,
             total_occurrences,
@@ -223,10 +226,11 @@ impl WindowCounts {
         &self.trie
     }
 
-    /// Consume into the arena, which doubles as the trained VMM's escape
-    /// table (total / at-start counts per window, Eq. 6).
-    pub fn into_trie(self) -> SuffixTrie {
-        self.trie
+    /// Another handle to the arena — what a trained VMM keeps: its states'
+    /// distributions and its escape table (total / at-start counts per
+    /// window, Eq. 6) are this trie's rows.
+    pub fn shared_trie(&self) -> Arc<SuffixTrie> {
+        Arc::clone(&self.trie)
     }
 }
 

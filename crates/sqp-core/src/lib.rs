@@ -48,5 +48,5 @@ pub use mvmm::{Mvmm, MvmmConfig};
 pub use newton::{fit_mixture_sigmas, FitConfig, FitOutcome};
 pub use ngram::NGram;
 pub use persist::{model_from_bytes, model_to_bytes, ModelKind};
-pub use pst::{NodeDist, Pst, PstNode};
+pub use pst::{NodeDist, Pst, StateListError};
 pub use vmm::{Vmm, VmmConfig};

@@ -1,8 +1,11 @@
 //! The Mixture Variable Memory Markov model (MVMM) — §IV-C of the paper.
 //!
 //! Multiple VMM components (different ε and/or depth bounds D) are trained
-//! independently — in parallel, as the paper notes the K models can be — and
-//! combined at prediction time with weights
+//! independently — in parallel, as the paper notes the K models can be — off
+//! one shared window trie per distinct depth bound, so the mixture in memory
+//! is that trie once plus K state indexes (§V-F.2: the deployed MVMM is
+//! barely larger than one VMM). They are combined at prediction time with
+//! weights
 //!
 //! `w(D,T) = N(d; 0, σ_D²)` (Eq. 4)
 //!
@@ -12,13 +15,14 @@
 //! (Eq. 5–6) penalize partially matching components, which is precisely what
 //! makes the mixture prefer components whose memory bound fits the context.
 
+use crate::counts::WindowCounts;
 use crate::model::{Recommender, SequenceScorer, WeightedSessions};
-use crate::newton::{fit_mixture_sigmas, FitConfig, FitOutcome};
+use crate::newton::{fit_mixture_sigmas, FitConfig};
 use crate::vmm::{Vmm, VmmConfig};
-use sqp_common::dist::levenshtein;
 use sqp_common::math::gaussian_pdf;
 use sqp_common::topk::Scored;
-use sqp_common::{FxHashMap, QueryId, QuerySeq};
+use sqp_common::{QueryId, QuerySeq, SuffixTrie};
+use std::sync::Arc;
 
 /// MVMM training parameters.
 #[derive(Clone, Debug)]
@@ -84,7 +88,6 @@ impl MvmmConfig {
 pub struct Mvmm {
     components: Vec<Vmm>,
     sigmas: Vec<f64>,
-    fit: FitOutcome,
 }
 
 impl Mvmm {
@@ -107,9 +110,9 @@ impl Mvmm {
                 depths.push(c.max_depth);
             }
         }
-        let counts: Vec<crate::counts::WindowCounts> = depths
+        let counts: Vec<WindowCounts> = depths
             .iter()
-            .map(|d| crate::counts::WindowCounts::build(sessions, *d))
+            .map(|d| WindowCounts::build(sessions, *d))
             .collect();
         let counts_for = |c: &VmmConfig| {
             let i = depths.iter().position(|d| *d == c.max_depth).unwrap();
@@ -160,24 +163,57 @@ impl Mvmm {
             d.push(d_row);
         }
 
-        let fit = fit_mixture_sigmas(&p, &a, &d, &cfg.fit);
-        Mvmm {
-            sigmas: fit.sigmas.clone(),
-            fit,
-            components,
-        }
+        let sigmas = fit_mixture_sigmas(&p, &a, &d, &cfg.fit).sigmas;
+        Self::from_parts(components, sigmas).expect("one fitted deviation per trained component")
     }
 
-    /// Edit distance between the context and the state a component matched
-    /// (the `d(T)` of Eq. 4); the root counts as the empty state.
-    fn disparity(comp: &Vmm, ctx: &[QueryId]) -> f64 {
-        match comp.match_state(ctx) {
-            Some((idx, _)) => {
-                let state = &comp.pst().node(idx).context;
-                levenshtein(ctx, state) as f64
-            }
-            None => ctx.len() as f64,
+    /// The mixture of `components` weighted by `sigmas` — the one
+    /// constructor, for a mixture just fitted and for one read from disk.
+    pub(crate) fn from_parts(components: Vec<Vmm>, sigmas: Vec<f64>) -> Result<Self, String> {
+        if components.is_empty() {
+            return Err("a mixture needs at least one component".into());
         }
+        if sigmas.len() != components.len() {
+            return Err(format!(
+                "{} deviations for {} components",
+                sigmas.len(),
+                components.len()
+            ));
+        }
+        if let Some(bad) = sigmas.iter().find(|s| !(s.is_finite() && **s > 0.0)) {
+            return Err(format!(
+                "mixture deviation {bad} is not finite and positive"
+            ));
+        }
+        // One trie per depth bound: what lets the payload list each trie
+        // once and name none, and `memory_bytes` count each once.
+        for (i, a) in components.iter().enumerate() {
+            for b in &components[..i] {
+                let same_depth = a.config().max_depth == b.config().max_depth;
+                if same_depth != Arc::ptr_eq(a.window_trie(), b.window_trie()) {
+                    return Err(
+                        "components must share a window trie exactly when they share a depth bound"
+                            .into(),
+                    );
+                }
+            }
+        }
+        Ok(Mvmm { components, sigmas })
+    }
+
+    /// Edit distance between the context and the non-root state a component
+    /// matched (the `d(T)` of Eq. 4), `None` when only the root matches.
+    /// The matched state is a suffix of the context, and the edit distance
+    /// from a sequence to one of its suffixes is the length of what was cut.
+    fn matched_disparity(comp: &Vmm, ctx: &[QueryId]) -> Option<f64> {
+        comp.match_state(ctx)
+            .map(|(_, matched)| (ctx.len() - matched) as f64)
+    }
+
+    /// [`matched_disparity`](Self::matched_disparity) with the root counted
+    /// as the empty state.
+    fn disparity(comp: &Vmm, ctx: &[QueryId]) -> f64 {
+        Self::matched_disparity(comp, ctx).unwrap_or(ctx.len() as f64)
     }
 
     /// The trained components.
@@ -190,11 +226,6 @@ impl Mvmm {
         &self.sigmas
     }
 
-    /// Diagnostics from the Newton fit.
-    pub fn fit_outcome(&self) -> &FitOutcome {
-        &self.fit
-    }
-
     /// Normalized weights of the matched components for a context; `None` for
     /// unmatched components.
     pub fn component_weights(&self, ctx: &[QueryId]) -> Vec<Option<f64>> {
@@ -203,10 +234,7 @@ impl Mvmm {
             .iter()
             .zip(&self.sigmas)
             .map(|(comp, &sigma)| {
-                comp.match_state(ctx).map(|(idx, _)| {
-                    let state = &comp.pst().node(idx).context;
-                    gaussian_pdf(levenshtein(ctx, state) as f64, sigma)
-                })
+                Self::matched_disparity(comp, ctx).map(|d| gaussian_pdf(d, sigma))
             })
             .collect();
         let total: f64 = raw.iter().flatten().sum();
@@ -219,44 +247,31 @@ impl Mvmm {
     /// Number of distinct states across all components, counting the shared
     /// root once — the size of the *merged* PST the paper deploys ("each node
     /// requires just 4 extra bits" to record its source models, §V-F.2).
+    ///
+    /// A union of trie-node ids: canonical ids are a function of
+    /// (length, sequence) among the windows of the corpus, so one window has
+    /// one id in every trie counted from the same sessions, whatever its
+    /// depth bound.
     pub fn merged_state_count(&self) -> usize {
-        let mut states: sqp_common::FxHashSet<&[QueryId]> = Default::default();
-        for comp in &self.components {
-            for node in comp.pst().iter() {
-                states.insert(&node.context);
-            }
-        }
-        states.len()
-    }
-
-    /// Approximate heap bytes of the merged single-PST deployment
-    /// representation (Table VII): the union of states, each charged its
-    /// largest per-component distribution plus a 2-byte source bitmask, plus
-    /// one escape table (the largest component already subsumes the others).
-    pub fn merged_memory_bytes(&self) -> usize {
-        let mut per_state: FxHashMap<&[QueryId], usize> = FxHashMap::default();
-        for comp in &self.components {
-            for node in comp.pst().iter() {
-                let cost = std::mem::size_of::<crate::pst::PstNode>()
-                    + node.context.len() * std::mem::size_of::<QueryId>()
-                    + node.dist.support() * std::mem::size_of::<u32>() // rank array
-                    + std::mem::size_of_val(node.dist.raw_counts())
-                    + std::mem::size_of::<(QueryId, u32)>() // child edge slot
-                    + 2; // source-model bitmask (the paper's "4 extra bits", padded)
-                let e = per_state.entry(&node.context).or_insert(0);
-                *e = (*e).max(cost);
-            }
-        }
-        let states: usize = per_state.values().sum();
-        // One escape table serves the merged tree; the largest component's
-        // table subsumes the bounded ones.
-        let escape = self
+        let mut nodes: Vec<u32> = self
             .components
             .iter()
-            .map(|c| c.memory_bytes().saturating_sub(c.pst().heap_bytes()))
-            .max()
-            .unwrap_or(0);
-        states + escape
+            .flat_map(|c| c.pst().state_nodes())
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes.len() + 1
+    }
+
+    /// The distinct window tries the components hold, in component order.
+    pub(crate) fn tries(&self) -> Vec<&Arc<SuffixTrie>> {
+        let mut tries: Vec<&Arc<SuffixTrie>> = Vec::new();
+        for comp in &self.components {
+            if !tries.iter().any(|t| Arc::ptr_eq(t, comp.window_trie())) {
+                tries.push(comp.window_trie());
+            }
+        }
+        tries
     }
 }
 
@@ -280,7 +295,7 @@ impl Recommender for Mvmm {
         for (comp, w) in self.components.iter().zip(&weights) {
             if w.is_some() {
                 if let Some((idx, _)) = comp.match_state(context) {
-                    for (q, _) in comp.pst().node(idx).dist.observed().take(k * 4) {
+                    for (q, _) in comp.pst().dist(idx).observed().take(k * 4) {
                         candidates.insert(q);
                     }
                 }
@@ -307,8 +322,16 @@ impl Recommender for Mvmm {
         self.components.iter().any(|c| c.covers(context))
     }
 
+    /// Heap bytes of the object as held: each shared trie once, plus every
+    /// component's state index.
     fn memory_bytes(&self) -> usize {
-        self.merged_memory_bytes()
+        let tries: usize = self.tries().iter().map(|t| t.heap_bytes()).sum();
+        let indexes: usize = self.components.iter().map(|c| c.pst().heap_bytes()).sum();
+        tries + indexes
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
     }
 }
 
@@ -422,6 +445,103 @@ mod tests {
         let sum: usize = m.components().iter().map(|c| c.memory_bytes()).sum();
         assert!(m.memory_bytes() < sum);
         assert!(m.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn memory_is_the_shared_trie_once_plus_the_state_indexes() {
+        // A narrow vocabulary: the benchmark corpus's ratio of windows to
+        // distinct queries (≈ 25) at a size a debug build trains quickly.
+        let mut sim = sqp_logsim::SimConfig::small(8_000, 100, 5);
+        sim.vocab.n_roots = 3;
+        // Unreduced, as a snapshot trains: rare sessions keep their windows.
+        let segmented = sqp_sessions::segment_default(&sqp_logsim::generate(&sim).train);
+        let aggregated = sqp_sessions::aggregate(&segmented, &mut sqp_common::Interner::new());
+        let sessions = &aggregated.sessions;
+
+        let mut cfg = MvmmConfig::epsilon_sweep();
+        cfg.fit.max_fit_sequences = 100;
+        let sweep = Mvmm::train(sessions, &cfg);
+        assert_eq!(sweep.components().len(), 11);
+        let first = sweep.components()[0].window_trie();
+        for comp in sweep.components() {
+            assert!(Arc::ptr_eq(first, comp.window_trie()), "{}", comp.name());
+        }
+        let indexes: usize = sweep
+            .components()
+            .iter()
+            .map(|c| c.pst().heap_bytes())
+            .sum();
+        assert_eq!(sweep.memory_bytes(), first.heap_bytes() + indexes);
+        let largest = sweep
+            .components()
+            .iter()
+            .map(|c| c.memory_bytes())
+            .max()
+            .unwrap();
+        assert!(
+            2 * sweep.memory_bytes() < 3 * largest,
+            "eleven components hold {} B, the largest alone {largest} B",
+            sweep.memory_bytes()
+        );
+
+        // One trie per distinct depth bound, shared within it.
+        let depths = Mvmm::train(
+            sessions,
+            &MvmmConfig::depth_mixture(&[(2, 0.1), (3, 0.2), (2, 0.0)]),
+        );
+        let c = depths.components();
+        assert!(Arc::ptr_eq(c[0].window_trie(), c[2].window_trie()));
+        assert!(!Arc::ptr_eq(c[0].window_trie(), c[1].window_trie()));
+        let indexes: usize = c.iter().map(|c| c.pst().heap_bytes()).sum();
+        assert_eq!(
+            depths.memory_bytes(),
+            c[0].window_trie().heap_bytes() + c[1].window_trie().heap_bytes() + indexes
+        );
+    }
+
+    #[test]
+    fn merged_states_are_counted_by_context_across_depth_bounds() {
+        // A window has one node id in every trie counted from one corpus,
+        // so the id union is the union of contexts.
+        let logs = sqp_logsim::generate(&sqp_logsim::SimConfig::small(2_000, 200, 6));
+        let p = sqp_sessions::process(&logs, &sqp_sessions::PipelineConfig::default());
+        let m = Mvmm::train(
+            &p.train.aggregated.sessions,
+            &MvmmConfig::depth_mixture(&[(1, 0.0), (2, 0.05), (3, 0.0)]),
+        );
+        let mut contexts = sqp_common::FxHashSet::<Vec<QueryId>>::default();
+        let mut context = Vec::new();
+        for comp in m.components() {
+            for state in 0..comp.node_count() as u32 {
+                comp.pst().context_into(state, &mut context);
+                contexts.insert(context.clone());
+            }
+        }
+        assert_eq!(m.merged_state_count(), contexts.len());
+        assert!(m.merged_state_count() > m.components()[0].node_count());
+    }
+
+    #[test]
+    fn disparity_is_the_edit_distance_to_the_matched_state() {
+        let m = toy_mvmm();
+        let mut state = Vec::new();
+        for ctx in [
+            seq(&[1, 0]),
+            seq(&[0, 1, 0]),
+            seq(&[1, 1]),
+            seq(&[9, 9, 0]),
+            seq(&[9]),
+        ] {
+            for comp in m.components() {
+                let (idx, _) = comp.pst().longest_suffix(&ctx);
+                comp.pst().context_into(idx, &mut state);
+                assert_eq!(
+                    Mvmm::disparity(comp, &ctx),
+                    sqp_common::dist::levenshtein(&ctx, &state) as f64,
+                    "{ctx:?} against {state:?}"
+                );
+            }
+        }
     }
 
     #[test]

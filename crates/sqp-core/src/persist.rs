@@ -6,26 +6,32 @@
 //! process. This module provides the **model payload** codecs that the
 //! snapshot container format builds on:
 //!
-//! * [`model_to_bytes`] / [`model_from_bytes`] — serialize any supported
-//!   [`Recommender`] behind a [`ModelKind`] tag. The VMM uses the
-//!   fixed-size-row format below; the pair-wise and N-gram baselines
-//!   serialize their raw count tables (reconstruction is exact because
-//!   ranked lists and smoothing are deterministic functions of the counts).
+//! * [`model_to_bytes`] / [`model_from_bytes`] — serialize any trained
+//!   [`Recommender`] behind a [`ModelKind`] tag. The VMM and the MVMM write
+//!   what they are — window trie rows plus state node ids; the pair-wise and
+//!   N-gram baselines serialize their raw count tables (reconstruction is
+//!   exact because ranked lists and smoothing are deterministic functions
+//!   of the counts).
 //!
-//! The VMM payload is a small, versioned, length-prefixed binary layout;
-//! reconstruction is exact because node distributions are rebuilt from the
-//! stored raw counts through the same deterministic smoothing used at
-//! training time, and the window trie is stored as its canonical
+//! A VMM in memory is a window trie and the set of its nodes that are PST
+//! states, and that is all its payload holds: the trie as its canonical
 //! breadth-first `(parent, key, total, at-start)` rows (one fixed-size row
-//! per node — no per-window key sequences, which shrinks the escape-table
-//! section from O(Σ|w|) to O(#windows)).
+//! per node, which *are* the serving layout) and the ascending list of
+//! state node ids. No context and no count is written a second time — a
+//! state's distribution is its node's child rows. The MVMM payload has the
+//! same shape: each distinct trie once, then per component its config, its
+//! mixture deviation σ as an `f64` bit pattern, and its id list. Loading
+//! goes through the constructor training uses
+//! ([`Pst::from_states`](crate::Pst::from_states)), which checks every
+//! property of a state list the trainer guarantees, so a loaded model and a
+//! trained one are one type with one set of invariants.
 //!
-//! ## From bare models (v2) to snapshots (v3)
+//! ## From bare models to snapshots
 //!
 //! A model blob alone cannot boot a serving process: its `QueryId`s are
 //! indices into the [`Interner`](sqp_common::Interner) it was trained
-//! against, which the v2 format does not carry. The `sqp-store` crate wraps
-//! these payloads in the **snapshot v3** container — interner block, model
+//! against, which the payload does not carry. The `sqp-store` crate wraps
+//! these payloads in the **snapshot** container — interner block, model
 //! payload behind its [`ModelKind`] tag, lifecycle metadata, and a
 //! whole-file checksum — specified byte-by-byte in the repository's
 //! `FORMAT.md`. Persist through `sqp_store::save_snapshot` /
@@ -33,28 +39,25 @@
 //! alone serve id-level tooling that manages its own interner.
 
 use crate::model::Recommender;
-use crate::pst::{NodeDist, Pst};
+use crate::mvmm::Mvmm;
 use crate::vmm::{Vmm, VmmConfig};
 use crate::{Adjacency, BackoffConfig, BackoffNgram, Cooccurrence, NGram};
 use sqp_common::arena::SuffixTrie;
 use sqp_common::bytes::{Bytes, BytesMut};
 use sqp_common::{FxHashMap, QueryId, QuerySeq};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"SQPV";
-/// Version 2: trie-row escape table (version 1 stored owned window keys).
-const VERSION: u32 = 2;
+/// Version 3: trie rows + state node ids (version 2 stored every state's
+/// context and counts a second time; version 1 owned window keys).
+const VERSION: u32 = 3;
 
 /// Which concrete model a serialized payload reconstructs — the model-kind
-/// tag of the snapshot v3 `MODEL` section (see `FORMAT.md`).
-///
-/// The mixture models (MVMM, HMM) are deliberately absent: they are built
-/// from per-component VMMs whose training is cheap to re-run, and their
-/// Newton-fitted weights depend on corpus statistics the count tables do
-/// not carry. [`model_to_bytes`] reports them as unsupported rather than
-/// persisting an approximation.
+/// tag of the snapshot `MODEL` section (see `FORMAT.md`). Every model a
+/// `ModelSpec` can train has one; the HMM extension does not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ModelKind {
-    /// [`Vmm`] — fixed-size-row PST + window-trie payload (format v2).
+    /// [`Vmm`] — window-trie rows + state node ids.
     Vmm,
     /// [`Adjacency`] — successor count table.
     Adjacency,
@@ -64,16 +67,20 @@ pub enum ModelKind {
     NGram,
     /// [`BackoffNgram`] — window-state count table + unigram floor + config.
     Backoff,
+    /// [`Mvmm`] — each distinct window trie once, then per component its
+    /// config, deviation and state node ids.
+    Mvmm,
 }
 
 impl ModelKind {
     /// Every kind the persistence layer supports, in tag order.
-    pub const ALL: [ModelKind; 5] = [
+    pub const ALL: [ModelKind; 6] = [
         ModelKind::Vmm,
         ModelKind::Adjacency,
         ModelKind::Cooccurrence,
         ModelKind::NGram,
         ModelKind::Backoff,
+        ModelKind::Mvmm,
     ];
 
     /// The on-disk tag (`u32`, little-endian) identifying this kind.
@@ -84,6 +91,7 @@ impl ModelKind {
             ModelKind::Cooccurrence => 3,
             ModelKind::NGram => 4,
             ModelKind::Backoff => 5,
+            ModelKind::Mvmm => 6,
         }
     }
 
@@ -100,11 +108,12 @@ impl ModelKind {
             ModelKind::Cooccurrence => "cooccurrence",
             ModelKind::NGram => "ngram",
             ModelKind::Backoff => "backoff",
+            ModelKind::Mvmm => "mvmm",
         }
     }
 
     /// Detect the kind of a model behind the trait object, `None` when the
-    /// concrete type has no persistable form (MVMM, HMM, ad-hoc impls).
+    /// concrete type has no persistable form (HMM, ad-hoc impls).
     pub fn of(model: &dyn Recommender) -> Option<ModelKind> {
         let any = model.as_any()?;
         if any.is::<Vmm>() {
@@ -117,6 +126,8 @@ impl ModelKind {
             Some(ModelKind::NGram)
         } else if any.is::<BackoffNgram>() {
             Some(ModelKind::Backoff)
+        } else if any.is::<Mvmm>() {
+            Some(ModelKind::Mvmm)
         } else {
             None
         }
@@ -128,8 +139,7 @@ impl ModelKind {
 /// Payload bytes are deterministic for identically-trained models (count
 /// tables are written in sorted key order), so identical corpora produce
 /// bit-identical snapshots. Returns an error naming the model when its
-/// concrete type is not persistable — see [`ModelKind`] for why the
-/// mixtures are excluded.
+/// concrete type has no [`ModelKind`].
 pub fn model_to_bytes(model: &dyn Recommender) -> Result<(ModelKind, Bytes), String> {
     // `ModelKind::of` is the single authoritative type list; a `Some` kind
     // guarantees `as_any` is `Some` and the matching downcast succeeds, so
@@ -137,7 +147,7 @@ pub fn model_to_bytes(model: &dyn Recommender) -> Result<(ModelKind, Bytes), Str
     let kind = ModelKind::of(model).ok_or_else(|| {
         format!(
             "model '{}' has no persistable form (supported kinds: vmm, \
-             adjacency, cooccurrence, ngram, backoff)",
+             adjacency, cooccurrence, ngram, backoff, mvmm)",
             model.name()
         )
     })?;
@@ -152,14 +162,14 @@ pub fn model_to_bytes(model: &dyn Recommender) -> Result<(ModelKind, Bytes), Str
         }
         ModelKind::NGram => ngram_to_bytes(any.downcast_ref().expect("kind tag matches type")),
         ModelKind::Backoff => backoff_to_bytes(any.downcast_ref().expect("kind tag matches type")),
+        ModelKind::Mvmm => mvmm_to_bytes(any.downcast_ref().expect("kind tag matches type")),
     };
     Ok((kind, payload))
 }
 
 /// Reconstruct a model serialized by [`model_to_bytes`] from its kind tag
 /// and payload. The payload must be exactly one model — trailing bytes are
-/// an error for the count-table kinds (the VMM payload is self-delimiting
-/// via its own header).
+/// an error.
 pub fn model_from_bytes(kind: ModelKind, data: Bytes) -> Result<Box<dyn Recommender>, String> {
     match kind {
         ModelKind::Vmm => Ok(Box::new(vmm_from_bytes(data)?)),
@@ -177,6 +187,7 @@ pub fn model_from_bytes(kind: ModelKind, data: Bytes) -> Result<Box<dyn Recommen
         }
         ModelKind::NGram => Ok(Box::new(ngram_from_bytes(data)?)),
         ModelKind::Backoff => Ok(Box::new(backoff_from_bytes(data)?)),
+        ModelKind::Mvmm => Ok(Box::new(mvmm_from_bytes(data)?)),
     }
 }
 
@@ -402,45 +413,131 @@ fn backoff_from_bytes(mut data: Bytes) -> Result<BackoffNgram, String> {
     })
 }
 
-/// Serialize a trained VMM as a self-delimiting v2 payload (magic,
-/// version, config, PST nodes, window-trie rows).
-fn vmm_to_bytes(model: &Vmm) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + model.node_count() * 48);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
+/// A VMM's training parameters: `epsilon`, `max_depth` (`u64::MAX` =
+/// unbounded), `min_support` — 24 bytes.
+fn put_vmm_config(buf: &mut BytesMut, config: &VmmConfig) {
+    buf.put_f64_le(config.epsilon);
+    buf.put_u64_le(config.max_depth.map(|d| d as u64).unwrap_or(u64::MAX));
+    buf.put_u64_le(config.min_support);
+}
 
-    // Config + corpus constants.
-    buf.put_f64_le(model.config.epsilon);
-    buf.put_u64_le(model.config.max_depth.map(|d| d as u64).unwrap_or(u64::MAX));
-    buf.put_u64_le(model.config.min_support);
+fn get_vmm_config(data: &mut Bytes) -> Result<VmmConfig, String> {
+    if data.remaining() < 24 {
+        return Err("truncated VMM config".into());
+    }
+    let epsilon = data.get_f64_le();
+    let max_depth_raw = data.get_u64_le();
+    let min_support = data.get_u64_le();
+    let max_depth = if max_depth_raw == u64::MAX {
+        None
+    } else {
+        Some(usize::try_from(max_depth_raw).map_err(|_| "depth bound overflows usize")?)
+    };
+    Ok(VmmConfig {
+        epsilon,
+        max_depth,
+        min_support,
+        ..VmmConfig::default()
+    })
+}
+
+/// The corpus constants every model counted from one corpus shares:
+/// `total_sessions`, `total_occurrences`, `n_queries` — 24 bytes.
+fn put_corpus_totals(buf: &mut BytesMut, model: &Vmm) {
     buf.put_u64_le(model.total_sessions);
     buf.put_u64_le(model.total_occurrences);
     buf.put_u64_le(model.n_queries as u64);
+}
 
-    // Nodes in (length, context) order so reinsertion finds parents.
-    let mut nodes: Vec<_> = model.pst.iter().collect();
-    nodes.sort_by(|a, b| by_length_then_ids(&a.context, &b.context));
-    buf.put_u64_le(nodes.len() as u64);
-    for node in nodes {
-        put_seq(&mut buf, &node.context);
-        let raw = node.dist.raw_counts();
-        buf.put_u32_le(raw.len() as u32);
-        for &(q, c) in raw {
-            buf.put_u32_le(q.0);
-            buf.put_u64_le(c);
-        }
+fn get_corpus_totals(data: &mut Bytes) -> Result<(u64, u64, usize), String> {
+    if data.remaining() < 24 {
+        return Err("truncated corpus totals".into());
     }
+    let (sessions, occurrences) = (data.get_u64_le(), data.get_u64_le());
+    let n_queries =
+        usize::try_from(data.get_u64_le()).map_err(|_| "query count overflows usize")?;
+    Ok((sessions, occurrences, n_queries))
+}
 
-    // Window trie (escape table): canonical BFS rows, already
-    // deterministic by construction.
-    buf.put_u32_le(model.windows.window_len() as u32);
-    buf.put_u64_le((model.windows.len() - 1) as u64);
-    for (parent, key, total, at_start) in model.windows.parts() {
+/// Window trie: `window_len`, row count, then the canonical BFS rows —
+/// already deterministic by construction.
+fn put_trie(buf: &mut BytesMut, trie: &SuffixTrie) {
+    buf.put_u32_le(trie.window_len() as u32);
+    buf.put_u64_le((trie.len() - 1) as u64);
+    for (parent, key, total, at_start) in trie.parts() {
         buf.put_u32_le(parent);
         buf.put_u32_le(key);
         buf.put_u64_le(total);
         buf.put_u64_le(at_start);
     }
+}
+
+fn get_trie(data: &mut Bytes) -> Result<Arc<SuffixTrie>, String> {
+    if data.remaining() < 12 {
+        return Err("truncated trie header".into());
+    }
+    let window_len = data.get_u32_le();
+    // A count read from disk is bounded by the bytes that remain before
+    // anything is sized by it.
+    let n_rows = usize::try_from(data.get_u64_le())
+        .ok()
+        .filter(|n| n.checked_mul(24).is_some_and(|b| b <= data.remaining()))
+        .ok_or("truncated trie rows")?;
+    // The rows are the trie's serving layout already: they stream straight
+    // into the frozen arrays, validated row by row.
+    let rows = (0..n_rows).map(|_| {
+        let parent = data.get_u32_le();
+        let key = data.get_u32_le();
+        let total = data.get_u64_le();
+        let at_start = data.get_u64_le();
+        (parent, key, total, at_start)
+    });
+    SuffixTrie::from_parts(window_len, rows)
+        .map(Arc::new)
+        .map_err(|e| e.to_string())
+}
+
+/// State list: count, then the trie node ids of a model's non-root states,
+/// ascending.
+fn put_states(buf: &mut BytesMut, model: &Vmm) {
+    let nodes = model.pst.state_nodes();
+    buf.put_u64_le(nodes.len() as u64);
+    for node in nodes {
+        buf.put_u32_le(node);
+    }
+}
+
+fn get_states(data: &mut Bytes) -> Result<Vec<u32>, String> {
+    if data.remaining() < 8 {
+        return Err("truncated state count".into());
+    }
+    let n = usize::try_from(data.get_u64_le())
+        .ok()
+        .filter(|n| n.checked_mul(4).is_some_and(|b| b <= data.remaining()))
+        .ok_or("truncated state list")?;
+    Ok((0..n).map(|_| data.get_u32_le()).collect())
+}
+
+/// Encoded sizes, for pre-sizing a write buffer.
+fn trie_block_len(trie: &SuffixTrie) -> usize {
+    12 + (trie.len() - 1) * 24
+}
+
+fn state_list_len(model: &Vmm) -> usize {
+    8 + (model.node_count() - 1) * 4
+}
+
+/// Serialize a trained VMM: magic, version, config, corpus totals, the
+/// window trie, the state list.
+fn vmm_to_bytes(model: &Vmm) -> Bytes {
+    let trie = model.window_trie();
+    let mut buf = BytesMut::with_capacity(56 + trie_block_len(trie) + state_list_len(model));
+    buf.put_slice(MAGIC);
+    buf.put_u32_le(VERSION);
+    put_vmm_config(&mut buf, &model.config);
+    put_corpus_totals(&mut buf, model);
+    put_trie(&mut buf, trie);
+    put_states(&mut buf, model);
     buf.freeze()
 }
 
@@ -458,93 +555,106 @@ fn vmm_from_bytes(mut data: Bytes) -> Result<Vmm, String> {
     if version != VERSION {
         return Err(format!("unsupported version {version}"));
     }
-    if data.remaining() < 8 * 6 {
-        return Err("truncated config".into());
-    }
-    let epsilon = data.get_f64_le();
-    let max_depth_raw = data.get_u64_le();
-    let min_support = data.get_u64_le();
-    let total_sessions = data.get_u64_le();
-    let total_occurrences = data.get_u64_le();
-    let n_queries = data.get_u64_le() as usize;
-    let config = VmmConfig {
-        epsilon,
-        max_depth: (max_depth_raw != u64::MAX).then_some(max_depth_raw as usize),
-        min_support,
-        ..VmmConfig::default()
-    };
+    let config = get_vmm_config(&mut data)?;
+    let (sessions, occurrences, n_queries) = get_corpus_totals(&mut data)?;
+    let trie = get_trie(&mut data)?;
+    let states = get_states(&mut data)?;
+    expect_consumed(&data)?;
+    Vmm::from_parts(trie, &states, sessions, occurrences, n_queries, config)
+        .map_err(|e| e.to_string())
+}
 
-    if data.remaining() < 8 {
-        return Err("truncated node count".into());
+/// Serialize a trained MVMM: corpus totals; the distinct window tries in
+/// order of first use; then per component its config, its deviation σ and
+/// its state list. A component's trie is the one its `max_depth` first
+/// appeared with, so no index is stored.
+fn mvmm_to_bytes(model: &Mvmm) -> Bytes {
+    let components = model.components();
+    let tries = model.tries();
+    let mut buf = BytesMut::with_capacity(
+        32 + tries.iter().map(|t| trie_block_len(t)).sum::<usize>()
+            + components
+                .iter()
+                .map(|c| 32 + state_list_len(c))
+                .sum::<usize>(),
+    );
+    put_corpus_totals(&mut buf, &components[0]);
+    buf.put_u32_le(tries.len() as u32);
+    for trie in tries {
+        put_trie(&mut buf, trie);
     }
-    let n_nodes = data.get_u64_le() as usize;
-    if n_nodes == 0 {
-        return Err("serialized VMM has no root".into());
+    buf.put_u32_le(components.len() as u32);
+    for (component, sigma) in components.iter().zip(model.sigmas()) {
+        put_vmm_config(&mut buf, &component.config);
+        buf.put_u64_le(sigma.to_bits());
+        put_states(&mut buf, component);
     }
-    let mut pst: Option<Pst> = None;
-    for i in 0..n_nodes {
-        let context = get_seq(&mut data)?;
-        if data.remaining() < 4 {
-            return Err("truncated node distribution".into());
-        }
-        let n_raw = data.get_u32_le() as usize;
-        if data.remaining() < n_raw * 12 {
-            return Err("truncated node counts".into());
-        }
-        let raw: Vec<(QueryId, u64)> = (0..n_raw)
-            .map(|_| {
-                let q = QueryId(data.get_u32_le());
-                let c = data.get_u64_le();
-                (q, c)
-            })
-            .collect();
-        let dist = NodeDist::from_counts(raw, n_queries);
-        if i == 0 {
-            if !context.is_empty() {
-                return Err("first node must be the root".into());
-            }
-            pst = Some(Pst::new(dist));
-        } else {
-            let tree = pst.as_mut().ok_or("root missing")?;
-            if context.is_empty() {
-                return Err("duplicate root".into());
-            }
-            tree.insert(context, dist);
-        }
-    }
-    let pst = pst.ok_or("root missing")?;
+    buf.freeze()
+}
 
-    if data.remaining() < 12 {
-        return Err("truncated trie header".into());
+/// Reconstruct an MVMM serialized with [`mvmm_to_bytes`].
+fn mvmm_from_bytes(mut data: Bytes) -> Result<Mvmm, String> {
+    let (sessions, occurrences, n_queries) = get_corpus_totals(&mut data)?;
+    if data.remaining() < 4 {
+        return Err("truncated trie count".into());
     }
-    let window_len = data.get_u32_le();
-    let n_rows = data.get_u64_le() as usize;
-    // checked: a corrupt count must produce Err, not an overflow panic
-    // or a capacity-overflow abort in the collect below.
-    let rows_bytes = n_rows.checked_mul(24).ok_or("trie row count overflows")?;
-    if data.remaining() < rows_bytes {
-        return Err("truncated trie rows".into());
+    // At least a 12-byte header per trie and 40 bytes per component must
+    // follow, which bounds both counts before anything is sized by them.
+    let n_tries = data.get_u32_le() as usize;
+    if n_tries > data.remaining() / 12 {
+        return Err("truncated trie table".into());
     }
-    // The rows are the trie's serving layout already: they stream straight
-    // into the frozen arrays, validated row by row.
-    let rows = (0..n_rows).map(|_| {
-        let parent = data.get_u32_le();
-        let key = data.get_u32_le();
-        let total = data.get_u64_le();
-        let at_start = data.get_u64_le();
-        (parent, key, total, at_start)
-    });
-    let windows = SuffixTrie::from_parts(window_len, rows).map_err(|e| e.to_string())?;
-
-    Ok(Vmm {
-        pst,
-        windows,
-        total_sessions,
-        total_occurrences,
-        n_queries,
-        name: config.display_name(),
-        config,
-    })
+    let tries = (0..n_tries)
+        .map(|_| get_trie(&mut data))
+        .collect::<Result<Vec<_>, _>>()?;
+    if data.remaining() < 4 {
+        return Err("truncated component count".into());
+    }
+    let n_components = data.get_u32_le() as usize;
+    if n_components > data.remaining() / 40 {
+        return Err("truncated component table".into());
+    }
+    let mut depths: Vec<Option<usize>> = Vec::with_capacity(n_tries);
+    let mut components = Vec::with_capacity(n_components);
+    let mut sigmas = Vec::with_capacity(n_components);
+    for _ in 0..n_components {
+        let config = get_vmm_config(&mut data)?;
+        if data.remaining() < 8 {
+            return Err("truncated mixture deviation".into());
+        }
+        sigmas.push(f64::from_bits(data.get_u64_le()));
+        let states = get_states(&mut data)?;
+        let trie_index = depths
+            .iter()
+            .position(|d| *d == config.max_depth)
+            .unwrap_or_else(|| {
+                depths.push(config.max_depth);
+                depths.len() - 1
+            });
+        let trie = tries
+            .get(trie_index)
+            .ok_or("more distinct depth bounds than window tries")?;
+        components.push(
+            Vmm::from_parts(
+                Arc::clone(trie),
+                &states,
+                sessions,
+                occurrences,
+                n_queries,
+                config,
+            )
+            .map_err(|e| format!("component {}: {e}", components.len()))?,
+        );
+    }
+    if depths.len() != tries.len() {
+        return Err(format!(
+            "{} window tries for {} distinct depth bounds",
+            tries.len(),
+            depths.len()
+        ));
+    }
+    expect_consumed(&data)?;
+    Mvmm::from_parts(components, sigmas)
 }
 
 #[cfg(test)]
@@ -700,6 +810,11 @@ mod tests {
             ModelKind::Cooccurrence => Box::new(Cooccurrence::train(sessions)),
             ModelKind::NGram => Box::new(NGram::train(sessions)),
             ModelKind::Backoff => Box::new(BackoffNgram::train(sessions, BackoffConfig::default())),
+            // A depth mixture, so the payload carries two tries.
+            ModelKind::Mvmm => Box::new(Mvmm::train(
+                sessions,
+                &crate::MvmmConfig::depth_mixture(&[(2, 0.1), (3, 0.0), (2, 0.02)]),
+            )),
         }
     }
 
@@ -759,12 +874,214 @@ mod tests {
     }
 
     #[test]
-    fn mixtures_are_reported_unsupported() {
-        let sessions = toy_corpus();
-        let mvmm = crate::Mvmm::train(&sessions, &crate::MvmmConfig::small());
-        assert_eq!(ModelKind::of(&mvmm), None);
-        let err = model_to_bytes(&mvmm).unwrap_err();
+    fn a_model_without_a_kind_is_reported_unsupported() {
+        let hmm = crate::Hmm::train(&toy_corpus(), crate::HmmConfig::default());
+        assert_eq!(ModelKind::of(&hmm), None);
+        let err = model_to_bytes(&hmm).unwrap_err();
         assert!(err.contains("no persistable form"), "{err}");
+    }
+
+    #[test]
+    fn a_loaded_mixture_is_the_trained_one() {
+        let sessions = sim_sessions();
+        let original = Mvmm::train(&sessions, &crate::MvmmConfig::small());
+        let (kind, blob) = model_to_bytes(&original).unwrap();
+        assert_eq!(kind, ModelKind::Mvmm);
+        let restored = model_from_bytes(kind, blob).unwrap();
+        let restored: &Mvmm = restored.as_any().unwrap().downcast_ref().unwrap();
+
+        // The deviations are f64 bit patterns: nothing is approximated.
+        let bits = |m: &Mvmm| m.sigmas().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(restored), bits(&original));
+        assert_eq!(restored.merged_state_count(), original.merged_state_count());
+        for (a, b) in original.components().iter().zip(restored.components()) {
+            assert_eq!(a.config(), b.config());
+            assert_eq!(a.node_count(), b.node_count());
+            assert_eq!(a.window_trie(), b.window_trie());
+        }
+        // One trie was written and one is held, by every component.
+        let first = restored.components()[0].window_trie();
+        assert!(restored
+            .components()
+            .iter()
+            .all(|c| Arc::ptr_eq(first, c.window_trie())));
+        for (s, _) in sessions.iter().take(100) {
+            assert_eq!(
+                original.sequence_log10_prob(s).to_bits(),
+                restored.sequence_log10_prob(s).to_bits()
+            );
+        }
+    }
+
+    // ---- hostile payloads ----
+
+    /// The toy payloads the sweeps below cut and corrupt: small enough to
+    /// visit every byte, and between them every section of both layouts
+    /// (the mixture's two depth bounds put two tries in one payload).
+    fn toy_payloads() -> Vec<(ModelKind, Bytes)> {
+        let mixture = Mvmm::train(
+            &toy_corpus(),
+            &crate::MvmmConfig {
+                parallel: false,
+                ..crate::MvmmConfig::depth_mixture(&[(1, 0.0), (2, 0.1), (1, 0.5)])
+            },
+        );
+        vec![
+            (ModelKind::Vmm, to_bytes(&trained())),
+            model_to_bytes(&mixture).unwrap(),
+        ]
+    }
+
+    /// A loaded model must be whole: every call the serve path makes
+    /// returns, whatever the payload said.
+    fn exercise(model: &dyn Recommender) {
+        for ctx in [
+            &[][..],
+            &seq(&[0]),
+            &seq(&[1, 0]),
+            &seq(&[0, 1, 1, 0]),
+            &seq(&[7]),
+        ] {
+            let top = model.recommend(ctx, 3);
+            assert!(top.len() <= 3);
+            assert_eq!(model.covers(ctx), !model.recommend(ctx, 1).is_empty());
+        }
+        assert!(model.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn every_truncation_of_a_toy_payload_is_an_error() {
+        for (kind, blob) in toy_payloads() {
+            exercise(model_from_bytes(kind, blob.clone()).unwrap().as_ref());
+            for cut in 0..blob.len() {
+                assert!(
+                    model_from_bytes(kind, blob.slice(0..cut)).is_err(),
+                    "{kind:?} cut at {cut}/{} loaded",
+                    blob.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_byte_corruption_is_an_error_or_a_whole_model() {
+        // A bare payload has no checksum (the snapshot container does), so
+        // a flipped count can still be a model — but never a panic and
+        // never a model that cannot answer.
+        for (kind, blob) in toy_payloads() {
+            for i in 0..blob.len() {
+                for mask in [0x01, 0x80, 0xFF] {
+                    let mut raw = blob.to_vec();
+                    raw[i] ^= mask;
+                    if let Ok(model) = model_from_bytes(kind, Bytes::from(raw)) {
+                        exercise(model.as_ref());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Offset of the toy VMM payload's state list: header (8) + config (24)
+    /// + totals (24) + trie header (12) + rows.
+    fn vmm_state_list_at(model: &Vmm) -> usize {
+        68 + (model.window_trie().len() - 1) * 24
+    }
+
+    fn with_states(model: &Vmm, states: &[u32]) -> Result<Box<dyn Recommender>, String> {
+        let mut raw = to_bytes(model).to_vec();
+        raw.truncate(vmm_state_list_at(model));
+        raw.extend_from_slice(&(states.len() as u64).to_le_bytes());
+        for s in states {
+            raw.extend_from_slice(&s.to_le_bytes());
+        }
+        from_bytes(Bytes::from(raw))
+    }
+
+    fn expect_err(result: Result<Box<dyn Recommender>, String>, needle: &str) {
+        match result {
+            Ok(_) => panic!("loaded; expected an error containing {needle:?}"),
+            Err(e) => assert!(e.contains(needle), "{e:?} does not mention {needle:?}"),
+        }
+    }
+
+    #[test]
+    fn a_hostile_state_list_is_rejected() {
+        // Bounded, so the trie's last level is continuation evidence only.
+        let model = Vmm::train(&toy_corpus(), VmmConfig::bounded(2, TOY_EPSILON));
+        let trie = model.window_trie();
+        let node = |w: &[u32]| trie.window(&seq(w)).unwrap();
+        let (q0, q1, q1q0) = (node(&[0]), node(&[1]), node(&[1, 0]));
+        let honest: Vec<u32> = model.pst().state_nodes().collect();
+        assert_eq!(honest, [q0, q1, q1q0]);
+        assert_eq!(
+            as_vmm(with_states(&model, &honest).unwrap().as_ref()).node_count(),
+            4
+        );
+
+        expect_err(with_states(&model, &[q1, q0, q1q0]), "not strictly after");
+        expect_err(with_states(&model, &[q0, q1, q1]), "not strictly after");
+        expect_err(with_states(&model, &[0, q0, q1]), "not a window node");
+        // A continuation-only node, the first id past the trie, any id.
+        let deepest = trie.len() as u32 - 1;
+        assert!(trie.depth(deepest) > trie.window_len());
+        for bad in [deepest, trie.len() as u32, u32::MAX] {
+            expect_err(with_states(&model, &[q0, q1, bad]), "not a window node");
+        }
+        // [q1, q0] without its suffix [q0]: the walk would never reach it.
+        expect_err(with_states(&model, &[q1, q1q0]), "suffix");
+
+        // A list longer than the bytes behind it is refused by its length.
+        let mut raw = to_bytes(&model).to_vec();
+        let at = vmm_state_list_at(&model);
+        for claimed in [4u64, 1 << 40, u64::MAX] {
+            raw[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
+            expect_err(from_bytes(Bytes::from(raw.clone())), "truncated state list");
+        }
+        // And bytes past an honest list are not ignored.
+        let mut raw = to_bytes(&model).to_vec();
+        raw.push(0);
+        expect_err(from_bytes(Bytes::from(raw)), "trailing");
+    }
+
+    #[test]
+    fn a_hostile_mixture_is_rejected() {
+        let mixture = Mvmm::train(&toy_corpus(), &crate::MvmmConfig::small());
+        let blob = model_to_bytes(&mixture).unwrap().1.to_vec();
+        let load = |raw: Vec<u8>| model_from_bytes(ModelKind::Mvmm, Bytes::from(raw));
+        // totals (24), n_tries (4), trie header (12) + rows, then K.
+        let k_at = 40 + (mixture.components()[0].window_trie().len() - 1) * 24;
+        let read_u32 = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
+        assert_eq!((read_u32(24), read_u32(k_at)), (1, 3));
+        // First component: config (24), then σ.
+        let sigma_at = k_at + 4 + 24;
+        assert_eq!(
+            blob[sigma_at..sigma_at + 8],
+            mixture.sigmas()[0].to_bits().to_le_bytes()
+        );
+
+        for sigma in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut raw = blob.clone();
+            raw[sigma_at..sigma_at + 8].copy_from_slice(&sigma.to_bits().to_le_bytes());
+            expect_err(load(raw), "not finite and positive");
+        }
+        // Counts the remaining bytes cannot hold.
+        for (at, needle) in [(24, "trie table"), (k_at, "component table")] {
+            for claimed in [1_000u32, u32::MAX] {
+                let mut raw = blob.clone();
+                raw[at..at + 4].copy_from_slice(&claimed.to_le_bytes());
+                expect_err(load(raw), needle);
+            }
+        }
+        // No components at all.
+        let mut raw = blob.clone();
+        raw.truncate(k_at);
+        raw.extend_from_slice(&0u32.to_le_bytes());
+        expect_err(load(raw), "0 distinct depth bounds");
+        // A second depth bound with no second trie: the first component's
+        // `max_depth` (config bytes 8..16) becomes Some(1).
+        let mut raw = blob.clone();
+        raw[k_at + 12..k_at + 20].copy_from_slice(&1u64.to_le_bytes());
+        expect_err(load(raw), "depth bounds");
     }
 
     #[test]
@@ -801,16 +1118,13 @@ mod tests {
                     "{kind:?} cut at {cut} should fail"
                 );
             }
-            // Trailing garbage after a complete payload must be rejected for
-            // the length-delimited kinds (the VMM blob is self-delimiting).
-            if kind != ModelKind::Vmm {
-                let mut raw = blob.to_vec();
-                raw.extend_from_slice(&[0u8; 3]);
-                assert!(
-                    model_from_bytes(kind, Bytes::from(raw)).is_err(),
-                    "{kind:?} should reject trailing bytes"
-                );
-            }
+            // Trailing garbage after a complete payload must be rejected.
+            let mut raw = blob.to_vec();
+            raw.extend_from_slice(&[0u8; 3]);
+            assert!(
+                model_from_bytes(kind, Bytes::from(raw)).is_err(),
+                "{kind:?} should reject trailing bytes"
+            );
         }
     }
 }

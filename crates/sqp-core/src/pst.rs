@@ -1,16 +1,28 @@
-//! The Prediction Suffix Tree (PST) data structure.
+//! The Prediction Suffix Tree (PST): a state index over the window trie.
 //!
-//! Nodes are labelled with contexts (query sequences read chronologically);
-//! the parent of state `[q1,…,ql]` is its *suffix* `[q2,…,ql]` — walking down
-//! from the root prepends ever-older queries. Longest-suffix lookup is
-//! O(D·log m), the paper's prediction-time bound with a binary-searched
-//! sorted child slice per node (no hashing, no allocation on the serve
-//! path).
+//! A PST state *is* a window of the training corpus, i.e. a node of the
+//! frozen [`SuffixTrie`] the counts were collected in, and its next-query
+//! distribution *is* that node's child row. So the tree stores no context
+//! and no count: per state it keeps the trie node, the parent state, one
+//! run of `(next-older query → state)` edges and one run of best-first
+//! ranks over the node's children, all in four flat arrays beside a shared
+//! [`Arc<SuffixTrie>`]. A model is the trie plus the set of nodes that are
+//! states; [`Pst::from_states`] is the only constructor, for a model just
+//! trained and for one read from disk alike.
+//!
+//! States are labelled with contexts read chronologically; the parent of
+//! state `[q1,…,ql]` is its *suffix* `[q2,…,ql]` — walking down from the
+//! root prepends ever-older queries. Longest-suffix lookup is O(D·log m),
+//! the paper's prediction-time bound, with a binary-searched edge run per
+//! state (no hashing, no allocation on the serve path).
 
+use sqp_common::arena::SuffixTrie;
 use sqp_common::topk::Scored;
-use sqp_common::{QueryId, QuerySeq};
+use sqp_common::QueryId;
+use std::sync::Arc;
 
-/// A smoothed next-query distribution attached to a PST node.
+/// The smoothed next-query distribution of one PST state — a borrowed view
+/// of the state's trie row, nothing owned.
 ///
 /// Smoothing follows §IV-B.1(c): each unobserved query receives the constant
 /// 1/|Q|, then the whole distribution is renormalized. With m observed
@@ -18,16 +30,18 @@ use sqp_common::{QueryId, QuerySeq};
 /// query is observed (the toy example) Z = 1 and the ML estimates survive
 /// untouched.
 ///
-/// Layout: raw ML counts are stored **sorted by query id**, so `prob` /
-/// `ml_prob` are O(log m) binary searches; a parallel rank array keeps the
-/// best-first order for top-k without re-sorting at query time.
-#[derive(Clone, Debug)]
-pub struct NodeDist {
-    /// Raw ML counts, ascending by query id.
-    by_id: Box<[(QueryId, u64)]>,
-    /// Indexes into `by_id`, best first (descending smoothed probability,
-    /// ties by ascending id).
-    rank: Box<[u32]>,
+/// The raw ML counts are the trie's id-sorted child keys and totals, so
+/// `prob` is an O(log m) binary search; the rank run keeps the best-first
+/// order for top-k without re-sorting at query time.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeDist<'a> {
+    /// Observed continuations, ascending by query id.
+    queries: &'a [QueryId],
+    /// Their raw ML counts, parallel to `queries`.
+    counts: &'a [u64],
+    /// Indexes into `queries`, best first (descending count, ties by
+    /// ascending id).
+    rank: &'a [u32],
     /// Total observed continuation mass.
     total: u64,
     /// Smoothing normalizer Z.
@@ -36,38 +50,17 @@ pub struct NodeDist {
     unobserved_prob: f64,
 }
 
-impl NodeDist {
-    /// Build from ML counts in any order, with universe size `n_queries`.
-    pub fn from_counts(counts: Vec<(QueryId, u64)>, n_queries: usize) -> Self {
-        let mut by_id = counts;
-        by_id.sort_unstable_by_key(|&(q, _)| q);
-        by_id.dedup_by(|a, b| {
-            if a.0 == b.0 {
-                b.1 += a.1;
-                true
-            } else {
-                false
-            }
-        });
-        Self::from_sorted(by_id.into_boxed_slice(), n_queries)
-    }
-
-    /// Build straight from the arena's id-sorted parallel slices — the
-    /// training fast path (no intermediate descending sort).
-    pub fn from_sorted_slices(queries: &[QueryId], counts: &[u64], n_queries: usize) -> Self {
+impl<'a> NodeDist<'a> {
+    fn new(
+        queries: &'a [QueryId],
+        counts: &'a [u64],
+        rank: &'a [u32],
+        total: u64,
+        n_queries: usize,
+    ) -> Self {
         debug_assert_eq!(queries.len(), counts.len());
-        debug_assert!(queries.windows(2).all(|w| w[0] < w[1]));
-        let by_id: Box<[(QueryId, u64)]> = queries
-            .iter()
-            .copied()
-            .zip(counts.iter().copied())
-            .collect();
-        Self::from_sorted(by_id, n_queries)
-    }
-
-    fn from_sorted(by_id: Box<[(QueryId, u64)]>, n_queries: usize) -> Self {
-        let total: u64 = by_id.iter().map(|(_, c)| c).sum();
-        let m = by_id.len();
+        debug_assert_eq!(queries.len(), rank.len());
+        let m = queries.len();
         let nq = n_queries.max(m).max(1);
         let z = 1.0 + (nq - m) as f64 / nq as f64;
         let unobserved_prob = if total == 0 {
@@ -76,14 +69,9 @@ impl NodeDist {
         } else {
             (1.0 / nq as f64) / z
         };
-        let mut rank: Box<[u32]> = (0..m as u32).collect();
-        rank.sort_unstable_by(|&a, &b| {
-            let (qa, ca) = by_id[a as usize];
-            let (qb, cb) = by_id[b as usize];
-            cb.cmp(&ca).then_with(|| qa.cmp(&qb))
-        });
         NodeDist {
-            by_id,
+            queries,
+            counts,
             rank,
             total,
             z,
@@ -99,52 +87,32 @@ impl NodeDist {
     /// Smoothed `P(q | this context)` — O(log m) binary search.
     #[inline]
     pub fn prob(&self, q: QueryId) -> f64 {
-        match self.by_id.binary_search_by_key(&q, |&(e, _)| e) {
-            Ok(i) => self.smooth(self.by_id[i].1),
+        match self.queries.binary_search(&q) {
+            Ok(i) => self.smooth(self.counts[i]),
             Err(_) => self.unobserved_prob,
         }
-    }
-
-    /// Raw ML probability (0 for unobserved), used by the KL growth test.
-    #[inline]
-    pub fn ml_prob(&self, q: QueryId) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        match self.by_id.binary_search_by_key(&q, |&(e, _)| e) {
-            Ok(i) => self.by_id[i].1 as f64 / self.total as f64,
-            Err(_) => 0.0,
-        }
-    }
-
-    /// Top-k observed continuations by smoothed probability.
-    pub fn top_k(&self, k: usize) -> Vec<Scored> {
-        let mut out = Vec::with_capacity(k.min(self.rank.len()));
-        self.top_k_into(k, &mut out);
-        out
     }
 
     /// Top-k into a caller-owned buffer (cleared first) — the allocation-free
     /// serve path when the buffer is reused across requests.
     pub fn top_k_into(&self, k: usize, out: &mut Vec<Scored>) {
         out.clear();
-        for &i in self.rank.iter().take(k) {
-            let (q, c) = self.by_id[i as usize];
-            out.push(Scored::new(q, self.smooth(c)));
-        }
+        out.extend(self.observed().take(k).map(|(q, p)| Scored::new(q, p)));
     }
 
     /// Observed continuations `(query, smoothed prob)`, best first.
-    pub fn observed(&self) -> impl Iterator<Item = (QueryId, f64)> + '_ {
-        self.rank.iter().map(|&i| {
-            let (q, c) = self.by_id[i as usize];
-            (q, self.smooth(c))
+    pub fn observed(&self) -> impl Iterator<Item = (QueryId, f64)> + 'a {
+        let dist = *self;
+        dist.rank.iter().map(move |&i| {
+            let i = i as usize;
+            (dist.queries[i], dist.smooth(dist.counts[i]))
         })
     }
 
-    /// Raw ML counts, ascending by query id.
-    pub fn raw_counts(&self) -> &[(QueryId, u64)] {
-        &self.by_id
+    /// Raw ML counts as parallel slices `(queries, counts)`, ascending by
+    /// query id.
+    pub fn raw_counts(&self) -> (&'a [QueryId], &'a [u64]) {
+        (self.queries, self.counts)
     }
 
     /// Total observed continuation mass.
@@ -152,182 +120,327 @@ impl NodeDist {
         self.total
     }
 
-    /// Number of observed continuations.
-    pub fn support(&self) -> usize {
-        self.by_id.len()
-    }
-
     /// True when the node has no continuation evidence.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.by_id.len() * std::mem::size_of::<(QueryId, u64)>()
-            + self.rank.len() * std::mem::size_of::<u32>()
+        self.queries.is_empty()
     }
 }
 
-/// One PST node.
-#[derive(Clone, Debug)]
-pub struct PstNode {
-    /// The context labelling this state (empty at the root).
-    pub context: QuerySeq,
-    /// Next-query distribution.
-    pub dist: NodeDist,
-    /// Child edges `(next-older query, node index)`, sorted by query id.
-    children: Vec<(QueryId, u32)>,
-    /// Parent node index (None at the root).
-    pub parent: Option<u32>,
+/// One state's slots in the flat arrays. A run ends where the next state's
+/// begins; a sentinel entry closes the last one.
+#[derive(Clone, Copy, Debug)]
+struct State {
+    /// The trie node whose window is this state's context.
+    node: u32,
+    /// The state of the one-shorter suffix (the root's is itself).
+    parent: u32,
+    first_edge: u32,
+    first_rank: u32,
 }
 
-/// The prediction suffix tree.
+/// The prediction suffix tree. State `0` is the root (the empty context);
+/// the others follow in ascending trie-node order, which is
+/// (length, sequence) order, so a parent always precedes its children.
 #[derive(Clone, Debug)]
 pub struct Pst {
-    nodes: Vec<PstNode>,
+    trie: Arc<SuffixTrie>,
+    /// The paper's |Q|, for smoothing.
+    n_queries: usize,
+    /// `len() + 1` entries: the states, then the sentinel.
+    states: Vec<State>,
+    /// Per state, its child edges' next-older queries, ascending…
+    edge_queries: Vec<QueryId>,
+    /// …and the states they lead to.
+    edge_states: Vec<u32>,
+    /// Per state, the positions of its trie node's children, best first.
+    rank: Vec<u32>,
 }
 
-impl Pst {
-    /// Create a tree holding only the root (empty context) with the given
-    /// prior distribution.
-    pub fn new(root_dist: NodeDist) -> Self {
-        Pst {
-            nodes: vec![PstNode {
-                context: Box::from([]),
-                dist: root_dist,
-                children: Vec::new(),
-                parent: None,
-            }],
+/// Why a node list is not the state set of any PST over a given trie — what
+/// [`Pst::from_states`] returns instead of building from it. The list may
+/// come from disk, so each property the trainer guarantees is checked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StateListError {
+    /// An id is not larger than the one before it.
+    NotAscending {
+        /// The offending id.
+        node: u32,
+    },
+    /// An id is the root, past the trie's last node, or a continuation-only
+    /// node deeper than the trie's window length.
+    NotAWindow {
+        /// The offending id.
+        node: u32,
+    },
+    /// A state's one-shorter suffix is not a state. The newest-first walk
+    /// would stop before reaching the state, so the set must be
+    /// suffix-closed.
+    SuffixMissing {
+        /// The state whose suffix is absent.
+        node: u32,
+    },
+}
+
+impl std::fmt::Display for StateListError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            StateListError::NotAscending { node } => {
+                write!(f, "state {node} is not strictly after its predecessor")
+            }
+            StateListError::NotAWindow { node } => {
+                write!(f, "state {node} is not a window node of the trie")
+            }
+            StateListError::SuffixMissing { node } => {
+                write!(f, "the one-shorter suffix of state {node} is not a state")
+            }
         }
     }
+}
 
-    /// Number of nodes, including the root (the paper's PST size metric).
+impl std::error::Error for StateListError {}
+
+impl Pst {
+    /// The tree whose non-root states are the windows `nodes` of `trie`.
+    /// `nodes` must ascend strictly, name window nodes only (depth 1 to the
+    /// trie's window length) and be suffix-closed; `n_queries` is the
+    /// universe size |Q| the distributions are smoothed over.
+    pub fn from_states(
+        trie: Arc<SuffixTrie>,
+        n_queries: usize,
+        nodes: &[u32],
+    ) -> Result<Self, StateListError> {
+        // Canonical ids ascend by depth, so the windows are exactly the ids
+        // `1..=window_count`.
+        let last_window = trie.window_count() as u64;
+        let mut previous = SuffixTrie::ROOT;
+        for &node in nodes {
+            if node <= previous {
+                return Err(if node == SuffixTrie::ROOT {
+                    StateListError::NotAWindow { node }
+                } else {
+                    StateListError::NotAscending { node }
+                });
+            }
+            if u64::from(node) > last_window {
+                return Err(StateListError::NotAWindow { node });
+            }
+            previous = node;
+        }
+        let state_of = |node: u32| {
+            if node == SuffixTrie::ROOT {
+                Some(0)
+            } else {
+                nodes.binary_search(&node).ok().map(|i| i as u32 + 1)
+            }
+        };
+
+        // Every non-root state hangs off its suffix's state by its oldest
+        // query; sorted, the edges are the CSR runs in state order.
+        let mut edges: Vec<(u32, QueryId, u32)> = Vec::with_capacity(nodes.len());
+        let mut path = Vec::new();
+        for (i, &node) in nodes.iter().enumerate() {
+            trie.path(node, &mut path);
+            let parent = trie
+                .find(&path[1..])
+                .and_then(state_of)
+                .ok_or(StateListError::SuffixMissing { node })?;
+            edges.push((parent, path[0], i as u32 + 1));
+        }
+        edges.sort_unstable();
+
+        let n_ranks: usize = std::iter::once(SuffixTrie::ROOT)
+            .chain(nodes.iter().copied())
+            .map(|node| trie.continuations(node).0.len())
+            .sum();
+        let mut states = Vec::with_capacity(nodes.len() + 2);
+        let mut rank: Vec<u32> = Vec::with_capacity(n_ranks);
+        let mut next_edge = 0usize;
+        for (state, node) in std::iter::once(SuffixTrie::ROOT)
+            .chain(nodes.iter().copied())
+            .enumerate()
+        {
+            let first_edge = next_edge;
+            while edges.get(next_edge).is_some_and(|e| e.0 as usize == state) {
+                next_edge += 1;
+            }
+            let (queries, counts) = trie.continuations(node);
+            let first_rank = rank.len();
+            rank.extend(0..queries.len() as u32);
+            rank[first_rank..].sort_unstable_by(|&a, &b| {
+                let (a, b) = (a as usize, b as usize);
+                counts[b]
+                    .cmp(&counts[a])
+                    .then_with(|| queries[a].cmp(&queries[b]))
+            });
+            states.push(State {
+                node,
+                parent: 0,
+                first_edge: first_edge as u32,
+                first_rank: first_rank as u32,
+            });
+        }
+        debug_assert_eq!(next_edge, edges.len());
+        states.push(State {
+            node: SuffixTrie::ROOT,
+            parent: 0,
+            first_edge: edges.len() as u32,
+            first_rank: rank.len() as u32,
+        });
+        for &(parent, _, child) in &edges {
+            states[child as usize].parent = parent;
+        }
+
+        Ok(Pst {
+            trie,
+            n_queries,
+            states,
+            edge_queries: edges.iter().map(|e| e.1).collect(),
+            edge_states: edges.iter().map(|e| e.2).collect(),
+            rank,
+        })
+    }
+
+    /// Number of states, including the root (the paper's PST size metric).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.states.len() - 1
     }
 
     /// True when only the root exists.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
+        self.len() <= 1
     }
 
-    /// The root node.
-    pub fn root(&self) -> &PstNode {
-        &self.nodes[0]
+    /// The window trie the states index.
+    pub fn trie(&self) -> &Arc<SuffixTrie> {
+        &self.trie
     }
 
-    /// Node by index.
-    pub fn node(&self, idx: u32) -> &PstNode {
-        &self.nodes[idx as usize]
+    /// The trie nodes of the non-root states, ascending — the list
+    /// [`Pst::from_states`] rebuilds this tree from.
+    pub fn state_nodes(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.states[1..self.len()].iter().map(|s| s.node)
     }
 
-    /// Iterate all nodes (root first, then in insertion order).
-    pub fn iter(&self) -> impl Iterator<Item = &PstNode> {
-        self.nodes.iter()
+    /// The context labelling `state` (empty at the root), oldest query
+    /// first, written into `out` (cleared first).
+    pub fn context_into(&self, state: u32, out: &mut Vec<QueryId>) {
+        self.trie.path(self.states[state as usize].node, out);
+    }
+
+    /// The state of `state`'s one-shorter suffix (the root's is the root).
+    pub fn parent(&self, state: u32) -> u32 {
+        self.states[state as usize].parent
+    }
+
+    /// Next-query distribution of `state`.
+    #[inline]
+    pub fn dist(&self, state: u32) -> NodeDist<'_> {
+        let s = self.states[state as usize];
+        let end = self.states[state as usize + 1].first_rank;
+        let (queries, counts) = self.trie.continuations(s.node);
+        NodeDist::new(
+            queries,
+            counts,
+            &self.rank[s.first_rank as usize..end as usize],
+            self.trie.cont_total(s.node),
+            self.n_queries,
+        )
     }
 
     #[inline]
-    fn child_of(&self, idx: u32, q: QueryId) -> Option<u32> {
-        let children = &self.nodes[idx as usize].children;
-        children
-            .binary_search_by_key(&q, |&(e, _)| e)
+    fn child_of(&self, state: u32, q: QueryId) -> Option<u32> {
+        let lo = self.states[state as usize].first_edge as usize;
+        let hi = self.states[state as usize + 1].first_edge as usize;
+        self.edge_queries[lo..hi]
+            .binary_search(&q)
             .ok()
-            .map(|i| children[i].1)
+            .map(|i| self.edge_states[lo + i])
     }
 
-    /// Insert a state. The parent (its one-shorter suffix) must already be
-    /// present — the VMM trainer inserts states in ascending length order,
-    /// which guarantees this because the state set is suffix-closed.
-    ///
-    /// # Panics
-    /// Panics if the parent state is missing.
-    pub fn insert(&mut self, context: QuerySeq, dist: NodeDist) -> u32 {
-        debug_assert!(!context.is_empty(), "root is created by new()");
-        let (parent_idx, matched) = self.longest_suffix(&context);
-        assert_eq!(
-            matched,
-            context.len() - 1,
-            "parent of {context:?} missing from PST"
-        );
-        let edge = context[0];
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(PstNode {
-            context,
-            dist,
-            children: Vec::new(),
-            parent: Some(parent_idx),
-        });
-        let children = &mut self.nodes[parent_idx as usize].children;
-        match children.binary_search_by_key(&edge, |&(e, _)| e) {
-            Ok(_) => debug_assert!(false, "duplicate state insertion"),
-            Err(pos) => children.insert(pos, (edge, idx)),
-        }
-        idx
-    }
-
-    /// Longest suffix of `context` that is a state: returns `(node index,
+    /// Longest suffix of `context` that is a state: returns `(state,
     /// matched length)`; `(0, 0)` means only the root matches.
     pub fn longest_suffix(&self, context: &[QueryId]) -> (u32, usize) {
-        let mut idx = 0u32;
+        let mut state = 0u32;
         let mut matched = 0usize;
-        for i in (0..context.len()).rev() {
-            match self.child_of(idx, context[i]) {
+        for &q in context.iter().rev() {
+            match self.child_of(state, q) {
                 Some(child) => {
-                    idx = child;
+                    state = child;
                     matched += 1;
                 }
                 None => break,
             }
         }
-        (idx, matched)
+        (state, matched)
     }
 
     /// True when `context` is exactly a state of the tree.
     pub fn contains(&self, context: &[QueryId]) -> bool {
-        let (_, matched) = self.longest_suffix(context);
-        matched == context.len()
+        self.find(context).is_some()
     }
 
-    /// Node index of an exact state, if present.
+    /// The state labelled exactly `context`, if present.
     pub fn find(&self, context: &[QueryId]) -> Option<u32> {
-        let (idx, matched) = self.longest_suffix(context);
-        (matched == context.len()).then_some(idx)
+        let (state, matched) = self.longest_suffix(context);
+        (matched == context.len()).then_some(state)
     }
 
-    /// Approximate owned heap bytes.
+    /// Heap bytes of the index alone; the trie it points into is shared and
+    /// accounted by whoever holds it.
     pub fn heap_bytes(&self) -> usize {
-        let mut bytes = self.nodes.capacity() * std::mem::size_of::<PstNode>();
-        for n in &self.nodes {
-            bytes += n.context.len() * std::mem::size_of::<QueryId>();
-            bytes += n.dist.heap_bytes();
-            bytes += n.children.capacity() * std::mem::size_of::<(QueryId, u32)>();
-        }
-        bytes
+        self.states.capacity() * std::mem::size_of::<State>()
+            + self.edge_queries.capacity() * std::mem::size_of::<QueryId>()
+            + self.edge_states.capacity() * std::mem::size_of::<u32>()
+            + self.rank.capacity() * std::mem::size_of::<u32>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counts::WindowCounts;
+    use crate::toy::toy_corpus;
     use sqp_common::seq;
 
-    fn dist(pairs: &[(u32, u64)], nq: usize) -> NodeDist {
-        NodeDist::from_counts(pairs.iter().map(|&(q, c)| (QueryId(q), c)).collect(), nq)
+    /// The root distribution of a corpus of one-query sessions: query `q`
+    /// observed `c` times for each `(q, c)`, smoothed over `nq` queries.
+    fn dist_tree(pairs: &[(u32, u64)], nq: usize) -> Pst {
+        let sessions: Vec<_> = pairs.iter().map(|&(q, c)| (seq(&[q]), c)).collect();
+        let counts = WindowCounts::build(&sessions, None);
+        Pst::from_states(counts.shared_trie(), nq, &[]).unwrap()
+    }
+
+    fn toy_trie() -> Arc<SuffixTrie> {
+        WindowCounts::build(&toy_corpus(), None).shared_trie()
+    }
+
+    fn nodes_of(trie: &SuffixTrie, contexts: &[&[u32]]) -> Vec<u32> {
+        let mut nodes: Vec<u32> = contexts
+            .iter()
+            .map(|c| trie.window(&seq(c)).expect("an observed window"))
+            .collect();
+        nodes.sort_unstable();
+        nodes
     }
 
     fn toy_tree() -> Pst {
         // Figure 3: root, q0, q1, q1q0.
-        let mut pst = Pst::new(dist(&[(0, 187), (1, 31)], 2));
-        pst.insert(seq(&[0]), dist(&[(0, 81), (1, 9)], 2));
-        pst.insert(seq(&[1]), dist(&[(0, 16), (1, 4)], 2));
-        pst.insert(seq(&[1, 0]), dist(&[(1, 7), (0, 3)], 2));
-        pst
+        let trie = toy_trie();
+        let nodes = nodes_of(&trie, &[&[0], &[1], &[1, 0]]);
+        Pst::from_states(trie, 2, &nodes).unwrap()
+    }
+
+    fn context_of(pst: &Pst, state: u32) -> Vec<QueryId> {
+        let mut out = Vec::new();
+        pst.context_into(state, &mut out);
+        out
     }
 
     #[test]
     fn node_count_includes_root() {
         assert_eq!(toy_tree().len(), 4);
         assert!(!toy_tree().is_empty());
+        assert_eq!(toy_tree().state_nodes().len(), 3);
     }
 
     #[test]
@@ -336,11 +449,11 @@ mod tests {
         // [q0,q1,q0]: suffix [q1,q0] matches (length 2).
         let (idx, matched) = pst.longest_suffix(&seq(&[0, 1, 0]));
         assert_eq!(matched, 2);
-        assert_eq!(pst.node(idx).context.as_ref(), seq(&[1, 0]).as_ref());
+        assert_eq!(context_of(&pst, idx), seq(&[1, 0]).to_vec());
         // [q1,q1]: only [q1] matches.
         let (idx, matched) = pst.longest_suffix(&seq(&[1, 1]));
         assert_eq!(matched, 1);
-        assert_eq!(pst.node(idx).context.as_ref(), seq(&[1]).as_ref());
+        assert_eq!(context_of(&pst, idx), seq(&[1]).to_vec());
         // Unknown query: root only.
         let (idx, matched) = pst.longest_suffix(&seq(&[9]));
         assert_eq!((idx, matched), (0, 0));
@@ -357,80 +470,124 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "parent of")]
-    fn insert_requires_parent() {
-        let mut pst = Pst::new(dist(&[(0, 1)], 2));
-        // [0,1] requires [1] first.
-        pst.insert(seq(&[0, 1]), dist(&[(0, 1)], 2));
+    fn parents_are_one_shorter_suffixes() {
+        let pst = toy_tree();
+        let q1q0 = pst.find(&seq(&[1, 0])).unwrap();
+        assert_eq!(pst.parent(q1q0), pst.find(&seq(&[0])).unwrap());
+        assert_eq!(pst.parent(pst.find(&seq(&[1])).unwrap()), 0);
+        assert_eq!(pst.parent(0), 0);
+    }
+
+    #[test]
+    fn state_distributions_are_the_trie_rows() {
+        // Figure 3's numbers, read through the index: no count was copied.
+        let pst = toy_tree();
+        let d = pst.dist(pst.find(&seq(&[1, 0])).unwrap());
+        assert_eq!(d.raw_counts(), (&seq(&[0, 1])[..], &[3u64, 7][..]));
+        assert_eq!(d.total(), 10);
+        let root = pst.dist(0);
+        assert_eq!(root.raw_counts().1, &[187, 31]);
+    }
+
+    #[test]
+    fn state_lists_the_trainer_cannot_produce_are_rejected() {
+        // Windows up to two queries, so depth 3 is continuation evidence.
+        let trie = WindowCounts::build(&toy_corpus(), Some(2)).shared_trie();
+        let build = |nodes: &[u32]| Pst::from_states(trie.clone(), 2, nodes).map(|p| p.len());
+        let q0 = trie.window(&seq(&[0])).unwrap();
+        let q1 = trie.window(&seq(&[1])).unwrap();
+        let q1q0 = trie.window(&seq(&[1, 0])).unwrap();
+        assert_eq!(build(&[q0, q1, q1q0]), Ok(4));
+
+        // [1,0] requires [0] first.
+        assert_eq!(
+            build(&[q1, q1q0]),
+            Err(StateListError::SuffixMissing { node: q1q0 })
+        );
+        assert_eq!(
+            build(&[q1, q0]),
+            Err(StateListError::NotAscending { node: q0 })
+        );
+        assert_eq!(
+            build(&[q0, q0]),
+            Err(StateListError::NotAscending { node: q0 })
+        );
+        assert_eq!(
+            build(&[SuffixTrie::ROOT, q0]),
+            Err(StateListError::NotAWindow { node: 0 })
+        );
+        // Past the windows: a continuation-only node, then no node at all.
+        let beyond = trie.window_count() as u32 + 1;
+        assert!(
+            (beyond as usize) < trie.len(),
+            "the toy trie has a deeper level"
+        );
+        for node in [beyond, trie.len() as u32, u32::MAX] {
+            assert_eq!(build(&[q0, node]), Err(StateListError::NotAWindow { node }));
+        }
     }
 
     #[test]
     fn smoothing_full_support_is_ml() {
         // Both queries observed, |Q| = 2 ⇒ Z = 1, ML probabilities.
-        let d = dist(&[(0, 81), (1, 9)], 2);
+        let pst = dist_tree(&[(0, 81), (1, 9)], 2);
+        let d = pst.dist(0);
         assert!((d.prob(QueryId(0)) - 0.9).abs() < 1e-12);
         assert!((d.prob(QueryId(1)) - 0.1).abs() < 1e-12);
-        assert!((d.ml_prob(QueryId(0)) - 0.9).abs() < 1e-12);
     }
 
     #[test]
     fn smoothing_partial_support_renormalizes() {
         // One of four queries observed: Z = 1 + 3/4 = 1.75.
-        let d = dist(&[(0, 10)], 4);
+        let pst = dist_tree(&[(0, 10)], 4);
+        let d = pst.dist(0);
         let p_obs = d.prob(QueryId(0));
         let p_un = d.prob(QueryId(3));
         assert!((p_obs - 1.0 / 1.75).abs() < 1e-12);
         assert!((p_un - 0.25 / 1.75).abs() < 1e-12);
         // Total mass: observed + 3 unobserved = 1.
         assert!((p_obs + 3.0 * p_un - 1.0).abs() < 1e-12);
-        assert_eq!(d.ml_prob(QueryId(3)), 0.0);
     }
 
     #[test]
     fn top_k_orders_by_probability() {
-        let d = dist(&[(5, 70), (2, 20), (9, 10)], 10);
-        let top = d.top_k(2);
-        assert_eq!(top.len(), 2);
+        let pst = dist_tree(&[(5, 70), (2, 20), (9, 10)], 10);
+        let d = pst.dist(0);
+        let mut top = vec![Scored::new(QueryId(0), 0.0); 3];
+        d.top_k_into(2, &mut top);
+        assert_eq!(top.len(), 2, "the reused buffer is cleared first");
         assert_eq!(top[0].query, QueryId(5));
         assert_eq!(top[1].query, QueryId(2));
-        // Reused buffer gets the same answer.
-        let mut buf = Vec::new();
-        d.top_k_into(2, &mut buf);
-        assert_eq!(buf, top);
     }
 
     #[test]
     fn raw_counts_are_id_sorted() {
-        let d = dist(&[(9, 10), (2, 20), (5, 70)], 10);
-        let ids: Vec<u32> = d.raw_counts().iter().map(|(q, _)| q.0).collect();
+        let pst = dist_tree(&[(9, 10), (2, 20), (5, 70)], 10);
+        let d = pst.dist(0);
+        let ids: Vec<u32> = d.raw_counts().0.iter().map(|q| q.0).collect();
         assert_eq!(ids, vec![2, 5, 9]);
         // Best-first iteration still ranks by probability.
         let ranked: Vec<u32> = d.observed().map(|(q, _)| q.0).collect();
         assert_eq!(ranked, vec![5, 2, 9]);
-    }
-
-    #[test]
-    fn from_sorted_slices_matches_from_counts() {
-        let a = NodeDist::from_sorted_slices(&[QueryId(1), QueryId(4)], &[3, 9], 6);
-        let b = dist(&[(4, 9), (1, 3)], 6);
-        for q in 0..6 {
-            assert_eq!(a.prob(QueryId(q)), b.prob(QueryId(q)));
-            assert_eq!(a.ml_prob(QueryId(q)), b.ml_prob(QueryId(q)));
-        }
+        // Equal counts rank by ascending id.
+        let tied = dist_tree(&[(7, 4), (3, 4), (5, 9)], 10);
+        let ranked: Vec<u32> = tied.dist(0).observed().map(|(q, _)| q.0).collect();
+        assert_eq!(ranked, vec![5, 3, 7]);
     }
 
     #[test]
     fn empty_dist() {
-        let d = NodeDist::from_counts(vec![], 5);
+        let pst = dist_tree(&[], 5);
+        let d = pst.dist(0);
         assert!(d.is_empty());
         assert_eq!(d.total(), 0);
         assert!((d.prob(QueryId(0)) - 0.2).abs() < 1e-12); // uniform
-        assert!(d.top_k(3).is_empty());
+        assert_eq!(d.observed().count(), 0);
     }
 
     #[test]
     fn heap_bytes_grow_with_nodes() {
-        let small = Pst::new(dist(&[(0, 1)], 2));
+        let small = Pst::from_states(toy_trie(), 2, &[]).unwrap();
         assert!(toy_tree().heap_bytes() > small.heap_bytes());
     }
 }

@@ -13,19 +13,22 @@
 //!   by a merged walk over the two id-sorted continuation slices borrowed
 //!   from the arena — no per-candidate hash map is built;
 //! * **(c)** smooth every node distribution with the constant 1/|Q| for
-//!   unobserved queries and renormalize.
+//!   unobserved queries and renormalize — at read time, from the trie row
+//!   the state points at ([`crate::pst::NodeDist`]); nothing is stored.
 //!
-//! Prediction walks the longest matching suffix in O(D·log m) with no
-//! allocation. The context-escape mechanism of Eq. (5)–(6) is served by the
-//! same window trie the counts were collected in (the trained model keeps
-//! the frozen arena as its escape table).
+//! What training produces is therefore a *set of trie nodes*: the trained
+//! model is the window trie it was counted in, shared and not copied, plus
+//! the [`Pst`] index over the nodes that became states. Prediction walks
+//! the longest matching suffix in O(D·log m) with no allocation. The
+//! context-escape mechanism of Eq. (5)–(6) reads the same trie.
 
 use crate::counts::{escape_prob_in, WindowCounts};
 use crate::model::{Recommender, SequenceScorer, WeightedSessions};
-use crate::pst::{NodeDist, Pst};
+use crate::pst::{Pst, StateListError};
 use sqp_common::arena::SuffixTrie;
 use sqp_common::topk::Scored;
 use sqp_common::QueryId;
+use std::sync::Arc;
 
 /// VMM training parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -89,10 +92,10 @@ impl VmmConfig {
 
 /// A trained VMM.
 pub struct Vmm {
+    /// The states, and through them the frozen window trie: child rows are
+    /// the distributions, per-window (total, at-start) counts drive the
+    /// escape probabilities of Eq. (6).
     pub(crate) pst: Pst,
-    /// The frozen window trie: per-window (total, at-start) counts driving
-    /// the escape probabilities of Eq. (6).
-    pub(crate) windows: SuffixTrie,
     pub(crate) total_sessions: u64,
     pub(crate) total_occurrences: u64,
     pub(crate) n_queries: usize,
@@ -133,58 +136,55 @@ fn kl_counts_base10(
 impl Vmm {
     /// Train on weighted sessions.
     pub fn train(sessions: &WeightedSessions, config: VmmConfig) -> Self {
-        let counts = WindowCounts::build(sessions, config.max_depth);
-        Self::train_from_counts(counts, config)
+        Self::train_with_counts(&WindowCounts::build(sessions, config.max_depth), config)
     }
 
     /// Train from pre-built window counts. The counts **must** have been
     /// built with the same `max_depth` as `config` — mixtures use this to
     /// count the corpus once and train many components off the shared trie
-    /// (the ε threshold only affects stage (b), not the counts).
+    /// (the ε threshold only affects stage (b), not the counts), which
+    /// every one of them then holds a handle to.
     pub fn train_with_counts(counts: &WindowCounts, config: VmmConfig) -> Self {
-        let pst = Self::grow_pst(counts, config);
-        Self::assemble(pst, counts.trie().clone(), counts, config)
-    }
-
-    fn train_from_counts(counts: WindowCounts, config: VmmConfig) -> Self {
-        let pst = Self::grow_pst(&counts, config);
-        let (total_sessions, total_occurrences, n_queries) = (
+        Self::from_parts(
+            counts.shared_trie(),
+            &Self::grow_pst(counts, config),
             counts.total_sessions,
             counts.total_occurrences,
             counts.n_queries.max(1),
-        );
-        Vmm {
-            pst,
-            windows: counts.into_trie(),
+            config,
+        )
+        .expect("stage (b) marks a suffix-closed set of windows")
+    }
+
+    /// The model whose states are the windows `states` of `trie` — the one
+    /// constructor, for the trainer's state set and for one read from disk.
+    pub(crate) fn from_parts(
+        trie: Arc<SuffixTrie>,
+        states: &[u32],
+        total_sessions: u64,
+        total_occurrences: u64,
+        n_queries: usize,
+        config: VmmConfig,
+    ) -> Result<Self, StateListError> {
+        Ok(Vmm {
+            pst: Pst::from_states(trie, n_queries, states)?,
             total_sessions,
             total_occurrences,
             n_queries,
             name: config.display_name(),
             config,
-        }
+        })
     }
 
-    fn assemble(pst: Pst, windows: SuffixTrie, counts: &WindowCounts, config: VmmConfig) -> Self {
-        Vmm {
-            pst,
-            windows,
-            total_sessions: counts.total_sessions,
-            total_occurrences: counts.total_occurrences,
-            n_queries: counts.n_queries.max(1),
-            name: config.display_name(),
-            config,
-        }
-    }
-
-    /// Stages (a)–(c): candidate extraction, KL growth, smoothing.
-    fn grow_pst(counts: &WindowCounts, config: VmmConfig) -> Pst {
-        let n_queries = counts.n_queries.max(1);
+    /// Stages (a) + (b): candidate extraction and KL growth. Returns the
+    /// trie nodes chosen as states, ascending.
+    fn grow_pst(counts: &WindowCounts, config: VmmConfig) -> Vec<u32> {
         let trie = counts.trie();
 
-        // Stages (a) + (b): decide the suffix-closed state set, walking the
-        // candidate nodes in (length, sequence) order — the trie's canonical
-        // id order — so a node's trie parent, and every shorter window, is
-        // decided before it.
+        // Decide the suffix-closed state set, walking the candidate nodes
+        // in (length, sequence) order — the trie's canonical id order — so a
+        // node's trie parent, and every shorter window, is decided before
+        // it.
         //
         // `link[n]` is the node of n's window minus its oldest query — the
         // PST parent, whose distribution the KL test compares against. With
@@ -232,23 +232,9 @@ impl Vmm {
                 }
             }
         }
-
-        // Stage (c): materialize the tree with smoothed distributions. Id
-        // order is (length, sequence) order, so parents are inserted first.
-        let (root_keys, root_counts) = counts.root_continuations();
-        let mut pst = Pst::new(NodeDist::from_sorted_slices(
-            root_keys,
-            root_counts,
-            n_queries,
-        ));
-        let mut path: Vec<QueryId> = Vec::new();
-        for node in (0..n_windows as u32).filter(|&n| state[n as usize]) {
-            trie.path(node, &mut path);
-            let (keys, cnts) = trie.continuations(node);
-            let dist = NodeDist::from_sorted_slices(keys, cnts, n_queries);
-            pst.insert(path.as_slice().into(), dist);
-        }
-        pst
+        (1..n_windows as u32)
+            .filter(|&n| state[n as usize])
+            .collect()
     }
 
     /// Number of PST nodes including the root (Table VII metric).
@@ -261,9 +247,10 @@ impl Vmm {
         &self.pst
     }
 
-    /// The frozen window trie (escape table).
-    pub fn window_trie(&self) -> &SuffixTrie {
-        &self.windows
+    /// The frozen window trie the states index (distributions and escape
+    /// table). Mixture components trained off one count share one.
+    pub fn window_trie(&self) -> &Arc<SuffixTrie> {
+        self.pst.trie()
     }
 
     /// Training configuration.
@@ -276,8 +263,9 @@ impl Vmm {
         self.n_queries
     }
 
-    /// Longest suffix of `context` that is a (non-root) state:
-    /// `(node index, matched length)`.
+    /// Longest suffix of `context` that is a (non-root) state: `(state,
+    /// matched length)` — the state's context is the last `matched` queries
+    /// of `context`.
     pub fn match_state(&self, context: &[QueryId]) -> Option<(u32, usize)> {
         let (idx, matched) = self.pst.longest_suffix(context);
         (matched > 0).then_some((idx, matched))
@@ -287,7 +275,7 @@ impl Vmm {
     /// [`WindowCounts::escape_prob`] for the derivation).
     pub fn escape_prob(&self, s: &[QueryId]) -> f64 {
         escape_prob_in(
-            &self.windows,
+            self.pst.trie(),
             self.total_sessions,
             self.total_occurrences,
             s,
@@ -299,7 +287,7 @@ impl Vmm {
     /// Falls back to the root prior when nothing matches.
     pub fn cond_prob(&self, context: &[QueryId], q: QueryId) -> f64 {
         let (idx, _) = self.pst.longest_suffix(context);
-        self.pst.node(idx).dist.prob(q)
+        self.pst.dist(idx).prob(q)
     }
 
     /// `P̂(q | context)` with the context-escape recursion of Eq. (5):
@@ -311,10 +299,10 @@ impl Vmm {
         let mut factor = 1.0;
         loop {
             if s.is_empty() {
-                return factor * self.pst.root().dist.prob(q);
+                return factor * self.pst.dist(0).prob(q);
             }
             if let Some(idx) = self.pst.find(s) {
-                return factor * self.pst.node(idx).dist.prob(q);
+                return factor * self.pst.dist(idx).prob(q);
             }
             factor *= self.escape_prob(s);
             s = &s[1..];
@@ -341,17 +329,17 @@ impl Vmm {
         let Some((mut idx, _)) = self.match_state(context) else {
             return;
         };
-        // Defensive: walk toward the root if a state lacks evidence (cannot
-        // happen with the growth rule, but keeps the API total).
+        // Walk toward the root if a state lacks evidence: the growth rule
+        // never marks such a window, a state list read from disk may.
         loop {
-            let node = self.pst.node(idx);
-            if !node.dist.is_empty() {
-                node.dist.top_k_into(k, out);
+            let dist = self.pst.dist(idx);
+            if !dist.is_empty() {
+                dist.top_k_into(k, out);
                 return;
             }
-            match node.parent {
-                Some(p) if p != 0 => idx = p,
-                _ => return,
+            idx = self.pst.parent(idx);
+            if idx == 0 {
+                return;
             }
         }
     }
@@ -392,7 +380,7 @@ impl Recommender for Vmm {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.pst.heap_bytes() + self.windows.heap_bytes()
+        self.pst.heap_bytes() + self.pst.trie().heap_bytes()
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -626,8 +614,10 @@ mod randomized_tests {
             let corpus = arbitrary_corpus(&mut rng);
             let eps = rng.random::<f64>() * 0.2;
             let m = Vmm::train(&corpus, VmmConfig::with_epsilon(eps));
-            for node in m.pst().iter() {
-                let mut s: &[QueryId] = &node.context;
+            let mut context = Vec::new();
+            for state in 0..m.node_count() as u32 {
+                m.pst().context_into(state, &mut context);
+                let mut s: &[QueryId] = &context;
                 while !s.is_empty() {
                     assert!(m.pst().contains(s), "case {case}: suffix {s:?} missing");
                     s = &s[1..];

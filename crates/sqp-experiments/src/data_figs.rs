@@ -124,24 +124,22 @@ pub fn fig03_toy_pst() -> String {
         "Figure 3 — PST built from the Table II toy corpus (epsilon = 0.1)\n\
          =================================================================\n",
     );
-    // States and their distributions.
-    let mut states: Vec<_> = vmm.pst().iter().collect();
-    states.sort_by_key(|n| (n.context.len(), n.context.clone()));
-    for node in states {
-        let label = if node.context.is_empty() {
+    // States and their distributions, in (length, sequence) order — the
+    // tree's own state order.
+    let mut context = Vec::new();
+    for state in 0..vmm.node_count() as u32 {
+        vmm.pst().context_into(state, &mut context);
+        let label = if context.is_empty() {
             "e".to_string()
         } else {
-            node.context
-                .iter()
-                .map(|q| format!("q{}", q.0))
-                .collect::<Vec<_>>()
-                .join("")
+            context.iter().map(|q| format!("q{}", q.0)).collect()
         };
+        let dist = vmm.pst().dist(state);
         out.push_str(&format!(
             "state {:6}  (P(q0|s), P(q1|s)) = ({:.3}, {:.3})\n",
             label,
-            node.dist.prob(sqp_common::QueryId(0)),
-            node.dist.prob(sqp_common::QueryId(1)),
+            dist.prob(sqp_common::QueryId(0)),
+            dist.prob(sqp_common::QueryId(1)),
         ));
     }
 

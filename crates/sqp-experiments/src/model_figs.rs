@@ -181,7 +181,7 @@ pub fn tab07_memory(wb: &Workbench, models: &TrainedModels) -> String {
         })
         .collect();
     rows.push(vec![
-        "MVMM (sum of components, un-merged)".into(),
+        "MVMM (sum of components, unshared)".into(),
         sqp_common::mem::format_megabytes(
             models
                 .mvmm

@@ -15,7 +15,7 @@ use crate::session::Session;
 use crate::sink::SuggestSink;
 use sqp_common::topk::Scored;
 use sqp_common::{Interner, QueryId};
-use sqp_core::{Mvmm, MvmmConfig, Recommender, Vmm, VmmConfig};
+use sqp_core::{ModelKind, Mvmm, MvmmConfig, Recommender, Vmm, VmmConfig};
 use sqp_logsim::RawLogRecord;
 use sqp_sessions::{aggregate, reduce, segment_with_parallelism, DEFAULT_CUTOFF_SECS};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,6 +66,21 @@ pub enum ModelSpec {
 impl Default for ModelSpec {
     fn default() -> Self {
         ModelSpec::Mvmm(MvmmConfig::epsilon_sweep())
+    }
+}
+
+impl ModelSpec {
+    /// The tag a snapshot trained from this spec is saved under. Total:
+    /// every spec trains a model with an on-disk form.
+    pub fn kind(&self) -> ModelKind {
+        match self {
+            ModelSpec::Mvmm(_) => ModelKind::Mvmm,
+            ModelSpec::Vmm(_) => ModelKind::Vmm,
+            ModelSpec::Adjacency => ModelKind::Adjacency,
+            ModelSpec::Cooccurrence => ModelKind::Cooccurrence,
+            ModelSpec::NGram => ModelKind::NGram,
+            ModelSpec::Backoff(_) => ModelKind::Backoff,
+        }
     }
 }
 
@@ -332,6 +347,31 @@ mod tests {
                 ..TrainingConfig::default()
             },
         )
+    }
+
+    #[test]
+    fn every_spec_trains_the_kind_it_names() {
+        for spec in [
+            ModelSpec::default(),
+            ModelSpec::Vmm(VmmConfig::default()),
+            ModelSpec::Adjacency,
+            ModelSpec::Cooccurrence,
+            ModelSpec::NGram,
+            ModelSpec::Backoff(sqp_core::BackoffConfig::default()),
+        ] {
+            let trained = ModelSnapshot::from_raw_logs(
+                &[rec(1, 100, "garden"), rec(1, 180, "garden shed")],
+                &TrainingConfig {
+                    model: spec.clone(),
+                    ..TrainingConfig::default()
+                },
+            );
+            assert_eq!(
+                ModelKind::of(trained.model()),
+                Some(spec.kind()),
+                "{spec:?}"
+            );
+        }
     }
 
     #[test]

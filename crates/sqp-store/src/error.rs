@@ -30,8 +30,10 @@ pub enum SnapshotError {
     /// Structurally invalid contents (bad section table, short section,
     /// undecodable payload). The message pinpoints the first violation.
     Corrupt(String),
-    /// The in-memory model behind the snapshot has no persistable form
-    /// (e.g. the MVMM mixture) — a save-time error only.
+    /// The in-memory model behind the snapshot has no persistable form — a
+    /// save-time error only, and only for an ad-hoc `Recommender` handed to
+    /// `ModelSnapshot::from_parts`: every model a `ModelSpec` trains has a
+    /// `ModelKind`.
     UnsupportedModel(String),
 }
 
@@ -43,7 +45,11 @@ impl fmt::Display for SnapshotError {
                 write!(f, "bad magic — not a snapshot file (expected \"SQPS\")")
             }
             SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v} (this build reads v3)")
+                write!(
+                    f,
+                    "unsupported snapshot version {v} (this build reads v{})",
+                    crate::FORMAT_VERSION
+                )
             }
             SnapshotError::ChecksumMismatch { stored, computed } => write!(
                 f,
@@ -119,15 +125,7 @@ impl fmt::Display for RetrainError {
                 write!(
                     f,
                     "saving snapshot generation {generation} failed after {attempts} attempts: {last}"
-                )?;
-                if let SnapshotError::UnsupportedModel(_) = last {
-                    write!(
-                        f,
-                        "; train ModelSpec::Vmm, Adjacency, Cooccurrence, NGram or Backoff, \
-                         or run without a snapshot_dir"
-                    )?;
-                }
-                Ok(())
+                )
             }
             RetrainError::Quarantined {
                 generation,

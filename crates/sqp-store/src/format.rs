@@ -1,4 +1,4 @@
-//! Snapshot container format v3 — one file that boots a serving process.
+//! Snapshot container format v4 — one file that boots a serving process.
 //!
 //! A snapshot file bundles everything [`ModelSnapshot`] needs: the frozen
 //! [`Interner`], the trained model behind its
@@ -27,8 +27,10 @@ use std::path::Path;
 
 /// First four bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"SQPS";
-/// Container version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 3;
+/// Container version this build writes and reads. Version 4 changed the
+/// VMM payload (trie rows + state node ids) and added the MVMM's; a v3
+/// file is refused by version, not decoded.
+pub const FORMAT_VERSION: u32 = 4;
 /// Size of the fixed header: magic + version + section count.
 pub const HEADER_LEN: usize = 12;
 /// Size of one section-table entry: id `u32`, offset `u64`, length `u64`.
@@ -42,7 +44,7 @@ pub const SECTION_META: u32 = 1;
 pub const SECTION_INTERNER: u32 = 2;
 /// Section id of the model block.
 pub const SECTION_MODEL: u32 = 3;
-/// Sections every v3 snapshot carries, in file order.
+/// Sections every snapshot carries, in file order.
 pub const SECTION_IDS: [u32; 3] = [SECTION_META, SECTION_INTERNER, SECTION_MODEL];
 
 /// Byte length of the META section payload (three `u64` fields).
@@ -89,11 +91,13 @@ pub fn checksum_fnv1a(bytes: &[u8]) -> u64 {
         .fold(OFFSET_BASIS, |h, &b| (h ^ b as u64).wrapping_mul(PRIME))
 }
 
-/// Serialize a snapshot + metadata into the v3 container bytes.
+/// Serialize a snapshot + metadata into the container bytes.
 ///
-/// Fails only when the model behind the snapshot has no persistable form
-/// (see [`ModelKind`]). Output is deterministic: identical snapshots
-/// produce bit-identical files.
+/// Fails only when the model behind the snapshot has no [`ModelKind`] —
+/// an ad-hoc [`Recommender`](sqp_core::Recommender) handed to
+/// [`ModelSnapshot::from_parts`]; everything a
+/// [`ModelSpec`](sqp_serve::ModelSpec) trains has one. Output is
+/// deterministic: identical snapshots produce bit-identical files.
 pub fn snapshot_to_bytes(
     snapshot: &ModelSnapshot,
     meta: &SnapshotMeta,
@@ -257,14 +261,14 @@ fn required_section(
     Ok(entry)
 }
 
-/// Reconstruct a snapshot and its metadata from v3 container bytes the
+/// Reconstruct a snapshot and its metadata from container bytes the
 /// caller only borrows; the decoder works on a copy. A caller that owns
 /// the buffer hands it to [`snapshot_from_vec`] instead.
 pub fn snapshot_from_bytes(raw: &[u8]) -> Result<(ModelSnapshot, SnapshotMeta), SnapshotError> {
     snapshot_from_vec(raw.to_vec())
 }
 
-/// Reconstruct a snapshot and its metadata from an owned buffer of v3
+/// Reconstruct a snapshot and its metadata from an owned buffer of
 /// container bytes — what a file read yields — without copying it.
 ///
 /// Integrity order: magic → version → whole-file checksum → section table
@@ -473,6 +477,7 @@ mod tests {
             ModelSpec::NGram,
             ModelSpec::Backoff(sqp_core::BackoffConfig::default()),
             ModelSpec::Vmm(VmmConfig::with_epsilon(0.05)),
+            ModelSpec::Mvmm(sqp_core::MvmmConfig::small()),
         ] {
             let snapshot = toy_snapshot(spec);
             let meta = SnapshotMeta::describe(&snapshot, 3, 12);
@@ -501,36 +506,111 @@ mod tests {
     }
 
     #[test]
-    fn mvmm_is_a_save_time_error() {
-        let snapshot = toy_snapshot(ModelSpec::Mvmm(sqp_core::MvmmConfig::small()));
+    fn a_model_without_a_kind_is_a_save_time_error() {
+        // The HMM extension is the one model in the workspace no
+        // `ModelSpec` trains and no `ModelKind` names.
+        let hmm = sqp_core::Hmm::train(
+            &[(sqp_common::seq(&[0, 1]), 3)],
+            sqp_core::HmmConfig::default(),
+        );
+        let snapshot = ModelSnapshot::from_parts(Interner::new(), Box::new(hmm), 3);
         let err = snapshot_to_bytes(&snapshot, &SnapshotMeta::default()).unwrap_err();
         assert!(matches!(err, SnapshotError::UnsupportedModel(_)), "{err}");
     }
 
+    /// One toy file per payload layout: a count table, the VMM's trie rows
+    /// and state list, and an MVMM whose two depth bounds put two tries and
+    /// three state lists in one payload.
+    fn toy_files() -> Vec<(&'static str, Vec<u8>)> {
+        let mixture = sqp_core::MvmmConfig {
+            parallel: false,
+            ..sqp_core::MvmmConfig::depth_mixture(&[(1, 0.0), (2, 0.05), (1, 0.2)])
+        };
+        [
+            ("adjacency", ModelSpec::Adjacency),
+            ("vmm", ModelSpec::Vmm(VmmConfig::with_epsilon(0.05))),
+            ("mvmm", ModelSpec::Mvmm(mixture)),
+        ]
+        .into_iter()
+        .map(|(name, spec)| {
+            let raw = snapshot_to_bytes(&toy_snapshot(spec), &SnapshotMeta::default()).unwrap();
+            (name, raw)
+        })
+        .collect()
+    }
+
     #[test]
     fn every_truncation_point_fails_with_typed_error() {
-        let snapshot = toy_snapshot(ModelSpec::Adjacency);
-        let raw = snapshot_to_bytes(&snapshot, &SnapshotMeta::default()).unwrap();
-        for cut in 0..raw.len() {
-            match snapshot_from_bytes(&raw[..cut]) {
-                Err(_) => {}
-                Ok(_) => panic!("truncation at {cut}/{} loaded successfully", raw.len()),
+        for (name, raw) in toy_files() {
+            assert!(snapshot_from_bytes(&raw).is_ok(), "{name}");
+            for cut in 0..raw.len() {
+                assert!(
+                    snapshot_from_bytes(&raw[..cut]).is_err(),
+                    "{name}: truncation at {cut}/{} loaded successfully",
+                    raw.len()
+                );
             }
         }
     }
 
     #[test]
     fn every_single_byte_corruption_fails() {
-        let snapshot = toy_snapshot(ModelSpec::Adjacency);
-        let raw = snapshot_to_bytes(&snapshot, &SnapshotMeta::default()).unwrap();
-        for i in 0..raw.len() {
-            let mut bad = raw.clone();
-            bad[i] ^= 0xA5;
-            assert!(
-                snapshot_from_bytes(&bad).is_err(),
-                "flip at byte {i} loaded successfully"
-            );
+        for (name, raw) in toy_files() {
+            for i in 0..raw.len() {
+                let mut bad = raw.clone();
+                bad[i] ^= 0xA5;
+                assert!(
+                    snapshot_from_bytes(&bad).is_err(),
+                    "{name}: flip at byte {i} loaded successfully"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn a_hostile_payload_behind_a_good_checksum_is_corrupt_not_a_panic() {
+        // The checksum catches accidents; a crafted file recomputes it. Flip
+        // each byte of the MODEL section, re-seal, and load: the result is
+        // `Corrupt` or a model that answers — never a panic. (Answers are
+        // taken as ids: a payload may still name a query id its interner
+        // never issued, which only rendering would trip over — ROADMAP
+        // item 3(e).)
+        for (name, raw) in toy_files() {
+            let model = parse_section_table(&raw).unwrap()[2];
+            for i in model.offset..model.offset + model.len {
+                let mut bad = raw.clone();
+                bad[i] ^= 0xFF;
+                let body = bad.len() - CHECKSUM_LEN;
+                let sum = checksum_fnv1a(&bad[..body]);
+                bad[body..].copy_from_slice(&sum.to_le_bytes());
+                match snapshot_from_bytes(&bad) {
+                    Ok((snapshot, _)) => {
+                        let mut ids = Vec::new();
+                        let mut top = Vec::new();
+                        for ctx in [&["a"][..], &["b", "a"]] {
+                            assert!(snapshot.resolve_context_into(ctx.iter().copied(), &mut ids));
+                            snapshot.recommend_ids_into(&ids, 3, &mut top);
+                            assert!(top.len() <= 3);
+                        }
+                    }
+                    Err(SnapshotError::Corrupt(_)) => {}
+                    Err(other) => panic!("{name}: byte {i} gave {other}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_file_of_the_previous_version_is_refused_by_version() {
+        let mut raw = snapshot_to_bytes(
+            &toy_snapshot(ModelSpec::Vmm(VmmConfig::with_epsilon(0.05))),
+            &SnapshotMeta::default(),
+        )
+        .unwrap();
+        raw[4] = 3;
+        let err = snapshot_from_bytes(&raw).unwrap_err();
+        assert!(matches!(err, SnapshotError::UnsupportedVersion(3)), "{err}");
+        assert!(err.to_string().contains("reads v4"), "{err}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! Three layers:
 //!
-//! * [`mod@format`] — **snapshot persistence v3**: one versioned, checksummed
+//! * [`mod@format`] — **snapshot persistence**: one versioned, checksummed
 //!   file carrying the frozen [`Interner`](sqp_common::Interner), the
 //!   trained model behind a [`ModelKind`] tag, and lifecycle
 //!   [`SnapshotMeta`]. [`save_snapshot`] / [`load_snapshot`] round-trip a

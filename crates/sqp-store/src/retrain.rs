@@ -8,7 +8,7 @@
 //! [`step`](Retrainer::step): re-run the full
 //! `segment → aggregate → reduce → train` pipeline over a sliding window of
 //! recent records ([`SlidingCorpus`]), write the new generation to disk as
-//! a v3 snapshot, load the file back, validate it, and publish it through
+//! a snapshot, load the file back, validate it, and publish it through
 //! the engine's `Swap` cell. Serving never pauses: requests in flight
 //! finish on the old snapshot, later ones see the new one.
 //!
@@ -81,11 +81,7 @@ pub struct RetrainConfig {
     pub window_records: usize,
     /// Where snapshot generations are written (`snapshot-NNNNNNNN.sqps`).
     /// `None` is the memory-only mode (tests, single-process setups): the
-    /// trained snapshot is published without being saved or validated. A
-    /// directory requires a persistable `training.model`
-    /// (`ModelSpec::Vmm`, `Adjacency`, `Cooccurrence`, `NGram` or
-    /// `Backoff`); the default MVMM has no on-disk form, so with a
-    /// directory every step fails [`RetrainError::SaveFailed`].
+    /// trained snapshot is published without being saved or validated.
     pub snapshot_dir: Option<PathBuf>,
     /// How many snapshot generations to keep on disk (min 1); older files
     /// are deleted after each successful publish.
@@ -515,11 +511,20 @@ impl Retrainer {
             self.hazard.strike("store.retrain.train");
             ModelSnapshot::from_raw_logs(&window, &self.cfg.training)
         }));
-        let snapshot = match trained {
-            Ok(snapshot) => snapshot,
-            Err(payload) => return self.fail(RetrainError::TrainingPanicked(panic_text(payload))),
-        };
+        match trained {
+            Ok(snapshot) => self.publish_trained(engine, snapshot, &window),
+            Err(payload) => self.fail(RetrainError::TrainingPanicked(panic_text(payload))),
+        }
+    }
 
+    /// The second half of a step: reserve a generation for `snapshot`
+    /// (trained on `window`), save, load back, validate, publish, rotate.
+    fn publish_trained(
+        &self,
+        engine: &ServeEngine,
+        snapshot: ModelSnapshot,
+        window: &[RawLogRecord],
+    ) -> StepOutcome {
         let generation = self.reserve_generation();
         let meta = SnapshotMeta::describe(&snapshot, generation, window.len() as u64);
 
@@ -549,8 +554,8 @@ impl Retrainer {
             match save_snapshot_with(&*self.io, &path, &snapshot, &meta) {
                 Ok(()) => break,
                 Err(last) => {
-                    // Only disk errors are worth retrying: a model with no
-                    // on-disk form fails the same way on every attempt.
+                    // Only disk errors are worth retrying: anything else
+                    // fails the same way on every attempt.
                     let retryable = matches!(last, SnapshotError::Io(_));
                     if !retryable || attempts >= max_attempts {
                         return self.fail(RetrainError::SaveFailed {
@@ -1041,12 +1046,21 @@ mod tests {
 
     #[test]
     fn unsaveable_model_fails_on_the_first_attempt() {
-        let dir = scratch_dir("mvmm");
+        // A model with no `ModelKind` — the HMM extension. No `ModelSpec`
+        // trains one, so it enters the step after training.
+        let adhoc = || {
+            let hmm = sqp_core::Hmm::train(
+                &[(sqp_common::seq(&[0, 1]), 3)],
+                sqp_core::HmmConfig::default(),
+            );
+            ModelSnapshot::from_parts(sqp_common::Interner::new(), Box::new(hmm), 3)
+        };
+
+        let dir = scratch_dir("adhoc");
         let e = engine("old");
         let clock = Arc::new(VirtualClock::new());
         let retrainer = |snapshot_dir| {
             Retrainer::with_seams(
-                // The default model is the MVMM, which has no on-disk form.
                 RetrainConfig {
                     snapshot_dir,
                     ..RetrainConfig::default()
@@ -1059,7 +1073,7 @@ mod tests {
         };
 
         let persisted = retrainer(Some(dir.clone()));
-        let outcome = persisted.step(&e);
+        let outcome = persisted.publish_trained(&e, adhoc(), &seed_records("old"));
         assert!(
             matches!(
                 outcome,
@@ -1080,16 +1094,51 @@ mod tests {
         let health = persisted.health();
         assert_eq!((health.failures, health.save_retries), (1, 0));
         let message = health.last_error.unwrap();
-        assert!(message.contains("ModelSpec::Vmm"), "{message}");
+        assert!(message.contains("no persistable form"), "{message}");
 
         // Memory-only mode saves nothing, so any model publishes.
-        let outcome = retrainer(None).step(&e);
+        let outcome = retrainer(None).publish_trained(&e, adhoc(), &seed_records("old"));
         assert!(
             matches!(outcome, StepOutcome::Published { path: None, .. }),
             "{outcome:?}"
         );
         assert_eq!(e.generation(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_default_config_publishes_a_mixture_from_disk() {
+        // `RetrainConfig::default()` trains the paper's MVMM; with a
+        // directory the step saves it, loads it back and serves the loaded
+        // mixture, which answers as the trained one.
+        let dir = scratch_dir("mvmm");
+        let e = engine("old");
+        let cfg = RetrainConfig {
+            snapshot_dir: Some(dir.clone()),
+            ..RetrainConfig::default()
+        };
+        let trained = ModelSnapshot::from_raw_logs(&seed_records("old"), &cfg.training);
+        assert_eq!(trained.model_name(), "MVMM");
+
+        let outcome = Retrainer::new(cfg, seed_records("old")).step(&e);
+        let StepOutcome::Published {
+            generation: 1,
+            path: Some(path),
+        } = outcome
+        else {
+            panic!("{outcome:?}");
+        };
+        assert_eq!(e.generation(), 1);
+        let (loaded, meta) = crate::load_snapshot(&path).unwrap();
+        assert_eq!(meta.generation, 1);
+        for snapshot in [&loaded, &*e.snapshot()] {
+            assert_eq!(snapshot.model_name(), "MVMM");
+            for ctx in [&["start"][..], &["old::next"], &["start", "old::next"]] {
+                assert_eq!(snapshot.suggest(ctx, 5), trained.suggest(ctx, 5), "{ctx:?}");
+            }
+        }
+        assert!(serves(&e, "old::next"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

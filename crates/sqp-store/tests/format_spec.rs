@@ -8,15 +8,23 @@ use sqp_serve::ModelSnapshot;
 use sqp_store::{checksum_fnv1a, parse_section_table, snapshot_from_bytes, snapshot_to_bytes};
 use sqp_store::{SnapshotMeta, FORMAT_VERSION};
 
-/// The toy snapshot of FORMAT.md's worked example: interner
-/// `{0: "rust", 1: "rust book"}`, Adjacency trained on `[0, 1] × 3`,
-/// meta `{generation: 7, trained_sessions: 3, source_records: 6}`.
+/// The toy corpus of FORMAT.md's worked examples: `[0, 1] × 3`.
+fn toy_sessions() -> Vec<(sqp_common::QuerySeq, u64)> {
+    vec![(seq(&[0, 1]), 3)]
+}
+
+/// The toy snapshot of FORMAT.md's first worked example: Adjacency.
 fn toy_snapshot_bytes() -> Vec<u8> {
+    toy_bytes(Box::new(sqp_core::Adjacency::train(&toy_sessions())))
+}
+
+/// `model` over the toy interner `{0: "rust", 1: "rust book"}` with meta
+/// `{generation: 7, trained_sessions: 3, source_records: 6}`.
+fn toy_bytes(model: Box<dyn sqp_core::Recommender>) -> Vec<u8> {
     let mut interner = Interner::new();
     interner.intern("rust");
     interner.intern("rust book");
-    let model = sqp_core::Adjacency::train(&[(seq(&[0, 1]), 3)]);
-    let snapshot = ModelSnapshot::from_parts(interner, Box::new(model), 3);
+    let snapshot = ModelSnapshot::from_parts(interner, model, 3);
     snapshot_to_bytes(
         &snapshot,
         &SnapshotMeta {
@@ -34,6 +42,40 @@ fn u32_at(raw: &[u8], offset: usize) -> u32 {
 
 fn u64_at(raw: &[u8], offset: usize) -> u64 {
     u64::from_le_bytes(raw[offset..offset + 8].try_into().unwrap())
+}
+
+fn f64_at(raw: &[u8], offset: usize) -> f64 {
+    f64::from_bits(u64_at(raw, offset))
+}
+
+/// A trie row as FORMAT.md lays it out: parent, key, total, at_start.
+fn row_at(raw: &[u8], offset: usize) -> (u32, u32, u64, u64) {
+    (
+        u32_at(raw, offset),
+        u32_at(raw, offset + 4),
+        u64_at(raw, offset + 8),
+        u64_at(raw, offset + 16),
+    )
+}
+
+/// The three rows both trie-backed examples carry.
+const TOY_ROWS: [(u32, u32, u64, u64); 3] = [(0, 0, 3, 3), (0, 1, 3, 0), (1, 1, 3, 3)];
+
+/// Checks shared by the two trie-backed examples: the MODEL section is
+/// where the document says, with the tag and payload length it says, and
+/// the file means what the document says it means. Returns the payload.
+fn trie_backed_payload(raw: &[u8], tag: u32, payload_len: usize) -> &[u8] {
+    assert_eq!(raw.len(), 133 + payload_len + 8, "file length");
+    let model = parse_section_table(raw).unwrap()[2];
+    assert_eq!(
+        (model.id, model.offset, model.len),
+        (3, 129, 4 + payload_len)
+    );
+    assert_eq!(u32_at(raw, 129), tag, "model kind tag");
+    let (snapshot, _) = snapshot_from_bytes(raw).unwrap();
+    let top = snapshot.suggest(&["rust"], 1);
+    assert_eq!(top[0].query, "rust book");
+    &raw[133..133 + payload_len]
 }
 
 #[test]
@@ -79,8 +121,8 @@ fn toy_snapshot_matches_the_documented_layout() {
 
     // Checksum at 157: the documented constant, which must equal FNV-1a 64
     // of everything before it.
-    assert_eq!(u64_at(&raw, 157), 0x742259ba34021e11);
-    assert_eq!(checksum_fnv1a(&raw[..157]), 0x742259ba34021e11);
+    assert_eq!(u64_at(&raw, 157), 0x9707e24cfa3d45dc);
+    assert_eq!(checksum_fnv1a(&raw[..157]), 0x9707e24cfa3d45dc);
 
     // The library's own table parser agrees with the documented offsets.
     let entries = parse_section_table(&raw).unwrap();
@@ -98,6 +140,68 @@ fn toy_snapshot_matches_the_documented_layout() {
     let top = snapshot.suggest(&["rust"], 1);
     assert_eq!(top[0].query, "rust book");
     assert_eq!(top[0].score, 3.0);
+}
+
+#[test]
+fn toy_vmm_payload_matches_the_documented_layout() {
+    let vmm = sqp_core::Vmm::train(&toy_sessions(), sqp_core::VmmConfig::with_epsilon(0.05));
+    let raw = toy_bytes(Box::new(vmm));
+    let p = trie_backed_payload(&raw, 1, 152);
+
+    assert_eq!(&p[0..4], b"SQPV");
+    assert_eq!(u32_at(p, 4), 3, "payload version");
+    assert_eq!(
+        (f64_at(p, 8), u64_at(p, 16), u64_at(p, 24)),
+        (0.05, u64::MAX, 1)
+    );
+    assert_eq!((u64_at(p, 32), u64_at(p, 40), u64_at(p, 48)), (3, 6, 2));
+    assert_eq!((u32_at(p, 56), u64_at(p, 60)), (2, 3), "window_len, n_rows");
+    for (i, row) in TOY_ROWS.into_iter().enumerate() {
+        assert_eq!(row_at(p, 68 + 24 * i), row, "row of node {}", i + 1);
+    }
+    assert_eq!(
+        (u64_at(p, 140), u32_at(p, 148)),
+        (1, 1),
+        "one state: node 1"
+    );
+}
+
+#[test]
+fn toy_mvmm_payload_matches_the_documented_layout() {
+    let mixture = sqp_core::Mvmm::train(
+        &toy_sessions(),
+        &sqp_core::MvmmConfig {
+            components: vec![
+                sqp_core::VmmConfig::with_epsilon(0.0),
+                sqp_core::VmmConfig::with_epsilon(0.05),
+            ],
+            fit: sqp_core::FitConfig::default(),
+            parallel: false,
+        },
+    );
+    let sigmas = mixture.sigmas().to_vec();
+    let raw = toy_bytes(Box::new(mixture));
+    let p = trie_backed_payload(&raw, 6, 204);
+
+    assert_eq!((u64_at(p, 0), u64_at(p, 8), u64_at(p, 16)), (3, 6, 2));
+    assert_eq!(u32_at(p, 24), 1, "n_tries");
+    assert_eq!((u32_at(p, 28), u64_at(p, 32)), (2, 3), "window_len, n_rows");
+    for (i, row) in TOY_ROWS.into_iter().enumerate() {
+        assert_eq!(row_at(p, 40 + 24 * i), row, "row of node {}", i + 1);
+    }
+    assert_eq!(u32_at(p, 112), 2, "K");
+    for (component, (at, epsilon)) in [(116, 0.0), (160, 0.05)].into_iter().enumerate() {
+        assert_eq!(
+            (f64_at(p, at), u64_at(p, at + 8), u64_at(p, at + 16)),
+            (epsilon, u64::MAX, 1)
+        );
+        assert_eq!(
+            u64_at(p, at + 24),
+            sigmas[component].to_bits(),
+            "sigma, bit for bit"
+        );
+        assert_eq!((u64_at(p, at + 32), u32_at(p, at + 40)), (1, 1));
+    }
 }
 
 #[test]

@@ -49,7 +49,7 @@ fn main() {
     let (reduced, _) = reduce(&aggregated, 0);
 
     // 3. Train and persist the *full snapshot* — model plus the interner
-    //    its ids are relative to — as one v3 file (the nightly build).
+    //    its ids are relative to — as one file (the nightly build).
     let vmm = Vmm::train(&reduced.sessions, VmmConfig::with_epsilon(0.05));
     let node_count = vmm.node_count();
     let trained = ModelSnapshot::from_parts(interner, Box::new(vmm), reduced.total_sessions());

@@ -46,7 +46,7 @@ impl RecommenderService {
     }
 
     /// Warm-start a service from a snapshot file written by
-    /// [`save`](RecommenderService::save) (or any v3 snapshot): no raw
+    /// [`save`](RecommenderService::save) (or any snapshot file): no raw
     /// logs, no retraining — milliseconds instead of a full pipeline run.
     ///
     /// # Examples
@@ -78,7 +78,7 @@ impl RecommenderService {
     }
 
     /// Persist the service's snapshot (model + interner + metadata) as one
-    /// v3 file at `path`, written atomically. `generation` tags which
+    /// file at `path`, written atomically. `generation` tags which
     /// (re)train produced it — see `FORMAT.md` for the byte layout.
     pub fn save(
         &self,
@@ -286,6 +286,7 @@ mod tests {
                 ServiceModel::Backoff(sqp_core::BackoffConfig::default()),
             ),
             ("vmm", ServiceModel::Vmm(VmmConfig::with_epsilon(0.05))),
+            ("mvmm", ServiceModel::Mvmm(MvmmConfig::small())),
         ] {
             let svc = service(model);
             let path = dir.join(format!("{name}.sqps"));
@@ -298,9 +299,6 @@ mod tests {
                 "{name}"
             );
         }
-        // The MVMM default has no persistable form — typed error, no panic.
-        let svc = service(ServiceModel::Mvmm(MvmmConfig::small()));
-        assert!(svc.save(dir.join("mvmm.sqps"), 0).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

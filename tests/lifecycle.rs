@@ -1,5 +1,5 @@
 //! End-to-end model lifecycle: train on a simulated seed corpus, persist a
-//! v3 snapshot, reload it in a fresh context, and verify the warm model is
+//! snapshot, reload it in a fresh context, and verify the warm model is
 //! **bit-identical** to the in-memory one — same suggestions, same scores,
 //! same coverage — for every model kind the snapshot format supports.
 //!
@@ -10,7 +10,7 @@
 
 use sqp::serve::{ModelSnapshot, ModelSpec, TrainingConfig};
 use sqp::store::{load_snapshot, save_snapshot, SnapshotError, SnapshotMeta};
-use sqp_core::{BackoffConfig, VmmConfig};
+use sqp_core::{BackoffConfig, MvmmConfig, VmmConfig};
 
 fn seed_records() -> Vec<sqp::logsim::RawLogRecord> {
     sqp::logsim::generate(&sqp::logsim::SimConfig::small(3_000, 400, 11)).train
@@ -39,6 +39,12 @@ fn supported_specs() -> Vec<(&'static str, ModelSpec)> {
         ("ngram", ModelSpec::NGram),
         ("backoff", ModelSpec::Backoff(BackoffConfig::default())),
         ("vmm", ModelSpec::Vmm(VmmConfig::bounded(3, 0.05))),
+        ("mvmm", ModelSpec::Mvmm(MvmmConfig::small())),
+        // Two depth bounds: two window tries in one payload.
+        (
+            "mvmm-depths",
+            ModelSpec::Mvmm(MvmmConfig::depth_mixture(&[(2, 0.1), (3, 0.2)])),
+        ),
     ]
 }
 
@@ -51,6 +57,7 @@ fn every_model_kind_round_trips_bit_identically() {
     std::fs::create_dir_all(&dir).unwrap();
 
     for (name, spec) in supported_specs() {
+        let spec_kind = spec.kind();
         let trained = ModelSnapshot::from_raw_logs(
             &records,
             &TrainingConfig {
@@ -61,6 +68,11 @@ fn every_model_kind_round_trips_bit_identically() {
         let path = dir.join(format!("{name}.sqps"));
         let meta = SnapshotMeta::describe(&trained, 1, records.len() as u64);
         save_snapshot(&path, &trained, &meta).unwrap();
+        // The file carries the tag its spec names.
+        let raw = std::fs::read(&path).unwrap();
+        let model = sqp::store::parse_section_table(&raw).unwrap()[2];
+        let tag = u32::from_le_bytes(raw[model.offset..model.offset + 4].try_into().unwrap());
+        assert_eq!(tag, spec_kind.code(), "{name}");
 
         // "Fresh process": nothing shared with `trained` but the file.
         let (warm, warm_meta) = load_snapshot(&path).unwrap();

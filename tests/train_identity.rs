@@ -1,43 +1,84 @@
-//! Model identity golden: training is allowed to get faster, never to
-//! produce a different model.
+//! Model identity goldens: training is allowed to get faster and the file
+//! smaller, never to produce a different model.
 //!
-//! The checksum below was computed at the commit *before* the sort-and-scan
-//! sessions layer, the direct trie loader and the suffix-link PST growth
-//! landed. A training change that alters interner ids, `Aggregated` order,
-//! the PST state set or any stored count changes a byte of the snapshot and
-//! fails here by name, for `parallel` off and on alike.
+//! Two pins, in the order they may move. The **answers** golden hashes what
+//! the model *says* — every suggestion's text and score bits for every
+//! prefix context of the corpus — and does not know the file format; it was
+//! computed at the commit before the PST became an index over the window
+//! trie and must pass unedited through any change of representation. The
+//! **bytes** golden hashes the snapshot file; it is re-pinned (once, with
+//! the answers golden green) only when the payload itself is redesigned.
+//! Either fails by name, for `parallel` off and on alike, when a training
+//! change alters interner ids, `Aggregated` order, the PST state set or any
+//! stored count.
 
 use sqp::core::VmmConfig;
-use sqp::logsim::SimConfig;
+use sqp::logsim::{RawLogRecord, SimConfig};
 use sqp::serve::{ModelSnapshot, ModelSpec, TrainingConfig};
 use sqp::store::{checksum_fnv1a, snapshot_to_bytes, SnapshotMeta};
 
-/// FNV-1a 64 of the v3 snapshot bytes of `Vmm(ε = 0.05)` trained on
-/// `SimConfig::small(4_000, 400, 11)`, with the fixed meta below.
-const GOLDEN_CHECKSUM: u64 = 0xe81a_48b6_f247_1b76;
-/// Length of the same file — a cheaper first clue than a checksum diff.
-const GOLDEN_LEN: usize = 366_934;
+/// FNV-1a 64 over `text bytes ‖ score.to_bits() LE` of every suggestion of
+/// `suggest(ctx, 5)`, for every prefix context of every session of both
+/// epochs of `SimConfig::small(4_000, 400, 11)`, in corpus order.
+const GOLDEN_ANSWERS: u64 = 0x3bc5_e18d_84a5_3ecf;
+/// Suggestions hashed into [`GOLDEN_ANSWERS`].
+const GOLDEN_ANSWER_COUNT: usize = 27_762;
 
-fn snapshot_bytes(parallel: bool) -> Vec<u8> {
-    let records = sqp::logsim::generate(&SimConfig::small(4_000, 400, 11)).train;
+/// FNV-1a 64 of the v4 snapshot bytes of `Vmm(ε = 0.05)` trained on
+/// `SimConfig::small(4_000, 400, 11)`, with the fixed meta below. Re-pinned
+/// when the payload became trie rows + state ids (v3: 366 934 bytes).
+const GOLDEN_CHECKSUM: u64 = 0x7486_9675_71bc_6a55;
+/// Length of the same file — a cheaper first clue than a checksum diff.
+const GOLDEN_LEN: usize = 291_474;
+
+fn trained(records: &[RawLogRecord], parallel: bool) -> ModelSnapshot {
     let cfg = TrainingConfig {
         model: ModelSpec::Vmm(VmmConfig::with_epsilon(0.05)),
         parallel,
         ..TrainingConfig::default()
     };
-    let snapshot = ModelSnapshot::from_raw_logs(&records, &cfg);
-    let meta = SnapshotMeta {
-        generation: 7,
-        trained_sessions: snapshot.trained_sessions(),
-        source_records: records.len() as u64,
-    };
-    snapshot_to_bytes(&snapshot, &meta).expect("a VMM snapshot serializes")
+    ModelSnapshot::from_raw_logs(records, &cfg)
+}
+
+#[test]
+fn trained_model_gives_the_pinned_answers() {
+    let logs = sqp::logsim::generate(&SimConfig::small(4_000, 400, 11));
+    for parallel in [false, true] {
+        let snapshot = trained(&logs.train, parallel);
+        let mut hashed = Vec::new();
+        let mut count = 0usize;
+        for epoch in [&logs.train, &logs.test] {
+            for session in sqp::sessions::segment_default(epoch).to_text_sessions() {
+                let queries: Vec<&str> = session.queries.iter().map(String::as_str).collect();
+                for end in 1..=queries.len() {
+                    for s in snapshot.suggest(&queries[..end], 5) {
+                        hashed.extend_from_slice(s.query.as_bytes());
+                        hashed.extend_from_slice(&s.score.to_bits().to_le_bytes());
+                        count += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(count, GOLDEN_ANSWER_COUNT, "parallel = {parallel}");
+        assert_eq!(
+            checksum_fnv1a(&hashed),
+            GOLDEN_ANSWERS,
+            "parallel = {parallel}: the trained model answers differently"
+        );
+    }
 }
 
 #[test]
 fn trained_snapshot_is_byte_identical_to_the_pinned_model() {
+    let records = sqp::logsim::generate(&SimConfig::small(4_000, 400, 11)).train;
     for parallel in [false, true] {
-        let raw = snapshot_bytes(parallel);
+        let snapshot = trained(&records, parallel);
+        let meta = SnapshotMeta {
+            generation: 7,
+            trained_sessions: snapshot.trained_sessions(),
+            source_records: records.len() as u64,
+        };
+        let raw = snapshot_to_bytes(&snapshot, &meta).expect("a VMM snapshot serializes");
         assert_eq!(raw.len(), GOLDEN_LEN, "parallel = {parallel}");
         assert_eq!(
             checksum_fnv1a(&raw),
