@@ -515,20 +515,18 @@ impl SuffixTrie {
 
     /// Rebuild from [`SuffixTrie::parts`] rows in one pass; row `i` is node
     /// `i + 1`. The rows may come from disk, so nothing about them is
-    /// trusted: a parent must precede its row, and rows must ascend
-    /// strictly by `(parent, key)`. Together these make every node's
+    /// trusted: a parent must precede its row, rows must ascend strictly by
+    /// `(parent, key)`, and every key must be an id of the `vocabulary`
+    /// queries the trie's interner holds. The first two make every node's
     /// children one contiguous, key-sorted run — the frozen layout itself —
     /// so a valid row sequence yields exactly the trie that was flattened
     /// and anything else is an error.
     pub fn from_parts(
         window_len: u32,
+        vocabulary: usize,
         rows: impl ExactSizeIterator<Item = (u32, u32, u64, u64)>,
     ) -> Result<SuffixTrie, TrieRowError> {
         let n_rows = rows.len();
-        // Keys are dense interner ids, and every id that occurs at all
-        // occurs as a depth-1 row, so a legitimate key is below the row
-        // count; the slack keeps hand-built test tries loadable.
-        let max_key = n_rows.saturating_mul(16).saturating_add(65_536);
         let mut nodes = Vec::with_capacity(n_rows + 1);
         nodes.push(Node {
             total: 0,
@@ -549,8 +547,12 @@ impl SuffixTrie {
             if parent >= node {
                 return Err(TrieRowError::ForwardParent { node, parent });
             }
-            if key as usize > max_key {
-                return Err(TrieRowError::ImplausibleKey { node, key });
+            if key as usize >= vocabulary {
+                return Err(TrieRowError::KeyOutOfVocabulary {
+                    node,
+                    key,
+                    vocabulary,
+                });
             }
             if previous.is_some_and(|p| p >= (parent, key)) {
                 return Err(TrieRowError::OutOfOrder { node });
@@ -613,12 +615,14 @@ pub enum TrieRowError {
         /// The parent it names.
         parent: u32,
     },
-    /// A row's key is larger than any interner id its file could hold.
-    ImplausibleKey {
+    /// A row's key is not an id of the trie's interner.
+    KeyOutOfVocabulary {
         /// The offending row's node id.
         node: u32,
         /// The key it carries.
         key: u32,
+        /// How many queries the interner holds.
+        vocabulary: usize,
     },
     /// A row does not sort strictly after the one before it by
     /// `(parent, key)`: a duplicate edge, keys descending within a parent,
@@ -642,9 +646,14 @@ impl std::fmt::Display for TrieRowError {
             TrieRowError::ForwardParent { node, parent } => {
                 write!(f, "node {node} references later parent {parent}")
             }
-            TrieRowError::ImplausibleKey { node, key } => {
-                write!(f, "node {node} has implausible query id {key}")
-            }
+            TrieRowError::KeyOutOfVocabulary {
+                node,
+                key,
+                vocabulary,
+            } => write!(
+                f,
+                "node {node}: query id {key} is outside the vocabulary of {vocabulary}"
+            ),
             TrieRowError::OutOfOrder { node } => write!(
                 f,
                 "node {node} is not strictly after its predecessor by (parent, key)"
@@ -758,10 +767,10 @@ mod tests {
     #[test]
     fn parts_roundtrip() {
         let t = build(&[(&[0, 1, 0], 2), (&[1, 1], 5)], 3).freeze(2);
-        let back = SuffixTrie::from_parts(2, t.parts()).unwrap();
+        let back = SuffixTrie::from_parts(2, 2, t.parts()).unwrap();
         assert_eq!(t, back);
         // The root alone flattens to no rows and loads back.
-        let empty = SuffixTrie::from_parts(0, std::iter::empty()).unwrap();
+        let empty = SuffixTrie::from_parts(0, 0, std::iter::empty()).unwrap();
         assert_eq!(empty, SuffixTrie::empty());
     }
 
@@ -781,7 +790,8 @@ mod tests {
             }
             let window_len = depth_limit as u32 - 1;
             let frozen = builder.freeze(window_len);
-            let loaded = SuffixTrie::from_parts(window_len, frozen.parts()).unwrap();
+            let loaded =
+                SuffixTrie::from_parts(window_len, vocabulary as usize, frozen.parts()).unwrap();
             assert_eq!(loaded, frozen, "case {case}");
             assert_eq!(loaded.window_count(), frozen.window_count(), "case {case}");
         }
@@ -799,7 +809,7 @@ mod tests {
     }
 
     fn load(rows: &[(u32, u32, u64, u64)]) -> Result<SuffixTrie, TrieRowError> {
-        SuffixTrie::from_parts(1, rows.iter().copied())
+        SuffixTrie::from_parts(1, 2, rows.iter().copied())
     }
 
     #[test]
@@ -831,19 +841,22 @@ mod tests {
                 Err(TrieRowError::ForwardParent { node: 3, parent })
             );
         }
-        assert!(SuffixTrie::from_parts(1, [(5, 0, 1, 1)].into_iter()).is_err());
+        assert!(SuffixTrie::from_parts(1, 2, [(5, 0, 1, 1)].into_iter()).is_err());
 
-        // A key no interner of this file's size could have issued — the
-        // loader must not size anything by it.
-        let mut rows = valid.clone();
-        rows[4].1 = u32::MAX;
-        assert_eq!(
-            load(&rows),
-            Err(TrieRowError::ImplausibleKey {
-                node: 5,
-                key: u32::MAX
-            })
-        );
+        // A key the two-query interner never issued, at the first id past
+        // it and at the largest one.
+        for key in [2, u32::MAX] {
+            let mut rows = valid.clone();
+            rows[4].1 = key;
+            assert_eq!(
+                load(&rows),
+                Err(TrieRowError::KeyOutOfVocabulary {
+                    node: 5,
+                    key,
+                    vocabulary: 2
+                })
+            );
+        }
 
         // Children whose totals overflow their parent's continuation sum.
         let mut rows = valid;

@@ -7,7 +7,9 @@
 //! snapshot container format builds on:
 //!
 //! * [`model_to_bytes`] / [`model_from_bytes`] — serialize any trained
-//!   [`Recommender`] behind a [`ModelKind`] tag. The VMM and the MVMM write
+//!   [`Recommender`] behind a [`ModelKind`] tag; a decoder is told the size
+//!   of the vocabulary the payload's query ids index and refuses any id
+//!   outside it as the rows stream in. The VMM and the MVMM write
 //!   what they are — window trie rows plus state node ids; the pair-wise and
 //!   N-gram baselines serialize their raw count tables (reconstruction is
 //!   exact because ranked lists and smoothing are deterministic functions
@@ -169,25 +171,45 @@ pub fn model_to_bytes(model: &dyn Recommender) -> Result<(ModelKind, Bytes), Str
 
 /// Reconstruct a model serialized by [`model_to_bytes`] from its kind tag
 /// and payload. The payload must be exactly one model — trailing bytes are
-/// an error.
-pub fn model_from_bytes(kind: ModelKind, data: Bytes) -> Result<Box<dyn Recommender>, String> {
+/// an error — and every query id in it must be below `vocabulary`, the
+/// number of queries in the interner the model is paired with: an id past
+/// it is an error naming the id, not a model that panics when an answer is
+/// rendered.
+pub fn model_from_bytes(
+    kind: ModelKind,
+    data: Bytes,
+    vocabulary: usize,
+) -> Result<Box<dyn Recommender>, String> {
     match kind {
-        ModelKind::Vmm => Ok(Box::new(vmm_from_bytes(data)?)),
+        ModelKind::Vmm => Ok(Box::new(vmm_from_bytes(data, vocabulary)?)),
         ModelKind::Adjacency => {
             let mut data = data;
-            let lists = lists_from_bytes(&mut data)?;
+            let lists = lists_from_bytes(&mut data, vocabulary)?;
             expect_consumed(&data)?;
             Ok(Box::new(Adjacency { lists }))
         }
         ModelKind::Cooccurrence => {
             let mut data = data;
-            let lists = lists_from_bytes(&mut data)?;
+            let lists = lists_from_bytes(&mut data, vocabulary)?;
             expect_consumed(&data)?;
             Ok(Box::new(Cooccurrence { lists }))
         }
-        ModelKind::NGram => Ok(Box::new(ngram_from_bytes(data)?)),
-        ModelKind::Backoff => Ok(Box::new(backoff_from_bytes(data)?)),
-        ModelKind::Mvmm => Ok(Box::new(mvmm_from_bytes(data)?)),
+        ModelKind::NGram => Ok(Box::new(ngram_from_bytes(data, vocabulary)?)),
+        ModelKind::Backoff => Ok(Box::new(backoff_from_bytes(data, vocabulary)?)),
+        ModelKind::Mvmm => Ok(Box::new(mvmm_from_bytes(data, vocabulary)?)),
+    }
+}
+
+/// The next `u32` of a payload as a query id, refused unless the
+/// `vocabulary` holds it.
+fn get_query(data: &mut Bytes, vocabulary: usize) -> Result<QueryId, String> {
+    let id = data.get_u32_le();
+    if (id as usize) < vocabulary {
+        Ok(QueryId(id))
+    } else {
+        Err(format!(
+            "query id {id} is outside the vocabulary of {vocabulary}"
+        ))
     }
 }
 
@@ -225,7 +247,7 @@ fn put_seq(buf: &mut BytesMut, seq: &[QueryId]) {
     }
 }
 
-fn get_seq(data: &mut Bytes) -> Result<QuerySeq, String> {
+fn get_seq(data: &mut Bytes, vocabulary: usize) -> Result<QuerySeq, String> {
     if data.remaining() < 4 {
         return Err("truncated sequence length".into());
     }
@@ -233,7 +255,11 @@ fn get_seq(data: &mut Bytes) -> Result<QuerySeq, String> {
     if data.remaining() < len * 4 {
         return Err("truncated sequence body".into());
     }
-    Ok((0..len).map(|_| QueryId(data.get_u32_le())).collect())
+    let mut seq = Vec::with_capacity(len);
+    for _ in 0..len {
+        seq.push(get_query(data, vocabulary)?);
+    }
+    Ok(seq.into_boxed_slice())
 }
 
 /// Write a ranked `(query, count)` list, preserving its stored order (the
@@ -247,7 +273,7 @@ fn put_counts(buf: &mut BytesMut, counts: &[(QueryId, u64)]) {
     }
 }
 
-fn get_counts(data: &mut Bytes) -> Result<Box<[(QueryId, u64)]>, String> {
+fn get_counts(data: &mut Bytes, vocabulary: usize) -> Result<Box<[(QueryId, u64)]>, String> {
     if data.remaining() < 4 {
         return Err("truncated count-list length".into());
     }
@@ -255,13 +281,11 @@ fn get_counts(data: &mut Bytes) -> Result<Box<[(QueryId, u64)]>, String> {
     if data.remaining() < n * 12 {
         return Err("truncated count-list body".into());
     }
-    Ok((0..n)
-        .map(|_| {
-            let q = QueryId(data.get_u32_le());
-            let c = data.get_u64_le();
-            (q, c)
-        })
-        .collect())
+    let mut counts = Vec::with_capacity(n);
+    for _ in 0..n {
+        counts.push((get_query(data, vocabulary)?, data.get_u64_le()));
+    }
+    Ok(counts.into_boxed_slice())
 }
 
 /// The pair-wise count-table shape shared by Adjacency and Co-occurrence.
@@ -283,7 +307,7 @@ fn lists_to_bytes(lists: &RankedLists) -> Bytes {
     buf.freeze()
 }
 
-fn lists_from_bytes(data: &mut Bytes) -> Result<RankedLists, String> {
+fn lists_from_bytes(data: &mut Bytes, vocabulary: usize) -> Result<RankedLists, String> {
     if data.remaining() < 4 {
         return Err("truncated list-table header".into());
     }
@@ -297,8 +321,8 @@ fn lists_from_bytes(data: &mut Bytes) -> Result<RankedLists, String> {
         if data.remaining() < 4 {
             return Err("truncated list source id".into());
         }
-        let q = QueryId(data.get_u32_le());
-        let counts = get_counts(data)?;
+        let q = get_query(data, vocabulary)?;
+        let counts = get_counts(data, vocabulary)?;
         if lists.insert(q, counts).is_some() {
             return Err(format!("duplicate list for query {}", q.0));
         }
@@ -325,7 +349,7 @@ fn ngram_to_bytes(model: &NGram) -> Bytes {
     buf.freeze()
 }
 
-fn ngram_from_bytes(mut data: Bytes) -> Result<NGram, String> {
+fn ngram_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<NGram, String> {
     if data.remaining() < 4 {
         return Err("truncated n-gram header".into());
     }
@@ -337,8 +361,8 @@ fn ngram_from_bytes(mut data: Bytes) -> Result<NGram, String> {
     states.reserve(n);
     let mut max_order = 0;
     for _ in 0..n {
-        let ctx = get_seq(&mut data)?;
-        let counts = get_counts(&mut data)?;
+        let ctx = get_seq(&mut data, vocabulary)?;
+        let counts = get_counts(&mut data, vocabulary)?;
         max_order = max_order.max(ctx.len());
         if states.insert(ctx, counts).is_some() {
             return Err("duplicate n-gram state".into());
@@ -368,7 +392,7 @@ fn backoff_to_bytes(model: &BackoffNgram) -> Bytes {
     buf.freeze()
 }
 
-fn backoff_from_bytes(mut data: Bytes) -> Result<BackoffNgram, String> {
+fn backoff_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<BackoffNgram, String> {
     if data.remaining() < 32 {
         return Err("truncated back-off config".into());
     }
@@ -381,7 +405,7 @@ fn backoff_from_bytes(mut data: Bytes) -> Result<BackoffNgram, String> {
         discount,
         min_support,
     };
-    let unigrams = get_counts(&mut data)?;
+    let unigrams = get_counts(&mut data, vocabulary)?;
     let unigram_total = checked_total(&unigrams, "back-off unigram")?;
     if data.remaining() < 4 {
         return Err("truncated back-off state count".into());
@@ -393,8 +417,8 @@ fn backoff_from_bytes(mut data: Bytes) -> Result<BackoffNgram, String> {
     let mut states = FxHashMap::default();
     states.reserve(n);
     for _ in 0..n {
-        let ctx = get_seq(&mut data)?;
-        let next = get_counts(&mut data)?;
+        let ctx = get_seq(&mut data, vocabulary)?;
+        let next = get_counts(&mut data, vocabulary)?;
         let total = checked_total(&next, "back-off state")?;
         if states
             .insert(ctx, crate::backoff::State { next, total })
@@ -472,7 +496,7 @@ fn put_trie(buf: &mut BytesMut, trie: &SuffixTrie) {
     }
 }
 
-fn get_trie(data: &mut Bytes) -> Result<Arc<SuffixTrie>, String> {
+fn get_trie(data: &mut Bytes, vocabulary: usize) -> Result<Arc<SuffixTrie>, String> {
     if data.remaining() < 12 {
         return Err("truncated trie header".into());
     }
@@ -492,7 +516,7 @@ fn get_trie(data: &mut Bytes) -> Result<Arc<SuffixTrie>, String> {
         let at_start = data.get_u64_le();
         (parent, key, total, at_start)
     });
-    SuffixTrie::from_parts(window_len, rows)
+    SuffixTrie::from_parts(window_len, vocabulary, rows)
         .map(Arc::new)
         .map_err(|e| e.to_string())
 }
@@ -542,7 +566,7 @@ fn vmm_to_bytes(model: &Vmm) -> Bytes {
 }
 
 /// Reconstruct a VMM serialized with [`vmm_to_bytes`].
-fn vmm_from_bytes(mut data: Bytes) -> Result<Vmm, String> {
+fn vmm_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<Vmm, String> {
     if data.remaining() < 8 {
         return Err("truncated header".into());
     }
@@ -557,7 +581,7 @@ fn vmm_from_bytes(mut data: Bytes) -> Result<Vmm, String> {
     }
     let config = get_vmm_config(&mut data)?;
     let (sessions, occurrences, n_queries) = get_corpus_totals(&mut data)?;
-    let trie = get_trie(&mut data)?;
+    let trie = get_trie(&mut data, vocabulary)?;
     let states = get_states(&mut data)?;
     expect_consumed(&data)?;
     Vmm::from_parts(trie, &states, sessions, occurrences, n_queries, config)
@@ -593,7 +617,7 @@ fn mvmm_to_bytes(model: &Mvmm) -> Bytes {
 }
 
 /// Reconstruct an MVMM serialized with [`mvmm_to_bytes`].
-fn mvmm_from_bytes(mut data: Bytes) -> Result<Mvmm, String> {
+fn mvmm_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<Mvmm, String> {
     let (sessions, occurrences, n_queries) = get_corpus_totals(&mut data)?;
     if data.remaining() < 4 {
         return Err("truncated trie count".into());
@@ -605,7 +629,7 @@ fn mvmm_from_bytes(mut data: Bytes) -> Result<Mvmm, String> {
         return Err("truncated trie table".into());
     }
     let tries = (0..n_tries)
-        .map(|_| get_trie(&mut data))
+        .map(|_| get_trie(&mut data, vocabulary))
         .collect::<Result<Vec<_>, _>>()?;
     if data.remaining() < 4 {
         return Err("truncated component count".into());
@@ -674,8 +698,18 @@ mod tests {
         blob
     }
 
+    /// The smallest vocabulary the ids of `sessions` fit in.
+    fn vocabulary(sessions: &[(QuerySeq, u64)]) -> usize {
+        sessions
+            .iter()
+            .flat_map(|(s, _)| s.iter())
+            .map(|q| q.index() + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     fn from_bytes(data: Bytes) -> Result<Box<dyn Recommender>, String> {
-        model_from_bytes(ModelKind::Vmm, data)
+        model_from_bytes(ModelKind::Vmm, data, vocabulary(&toy_corpus()))
     }
 
     fn as_vmm(model: &dyn Recommender) -> &Vmm {
@@ -732,7 +766,8 @@ mod tests {
         let logs = sqp_logsim::generate(&sqp_logsim::SimConfig::small(3_000, 500, 21));
         let p = sqp_sessions::process(&logs, &sqp_sessions::PipelineConfig::default());
         let original = Vmm::train(&p.train.aggregated.sessions, VmmConfig::bounded(3, 0.02));
-        let restored = from_bytes(to_bytes(&original)).unwrap();
+        let restored =
+            model_from_bytes(ModelKind::Vmm, to_bytes(&original), p.interner.len()).unwrap();
         assert_eq!(
             as_vmm(restored.as_ref()).node_count(),
             original.node_count()
@@ -836,7 +871,7 @@ mod tests {
             let original = trained_kind(kind, &sessions);
             let (tagged, blob) = model_to_bytes(original.as_ref()).unwrap();
             assert_eq!(tagged, kind);
-            let restored = model_from_bytes(kind, blob).unwrap();
+            let restored = model_from_bytes(kind, blob, vocabulary(&sessions)).unwrap();
             assert_eq!(restored.name(), original.name(), "{kind:?}");
             assert_eq!(restored.memory_bytes(), original.memory_bytes(), "{kind:?}");
             for ctx in &contexts {
@@ -887,7 +922,7 @@ mod tests {
         let original = Mvmm::train(&sessions, &crate::MvmmConfig::small());
         let (kind, blob) = model_to_bytes(&original).unwrap();
         assert_eq!(kind, ModelKind::Mvmm);
-        let restored = model_from_bytes(kind, blob).unwrap();
+        let restored = model_from_bytes(kind, blob, vocabulary(&sessions)).unwrap();
         let restored: &Mvmm = restored.as_any().unwrap().downcast_ref().unwrap();
 
         // The deviations are f64 bit patterns: nothing is approximated.
@@ -952,10 +987,10 @@ mod tests {
     #[test]
     fn every_truncation_of_a_toy_payload_is_an_error() {
         for (kind, blob) in toy_payloads() {
-            exercise(model_from_bytes(kind, blob.clone()).unwrap().as_ref());
+            exercise(model_from_bytes(kind, blob.clone(), 2).unwrap().as_ref());
             for cut in 0..blob.len() {
                 assert!(
-                    model_from_bytes(kind, blob.slice(0..cut)).is_err(),
+                    model_from_bytes(kind, blob.slice(0..cut), 2).is_err(),
                     "{kind:?} cut at {cut}/{} loaded",
                     blob.len()
                 );
@@ -973,7 +1008,7 @@ mod tests {
                 for mask in [0x01, 0x80, 0xFF] {
                     let mut raw = blob.to_vec();
                     raw[i] ^= mask;
-                    if let Ok(model) = model_from_bytes(kind, Bytes::from(raw)) {
+                    if let Ok(model) = model_from_bytes(kind, Bytes::from(raw), 2) {
                         exercise(model.as_ref());
                     }
                 }
@@ -1047,7 +1082,7 @@ mod tests {
     fn a_hostile_mixture_is_rejected() {
         let mixture = Mvmm::train(&toy_corpus(), &crate::MvmmConfig::small());
         let blob = model_to_bytes(&mixture).unwrap().1.to_vec();
-        let load = |raw: Vec<u8>| model_from_bytes(ModelKind::Mvmm, Bytes::from(raw));
+        let load = |raw: Vec<u8>| model_from_bytes(ModelKind::Mvmm, Bytes::from(raw), 2);
         // totals (24), n_tries (4), trie header (12) + rows, then K.
         let k_at = 40 + (mixture.components()[0].window_trie().len() - 1) * 24;
         let read_u32 = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
@@ -1100,7 +1135,7 @@ mod tests {
             buf.put_u64_le(u64::MAX);
         }
         buf.put_u32_le(0); // no states
-        let err = match model_from_bytes(ModelKind::Backoff, buf.freeze()) {
+        let err = match model_from_bytes(ModelKind::Backoff, buf.freeze(), 2) {
             Err(e) => e,
             Ok(_) => panic!("overflowing counts loaded successfully"),
         };
@@ -1112,9 +1147,10 @@ mod tests {
         let sessions = sim_sessions();
         for kind in ModelKind::ALL {
             let (_, blob) = model_to_bytes(trained_kind(kind, &sessions).as_ref()).unwrap();
+            let vocabulary = vocabulary(&sessions);
             for cut in [0, 3, 7, blob.len() / 3, blob.len() / 2, blob.len() - 1] {
                 assert!(
-                    model_from_bytes(kind, blob.slice(0..cut)).is_err(),
+                    model_from_bytes(kind, blob.slice(0..cut), vocabulary).is_err(),
                     "{kind:?} cut at {cut} should fail"
                 );
             }
@@ -1122,8 +1158,27 @@ mod tests {
             let mut raw = blob.to_vec();
             raw.extend_from_slice(&[0u8; 3]);
             assert!(
-                model_from_bytes(kind, Bytes::from(raw)).is_err(),
+                model_from_bytes(kind, Bytes::from(raw), vocabulary).is_err(),
                 "{kind:?} should reject trailing bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn every_kind_refuses_an_id_outside_its_vocabulary() {
+        // Shrink the vocabulary until the payload no longer fits: the first
+        // one refused names the payload's largest id, which is exactly the
+        // vocabulary's size.
+        let sessions = sim_sessions();
+        for kind in ModelKind::ALL {
+            let (_, blob) = model_to_bytes(trained_kind(kind, &sessions).as_ref()).unwrap();
+            let mut vocabulary = vocabulary(&sessions);
+            while model_from_bytes(kind, blob.clone(), vocabulary).is_ok() {
+                vocabulary -= 1;
+            }
+            expect_err(
+                model_from_bytes(kind, blob, vocabulary),
+                &format!("query id {vocabulary} is outside the vocabulary of {vocabulary}"),
             );
         }
     }

@@ -11,7 +11,10 @@
 //!   and the log base are pinned by the paper's published numbers
 //!   (0.3449 / 0.0837 for the Table II corpus). The divergence is computed
 //!   by a merged walk over the two id-sorted continuation slices borrowed
-//!   from the arena — no per-candidate hash map is built;
+//!   from the arena — no per-candidate hash map is built — and, being a
+//!   pure function of one candidate, runs on every core; the states are
+//!   then marked in canonical order, so the set is the same on any thread
+//!   count;
 //! * **(c)** smooth every node distribution with the constant 1/|Q| for
 //!   unobserved queries and renormalize — at read time, from the trie row
 //!   the state points at ([`crate::pst::NodeDist`]); nothing is stored.
@@ -28,6 +31,7 @@ use crate::pst::{Pst, StateListError};
 use sqp_common::arena::SuffixTrie;
 use sqp_common::topk::Scored;
 use sqp_common::QueryId;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// VMM training parameters.
@@ -41,8 +45,10 @@ pub struct VmmConfig {
     /// Minimum continuation support for a candidate context.
     pub min_support: u64,
     /// Ignored: window counting runs on one thread (see
-    /// [`crate::counts`]). The field and [`VmmConfig::parallel`] stay only
-    /// because `benchmark/` sets them; the next `benchmark` PR drops both.
+    /// [`crate::counts`]), and PST growth sizes its own divergence-test
+    /// threads from the host and the candidate count. The field and
+    /// [`VmmConfig::parallel`] stay only because `benchmark/` sets them;
+    /// the next `benchmark` PR drops both.
     pub parallel: bool,
 }
 
@@ -133,6 +139,36 @@ fn kl_counts_base10(
     d
 }
 
+/// Does candidate `node` diverge from its PST parent `parent` by more than
+/// `epsilon`? A node or parent without continuation evidence never does.
+fn diverges(trie: &SuffixTrie, parent: u32, node: u32, epsilon: f64) -> bool {
+    let parent_total = trie.cont_total(parent);
+    let child_total = trie.cont_total(node);
+    if parent_total == 0 || child_total == 0 {
+        return false;
+    }
+    // Floor for parent-supported queries the child never observed: one
+    // pseudo-count relative to the child's evidence. A global 1/|Q| floor
+    // would blow the divergence up for every low-evidence candidate
+    // (log10 |Q| per missing query), making ε inoperative; the paper's toy
+    // corpus has full support at every node, so this choice leaves its
+    // pinned numbers untouched.
+    let q_floor = 1.0 / (child_total as f64 + 1.0);
+    let d = kl_counts_base10(
+        trie.continuations(parent),
+        parent_total,
+        trie.continuations(node),
+        child_total,
+        q_floor,
+    );
+    d > epsilon
+}
+
+/// Fewest divergence tests a growth thread is worth starting for: a test
+/// averages ≈ 0.1 µs, so this is ≈ 0.4 ms of work against a thread start
+/// of tens of µs.
+const MIN_CANDIDATES_PER_THREAD: usize = 1 << 12;
+
 impl Vmm {
     /// Train on weighted sessions.
     pub fn train(sessions: &WeightedSessions, config: VmmConfig) -> Self {
@@ -147,7 +183,7 @@ impl Vmm {
     pub fn train_with_counts(counts: &WindowCounts, config: VmmConfig) -> Self {
         Self::from_parts(
             counts.shared_trie(),
-            &Self::grow_pst(counts, config),
+            &Self::grow_pst(counts, config, None),
             counts.total_sessions,
             counts.total_occurrences,
             counts.n_queries.max(1),
@@ -177,54 +213,91 @@ impl Vmm {
     }
 
     /// Stages (a) + (b): candidate extraction and KL growth. Returns the
-    /// trie nodes chosen as states, ascending.
-    fn grow_pst(counts: &WindowCounts, config: VmmConfig) -> Vec<u32> {
+    /// trie nodes chosen as states, ascending. The divergence tests run on
+    /// `threads` threads — training passes `None`, as many as the host and
+    /// [`MIN_CANDIDATES_PER_THREAD`] allow — and the state set does not
+    /// depend on the count: each test is a pure function of its candidate,
+    /// and the marking pass reads the verdicts in canonical order.
+    pub(crate) fn grow_pst(
+        counts: &WindowCounts,
+        config: VmmConfig,
+        threads: Option<usize>,
+    ) -> Vec<u32> {
         let trie = counts.trie();
 
-        // Decide the suffix-closed state set, walking the candidate nodes
-        // in (length, sequence) order — the trie's canonical id order — so a
-        // node's trie parent, and every shorter window, is decided before
-        // it.
-        //
-        // `link[n]` is the node of n's window minus its oldest query — the
-        // PST parent, whose distribution the KL test compares against. With
+        // Link pass, in (length, sequence) order — the trie's canonical id
+        // order — so a node's trie parent is linked before it. `link[n]` is
+        // the node of n's window minus its oldest query: the PST parent,
+        // whose distribution the KL test compares against. With
         // path(n) = path(p)·q it is `child(link[p], q)`, and p is itself a
         // candidate (its continuation support counts n), so links fill in
-        // as the walk goes. `state[n]` marks the chosen windows; the marked
-        // set stays suffix-closed, which lets a chain walk stop early.
+        // as the walk goes. Depth-1 candidates are states outright; every
+        // longer one is a test.
         let n_windows = trie.window_count() + 1;
         let mut link = vec![SuffixTrie::ROOT; n_windows];
         let mut state = vec![false; n_windows];
+        let mut tests = Vec::new();
         for node in counts.candidate_nodes(config.min_support) {
             if trie.depth(node) == 1 {
                 state[node as usize] = true;
                 continue;
             }
-            let parent = trie
+            link[node as usize] = trie
                 .child(link[trie.parent(node) as usize], trie.key(node))
                 .expect("suffix of an observed window is observed");
-            link[node as usize] = parent;
-            let parent_total = trie.cont_total(parent);
-            let child_total = trie.cont_total(node);
-            if parent_total == 0 || child_total == 0 {
-                continue;
+            tests.push(node);
+        }
+
+        // Divergence tests: bit `i % 64` of `verdicts[i / 64]` says whether
+        // `tests[i]` diverges from its PST parent by more than ε. Blocks of
+        // one word go to whichever thread asks next — a depth-2 test
+        // against a large depth-1 row costs many deeper ones, so equal
+        // contiguous shares would not finish together.
+        let threads = threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(tests.len() / MIN_CANDIDATES_PER_THREAD)
+                .max(1)
+        });
+        let n_blocks = tests.len().div_ceil(64);
+        // Only hands out block numbers; the verdicts travel through `join`.
+        let cursor = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let block = cursor.fetch_add(1, Ordering::Relaxed);
+                if block >= n_blocks {
+                    return done;
+                }
+                let lo = block * 64;
+                let bits = tests[lo..(lo + 64).min(tests.len())]
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &node)| diverges(trie, link[node as usize], node, config.epsilon))
+                    .fold(0u64, |bits, (i, _)| bits | 1 << i);
+                done.push((block, bits));
             }
-            // Floor for parent-supported queries the child never observed:
-            // one pseudo-count relative to the child's evidence. A global
-            // 1/|Q| floor would blow the divergence up for every
-            // low-evidence candidate (log10 |Q| per missing query), making ε
-            // inoperative; the paper's toy corpus has full support at every
-            // node, so this choice leaves its pinned numbers untouched.
-            let q_floor = 1.0 / (child_total as f64 + 1.0);
-            let d = kl_counts_base10(
-                trie.continuations(parent),
-                parent_total,
-                trie.continuations(node),
-                child_total,
-                q_floor,
-            );
-            if d > config.epsilon {
-                // Add the candidate and its whole suffix chain.
+        };
+        let mut verdicts = vec![0u64; n_blocks];
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            let mine = work();
+            for done in helpers
+                .into_iter()
+                .map(|h| h.join().expect("divergence tests panicked"))
+                .chain([mine])
+            {
+                for (block, bits) in done {
+                    verdicts[block] = bits;
+                }
+            }
+        });
+
+        // Marking pass, in canonical order: a diverging candidate joins
+        // with its whole suffix chain. The marked set stays suffix-closed,
+        // which lets a chain walk stop at the first state it meets.
+        for (i, &node) in tests.iter().enumerate() {
+            if verdicts[i / 64] >> (i % 64) & 1 == 1 {
                 let mut suffix = node;
                 while suffix != SuffixTrie::ROOT && !state[suffix as usize] {
                     state[suffix as usize] = true;
@@ -585,6 +658,56 @@ mod tests {
         let m = Vmm::train(&[], VmmConfig::default());
         assert_eq!(m.node_count(), 1);
         assert!(m.recommend(&seq(&[0]), 5).is_empty());
+    }
+
+    /// The state list growth picks on `counts` is the same whatever number
+    /// of threads runs the divergence tests — forced here, far below the
+    /// per-thread floor — and it is the list training keeps.
+    fn same_states_on_any_thread_count(counts: &WindowCounts, config: VmmConfig) -> Vec<u32> {
+        let states = Vmm::grow_pst(counts, config, None);
+        for threads in [1, 2, 3, 5] {
+            assert_eq!(
+                Vmm::grow_pst(counts, config, Some(threads)),
+                states,
+                "{threads} threads, {config:?}"
+            );
+        }
+        let trained: Vec<u32> = Vmm::train_with_counts(counts, config)
+            .pst()
+            .state_nodes()
+            .collect();
+        assert_eq!(trained, states, "{config:?}");
+        states
+    }
+
+    #[test]
+    fn the_thread_count_cannot_change_a_model() {
+        // Fig. 3: q0, q1 and q1q0.
+        let toy = WindowCounts::build(&toy_corpus(), None);
+        let states = same_states_on_any_thread_count(&toy, VmmConfig::with_epsilon(TOY_EPSILON));
+        assert_eq!(states.len(), 3);
+
+        let logs = sqp_logsim::generate(&sqp_logsim::SimConfig::small(4_000, 400, 11));
+        let p = sqp_sessions::process(&logs, &sqp_sessions::PipelineConfig::default());
+        let sessions = &p.train.aggregated.sessions;
+        let unbounded = WindowCounts::build(sessions, None);
+        for epsilon in [0.0, 0.05, 0.5, f64::INFINITY] {
+            for min_support in [1, 3] {
+                let config = VmmConfig {
+                    epsilon,
+                    min_support,
+                    ..VmmConfig::default()
+                };
+                same_states_on_any_thread_count(&unbounded, config);
+            }
+        }
+
+        let sweep = crate::MvmmConfig::epsilon_sweep().components;
+        let depths = crate::MvmmConfig::depth_mixture(&[(2, 0.1), (3, 0.2)]).components;
+        for config in sweep.into_iter().chain(depths) {
+            let counts = WindowCounts::build(sessions, config.max_depth);
+            same_states_on_any_thread_count(&counts, config);
+        }
     }
 }
 

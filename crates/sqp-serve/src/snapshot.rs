@@ -93,9 +93,10 @@ pub struct TrainingConfig {
     pub reduction_threshold: u64,
     /// The model to train.
     pub model: ModelSpec,
-    /// Shard segmentation's pass over the raw records across threads. The
-    /// trained model is byte-identical either way; production builds want
-    /// this on.
+    /// Run segmentation's two passes — the key pass over the raw records
+    /// and the per-machine sort + cut — on several threads. The trained
+    /// model is byte-identical either way; production builds want this on.
+    /// PST growth sizes its own threads whatever this says.
     pub parallel: bool,
 }
 

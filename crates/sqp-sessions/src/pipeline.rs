@@ -24,8 +24,9 @@ pub struct PipelineConfig {
     pub reduction_threshold: u64,
     /// Continuations kept per ground-truth context (the paper's n = 5).
     pub ground_truth_n: usize,
-    /// Shard segmentation's key pass across threads. Deterministic either
-    /// way (see [`segment_with_parallelism`]).
+    /// Run segmentation's two passes — the key pass over the raw records
+    /// and the per-machine sort + cut — on several threads. Deterministic
+    /// either way (see [`segment_with_parallelism`]).
     pub parallel: bool,
 }
 

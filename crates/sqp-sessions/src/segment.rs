@@ -14,15 +14,22 @@
 //!    memory over the records, their query heaps and their click vectors —
 //!    its query is interned into a *provisional* table, and a 32-byte key
 //!    `(machine, timestamp, last activity, provisional id)` is emitted at
-//!    the record's input position. This is the pass `parallel`
-//!    shards, by contiguous chunk.
+//!    the record's input position. `parallel` shards this pass by
+//!    contiguous chunk of the input; the shards' tables then fold into one,
+//!    serially.
 //! 2. **Order.** A permutation of input positions is bucketed by machine
 //!    (stable, so a time-ordered log needs nothing more) and each bucket is
 //!    sorted by `(timestamp, input position)` — adaptive, linear when the
 //!    bucket is already in time order. Ties on `(machine, timestamp)` keep
 //!    input order.
-//! 3. **Cut.** One scan over the ordered keys applies the cut rule and
-//!    appends provisional ids to one flat buffer; a session is a span of it.
+//! 3. **Cut.** A scan over the ordered keys applies the cut rule and writes
+//!    provisional ids into one flat buffer; a session is a span of it.
+//!
+//! Sorting and cutting only ever look at one machine, so with `parallel`
+//! the machines are dealt out in contiguous runs of about equal record
+//! count, one per key-pass shard, and each run is ordered and cut on its
+//! own thread into its own range of the buffer. The runs' spans are joined
+//! in machine order, so the result is the one a single thread produces.
 //!
 //! No per-record `String`, per-session `Vec` or per-machine `Vec` is built.
 //! [`crate::aggregate()`] turns provisional ids into final ones; consumers
@@ -215,10 +222,10 @@ pub fn segment_default(records: &[RawLogRecord]) -> Segmented {
     segment(records, DEFAULT_CUTOFF_SECS)
 }
 
-/// [`segment`], optionally sharding the key pass across threads by
-/// contiguous chunk of the input. The result is identical either way:
-/// provisional ids differ by nothing a caller can observe, and ordering
-/// and cutting run on one thread.
+/// [`segment`], optionally on several threads: the key pass by contiguous
+/// chunk of the input, then ordering and cutting by contiguous run of
+/// machines. The result is identical either way: provisional ids differ by
+/// nothing a caller can observe, and no session crosses a machine.
 pub fn segment_with_parallelism(
     records: &[RawLogRecord],
     cutoff_secs: u64,
@@ -235,12 +242,13 @@ pub fn segment_with_parallelism(
 }
 
 /// The one segmentation implementation: key pass over `chunks` contiguous
-/// shards, order, then a scan that starts a new session at every machine's
-/// first record and wherever `cut` says so.
+/// shards, bucketing by machine, then — on up to `chunks` threads, each
+/// given whole machines — an order-and-cut scan that starts a new session
+/// at every machine's first record and wherever `cut` says so.
 pub(crate) fn segment_by(
     records: &[RawLogRecord],
     chunks: usize,
-    mut cut: impl FnMut(&Interner, &Boundary) -> bool,
+    cut: impl Fn(&Interner, &Boundary) -> bool + Sync,
 ) -> Segmented {
     assert!(
         u32::try_from(records.len()).is_ok(),
@@ -248,25 +256,88 @@ pub(crate) fn segment_by(
     );
     let (table, keys) = key_pass(records, chunks);
     let (machines, mut order) = bucket_by_machine(&keys);
+    let mut ids = vec![QueryId(0); keys.len()];
 
-    let mut ids = Vec::with_capacity(keys.len());
+    // Contiguous runs of machines of about equal record count. A run owns
+    // its machines' ranges of `order` and of `ids`, which are the same
+    // range: every record contributes one id, in machine order.
+    let groups = chunks.max(1);
+    let mut runs = Vec::with_capacity(groups);
+    let (mut order_rest, mut ids_rest) = (order.as_mut_slice(), ids.as_mut_slice());
+    let (mut next_machine, mut base) = (0usize, 0usize);
+    for g in 1..=groups {
+        let first_machine = next_machine;
+        let mut end = base;
+        while end < keys.len() * g / groups {
+            end += machines[next_machine].1 as usize;
+            next_machine += 1;
+        }
+        if end == base {
+            continue; // an earlier machine held this run's whole share
+        }
+        let (run_order, rest) = std::mem::take(&mut order_rest).split_at_mut(end - base);
+        order_rest = rest;
+        let (run_ids, rest) = std::mem::take(&mut ids_rest).split_at_mut(end - base);
+        ids_rest = rest;
+        runs.push(Run {
+            machines: &machines[first_machine..next_machine],
+            order: run_order,
+            ids: run_ids,
+            base,
+        });
+        base = end;
+    }
+
+    let (keys, table_ref, cut) = (&keys, &table, &cut);
+    let spans = std::thread::scope(|scope| {
+        let mut runs = runs.into_iter();
+        let first = runs.next();
+        let helpers: Vec<_> = runs
+            .map(|run| scope.spawn(move || order_and_cut(keys, table_ref, run, cut)))
+            .collect();
+        let mut spans = first.map_or_else(Vec::new, |run| order_and_cut(keys, table_ref, run, cut));
+        for helper in helpers {
+            spans.extend(helper.join().expect("segmentation run panicked"));
+        }
+        spans
+    });
+    Segmented { table, ids, spans }
+}
+
+/// Whole machines' share of the permutation and of the id buffer, which
+/// starts at `base` in the whole one.
+struct Run<'a> {
+    machines: &'a [(u64, u32)],
+    order: &'a mut [u32],
+    ids: &'a mut [QueryId],
+    base: usize,
+}
+
+/// Passes 2b and 3 over one run: order each machine's records by
+/// `(timestamp, input position)`, then cut them into sessions. Returns the
+/// run's spans, positioned in the whole id buffer.
+fn order_and_cut(
+    keys: &[Key],
+    table: &Interner,
+    run: Run<'_>,
+    cut: &impl Fn(&Interner, &Boundary) -> bool,
+) -> Vec<Span> {
     let mut spans = Vec::new();
     let mut lo = 0usize;
-    for (machine_id, count) in machines {
-        let run = &mut order[lo..lo + count as usize];
-        lo += count as usize;
+    for &(machine_id, count) in run.machines {
+        let positions = &mut run.order[lo..lo + count as usize];
         // Input position breaks timestamp ties, which is what a stable
         // sort of the machine's records by timestamp yields.
-        run.sort_unstable_by_key(|&i| (keys[i as usize].timestamp, i));
+        positions.sort_unstable_by_key(|&i| (keys[i as usize].timestamp, i));
 
         let mut last_activity = 0u64;
         let mut open_len = 0usize;
         let mut prev = QueryId(0);
-        for &i in run.iter() {
+        for (at, &i) in (lo..).zip(positions.iter()) {
             let key = keys[i as usize];
             let starts = open_len == 0
                 || cut(
-                    &table,
+                    table,
                     &Boundary {
                         gap: key.timestamp.saturating_sub(last_activity),
                         open_len,
@@ -278,17 +349,18 @@ pub(crate) fn segment_by(
                 spans.push(Span {
                     machine_id,
                     start_time: key.timestamp,
-                    start: ids.len() as u32,
+                    start: (run.base + at) as u32,
                 });
                 open_len = 0;
             }
-            ids.push(key.query);
+            run.ids[at] = key.query;
             open_len += 1;
             prev = key.query;
             last_activity = last_activity.max(key.last_activity);
         }
+        lo += count as usize;
     }
-    Segmented { table, ids, spans }
+    spans
 }
 
 /// Pass 1: intern every query and emit its record's key, in input order.
@@ -652,29 +724,41 @@ mod randomized_tests {
             } else {
                 hostile_log(&mut rng, cutoff)
             };
-            let want_sessions = reference_segment(&records, cutoff);
-            let (want_interner, want_weighted) = reference_aggregate(&want_sessions);
+            // The same records with two of every three on one machine, so
+            // it alone outweighs every other run's share; and on two
+            // machines, fewer than most chunk counts below.
+            let mut dominated = records.clone();
+            let mut two_machines = records.clone();
+            for (i, (d, t)) in dominated.iter_mut().zip(&mut two_machines).enumerate() {
+                if i % 3 != 0 {
+                    d.machine_id = 7;
+                }
+                t.machine_id = [3, u64::MAX][i % 2];
+            }
 
-            // One shard is `parallel = false`; 2, 3 and 5 are `true` with
-            // the record threshold out of the way.
-            for chunks in [1usize, 2, 3, 5] {
-                let got = segment_by(&records, chunks, |_, b| b.gap > cutoff);
-                assert_eq!(
-                    got.to_text_sessions(),
-                    want_sessions,
-                    "case {case}, {chunks} chunks"
-                );
-                let mut interner = Interner::new();
-                let aggregated = aggregate(&got, &mut interner);
-                assert_eq!(
-                    id_text_pairs(&interner),
-                    id_text_pairs(&want_interner),
-                    "case {case}, {chunks} chunks"
-                );
-                assert_eq!(
-                    aggregated.sessions, want_weighted,
-                    "case {case}, {chunks} chunks"
-                );
+            for (shape, records) in [
+                ("hostile", records),
+                ("dominated", dominated),
+                ("two machines", two_machines),
+            ] {
+                let want_sessions = reference_segment(&records, cutoff);
+                let (want_interner, want_weighted) = reference_aggregate(&want_sessions);
+
+                // One shard is `parallel = false`; 2, 3 and 5 are `true`
+                // with the record threshold out of the way.
+                for chunks in [1usize, 2, 3, 5] {
+                    let at = format!("case {case} ({shape}), {chunks} chunks");
+                    let got = segment_by(&records, chunks, |_, b| b.gap > cutoff);
+                    assert_eq!(got.to_text_sessions(), want_sessions, "{at}");
+                    let mut interner = Interner::new();
+                    let aggregated = aggregate(&got, &mut interner);
+                    assert_eq!(
+                        id_text_pairs(&interner),
+                        id_text_pairs(&want_interner),
+                        "{at}"
+                    );
+                    assert_eq!(aggregated.sessions, want_weighted, "{at}");
+                }
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Snapshot container format v4 — one file that boots a serving process.
+//! Snapshot container format v5 — one file that boots a serving process.
 //!
 //! A snapshot file bundles everything [`ModelSnapshot`] needs: the frozen
 //! [`Interner`], the trained model behind its
@@ -7,7 +7,8 @@
 //! the loader learns every section's size before touching its payload, so
 //! it pre-sizes the interner tables and model arenas up front and never
 //! grows a structure mid-load — followed by the section payloads and a
-//! trailing whole-file FNV-1a 64 checksum.
+//! trailing whole-file FNV-1a 64 checksum, taken a word at a time
+//! ([`fnv1a64_words`]).
 //!
 //! The byte-level specification, with a worked hexdump of a toy snapshot,
 //! lives in the repository's `FORMAT.md`; a conformance test
@@ -27,10 +28,10 @@ use std::path::Path;
 
 /// First four bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"SQPS";
-/// Container version this build writes and reads. Version 4 changed the
-/// VMM payload (trie rows + state node ids) and added the MVMM's; a v3
-/// file is refused by version, not decoded.
-pub const FORMAT_VERSION: u32 = 4;
+/// Container version this build writes and reads. Version 5 reads the
+/// checksummed body a word at a time; its payloads are version 4's. An
+/// older file is refused by version, not decoded.
+pub const FORMAT_VERSION: u32 = 5;
 /// Size of the fixed header: magic + version + section count.
 pub const HEADER_LEN: usize = 12;
 /// Size of one section-table entry: id `u32`, offset `u64`, length `u64`.
@@ -79,16 +80,23 @@ impl SnapshotMeta {
     }
 }
 
-/// FNV-1a 64 over `bytes` — the snapshot checksum. Stated in full in
+/// FNV-1a 64 over `bytes` read as little-endian `u64` words, then over the
+/// 0–7 tail bytes one at a time — the snapshot checksum. Stated in full in
 /// `FORMAT.md` so independent tooling can verify files: start from the
-/// offset basis `0xcbf29ce484222325`, and for each byte XOR it in, then
-/// multiply by the prime `0x100000001b3` (wrapping).
-pub fn checksum_fnv1a(bytes: &[u8]) -> u64 {
+/// offset basis `0xcbf29ce484222325`; for each whole 8-byte word XOR it in,
+/// then multiply by the prime `0x100000001b3` (wrapping); then the same for
+/// each remaining byte. Each step is a bijection of the running hash, so a
+/// change confined to one word or one byte always changes the result.
+pub fn fnv1a64_words(bytes: &[u8]) -> u64 {
     const OFFSET_BASIS: u64 = 0xcbf29ce484222325;
     const PRIME: u64 = 0x100000001b3;
-    bytes
-        .iter()
-        .fold(OFFSET_BASIS, |h, &b| (h ^ b as u64).wrapping_mul(PRIME))
+    let step = |h: u64, v: u64| (h ^ v).wrapping_mul(PRIME);
+    let mut words = bytes.chunks_exact(8);
+    let h = words.by_ref().fold(OFFSET_BASIS, |h, w| {
+        let word = w.try_into().expect("chunks_exact(8) yields 8-byte words");
+        step(h, u64::from_le_bytes(word))
+    });
+    words.remainder().iter().fold(h, |h, &b| step(h, b as u64))
 }
 
 /// Serialize a snapshot + metadata into the container bytes.
@@ -145,7 +153,7 @@ pub fn snapshot_to_bytes(
     for (_, bytes) in &sections {
         out.put_slice(bytes.as_slice());
     }
-    let sum = checksum_fnv1a(out.as_slice());
+    let sum = fnv1a64_words(out.as_slice());
     out.put_u64_le(sum);
     let raw = out.into_vec();
     debug_assert_eq!(raw.len(), total);
@@ -186,7 +194,7 @@ pub fn parse_section_table(raw: &[u8]) -> Result<Vec<SectionEntry>, SnapshotErro
     }
     let body = &raw[..raw.len() - CHECKSUM_LEN];
     let stored = u64::from_le_bytes(raw[raw.len() - CHECKSUM_LEN..].try_into().unwrap());
-    let computed = checksum_fnv1a(body);
+    let computed = fnv1a64_words(body);
     if stored != computed {
         return Err(SnapshotError::ChecksumMismatch { stored, computed });
     }
@@ -272,8 +280,11 @@ pub fn snapshot_from_bytes(raw: &[u8]) -> Result<(ModelSnapshot, SnapshotMeta), 
 /// container bytes — what a file read yields — without copying it.
 ///
 /// Integrity order: magic → version → whole-file checksum → section table
-/// → payloads. Any violation returns the matching [`SnapshotError`]
-/// variant; no code path panics and no partial snapshot escapes.
+/// → payloads. The model payload is decoded against the interner's size,
+/// so a query id the interner never issued is `Corrupt` here rather than a
+/// panic when an answer is rendered. Any violation returns the matching
+/// [`SnapshotError`] variant; no code path panics and no partial snapshot
+/// escapes.
 pub fn snapshot_from_vec(raw: Vec<u8>) -> Result<(ModelSnapshot, SnapshotMeta), SnapshotError> {
     let entries = parse_section_table(&raw)?;
     // The file itself becomes the shared storage; the interner and model
@@ -325,7 +336,7 @@ pub fn snapshot_from_vec(raw: Vec<u8>) -> Result<(ModelSnapshot, SnapshotMeta), 
     let kind = ModelKind::from_code(code)
         .ok_or_else(|| SnapshotError::Corrupt(format!("unknown model kind tag {code}")))?;
     let payload = shared.slice(at + 4..at + model_entry.len);
-    let model = model_from_bytes(kind, payload)
+    let model = model_from_bytes(kind, payload, interner.len())
         .map_err(|e| SnapshotError::Corrupt(format!("{} payload: {e}", kind.label())))?;
 
     Ok((
@@ -567,30 +578,28 @@ mod tests {
         }
     }
 
+    /// `raw` with its checksum recomputed, as a crafted file would have it.
+    fn resealed(mut raw: Vec<u8>) -> Vec<u8> {
+        let body = raw.len() - CHECKSUM_LEN;
+        let sum = fnv1a64_words(&raw[..body]);
+        raw[body..].copy_from_slice(&sum.to_le_bytes());
+        raw
+    }
+
     #[test]
     fn a_hostile_payload_behind_a_good_checksum_is_corrupt_not_a_panic() {
         // The checksum catches accidents; a crafted file recomputes it. Flip
         // each byte of the MODEL section, re-seal, and load: the result is
-        // `Corrupt` or a model that answers — never a panic. (Answers are
-        // taken as ids: a payload may still name a query id its interner
-        // never issued, which only rendering would trip over — ROADMAP
-        // item 3(e).)
+        // `Corrupt` or a model whose answers render — never a panic.
         for (name, raw) in toy_files() {
             let model = parse_section_table(&raw).unwrap()[2];
             for i in model.offset..model.offset + model.len {
                 let mut bad = raw.clone();
                 bad[i] ^= 0xFF;
-                let body = bad.len() - CHECKSUM_LEN;
-                let sum = checksum_fnv1a(&bad[..body]);
-                bad[body..].copy_from_slice(&sum.to_le_bytes());
-                match snapshot_from_bytes(&bad) {
+                match snapshot_from_bytes(&resealed(bad)) {
                     Ok((snapshot, _)) => {
-                        let mut ids = Vec::new();
-                        let mut top = Vec::new();
-                        for ctx in [&["a"][..], &["b", "a"]] {
-                            assert!(snapshot.resolve_context_into(ctx.iter().copied(), &mut ids));
-                            snapshot.recommend_ids_into(&ids, 3, &mut top);
-                            assert!(top.len() <= 3);
+                        for ctx in [&["a"][..], &["b"], &["b", "a"], &["a", "b", "a"]] {
+                            assert!(snapshot.suggest(ctx, 3).len() <= 3);
                         }
                     }
                     Err(SnapshotError::Corrupt(_)) => {}
@@ -601,16 +610,40 @@ mod tests {
     }
 
     #[test]
+    fn a_query_id_the_interner_never_issued_is_corrupt_at_load() {
+        // Adjacency over the two-query interner {"a", "b"}: one list, a → b.
+        let raw = snapshot_to_bytes(
+            &toy_snapshot(ModelSpec::Adjacency),
+            &SnapshotMeta::default(),
+        )
+        .unwrap();
+        let model = parse_section_table(&raw).unwrap()[2];
+        // Kind tag, n_lists, source id, list length, then the successor id.
+        let successor = model.offset + 16;
+        assert_eq!(raw[successor..successor + 4], 1u32.to_le_bytes());
+        let mut bad = raw.clone();
+        bad[successor..successor + 4].copy_from_slice(&254u32.to_le_bytes());
+        match snapshot_from_bytes(&resealed(bad)) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(
+                msg.contains("query id 254 is outside the vocabulary of 2"),
+                "{msg}"
+            ),
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("an out-of-vocabulary successor loaded"),
+        }
+    }
+
+    #[test]
     fn a_file_of_the_previous_version_is_refused_by_version() {
         let mut raw = snapshot_to_bytes(
             &toy_snapshot(ModelSpec::Vmm(VmmConfig::with_epsilon(0.05))),
             &SnapshotMeta::default(),
         )
         .unwrap();
-        raw[4] = 3;
+        raw[4] = 4;
         let err = snapshot_from_bytes(&raw).unwrap_err();
-        assert!(matches!(err, SnapshotError::UnsupportedVersion(3)), "{err}");
-        assert!(err.to_string().contains("reads v4"), "{err}");
+        assert!(matches!(err, SnapshotError::UnsupportedVersion(4)), "{err}");
+        assert!(err.to_string().contains("reads v5"), "{err}");
     }
 
     #[test]

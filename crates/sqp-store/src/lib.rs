@@ -104,7 +104,7 @@ pub mod warm;
 
 pub use error::{RetrainError, SnapshotError};
 pub use format::{
-    checksum_fnv1a, load_snapshot, load_snapshot_with, parse_section_table, save_snapshot,
+    fnv1a64_words, load_snapshot, load_snapshot_with, parse_section_table, save_snapshot,
     save_snapshot_with, snapshot_from_bytes, snapshot_from_vec, snapshot_to_bytes, SectionEntry,
     SnapshotMeta, FORMAT_VERSION, MAGIC,
 };

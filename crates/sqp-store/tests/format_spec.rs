@@ -5,7 +5,7 @@
 
 use sqp_common::{seq, Interner};
 use sqp_serve::ModelSnapshot;
-use sqp_store::{checksum_fnv1a, parse_section_table, snapshot_from_bytes, snapshot_to_bytes};
+use sqp_store::{fnv1a64_words, parse_section_table, snapshot_from_bytes, snapshot_to_bytes};
 use sqp_store::{SnapshotMeta, FORMAT_VERSION};
 
 /// The toy corpus of FORMAT.md's worked examples: `[0, 1] × 3`.
@@ -34,6 +34,26 @@ fn toy_bytes(model: Box<dyn sqp_core::Recommender>) -> Vec<u8> {
         },
     )
     .unwrap()
+}
+
+/// The checksum as FORMAT.md words it, written from the document and not
+/// from the library: FNV-1a 64 over the body's whole 8-byte words, each
+/// read little-endian, then over the 0–7 bytes left one at a time.
+fn checksum_per_format_md(body: &[u8]) -> u64 {
+    const PRIME: u64 = 0x100000001b3;
+    let mut h: u64 = 0xcbf29ce484222325;
+    let whole = body.len() / 8 * 8;
+    for word in body[..whole].chunks(8) {
+        let value = word
+            .iter()
+            .enumerate()
+            .fold(0u64, |v, (i, &b)| v | (b as u64) << (8 * i));
+        h = (h ^ value).wrapping_mul(PRIME);
+    }
+    for &b in &body[whole..] {
+        h = (h ^ b as u64).wrapping_mul(PRIME);
+    }
+    h
 }
 
 fn u32_at(raw: &[u8], offset: usize) -> u32 {
@@ -119,10 +139,12 @@ fn toy_snapshot_matches_the_documented_layout() {
     assert_eq!(u32_at(&raw, 145), 1, "successor query id");
     assert_eq!(u64_at(&raw, 149), 3, "successor count");
 
-    // Checksum at 157: the documented constant, which must equal FNV-1a 64
-    // of everything before it.
-    assert_eq!(u64_at(&raw, 157), 0x9707e24cfa3d45dc);
-    assert_eq!(checksum_fnv1a(&raw[..157]), 0x9707e24cfa3d45dc);
+    // Checksum at 157: the documented constant, which must equal the
+    // document's word-wise FNV-1a 64 of everything before it — as the
+    // document states it and as the library computes it.
+    assert_eq!(u64_at(&raw, 157), 0x57bb4b5ca5ce96ff);
+    assert_eq!(checksum_per_format_md(&raw[..157]), 0x57bb4b5ca5ce96ff);
+    assert_eq!(fnv1a64_words(&raw[..157]), 0x57bb4b5ca5ce96ff);
 
     // The library's own table parser agrees with the documented offsets.
     let entries = parse_section_table(&raw).unwrap();
@@ -209,4 +231,33 @@ fn toy_snapshot_is_byte_stable() {
     // The hexdump in FORMAT.md is only valid while serialization is
     // deterministic; re-generate twice and compare.
     assert_eq!(toy_snapshot_bytes(), toy_snapshot_bytes());
+}
+
+#[test]
+fn every_single_byte_change_and_every_truncation_moves_the_checksum() {
+    // 1 KiB of scrambled bytes, so no two words are alike.
+    let buf: Vec<u8> = (0..1024u32)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8)
+        .collect();
+    let sum = fnv1a64_words(&buf);
+    for i in 0..buf.len() {
+        for mask in [0x01, 0x80, 0xff] {
+            let mut bad = buf.clone();
+            bad[i] ^= mask;
+            assert_ne!(fnv1a64_words(&bad), sum, "byte {i} ^ {mask:#04x}");
+        }
+    }
+    // Every length is also every tail length 0–7: the library and the
+    // document agree on each.
+    for cut in 0..=buf.len() {
+        let prefix = &buf[..cut];
+        assert_eq!(
+            fnv1a64_words(prefix),
+            checksum_per_format_md(prefix),
+            "{cut}"
+        );
+        if cut < buf.len() {
+            assert_ne!(fnv1a64_words(prefix), sum, "truncation at {cut}");
+        }
+    }
 }

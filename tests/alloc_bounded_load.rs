@@ -39,13 +39,14 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 fn load_cost(sessions: usize) -> (u64, usize) {
     let logs = sqp::logsim::generate(&sqp::logsim::SimConfig::small(sessions, 10, 13));
     let segmented = sqp::sessions::segment_default(&logs.train);
-    let aggregated = sqp::sessions::aggregate(&segmented, &mut sqp::common::Interner::new());
+    let mut interner = sqp::common::Interner::new();
+    let aggregated = sqp::sessions::aggregate(&segmented, &mut interner);
     let trained = Vmm::train(&aggregated.sessions, VmmConfig::with_epsilon(0.05));
     let (kind, payload) = model_to_bytes(&trained).expect("a VMM serializes");
     assert_eq!(kind, ModelKind::Vmm);
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let loaded = model_from_bytes(kind, payload).expect("and loads back");
+    let loaded = model_from_bytes(kind, payload, interner.len()).expect("and loads back");
     let after = ALLOCATIONS.load(Ordering::SeqCst);
 
     let nodes = loaded

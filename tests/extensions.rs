@@ -75,7 +75,7 @@ fn persistence_roundtrip_preserves_evaluation_metrics() {
     let vmm = Vmm::train(sessions, VmmConfig::with_epsilon(0.05));
     let (kind, blob) = sqp::core::model_to_bytes(&vmm).expect("serialize");
     assert_eq!(kind, sqp::core::ModelKind::Vmm);
-    let restored = sqp::core::model_from_bytes(kind, blob).expect("roundtrip");
+    let restored = sqp::core::model_from_bytes(kind, blob, p.interner.len()).expect("roundtrip");
 
     assert_eq!(
         overall_ndcg(&vmm, gt, 5),
