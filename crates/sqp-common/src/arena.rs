@@ -27,6 +27,7 @@
 //! occurrence of `w` followed by `q` is an occurrence of the window `w·q`.
 
 use crate::QueryId;
+use std::ops::Range;
 
 /// Open-addressing `u64 → u32` table for trie edges: flat storage, linear
 /// probing, one multiply-shift hash per probe. This is the single hottest
@@ -138,8 +139,10 @@ impl TrieBuilder {
     /// A builder sized for roughly `expected_edges` distinct windows —
     /// avoids rehashing mid-count when the caller can estimate the corpus.
     pub fn with_edge_capacity(expected_edges: usize) -> Self {
+        let mut counts = Vec::with_capacity(expected_edges + 1);
+        counts.push((0, 0));
         TrieBuilder {
-            counts: vec![(0, 0)],
+            counts,
             root_children: Vec::new(),
             edges: EdgeMap::with_capacity(expected_edges),
         }
@@ -180,27 +183,31 @@ impl TrieBuilder {
         id
     }
 
-    /// Count every window of `session` up to `depth_limit` queries, weighted
-    /// by `weight`. Windows starting at position 0 also count as
-    /// session-start occurrences.
-    pub fn count_session(&mut self, session: &[QueryId], weight: u64, depth_limit: usize) {
-        // Position 0: the only windows that count as session starts.
-        if !session.is_empty() {
-            let limit = depth_limit.min(session.len());
-            let mut node = 0u32;
-            for &q in &session[..limit] {
-                node = self.child_or_insert(node, q);
-                let c = &mut self.counts[node as usize];
-                c.0 += weight;
-                c.1 += weight;
+    /// Count the windows of `session` up to `depth_limit` queries whose
+    /// first query's id lies in `first`, weighted by `weight`. Windows
+    /// starting at position 0 also count as session-start occurrences.
+    /// `0..u32::MAX` counts every window; disjoint ranges count disjoint
+    /// subtrees of the root, which is what lets builders over a partition
+    /// of the ids run apart and [`SuffixTrie::join`] put them together.
+    pub fn count_session(
+        &mut self,
+        session: &[QueryId],
+        weight: u64,
+        depth_limit: usize,
+        first: Range<u32>,
+    ) {
+        for (start, head) in session.iter().enumerate() {
+            if !first.contains(&head.0) {
+                continue;
             }
-        }
-        for start in 1..session.len() {
+            let at_start = if start == 0 { weight } else { 0 };
             let limit = depth_limit.min(session.len() - start);
             let mut node = 0u32;
             for &q in &session[start..start + limit] {
                 node = self.child_or_insert(node, q);
-                self.counts[node as usize].0 += weight;
+                let c = &mut self.counts[node as usize];
+                c.0 += weight;
+                c.1 += at_start;
             }
         }
     }
@@ -329,7 +336,7 @@ impl TrieBuilder {
     }
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Node {
     total: u64,
     at_start: u64,
@@ -364,6 +371,100 @@ impl SuffixTrie {
 
     /// The root node id.
     pub const ROOT: u32 = 0;
+
+    /// The trie of one count split by first query: `parts[p]` is what a
+    /// builder froze after counting only the windows whose first query lies
+    /// in the `p`-th of some contiguous, ascending ranges of ids.
+    ///
+    /// Canonical ids ascend by (depth, path) and a path starts with its
+    /// first query, so at every depth part p's nodes come before part
+    /// p + 1's, and each part's depth-d block keeps its own order. The join
+    /// is therefore a relabelling: a block moves by one offset, a parent by
+    /// the offset of its depth, and the child arrays follow node order
+    /// because edge e leads to node e + 1. Nothing is merged or re-inserted.
+    ///
+    /// # Panics
+    ///
+    /// When the parts disagree on the window length, or a part's root keys
+    /// do not all lie above the previous part's — a broken split, not data.
+    pub fn join(parts: &[SuffixTrie]) -> SuffixTrie {
+        let window_len = parts.first().map_or(0, |p| p.window_len);
+        assert!(
+            parts.iter().all(|p| p.window_len == window_len),
+            "joined parts count windows of one length"
+        );
+        let mut roots = parts
+            .iter()
+            .flat_map(|p| p.continuations(Self::ROOT).0.iter());
+        let mut previous = roots.next();
+        for key in roots {
+            assert!(previous < Some(key), "parts hold ascending first queries");
+            previous = Some(key);
+        }
+
+        let deepest = parts
+            .iter()
+            .filter_map(|p| p.nodes.last())
+            .map(|n| n.depth as usize)
+            .max()
+            .unwrap_or(0);
+        // `starts[p][d]`: part p's first id at depth d, for d in 0..=deepest + 1.
+        let starts: Vec<Vec<u32>> = parts
+            .iter()
+            .map(|p| {
+                (0..=deepest + 1)
+                    .map(|d| p.nodes.partition_point(|n| (n.depth as usize) < d) as u32)
+                    .collect()
+            })
+            .collect();
+        let n = 1 + parts.iter().map(|p| p.nodes.len() - 1).sum::<usize>();
+        let mut nodes = Vec::with_capacity(n);
+        let mut root = Node {
+            total: 0,
+            at_start: 0,
+            cont_total: 0,
+            first_child: 0,
+            n_children: 0,
+            parent: 0,
+            key: QueryId(0),
+            depth: 0,
+        };
+        for r in parts.iter().map(|p| &p.nodes[0]) {
+            root.total += r.total;
+            root.at_start += r.at_start;
+            root.cont_total += r.cont_total;
+            root.n_children += r.n_children;
+        }
+        nodes.push(root);
+        // `joined[p][d]`: the id part p's depth-d block starts at once joined.
+        let mut joined = vec![vec![0u32; deepest + 1]; parts.len()];
+        for d in 1..=deepest {
+            for (p, part) in parts.iter().enumerate() {
+                joined[p][d] = nodes.len() as u32;
+                let block = &part.nodes[starts[p][d] as usize..starts[p][d + 1] as usize];
+                let parent_shift = joined[p][d - 1].wrapping_sub(starts[p][d - 1]);
+                nodes.extend(block.iter().map(|node| Node {
+                    parent: node.parent.wrapping_add(parent_shift),
+                    ..*node
+                }));
+            }
+        }
+        debug_assert_eq!(nodes.len(), n);
+        // A node's children start after every earlier node's, empty ranges
+        // included — the layout `freeze` and `from_parts` leave.
+        let mut next_edge = 0u32;
+        for node in &mut nodes {
+            node.first_child = next_edge;
+            next_edge += node.n_children;
+        }
+        SuffixTrie {
+            child_keys: nodes[1..].iter().map(|n| n.key).collect(),
+            child_ids: (1..n as u32).collect(),
+            child_totals: nodes[1..].iter().map(|n| n.total).collect(),
+            nodes,
+            window_len,
+        }
+    }
 
     /// Number of nodes including the root and continuation-only nodes.
     pub fn len(&self) -> usize {
@@ -677,7 +778,7 @@ mod tests {
         let mut b = TrieBuilder::new();
         for (s, f) in sessions {
             let ids = seq(s);
-            b.count_session(&ids, *f, depth_limit);
+            b.count_session(&ids, *f, depth_limit, 0..u32::MAX);
         }
         b
     }
@@ -786,7 +887,12 @@ mod tests {
                 let session: Vec<QueryId> = (0..rng.random_range(1usize..8))
                     .map(|_| QueryId(rng.random_range(0u32..vocabulary)))
                     .collect();
-                builder.count_session(&session, rng.random_range(1u64..50), depth_limit);
+                builder.count_session(
+                    &session,
+                    rng.random_range(1u64..50),
+                    depth_limit,
+                    0..u32::MAX,
+                );
             }
             let window_len = depth_limit as u32 - 1;
             let frozen = builder.freeze(window_len);
@@ -794,6 +900,40 @@ mod tests {
                 SuffixTrie::from_parts(window_len, vocabulary as usize, frozen.parts()).unwrap();
             assert_eq!(loaded, frozen, "case {case}");
             assert_eq!(loaded.window_count(), frozen.window_count(), "case {case}");
+        }
+    }
+
+    #[test]
+    fn parts_counted_by_first_query_join_into_the_whole_count() {
+        use crate::rng::{Rng, StdRng};
+        for case in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(0x5e17 + case);
+            let vocabulary = rng.random_range(1u32..12);
+            let depth_limit = rng.random_range(1usize..6);
+            let sessions: Vec<(Vec<QueryId>, u64)> = (0..rng.random_range(0usize..40))
+                .map(|_| {
+                    let s = (0..rng.random_range(1usize..8))
+                        .map(|_| QueryId(rng.random_range(0u32..vocabulary)))
+                        .collect();
+                    (s, rng.random_range(1u64..50))
+                })
+                .collect();
+            let count = |first: Range<u32>| {
+                let mut builder = TrieBuilder::new();
+                for (s, f) in &sessions {
+                    builder.count_session(s, *f, depth_limit, first.clone());
+                }
+                builder.freeze(depth_limit as u32 - 1)
+            };
+            let whole = count(0..u32::MAX);
+            // Random ascending cut points, empty ranges included.
+            let mut cuts: Vec<u32> = (0..rng.random_range(0usize..5))
+                .map(|_| rng.random_range(0..=vocabulary))
+                .collect();
+            cuts.sort_unstable();
+            let bounds: Vec<u32> = [0].into_iter().chain(cuts).chain([vocabulary]).collect();
+            let parts: Vec<SuffixTrie> = bounds.windows(2).map(|b| count(b[0]..b[1])).collect();
+            assert_eq!(SuffixTrie::join(&parts), whole, "case {case}: {bounds:?}");
         }
     }
 

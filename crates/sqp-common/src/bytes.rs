@@ -215,11 +215,24 @@ impl BytesMut {
         self.data.extend_from_slice(bytes);
     }
 
+    /// Make room for at least `additional` more bytes, so a writer that
+    /// knows its size grows the buffer once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve(additional);
+    }
+
     /// The bytes written so far (e.g. to checksum a partially built
     /// buffer before appending the checksum itself).
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data
+    }
+
+    /// The bytes written so far, to patch in place — a length field, say,
+    /// written before the payload it measures.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 
     /// Finish writing, producing shareable storage (no copy).

@@ -12,13 +12,22 @@
 //! The counts live in a [`SuffixTrie`]: a session of length L costs
 //! O(L·min(L, D+1)) constant-time trie steps with **zero per-window
 //! allocations**, instead of the old hashmap's owned `Box<[QueryId]>` key
-//! per window. Counting runs on one thread: on aggregated sessions nearly
-//! every window is distinct, so per-shard tries share almost nothing and
-//! merging them re-inserted every edge — two threads measured slower than
-//! one (ROADMAP item 1 has the numbers).
+//! per window.
+//!
+//! Counting splits the work **by first query**, not by session. A split by
+//! session was tried and measured slower than one thread: on aggregated
+//! sessions nearly every window is distinct, so the shards' tries shared
+//! almost nothing and merging them re-inserted every edge. Here each part
+//! is a contiguous range of root keys with about equal window starts, and
+//! its builder counts only the windows that begin in its range — every
+//! window's subtree belongs to exactly one part. Canonical ids ascend by
+//! (depth, path) and a path starts with its root key, so the frozen parts
+//! are already in final order depth by depth: [`SuffixTrie::join`] only
+//! relabels ids, and nothing is merged. One part is the range of every id.
 
 use sqp_common::arena::{SuffixTrie, TrieBuilder};
 use sqp_common::{QueryId, QuerySeq};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// All window statistics of a training corpus up to a maximum window length.
@@ -101,6 +110,17 @@ impl WindowCounts {
     /// Count windows of length `1..=max_len` over weighted sessions.
     /// `max_len = None` counts every possible window (unbounded VMM).
     pub fn build(sessions: &[(QuerySeq, u64)], max_len: Option<usize>) -> Self {
+        Self::build_in_parts(sessions, max_len, None)
+    }
+
+    /// [`WindowCounts::build`] on `parts` parts — counting passes `None`,
+    /// as many as the host and [`MIN_POSITIONS_PER_PART`] allow. The trie
+    /// does not depend on the number: tests force it.
+    pub(crate) fn build_in_parts(
+        sessions: &[(QuerySeq, u64)],
+        max_len: Option<usize>,
+        parts: Option<usize>,
+    ) -> Self {
         let longest = sessions.iter().map(|(s, _)| s.len()).max().unwrap_or(0);
         let max_len = max_len.unwrap_or(longest).min(longest.max(1));
         // Depth max_len+1 nodes carry the continuation counts of
@@ -108,31 +128,65 @@ impl WindowCounts {
         // children's totals).
         let depth_limit = max_len + 1;
 
-        // Distinct windows are bounded by total counting steps; a rough hint
-        // avoids mid-count rehashing without a second pass.
-        let positions: usize = sessions.iter().map(|(s, _)| s.len()).sum();
-        let mut builder = TrieBuilder::with_edge_capacity((positions / 2).min(1 << 26));
-        let mut total_sessions = 0u64;
-        for (s, f) in sessions {
-            total_sessions += f;
-            builder.count_session(s, *f, depth_limit);
+        // Window starts per first query: what a part's builder will count,
+        // and so what the ranges are dealt by and each builder is sized to.
+        let mut starts: Vec<usize> = Vec::new();
+        for q in sessions.iter().flat_map(|(s, _)| s.iter()) {
+            let q = q.0 as usize;
+            if q >= starts.len() {
+                starts.resize(q + 1, 0);
+            }
+            starts[q] += 1;
         }
+        let positions: usize = starts.iter().sum();
+        let parts = parts.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(positions / MIN_POSITIONS_PER_PART)
+                .max(1)
+        });
+        let ranges = deal_ranges(&starts, parts);
 
-        let trie = builder.freeze(max_len as u32);
+        let count = |(first, positions): &(Range<u32>, usize)| {
+            let mut builder = TrieBuilder::with_edge_capacity(*positions);
+            for (s, f) in sessions {
+                builder.count_session(s, *f, depth_limit, first.clone());
+            }
+            builder.freeze(max_len as u32)
+        };
+        let mut frozen: Vec<SuffixTrie> = std::thread::scope(|scope| {
+            let helpers: Vec<_> = ranges[1..]
+                .iter()
+                .map(|range| scope.spawn(move || count(range)))
+                .collect();
+            let mut frozen = Vec::with_capacity(ranges.len());
+            frozen.push(count(&ranges[0]));
+            frozen.extend(
+                helpers
+                    .into_iter()
+                    .map(|h| h.join().expect("window counting panicked")),
+            );
+            frozen
+        });
+        let trie = match frozen.len() {
+            1 => frozen.pop().expect("one part"),
+            _ => SuffixTrie::join(&frozen),
+        };
+
         let (root_keys, root_counts) = trie.continuations(SuffixTrie::ROOT);
         let n_queries = root_keys.len();
         let total_occurrences = root_counts.iter().sum();
         WindowCounts {
             trie: Arc::new(trie),
             n_queries,
-            total_sessions,
+            total_sessions: sessions.iter().map(|(_, f)| f).sum(),
             total_occurrences,
             max_len,
         }
     }
 
-    /// [`WindowCounts::build`]. `_parallel` is ignored — counting runs on
-    /// one thread (see the module docs) — and this entry point stays only
+    /// [`WindowCounts::build`]. `_parallel` is ignored — counting sizes its
+    /// own parts (see the module docs) — and this entry point stays only
     /// because `benchmark/` calls it; the next `benchmark` PR drops it.
     pub fn build_with(
         sessions: &[(QuerySeq, u64)],
@@ -234,6 +288,33 @@ impl WindowCounts {
     }
 }
 
+/// Fewest window starts a counting part is worth a thread for: at ≈ 0.1 µs
+/// a start (one root step and a few edge probes) this is ≈ 3 ms of work
+/// against a thread start of tens of µs and a second pass over the corpus.
+const MIN_POSITIONS_PER_PART: usize = 1 << 15;
+
+/// Deal the ids `0..starts.len()` into `parts` contiguous, ascending ranges
+/// of about equal window starts (`starts[q]` of them begin with query `q`),
+/// each with the starts it holds. Ranges may be empty; together they cover
+/// every id.
+fn deal_ranges(starts: &[usize], parts: usize) -> Vec<(Range<u32>, usize)> {
+    let total: usize = starts.iter().sum();
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut lo, mut dealt) = (0, 0);
+    for p in 1..=parts {
+        let goal = total * p / parts;
+        let (mut hi, mut held) = (lo, 0);
+        while hi < starts.len() && dealt + held < goal {
+            held += starts[hi];
+            hi += 1;
+        }
+        ranges.push((lo as u32..hi as u32, held));
+        dealt += held;
+        lo = hi;
+    }
+    ranges
+}
+
 /// Escape probability over a bare trie — shared by [`WindowCounts`] and the
 /// trained [`crate::Vmm`], which keeps only the trie.
 pub(crate) fn escape_prob_in(
@@ -260,10 +341,95 @@ pub(crate) fn escape_prob_in(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::toy::toy_corpus;
     use sqp_common::seq;
+
+    /// A named corpus and the depth bound to count it at.
+    pub(crate) type SplitCorpus = (&'static str, Vec<(QuerySeq, u64)>, Option<usize>);
+
+    /// Corpora with their depth bounds, each a different shape of split:
+    /// Fig. 3's toy corpus (two first queries, so 3 and 5 parts leave some
+    /// empty); a simulated log at three depth bounds; a corpus of one
+    /// repeated query, so one part holds every window; and one whose two
+    /// first queries are far apart, so the parts between them are empty.
+    pub(crate) fn split_corpora() -> Vec<SplitCorpus> {
+        let logs = sqp_logsim::generate(&sqp_logsim::SimConfig::small(4_000, 400, 11));
+        let p = sqp_sessions::process(&logs, &sqp_sessions::PipelineConfig::default());
+        let simulated = p.train.aggregated.sessions;
+        let one_query: Vec<(QuerySeq, u64)> = (1..7)
+            .map(|len| (vec![QueryId(3); len].into(), len as u64 * 5))
+            .collect();
+        let two_queries = vec![
+            (seq(&[7, 900, 7]), 4),
+            (seq(&[900, 7]), 2),
+            (seq(&[7, 7, 900, 900]), 1),
+        ];
+        vec![
+            ("toy", toy_corpus(), None),
+            ("simulated, depth 1", simulated.clone(), Some(1)),
+            ("simulated, depth 3", simulated.clone(), Some(3)),
+            ("simulated, unbounded", simulated, None),
+            ("one query", one_query, None),
+            ("two far-apart queries", two_queries, None),
+        ]
+    }
+
+    #[test]
+    fn the_part_count_cannot_change_the_trie() {
+        for (name, sessions, max_len) in split_corpora() {
+            let whole = WindowCounts::build_in_parts(&sessions, max_len, Some(1));
+            let vocabulary = sessions
+                .iter()
+                .flat_map(|(s, _)| s.iter())
+                .map(|q| q.0 as usize + 1)
+                .max()
+                .unwrap_or(0);
+            for parts in [None, Some(2), Some(3), Some(5)] {
+                let split = WindowCounts::build_in_parts(&sessions, max_len, parts);
+                let trie = split.trie();
+                assert_eq!(trie, whole.trie(), "{name}: {parts:?} parts");
+                assert_eq!(
+                    (
+                        split.n_queries,
+                        split.total_sessions,
+                        split.total_occurrences
+                    ),
+                    (
+                        whole.n_queries,
+                        whole.total_sessions,
+                        whole.total_occurrences
+                    ),
+                    "{name}: {parts:?} parts"
+                );
+                let rows =
+                    SuffixTrie::from_parts(trie.window_len() as u32, vocabulary, trie.parts())
+                        .expect("a joined trie flattens to canonical rows");
+                assert_eq!(&rows, trie, "{name}: {parts:?} parts");
+            }
+        }
+    }
+
+    #[test]
+    fn ranges_cover_every_id_in_order() {
+        let starts = [3, 0, 0, 9, 1, 0, 4];
+        for parts in 1..=9 {
+            let ranges = deal_ranges(&starts, parts);
+            assert_eq!(ranges.len(), parts);
+            assert_eq!(ranges[0].0.start, 0);
+            assert_eq!(ranges[parts - 1].0.end, starts.len() as u32);
+            for pair in ranges.windows(2) {
+                assert_eq!(pair[0].0.end, pair[1].0.start, "{parts} parts");
+            }
+            for (range, held) in &ranges {
+                let counted: usize = range.clone().map(|q| starts[q as usize]).sum();
+                assert_eq!(counted, *held, "{parts} parts");
+            }
+        }
+        // Two parts split 17 starts at the first id reaching half of them.
+        assert_eq!(deal_ranges(&starts, 2)[0], (0..4, 12));
+    }
 
     #[test]
     fn toy_conditional_q1q0() {

@@ -143,6 +143,16 @@ impl ModelKind {
 /// bit-identical snapshots. Returns an error naming the model when its
 /// concrete type has no [`ModelKind`].
 pub fn model_to_bytes(model: &dyn Recommender) -> Result<(ModelKind, Bytes), String> {
+    let mut buf = BytesMut::default();
+    let kind = put_model(&mut buf, model)?;
+    Ok((kind, buf.freeze()))
+}
+
+/// [`model_to_bytes`], appending the payload to `buf` — how a container
+/// writes the model straight into its own buffer instead of copying a
+/// payload built on the side. Nothing is written when the model has no
+/// [`ModelKind`].
+pub fn put_model(buf: &mut BytesMut, model: &dyn Recommender) -> Result<ModelKind, String> {
     // `ModelKind::of` is the single authoritative type list; a `Some` kind
     // guarantees `as_any` is `Some` and the matching downcast succeeds, so
     // the expects below are in-memory invariants, not input validation.
@@ -154,19 +164,18 @@ pub fn model_to_bytes(model: &dyn Recommender) -> Result<(ModelKind, Bytes), Str
         )
     })?;
     let any = model.as_any().expect("ModelKind::of implies as_any");
-    let payload = match kind {
-        ModelKind::Vmm => vmm_to_bytes(any.downcast_ref().expect("kind tag matches type")),
-        ModelKind::Adjacency => {
-            lists_to_bytes(&any.downcast_ref::<Adjacency>().expect("kind tag").lists)
-        }
+    let tag = "kind tag matches type";
+    match kind {
+        ModelKind::Vmm => put_vmm(buf, any.downcast_ref().expect(tag)),
+        ModelKind::Adjacency => put_lists(buf, &any.downcast_ref::<Adjacency>().expect(tag).lists),
         ModelKind::Cooccurrence => {
-            lists_to_bytes(&any.downcast_ref::<Cooccurrence>().expect("kind tag").lists)
+            put_lists(buf, &any.downcast_ref::<Cooccurrence>().expect(tag).lists)
         }
-        ModelKind::NGram => ngram_to_bytes(any.downcast_ref().expect("kind tag matches type")),
-        ModelKind::Backoff => backoff_to_bytes(any.downcast_ref().expect("kind tag matches type")),
-        ModelKind::Mvmm => mvmm_to_bytes(any.downcast_ref().expect("kind tag matches type")),
-    };
-    Ok((kind, payload))
+        ModelKind::NGram => put_ngram(buf, any.downcast_ref().expect(tag)),
+        ModelKind::Backoff => put_backoff(buf, any.downcast_ref().expect(tag)),
+        ModelKind::Mvmm => put_mvmm(buf, any.downcast_ref().expect(tag)),
+    }
+    Ok(kind)
 }
 
 /// Reconstruct a model serialized by [`model_to_bytes`] from its kind tag
@@ -294,17 +303,16 @@ type RankedLists = FxHashMap<QueryId, Box<[(QueryId, u64)]>>;
 /// The shared pair-wise count-table layout (Adjacency, Co-occurrence):
 /// `n_lists: u32`, then per source query (ascending id for determinism)
 /// `source: u32` followed by its ranked continuation list.
-fn lists_to_bytes(lists: &RankedLists) -> Bytes {
+fn put_lists(buf: &mut BytesMut, lists: &RankedLists) {
     let entries: usize = lists.values().map(|l| l.len()).sum();
-    let mut buf = BytesMut::with_capacity(8 + lists.len() * 8 + entries * 12);
+    buf.reserve(8 + lists.len() * 8 + entries * 12);
     let mut keys: Vec<QueryId> = lists.keys().copied().collect();
     keys.sort_unstable();
     buf.put_u32_le(keys.len() as u32);
     for q in keys {
         buf.put_u32_le(q.0);
-        put_counts(&mut buf, &lists[&q]);
+        put_counts(buf, &lists[&q]);
     }
-    buf.freeze()
 }
 
 fn lists_from_bytes(data: &mut Bytes, vocabulary: usize) -> Result<RankedLists, String> {
@@ -333,20 +341,19 @@ fn lists_from_bytes(data: &mut Bytes, vocabulary: usize) -> Result<RankedLists, 
 /// N-gram payload: `n_states: u32`, then per state (sorted by context
 /// length then lexicographic id order) the context sequence followed by its
 /// ranked continuation list. `max_order` is recomputed on load.
-fn ngram_to_bytes(model: &NGram) -> Bytes {
+fn put_ngram(buf: &mut BytesMut, model: &NGram) {
     let mut states: Vec<(&QuerySeq, &[(QueryId, u64)])> = model
         .states
         .iter()
         .map(|(ctx, counts)| (ctx, counts.as_ref()))
         .collect();
     states.sort_by(|(a, _), (b, _)| by_length_then_ids(a, b));
-    let mut buf = BytesMut::with_capacity(8 + states.len() * 32);
+    buf.reserve(8 + states.len() * 32);
     buf.put_u32_le(states.len() as u32);
     for (ctx, counts) in states {
-        put_seq(&mut buf, ctx);
-        put_counts(&mut buf, counts);
+        put_seq(buf, ctx);
+        put_counts(buf, counts);
     }
-    buf.freeze()
 }
 
 fn ngram_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<NGram, String> {
@@ -375,21 +382,20 @@ fn ngram_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<NGram, String>
 /// Back-off payload: config (`max_order` with `u64::MAX` = unbounded,
 /// `discount`, `min_support`), `n_queries`, the unigram floor, then the
 /// window states sorted like the N-gram payload. Totals are recomputed.
-fn backoff_to_bytes(model: &BackoffNgram) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + model.states.len() * 32);
+fn put_backoff(buf: &mut BytesMut, model: &BackoffNgram) {
+    buf.reserve(64 + model.states.len() * 32);
     buf.put_u64_le(model.config.max_order.map(|d| d as u64).unwrap_or(u64::MAX));
     buf.put_f64_le(model.config.discount);
     buf.put_u64_le(model.config.min_support);
     buf.put_u64_le(model.n_queries as u64);
-    put_counts(&mut buf, &model.unigrams);
+    put_counts(buf, &model.unigrams);
     let mut states: Vec<&QuerySeq> = model.states.keys().collect();
     states.sort_by(|a, b| by_length_then_ids(a, b));
     buf.put_u32_le(states.len() as u32);
     for ctx in states {
-        put_seq(&mut buf, ctx);
-        put_counts(&mut buf, &model.states[ctx].next);
+        put_seq(buf, ctx);
+        put_counts(buf, &model.states[ctx].next);
     }
-    buf.freeze()
 }
 
 fn backoff_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<BackoffNgram, String> {
@@ -553,19 +559,18 @@ fn state_list_len(model: &Vmm) -> usize {
 
 /// Serialize a trained VMM: magic, version, config, corpus totals, the
 /// window trie, the state list.
-fn vmm_to_bytes(model: &Vmm) -> Bytes {
+fn put_vmm(buf: &mut BytesMut, model: &Vmm) {
     let trie = model.window_trie();
-    let mut buf = BytesMut::with_capacity(56 + trie_block_len(trie) + state_list_len(model));
+    buf.reserve(56 + trie_block_len(trie) + state_list_len(model));
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
-    put_vmm_config(&mut buf, &model.config);
-    put_corpus_totals(&mut buf, model);
-    put_trie(&mut buf, trie);
-    put_states(&mut buf, model);
-    buf.freeze()
+    put_vmm_config(buf, &model.config);
+    put_corpus_totals(buf, model);
+    put_trie(buf, trie);
+    put_states(buf, model);
 }
 
-/// Reconstruct a VMM serialized with [`vmm_to_bytes`].
+/// Reconstruct a VMM serialized with [`put_vmm`].
 fn vmm_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<Vmm, String> {
     if data.remaining() < 8 {
         return Err("truncated header".into());
@@ -592,31 +597,30 @@ fn vmm_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<Vmm, String> {
 /// order of first use; then per component its config, its deviation σ and
 /// its state list. A component's trie is the one its `max_depth` first
 /// appeared with, so no index is stored.
-fn mvmm_to_bytes(model: &Mvmm) -> Bytes {
+fn put_mvmm(buf: &mut BytesMut, model: &Mvmm) {
     let components = model.components();
     let tries = model.tries();
-    let mut buf = BytesMut::with_capacity(
+    buf.reserve(
         32 + tries.iter().map(|t| trie_block_len(t)).sum::<usize>()
             + components
                 .iter()
                 .map(|c| 32 + state_list_len(c))
                 .sum::<usize>(),
     );
-    put_corpus_totals(&mut buf, &components[0]);
+    put_corpus_totals(buf, &components[0]);
     buf.put_u32_le(tries.len() as u32);
     for trie in tries {
-        put_trie(&mut buf, trie);
+        put_trie(buf, trie);
     }
     buf.put_u32_le(components.len() as u32);
     for (component, sigma) in components.iter().zip(model.sigmas()) {
-        put_vmm_config(&mut buf, &component.config);
+        put_vmm_config(buf, &component.config);
         buf.put_u64_le(sigma.to_bits());
-        put_states(&mut buf, component);
+        put_states(buf, component);
     }
-    buf.freeze()
 }
 
-/// Reconstruct an MVMM serialized with [`mvmm_to_bytes`].
+/// Reconstruct an MVMM serialized with [`put_mvmm`].
 fn mvmm_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<Mvmm, String> {
     let (sessions, occurrences, n_queries) = get_corpus_totals(&mut data)?;
     if data.remaining() < 4 {

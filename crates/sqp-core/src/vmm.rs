@@ -9,12 +9,17 @@
 //!   state set suffix-closed — iff `D_KL(P(·|parent(s)) ‖ P(·|s)) > ε`
 //!   in base 10, where `parent(s) = s[1..]`. Both the divergence direction
 //!   and the log base are pinned by the paper's published numbers
-//!   (0.3449 / 0.0837 for the Table II corpus). The divergence is computed
-//!   by a merged walk over the two id-sorted continuation slices borrowed
-//!   from the arena — no per-candidate hash map is built — and, being a
-//!   pure function of one candidate, runs on every core; the states are
-//!   then marked in canonical order, so the set is the same on any thread
-//!   count;
+//!   (0.3449 / 0.0837 for the Table II corpus). A candidate's continuations
+//!   are a subset of its parent's (every `s·c` contains `s[1..]·c`), so
+//!   the divergence splits into sums over the parent's row — computed once
+//!   per parent — and a sum over the candidate's own row: a test costs the
+//!   candidate's row, not its parent's. That value decides only when it
+//!   lies further from ε than a stated rounding bound
+//!   (`divergence_from_sums`); otherwise, and for short parent rows, the
+//!   exact merged walk over the two id-sorted slices decides, so every
+//!   verdict is the walk's. Tests are pure functions of one candidate and
+//!   run on every core; the states are then marked in canonical order, so
+//!   the set is the same on any thread count;
 //! * **(c)** smooth every node distribution with the constant 1/|Q| for
 //!   unobserved queries and renormalize — at read time, from the trie row
 //!   the state points at ([`crate::pst::NodeDist`]); nothing is stored.
@@ -44,9 +49,9 @@ pub struct VmmConfig {
     pub max_depth: Option<usize>,
     /// Minimum continuation support for a candidate context.
     pub min_support: u64,
-    /// Ignored: window counting runs on one thread (see
-    /// [`crate::counts`]), and PST growth sizes its own divergence-test
-    /// threads from the host and the candidate count. The field and
+    /// Ignored: window counting sizes its own parts (see
+    /// [`crate::counts`]) and PST growth its own divergence-test threads,
+    /// each from the host and the amount of work. The field and
     /// [`VmmConfig::parallel`] stay only because `benchmark/` sets them;
     /// the next `benchmark` PR drops both.
     pub parallel: bool,
@@ -139,9 +144,116 @@ fn kl_counts_base10(
     d
 }
 
+/// The parent half of the divergence identity (see [`diverges`]): over the
+/// parent's row, with p = count / parent total, `A = Σ p·log10 p` and
+/// `S = Σ p`, summed in row order and skipping p = 0 as the exact walk
+/// does.
+#[derive(Clone, Copy, Debug)]
+struct RowSums {
+    plogp: f64,
+    mass: f64,
+}
+
+impl RowSums {
+    fn of(trie: &SuffixTrie, node: u32) -> Self {
+        let pt = trie.cont_total(node) as f64;
+        let mut sums = RowSums {
+            plogp: 0.0,
+            mass: 0.0,
+        };
+        for &c in trie.continuations(node).1 {
+            let p = c as f64 / pt;
+            if p > 0.0 {
+                sums.plogp += p * p.log10();
+                sums.mass += p;
+            }
+        }
+        sums
+    }
+}
+
+/// Parent rows shorter than this keep the exact walk: their sums would
+/// cost about what the walks they replace cost. Chosen by the CPU time of
+/// training on the 200 000-session benchmark corpus at cuts of 1, 2, 4, 8,
+/// 16 and 32 (2-core host): 4 was lowest, 2 and 8 within 5 %, 1 and 16
+/// ≈ 30 % above it.
+const MIN_SUMMED_ROW: usize = 4;
+
+/// The divergence from the parent's [`RowSums`] and the child's row alone,
+/// and a bound on how far it may lie from [`kl_counts_base10`]'s value:
+/// `(D′, bound)`, or `None` when the child's row is not a sub-row of the
+/// parent's (never for a candidate and its PST parent).
+///
+/// With f = `q_floor`, qv_q = max(c_q / child_total, f) and P, C the
+/// parent's and the child's rows, every q ∈ P \ C has qv_q = f, so
+///
+/// `D = Σ_P p·log10(p / qv) = A − log10(f)·S − Σ_C p_q·log10(qv_q / f)`,
+///
+/// one `log10` per child entry. The bound: with u = 2⁻⁵³, every p, qv and
+/// f carries relative error ≤ 3u (two conversions and a division), and
+/// `log10` is taken to be within 4 ulp (relative 8u). Per term that is an
+/// absolute error ≤ u·p·(4.4 + 12.1·|log10 of the term's argument|) on the
+/// exact walk and the same shape on each of the three sums here, and a
+/// sum of n terms adds at most 1.01·n·u·Σ|terms|. Let
+/// `M = |A| + |log10 f|·S + Σ_C p·log10(qv/f)`. Then Σ_P p·|log10(p/qv)| ≤ M
+/// (because |log10 qv| ≤ |log10 f|), each of |A|, |log10 f|·S and the
+/// child sum is ≤ M, and S ≤ M / log10 2 (f ≤ 1/2), which folds the
+/// additive per-term errors into M. Summed over both evaluations:
+///
+/// `|D′ − D| ≤ (2.02·|P| + 1.01·|C| + 73)·u·M`.
+///
+/// The bound returned, `5·(|P| + |C| + 32)·u·M` with M as computed, is
+/// more than twice that, which covers second-order terms and M's own
+/// rounding.
+fn divergence_from_sums(
+    parent: (&[QueryId], &[u64]),
+    parent_total: u64,
+    sums: RowSums,
+    child: (&[QueryId], &[u64]),
+    child_total: u64,
+    q_floor: f64,
+) -> Option<(f64, f64)> {
+    let (pk, pc) = parent;
+    let (ck, cc) = child;
+    let pt = parent_total as f64;
+    let ct = child_total as f64;
+    let mut child_sum = 0.0;
+    let mut j = 0usize;
+    for (&q, &c) in ck.iter().zip(cc) {
+        j += pk[j..].partition_point(|&k| k < q);
+        if pk.get(j) != Some(&q) {
+            return None;
+        }
+        let p = pc[j] as f64 / pt;
+        if p > 0.0 {
+            let qv = (c as f64 / ct).max(q_floor);
+            child_sum += p * (qv / q_floor).log10();
+        }
+    }
+    let log_floor = q_floor.log10();
+    let d = sums.plogp - log_floor * sums.mass - child_sum;
+    let magnitude = -sums.plogp - log_floor * sums.mass + child_sum;
+    let terms = (pk.len() + ck.len() + 32) as f64;
+    Some((d, 5.0 * terms * (f64::EPSILON / 2.0) * magnitude))
+}
+
 /// Does candidate `node` diverge from its PST parent `parent` by more than
 /// `epsilon`? A node or parent without continuation evidence never does.
-fn diverges(trie: &SuffixTrie, parent: u32, node: u32, epsilon: f64) -> bool {
+///
+/// With the parent row's `sums` the verdict comes from
+/// [`divergence_from_sums`] whenever D′ lies further from ε than its
+/// bound — then D′ and the exact walk's D fall on the same side of ε.
+/// Otherwise, and for rows without sums, [`kl_counts_base10`] decides: it
+/// is the one exact reference. `undecided` counts the tests the sums could
+/// not settle.
+fn diverges(
+    trie: &SuffixTrie,
+    parent: u32,
+    node: u32,
+    epsilon: f64,
+    sums: Option<RowSums>,
+    undecided: &mut usize,
+) -> bool {
     let parent_total = trie.cont_total(parent);
     let child_total = trie.cont_total(node);
     if parent_total == 0 || child_total == 0 {
@@ -154,18 +266,67 @@ fn diverges(trie: &SuffixTrie, parent: u32, node: u32, epsilon: f64) -> bool {
     // corpus has full support at every node, so this choice leaves its
     // pinned numbers untouched.
     let q_floor = 1.0 / (child_total as f64 + 1.0);
-    let d = kl_counts_base10(
-        trie.continuations(parent),
-        parent_total,
-        trie.continuations(node),
-        child_total,
-        q_floor,
-    );
-    d > epsilon
+    let parent_row = trie.continuations(parent);
+    let child_row = trie.continuations(node);
+    if let Some(sums) = sums {
+        let fast = divergence_from_sums(
+            parent_row,
+            parent_total,
+            sums,
+            child_row,
+            child_total,
+            q_floor,
+        );
+        match fast {
+            Some((d, bound)) if (d - epsilon).abs() > bound => return d > epsilon,
+            _ => *undecided += 1,
+        }
+    }
+    kl_counts_base10(parent_row, parent_total, child_row, child_total, q_floor) > epsilon
 }
 
-/// Fewest divergence tests a growth thread is worth starting for: a test
-/// averages ≈ 0.1 µs, so this is ≈ 0.4 ms of work against a thread start
+/// `f(block)` for every block `0..n_blocks` on `threads` threads, in block
+/// order. Blocks go to whichever thread asks next — a depth-2 test against
+/// a large depth-1 row costs many deeper ones, so equal contiguous shares
+/// would not finish together.
+fn on_threads<T: Send>(n_blocks: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    // Only hands out block numbers; the results travel through `join`.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let block = cursor.fetch_add(1, Ordering::Relaxed);
+            if block >= n_blocks {
+                return done;
+            }
+            done.push((block, f(block)));
+        }
+    };
+    let mut slots: Vec<Option<T>> = (0..n_blocks).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mine = work();
+        for done in helpers
+            .into_iter()
+            .map(|h| h.join().expect("growth thread panicked"))
+            .chain([mine])
+        {
+            for (block, result) in done {
+                slots[block] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every block ran"))
+        .collect()
+}
+
+/// Fewest divergence tests a growth thread is worth starting for. On the
+/// 200 000-session benchmark corpus stage (b) takes ≈ 25 ms of CPU, of
+/// which ≈ 15 ms are its 93 250 tests once the link pass and the parent
+/// sums are taken out: ≈ 0.16 µs a test (one `log10` per child entry, or a
+/// short parent's walk). This is ≈ 0.65 ms of work against a thread start
 /// of tens of µs.
 const MIN_CANDIDATES_PER_THREAD: usize = 1 << 12;
 
@@ -213,16 +374,27 @@ impl Vmm {
     }
 
     /// Stages (a) + (b): candidate extraction and KL growth. Returns the
-    /// trie nodes chosen as states, ascending. The divergence tests run on
-    /// `threads` threads — training passes `None`, as many as the host and
-    /// [`MIN_CANDIDATES_PER_THREAD`] allow — and the state set does not
-    /// depend on the count: each test is a pure function of its candidate,
-    /// and the marking pass reads the verdicts in canonical order.
+    /// trie nodes chosen as states, ascending. The parent sums and the
+    /// divergence tests run on `threads` threads — training passes `None`,
+    /// as many as the host and [`MIN_CANDIDATES_PER_THREAD`] allow — and
+    /// the state set does not depend on the count: each sum and each test
+    /// is a pure function of its row, and the marking pass reads the
+    /// verdicts in canonical order.
     pub(crate) fn grow_pst(
         counts: &WindowCounts,
         config: VmmConfig,
         threads: Option<usize>,
     ) -> Vec<u32> {
+        Self::grow_pst_counted(counts, config, threads).0
+    }
+
+    /// [`Vmm::grow_pst`], and how many tests the parent sums left to the
+    /// exact walk because D′ lay within its rounding bound of ε.
+    pub(crate) fn grow_pst_counted(
+        counts: &WindowCounts,
+        config: VmmConfig,
+        threads: Option<usize>,
+    ) -> (Vec<u32>, usize) {
         let trie = counts.trie();
 
         // Link pass, in (length, sequence) order — the trie's canonical id
@@ -248,56 +420,59 @@ impl Vmm {
             tests.push(node);
         }
 
-        // Divergence tests: bit `i % 64` of `verdicts[i / 64]` says whether
-        // `tests[i]` diverges from its PST parent by more than ε. Blocks of
-        // one word go to whichever thread asks next — a depth-2 test
-        // against a large depth-1 row costs many deeper ones, so equal
-        // contiguous shares would not finish together.
         let threads = threads.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map_or(1, |n| n.get())
                 .min(tests.len() / MIN_CANDIDATES_PER_THREAD)
                 .max(1)
         });
-        let n_blocks = tests.len().div_ceil(64);
-        // Only hands out block numbers; the verdicts travel through `join`.
-        let cursor = AtomicUsize::new(0);
-        let work = || {
-            let mut done = Vec::new();
-            loop {
-                let block = cursor.fetch_add(1, Ordering::Relaxed);
-                if block >= n_blocks {
-                    return done;
-                }
-                let lo = block * 64;
-                let bits = tests[lo..(lo + 64).min(tests.len())]
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &node)| diverges(trie, link[node as usize], node, config.epsilon))
-                    .fold(0u64, |bits, (i, _)| bits | 1 << i);
-                done.push((block, bits));
-            }
-        };
-        let mut verdicts = vec![0u64; n_blocks];
-        std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
-            let mine = work();
-            for done in helpers
-                .into_iter()
-                .map(|h| h.join().expect("divergence tests panicked"))
-                .chain([mine])
+
+        // Parent sums, once per distinct PST parent whose row is long
+        // enough to pay for them: `slot[parent]` indexes `sums`, and
+        // `NO_SUMS` lies past its end.
+        const NO_SUMS: u32 = u32::MAX;
+        let mut slot = vec![NO_SUMS; n_windows];
+        let mut summed = Vec::new();
+        for &node in &tests {
+            let parent = link[node as usize];
+            if slot[parent as usize] == NO_SUMS
+                && trie.continuations(parent).0.len() >= MIN_SUMMED_ROW
             {
-                for (block, bits) in done {
-                    verdicts[block] = bits;
+                slot[parent as usize] = summed.len() as u32;
+                summed.push(parent);
+            }
+        }
+        let sums: Vec<RowSums> = on_threads(summed.len().div_ceil(64), threads, |block| {
+            let lo = block * 64;
+            summed[lo..(lo + 64).min(summed.len())]
+                .iter()
+                .map(|&parent| RowSums::of(trie, parent))
+                .collect::<Vec<_>>()
+        })
+        .concat();
+
+        // Divergence tests: bit `i % 64` of `verdicts[i / 64].0` says
+        // whether `tests[i]` diverges from its PST parent by more than ε;
+        // `.1` counts the block's tests the sums could not settle.
+        let verdicts = on_threads(tests.len().div_ceil(64), threads, |block| {
+            let lo = block * 64;
+            let mut undecided = 0;
+            let mut bits = 0u64;
+            for (i, &node) in tests[lo..(lo + 64).min(tests.len())].iter().enumerate() {
+                let parent = link[node as usize];
+                let sums = sums.get(slot[parent as usize] as usize).copied();
+                if diverges(trie, parent, node, config.epsilon, sums, &mut undecided) {
+                    bits |= 1 << i;
                 }
             }
+            (bits, undecided)
         });
 
         // Marking pass, in canonical order: a diverging candidate joins
         // with its whole suffix chain. The marked set stays suffix-closed,
         // which lets a chain walk stop at the first state it meets.
         for (i, &node) in tests.iter().enumerate() {
-            if verdicts[i / 64] >> (i % 64) & 1 == 1 {
+            if verdicts[i / 64].0 >> (i % 64) & 1 == 1 {
                 let mut suffix = node;
                 while suffix != SuffixTrie::ROOT && !state[suffix as usize] {
                     state[suffix as usize] = true;
@@ -305,9 +480,10 @@ impl Vmm {
                 }
             }
         }
-        (1..n_windows as u32)
+        let states = (1..n_windows as u32)
             .filter(|&n| state[n as usize])
-            .collect()
+            .collect();
+        (states, verdicts.iter().map(|v| v.1).sum())
     }
 
     /// Number of PST nodes including the root (Table VII metric).
@@ -709,6 +885,127 @@ mod tests {
             same_states_on_any_thread_count(&counts, config);
         }
     }
+
+    /// [`kl_counts_base10`] of `node` against `parent` as growth calls it;
+    /// `None` without continuation evidence.
+    fn exact_divergence(trie: &SuffixTrie, parent: u32, node: u32) -> Option<f64> {
+        let (pt, ct) = (trie.cont_total(parent), trie.cont_total(node));
+        (pt > 0 && ct > 0).then(|| {
+            let q_floor = 1.0 / (ct as f64 + 1.0);
+            kl_counts_base10(
+                trie.continuations(parent),
+                pt,
+                trie.continuations(node),
+                ct,
+                q_floor,
+            )
+        })
+    }
+
+    /// The state list growth must keep, decided by the exact walk alone,
+    /// each candidate's PST parent found by path rather than by link.
+    fn exact_states(counts: &WindowCounts, config: VmmConfig) -> Vec<u32> {
+        let trie = counts.trie();
+        let mut state = vec![false; trie.window_count() + 1];
+        let mut path = Vec::new();
+        for node in counts.candidate_nodes(config.min_support) {
+            trie.path(node, &mut path);
+            let joins = path.len() == 1 || {
+                let parent = trie.window(&path[1..]).expect("a suffix is a window");
+                exact_divergence(trie, parent, node).is_some_and(|d| d > config.epsilon)
+            };
+            if joins {
+                for k in 0..path.len() {
+                    state[trie.window(&path[k..]).expect("a suffix is a window") as usize] = true;
+                }
+            }
+        }
+        (1..state.len() as u32)
+            .filter(|&n| state[n as usize])
+            .collect()
+    }
+
+    /// Every divergence test of `counts` under `config`, given its parent's
+    /// sums whatever the row's length, reaches the exact walk's verdict, and
+    /// growth keeps the exact state list. Returns how many tests the sums
+    /// left undecided.
+    fn fast_verdicts_are_exact(counts: &WindowCounts, config: VmmConfig) -> usize {
+        let trie = counts.trie();
+        let mut undecided = 0;
+        let mut path = Vec::new();
+        for node in counts.candidate_nodes(config.min_support) {
+            trie.path(node, &mut path);
+            if path.len() == 1 {
+                continue;
+            }
+            let parent = trie.window(&path[1..]).expect("a suffix is a window");
+            let sums = Some(RowSums::of(trie, parent));
+            assert_eq!(
+                diverges(trie, parent, node, config.epsilon, sums, &mut undecided),
+                exact_divergence(trie, parent, node).is_some_and(|d| d > config.epsilon),
+                "{path:?} under {config:?}"
+            );
+        }
+        assert_eq!(
+            Vmm::grow_pst(counts, config, None),
+            exact_states(counts, config),
+            "{config:?}"
+        );
+        undecided
+    }
+
+    #[test]
+    fn the_fast_divergence_decision_is_the_exact_one() {
+        for (name, sessions, max_len) in crate::counts::tests::split_corpora() {
+            let counts = WindowCounts::build(&sessions, max_len);
+            for epsilon in [0.0, 0.01, 0.05, 0.5, f64::INFINITY] {
+                for min_support in [1, 3] {
+                    let config = VmmConfig {
+                        epsilon,
+                        min_support,
+                        max_depth: max_len,
+                        ..VmmConfig::default()
+                    };
+                    let undecided = fast_verdicts_are_exact(&counts, config);
+                    if epsilon == 0.05 {
+                        assert_eq!(undecided, 0, "{name}: {config:?}");
+                    }
+                }
+            }
+        }
+
+        let logs = sqp_logsim::generate(&sqp_logsim::SimConfig::small(4_000, 400, 11));
+        let p = sqp_sessions::process(&logs, &sqp_sessions::PipelineConfig::default());
+        let sessions = &p.train.aggregated.sessions;
+        let sweep = crate::MvmmConfig::epsilon_sweep().components;
+        let depths = crate::MvmmConfig::depth_mixture(&[(2, 0.1), (3, 0.2)]).components;
+        for config in sweep.into_iter().chain(depths) {
+            fast_verdicts_are_exact(&WindowCounts::build(sessions, config.max_depth), config);
+        }
+    }
+
+    #[test]
+    fn epsilon_at_a_divergence_takes_the_exact_walk() {
+        let logs = sqp_logsim::generate(&sqp_logsim::SimConfig::small(4_000, 400, 11));
+        let p = sqp_sessions::process(&logs, &sqp_sessions::PipelineConfig::default());
+        let counts = WindowCounts::build(&p.train.aggregated.sessions, None);
+        let trie = counts.trie();
+        // A depth-2 candidate [a, b] whose parent [b] has a row long
+        // enough to be summed, and a divergence above zero.
+        let d = counts
+            .candidate_nodes(1)
+            .filter(|&n| trie.depth(n) == 2)
+            .find_map(|node| {
+                let parent = trie.child(SuffixTrie::ROOT, trie.key(node))?;
+                let d = exact_divergence(trie, parent, node)?;
+                (trie.continuations(parent).0.len() >= MIN_SUMMED_ROW && d > 0.0).then_some(d)
+            })
+            .expect("the simulated corpus has such a candidate");
+        let config = VmmConfig::with_epsilon(d);
+        let (states, undecided) = Vmm::grow_pst_counted(&counts, config, None);
+        assert!(undecided >= 1, "ε = {d} was decided without the exact walk");
+        assert_eq!(states, exact_states(&counts, config));
+    }
 }
 
 #[cfg(test)]
@@ -728,6 +1025,58 @@ mod randomized_tests {
             *map.entry(s).or_insert(0u64) += rng.random_range(1u64..20);
         }
         map.into_iter().collect()
+    }
+
+    #[test]
+    fn the_divergence_from_sums_stays_inside_its_bound() {
+        let mut checked = 0;
+        for case in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(400 + case);
+            // Wider vocabularies and weights than `arbitrary_corpus`, so
+            // rows are long and counts reach far past 2^32.
+            let vocabulary = rng.random_range(2u32..40);
+            let max_weight = 1u64 << rng.random_range(1u32..50);
+            let corpus: Vec<(QuerySeq, u64)> = (0..rng.random_range(1usize..60))
+                .map(|_| {
+                    let len = rng.random_range(1usize..8);
+                    let s: QuerySeq = (0..len)
+                        .map(|_| QueryId(rng.random_range(0..vocabulary)))
+                        .collect();
+                    (s, rng.random_range(1..=max_weight))
+                })
+                .collect();
+            let counts = WindowCounts::build(&corpus, None);
+            let trie = counts.trie();
+            let mut path = Vec::new();
+            for node in counts.candidate_nodes(1).filter(|&n| trie.depth(n) > 1) {
+                trie.path(node, &mut path);
+                let parent = trie.window(&path[1..]).expect("a suffix is a window");
+                let (pt, ct) = (trie.cont_total(parent), trie.cont_total(node));
+                let q_floor = 1.0 / (ct as f64 + 1.0);
+                let exact = kl_counts_base10(
+                    trie.continuations(parent),
+                    pt,
+                    trie.continuations(node),
+                    ct,
+                    q_floor,
+                );
+                let (fast, bound) = divergence_from_sums(
+                    trie.continuations(parent),
+                    pt,
+                    RowSums::of(trie, parent),
+                    trie.continuations(node),
+                    ct,
+                    q_floor,
+                )
+                .expect("a candidate's row is a sub-row of its parent's");
+                assert!(
+                    (fast - exact).abs() <= bound,
+                    "case {case}, {path:?}: |{fast} - {exact}| > {bound}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 1_000, "only {checked} candidates checked");
     }
 
     #[test]

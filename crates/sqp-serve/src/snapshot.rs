@@ -17,7 +17,7 @@ use sqp_common::topk::Scored;
 use sqp_common::{Interner, QueryId};
 use sqp_core::{ModelKind, Mvmm, MvmmConfig, Recommender, Vmm, VmmConfig};
 use sqp_logsim::RawLogRecord;
-use sqp_sessions::{aggregate, reduce, segment_with_parallelism, DEFAULT_CUTOFF_SECS};
+use sqp_sessions::{aggregate, reduce_in_place, segment_with_parallelism, DEFAULT_CUTOFF_SECS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The next [`ModelSnapshot`] identity. Identities are what sessions tag
@@ -96,7 +96,8 @@ pub struct TrainingConfig {
     /// Run segmentation's two passes — the key pass over the raw records
     /// and the per-machine sort + cut — on several threads. The trained
     /// model is byte-identical either way; production builds want this on.
-    /// PST growth sizes its own threads whatever this says.
+    /// Window counting and PST growth size their own threads from the host
+    /// and the amount of work, whatever this says.
     pub parallel: bool,
 }
 
@@ -169,8 +170,8 @@ impl ModelSnapshot {
     pub fn from_raw_logs(records: &[RawLogRecord], cfg: &TrainingConfig) -> Self {
         let sessions = segment_with_parallelism(records, cfg.session_cutoff_secs, cfg.parallel);
         let mut interner = Interner::new();
-        let aggregated = aggregate(&sessions, &mut interner);
-        let (reduced, _) = reduce(&aggregated, cfg.reduction_threshold);
+        let mut reduced = aggregate(&sessions, &mut interner);
+        reduce_in_place(&mut reduced, cfg.reduction_threshold);
         let trained_sessions = reduced.total_sessions();
         let model: Box<dyn Recommender> = match &cfg.model {
             ModelSpec::Mvmm(c) => Box::new(Mvmm::train(&reduced.sessions, c)),

@@ -34,7 +34,7 @@ pub use contexts::{ContextTable, GroundTruth, GroundTruthEntry};
 pub use incremental::SlidingCorpus;
 pub use index::{QueryTrainingIndex, UnpredictableReason};
 pub use pipeline::{process, EpochData, PipelineConfig, ProcessedLogs};
-pub use reduce::{reduce, ReductionReport};
+pub use reduce::{reduce, reduce_in_place, ReductionReport};
 pub use segment::{
     segment, segment_default, segment_with_parallelism, Segmented, SessionRef, TextSession,
     DEFAULT_CUTOFF_SECS,

@@ -8,7 +8,7 @@
 use crate::aggregate::Aggregated;
 
 /// What reduction removed and kept, for the Figure 7 report.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ReductionReport {
     /// Distinct aggregated sessions kept.
     pub kept_unique: usize,
@@ -21,6 +21,21 @@ pub struct ReductionReport {
 }
 
 impl ReductionReport {
+    /// The reduction rule, stated once: a session of frequency `freq` is
+    /// kept iff `freq > threshold`. Records the session as kept or dropped
+    /// and returns whether it is kept.
+    fn keeps(&mut self, freq: u64, threshold: u64) -> bool {
+        let kept = freq > threshold;
+        if kept {
+            self.kept_unique += 1;
+            self.kept_mass += freq;
+        } else {
+            self.dropped_unique += 1;
+            self.dropped_mass += freq;
+        }
+        kept
+    }
+
     /// Fraction of session mass retained — the paper's "60.48% remained".
     pub fn retention(&self) -> f64 {
         let total = self.kept_mass + self.dropped_mass;
@@ -43,27 +58,27 @@ impl ReductionReport {
 
 /// Drop aggregated sessions with frequency ≤ `threshold`.
 ///
-/// Returns the reduced corpus and a report. `threshold = 0` keeps everything.
+/// Returns the reduced corpus and a report, and leaves `agg` whole for a
+/// caller that still needs it. `threshold = 0` keeps everything.
 pub fn reduce(agg: &Aggregated, threshold: u64) -> (Aggregated, ReductionReport) {
-    let mut kept = Vec::with_capacity(agg.sessions.len());
-    let mut report = ReductionReport {
-        kept_unique: 0,
-        dropped_unique: 0,
-        kept_mass: 0,
-        dropped_mass: 0,
-    };
-    for (seq, freq) in &agg.sessions {
-        if *freq > threshold {
-            report.kept_unique += 1;
-            report.kept_mass += freq;
-            kept.push((seq.clone(), *freq));
-        } else {
-            report.dropped_unique += 1;
-            report.dropped_mass += freq;
-        }
-    }
+    let mut report = ReductionReport::default();
     // Input was sorted; filtering preserves the order.
-    (Aggregated { sessions: kept }, report)
+    let sessions = agg
+        .sessions
+        .iter()
+        .filter(|(_, freq)| report.keeps(*freq, threshold))
+        .cloned()
+        .collect();
+    (Aggregated { sessions }, report)
+}
+
+/// [`reduce`] in place: the kept sessions stay where they are instead of
+/// being cloned into a second corpus.
+pub fn reduce_in_place(agg: &mut Aggregated, threshold: u64) -> ReductionReport {
+    let mut report = ReductionReport::default();
+    agg.sessions
+        .retain(|(_, freq)| report.keeps(*freq, threshold));
+    report
 }
 
 #[cfg(test)]
@@ -151,6 +166,11 @@ mod randomized_tests {
             let (ra, rep_a) = reduce(&agg, t1);
             assert_eq!(rep_a.kept_mass + rep_a.dropped_mass, total, "case {case}");
             assert_eq!(ra.total_sessions(), rep_a.kept_mass, "case {case}");
+
+            // In place keeps the same sessions, in the same order.
+            let mut in_place = agg.clone();
+            assert_eq!(reduce_in_place(&mut in_place, t1), rep_a, "case {case}");
+            assert_eq!(in_place.sessions, ra.sessions, "case {case}");
 
             // Monotonicity: a higher threshold never keeps more mass.
             let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };

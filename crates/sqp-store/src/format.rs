@@ -22,7 +22,7 @@
 use crate::error::SnapshotError;
 use sqp_common::bytes::{Bytes, BytesMut};
 use sqp_common::Interner;
-use sqp_core::persist::{model_from_bytes, model_to_bytes, ModelKind};
+use sqp_core::persist::{model_from_bytes, put_model, ModelKind};
 use sqp_serve::ModelSnapshot;
 use std::path::Path;
 
@@ -110,54 +110,46 @@ pub fn snapshot_to_bytes(
     snapshot: &ModelSnapshot,
     meta: &SnapshotMeta,
 ) -> Result<Vec<u8>, SnapshotError> {
-    // META payload.
-    let mut meta_buf = BytesMut::with_capacity(META_SECTION_LEN);
-    meta_buf.put_u64_le(meta.generation);
-    meta_buf.put_u64_le(meta.trained_sessions);
-    meta_buf.put_u64_le(meta.source_records);
-    let meta_bytes = meta_buf.freeze();
-
-    // INTERNER payload.
-    let mut interner_buf = BytesMut::with_capacity(16 + snapshot.interner().bytes_resident() * 2);
-    snapshot.interner().serialize_into(&mut interner_buf);
-    let interner_bytes = interner_buf.freeze();
-
-    // MODEL payload: kind tag, then the model's own codec.
-    let (kind, payload) =
-        model_to_bytes(snapshot.model()).map_err(SnapshotError::UnsupportedModel)?;
-    let mut model_buf = BytesMut::with_capacity(4 + payload.len());
-    model_buf.put_u32_le(kind.code());
-    model_buf.put_slice(payload.as_slice());
-    let model_bytes = model_buf.freeze();
-
-    let sections: [(u32, &Bytes); 3] = [
-        (SECTION_META, &meta_bytes),
-        (SECTION_INTERNER, &interner_bytes),
-        (SECTION_MODEL, &model_bytes),
-    ];
-
-    let table_len = sections.len() * SECTION_ENTRY_LEN;
-    let payload_len: usize = sections.iter().map(|(_, b)| b.len()).sum();
-    let total = HEADER_LEN + table_len + payload_len + CHECKSUM_LEN;
-    let mut out = BytesMut::with_capacity(total);
+    // Every section is written straight into the file buffer, in table
+    // order; the table is filled in once their extents are known. The
+    // model payload reserves its own (exact) room as it starts.
+    const TABLE_LEN: usize = SECTION_IDS.len() * SECTION_ENTRY_LEN;
+    let interner = snapshot.interner();
+    let mut out = BytesMut::with_capacity(
+        HEADER_LEN + TABLE_LEN + META_SECTION_LEN + 16 + interner.bytes_resident() * 2,
+    );
     out.put_slice(&MAGIC);
     out.put_u32_le(FORMAT_VERSION);
-    out.put_u32_le(sections.len() as u32);
-    let mut offset = (HEADER_LEN + table_len) as u64;
-    for (id, bytes) in &sections {
-        out.put_u32_le(*id);
-        out.put_u64_le(offset);
-        out.put_u64_le(bytes.len() as u64);
-        offset += bytes.len() as u64;
-    }
-    for (_, bytes) in &sections {
-        out.put_slice(bytes.as_slice());
+    out.put_u32_le(SECTION_IDS.len() as u32);
+    out.put_slice(&[0; TABLE_LEN]);
+    let mut ends = [0usize; SECTION_IDS.len()];
+
+    out.put_u64_le(meta.generation);
+    out.put_u64_le(meta.trained_sessions);
+    out.put_u64_le(meta.source_records);
+    ends[0] = out.len();
+
+    interner.serialize_into(&mut out);
+    ends[1] = out.len();
+
+    // MODEL: kind tag, then the model's own codec.
+    out.put_u32_le(0);
+    let kind = put_model(&mut out, snapshot.model()).map_err(SnapshotError::UnsupportedModel)?;
+    out.as_mut_slice()[ends[1]..ends[1] + 4].copy_from_slice(&kind.code().to_le_bytes());
+    ends[2] = out.len();
+
+    let mut start = HEADER_LEN + TABLE_LEN;
+    for (i, (id, end)) in SECTION_IDS.into_iter().zip(ends).enumerate() {
+        let entry =
+            &mut out.as_mut_slice()[HEADER_LEN + i * SECTION_ENTRY_LEN..][..SECTION_ENTRY_LEN];
+        entry[..4].copy_from_slice(&id.to_le_bytes());
+        entry[4..12].copy_from_slice(&(start as u64).to_le_bytes());
+        entry[12..].copy_from_slice(&((end - start) as u64).to_le_bytes());
+        start = end;
     }
     let sum = fnv1a64_words(out.as_slice());
     out.put_u64_le(sum);
-    let raw = out.into_vec();
-    debug_assert_eq!(raw.len(), total);
-    Ok(raw)
+    Ok(out.into_vec())
 }
 
 /// One parsed section-table entry (exposed for format tooling and the
