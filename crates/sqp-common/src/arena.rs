@@ -3,18 +3,27 @@
 //! The naive way to count the windows of a session corpus is a hashmap keyed
 //! by owned `Box<[QueryId]>` sequences: every one of the O(L²) windows of a
 //! length-L session is allocated, hashed in full, and probed. At web-log
-//! scale that is the dominant training cost. This module replaces it with a
-//! flat-arena trie:
+//! scale that is the dominant training cost. This module counts into one
+//! flat, immutable trie instead:
 //!
-//! * **counting** walks the trie with borrowed `&[QueryId]` slices. Each
-//!   window extends the previous one by a single edge, so a session
-//!   contributes O(L·D) *constant-time* steps (one u64-keyed probe each),
-//!   zero per-window allocations, and no re-hashing of whole sequences;
-//! * **freezing** lays the nodes out in a canonical breadth-first order with
-//!   id-sorted CSR child arrays, so lookups on the serve path are
-//!   allocation-free binary searches (O(log fan-out) per edge) and the
-//!   layout depends only on the counts, never on insertion order;
-//! * **loading** needs no builder: the canonical layout's
+//! * **counting** goes level by level over one flat buffer of every
+//!   session's ids ([`FlatSessions`]). A window is named by its start
+//!   position, so extending it by a query is reading the next id: no
+//!   allocation and no hashing. Depth 1 is the start positions
+//!   counting-sorted by their query. The windows that extend one depth-d
+//!   node are sorted by their next query, and each run of equal next query
+//!   is one child. A level is emitted parent by parent in id order and each
+//!   parent's children in key order, so nodes are born in (depth, path)
+//!   order — which *is* the canonical layout below. [`SuffixTrie::count`]
+//!   therefore writes the frozen arrays directly: there is no builder, no
+//!   edge table and no re-numbering pass;
+//! * **the frozen layout** is breadth-first with id-sorted CSR child
+//!   arrays, so lookups on the serve path are allocation-free binary
+//!   searches (O(log fan-out) per edge) and the layout depends only on the
+//!   counts, never on the order of the sessions;
+//! * **joining** the counts of disjoint ranges of first queries is a
+//!   relabelling, because each range is a contiguous block of every depth;
+//! * **loading** needs no builder either: the canonical layout's
 //!   `(parent, key, total, at_start)` rows, in id order, *are* the CSR
 //!   arrays — edge `e` leads to node `e + 1` — so
 //!   [`SuffixTrie::from_parts`] fills the frozen form in one pass and
@@ -26,314 +35,73 @@
 //! window `w` are exactly the children of `w`'s node, because every
 //! occurrence of `w` followed by `q` is an occurrence of the window `w·q`.
 
+use crate::threads::map_on_threads;
 use crate::QueryId;
 use std::ops::Range;
 
-/// Open-addressing `u64 → u32` table for trie edges: flat storage, linear
-/// probing, one multiply-shift hash per probe. This is the single hottest
-/// structure in training — a SwissTable-style general map costs measurably
-/// more per descent step than this specialized layout.
-#[derive(Debug)]
-struct EdgeMap {
-    /// Interleaved `(key, value + 1)` slots; value 0 marks an empty slot.
-    /// One cache line per probe.
-    slots: Vec<(u64, u32)>,
-    len: usize,
-    shift: u32,
+/// Weighted sessions copied into one flat buffer of ids — what
+/// [`SuffixTrie::count`] reads, shared by every part of a split count.
+#[derive(Clone, Debug, Default)]
+pub struct FlatSessions {
+    ids: Vec<QueryId>,
+    sessions: Vec<Session>,
+    /// One past the largest id.
+    vocabulary: usize,
 }
 
-const EDGE_HASH_K: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Where one session of a [`FlatSessions`] lies, and its weight.
+#[derive(Clone, Copy, Debug)]
+struct Session {
+    start: u32,
+    end: u32,
+    weight: u64,
+}
 
-impl EdgeMap {
-    /// Sized so `expected` entries fit without growing.
-    fn with_capacity(expected: usize) -> Self {
-        let cap = (expected * 2).next_power_of_two().max(1024);
-        EdgeMap {
-            slots: vec![(0, 0); cap],
-            len: 0,
-            shift: 64 - cap.trailing_zeros(),
+impl FlatSessions {
+    /// Copy `(session, weight)` pairs into one buffer, in order.
+    ///
+    /// # Panics
+    ///
+    /// When the sessions hold more than `u32::MAX` queries in all: a
+    /// window is named by a `u32` position.
+    pub fn new<'a>(sessions: impl IntoIterator<Item = (&'a [QueryId], u64)>) -> Self {
+        let mut flat = FlatSessions::default();
+        for (session, weight) in sessions {
+            let start = flat.ids.len() as u32;
+            flat.ids.extend_from_slice(session);
+            let end = u32::try_from(flat.ids.len()).expect("more than u32::MAX queries");
+            flat.sessions.push(Session { start, end, weight });
         }
+        flat.vocabulary = flat.ids.iter().map(|q| q.index() + 1).max().unwrap_or(0);
+        flat
     }
 
-    #[inline]
-    fn slot(&self, key: u64) -> usize {
-        (key.wrapping_mul(EDGE_HASH_K) >> self.shift) as usize
+    /// Every session's ids, session after session.
+    pub fn ids(&self) -> &[QueryId] {
+        &self.ids
     }
 
-    /// Value for `key`, inserting `fresh` when absent. Returns `(value,
-    /// inserted)`.
-    #[inline]
-    fn get_or_insert(&mut self, key: u64, fresh: u32) -> (u32, bool) {
-        let mask = self.slots.len() - 1;
-        let mut i = self.slot(key);
-        loop {
-            let (k, v) = self.slots[i];
-            if v == 0 {
-                self.slots[i] = (key, fresh + 1);
-                self.len += 1;
-                if self.len * 8 >= self.slots.len() * 5 {
-                    self.grow();
-                }
-                return (fresh, true);
-            }
-            if k == key {
-                return (v - 1, false);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    #[cold]
-    fn grow(&mut self) {
-        let cap = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![(0, 0); cap]);
-        self.shift = 64 - cap.trailing_zeros();
-        let mask = cap - 1;
-        for (k, v) in old {
-            if v != 0 {
-                let mut i = self.slot(k);
-                while self.slots[i].1 != 0 {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] = (k, v);
-            }
-        }
-    }
-
-    /// Iterate `(key, value)` pairs in table order.
-    fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.slots
+    /// Length of the longest session.
+    pub fn longest(&self) -> usize {
+        self.sessions
             .iter()
-            .filter(|(_, v)| *v != 0)
-            .map(|&(k, v)| (k, v - 1))
+            .map(|s| (s.end - s.start) as usize)
+            .max()
+            .unwrap_or(0)
     }
 }
 
-/// Growable trie used during counting. Nodes live in parallel flat vectors;
-/// edges in one global `u64`-keyed map (`parent << 32 | query`), so a
-/// descent step is a single integer hash probe.
-#[derive(Debug)]
-pub struct TrieBuilder {
-    /// Per-node `(total, at_start)` — one cache line per touch.
-    counts: Vec<(u64, u64)>,
-    /// Depth-1 children indexed directly by query id (ids are dense from the
-    /// interner): `node + 1`, 0 = absent. Every window starts with a root
-    /// step, so this array removes the hottest hash probe entirely.
-    root_children: Vec<u32>,
-    /// Edges below depth 1.
-    edges: EdgeMap,
-}
-
-impl Default for TrieBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TrieBuilder {
-    /// A builder holding only the root.
-    pub fn new() -> Self {
-        Self::with_edge_capacity(0)
-    }
-
-    /// A builder sized for roughly `expected_edges` distinct windows —
-    /// avoids rehashing mid-count when the caller can estimate the corpus.
-    pub fn with_edge_capacity(expected_edges: usize) -> Self {
-        let mut counts = Vec::with_capacity(expected_edges + 1);
-        counts.push((0, 0));
-        TrieBuilder {
-            counts,
-            root_children: Vec::new(),
-            edges: EdgeMap::with_capacity(expected_edges),
-        }
-    }
-
-    #[inline]
-    fn edge_key(parent: u32, q: QueryId) -> u64 {
-        (u64::from(parent) << 32) | u64::from(q.0)
-    }
-
-    /// Child of `parent` along `q`, created on first use.
-    #[inline]
-    pub fn child_or_insert(&mut self, parent: u32, q: QueryId) -> u32 {
-        if parent == 0 {
-            return self.root_child_or_insert(q);
-        }
-        let next_id = self.counts.len() as u32;
-        let (id, inserted) = self.edges.get_or_insert(Self::edge_key(parent, q), next_id);
-        if inserted {
-            self.counts.push((0, 0));
-        }
-        id
-    }
-
-    #[inline]
-    fn root_child_or_insert(&mut self, q: QueryId) -> u32 {
-        let qi = q.0 as usize;
-        if qi >= self.root_children.len() {
-            self.root_children.resize(qi + 1, 0);
-        }
-        let v = self.root_children[qi];
-        if v != 0 {
-            return v - 1;
-        }
-        let id = self.counts.len() as u32;
-        self.counts.push((0, 0));
-        self.root_children[qi] = id + 1;
-        id
-    }
-
-    /// Count the windows of `session` up to `depth_limit` queries whose
-    /// first query's id lies in `first`, weighted by `weight`. Windows
-    /// starting at position 0 also count as session-start occurrences.
-    /// `0..u32::MAX` counts every window; disjoint ranges count disjoint
-    /// subtrees of the root, which is what lets builders over a partition
-    /// of the ids run apart and [`SuffixTrie::join`] put them together.
-    pub fn count_session(
-        &mut self,
-        session: &[QueryId],
-        weight: u64,
-        depth_limit: usize,
-        first: Range<u32>,
-    ) {
-        for (start, head) in session.iter().enumerate() {
-            if !first.contains(&head.0) {
-                continue;
-            }
-            let at_start = if start == 0 { weight } else { 0 };
-            let limit = depth_limit.min(session.len() - start);
-            let mut node = 0u32;
-            for &q in &session[start..start + limit] {
-                node = self.child_or_insert(node, q);
-                let c = &mut self.counts[node as usize];
-                c.0 += weight;
-                c.1 += at_start;
-            }
-        }
-    }
-
-    /// Iterate root edges `(query, child)` in ascending query order.
-    fn root_edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.root_children
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v != 0)
-            .map(|(q, &v)| (q as u32, v - 1))
-    }
-
-    /// Number of nodes including the root.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// True when only the root exists.
-    pub fn is_empty(&self) -> bool {
-        self.counts.len() <= 1
-    }
-
-    /// Canonicalize into the immutable serving layout. `window_len` is the
-    /// deepest depth that counts as a *window*; deeper nodes (there is at
-    /// most one extra level) exist only as continuation evidence of the
-    /// level above.
-    pub fn freeze(self, window_len: u32) -> SuffixTrie {
-        // Group edges by parent with a counting sort (one pass for degrees,
-        // one to scatter), then order each node's few children with a small
-        // in-place sort — far cheaper than globally sorting all E edges.
-        let n = self.counts.len();
-        let n_edges = n - 1;
-        let mut first_edge = vec![0u32; n + 1];
-        first_edge[1] = self.root_edges().count() as u32;
-        for (key, _) in self.edges.iter() {
-            first_edge[(key >> 32) as usize + 1] += 1;
-        }
-        for i in 1..=n {
-            first_edge[i] += first_edge[i - 1];
-        }
-        let mut edges: Vec<(u32, u32)> = vec![(0, 0); n_edges];
-        {
-            let mut cursor = first_edge.clone();
-            for (q, child) in self.root_edges() {
-                edges[cursor[0] as usize] = (q, child);
-                cursor[0] += 1;
-            }
-            for (key, child) in self.edges.iter() {
-                let p = (key >> 32) as usize;
-                edges[cursor[p] as usize] = (key as u32, child);
-                cursor[p] += 1;
-            }
-        }
-        // Root edges arrive pre-sorted from the dense array; deeper nodes
-        // have few children each.
-        for p in 1..n {
-            let lo = first_edge[p] as usize;
-            let hi = first_edge[p + 1] as usize;
-            edges[lo..hi].sort_unstable();
-        }
-
-        // Breadth-first renumbering with children visited in id order gives
-        // a canonical layout: ids ascend by (depth, path) lexicographically,
-        // so two tries with equal counts freeze identically no matter how
-        // the counts were sharded. One pass fills everything: a child's
-        // metadata is known when its parent is dequeued, and a node's child
-        // range is closed in the same step.
-        let mut queue_old: Vec<u32> = Vec::with_capacity(n);
-        queue_old.push(0);
-        let mut nodes = Vec::with_capacity(n);
-        nodes.push(Node {
-            total: self.counts[0].0,
-            at_start: self.counts[0].1,
-            cont_total: 0,
-            first_child: 0,
-            n_children: 0,
-            parent: 0,
-            key: QueryId(0),
-            depth: 0,
-        });
-        let mut child_keys = Vec::with_capacity(n_edges);
-        let mut child_ids = Vec::with_capacity(n_edges);
-        let mut child_totals = Vec::with_capacity(n_edges);
-        let mut head = 0usize;
-        while head < queue_old.len() {
-            let old = queue_old[head] as usize;
-            let lo = first_edge[old] as usize;
-            let hi = first_edge[old + 1] as usize;
-            let first_child = child_keys.len() as u32;
-            let depth = nodes[head].depth;
-            let mut cont_total = 0u64;
-            for &(q, child_old) in &edges[lo..hi] {
-                let new_id = queue_old.len() as u32;
-                queue_old.push(child_old);
-                let (total, at_start) = self.counts[child_old as usize];
-                nodes.push(Node {
-                    total,
-                    at_start,
-                    cont_total: 0,
-                    first_child: 0,
-                    n_children: 0,
-                    parent: head as u32,
-                    key: QueryId(q),
-                    depth: depth + 1,
-                });
-                child_keys.push(QueryId(q));
-                child_ids.push(new_id);
-                child_totals.push(total);
-                cont_total += total;
-            }
-            nodes[head].first_child = first_child;
-            nodes[head].n_children = (hi - lo) as u32;
-            nodes[head].cont_total = cont_total;
-            head += 1;
-        }
-        debug_assert_eq!(nodes.len(), n);
-
-        SuffixTrie {
-            nodes,
-            child_keys,
-            child_ids,
-            child_totals,
-            window_len,
-        }
-    }
+/// One window being counted: where it starts and where its session ends,
+/// whether it starts the session, the session's weight, and the query it
+/// is sorted by at the current level. Carrying the session's facts costs
+/// less than looking them up at every level.
+#[derive(Clone, Copy, Debug, Default)]
+struct Window {
+    key: u32,
+    pos: u32,
+    end: u32,
+    first: bool,
+    weight: u64,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -347,6 +115,19 @@ struct Node {
     parent: u32,
     key: QueryId,
     depth: u32,
+}
+
+impl Node {
+    const ROOT: Node = Node {
+        total: 0,
+        at_start: 0,
+        cont_total: 0,
+        first_child: 0,
+        n_children: 0,
+        parent: 0,
+        key: QueryId(0),
+        depth: 0,
+    };
 }
 
 /// Immutable arena suffix trie in canonical breadth-first layout.
@@ -366,92 +147,47 @@ pub struct SuffixTrie {
 impl SuffixTrie {
     /// An empty trie (root only).
     pub fn empty() -> Self {
-        TrieBuilder::new().freeze(0)
+        Self::from_nodes(vec![Node::ROOT], 0)
     }
 
     /// The root node id.
     pub const ROOT: u32 = 0;
 
-    /// The trie of one count split by first query: `parts[p]` is what a
-    /// builder froze after counting only the windows whose first query lies
-    /// in the `p`-th of some contiguous, ascending ranges of ids.
+    /// Count the windows of `sessions` whose first query's id lies in one
+    /// of `ranges`, weighted by their session's weight: every window of up
+    /// to `window_len` queries, and the level below as their continuations.
+    /// Windows starting at a session's first query also count as
+    /// session-start occurrences. `[0..u32::MAX]` counts every window.
     ///
-    /// Canonical ids ascend by (depth, path) and a path starts with its
-    /// first query, so at every depth part p's nodes come before part
-    /// p + 1's, and each part's depth-d block keeps its own order. The join
-    /// is therefore a relabelling: a block moves by one offset, a parent by
-    /// the offset of its depth, and the child arrays follow node order
-    /// because edge e leads to node e + 1. Nothing is merged or re-inserted.
+    /// Each range is counted on a thread of its own. Disjoint ranges count
+    /// disjoint subtrees of the root. Canonical ids ascend by (depth, path)
+    /// and a path starts with its first query, so at every depth range p's
+    /// nodes come before range p + 1's, and each range's depth-d block keeps
+    /// its own order. Joining the parts is therefore a relabelling: a block
+    /// moves by one offset and a parent by the offset of its depth's block;
+    /// the child arrays follow node order because edge e leads to node
+    /// e + 1. Nothing is merged or re-inserted.
     ///
     /// # Panics
     ///
-    /// When the parts disagree on the window length, or a part's root keys
-    /// do not all lie above the previous part's — a broken split, not data.
-    pub fn join(parts: &[SuffixTrie]) -> SuffixTrie {
-        let window_len = parts.first().map_or(0, |p| p.window_len);
+    /// When `ranges` are not ascending and disjoint.
+    pub fn count(sessions: &FlatSessions, window_len: u32, ranges: &[Range<u32>]) -> SuffixTrie {
         assert!(
-            parts.iter().all(|p| p.window_len == window_len),
-            "joined parts count windows of one length"
+            ranges.windows(2).all(|r| r[0].end <= r[1].start),
+            "parts hold ascending first queries"
         );
-        let mut roots = parts
-            .iter()
-            .flat_map(|p| p.continuations(Self::ROOT).0.iter());
-        let mut previous = roots.next();
-        for key in roots {
-            assert!(previous < Some(key), "parts hold ascending first queries");
-            previous = Some(key);
-        }
+        let parts = map_on_threads(ranges, |first| {
+            count_nodes(sessions, window_len, first.clone())
+        });
+        join(parts, window_len)
+    }
 
-        let deepest = parts
-            .iter()
-            .filter_map(|p| p.nodes.last())
-            .map(|n| n.depth as usize)
-            .max()
-            .unwrap_or(0);
-        // `starts[p][d]`: part p's first id at depth d, for d in 0..=deepest + 1.
-        let starts: Vec<Vec<u32>> = parts
-            .iter()
-            .map(|p| {
-                (0..=deepest + 1)
-                    .map(|d| p.nodes.partition_point(|n| (n.depth as usize) < d) as u32)
-                    .collect()
-            })
-            .collect();
-        let n = 1 + parts.iter().map(|p| p.nodes.len() - 1).sum::<usize>();
-        let mut nodes = Vec::with_capacity(n);
-        let mut root = Node {
-            total: 0,
-            at_start: 0,
-            cont_total: 0,
-            first_child: 0,
-            n_children: 0,
-            parent: 0,
-            key: QueryId(0),
-            depth: 0,
-        };
-        for r in parts.iter().map(|p| &p.nodes[0]) {
-            root.total += r.total;
-            root.at_start += r.at_start;
-            root.cont_total += r.cont_total;
-            root.n_children += r.n_children;
-        }
-        nodes.push(root);
-        // `joined[p][d]`: the id part p's depth-d block starts at once joined.
-        let mut joined = vec![vec![0u32; deepest + 1]; parts.len()];
-        for d in 1..=deepest {
-            for (p, part) in parts.iter().enumerate() {
-                joined[p][d] = nodes.len() as u32;
-                let block = &part.nodes[starts[p][d] as usize..starts[p][d + 1] as usize];
-                let parent_shift = joined[p][d - 1].wrapping_sub(starts[p][d - 1]);
-                nodes.extend(block.iter().map(|node| Node {
-                    parent: node.parent.wrapping_add(parent_shift),
-                    ..*node
-                }));
-            }
-        }
-        debug_assert_eq!(nodes.len(), n);
-        // A node's children start after every earlier node's, empty ranges
-        // included — the layout `freeze` and `from_parts` leave.
+    /// The frozen trie of canonically ordered `nodes` whose child counts
+    /// are set: a node's children start after every earlier node's, empty
+    /// ranges included, and edge e leads to node e + 1. Every array is held
+    /// at its length, as a loaded trie's is.
+    fn from_nodes(mut nodes: Vec<Node>, window_len: u32) -> SuffixTrie {
+        nodes.shrink_to_fit();
         let mut next_edge = 0u32;
         for node in &mut nodes {
             node.first_child = next_edge;
@@ -459,7 +195,7 @@ impl SuffixTrie {
         }
         SuffixTrie {
             child_keys: nodes[1..].iter().map(|n| n.key).collect(),
-            child_ids: (1..n as u32).collect(),
+            child_ids: (1..nodes.len() as u32).collect(),
             child_totals: nodes[1..].iter().map(|n| n.total).collect(),
             nodes,
             window_len,
@@ -629,16 +365,7 @@ impl SuffixTrie {
     ) -> Result<SuffixTrie, TrieRowError> {
         let n_rows = rows.len();
         let mut nodes = Vec::with_capacity(n_rows + 1);
-        nodes.push(Node {
-            total: 0,
-            at_start: 0,
-            cont_total: 0,
-            first_child: 0,
-            n_children: 0,
-            parent: 0,
-            key: QueryId(0),
-            depth: 0,
-        });
+        nodes.push(Node::ROOT);
         let mut child_keys = Vec::with_capacity(n_rows);
         let mut child_ids = Vec::with_capacity(n_rows);
         let mut child_totals = Vec::with_capacity(n_rows);
@@ -673,19 +400,17 @@ impl SuffixTrie {
             nodes.push(Node {
                 total,
                 at_start,
-                cont_total: 0,
-                first_child: 0,
-                n_children: 0,
                 parent,
                 key: QueryId(key),
                 depth,
+                ..Node::ROOT
             });
             child_keys.push(QueryId(key));
             child_ids.push(node);
             child_totals.push(total);
         }
         // A childless node's (empty) range starts where the next edge
-        // would go, as `freeze` leaves it.
+        // would go, as `count` leaves it.
         let mut next_edge = n_rows as u32;
         for node in nodes.iter_mut().rev() {
             if node.n_children == 0 {
@@ -702,6 +427,170 @@ impl SuffixTrie {
             window_len,
         })
     }
+}
+
+/// The nodes of [`SuffixTrie::count`], child counts set, in canonical order:
+/// the level loop the module docs describe.
+fn count_nodes(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> Vec<Node> {
+    let ids = &sessions.ids;
+    let depth_limit = window_len.saturating_add(1);
+    // Depth 1: the start positions whose query lies in `first`,
+    // counting-sorted by it.
+    let lo = first.start as usize;
+    let hi = (first.end as usize).min(sessions.vocabulary).max(lo);
+    let mut slot = vec![0u32; hi - lo + 1];
+    for q in ids.iter().map(|q| q.index()) {
+        if (lo..hi).contains(&q) {
+            slot[q - lo + 1] += 1;
+        }
+    }
+    for i in 1..slot.len() {
+        slot[i] += slot[i - 1];
+    }
+    let mut level = vec![Window::default(); slot[hi - lo] as usize];
+    for span in sessions.sessions.iter() {
+        for pos in span.start..span.end {
+            let q = ids[pos as usize].index();
+            if (lo..hi).contains(&q) {
+                level[slot[q - lo] as usize] = Window {
+                    key: q as u32,
+                    pos,
+                    end: span.end,
+                    first: pos == span.start,
+                    weight: span.weight,
+                };
+                slot[q - lo] += 1;
+            }
+        }
+    }
+
+    // `groups`: `(parent, end)` of each run of `level` sharing a parent,
+    // in parent order, each sorted by key.
+    let mut groups = vec![(SuffixTrie::ROOT, level.len() as u32)];
+    let mut nodes = vec![Node::ROOT];
+    let (mut next, mut next_groups) = (Vec::with_capacity(level.len()), Vec::new());
+    let mut depth = 1;
+    while !level.is_empty() {
+        // Below the deepest level nothing extends.
+        let deeper = depth < depth_limit;
+        let mut begin = 0;
+        for &(parent, end) in &groups {
+            let (mut children, mut cont_total) = (0, 0);
+            for run in level[begin..end as usize].chunk_by(|a, b| a.key == b.key) {
+                let id = nodes.len() as u32;
+                let from = next.len();
+                let (mut total, mut at_start) = (0, 0);
+                for w in run {
+                    total += w.weight;
+                    if w.first {
+                        at_start += w.weight;
+                    }
+                    // A depth-d window ends at pos + d ≤ end.
+                    let follow = w.pos + depth;
+                    if deeper && follow < w.end {
+                        next.push(Window {
+                            key: ids[follow as usize].0,
+                            ..*w
+                        });
+                    }
+                }
+                children += 1;
+                cont_total += total;
+                nodes.push(Node {
+                    total,
+                    at_start,
+                    parent,
+                    key: QueryId(run[0].key),
+                    depth,
+                    ..Node::ROOT
+                });
+                if next.len() > from {
+                    next[from..].sort_unstable_by_key(|w: &Window| w.key);
+                    next_groups.push((id, next.len() as u32));
+                }
+            }
+            let above = &mut nodes[parent as usize];
+            above.n_children = children;
+            above.cont_total = cont_total;
+            begin = end as usize;
+        }
+        std::mem::swap(&mut level, &mut next);
+        std::mem::swap(&mut groups, &mut next_groups);
+        next.clear();
+        next_groups.clear();
+        depth += 1;
+    }
+    nodes
+}
+
+/// The trie of parts counted over ascending ranges of first queries (see
+/// [`SuffixTrie::count`]). The node array is written in one pass,
+/// relabelled, while a helper thread copies the child arrays out of the
+/// same blocks.
+fn join(mut parts: Vec<Vec<Node>>, window_len: u32) -> SuffixTrie {
+    if parts.len() <= 1 {
+        let nodes = parts.pop().unwrap_or_else(|| vec![Node::ROOT]);
+        return SuffixTrie::from_nodes(nodes, window_len);
+    }
+    let mut root = Node::ROOT;
+    for part in &parts {
+        root.n_children += part[0].n_children;
+        root.cont_total += part[0].cont_total;
+    }
+    // Every part's depth blocks in joined order, each with the shift of
+    // its parents: where the part's previous block moved.
+    let mut blocks: Vec<(&[Node], u32)> = Vec::new();
+    let mut next = vec![1; parts.len()];
+    let mut previous = vec![(0u32, 0u32); parts.len()];
+    let mut joined = 1;
+    let deepest = parts
+        .iter()
+        .map(|p| p[p.len() - 1].depth)
+        .max()
+        .unwrap_or(0);
+    for depth in 1..=deepest {
+        for (p, part) in parts.iter().enumerate() {
+            let from = next[p];
+            next[p] += part[from..].partition_point(|n| n.depth == depth);
+            let (before, after) = previous[p];
+            blocks.push((&part[from..next[p]], after.wrapping_sub(before)));
+            previous[p] = (from as u32, joined);
+            joined += (next[p] - from) as u32;
+        }
+    }
+    let n = joined as usize;
+    std::thread::scope(|scope| {
+        let children = scope.spawn(|| {
+            let edges = || blocks.iter().flat_map(|(block, _)| block.iter());
+            let (mut keys, mut totals) = (Vec::with_capacity(n - 1), Vec::with_capacity(n - 1));
+            keys.extend(edges().map(|e| e.key));
+            totals.extend(edges().map(|e| e.total));
+            (keys, (1..n as u32).collect(), totals)
+        });
+        let mut nodes = Vec::with_capacity(n);
+        nodes.push(root);
+        let mut next_edge = root.n_children;
+        for &(block, shift) in &blocks {
+            nodes.extend(block.iter().map(|node| {
+                let first_child = next_edge;
+                next_edge += node.n_children;
+                Node {
+                    parent: node.parent.wrapping_add(shift),
+                    first_child,
+                    ..*node
+                }
+            }));
+        }
+        let (child_keys, child_ids, child_totals) =
+            children.join().expect("joining child arrays panicked");
+        SuffixTrie {
+            nodes,
+            child_keys,
+            child_ids,
+            child_totals,
+            window_len,
+        }
+    })
 }
 
 /// Why a row sequence is not the canonical flattening of any trie — what
@@ -772,21 +661,31 @@ impl std::error::Error for TrieRowError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq;
+    use crate::rng::{Rng, StdRng};
+    use crate::{seq, QuerySeq};
+    use std::collections::BTreeMap;
 
-    fn build(sessions: &[(&[u32], u64)], depth_limit: usize) -> TrieBuilder {
-        let mut b = TrieBuilder::new();
-        for (s, f) in sessions {
-            let ids = seq(s);
-            b.count_session(&ids, *f, depth_limit, 0..u32::MAX);
-        }
-        b
+    /// The one range of a whole count.
+    fn every_id() -> &'static [Range<u32>] {
+        const EVERY_ID: Range<u32> = 0..u32::MAX;
+        std::slice::from_ref(&EVERY_ID)
+    }
+
+    /// Every window of `sessions` of up to `window_len` queries, and the
+    /// level below.
+    fn count(sessions: &[(&[u32], u64)], window_len: u32) -> SuffixTrie {
+        let owned: Vec<(QuerySeq, u64)> = sessions.iter().map(|(s, f)| (seq(s), *f)).collect();
+        SuffixTrie::count(&flat(&owned), window_len, every_id())
+    }
+
+    fn flat(sessions: &[(QuerySeq, u64)]) -> FlatSessions {
+        FlatSessions::new(sessions.iter().map(|(s, f)| (&s[..], *f)))
     }
 
     #[test]
     fn counts_windows_at_all_positions() {
         // Session [0,1,0]: windows [0]×2, [1], [0,1], [1,0], [0,1,0].
-        let t = build(&[(&[0, 1, 0], 1)], 3).freeze(3);
+        let t = count(&[(&[0, 1, 0], 1)], 3);
         assert_eq!(t.total(t.window(&seq(&[0])).unwrap()), 2);
         assert_eq!(t.total(t.window(&seq(&[1])).unwrap()), 1);
         assert_eq!(t.total(t.window(&seq(&[0, 1])).unwrap()), 1);
@@ -797,7 +696,7 @@ mod tests {
 
     #[test]
     fn at_start_only_for_prefix_windows() {
-        let t = build(&[(&[0, 1, 0], 5)], 3).freeze(3);
+        let t = count(&[(&[0, 1, 0], 5)], 3);
         assert_eq!(t.at_start(t.window(&seq(&[0])).unwrap()), 5);
         assert_eq!(t.at_start(t.window(&seq(&[0, 1])).unwrap()), 5);
         assert_eq!(t.at_start(t.window(&seq(&[1, 0])).unwrap()), 0);
@@ -805,7 +704,7 @@ mod tests {
 
     #[test]
     fn continuations_are_child_totals() {
-        let t = build(&[(&[0, 1], 3), (&[0, 0], 2)], 2).freeze(2);
+        let t = count(&[(&[0, 1], 3), (&[0, 0], 2)], 2);
         let n0 = t.window(&seq(&[0])).unwrap();
         let (keys, counts) = t.continuations(n0);
         assert_eq!(keys, &[QueryId(0), QueryId(1)]);
@@ -815,7 +714,7 @@ mod tests {
 
     #[test]
     fn depth_limit_truncates() {
-        let t = build(&[(&[0, 1, 2, 3], 1)], 2).freeze(1);
+        let t = count(&[(&[0, 1, 2, 3], 1)], 1);
         // Depth-2 nodes exist as continuation evidence…
         assert!(t.find(&seq(&[0, 1])).is_some());
         // …but are not windows.
@@ -826,9 +725,9 @@ mod tests {
 
     #[test]
     fn canonical_layout_ignores_insertion_order() {
-        // Different insertion orders must freeze identically.
-        let fwd = build(&[(&[3, 1], 1), (&[0, 2], 1)], 2).freeze(2);
-        let rev = build(&[(&[0, 2], 1), (&[3, 1], 1)], 2).freeze(2);
+        // Different session orders must count identically.
+        let fwd = count(&[(&[3, 1], 1), (&[0, 2], 1)], 2);
+        let rev = count(&[(&[0, 2], 1), (&[3, 1], 1)], 2);
         assert_eq!(fwd, rev);
         // BFS ids ascend by (depth, path).
         let mut last_depth = 0;
@@ -840,7 +739,7 @@ mod tests {
 
     #[test]
     fn path_reconstruction() {
-        let t = build(&[(&[4, 2, 9], 1)], 3).freeze(3);
+        let t = count(&[(&[4, 2, 9], 1)], 3);
         let n = t.window(&seq(&[4, 2, 9])).unwrap();
         let mut out = Vec::new();
         t.path(n, &mut out);
@@ -849,7 +748,7 @@ mod tests {
 
     #[test]
     fn window_nodes_in_length_then_lex_order() {
-        let t = build(&[(&[1, 0], 1), (&[0, 1], 1)], 2).freeze(2);
+        let t = count(&[(&[1, 0], 1), (&[0, 1], 1)], 2);
         let mut buf = Vec::new();
         let windows: Vec<Vec<QueryId>> = t
             .window_nodes()
@@ -867,7 +766,7 @@ mod tests {
 
     #[test]
     fn parts_roundtrip() {
-        let t = build(&[(&[0, 1, 0], 2), (&[1, 1], 5)], 3).freeze(2);
+        let t = count(&[(&[0, 1, 0], 2), (&[1, 1], 5)], 2);
         let back = SuffixTrie::from_parts(2, 2, t.parts()).unwrap();
         assert_eq!(t, back);
         // The root alone flattens to no rows and loads back.
@@ -875,71 +774,140 @@ mod tests {
         assert_eq!(empty, SuffixTrie::empty());
     }
 
+    /// A seeded random corpus: ids below `vocabulary`, sessions of 1 to
+    /// 7 queries with weights below 50.
+    fn random_corpus(rng: &mut StdRng, vocabulary: u32) -> Vec<(QuerySeq, u64)> {
+        (0..rng.random_range(0usize..40))
+            .map(|_| {
+                let s = (0..rng.random_range(1usize..8))
+                    .map(|_| QueryId(rng.random_range(0u32..vocabulary)))
+                    .collect();
+                (s, rng.random_range(1u64..50))
+            })
+            .collect()
+    }
+
     #[test]
     fn random_tries_roundtrip_through_their_rows() {
-        use crate::rng::{Rng, StdRng};
         for case in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(0x7e1e + case);
             let vocabulary = rng.random_range(1u32..9);
-            let depth_limit = rng.random_range(1usize..6);
-            let mut builder = TrieBuilder::new();
-            for _ in 0..rng.random_range(0usize..40) {
-                let session: Vec<QueryId> = (0..rng.random_range(1usize..8))
-                    .map(|_| QueryId(rng.random_range(0u32..vocabulary)))
-                    .collect();
-                builder.count_session(
-                    &session,
-                    rng.random_range(1u64..50),
-                    depth_limit,
-                    0..u32::MAX,
-                );
-            }
-            let window_len = depth_limit as u32 - 1;
-            let frozen = builder.freeze(window_len);
+            let window_len = rng.random_range(0u32..5);
+            let counted = SuffixTrie::count(
+                &flat(&random_corpus(&mut rng, vocabulary)),
+                window_len,
+                every_id(),
+            );
             let loaded =
-                SuffixTrie::from_parts(window_len, vocabulary as usize, frozen.parts()).unwrap();
-            assert_eq!(loaded, frozen, "case {case}");
-            assert_eq!(loaded.window_count(), frozen.window_count(), "case {case}");
+                SuffixTrie::from_parts(window_len, vocabulary as usize, counted.parts()).unwrap();
+            assert_eq!(loaded, counted, "case {case}");
+            assert_eq!(loaded.window_count(), counted.window_count(), "case {case}");
         }
     }
 
     #[test]
     fn parts_counted_by_first_query_join_into_the_whole_count() {
-        use crate::rng::{Rng, StdRng};
         for case in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(0x5e17 + case);
             let vocabulary = rng.random_range(1u32..12);
-            let depth_limit = rng.random_range(1usize..6);
-            let sessions: Vec<(Vec<QueryId>, u64)> = (0..rng.random_range(0usize..40))
-                .map(|_| {
-                    let s = (0..rng.random_range(1usize..8))
-                        .map(|_| QueryId(rng.random_range(0u32..vocabulary)))
-                        .collect();
-                    (s, rng.random_range(1u64..50))
-                })
-                .collect();
-            let count = |first: Range<u32>| {
-                let mut builder = TrieBuilder::new();
-                for (s, f) in &sessions {
-                    builder.count_session(s, *f, depth_limit, first.clone());
-                }
-                builder.freeze(depth_limit as u32 - 1)
-            };
-            let whole = count(0..u32::MAX);
+            let window_len = rng.random_range(0u32..5);
+            let sessions = flat(&random_corpus(&mut rng, vocabulary));
+            let whole = SuffixTrie::count(&sessions, window_len, every_id());
             // Random ascending cut points, empty ranges included.
             let mut cuts: Vec<u32> = (0..rng.random_range(0usize..5))
                 .map(|_| rng.random_range(0..=vocabulary))
                 .collect();
             cuts.sort_unstable();
             let bounds: Vec<u32> = [0].into_iter().chain(cuts).chain([vocabulary]).collect();
-            let parts: Vec<SuffixTrie> = bounds.windows(2).map(|b| count(b[0]..b[1])).collect();
-            assert_eq!(SuffixTrie::join(&parts), whole, "case {case}: {bounds:?}");
+            let ranges: Vec<Range<u32>> = bounds.windows(2).map(|b| b[0]..b[1]).collect();
+            assert_eq!(
+                SuffixTrie::count(&sessions, window_len, &ranges),
+                whole,
+                "case {case}: {bounds:?}"
+            );
+        }
+    }
+
+    /// The rows a trie of `sessions` must flatten to, from owned windows:
+    /// a `BTreeMap` keyed by (length, path) is in canonical id order, so
+    /// node ids are map positions + 1.
+    fn reference_rows(sessions: &[(QuerySeq, u64)], window_len: u32) -> Vec<(u32, u32, u64, u64)> {
+        let deepest = window_len.saturating_add(1) as usize;
+        let mut windows: BTreeMap<(usize, &[QueryId]), (u64, u64)> = BTreeMap::new();
+        for (s, weight) in sessions {
+            for start in 0..s.len() {
+                for end in start + 1..=s.len().min(start.saturating_add(deepest)) {
+                    let counts = windows.entry((end - start, &s[start..end])).or_default();
+                    counts.0 += weight;
+                    if start == 0 {
+                        counts.1 += weight;
+                    }
+                }
+            }
+        }
+        let ids: BTreeMap<(usize, &[QueryId]), u32> =
+            windows.keys().zip(1..).map(|(&w, id)| (w, id)).collect();
+        windows
+            .iter()
+            .map(|(&(len, path), &(total, at_start))| {
+                let parent = if len == 1 {
+                    0
+                } else {
+                    ids[&(len - 1, &path[..len - 1])]
+                };
+                (parent, path[len - 1].0, total, at_start)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_level_count_is_the_window_count() {
+        for case in 0..240u64 {
+            let mut rng = StdRng::seed_from_u64(0x1e7e1 + case);
+            let vocabulary = rng.random_range(1u32..10);
+            let mut sessions: Vec<(QuerySeq, u64)> = match case % 8 {
+                // The empty corpus.
+                0 => Vec::new(),
+                // One query id, sessions of every length.
+                1 => (1..12)
+                    .map(|len| (vec![QueryId(vocabulary); len].into(), 1 << 40))
+                    .collect(),
+                _ => (0..rng.random_range(1usize..30))
+                    .map(|_| {
+                        // Single-query sessions, and ones longer than every
+                        // bounded depth below.
+                        let s = (0..rng.random_range(1usize..14))
+                            .map(|_| QueryId(rng.random_range(0u32..vocabulary)))
+                            .collect();
+                        (s, rng.random_range(1u64..=1 << 40))
+                    })
+                    .collect(),
+            };
+            // Repeated sessions, each counted on its own.
+            for i in 0..sessions.len() / 4 {
+                sessions.push(sessions[i * 2].clone());
+            }
+            let counted_from = flat(&sessions);
+            for window_len in [1, 2, 3, u32::MAX] {
+                let counted = SuffixTrie::count(&counted_from, window_len, every_id());
+                let rows: Vec<_> = counted.parts().collect();
+                assert_eq!(
+                    rows,
+                    reference_rows(&sessions, window_len),
+                    "case {case}, window length {window_len}"
+                );
+                let windows = rows
+                    .iter()
+                    .filter(|r| counted.depth(r.0) < window_len as usize)
+                    .count();
+                assert_eq!(counted.window_count(), windows, "case {case}");
+            }
         }
     }
 
     /// A valid flattening to corrupt: root → {0, 1}, 0 → {0, 1}, 1 → {0}.
     fn valid_rows() -> Vec<(u32, u32, u64, u64)> {
-        let t = build(&[(&[0, 1], 2), (&[0, 0], 1), (&[1, 0], 4)], 2).freeze(1);
+        let t = count(&[(&[0, 1], 2), (&[0, 0], 1), (&[1, 0], 4)], 1);
         let rows: Vec<_> = t.parts().collect();
         assert_eq!(
             rows.iter().map(|r| (r.0, r.1)).collect::<Vec<_>>(),
@@ -1007,6 +975,7 @@ mod tests {
     #[test]
     fn empty_trie() {
         let t = SuffixTrie::empty();
+        assert_eq!(t, count(&[], 0));
         assert!(t.is_empty());
         assert_eq!(t.window_count(), 0);
         assert!(t.window(&seq(&[0])).is_none());

@@ -86,8 +86,8 @@ impl Interner {
         }
     }
 
-    fn grow(&mut self) {
-        let new_len = self.slots.len() * 2;
+    /// Re-probe every id into `new_len` slots (a power of two).
+    fn resize_slots(&mut self, new_len: usize) {
         let mask = new_len - 1;
         let mut slots = vec![EMPTY_SLOT; new_len];
         for (id, s) in self.strings.iter().enumerate() {
@@ -100,6 +100,21 @@ impl Interner {
         self.slots = slots;
     }
 
+    /// Make room for `additional` more queries, so interning them grows
+    /// nothing: the id table takes the size interning them would have
+    /// doubled it to, in one re-probe.
+    pub fn reserve(&mut self, additional: usize) {
+        self.strings.reserve(additional);
+        let wanted = self.strings.len() + additional;
+        let mut slots = self.slots.len();
+        while wanted * 4 >= slots * 3 {
+            slots *= 2;
+        }
+        if slots > self.slots.len() {
+            self.resize_slots(slots);
+        }
+    }
+
     /// Intern `query`, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, query: &str) -> QueryId {
         let mut slot = self.find_slot(query);
@@ -107,7 +122,7 @@ impl Interner {
             return QueryId(self.slots[slot]);
         }
         if (self.strings.len() + 1) * 4 >= self.slots.len() * 3 {
-            self.grow();
+            self.resize_slots(self.slots.len() * 2);
             // Growth moved every slot; the pre-grow probe is stale.
             slot = self.find_slot(query);
         }
@@ -259,6 +274,21 @@ impl crate::mem::HeapSize for Interner {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reserve_leaves_nothing_to_grow() {
+        let mut grown = Interner::new();
+        let mut reserved = Interner::new();
+        reserved.intern("q0");
+        reserved.reserve(999);
+        let slots = reserved.slots.len();
+        for k in 0..1000 {
+            grown.intern(&format!("q{k}"));
+            assert_eq!(reserved.intern(&format!("q{k}")), QueryId(k));
+        }
+        assert_eq!(reserved.slots.len(), slots);
+        assert_eq!(reserved.slots.len(), grown.slots.len());
+    }
 
     #[test]
     fn intern_is_idempotent() {

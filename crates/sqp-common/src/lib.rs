@@ -28,6 +28,7 @@
 //!   fault-injecting ones);
 //! * [`bytes`] — little-endian byte buffers for the wire codecs;
 //! * [`scratch`] — per-thread scratch buffers for the serve path;
+//! * [`threads`] — fork-join over scoped threads for training stages;
 //! * [`mem`] — approximate heap-size accounting for the memory-footprint
 //!   experiment (Table VII of the paper).
 
@@ -49,9 +50,10 @@ pub mod math;
 pub mod mem;
 pub mod rng;
 pub mod scratch;
+pub mod threads;
 pub mod topk;
 
-pub use arena::{SuffixTrie, TrieBuilder};
+pub use arena::{FlatSessions, SuffixTrie};
 pub use breaker::{Admission, Backoff, Breaker, BreakerConfig, BreakerState, BreakerStats};
 pub use clock::{Clock, RealClock};
 pub use counter::Counter;

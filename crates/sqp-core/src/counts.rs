@@ -9,23 +9,26 @@
 //! implicitly, as its trie children — the distribution of queries that
 //! follow it.
 //!
-//! The counts live in a [`SuffixTrie`]: a session of length L costs
-//! O(L·min(L, D+1)) constant-time trie steps with **zero per-window
-//! allocations**, instead of the old hashmap's owned `Box<[QueryId]>` key
-//! per window.
+//! The counts live in a [`SuffixTrie`], counted level by level straight
+//! into its canonical layout ([`SuffixTrie::count`]): the sessions are
+//! copied once into one flat id buffer, a window is its start position in
+//! it, and a session of length L costs O(L·min(L, D+1)) steps of sorting
+//! small groups with **zero per-window allocations** and no hashing,
+//! instead of the old hashmap's owned `Box<[QueryId]>` key per window.
 //!
 //! Counting splits the work **by first query**, not by session. A split by
 //! session was tried and measured slower than one thread: on aggregated
 //! sessions nearly every window is distinct, so the shards' tries shared
 //! almost nothing and merging them re-inserted every edge. Here each part
 //! is a contiguous range of root keys with about equal window starts, and
-//! its builder counts only the windows that begin in its range — every
-//! window's subtree belongs to exactly one part. Canonical ids ascend by
-//! (depth, path) and a path starts with its root key, so the frozen parts
-//! are already in final order depth by depth: [`SuffixTrie::join`] only
-//! relabels ids, and nothing is merged. One part is the range of every id.
+//! it counts only the windows that begin in its range — every window's
+//! subtree belongs to exactly one part, and all parts read the one shared
+//! buffer. Canonical ids ascend by (depth, path) and a path starts with its
+//! root key, so the parts are already in final order depth by depth:
+//! [`SuffixTrie::count`] only relabels ids, and nothing is
+//! merged. One part is the range of every id and needs no join.
 
-use sqp_common::arena::{SuffixTrie, TrieBuilder};
+use sqp_common::arena::{FlatSessions, SuffixTrie};
 use sqp_common::{QueryId, QuerySeq};
 use std::ops::Range;
 use std::sync::Arc;
@@ -121,57 +124,32 @@ impl WindowCounts {
         max_len: Option<usize>,
         parts: Option<usize>,
     ) -> Self {
-        let longest = sessions.iter().map(|(s, _)| s.len()).max().unwrap_or(0);
+        let flat = FlatSessions::new(sessions.iter().map(|(s, f)| (&s[..], *f)));
+        let longest = flat.longest();
         let max_len = max_len.unwrap_or(longest).min(longest.max(1));
-        // Depth max_len+1 nodes carry the continuation counts of
-        // depth-max_len windows (a window's next-query distribution is its
-        // children's totals).
-        let depth_limit = max_len + 1;
 
-        // Window starts per first query: what a part's builder will count,
-        // and so what the ranges are dealt by and each builder is sized to.
+        // Window starts per first query: what a part counts, and so what the
+        // ranges are dealt by.
         let mut starts: Vec<usize> = Vec::new();
-        for q in sessions.iter().flat_map(|(s, _)| s.iter()) {
-            let q = q.0 as usize;
+        for q in flat.ids() {
+            let q = q.index();
             if q >= starts.len() {
                 starts.resize(q + 1, 0);
             }
             starts[q] += 1;
         }
-        let positions: usize = starts.iter().sum();
         let parts = parts.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map_or(1, |n| n.get())
-                .min(positions / MIN_POSITIONS_PER_PART)
+                .min(flat.ids().len() / MIN_POSITIONS_PER_PART)
                 .max(1)
         });
         let ranges = deal_ranges(&starts, parts);
 
-        let count = |(first, positions): &(Range<u32>, usize)| {
-            let mut builder = TrieBuilder::with_edge_capacity(*positions);
-            for (s, f) in sessions {
-                builder.count_session(s, *f, depth_limit, first.clone());
-            }
-            builder.freeze(max_len as u32)
-        };
-        let mut frozen: Vec<SuffixTrie> = std::thread::scope(|scope| {
-            let helpers: Vec<_> = ranges[1..]
-                .iter()
-                .map(|range| scope.spawn(move || count(range)))
-                .collect();
-            let mut frozen = Vec::with_capacity(ranges.len());
-            frozen.push(count(&ranges[0]));
-            frozen.extend(
-                helpers
-                    .into_iter()
-                    .map(|h| h.join().expect("window counting panicked")),
-            );
-            frozen
-        });
-        let trie = match frozen.len() {
-            1 => frozen.pop().expect("one part"),
-            _ => SuffixTrie::join(&frozen),
-        };
+        // Depth max_len+1 nodes carry the continuation counts of
+        // depth-max_len windows (a window's next-query distribution is its
+        // children's totals).
+        let trie = SuffixTrie::count(&flat, max_len as u32, &ranges);
 
         let (root_keys, root_counts) = trie.continuations(SuffixTrie::ROOT);
         let n_queries = root_keys.len();
@@ -289,27 +267,26 @@ impl WindowCounts {
 }
 
 /// Fewest window starts a counting part is worth a thread for: at ≈ 0.1 µs
-/// a start (one root step and a few edge probes) this is ≈ 3 ms of work
-/// against a thread start of tens of µs and a second pass over the corpus.
+/// a start (its windows sorted level by level) this is ≈ 3 ms of work
+/// against a thread start of tens of µs, the part's own scan of the id
+/// buffer, and its share of the join's copy (≈ 0.03 µs a start).
 const MIN_POSITIONS_PER_PART: usize = 1 << 15;
 
 /// Deal the ids `0..starts.len()` into `parts` contiguous, ascending ranges
-/// of about equal window starts (`starts[q]` of them begin with query `q`),
-/// each with the starts it holds. Ranges may be empty; together they cover
-/// every id.
-fn deal_ranges(starts: &[usize], parts: usize) -> Vec<(Range<u32>, usize)> {
+/// of about equal window starts (`starts[q]` of them begin with query `q`).
+/// Ranges may be empty; together they cover every id.
+fn deal_ranges(starts: &[usize], parts: usize) -> Vec<Range<u32>> {
     let total: usize = starts.iter().sum();
     let mut ranges = Vec::with_capacity(parts);
     let (mut lo, mut dealt) = (0, 0);
     for p in 1..=parts {
         let goal = total * p / parts;
-        let (mut hi, mut held) = (lo, 0);
-        while hi < starts.len() && dealt + held < goal {
-            held += starts[hi];
+        let mut hi = lo;
+        while hi < starts.len() && dealt < goal {
+            dealt += starts[hi];
             hi += 1;
         }
-        ranges.push((lo as u32..hi as u32, held));
-        dealt += held;
+        ranges.push(lo as u32..hi as u32);
         lo = hi;
     }
     ranges
@@ -417,18 +394,14 @@ pub(crate) mod tests {
         for parts in 1..=9 {
             let ranges = deal_ranges(&starts, parts);
             assert_eq!(ranges.len(), parts);
-            assert_eq!(ranges[0].0.start, 0);
-            assert_eq!(ranges[parts - 1].0.end, starts.len() as u32);
+            assert_eq!(ranges[0].start, 0);
+            assert_eq!(ranges[parts - 1].end, starts.len() as u32);
             for pair in ranges.windows(2) {
-                assert_eq!(pair[0].0.end, pair[1].0.start, "{parts} parts");
-            }
-            for (range, held) in &ranges {
-                let counted: usize = range.clone().map(|q| starts[q as usize]).sum();
-                assert_eq!(counted, *held, "{parts} parts");
+                assert_eq!(pair[0].end, pair[1].start, "{parts} parts");
             }
         }
         // Two parts split 17 starts at the first id reaching half of them.
-        assert_eq!(deal_ranges(&starts, 2)[0], (0..4, 12));
+        assert_eq!(deal_ranges(&starts, 2)[0], 0..4);
     }
 
     #[test]

@@ -22,8 +22,9 @@ pub struct TimingRow {
 }
 
 /// Deterministic stride subsample keeping the corpus shape: takes every
-/// `1/fraction`-th aggregated session (the list is frequency-sorted, so a
-/// stride keeps head and tail proportionally).
+/// `1/fraction`-th aggregated session. On a frequency-sorted list — what
+/// `sqp_sessions::process` returns — a stride keeps head and tail
+/// proportionally; on first-seen order it is a stride through the log.
 pub fn subsample(sessions: &[(QuerySeq, u64)], fraction: f64) -> Vec<(QuerySeq, u64)> {
     assert!((0.0..=1.0).contains(&fraction), "fraction {fraction}");
     if fraction >= 1.0 {

@@ -14,7 +14,7 @@
 use crate::session::Session;
 use crate::sink::SuggestSink;
 use sqp_common::topk::Scored;
-use sqp_common::{Interner, QueryId};
+use sqp_common::{Interner, QueryId, QuerySeq};
 use sqp_core::{ModelKind, Mvmm, MvmmConfig, Recommender, Vmm, VmmConfig};
 use sqp_logsim::RawLogRecord;
 use sqp_sessions::{aggregate, reduce_in_place, segment_with_parallelism, DEFAULT_CUTOFF_SECS};
@@ -80,6 +80,19 @@ impl ModelSpec {
             ModelSpec::Cooccurrence => ModelKind::Cooccurrence,
             ModelSpec::NGram => ModelKind::NGram,
             ModelSpec::Backoff(_) => ModelKind::Backoff,
+        }
+    }
+
+    /// Train the model on weighted sessions, in any order: every model
+    /// comes out the same whatever the order of `sessions`.
+    pub fn train(&self, sessions: &[(QuerySeq, u64)]) -> Box<dyn Recommender> {
+        match self {
+            ModelSpec::Mvmm(c) => Box::new(Mvmm::train(sessions, c)),
+            ModelSpec::Vmm(c) => Box::new(Vmm::train(sessions, *c)),
+            ModelSpec::Adjacency => Box::new(sqp_core::Adjacency::train(sessions)),
+            ModelSpec::Cooccurrence => Box::new(sqp_core::Cooccurrence::train(sessions)),
+            ModelSpec::NGram => Box::new(sqp_core::NGram::train(sessions)),
+            ModelSpec::Backoff(c) => Box::new(sqp_core::BackoffNgram::train(sessions, *c)),
         }
     }
 }
@@ -173,14 +186,7 @@ impl ModelSnapshot {
         let mut reduced = aggregate(&sessions, &mut interner);
         reduce_in_place(&mut reduced, cfg.reduction_threshold);
         let trained_sessions = reduced.total_sessions();
-        let model: Box<dyn Recommender> = match &cfg.model {
-            ModelSpec::Mvmm(c) => Box::new(Mvmm::train(&reduced.sessions, c)),
-            ModelSpec::Vmm(c) => Box::new(Vmm::train(&reduced.sessions, *c)),
-            ModelSpec::Adjacency => Box::new(sqp_core::Adjacency::train(&reduced.sessions)),
-            ModelSpec::Cooccurrence => Box::new(sqp_core::Cooccurrence::train(&reduced.sessions)),
-            ModelSpec::NGram => Box::new(sqp_core::NGram::train(&reduced.sessions)),
-            ModelSpec::Backoff(c) => Box::new(sqp_core::BackoffNgram::train(&reduced.sessions, *c)),
-        };
+        let model = cfg.model.train(&reduced.sessions);
         Self::from_parts(interner, model, trained_sessions)
     }
 

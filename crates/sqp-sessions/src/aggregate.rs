@@ -5,20 +5,32 @@
 //! downstream works on dense ids.
 //!
 //! [`Segmented`] already holds every session as a span of provisional ids,
-//! so no query text is hashed per record: one scan of the flat buffer maps
-//! each provisional id to a final one the first time it appears — one
-//! `intern` per *distinct* query, in first-seen order over sessions sorted
-//! by (machine id, start time) — and identical sessions are then counted as
-//! borrowed id slices of the remapped buffer.
+//! and equal provisional sequences are equal queries, so sessions are
+//! deduplicated as borrowed slices of that buffer before any final id
+//! exists. The sessions are cut into contiguous ranges of about equal record
+//! count, and each range is deduplicated on a thread of its own, keeping its
+//! distinct sessions in first-seen order. Then, serially and in range
+//! order, each later range's new sessions follow the first range's, and
+//! each query gets its final id — one `intern` per *distinct* query, in
+//! first-seen order over sessions sorted by (machine id, start time).
+//! Neither the ids nor the order depend on how many ranges there were. Only
+//! the distinct sessions are copied out, with their final ids, on every
+//! core; nothing is sorted, because no model depends on the order of its
+//! sessions (see [`Aggregated::sort_by_frequency`] for the consumers that
+//! present a ranking).
 
 use crate::segment::Segmented;
+use sqp_common::threads::map_on_threads;
 use sqp_common::{FxHashMap, Interner, QueryId, QuerySeq};
+use std::collections::hash_map::Entry;
+use std::ops::Range;
 
 /// Aggregated sessions: each distinct query sequence with its frequency.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Aggregated {
-    /// `(sequence, frequency)` pairs, sorted by descending frequency then by
-    /// sequence for full determinism.
+    /// `(sequence, frequency)` pairs. [`aggregate`] leaves them in
+    /// first-seen order, [`Aggregated::sort_by_frequency`] by descending
+    /// frequency then by sequence.
     pub sessions: Vec<(QuerySeq, u64)>,
 }
 
@@ -57,53 +69,151 @@ impl Aggregated {
     }
 
     /// The frequency spectrum for the power-law analysis (Fig 6):
-    /// `(rank, frequency)` with rank 1 = most frequent aggregated session.
+    /// `(rank, frequency)` with rank 1 = most frequent aggregated session,
+    /// whatever order `sessions` is in.
     pub fn rank_frequency(&self) -> Vec<(f64, f64)> {
-        // `sessions` is sorted by descending frequency already.
-        self.sessions
-            .iter()
+        let mut frequencies: Vec<u64> = self.sessions.iter().map(|(_, f)| *f).collect();
+        frequencies.sort_unstable_by(|a, b| b.cmp(a));
+        frequencies
+            .into_iter()
             .enumerate()
-            .map(|(i, (_, f))| ((i + 1) as f64, *f as f64))
+            .map(|(i, f)| ((i + 1) as f64, f as f64))
             .collect()
     }
 
-    /// Build from pre-interned weighted sequences (used by tests and by the
-    /// reduction step).
-    pub fn from_weighted(mut sessions: Vec<(QuerySeq, u64)>) -> Self {
-        sessions.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        Aggregated { sessions }
+    /// Order the sessions by descending frequency, ties by sequence — the
+    /// ranking the paper's figures and the user study present.
+    pub fn sort_by_frequency(&mut self) {
+        self.sessions
+            .sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    }
+
+    /// Build from pre-interned weighted sequences (used by tests), ordered
+    /// by [`Aggregated::sort_by_frequency`].
+    pub fn from_weighted(sessions: Vec<(QuerySeq, u64)>) -> Self {
+        let mut aggregated = Aggregated { sessions };
+        aggregated.sort_by_frequency();
+        aggregated
     }
 }
 
-/// Intern and aggregate segmented sessions.
+/// Fewest sessions an aggregation range is worth a thread for: at ≈ 50 ns a
+/// session (one slice hash and probe) this is ≈ 0.8 ms of work against a
+/// thread start of tens of µs.
+const MIN_SESSIONS_PER_PART: usize = 1 << 14;
+
+/// Intern and aggregate segmented sessions, in first-seen order.
 ///
 /// `interner` may already hold queries (a test epoch aggregated after its
 /// training epoch); queries new to it get the next ids in first-seen order.
 pub fn aggregate(sessions: &Segmented, interner: &mut Interner) -> Aggregated {
+    aggregate_in_parts(sessions, interner, None)
+}
+
+/// [`aggregate`] over `parts` ranges — `None` picks as many as the host and
+/// [`MIN_SESSIONS_PER_PART`] allow. The result does not depend on the
+/// number: tests force it.
+pub(crate) fn aggregate_in_parts(
+    sessions: &Segmented,
+    interner: &mut Interner,
+    parts: Option<usize>,
+) -> Aggregated {
+    let parts = parts.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(sessions.len() / MIN_SESSIONS_PER_PART)
+            .max(1)
+    });
+    // Contiguous session ranges of about equal record count.
+    let mut bounds = vec![0];
+    bounds.extend((1..parts).map(|p| {
+        let goal = sessions.ids.len() * p / parts;
+        sessions
+            .spans
+            .partition_point(|s| (s.start as usize) < goal)
+    }));
+    bounds.push(sessions.len());
+    let ranges: Vec<Range<usize>> = bounds.windows(2).map(|b| b[0]..b[1]).collect();
+    let deduped = map_on_threads(&ranges, |range| Deduped::of(sessions, range.clone()));
+
+    // Range by range, each distinct session is counted where an earlier
+    // range first saw it, or follows every session seen before it.
+    let mut merged: Vec<(&[QueryId], u64)> = Vec::new();
+    // `at[p][i]`: where range p's i-th distinct session sits in `merged`.
+    let mut at: Vec<Vec<usize>> = Vec::with_capacity(deduped.len());
+    for (p, part) in deduped.iter().enumerate() {
+        let mine = part
+            .sessions
+            .iter()
+            .map(|&(session, freq)| {
+                let seen = deduped[..p]
+                    .iter()
+                    .zip(&at)
+                    .find_map(|(earlier, at)| earlier.index.get(session).map(|&i| at[i]));
+                match seen {
+                    Some(i) => merged[i].1 += freq,
+                    None => merged.push((session, freq)),
+                }
+                seen.unwrap_or(merged.len() - 1)
+            })
+            .collect();
+        at.push(mine);
+    }
+    // Final ids in first-seen order. A query is first seen in the first
+    // occurrence of some session, so the distinct sessions, in order, meet
+    // every query where the whole log first does.
     const UNSEEN: u32 = u32::MAX;
     let mut final_id = vec![UNSEEN; sessions.table.len()];
-    let ids: Vec<QueryId> = sessions
-        .ids
-        .iter()
-        .map(|&provisional| {
-            let slot = &mut final_id[provisional.index()];
-            if *slot == UNSEEN {
-                *slot = interner.intern(sessions.table.resolve(provisional)).0;
-            }
-            QueryId(*slot)
-        })
-        .collect();
-
-    let mut counts: FxHashMap<&[QueryId], u64> = FxHashMap::default();
-    for i in 0..sessions.len() {
-        *counts.entry(&ids[sessions.span(i)]).or_insert(0) += 1;
+    interner.reserve(sessions.table.len());
+    for &provisional in merged.iter().flat_map(|(session, _)| session.iter()) {
+        let slot = &mut final_id[provisional.index()];
+        if *slot == UNSEEN {
+            *slot = interner.intern(sessions.table.resolve(provisional)).0;
+        }
     }
-    Aggregated::from_weighted(
-        counts
-            .into_iter()
-            .map(|(seq, freq)| (QuerySeq::from(seq), freq))
-            .collect(),
-    )
+    // Copy each distinct session out with its final ids.
+    let chunks: Vec<_> = merged.chunks(merged.len().div_ceil(parts).max(1)).collect();
+    let boxed = map_on_threads(&chunks, |chunk| {
+        let remap = |q: &QueryId| QueryId(final_id[q.index()]);
+        let boxed: Vec<(QuerySeq, u64)> = chunk
+            .iter()
+            .map(|&(session, freq)| (session.iter().map(remap).collect(), freq))
+            .collect();
+        boxed
+    });
+    let mut aggregated = Aggregated {
+        sessions: Vec::with_capacity(merged.len()),
+    };
+    for chunk in boxed {
+        aggregated.sessions.extend(chunk);
+    }
+    aggregated
+}
+
+/// One range's distinct sessions, as provisional-id slices.
+#[derive(Default)]
+struct Deduped<'a> {
+    /// Distinct sessions in first-seen order, with their counts.
+    sessions: Vec<(&'a [QueryId], u64)>,
+    /// Where each distinct session sits in `sessions`.
+    index: FxHashMap<&'a [QueryId], usize>,
+}
+
+impl<'a> Deduped<'a> {
+    fn of(sessions: &'a Segmented, range: Range<usize>) -> Self {
+        let mut part = Deduped::default();
+        for i in range {
+            let session = &sessions.ids[sessions.span(i)];
+            match part.index.entry(session) {
+                Entry::Occupied(at) => part.sessions[*at.get()].1 += 1,
+                Entry::Vacant(at) => {
+                    at.insert(part.sessions.len());
+                    part.sessions.push((session, 1));
+                }
+            }
+        }
+        part
+    }
 }
 
 #[cfg(test)]
@@ -111,6 +221,7 @@ mod tests {
     use super::*;
     use crate::segment::segment_default;
     use crate::segment::tests::rec;
+    use sqp_common::seq;
 
     /// One session per entry: machine `i + 1` issues `queries` a second
     /// apart.
@@ -137,7 +248,7 @@ mod tests {
         let agg = aggregate(&sessions, &mut interner);
         assert_eq!(agg.unique_sessions(), 2);
         assert_eq!(agg.total_sessions(), 3);
-        assert_eq!(agg.sessions[0].1, 2); // most frequent first
+        assert_eq!(agg.sessions[0].1, 2); // first seen first
         assert_eq!(interner.len(), 3);
     }
 
@@ -184,13 +295,38 @@ mod tests {
     }
 
     #[test]
+    fn rank_frequency_ranks_any_order() {
+        let unsorted = Aggregated {
+            sessions: vec![
+                (seq(&[0]), 1),
+                (seq(&[1]), 5),
+                (seq(&[2]), 3),
+                (seq(&[3]), 5),
+            ],
+        };
+        assert_eq!(
+            unsorted.rank_frequency(),
+            [(1.0, 5.0), (2.0, 5.0), (3.0, 3.0), (4.0, 1.0)]
+        );
+    }
+
+    #[test]
     fn deterministic_ordering_breaks_frequency_ties() {
-        let sessions = sessions(&[&["b"], &["a"]]);
+        // Machine 1's "c" is seen before machine 2's "b" and machine 3's
+        // "a"; "c" and "a" tie at frequency 1.
+        let sessions = sessions(&[&["c"], &["b"], &["a"], &["b"]]);
         let mut interner = Interner::new();
-        let agg = aggregate(&sessions, &mut interner);
-        // Both have frequency 1; order must be stable by sequence.
-        assert_eq!(agg.sessions.len(), 2);
-        assert!(agg.sessions[0].0 < agg.sessions[1].0);
+        let mut agg = aggregate(&sessions, &mut interner);
+        assert_eq!(
+            agg.sessions,
+            [(seq(&[0]), 1), (seq(&[1]), 2), (seq(&[2]), 1)]
+        );
+        // By frequency, then by sequence on a tie.
+        agg.sort_by_frequency();
+        assert_eq!(
+            agg.sessions,
+            [(seq(&[1]), 2), (seq(&[0]), 1), (seq(&[2]), 1)]
+        );
     }
 
     #[test]

@@ -55,7 +55,8 @@ pub struct EpochData {
     pub spectrum: Vec<(f64, f64)>,
     /// Reduction report (retention percentages quoted in §V-A.4).
     pub reduction: ReductionReport,
-    /// The reduced, aggregated corpus models consume.
+    /// The reduced, aggregated corpus models consume, by descending
+    /// frequency ([`Aggregated::sort_by_frequency`]).
     pub aggregated: Aggregated,
 }
 
@@ -84,7 +85,10 @@ fn process_epoch(
 ) -> (EpochData, Segmented) {
     let sessions = segment_with_parallelism(records, cfg.session_cutoff_secs, cfg.parallel);
     let stats = corpus_stats(&sessions);
-    let aggregated_full = aggregate(&sessions, interner);
+    let mut aggregated_full = aggregate(&sessions, interner);
+    // Figs. 5–7, Fig. 12's stride sample and the user study read the
+    // frequency ranking; the models would train the same from any order.
+    aggregated_full.sort_by_frequency();
     let length_hist_before = aggregated_full.length_histogram();
     let spectrum = aggregated_full.rank_frequency();
     let (aggregated, reduction) = reduce(&aggregated_full, cfg.reduction_threshold);
@@ -154,6 +158,24 @@ mod tests {
         let p = process(&logs, &PipelineConfig::default());
         assert_eq!(p.train.stats.n_searches, logs.train.len() as u64);
         assert_eq!(p.test.stats.n_searches, logs.test.len() as u64);
+    }
+
+    #[test]
+    fn epochs_hold_the_frequency_ranking() {
+        let logs = sqp_logsim::generate(&SimConfig::small(2_000, 400, 17));
+        let cfg = PipelineConfig::default();
+        let p = process(&logs, &cfg);
+        let mut interner = Interner::new();
+        for (records, epoch) in [(&logs.train, &p.train), (&logs.test, &p.test)] {
+            let segmented = segment_with_parallelism(records, cfg.session_cutoff_secs, false);
+            let aggregated = aggregate(&segmented, &mut interner);
+            let (mut want, _) = reduce(&aggregated, cfg.reduction_threshold);
+            want.sessions
+                .sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            assert_eq!(epoch.aggregated, want);
+            assert_eq!(epoch.spectrum[0].1, want.sessions[0].1 as f64);
+        }
+        assert_eq!(interner.len(), p.interner.len());
     }
 
     #[test]

@@ -56,13 +56,13 @@ impl ReductionReport {
     }
 }
 
-/// Drop aggregated sessions with frequency ≤ `threshold`.
+/// Drop aggregated sessions with frequency ≤ `threshold`; the kept ones
+/// stay in `agg`'s order.
 ///
 /// Returns the reduced corpus and a report, and leaves `agg` whole for a
 /// caller that still needs it. `threshold = 0` keeps everything.
 pub fn reduce(agg: &Aggregated, threshold: u64) -> (Aggregated, ReductionReport) {
     let mut report = ReductionReport::default();
-    // Input was sorted; filtering preserves the order.
     let sessions = agg
         .sessions
         .iter()

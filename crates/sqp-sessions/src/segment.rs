@@ -578,7 +578,7 @@ pub(crate) mod tests {
 #[cfg(test)]
 mod randomized_tests {
     use super::*;
-    use crate::aggregate::{aggregate, Aggregated};
+    use crate::aggregate::{aggregate, aggregate_in_parts};
     use sqp_common::rng::{Rng, StdRng};
     use sqp_common::QuerySeq;
     use sqp_logsim::Click;
@@ -655,17 +655,19 @@ mod randomized_tests {
         sessions
     }
 
-    /// Per-session interning and a hash-map count, as `aggregate` did over
-    /// owned sessions.
+    /// Per-session interning and a list of distinct sessions in the order
+    /// they are first seen, on one thread, over owned sessions.
     fn reference_aggregate(sessions: &[TextSession]) -> (Interner, Vec<(QuerySeq, u64)>) {
         let mut interner = Interner::new();
-        let mut counts: FxHashMap<QuerySeq, u64> = FxHashMap::default();
+        let mut weighted: Vec<(QuerySeq, u64)> = Vec::new();
         for s in sessions {
             let ids = interner.intern_session(&s.queries);
-            *counts.entry(ids).or_insert(0) += 1;
+            match weighted.iter_mut().find(|(seen, _)| *seen == ids) {
+                Some((_, count)) => *count += 1,
+                None => weighted.push((ids, 1)),
+            }
         }
-        let weighted = Aggregated::from_weighted(counts.into_iter().collect());
-        (interner, weighted.sessions)
+        (interner, weighted)
     }
 
     fn id_text_pairs(interner: &Interner) -> Vec<(u32, &str)> {
@@ -759,6 +761,27 @@ mod randomized_tests {
                     );
                     assert_eq!(aggregated.sessions, want_weighted, "{at}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn aggregation_parts_match_the_first_seen_reference() {
+        for case in 0..320u64 {
+            let mut rng = StdRng::seed_from_u64(0xa66 + case);
+            let cutoff = rng.random_range(2u64..2_000);
+            let records = hostile_log(&mut rng, cutoff);
+            let segmented = segment(&records, cutoff);
+            let (want_interner, want) = reference_aggregate(&segmented.to_text_sessions());
+            for parts in [1, 2, 3, 5] {
+                let mut interner = Interner::new();
+                let got = aggregate_in_parts(&segmented, &mut interner, Some(parts));
+                assert_eq!(got.sessions, want, "case {case}, {parts} parts");
+                assert_eq!(
+                    id_text_pairs(&interner),
+                    id_text_pairs(&want_interner),
+                    "case {case}, {parts} parts"
+                );
             }
         }
     }

@@ -9,8 +9,9 @@
 //! **bytes** golden hashes the snapshot file; it is re-pinned (once, with
 //! the answers golden green) only when the payload itself is redesigned.
 //! Either fails by name, for `parallel` off and on alike, when a training
-//! change alters interner ids, `Aggregated` order, the PST state set or any
-//! stored count.
+//! change alters interner ids, the PST state set or any stored count. The
+//! order of the aggregated sessions is not among them: every model trains
+//! the same from any order, which the last test checks.
 
 use sqp::common::hash::{fnv1a, FNV_OFFSET_BASIS};
 use sqp::core::VmmConfig;
@@ -93,6 +94,33 @@ fn trained_snapshot_is_byte_identical_to_the_pinned_model() {
             fnv1a64_words(&raw),
             GOLDEN_CHECKSUM,
             "parallel = {parallel}: the trained model changed"
+        );
+    }
+}
+
+#[test]
+fn the_session_order_cannot_change_a_model() {
+    use sqp::core::{model_to_bytes, BackoffConfig, MvmmConfig};
+    let records = sqp::logsim::generate(&SimConfig::small(4_000, 400, 11)).train;
+    let segmented = sqp::sessions::segment_default(&records);
+    let first_seen = sqp::sessions::aggregate(&segmented, &mut sqp::common::Interner::new());
+    let mut by_frequency = first_seen.clone();
+    by_frequency.sort_by_frequency();
+    assert_ne!(first_seen.sessions, by_frequency.sessions);
+    for spec in [
+        ModelSpec::Mvmm(MvmmConfig::epsilon_sweep()),
+        ModelSpec::Mvmm(MvmmConfig::depth_mixture(&[(2, 0.05), (3, 0.05)])),
+        ModelSpec::Vmm(VmmConfig::with_epsilon(0.05)),
+        ModelSpec::Vmm(VmmConfig::bounded(2, 0.0)),
+        ModelSpec::Adjacency,
+        ModelSpec::Cooccurrence,
+        ModelSpec::NGram,
+        ModelSpec::Backoff(BackoffConfig::default()),
+    ] {
+        let bytes = |sessions| model_to_bytes(&*spec.train(sessions)).expect("every spec persists");
+        assert!(
+            bytes(&first_seen.sessions) == bytes(&by_frequency.sessions),
+            "{spec:?} depends on the order of its sessions"
         );
     }
 }
