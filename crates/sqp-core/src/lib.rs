@@ -29,7 +29,6 @@ pub mod adjacency;
 pub mod backoff;
 pub mod cooccurrence;
 pub mod counts;
-pub mod hmm;
 pub mod model;
 pub mod mvmm;
 pub mod newton;
@@ -42,7 +41,6 @@ pub mod vmm;
 pub use adjacency::Adjacency;
 pub use backoff::{BackoffConfig, BackoffNgram};
 pub use cooccurrence::Cooccurrence;
-pub use hmm::{Hmm, HmmConfig};
 pub use model::{Recommender, SequenceScorer, WeightedSessions};
 pub use mvmm::{Mvmm, MvmmConfig};
 pub use newton::{fit_mixture_sigmas, FitConfig, FitOutcome};

@@ -56,7 +56,7 @@ const VERSION: u32 = 3;
 
 /// Which concrete model a serialized payload reconstructs — the model-kind
 /// tag of the snapshot `MODEL` section (see `FORMAT.md`). Every model a
-/// `ModelSpec` can train has one; the HMM extension does not.
+/// `ModelSpec` can train has one; an ad-hoc `Recommender` impl does not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// [`Vmm`] — window-trie rows + state node ids.
@@ -115,7 +115,7 @@ impl ModelKind {
     }
 
     /// Detect the kind of a model behind the trait object, `None` when the
-    /// concrete type has no persistable form (HMM, ad-hoc impls).
+    /// concrete type has no persistable form (ad-hoc impls).
     pub fn of(model: &dyn Recommender) -> Option<ModelKind> {
         let any = model.as_any()?;
         if any.is::<Vmm>() {
@@ -914,9 +914,21 @@ mod tests {
 
     #[test]
     fn a_model_without_a_kind_is_reported_unsupported() {
-        let hmm = crate::Hmm::train(&toy_corpus(), crate::HmmConfig::default());
-        assert_eq!(ModelKind::of(&hmm), None);
-        let err = model_to_bytes(&hmm).unwrap_err();
+        // An ad-hoc `Recommender` impl: none of the workspace's models.
+        struct Adhoc;
+        impl Recommender for Adhoc {
+            fn name(&self) -> &str {
+                "adhoc"
+            }
+            fn recommend(&self, _: &[QueryId], _: usize) -> Vec<sqp_common::topk::Scored> {
+                Vec::new()
+            }
+            fn memory_bytes(&self) -> usize {
+                0
+            }
+        }
+        assert_eq!(ModelKind::of(&Adhoc), None);
+        let err = model_to_bytes(&Adhoc).unwrap_err();
         assert!(err.contains("no persistable form"), "{err}");
     }
 

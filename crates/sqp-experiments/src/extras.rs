@@ -1,11 +1,13 @@
-//! Beyond the paper's figures: ablations of the design choices called out in
-//! DESIGN.md, and the §VI future-work items that are cheap to realize on the
-//! simulator (retraining cadence, the Eq. (1) log-loss framework metric).
+//! Beyond the paper's figures: ablations of the model's design choices, and
+//! the §VI future-work items that are cheap to realize on the simulator
+//! (retraining cadence, the Eq. (1) log-loss framework metric, the HMM and
+//! the back-off N-gram).
 
 use crate::harness::Workbench;
+use crate::hmm::{Hmm, HmmConfig};
 use sqp_core::{
-    Adjacency, BackoffConfig, BackoffNgram, Hmm, HmmConfig, Mvmm, MvmmConfig, NGram, Recommender,
-    SequenceScorer, Vmm, VmmConfig,
+    Adjacency, BackoffConfig, BackoffNgram, Mvmm, MvmmConfig, NGram, Recommender, SequenceScorer,
+    Vmm, VmmConfig,
 };
 use sqp_eval::report::{f4, headers, pct, render_table};
 use sqp_eval::{overall_coverage, overall_ndcg};
@@ -371,15 +373,18 @@ mod tests {
     #[test]
     fn ablations_and_extensions_run() {
         let wb = small_bench();
-        for report in [
-            ablation_epsilon(&wb),
-            ablation_mixture(&wb),
-            ablation_reduction(&wb),
-            ext_retraining(&wb),
-            ext_logloss(&wb),
-            ext_list_size(&wb),
-        ] {
-            assert!(report.len() > 100, "suspiciously short report:\n{report}");
+        let extras = crate::EXPERIMENTS
+            .iter()
+            .filter(|(name, ..)| name.starts_with("ablation_") || name.starts_with("ext_"));
+        for (name, _, run) in extras {
+            let crate::Runner::Data(run) = run else {
+                panic!("{name} should need the corpus alone");
+            };
+            let report = run(&wb);
+            assert!(
+                report.len() > 100,
+                "{name}: suspiciously short report:\n{report}"
+            );
         }
     }
 

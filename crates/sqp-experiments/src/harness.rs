@@ -5,7 +5,7 @@ use sqp_core::{Adjacency, Cooccurrence, Mvmm, MvmmConfig, NGram, Recommender, Vm
 use sqp_logsim::{SimConfig, SimulatedLogs};
 use sqp_sessions::{PipelineConfig, ProcessedLogs};
 
-/// Command-line arguments shared by every experiment binary.
+/// The `repro` flags: corpus size, seed, reduction threshold and mixture size.
 #[derive(Clone, Debug)]
 pub struct ExpArgs {
     /// Sessions in the training epoch.
@@ -34,43 +34,33 @@ impl Default for ExpArgs {
 
 impl ExpArgs {
     /// Parse `--train-sessions N --test-sessions N --seed N --reduction N
-    /// --quick` from `std::env::args`, falling back to defaults.
-    pub fn parse() -> Self {
-        let mut args = Self::default();
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            let take_val = |i: &mut usize| -> Option<String> {
-                *i += 1;
-                argv.get(*i).cloned()
-            };
-            match argv[i].as_str() {
-                "--train-sessions" => {
-                    args.train_sessions = take_val(&mut i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(args.train_sessions)
-                }
-                "--test-sessions" => {
-                    args.test_sessions = take_val(&mut i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(args.test_sessions)
-                }
-                "--seed" => {
-                    args.seed = take_val(&mut i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(args.seed)
-                }
-                "--reduction" => {
-                    args.reduction_threshold = take_val(&mut i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(args.reduction_threshold)
-                }
-                "--quick" => args.quick = true,
-                other => eprintln!("warning: unknown argument {other}"),
-            }
-            i += 1;
+    /// --quick` out of `argv` (the program name excluded), in any order and
+    /// mixed with the experiment names, which come back in order. An
+    /// unknown flag, a flag without its value or a value that does not
+    /// parse is an error: a run never silently falls back to a default.
+    pub fn parse(argv: &[String]) -> Result<(Self, Vec<&str>), String> {
+        fn value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+            let value = value.ok_or_else(|| format!("`{flag}` needs a value"))?;
+            value
+                .parse()
+                .map_err(|_| format!("`{flag} {value}`: not a non-negative integer"))
         }
-        args
+
+        let mut args = Self::default();
+        let mut names = Vec::new();
+        let mut words = argv.iter();
+        while let Some(word) = words.next() {
+            match word.as_str() {
+                "--train-sessions" => args.train_sessions = value(word, words.next())?,
+                "--test-sessions" => args.test_sessions = value(word, words.next())?,
+                "--seed" => args.seed = value(word, words.next())?,
+                "--reduction" => args.reduction_threshold = value(word, words.next())?,
+                "--quick" => args.quick = true,
+                flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+                name => names.push(name),
+            }
+        }
+        Ok((args, names))
     }
 
     /// The simulator configuration for these arguments.
@@ -177,12 +167,76 @@ impl TrainedModels {
     }
 }
 
-/// Standard experiment banner.
-pub fn banner(id: &str, paper_artifact: &str, args: &ExpArgs) -> String {
-    format!(
-        "## {id} — reproducing {paper_artifact}\n\
-         ## He et al., \"Web Query Recommendation via Sequential Query Prediction\", ICDE 2009\n\
-         ## corpus: {} train / {} test sessions, seed {}, reduction ≤{}\n",
-        args.train_sessions, args.test_sessions, args.seed, args.reduction_threshold
-    )
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &[&str]) -> Result<(ExpArgs, Vec<String>), String> {
+        let argv: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        let (args, names) = ExpArgs::parse(&argv)?;
+        Ok((args, names.into_iter().map(str::to_owned).collect()))
+    }
+
+    #[test]
+    fn no_flags_are_the_defaults() {
+        let (args, names) = parse(&["fig10_coverage"]).unwrap();
+        assert_eq!(
+            (args.train_sessions, args.test_sessions, args.seed),
+            (120_000, 30_000, 42)
+        );
+        assert_eq!((args.reduction_threshold, args.quick), (1, false));
+        assert_eq!(names, ["fig10_coverage"]);
+        assert_eq!(parse(&[]).unwrap().1, Vec::<String>::new());
+    }
+
+    #[test]
+    fn every_flag_is_read_wherever_it_stands() {
+        let (args, names) = parse(&[
+            "--quick",
+            "fig10_coverage",
+            "--train-sessions",
+            "20000",
+            "--test-sessions",
+            "5000",
+            "tab07_memory",
+            "--seed",
+            "7",
+            "--reduction",
+            "0",
+        ])
+        .unwrap();
+        assert_eq!(
+            (args.train_sessions, args.test_sessions, args.seed),
+            (20_000, 5_000, 7)
+        );
+        assert_eq!((args.reduction_threshold, args.quick), (0, true));
+        assert_eq!(names, ["fig10_coverage", "tab07_memory"]);
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error() {
+        let err = parse(&["--sed", "7", "all"]).unwrap_err();
+        assert!(err.contains("--sed"), "{err}");
+    }
+
+    #[test]
+    fn a_missing_value_is_an_error() {
+        let err = parse(&["all", "--seed"]).unwrap_err();
+        assert!(
+            err.contains("--seed") && err.contains("needs a value"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_unparsable_value_is_an_error() {
+        for words in [
+            ["--seed", "abc"],
+            ["--train-sessions", "-5"],
+            ["--reduction", "1.5"],
+        ] {
+            let err = parse(&words).unwrap_err();
+            assert!(err.contains(words[0]) && err.contains(words[1]), "{err}");
+        }
+    }
 }

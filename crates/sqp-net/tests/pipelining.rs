@@ -7,7 +7,9 @@ use sqp_logsim::RawLogRecord;
 use sqp_net::frame::{read_frame, write_frame, FrameRead};
 use sqp_net::wire::{self, op};
 use sqp_net::{NetClient, NetServer, ServerConfig};
-use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
+use sqp_serve::{
+    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, TrainingConfig,
+};
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

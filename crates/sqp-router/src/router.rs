@@ -391,7 +391,7 @@ pub struct HandoffReport {
 /// use std::sync::Arc;
 /// use sqp_logsim::RawLogRecord;
 /// use sqp_router::{RouterConfig, RouterEngine};
-/// use sqp_serve::{ModelSnapshot, ModelSpec, TrainingConfig};
+/// use sqp_serve::{ModelSnapshot, ModelSpec, ServeSurface, TrainingConfig};
 ///
 /// let rec = |machine, ts, q: &str| RawLogRecord {
 ///     machine_id: machine, timestamp: ts, query: q.into(), clicks: vec![],
@@ -509,26 +509,6 @@ impl RouterEngine {
             .slot(id as u32)
             .unwrap_or_else(|| panic!("no live replica with id {id}"));
         Arc::clone(&slot.engine)
-    }
-
-    /// Record a query issued by `user` at `now` on their home replica.
-    pub fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
-        self.state().slot_for(user).engine.track(user, query, now)
-    }
-
-    /// Top-`k` suggestions for `user`'s tracked session, from their home
-    /// replica's current snapshot.
-    pub fn suggest(&self, user: u64, k: usize, now: u64) -> Vec<Suggestion> {
-        self.state().slot_for(user).engine.suggest(user, k, now)
-    }
-
-    /// Record `query` for `user` and immediately suggest against the
-    /// updated context — the common round trip, routed to the home replica.
-    pub fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {
-        self.state()
-            .slot_for(user)
-            .engine
-            .track_and_suggest(user, query, k, now)
     }
 
     /// Batched suggestion across the tier: requests are scattered to each
@@ -1011,18 +991,20 @@ impl RouterEngine {
 
 /// The router speaks the same [`ServeSurface`] as a single engine, so the
 /// network front-end (`sqp-net`) and the stress harness
-/// (`sqp-soak::serve_loop`) run unchanged on a replicated tier. The
-/// admission-controlled suggest family lives here and nowhere else (the
-/// `Vec`-returning `try_*` forms are the trait's provided ones): a
-/// single-user call is decided by the home replica's in-flight budget, so
-/// overload on one replica sheds only its own users, and a batch goes
-/// through the tier's one scatter/gather with every involved replica's
-/// permit taken first. The tier-summary accessors report the trailing edge
+/// (`sqp-soak::serve_loop`) run unchanged on a replicated tier. Its track
+/// and suggest family lives here and nowhere else: the `Vec`-returning
+/// forms are the trait's provided ones, and the unadmitted
+/// [`RouterEngine::suggest_batch`] stays only because the benchmark calls
+/// it. A track goes to the user's home replica, and a single-user suggest
+/// is decided by the home replica's in-flight budget, so overload on one
+/// replica sheds only its own users; a batch goes through the tier's one
+/// scatter/gather with every involved replica's permit taken first. The
+/// tier-summary accessors report the trailing edge
 /// ([`RouterStats::min_generation`]) and fold counters across replicas
 /// ([`RouterEngine::aggregate_stats`]).
 impl ServeSurface for RouterEngine {
     fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
-        RouterEngine::track(self, user, query, now)
+        self.state().slot_for(user).engine.track(user, query, now)
     }
     fn try_suggest_into(
         &self,
@@ -1129,7 +1111,7 @@ mod tests {
                 assert!(context.is_empty(), "session leaked to replica {id}");
             }
         }
-        assert_eq!(r.suggest(7, 1, 110)[0].query, "old::next");
+        assert_eq!(r.try_suggest(7, 1, 110).unwrap()[0].query, "old::next");
     }
 
     #[test]
@@ -1152,7 +1134,7 @@ mod tests {
         for (request, got) in requests.iter().zip(&batch) {
             assert_eq!(
                 *got,
-                r.suggest(request.user, request.k, 150),
+                r.try_suggest(request.user, request.k, 150).unwrap(),
                 "user {}",
                 request.user
             );
@@ -1168,7 +1150,7 @@ mod tests {
         let stats = r.stats();
         assert!(stats.is_converged());
         assert_eq!(stats.max_generation(), 1);
-        assert_eq!(r.suggest(1, 1, 110)[0].query, "new::next");
+        assert_eq!(r.try_suggest(1, 1, 110).unwrap()[0].query, "new::next");
     }
 
     #[test]
@@ -1198,7 +1180,7 @@ mod tests {
         r.track(2, "start", 100);
         let home = r.replica_for(2);
         assert!(r.try_mark_quarantined(home, "still serving?"));
-        assert_eq!(r.suggest(2, 1, 110)[0].query, "old::next");
+        assert_eq!(r.try_suggest(2, 1, 110).unwrap()[0].query, "old::next");
         // Publishing good bytes lifts the quarantine.
         r.try_publish_to(1, snapshot("new"))
             .expect("replica 1 is live");
@@ -1368,7 +1350,7 @@ mod tests {
             }
             // Every user — moved or not — keeps an intact context.
             assert_eq!(
-                r.suggest(user, 1, 140)[0].query,
+                r.try_suggest(user, 1, 140).unwrap()[0].query,
                 "old::next",
                 "user {user} lost their context"
             );
@@ -1400,7 +1382,7 @@ mod tests {
             .find(|&u| r.replica_for(u) == report.replica as usize)
             .unwrap();
         r.track(user, "start", 20);
-        assert_eq!(r.suggest(user, 1, 30)[0].query, "newer::next");
+        assert_eq!(r.try_suggest(user, 1, 30).unwrap()[0].query, "newer::next");
     }
 
     #[test]
@@ -1420,7 +1402,7 @@ mod tests {
         for user in 0..200u64 {
             assert_ne!(r.replica_for(user), 1);
             assert_eq!(
-                r.suggest(user, 1, 140)[0].query,
+                r.try_suggest(user, 1, 140).unwrap()[0].query,
                 "old::next",
                 "user {user} lost their context in the drain"
             );
@@ -1447,7 +1429,7 @@ mod tests {
         r.remove_replica(2).unwrap();
         assert_eq!(r.replica_ids(), vec![0, 1, 3]);
         for user in 0..400u64 {
-            let suggestions = r.suggest(user, 1, 120);
+            let suggestions = r.try_suggest(user, 1, 120).unwrap();
             if lost.contains(&user) {
                 assert!(
                     suggestions.is_empty(),

@@ -468,39 +468,6 @@ impl ServeEngine {
         out
     }
 
-    /// Admission-controlled [`suggest`](Self::suggest).
-    pub fn try_suggest(
-        &self,
-        user: u64,
-        k: usize,
-        now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        let _permit = self.admit()?;
-        Ok(self.suggest(user, k, now))
-    }
-
-    /// Admission-controlled [`track_and_suggest`](Self::track_and_suggest).
-    pub fn try_track_and_suggest(
-        &self,
-        user: u64,
-        query: &str,
-        k: usize,
-        now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        let _permit = self.admit()?;
-        Ok(self.track_and_suggest(user, query, k, now))
-    }
-
-    /// Admission-controlled [`suggest_batch`](Self::suggest_batch).
-    pub fn try_suggest_batch(
-        &self,
-        requests: &[SuggestRequest],
-        now: u64,
-    ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
-        let _permit = self.admit()?;
-        Ok(self.suggest_batch(requests, now))
-    }
-
     /// Stateless suggestion for an explicit context (oldest query first),
     /// bypassing the session tracker.
     pub fn suggest_context(&self, context: &[&str], k: usize) -> Vec<Suggestion> {

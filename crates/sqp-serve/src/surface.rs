@@ -25,7 +25,13 @@
 //! [`SuggestSink`] (see [`crate::sink`] for the call protocol and for what
 //! a shed leaves behind: nothing). The five `Vec`-returning forms are
 //! provided on top of those with a `Vec` sink, so there is one suggest
-//! path per tier, not an owned one beside a streaming one.
+//! path per tier, not an owned one beside a streaming one — and one suggest
+//! family: no tier re-declares these methods inherently, so a call means
+//! the same whether or not this trait is in scope. The exceptions are the
+//! benchmark's, kept until it moves to the trait: the engine's inherent
+//! `track` (which its trait `track` calls), its unadmitted `suggest`,
+//! `track_and_suggest` and `suggest_batch`, and the router's unadmitted
+//! `suggest_batch`.
 //!
 //! The trait requires `Send + Sync`: a surface is always shared across
 //! threads (connection threads, stats pollers), and requiring it here turns

@@ -1,10 +1,10 @@
 //! # sqp-sessions — search-log processing pipeline
 //!
-//! Implements §V-A of the paper: session segmentation with the 30-minute
-//! rule, aggregation of identical sessions, frequency-based data reduction,
-//! prefix-context extraction, test ground-truth construction, per-query
-//! training indexes, corpus statistics, and the rule-based session-pattern
-//! classifier behind Figure 1.
+//! Implements §V-A of the paper: session segmentation by its one rule, the
+//! 30-minute cutoff; aggregation of identical sessions, frequency-based
+//! data reduction, prefix-context extraction, test ground-truth
+//! construction, per-query training indexes, corpus statistics, and the
+//! rule-based session-pattern classifier behind Figure 1.
 //!
 //! ```
 //! use sqp_sessions::pipeline::{process, PipelineConfig};
@@ -26,7 +26,6 @@ pub mod patterns;
 pub mod pipeline;
 pub mod reduce;
 pub mod segment;
-pub mod segment_ext;
 pub mod stats;
 
 pub use aggregate::{aggregate, Aggregated};
@@ -39,5 +38,4 @@ pub use segment::{
     segment, segment_default, segment_with_parallelism, Segmented, SessionRef, TextSession,
     DEFAULT_CUTOFF_SECS,
 };
-pub use segment_ext::{queries_related, segment_with, SegmentStrategy};
 pub use stats::{corpus_stats, CorpusStats};

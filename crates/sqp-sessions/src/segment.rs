@@ -195,19 +195,6 @@ impl Segmented {
 /// the shard saves.
 const MIN_RECORDS_PER_SHARD: usize = 1 << 15;
 
-/// What a cut rule sees between two consecutive records of one machine.
-pub(crate) struct Boundary {
-    /// Seconds from the machine's last activity so far to the next query
-    /// (0 when the next query precedes it).
-    pub(crate) gap: u64,
-    /// Queries already in the open session (≥ 1).
-    pub(crate) open_len: usize,
-    /// Provisional id of the open session's latest query.
-    pub(crate) prev: QueryId,
-    /// Provisional id of the next query.
-    pub(crate) next: QueryId,
-}
-
 /// Segment raw records into sessions with the given cutoff.
 ///
 /// Output is deterministic: sessions are ordered by machine id, then start
@@ -238,18 +225,13 @@ pub fn segment_with_parallelism(
     } else {
         1
     };
-    segment_by(records, chunks, |_, b| b.gap > cutoff_secs)
+    segment_in_chunks(records, cutoff_secs, chunks)
 }
 
 /// The one segmentation implementation: key pass over `chunks` contiguous
 /// shards, bucketing by machine, then — on up to `chunks` threads, each
-/// given whole machines — an order-and-cut scan that starts a new session
-/// at every machine's first record and wherever `cut` says so.
-pub(crate) fn segment_by(
-    records: &[RawLogRecord],
-    chunks: usize,
-    cut: impl Fn(&Interner, &Boundary) -> bool + Sync,
-) -> Segmented {
+/// given whole machines — an order-and-cut scan.
+fn segment_in_chunks(records: &[RawLogRecord], cutoff_secs: u64, chunks: usize) -> Segmented {
     assert!(
         u32::try_from(records.len()).is_ok(),
         "more than u32::MAX records"
@@ -288,14 +270,14 @@ pub(crate) fn segment_by(
         base = end;
     }
 
-    let (keys, table_ref, cut) = (&keys, &table, &cut);
+    let keys = &keys;
     let spans = std::thread::scope(|scope| {
         let mut runs = runs.into_iter();
         let first = runs.next();
         let helpers: Vec<_> = runs
-            .map(|run| scope.spawn(move || order_and_cut(keys, table_ref, run, cut)))
+            .map(|run| scope.spawn(move || order_and_cut(keys, run, cutoff_secs)))
             .collect();
-        let mut spans = first.map_or_else(Vec::new, |run| order_and_cut(keys, table_ref, run, cut));
+        let mut spans = first.map_or_else(Vec::new, |run| order_and_cut(keys, run, cutoff_secs));
         for helper in helpers {
             spans.extend(helper.join().expect("segmentation run panicked"));
         }
@@ -314,14 +296,11 @@ struct Run<'a> {
 }
 
 /// Passes 2b and 3 over one run: order each machine's records by
-/// `(timestamp, input position)`, then cut them into sessions. Returns the
-/// run's spans, positioned in the whole id buffer.
-fn order_and_cut(
-    keys: &[Key],
-    table: &Interner,
-    run: Run<'_>,
-    cut: &impl Fn(&Interner, &Boundary) -> bool,
-) -> Vec<Span> {
+/// `(timestamp, input position)`, then cut them into sessions — one starts
+/// at the machine's first record and wherever the gap from the machine's
+/// last activity exceeds `cutoff_secs`. Returns the run's spans,
+/// positioned in the whole id buffer.
+fn order_and_cut(keys: &[Key], run: Run<'_>, cutoff_secs: u64) -> Vec<Span> {
     let mut spans = Vec::new();
     let mut lo = 0usize;
     for &(machine_id, count) in run.machines {
@@ -331,31 +310,16 @@ fn order_and_cut(
         positions.sort_unstable_by_key(|&i| (keys[i as usize].timestamp, i));
 
         let mut last_activity = 0u64;
-        let mut open_len = 0usize;
-        let mut prev = QueryId(0);
         for (at, &i) in (lo..).zip(positions.iter()) {
             let key = keys[i as usize];
-            let starts = open_len == 0
-                || cut(
-                    table,
-                    &Boundary {
-                        gap: key.timestamp.saturating_sub(last_activity),
-                        open_len,
-                        prev,
-                        next: key.query,
-                    },
-                );
-            if starts {
+            if at == lo || key.timestamp.saturating_sub(last_activity) > cutoff_secs {
                 spans.push(Span {
                     machine_id,
                     start_time: key.timestamp,
                     start: (run.base + at) as u32,
                 });
-                open_len = 0;
             }
             run.ids[at] = key.query;
-            open_len += 1;
-            prev = key.query;
             last_activity = last_activity.max(key.last_activity);
         }
         lo += count as usize;
@@ -750,7 +714,7 @@ mod randomized_tests {
                 // with the record threshold out of the way.
                 for chunks in [1usize, 2, 3, 5] {
                     let at = format!("case {case} ({shape}), {chunks} chunks");
-                    let got = segment_by(&records, chunks, |_, b| b.gap > cutoff);
+                    let got = segment_in_chunks(&records, cutoff, chunks);
                     assert_eq!(got.to_text_sessions(), want_sessions, "{at}");
                     let mut interner = Interner::new();
                     let aggregated = aggregate(&got, &mut interner);

@@ -30,7 +30,7 @@ use sqp_common::hash::{fnv1a, FNV_OFFSET_BASIS};
 use sqp_common::rng::{Rng, StdRng};
 use sqp_logsim::RawLogRecord;
 use sqp_router::{RouterConfig, RouterEngine};
-use sqp_serve::{ModelSnapshot, ModelSpec, SuggestRequest, TrainingConfig};
+use sqp_serve::{ModelSnapshot, ModelSpec, ServeSurface, SuggestRequest, TrainingConfig};
 use sqp_store::{save_snapshot, RollPolicy, RouterPublish, SnapshotMeta};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -248,7 +248,9 @@ fn drive_worker(
         } else if i % 3 == 0 {
             let user = state.users[(suggest_i % USERS_PER_WORKER) as usize];
             suggest_i += 1;
-            let got = router.suggest(user, 3, now);
+            let got = router
+                .try_suggest(user, 3, now)
+                .expect("admission is unlimited");
             tally.content = fnv_u64(tally.content, user);
             for s in &got {
                 tally.content = fnv1a(tally.content, s.query.as_bytes());

@@ -19,7 +19,9 @@
 use sqp_faults::{Chaos, FaultPlan};
 use sqp_logsim::RawLogRecord;
 use sqp_router::{RouterConfig, RouterEngine};
-use sqp_serve::{ModelSnapshot, ModelSpec, SuggestRequest, Suggestion, TrainingConfig};
+use sqp_serve::{
+    ModelSnapshot, ModelSpec, ServeSurface, SuggestRequest, Suggestion, TrainingConfig,
+};
 use sqp_store::{save_snapshot, RollPolicy, RouterPublish, SnapshotMeta};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -216,7 +218,10 @@ pub fn run_skew_soak(threads: usize, hold_ops_per_step: u64) -> SkewSoakReport {
                         }
                         ops.fetch_add(reqs.len() as u64, Ordering::Relaxed);
                     } else if iter % 13 == 5 {
-                        note(user, provenance_of(&router.suggest(user, 3, now)));
+                        let got = router
+                            .try_suggest(user, 3, now)
+                            .expect("admission is unlimited");
+                        note(user, provenance_of(&got));
                         ops.fetch_add(1, Ordering::Relaxed);
                     } else {
                         let got = router.track_and_suggest(user, "seed", 3, now);
@@ -384,7 +389,9 @@ pub fn run_chaos_roll(seed: u64) -> ChaosRollReport {
     // replicas serve the new one. Same request shape, different replica,
     // different — but never torn — provenance.
     for (replica, &user) in observers.iter().enumerate() {
-        let got = router.suggest(user, 3, 1_010);
+        let got = router
+            .try_suggest(user, 3, 1_010)
+            .expect("admission is unlimited");
         let want = if replica == failed_replica {
             "old"
         } else {
@@ -416,7 +423,11 @@ pub fn run_chaos_roll(seed: u64) -> ChaosRollReport {
     assert!(stats.is_converged());
     assert_eq!(stats.quarantined(), 0);
     assert_eq!(
-        provenance_of(&router.suggest(observers[failed_replica], 3, 1_020)),
+        provenance_of(
+            &router
+                .try_suggest(observers[failed_replica], 3, 1_020)
+                .expect("admission is unlimited")
+        ),
         Some("new")
     );
 

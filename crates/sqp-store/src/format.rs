@@ -510,13 +510,25 @@ mod tests {
 
     #[test]
     fn a_model_without_a_kind_is_a_save_time_error() {
-        // The HMM extension is the one model in the workspace no
-        // `ModelSpec` trains and no `ModelKind` names.
-        let hmm = sqp_core::Hmm::train(
-            &[(sqp_common::seq(&[0, 1]), 3)],
-            sqp_core::HmmConfig::default(),
-        );
-        let snapshot = ModelSnapshot::from_parts(Interner::new(), Box::new(hmm), 3);
+        // An ad-hoc `Recommender` impl: no `ModelSpec` trains it and no
+        // `ModelKind` names it.
+        struct Adhoc;
+        impl sqp_core::Recommender for Adhoc {
+            fn name(&self) -> &str {
+                "adhoc"
+            }
+            fn recommend(
+                &self,
+                _: &[sqp_common::QueryId],
+                _: usize,
+            ) -> Vec<sqp_common::topk::Scored> {
+                Vec::new()
+            }
+            fn memory_bytes(&self) -> usize {
+                0
+            }
+        }
+        let snapshot = ModelSnapshot::from_parts(Interner::new(), Box::new(Adhoc), 3);
         let err = snapshot_to_bytes(&snapshot, &SnapshotMeta::default()).unwrap_err();
         assert!(matches!(err, SnapshotError::UnsupportedModel(_)), "{err}");
     }

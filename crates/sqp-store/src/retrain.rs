@@ -1046,15 +1046,25 @@ mod tests {
 
     #[test]
     fn unsaveable_model_fails_on_the_first_attempt() {
-        // A model with no `ModelKind` — the HMM extension. No `ModelSpec`
-        // trains one, so it enters the step after training.
-        let adhoc = || {
-            let hmm = sqp_core::Hmm::train(
-                &[(sqp_common::seq(&[0, 1]), 3)],
-                sqp_core::HmmConfig::default(),
-            );
-            ModelSnapshot::from_parts(sqp_common::Interner::new(), Box::new(hmm), 3)
-        };
+        // A model with no `ModelKind` — an ad-hoc `Recommender` impl. No
+        // `ModelSpec` trains one, so it enters the step after training.
+        struct Adhoc;
+        impl sqp_core::Recommender for Adhoc {
+            fn name(&self) -> &str {
+                "adhoc"
+            }
+            fn recommend(
+                &self,
+                _: &[sqp_common::QueryId],
+                _: usize,
+            ) -> Vec<sqp_common::topk::Scored> {
+                Vec::new()
+            }
+            fn memory_bytes(&self) -> usize {
+                0
+            }
+        }
+        let adhoc = || ModelSnapshot::from_parts(sqp_common::Interner::new(), Box::new(Adhoc), 3);
 
         let dir = scratch_dir("adhoc");
         let e = engine("old");

@@ -20,11 +20,11 @@ pub use sqp_serve as serve;
 pub use sqp_sessions as sessions;
 pub use sqp_store as store;
 
-pub use service::{RecommenderService, ServiceConfig, ServiceModel, Suggestion};
+pub use service::{RecommenderService, Suggestion};
 
 /// Convenient glob-import surface for applications and examples.
 pub mod prelude {
-    pub use crate::service::{RecommenderService, ServiceConfig, ServiceModel, Suggestion};
+    pub use crate::service::{RecommenderService, Suggestion};
     pub use sqp_common::{QueryId, QuerySeq};
     pub use sqp_core::Recommender;
     pub use sqp_net::{
@@ -32,7 +32,10 @@ pub mod prelude {
         RemoteOutcome, ServeAnswer, ServerConfig,
     };
     pub use sqp_router::{HandoffReport, MembershipError, RouterConfig, RouterEngine, RouterStats};
-    pub use sqp_serve::{EngineConfig, ModelSnapshot, ServeEngine, ServeSurface, SuggestRequest};
+    pub use sqp_serve::{
+        EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, SuggestRequest,
+        TrainingConfig,
+    };
     pub use sqp_store::{
         load_snapshot, save_snapshot, RetrainConfig, Retrainer, RollPolicy, RouterPublish,
         SnapshotError, SnapshotMeta, WarmStart,

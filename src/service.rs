@@ -18,9 +18,9 @@ use std::sync::Arc;
 
 use sqp_logsim::RawLogRecord;
 use sqp_router::{RouterConfig, RouterEngine};
-use sqp_serve::{EngineConfig, ModelSnapshot, ServeEngine};
+use sqp_serve::{EngineConfig, ModelSnapshot, ServeEngine, TrainingConfig};
 
-pub use sqp_serve::{ModelSpec as ServiceModel, Suggestion, TrainingConfig as ServiceConfig};
+pub use sqp_serve::Suggestion;
 
 /// A trained, self-contained query-suggestion service.
 ///
@@ -34,7 +34,7 @@ pub struct RecommenderService {
 impl RecommenderService {
     /// Build from raw click-log records: sessionize, aggregate, reduce,
     /// train.
-    pub fn from_raw_logs(records: &[RawLogRecord], cfg: &ServiceConfig) -> Self {
+    pub fn from_raw_logs(records: &[RawLogRecord], cfg: &TrainingConfig) -> Self {
         Self {
             snapshot: Arc::new(ModelSnapshot::from_raw_logs(records, cfg)),
         }
@@ -61,9 +61,9 @@ impl RecommenderService {
     /// let records: Vec<_> = (0..8)
     ///     .flat_map(|u| [rec(u, 100, "kidney stones"), rec(u, 200, "kidney stone symptoms")])
     ///     .collect();
-    /// let svc = RecommenderService::from_raw_logs(&records, &ServiceConfig {
-    ///     model: ServiceModel::Adjacency,
-    ///     ..ServiceConfig::default()
+    /// let svc = RecommenderService::from_raw_logs(&records, &TrainingConfig {
+    ///     model: ModelSpec::Adjacency,
+    ///     ..TrainingConfig::default()
     /// });
     ///
     /// let path = std::env::temp_dir().join(format!("sqp-doc-svc-{}.sqps", std::process::id()));
@@ -113,7 +113,7 @@ impl RecommenderService {
     ///     records.push(rec(u, 200, "kidney stone symptoms"));
     /// }
     ///
-    /// let svc = RecommenderService::from_raw_logs(&records, &ServiceConfig::default());
+    /// let svc = RecommenderService::from_raw_logs(&records, &TrainingConfig::default());
     /// let suggestions = svc.suggest(&["kidney stones"], 3);
     /// assert_eq!(suggestions[0].query, "kidney stone symptoms");
     /// ```
@@ -173,6 +173,7 @@ impl RecommenderService {
 mod tests {
     use super::*;
     use sqp_core::{MvmmConfig, VmmConfig};
+    use sqp_serve::{ModelSpec, ServeSurface};
 
     fn rec(machine: u64, ts: u64, q: &str) -> RawLogRecord {
         RawLogRecord {
@@ -200,12 +201,12 @@ mod tests {
         records
     }
 
-    fn service(model: ServiceModel) -> RecommenderService {
+    fn service(model: ModelSpec) -> RecommenderService {
         RecommenderService::from_raw_logs(
             &sample_records(),
-            &ServiceConfig {
+            &TrainingConfig {
                 model,
-                ..ServiceConfig::default()
+                ..TrainingConfig::default()
             },
         )
     }
@@ -213,9 +214,9 @@ mod tests {
     #[test]
     fn suggests_the_common_refinement() {
         for model in [
-            ServiceModel::Adjacency,
-            ServiceModel::Vmm(VmmConfig::with_epsilon(0.05)),
-            ServiceModel::Mvmm(MvmmConfig::small()),
+            ModelSpec::Adjacency,
+            ModelSpec::Vmm(VmmConfig::with_epsilon(0.05)),
+            ModelSpec::Mvmm(MvmmConfig::small()),
         ] {
             let svc = service(model);
             let suggestions = svc.suggest(&["kidney stones"], 3);
@@ -227,14 +228,14 @@ mod tests {
 
     #[test]
     fn context_deepens_the_suggestion() {
-        let svc = service(ServiceModel::Vmm(VmmConfig::with_epsilon(0.0)));
+        let svc = service(ModelSpec::Vmm(VmmConfig::with_epsilon(0.0)));
         let suggestions = svc.suggest(&["kidney stones", "kidney stone symptoms"], 3);
         assert_eq!(suggestions[0].query, "kidney stone symptoms in women");
     }
 
     #[test]
     fn unknown_current_query_is_uncovered() {
-        let svc = service(ServiceModel::Adjacency);
+        let svc = service(ModelSpec::Adjacency);
         assert!(svc.suggest(&["never seen before"], 5).is_empty());
         assert!(!svc.covers(&["never seen before"]));
         assert!(svc.suggest(&[], 5).is_empty());
@@ -244,14 +245,14 @@ mod tests {
 
     #[test]
     fn terminal_queries_are_uncovered_for_ordered_models() {
-        let svc = service(ServiceModel::Adjacency);
+        let svc = service(ModelSpec::Adjacency);
         // "muzzle brake" only appears as a singleton session.
         assert!(!svc.covers(&["muzzle brake"]));
     }
 
     #[test]
     fn service_metadata() {
-        let svc = service(ServiceModel::Vmm(VmmConfig::with_epsilon(0.05)));
+        let svc = service(ModelSpec::Vmm(VmmConfig::with_epsilon(0.05)));
         assert_eq!(svc.model_name(), "VMM (0.05)");
         assert_eq!(svc.vocabulary_size(), 4);
         assert_eq!(svc.trained_sessions(), 14);
@@ -262,10 +263,10 @@ mod tests {
     fn reduction_threshold_filters_rare_sessions() {
         let svc = RecommenderService::from_raw_logs(
             &sample_records(),
-            &ServiceConfig {
+            &TrainingConfig {
                 reduction_threshold: 5,
-                model: ServiceModel::Adjacency,
-                ..ServiceConfig::default()
+                model: ModelSpec::Adjacency,
+                ..TrainingConfig::default()
             },
         );
         // Only the 10x session survives; the deep refinement is gone.
@@ -278,15 +279,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sqp-svc-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         for (name, model) in [
-            ("adj", ServiceModel::Adjacency),
-            ("cooc", ServiceModel::Cooccurrence),
-            ("ngram", ServiceModel::NGram),
+            ("adj", ModelSpec::Adjacency),
+            ("cooc", ModelSpec::Cooccurrence),
+            ("ngram", ModelSpec::NGram),
             (
                 "backoff",
-                ServiceModel::Backoff(sqp_core::BackoffConfig::default()),
+                ModelSpec::Backoff(sqp_core::BackoffConfig::default()),
             ),
-            ("vmm", ServiceModel::Vmm(VmmConfig::with_epsilon(0.05))),
-            ("mvmm", ServiceModel::Mvmm(MvmmConfig::small())),
+            ("vmm", ModelSpec::Vmm(VmmConfig::with_epsilon(0.05))),
+            ("mvmm", ModelSpec::Mvmm(MvmmConfig::small())),
         ] {
             let svc = service(model);
             let path = dir.join(format!("{name}.sqps"));
@@ -304,7 +305,7 @@ mod tests {
 
     #[test]
     fn snapshot_handle_is_shared_not_copied() {
-        let svc = service(ServiceModel::Adjacency);
+        let svc = service(ModelSpec::Adjacency);
         let a = svc.snapshot();
         let b = svc.snapshot();
         assert!(Arc::ptr_eq(&a, &b));
@@ -312,7 +313,7 @@ mod tests {
 
     #[test]
     fn into_engine_serves_the_same_model() {
-        let svc = service(ServiceModel::Adjacency);
+        let svc = service(ModelSpec::Adjacency);
         let expected = svc.suggest(&["kidney stones"], 2);
         let engine = svc.into_engine(sqp_serve::EngineConfig::default());
         engine.track(1, "kidney stones", 100);
@@ -321,7 +322,7 @@ mod tests {
 
     #[test]
     fn into_router_serves_the_same_model_on_every_replica() {
-        let svc = service(ServiceModel::Adjacency);
+        let svc = service(ModelSpec::Adjacency);
         let expected = svc.suggest(&["kidney stones"], 2);
         let router = svc.into_router(RouterConfig::default());
         for user in [1u64, 2, 3, 4, 5, 6, 7, 8] {

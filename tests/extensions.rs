@@ -1,11 +1,11 @@
-//! Integration test: the beyond-paper subsystems — back-off N-gram, HMM,
-//! model persistence, alternative segmentation, MRR/hit-rate — exercised
-//! together through the umbrella API on a simulated corpus.
+//! Integration test: the beyond-paper subsystems — back-off N-gram, model
+//! persistence, MRR/hit-rate — exercised together through the umbrella API
+//! on a simulated corpus.
 
-use sqp::core::{BackoffConfig, BackoffNgram, Hmm, HmmConfig, Vmm, VmmConfig};
+use sqp::core::{BackoffConfig, BackoffNgram, Vmm, VmmConfig};
 use sqp::eval::{hit_rate, mean_reciprocal_rank, overall_coverage, overall_ndcg};
 use sqp::logsim::SimConfig;
-use sqp::sessions::{process, PipelineConfig, SegmentStrategy};
+use sqp::sessions::{process, PipelineConfig};
 
 fn processed() -> sqp::sessions::ProcessedLogs {
     let logs = sqp::logsim::generate(&SimConfig::small(15_000, 4_000, 123));
@@ -34,36 +34,6 @@ fn backoff_ngram_competes_with_vmm() {
         "VMM {n_vmm} vs Backoff {n_bo} diverge too much"
     );
     assert!(n_bo > 0.3);
-}
-
-#[test]
-fn hmm_learns_but_trails_explicit_context_models() {
-    let p = processed();
-    let sessions = &p.train.aggregated.sessions;
-    let gt = &p.ground_truth;
-
-    let hmm = Hmm::train(
-        sessions,
-        HmmConfig {
-            n_states: 8,
-            iterations: 6,
-            max_sequences: 800,
-            ..HmmConfig::default()
-        },
-    );
-    // EM monotonicity on real data.
-    for w in hmm.log_likelihood_trace.windows(2) {
-        assert!(w[1] >= w[0] - 1e-6, "EM likelihood decreased");
-    }
-    // The HMM predicts something meaningful…
-    let n_hmm = overall_ndcg(&hmm, gt, 5);
-    assert!(n_hmm > 0.05, "HMM NDCG {n_hmm} is noise-level");
-    // …but the paper-lineup VMM stays ahead (the §VI answer).
-    let vmm = Vmm::train(sessions, VmmConfig::with_epsilon(0.05));
-    assert!(
-        overall_ndcg(&vmm, gt, 5) > n_hmm,
-        "explicit-context model should lead on sparse sessions"
-    );
 }
 
 #[test]
@@ -105,49 +75,4 @@ fn mrr_and_hit_rate_preserve_paper_orderings() {
     assert!(hit_rate(&vmm, gt, 5) >= hit_rate(&cooc, gt, 5) - 0.02);
     // Hit rate grows with k.
     assert!(hit_rate(&vmm, gt, 5) >= hit_rate(&vmm, gt, 1));
-}
-
-#[test]
-fn similarity_enhanced_segmentation_changes_the_corpus_sanely() {
-    let logs = sqp::logsim::generate(&SimConfig::small(5_000, 500, 9));
-    let plain = sqp::sessions::segment_with(
-        &logs.train,
-        SegmentStrategy::TimeGap {
-            cutoff_secs: 30 * 60,
-        },
-    );
-    let enhanced = sqp::sessions::segment_with(
-        &logs.train,
-        SegmentStrategy::SimilarityEnhanced {
-            cutoff_secs: 30 * 60,
-            hard_factor: 4,
-        },
-    );
-    // Same records, fewer-or-equal sessions, same total query mass.
-    assert_eq!(plain.searches(), enhanced.searches());
-    assert!(enhanced.len() <= plain.len());
-    // And the merged sessions are longer on average.
-    let mean = |ss: &sqp::sessions::Segmented| ss.searches() as f64 / ss.len() as f64;
-    assert!(mean(&enhanced) >= mean(&plain));
-}
-
-#[test]
-fn hmm_sequence_scoring_is_well_behaved() {
-    use sqp::core::SequenceScorer;
-    let p = processed();
-    let sessions = &p.train.aggregated.sessions;
-    let hmm = Hmm::train(
-        sessions,
-        HmmConfig {
-            n_states: 4,
-            iterations: 4,
-            max_sequences: 300,
-            ..HmmConfig::default()
-        },
-    );
-    for (s, _) in sessions.iter().take(50).filter(|(s, _)| s.len() >= 2) {
-        let lp = hmm.sequence_log10_prob(s);
-        assert!(lp.is_finite());
-        assert!(lp <= 0.0, "sequence log-prob {lp} > 0");
-    }
 }

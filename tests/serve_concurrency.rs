@@ -14,8 +14,8 @@
 
 use sqp::logsim::RawLogRecord;
 use sqp::serve::{
-    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, SuggestRequest, TrackerConfig,
-    TrainingConfig,
+    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, SuggestRequest,
+    TrackerConfig, TrainingConfig,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
