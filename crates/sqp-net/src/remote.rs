@@ -894,9 +894,10 @@ impl RemoteEngine {
             .collect()
     }
 
-    /// Aggregate wire stats across answering endpoints: counters sum,
-    /// gauges sum, generation is the minimum (fully-propagated, matching
-    /// the `ServeSurface` contract). `None` when no endpoint answered.
+    /// Aggregate wire stats across answering endpoints: traffic counters
+    /// and gauges sum; `generation` and `publishes` are the minimum — the
+    /// fully-propagated generation, matching the `ServeSurface` contract.
+    /// `None` when no endpoint answered.
     pub fn remote_wire_stats(&self) -> Option<WireStats> {
         let answers: Vec<WireStats> = self
             .for_each_endpoint(|c| c.stats())
@@ -908,13 +909,14 @@ impl RemoteEngine {
         }
         let mut agg = WireStats {
             generation: u64::MAX,
+            publishes: u64::MAX,
             ..Default::default()
         };
         for s in &answers {
             agg.generation = agg.generation.min(s.generation);
             agg.tracks += s.tracks;
             agg.suggests += s.suggests;
-            agg.publishes += s.publishes;
+            agg.publishes = agg.publishes.min(s.publishes);
             agg.shed += s.shed;
             agg.evictions += s.evictions;
             agg.active_sessions += s.active_sessions;
@@ -1026,11 +1028,6 @@ impl ServeSurface for RemoteEngine {
             evictions: wire.evictions,
             active_sessions: wire.active_sessions,
         }
-    }
-
-    fn active_sessions(&self) -> usize {
-        self.remote_wire_stats()
-            .map_or(0, |s| s.active_sessions as usize)
     }
 }
 

@@ -23,7 +23,9 @@ use sqp_net::{
     EndpointConfig, EndpointSetError, NetServer, RemoteConfig, RemoteEngine, RemoteOutcome,
     ServerConfig,
 };
-use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
+use sqp_serve::{
+    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, TrainingConfig,
+};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,8 +53,12 @@ fn test_engine() -> Arc<ServeEngine> {
 }
 
 fn start_server() -> NetServer {
+    serve(test_engine())
+}
+
+fn serve(engine: Arc<ServeEngine>) -> NetServer {
     NetServer::start(
-        test_engine(),
+        engine,
         ServerConfig {
             addr: "127.0.0.1:0".parse().unwrap(),
             ..ServerConfig::default()
@@ -103,7 +109,8 @@ fn user_homed_at(remote: &RemoteEngine, addr: SocketAddr) -> u64 {
 
 #[test]
 fn added_endpoint_takes_traffic_without_a_restart() {
-    let a = start_server();
+    let engines = [test_engine(), test_engine()];
+    let a = serve(engines[0].clone());
     let remote = RemoteEngine::connect(
         vec![EndpointConfig::serve_only(a.serve_addr())],
         fast_remote_config(),
@@ -118,7 +125,7 @@ fn added_endpoint_takes_traffic_without_a_restart() {
     }
 
     // Scale up at runtime: the very next operations can route to B.
-    let b = start_server();
+    let b = serve(engines[1].clone());
     let generation = remote
         .add_endpoint(EndpointConfig::serve_only(b.serve_addr()))
         .expect("add fresh endpoint");
@@ -154,6 +161,15 @@ fn added_endpoint_takes_traffic_without_a_restart() {
         Err(EndpointSetError::AlreadyPresent(b.serve_addr()))
     );
     assert_eq!(remote.endpoint_generation(), 1);
+
+    // One publish into each engine: the tier's fully-propagated
+    // generation is 1, and `stats().publishes` reports that same
+    // generation, not the sum across endpoints.
+    for engine in &engines {
+        engine.publish(engine.snapshot());
+    }
+    assert_eq!(remote.generation(), 1);
+    assert_eq!(remote.stats().publishes, remote.generation());
 
     a.shutdown();
     b.shutdown();

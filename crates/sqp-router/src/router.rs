@@ -990,8 +990,8 @@ impl RouterEngine {
 }
 
 /// The router speaks the same [`ServeSurface`] as a single engine, so the
-/// network front-end (`sqp-net`) and the stress harness
-/// (`sqp-soak::serve_loop`) run unchanged on a replicated tier. Its track
+/// network front-end (`sqp-net`) and the soak runner (`sqp-soak::runner`)
+/// run unchanged on a replicated tier. Its track
 /// and suggest family lives here and nowhere else: the `Vec`-returning
 /// forms are the trait's provided ones, and the unadmitted
 /// [`RouterEngine::suggest_batch`] stays only because the benchmark calls
@@ -1048,9 +1048,6 @@ impl ServeSurface for RouterEngine {
     }
     fn stats(&self) -> EngineStats {
         self.aggregate_stats()
-    }
-    fn active_sessions(&self) -> usize {
-        RouterEngine::active_sessions(self)
     }
 }
 

@@ -11,8 +11,8 @@
 //!   from the model's interner to the socket buffer without becoming
 //!   `String`s — and turning a typed [`Overloaded`] into a wire-level
 //!   shed reply;
-//! * the **stress harness** (`sqp-soak::serve_loop`) drives byte-identical
-//!   seeded traffic through any implementation;
+//! * the **soak runner** (`sqp-soak::runner`) drives byte-identical
+//!   seeded traffic through any implementation's `try_*` forms;
 //! * **operations** polls [`stats`](ServeSurface::stats) /
 //!   [`generation`](ServeSurface::generation), which implementations keep
 //!   lock-free so a poller never contends with traffic.
@@ -151,14 +151,6 @@ pub trait ServeSurface: Send + Sync {
     /// [`generation`](Self::generation)). This is what a wire-level stats
     /// endpoint serves, so it must stay cheap enough to poll per request.
     fn stats(&self) -> EngineStats;
-
-    /// Sessions currently resident.
-    fn active_sessions(&self) -> usize;
-
-    /// Total individual suggestions computed.
-    fn suggests_total(&self) -> u64 {
-        self.stats().suggests
-    }
 }
 
 impl ServeSurface for ServeEngine {
@@ -209,9 +201,6 @@ impl ServeSurface for ServeEngine {
     }
     fn stats(&self) -> EngineStats {
         ServeEngine::stats(self)
-    }
-    fn active_sessions(&self) -> usize {
-        ServeEngine::active_sessions(self)
     }
 }
 
@@ -289,8 +278,8 @@ mod tests {
         assert_eq!(surface.generation(), 1);
         let stats = surface.stats();
         assert_eq!(stats.publishes, 1);
-        assert_eq!(surface.suggests_total(), stats.suggests);
-        assert_eq!(surface.active_sessions(), 2);
+        assert_eq!(stats.suggests, engine.stats().suggests);
+        assert_eq!(stats.active_sessions, 2);
         assert_eq!(surface.evict_idle(u64::MAX / 2), 2);
     }
 }

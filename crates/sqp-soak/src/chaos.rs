@@ -23,16 +23,15 @@
 //! "corrupt the 2nd write" deterministically poisons generation 2 and
 //! nothing else.
 
+use crate::runner::{drive, no_check, surface, Ctx, Op, Scenario, Stop, Tally};
+use crate::{rec, scratch_dir};
 use sqp_common::clock::Clock;
 use sqp_faults::{Chaos, ChaosStats, FaultPlan, VirtualClock};
 use sqp_logsim::RawLogRecord;
-use sqp_serve::{
-    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, TrainingConfig,
-};
+use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
 use sqp_store::{
     latest_generation_on_disk, RetrainConfig, Retrainer, RetrainerHealth, StepOutcome,
 };
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -81,18 +80,8 @@ fn batch(prefix: &str, machine_base: u64) -> Vec<RawLogRecord> {
     (machine_base..machine_base + 6)
         .flat_map(|u| {
             [
-                RawLogRecord {
-                    machine_id: u,
-                    timestamp: 100,
-                    query: "start".into(),
-                    clicks: vec![],
-                },
-                RawLogRecord {
-                    machine_id: u,
-                    timestamp: 150,
-                    query: format!("{prefix}::next"),
-                    clicks: vec![],
-                },
+                rec(u, 100, "start"),
+                rec(u, 150, &format!("{prefix}::next")),
             ]
         })
         .collect()
@@ -105,10 +94,25 @@ fn training() -> TrainingConfig {
     }
 }
 
-fn scratch_dir(tag: &str, seed: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sqp-chaos-{tag}-{seed}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// `workers` × `ops` ops from `op` against `engine`, op `i` at logical
+/// time `i`; returns the fleet's merged ledger.
+fn fleet(
+    engine: &ServeEngine,
+    seed: u64,
+    workers: usize,
+    ops: u64,
+    op: &(dyn Fn(&Ctx) -> Op + Sync),
+) -> Tally {
+    let scenario = Scenario {
+        seed,
+        phase: 0,
+        clock: &|i| i,
+        mix: &|ctx, _, _| op(ctx),
+        observe: &no_check,
+        stop: Stop::After(ops),
+    };
+    let (tallies, ()) = drive(&scenario, &surface(engine), &mut vec![(); workers], |_| ());
+    Tally::merge(&tallies)
 }
 
 /// One-line label for a step outcome, for the script trace.
@@ -155,7 +159,7 @@ fn label(outcome: &StepOutcome) -> String {
 /// interleaving-independent and bit-replayable).
 pub fn run_replay_soak(seed: u64) -> ReplaySoakReport {
     Chaos::install_quiet_panic_hook();
-    let dir = scratch_dir("replay", seed);
+    let dir = scratch_dir(&format!("replay-{seed}"));
 
     let clock = Arc::new(VirtualClock::new());
     let cooldown = Duration::from_secs(1);
@@ -205,28 +209,12 @@ pub fn run_replay_soak(seed: u64) -> ReplaySoakReport {
 
     // Serving fleet: fixed ops per worker, unlimited admission — every
     // request is answered and per-site strike counts are reproducible.
-    const WORKERS: u64 = 4;
-    const OPS: u64 = 200;
-    let served: u64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..WORKERS)
-            .map(|w| {
-                let engine = &engine;
-                scope.spawn(move || {
-                    let queries = ["start", "seed::next", "maps", "weather"];
-                    let mut answered = 0u64;
-                    for i in 0..OPS {
-                        let user = w * 10_000 + (i % 64);
-                        let query = queries[(i % queries.len() as u64) as usize];
-                        if engine.try_track_and_suggest(user, query, 3, i).is_ok() {
-                            answered += 1;
-                        }
-                    }
-                    answered
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    });
+    let queries = ["start", "seed::next", "maps", "weather"];
+    let served = fleet(&engine, seed, 4, 200, &|ctx| {
+        let query = queries[ctx.i as usize % queries.len()];
+        Op::TrackAndSuggest(ctx.worker as u64 * 10_000 + ctx.i % 64, query.into(), 3)
+    })
+    .answered;
 
     // Scripted retrain driver (the deterministic fs user).
     let mut script = Vec::new();
@@ -264,7 +252,7 @@ pub fn run_replay_soak(seed: u64) -> ReplaySoakReport {
 /// stalled 2 ms (real clock — the stall must actually occupy the permit),
 /// 8 workers × 50 requests. Proves the shed/answered accounting adds up.
 pub fn run_overload_soak(seed: u64) -> OverloadSoakReport {
-    const WORKERS: u64 = 8;
+    const WORKERS: usize = 8;
     const OPS: u64 = 50;
     let chaos = Chaos::new(FaultPlan {
         seed,
@@ -282,27 +270,12 @@ pub fn run_overload_soak(seed: u64) -> OverloadSoakReport {
         chaos.clone(),
     );
 
-    let answered: u64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..WORKERS)
-            .map(|w| {
-                let engine = &engine;
-                scope.spawn(move || {
-                    (0..OPS)
-                        .filter(|&i| {
-                            engine
-                                .try_track_and_suggest(w * 100 + (i % 8), "start", 3, i)
-                                .is_ok()
-                        })
-                        .count() as u64
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    let fleet = fleet(&engine, seed, WORKERS, OPS, &|ctx| {
+        Op::TrackAndSuggest(ctx.worker as u64 * 100 + ctx.i % 8, "start".into(), 3)
     });
-
     OverloadSoakReport {
-        total: WORKERS * OPS,
-        answered,
+        total: WORKERS as u64 * OPS,
+        answered: fleet.answered,
         shed: engine.stats().shed,
         in_flight_after: engine.in_flight(),
     }

@@ -1,5 +1,5 @@
-//! Router-tier scenarios over a [`RouterEngine`] (the plain stress
-//! workload runs on a tier through
+//! Router-tier scenarios over a [`RouterEngine`](sqp_router::RouterEngine)
+//! (the plain stress workload runs on a tier through
 //! [`serve_loop::run_on`](crate::serve_loop::run_on)):
 //!
 //! * [`run_skew_soak`] — the **generation-skew acceptance scenario**: a
@@ -16,48 +16,14 @@
 //!   tier completes, and the whole scenario must replay bit-identically
 //!   from the seed (asserted via [`Chaos::digest`]).
 
+use crate::runner::{drive, surface, Op, Outcome, Scenario, Stop};
+use crate::{save_tagged, scratch_dir, tagged_tier};
 use sqp_faults::{Chaos, FaultPlan};
-use sqp_logsim::RawLogRecord;
-use sqp_router::{RouterConfig, RouterEngine};
-use sqp_serve::{
-    ModelSnapshot, ModelSpec, ServeSurface, SuggestRequest, Suggestion, TrainingConfig,
-};
-use sqp_store::{save_snapshot, RollPolicy, RouterPublish, SnapshotMeta};
+use sqp_serve::{ServeSurface, Suggestion};
+use sqp_store::{RollPolicy, RouterPublish};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-fn rec(machine: u64, ts: u64, q: &str) -> RawLogRecord {
-    RawLogRecord {
-        machine_id: machine,
-        timestamp: ts,
-        query: q.into(),
-        clicks: vec![],
-    }
-}
-
-/// A corpus whose every suggestion after `"seed"` is tagged with `prefix`,
-/// so a result's provenance is readable off its text (the
-/// `serve_concurrency` pattern).
-fn tagged_snapshot(prefix: &str) -> ModelSnapshot {
-    let mut records = Vec::new();
-    let mut machine = 0u64;
-    for continuation in ["alpha", "beta", "gamma"] {
-        for _ in 0..4 {
-            records.push(rec(machine, 100, "seed"));
-            records.push(rec(machine, 160, &format!("{prefix}::{continuation}")));
-            machine += 1;
-        }
-    }
-    ModelSnapshot::from_raw_logs(
-        &records,
-        &TrainingConfig {
-            model: ModelSpec::Adjacency,
-            ..TrainingConfig::default()
-        },
-    )
-}
 
 /// Classify one suggest call's provenance: `Some("old")`, `Some("new")`, or
 /// `None` for an empty answer. Panics on a mixed or untagged result — that
@@ -81,25 +47,6 @@ fn provenance_of(suggestions: &[Suggestion]) -> Option<&'static str> {
         }
     }
     seen
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sqp-router-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn save_tagged(dir: &std::path::Path, prefix: &str, generation: u64) -> PathBuf {
-    let snapshot = tagged_snapshot(prefix);
-    let path = dir.join(format!("gen-{generation}.sqps"));
-    save_snapshot(
-        &path,
-        &snapshot,
-        &SnapshotMeta::describe(&snapshot, generation, 24),
-    )
-    .unwrap();
-    path
 }
 
 /// What [`run_skew_soak`] observed. Every invariant is asserted inside the
@@ -139,100 +86,74 @@ pub fn run_skew_soak(threads: usize, hold_ops_per_step: u64) -> SkewSoakReport {
 
     let dir = scratch_dir("skew");
     let new_path = save_tagged(&dir, "new", 1);
-    let router = RouterEngine::new(
-        Arc::new(tagged_snapshot("old")),
-        RouterConfig {
-            replicas: REPLICAS,
-            ..RouterConfig::default()
-        },
-    );
+    let router = tagged_tier("old", REPLICAS);
 
-    let stop = AtomicBool::new(false);
     let rolling = AtomicBool::new(false);
     let ops = AtomicU64::new(0);
-    let saw_old = AtomicU64::new(0);
-    let saw_new = AtomicU64::new(0);
-    let old_during_roll = AtomicU64::new(0);
-    let new_during_roll = AtomicU64::new(0);
+    // Classified calls, by `[answered from the new model][mid-roll]`.
+    let served: [[AtomicU64; 2]; 2] = Default::default();
     let mut max_skew_observed = 0u64;
 
-    std::thread::scope(|scope| {
-        for thread in 0..threads as u64 {
-            let router = &router;
-            let stop = &stop;
-            let rolling = &rolling;
-            let ops = &ops;
-            let saw_old = &saw_old;
-            let saw_new = &saw_new;
-            let old_during_roll = &old_during_roll;
-            let new_during_roll = &new_during_roll;
-            scope.spawn(move || {
-                let users: Vec<u64> = (0..USERS_PER_THREAD).map(|u| thread * 1_000 + u).collect();
-                // Route stickiness: a user's home replica must never move.
-                let homes: Vec<usize> = users.iter().map(|&u| router.replica_for(u)).collect();
-                // Per-user provenance monotonicity: once a user has seen the
-                // new model, seeing the old one again would mean their
-                // session hopped to a not-yet-upgraded replica (or their
-                // replica rolled backwards). `false` = old, `true` = new.
-                let mut last: HashMap<u64, bool> = HashMap::new();
-                let mut note = |user: u64, tag: Option<&'static str>| {
-                    let Some(tag) = tag else { return };
-                    let mid_roll = rolling.load(Ordering::Relaxed);
-                    let is_new = tag == "new";
-                    if is_new {
-                        saw_new.fetch_add(1, Ordering::Relaxed);
-                        if mid_roll {
-                            new_during_roll.fetch_add(1, Ordering::Relaxed);
-                        }
-                    } else {
-                        saw_old.fetch_add(1, Ordering::Relaxed);
-                        if mid_roll {
-                            old_during_roll.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    let prev = last.insert(user, is_new);
-                    assert!(
-                        prev != Some(true) || is_new,
-                        "user {user} regressed from the new model to the old: \
-                         their session migrated replicas mid-roll"
-                    );
+    // Each user's home replica, which must never move, and per worker the
+    // generation each user last saw. Once a user has seen the new model,
+    // seeing the old one again would mean their session hopped to a
+    // not-yet-upgraded replica (or their replica rolled backwards).
+    let user = |worker: usize, u: u64| worker as u64 * 1_000 + u;
+    let homes: Vec<Vec<usize>> = (0..threads)
+        .map(|w| {
+            (0..USERS_PER_THREAD)
+                .map(|u| router.replica_for(user(w, u)))
+                .collect()
+        })
+        .collect();
+    let mut last_seen = vec![HashMap::new(); threads];
+    let scenario = Scenario {
+        seed: 0,
+        phase: 0,
+        // Sessions stay well inside the 30-minute idle cutoff.
+        clock: &|i| 1_000 + i % 100,
+        mix: &|ctx, _, _| {
+            let home = user(ctx.worker, ctx.i % USERS_PER_THREAD);
+            if ctx.i % 8 == 7 {
+                Op::batch((0..USERS_PER_THREAD).map(|u| user(ctx.worker, u)), 3)
+            } else if ctx.i % 13 == 5 {
+                Op::Suggest(home, 3)
+            } else {
+                Op::TrackAndSuggest(home, "seed".into(), 3)
+            }
+        },
+        observe: &|ctx, last: &mut HashMap<u64, bool>, op, outcome, _| {
+            let at = ctx.i % USERS_PER_THREAD;
+            let home = user(ctx.worker, at);
+            let route = router.replica_for(home);
+            assert_eq!(
+                route, homes[ctx.worker][at as usize],
+                "route for user {home} moved"
+            );
+            let Outcome::Lists(lists) = outcome else {
+                panic!("admission is unlimited: {op:?} resolved as {outcome:?}");
+            };
+            let users = op.users();
+            for (&user, list) in users.iter().zip(lists) {
+                let Some(tag) = provenance_of(list) else {
+                    continue;
                 };
-                let mut iter = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let at = (iter % USERS_PER_THREAD) as usize;
-                    let user = users[at];
-                    assert_eq!(
-                        router.replica_for(user),
-                        homes[at],
-                        "route for user {user} moved"
-                    );
-                    // Sessions stay well inside the 30-minute idle cutoff.
-                    let now = 1_000 + (iter % 100);
-                    if iter % 8 == 7 {
-                        let reqs: Vec<SuggestRequest> = users
-                            .iter()
-                            .map(|&user| SuggestRequest { user, k: 3 })
-                            .collect();
-                        for (request, got) in reqs.iter().zip(router.suggest_batch(&reqs, now)) {
-                            note(request.user, provenance_of(&got));
-                        }
-                        ops.fetch_add(reqs.len() as u64, Ordering::Relaxed);
-                    } else if iter % 13 == 5 {
-                        let got = router
-                            .try_suggest(user, 3, now)
-                            .expect("admission is unlimited");
-                        note(user, provenance_of(&got));
-                        ops.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        let got = router.track_and_suggest(user, "seed", 3, now);
-                        note(user, provenance_of(&got));
-                        ops.fetch_add(1, Ordering::Relaxed);
-                    }
-                    iter += 1;
-                }
-            });
-        }
+                let is_new = tag == "new";
+                let mid_roll = rolling.load(Ordering::Relaxed);
+                served[is_new as usize][mid_roll as usize].fetch_add(1, Ordering::Relaxed);
+                let prev = last.insert(user, is_new);
+                assert!(
+                    prev != Some(true) || is_new,
+                    "user {user} regressed from the new model to the old: \
+                     their session migrated replicas mid-roll"
+                );
+            }
+            ops.fetch_add(users.len() as u64, Ordering::Relaxed);
+        },
+        stop: Stop::WithControl(0),
+    };
 
+    drive(&scenario, &surface(&router), &mut last_seen, |_| {
         // Let every worker put traffic (and sessions) on the old model
         // before the roll begins.
         let wait_past = |target: u64| {
@@ -271,7 +192,6 @@ pub fn run_skew_soak(threads: usize, hold_ops_per_step: u64) -> SkewSoakReport {
 
         // A tail of traffic against the converged tier, then stop.
         wait_past(ops.load(Ordering::Relaxed) + hold_ops_per_step);
-        stop.store(true, Ordering::Relaxed);
     });
 
     let stats = router.stats();
@@ -281,14 +201,15 @@ pub fn run_skew_soak(threads: usize, hold_ops_per_step: u64) -> SkewSoakReport {
     for row in &stats.replicas {
         assert_eq!(row.generation, 1, "a replica missed the roll");
     }
+    let count = |new: usize, mid_roll: usize| served[new][mid_roll].load(Ordering::Relaxed);
     let report = SkewSoakReport {
         threads,
         replicas: REPLICAS,
         ops_total: ops.load(Ordering::Relaxed),
-        saw_old: saw_old.load(Ordering::Relaxed),
-        saw_new: saw_new.load(Ordering::Relaxed),
-        old_during_roll: old_during_roll.load(Ordering::Relaxed),
-        new_during_roll: new_during_roll.load(Ordering::Relaxed),
+        saw_old: count(0, 0) + count(0, 1),
+        saw_new: count(1, 0) + count(1, 1),
+        old_during_roll: count(0, 1),
+        new_during_roll: count(1, 1),
         max_skew_observed,
         final_generation: stats.min_generation(),
     };
@@ -339,13 +260,7 @@ pub fn run_chaos_roll(seed: u64) -> ChaosRollReport {
 
     let dir = scratch_dir(&format!("chaos-{seed}"));
     let new_path = save_tagged(&dir, "new", 1);
-    let router = RouterEngine::new(
-        Arc::new(tagged_snapshot("old")),
-        RouterConfig {
-            replicas: REPLICAS,
-            ..RouterConfig::default()
-        },
-    );
+    let router = tagged_tier("old", REPLICAS);
     // One observer user per replica, tracked before the roll so each
     // replica holds live session state across the fault.
     let observer_for = |replica: usize| {

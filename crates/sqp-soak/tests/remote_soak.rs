@@ -5,7 +5,8 @@
 //! worker traffic runs through five phases: healthy → one endpoint
 //! black-holed (breaker trips, traffic fails over) → revived (half-open
 //! probe closes the breaker) → **both** endpoints black-holed (typed
-//! fast-fail degradation) → revived (full recovery). The suite proves the
+//! degradation: breaker fast-fails, and half-open probes that time out)
+//! → revived (full recovery). The suite proves the
 //! three resilience contracts of the remote tier:
 //!
 //! * **Total accounting** — every operation a worker sends resolves as
@@ -27,17 +28,18 @@
 //! answer.
 
 use sqp_common::breaker::{BreakerConfig, BreakerState};
-use sqp_common::hash::{fnv1a, FNV_OFFSET_BASIS};
+use sqp_common::hash::FNV_OFFSET_BASIS;
 use sqp_common::rng::{Rng, StdRng};
 use sqp_faults::{Chaos, ChaosProxy, FaultPlan};
 use sqp_net::{EndpointConfig, NetServer, RemoteConfig, RemoteEngine, RemoteOutcome, ServerConfig};
-use sqp_serve::{EngineConfig, ServeEngine, ServeSurface, SuggestRequest};
-use sqp_soak::serve_loop::{build_parts, ServeLoopConfig};
+use sqp_serve::{EngineConfig, ServeEngine, ServeSurface, Suggestion};
+use sqp_soak::build_parts;
+use sqp_soak::runner::{drive, fold_u64, no_check, Op, Outcome, Scenario, Stop, Tally};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const WORKERS: usize = 4;
-const OPS_PER_PHASE: usize = 24;
+const OPS_PER_PHASE: u64 = 24;
 const USERS_PER_WORKER: u64 = 24;
 const SUGGEST_K: usize = 3;
 /// No operation may take longer than this, in any phase. The deadline is
@@ -46,141 +48,74 @@ const SUGGEST_K: usize = 3;
 /// endpoint inflicts on a deadline-free client.
 const HANG_BOUND_MS: u64 = 4_000;
 
-fn fold_u64(h: u64, v: u64) -> u64 {
-    fnv1a(h, &v.to_le_bytes())
-}
-
-/// One worker's accounting for one phase.
-#[derive(Clone, Copy, Debug)]
-struct PhaseTally {
-    sent: u64,
-    answered: u64,
-    shed: u64,
-    degraded: u64,
-    /// Worst single-operation wall clock, milliseconds.
-    max_ms: u64,
-    /// FNV-1a over the answered suggestion texts, in send order. Only the
-    /// healthy first phase folds this into the scenario digest — later
-    /// phases' answer sets depend on probe timing.
-    content: u64,
-}
-
-impl Default for PhaseTally {
-    fn default() -> Self {
-        Self {
-            sent: 0,
-            answered: 0,
-            shed: 0,
-            degraded: 0,
-            max_ms: 0,
-            content: FNV_OFFSET_BASIS,
+/// The executor over the remote tier's own outcome type: the
+/// `ServeSurface` forms report a degraded answer as empty lists, and this
+/// soak must count degradation per worker.
+fn remote_exec(remote: &RemoteEngine) -> impl Fn(&Op, u64) -> Option<Outcome> + Sync + '_ {
+    fn resolve<T>(
+        outcome: RemoteOutcome<T>,
+        lists: impl FnOnce(T) -> Vec<Vec<Suggestion>>,
+    ) -> Outcome {
+        match outcome {
+            RemoteOutcome::Answered(answer) => Outcome::Lists(lists(answer)),
+            RemoteOutcome::Shed { .. } => Outcome::Shed,
+            RemoteOutcome::Degraded(_) => Outcome::Degraded,
         }
+    }
+    move |op, now| {
+        Some(match op {
+            Op::Suggest(user, k) => resolve(remote.remote_suggest(*user, *k, now), |l| vec![l]),
+            Op::TrackAndSuggest(user, query, k) => resolve(
+                remote.remote_track_and_suggest(*user, query, *k, now),
+                |l| vec![l],
+            ),
+            Op::Batch(requests) => resolve(remote.remote_suggest_batch(requests, now), |l| l),
+            Op::Track(..) | Op::Evict => return None,
+        })
     }
 }
 
 /// Drive one phase of seeded mixed traffic: `WORKERS` threads, each with
-/// its own user population and PRNG stream, mixing tracked suggests (never
+/// its own user population and rng stream, mixing tracked suggests (never
 /// re-sent), stateless suggests, and batched suggests (both retried).
-fn drive_phase(
-    remote: &RemoteEngine,
-    vocabulary: &[String],
-    seed: u64,
-    phase: u64,
-) -> Vec<PhaseTally> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..WORKERS)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed ^ ((w as u64) << 32) ^ (phase << 16));
-                    let mut tally = PhaseTally::default();
-                    let user_base = w as u64 * 1_000_000;
-                    for i in 0..OPS_PER_PHASE {
-                        // Phases are spaced past the session-gap rule, so
-                        // every phase starts fresh sessions; within a
-                        // phase the logical clock keeps sessions alive.
-                        let now = phase * 10_000 + i as u64 * 2;
-                        let started = Instant::now();
-                        if i % 8 == 7 {
-                            let reqs: Vec<SuggestRequest> = (0..4)
-                                .map(|_| SuggestRequest {
-                                    user: user_base + rng.random_range(0u64..USERS_PER_WORKER),
-                                    k: SUGGEST_K,
-                                })
-                                .collect();
-                            match remote.remote_suggest_batch(&reqs, now) {
-                                RemoteOutcome::Answered(lists) => {
-                                    tally.answered += 1;
-                                    for list in &lists {
-                                        for s in list {
-                                            tally.content =
-                                                fnv1a(tally.content, s.query.as_bytes());
-                                            tally.content = fnv1a(tally.content, &[0xff]);
-                                        }
-                                    }
-                                }
-                                RemoteOutcome::Shed { .. } => tally.shed += 1,
-                                RemoteOutcome::Degraded(_) => tally.degraded += 1,
-                            }
-                        } else if i.is_multiple_of(3) {
-                            let user = user_base + rng.random_range(0u64..USERS_PER_WORKER);
-                            match remote.remote_suggest(user, SUGGEST_K, now) {
-                                RemoteOutcome::Answered(list) => {
-                                    tally.answered += 1;
-                                    for s in &list {
-                                        tally.content = fnv1a(tally.content, s.query.as_bytes());
-                                        tally.content = fnv1a(tally.content, &[0xff]);
-                                    }
-                                }
-                                RemoteOutcome::Shed { .. } => tally.shed += 1,
-                                RemoteOutcome::Degraded(_) => tally.degraded += 1,
-                            }
-                        } else {
-                            let user = user_base + rng.random_range(0u64..USERS_PER_WORKER);
-                            let query = &vocabulary[rng.random_range(0usize..vocabulary.len())];
-                            match remote.remote_track_and_suggest(user, query, SUGGEST_K, now) {
-                                RemoteOutcome::Answered(list) => {
-                                    tally.answered += 1;
-                                    for s in &list {
-                                        tally.content = fnv1a(tally.content, s.query.as_bytes());
-                                        tally.content = fnv1a(tally.content, &[0xff]);
-                                    }
-                                }
-                                RemoteOutcome::Shed { .. } => tally.shed += 1,
-                                RemoteOutcome::Degraded(_) => tally.degraded += 1,
-                            }
-                        }
-                        tally.sent += 1;
-                        tally.max_ms = tally.max_ms.max(started.elapsed().as_millis() as u64);
-                    }
-                    tally
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-}
-
-/// Every sent operation resolved, and none outlived its deadline.
-fn assert_accounted(phase: &str, tallies: &[PhaseTally]) {
+/// Every op resolves answered, shed or degraded (the runner asserts it per
+/// worker), and none outlives its deadline.
+fn drive_phase(remote: &RemoteEngine, vocabulary: &[String], seed: u64, phase: u64) -> Vec<Tally> {
+    let scenario = Scenario {
+        seed,
+        phase,
+        // Phases are spaced past the session-gap rule, so every phase
+        // starts fresh sessions; within a phase the logical clock keeps
+        // sessions alive.
+        clock: &|i| phase * 10_000 + i * 2,
+        mix: &|ctx, _, rng| {
+            let user = |rng: &mut StdRng| ctx.user(rng.random_range(0u64..USERS_PER_WORKER));
+            if ctx.i % 8 == 7 {
+                Op::batch((0..4).map(|_| user(rng)), SUGGEST_K)
+            } else if ctx.i.is_multiple_of(3) {
+                Op::Suggest(user(rng), SUGGEST_K)
+            } else {
+                let user = user(rng);
+                let query = vocabulary[rng.random_range(0usize..vocabulary.len())].clone();
+                Op::TrackAndSuggest(user, query, SUGGEST_K)
+            }
+        },
+        observe: &no_check,
+        stop: Stop::After(OPS_PER_PHASE),
+    };
+    let (tallies, ()) = drive(&scenario, &remote_exec(remote), &mut [(); WORKERS], |_| ());
     for (w, t) in tallies.iter().enumerate() {
-        assert_eq!(
-            t.answered + t.shed + t.degraded,
-            t.sent,
-            "phase {phase}, worker {w}: operations lost ({t:?})"
-        );
         assert!(
-            t.max_ms <= HANG_BOUND_MS,
+            t.worst <= Duration::from_millis(HANG_BOUND_MS),
             "phase {phase}, worker {w}: operation outlived its deadline ({t:?})"
         );
     }
+    tallies
 }
 
-fn answered(tallies: &[PhaseTally]) -> u64 {
-    tallies.iter().map(|t| t.answered).sum()
-}
-
-fn sent(tallies: &[PhaseTally]) -> u64 {
-    tallies.iter().map(|t| t.sent).sum()
+fn assert_all_answered(tallies: &[Tally], why: &str) {
+    let total = Tally::merge(tallies);
+    assert_eq!(total.answered, total.sent, "{why}: {tallies:?}");
 }
 
 /// Ping until endpoint `idx`'s breaker reaches `want` (pings alternate
@@ -200,25 +135,12 @@ fn await_breaker(remote: &RemoteEngine, idx: usize, want: BreakerState) {
     );
 }
 
-struct ScenarioReport {
-    digest: u64,
-}
-
 /// One full five-phase chaos scenario, built from scratch: fresh corpus,
 /// fresh servers, fresh proxies, fresh remote tier. Every resilience
-/// assertion lives in here; the caller compares digests across runs.
-fn run_scenario(seed: u64) -> ScenarioReport {
-    let corpus_cfg = ServeLoopConfig {
-        threads: WORKERS,
-        ops_per_thread: OPS_PER_PHASE,
-        users_per_thread: USERS_PER_WORKER as usize,
-        suggest_k: SUGGEST_K,
-        batch_size: 4,
-        swaps: 0,
-        corpus_sessions: 400,
-        seed,
-    };
-    let (snapshot, vocabulary, _records) = build_parts(&corpus_cfg);
+/// assertion lives in here; the caller compares the returned replay
+/// digests across runs.
+fn run_scenario(seed: u64) -> u64 {
+    let (snapshot, vocabulary, _records) = build_parts(400, seed);
 
     // Two real server processes-in-miniature over the same snapshot.
     let servers: Vec<NetServer> = (0..2)
@@ -269,12 +191,7 @@ fn run_scenario(seed: u64) -> ScenarioReport {
     // Phase A — healthy: every operation answered, content recorded for
     // the replay digest.
     let phase_a = drive_phase(&remote, &vocabulary, seed, 0);
-    assert_accounted("A(healthy)", &phase_a);
-    assert_eq!(
-        answered(&phase_a),
-        sent(&phase_a),
-        "healthy phase must answer everything: {phase_a:?}"
-    );
+    assert_all_answered(&phase_a, "healthy phase must answer everything");
 
     // Phase B — black-hole the victim: its breaker trips, traffic fails
     // over to the healthy endpoint. (Probe admissions into the black hole
@@ -284,9 +201,8 @@ fn run_scenario(seed: u64) -> ScenarioReport {
     remote.drain_pools();
     await_breaker(&remote, victim, BreakerState::Open);
     let phase_b = drive_phase(&remote, &vocabulary, seed, 1);
-    assert_accounted("B(victim down)", &phase_b);
     assert!(
-        answered(&phase_b) > 0,
+        Tally::merge(&phase_b).answered > 0,
         "failover must keep answering: {phase_b:?}"
     );
     assert!(
@@ -306,16 +222,16 @@ fn run_scenario(seed: u64) -> ScenarioReport {
         "half-open probe must have closed the victim's breaker"
     );
     let phase_c = drive_phase(&remote, &vocabulary, seed, 2);
-    assert_accounted("C(revived)", &phase_c);
-    assert_eq!(
-        answered(&phase_c),
-        sent(&phase_c),
-        "revived tier must answer everything: {phase_c:?}"
-    );
+    assert_all_answered(&phase_c, "revived tier must answer everything");
 
     // Phase D — black-hole BOTH endpoints: nothing can answer, so every
-    // operation degrades typed and fast (open breakers fast-fail without
-    // touching a socket).
+    // operation degrades typed. About three in four (72 of 96 per run)
+    // fast-fail `AllBreakersOpen` without touching a socket. The rest are
+    // admitted as half-open probes into the black hole — the 200 ms
+    // cooldown is shorter than one 250 ms attempt, so a breaker is due a
+    // probe again by the time the last one timed out — and end
+    // `DeadlineExhausted` or `NotRetryable`. Those probes are ≈ 11.8 s of
+    // a run's ≈ 13.4 s on a 2-core x86-64 host.
     for p in &proxies {
         p.set_blackhole(true);
         p.kill_connections();
@@ -324,7 +240,6 @@ fn run_scenario(seed: u64) -> ScenarioReport {
     await_breaker(&remote, 0, BreakerState::Open);
     await_breaker(&remote, 1, BreakerState::Open);
     let phase_d = drive_phase(&remote, &vocabulary, seed, 3);
-    assert_accounted("D(all down)", &phase_d);
     for (w, t) in phase_d.iter().enumerate() {
         assert_eq!(t.answered, 0, "worker {w} answered with no endpoint up");
         assert_eq!(t.shed, 0, "worker {w} shed with no endpoint up");
@@ -344,12 +259,7 @@ fn run_scenario(seed: u64) -> ScenarioReport {
     await_breaker(&remote, 0, BreakerState::Closed);
     await_breaker(&remote, 1, BreakerState::Closed);
     let phase_e = drive_phase(&remote, &vocabulary, seed, 4);
-    assert_accounted("E(recovered)", &phase_e);
-    assert_eq!(
-        answered(&phase_e),
-        sent(&phase_e),
-        "recovered tier must answer everything: {phase_e:?}"
-    );
+    assert_all_answered(&phase_e, "recovered tier must answer everything");
 
     // Scenario-level evidence: both breakers cycled (the victim twice),
     // failover and retries actually happened, degradation was counted.
@@ -385,7 +295,7 @@ fn run_scenario(seed: u64) -> ScenarioReport {
     for s in servers {
         s.shutdown();
     }
-    ScenarioReport { digest }
+    digest
 }
 
 #[test]
@@ -393,23 +303,19 @@ fn five_phase_chaos_scenario_replays_bit_identically() {
     let first = run_scenario(7);
     let second = run_scenario(7);
     assert_eq!(
-        first.digest, second.digest,
+        first, second,
         "same seed, fresh tier: the scenario must replay bit-identically"
     );
     let other = run_scenario(11);
     assert_ne!(
-        other.digest, first.digest,
+        other, first,
         "a different seed must produce different traffic"
     );
 }
 
 #[test]
 fn shed_is_typed_end_to_end() {
-    let corpus_cfg = ServeLoopConfig {
-        corpus_sessions: 200,
-        ..ServeLoopConfig::smoke()
-    };
-    let (snapshot, _vocabulary, _records) = build_parts(&corpus_cfg);
+    let (snapshot, _vocabulary, _records) = build_parts(200, 7);
     let engine = Arc::new(ServeEngine::new(
         snapshot,
         EngineConfig {

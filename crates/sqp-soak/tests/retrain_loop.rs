@@ -3,11 +3,11 @@
 //! simulated log records, writes snapshot generations to disk, loads each
 //! back, validates it, and hot-swaps it in.
 //!
-//! Reuses the `serve_loop` swap-verification machinery: the engine and
-//! traffic vocabulary come from [`serve_loop::build_engine`], and the
-//! mid-traffic argument is the same one `serve_loop` makes — workers exit
-//! *only after* observing the final generation, so every publication
-//! necessarily raced live requests.
+//! Reuses the `serve_loop` swap-verification machinery: the corpus and
+//! traffic vocabulary come from [`build_parts`], and the mid-traffic
+//! argument is the same one `serve_loop` makes — the workers stop only
+//! after the control plane has seen the final generation land, so every
+//! publication necessarily raced live requests.
 //!
 //! Verifies the acceptance criteria directly: ≥ 2 snapshot generations
 //! published mid-traffic with no failed step, post-swap suggestions
@@ -17,22 +17,15 @@
 
 use sqp_logsim::RawLogRecord;
 use sqp_serve::{EngineConfig, ModelSpec, ServeEngine, TrainingConfig};
-use sqp_soak::serve_loop::{self, ServeLoopConfig};
+use sqp_soak::runner::{drive, surface, Op, Scenario, Stop};
+use sqp_soak::serve_loop::{CORPUS_SESSIONS, SEED, THREADS};
+use sqp_soak::{build_parts, rec, scratch_dir};
 use sqp_store::{latest_generation_on_disk, RetrainConfig, Retrainer, WarmStart};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const TARGET_GENERATIONS: u64 = 2;
 const FRESH_USERS: u64 = 300;
-
-fn rec(machine: u64, ts: u64, q: &str) -> RawLogRecord {
-    RawLogRecord {
-        machine_id: machine,
-        timestamp: ts,
-        query: q.into(),
-        clicks: vec![],
-    }
-}
 
 /// A burst of brand-new traffic: vocabulary the serving model has never
 /// seen, on machines disjoint from the simulated corpus and from other
@@ -51,10 +44,9 @@ fn fresh_batch(generation: u64) -> Vec<RawLogRecord> {
 
 #[test]
 fn retrainer_publishes_generations_under_live_traffic() {
-    let cfg = ServeLoopConfig::smoke();
-    let (engine, vocabulary, records) = serve_loop::build_engine(&cfg);
-    let dir = std::env::temp_dir().join(format!("sqp-retrain-loop-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let (snapshot, vocabulary, records) = build_parts(CORPUS_SESSIONS, SEED);
+    let engine = ServeEngine::new(snapshot, EngineConfig::default());
+    let dir = scratch_dir("retrain-loop");
 
     let batch_len = fresh_batch(1).len();
     // Retrains swap the model *kind* too (initial VMM → Adjacency):
@@ -78,53 +70,39 @@ fn retrainer_publishes_generations_under_live_traffic() {
 
     // Ops observed at each engine generation; proves traffic flowed both
     // before the first publish and between publishes.
-    let ops_at_generation: Vec<AtomicU64> = (0..=TARGET_GENERATIONS)
-        .map(|_| AtomicU64::new(0))
-        .collect();
+    let ops_at_generation: [AtomicU64; TARGET_GENERATIONS as usize + 1] = Default::default();
 
+    let scenario = Scenario {
+        seed: SEED,
+        phase: 0,
+        clock: &|i| i * 2,
+        mix: &|ctx, _, _| {
+            let query = &vocabulary[ctx.i as usize % vocabulary.len()];
+            Op::TrackAndSuggest(ctx.user(ctx.i % 64), query.clone(), 3)
+        },
+        observe: &|_, _, _, _, _| {
+            let generation = engine.generation().min(TARGET_GENERATIONS);
+            ops_at_generation[generation as usize].fetch_add(1, Ordering::Relaxed);
+        },
+        stop: Stop::WithControl(0),
+    };
     let health = std::thread::scope(|scope| {
         let trainer_handle = retrainer.spawn(scope, &engine);
-
-        let workers: Vec<_> = (0..cfg.threads)
-            .map(|thread| {
-                let engine: &ServeEngine = &engine;
-                let vocabulary = &vocabulary;
-                let ops_at_generation = &ops_at_generation;
-                scope.spawn(move || {
-                    let user_base = thread as u64 * 1_000_000;
-                    let mut op = 0u64;
-                    // Exit only after the final generation is visible —
-                    // therefore every publish raced this loop.
-                    loop {
-                        let generation = engine.generation();
-                        if generation >= TARGET_GENERATIONS {
-                            break;
-                        }
-                        let query = &vocabulary[(op as usize) % vocabulary.len()];
-                        engine.track_and_suggest(user_base + (op % 64), query, 3, op * 2);
-                        ops_at_generation[generation as usize].fetch_add(1, Ordering::Relaxed);
-                        op += 1;
-                    }
-                })
-            })
-            .collect();
-
         // Feed the loop one fresh burst per target generation, waiting for
         // each publish to land before the next burst — and, before each
         // burst, for a worker to have served under the generation it will
         // replace, so "every publish raced traffic" is forced, not hoped.
-        for generation in 1..=TARGET_GENERATIONS {
-            while ops_at_generation[generation as usize - 1].load(Ordering::Relaxed) == 0 {
-                std::thread::yield_now();
+        drive(&scenario, &surface(&engine), &mut [(); THREADS], |_| {
+            for generation in 1..=TARGET_GENERATIONS {
+                while ops_at_generation[generation as usize - 1].load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+                retrainer.ingest_batch(fresh_batch(generation));
+                while engine.generation() < generation {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
             }
-            retrainer.ingest_batch(fresh_batch(generation));
-            while engine.generation() < generation {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        for w in workers {
-            w.join().unwrap();
-        }
+        });
         retrainer.shutdown();
         trainer_handle.join().unwrap()
     });

@@ -5,25 +5,29 @@
 //! is a fan-out.
 
 use sqp_router::{RouterConfig, RouterEngine};
-use sqp_soak::serve_loop::{self, ServeLoopConfig, ServeLoopReport};
+use sqp_serve::{EngineConfig, ServeEngine};
+use sqp_soak::build_parts;
+use sqp_soak::serve_loop::{
+    run_on, ServeLoopReport, CORPUS_SESSIONS, OPS_PER_THREAD, SEED, SWAPS, THREADS,
+};
 
-fn assert_sustained(cfg: &ServeLoopConfig, report: &ServeLoopReport) {
-    // Every scheduled operation completed (workers may add tail ops to
-    // keep traffic flowing until the publish lands — never fewer).
+fn assert_sustained(report: &ServeLoopReport) {
+    // Every scheduled operation completed (workers add tail ops to keep
+    // traffic flowing until the publish lands — never fewer).
     assert!(
-        report.ops_total >= (cfg.threads * cfg.ops_per_thread) as u64,
+        report.ops_total >= THREADS as u64 * OPS_PER_THREAD,
         "lost operations: {} of {}",
         report.ops_total,
-        cfg.threads * cfg.ops_per_thread
+        THREADS as u64 * OPS_PER_THREAD
     );
     // The trainer published, the surface observed it (on a tier: its
     // trailing edge), and at least one publication landed while worker
     // traffic was still flowing.
-    assert_eq!(report.swaps_completed, cfg.swaps as u64);
-    assert_eq!(report.final_generation, cfg.swaps as u64);
+    assert_eq!(report.swaps_completed, SWAPS);
+    assert_eq!(report.final_generation, SWAPS);
     assert!(report.mid_run_swaps > 0, "swap landed only after traffic");
     // Traffic was real: suggestions were computed and many were non-empty.
-    assert!(report.suggests_total > 0);
+    assert!(report.suggests > 0);
     assert!(
         report.nonempty_suggestions > 0,
         "no covered context ever produced a suggestion"
@@ -35,15 +39,15 @@ fn assert_sustained(cfg: &ServeLoopConfig, report: &ServeLoopReport) {
 
 #[test]
 fn serve_loop_sustains_traffic_across_a_mid_run_swap() {
-    let cfg = ServeLoopConfig::smoke();
-    assert!(cfg.threads >= 4, "acceptance floor is 4 worker threads");
-    assert_sustained(&cfg, &serve_loop::run(&cfg));
+    const { assert!(THREADS >= 4, "acceptance floor is 4 worker threads") };
+    let (snapshot, vocabulary, records) = build_parts(CORPUS_SESSIONS, SEED);
+    let engine = ServeEngine::new(snapshot, EngineConfig::default());
+    assert_sustained(&run_on(&engine, &vocabulary, &records));
 }
 
 #[test]
 fn the_same_workload_runs_unchanged_on_a_replicated_tier() {
-    let cfg = ServeLoopConfig::smoke();
-    let (snapshot, vocabulary, records) = serve_loop::build_parts(&cfg);
+    let (snapshot, vocabulary, records) = build_parts(CORPUS_SESSIONS, SEED);
     let router = RouterEngine::new(
         snapshot,
         RouterConfig {
@@ -51,6 +55,5 @@ fn the_same_workload_runs_unchanged_on_a_replicated_tier() {
             ..RouterConfig::default()
         },
     );
-    let report = serve_loop::run_on(&router, &cfg, &vocabulary, &records);
-    assert_sustained(&cfg, &report);
+    assert_sustained(&run_on(&router, &vocabulary, &records));
 }
