@@ -72,11 +72,6 @@ impl<K: Eq + Hash> Counter<K> {
         self.map.iter().map(|(k, &v)| (k, v))
     }
 
-    /// Consume into the underlying map.
-    pub fn into_map(self) -> FxHashMap<K, u64> {
-        self.map
-    }
-
     /// Probability of `key` under the empirical distribution.
     pub fn probability<Q>(&self, key: &Q) -> f64
     where

@@ -7,10 +7,10 @@
 //! real upstream, and injects the failure modes a remote serving client
 //! must survive, scripted by the same seeded [`FaultPlan`](crate::FaultPlan):
 //!
-//! * **refuse-accept** (`refuse_accept_on` ordinals, or
-//!   [`set_refuse`](ChaosProxy::set_refuse)) — the connection is accepted
-//!   and instantly closed, the closest a bound listener gets to a dead
-//!   endpoint: the client sees an immediate EOF/reset instead of service.
+//! * **refuse-accept** (`refuse_accept_on` ordinals) — the connection is
+//!   accepted and instantly closed, the closest a bound listener gets to a
+//!   dead endpoint: the client sees an immediate EOF/reset instead of
+//!   service.
 //! * **black-hole** (`blackhole_conn_on` ordinals, or
 //!   [`set_blackhole`](ChaosProxy::set_blackhole)) — bytes are swallowed
 //!   and nothing is ever forwarded or answered; the connection stays open
@@ -80,7 +80,6 @@ struct ProxyInner {
     upstream: SocketAddr,
     closing: AtomicBool,
     blackhole: AtomicBool,
-    refuse: AtomicBool,
     conn_seq: AtomicU64,
     frames_c2s: AtomicU64,
     frames_s2c: AtomicU64,
@@ -172,7 +171,6 @@ impl ChaosProxy {
             upstream,
             closing: AtomicBool::new(false),
             blackhole: AtomicBool::new(false),
-            refuse: AtomicBool::new(false),
             conn_seq: AtomicU64::new(0),
             frames_c2s: AtomicU64::new(0),
             frames_s2c: AtomicU64::new(0),
@@ -209,11 +207,6 @@ impl ChaosProxy {
     /// frames on live connections and for new connections.
     pub fn set_blackhole(&self, on: bool) {
         self.inner.blackhole.store(on, Ordering::SeqCst);
-    }
-
-    /// Refuse (accept-then-close) every new connection from now on.
-    pub fn set_refuse(&self, on: bool) {
-        self.inner.refuse.store(on, Ordering::SeqCst);
     }
 
     /// Kill every live proxied connection (both sides) right now —
@@ -288,7 +281,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<ProxyInner>) {
         }
         let ordinal = inner.conn_seq.fetch_add(1, Ordering::SeqCst) + 1;
         let plan = inner.chaos.plan();
-        if inner.refuse.load(Ordering::SeqCst) || plan.refuse_accept_on.contains(&ordinal) {
+        if plan.refuse_accept_on.contains(&ordinal) {
             inner.refused.fetch_add(1, Ordering::Relaxed);
             drop(client);
             continue;

@@ -8,11 +8,12 @@
 //! frame — the server loads the file through `sqp-store` and fans it out
 //! via [`ServeSurface::publish`](sqp_serve::ServeSurface) semantics:
 //!
-//! * a single [`ServeEngine`] publishes atomically
-//!   ([`WarmStart::publish_from_path`]);
-//! * a [`RouterEngine`] either fans out one load to every replica
-//!   (`PUBLISH`) or upgrades replica-by-replica with per-replica failure
-//!   isolation (`ROLLING_PUBLISH`, via [`RouterPublish`]).
+//! * `PUBLISH` loads the file once and publishes it through
+//!   [`publish_from_path`] — one atomic swap for a single [`ServeEngine`],
+//!   one load fanned out to every replica for a [`RouterEngine`];
+//! * a [`RouterEngine`] can also upgrade replica-by-replica with
+//!   per-replica failure isolation (`ROLLING_PUBLISH`, via
+//!   [`RouterPublish`]).
 //!
 //! [`AdminSurface`] is what a connection's thread actually calls; it is a
 //! separate trait from `ServeSurface` so a tier opts into remote
@@ -26,7 +27,7 @@
 use crate::wire::RollSummary;
 use sqp_router::RouterEngine;
 use sqp_serve::ServeEngine;
-use sqp_store::{RollPolicy, RouterPublish, WarmStart};
+use sqp_store::{publish_from_path, RollPolicy, RouterPublish};
 use std::path::Path;
 
 /// Admin operations a served tier exposes on the admin port.
@@ -50,7 +51,7 @@ pub trait AdminSurface {
 
 impl AdminSurface for ServeEngine {
     fn admin_publish(&self, path: &Path) -> Result<u64, String> {
-        WarmStart::publish_from_path(self, path)
+        publish_from_path(self, path)
             .map(|published| published.engine_generation)
             .map_err(|e| e.to_string())
     }
@@ -58,7 +59,7 @@ impl AdminSurface for ServeEngine {
     fn admin_rolling_publish(&self, path: &Path, _abort_on_failure: bool) -> RollSummary {
         // A single engine is a one-replica roll: either it upgrades or it
         // reports one failure, and there is nothing to abort early.
-        match WarmStart::publish_from_path(self, path) {
+        match publish_from_path(self, path) {
             Ok(_) => RollSummary {
                 aborted: false,
                 upgraded: 1,
@@ -77,7 +78,7 @@ impl AdminSurface for ServeEngine {
 
 impl AdminSurface for RouterEngine {
     fn admin_publish(&self, path: &Path) -> Result<u64, String> {
-        RouterPublish::publish_from_path(self, path)
+        publish_from_path(self, path)
             .map(|published| published.engine_generation)
             .map_err(|e| e.to_string())
     }

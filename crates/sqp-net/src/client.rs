@@ -173,13 +173,6 @@ impl NetClient {
         self.stream.set_write_timeout(timeout)
     }
 
-    /// Shut down the write half, telling the server no more requests are
-    /// coming; replies to requests already sent still arrive until it
-    /// closes.
-    pub fn finish_sending(&self) -> io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Write)
-    }
-
     fn send(&mut self) -> Result<(), NetError> {
         write_frame(&mut self.stream, &self.wbuf, self.max_frame_len)?;
         Ok(())

@@ -16,14 +16,16 @@
 //! * [`NetClient`] — a blocking keep-alive client reusing its buffers
 //!   across requests.
 //! * [`RemoteEngine`] — a resilient [`ServeSurface`](sqp_serve::ServeSurface)
-//!   over one or more remote endpoints: deadlines, idempotent-only
-//!   retries with backoff, per-endpoint circuit breakers, failover, and
+//!   over one or more remote endpoints, placing users on the router's
+//!   consistent-hash ring: deadlines, idempotent-only retries with
+//!   backoff, per-endpoint circuit breakers, failover along the ring, and
 //!   typed degradation ([`remote`]).
 //! * [`AdminSurface`] — live snapshot publication (`PUBLISH`,
-//!   `ROLLING_PUBLISH`) driven through `sqp-store`'s [`WarmStart`]
-//!   (single engine) and [`RouterPublish`] (replica-by-replica roll).
+//!   `ROLLING_PUBLISH`) driven through `sqp-store`'s [`publish_from_path`]
+//!   (one engine or every replica) and [`RouterPublish`]
+//!   (replica-by-replica roll).
 //!
-//! [`WarmStart`]: sqp_store::WarmStart
+//! [`publish_from_path`]: sqp_store::publish_from_path
 //! [`RouterPublish`]: sqp_store::RouterPublish
 //!
 //! # Examples

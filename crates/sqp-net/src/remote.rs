@@ -24,9 +24,21 @@
 //!   supervised retrain loop) trips a flapping endpoint out of rotation;
 //!   after a cooldown one half-open probe decides between recovery and
 //!   re-tripping.
-//! * **Failover** — when the home endpoint (chosen by user hash, so
-//!   session affinity holds while healthy) is open or failing, attempts
-//!   move to the next healthy endpoint.
+//! * **Placement on the ring** — a user's home endpoint is their owner
+//!   on the same consistent-hash [`Members`] view the in-process router
+//!   places replicas with, so session affinity holds while the endpoint
+//!   is healthy, and adding or retiring an endpoint moves at most ≈ 2/N
+//!   of users (everyone else keeps the server that holds their context).
+//! * **Failover** — when the home endpoint is open or failing, attempts
+//!   walk the ring's distinct successors from the user's point. The first
+//!   of them is where the user would move if their home retired, so
+//!   writes made during failover land where a retire routes them.
+//! * **Batches split by owner** — a `SUGGEST_BATCH` is grouped by home
+//!   endpoint with [`Members::scatter`] (the router's own scatter), sent as
+//!   one sub-batch per involved endpoint under one deadline, and gathered
+//!   back into request order. The outcome is all-or-nothing: any shed
+//!   sub-batch sheds the batch, otherwise any degraded one degrades it.
+//!   With one endpoint the batch goes whole.
 //! * **Typed degradation, not errors** — when every endpoint is down the
 //!   outcome is [`RemoteOutcome::Degraded`] with a
 //!   [`DegradedReason`]; through the `ServeSurface` mapping that becomes
@@ -40,15 +52,16 @@
 //!
 //! # Live endpoint membership
 //!
-//! The endpoint set is held in a [`Swap`] — the same publication cell the
-//! serve tier uses for model snapshots — so it can change **at runtime,
-//! under traffic**, with one pointer swap and zero locks on the serving
-//! path. Every operation loads the snapshot once and runs its whole
-//! deadline/retry/failover scan against that consistent view:
+//! The endpoint set and its ring are one immutable [`Members`] view held
+//! in a [`Swap`] — the same publication cell the serve tier uses for
+//! model snapshots — so it can change **at runtime, under traffic**, with
+//! one pointer swap and zero locks on the serving path. Every operation
+//! loads the view once and runs its whole deadline/retry/failover scan
+//! against it:
 //!
 //! * [`add_endpoint`](RemoteEngine::add_endpoint) builds a new endpoint
-//!   (best-effort pool warmup, fresh breaker) and swaps in a superset
-//!   vector; the very next operation can route to it.
+//!   (best-effort pool warmup, fresh breaker), puts it on the ring and
+//!   swaps the view in; the very next operation can route to it.
 //! * [`retire_endpoint`](RemoteEngine::retire_endpoint) swaps the
 //!   endpoint *out* first — no new operation will scan it — then waits
 //!   out its in-flight operations (bounded by one operation's worst case,
@@ -68,17 +81,16 @@
 //! never touches.
 
 use crate::client::{BatchAnswer, NetClient, NetError, ServeAnswer};
-use crate::wire::{BatchEntry, WireStats};
+use crate::wire::{self, BatchEntry, WireStats};
 use sqp_common::breaker::{Admission, Backoff, Breaker, BreakerConfig, BreakerStats};
 use sqp_common::clock::{Clock, RealClock};
-use sqp_common::hash::FxHasher;
+use sqp_router::{Members, Scatter};
 use sqp_serve::TrackOutcome;
 use sqp_serve::{
     EngineStats, ModelSnapshot, Overloaded, ServeSurface, SuggestRequest, SuggestSink, Suggestion,
     Swap,
 };
 use std::fmt;
-use std::hash::Hasher;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -214,10 +226,6 @@ impl<T> RemoteOutcome<T> {
     pub fn is_answered(&self) -> bool {
         matches!(self, RemoteOutcome::Answered(_))
     }
-    /// True for [`RemoteOutcome::Degraded`].
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, RemoteOutcome::Degraded(_))
-    }
 }
 
 /// Point-in-time client-side view of one endpoint.
@@ -251,7 +259,9 @@ pub struct EndpointStats {
 pub struct RemoteStats {
     /// Operations that degraded (no endpoint answered).
     pub degraded: u64,
-    /// Attempts served by a non-home endpoint.
+    /// Attempts served by a non-home endpoint. A `TRACK` counted here
+    /// advanced the user's session on a server other than their home, so
+    /// their context is split across two servers until it expires.
     pub failovers: u64,
     /// Second-and-later attempts across all operations.
     pub retries: u64,
@@ -393,11 +403,11 @@ enum Retryable {
 pub struct RemoteEngine {
     cfg: RemoteConfig,
     clock: Arc<dyn Clock>,
-    /// The live endpoint set: swapped as one immutable vector, loaded
-    /// once per operation. The [`Swap`] generation counts membership
-    /// changes. Serving never locks this; membership verbs serialize on
-    /// `membership` and publish through one pointer swap.
-    endpoints: Swap<Vec<Arc<Endpoint>>>,
+    /// The live endpoint set and its ring: swapped as one immutable view,
+    /// loaded once per operation. The [`Swap`] generation counts
+    /// membership changes. Serving never locks this; membership verbs
+    /// serialize on `membership` and publish through one pointer swap.
+    endpoints: Swap<Members<Arc<Endpoint>>>,
     /// Serializes [`add_endpoint`](Self::add_endpoint) /
     /// [`retire_endpoint`](Self::retire_endpoint); never touched by the
     /// serving path.
@@ -431,10 +441,11 @@ impl RemoteEngine {
         clock: Arc<dyn Clock>,
     ) -> Self {
         assert!(!endpoints.is_empty(), "a RemoteEngine needs >= 1 endpoint");
-        let endpoints: Vec<Arc<Endpoint>> = endpoints
-            .into_iter()
-            .map(|e| Arc::new(Endpoint::connect(e, &cfg)))
-            .collect();
+        let endpoints = Members::new(
+            endpoints
+                .into_iter()
+                .map(|e| Arc::new(Endpoint::connect(e, &cfg))),
+        );
         Self {
             cfg,
             clock,
@@ -450,10 +461,9 @@ impl RemoteEngine {
         }
     }
 
-    /// The current endpoint snapshot: one load, then a consistent view
-    /// for the whole operation regardless of concurrent membership
-    /// changes.
-    fn snapshot(&self) -> Arc<Vec<Arc<Endpoint>>> {
+    /// The current endpoint view: one load, then a consistent view for
+    /// the whole operation regardless of concurrent membership changes.
+    fn snapshot(&self) -> Arc<Members<Arc<Endpoint>>> {
         self.endpoints.load()
     }
 
@@ -462,9 +472,12 @@ impl RemoteEngine {
         self.snapshot().len()
     }
 
-    /// Serve addresses of the live set, in scan order.
+    /// Serve addresses of the live set, in the order they were added.
     pub fn endpoint_addrs(&self) -> Vec<SocketAddr> {
-        self.snapshot().iter().map(|ep| ep.serve_addr).collect()
+        self.snapshot()
+            .iter()
+            .map(|(_, ep)| ep.serve_addr)
+            .collect()
     }
 
     /// Membership generation: 0 at construction, +1 per successful
@@ -478,7 +491,9 @@ impl RemoteEngine {
     ///
     /// The endpoint gets a fresh (closed) breaker and a best-effort warm
     /// pool before it is swapped in, so its first routed operation pays
-    /// no connect in the common case. Returns the new membership
+    /// no connect in the common case. It goes on the ring with a fresh
+    /// id, and takes over only the users its arcs claim — ≈ 1/N of them;
+    /// those start a new context there. Returns the new membership
     /// generation. Refuses a serve address already in the set — the set
     /// is keyed by serve address.
     pub fn add_endpoint(&self, endpoint: EndpointConfig) -> Result<u64, EndpointSetError> {
@@ -486,14 +501,13 @@ impl RemoteEngine {
         let current = self.snapshot();
         if current
             .iter()
-            .any(|ep| ep.serve_addr == endpoint.serve_addr)
+            .any(|(_, ep)| ep.serve_addr == endpoint.serve_addr)
         {
             return Err(EndpointSetError::AlreadyPresent(endpoint.serve_addr));
         }
         // Warm up outside any serving path; only the control plane waits.
         let fresh = Arc::new(Endpoint::connect(endpoint, &self.cfg));
-        let mut next = current.as_ref().clone();
-        next.push(fresh);
+        let (_, next) = current.join(fresh);
         Ok(self.endpoints.store(Arc::new(next)))
     }
 
@@ -509,20 +523,20 @@ impl RemoteEngine {
     /// every TCP close: pooled connections close in the drain, and a
     /// straggler that raced the swap — old snapshot loaded, `begin_op`
     /// not yet reached when the wait sampled zero — closes its own
-    /// connection at checkin, within its bounded lifetime. Refuses to
-    /// retire the last endpoint. Returns the new membership generation.
+    /// connection at checkin, within its bounded lifetime. The victim's
+    /// users move to their ring successors; everyone else keeps their
+    /// endpoint. Refuses to retire the last endpoint. Returns the new
+    /// membership generation.
     pub fn retire_endpoint(&self, serve_addr: SocketAddr) -> Result<u64, EndpointSetError> {
         let _guard = self.lock_membership();
         let current = self.snapshot();
-        let Some(at) = current.iter().position(|ep| ep.serve_addr == serve_addr) else {
+        let Some((id, victim)) = current.iter().find(|(_, ep)| ep.serve_addr == serve_addr) else {
             return Err(EndpointSetError::Unknown(serve_addr));
         };
-        if current.len() == 1 {
-            return Err(EndpointSetError::LastEndpoint);
-        }
-        let victim = Arc::clone(&current[at]);
-        let mut next = current.as_ref().clone();
-        next.remove(at);
+        let victim = Arc::clone(victim);
+        let next = current
+            .remove(id)
+            .map_err(|_| EndpointSetError::LastEndpoint)?;
         let generation = self.endpoints.store(Arc::new(next));
         // From here every checkin on the victim drops its connection
         // instead of pooling it — the backstop for an operation that
@@ -567,7 +581,7 @@ impl RemoteEngine {
             endpoints: self
                 .snapshot()
                 .iter()
-                .map(|ep| EndpointStats {
+                .map(|(_, ep)| EndpointStats {
                     serve_addr: ep.serve_addr,
                     breaker: ep.breaker.stats(),
                     answered: ep.counters.answered.load(Ordering::Relaxed),
@@ -582,11 +596,16 @@ impl RemoteEngine {
         }
     }
 
-    /// Breaker position/counters of endpoint `index` in the current
-    /// snapshot (panics out of range) — what tests assert
-    /// open→half-open→closed transitions on.
+    /// Breaker position/counters of endpoint `index` in
+    /// [`endpoint_addrs`](Self::endpoint_addrs) order (panics out of
+    /// range) — what tests assert open→half-open→closed transitions on.
     pub fn endpoint_breaker(&self, index: usize) -> BreakerStats {
-        self.snapshot()[index].breaker.stats()
+        let endpoints = self.snapshot();
+        let (_, ep) = endpoints
+            .iter()
+            .nth(index)
+            .unwrap_or_else(|| panic!("no endpoint at index {index}"));
+        ep.breaker.stats()
     }
 
     /// Close every pooled connection on every endpoint.
@@ -597,19 +616,8 @@ impl RemoteEngine {
     /// `TIME_WAIT` — which is exactly what lets a drained server restart
     /// on the same port immediately.
     pub fn drain_pools(&self) {
-        for ep in self.snapshot().iter() {
+        for (_, ep) in self.snapshot().iter() {
             ep.lock_pool().clear();
-        }
-    }
-
-    fn home_index(&self, user: Option<u64>, n: usize) -> usize {
-        match user {
-            Some(u) => {
-                let mut h = FxHasher::default();
-                h.write_u64(u);
-                (h.finish() % n as u64) as usize
-            }
-            None => (self.op_seq.load(Ordering::Relaxed) % n as u64) as usize,
         }
     }
 
@@ -642,26 +650,62 @@ impl RemoteEngine {
     /// (deterministically, from [`RemoteConfig::seed`]).
     const BACKOFF_JITTER: f64 = 0.5;
 
-    /// The resilience core: run `op` against the healthiest admissible
-    /// endpoint, with deadline, retry/backoff, breaker accounting, and
-    /// failover. See the module docs for the policy.
+    /// One operation against the current endpoint view, under one
+    /// deadline from now: [`attempt`](Self::attempt), counted in
+    /// `degraded` when nothing answered.
     fn call<T>(
         &self,
         user: Option<u64>,
         retryable: Retryable,
+        op: impl FnMut(&mut NetClient) -> Result<T, NetError>,
+    ) -> RemoteOutcome<T> {
+        // One view for the whole operation: every attempt, breaker check,
+        // and failover scan sees the same membership, even while
+        // add/retire swap the live set underneath.
+        let endpoints = self.snapshot();
+        let outcome = self.attempt(&endpoints, user, self.deadline_at(), retryable, op);
+        self.count_degraded(&outcome);
+        outcome
+    }
+
+    /// The clock reading at which an operation starting now runs out.
+    fn deadline_at(&self) -> u64 {
+        self.clock
+            .now_millis()
+            .saturating_add(self.cfg.deadline.as_millis() as u64)
+    }
+
+    fn count_degraded<T>(&self, outcome: &RemoteOutcome<T>) {
+        if let RemoteOutcome::Degraded(_) = outcome {
+            self.degraded.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The resilience core: run `op` against the healthiest admissible
+    /// endpoint of `endpoints` until `deadline_at`, with retry/backoff,
+    /// breaker accounting, and failover. A user's attempts start at their
+    /// ring owner and walk its successors; user-less ones start round
+    /// robin. See the module docs for the policy.
+    fn attempt<T>(
+        &self,
+        endpoints: &Members<Arc<Endpoint>>,
+        user: Option<u64>,
+        deadline_at: u64,
+        retryable: Retryable,
         mut op: impl FnMut(&mut NetClient) -> Result<T, NetError>,
     ) -> RemoteOutcome<T> {
         let seq = self.op_seq.fetch_add(1, Ordering::Relaxed);
-        // One snapshot for the whole operation: every attempt, breaker
-        // check, and failover scan sees the same membership, even while
-        // add/retire swap the live set underneath.
-        let endpoints = self.snapshot();
-        let home = self.home_index(user, endpoints.len());
-        let n = endpoints.len();
-        let deadline_at = self
-            .clock
-            .now_millis()
-            .saturating_add(self.cfg.deadline.as_millis() as u64);
+        // Scan order; `order[0]` is home.
+        let order: Vec<&Endpoint> = match user {
+            Some(user) => endpoints.successors(user).map(|(_, ep)| &**ep).collect(),
+            None => {
+                let mut all: Vec<&Endpoint> = endpoints.iter().map(|(_, ep)| &**ep).collect();
+                let start = (seq % all.len() as u64) as usize;
+                all.rotate_left(start);
+                all
+            }
+        };
+        let n = order.len();
         let mut backoff = Backoff::with_jitter(
             self.cfg.backoff_initial,
             self.cfg.backoff_cap,
@@ -684,21 +728,20 @@ impl RemoteEngine {
             // First breaker-admitted endpoint, scanning from home + shift.
             let mut admitted = None;
             for i in 0..n {
-                let idx = (home + shift + i) % n;
-                match endpoints[idx].breaker.admit(now) {
+                let at = (shift + i) % n;
+                match order[at].breaker.admit(now) {
                     Admission::Allowed | Admission::Probe => {
-                        admitted = Some(idx);
+                        admitted = Some(at);
                         break;
                     }
                     Admission::Refused { .. } => continue,
                 }
             }
-            let Some(idx) = admitted else {
-                self.degraded.fetch_add(1, Ordering::Relaxed);
+            let Some(at) = admitted else {
                 return RemoteOutcome::Degraded(DegradedReason::AllBreakersOpen);
             };
-            let ep = &endpoints[idx];
-            if idx != home {
+            let ep = order[at];
+            if at != 0 {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
             }
             let _op = ep.begin_op();
@@ -728,7 +771,6 @@ impl RemoteEngine {
                             ep.counters.answered.fetch_add(1, Ordering::Relaxed);
                             ep.breaker.record_success();
                             self.checkin(ep, client);
-                            self.degraded.fetch_add(1, Ordering::Relaxed);
                             return RemoteOutcome::Degraded(DegradedReason::NotRetryable {
                                 error: e,
                             });
@@ -742,7 +784,6 @@ impl RemoteEngine {
                             if retryable == Retryable::ConnectOnly {
                                 // The bytes may have reached the server;
                                 // re-sending could double-apply.
-                                self.degraded.fetch_add(1, Ordering::Relaxed);
                                 return RemoteOutcome::Degraded(DegradedReason::NotRetryable {
                                     error: e,
                                 });
@@ -767,7 +808,6 @@ impl RemoteEngine {
             }
         }
 
-        self.degraded.fetch_add(1, Ordering::Relaxed);
         RemoteOutcome::Degraded(DegradedReason::DeadlineExhausted { last_error })
     }
 
@@ -807,31 +847,76 @@ impl RemoteEngine {
     }
 
     /// `SUGGEST_BATCH` with the full typed outcome (idempotent: retried).
+    ///
+    /// Each entry is answered by its user's home endpoint: the batch is
+    /// split by owner ([`Members::scatter`]), one sub-batch per involved
+    /// endpoint, all under one deadline, and the lists are gathered back
+    /// into request order. A sub-batch fails over along its first user's
+    /// ring successors. All-or-nothing: any shed sub-batch makes the batch
+    /// [`Shed`](RemoteOutcome::Shed), otherwise any degraded one makes it
+    /// [`Degraded`](RemoteOutcome::Degraded).
     pub fn remote_suggest_batch(
         &self,
         requests: &[SuggestRequest],
         now: u64,
     ) -> RemoteOutcome<Vec<Vec<Suggestion>>> {
-        let entries: Vec<BatchEntry> = requests
-            .iter()
-            .map(|r| BatchEntry {
-                user: r.user,
-                k: r.k,
-            })
-            .collect();
-        let first_user = requests.first().map(|r| r.user);
-        let out = self.call(first_user, Retryable::Yes, |c| {
-            c.suggest_batch(&entries, now)
-        });
-        match out {
-            RemoteOutcome::Answered(BatchAnswer::Lists(lists)) => RemoteOutcome::Answered(lists),
-            RemoteOutcome::Answered(BatchAnswer::Overloaded { limit }) => {
-                self.note_shed();
-                RemoteOutcome::Shed { limit }
+        let endpoints = self.snapshot();
+        let deadline_at = self.deadline_at();
+        let mut scatter = Scatter::default();
+        let runs = endpoints.scatter(requests, &mut scatter);
+        let mut lists: Vec<Vec<Suggestion>> = Vec::new();
+        let mut degraded = None;
+        for (_, run) in runs.iter() {
+            let entries: Vec<BatchEntry> = run
+                .iter()
+                .map(|r| BatchEntry {
+                    user: r.user,
+                    k: r.k,
+                })
+                .collect();
+            let user = Some(run[0].user);
+            let outcome = self.attempt(&endpoints, user, deadline_at, Retryable::Yes, |c| {
+                match c.suggest_batch(&entries, now)? {
+                    // A reply the gather cannot place is the wrong reply.
+                    BatchAnswer::Lists(got) if got.len() != entries.len() => {
+                        Err(NetError::UnexpectedReply {
+                            opcode: wire::op::R_BATCH,
+                        })
+                    }
+                    answer => Ok(answer),
+                }
+            });
+            match outcome {
+                RemoteOutcome::Answered(BatchAnswer::Lists(mut part)) => {
+                    if lists.is_empty() {
+                        lists = part;
+                    } else {
+                        lists.append(&mut part);
+                    }
+                }
+                RemoteOutcome::Answered(BatchAnswer::Overloaded { limit }) => {
+                    self.note_shed();
+                    return RemoteOutcome::Shed { limit };
+                }
+                RemoteOutcome::Shed { limit } => return RemoteOutcome::Shed { limit },
+                RemoteOutcome::Degraded(reason) => {
+                    degraded.get_or_insert(reason);
+                }
             }
-            RemoteOutcome::Shed { limit } => RemoteOutcome::Shed { limit },
-            RemoteOutcome::Degraded(reason) => RemoteOutcome::Degraded(reason),
         }
+        if let Some(reason) = degraded {
+            let outcome = RemoteOutcome::Degraded(reason);
+            self.count_degraded(&outcome);
+            return outcome;
+        }
+        if runs.is_split() {
+            lists = runs
+                .order()
+                .iter()
+                .map(|&at| std::mem::take(&mut lists[at]))
+                .collect();
+        }
+        RemoteOutcome::Answered(lists)
     }
 
     /// `PING` the tier (idempotent: retried, fails over). The soak's
@@ -861,7 +946,7 @@ impl RemoteEngine {
     ) -> Vec<Option<T>> {
         self.snapshot()
             .iter()
-            .map(|ep| {
+            .map(|(_, ep)| {
                 let now = self.clock.now_millis();
                 match ep.breaker.admit(now) {
                     Admission::Refused { .. } => return None,
@@ -1055,7 +1140,7 @@ mod tests {
             },
         );
         let endpoints = engine.snapshot();
-        let ep = &endpoints[0];
+        let (_, ep) = endpoints.home(0);
 
         let client = engine.checkout(ep, Duration::from_millis(200)).unwrap();
         engine.checkin(ep, client);

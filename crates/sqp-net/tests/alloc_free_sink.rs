@@ -91,7 +91,6 @@ fn server_side_suggest_allocations_do_not_scale_with_the_answer() {
         RouterConfig {
             replicas: 4,
             engine: engine_cfg,
-            ..RouterConfig::default()
         },
     );
     let engine = ServeEngine::new(snapshot, engine_cfg);

@@ -104,7 +104,6 @@ fn soak_mixed_traffic_with_mid_flight_rolling_publish() {
         RouterConfig {
             replicas: REPLICAS,
             engine: EngineConfig::default(),
-            ..RouterConfig::default()
         },
     ));
     let new_model = tagged_snapshot("new");

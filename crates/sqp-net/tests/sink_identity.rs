@@ -74,7 +74,6 @@ fn mid_roll_tier(
                 max_in_flight,
                 ..EngineConfig::default()
             },
-            ..RouterConfig::default()
         },
     );
     for replica in [2, 3] {

@@ -9,6 +9,10 @@
 //!   replica ids: sticky per user, ~1/N remapping under resize, no
 //!   `RandomState` anywhere (routing survives restarts and agrees across
 //!   processes);
+//! * [`Members`] — the one placement rule: an immutable membership view
+//!   (the ring plus id-sorted members) with routing, failover order and
+//!   the batch scatter. The router's replicas and `sqp-net`'s remote
+//!   endpoints are both held as one;
 //! * [`RouterEngine`] — owns N independently locked replicas and speaks
 //!   the single engine's [`ServeSurface`](sqp_serve::ServeSurface), so
 //!   callers promote transparently: single-user calls go to the user's
@@ -28,9 +32,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod members;
 mod ring;
 mod router;
 
+pub use members::{Members, Runs, Scatter};
 pub use ring::{HashRing, WouldEmptyRing, DEFAULT_VNODES};
 pub use router::{
     HandoffReport, MembershipError, ReplicaStats, RouterConfig, RouterEngine, RouterStats,

@@ -149,26 +149,29 @@ impl HashRing {
     ///
     /// Panics if the ring is empty — an empty serving tier cannot route.
     /// Rings built with ≥1 replica never reach that state (see
-    /// [`WouldEmptyRing`]); rings built empty should route through
-    /// [`HashRing::try_route`] instead.
+    /// [`WouldEmptyRing`]).
     pub fn route(&self, user: u64) -> u32 {
         self.route_hash(fx_hash_one(&user))
     }
 
-    /// The replica serving `user`, or `None` when the ring is empty — the
-    /// total-function form of [`HashRing::route`] for callers that build
-    /// rings from dynamic id sets and cannot rule the empty case out.
-    pub fn try_route(&self, user: u64) -> Option<u32> {
-        self.try_route_hash(fx_hash_one(&user))
-    }
-
-    /// [`HashRing::route_hash`], but `None` instead of a panic on an empty
-    /// ring.
-    pub fn try_route_hash(&self, hash: u64) -> Option<u32> {
-        if self.points.is_empty() {
-            return None;
-        }
-        Some(self.route_hash(hash))
+    /// Every live replica id exactly once, in the order a walk clockwise
+    /// from `user`'s point meets them: first [`route(user)`](Self::route),
+    /// then the replica that would serve `user` if that one left the
+    /// ring, and so on. This is the failover order that keeps a user's
+    /// writes where a removal would route them. Empty on an empty ring.
+    pub fn successors(&self, user: u64) -> impl Iterator<Item = u32> + '_ {
+        let start = self.point_index(fx_hash_one(&user));
+        let mut seen = Vec::with_capacity(self.replicas.len());
+        (0..self.points.len())
+            .map(move |step| self.points[(start + step) % self.points.len()].1)
+            .filter(move |id| {
+                let fresh = !seen.contains(id);
+                if fresh {
+                    seen.push(*id);
+                }
+                fresh
+            })
+            .take(self.replicas.len())
     }
 
     /// Route a precomputed hash — for callers that place non-user keys
@@ -181,10 +184,19 @@ impl HashRing {
     /// Panics if the ring is empty.
     pub fn route_hash(&self, hash: u64) -> u32 {
         assert!(!self.points.is_empty(), "routing over an empty ring");
+        self.points[self.point_index(hash)].1
+    }
+
+    /// Index of the first point at or after `hash`'s place on the circle,
+    /// wrapping past the last point back to the first.
+    fn point_index(&self, hash: u64) -> usize {
         let place = mix(hash);
         let at = self.points.partition_point(|&(point, _)| point < place);
-        // Wrap past the last point back to the first: it's a circle.
-        self.points[at % self.points.len()].1
+        if at == self.points.len() {
+            0
+        } else {
+            at
+        }
     }
 
     /// Live replica ids, sorted ascending.
@@ -288,15 +300,51 @@ mod tests {
         HashRing::with_ids([], 8).route(1);
     }
 
-    #[test]
-    fn try_route_is_total() {
-        let empty = HashRing::with_ids([], 8);
-        assert_eq!(empty.try_route(1), None);
-        assert_eq!(empty.try_route_hash(0xdead_beef), None);
-        let ring = HashRing::new(3, 8);
-        for user in 0..100u64 {
-            assert_eq!(ring.try_route(user), Some(ring.route(user)));
+    /// The first point at or after the user's place, by linear scan —
+    /// the definition `route` answers with a binary search.
+    fn scan(ring: &HashRing, user: u64) -> (u32, bool) {
+        let place = mix(fx_hash_one(&user));
+        match ring.points.iter().find(|&&(point, _)| point >= place) {
+            Some(&(_, id)) => (id, false),
+            None => (ring.points[0].1, true),
         }
+    }
+
+    #[test]
+    fn routes_to_the_first_point_at_or_after_the_user_wrapping() {
+        // One replica × 8 points and two × 8: small enough that many users
+        // land past the last point and must wrap to the first.
+        for ring in [HashRing::new(1, 8), HashRing::with_ids([3, 9], 8)] {
+            let mut wrapped = 0;
+            for user in 0..2_000u64 {
+                let (want, wraps) = scan(&ring, user);
+                assert_eq!(ring.route(user), want, "user {user}");
+                wrapped += usize::from(wraps);
+            }
+            assert!(
+                wrapped > 0,
+                "no user wrapped on {} points",
+                ring.points.len()
+            );
+        }
+    }
+
+    #[test]
+    fn successors_start_at_the_route_and_yield_every_id_once() {
+        let mut ring = HashRing::with_ids([0, 2, 5, 7, 11], 16);
+        ring.remove(5).unwrap();
+        for user in 0..500u64 {
+            let walk: Vec<u32> = ring.successors(user).collect();
+            assert_eq!(walk[0], ring.route(user), "user {user}");
+            let mut sorted = walk.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, ring.replica_ids(), "user {user}: {walk:?}");
+            // The second id is where the user goes if the first leaves.
+            let mut shrunk = ring.clone();
+            shrunk.remove(walk[0]).unwrap();
+            assert_eq!(shrunk.route(user), walk[1], "user {user}");
+        }
+        assert_eq!(HashRing::with_ids([], 8).successors(1).count(), 0);
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //! A batch names users on several replicas and must come back in request
 //! order. There is one scatter/gather (`RouterEngine::scatter_gather`)
 //! behind both [`RouterEngine::suggest_batch`] and the surface's
-//! admission-controlled `try_suggest_batch_into`: requests are sorted into
-//! one contiguous run per replica, each replica renders its run against
-//! its own snapshot into a flat per-thread arena (one text buffer, one
-//! `(score, range)` per suggestion, one span per list), and only when the
-//! **last** involved replica has answered is the arena replayed into the
-//! caller's [`SuggestSink`] in request order. With admission, every
+//! admission-controlled `try_suggest_batch_into`: [`Members::scatter`]
+//! sorts the requests into one contiguous run per replica, each replica
+//! renders its run against its own snapshot into a flat per-thread arena
+//! (one text buffer, one `(score, range)` per suggestion, one span per
+//! list), and only when the **last** involved replica has answered is the
+//! arena replayed into the caller's [`SuggestSink`] in request order. With admission, every
 //! involved replica's permit is taken before any replica runs, so a shed
 //! batch computed nothing, counted nothing and wrote nothing. A batch
 //! whose users all live on one replica skips the arena and renders
@@ -38,12 +38,13 @@
 //! # Live membership
 //!
 //! The replica set itself is **swappable**, under the same discipline as a
-//! model publish: the ring plus the replica slots live in one immutable
-//! [`TierState`] behind a [`Swap`] cell. Every request loads the state
-//! once and runs wholly against that membership view; a reconfiguration
-//! builds a new state off to the side and installs it with one pointer
-//! swap. The cell's generation counter is the **ring generation** an
-//! operator watches ([`RouterStats::ring_generation`]).
+//! model publish: the ring plus the replica slots are one immutable
+//! [`Members`] view behind a [`Swap`] cell — the same view, and the same
+//! placement rule, the remote client in `sqp-net` routes its endpoints
+//! with. Every request loads the view once and runs wholly against it; a
+//! reconfiguration builds the next view off to the side and installs it
+//! with one pointer swap. The cell's generation counter is the **ring
+//! generation** an operator watches ([`RouterStats::ring_generation`]).
 //!
 //! Three membership verbs, all serialized by one control-plane mutex
 //! (which [`RouterEngine::publish`] also takes, so a fan-out and a join
@@ -71,7 +72,8 @@
 //! and swap is missing from the copy, and the import's newest-wins rule
 //! (`last_seen`) only closes that window for sessions re-tracked later.
 
-use crate::ring::{HashRing, WouldEmptyRing, DEFAULT_VNODES};
+use crate::members::{Members, Scatter};
+use crate::ring::WouldEmptyRing;
 use sqp_common::hash::fx_hash_one;
 use sqp_common::scratch;
 use sqp_serve::{
@@ -89,9 +91,6 @@ pub struct RouterConfig {
     /// tracker/budget from `engine`, so memory and the admission budget
     /// both scale ×`replicas`.
     pub replicas: usize,
-    /// Virtual nodes per replica on the hash ring (see
-    /// [`DEFAULT_VNODES`]).
-    pub vnodes: usize,
     /// Per-replica engine configuration.
     pub engine: EngineConfig,
 }
@@ -100,7 +99,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             replicas: 4,
-            vnodes: DEFAULT_VNODES,
             engine: EngineConfig::default(),
         }
     }
@@ -114,11 +112,10 @@ struct Health {
     last_error: Option<String>,
 }
 
-/// One replica of the tier inside a [`TierState`]: the engine plus the
-/// identity and health that travel with it across membership swaps.
+/// One replica of the tier inside the [`Members`] view: the engine plus
+/// the health that travels with it across membership swaps.
 #[derive(Clone)]
 struct ReplicaSlot {
-    id: u32,
     engine: Arc<ServeEngine>,
     /// Shared across states (an `Arc`): quarantine marks survive
     /// membership swaps without rebuilding them into each new state.
@@ -186,64 +183,12 @@ impl SuggestSink for Gather {
 /// here whatever its size.
 #[derive(Default)]
 struct Scratch {
-    /// Run boundaries: slot `s` owns `scattered[runs[s]..runs[s + 1]]`.
-    runs: Vec<usize>,
-    /// Per slot, the next free index of its run while scattering.
-    cursors: Vec<usize>,
-    /// Per request: its slot while counting, then its index in `scattered`
-    /// — which is also the index of its list in `gather`.
-    placed: Vec<usize>,
-    /// The requests, grouped by slot, request order kept within a slot.
-    scattered: Vec<SuggestRequest>,
+    scatter: Scatter,
     gather: Gather,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
-}
-
-/// One immutable membership view: the ring and the replica slots it
-/// routes over. Swapped as a unit — a request that loaded this state can
-/// resolve every id the ring produces against `slots`, whatever
-/// reconfigurations land meanwhile.
-struct TierState {
-    ring: HashRing,
-    /// Sorted by id. Superset of the ring's ids: a draining replica has a
-    /// slot (it still serves its resident sessions) but no ring points (no
-    /// new traffic routes to it).
-    slots: Vec<ReplicaSlot>,
-}
-
-impl TierState {
-    fn slot(&self, id: u32) -> Option<&ReplicaSlot> {
-        self.slots
-            .binary_search_by_key(&id, |s| s.id)
-            .ok()
-            .map(|at| &self.slots[at])
-    }
-
-    fn slot_index(&self, id: u32) -> Option<usize> {
-        self.slots.binary_search_by_key(&id, |s| s.id).ok()
-    }
-
-    fn slot_for(&self, user: u64) -> &ReplicaSlot {
-        let id = self.ring.route(user);
-        self.slot(id).expect("ring routes only to live slots")
-    }
-
-    /// True when the slot serves stragglers only (has no ring points).
-    fn is_draining(&self, id: u32) -> bool {
-        self.ring.replica_ids().binary_search(&id).is_err()
-    }
-
-    /// Ids in draining state, sorted ascending.
-    fn draining_ids(&self) -> Vec<u32> {
-        self.slots
-            .iter()
-            .map(|s| s.id)
-            .filter(|&id| self.is_draining(id))
-            .collect()
-    }
 }
 
 /// One replica's row in [`RouterStats`].
@@ -284,8 +229,6 @@ pub struct RouterStats {
     pub replica_ids: Vec<u32>,
     /// Replica ids currently draining (off the ring, not yet retired).
     pub draining: Vec<u32>,
-    /// Virtual nodes per replica on the ring.
-    pub vnodes: usize,
     /// Membership swap counter: 0 at construction, +1 per join / drain /
     /// retire / remove. The analogue of a model generation, for the ring.
     pub ring_generation: u64,
@@ -360,6 +303,12 @@ impl fmt::Display for MembershipError {
 
 impl std::error::Error for MembershipError {}
 
+impl From<WouldEmptyRing> for MembershipError {
+    fn from(_: WouldEmptyRing) -> Self {
+        Self::LastReplica
+    }
+}
+
 /// Account of one session handoff (a join or a drain): what moved, what
 /// was skipped, and the ring generation the swap installed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -413,7 +362,7 @@ pub struct HandoffReport {
 /// ```
 pub struct RouterEngine {
     /// The membership view, swapped whole (see the module docs).
-    state: Swap<TierState>,
+    state: Swap<Members<ReplicaSlot>>,
     /// Serializes the membership verbs. Serving never takes this lock —
     /// reconfiguration builds the next state beside live traffic and
     /// installs it with one swap.
@@ -421,34 +370,25 @@ pub struct RouterEngine {
     /// Configuration for engines built by [`RouterEngine::join_replica`] —
     /// the same sizing every original replica got.
     engine_cfg: EngineConfig,
-    vnodes: usize,
 }
 
 impl RouterEngine {
     /// Build a tier of `cfg.replicas` engines (at least 1), every replica
     /// starting on `snapshot` at generation 0, with ids `0..replicas`.
     pub fn new(snapshot: Arc<ModelSnapshot>, cfg: RouterConfig) -> Self {
-        let n = cfg.replicas.max(1);
-        let slots: Vec<ReplicaSlot> = (0..n as u32)
-            .map(|id| ReplicaSlot {
-                id,
-                engine: Arc::new(ServeEngine::new(Arc::clone(&snapshot), cfg.engine)),
-                health: Arc::new(Mutex::new(Health::default())),
-                gen_offset: 0,
-            })
-            .collect();
+        let slots = (0..cfg.replicas.max(1)).map(|_| ReplicaSlot {
+            engine: Arc::new(ServeEngine::new(Arc::clone(&snapshot), cfg.engine)),
+            health: Arc::new(Mutex::new(Health::default())),
+            gen_offset: 0,
+        });
         Self {
-            state: Swap::new(Arc::new(TierState {
-                ring: HashRing::new(n, cfg.vnodes),
-                slots,
-            })),
+            state: Swap::new(Arc::new(Members::new(slots))),
             membership: Mutex::new(()),
             engine_cfg: cfg.engine,
-            vnodes: cfg.vnodes,
         }
     }
 
-    fn state(&self) -> Arc<TierState> {
+    fn state(&self) -> Arc<Members<ReplicaSlot>> {
         self.state.load()
     }
 
@@ -464,18 +404,18 @@ impl RouterEngine {
 
     /// Number of live replicas (routed + draining).
     pub fn replica_count(&self) -> usize {
-        self.state().slots.len()
+        self.state().len()
     }
 
     /// Every live replica id (routed and draining), sorted ascending.
     /// For a tier that has seen no membership changes these are `0..n`.
     pub fn replica_ids(&self) -> Vec<u32> {
-        self.state().slots.iter().map(|s| s.id).collect()
+        self.state().iter().map(|(id, _)| id).collect()
     }
 
     /// Replica ids currently draining (serving stragglers, off the ring).
     pub fn draining_ids(&self) -> Vec<u32> {
-        self.state().draining_ids()
+        self.state().off_ring_ids().collect()
     }
 
     /// Membership swap counter: 0 at construction, +1 per join / drain /
@@ -484,17 +424,12 @@ impl RouterEngine {
         self.state.generation()
     }
 
-    /// Virtual nodes per replica on the ring.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
-
     /// The replica id serving `user` under the current membership — stable
     /// between membership changes, so a user's session context is always
     /// found where it was written (and membership changes move the context
     /// along with the route).
     pub fn replica_for(&self, user: u64) -> usize {
-        self.state().ring.route(user) as usize
+        self.state().home(user).0 as usize
     }
 
     /// Direct handle to the replica with `id` (for tests and publication
@@ -506,7 +441,7 @@ impl RouterEngine {
     pub fn replica(&self, id: usize) -> Arc<ServeEngine> {
         let state = self.state();
         let slot = state
-            .slot(id as u32)
+            .get(id as u32)
             .unwrap_or_else(|| panic!("no live replica with id {id}"));
         Arc::clone(&slot.engine)
     }
@@ -530,12 +465,12 @@ impl RouterEngine {
     /// The tier's one scatter/gather: one list per request to `sink`, in
     /// request order.
     ///
-    /// *Scatter* is a counting sort of the requests by home replica into
-    /// one contiguous run per replica. With `admit`, every involved
-    /// replica's permit is then taken **before any replica runs**: the
-    /// batch is all-or-nothing, so the first refusal fails the call with
-    /// nothing computed, nothing added to any replica's `suggests` and
-    /// nothing written. Uninvolved replicas spend nothing.
+    /// *Scatter* is [`Members::scatter`]: one contiguous run per home
+    /// replica. With `admit`, every involved replica's permit is then
+    /// taken **before any replica runs**: the batch is all-or-nothing, so
+    /// the first refusal fails the call with nothing computed, nothing
+    /// added to any replica's `suggests` and nothing written. Uninvolved
+    /// replicas spend nothing.
     ///
     /// *Gather*: a batch that lives on one replica (always, for a
     /// one-replica tier) renders straight into `sink`. Otherwise each
@@ -551,73 +486,28 @@ impl RouterEngine {
         admit: bool,
     ) -> Result<(), Overloaded> {
         let state = self.state();
-        scratch::with(&SCRATCH, |scratch| {
-            let Scratch {
-                runs,
-                cursors,
-                placed,
-                scattered,
-                gather,
-            } = scratch;
-            // `runs[s]..runs[s + 1]` is slot `s`'s run within `scattered`;
-            // `placed[at]` is where request `at` went.
-            runs.clear();
-            runs.resize(state.slots.len() + 1, 0);
-            placed.clear();
-            if let [_] = state.slots.as_slice() {
-                // A one-replica tier has nothing to route.
-                runs[1] = requests.len();
-            } else {
-                for request in requests {
-                    let id = state.ring.route(request.user);
-                    let slot = state.slot_index(id).expect("routed id has a slot");
-                    placed.push(slot);
-                    runs[slot + 1] += 1;
-                }
-                for slot in 0..state.slots.len() {
-                    runs[slot + 1] += runs[slot];
-                }
-            }
-            let involved = || {
-                state
-                    .slots
-                    .iter()
-                    .zip(runs.windows(2))
-                    .filter(|(_, run)| run[0] < run[1])
-            };
+        scratch::with(&SCRATCH, |Scratch { scatter, gather }| {
+            let runs = state.scatter(requests, scatter);
             let _permits = if admit {
-                involved()
+                runs.iter()
                     .map(|(slot, _)| slot.engine.admit())
                     .collect::<Result<Vec<_>, _>>()?
             } else {
                 Vec::new()
             };
-            if involved().nth(1).is_none() {
-                // One run is the whole batch, already in request order:
-                // render straight into the caller's sink.
-                if let Some((slot, _)) = involved().next() {
-                    slot.engine.suggest_batch_into(requests, now, sink);
+            if !runs.is_split() {
+                // One run is the whole batch, already in request order.
+                for (slot, run) in runs.iter() {
+                    slot.engine.suggest_batch_into(run, now, sink);
                 }
                 return Ok(());
             }
-
-            cursors.clear();
-            cursors.extend_from_slice(&runs[..state.slots.len()]);
-            scattered.clear();
-            scattered.resize(requests.len(), SuggestRequest { user: 0, k: 0 });
-            for (request, place) in requests.iter().zip(placed.iter_mut()) {
-                let cursor = &mut cursors[*place];
-                *place = *cursor;
-                scattered[*cursor] = *request;
-                *cursor += 1;
-            }
             gather.clear();
-            for (slot, run) in involved() {
-                slot.engine
-                    .suggest_batch_into(&scattered[run[0]..run[1]], now, gather);
+            for (slot, run) in runs.iter() {
+                slot.engine.suggest_batch_into(run, now, gather);
             }
-            for &place in placed.iter() {
-                gather.replay_list(place, sink);
+            for &at in runs.order() {
+                gather.replay_list(at, sink);
             }
             Ok(())
         })
@@ -633,7 +523,7 @@ impl RouterEngine {
         let state = self.state();
         let mut folded = EngineStats::default();
         let mut min_generation = u64::MAX;
-        for slot in &state.slots {
+        for (_, slot) in state.iter() {
             let stats = slot.engine.stats();
             folded.tracks += stats.tracks;
             folded.suggests += stats.suggests;
@@ -655,9 +545,9 @@ impl RouterEngine {
     /// onto the ring to spread these deterministically.
     pub fn suggest_context(&self, context: &[&str], k: usize) -> Vec<Suggestion> {
         let state = self.state();
-        let id = state.ring.route_hash(fx_hash_one(&context));
+        let id = state.ring().route_hash(fx_hash_one(&context));
         state
-            .slot(id)
+            .get(id)
             .expect("routed id has a slot")
             .engine
             .suggest_context(context, k)
@@ -681,16 +571,11 @@ impl RouterEngine {
     pub fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64 {
         let _m = self.lock_membership();
         let state = self.state();
-        for slot in &state.slots {
+        for (_, slot) in state.iter() {
             slot.engine.publish(Arc::clone(&snapshot));
             Self::lock_health_slot(slot).quarantined = false;
         }
-        state
-            .slots
-            .iter()
-            .map(|s| s.generation())
-            .min()
-            .unwrap_or(0)
+        state.iter().map(|(_, s)| s.generation()).min().unwrap_or(0)
     }
 
     /// Publish to the single replica with `id` (one atomic swap) and mark
@@ -704,7 +589,7 @@ impl RouterEngine {
     /// is `None`.
     pub fn try_publish_to(&self, id: usize, snapshot: Arc<ModelSnapshot>) -> Option<u64> {
         let state = self.state();
-        let slot = state.slot(id as u32)?;
+        let slot = state.get(id as u32)?;
         slot.engine.publish(snapshot);
         Self::lock_health_slot(slot).quarantined = false;
         Some(slot.generation())
@@ -717,28 +602,13 @@ impl RouterEngine {
     /// a replica that left the tier mid-roll has nothing to quarantine.
     pub fn try_mark_quarantined(&self, id: usize, error: impl Into<String>) -> bool {
         let state = self.state();
-        let Some(slot) = state.slot(id as u32) else {
+        let Some(slot) = state.get(id as u32) else {
             return false;
         };
         let mut health = Self::lock_health_slot(slot);
         health.quarantined = true;
         health.last_error = Some(error.into());
         true
-    }
-
-    /// Clear the quarantine on replica `id` without publishing (operator
-    /// override). The last error is kept for forensics until the next
-    /// successful publish.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no live replica has this id.
-    pub fn mark_active(&self, id: usize) {
-        let state = self.state();
-        let slot = state
-            .slot(id as u32)
-            .unwrap_or_else(|| panic!("no live replica with id {id}"));
-        Self::lock_health_slot(slot).quarantined = false;
     }
 
     /// True when replica `id` is quarantined.
@@ -749,7 +619,7 @@ impl RouterEngine {
     pub fn is_quarantined(&self, id: usize) -> bool {
         let state = self.state();
         let slot = state
-            .slot(id as u32)
+            .get(id as u32)
             .unwrap_or_else(|| panic!("no live replica with id {id}"));
         let quarantined = Self::lock_health_slot(slot).quarantined;
         quarantined
@@ -780,24 +650,23 @@ impl RouterEngine {
     pub fn join_replica(&self, now: u64) -> HandoffReport {
         let _m = self.lock_membership();
         let old = self.state();
-        let new_id = old.slots.last().expect("tier is never empty").id + 1;
 
         // Seed from the replica serving the highest generation, so the
         // newcomer joins on the leading edge, and carry that generation as
         // the newcomer's offset (its own Swap counter starts at zero).
-        let freshest = old
-            .slots
+        let (_, freshest) = old
             .iter()
-            .max_by_key(|s| s.generation())
+            .max_by_key(|(_, s)| s.generation())
             .expect("tier is never empty");
         let engine = Arc::new(ServeEngine::new(
             freshest.engine.snapshot(),
             self.engine_cfg,
         ));
-        let gen_offset = freshest.generation();
-
-        let mut ring = old.ring.clone();
-        ring.add(new_id);
+        let (new_id, next) = old.join(ReplicaSlot {
+            engine: Arc::clone(&engine),
+            health: Arc::new(Mutex::new(Health::default())),
+            gen_offset: freshest.generation(),
+        });
 
         let mut report = HandoffReport {
             replica: new_id,
@@ -806,11 +675,11 @@ impl RouterEngine {
         // Export from every old slot (draining ones included — they may
         // hold the freshest copy for a straggler) whatever the new ring
         // hands to the newcomer. Imports resolve duplicates newest-wins.
-        for slot in &old.slots {
+        for (_, slot) in old.iter() {
             let batch = slot
                 .engine
                 .tracker()
-                .export_sessions(now, |user| ring.route(user) == new_id);
+                .export_sessions(now, |user| next.home(user).0 == new_id);
             report.skipped_idle += batch.skipped_idle;
             for export in &batch.sessions {
                 if engine.tracker().import_session(export) {
@@ -821,14 +690,7 @@ impl RouterEngine {
             }
         }
 
-        let mut slots = old.slots.clone();
-        slots.push(ReplicaSlot {
-            id: new_id,
-            engine,
-            health: Arc::new(Mutex::new(Health::default())),
-            gen_offset,
-        });
-        report.ring_generation = self.state.store(Arc::new(TierState { ring, slots }));
+        report.ring_generation = self.state.store(Arc::new(next));
         report
     }
 
@@ -850,15 +712,11 @@ impl RouterEngine {
     pub fn begin_drain(&self, id: u32, now: u64) -> Result<HandoffReport, MembershipError> {
         let _m = self.lock_membership();
         let old = self.state();
-        let victim = old.slot(id).ok_or(MembershipError::UnknownReplica(id))?;
-        if old.is_draining(id) {
+        let victim = old.get(id).ok_or(MembershipError::UnknownReplica(id))?;
+        if !old.is_on_ring(id) {
             return Err(MembershipError::AlreadyDraining(id));
         }
-        let mut ring = old.ring.clone();
-        match ring.remove(id) {
-            Ok(_) => {}
-            Err(WouldEmptyRing) => return Err(MembershipError::LastReplica),
-        }
+        let next = old.take_off_ring(id)?;
 
         // Draining mode first: from here no *new* session can take root on
         // the victim, so the export below cannot miss one racing in.
@@ -871,8 +729,7 @@ impl RouterEngine {
         let batch = victim.engine.tracker().export_sessions(now, |_| true);
         report.skipped_idle = batch.skipped_idle;
         for export in &batch.sessions {
-            let home = ring.route(export.user);
-            let dst = old.slot(home).expect("routed id has a slot");
+            let (_, dst) = next.home(export.user);
             if dst.engine.tracker().import_session(export) {
                 report.moved_sessions += 1;
             } else {
@@ -880,10 +737,7 @@ impl RouterEngine {
             }
         }
 
-        report.ring_generation = self.state.store(Arc::new(TierState {
-            ring,
-            slots: old.slots.clone(),
-        }));
+        report.ring_generation = self.state.store(Arc::new(next));
         Ok(report)
     }
 
@@ -901,15 +755,11 @@ impl RouterEngine {
     pub fn retire_replica(&self, id: u32) -> Result<(), MembershipError> {
         let _m = self.lock_membership();
         let old = self.state();
-        old.slot(id).ok_or(MembershipError::UnknownReplica(id))?;
-        if !old.is_draining(id) {
+        old.get(id).ok_or(MembershipError::UnknownReplica(id))?;
+        if old.is_on_ring(id) {
             return Err(MembershipError::NotDraining(id));
         }
-        let slots = old.slots.iter().filter(|s| s.id != id).cloned().collect();
-        self.state.store(Arc::new(TierState {
-            ring: old.ring.clone(),
-            slots,
-        }));
+        self.state.store(Arc::new(old.remove(id)?));
         Ok(())
     }
 
@@ -928,52 +778,43 @@ impl RouterEngine {
     pub fn remove_replica(&self, id: u32) -> Result<(), MembershipError> {
         let _m = self.lock_membership();
         let old = self.state();
-        old.slot(id).ok_or(MembershipError::UnknownReplica(id))?;
-        let mut ring = old.ring.clone();
-        if !old.is_draining(id) {
-            match ring.remove(id) {
-                Ok(_) => {}
-                Err(WouldEmptyRing) => return Err(MembershipError::LastReplica),
-            }
-        }
-        let slots = old.slots.iter().filter(|s| s.id != id).cloned().collect();
-        self.state.store(Arc::new(TierState { ring, slots }));
+        old.get(id).ok_or(MembershipError::UnknownReplica(id))?;
+        self.state.store(Arc::new(old.remove(id)?));
         Ok(())
     }
 
     /// Drop idle sessions across every replica; returns the total evicted.
     pub fn evict_idle(&self, now: u64) -> usize {
         let state = self.state();
-        state.slots.iter().map(|s| s.engine.evict_idle(now)).sum()
+        state.iter().map(|(_, s)| s.engine.evict_idle(now)).sum()
     }
 
     /// Sessions resident across the tier (sum of per-replica lock-free
     /// gauges).
     pub fn active_sessions(&self) -> usize {
         let state = self.state();
-        state.slots.iter().map(|s| s.engine.active_sessions()).sum()
+        state.iter().map(|(_, s)| s.engine.active_sessions()).sum()
     }
 
     /// Snapshot the whole tier's health: per-replica generation, counters,
     /// in-flight, quarantine and draining state, plus the tier shape
-    /// (replica ids, draining set, vnodes, ring generation). The engine
+    /// (replica ids, draining set, ring generation). The engine
     /// rows are pure atomic loads (no stripe locks — see [`EngineStats`]);
     /// the only locks taken are the cold per-replica health mutexes, which
     /// the serve path never touches.
     pub fn stats(&self) -> RouterStats {
         let state = self.state();
         let replicas = state
-            .slots
             .iter()
-            .map(|slot| {
+            .map(|(id, slot)| {
                 let health = Self::lock_health_slot(slot);
                 ReplicaStats {
-                    id: slot.id,
+                    id,
                     generation: slot.generation(),
                     stats: slot.engine.stats(),
                     in_flight: slot.engine.in_flight(),
                     quarantined: health.quarantined,
-                    draining: state.is_draining(slot.id),
+                    draining: !state.is_on_ring(id),
                     drain_refused: slot.engine.drain_refused(),
                     last_error: health.last_error.clone(),
                 }
@@ -981,9 +822,8 @@ impl RouterEngine {
             .collect();
         RouterStats {
             replicas,
-            replica_ids: state.slots.iter().map(|s| s.id).collect(),
-            draining: state.draining_ids(),
-            vnodes: self.vnodes,
+            replica_ids: state.iter().map(|(id, _)| id).collect(),
+            draining: state.off_ring_ids().collect(),
             ring_generation: self.state.generation(),
         }
     }
@@ -1004,7 +844,7 @@ impl RouterEngine {
 /// ([`RouterEngine::aggregate_stats`]).
 impl ServeSurface for RouterEngine {
     fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
-        self.state().slot_for(user).engine.track(user, query, now)
+        self.state().home(user).1.engine.track(user, query, now)
     }
     fn try_suggest_into(
         &self,
@@ -1014,7 +854,7 @@ impl ServeSurface for RouterEngine {
         sink: &mut dyn SuggestSink,
     ) -> Result<(), Overloaded> {
         let state = self.state();
-        let home = &state.slot_for(user).engine;
+        let home = &state.home(user).1.engine;
         home.try_suggest_into(user, k, now, sink)
     }
     fn try_track_and_suggest_into(
@@ -1026,7 +866,7 @@ impl ServeSurface for RouterEngine {
         sink: &mut dyn SuggestSink,
     ) -> Result<(), Overloaded> {
         let state = self.state();
-        let home = &state.slot_for(user).engine;
+        let home = &state.home(user).1.engine;
         home.try_track_and_suggest_into(user, query, k, now, sink)
     }
     fn try_suggest_batch_into(
@@ -1182,8 +1022,6 @@ mod tests {
         r.try_publish_to(1, snapshot("new"))
             .expect("replica 1 is live");
         assert!(!r.is_quarantined(1));
-        r.mark_active(home);
-        assert_eq!(r.stats().quarantined(), 0);
     }
 
     #[test]
@@ -1196,7 +1034,6 @@ mod tests {
                     max_in_flight: 1,
                     ..EngineConfig::default()
                 },
-                ..RouterConfig::default()
             },
         );
         // Saturate user 1's home replica only.
@@ -1222,7 +1059,6 @@ mod tests {
                     max_in_flight: 1,
                     ..EngineConfig::default()
                 },
-                ..RouterConfig::default()
             },
         );
         for user in 0..24 {
@@ -1314,7 +1150,6 @@ mod tests {
         let stats = r.stats();
         assert_eq!(stats.replica_ids, vec![0, 1, 2]);
         assert!(stats.draining.is_empty());
-        assert_eq!(stats.vnodes, DEFAULT_VNODES);
         assert_eq!(stats.ring_generation, 0);
         assert_eq!(stats.replicas.len(), 3);
         for (at, row) in stats.replicas.iter().enumerate() {

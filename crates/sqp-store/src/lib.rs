@@ -17,8 +17,8 @@
 //!   `FORMAT.md`) lets the loader pre-size every structure.
 //! * [`warm`] — **warm start**: [`WarmStart::from_path`] boots a
 //!   [`ServeEngine`](sqp_serve::ServeEngine) directly from a snapshot
-//!   file; [`WarmStart::publish_from_path`] hot-swaps a newly written file
-//!   into a live engine.
+//!   file; [`publish_from_path`] hot-swaps a newly written file into a
+//!   live tier, one engine or a replicated one.
 //! * [`retrain`] — the **retrain loop**: a [`Retrainer`] buffers incoming
 //!   [`RawLogRecord`](sqp_logsim::RawLogRecord)s and, on a background
 //!   scoped thread, re-runs the training pipeline over a sliding corpus
@@ -37,12 +37,12 @@
 //!
 //! And for the replicated tier ([`RouterEngine`](sqp_router::RouterEngine)):
 //!
-//! * [`rollout`] — **fan-out and rolling publication**:
-//!   [`RouterPublish::publish_from_path`] loads a snapshot file once and
-//!   swaps it into every replica; [`RouterPublish::rolling_publish`]
-//!   upgrades replicas one at a time (each re-validating the bytes
-//!   itself), quarantining a failed replica on its last-good snapshot
-//!   while the roll continues or aborts by [`RollPolicy`].
+//! * [`rollout`] — **rolling publication**: where [`publish_from_path`]
+//!   loads a snapshot file once and swaps it into every replica,
+//!   [`RouterPublish::rolling_publish`] upgrades replicas one at a time
+//!   (each re-validating the bytes itself), quarantining a failed replica
+//!   on its last-good snapshot while the roll continues or aborts by
+//!   [`RollPolicy`].
 //!
 //! The retrain loop and the roll run on the [`sqp_common::fsio::FsIo`] /
 //! [`sqp_common::clock::Clock`] / [`sqp_common::hazard::Hazard`] seams, so
@@ -117,7 +117,7 @@ pub use retrain::{
     RetrainerHealth, RotationReport, StepOutcome,
 };
 pub use rollout::{RollPolicy, RollReport, RollStep, RouterPublish};
-pub use warm::{Published, WarmStart};
+pub use warm::{publish_from_path, Published, WarmStart};
 
 // The model-kind tag is defined next to the model codecs in sqp-core;
 // re-exported here because it is part of the snapshot file's vocabulary.

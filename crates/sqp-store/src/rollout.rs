@@ -1,13 +1,12 @@
 //! Publishing snapshot files into a replicated tier: fan-out and rolling
 //! upgrades with per-replica quarantine.
 //!
-//! [`WarmStart`](crate::warm::WarmStart) covers one engine; this module is
-//! its N-replica counterpart for a [`RouterEngine`]. Two publication
-//! shapes:
+//! Two publication shapes for a [`RouterEngine`]:
 //!
-//! * [`RouterPublish::publish_from_path`] — **fan-out**: load and validate
-//!   the file *once*, then swap the same `Arc` into every replica. One
-//!   model allocation serves the whole tier; an unreadable file publishes
+//! * [`publish_from_path`](crate::publish_from_path) — **fan-out**, the
+//!   same function that publishes into one engine: load and validate the
+//!   file *once*, then swap the same `Arc` into every replica. One model
+//!   allocation serves the whole tier; an unreadable file publishes
 //!   nowhere (all replicas keep serving, converged on the old
 //!   generation).
 //! * [`RouterPublish::rolling_publish`] — **rolling upgrade**: each
@@ -29,9 +28,7 @@
 //! fail exactly one replica's read mid-roll and replay it bit-identically
 //! (the `router-soak` tests in `sqp-soak` do exactly that).
 
-use crate::error::SnapshotError;
 use crate::format::{load_snapshot_with, SnapshotMeta};
-use crate::warm::Published;
 use sqp_common::fsio::{FsIo, RealFs};
 use sqp_router::RouterEngine;
 use std::collections::BTreeSet;
@@ -128,14 +125,6 @@ impl RollReport {
 /// # std::fs::remove_file(&path).unwrap();
 /// ```
 pub trait RouterPublish {
-    /// Load the snapshot file once and fan it out to every replica. All-or-
-    /// nothing: a load failure publishes to no replica and changes no
-    /// quarantine state. On success every replica serves the same `Arc`
-    /// (memory cost of one model, not N) and any quarantine is lifted.
-    /// Returns the tier's minimum engine generation and the file's
-    /// metadata.
-    fn publish_from_path(&self, path: impl AsRef<Path>) -> Result<Published, SnapshotError>;
-
     /// Upgrade replicas one at a time, each re-reading and re-validating
     /// the file through the default filesystem. See
     /// [`rolling_publish_with`](Self::rolling_publish_with).
@@ -181,15 +170,6 @@ pub trait RouterPublish {
 }
 
 impl RouterPublish for RouterEngine {
-    fn publish_from_path(&self, path: impl AsRef<Path>) -> Result<Published, SnapshotError> {
-        let (snapshot, meta) = load_snapshot_with(&RealFs, path.as_ref())?;
-        let engine_generation = self.publish(Arc::new(snapshot));
-        Ok(Published {
-            engine_generation,
-            meta,
-        })
-    }
-
     fn rolling_publish(&self, path: impl AsRef<Path>, policy: RollPolicy) -> RollReport {
         self.rolling_publish_with(&RealFs, path, policy, &mut |_| {})
     }
@@ -307,6 +287,7 @@ mod tests {
     use super::*;
     use crate::format::save_snapshot;
     use crate::retrain::snapshot_file_name;
+    use crate::warm::publish_from_path;
     use sqp_logsim::RawLogRecord;
     use sqp_router::RouterConfig;
     use sqp_serve::{ModelSnapshot, ModelSpec, TrainingConfig};
@@ -373,7 +354,7 @@ mod tests {
         let dir = scratch("fanout");
         let path = save(&dir, 1, "new");
         let r = router();
-        let published = r.publish_from_path(&path).unwrap();
+        let published = publish_from_path(&r, &path).unwrap();
         assert_eq!(published.engine_generation, 1);
         assert_eq!(published.meta.generation, 1);
         let stats = r.stats();
@@ -393,7 +374,7 @@ mod tests {
     fn fan_out_failure_touches_nothing() {
         let dir = scratch("fanout-bad");
         let r = router();
-        assert!(r.publish_from_path(dir.join("missing.sqps")).is_err());
+        assert!(publish_from_path(&r, dir.join("missing.sqps")).is_err());
         let stats = r.stats();
         assert!(stats.is_converged());
         assert_eq!(stats.max_generation(), 0);
@@ -583,7 +564,7 @@ mod tests {
         assert_eq!(r.suggest_context(&["start"], 1)[0].query, "old::next");
         // A later good fan-out lifts all quarantines.
         let path = save(&dir, 1, "new");
-        r.publish_from_path(&path).unwrap();
+        publish_from_path(&r, &path).unwrap();
         assert_eq!(r.stats().quarantined(), 0);
         assert_eq!(r.suggest_context(&["start"], 1)[0].query, "new::next");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -2,34 +2,35 @@
 //!
 //! Cold start (retrain from raw logs) takes seconds to minutes; warm start
 //! (load a snapshot file) takes milliseconds, because the file's section
-//! layout lets every structure be pre-sized. [`WarmStart`] puts the two
-//! file-driven operations a serving binary needs on
-//! [`ServeEngine`] itself:
+//! layout lets every structure be pre-sized. The two file-driven
+//! operations a serving binary needs:
 //!
 //! * [`ServeEngine::from_path`](WarmStart::from_path) — construct an engine
 //!   serving the model in a snapshot file;
-//! * [`ServeEngine::publish_from_path`](WarmStart::publish_from_path) —
-//!   hot-swap a newly written snapshot file into a live engine (the
-//!   file-system half of the retrain loop: one process retrains and saves,
-//!   the serving process publishes the file).
+//! * [`publish_from_path`] — hot-swap a newly written snapshot file into a
+//!   live tier, one engine or a replicated one (the file-system half of the
+//!   retrain loop: one process retrains and saves, the serving process
+//!   publishes the file).
 
 use crate::error::SnapshotError;
 use crate::format::{load_snapshot, SnapshotMeta};
-use sqp_serve::{EngineConfig, ServeEngine};
+use sqp_serve::{EngineConfig, ServeEngine, ServeSurface};
 use std::path::Path;
 use std::sync::Arc;
 
-/// What [`WarmStart::publish_from_path`] swapped in.
+/// What [`publish_from_path`] swapped in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Published {
-    /// The engine's generation counter after the publish (counts publishes
-    /// into *this* engine, not snapshot-file generations).
+    /// The tier's generation after the publish, as
+    /// [`ServeSurface::publish`] reports it: publishes into *this* engine
+    /// (a replicated tier's minimum across replicas), not snapshot-file
+    /// generations.
     pub engine_generation: u64,
     /// Metadata of the snapshot file that was published.
     pub meta: SnapshotMeta,
 }
 
-/// File-driven construction and publication for serving engines.
+/// File-driven construction for serving engines.
 ///
 /// # Examples
 ///
@@ -58,12 +59,6 @@ pub struct Published {
 pub trait WarmStart: Sized {
     /// Boot an engine from a snapshot file.
     fn from_path(path: impl AsRef<Path>, cfg: EngineConfig) -> Result<Self, SnapshotError>;
-
-    /// Load a snapshot file and atomically publish it into this live
-    /// engine. In-flight requests finish on the old snapshot; the load and
-    /// validation happen entirely before the swap, so a bad file leaves
-    /// the engine serving its current model untouched.
-    fn publish_from_path(&self, path: impl AsRef<Path>) -> Result<Published, SnapshotError>;
 }
 
 impl WarmStart for ServeEngine {
@@ -71,15 +66,25 @@ impl WarmStart for ServeEngine {
         let (snapshot, _meta) = load_snapshot(path)?;
         Ok(ServeEngine::new(Arc::new(snapshot), cfg))
     }
+}
 
-    fn publish_from_path(&self, path: impl AsRef<Path>) -> Result<Published, SnapshotError> {
-        let (snapshot, meta) = load_snapshot(path)?;
-        let engine_generation = self.publish(Arc::new(snapshot));
-        Ok(Published {
-            engine_generation,
-            meta,
-        })
-    }
+/// Load a snapshot file and publish it into a live tier through
+/// [`ServeSurface::publish`]: one atomic swap for a single engine, the
+/// same `Arc` fanned out to every replica of a replicated tier (one model
+/// allocation for the whole tier; any quarantine is lifted). The load and
+/// validation happen entirely before any swap, so a bad file publishes
+/// nowhere and the tier keeps serving its current model; in-flight
+/// requests finish on the old snapshot.
+pub fn publish_from_path(
+    tier: &impl ServeSurface,
+    path: impl AsRef<Path>,
+) -> Result<Published, SnapshotError> {
+    let (snapshot, meta) = load_snapshot(path)?;
+    let engine_generation = tier.publish(Arc::new(snapshot));
+    Ok(Published {
+        engine_generation,
+        meta,
+    })
 }
 
 #[cfg(test)]
@@ -135,7 +140,7 @@ mod tests {
         engine.track(7, "start", 100);
         assert_eq!(engine.suggest(7, 1, 110)[0].query, "old::next");
 
-        let published = engine.publish_from_path(&second).unwrap();
+        let published = publish_from_path(&engine, &second).unwrap();
         assert_eq!(published.engine_generation, 1);
         assert_eq!(published.meta.generation, 1);
         // Tracked session state survives the swap (text-based contexts).
@@ -156,8 +161,8 @@ mod tests {
         raw[last] ^= 0xff;
         std::fs::write(&corrupt, &raw).unwrap();
 
-        assert!(engine.publish_from_path(&corrupt).is_err());
-        assert!(engine.publish_from_path(dir.join("missing.sqps")).is_err());
+        assert!(publish_from_path(&engine, &corrupt).is_err());
+        assert!(publish_from_path(&engine, dir.join("missing.sqps")).is_err());
         assert_eq!(engine.generation(), 0, "failed publishes must not swap");
         assert_eq!(
             engine.suggest_context(&["start"], 1)[0].query,
