@@ -15,18 +15,23 @@
 //!   is one child. A level is emitted parent by parent in id order and each
 //!   parent's children in key order, so nodes are born in (depth, path)
 //!   order — which *is* the canonical layout below. [`SuffixTrie::count`]
-//!   therefore writes the frozen arrays directly: there is no builder, no
+//!   therefore writes the frozen columns directly: there is no builder, no
 //!   edge table and no re-numbering pass;
-//! * **the frozen layout** is breadth-first with id-sorted CSR child
-//!   arrays, so lookups on the serve path are allocation-free binary
-//!   searches (O(log fan-out) per edge) and the layout depends only on the
-//!   counts, never on the order of the sessions;
+//! * **the frozen layout** is breadth-first, one row per node plus one
+//!   column each for the key of the edge into a node, its total and its
+//!   rank. A node's children are the contiguous id run `first_child ..
+//!   first_child + n_children`, ascending by key, so the columns sliced
+//!   over that run *are* its child edges: lookups on the serve path are
+//!   allocation-free binary searches (O(log fan-out) per edge), and the
+//!   layout depends only on the counts, never on the order of the sessions;
+//! * **ranking** orders each run best first (total descending, key
+//!   ascending) once, in the trie, for every model that reads it: the
+//!   counting thread that writes a run ranks it, and a load ranks every run;
 //! * **joining** the counts of disjoint ranges of first queries is a
 //!   relabelling, because each range is a contiguous block of every depth;
 //! * **loading** needs no builder either: the canonical layout's
-//!   `(parent, key, total, at_start)` rows, in id order, *are* the CSR
-//!   arrays — edge `e` leads to node `e + 1` — so
-//!   [`SuffixTrie::from_parts`] fills the frozen form in one pass and
+//!   `(parent, key, total, at_start)` rows, in id order, *are* the columns,
+//!   so [`SuffixTrie::from_parts`] fills the frozen form in one pass and
 //!   rejects any row sequence that is not canonical.
 //!
 //! Node payloads are the window statistics of the paper's Eq. (6): total
@@ -37,6 +42,7 @@
 
 use crate::threads::map_on_threads;
 use crate::QueryId;
+use std::cmp::Reverse;
 use std::ops::Range;
 
 /// Weighted sessions copied into one flat buffer of ids — what
@@ -106,48 +112,51 @@ struct Window {
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Node {
-    total: u64,
     at_start: u64,
     /// Sum of child totals = weighted occurrences with a continuation.
     cont_total: u64,
+    /// The children are ids `first_child .. first_child + n_children`; a
+    /// childless node's empty run starts where the next child would.
     first_child: u32,
     n_children: u32,
     parent: u32,
-    key: QueryId,
     depth: u32,
 }
 
 impl Node {
     const ROOT: Node = Node {
-        total: 0,
         at_start: 0,
         cont_total: 0,
         first_child: 0,
         n_children: 0,
         parent: 0,
-        key: QueryId(0),
         depth: 0,
     };
 }
 
 /// Immutable arena suffix trie in canonical breadth-first layout.
 ///
-/// Node `0` is the root (the empty window). Child edges are stored in one
-/// CSR block per node, sorted by `QueryId`, so a path lookup is a cascade of
-/// binary searches with no allocation and no hashing.
+/// Node `0` is the root (the empty window). Every array is indexed by node
+/// id, and each node's children are one contiguous id run sorted by
+/// `QueryId`, so a path lookup is a cascade of binary searches with no
+/// allocation and no hashing.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SuffixTrie {
     nodes: Vec<Node>,
-    child_keys: Vec<QueryId>,
-    child_ids: Vec<u32>,
-    child_totals: Vec<u64>,
+    /// The query on the edge into each node (the root's is unused).
+    keys: Vec<QueryId>,
+    /// Each node's weighted occurrences.
+    totals: Vec<u64>,
+    /// Per run of siblings, their offsets in the run, best first: total
+    /// descending, ties by ascending key (the root's slot is unused).
+    rank: Vec<u32>,
     window_len: u32,
 }
 
 impl SuffixTrie {
     /// An empty trie (root only).
     pub fn empty() -> Self {
-        Self::from_nodes(vec![Node::ROOT], 0)
+        Self::with_capacity(1, 0).finish()
     }
 
     /// The root node id.
@@ -159,14 +168,15 @@ impl SuffixTrie {
     /// Windows starting at a session's first query also count as
     /// session-start occurrences. `[0..u32::MAX]` counts every window.
     ///
-    /// Each range is counted on a thread of its own. Disjoint ranges count
-    /// disjoint subtrees of the root. Canonical ids ascend by (depth, path)
-    /// and a path starts with its first query, so at every depth range p's
-    /// nodes come before range p + 1's, and each range's depth-d block keeps
-    /// its own order. Joining the parts is therefore a relabelling: a block
-    /// moves by one offset and a parent by the offset of its depth's block;
-    /// the child arrays follow node order because edge e leads to node
-    /// e + 1. Nothing is merged or re-inserted.
+    /// Each range is counted on a thread of its own, which also ranks every
+    /// run of children it writes. Disjoint ranges count disjoint subtrees
+    /// of the root. Canonical ids ascend by (depth, path) and a path starts
+    /// with its first query, so at every depth range p's nodes come before
+    /// range p + 1's, and each range's depth-d block keeps its own order.
+    /// Joining the parts is therefore a relabelling: a block moves by one
+    /// offset and a parent by the offset of its depth's block, and only the
+    /// root's run, which every part adds to, is ranked again. Nothing is
+    /// merged or re-inserted.
     ///
     /// # Panics
     ///
@@ -177,29 +187,54 @@ impl SuffixTrie {
             "parts hold ascending first queries"
         );
         let parts = map_on_threads(ranges, |first| {
-            count_nodes(sessions, window_len, first.clone())
+            count_part(sessions, window_len, first.clone())
         });
         join(parts, window_len)
     }
 
-    /// The frozen trie of canonically ordered `nodes` whose child counts
-    /// are set: a node's children start after every earlier node's, empty
-    /// ranges included, and edge e leads to node e + 1. Every array is held
-    /// at its length, as a loaded trie's is.
-    fn from_nodes(mut nodes: Vec<Node>, window_len: u32) -> SuffixTrie {
-        nodes.shrink_to_fit();
-        let mut next_edge = 0u32;
-        for node in &mut nodes {
-            node.first_child = next_edge;
-            next_edge += node.n_children;
-        }
-        SuffixTrie {
-            child_keys: nodes[1..].iter().map(|n| n.key).collect(),
-            child_ids: (1..nodes.len() as u32).collect(),
-            child_totals: nodes[1..].iter().map(|n| n.total).collect(),
-            nodes,
+    /// The root alone, with room for `n` nodes.
+    fn with_capacity(n: usize, window_len: u32) -> SuffixTrie {
+        let mut trie = SuffixTrie {
+            nodes: Vec::with_capacity(n),
+            keys: Vec::with_capacity(n),
+            totals: Vec::with_capacity(n),
+            rank: Vec::with_capacity(n),
             window_len,
+        };
+        trie.push(Node::ROOT, QueryId(0), 0);
+        trie
+    }
+
+    /// Append a node whose child counts are not known yet.
+    fn push(&mut self, node: Node, key: QueryId, total: u64) {
+        self.nodes.push(node);
+        self.keys.push(key);
+        self.totals.push(total);
+        self.rank.push(0);
+    }
+
+    /// Set every node's `first_child` from the child counts — a node's run
+    /// starts after every earlier node's — and hold each array at its
+    /// length, as a loaded trie's is.
+    fn finish(mut self) -> SuffixTrie {
+        let mut next_child = 1;
+        for node in &mut self.nodes {
+            node.first_child = next_child;
+            next_child += node.n_children;
         }
+        self.nodes.shrink_to_fit();
+        self.keys.shrink_to_fit();
+        self.totals.shrink_to_fit();
+        self.rank.shrink_to_fit();
+        self
+    }
+
+    /// Ids of the node's children.
+    #[inline]
+    fn run(&self, node: u32) -> Range<usize> {
+        let nd = &self.nodes[node as usize];
+        let lo = nd.first_child as usize;
+        lo..lo + nd.n_children as usize
     }
 
     /// Number of nodes including the root and continuation-only nodes.
@@ -229,11 +264,12 @@ impl SuffixTrie {
     /// Child of `node` along `q`.
     #[inline]
     pub fn child(&self, node: u32, q: QueryId) -> Option<u32> {
-        let nd = &self.nodes[node as usize];
-        let lo = nd.first_child as usize;
-        let hi = lo + nd.n_children as usize;
-        let keys = &self.child_keys[lo..hi];
-        keys.binary_search(&q).ok().map(|i| self.child_ids[lo + i])
+        let run = self.run(node);
+        let first = run.start as u32;
+        self.keys[run]
+            .binary_search(&q)
+            .ok()
+            .map(|i| first + i as u32)
     }
 
     /// Node reached by walking `path` from the root, at any depth.
@@ -257,7 +293,7 @@ impl SuffixTrie {
     /// Weighted occurrences of the node's window anywhere in a session.
     #[inline]
     pub fn total(&self, node: u32) -> u64 {
-        self.nodes[node as usize].total
+        self.totals[node as usize]
     }
 
     /// Weighted occurrences at a session start.
@@ -287,29 +323,25 @@ impl SuffixTrie {
     /// Edge label leading into the node (meaningless for the root).
     #[inline]
     pub fn key(&self, node: u32) -> QueryId {
-        self.nodes[node as usize].key
+        self.keys[node as usize]
     }
 
     /// Continuation distribution of the node's window as parallel id-sorted
     /// slices `(queries, weighted counts)` — the merged-walk input for KL
-    /// tests and distribution building. Borrowed straight from the arena:
-    /// no allocation, no copy.
+    /// tests and distribution building. The key and total columns over the
+    /// node's child run: no allocation, no copy.
     #[inline]
     pub fn continuations(&self, node: u32) -> (&[QueryId], &[u64]) {
-        let nd = &self.nodes[node as usize];
-        let lo = nd.first_child as usize;
-        let hi = lo + nd.n_children as usize;
-        (&self.child_keys[lo..hi], &self.child_totals[lo..hi])
+        let run = self.run(node);
+        (&self.keys[run.clone()], &self.totals[run])
     }
 
-    /// Child edges of the node as parallel id-sorted slices
-    /// `(queries, child node ids)`.
+    /// The node's continuations best first, as offsets into the slices of
+    /// [`SuffixTrie::continuations`]: total descending, ties by ascending
+    /// query id.
     #[inline]
-    pub fn children(&self, node: u32) -> (&[QueryId], &[u32]) {
-        let nd = &self.nodes[node as usize];
-        let lo = nd.first_child as usize;
-        let hi = lo + nd.n_children as usize;
-        (&self.child_keys[lo..hi], &self.child_ids[lo..hi])
+    pub fn rank(&self, node: u32) -> &[u32] {
+        &self.rank[self.run(node)]
     }
 
     /// Reconstruct the node's window into `out` (cleared first), oldest
@@ -331,12 +363,12 @@ impl SuffixTrie {
         (1..self.nodes.len() as u32).take_while(|&n| self.depth(n) <= self.window_len as usize)
     }
 
-    /// Approximate owned heap bytes.
+    /// Owned heap bytes.
     pub fn heap_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<Node>()
-            + self.child_keys.capacity() * std::mem::size_of::<QueryId>()
-            + self.child_ids.capacity() * std::mem::size_of::<u32>()
-            + self.child_totals.capacity() * std::mem::size_of::<u64>()
+            + self.keys.capacity() * std::mem::size_of::<QueryId>()
+            + self.totals.capacity() * std::mem::size_of::<u64>()
+            + self.rank.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Flatten for serialization: one `(parent, key, total, at_start)` row
@@ -346,8 +378,10 @@ impl SuffixTrie {
     pub fn parts(&self) -> impl ExactSizeIterator<Item = (u32, u32, u64, u64)> + '_ {
         self.nodes
             .iter()
+            .zip(&self.keys)
+            .zip(&self.totals)
             .skip(1)
-            .map(|n| (n.parent, n.key.0, n.total, n.at_start))
+            .map(|((n, key), &total)| (n.parent, key.0, total, n.at_start))
     }
 
     /// Rebuild from [`SuffixTrie::parts`] rows in one pass; row `i` is node
@@ -357,19 +391,17 @@ impl SuffixTrie {
     /// queries the trie's interner holds. The first two make every node's
     /// children one contiguous, key-sorted run — the frozen layout itself —
     /// so a valid row sequence yields exactly the trie that was flattened
-    /// and anything else is an error.
+    /// and anything else is an error. The ranks are not stored: every run
+    /// is ranked here, from its totals.
     pub fn from_parts(
         window_len: u32,
         vocabulary: usize,
         rows: impl ExactSizeIterator<Item = (u32, u32, u64, u64)>,
     ) -> Result<SuffixTrie, TrieRowError> {
-        let n_rows = rows.len();
-        let mut nodes = Vec::with_capacity(n_rows + 1);
-        nodes.push(Node::ROOT);
-        let mut child_keys = Vec::with_capacity(n_rows);
-        let mut child_ids = Vec::with_capacity(n_rows);
-        let mut child_totals = Vec::with_capacity(n_rows);
+        let mut trie = SuffixTrie::with_capacity(rows.len() + 1, window_len);
         let mut previous: Option<(u32, u32)> = None;
+        // The first id of the run of children being read.
+        let mut run = 1;
         for (row, (parent, key, total, at_start)) in rows.enumerate() {
             let node = u32::try_from(row + 1).map_err(|_| TrieRowError::TooManyRows)?;
             if parent >= node {
@@ -385,53 +417,47 @@ impl SuffixTrie {
             if previous.is_some_and(|p| p >= (parent, key)) {
                 return Err(TrieRowError::OutOfOrder { node });
             }
+            if previous.is_some_and(|p| p.0 != parent) {
+                // Every child of the previous parent is read.
+                rank_run(&trie.totals[run..], &mut trie.rank[run..]);
+                run = node as usize;
+            }
             previous = Some((parent, key));
 
-            let above = &mut nodes[parent as usize];
-            if above.n_children == 0 {
-                above.first_child = row as u32;
-            }
+            let above = &mut trie.nodes[parent as usize];
             above.n_children += 1;
             above.cont_total = above
                 .cont_total
                 .checked_add(total)
                 .ok_or(TrieRowError::CountOverflow { node: parent })?;
-            let depth = above.depth + 1;
-            nodes.push(Node {
-                total,
+            let child = Node {
                 at_start,
                 parent,
-                key: QueryId(key),
-                depth,
+                depth: above.depth + 1,
                 ..Node::ROOT
-            });
-            child_keys.push(QueryId(key));
-            child_ids.push(node);
-            child_totals.push(total);
+            };
+            trie.push(child, QueryId(key), total);
         }
-        // A childless node's (empty) range starts where the next edge
-        // would go, as `count` leaves it.
-        let mut next_edge = n_rows as u32;
-        for node in nodes.iter_mut().rev() {
-            if node.n_children == 0 {
-                node.first_child = next_edge;
-            } else {
-                next_edge = node.first_child;
-            }
-        }
-        Ok(SuffixTrie {
-            nodes,
-            child_keys,
-            child_ids,
-            child_totals,
-            window_len,
-        })
+        rank_run(&trie.totals[run..], &mut trie.rank[run..]);
+        Ok(trie.finish())
     }
 }
 
-/// The nodes of [`SuffixTrie::count`], child counts set, in canonical order:
-/// the level loop the module docs describe.
-fn count_nodes(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> Vec<Node> {
+/// Write into `rank` the offsets `0..totals.len()` of one run of siblings,
+/// best first: total descending, ties by ascending offset — which is
+/// ascending key, the order the run is stored in. The sort is stable, so
+/// ties keep that order.
+fn rank_run(totals: &[u64], rank: &mut [u32]) {
+    for (offset, slot) in rank.iter_mut().enumerate() {
+        *slot = offset as u32;
+    }
+    rank.sort_by_key(|&i| Reverse(totals[i as usize]));
+}
+
+/// The nodes of [`SuffixTrie::count`] for the windows starting in `first`,
+/// in canonical order with every run ranked; `first_child` is set by the
+/// join. This is the level loop the module docs describe.
+fn count_part(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> SuffixTrie {
     let ids = &sessions.ids;
     let depth_limit = window_len.saturating_add(1);
     // Depth 1: the start positions whose query lies in `first`,
@@ -467,7 +493,7 @@ fn count_nodes(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> V
     // `groups`: `(parent, end)` of each run of `level` sharing a parent,
     // in parent order, each sorted by key.
     let mut groups = vec![(SuffixTrie::ROOT, level.len() as u32)];
-    let mut nodes = vec![Node::ROOT];
+    let mut trie = SuffixTrie::with_capacity(1, window_len);
     let (mut next, mut next_groups) = (Vec::with_capacity(level.len()), Vec::new());
     let mut depth = 1;
     while !level.is_empty() {
@@ -475,9 +501,10 @@ fn count_nodes(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> V
         let deeper = depth < depth_limit;
         let mut begin = 0;
         for &(parent, end) in &groups {
-            let (mut children, mut cont_total) = (0, 0);
+            let first_child = trie.len();
+            let mut cont_total = 0;
             for run in level[begin..end as usize].chunk_by(|a, b| a.key == b.key) {
-                let id = nodes.len() as u32;
+                let id = trie.len() as u32;
                 let from = next.len();
                 let (mut total, mut at_start) = (0, 0);
                 for w in run {
@@ -494,24 +521,24 @@ fn count_nodes(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> V
                         });
                     }
                 }
-                children += 1;
                 cont_total += total;
-                nodes.push(Node {
-                    total,
+                let node = Node {
                     at_start,
                     parent,
-                    key: QueryId(run[0].key),
                     depth,
                     ..Node::ROOT
-                });
+                };
+                trie.push(node, QueryId(run[0].key), total);
                 if next.len() > from {
                     next[from..].sort_unstable_by_key(|w: &Window| w.key);
                     next_groups.push((id, next.len() as u32));
                 }
             }
-            let above = &mut nodes[parent as usize];
-            above.n_children = children;
+            let n_children = (trie.len() - first_child) as u32;
+            let above = &mut trie.nodes[parent as usize];
+            above.n_children = n_children;
             above.cont_total = cont_total;
+            rank_run(&trie.totals[first_child..], &mut trie.rank[first_child..]);
             begin = end as usize;
         }
         std::mem::swap(&mut level, &mut next);
@@ -520,77 +547,54 @@ fn count_nodes(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> V
         next_groups.clear();
         depth += 1;
     }
-    nodes
+    trie
 }
 
 /// The trie of parts counted over ascending ranges of first queries (see
-/// [`SuffixTrie::count`]). The node array is written in one pass,
-/// relabelled, while a helper thread copies the child arrays out of the
-/// same blocks.
-fn join(mut parts: Vec<Vec<Node>>, window_len: u32) -> SuffixTrie {
+/// [`SuffixTrie::count`]), written in one pass over the parts' blocks.
+fn join(mut parts: Vec<SuffixTrie>, window_len: u32) -> SuffixTrie {
     if parts.len() <= 1 {
-        let nodes = parts.pop().unwrap_or_else(|| vec![Node::ROOT]);
-        return SuffixTrie::from_nodes(nodes, window_len);
-    }
-    let mut root = Node::ROOT;
-    for part in &parts {
-        root.n_children += part[0].n_children;
-        root.cont_total += part[0].cont_total;
+        let part = parts.pop();
+        return part
+            .unwrap_or_else(|| SuffixTrie::with_capacity(1, window_len))
+            .finish();
     }
     // Every part's depth blocks in joined order, each with the shift of
     // its parents: where the part's previous block moved.
-    let mut blocks: Vec<(&[Node], u32)> = Vec::new();
+    let mut blocks: Vec<(&SuffixTrie, Range<usize>, u32)> = Vec::new();
     let mut next = vec![1; parts.len()];
     let mut previous = vec![(0u32, 0u32); parts.len()];
     let mut joined = 1;
-    let deepest = parts
-        .iter()
-        .map(|p| p[p.len() - 1].depth)
-        .max()
-        .unwrap_or(0);
-    for depth in 1..=deepest {
+    let deepest = parts.iter().map(|p| p.depth(p.len() as u32 - 1)).max();
+    for depth in 1..=deepest.unwrap_or(0) as u32 {
         for (p, part) in parts.iter().enumerate() {
             let from = next[p];
-            next[p] += part[from..].partition_point(|n| n.depth == depth);
+            next[p] += part.nodes[from..].partition_point(|n| n.depth == depth);
             let (before, after) = previous[p];
-            blocks.push((&part[from..next[p]], after.wrapping_sub(before)));
+            blocks.push((part, from..next[p], after.wrapping_sub(before)));
             previous[p] = (from as u32, joined);
             joined += (next[p] - from) as u32;
         }
     }
-    let n = joined as usize;
-    std::thread::scope(|scope| {
-        let children = scope.spawn(|| {
-            let edges = || blocks.iter().flat_map(|(block, _)| block.iter());
-            let (mut keys, mut totals) = (Vec::with_capacity(n - 1), Vec::with_capacity(n - 1));
-            keys.extend(edges().map(|e| e.key));
-            totals.extend(edges().map(|e| e.total));
-            (keys, (1..n as u32).collect(), totals)
-        });
-        let mut nodes = Vec::with_capacity(n);
-        nodes.push(root);
-        let mut next_edge = root.n_children;
-        for &(block, shift) in &blocks {
-            nodes.extend(block.iter().map(|node| {
-                let first_child = next_edge;
-                next_edge += node.n_children;
-                Node {
-                    parent: node.parent.wrapping_add(shift),
-                    first_child,
-                    ..*node
-                }
+    let mut trie = SuffixTrie::with_capacity(joined as usize, window_len);
+    for part in &parts {
+        trie.nodes[0].n_children += part.nodes[0].n_children;
+        trie.nodes[0].cont_total += part.nodes[0].cont_total;
+    }
+    for (part, block, shift) in blocks {
+        trie.nodes
+            .extend(part.nodes[block.clone()].iter().map(|node| Node {
+                parent: node.parent.wrapping_add(shift),
+                ..*node
             }));
-        }
-        let (child_keys, child_ids, child_totals) =
-            children.join().expect("joining child arrays panicked");
-        SuffixTrie {
-            nodes,
-            child_keys,
-            child_ids,
-            child_totals,
-            window_len,
-        }
-    })
+        trie.keys.extend_from_slice(&part.keys[block.clone()]);
+        trie.totals.extend_from_slice(&part.totals[block.clone()]);
+        trie.rank.extend_from_slice(&part.rank[block]);
+    }
+    let mut trie = trie.finish();
+    let run = trie.run(SuffixTrie::ROOT);
+    rank_run(&trie.totals[run.clone()], &mut trie.rank[run]);
+    trie
 }
 
 /// Why a row sequence is not the canonical flattening of any trie — what
@@ -787,6 +791,28 @@ mod tests {
             .collect()
     }
 
+    /// A 32-byte row plus one key, one total and one rank per node.
+    const BYTES_PER_NODE: usize = 32 + 4 + 8 + 4;
+
+    /// Every node's rank run lists its children as a reference sort does
+    /// (total descending, key ascending), and the trie owns exactly its
+    /// columns.
+    fn assert_ranked_and_sized(trie: &SuffixTrie, what: &str) {
+        for node in 0..trie.len() as u32 {
+            let (keys, totals) = trie.continuations(node);
+            let mut expect: Vec<(QueryId, u64)> =
+                keys.iter().copied().zip(totals.iter().copied()).collect();
+            expect.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            let ranked: Vec<(QueryId, u64)> = trie
+                .rank(node)
+                .iter()
+                .map(|&i| (keys[i as usize], totals[i as usize]))
+                .collect();
+            assert_eq!(ranked, expect, "{what}: node {node}");
+        }
+        assert_eq!(trie.heap_bytes(), BYTES_PER_NODE * trie.len(), "{what}");
+    }
+
     #[test]
     fn random_tries_roundtrip_through_their_rows() {
         for case in 0..200u64 {
@@ -802,6 +828,8 @@ mod tests {
                 SuffixTrie::from_parts(window_len, vocabulary as usize, counted.parts()).unwrap();
             assert_eq!(loaded, counted, "case {case}");
             assert_eq!(loaded.window_count(), counted.window_count(), "case {case}");
+            assert_ranked_and_sized(&counted, &format!("counted case {case}"));
+            assert_ranked_and_sized(&loaded, &format!("loaded case {case}"));
         }
     }
 
@@ -820,11 +848,10 @@ mod tests {
             cuts.sort_unstable();
             let bounds: Vec<u32> = [0].into_iter().chain(cuts).chain([vocabulary]).collect();
             let ranges: Vec<Range<u32>> = bounds.windows(2).map(|b| b[0]..b[1]).collect();
-            assert_eq!(
-                SuffixTrie::count(&sessions, window_len, &ranges),
-                whole,
-                "case {case}: {bounds:?}"
-            );
+            let joined = SuffixTrie::count(&sessions, window_len, &ranges);
+            assert_eq!(joined, whole, "case {case}: {bounds:?}");
+            assert_ranked_and_sized(&whole, &format!("whole case {case}"));
+            assert_ranked_and_sized(&joined, &format!("joined case {case}: {bounds:?}"));
         }
     }
 

@@ -179,12 +179,6 @@ impl BytesMut {
         self.data.is_empty()
     }
 
-    /// Append a byte.
-    #[inline]
-    pub fn put_u8(&mut self, v: u8) {
-        self.data.push(v);
-    }
-
     /// Append a little-endian `u16`.
     #[inline]
     pub fn put_u16_le(&mut self, v: u16) {

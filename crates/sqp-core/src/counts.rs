@@ -49,66 +49,6 @@ pub struct WindowCounts {
     pub max_len: usize,
 }
 
-/// A borrowed view of one counted window (a candidate PST context).
-#[derive(Clone, Copy, Debug)]
-pub struct WindowEntry<'a> {
-    trie: &'a SuffixTrie,
-    node: u32,
-}
-
-impl<'a> WindowEntry<'a> {
-    /// Weighted occurrences of the window anywhere in a session.
-    #[inline]
-    pub fn total(&self) -> u64 {
-        self.trie.total(self.node)
-    }
-
-    /// Weighted occurrences at the very start of a session.
-    #[inline]
-    pub fn at_start(&self) -> u64 {
-        self.trie.at_start(self.node)
-    }
-
-    /// Total weighted continuation mass (occurrences followed by a query).
-    #[inline]
-    pub fn next_total(&self) -> u64 {
-        self.trie.cont_total(self.node)
-    }
-
-    /// Weighted count of `q` immediately following the window.
-    #[inline]
-    pub fn next_count(&self, q: QueryId) -> u64 {
-        let (keys, counts) = self.trie.continuations(self.node);
-        keys.binary_search(&q).map(|i| counts[i]).unwrap_or(0)
-    }
-
-    /// Continuation distribution as parallel id-sorted slices
-    /// `(queries, counts)`, borrowed from the arena.
-    #[inline]
-    pub fn next_sorted(&self) -> (&'a [QueryId], &'a [u64]) {
-        self.trie.continuations(self.node)
-    }
-
-    /// Iterate `(query, count)` continuations in ascending id order.
-    pub fn next_iter(&self) -> impl Iterator<Item = (QueryId, u64)> + 'a {
-        let (keys, counts) = self.trie.continuations(self.node);
-        keys.iter().copied().zip(counts.iter().copied())
-    }
-
-    /// Continuations sorted by descending count, ties by ascending id.
-    pub fn next_sorted_desc(&self) -> Vec<(QueryId, u64)> {
-        let mut v: Vec<(QueryId, u64)> = self.next_iter().collect();
-        v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
-    }
-
-    /// The trie node backing this window.
-    #[inline]
-    pub fn node(&self) -> u32 {
-        self.node
-    }
-}
-
 impl WindowCounts {
     /// Count windows of length `1..=max_len` over weighted sessions.
     /// `max_len = None` counts every possible window (unbounded VMM).
@@ -174,41 +114,26 @@ impl WindowCounts {
         Self::build(sessions, max_len)
     }
 
-    /// Counts for a window, if observed.
-    #[inline]
-    pub fn entry(&self, window: &[QueryId]) -> Option<WindowEntry<'_>> {
-        self.trie.window(window).map(|node| WindowEntry {
-            trie: &self.trie,
-            node,
-        })
-    }
-
-    /// View of a window by trie node id.
-    #[inline]
-    pub fn entry_at(&self, node: u32) -> WindowEntry<'_> {
-        WindowEntry {
-            trie: &self.trie,
-            node,
-        }
-    }
-
-    /// The prior next-query distribution (root of the PST) as id-sorted
-    /// parallel slices: every query with its total weighted occurrences.
-    pub fn root_continuations(&self) -> (&[QueryId], &[u64]) {
-        self.trie.continuations(SuffixTrie::ROOT)
-    }
-
     /// The root prior sorted by descending count, ties by ascending id.
     pub fn root_counts_desc(&self) -> Vec<(QueryId, u64)> {
-        self.entry_at(SuffixTrie::ROOT).next_sorted_desc()
+        self.ranked_counts(SuffixTrie::ROOT)
     }
 
-    /// Maximum-likelihood conditional distribution `P(·|window)` as sorted
-    /// `(query, count)` pairs; empty when the window has no continuation.
+    /// Maximum-likelihood conditional distribution `P(·|window)` as
+    /// `(query, count)` pairs sorted by descending count, ties by ascending
+    /// id; empty when the window has no continuation.
     pub fn ml_counts(&self, window: &[QueryId]) -> Vec<(QueryId, u64)> {
-        self.entry(window)
-            .map(|e| e.next_sorted_desc())
+        self.trie
+            .window(window)
+            .map(|node| self.ranked_counts(node))
             .unwrap_or_default()
+    }
+
+    /// The node's continuations in the trie's best-first order.
+    fn ranked_counts(&self, node: u32) -> Vec<(QueryId, u64)> {
+        let (keys, counts) = self.trie.continuations(node);
+        let rank = self.trie.rank(node).iter().map(|&i| i as usize);
+        rank.map(|i| (keys[i], counts[i])).collect()
     }
 
     /// Candidate PST contexts: observed windows with continuation evidence of
@@ -269,7 +194,8 @@ impl WindowCounts {
 /// Fewest window starts a counting part is worth a thread for: at ≈ 0.1 µs
 /// a start (its windows sorted level by level) this is ≈ 3 ms of work
 /// against a thread start of tens of µs, the part's own scan of the id
-/// buffer, and its share of the join's copy (≈ 0.03 µs a start).
+/// buffer, and its share of the join, which writes every part's columns
+/// into the joined trie on one thread.
 const MIN_POSITIONS_PER_PART: usize = 1 << 15;
 
 /// Deal the ids `0..starts.len()` into `parts` contiguous, ascending ranges
@@ -408,23 +334,27 @@ pub(crate) mod tests {
     fn toy_conditional_q1q0() {
         // Paper: P(q0|[q1,q0]) = 3/10.
         let c = WindowCounts::build(&toy_corpus(), None);
-        let e = c.entry(&seq(&[1, 0])).unwrap();
-        assert_eq!(e.next_count(QueryId(0)), 3);
-        assert_eq!(e.next_count(QueryId(1)), 7);
-        assert_eq!(e.next_total(), 10);
+        let node = c.trie().window(&seq(&[1, 0])).unwrap();
+        assert_eq!(
+            c.trie().continuations(node),
+            (&seq(&[0, 1])[..], &[3, 7][..])
+        );
+        assert_eq!(c.trie().cont_total(node), 10);
     }
 
     #[test]
     fn toy_conditional_single_queries_use_all_positions() {
         let c = WindowCounts::build(&toy_corpus(), None);
         // P(·|q1): q1→q0 16 times, q1→q1 4 times (0.8 / 0.2 in the paper).
-        let e1 = c.entry(&seq(&[1])).unwrap();
-        assert_eq!(e1.next_count(QueryId(0)), 16);
-        assert_eq!(e1.next_count(QueryId(1)), 4);
+        assert_eq!(
+            c.ml_counts(&seq(&[1])),
+            vec![(QueryId(0), 16), (QueryId(1), 4)]
+        );
         // P(·|q0): q0→q0 81, q0→q1 9 (0.9 / 0.1 in the paper).
-        let e0 = c.entry(&seq(&[0])).unwrap();
-        assert_eq!(e0.next_count(QueryId(0)), 81);
-        assert_eq!(e0.next_count(QueryId(1)), 9);
+        assert_eq!(
+            c.ml_counts(&seq(&[0])),
+            vec![(QueryId(0), 81), (QueryId(1), 9)]
+        );
     }
 
     #[test]
@@ -439,9 +369,8 @@ pub(crate) mod tests {
     #[test]
     fn root_prior_counts_every_occurrence() {
         let c = WindowCounts::build(&toy_corpus(), None);
-        let root = c.entry_at(sqp_common::SuffixTrie::ROOT);
-        assert_eq!(root.next_count(QueryId(0)), 187);
-        assert_eq!(root.next_count(QueryId(1)), 31);
+        let root = c.trie().continuations(SuffixTrie::ROOT);
+        assert_eq!(root, (&seq(&[0, 1])[..], &[187, 31][..]));
         assert_eq!(c.total_occurrences, 218);
         assert_eq!(c.total_sessions, 108);
         assert_eq!(c.n_queries, 2);
@@ -454,11 +383,11 @@ pub(crate) mod tests {
     #[test]
     fn bounded_counting_truncates_windows() {
         let c = WindowCounts::build(&[(seq(&[0, 1, 2, 3]), 1)], Some(2));
-        assert!(c.entry(&seq(&[0, 1])).is_some());
-        assert!(c.entry(&seq(&[0, 1, 2])).is_none());
+        assert!(c.trie().window(&seq(&[0, 1])).is_some());
+        assert!(c.trie().window(&seq(&[0, 1, 2])).is_none());
         assert_eq!(c.max_len, 2);
         // Length-2 windows still know their continuations.
-        assert_eq!(c.entry(&seq(&[1, 2])).unwrap().next_count(QueryId(3)), 1);
+        assert_eq!(c.ml_counts(&seq(&[1, 2])), vec![(QueryId(3), 1)]);
     }
 
     #[test]
@@ -466,13 +395,14 @@ pub(crate) mod tests {
         let c = WindowCounts::build(&toy_corpus(), None);
         // [0] starts sessions q0q0 (78), q0q1q0 (1), q0q1q1 (1), q0 (10) = 90;
         // occurs 187 times total.
-        let e = c.entry(&seq(&[0])).unwrap();
-        assert_eq!(e.at_start(), 90);
-        assert_eq!(e.total(), 187);
+        let t = c.trie();
+        let n0 = t.window(&seq(&[0])).unwrap();
+        assert_eq!(t.at_start(n0), 90);
+        assert_eq!(t.total(n0), 187);
         // [1,0] starts q1q0q0 (3), q1q0q1 (7), q1q0 (5) = 15.
-        let e10 = c.entry(&seq(&[1, 0])).unwrap();
-        assert_eq!(e10.at_start(), 15);
-        assert_eq!(e10.total(), 16); // plus [0,1,0]'s suffix occurrence
+        let n10 = t.window(&seq(&[1, 0])).unwrap();
+        assert_eq!(t.at_start(n10), 15);
+        assert_eq!(t.total(n10), 16); // plus [0,1,0]'s suffix occurrence
     }
 
     #[test]
@@ -509,7 +439,7 @@ pub(crate) mod tests {
     #[test]
     fn next_sorted_is_id_ordered_and_borrowed() {
         let c = WindowCounts::build(&toy_corpus(), None);
-        let (keys, counts) = c.entry(&seq(&[1])).unwrap().next_sorted();
+        let (keys, counts) = c.trie().continuations(c.trie().window(&seq(&[1])).unwrap());
         assert_eq!(keys, &[QueryId(0), QueryId(1)]);
         assert_eq!(counts, &[16, 4]);
     }

@@ -3,10 +3,11 @@
 //! A PST state *is* a window of the training corpus, i.e. a node of the
 //! frozen [`SuffixTrie`] the counts were collected in, and its next-query
 //! distribution *is* that node's child row. So the tree stores no context
-//! and no count: per state it keeps the trie node, the parent state, one
-//! run of `(next-older query → state)` edges and one run of best-first
-//! ranks over the node's children, all in four flat arrays beside a shared
-//! [`Arc<SuffixTrie>`]. A model is the trie plus the set of nodes that are
+//! and no count: per state it keeps the trie node, the parent state and one
+//! run of `(next-older query → state)` edges, in three flat arrays beside a
+//! shared [`Arc<SuffixTrie>`]. The best-first order of a state's
+//! continuations is the trie's too, so every model over one trie shares a
+//! single ranking. A model is the trie plus the set of nodes that are
 //! states; [`Pst::from_states`] is the only constructor, for a model just
 //! trained and for one read from disk alike.
 //!
@@ -31,8 +32,8 @@ use std::sync::Arc;
 /// untouched.
 ///
 /// The raw ML counts are the trie's id-sorted child keys and totals, so
-/// `prob` is an O(log m) binary search; the rank run keeps the best-first
-/// order for top-k without re-sorting at query time.
+/// `prob` is an O(log m) binary search; the trie's rank run keeps the
+/// best-first order for top-k without re-sorting at query time.
 #[derive(Clone, Copy, Debug)]
 pub struct NodeDist<'a> {
     /// Observed continuations, ascending by query id.
@@ -135,7 +136,6 @@ struct State {
     /// The state of the one-shorter suffix (the root's is itself).
     parent: u32,
     first_edge: u32,
-    first_rank: u32,
 }
 
 /// The prediction suffix tree. State `0` is the root (the empty context);
@@ -152,8 +152,6 @@ pub struct Pst {
     edge_queries: Vec<QueryId>,
     /// …and the states they lead to.
     edge_states: Vec<u32>,
-    /// Per state, the positions of its trie node's children, best first.
-    rank: Vec<u32>,
 }
 
 /// Why a node list is not the state set of any PST over a given trie — what
@@ -248,12 +246,7 @@ impl Pst {
         }
         edges.sort_unstable();
 
-        let n_ranks: usize = std::iter::once(SuffixTrie::ROOT)
-            .chain(nodes.iter().copied())
-            .map(|node| trie.continuations(node).0.len())
-            .sum();
         let mut states = Vec::with_capacity(nodes.len() + 2);
-        let mut rank: Vec<u32> = Vec::with_capacity(n_ranks);
         let mut next_edge = 0usize;
         for (state, node) in std::iter::once(SuffixTrie::ROOT)
             .chain(nodes.iter().copied())
@@ -263,20 +256,10 @@ impl Pst {
             while edges.get(next_edge).is_some_and(|e| e.0 as usize == state) {
                 next_edge += 1;
             }
-            let (queries, counts) = trie.continuations(node);
-            let first_rank = rank.len();
-            rank.extend(0..queries.len() as u32);
-            rank[first_rank..].sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                counts[b]
-                    .cmp(&counts[a])
-                    .then_with(|| queries[a].cmp(&queries[b]))
-            });
             states.push(State {
                 node,
                 parent: 0,
                 first_edge: first_edge as u32,
-                first_rank: first_rank as u32,
             });
         }
         debug_assert_eq!(next_edge, edges.len());
@@ -284,7 +267,6 @@ impl Pst {
             node: SuffixTrie::ROOT,
             parent: 0,
             first_edge: edges.len() as u32,
-            first_rank: rank.len() as u32,
         });
         for &(parent, _, child) in &edges {
             states[child as usize].parent = parent;
@@ -296,7 +278,6 @@ impl Pst {
             states,
             edge_queries: edges.iter().map(|e| e.1).collect(),
             edge_states: edges.iter().map(|e| e.2).collect(),
-            rank,
         })
     }
 
@@ -335,14 +316,13 @@ impl Pst {
     /// Next-query distribution of `state`.
     #[inline]
     pub fn dist(&self, state: u32) -> NodeDist<'_> {
-        let s = self.states[state as usize];
-        let end = self.states[state as usize + 1].first_rank;
-        let (queries, counts) = self.trie.continuations(s.node);
+        let node = self.states[state as usize].node;
+        let (queries, counts) = self.trie.continuations(node);
         NodeDist::new(
             queries,
             counts,
-            &self.rank[s.first_rank as usize..end as usize],
-            self.trie.cont_total(s.node),
+            self.trie.rank(node),
+            self.trie.cont_total(node),
             self.n_queries,
         )
     }
@@ -391,7 +371,6 @@ impl Pst {
         self.states.capacity() * std::mem::size_of::<State>()
             + self.edge_queries.capacity() * std::mem::size_of::<QueryId>()
             + self.edge_states.capacity() * std::mem::size_of::<u32>()
-            + self.rank.capacity() * std::mem::size_of::<u32>()
     }
 }
 

@@ -27,15 +27,15 @@ pub fn entropy_by_context_length(
     max_len: usize,
 ) -> Vec<EntropyPoint> {
     let counts = WindowCounts::build(sessions, Some(max_len));
+    let trie = counts.trie();
     let mut acc: Vec<(f64, u64, usize)> = vec![(0.0, 0, 0); max_len + 1];
     for node in counts.candidate_nodes(1) {
-        let len = counts.trie().depth(node);
+        let len = trie.depth(node);
         if len > max_len {
             continue;
         }
-        let entry = counts.entry_at(node);
-        let weight = entry.next_total();
-        let h = entropy_of_counts(entry.next_iter().map(|(_, c)| c));
+        let weight = trie.cont_total(node);
+        let h = entropy_of_counts(trie.continuations(node).1.iter().copied());
         acc[len].0 += h * weight as f64;
         acc[len].1 += weight;
         acc[len].2 += 1;

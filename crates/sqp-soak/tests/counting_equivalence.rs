@@ -6,7 +6,7 @@
 mod baseline;
 
 use baseline::BaselineWindowCounts;
-use sqp_common::{seq, QueryId, QuerySeq};
+use sqp_common::{seq, QueryId, QuerySeq, SuffixTrie};
 use sqp_core::counts::WindowCounts;
 
 /// The paper's Table II corpus (inlined from `sqp_core::toy`).
@@ -26,49 +26,68 @@ fn toy_corpus() -> Vec<(QuerySeq, u64)> {
 /// Assert the two counters agree on every observable quantity.
 fn assert_equivalent(sessions: &[(QuerySeq, u64)], max_len: Option<usize>) {
     let baseline = BaselineWindowCounts::build(sessions, max_len);
-    let trie = WindowCounts::build(sessions, max_len);
+    let counts = WindowCounts::build(sessions, max_len);
+    let trie = counts.trie();
 
-    assert_eq!(trie.n_queries, baseline.n_queries);
-    assert_eq!(trie.total_sessions, baseline.total_sessions);
-    assert_eq!(trie.total_occurrences, baseline.total_occurrences);
-    assert_eq!(trie.max_len, baseline.max_len);
-    assert_eq!(trie.window_count(), baseline.entries.len());
+    assert_eq!(counts.n_queries, baseline.n_queries);
+    assert_eq!(counts.total_sessions, baseline.total_sessions);
+    assert_eq!(counts.total_occurrences, baseline.total_occurrences);
+    assert_eq!(counts.max_len, baseline.max_len);
+    assert_eq!(counts.window_count(), baseline.entries.len());
 
     // Every baseline window with identical statistics (window_count equality
     // above makes the correspondence a bijection).
     for (w, be) in &baseline.entries {
-        let te = trie
-            .entry(w)
+        let node = trie
+            .window(w)
             .unwrap_or_else(|| panic!("window {w:?} missing from trie"));
-        assert_eq!(te.total(), be.total, "total mismatch on {w:?}");
-        assert_eq!(te.at_start(), be.at_start, "at_start mismatch on {w:?}");
-        assert_eq!(te.next_total(), be.next.total(), "next total on {w:?}");
+        assert_eq!(trie.total(node), be.total, "total mismatch on {w:?}");
+        assert_eq!(
+            trie.at_start(node),
+            be.at_start,
+            "at_start mismatch on {w:?}"
+        );
+        assert_eq!(
+            trie.cont_total(node),
+            be.next.total(),
+            "next total on {w:?}"
+        );
         let mut baseline_next: Vec<(QueryId, u64)> = be.next.iter().map(|(q, c)| (*q, c)).collect();
         baseline_next.sort_unstable_by_key(|&(q, _)| q);
-        let trie_next: Vec<(QueryId, u64)> = te.next_iter().collect();
-        assert_eq!(trie_next, baseline_next, "continuations on {w:?}");
+        assert_eq!(
+            pairs(trie.continuations(node)),
+            baseline_next,
+            "continuations on {w:?}"
+        );
     }
 
     // Root prior.
     let mut baseline_root: Vec<(QueryId, u64)> =
         baseline.root_next.iter().map(|(q, c)| (*q, c)).collect();
     baseline_root.sort_unstable_by_key(|&(q, _)| q);
-    let (rk, rc) = trie.root_continuations();
-    let trie_root: Vec<(QueryId, u64)> = rk.iter().copied().zip(rc.iter().copied()).collect();
-    assert_eq!(trie_root, baseline_root);
+    assert_eq!(pairs(trie.continuations(SuffixTrie::ROOT)), baseline_root);
 
     // Escape probabilities on a grid of contexts (including unobserved).
     for a in 0..6u32 {
         for b in 0..6u32 {
             let ctx = seq(&[a, b]);
             let expect = baseline_escape(&baseline, &ctx);
-            let got = trie.escape_prob(&ctx);
+            let got = counts.escape_prob(&ctx);
             assert!(
                 (expect - got).abs() < 1e-15,
                 "escape mismatch on {ctx:?}: {expect} vs {got}"
             );
         }
     }
+}
+
+/// Parallel `(queries, counts)` slices as pairs.
+fn pairs((queries, counts): (&[QueryId], &[u64])) -> Vec<(QueryId, u64)> {
+    queries
+        .iter()
+        .copied()
+        .zip(counts.iter().copied())
+        .collect()
 }
 
 /// Eq. (6) computed from the baseline's maps (the seed formula verbatim).
@@ -95,12 +114,19 @@ fn toy_corpus_equivalence_and_paper_numbers() {
     // Golden numbers straight off the trie: P(q0|q1) = 16/20 = 0.8 (Fig 3)
     // and P(q0|[q1,q0]) = 3/10 (Table II).
     let c = WindowCounts::build(&toy_corpus(), None);
-    let e1 = c.entry(&seq(&[1])).unwrap();
-    assert_eq!(e1.next_count(QueryId(0)), 16);
-    assert_eq!(e1.next_total(), 20);
-    let e10 = c.entry(&seq(&[1, 0])).unwrap();
-    assert_eq!(e10.next_count(QueryId(0)), 3);
-    assert_eq!(e10.next_total(), 10);
+    let trie = c.trie();
+    let n1 = trie.window(&seq(&[1])).unwrap();
+    assert_eq!(
+        pairs(trie.continuations(n1)),
+        [(QueryId(0), 16), (QueryId(1), 4)]
+    );
+    assert_eq!(trie.cont_total(n1), 20);
+    let n10 = trie.window(&seq(&[1, 0])).unwrap();
+    assert_eq!(
+        pairs(trie.continuations(n10)),
+        [(QueryId(0), 3), (QueryId(1), 7)]
+    );
+    assert_eq!(trie.cont_total(n10), 10);
 }
 
 #[test]

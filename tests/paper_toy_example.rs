@@ -62,9 +62,12 @@ fn full_figure3_reproduction() {
 fn conditional_probability_table_ii() {
     // P(q0|[q1,q0]) = 3/10 straight from the window counts.
     let counts = sqp::core::counts::WindowCounts::build(&toy_corpus(), None);
-    let e = counts.entry(&seq(&[1, 0])).unwrap();
-    assert_eq!(e.next_count(q0()), 3);
-    assert_eq!(e.next_total(), 10);
+    let node = counts.trie().window(&seq(&[1, 0])).unwrap();
+    assert_eq!(
+        counts.trie().continuations(node),
+        (&[q0(), q1()][..], &[3, 7][..])
+    );
+    assert_eq!(counts.trie().cont_total(node), 10);
 
     // Candidate set S′ (no filtering).
     let cands = counts.candidates(1);
