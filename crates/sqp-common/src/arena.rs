@@ -19,11 +19,19 @@
 //!   edge table and no re-numbering pass;
 //! * **the frozen layout** is breadth-first, one row per node plus one
 //!   column each for the key of the edge into a node, its total and its
-//!   rank. A node's children are the contiguous id run `first_child ..
-//!   first_child + n_children`, ascending by key, so the columns sliced
-//!   over that run *are* its child edges: lookups on the serve path are
-//!   allocation-free binary searches (O(log fan-out) per edge), and the
-//!   layout depends only on the counts, never on the order of the sessions;
+//!   rank. A row holds what was counted — parent, at-start count,
+//!   continuation total — and `first_child`, which one merge over the
+//!   ascending parent column derives. A node's children are the
+//!   contiguous id run from its `first_child` to the next node's,
+//!   ascending by key, so the columns sliced over that run *are* its child
+//!   edges: lookups on the serve path are allocation-free binary searches
+//!   (O(log fan-out) per edge), and the layout depends only on the counts,
+//!   never on the order of the sessions;
+//! * **depth** is not stored per node: ids ascend by depth, so a level
+//!   table of each depth's first id answers it. The same order makes a
+//!   count to depth d the first rows of any deeper count, so one trie
+//!   serves every model bounded at or below its window length: a model
+//!   reads the windows up to its own bound ([`SuffixTrie::window_ids`]);
 //! * **ranking** orders each run best first (total descending, key
 //!   ascending) once, in the trie, for every model that reads it: the
 //!   counting thread that writes a run ranks it, and a load ranks every run;
@@ -110,17 +118,18 @@ struct Window {
     weight: u64,
 }
 
+/// One node's counted row. Its depth and its run of children are not
+/// stored: the trie's level table gives the one, and the next row's
+/// `first_child` ends the other.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Node {
     at_start: u64,
     /// Sum of child totals = weighted occurrences with a continuation.
     cont_total: u64,
-    /// The children are ids `first_child .. first_child + n_children`; a
-    /// childless node's empty run starts where the next child would.
+    /// The children are ids `first_child ..` the next node's `first_child`;
+    /// a childless node's empty run starts where the next child would.
     first_child: u32,
-    n_children: u32,
     parent: u32,
-    depth: u32,
 }
 
 impl Node {
@@ -128,9 +137,7 @@ impl Node {
         at_start: 0,
         cont_total: 0,
         first_child: 0,
-        n_children: 0,
         parent: 0,
-        depth: 0,
     };
 }
 
@@ -139,7 +146,10 @@ impl Node {
 /// Node `0` is the root (the empty window). Every array is indexed by node
 /// id, and each node's children are one contiguous id run sorted by
 /// `QueryId`, so a path lookup is a cascade of binary searches with no
-/// allocation and no hashing.
+/// allocation and no hashing. Ids ascend by depth, so each depth is one id
+/// run as well, and the rows of a count to depth d are the first rows of
+/// any deeper count of the same sessions: one trie serves every model
+/// bounded at or below its own window length ([`SuffixTrie::window_ids`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SuffixTrie {
     nodes: Vec<Node>,
@@ -150,6 +160,8 @@ pub struct SuffixTrie {
     /// Per run of siblings, their offsets in the run, best first: total
     /// descending, ties by ascending key (the root's slot is unused).
     rank: Vec<u32>,
+    /// The first id of each depth, the root's 0 first, then `len()`.
+    levels: Vec<u32>,
     window_len: u32,
 }
 
@@ -199,13 +211,14 @@ impl SuffixTrie {
             keys: Vec::with_capacity(n),
             totals: Vec::with_capacity(n),
             rank: Vec::with_capacity(n),
+            levels: Vec::new(),
             window_len,
         };
         trie.push(Node::ROOT, QueryId(0), 0);
         trie
     }
 
-    /// Append a node whose child counts are not known yet.
+    /// Append a counted row; its `first_child` is set by `finish`.
     fn push(&mut self, node: Node, key: QueryId, total: u64) {
         self.nodes.push(node);
         self.keys.push(key);
@@ -213,28 +226,51 @@ impl SuffixTrie {
         self.rank.push(0);
     }
 
-    /// Set every node's `first_child` from the child counts — a node's run
-    /// starts after every earlier node's — and hold each array at its
-    /// length, as a loaded trie's is.
+    /// Derive what the counted rows determine, and hold each array at its
+    /// length, as a loaded trie's is. Parents ascend with the ids, so one
+    /// merge over the parent column finds every node's `first_child`; and
+    /// the first node of a depth has the next depth's first id as its first
+    /// child, which fills the level table.
     fn finish(mut self) -> SuffixTrie {
-        let mut next_child = 1;
-        for node in &mut self.nodes {
-            node.first_child = next_child;
-            next_child += node.n_children;
+        let n = self.nodes.len();
+        let mut child = 1;
+        for id in 0..n {
+            self.nodes[id].first_child = child as u32;
+            while child < n && self.nodes[child].parent as usize == id {
+                child += 1;
+            }
+        }
+        self.levels = vec![0];
+        let mut first = 0;
+        while (first as usize) < n {
+            first = self.nodes[first as usize].first_child;
+            self.levels.push(first);
         }
         self.nodes.shrink_to_fit();
         self.keys.shrink_to_fit();
         self.totals.shrink_to_fit();
         self.rank.shrink_to_fit();
+        self.levels.shrink_to_fit();
         self
     }
 
     /// Ids of the node's children.
     #[inline]
     fn run(&self, node: u32) -> Range<usize> {
-        let nd = &self.nodes[node as usize];
-        let lo = nd.first_child as usize;
-        lo..lo + nd.n_children as usize
+        let node = node as usize;
+        let lo = self.nodes[node].first_child as usize;
+        // The last node is childless.
+        let hi = self
+            .nodes
+            .get(node + 1)
+            .map_or(lo, |next| next.first_child as usize);
+        lo..hi
+    }
+
+    /// Ids of the depth-`depth` nodes (empty past the deepest level).
+    fn level(&self, depth: usize) -> Range<usize> {
+        let last = self.levels.len() - 1;
+        self.levels[depth.min(last)] as usize..self.levels[(depth + 1).min(last)] as usize
     }
 
     /// Number of nodes including the root and continuation-only nodes.
@@ -252,13 +288,20 @@ impl SuffixTrie {
         self.window_len as usize
     }
 
+    /// Ids of the windows of at most `max_len` queries (`None`: every
+    /// window) and at most [`SuffixTrie::window_len`], in canonical
+    /// `(depth, path)` order: ids ascend by depth, so they are one run from
+    /// id 1. This is what a model bounded at `max_len` reads of a trie
+    /// counted deeper.
+    pub fn window_ids(&self, max_len: Option<usize>) -> Range<u32> {
+        let depth = max_len.map_or(self.window_len(), |d| d.min(self.window_len()));
+        1..self.level(depth + 1).start as u32
+    }
+
     /// Number of nodes that are windows (depth ≤ [`SuffixTrie::window_len`],
-    /// excluding the root). BFS layout orders ids by depth, so this is a
-    /// partition point.
+    /// excluding the root).
     pub fn window_count(&self) -> usize {
-        self.nodes
-            .partition_point(|n| n.depth <= self.window_len)
-            .saturating_sub(1)
+        self.window_ids(None).len()
     }
 
     /// Child of `node` along `q`.
@@ -308,10 +351,9 @@ impl SuffixTrie {
         self.nodes[node as usize].cont_total
     }
 
-    /// Depth of the node (root = 0).
-    #[inline]
+    /// Depth of the node (root = 0), from the level table.
     pub fn depth(&self, node: u32) -> usize {
-        self.nodes[node as usize].depth as usize
+        self.levels.partition_point(|&first| first <= node) - 1
     }
 
     /// Parent id (the root's parent is the root itself).
@@ -356,19 +398,13 @@ impl SuffixTrie {
         out.reverse();
     }
 
-    /// Ids of all window nodes in canonical `(depth, path)` order — exactly
-    /// the old hashmap counter's candidate ordering, obtained here by
-    /// construction instead of a sort.
-    pub fn window_nodes(&self) -> impl Iterator<Item = u32> + '_ {
-        (1..self.nodes.len() as u32).take_while(|&n| self.depth(n) <= self.window_len as usize)
-    }
-
     /// Owned heap bytes.
     pub fn heap_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<Node>()
             + self.keys.capacity() * std::mem::size_of::<QueryId>()
             + self.totals.capacity() * std::mem::size_of::<u64>()
             + self.rank.capacity() * std::mem::size_of::<u32>()
+            + self.levels.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Flatten for serialization: one `(parent, key, total, at_start)` row
@@ -425,7 +461,6 @@ impl SuffixTrie {
             previous = Some((parent, key));
 
             let above = &mut trie.nodes[parent as usize];
-            above.n_children += 1;
             above.cont_total = above
                 .cont_total
                 .checked_add(total)
@@ -433,7 +468,6 @@ impl SuffixTrie {
             let child = Node {
                 at_start,
                 parent,
-                depth: above.depth + 1,
                 ..Node::ROOT
             };
             trie.push(child, QueryId(key), total);
@@ -455,8 +489,9 @@ fn rank_run(totals: &[u64], rank: &mut [u32]) {
 }
 
 /// The nodes of [`SuffixTrie::count`] for the windows starting in `first`,
-/// in canonical order with every run ranked; `first_child` is set by the
-/// join. This is the level loop the module docs describe.
+/// in canonical order with every run ranked and the level table filled;
+/// `first_child` is set by the join. This is the level loop the module
+/// docs describe.
 fn count_part(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> SuffixTrie {
     let ids = &sessions.ids;
     let depth_limit = window_len.saturating_add(1);
@@ -494,9 +529,11 @@ fn count_part(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> Su
     // in parent order, each sorted by key.
     let mut groups = vec![(SuffixTrie::ROOT, level.len() as u32)];
     let mut trie = SuffixTrie::with_capacity(1, window_len);
+    trie.levels.push(0);
     let (mut next, mut next_groups) = (Vec::with_capacity(level.len()), Vec::new());
     let mut depth = 1;
     while !level.is_empty() {
+        trie.levels.push(trie.len() as u32);
         // Below the deepest level nothing extends.
         let deeper = depth < depth_limit;
         let mut begin = 0;
@@ -525,7 +562,6 @@ fn count_part(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> Su
                 let node = Node {
                     at_start,
                     parent,
-                    depth,
                     ..Node::ROOT
                 };
                 trie.push(node, QueryId(run[0].key), total);
@@ -534,10 +570,7 @@ fn count_part(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> Su
                     next_groups.push((id, next.len() as u32));
                 }
             }
-            let n_children = (trie.len() - first_child) as u32;
-            let above = &mut trie.nodes[parent as usize];
-            above.n_children = n_children;
-            above.cont_total = cont_total;
+            trie.nodes[parent as usize].cont_total = cont_total;
             rank_run(&trie.totals[first_child..], &mut trie.rank[first_child..]);
             begin = end as usize;
         }
@@ -547,11 +580,13 @@ fn count_part(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> Su
         next_groups.clear();
         depth += 1;
     }
+    trie.levels.push(trie.len() as u32);
     trie
 }
 
 /// The trie of parts counted over ascending ranges of first queries (see
-/// [`SuffixTrie::count`]), written in one pass over the parts' blocks.
+/// [`SuffixTrie::count`]), written in one pass over the parts' level
+/// blocks.
 fn join(mut parts: Vec<SuffixTrie>, window_len: u32) -> SuffixTrie {
     if parts.len() <= 1 {
         let part = parts.pop();
@@ -559,37 +594,29 @@ fn join(mut parts: Vec<SuffixTrie>, window_len: u32) -> SuffixTrie {
             .unwrap_or_else(|| SuffixTrie::with_capacity(1, window_len))
             .finish();
     }
-    // Every part's depth blocks in joined order, each with the shift of
-    // its parents: where the part's previous block moved.
-    let mut blocks: Vec<(&SuffixTrie, Range<usize>, u32)> = Vec::new();
-    let mut next = vec![1; parts.len()];
-    let mut previous = vec![(0u32, 0u32); parts.len()];
-    let mut joined = 1;
-    let deepest = parts.iter().map(|p| p.depth(p.len() as u32 - 1)).max();
-    for depth in 1..=deepest.unwrap_or(0) as u32 {
-        for (p, part) in parts.iter().enumerate() {
-            let from = next[p];
-            next[p] += part.nodes[from..].partition_point(|n| n.depth == depth);
-            let (before, after) = previous[p];
-            blocks.push((part, from..next[p], after.wrapping_sub(before)));
-            previous[p] = (from as u32, joined);
-            joined += (next[p] - from) as u32;
-        }
-    }
-    let mut trie = SuffixTrie::with_capacity(joined as usize, window_len);
+    let joined = parts.iter().map(|p| p.len() - 1).sum::<usize>() + 1;
+    let mut trie = SuffixTrie::with_capacity(joined, window_len);
     for part in &parts {
-        trie.nodes[0].n_children += part.nodes[0].n_children;
         trie.nodes[0].cont_total += part.nodes[0].cont_total;
     }
-    for (part, block, shift) in blocks {
-        trie.nodes
-            .extend(part.nodes[block.clone()].iter().map(|node| Node {
-                parent: node.parent.wrapping_add(shift),
-                ..*node
-            }));
-        trie.keys.extend_from_slice(&part.keys[block.clone()]);
-        trie.totals.extend_from_slice(&part.totals[block.clone()]);
-        trie.rank.extend_from_slice(&part.rank[block]);
+    // Every part's depth blocks in joined order. A parent moves where its
+    // part's previous block moved: `moved[p]` is that block's shift.
+    let mut moved = vec![0u32; parts.len()];
+    let deepest = parts.iter().map(|p| p.levels.len() - 2).max();
+    for depth in 1..=deepest.unwrap_or(0) {
+        for (p, part) in parts.iter().enumerate() {
+            let block = part.level(depth);
+            let shift = moved[p];
+            moved[p] = (trie.len() as u32).wrapping_sub(block.start as u32);
+            trie.nodes
+                .extend(part.nodes[block.clone()].iter().map(|node| Node {
+                    parent: node.parent.wrapping_add(shift),
+                    ..*node
+                }));
+            trie.keys.extend_from_slice(&part.keys[block.clone()]);
+            trie.totals.extend_from_slice(&part.totals[block.clone()]);
+            trie.rank.extend_from_slice(&part.rank[block]);
+        }
     }
     let mut trie = trie.finish();
     let run = trie.run(SuffixTrie::ROOT);
@@ -755,7 +782,7 @@ mod tests {
         let t = count(&[(&[1, 0], 1), (&[0, 1], 1)], 2);
         let mut buf = Vec::new();
         let windows: Vec<Vec<QueryId>> = t
-            .window_nodes()
+            .window_ids(None)
             .map(|n| {
                 t.path(n, &mut buf);
                 buf.clone()
@@ -791,12 +818,13 @@ mod tests {
             .collect()
     }
 
-    /// A 32-byte row plus one key, one total and one rank per node.
-    const BYTES_PER_NODE: usize = 32 + 4 + 8 + 4;
+    /// A 24-byte row plus one key, one total and one rank per node.
+    const BYTES_PER_NODE: usize = 24 + 4 + 8 + 4;
 
     /// Every node's rank run lists its children as a reference sort does
     /// (total descending, key ascending), and the trie owns exactly its
-    /// columns.
+    /// columns and its level table: one `u32` per depth from the root's,
+    /// and one past the deepest.
     fn assert_ranked_and_sized(trie: &SuffixTrie, what: &str) {
         for node in 0..trie.len() as u32 {
             let (keys, totals) = trie.continuations(node);
@@ -810,7 +838,12 @@ mod tests {
                 .collect();
             assert_eq!(ranked, expect, "{what}: node {node}");
         }
-        assert_eq!(trie.heap_bytes(), BYTES_PER_NODE * trie.len(), "{what}");
+        let levels = trie.depth(trie.len() as u32 - 1) + 2;
+        assert_eq!(
+            trie.heap_bytes(),
+            BYTES_PER_NODE * trie.len() + 4 * levels,
+            "{what}"
+        );
     }
 
     #[test]
@@ -915,9 +948,23 @@ mod tests {
                 sessions.push(sessions[i * 2].clone());
             }
             let counted_from = flat(&sessions);
+            let unbounded = SuffixTrie::count(&counted_from, u32::MAX, every_id());
+            let unbounded_rows: Vec<_> = unbounded.parts().collect();
             for window_len in [1, 2, 3, u32::MAX] {
                 let counted = SuffixTrie::count(&counted_from, window_len, every_id());
                 let rows: Vec<_> = counted.parts().collect();
+                // A bounded count is the first rows of the unbounded one,
+                // and its windows are what a model bounded alike reads there.
+                assert_eq!(
+                    rows,
+                    unbounded_rows[..rows.len()],
+                    "case {case}, window length {window_len}"
+                );
+                assert_eq!(
+                    unbounded.window_ids(Some(window_len as usize)),
+                    counted.window_ids(None),
+                    "case {case}, window length {window_len}"
+                );
                 assert_eq!(
                     rows,
                     reference_rows(&sessions, window_len),
@@ -1006,6 +1053,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.window_count(), 0);
         assert!(t.window(&seq(&[0])).is_none());
-        assert_eq!(t.window_nodes().count(), 0);
+        assert!(t.window_ids(None).is_empty());
     }
 }

@@ -141,9 +141,8 @@ impl WindowCounts {
     /// deterministic and parents precede children. The trie's canonical BFS
     /// layout *is* that order — no sort happens here.
     pub fn candidates(&self, min_support: u64) -> Vec<QuerySeq> {
-        let min_support = min_support.max(1);
         let mut path = Vec::with_capacity(self.max_len);
-        self.candidate_nodes(min_support)
+        self.candidate_nodes(min_support, None)
             .map(|node| {
                 self.trie.path(node, &mut path);
                 path.as_slice().into()
@@ -151,11 +150,16 @@ impl WindowCounts {
             .collect()
     }
 
-    /// Trie node ids of the candidate windows, in (length, sequence) order.
-    pub fn candidate_nodes(&self, min_support: u64) -> impl Iterator<Item = u32> + '_ {
+    /// Trie node ids of the candidate windows of at most `max_len` queries
+    /// (`None`: every counted window), in (length, sequence) order.
+    pub fn candidate_nodes(
+        &self,
+        min_support: u64,
+        max_len: Option<usize>,
+    ) -> impl Iterator<Item = u32> + '_ {
         let min_support = min_support.max(1);
         self.trie
-            .window_nodes()
+            .window_ids(max_len)
             .filter(move |&n| self.trie.cont_total(n) >= min_support)
     }
 
@@ -170,7 +174,13 @@ impl WindowCounts {
     /// value is floored at 1e-6 so a mixture component is penalised, never
     /// annihilated; unobserved `s'` escapes freely (probability 1).
     pub fn escape_prob(&self, s: &[QueryId]) -> f64 {
-        escape_prob_in(&self.trie, self.total_sessions, self.total_occurrences, s)
+        escape_prob_in(
+            &self.trie,
+            None,
+            self.total_sessions,
+            self.total_occurrences,
+            s,
+        )
     }
 
     /// Number of distinct observed windows.
@@ -218,10 +228,13 @@ fn deal_ranges(starts: &[usize], parts: usize) -> Vec<Range<u32>> {
     ranges
 }
 
-/// Escape probability over a bare trie — shared by [`WindowCounts`] and the
-/// trained [`crate::Vmm`], which keeps only the trie.
+/// Escape probability over a bare trie, reading its windows of at most
+/// `max_len` queries (`None`: every window) — shared by [`WindowCounts`]
+/// and the trained [`crate::Vmm`], which keeps only the trie and reads it
+/// to its own bound.
 pub(crate) fn escape_prob_in(
     trie: &SuffixTrie,
+    max_len: Option<usize>,
     total_sessions: u64,
     total_occurrences: u64,
     s: &[QueryId],
@@ -235,6 +248,9 @@ pub(crate) fn escape_prob_in(
             return 1.0;
         }
         return (total_sessions as f64 / den as f64).max(1e-6);
+    }
+    if max_len.is_some_and(|d| suffix.len() > d) {
+        return 1.0;
     }
     match trie.window(suffix) {
         None => 1.0,

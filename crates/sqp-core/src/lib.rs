@@ -41,7 +41,7 @@ pub mod vmm;
 pub use adjacency::Adjacency;
 pub use backoff::{BackoffConfig, BackoffNgram};
 pub use cooccurrence::Cooccurrence;
-pub use model::{Recommender, SequenceScorer, WeightedSessions};
+pub use model::{ModelSpec, Recommender, SequenceScorer, WeightedSessions};
 pub use mvmm::{Mvmm, MvmmConfig};
 pub use newton::{fit_mixture_sigmas, FitConfig, FitOutcome};
 pub use ngram::NGram;

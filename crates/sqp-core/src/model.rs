@@ -1,5 +1,10 @@
-//! The recommender abstraction shared by all five methods.
+//! The recommender abstraction shared by all five methods, and the one
+//! list of models there is to train.
 
+use crate::persist::ModelKind;
+use crate::{
+    Adjacency, BackoffConfig, BackoffNgram, Cooccurrence, Mvmm, MvmmConfig, NGram, Vmm, VmmConfig,
+};
 use sqp_common::topk::Scored;
 use sqp_common::{QueryId, QuerySeq};
 
@@ -55,6 +60,69 @@ pub trait SequenceScorer {
     /// `log10 P(sequence)` with the first query given (footnote 3 of the
     /// paper: `P(q1) = 1`).
     fn sequence_log10_prob(&self, seq: &[QueryId]) -> f64;
+}
+
+/// Which model to train: the kind and its configuration, no data.
+#[derive(Clone, Debug)]
+pub enum ModelSpec {
+    /// The paper's MVMM (default: the 11-component ε sweep).
+    Mvmm(MvmmConfig),
+    /// A single VMM.
+    Vmm(VmmConfig),
+    /// The Adjacency baseline (smallest footprint).
+    Adjacency,
+    /// The Co-occurrence baseline (best raw coverage).
+    Cooccurrence,
+    /// The naive variable-length N-gram over full prefix contexts.
+    NGram,
+    /// The Katz-style back-off N-gram.
+    Backoff(BackoffConfig),
+}
+
+impl Default for ModelSpec {
+    fn default() -> Self {
+        ModelSpec::Mvmm(MvmmConfig::epsilon_sweep())
+    }
+}
+
+impl ModelSpec {
+    /// The tag a model trained from this spec is saved under. Total: every
+    /// spec trains a model with an on-disk form.
+    pub fn kind(&self) -> ModelKind {
+        match self {
+            ModelSpec::Mvmm(_) => ModelKind::Mvmm,
+            ModelSpec::Vmm(_) => ModelKind::Vmm,
+            ModelSpec::Adjacency => ModelKind::Adjacency,
+            ModelSpec::Cooccurrence => ModelKind::Cooccurrence,
+            ModelSpec::NGram => ModelKind::NGram,
+            ModelSpec::Backoff(_) => ModelKind::Backoff,
+        }
+    }
+
+    /// Display label: the trained model's [`Recommender::name`].
+    pub fn label(&self) -> String {
+        match self {
+            ModelSpec::Mvmm(_) => "MVMM".into(),
+            ModelSpec::Vmm(c) => c.display_name(),
+            ModelSpec::Adjacency => "Adj.".into(),
+            ModelSpec::Cooccurrence => "Co-occ.".into(),
+            ModelSpec::NGram => "N-gram".into(),
+            ModelSpec::Backoff(_) => "Backoff N-gram".into(),
+        }
+    }
+
+    /// Train the model on weighted sessions, in any order: every model
+    /// comes out the same whatever the order of `sessions`.
+    pub fn train(&self, sessions: &WeightedSessions) -> Box<dyn Recommender> {
+        match self {
+            ModelSpec::Mvmm(c) => Box::new(Mvmm::train(sessions, c)),
+            ModelSpec::Vmm(c) => Box::new(Vmm::train(sessions, *c)),
+            ModelSpec::Adjacency => Box::new(Adjacency::train(sessions)),
+            ModelSpec::Cooccurrence => Box::new(Cooccurrence::train(sessions)),
+            ModelSpec::NGram => Box::new(NGram::train(sessions)),
+            ModelSpec::Backoff(c) => Box::new(BackoffNgram::train(sessions, *c)),
+        }
+    }
 }
 
 #[cfg(test)]

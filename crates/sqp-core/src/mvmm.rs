@@ -2,9 +2,11 @@
 //!
 //! Multiple VMM components (different ε and/or depth bounds D) are trained
 //! independently — in parallel, as the paper notes the K models can be — off
-//! one shared window trie per distinct depth bound, so the mixture in memory
-//! is that trie once plus K state indexes (§V-F.2: the deployed MVMM is
-//! barely larger than one VMM). They are combined at prediction time with
+//! one window trie, counted once at the deepest bound: a trie counted to
+//! depth D holds, as its first rows, the count to every shallower bound,
+//! and each component reads it to its own. So the mixture in memory is
+//! that trie once plus K state indexes (§V-F.2: the deployed MVMM is barely
+//! larger than one VMM). They are combined at prediction time with
 //! weights
 //!
 //! `w(D,T) = N(d; 0, σ_D²)` (Eq. 4)
@@ -20,8 +22,9 @@ use crate::model::{Recommender, SequenceScorer, WeightedSessions};
 use crate::newton::{fit_mixture_sigmas, FitConfig};
 use crate::vmm::{Vmm, VmmConfig};
 use sqp_common::math::gaussian_pdf;
+use sqp_common::threads::map_on_threads;
 use sqp_common::topk::Scored;
-use sqp_common::{QueryId, QuerySeq, SuffixTrie};
+use sqp_common::{QueryId, QuerySeq};
 use std::sync::Arc;
 
 /// MVMM training parameters.
@@ -31,8 +34,6 @@ pub struct MvmmConfig {
     pub components: Vec<VmmConfig>,
     /// Newton-fit parameters for the mixture deviations.
     pub fit: FitConfig,
-    /// Train components on parallel threads (one per component).
-    pub parallel: bool,
 }
 
 impl Default for MvmmConfig {
@@ -50,7 +51,6 @@ impl MvmmConfig {
                 .map(|i| VmmConfig::with_epsilon(i as f64 * 0.01))
                 .collect(),
             fit: FitConfig::default(),
-            parallel: true,
         }
     }
 
@@ -63,7 +63,6 @@ impl MvmmConfig {
                 .map(|&(d, e)| VmmConfig::bounded(d, e))
                 .collect(),
             fit: FitConfig::default(),
-            parallel: true,
         }
     }
 
@@ -79,7 +78,6 @@ impl MvmmConfig {
                 max_fit_sequences: 300,
                 ..FitConfig::default()
             },
-            parallel: false,
         }
     }
 }
@@ -101,46 +99,15 @@ impl Mvmm {
             "MVMM needs at least one component"
         );
 
-        // Window counts depend only on `max_depth`, not on ε — count the
-        // corpus once per distinct depth and train every component off the
-        // shared trie (the default ε sweep counts once instead of 11×).
-        let mut depths: Vec<Option<usize>> = Vec::new();
-        for c in &cfg.components {
-            if !depths.contains(&c.max_depth) {
-                depths.push(c.max_depth);
-            }
-        }
-        let counts: Vec<WindowCounts> = depths
+        // Count the corpus once, to the deepest bound (`None`, unbounded,
+        // when any component is), and train every component off that one
+        // trie on a thread of its own: each reads it to its own bound.
+        let deepest = cfg
+            .components
             .iter()
-            .map(|d| WindowCounts::build(sessions, *d))
-            .collect();
-        let counts_for = |c: &VmmConfig| {
-            let i = depths.iter().position(|d| *d == c.max_depth).unwrap();
-            &counts[i]
-        };
-
-        let components: Vec<Vmm> = if cfg.parallel && cfg.components.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = cfg
-                    .components
-                    .iter()
-                    .map(|c| {
-                        let shared = counts_for(c);
-                        let cc = *c;
-                        scope.spawn(move || Vmm::train_with_counts(shared, cc))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("component training panicked"))
-                    .collect()
-            })
-        } else {
-            cfg.components
-                .iter()
-                .map(|c| Vmm::train_with_counts(counts_for(c), *c))
-                .collect()
-        };
+            .try_fold(0, |deepest, c| c.max_depth.map(|d| d.max(deepest)));
+        let counts = WindowCounts::build(sessions, deepest);
+        let components = map_on_threads(&cfg.components, |c| Vmm::train_with_counts(&counts, *c));
 
         // Select the fit corpus: the most frequent multi-query sessions.
         let mut multi: Vec<&(QuerySeq, u64)> =
@@ -185,19 +152,11 @@ impl Mvmm {
                 "mixture deviation {bad} is not finite and positive"
             ));
         }
-        // One trie per depth bound: what lets the payload list each trie
-        // once and name none, and `memory_bytes` count each once.
-        for (i, a) in components.iter().enumerate() {
-            for b in &components[..i] {
-                let same_depth = a.config().max_depth == b.config().max_depth;
-                if same_depth != Arc::ptr_eq(a.window_trie(), b.window_trie()) {
-                    return Err(
-                        "components must share a window trie exactly when they share a depth bound"
-                            .into(),
-                    );
-                }
-            }
-        }
+        // Training and loading hand every component one trie: what the
+        // payload writes once and `memory_bytes` counts once.
+        debug_assert!(components
+            .iter()
+            .all(|c| Arc::ptr_eq(c.window_trie(), components[0].window_trie())));
         Ok(Mvmm { components, sigmas })
     }
 
@@ -248,10 +207,7 @@ impl Mvmm {
     /// root once — the size of the *merged* PST the paper deploys ("each node
     /// requires just 4 extra bits" to record its source models, §V-F.2).
     ///
-    /// A union of trie-node ids: canonical ids are a function of
-    /// (length, sequence) among the windows of the corpus, so one window has
-    /// one id in every trie counted from the same sessions, whatever its
-    /// depth bound.
+    /// A union of node ids of the one trie every component reads.
     pub fn merged_state_count(&self) -> usize {
         let mut nodes: Vec<u32> = self
             .components
@@ -263,15 +219,9 @@ impl Mvmm {
         nodes.len() + 1
     }
 
-    /// The distinct window tries the components hold, in component order.
-    pub(crate) fn tries(&self) -> Vec<&Arc<SuffixTrie>> {
-        let mut tries: Vec<&Arc<SuffixTrie>> = Vec::new();
-        for comp in &self.components {
-            if !tries.iter().any(|t| Arc::ptr_eq(t, comp.window_trie())) {
-                tries.push(comp.window_trie());
-            }
-        }
-        tries
+    /// The window trie every component reads.
+    pub(crate) fn window_trie(&self) -> &Arc<sqp_common::SuffixTrie> {
+        self.components[0].window_trie()
     }
 }
 
@@ -322,12 +272,11 @@ impl Recommender for Mvmm {
         self.components.iter().any(|c| c.covers(context))
     }
 
-    /// Heap bytes of the object as held: each shared trie once, plus every
+    /// Heap bytes of the object as held: the shared trie once, plus every
     /// component's state index.
     fn memory_bytes(&self) -> usize {
-        let tries: usize = self.tries().iter().map(|t| t.heap_bytes()).sum();
         let indexes: usize = self.components.iter().map(|c| c.pst().heap_bytes()).sum();
-        tries + indexes
+        self.window_trie().heap_bytes() + indexes
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -411,23 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_training_agree() {
-        let mut cfg = MvmmConfig::small();
-        cfg.parallel = false;
-        let serial = Mvmm::train(&toy_corpus(), &cfg);
-        cfg.parallel = true;
-        let parallel = Mvmm::train(&toy_corpus(), &cfg);
-        assert_eq!(serial.sigmas(), parallel.sigmas());
-        let a = serial.recommend(&seq(&[1, 0]), 5);
-        let b = parallel.recommend(&seq(&[1, 0]), 5);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.query, y.query);
-            assert!((x.score - y.score).abs() < 1e-15);
-        }
-    }
-
-    #[test]
     fn merged_state_count_bounds() {
         let m = toy_mvmm();
         let max_single = m.components().iter().map(|c| c.node_count()).max().unwrap();
@@ -484,19 +416,44 @@ mod tests {
             sweep.memory_bytes()
         );
 
-        // One trie per distinct depth bound, shared within it.
+        // One trie for every depth bound, counted at the deepest and shared
+        // by every component.
         let depths = Mvmm::train(
             sessions,
             &MvmmConfig::depth_mixture(&[(2, 0.1), (3, 0.2), (2, 0.0)]),
         );
         let c = depths.components();
-        assert!(Arc::ptr_eq(c[0].window_trie(), c[2].window_trie()));
-        assert!(!Arc::ptr_eq(c[0].window_trie(), c[1].window_trie()));
+        let trie = c[1].window_trie();
+        assert!(c.iter().all(|c| Arc::ptr_eq(trie, c.window_trie())));
         let indexes: usize = c.iter().map(|c| c.pst().heap_bytes()).sum();
-        assert_eq!(
-            depths.memory_bytes(),
-            c[0].window_trie().heap_bytes() + c[1].window_trie().heap_bytes() + indexes
-        );
+        assert_eq!(depths.memory_bytes(), trie.heap_bytes() + indexes);
+        // Each component reads the deeper trie to its own bound, and answers
+        // as the same config trained alone does, bit for bit.
+        let contexts: Vec<&[QueryId]> = sessions.iter().take(200).map(|(s, _)| &s[..]).collect();
+        for comp in c {
+            let alone = Vmm::train(sessions, *comp.config());
+            for &s in &contexts {
+                let (a, b) = (comp.recommend(s, 5), alone.recommend(s, 5));
+                let bits = |r: &[Scored]| -> Vec<(QueryId, u64)> {
+                    r.iter().map(|r| (r.query, r.score.to_bits())).collect()
+                };
+                assert_eq!(bits(&a), bits(&b), "{}: {s:?}", comp.name());
+                for &q in s {
+                    assert_eq!(
+                        comp.cond_prob_escaped(s, q).to_bits(),
+                        alone.cond_prob_escaped(s, q).to_bits(),
+                        "{}: {s:?} → {q:?}",
+                        comp.name()
+                    );
+                }
+                assert_eq!(
+                    comp.sequence_log10_prob_escaped(s).to_bits(),
+                    alone.sequence_log10_prob_escaped(s).to_bits(),
+                    "{}: {s:?}",
+                    comp.name()
+                );
+            }
+        }
     }
 
     #[test]
@@ -581,7 +538,6 @@ mod tests {
         let cfg = MvmmConfig {
             components: vec![],
             fit: FitConfig::default(),
-            parallel: false,
         };
         Mvmm::train(&toy_corpus(), &cfg);
     }

@@ -21,8 +21,8 @@
 //! per node, which *are* the serving layout) and the ascending list of
 //! state node ids. No context and no count is written a second time — a
 //! state's distribution is its node's child rows. The MVMM payload has the
-//! same shape: each distinct trie once, then per component its config, its
-//! mixture deviation σ as an `f64` bit pattern, and its id list. Loading
+//! same shape: its one trie, then per component its config, its mixture
+//! deviation σ as an `f64` bit pattern, and its id list. Loading
 //! goes through the constructor training uses
 //! ([`Pst::from_states`](crate::Pst::from_states)), which checks every
 //! property of a state list the trainer guarantees, so a loaded model and a
@@ -69,8 +69,8 @@ pub enum ModelKind {
     NGram,
     /// [`BackoffNgram`] — window-state count table + unigram floor + config.
     Backoff,
-    /// [`Mvmm`] — each distinct window trie once, then per component its
-    /// config, deviation and state node ids.
+    /// [`Mvmm`] — its one window trie, then per component its config,
+    /// deviation and state node ids.
     Mvmm,
 }
 
@@ -593,25 +593,20 @@ fn vmm_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<Vmm, String> {
         .map_err(|e| e.to_string())
 }
 
-/// Serialize a trained MVMM: corpus totals; the distinct window tries in
-/// order of first use; then per component its config, its deviation σ and
-/// its state list. A component's trie is the one its `max_depth` first
-/// appeared with, so no index is stored.
+/// Serialize a trained MVMM: corpus totals; the window trie every
+/// component reads; then per component its config, its deviation σ and its
+/// state list.
 fn put_mvmm(buf: &mut BytesMut, model: &Mvmm) {
     let components = model.components();
-    let tries = model.tries();
     buf.reserve(
-        32 + tries.iter().map(|t| trie_block_len(t)).sum::<usize>()
+        28 + trie_block_len(model.window_trie())
             + components
                 .iter()
                 .map(|c| 32 + state_list_len(c))
                 .sum::<usize>(),
     );
     put_corpus_totals(buf, &components[0]);
-    buf.put_u32_le(tries.len() as u32);
-    for trie in tries {
-        put_trie(buf, trie);
-    }
+    put_trie(buf, model.window_trie());
     buf.put_u32_le(components.len() as u32);
     for (component, sigma) in components.iter().zip(model.sigmas()) {
         put_vmm_config(buf, &component.config);
@@ -623,26 +618,16 @@ fn put_mvmm(buf: &mut BytesMut, model: &Mvmm) {
 /// Reconstruct an MVMM serialized with [`put_mvmm`].
 fn mvmm_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<Mvmm, String> {
     let (sessions, occurrences, n_queries) = get_corpus_totals(&mut data)?;
-    if data.remaining() < 4 {
-        return Err("truncated trie count".into());
-    }
-    // At least a 12-byte header per trie and 40 bytes per component must
-    // follow, which bounds both counts before anything is sized by them.
-    let n_tries = data.get_u32_le() as usize;
-    if n_tries > data.remaining() / 12 {
-        return Err("truncated trie table".into());
-    }
-    let tries = (0..n_tries)
-        .map(|_| get_trie(&mut data, vocabulary))
-        .collect::<Result<Vec<_>, _>>()?;
+    let trie = get_trie(&mut data, vocabulary)?;
     if data.remaining() < 4 {
         return Err("truncated component count".into());
     }
+    // At least 40 bytes per component must follow, which bounds the count
+    // before anything is sized by it.
     let n_components = data.get_u32_le() as usize;
     if n_components > data.remaining() / 40 {
         return Err("truncated component table".into());
     }
-    let mut depths: Vec<Option<usize>> = Vec::with_capacity(n_tries);
     let mut components = Vec::with_capacity(n_components);
     let mut sigmas = Vec::with_capacity(n_components);
     for _ in 0..n_components {
@@ -652,19 +637,9 @@ fn mvmm_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<Mvmm, String> {
         }
         sigmas.push(f64::from_bits(data.get_u64_le()));
         let states = get_states(&mut data)?;
-        let trie_index = depths
-            .iter()
-            .position(|d| *d == config.max_depth)
-            .unwrap_or_else(|| {
-                depths.push(config.max_depth);
-                depths.len() - 1
-            });
-        let trie = tries
-            .get(trie_index)
-            .ok_or("more distinct depth bounds than window tries")?;
         components.push(
             Vmm::from_parts(
-                Arc::clone(trie),
+                Arc::clone(&trie),
                 &states,
                 sessions,
                 occurrences,
@@ -673,13 +648,6 @@ fn mvmm_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<Mvmm, String> {
             )
             .map_err(|e| format!("component {}: {e}", components.len()))?,
         );
-    }
-    if depths.len() != tries.len() {
-        return Err(format!(
-            "{} window tries for {} distinct depth bounds",
-            tries.len(),
-            depths.len()
-        ));
     }
     expect_consumed(&data)?;
     Mvmm::from_parts(components, sigmas)
@@ -849,7 +817,7 @@ mod tests {
             ModelKind::Cooccurrence => Box::new(Cooccurrence::train(sessions)),
             ModelKind::NGram => Box::new(NGram::train(sessions)),
             ModelKind::Backoff => Box::new(BackoffNgram::train(sessions, BackoffConfig::default())),
-            // A depth mixture, so the payload carries two tries.
+            // A depth mixture: one trie, read to two bounds.
             ModelKind::Mvmm => Box::new(Mvmm::train(
                 sessions,
                 &crate::MvmmConfig::depth_mixture(&[(2, 0.1), (3, 0.0), (2, 0.02)]),
@@ -968,14 +936,11 @@ mod tests {
 
     /// The toy payloads the sweeps below cut and corrupt: small enough to
     /// visit every byte, and between them every section of both layouts
-    /// (the mixture's two depth bounds put two tries in one payload).
+    /// (the mixture's components read its one trie to two depth bounds).
     fn toy_payloads() -> Vec<(ModelKind, Bytes)> {
         let mixture = Mvmm::train(
             &toy_corpus(),
-            &crate::MvmmConfig {
-                parallel: false,
-                ..crate::MvmmConfig::depth_mixture(&[(1, 0.0), (2, 0.1), (1, 0.5)])
-            },
+            &crate::MvmmConfig::depth_mixture(&[(1, 0.0), (2, 0.1), (1, 0.5)]),
         );
         vec![
             (ModelKind::Vmm, to_bytes(&trained())),
@@ -1038,14 +1003,19 @@ mod tests {
         68 + (model.window_trie().len() - 1) * 24
     }
 
-    fn with_states(model: &Vmm, states: &[u32]) -> Result<Box<dyn Recommender>, String> {
+    /// The model's payload with `states` for its state list.
+    fn payload_with_states(model: &Vmm, states: &[u32]) -> Vec<u8> {
         let mut raw = to_bytes(model).to_vec();
         raw.truncate(vmm_state_list_at(model));
         raw.extend_from_slice(&(states.len() as u64).to_le_bytes());
         for s in states {
             raw.extend_from_slice(&s.to_le_bytes());
         }
-        from_bytes(Bytes::from(raw))
+        raw
+    }
+
+    fn with_states(model: &Vmm, states: &[u32]) -> Result<Box<dyn Recommender>, String> {
+        from_bytes(Bytes::from(payload_with_states(model, states)))
     }
 
     fn expect_err(result: Result<Box<dyn Recommender>, String>, needle: &str) {
@@ -1081,6 +1051,19 @@ mod tests {
         // [q1, q0] without its suffix [q0]: the walk would never reach it.
         expect_err(with_states(&model, &[q1, q1q0]), "suffix");
 
+        // A trie counted to depth 3 under a config bounded at 2: the model
+        // reads the trie to its own bound, so a depth-3 window is no state
+        // of it, though the trie holds it as a window.
+        let deep = Vmm::train(&toy_corpus(), VmmConfig::bounded(3, 0.0));
+        let q0q1q0 = deep.window_trie().window(&seq(&[0, 1, 0])).unwrap();
+        let mut states: Vec<u32> = deep.pst().state_nodes().collect();
+        states.push(q0q1q0);
+        assert!(with_states(&deep, &states).is_ok());
+        let mut raw = payload_with_states(&deep, &states);
+        // Config bytes 8..16, after the 8-byte header: `max_depth`.
+        raw[16..24].copy_from_slice(&2u64.to_le_bytes());
+        expect_err(from_bytes(Bytes::from(raw)), "not a window node");
+
         // A list longer than the bytes behind it is refused by its length.
         let mut raw = to_bytes(&model).to_vec();
         let at = vmm_state_list_at(&model);
@@ -1099,10 +1082,10 @@ mod tests {
         let mixture = Mvmm::train(&toy_corpus(), &crate::MvmmConfig::small());
         let blob = model_to_bytes(&mixture).unwrap().1.to_vec();
         let load = |raw: Vec<u8>| model_from_bytes(ModelKind::Mvmm, Bytes::from(raw), 2);
-        // totals (24), n_tries (4), trie header (12) + rows, then K.
-        let k_at = 40 + (mixture.components()[0].window_trie().len() - 1) * 24;
+        // totals (24), trie header (12) + rows, then K.
+        let k_at = 36 + (mixture.window_trie().len() - 1) * 24;
         let read_u32 = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
-        assert_eq!((read_u32(24), read_u32(k_at)), (1, 3));
+        assert_eq!(read_u32(k_at), 3);
         // First component: config (24), then σ.
         let sigma_at = k_at + 4 + 24;
         assert_eq!(
@@ -1115,24 +1098,23 @@ mod tests {
             raw[sigma_at..sigma_at + 8].copy_from_slice(&sigma.to_bits().to_le_bytes());
             expect_err(load(raw), "not finite and positive");
         }
-        // Counts the remaining bytes cannot hold.
-        for (at, needle) in [(24, "trie table"), (k_at, "component table")] {
-            for claimed in [1_000u32, u32::MAX] {
-                let mut raw = blob.clone();
-                raw[at..at + 4].copy_from_slice(&claimed.to_le_bytes());
-                expect_err(load(raw), needle);
-            }
+        // A count the remaining bytes cannot hold.
+        for claimed in [1_000u32, u32::MAX] {
+            let mut raw = blob.clone();
+            raw[k_at..k_at + 4].copy_from_slice(&claimed.to_le_bytes());
+            expect_err(load(raw), "component table");
         }
         // No components at all.
         let mut raw = blob.clone();
         raw.truncate(k_at);
         raw.extend_from_slice(&0u32.to_le_bytes());
-        expect_err(load(raw), "0 distinct depth bounds");
-        // A second depth bound with no second trie: the first component's
-        // `max_depth` (config bytes 8..16) becomes Some(1).
+        expect_err(load(raw), "at least one component");
+        // A bound below a state: the first component (ε = 0) keeps the
+        // depth-2 windows, and its `max_depth` (config bytes 8..16) becomes
+        // Some(1).
         let mut raw = blob.clone();
         raw[k_at + 12..k_at + 20].copy_from_slice(&1u64.to_le_bytes());
-        expect_err(load(raw), "depth bounds");
+        expect_err(load(raw), "component 0: state");
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! run of `(next-older query → state)` edges, in three flat arrays beside a
 //! shared [`Arc<SuffixTrie>`]. The best-first order of a state's
 //! continuations is the trie's too, so every model over one trie shares a
-//! single ranking. A model is the trie plus the set of nodes that are
-//! states; [`Pst::from_states`] is the only constructor, for a model just
-//! trained and for one read from disk alike.
+//! single ranking. A model is the trie, read to its own depth bound, plus
+//! the set of nodes that are states; [`Pst::from_states`] is the only
+//! constructor, for a model just trained and for one read from disk alike.
 //!
 //! States are labelled with contexts read chronologically; the parent of
 //! state `[q1,…,ql]` is its *suffix* `[q2,…,ql]` — walking down from the
@@ -199,17 +199,18 @@ impl std::error::Error for StateListError {}
 
 impl Pst {
     /// The tree whose non-root states are the windows `nodes` of `trie`.
-    /// `nodes` must ascend strictly, name window nodes only (depth 1 to the
-    /// trie's window length) and be suffix-closed; `n_queries` is the
+    /// `nodes` must ascend strictly, name window nodes only (depth 1 to
+    /// `max_len`, or to the trie's window length when that is shorter or
+    /// `max_len` is `None`) and be suffix-closed; `n_queries` is the
     /// universe size |Q| the distributions are smoothed over.
     pub fn from_states(
         trie: Arc<SuffixTrie>,
         n_queries: usize,
+        max_len: Option<usize>,
         nodes: &[u32],
     ) -> Result<Self, StateListError> {
-        // Canonical ids ascend by depth, so the windows are exactly the ids
-        // `1..=window_count`.
-        let last_window = trie.window_count() as u64;
+        // Canonical ids ascend by depth, so the windows are one id run.
+        let windows = trie.window_ids(max_len);
         let mut previous = SuffixTrie::ROOT;
         for &node in nodes {
             if node <= previous {
@@ -219,7 +220,7 @@ impl Pst {
                     StateListError::NotAscending { node }
                 });
             }
-            if u64::from(node) > last_window {
+            if !windows.contains(&node) {
                 return Err(StateListError::NotAWindow { node });
             }
             previous = node;
@@ -386,7 +387,7 @@ mod tests {
     fn dist_tree(pairs: &[(u32, u64)], nq: usize) -> Pst {
         let sessions: Vec<_> = pairs.iter().map(|&(q, c)| (seq(&[q]), c)).collect();
         let counts = WindowCounts::build(&sessions, None);
-        Pst::from_states(counts.shared_trie(), nq, &[]).unwrap()
+        Pst::from_states(counts.shared_trie(), nq, None, &[]).unwrap()
     }
 
     fn toy_trie() -> Arc<SuffixTrie> {
@@ -406,7 +407,7 @@ mod tests {
         // Figure 3: root, q0, q1, q1q0.
         let trie = toy_trie();
         let nodes = nodes_of(&trie, &[&[0], &[1], &[1, 0]]);
-        Pst::from_states(trie, 2, &nodes).unwrap()
+        Pst::from_states(trie, 2, None, &nodes).unwrap()
     }
 
     fn context_of(pst: &Pst, state: u32) -> Vec<QueryId> {
@@ -472,7 +473,7 @@ mod tests {
     fn state_lists_the_trainer_cannot_produce_are_rejected() {
         // Windows up to two queries, so depth 3 is continuation evidence.
         let trie = WindowCounts::build(&toy_corpus(), Some(2)).shared_trie();
-        let build = |nodes: &[u32]| Pst::from_states(trie.clone(), 2, nodes).map(|p| p.len());
+        let build = |nodes: &[u32]| Pst::from_states(trie.clone(), 2, None, nodes).map(|p| p.len());
         let q0 = trie.window(&seq(&[0])).unwrap();
         let q1 = trie.window(&seq(&[1])).unwrap();
         let q1q0 = trie.window(&seq(&[1, 0])).unwrap();
@@ -566,7 +567,7 @@ mod tests {
 
     #[test]
     fn heap_bytes_grow_with_nodes() {
-        let small = Pst::from_states(toy_trie(), 2, &[]).unwrap();
+        let small = Pst::from_states(toy_trie(), 2, None, &[]).unwrap();
         assert!(toy_tree().heap_bytes() > small.heap_bytes());
     }
 }

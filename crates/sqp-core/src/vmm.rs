@@ -3,7 +3,10 @@
 //!
 //! Training (three stages, §IV-B.1):
 //! * **(a)** extract candidate suffix contexts `S′` from the window trie
-//!   (length ≤ D, continuation support ≥ the filter threshold);
+//!   (length ≤ D, continuation support ≥ the filter threshold). The trie
+//!   may be counted deeper than D — a mixture's is counted once for all
+//!   its bounds — and the model reads it to D: here, when its states are
+//!   validated, and in the escape probabilities;
 //! * **(b)** grow the PST: every length-1 candidate is added; a longer
 //!   candidate `s` is added — together with all its suffixes, keeping the
 //!   state set suffix-closed — iff `D_KL(P(·|parent(s)) ‖ P(·|s)) > ε`
@@ -336,11 +339,11 @@ impl Vmm {
         Self::train_with_counts(&WindowCounts::build(sessions, config.max_depth), config)
     }
 
-    /// Train from pre-built window counts. The counts **must** have been
-    /// built with the same `max_depth` as `config` — mixtures use this to
-    /// count the corpus once and train many components off the shared trie
-    /// (the ε threshold only affects stage (b), not the counts), which
-    /// every one of them then holds a handle to.
+    /// Train from pre-built window counts, reading their windows up to
+    /// `config.max_depth`: counts to that depth or deeper give the model
+    /// [`Vmm::train`] gives. Mixtures use this to count the corpus once, at
+    /// their deepest bound, and train every component off the shared trie,
+    /// which each of them then holds a handle to.
     pub fn train_with_counts(counts: &WindowCounts, config: VmmConfig) -> Self {
         Self::from_parts(
             counts.shared_trie(),
@@ -353,8 +356,9 @@ impl Vmm {
         .expect("stage (b) marks a suffix-closed set of windows")
     }
 
-    /// The model whose states are the windows `states` of `trie` — the one
-    /// constructor, for the trainer's state set and for one read from disk.
+    /// The model whose states are the windows `states` of `trie`, read to
+    /// `config.max_depth` — the one constructor, for the trainer's state
+    /// set and for one read from disk.
     pub(crate) fn from_parts(
         trie: Arc<SuffixTrie>,
         states: &[u32],
@@ -364,7 +368,7 @@ impl Vmm {
         config: VmmConfig,
     ) -> Result<Self, StateListError> {
         Ok(Vmm {
-            pst: Pst::from_states(trie, n_queries, states)?,
+            pst: Pst::from_states(trie, n_queries, config.max_depth, states)?,
             total_sessions,
             total_occurrences,
             n_queries,
@@ -405,12 +409,12 @@ impl Vmm {
         // candidate (its continuation support counts n), so links fill in
         // as the walk goes. Depth-1 candidates are states outright; every
         // longer one is a test.
-        let n_windows = trie.window_count() + 1;
+        let n_windows = trie.window_ids(config.max_depth).end as usize;
         let mut link = vec![SuffixTrie::ROOT; n_windows];
         let mut state = vec![false; n_windows];
         let mut tests = Vec::new();
-        for node in counts.candidate_nodes(config.min_support) {
-            if trie.depth(node) == 1 {
+        for node in counts.candidate_nodes(config.min_support, config.max_depth) {
+            if trie.parent(node) == SuffixTrie::ROOT {
                 state[node as usize] = true;
                 continue;
             }
@@ -525,6 +529,7 @@ impl Vmm {
     pub fn escape_prob(&self, s: &[QueryId]) -> f64 {
         escape_prob_in(
             self.pst.trie(),
+            self.config.max_depth,
             self.total_sessions,
             self.total_occurrences,
             s,
@@ -908,7 +913,7 @@ mod tests {
         let trie = counts.trie();
         let mut state = vec![false; trie.window_count() + 1];
         let mut path = Vec::new();
-        for node in counts.candidate_nodes(config.min_support) {
+        for node in counts.candidate_nodes(config.min_support, config.max_depth) {
             trie.path(node, &mut path);
             let joins = path.len() == 1 || {
                 let parent = trie.window(&path[1..]).expect("a suffix is a window");
@@ -933,7 +938,7 @@ mod tests {
         let trie = counts.trie();
         let mut undecided = 0;
         let mut path = Vec::new();
-        for node in counts.candidate_nodes(config.min_support) {
+        for node in counts.candidate_nodes(config.min_support, config.max_depth) {
             trie.path(node, &mut path);
             if path.len() == 1 {
                 continue;
@@ -993,7 +998,7 @@ mod tests {
         // A depth-2 candidate [a, b] whose parent [b] has a row long
         // enough to be summed, and a divergence above zero.
         let d = counts
-            .candidate_nodes(1)
+            .candidate_nodes(1, None)
             .filter(|&n| trie.depth(n) == 2)
             .find_map(|node| {
                 let parent = trie.child(SuffixTrie::ROOT, trie.key(node))?;
@@ -1048,7 +1053,10 @@ mod randomized_tests {
             let counts = WindowCounts::build(&corpus, None);
             let trie = counts.trie();
             let mut path = Vec::new();
-            for node in counts.candidate_nodes(1).filter(|&n| trie.depth(n) > 1) {
+            for node in counts
+                .candidate_nodes(1, None)
+                .filter(|&n| trie.depth(n) > 1)
+            {
                 trie.path(node, &mut path);
                 let parent = trie.window(&path[1..]).expect("a suffix is a window");
                 let (pt, ct) = (trie.cont_total(parent), trie.cont_total(node));

@@ -29,7 +29,7 @@ pub fn entropy_by_context_length(
     let counts = WindowCounts::build(sessions, Some(max_len));
     let trie = counts.trie();
     let mut acc: Vec<(f64, u64, usize)> = vec![(0.0, 0, 0); max_len + 1];
-    for node in counts.candidate_nodes(1) {
+    for node in counts.candidate_nodes(1, None) {
         let len = trie.depth(node);
         if len > max_len {
             continue;

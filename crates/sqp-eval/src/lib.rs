@@ -27,6 +27,6 @@ pub use entropy::{entropy_by_context_length, EntropyPoint};
 pub use labeler::LabelerOracle;
 pub use metrics::{hit_rate, mean_reciprocal_rank};
 pub use ndcg::{dcg, ndcg_at, position_rating};
-pub use suite::{paper_lineup, quick_lineup, train_models, ModelKind};
+pub use suite::{paper_lineup, quick_lineup, train_models};
 pub use timing::{subsample, training_time_sweep, TimingRow};
 pub use user_eval::{run_user_eval, MethodUserEval, UserEvalConfig, UserEvalResult};

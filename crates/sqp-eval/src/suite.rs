@@ -1,82 +1,41 @@
 //! Standard model suite: the five methods of the paper's benchmark, plus
 //! helpers to train any subset uniformly.
 
-use sqp_core::{
-    Adjacency, Cooccurrence, Mvmm, MvmmConfig, NGram, Recommender, Vmm, VmmConfig, WeightedSessions,
-};
-
-/// A trainable model kind (the label + configuration, no data).
-#[derive(Clone, Debug)]
-pub enum ModelKind {
-    /// Pair-wise adjacency baseline.
-    Adjacency,
-    /// Pair-wise co-occurrence baseline.
-    Cooccurrence,
-    /// Naive variable-length N-gram.
-    NGram,
-    /// A single VMM with the given config.
-    Vmm(VmmConfig),
-    /// The mixture model.
-    Mvmm(MvmmConfig),
-}
-
-impl ModelKind {
-    /// Display label (matches the trained model's `name()`).
-    pub fn label(&self) -> String {
-        match self {
-            ModelKind::Adjacency => "Adj.".into(),
-            ModelKind::Cooccurrence => "Co-occ.".into(),
-            ModelKind::NGram => "N-gram".into(),
-            ModelKind::Vmm(c) => c.display_name(),
-            ModelKind::Mvmm(_) => "MVMM".into(),
-        }
-    }
-
-    /// Train this kind on weighted sessions.
-    pub fn train(&self, sessions: &WeightedSessions) -> Box<dyn Recommender> {
-        match self {
-            ModelKind::Adjacency => Box::new(Adjacency::train(sessions)),
-            ModelKind::Cooccurrence => Box::new(Cooccurrence::train(sessions)),
-            ModelKind::NGram => Box::new(NGram::train(sessions)),
-            ModelKind::Vmm(c) => Box::new(Vmm::train(sessions, *c)),
-            ModelKind::Mvmm(c) => Box::new(Mvmm::train(sessions, c)),
-        }
-    }
-}
+use sqp_core::{ModelSpec, MvmmConfig, Recommender, VmmConfig, WeightedSessions};
 
 /// The paper's §V-D line-up: two pair-wise baselines, the N-gram, three
 /// representative VMMs (ε = 0.0, 0.05, 0.1) and the 11-component MVMM.
-pub fn paper_lineup() -> Vec<ModelKind> {
+pub fn paper_lineup() -> Vec<ModelSpec> {
     vec![
-        ModelKind::Adjacency,
-        ModelKind::Cooccurrence,
-        ModelKind::NGram,
-        ModelKind::Vmm(VmmConfig::with_epsilon(0.0)),
-        ModelKind::Vmm(VmmConfig::with_epsilon(0.05)),
-        ModelKind::Vmm(VmmConfig::with_epsilon(0.1)),
-        ModelKind::Mvmm(MvmmConfig::epsilon_sweep()),
+        ModelSpec::Adjacency,
+        ModelSpec::Cooccurrence,
+        ModelSpec::NGram,
+        ModelSpec::Vmm(VmmConfig::with_epsilon(0.0)),
+        ModelSpec::Vmm(VmmConfig::with_epsilon(0.05)),
+        ModelSpec::Vmm(VmmConfig::with_epsilon(0.1)),
+        ModelSpec::Mvmm(MvmmConfig::epsilon_sweep()),
     ]
 }
 
 /// A faster line-up for tests and smoke runs (3-component MVMM).
-pub fn quick_lineup() -> Vec<ModelKind> {
+pub fn quick_lineup() -> Vec<ModelSpec> {
     vec![
-        ModelKind::Adjacency,
-        ModelKind::Cooccurrence,
-        ModelKind::NGram,
-        ModelKind::Vmm(VmmConfig::with_epsilon(0.05)),
-        ModelKind::Mvmm(MvmmConfig::small()),
+        ModelSpec::Adjacency,
+        ModelSpec::Cooccurrence,
+        ModelSpec::NGram,
+        ModelSpec::Vmm(VmmConfig::with_epsilon(0.05)),
+        ModelSpec::Mvmm(MvmmConfig::small()),
     ]
 }
 
-/// Train every kind, returning `(label, model)` pairs.
+/// Train every spec, returning `(label, model)` pairs.
 pub fn train_models(
-    kinds: &[ModelKind],
+    specs: &[ModelSpec],
     sessions: &WeightedSessions,
 ) -> Vec<(String, Box<dyn Recommender>)> {
-    kinds
+    specs
         .iter()
-        .map(|k| (k.label(), k.train(sessions)))
+        .map(|s| (s.label(), s.train(sessions)))
         .collect()
 }
 
@@ -88,31 +47,32 @@ mod tests {
     #[test]
     fn labels_are_unique_in_paper_lineup() {
         let labels: std::collections::HashSet<String> =
-            paper_lineup().iter().map(|k| k.label()).collect();
+            paper_lineup().iter().map(|s| s.label()).collect();
         assert_eq!(labels.len(), paper_lineup().len());
     }
 
     #[test]
     fn all_kinds_train_on_toy_corpus() {
         let corpus = toy_corpus();
-        for kind in quick_lineup() {
-            let model = kind.train(&corpus);
-            assert_eq!(model.name(), kind.label());
+        let backoff = ModelSpec::Backoff(sqp_core::BackoffConfig::default());
+        for spec in quick_lineup().into_iter().chain([backoff]) {
+            let model = spec.train(&corpus);
+            assert_eq!(model.name(), spec.label());
             // All models can answer for context [q0] on the toy corpus.
             let recs = model.recommend(&sqp_common::seq(&[0]), 5);
-            assert!(!recs.is_empty(), "{} returned nothing", kind.label());
+            assert!(!recs.is_empty(), "{} returned nothing", spec.label());
         }
     }
 
     #[test]
     fn train_models_preserves_order() {
         let corpus = toy_corpus();
-        let kinds = quick_lineup();
-        let trained = train_models(&kinds, &corpus);
-        assert_eq!(trained.len(), kinds.len());
-        for ((label, model), kind) in trained.iter().zip(&kinds) {
-            assert_eq!(label, &kind.label());
-            assert_eq!(model.name(), kind.label());
+        let specs = quick_lineup();
+        let trained = train_models(&specs, &corpus);
+        assert_eq!(trained.len(), specs.len());
+        for ((label, model), spec) in trained.iter().zip(&specs) {
+            assert_eq!(label, &spec.label());
+            assert_eq!(model.name(), spec.label());
         }
     }
 }

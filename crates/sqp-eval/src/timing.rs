@@ -4,8 +4,8 @@
 //! claim is linear scaling for every method, with MVMM roughly K× a single
 //! VMM (mitigated by parallel component training).
 
-use crate::suite::ModelKind;
 use sqp_common::QuerySeq;
+use sqp_core::ModelSpec;
 use std::time::{Duration, Instant};
 
 /// One sweep row: a corpus fraction and the wall-clock time per method.
@@ -49,23 +49,23 @@ pub fn subsample(sessions: &[(QuerySeq, u64)], fraction: f64) -> Vec<(QuerySeq, 
     out
 }
 
-/// Train every kind on every fraction, measuring wall time.
+/// Train every spec on every fraction, measuring wall time.
 pub fn training_time_sweep(
     sessions: &[(QuerySeq, u64)],
     fractions: &[f64],
-    kinds: &[ModelKind],
+    specs: &[ModelSpec],
 ) -> Vec<TimingRow> {
     let mut rows = Vec::with_capacity(fractions.len());
     for &f in fractions {
         let slice = subsample(sessions, f);
         let mass = slice.iter().map(|(_, c)| c).sum();
-        let mut times = Vec::with_capacity(kinds.len());
-        for kind in kinds {
+        let mut times = Vec::with_capacity(specs.len());
+        for spec in specs {
             let start = Instant::now();
-            let model = kind.train(&slice);
+            let model = spec.train(&slice);
             let elapsed = start.elapsed();
             std::hint::black_box(&model);
-            times.push((kind.label(), elapsed));
+            times.push((spec.label(), elapsed));
         }
         rows.push(TimingRow {
             fraction: f,
@@ -120,8 +120,8 @@ mod tests {
     #[test]
     fn sweep_produces_rows_for_all_fractions() {
         let c = corpus(200);
-        let kinds = vec![ModelKind::Adjacency, ModelKind::NGram];
-        let rows = training_time_sweep(&c, &[0.5, 1.0], &kinds);
+        let specs = vec![ModelSpec::Adjacency, ModelSpec::NGram];
+        let rows = training_time_sweep(&c, &[0.5, 1.0], &specs);
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert_eq!(row.times.len(), 2);

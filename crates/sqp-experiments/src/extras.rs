@@ -81,7 +81,6 @@ pub fn ablation_mixture(wb: &Workbench) -> String {
         let cfg = MvmmConfig {
             components,
             fit: sqp_core::FitConfig::default(),
-            parallel: true,
         };
         let start = Instant::now();
         let mvmm = Mvmm::train(sessions, &cfg);
@@ -202,13 +201,7 @@ pub fn ext_logloss(wb: &Workbench) -> String {
     let ngram = NGram::train(sessions);
     let vmm0 = Vmm::train(sessions, VmmConfig::with_epsilon(0.0));
     let vmm05 = Vmm::train(sessions, VmmConfig::with_epsilon(0.05));
-    let mvmm = Mvmm::train(
-        sessions,
-        &MvmmConfig {
-            parallel: true,
-            ..MvmmConfig::small()
-        },
-    );
+    let mvmm = Mvmm::train(sessions, &MvmmConfig::small());
 
     // Score multi-query test sequences (support-weighted).
     let test_sessions: Vec<(&sqp_common::QuerySeq, u64)> = wb

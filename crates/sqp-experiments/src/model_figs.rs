@@ -1,7 +1,7 @@
 //! Model-centric experiments: Figures 8–12 and Tables VI–VII.
 
 use crate::harness::{TrainedModels, Workbench};
-use sqp_core::{Mvmm, MvmmConfig, Recommender, Vmm, VmmConfig};
+use sqp_core::{ModelSpec, Mvmm, MvmmConfig, Recommender, Vmm, VmmConfig};
 use sqp_eval::report::{f4, headers, ms, pct, render_table};
 use sqp_eval::{coverage_by_length, evaluate_accuracy, overall_coverage, reason_analysis};
 use sqp_sessions::UnpredictableReason;
@@ -217,22 +217,22 @@ pub fn tab07_memory(wb: &Workbench, models: &TrainedModels) -> String {
 
 /// Figure 12: training time versus amount of training data.
 pub fn fig12_training_time(wb: &Workbench) -> String {
-    let kinds = vec![
-        sqp_eval::ModelKind::Adjacency,
-        sqp_eval::ModelKind::Cooccurrence,
-        sqp_eval::ModelKind::NGram,
-        sqp_eval::ModelKind::Vmm(VmmConfig::with_epsilon(0.05)),
-        sqp_eval::ModelKind::Mvmm(if wb.args.quick {
+    let specs = vec![
+        ModelSpec::Adjacency,
+        ModelSpec::Cooccurrence,
+        ModelSpec::NGram,
+        ModelSpec::Vmm(VmmConfig::with_epsilon(0.05)),
+        ModelSpec::Mvmm(if wb.args.quick {
             MvmmConfig::small()
         } else {
             MvmmConfig::epsilon_sweep()
         }),
     ];
     let fractions = [0.2, 0.4, 0.6, 0.8, 1.0];
-    let rows_data = sqp_eval::training_time_sweep(wb.train_sessions(), &fractions, &kinds);
+    let rows_data = sqp_eval::training_time_sweep(wb.train_sessions(), &fractions, &specs);
 
     let mut hdr = vec!["fraction".to_string(), "unique sessions".to_string()];
-    hdr.extend(kinds.iter().map(|k| format!("{} (ms)", k.label())));
+    hdr.extend(specs.iter().map(|s| format!("{} (ms)", s.label())));
     let rows: Vec<Vec<String>> = rows_data
         .iter()
         .map(|r| {
@@ -250,7 +250,7 @@ pub fn fig12_training_time(wb: &Workbench) -> String {
     // (generously banded — wall-clock noise at millisecond scale).
     if let (Some(first), Some(last)) = (rows_data.first(), rows_data.last()) {
         out.push('\n');
-        for i in 0..kinds.len() {
+        for i in 0..specs.len() {
             let t0 = first.times[i].1.as_secs_f64().max(1e-6);
             let t1 = last.times[i].1.as_secs_f64();
             out.push_str(&format!(

@@ -529,8 +529,9 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{ModelSpec, TrainingConfig};
+    use crate::snapshot::TrainingConfig;
     use crate::surface::ServeSurface;
+    use sqp_core::ModelSpec;
     use sqp_logsim::RawLogRecord;
 
     fn rec(machine: u64, ts: u64, q: &str) -> RawLogRecord {

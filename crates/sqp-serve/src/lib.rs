@@ -82,6 +82,7 @@ pub use session::{
     ExportBatch, SessionExport, SessionTracker, TrackOutcome, TrackerConfig, DEFAULT_CUTOFF_SECS,
 };
 pub use sink::SuggestSink;
-pub use snapshot::{ModelSnapshot, ModelSpec, Suggestion, TrainingConfig};
+pub use snapshot::{ModelSnapshot, Suggestion, TrainingConfig};
+pub use sqp_core::ModelSpec;
 pub use surface::ServeSurface;
 pub use swap::Swap;

@@ -14,8 +14,8 @@
 use crate::session::Session;
 use crate::sink::SuggestSink;
 use sqp_common::topk::Scored;
-use sqp_common::{Interner, QueryId, QuerySeq};
-use sqp_core::{ModelKind, Mvmm, MvmmConfig, Recommender, Vmm, VmmConfig};
+use sqp_common::{Interner, QueryId};
+use sqp_core::{ModelSpec, Recommender};
 use sqp_logsim::RawLogRecord;
 use sqp_sessions::{aggregate, reduce_in_place, segment_with_parallelism, DEFAULT_CUTOFF_SECS};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,57 +44,6 @@ fn extend_covered(
         ids.truncate(start);
     }
     final_known
-}
-
-/// Which model a snapshot trains.
-#[derive(Clone, Debug)]
-pub enum ModelSpec {
-    /// The paper's MVMM (default: the 11-component ε sweep).
-    Mvmm(MvmmConfig),
-    /// A single VMM.
-    Vmm(VmmConfig),
-    /// The Adjacency baseline (smallest footprint).
-    Adjacency,
-    /// The Co-occurrence baseline (best raw coverage).
-    Cooccurrence,
-    /// The naive variable-length N-gram over full prefix contexts.
-    NGram,
-    /// The Katz-style back-off N-gram.
-    Backoff(sqp_core::BackoffConfig),
-}
-
-impl Default for ModelSpec {
-    fn default() -> Self {
-        ModelSpec::Mvmm(MvmmConfig::epsilon_sweep())
-    }
-}
-
-impl ModelSpec {
-    /// The tag a snapshot trained from this spec is saved under. Total:
-    /// every spec trains a model with an on-disk form.
-    pub fn kind(&self) -> ModelKind {
-        match self {
-            ModelSpec::Mvmm(_) => ModelKind::Mvmm,
-            ModelSpec::Vmm(_) => ModelKind::Vmm,
-            ModelSpec::Adjacency => ModelKind::Adjacency,
-            ModelSpec::Cooccurrence => ModelKind::Cooccurrence,
-            ModelSpec::NGram => ModelKind::NGram,
-            ModelSpec::Backoff(_) => ModelKind::Backoff,
-        }
-    }
-
-    /// Train the model on weighted sessions, in any order: every model
-    /// comes out the same whatever the order of `sessions`.
-    pub fn train(&self, sessions: &[(QuerySeq, u64)]) -> Box<dyn Recommender> {
-        match self {
-            ModelSpec::Mvmm(c) => Box::new(Mvmm::train(sessions, c)),
-            ModelSpec::Vmm(c) => Box::new(Vmm::train(sessions, *c)),
-            ModelSpec::Adjacency => Box::new(sqp_core::Adjacency::train(sessions)),
-            ModelSpec::Cooccurrence => Box::new(sqp_core::Cooccurrence::train(sessions)),
-            ModelSpec::NGram => Box::new(sqp_core::NGram::train(sessions)),
-            ModelSpec::Backoff(c) => Box::new(sqp_core::BackoffNgram::train(sessions, *c)),
-        }
-    }
 }
 
 /// Training parameters for building a snapshot from raw logs.
@@ -313,6 +262,7 @@ impl ModelSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqp_core::{ModelKind, Mvmm, Vmm, VmmConfig};
 
     /// The whole serving stack must be shareable across threads: every
     /// model behind the `Recommender` trait object, the snapshot bundle,

@@ -226,7 +226,8 @@ mod tests {
 
     #[test]
     fn engine_surface_delegates() {
-        use crate::snapshot::{ModelSpec, TrainingConfig};
+        use crate::snapshot::TrainingConfig;
+        use sqp_core::ModelSpec;
         use sqp_logsim::RawLogRecord;
 
         let rec = |machine, ts, q: &str| RawLogRecord {

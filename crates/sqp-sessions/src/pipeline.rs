@@ -7,7 +7,7 @@ use crate::aggregate::{aggregate, Aggregated};
 use crate::contexts::GroundTruth;
 use crate::index::QueryTrainingIndex;
 use crate::reduce::{reduce, ReductionReport};
-use crate::segment::{segment_with_parallelism, Segmented, TextSession};
+use crate::segment::{segment, Segmented, TextSession};
 use crate::stats::{corpus_stats, CorpusStats};
 use sqp_common::{Histogram, Interner};
 use sqp_logsim::SimulatedLogs;
@@ -24,10 +24,6 @@ pub struct PipelineConfig {
     pub reduction_threshold: u64,
     /// Continuations kept per ground-truth context (the paper's n = 5).
     pub ground_truth_n: usize,
-    /// Run segmentation's two passes — the key pass over the raw records
-    /// and the per-machine sort + cut — on several threads. Deterministic
-    /// either way (see [`segment_with_parallelism`]).
-    pub parallel: bool,
 }
 
 impl Default for PipelineConfig {
@@ -36,7 +32,6 @@ impl Default for PipelineConfig {
             session_cutoff_secs: crate::segment::DEFAULT_CUTOFF_SECS,
             reduction_threshold: 1,
             ground_truth_n: 5,
-            parallel: false,
         }
     }
 }
@@ -83,7 +78,7 @@ fn process_epoch(
     cfg: &PipelineConfig,
     interner: &mut Interner,
 ) -> (EpochData, Segmented) {
-    let sessions = segment_with_parallelism(records, cfg.session_cutoff_secs, cfg.parallel);
+    let sessions = segment(records, cfg.session_cutoff_secs);
     let stats = corpus_stats(&sessions);
     let mut aggregated_full = aggregate(&sessions, interner);
     // Figs. 5–7, Fig. 12's stride sample and the user study read the
@@ -167,7 +162,7 @@ mod tests {
         let p = process(&logs, &cfg);
         let mut interner = Interner::new();
         for (records, epoch) in [(&logs.train, &p.train), (&logs.test, &p.test)] {
-            let segmented = segment_with_parallelism(records, cfg.session_cutoff_secs, false);
+            let segmented = segment(records, cfg.session_cutoff_secs);
             let aggregated = aggregate(&segmented, &mut interner);
             let (mut want, _) = reduce(&aggregated, cfg.reduction_threshold);
             want.sessions

@@ -1,4 +1,4 @@
-//! Snapshot container format v5 — one file that boots a serving process.
+//! Snapshot container format v6 — one file that boots a serving process.
 //!
 //! A snapshot file bundles everything [`ModelSnapshot`] needs: the frozen
 //! [`Interner`], the trained model behind its
@@ -28,10 +28,11 @@ use std::path::Path;
 
 /// First four bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"SQPS";
-/// Container version this build writes and reads. Version 5 reads the
-/// checksummed body a word at a time; its payloads are version 4's. An
-/// older file is refused by version, not decoded.
-pub const FORMAT_VERSION: u32 = 5;
+/// Container version this build writes and reads. Version 6's MVMM payload
+/// holds one window trie where version 5's held one per distinct depth
+/// bound; every other payload is version 5's. An older file is refused by
+/// version, not decoded.
+pub const FORMAT_VERSION: u32 = 6;
 /// Size of the fixed header: magic + version + section count.
 pub const HEADER_LEN: usize = 12;
 /// Size of one section-table entry: id `u32`, offset `u64`, length `u64`.
@@ -534,13 +535,10 @@ mod tests {
     }
 
     /// One toy file per payload layout: a count table, the VMM's trie rows
-    /// and state list, and an MVMM whose two depth bounds put two tries and
-    /// three state lists in one payload.
+    /// and state list, and an MVMM whose three state lists read its one
+    /// trie to two depth bounds.
     fn toy_files() -> Vec<(&'static str, Vec<u8>)> {
-        let mixture = sqp_core::MvmmConfig {
-            parallel: false,
-            ..sqp_core::MvmmConfig::depth_mixture(&[(1, 0.0), (2, 0.05), (1, 0.2)])
-        };
+        let mixture = sqp_core::MvmmConfig::depth_mixture(&[(1, 0.0), (2, 0.05), (1, 0.2)]);
         [
             ("adjacency", ModelSpec::Adjacency),
             ("vmm", ModelSpec::Vmm(VmmConfig::with_epsilon(0.05))),
@@ -644,10 +642,10 @@ mod tests {
             &SnapshotMeta::default(),
         )
         .unwrap();
-        raw[4] = 4;
+        raw[4] = 5;
         let err = snapshot_from_bytes(&raw).unwrap_err();
-        assert!(matches!(err, SnapshotError::UnsupportedVersion(4)), "{err}");
-        assert!(err.to_string().contains("reads v5"), "{err}");
+        assert!(matches!(err, SnapshotError::UnsupportedVersion(5)), "{err}");
+        assert!(err.to_string().contains("reads v6"), "{err}");
     }
 
     #[test]

@@ -142,9 +142,9 @@ fn toy_snapshot_matches_the_documented_layout() {
     // Checksum at 157: the documented constant, which must equal the
     // document's word-wise FNV-1a 64 of everything before it — as the
     // document states it and as the library computes it.
-    assert_eq!(u64_at(&raw, 157), 0x57bb4b5ca5ce96ff);
-    assert_eq!(checksum_per_format_md(&raw[..157]), 0x57bb4b5ca5ce96ff);
-    assert_eq!(fnv1a64_words(&raw[..157]), 0x57bb4b5ca5ce96ff);
+    assert_eq!(u64_at(&raw, 157), 0x1e629d07a5ce96ff);
+    assert_eq!(checksum_per_format_md(&raw[..157]), 0x1e629d07a5ce96ff);
+    assert_eq!(fnv1a64_words(&raw[..157]), 0x1e629d07a5ce96ff);
 
     // The library's own table parser agrees with the documented offsets.
     let entries = parse_section_table(&raw).unwrap();
@@ -198,21 +198,19 @@ fn toy_mvmm_payload_matches_the_documented_layout() {
                 sqp_core::VmmConfig::with_epsilon(0.05),
             ],
             fit: sqp_core::FitConfig::default(),
-            parallel: false,
         },
     );
     let sigmas = mixture.sigmas().to_vec();
     let raw = toy_bytes(Box::new(mixture));
-    let p = trie_backed_payload(&raw, 6, 204);
+    let p = trie_backed_payload(&raw, 6, 200);
 
     assert_eq!((u64_at(p, 0), u64_at(p, 8), u64_at(p, 16)), (3, 6, 2));
-    assert_eq!(u32_at(p, 24), 1, "n_tries");
-    assert_eq!((u32_at(p, 28), u64_at(p, 32)), (2, 3), "window_len, n_rows");
+    assert_eq!((u32_at(p, 24), u64_at(p, 28)), (2, 3), "window_len, n_rows");
     for (i, row) in TOY_ROWS.into_iter().enumerate() {
-        assert_eq!(row_at(p, 40 + 24 * i), row, "row of node {}", i + 1);
+        assert_eq!(row_at(p, 36 + 24 * i), row, "row of node {}", i + 1);
     }
-    assert_eq!(u32_at(p, 112), 2, "K");
-    for (component, (at, epsilon)) in [(116, 0.0), (160, 0.05)].into_iter().enumerate() {
+    assert_eq!(u32_at(p, 108), 2, "K");
+    for (component, (at, epsilon)) in [(112, 0.0), (156, 0.05)].into_iter().enumerate() {
         assert_eq!(
             (f64_at(p, at), u64_at(p, at + 8), u64_at(p, at + 16)),
             (epsilon, u64::MAX, 1)

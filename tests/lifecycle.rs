@@ -40,7 +40,7 @@ fn supported_specs() -> Vec<(&'static str, ModelSpec)> {
         ("backoff", ModelSpec::Backoff(BackoffConfig::default())),
         ("vmm", ModelSpec::Vmm(VmmConfig::bounded(3, 0.05))),
         ("mvmm", ModelSpec::Mvmm(MvmmConfig::small())),
-        // Two depth bounds: two window tries in one payload.
+        // Two depth bounds read from one window trie.
         (
             "mvmm-depths",
             ModelSpec::Mvmm(MvmmConfig::depth_mixture(&[(2, 0.1), (3, 0.2)])),

@@ -26,12 +26,13 @@ const GOLDEN_ANSWERS: u64 = 0x3bc5_e18d_84a5_3ecf;
 /// Suggestions hashed into [`GOLDEN_ANSWERS`].
 const GOLDEN_ANSWER_COUNT: usize = 27_762;
 
-/// The snapshot checksum ([`fnv1a64_words`]) of the whole v5 file of
+/// The snapshot checksum ([`fnv1a64_words`]) of the whole v6 file of
 /// `Vmm(ε = 0.05)` trained on `SimConfig::small(4_000, 400, 11)`, with the
 /// fixed meta below. Re-pinned when the payload became trie rows + state
-/// ids (v3: 366 934 bytes) and when the checksum went word-wise (v5, same
-/// payload and length as v4).
-const GOLDEN_CHECKSUM: u64 = 0x6cb6_6597_588b_fcef;
+/// ids (v3: 366 934 bytes), when the checksum went word-wise (v5, same
+/// payload and length as v4), and when the MVMM payload went to one trie
+/// (v6: this file differs from v5's only in the version field).
+const GOLDEN_CHECKSUM: u64 = 0x6e1d_8f5a_567a_0d02;
 /// Length of the same file — a cheaper first clue than a checksum diff.
 const GOLDEN_LEN: usize = 291_474;
 
