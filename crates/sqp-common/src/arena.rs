@@ -17,19 +17,19 @@
 //!   order — which *is* the canonical layout below. [`SuffixTrie::count`]
 //!   therefore writes the frozen columns directly: there is no builder, no
 //!   edge table and no re-numbering pass;
-//! * **the frozen layout** is breadth-first, one row per node plus one
-//!   column each for the key of the edge into a node, its total and its
-//!   rank. A row holds what was counted — parent, at-start count,
-//!   continuation total — and `first_child`, which one merge over the
-//!   ascending parent column derives. A node's children are the
-//!   contiguous id run from its `first_child` to the next node's,
-//!   ascending by key, so the columns sliced over that run *are* its child
-//!   edges: lookups on the serve path are allocation-free binary searches
-//!   (O(log fan-out) per edge), and the layout depends only on the counts,
-//!   never on the order of the sessions;
+//! * **the frozen layout** is breadth-first and columnar: one entry per
+//!   node in each column. Four columns are what was counted — parent, the
+//!   key of the edge into the node, total and at-start count — and one
+//!   merge over the ascending parent column derives the rest for a count, a
+//!   join and a load alike: `first_child` and `cont_total` (the sum of the
+//!   child totals). A node's children are the contiguous id run from its
+//!   `first_child` to the next node's, ascending by key, so the columns
+//!   sliced over that run *are* its child edges: lookups on the serve path
+//!   are allocation-free binary searches (O(log fan-out) per edge), and the
+//!   layout depends only on the counts, never on the order of the sessions;
 //! * **depth** is not stored per node: ids ascend by depth, so a level
 //!   table of each depth's first id answers it. The same order makes a
-//!   count to depth d the first rows of any deeper count, so one trie
+//!   count to depth d the first nodes of any deeper count, so one trie
 //!   serves every model bounded at or below its window length: a model
 //!   reads the windows up to its own bound ([`SuffixTrie::window_ids`]);
 //! * **ranking** orders each run best first (total descending, key
@@ -37,10 +37,10 @@
 //!   counting thread that writes a run ranks it, and a load ranks every run;
 //! * **joining** the counts of disjoint ranges of first queries is a
 //!   relabelling, because each range is a contiguous block of every depth;
-//! * **loading** needs no builder either: the canonical layout's
-//!   `(parent, key, total, at_start)` rows, in id order, *are* the columns,
-//!   so [`SuffixTrie::from_parts`] fills the frozen form in one pass and
-//!   rejects any row sequence that is not canonical.
+//! * **loading** needs no builder either: a file holds the four counted
+//!   columns verbatim, and [`SuffixTrie::from_columns`] rejects any that
+//!   are not canonical, then derives the rest in the merge a count ends
+//!   with, ranking each run as it closes it.
 //!
 //! Node payloads are the window statistics of the paper's Eq. (6): total
 //! weighted occurrences and occurrences at a session start. Continuation
@@ -118,48 +118,35 @@ struct Window {
     weight: u64,
 }
 
-/// One node's counted row. Its depth and its run of children are not
-/// stored: the trie's level table gives the one, and the next row's
-/// `first_child` ends the other.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Node {
-    at_start: u64,
-    /// Sum of child totals = weighted occurrences with a continuation.
-    cont_total: u64,
-    /// The children are ids `first_child ..` the next node's `first_child`;
-    /// a childless node's empty run starts where the next child would.
-    first_child: u32,
-    parent: u32,
-}
-
-impl Node {
-    const ROOT: Node = Node {
-        at_start: 0,
-        cont_total: 0,
-        first_child: 0,
-        parent: 0,
-    };
-}
-
 /// Immutable arena suffix trie in canonical breadth-first layout.
 ///
-/// Node `0` is the root (the empty window). Every array is indexed by node
-/// id, and each node's children are one contiguous id run sorted by
+/// Node `0` is the root (the empty window). Every column is indexed by
+/// node id, and each node's children are one contiguous id run sorted by
 /// `QueryId`, so a path lookup is a cascade of binary searches with no
 /// allocation and no hashing. Ids ascend by depth, so each depth is one id
-/// run as well, and the rows of a count to depth d are the first rows of
+/// run as well, and the nodes of a count to depth d are the first nodes of
 /// any deeper count of the same sessions: one trie serves every model
 /// bounded at or below its own window length ([`SuffixTrie::window_ids`]).
+/// Four columns are what was counted and what a file stores
+/// ([`SuffixTrie::columns`]); `finish` derives the rest.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SuffixTrie {
-    nodes: Vec<Node>,
+    /// Each node's parent (the root's is the root itself); ascending.
+    parents: Vec<u32>,
     /// The query on the edge into each node (the root's is unused).
     keys: Vec<QueryId>,
     /// Each node's weighted occurrences.
     totals: Vec<u64>,
+    /// Each node's weighted occurrences at a session start.
+    at_start: Vec<u64>,
     /// Per run of siblings, their offsets in the run, best first: total
     /// descending, ties by ascending key (the root's slot is unused).
     rank: Vec<u32>,
+    /// Each node's child totals summed: occurrences with a continuation.
+    cont_totals: Vec<u64>,
+    /// A node's children are ids `first_child ..` the next node's (a
+    /// childless node's empty run starts where the next child would).
+    first_child: Vec<u32>,
     /// The first id of each depth, the root's 0 first, then `len()`.
     levels: Vec<u32>,
     window_len: u32,
@@ -168,7 +155,7 @@ pub struct SuffixTrie {
 impl SuffixTrie {
     /// An empty trie (root only).
     pub fn empty() -> Self {
-        Self::with_capacity(1, 0).finish()
+        Self::count(&FlatSessions::default(), 0, &[])
     }
 
     /// The root node id.
@@ -201,69 +188,156 @@ impl SuffixTrie {
         let parts = map_on_threads(ranges, |first| {
             count_part(sessions, window_len, first.clone())
         });
-        join(parts, window_len)
+        join(parts, window_len).expect("counted totals fit a u64")
+    }
+
+    /// Rebuild a trie from its four stored columns ([`SuffixTrie::columns`]),
+    /// the root's entries first and not read. The columns may come from
+    /// disk, with keys that index an interner of `vocabulary` queries, so
+    /// each rule a [`TrieRowError`] names is checked: valid columns are the
+    /// frozen layout itself and yield exactly the trie they were taken
+    /// from. Every run is ranked here, from its totals.
+    ///
+    /// # Panics
+    ///
+    /// When the columns differ in length or have no root entry.
+    pub fn from_columns(
+        window_len: u32,
+        vocabulary: usize,
+        parents: Vec<u32>,
+        keys: Vec<QueryId>,
+        totals: Vec<u64>,
+        at_start: Vec<u64>,
+    ) -> Result<SuffixTrie, TrieRowError> {
+        let n = parents.len();
+        assert!(
+            n > 0 && keys.len() == n && totals.len() == n && at_start.len() == n,
+            "four columns of one length, the root's entry first"
+        );
+        if u32::try_from(n).is_err() {
+            return Err(TrieRowError::TooManyRows);
+        }
+        for i in 1..n {
+            let (parent, key, node) = (parents[i], keys[i], i as u32);
+            if parent >= node {
+                return Err(TrieRowError::ForwardParent { node, parent });
+            }
+            if key.index() >= vocabulary {
+                return Err(TrieRowError::KeyOutOfVocabulary {
+                    node,
+                    key: key.0,
+                    vocabulary,
+                });
+            }
+            if i > 1 && (parents[i - 1], keys[i - 1]) >= (parent, key) {
+                return Err(TrieRowError::OutOfOrder { node });
+            }
+        }
+        let trie = SuffixTrie {
+            parents,
+            keys,
+            totals,
+            at_start,
+            rank: vec![0; n],
+            cont_totals: Vec::new(),
+            first_child: Vec::new(),
+            levels: Vec::new(),
+            window_len,
+        }
+        .finish(true)?;
+        // The level table ends with the deepest depth's first id, then
+        // `len()`; the level below the deepest window is the last counted.
+        let too_deep = window_len as usize + 2;
+        if too_deep + 1 < trie.levels.len() {
+            let node = trie.levels[too_deep];
+            return Err(TrieRowError::TooDeep { node, window_len });
+        }
+        Ok(trie)
+    }
+
+    /// The four stored columns by node id, the root's entries first: parent,
+    /// key, total, at-start count — what [`SuffixTrie::from_columns`] takes.
+    pub fn columns(&self) -> (&[u32], &[QueryId], &[u64], &[u64]) {
+        (&self.parents, &self.keys, &self.totals, &self.at_start)
     }
 
     /// The root alone, with room for `n` nodes.
     fn with_capacity(n: usize, window_len: u32) -> SuffixTrie {
         let mut trie = SuffixTrie {
-            nodes: Vec::with_capacity(n),
+            parents: Vec::with_capacity(n),
             keys: Vec::with_capacity(n),
             totals: Vec::with_capacity(n),
+            at_start: Vec::with_capacity(n),
             rank: Vec::with_capacity(n),
+            cont_totals: Vec::new(),
+            first_child: Vec::new(),
             levels: Vec::new(),
             window_len,
         };
-        trie.push(Node::ROOT, QueryId(0), 0);
+        trie.push(SuffixTrie::ROOT, QueryId(0), 0, 0);
         trie
     }
 
-    /// Append a counted row; its `first_child` is set by `finish`.
-    fn push(&mut self, node: Node, key: QueryId, total: u64) {
-        self.nodes.push(node);
+    /// Append a counted node; the derived columns are filled by `finish`.
+    fn push(&mut self, parent: u32, key: QueryId, total: u64, at_start: u64) {
+        self.parents.push(parent);
         self.keys.push(key);
         self.totals.push(total);
+        self.at_start.push(at_start);
         self.rank.push(0);
     }
 
-    /// Derive what the counted rows determine, and hold each array at its
-    /// length, as a loaded trie's is. Parents ascend with the ids, so one
-    /// merge over the parent column finds every node's `first_child`; and
-    /// the first node of a depth has the next depth's first id as its first
-    /// child, which fills the level table.
-    fn finish(mut self) -> SuffixTrie {
-        let n = self.nodes.len();
+    /// Derive what the stored columns determine, and hold every column at
+    /// its length. Parents ascend, so one merge over them reads each node's
+    /// run of children: its start is `first_child`, its total sum
+    /// `cont_total`, and a load (`rank_runs`) ranks it there. A depth's
+    /// first node has the next depth's first id as its first child, which
+    /// fills the level table.
+    fn finish(mut self, rank_runs: bool) -> Result<SuffixTrie, TrieRowError> {
+        let n = self.parents.len();
+        self.first_child = Vec::with_capacity(n);
+        self.cont_totals = Vec::with_capacity(n);
         let mut child = 1;
         for id in 0..n {
-            self.nodes[id].first_child = child as u32;
-            while child < n && self.nodes[child].parent as usize == id {
+            let first = child;
+            let mut sum = 0u64;
+            while child < n && self.parents[child] as usize == id {
+                sum = sum
+                    .checked_add(self.totals[child])
+                    .ok_or(TrieRowError::CountOverflow { node: id as u32 })?;
                 child += 1;
             }
+            if rank_runs {
+                rank_run(&self.totals[first..child], &mut self.rank[first..child]);
+            }
+            self.first_child.push(first as u32);
+            self.cont_totals.push(sum);
         }
         self.levels = vec![0];
         let mut first = 0;
         while (first as usize) < n {
-            first = self.nodes[first as usize].first_child;
+            first = self.first_child[first as usize];
             self.levels.push(first);
         }
-        self.nodes.shrink_to_fit();
+        self.parents.shrink_to_fit();
         self.keys.shrink_to_fit();
         self.totals.shrink_to_fit();
+        self.at_start.shrink_to_fit();
         self.rank.shrink_to_fit();
         self.levels.shrink_to_fit();
-        self
+        Ok(self)
     }
 
     /// Ids of the node's children.
     #[inline]
     fn run(&self, node: u32) -> Range<usize> {
         let node = node as usize;
-        let lo = self.nodes[node].first_child as usize;
+        let lo = self.first_child[node] as usize;
         // The last node is childless.
         let hi = self
-            .nodes
+            .first_child
             .get(node + 1)
-            .map_or(lo, |next| next.first_child as usize);
+            .map_or(lo, |&next| next as usize);
         lo..hi
     }
 
@@ -275,12 +349,12 @@ impl SuffixTrie {
 
     /// Number of nodes including the root and continuation-only nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.parents.len()
     }
 
     /// True when only the root exists.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
+        self.parents.len() <= 1
     }
 
     /// Deepest depth that counts as a window.
@@ -342,13 +416,13 @@ impl SuffixTrie {
     /// Weighted occurrences at a session start.
     #[inline]
     pub fn at_start(&self, node: u32) -> u64 {
-        self.nodes[node as usize].at_start
+        self.at_start[node as usize]
     }
 
     /// Weighted occurrences followed by some query (continuation support).
     #[inline]
     pub fn cont_total(&self, node: u32) -> u64 {
-        self.nodes[node as usize].cont_total
+        self.cont_totals[node as usize]
     }
 
     /// Depth of the node (root = 0), from the level table.
@@ -359,7 +433,7 @@ impl SuffixTrie {
     /// Parent id (the root's parent is the root itself).
     #[inline]
     pub fn parent(&self, node: u32) -> u32 {
-        self.nodes[node as usize].parent
+        self.parents[node as usize]
     }
 
     /// Edge label leading into the node (meaningless for the root).
@@ -400,80 +474,12 @@ impl SuffixTrie {
 
     /// Owned heap bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<Node>()
-            + self.keys.capacity() * std::mem::size_of::<QueryId>()
-            + self.totals.capacity() * std::mem::size_of::<u64>()
-            + self.rank.capacity() * std::mem::size_of::<u32>()
-            + self.levels.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// Flatten for serialization: one `(parent, key, total, at_start)` row
-    /// per non-root node, in id order — strictly ascending by
-    /// `(parent, key)`, every parent smaller than its row's id. This
-    /// round-trips exactly through [`SuffixTrie::from_parts`].
-    pub fn parts(&self) -> impl ExactSizeIterator<Item = (u32, u32, u64, u64)> + '_ {
-        self.nodes
-            .iter()
-            .zip(&self.keys)
-            .zip(&self.totals)
-            .skip(1)
-            .map(|((n, key), &total)| (n.parent, key.0, total, n.at_start))
-    }
-
-    /// Rebuild from [`SuffixTrie::parts`] rows in one pass; row `i` is node
-    /// `i + 1`. The rows may come from disk, so nothing about them is
-    /// trusted: a parent must precede its row, rows must ascend strictly by
-    /// `(parent, key)`, and every key must be an id of the `vocabulary`
-    /// queries the trie's interner holds. The first two make every node's
-    /// children one contiguous, key-sorted run — the frozen layout itself —
-    /// so a valid row sequence yields exactly the trie that was flattened
-    /// and anything else is an error. The ranks are not stored: every run
-    /// is ranked here, from its totals.
-    pub fn from_parts(
-        window_len: u32,
-        vocabulary: usize,
-        rows: impl ExactSizeIterator<Item = (u32, u32, u64, u64)>,
-    ) -> Result<SuffixTrie, TrieRowError> {
-        let mut trie = SuffixTrie::with_capacity(rows.len() + 1, window_len);
-        let mut previous: Option<(u32, u32)> = None;
-        // The first id of the run of children being read.
-        let mut run = 1;
-        for (row, (parent, key, total, at_start)) in rows.enumerate() {
-            let node = u32::try_from(row + 1).map_err(|_| TrieRowError::TooManyRows)?;
-            if parent >= node {
-                return Err(TrieRowError::ForwardParent { node, parent });
-            }
-            if key as usize >= vocabulary {
-                return Err(TrieRowError::KeyOutOfVocabulary {
-                    node,
-                    key,
-                    vocabulary,
-                });
-            }
-            if previous.is_some_and(|p| p >= (parent, key)) {
-                return Err(TrieRowError::OutOfOrder { node });
-            }
-            if previous.is_some_and(|p| p.0 != parent) {
-                // Every child of the previous parent is read.
-                rank_run(&trie.totals[run..], &mut trie.rank[run..]);
-                run = node as usize;
-            }
-            previous = Some((parent, key));
-
-            let above = &mut trie.nodes[parent as usize];
-            above.cont_total = above
-                .cont_total
-                .checked_add(total)
-                .ok_or(TrieRowError::CountOverflow { node: parent })?;
-            let child = Node {
-                at_start,
-                parent,
-                ..Node::ROOT
-            };
-            trie.push(child, QueryId(key), total);
-        }
-        rank_run(&trie.totals[run..], &mut trie.rank[run..]);
-        Ok(trie.finish())
+        let u32s = self.parents.capacity()
+            + self.rank.capacity()
+            + self.first_child.capacity()
+            + self.levels.capacity();
+        let u64s = self.totals.capacity() + self.at_start.capacity() + self.cont_totals.capacity();
+        u32s * 4 + u64s * 8 + self.keys.capacity() * std::mem::size_of::<QueryId>()
     }
 }
 
@@ -490,8 +496,8 @@ fn rank_run(totals: &[u64], rank: &mut [u32]) {
 
 /// The nodes of [`SuffixTrie::count`] for the windows starting in `first`,
 /// in canonical order with every run ranked and the level table filled;
-/// `first_child` is set by the join. This is the level loop the module
-/// docs describe.
+/// the other derived columns are left to the join. This is the level loop
+/// the module docs describe.
 fn count_part(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> SuffixTrie {
     let ids = &sessions.ids;
     let depth_limit = window_len.saturating_add(1);
@@ -539,7 +545,6 @@ fn count_part(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> Su
         let mut begin = 0;
         for &(parent, end) in &groups {
             let first_child = trie.len();
-            let mut cont_total = 0;
             for run in level[begin..end as usize].chunk_by(|a, b| a.key == b.key) {
                 let id = trie.len() as u32;
                 let from = next.len();
@@ -558,19 +563,12 @@ fn count_part(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> Su
                         });
                     }
                 }
-                cont_total += total;
-                let node = Node {
-                    at_start,
-                    parent,
-                    ..Node::ROOT
-                };
-                trie.push(node, QueryId(run[0].key), total);
+                trie.push(parent, QueryId(run[0].key), total, at_start);
                 if next.len() > from {
                     next[from..].sort_unstable_by_key(|w: &Window| w.key);
                     next_groups.push((id, next.len() as u32));
                 }
             }
-            trie.nodes[parent as usize].cont_total = cont_total;
             rank_run(&trie.totals[first_child..], &mut trie.rank[first_child..]);
             begin = end as usize;
         }
@@ -587,18 +585,15 @@ fn count_part(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> Su
 /// The trie of parts counted over ascending ranges of first queries (see
 /// [`SuffixTrie::count`]), written in one pass over the parts' level
 /// blocks.
-fn join(mut parts: Vec<SuffixTrie>, window_len: u32) -> SuffixTrie {
+fn join(mut parts: Vec<SuffixTrie>, window_len: u32) -> Result<SuffixTrie, TrieRowError> {
     if parts.len() <= 1 {
-        let part = parts.pop();
-        return part
+        return parts
+            .pop()
             .unwrap_or_else(|| SuffixTrie::with_capacity(1, window_len))
-            .finish();
+            .finish(false);
     }
     let joined = parts.iter().map(|p| p.len() - 1).sum::<usize>() + 1;
     let mut trie = SuffixTrie::with_capacity(joined, window_len);
-    for part in &parts {
-        trie.nodes[0].cont_total += part.nodes[0].cont_total;
-    }
     // Every part's depth blocks in joined order. A parent moves where its
     // part's previous block moved: `moved[p]` is that block's shift.
     let mut moved = vec![0u32; parts.len()];
@@ -608,48 +603,49 @@ fn join(mut parts: Vec<SuffixTrie>, window_len: u32) -> SuffixTrie {
             let block = part.level(depth);
             let shift = moved[p];
             moved[p] = (trie.len() as u32).wrapping_sub(block.start as u32);
-            trie.nodes
-                .extend(part.nodes[block.clone()].iter().map(|node| Node {
-                    parent: node.parent.wrapping_add(shift),
-                    ..*node
-                }));
+            trie.parents.extend(
+                part.parents[block.clone()]
+                    .iter()
+                    .map(|parent| parent.wrapping_add(shift)),
+            );
             trie.keys.extend_from_slice(&part.keys[block.clone()]);
             trie.totals.extend_from_slice(&part.totals[block.clone()]);
+            trie.at_start
+                .extend_from_slice(&part.at_start[block.clone()]);
             trie.rank.extend_from_slice(&part.rank[block]);
         }
     }
-    let mut trie = trie.finish();
+    let mut trie = trie.finish(false)?;
     let run = trie.run(SuffixTrie::ROOT);
     rank_run(&trie.totals[run.clone()], &mut trie.rank[run]);
-    trie
+    Ok(trie)
 }
 
-/// Why a row sequence is not the canonical flattening of any trie — what
-/// [`SuffixTrie::from_parts`] returns instead of building from it. `node`
-/// is the 1-based row number, which is the id the row would have had.
+/// Why four columns are not the stored columns of any trie, as
+/// [`SuffixTrie::from_columns`] reports it; `node` is the offending id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrieRowError {
-    /// A row names a parent that does not come before it.
+    /// A node names a parent that does not come before it.
     ForwardParent {
-        /// The offending row's node id.
+        /// The offending node.
         node: u32,
         /// The parent it names.
         parent: u32,
     },
-    /// A row's key is not an id of the trie's interner.
+    /// A node's key is not an id of the trie's interner.
     KeyOutOfVocabulary {
-        /// The offending row's node id.
+        /// The offending node.
         node: u32,
         /// The key it carries.
         key: u32,
         /// How many queries the interner holds.
         vocabulary: usize,
     },
-    /// A row does not sort strictly after the one before it by
+    /// A node does not sort strictly after the one before it by
     /// `(parent, key)`: a duplicate edge, keys descending within a parent,
     /// or a parent going backwards.
     OutOfOrder {
-        /// The offending row's node id.
+        /// The offending node.
         node: u32,
     },
     /// The totals of one node's children do not fit a `u64`.
@@ -657,7 +653,14 @@ pub enum TrieRowError {
         /// The parent whose continuation total overflowed.
         node: u32,
     },
-    /// More rows than `u32` node ids.
+    /// A node lies deeper than `window_len + 1`, where a count stops.
+    TooDeep {
+        /// The first node too deep.
+        node: u32,
+        /// The trie's window length.
+        window_len: u32,
+    },
+    /// More nodes than `u32` ids.
     TooManyRows,
 }
 
@@ -682,7 +685,10 @@ impl std::fmt::Display for TrieRowError {
             TrieRowError::CountOverflow { node } => {
                 write!(f, "continuation total of node {node} overflows u64")
             }
-            TrieRowError::TooManyRows => write!(f, "more trie rows than u32 node ids"),
+            TrieRowError::TooDeep { node, window_len } => {
+                write!(f, "node {node} lies below depth {window_len} + 1")
+            }
+            TrieRowError::TooManyRows => write!(f, "more trie nodes than u32 ids"),
         }
     }
 }
@@ -795,14 +801,49 @@ mod tests {
         assert_eq!(windows, expect);
     }
 
+    /// A row: parent, key, total and at-start count of one node.
+    type Row = (u32, u32, u64, u64);
+
+    /// The trie's stored columns as rows, the root's excluded.
+    fn rows(trie: &SuffixTrie) -> Vec<Row> {
+        let (parents, keys, totals, at_start) = trie.columns();
+        (1..trie.len())
+            .map(|i| (parents[i], keys[i].0, totals[i], at_start[i]))
+            .collect()
+    }
+
+    /// [`SuffixTrie::from_columns`] of `rows`, after the root's entry.
+    fn from_rows(
+        window_len: u32,
+        vocabulary: usize,
+        rows: &[Row],
+    ) -> Result<SuffixTrie, TrieRowError> {
+        let all = || [(0, 0, 0, 0)].iter().chain(rows);
+        SuffixTrie::from_columns(
+            window_len,
+            vocabulary,
+            all().map(|r| r.0).collect(),
+            all().map(|r| QueryId(r.1)).collect(),
+            all().map(|r| r.2).collect(),
+            all().map(|r| r.3).collect(),
+        )
+    }
+
     #[test]
-    fn parts_roundtrip() {
+    fn columns_roundtrip() {
         let t = count(&[(&[0, 1, 0], 2), (&[1, 1], 5)], 2);
-        let back = SuffixTrie::from_parts(2, 2, t.parts()).unwrap();
-        assert_eq!(t, back);
-        // The root alone flattens to no rows and loads back.
-        let empty = SuffixTrie::from_parts(0, 0, std::iter::empty()).unwrap();
-        assert_eq!(empty, SuffixTrie::empty());
+        let (parents, keys, totals, at_start) = t.columns();
+        let back = SuffixTrie::from_columns(
+            2,
+            2,
+            parents.to_vec(),
+            keys.to_vec(),
+            totals.to_vec(),
+            at_start.to_vec(),
+        );
+        assert_eq!(back, Ok(t));
+        // The root alone has no rows and loads back.
+        assert_eq!(from_rows(0, 0, &[]), Ok(SuffixTrie::empty()));
     }
 
     /// A seeded random corpus: ids below `vocabulary`, sessions of 1 to
@@ -818,8 +859,9 @@ mod tests {
             .collect()
     }
 
-    /// A 24-byte row plus one key, one total and one rank per node.
-    const BYTES_PER_NODE: usize = 24 + 4 + 8 + 4;
+    /// The four stored columns (parent, key, total, at-start count), then
+    /// rank, continuation total and first child.
+    const BYTES_PER_NODE: usize = (4 + 4 + 8 + 8) + (4 + 8 + 4);
 
     /// Every node's rank run lists its children as a reference sort does
     /// (total descending, key ascending), and the trie owns exactly its
@@ -857,8 +899,7 @@ mod tests {
                 window_len,
                 every_id(),
             );
-            let loaded =
-                SuffixTrie::from_parts(window_len, vocabulary as usize, counted.parts()).unwrap();
+            let loaded = from_rows(window_len, vocabulary as usize, &rows(&counted)).unwrap();
             assert_eq!(loaded, counted, "case {case}");
             assert_eq!(loaded.window_count(), counted.window_count(), "case {case}");
             assert_ranked_and_sized(&counted, &format!("counted case {case}"));
@@ -891,7 +932,7 @@ mod tests {
     /// The rows a trie of `sessions` must flatten to, from owned windows:
     /// a `BTreeMap` keyed by (length, path) is in canonical id order, so
     /// node ids are map positions + 1.
-    fn reference_rows(sessions: &[(QuerySeq, u64)], window_len: u32) -> Vec<(u32, u32, u64, u64)> {
+    fn reference_rows(sessions: &[(QuerySeq, u64)], window_len: u32) -> Vec<Row> {
         let deepest = window_len.saturating_add(1) as usize;
         let mut windows: BTreeMap<(usize, &[QueryId]), (u64, u64)> = BTreeMap::new();
         for (s, weight) in sessions {
@@ -949,10 +990,10 @@ mod tests {
             }
             let counted_from = flat(&sessions);
             let unbounded = SuffixTrie::count(&counted_from, u32::MAX, every_id());
-            let unbounded_rows: Vec<_> = unbounded.parts().collect();
+            let unbounded_rows = rows(&unbounded);
             for window_len in [1, 2, 3, u32::MAX] {
                 let counted = SuffixTrie::count(&counted_from, window_len, every_id());
-                let rows: Vec<_> = counted.parts().collect();
+                let rows = rows(&counted);
                 // A bounded count is the first rows of the unbounded one,
                 // and its windows are what a model bounded alike reads there.
                 assert_eq!(
@@ -980,9 +1021,9 @@ mod tests {
     }
 
     /// A valid flattening to corrupt: root → {0, 1}, 0 → {0, 1}, 1 → {0}.
-    fn valid_rows() -> Vec<(u32, u32, u64, u64)> {
+    fn valid_rows() -> Vec<Row> {
         let t = count(&[(&[0, 1], 2), (&[0, 0], 1), (&[1, 0], 4)], 1);
-        let rows: Vec<_> = t.parts().collect();
+        let rows = rows(&t);
         assert_eq!(
             rows.iter().map(|r| (r.0, r.1)).collect::<Vec<_>>(),
             [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
@@ -990,8 +1031,8 @@ mod tests {
         rows
     }
 
-    fn load(rows: &[(u32, u32, u64, u64)]) -> Result<SuffixTrie, TrieRowError> {
-        SuffixTrie::from_parts(1, 2, rows.iter().copied())
+    fn load(rows: &[Row]) -> Result<SuffixTrie, TrieRowError> {
+        from_rows(1, 2, rows)
     }
 
     #[test]
@@ -1023,7 +1064,7 @@ mod tests {
                 Err(TrieRowError::ForwardParent { node: 3, parent })
             );
         }
-        assert!(SuffixTrie::from_parts(1, 2, [(5, 0, 1, 1)].into_iter()).is_err());
+        assert!(load(&[(5, 0, 1, 1)]).is_err());
 
         // A key the two-query interner never issued, at the first id past
         // it and at the largest one.
@@ -1044,6 +1085,16 @@ mod tests {
         let mut rows = valid;
         rows[0].2 = u64::MAX;
         assert_eq!(load(&rows), Err(TrieRowError::CountOverflow { node: 0 }));
+
+        // A chain one level below the continuations of a window length of
+        // 1: node 3 lies at depth 3.
+        assert_eq!(
+            load(&[(0, 0, 1, 1), (1, 1, 1, 1), (2, 0, 1, 1)]),
+            Err(TrieRowError::TooDeep {
+                node: 3,
+                window_len: 1
+            })
+        );
     }
 
     #[test]

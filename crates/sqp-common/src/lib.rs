@@ -28,7 +28,8 @@
 //!   fault-injecting ones);
 //! * [`bytes`] — little-endian byte buffers for the wire codecs;
 //! * [`scratch`] — per-thread scratch buffers for the serve path;
-//! * [`threads`] — fork-join over scoped threads for training stages;
+//! * [`threads`] — how many parts a training stage splits into, and
+//!   fork-join over scoped threads to run them;
 //! * [`mem`] — approximate heap-size accounting for the memory-footprint
 //!   experiment (Table VII of the paper).
 

@@ -29,6 +29,7 @@
 //! merged. One part is the range of every id and needs no join.
 
 use sqp_common::arena::{FlatSessions, SuffixTrie};
+use sqp_common::threads;
 use sqp_common::{QueryId, QuerySeq};
 use std::ops::Range;
 use std::sync::Arc;
@@ -78,12 +79,8 @@ impl WindowCounts {
             }
             starts[q] += 1;
         }
-        let parts = parts.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(flat.ids().len() / MIN_POSITIONS_PER_PART)
-                .max(1)
-        });
+        let parts =
+            parts.unwrap_or_else(|| threads::parts(flat.ids().len(), MIN_POSITIONS_PER_PART));
         let ranges = deal_ranges(&starts, parts);
 
         // Depth max_len+1 nodes carry the continuation counts of
@@ -322,10 +319,17 @@ pub(crate) mod tests {
                     ),
                     "{name}: {parts:?} parts"
                 );
-                let rows =
-                    SuffixTrie::from_parts(trie.window_len() as u32, vocabulary, trie.parts())
-                        .expect("a joined trie flattens to canonical rows");
-                assert_eq!(&rows, trie, "{name}: {parts:?} parts");
+                let (parents, keys, totals, at_start) = trie.columns();
+                let loaded = SuffixTrie::from_columns(
+                    trie.window_len() as u32,
+                    vocabulary,
+                    parents.to_vec(),
+                    keys.to_vec(),
+                    totals.to_vec(),
+                    at_start.to_vec(),
+                )
+                .expect("a joined trie's columns are canonical");
+                assert_eq!(&loaded, trie, "{name}: {parts:?} parts");
             }
         }
     }

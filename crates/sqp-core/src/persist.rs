@@ -9,18 +9,19 @@
 //! * [`model_to_bytes`] / [`model_from_bytes`] — serialize any trained
 //!   [`Recommender`] behind a [`ModelKind`] tag; a decoder is told the size
 //!   of the vocabulary the payload's query ids index and refuses any id
-//!   outside it as the rows stream in. The VMM and the MVMM write
-//!   what they are — window trie rows plus state node ids; the pair-wise and
+//!   outside it before a model exists. The VMM and the MVMM write
+//!   what they are — window trie columns plus state node ids; the pair-wise and
 //!   N-gram baselines serialize their raw count tables (reconstruction is
 //!   exact because ranked lists and smoothing are deterministic functions
 //!   of the counts).
 //!
 //! A VMM in memory is a window trie and the set of its nodes that are PST
-//! states, and that is all its payload holds: the trie as its canonical
-//! breadth-first `(parent, key, total, at-start)` rows (one fixed-size row
-//! per node, which *are* the serving layout) and the ascending list of
-//! state node ids. No context and no count is written a second time — a
-//! state's distribution is its node's child rows. The MVMM payload has the
+//! states, and that is all its payload holds: the trie's four stored
+//! columns — `parent`, `key`, `total`, `at_start` over the nodes in
+//! canonical breadth-first order, each written whole as the trie holds it
+//! — and the ascending list of state node ids. No context and no count is
+//! written a second time — a state's distribution is its node's child
+//! entries. The MVMM payload has the
 //! same shape: its one trie, then per component its config, its mixture
 //! deviation σ as an `f64` bit pattern, and its id list. Loading
 //! goes through the constructor training uses
@@ -49,17 +50,12 @@ use sqp_common::bytes::{Bytes, BytesMut};
 use sqp_common::{FxHashMap, QueryId, QuerySeq};
 use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"SQPV";
-/// Version 3: trie rows + state node ids (version 2 stored every state's
-/// context and counts a second time; version 1 owned window keys).
-const VERSION: u32 = 3;
-
 /// Which concrete model a serialized payload reconstructs — the model-kind
 /// tag of the snapshot `MODEL` section (see `FORMAT.md`). Every model a
 /// `ModelSpec` can train has one; an ad-hoc `Recommender` impl does not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ModelKind {
-    /// [`Vmm`] — window-trie rows + state node ids.
+    /// [`Vmm`] — window-trie columns + state node ids.
     Vmm,
     /// [`Adjacency`] — successor count table.
     Adjacency,
@@ -489,17 +485,17 @@ fn get_corpus_totals(data: &mut Bytes) -> Result<(u64, u64, usize), String> {
     Ok((sessions, occurrences, n_queries))
 }
 
-/// Window trie: `window_len`, row count, then the canonical BFS rows —
-/// already deterministic by construction.
+/// Window trie: `window_len`, row count, then the trie's four stored
+/// columns over its non-root nodes, each written whole in canonical id
+/// order — deterministic by construction.
 fn put_trie(buf: &mut BytesMut, trie: &SuffixTrie) {
+    let (parents, keys, totals, at_start) = trie.columns();
     buf.put_u32_le(trie.window_len() as u32);
     buf.put_u64_le((trie.len() - 1) as u64);
-    for (parent, key, total, at_start) in trie.parts() {
-        buf.put_u32_le(parent);
-        buf.put_u32_le(key);
-        buf.put_u64_le(total);
-        buf.put_u64_le(at_start);
-    }
+    parents[1..].iter().for_each(|&p| buf.put_u32_le(p));
+    keys[1..].iter().for_each(|q| buf.put_u32_le(q.0));
+    totals[1..].iter().for_each(|&t| buf.put_u64_le(t));
+    at_start[1..].iter().for_each(|&a| buf.put_u64_le(a));
 }
 
 fn get_trie(data: &mut Bytes, vocabulary: usize) -> Result<Arc<SuffixTrie>, String> {
@@ -512,19 +508,26 @@ fn get_trie(data: &mut Bytes, vocabulary: usize) -> Result<Arc<SuffixTrie>, Stri
     let n_rows = usize::try_from(data.get_u64_le())
         .ok()
         .filter(|n| n.checked_mul(24).is_some_and(|b| b <= data.remaining()))
-        .ok_or("truncated trie rows")?;
-    // The rows are the trie's serving layout already: they stream straight
-    // into the frozen arrays, validated row by row.
-    let rows = (0..n_rows).map(|_| {
-        let parent = data.get_u32_le();
-        let key = data.get_u32_le();
-        let total = data.get_u64_le();
-        let at_start = data.get_u64_le();
-        (parent, key, total, at_start)
-    });
-    SuffixTrie::from_parts(window_len, vocabulary, rows)
+        .ok_or("truncated trie columns")?;
+    let parents = get_column(data, n_rows, u32::from_le_bytes);
+    let keys = get_column(data, n_rows, |b| QueryId(u32::from_le_bytes(b)));
+    let totals = get_column(data, n_rows, u64::from_le_bytes);
+    let at_start = get_column(data, n_rows, u64::from_le_bytes);
+    SuffixTrie::from_columns(window_len, vocabulary, parents, keys, totals, at_start)
         .map(Arc::new)
         .map_err(|e| e.to_string())
+}
+
+/// `n` checked column entries of `N` little-endian bytes each, after the
+/// root's entry, which no file stores.
+fn get_column<T: Default, const N: usize>(
+    data: &mut Bytes,
+    n: usize,
+    decode: impl Fn([u8; N]) -> T,
+) -> Vec<T> {
+    let (entries, _) = data.get_slice(n * N).as_chunks::<N>();
+    let entries = entries.iter().map(|&bytes| decode(bytes));
+    std::iter::once(T::default()).chain(entries).collect()
 }
 
 /// State list: count, then the trie node ids of a model's non-root states,
@@ -557,13 +560,11 @@ fn state_list_len(model: &Vmm) -> usize {
     8 + (model.node_count() - 1) * 4
 }
 
-/// Serialize a trained VMM: magic, version, config, corpus totals, the
-/// window trie, the state list.
+/// Serialize a trained VMM: config, corpus totals, the window trie, the
+/// state list.
 fn put_vmm(buf: &mut BytesMut, model: &Vmm) {
     let trie = model.window_trie();
-    buf.reserve(56 + trie_block_len(trie) + state_list_len(model));
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
+    buf.reserve(48 + trie_block_len(trie) + state_list_len(model));
     put_vmm_config(buf, &model.config);
     put_corpus_totals(buf, model);
     put_trie(buf, trie);
@@ -572,18 +573,6 @@ fn put_vmm(buf: &mut BytesMut, model: &Vmm) {
 
 /// Reconstruct a VMM serialized with [`put_vmm`].
 fn vmm_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<Vmm, String> {
-    if data.remaining() < 8 {
-        return Err("truncated header".into());
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err("bad magic — not a serialized VMM".into());
-    }
-    let version = data.get_u32_le();
-    if version != VERSION {
-        return Err(format!("unsupported version {version}"));
-    }
     let config = get_vmm_config(&mut data)?;
     let (sessions, occurrences, n_queries) = get_corpus_totals(&mut data)?;
     let trie = get_trie(&mut data, vocabulary)?;
@@ -773,13 +762,6 @@ mod tests {
                 "cut at {cut} should fail"
             );
         }
-    }
-
-    #[test]
-    fn rejects_wrong_version() {
-        let mut raw = to_bytes(&trained()).to_vec();
-        raw[4] = 99; // bump the version field
-        assert!(from_bytes(Bytes::from(raw)).is_err());
     }
 
     #[test]
@@ -997,10 +979,10 @@ mod tests {
         }
     }
 
-    /// Offset of the toy VMM payload's state list: header (8) + config (24)
-    /// + totals (24) + trie header (12) + rows.
+    /// Offset of the toy VMM payload's state list: config (24) + totals
+    /// (24) + trie header (12) + columns (24 bytes a row).
     fn vmm_state_list_at(model: &Vmm) -> usize {
-        68 + (model.window_trie().len() - 1) * 24
+        60 + (model.window_trie().len() - 1) * 24
     }
 
     /// The model's payload with `states` for its state list.
@@ -1060,8 +1042,8 @@ mod tests {
         states.push(q0q1q0);
         assert!(with_states(&deep, &states).is_ok());
         let mut raw = payload_with_states(&deep, &states);
-        // Config bytes 8..16, after the 8-byte header: `max_depth`.
-        raw[16..24].copy_from_slice(&2u64.to_le_bytes());
+        // Config bytes 8..16: `max_depth`.
+        raw[8..16].copy_from_slice(&2u64.to_le_bytes());
         expect_err(from_bytes(Bytes::from(raw)), "not a window node");
 
         // A list longer than the bytes behind it is refused by its length.
@@ -1082,7 +1064,7 @@ mod tests {
         let mixture = Mvmm::train(&toy_corpus(), &crate::MvmmConfig::small());
         let blob = model_to_bytes(&mixture).unwrap().1.to_vec();
         let load = |raw: Vec<u8>| model_from_bytes(ModelKind::Mvmm, Bytes::from(raw), 2);
-        // totals (24), trie header (12) + rows, then K.
+        // totals (24), trie header (12) + columns, then K.
         let k_at = 36 + (mixture.window_trie().len() - 1) * 24;
         let read_u32 = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
         assert_eq!(read_u32(k_at), 3);

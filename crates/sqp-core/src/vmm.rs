@@ -37,9 +37,9 @@ use crate::counts::{escape_prob_in, WindowCounts};
 use crate::model::{Recommender, SequenceScorer, WeightedSessions};
 use crate::pst::{Pst, StateListError};
 use sqp_common::arena::SuffixTrie;
+use sqp_common::threads::{map_blocks_on_threads, parts};
 use sqp_common::topk::Scored;
 use sqp_common::QueryId;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// VMM training parameters.
@@ -288,43 +288,6 @@ fn diverges(
     kl_counts_base10(parent_row, parent_total, child_row, child_total, q_floor) > epsilon
 }
 
-/// `f(block)` for every block `0..n_blocks` on `threads` threads, in block
-/// order. Blocks go to whichever thread asks next — a depth-2 test against
-/// a large depth-1 row costs many deeper ones, so equal contiguous shares
-/// would not finish together.
-fn on_threads<T: Send>(n_blocks: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    // Only hands out block numbers; the results travel through `join`.
-    let cursor = AtomicUsize::new(0);
-    let work = || {
-        let mut done = Vec::new();
-        loop {
-            let block = cursor.fetch_add(1, Ordering::Relaxed);
-            if block >= n_blocks {
-                return done;
-            }
-            done.push((block, f(block)));
-        }
-    };
-    let mut slots: Vec<Option<T>> = (0..n_blocks).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
-        let mine = work();
-        for done in helpers
-            .into_iter()
-            .map(|h| h.join().expect("growth thread panicked"))
-            .chain([mine])
-        {
-            for (block, result) in done {
-                slots[block] = Some(result);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every block ran"))
-        .collect()
-}
-
 /// Fewest divergence tests a growth thread is worth starting for. On the
 /// 200 000-session benchmark corpus stage (b) takes ≈ 25 ms of CPU, of
 /// which ≈ 15 ms are its 93 250 tests once the link pass and the parent
@@ -424,12 +387,7 @@ impl Vmm {
             tests.push(node);
         }
 
-        let threads = threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(tests.len() / MIN_CANDIDATES_PER_THREAD)
-                .max(1)
-        });
+        let threads = threads.unwrap_or_else(|| parts(tests.len(), MIN_CANDIDATES_PER_THREAD));
 
         // Parent sums, once per distinct PST parent whose row is long
         // enough to pay for them: `slot[parent]` indexes `sums`, and
@@ -446,19 +404,22 @@ impl Vmm {
                 summed.push(parent);
             }
         }
-        let sums: Vec<RowSums> = on_threads(summed.len().div_ceil(64), threads, |block| {
-            let lo = block * 64;
-            summed[lo..(lo + 64).min(summed.len())]
-                .iter()
-                .map(|&parent| RowSums::of(trie, parent))
-                .collect::<Vec<_>>()
-        })
-        .concat();
+        let sums: Vec<RowSums> =
+            map_blocks_on_threads(summed.len().div_ceil(64), threads, |block| {
+                let lo = block * 64;
+                summed[lo..(lo + 64).min(summed.len())]
+                    .iter()
+                    .map(|&parent| RowSums::of(trie, parent))
+                    .collect::<Vec<_>>()
+            })
+            .concat();
 
         // Divergence tests: bit `i % 64` of `verdicts[i / 64].0` says
         // whether `tests[i]` diverges from its PST parent by more than ε;
-        // `.1` counts the block's tests the sums could not settle.
-        let verdicts = on_threads(tests.len().div_ceil(64), threads, |block| {
+        // `.1` counts the block's tests the sums could not settle. Blocks
+        // go to whichever thread asks next: a depth-2 test against a large
+        // depth-1 row costs many deeper ones.
+        let verdicts = map_blocks_on_threads(tests.len().div_ceil(64), threads, |block| {
             let lo = block * 64;
             let mut undecided = 0;
             let mut bits = 0u64;

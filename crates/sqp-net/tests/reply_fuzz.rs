@@ -10,13 +10,19 @@
 //! two seed bodies: every strict prefix and every value of every byte,
 //! plus the protocol-limit and trailing-byte cases by construction.
 //!
+//! Every other reply opcode gets the same sweep over one seed body each,
+//! with no reference to agree with: each prefix and each corruption must
+//! decode to a whole [`Reply`] or a typed [`WireError`], never a panic.
+//!
 //! The last test puts a lying server behind a real socket: `NetClient`
 //! must answer `Err`, never a shorter `BatchAnswer` than the server
 //! claimed.
 
 use sqp_common::bytes::{get_uvarint, put_uvarint};
 use sqp_net::frame::{read_frame, write_frame, FrameRead};
-use sqp_net::wire::{self, op, BatchEntry, Reply, WireError, MAX_BATCH, MAX_K, MAX_QUERY_LEN};
+use sqp_net::wire::{
+    self, op, BatchEntry, Reply, RollSummary, WireError, WireStats, MAX_BATCH, MAX_K, MAX_QUERY_LEN,
+};
 use sqp_net::{BatchAnswer, NetClient, NetError};
 use sqp_serve::{SuggestSink, Suggestion};
 use std::net::TcpListener;
@@ -263,6 +269,131 @@ fn limits_and_trailing_bytes_are_typed_before_anything_is_kept() {
             WireError::TrailingBytes { extra: 1 }
         );
         check(&body, "one trailing byte");
+    }
+}
+
+/// One seed body per reply opcode outside the list grammar, written by
+/// its encoder, with the reply it must decode to. Between them: a two-byte
+/// varint, every fixed-width field, a multi-byte UTF-8 message and a body
+/// of the opcode alone.
+fn other_seed_bodies() -> Vec<(Vec<u8>, Reply<'static>)> {
+    let stats = WireStats {
+        generation: 7,
+        tracks: 1 << 40,
+        suggests: 3,
+        publishes: 2,
+        shed: u64::MAX,
+        evictions: 0,
+        active_sessions: 12,
+    };
+    let rolled = RollSummary {
+        aborted: true,
+        upgraded: 4,
+        failed: 200,
+        skipped: 1,
+    };
+    let message = "publish failed: naïve ☕";
+    let mut seeds = Vec::new();
+    let mut seed = |encode: &dyn Fn(&mut Vec<u8>), reply| {
+        let mut body = Vec::new();
+        encode(&mut body);
+        seeds.push((body, reply));
+    };
+    seed(
+        &|b| wire::encode_ack(b, true, 300),
+        Reply::Ack {
+            new_session: true,
+            context_len: 300,
+        },
+    );
+    seed(
+        &|b| wire::encode_stats_reply(b, &stats),
+        Reply::Stats(stats),
+    );
+    seed(
+        &|b| wire::encode_overloaded(b, 64),
+        Reply::Overloaded { limit: 64 },
+    );
+    seed(
+        &|b| wire::encode_error(b, wire::code::PUBLISH_FAILED, message),
+        Reply::Error {
+            code: wire::code::PUBLISH_FAILED,
+            message,
+        },
+    );
+    seed(
+        &|b| wire::encode_published(b, 3),
+        Reply::Published { generation: 3 },
+    );
+    seed(&|b| wire::encode_rolled(b, &rolled), Reply::Rolled(rolled));
+    seed(&|b| wire::encode_pong(b), Reply::Pong);
+    seed(
+        &|b| wire::encode_evicted(b, 12_345),
+        Reply::Evicted { count: 12_345 },
+    );
+    seeds
+}
+
+/// Read every field of a decoded reply, lists included: a reply that
+/// decoded is whole.
+fn read_whole(reply: Reply<'_>) -> String {
+    match reply {
+        Reply::Suggestions(list) => format!("{:?}", owned(list.iter())),
+        Reply::Batch(lists) => format!(
+            "{:?}",
+            lists.iter().map(|l| owned(l.iter())).collect::<Lists>()
+        ),
+        other => format!("{other:?}"),
+    }
+}
+
+#[test]
+fn every_other_reply_decodes_whole_or_typed_under_every_prefix_and_corruption() {
+    let seeds = other_seed_bodies();
+    let opcodes: Vec<u8> = seeds.iter().map(|(body, _)| body[0]).collect();
+    assert_eq!(
+        opcodes,
+        [
+            op::R_ACK,
+            op::R_STATS,
+            op::R_OVERLOADED,
+            op::R_ERROR,
+            op::R_PUBLISHED,
+            op::R_ROLLED,
+            op::R_PONG,
+            op::R_EVICTED
+        ]
+    );
+    for (body, expected) in &seeds {
+        let what = format!("opcode {:#04x}", body[0]);
+        // The untouched seed round-trips.
+        let decoded = wire::decode_reply(body).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(format!("{decoded:?}"), format!("{expected:?}"), "{what}");
+        // Every field is required, so every strict prefix is short.
+        for cut in 0..body.len() {
+            let expected = if cut == 0 {
+                WireError::EmptyFrame
+            } else {
+                WireError::Truncated
+            };
+            assert_eq!(
+                wire::decode_reply(&body[..cut]).err(),
+                Some(expected),
+                "{what} cut at {cut}"
+            );
+        }
+        // Any value of any byte, the opcode's included: a whole reply of
+        // whatever the bytes now say, or a typed error.
+        let mut corrupt = body.clone();
+        for at in 0..body.len() {
+            for value in 0..=u8::MAX {
+                corrupt[at] = value;
+                if let Ok(reply) = wire::decode_reply(&corrupt) {
+                    read_whole(reply);
+                }
+            }
+            corrupt[at] = body[at];
+        }
     }
 }
 

@@ -20,7 +20,7 @@
 //! present a ranking).
 
 use crate::segment::Segmented;
-use sqp_common::threads::map_on_threads;
+use sqp_common::threads::{self, map_on_threads};
 use sqp_common::{FxHashMap, Interner, QueryId, QuerySeq};
 use std::collections::hash_map::Entry;
 use std::ops::Range;
@@ -118,12 +118,7 @@ pub(crate) fn aggregate_in_parts(
     interner: &mut Interner,
     parts: Option<usize>,
 ) -> Aggregated {
-    let parts = parts.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(sessions.len() / MIN_SESSIONS_PER_PART)
-            .max(1)
-    });
+    let parts = parts.unwrap_or_else(|| threads::parts(sessions.len(), MIN_SESSIONS_PER_PART));
     // Contiguous session ranges of about equal record count.
     let mut bounds = vec![0];
     bounds.extend((1..parts).map(|p| {

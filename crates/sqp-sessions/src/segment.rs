@@ -35,6 +35,7 @@
 //! [`crate::aggregate()`] turns provisional ids into final ones; consumers
 //! that want owned text call [`Segmented::to_text_sessions`].
 
+use sqp_common::threads::{self, map_on_threads};
 use sqp_common::{FxHashMap, Interner, QueryId};
 use sqp_logsim::RawLogRecord;
 
@@ -219,9 +220,7 @@ pub fn segment_with_parallelism(
     parallel: bool,
 ) -> Segmented {
     let chunks = if parallel {
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(records.len() / MIN_RECORDS_PER_SHARD)
+        threads::parts(records.len(), MIN_RECORDS_PER_SHARD)
     } else {
         1
     };
@@ -243,14 +242,13 @@ fn segment_in_chunks(records: &[RawLogRecord], cutoff_secs: u64, chunks: usize) 
     // Contiguous runs of machines of about equal record count. A run owns
     // its machines' ranges of `order` and of `ids`, which are the same
     // range: every record contributes one id, in machine order.
-    let groups = chunks.max(1);
-    let mut runs = Vec::with_capacity(groups);
+    let mut runs = Vec::with_capacity(chunks);
     let (mut order_rest, mut ids_rest) = (order.as_mut_slice(), ids.as_mut_slice());
     let (mut next_machine, mut base) = (0usize, 0usize);
-    for g in 1..=groups {
+    for g in 1..=chunks {
         let first_machine = next_machine;
         let mut end = base;
-        while end < keys.len() * g / groups {
+        while end < keys.len() * g / chunks {
             end += machines[next_machine].1 as usize;
             next_machine += 1;
         }
@@ -270,19 +268,13 @@ fn segment_in_chunks(records: &[RawLogRecord], cutoff_secs: u64, chunks: usize) 
         base = end;
     }
 
-    let keys = &keys;
-    let spans = std::thread::scope(|scope| {
-        let mut runs = runs.into_iter();
-        let first = runs.next();
-        let helpers: Vec<_> = runs
-            .map(|run| scope.spawn(move || order_and_cut(keys, run, cutoff_secs)))
-            .collect();
-        let mut spans = first.map_or_else(Vec::new, |run| order_and_cut(keys, run, cutoff_secs));
-        for helper in helpers {
-            spans.extend(helper.join().expect("segmentation run panicked"));
-        }
-        spans
-    });
+    let spans = map_on_threads(runs, |run| order_and_cut(&keys, run, cutoff_secs))
+        .into_iter()
+        .reduce(|mut spans, run| {
+            spans.extend(run);
+            spans
+        })
+        .unwrap_or_default();
     Segmented { table, ids, spans }
 }
 
@@ -346,17 +338,7 @@ fn key_pass(records: &[RawLogRecord], chunks: usize) -> (Interner, Vec<Key>) {
     if chunks <= 1 || records.len() < chunks {
         return scan(records);
     }
-    let per_chunk = records.len().div_ceil(chunks);
-    let shards: Vec<(Interner, Vec<Key>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = records
-            .chunks(per_chunk)
-            .map(|chunk| scope.spawn(move || scan(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("segmentation shard panicked"))
-            .collect()
-    });
+    let shards = map_on_threads(records.chunks(records.len().div_ceil(chunks)), scan);
     // Later shards' tables fold into the first in shard order, which is
     // first-seen order over the whole input.
     let mut shards = shards.into_iter();

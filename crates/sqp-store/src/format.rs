@@ -1,4 +1,4 @@
-//! Snapshot container format v6 — one file that boots a serving process.
+//! Snapshot container format v7 — one file that boots a serving process.
 //!
 //! A snapshot file bundles everything [`ModelSnapshot`] needs: the frozen
 //! [`Interner`], the trained model behind its
@@ -28,11 +28,12 @@ use std::path::Path;
 
 /// First four bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"SQPS";
-/// Container version this build writes and reads. Version 6's MVMM payload
-/// holds one window trie where version 5's held one per distinct depth
-/// bound; every other payload is version 5's. An older file is refused by
-/// version, not decoded.
-pub const FORMAT_VERSION: u32 = 6;
+/// Container version this build writes and reads. Version 7 writes a
+/// trie block as its four stored columns where version 6 interleaved them
+/// in rows, and its VMM payload has no header of its own; every other
+/// payload is version 6's. An older file is refused by version, not
+/// decoded.
+pub const FORMAT_VERSION: u32 = 7;
 /// Size of the fixed header: magic + version + section count.
 pub const HEADER_LEN: usize = 12;
 /// Size of one section-table entry: id `u32`, offset `u64`, length `u64`.
@@ -534,8 +535,8 @@ mod tests {
         assert!(matches!(err, SnapshotError::UnsupportedModel(_)), "{err}");
     }
 
-    /// One toy file per payload layout: a count table, the VMM's trie rows
-    /// and state list, and an MVMM whose three state lists read its one
+    /// One toy file per payload layout: a count table, the VMM's trie
+    /// columns and state list, and an MVMM whose three state lists read its one
     /// trie to two depth bounds.
     fn toy_files() -> Vec<(&'static str, Vec<u8>)> {
         let mixture = sqp_core::MvmmConfig::depth_mixture(&[(1, 0.0), (2, 0.05), (1, 0.2)]);
@@ -642,10 +643,10 @@ mod tests {
             &SnapshotMeta::default(),
         )
         .unwrap();
-        raw[4] = 5;
+        raw[4] = 6;
         let err = snapshot_from_bytes(&raw).unwrap_err();
-        assert!(matches!(err, SnapshotError::UnsupportedVersion(5)), "{err}");
-        assert!(err.to_string().contains("reads v6"), "{err}");
+        assert!(matches!(err, SnapshotError::UnsupportedVersion(6)), "{err}");
+        assert!(err.to_string().contains("reads v7"), "{err}");
     }
 
     #[test]

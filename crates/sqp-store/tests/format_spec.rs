@@ -68,18 +68,22 @@ fn f64_at(raw: &[u8], offset: usize) -> f64 {
     f64::from_bits(u64_at(raw, offset))
 }
 
-/// A trie row as FORMAT.md lays it out: parent, key, total, at_start.
-fn row_at(raw: &[u8], offset: usize) -> (u32, u32, u64, u64) {
-    (
-        u32_at(raw, offset),
-        u32_at(raw, offset + 4),
-        u64_at(raw, offset + 8),
-        u64_at(raw, offset + 16),
-    )
+/// The trie block both trie-backed examples carry, from its start at
+/// `at` as FORMAT.md lays it out: `window_len`, `n_rows` = 3, then the
+/// `parent`, `key`, `total` and `at_start` columns, three entries each.
+fn assert_toy_trie_block(raw: &[u8], at: usize) {
+    assert_eq!(
+        (u32_at(raw, at), u64_at(raw, at + 4)),
+        (2, 3),
+        "window_len, n_rows"
+    );
+    let u32s = |from: usize| [0, 1, 2].map(|i| u32_at(raw, from + 4 * i));
+    let u64s = |from: usize| [0, 1, 2].map(|i| u64_at(raw, from + 8 * i));
+    assert_eq!(u32s(at + 12), [0, 0, 1], "parent column");
+    assert_eq!(u32s(at + 24), [0, 1, 1], "key column");
+    assert_eq!(u64s(at + 36), [3, 3, 3], "total column");
+    assert_eq!(u64s(at + 60), [3, 0, 3], "at_start column");
 }
-
-/// The three rows both trie-backed examples carry.
-const TOY_ROWS: [(u32, u32, u64, u64); 3] = [(0, 0, 3, 3), (0, 1, 3, 0), (1, 1, 3, 3)];
 
 /// Checks shared by the two trie-backed examples: the MODEL section is
 /// where the document says, with the tag and payload length it says, and
@@ -142,9 +146,9 @@ fn toy_snapshot_matches_the_documented_layout() {
     // Checksum at 157: the documented constant, which must equal the
     // document's word-wise FNV-1a 64 of everything before it — as the
     // document states it and as the library computes it.
-    assert_eq!(u64_at(&raw, 157), 0x1e629d07a5ce96ff);
-    assert_eq!(checksum_per_format_md(&raw[..157]), 0x1e629d07a5ce96ff);
-    assert_eq!(fnv1a64_words(&raw[..157]), 0x1e629d07a5ce96ff);
+    assert_eq!(u64_at(&raw, 157), 0x42558a2aa5ce96ff);
+    assert_eq!(checksum_per_format_md(&raw[..157]), 0x42558a2aa5ce96ff);
+    assert_eq!(fnv1a64_words(&raw[..157]), 0x42558a2aa5ce96ff);
 
     // The library's own table parser agrees with the documented offsets.
     let entries = parse_section_table(&raw).unwrap();
@@ -168,21 +172,16 @@ fn toy_snapshot_matches_the_documented_layout() {
 fn toy_vmm_payload_matches_the_documented_layout() {
     let vmm = sqp_core::Vmm::train(&toy_sessions(), sqp_core::VmmConfig::with_epsilon(0.05));
     let raw = toy_bytes(Box::new(vmm));
-    let p = trie_backed_payload(&raw, 1, 152);
+    let p = trie_backed_payload(&raw, 1, 144);
 
-    assert_eq!(&p[0..4], b"SQPV");
-    assert_eq!(u32_at(p, 4), 3, "payload version");
     assert_eq!(
-        (f64_at(p, 8), u64_at(p, 16), u64_at(p, 24)),
+        (f64_at(p, 0), u64_at(p, 8), u64_at(p, 16)),
         (0.05, u64::MAX, 1)
     );
-    assert_eq!((u64_at(p, 32), u64_at(p, 40), u64_at(p, 48)), (3, 6, 2));
-    assert_eq!((u32_at(p, 56), u64_at(p, 60)), (2, 3), "window_len, n_rows");
-    for (i, row) in TOY_ROWS.into_iter().enumerate() {
-        assert_eq!(row_at(p, 68 + 24 * i), row, "row of node {}", i + 1);
-    }
+    assert_eq!((u64_at(p, 24), u64_at(p, 32), u64_at(p, 40)), (3, 6, 2));
+    assert_toy_trie_block(p, 48);
     assert_eq!(
-        (u64_at(p, 140), u32_at(p, 148)),
+        (u64_at(p, 132), u32_at(p, 140)),
         (1, 1),
         "one state: node 1"
     );
@@ -205,10 +204,7 @@ fn toy_mvmm_payload_matches_the_documented_layout() {
     let p = trie_backed_payload(&raw, 6, 200);
 
     assert_eq!((u64_at(p, 0), u64_at(p, 8), u64_at(p, 16)), (3, 6, 2));
-    assert_eq!((u32_at(p, 24), u64_at(p, 28)), (2, 3), "window_len, n_rows");
-    for (i, row) in TOY_ROWS.into_iter().enumerate() {
-        assert_eq!(row_at(p, 36 + 24 * i), row, "row of node {}", i + 1);
-    }
+    assert_toy_trie_block(p, 24);
     assert_eq!(u32_at(p, 108), 2, "K");
     for (component, (at, epsilon)) in [(112, 0.0), (156, 0.05)].into_iter().enumerate() {
         assert_eq!(
