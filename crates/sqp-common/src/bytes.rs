@@ -84,12 +84,6 @@ impl Bytes {
         s
     }
 
-    /// Read a little-endian `u16`.
-    #[inline]
-    pub fn get_u16_le(&mut self) -> u16 {
-        u16::from_le_bytes(self.get_slice(2).try_into().unwrap())
-    }
-
     /// Read a little-endian `u32`.
     #[inline]
     pub fn get_u32_le(&mut self) -> u32 {
@@ -106,12 +100,6 @@ impl Bytes {
     #[inline]
     pub fn get_f64_le(&mut self) -> f64 {
         f64::from_le_bytes(self.get_slice(8).try_into().unwrap())
-    }
-
-    /// Copy exactly `dst.len()` bytes out.
-    #[inline]
-    pub fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        dst.copy_from_slice(self.get_slice(dst.len()));
     }
 
     /// Split off the next `n` bytes as a shared view.
@@ -177,12 +165,6 @@ impl BytesMut {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
-    }
-
-    /// Append a little-endian `u16`.
-    #[inline]
-    pub fn put_u16_le(&mut self, v: u16) {
-        self.data.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u32`.
@@ -310,9 +292,7 @@ mod tests {
         assert_eq!(r.get_u32_le(), 7);
         assert_eq!(r.get_u64_le(), u64::MAX - 1);
         assert_eq!(r.get_f64_le(), 0.25);
-        let mut buf = [0u8; 3];
-        r.copy_to_slice(&mut buf);
-        assert_eq!(&buf, b"abc");
+        assert_eq!(r.get_slice(3), b"abc");
         assert!(r.is_empty());
     }
 
@@ -344,15 +324,6 @@ mod tests {
     fn overread_panics() {
         let mut b = Bytes::from(vec![1, 2]);
         let _ = b.get_u32_le();
-    }
-
-    #[test]
-    fn u16_roundtrip() {
-        let mut w = BytesMut::default();
-        w.put_u16_le(0xBEEF);
-        let mut r = w.freeze();
-        assert_eq!(r.get_u16_le(), 0xBEEF);
-        assert!(r.is_empty());
     }
 
     #[test]

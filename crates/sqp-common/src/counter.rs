@@ -84,21 +84,6 @@ impl<K: Eq + Hash> Counter<K> {
             self.get(key) as f64 / self.total as f64
         }
     }
-
-    /// Retain only entries with count ≥ `min`, returning removed total weight.
-    pub fn prune_below(&mut self, min: u64) -> u64 {
-        let mut removed = 0u64;
-        self.map.retain(|_, v| {
-            if *v >= min {
-                true
-            } else {
-                removed += *v;
-                false
-            }
-        });
-        self.total -= removed;
-        removed
-    }
 }
 
 impl<K: Eq + Hash + Clone> Counter<K> {
@@ -158,19 +143,6 @@ mod tests {
         let c: Counter<u32> = Counter::new();
         assert_eq!(c.probability(&1), 0.0);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn prune_below_removes_and_adjusts_total() {
-        let mut c: Counter<u32> = Counter::new();
-        c.add(1, 10);
-        c.add(2, 2);
-        c.add(3, 1);
-        let removed = c.prune_below(3);
-        assert_eq!(removed, 3);
-        assert_eq!(c.total(), 10);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&1), 10);
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl Histogram {
         self.buckets.len()
     }
 
-    /// Largest observed key, if any.
-    pub fn max_key(&self) -> Option<u64> {
-        self.buckets.keys().next_back().copied()
-    }
-
     /// Iterate `(key, weight)` in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets.iter().map(|(&k, &v)| (k, v))
@@ -141,7 +136,6 @@ mod tests {
         assert_eq!(h.count(9), 0);
         assert_eq!(h.total(), 7);
         assert_eq!(h.distinct(), 2);
-        assert_eq!(h.max_key(), Some(3));
     }
 
     #[test]

@@ -55,14 +55,6 @@ impl<T, S> HeapSize for std::collections::HashSet<T, S> {
     }
 }
 
-/// Heap bytes of a map whose values themselves own heap memory.
-pub fn map_deep_heap_size<K, V: HeapSize, S>(map: &std::collections::HashMap<K, V, S>) -> usize {
-    let shallow =
-        map.len() * (std::mem::size_of::<K>() + std::mem::size_of::<V>() + HASH_ENTRY_OVERHEAD);
-    let deep: usize = map.values().map(HeapSize::heap_size_bytes).sum();
-    shallow + deep
-}
-
 /// Render a byte count the way Table VII does (megabytes, one decimal).
 pub fn format_megabytes(bytes: usize) -> String {
     format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))
@@ -89,16 +81,6 @@ mod tests {
         let mut s = String::with_capacity(32);
         s.push('x');
         assert_eq!(s.heap_size_bytes(), 32);
-    }
-
-    #[test]
-    fn map_shallow_and_deep() {
-        let mut m: std::collections::HashMap<u32, Vec<u32>> = Default::default();
-        m.insert(1, Vec::with_capacity(10));
-        m.insert(2, Vec::with_capacity(20));
-        let shallow = m.heap_size_bytes();
-        let deep = map_deep_heap_size(&m);
-        assert!(deep >= shallow + 30 * 4);
     }
 
     #[test]

@@ -62,18 +62,6 @@ pub fn top_k_counts<I: IntoIterator<Item = (QueryId, u64)>>(counts: I, k: usize)
     )
 }
 
-/// Merge scored lists (summing scores of duplicate queries) and take top-k.
-/// Used by the MVMM when combining component predictions.
-pub fn merge_top_k(lists: &[Vec<Scored>], k: usize) -> Vec<Scored> {
-    let mut acc: crate::FxHashMap<QueryId, f64> = crate::FxHashMap::default();
-    for list in lists {
-        for s in list {
-            *acc.entry(s.query).or_insert(0.0) += s.score;
-        }
-    }
-    top_k(acc.into_iter().map(|(q, s)| Scored::new(q, s)).collect(), k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,16 +104,6 @@ mod tests {
         let out = top_k_counts([(QueryId(7), 3u64), (QueryId(2), 10)], 1);
         assert_eq!(out[0].query.0, 2);
         assert_eq!(out[0].score, 10.0);
-    }
-
-    #[test]
-    fn merge_sums_duplicates() {
-        let a = vec![s(1, 0.5), s(2, 0.1)];
-        let b = vec![s(1, 0.4), s(3, 0.3)];
-        let out = merge_top_k(&[a, b], 3);
-        assert_eq!(out[0].query.0, 1);
-        assert!((out[0].score - 0.9).abs() < 1e-12);
-        assert_eq!(out[1].query.0, 3);
     }
 }
 

@@ -18,9 +18,10 @@
 
 use crate::counts::WindowCounts;
 use crate::model::{Recommender, SequenceScorer, WeightedSessions};
-use sqp_common::mem::HASH_ENTRY_OVERHEAD;
+use sqp_common::arena::SuffixTrie;
 use sqp_common::topk::Scored;
-use sqp_common::{FxHashMap, QueryId, QuerySeq};
+use sqp_common::QueryId;
+use std::sync::Arc;
 
 /// Back-off N-gram configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -44,78 +45,67 @@ impl Default for BackoffConfig {
     }
 }
 
-pub(crate) struct State {
-    /// Observed continuations `(query, count)`, sorted by descending count.
-    pub(crate) next: Box<[(QueryId, u64)]>,
-    /// Total continuation mass.
-    pub(crate) total: u64,
-}
-
-impl State {
-    /// Discounted probability of an observed continuation, 0 if unobserved.
-    fn discounted_prob(&self, q: QueryId, delta: f64) -> f64 {
-        self.next
-            .iter()
-            .find(|(c, _)| *c == q)
-            .map(|(_, count)| (*count as f64 - delta).max(0.0) / self.total as f64)
-            .unwrap_or(0.0)
-    }
-
-    /// Mass reserved for backing off: δ · (#continuation types) / total.
-    fn backoff_mass(&self, delta: f64) -> f64 {
-        (delta * self.next.len() as f64 / self.total as f64).clamp(0.0, 1.0)
-    }
-}
-
-/// The trained back-off model.
+/// The trained back-off model: its window counts and its config, nothing
+/// else. A state is a window of at most `max_order` queries with at least
+/// `max(min_support, 1)` continuations; its observed continuations are its
+/// node's children (counts in `total`, best first by `rank`, their sum the
+/// node's `cont_total`), and the unigram floor is the root's children.
 pub struct BackoffNgram {
     /// Fields are `pub(crate)` so [`crate::persist`] can round-trip them.
-    pub(crate) states: FxHashMap<QuerySeq, State>,
-    /// Unigram distribution (the back-off floor), sorted by count.
-    pub(crate) unigrams: Box<[(QueryId, u64)]>,
-    pub(crate) unigram_total: u64,
+    pub(crate) trie: Arc<SuffixTrie>,
     pub(crate) config: BackoffConfig,
-    pub(crate) n_queries: usize,
 }
 
 impl BackoffNgram {
     /// Train on weighted sessions.
     pub fn train(sessions: &WeightedSessions, config: BackoffConfig) -> Self {
-        let counts = WindowCounts::build(sessions, config.max_order);
-        let mut states = FxHashMap::default();
-        for ctx in counts.candidates(config.min_support) {
-            let next = counts.ml_counts(&ctx).into_boxed_slice();
-            let total = next.iter().map(|(_, c)| c).sum();
-            states.insert(ctx, State { next, total });
-        }
-        let unigrams: Box<[(QueryId, u64)]> = counts.root_counts_desc().into();
-        let unigram_total = unigrams.iter().map(|(_, c)| c).sum();
         BackoffNgram {
-            states,
-            unigrams,
-            unigram_total,
+            trie: WindowCounts::build(sessions, config.max_order).shared_trie(),
             config,
-            n_queries: counts.n_queries.max(1),
         }
     }
 
     /// Number of stored context states (excluding the unigram floor).
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        let windows = self.trie.window_ids(self.config.max_order);
+        windows.filter(|&node| self.supported(node)).count()
+    }
+
+    /// Whether the window at `node` has the continuations a state needs.
+    fn supported(&self, node: u32) -> bool {
+        self.trie.cont_total(node) >= self.config.min_support.max(1)
+    }
+
+    /// The trie node of `context` when it is a state.
+    fn state(&self, context: &[QueryId]) -> Option<u32> {
+        if self.config.max_order.is_some_and(|d| context.len() > d) {
+            return None;
+        }
+        self.trie
+            .window(context)
+            .filter(|&node| self.supported(node))
     }
 
     /// Longest suffix of `context` that is a state, if any.
     pub fn longest_suffix<'a>(&self, context: &'a [QueryId]) -> Option<&'a [QueryId]> {
-        for start in 0..context.len() {
-            let suffix = &context[start..];
-            if self.config.max_order.is_some_and(|d| suffix.len() > d) {
-                continue;
-            }
-            if self.states.contains_key(suffix) {
-                return Some(suffix);
-            }
-        }
-        None
+        (0..context.len())
+            .map(|start| &context[start..])
+            .find(|suffix| self.state(suffix).is_some())
+    }
+
+    /// Discounted probability of an observed continuation of `node`, 0 if
+    /// unobserved.
+    fn discounted_prob(&self, node: u32, q: QueryId) -> f64 {
+        self.trie.child(node, q).map_or(0.0, |c| {
+            (self.trie.total(c) as f64 - self.config.discount).max(0.0)
+                / self.trie.cont_total(node) as f64
+        })
+    }
+
+    /// Mass reserved for backing off: δ · (#continuation types) / total.
+    fn backoff_mass(&self, node: u32) -> f64 {
+        let types = self.trie.continuations(node).0.len();
+        (self.config.discount * types as f64 / self.trie.cont_total(node) as f64).clamp(0.0, 1.0)
     }
 
     /// Katz-style conditional probability with recursive back-off.
@@ -128,39 +118,30 @@ impl BackoffNgram {
                 ctx = &ctx[ctx.len() - d..];
             }
         }
-        loop {
-            if ctx.is_empty() {
-                // Unigram floor with 1/|Q| smoothing for unseen queries.
-                let count = self
-                    .unigrams
-                    .iter()
-                    .find(|(c, _)| *c == q)
-                    .map(|(_, n)| *n)
-                    .unwrap_or(0);
-                let p = if self.unigram_total == 0 {
-                    1.0 / self.n_queries as f64
-                } else if count > 0 {
-                    count as f64 / self.unigram_total as f64
-                } else {
-                    1.0 / (self.unigram_total as f64 * self.n_queries as f64)
-                };
-                return factor * p;
-            }
-            match self.states.get(ctx) {
-                Some(state) => {
-                    let p = state.discounted_prob(q, self.config.discount);
-                    if p > 0.0 {
-                        return factor * p;
-                    }
-                    factor *= state.backoff_mass(self.config.discount).max(1e-12);
-                    ctx = &ctx[1..];
+        while !ctx.is_empty() {
+            // An unobserved context backs off freely.
+            if let Some(node) = self.state(ctx) {
+                let p = self.discounted_prob(node, q);
+                if p > 0.0 {
+                    return factor * p;
                 }
-                None => {
-                    // Unobserved context: back off freely.
-                    ctx = &ctx[1..];
-                }
+                factor *= self.backoff_mass(node).max(1e-12);
             }
+            ctx = &ctx[1..];
         }
+        // Unigram floor with 1/|Q| smoothing for unseen queries.
+        let root = SuffixTrie::ROOT;
+        let total = self.trie.cont_total(root);
+        let n_queries = self.trie.continuations(root).0.len().max(1);
+        let count = self.trie.child(root, q).map_or(0, |c| self.trie.total(c));
+        let p = if total == 0 {
+            1.0 / n_queries as f64
+        } else if count > 0 {
+            count as f64 / total as f64
+        } else {
+            1.0 / (total as f64 * n_queries as f64)
+        };
+        factor * p
     }
 }
 
@@ -180,9 +161,10 @@ impl Recommender for BackoffNgram {
         let mut candidates: sqp_common::FxHashSet<QueryId> = Default::default();
         let mut s = suffix;
         while !s.is_empty() {
-            if let Some(state) = self.states.get(s) {
-                for &(q, _) in state.next.iter().take(k * 4) {
-                    candidates.insert(q);
+            if let Some(node) = self.state(s) {
+                let keys = self.trie.continuations(node).0;
+                for &i in self.trie.rank(node).iter().take(k * 4) {
+                    candidates.insert(keys[i as usize]);
                 }
             }
             s = &s[1..];
@@ -199,15 +181,7 @@ impl Recommender for BackoffNgram {
     }
 
     fn memory_bytes(&self) -> usize {
-        let mut bytes = self.unigrams.len() * std::mem::size_of::<(QueryId, u64)>();
-        for (ctx, state) in &self.states {
-            bytes += ctx.len() * std::mem::size_of::<QueryId>()
-                + state.next.len() * std::mem::size_of::<(QueryId, u64)>()
-                + std::mem::size_of::<QuerySeq>()
-                + std::mem::size_of::<State>()
-                + HASH_ENTRY_OVERHEAD;
-        }
-        bytes
+        self.trie.heap_bytes()
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -240,8 +214,8 @@ mod tests {
         let m = model();
         // The toy candidate set: [0], [1], [0,1], [1,0].
         assert_eq!(m.state_count(), 4);
-        assert!(m.states.contains_key(&seq(&[1, 0])));
-        assert!(m.states.contains_key(&seq(&[0, 1]))); // no KL pruning here
+        assert!(m.state(&seq(&[1, 0])).is_some());
+        assert!(m.state(&seq(&[0, 1])).is_some()); // no KL pruning here
     }
 
     #[test]

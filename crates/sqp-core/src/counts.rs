@@ -111,42 +111,6 @@ impl WindowCounts {
         Self::build(sessions, max_len)
     }
 
-    /// The root prior sorted by descending count, ties by ascending id.
-    pub fn root_counts_desc(&self) -> Vec<(QueryId, u64)> {
-        self.ranked_counts(SuffixTrie::ROOT)
-    }
-
-    /// Maximum-likelihood conditional distribution `P(·|window)` as
-    /// `(query, count)` pairs sorted by descending count, ties by ascending
-    /// id; empty when the window has no continuation.
-    pub fn ml_counts(&self, window: &[QueryId]) -> Vec<(QueryId, u64)> {
-        self.trie
-            .window(window)
-            .map(|node| self.ranked_counts(node))
-            .unwrap_or_default()
-    }
-
-    /// The node's continuations in the trie's best-first order.
-    fn ranked_counts(&self, node: u32) -> Vec<(QueryId, u64)> {
-        let (keys, counts) = self.trie.continuations(node);
-        let rank = self.trie.rank(node).iter().map(|&i| i as usize);
-        rank.map(|i| (keys[i], counts[i])).collect()
-    }
-
-    /// Candidate PST contexts: observed windows with continuation evidence of
-    /// at least `min_support`, sorted by (length, sequence) so growth is
-    /// deterministic and parents precede children. The trie's canonical BFS
-    /// layout *is* that order — no sort happens here.
-    pub fn candidates(&self, min_support: u64) -> Vec<QuerySeq> {
-        let mut path = Vec::with_capacity(self.max_len);
-        self.candidate_nodes(min_support, None)
-            .map(|node| {
-                self.trie.path(node, &mut path);
-                path.as_slice().into()
-            })
-            .collect()
-    }
-
     /// Trie node ids of the candidate windows of at most `max_len` queries
     /// (`None`: every counted window), in (length, sequence) order.
     pub fn candidate_nodes(
@@ -365,25 +329,30 @@ pub(crate) mod tests {
     #[test]
     fn toy_conditional_single_queries_use_all_positions() {
         let c = WindowCounts::build(&toy_corpus(), None);
+        let next = |w: &[u32]| c.trie().continuations(c.trie().window(&seq(w)).unwrap());
         // P(·|q1): q1→q0 16 times, q1→q1 4 times (0.8 / 0.2 in the paper).
-        assert_eq!(
-            c.ml_counts(&seq(&[1])),
-            vec![(QueryId(0), 16), (QueryId(1), 4)]
-        );
+        assert_eq!(next(&[1]), (&seq(&[0, 1])[..], &[16, 4][..]));
         // P(·|q0): q0→q0 81, q0→q1 9 (0.9 / 0.1 in the paper).
-        assert_eq!(
-            c.ml_counts(&seq(&[0])),
-            vec![(QueryId(0), 81), (QueryId(1), 9)]
-        );
+        assert_eq!(next(&[0]), (&seq(&[0, 1])[..], &[81, 9][..]));
+    }
+
+    /// The windows of the candidate nodes, in their (length, sequence) order.
+    fn candidates(c: &WindowCounts, min_support: u64) -> Vec<QuerySeq> {
+        let mut path = Vec::new();
+        c.candidate_nodes(min_support, None)
+            .map(|node| {
+                c.trie().path(node, &mut path);
+                path.as_slice().into()
+            })
+            .collect()
     }
 
     #[test]
     fn toy_candidate_set_matches_paper() {
         // Paper: without filtering, S′ = {q1q0, q0q1, q0, q1}.
         let c = WindowCounts::build(&toy_corpus(), None);
-        let cands = c.candidates(1);
         let expect: Vec<QuerySeq> = vec![seq(&[0]), seq(&[1]), seq(&[0, 1]), seq(&[1, 0])];
-        assert_eq!(cands, expect);
+        assert_eq!(candidates(&c, 1), expect);
     }
 
     #[test]
@@ -394,10 +363,8 @@ pub(crate) mod tests {
         assert_eq!(c.total_occurrences, 218);
         assert_eq!(c.total_sessions, 108);
         assert_eq!(c.n_queries, 2);
-        assert_eq!(
-            c.root_counts_desc(),
-            vec![(QueryId(0), 187), (QueryId(1), 31)]
-        );
+        // Best first: q0 (187) before q1 (31).
+        assert_eq!(c.trie().rank(SuffixTrie::ROOT), &[0, 1]);
     }
 
     #[test]
@@ -407,7 +374,8 @@ pub(crate) mod tests {
         assert!(c.trie().window(&seq(&[0, 1, 2])).is_none());
         assert_eq!(c.max_len, 2);
         // Length-2 windows still know their continuations.
-        assert_eq!(c.ml_counts(&seq(&[1, 2])), vec![(QueryId(3), 1)]);
+        let node = c.trie().window(&seq(&[1, 2])).unwrap();
+        assert_eq!(c.trie().continuations(node), (&seq(&[3])[..], &[1][..]));
     }
 
     #[test]
@@ -442,7 +410,7 @@ pub(crate) mod tests {
     #[test]
     fn min_support_filters_candidates() {
         let c = WindowCounts::build(&toy_corpus(), None);
-        let cands = c.candidates(5);
+        let cands = candidates(&c, 5);
         // [0,1] has continuation support 2 (<5) and drops out.
         assert!(!cands.contains(&seq(&[0, 1])));
         assert!(cands.contains(&seq(&[1, 0])));
@@ -453,7 +421,7 @@ pub(crate) mod tests {
         let c = WindowCounts::build(&[], None);
         assert_eq!(c.n_queries, 0);
         assert_eq!(c.window_count(), 0);
-        assert!(c.candidates(1).is_empty());
+        assert!(candidates(&c, 1).is_empty());
     }
 
     #[test]

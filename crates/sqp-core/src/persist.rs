@@ -9,8 +9,9 @@
 //! * [`model_to_bytes`] / [`model_from_bytes`] — serialize any trained
 //!   [`Recommender`] behind a [`ModelKind`] tag; a decoder is told the size
 //!   of the vocabulary the payload's query ids index and refuses any id
-//!   outside it before a model exists. The VMM and the MVMM write
-//!   what they are — window trie columns plus state node ids; the pair-wise and
+//!   outside it before a model exists. The trie-backed models write what
+//!   they are — window trie columns, plus state node ids for the VMM and
+//!   the MVMM, or a config for the back-off N-gram; the pair-wise and
 //!   N-gram baselines serialize their raw count tables (reconstruction is
 //!   exact because ranked lists and smoothing are deterministic functions
 //!   of the counts).
@@ -63,7 +64,7 @@ pub enum ModelKind {
     Cooccurrence,
     /// [`NGram`] — prefix-state count table.
     NGram,
-    /// [`BackoffNgram`] — window-state count table + unigram floor + config.
+    /// [`BackoffNgram`] — its config, then its window-trie columns.
     Backoff,
     /// [`Mvmm`] — its one window trie, then per component its config,
     /// deviation and state node ids.
@@ -218,16 +219,6 @@ fn get_query(data: &mut Bytes, vocabulary: usize) -> Result<QueryId, String> {
     }
 }
 
-/// Sum stored counts without trusting them: a crafted file (valid
-/// checksum, hostile payload) must produce `Err`, not a debug-build
-/// overflow panic or a silently wrapped total.
-fn checked_total(counts: &[(QueryId, u64)], label: &str) -> Result<u64, String> {
-    counts
-        .iter()
-        .try_fold(0u64, |acc, (_, c)| acc.checked_add(*c))
-        .ok_or_else(|| format!("{label} count total overflows u64"))
-}
-
 fn expect_consumed(data: &Bytes) -> Result<(), String> {
     if data.is_empty() {
         Ok(())
@@ -375,75 +366,49 @@ fn ngram_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<NGram, String>
     Ok(NGram { states, max_order })
 }
 
-/// Back-off payload: config (`max_order` with `u64::MAX` = unbounded,
-/// `discount`, `min_support`), `n_queries`, the unigram floor, then the
-/// window states sorted like the N-gram payload. Totals are recomputed.
+/// Back-off payload: its config (`max_order` with `u64::MAX` = unbounded,
+/// `discount`, `min_support`), then the window trie it reads.
 fn put_backoff(buf: &mut BytesMut, model: &BackoffNgram) {
-    buf.reserve(64 + model.states.len() * 32);
-    buf.put_u64_le(model.config.max_order.map(|d| d as u64).unwrap_or(u64::MAX));
+    buf.reserve(24 + trie_block_len(&model.trie));
+    put_bound(buf, model.config.max_order);
     buf.put_f64_le(model.config.discount);
     buf.put_u64_le(model.config.min_support);
-    buf.put_u64_le(model.n_queries as u64);
-    put_counts(buf, &model.unigrams);
-    let mut states: Vec<&QuerySeq> = model.states.keys().collect();
-    states.sort_by(|a, b| by_length_then_ids(a, b));
-    buf.put_u32_le(states.len() as u32);
-    for ctx in states {
-        put_seq(buf, ctx);
-        put_counts(buf, &model.states[ctx].next);
-    }
+    put_trie(buf, &model.trie);
 }
 
 fn backoff_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<BackoffNgram, String> {
-    if data.remaining() < 32 {
+    if data.remaining() < 24 {
         return Err("truncated back-off config".into());
     }
-    let max_order_raw = data.get_u64_le();
-    let discount = data.get_f64_le();
-    let min_support = data.get_u64_le();
-    let n_queries = data.get_u64_le() as usize;
     let config = BackoffConfig {
-        max_order: (max_order_raw != u64::MAX).then_some(max_order_raw as usize),
-        discount,
-        min_support,
+        max_order: get_bound(&mut data)?,
+        discount: data.get_f64_le(),
+        min_support: data.get_u64_le(),
     };
-    let unigrams = get_counts(&mut data, vocabulary)?;
-    let unigram_total = checked_total(&unigrams, "back-off unigram")?;
-    if data.remaining() < 4 {
-        return Err("truncated back-off state count".into());
-    }
-    let n = data.get_u32_le() as usize;
-    if data.remaining() < n * 8 {
-        return Err("truncated back-off state table".into());
-    }
-    let mut states = FxHashMap::default();
-    states.reserve(n);
-    for _ in 0..n {
-        let ctx = get_seq(&mut data, vocabulary)?;
-        let next = get_counts(&mut data, vocabulary)?;
-        let total = checked_total(&next, "back-off state")?;
-        if states
-            .insert(ctx, crate::backoff::State { next, total })
-            .is_some()
-        {
-            return Err("duplicate back-off state".into());
-        }
-    }
+    let trie = get_trie(&mut data, vocabulary)?;
     expect_consumed(&data)?;
-    Ok(BackoffNgram {
-        states,
-        unigrams,
-        unigram_total,
-        config,
-        n_queries,
-    })
+    Ok(BackoffNgram { trie, config })
+}
+
+/// A depth bound as a `u64`, `u64::MAX` for unbounded.
+fn put_bound(buf: &mut BytesMut, bound: Option<usize>) {
+    buf.put_u64_le(bound.map_or(u64::MAX, |d| d as u64));
+}
+
+fn get_bound(data: &mut Bytes) -> Result<Option<usize>, String> {
+    match data.get_u64_le() {
+        u64::MAX => Ok(None),
+        d => usize::try_from(d)
+            .map(Some)
+            .map_err(|_| "depth bound overflows usize".into()),
+    }
 }
 
 /// A VMM's training parameters: `epsilon`, `max_depth` (`u64::MAX` =
 /// unbounded), `min_support` — 24 bytes.
 fn put_vmm_config(buf: &mut BytesMut, config: &VmmConfig) {
     buf.put_f64_le(config.epsilon);
-    buf.put_u64_le(config.max_depth.map(|d| d as u64).unwrap_or(u64::MAX));
+    put_bound(buf, config.max_depth);
     buf.put_u64_le(config.min_support);
 }
 
@@ -451,18 +416,10 @@ fn get_vmm_config(data: &mut Bytes) -> Result<VmmConfig, String> {
     if data.remaining() < 24 {
         return Err("truncated VMM config".into());
     }
-    let epsilon = data.get_f64_le();
-    let max_depth_raw = data.get_u64_le();
-    let min_support = data.get_u64_le();
-    let max_depth = if max_depth_raw == u64::MAX {
-        None
-    } else {
-        Some(usize::try_from(max_depth_raw).map_err(|_| "depth bound overflows usize")?)
-    };
     Ok(VmmConfig {
-        epsilon,
-        max_depth,
-        min_support,
+        epsilon: data.get_f64_le(),
+        max_depth: get_bound(data)?,
+        min_support: data.get_u64_le(),
         ..VmmConfig::default()
     })
 }
@@ -917,16 +874,19 @@ mod tests {
     // ---- hostile payloads ----
 
     /// The toy payloads the sweeps below cut and corrupt: small enough to
-    /// visit every byte, and between them every section of both layouts
-    /// (the mixture's components read its one trie to two depth bounds).
+    /// visit every byte, and between them every section of the three
+    /// trie-backed layouts (the mixture's components read its one trie to
+    /// two depth bounds).
     fn toy_payloads() -> Vec<(ModelKind, Bytes)> {
         let mixture = Mvmm::train(
             &toy_corpus(),
             &crate::MvmmConfig::depth_mixture(&[(1, 0.0), (2, 0.1), (1, 0.5)]),
         );
+        let backoff = BackoffNgram::train(&toy_corpus(), BackoffConfig::default());
         vec![
             (ModelKind::Vmm, to_bytes(&trained())),
             model_to_bytes(&mixture).unwrap(),
+            model_to_bytes(&backoff).unwrap(),
         ]
     }
 
@@ -1101,20 +1061,19 @@ mod tests {
 
     #[test]
     fn crafted_overflowing_counts_are_rejected_not_panicked() {
-        // A syntactically valid Backoff payload whose unigram counts sum
-        // past u64::MAX — load must return Err (never a debug-build panic
-        // or a wrapped total).
-        let mut buf = BytesMut::with_capacity(64);
+        // A syntactically valid Backoff payload whose root children's
+        // totals sum past u64::MAX — load must return Err (never a
+        // debug-build panic or a wrapped total).
+        let mut buf = BytesMut::with_capacity(84);
         buf.put_u64_le(u64::MAX); // max_order: unbounded
         buf.put_f64_le(0.5); // discount
         buf.put_u64_le(1); // min_support
-        buf.put_u64_le(2); // n_queries
-        buf.put_u32_le(2); // unigram entries
-        for q in 0..2u32 {
-            buf.put_u32_le(q);
-            buf.put_u64_le(u64::MAX);
-        }
-        buf.put_u32_le(0); // no states
+        buf.put_u32_le(1); // window_len
+        buf.put_u64_le(2); // n_rows: [0] and [1]
+        [0, 0].into_iter().for_each(|p| buf.put_u32_le(p)); // parent
+        [0, 1].into_iter().for_each(|q| buf.put_u32_le(q)); // key
+        [u64::MAX; 2].into_iter().for_each(|t| buf.put_u64_le(t)); // total
+        [0, 0].into_iter().for_each(|a| buf.put_u64_le(a)); // at_start
         let err = match model_from_bytes(ModelKind::Backoff, buf.freeze(), 2) {
             Err(e) => e,
             Ok(_) => panic!("overflowing counts loaded successfully"),

@@ -186,7 +186,6 @@ mod tests {
         let logs = sqp_logsim::generate(&sqp_logsim::SimConfig::small(6_000, 4_000, 2025));
         let cfg = PipelineConfig {
             reduction_threshold: 1,
-            ..PipelineConfig::default()
         };
         let processed = process(&logs, &cfg);
         (processed, logs)

@@ -77,7 +77,6 @@ impl ExpArgs {
     pub fn pipeline_config(&self) -> PipelineConfig {
         PipelineConfig {
             reduction_threshold: self.reduction_threshold,
-            ..PipelineConfig::default()
         }
     }
 }

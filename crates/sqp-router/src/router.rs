@@ -884,7 +884,7 @@ impl ServeSurface for RouterEngine {
         RouterEngine::publish(self, snapshot)
     }
     fn generation(&self) -> u64 {
-        self.stats().min_generation()
+        self.aggregate_stats().publishes
     }
     fn stats(&self) -> EngineStats {
         self.aggregate_stats()

@@ -105,11 +105,6 @@ impl QueryTrainingIndex {
         self.total.get(q.index()).copied().unwrap_or(0)
     }
 
-    /// Occurrences of `q` in multi-query sessions.
-    pub fn in_multi_sessions(&self, q: QueryId) -> u64 {
-        self.in_multi.get(q.index()).copied().unwrap_or(0)
-    }
-
     /// Occurrences where `q` is followed by another query.
     pub fn followed_count(&self, q: QueryId) -> u64 {
         self.followed.get(q.index()).copied().unwrap_or(0)
@@ -189,7 +184,6 @@ mod tests {
         assert_eq!(idx.followed_count(QueryId(2)), 0); // always last
         assert_eq!(idx.successor_count(QueryId(2)), 7);
         assert_eq!(idx.successor_count(QueryId(0)), 0);
-        assert_eq!(idx.in_multi_sessions(QueryId(3)), 0);
     }
 
     #[test]

@@ -7,34 +7,32 @@ use crate::aggregate::{aggregate, Aggregated};
 use crate::contexts::GroundTruth;
 use crate::index::QueryTrainingIndex;
 use crate::reduce::{reduce, ReductionReport};
-use crate::segment::{segment, Segmented, TextSession};
+use crate::segment::{segment, Segmented, TextSession, DEFAULT_CUTOFF_SECS};
 use crate::stats::{corpus_stats, CorpusStats};
 use sqp_common::{Histogram, Interner};
 use sqp_logsim::SimulatedLogs;
 
-/// Pipeline knobs.
+/// Pipeline knobs. Sessions are cut at [`DEFAULT_CUTOFF_SECS`], and each
+/// ground-truth context keeps its `GROUND_TRUTH_N` best continuations.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Session cut when the gap between activities exceeds this (seconds).
-    pub session_cutoff_secs: u64,
     /// Drop aggregated sessions with frequency ≤ this. The paper uses 5 on a
     /// 2-billion-session corpus; at 10⁵–10⁶ simulated sessions the
     /// equivalent noise filter is ≤ 1 (experiments override it as they
     /// scale).
     pub reduction_threshold: u64,
-    /// Continuations kept per ground-truth context (the paper's n = 5).
-    pub ground_truth_n: usize,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
-            session_cutoff_secs: crate::segment::DEFAULT_CUTOFF_SECS,
             reduction_threshold: 1,
-            ground_truth_n: 5,
         }
     }
 }
+
+/// Continuations kept per ground-truth context (the paper's n = 5).
+const GROUND_TRUTH_N: usize = 5;
 
 /// Everything the pipeline derives from one epoch of raw logs.
 #[derive(Clone, Debug)]
@@ -78,7 +76,7 @@ fn process_epoch(
     cfg: &PipelineConfig,
     interner: &mut Interner,
 ) -> (EpochData, Segmented) {
-    let sessions = segment(records, cfg.session_cutoff_secs);
+    let sessions = segment(records, DEFAULT_CUTOFF_SECS);
     let stats = corpus_stats(&sessions);
     let mut aggregated_full = aggregate(&sessions, interner);
     // Figs. 5–7, Fig. 12's stride sample and the user study read the
@@ -109,7 +107,7 @@ pub fn process(logs: &SimulatedLogs, cfg: &PipelineConfig) -> ProcessedLogs {
     // queries interned next get larger ids and classify as "new".
     let train_index = QueryTrainingIndex::build(&train.aggregated, interner.len());
     let (test, test_sessions) = process_epoch(&logs.test, cfg, &mut interner);
-    let ground_truth = GroundTruth::build(&test.aggregated, cfg.ground_truth_n);
+    let ground_truth = GroundTruth::build(&test.aggregated, GROUND_TRUTH_N);
     ProcessedLogs {
         interner,
         train,
@@ -162,7 +160,7 @@ mod tests {
         let p = process(&logs, &cfg);
         let mut interner = Interner::new();
         for (records, epoch) in [(&logs.train, &p.train), (&logs.test, &p.test)] {
-            let segmented = segment(records, cfg.session_cutoff_secs);
+            let segmented = segment(records, DEFAULT_CUTOFF_SECS);
             let aggregated = aggregate(&segmented, &mut interner);
             let (mut want, _) = reduce(&aggregated, cfg.reduction_threshold);
             want.sessions

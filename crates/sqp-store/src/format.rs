@@ -1,4 +1,4 @@
-//! Snapshot container format v7 — one file that boots a serving process.
+//! Snapshot container format v8 — one file that boots a serving process.
 //!
 //! A snapshot file bundles everything [`ModelSnapshot`] needs: the frozen
 //! [`Interner`], the trained model behind its
@@ -28,12 +28,11 @@ use std::path::Path;
 
 /// First four bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"SQPS";
-/// Container version this build writes and reads. Version 7 writes a
-/// trie block as its four stored columns where version 6 interleaved them
-/// in rows, and its VMM payload has no header of its own; every other
-/// payload is version 6's. An older file is refused by version, not
-/// decoded.
-pub const FORMAT_VERSION: u32 = 7;
+/// Container version this build writes and reads. Version 8's back-off
+/// payload is its config and its window trie block where version 7 wrote
+/// a unigram table and a window-state table; every other payload is
+/// version 7's. An older file is refused by version, not decoded.
+pub const FORMAT_VERSION: u32 = 8;
 /// Size of the fixed header: magic + version + section count.
 pub const HEADER_LEN: usize = 12;
 /// Size of one section-table entry: id `u32`, offset `u64`, length `u64`.
@@ -639,14 +638,14 @@ mod tests {
     #[test]
     fn a_file_of_the_previous_version_is_refused_by_version() {
         let mut raw = snapshot_to_bytes(
-            &toy_snapshot(ModelSpec::Vmm(VmmConfig::with_epsilon(0.05))),
+            &toy_snapshot(ModelSpec::Backoff(sqp_core::BackoffConfig::default())),
             &SnapshotMeta::default(),
         )
         .unwrap();
-        raw[4] = 6;
+        raw[4] = 7;
         let err = snapshot_from_bytes(&raw).unwrap_err();
-        assert!(matches!(err, SnapshotError::UnsupportedVersion(6)), "{err}");
-        assert!(err.to_string().contains("reads v7"), "{err}");
+        assert!(matches!(err, SnapshotError::UnsupportedVersion(7)), "{err}");
+        assert!(err.to_string().contains("reads v8"), "{err}");
     }
 
     #[test]

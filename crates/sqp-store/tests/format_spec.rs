@@ -68,7 +68,7 @@ fn f64_at(raw: &[u8], offset: usize) -> f64 {
     f64::from_bits(u64_at(raw, offset))
 }
 
-/// The trie block both trie-backed examples carry, from its start at
+/// The trie block every trie-backed example carries, from its start at
 /// `at` as FORMAT.md lays it out: `window_len`, `n_rows` = 3, then the
 /// `parent`, `key`, `total` and `at_start` columns, three entries each.
 fn assert_toy_trie_block(raw: &[u8], at: usize) {
@@ -85,7 +85,7 @@ fn assert_toy_trie_block(raw: &[u8], at: usize) {
     assert_eq!(u64s(at + 60), [3, 0, 3], "at_start column");
 }
 
-/// Checks shared by the two trie-backed examples: the MODEL section is
+/// Checks shared by the trie-backed examples: the MODEL section is
 /// where the document says, with the tag and payload length it says, and
 /// the file means what the document says it means. Returns the payload.
 fn trie_backed_payload(raw: &[u8], tag: u32, payload_len: usize) -> &[u8] {
@@ -146,9 +146,9 @@ fn toy_snapshot_matches_the_documented_layout() {
     // Checksum at 157: the documented constant, which must equal the
     // document's word-wise FNV-1a 64 of everything before it — as the
     // document states it and as the library computes it.
-    assert_eq!(u64_at(&raw, 157), 0x42558a2aa5ce96ff);
-    assert_eq!(checksum_per_format_md(&raw[..157]), 0x42558a2aa5ce96ff);
-    assert_eq!(fnv1a64_words(&raw[..157]), 0x42558a2aa5ce96ff);
+    assert_eq!(u64_at(&raw, 157), 0x38ae4ad5a5ce96ff);
+    assert_eq!(checksum_per_format_md(&raw[..157]), 0x38ae4ad5a5ce96ff);
+    assert_eq!(fnv1a64_words(&raw[..157]), 0x38ae4ad5a5ce96ff);
 
     // The library's own table parser agrees with the documented offsets.
     let entries = parse_section_table(&raw).unwrap();
@@ -254,4 +254,18 @@ fn every_single_byte_change_and_every_truncation_moves_the_checksum() {
             assert_ne!(fnv1a64_words(prefix), sum, "truncation at {cut}");
         }
     }
+}
+
+#[test]
+fn toy_backoff_payload_matches_the_documented_layout() {
+    let backoff = sqp_core::BackoffNgram::train(&toy_sessions(), Default::default());
+    let raw = toy_bytes(Box::new(backoff));
+    let p = trie_backed_payload(&raw, 5, 108);
+
+    assert_eq!(
+        (u64_at(p, 0), f64_at(p, 8), u64_at(p, 16)),
+        (4, 0.5, 1),
+        "max_order, discount, min_support"
+    );
+    assert_toy_trie_block(p, 24);
 }

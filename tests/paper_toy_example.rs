@@ -69,11 +69,18 @@ fn conditional_probability_table_ii() {
     );
     assert_eq!(counts.trie().cont_total(node), 10);
 
-    // Candidate set S′ (no filtering).
-    let cands = counts.candidates(1);
+    // Candidate set S′ (no filtering), in (length, sequence) order.
+    let mut path = Vec::new();
+    let cands: Vec<Vec<_>> = counts
+        .candidate_nodes(1, None)
+        .map(|node| {
+            counts.trie().path(node, &mut path);
+            path.clone()
+        })
+        .collect();
     assert_eq!(
         cands,
-        vec![seq(&[0]), seq(&[1]), seq(&[0, 1]), seq(&[1, 0])]
+        [[q0()].as_slice(), &[q1()], &[q0(), q1()], &[q1(), q0()]]
     );
 }
 

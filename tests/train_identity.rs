@@ -26,15 +26,17 @@ const GOLDEN_ANSWERS: u64 = 0x3bc5_e18d_84a5_3ecf;
 /// Suggestions hashed into [`GOLDEN_ANSWERS`].
 const GOLDEN_ANSWER_COUNT: usize = 27_762;
 
-/// The snapshot checksum ([`fnv1a64_words`]) of the whole v7 file of
+/// The snapshot checksum ([`fnv1a64_words`]) of the whole v8 file of
 /// `Vmm(ε = 0.05)` trained on `SimConfig::small(4_000, 400, 11)`, with the
 /// fixed meta below. Re-pinned when the payload became trie rows + state
 /// ids (v3: 366 934 bytes), when the checksum went word-wise (v5, same
 /// payload and length as v4), when the MVMM payload went to one trie (v6:
-/// the file differed from v5's only in the version field), and when the
+/// the file differed from v5's only in the version field), when the
 /// trie block became its four columns and the VMM payload lost its own
-/// 8-byte header (v7: the same values, 8 bytes shorter).
-const GOLDEN_CHECKSUM: u64 = 0x0ef0_52cf_d440_4a8e;
+/// 8-byte header (v7: the same values, 8 bytes shorter), and when the
+/// back-off payload became its trie (v8: the file differs from v7's only
+/// in the version field).
+const GOLDEN_CHECKSUM: u64 = 0x57fc_f366_d5d1_057d;
 /// Length of the same file — a cheaper first clue than a checksum diff.
 const GOLDEN_LEN: usize = 291_466;
 
@@ -126,4 +128,84 @@ fn the_session_order_cannot_change_a_model() {
             "{spec:?} depends on the order of its sessions"
         );
     }
+}
+
+/// FNV-1a 64 over the [`backoff_answers_digest`]s of `BackoffConfig::default()`
+/// and of its unbounded variant, trained on `SimConfig::small(4_000, 2_000,
+/// 11)` with every session kept. Pinned at the commit before the back-off
+/// model became a reading of its window trie; like [`GOLDEN_ANSWERS`], it
+/// must pass unedited through any change of representation.
+const GOLDEN_BACKOFF_ANSWERS: u64 = 0xc245_d81d_871b_e29d;
+/// Suggestions hashed into [`GOLDEN_BACKOFF_ANSWERS`].
+const GOLDEN_BACKOFF_ANSWER_COUNT: usize = 3_500;
+
+/// Byte-serial FNV-1a 64 of what `model` says about every test context of
+/// `p`: `recommend(ctx, 5)` (ids and score bits), `cond_prob` bits for each
+/// of those answers and for one id no corpus holds, and the context's
+/// `sequence_log10_prob` bits; with the number of suggestions hashed.
+fn backoff_answers_digest(
+    model: &sqp::core::BackoffNgram,
+    p: &sqp::sessions::ProcessedLogs,
+) -> (u64, usize) {
+    use sqp::common::QueryId;
+    use sqp::core::{Recommender, SequenceScorer};
+    let unseen = QueryId(p.interner.len() as u32);
+    let mut hashed = Vec::new();
+    let mut count = 0;
+    for entry in &p.ground_truth.entries {
+        let ctx = &entry.context;
+        for s in model.recommend(ctx, 5) {
+            hashed.extend_from_slice(&s.query.0.to_le_bytes());
+            hashed.extend_from_slice(&s.score.to_bits().to_le_bytes());
+            let p = model.cond_prob(ctx, s.query);
+            hashed.extend_from_slice(&p.to_bits().to_le_bytes());
+            count += 1;
+        }
+        let p = model.cond_prob(ctx, unseen);
+        hashed.extend_from_slice(&p.to_bits().to_le_bytes());
+        let lp = model.sequence_log10_prob(ctx);
+        hashed.extend_from_slice(&lp.to_bits().to_le_bytes());
+    }
+    (bytewise_fnv1a(&hashed), count)
+}
+
+#[test]
+fn the_backoff_model_gives_the_pinned_answers_before_and_after_a_save() {
+    use sqp::core::{model_from_bytes, model_to_bytes, BackoffConfig, BackoffNgram};
+    let logs = sqp::logsim::generate(&SimConfig::small(4_000, 2_000, 11));
+    // Every session kept, so the test epoch holds thousands of contexts.
+    let pipeline = sqp::sessions::PipelineConfig {
+        reduction_threshold: 0,
+    };
+    let p = sqp::sessions::process(&logs, &pipeline);
+    let sessions = &p.train.aggregated.sessions;
+    let configs = [
+        BackoffConfig::default(),
+        BackoffConfig {
+            max_order: None,
+            ..BackoffConfig::default()
+        },
+    ];
+    let mut digests = Vec::new();
+    let mut count = 0;
+    for config in configs {
+        let model = BackoffNgram::train(sessions, config);
+        let (digest, n) = backoff_answers_digest(&model, &p);
+        let (kind, blob) = model_to_bytes(&model).expect("a back-off model persists");
+        let loaded = model_from_bytes(kind, blob, p.interner.len()).expect("and loads");
+        let loaded: &BackoffNgram = loaded.as_any().unwrap().downcast_ref().unwrap();
+        assert_eq!(
+            backoff_answers_digest(loaded, &p),
+            (digest, n),
+            "{config:?}: the loaded model answers differently"
+        );
+        digests.extend_from_slice(&digest.to_le_bytes());
+        count += n;
+    }
+    assert_eq!(count, GOLDEN_BACKOFF_ANSWER_COUNT);
+    assert_eq!(
+        bytewise_fnv1a(&digests),
+        GOLDEN_BACKOFF_ANSWERS,
+        "the back-off models answer differently"
+    );
 }
