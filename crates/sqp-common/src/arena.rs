@@ -9,7 +9,8 @@
 //! * **counting** goes level by level over one flat buffer of every
 //!   session's ids ([`FlatSessions`]). A window is named by its start
 //!   position, so extending it by a query is reading the next id: no
-//!   allocation and no hashing. Depth 1 is the start positions
+//!   allocation and no hashing. Depth 1 is the start positions — every
+//!   position, or each session's first for a prefix trie ([`Starts`]) —
 //!   counting-sorted by their query. The windows that extend one depth-d
 //!   node are sorted by their next query, and each run of equal next query
 //!   is one child. A level is emitted parent by parent in id order and each
@@ -118,6 +119,16 @@ struct Window {
     weight: u64,
 }
 
+/// Where the windows a count reads begin.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Starts {
+    /// At every session position: the window trie.
+    Anywhere,
+    /// At each session's first query only: the prefix trie, in which every
+    /// node's total is its at-start count.
+    SessionStart,
+}
+
 /// Immutable arena suffix trie in canonical breadth-first layout.
 ///
 /// Node `0` is the root (the empty window). Every column is indexed by
@@ -155,17 +166,18 @@ pub struct SuffixTrie {
 impl SuffixTrie {
     /// An empty trie (root only).
     pub fn empty() -> Self {
-        Self::count(&FlatSessions::default(), 0, &[])
+        Self::count(&FlatSessions::default(), 0, &[], Starts::Anywhere)
     }
 
     /// The root node id.
     pub const ROOT: u32 = 0;
 
-    /// Count the windows of `sessions` whose first query's id lies in one
-    /// of `ranges`, weighted by their session's weight: every window of up
-    /// to `window_len` queries, and the level below as their continuations.
-    /// Windows starting at a session's first query also count as
-    /// session-start occurrences. `[0..u32::MAX]` counts every window.
+    /// Count the windows of `sessions` that begin where `starts` says and
+    /// whose first query's id lies in one of `ranges`, weighted by their
+    /// session's weight: every window of up to `window_len` queries, and
+    /// the level below as their continuations. Windows starting at a
+    /// session's first query also count as session-start occurrences.
+    /// `[0..u32::MAX]` counts every window.
     ///
     /// Each range is counted on a thread of its own, which also ranks every
     /// run of children it writes. Disjoint ranges count disjoint subtrees
@@ -180,13 +192,18 @@ impl SuffixTrie {
     /// # Panics
     ///
     /// When `ranges` are not ascending and disjoint.
-    pub fn count(sessions: &FlatSessions, window_len: u32, ranges: &[Range<u32>]) -> SuffixTrie {
+    pub fn count(
+        sessions: &FlatSessions,
+        window_len: u32,
+        ranges: &[Range<u32>],
+        starts: Starts,
+    ) -> SuffixTrie {
         assert!(
             ranges.windows(2).all(|r| r[0].end <= r[1].start),
             "parts hold ascending first queries"
         );
         let parts = map_on_threads(ranges, |first| {
-            count_part(sessions, window_len, first.clone())
+            count_part(sessions, window_len, first.clone(), starts)
         });
         join(parts, window_len).expect("counted totals fit a u64")
     }
@@ -498,25 +515,37 @@ fn rank_run(totals: &[u64], rank: &mut [u32]) {
 /// in canonical order with every run ranked and the level table filled;
 /// the other derived columns are left to the join. This is the level loop
 /// the module docs describe.
-fn count_part(sessions: &FlatSessions, window_len: u32, first: Range<u32>) -> SuffixTrie {
+fn count_part(
+    sessions: &FlatSessions,
+    window_len: u32,
+    first: Range<u32>,
+    starts: Starts,
+) -> SuffixTrie {
     let ids = &sessions.ids;
     let depth_limit = window_len.saturating_add(1);
     // Depth 1: the start positions whose query lies in `first`,
     // counting-sorted by it.
+    let seeds = |span: &Session| match starts {
+        Starts::Anywhere => span.start..span.end,
+        Starts::SessionStart => span.start..span.end.min(span.start + 1),
+    };
     let lo = first.start as usize;
     let hi = (first.end as usize).min(sessions.vocabulary).max(lo);
     let mut slot = vec![0u32; hi - lo + 1];
-    for q in ids.iter().map(|q| q.index()) {
-        if (lo..hi).contains(&q) {
-            slot[q - lo + 1] += 1;
+    for span in &sessions.sessions {
+        for pos in seeds(span) {
+            let q = ids[pos as usize].index();
+            if (lo..hi).contains(&q) {
+                slot[q - lo + 1] += 1;
+            }
         }
     }
     for i in 1..slot.len() {
         slot[i] += slot[i - 1];
     }
     let mut level = vec![Window::default(); slot[hi - lo] as usize];
-    for span in sessions.sessions.iter() {
-        for pos in span.start..span.end {
+    for span in &sessions.sessions {
+        for pos in seeds(span) {
             let q = ids[pos as usize].index();
             if (lo..hi).contains(&q) {
                 level[slot[q - lo] as usize] = Window {
@@ -712,7 +741,7 @@ mod tests {
     /// level below.
     fn count(sessions: &[(&[u32], u64)], window_len: u32) -> SuffixTrie {
         let owned: Vec<(QuerySeq, u64)> = sessions.iter().map(|(s, f)| (seq(s), *f)).collect();
-        SuffixTrie::count(&flat(&owned), window_len, every_id())
+        SuffixTrie::count(&flat(&owned), window_len, every_id(), Starts::Anywhere)
     }
 
     fn flat(sessions: &[(QuerySeq, u64)]) -> FlatSessions {
@@ -889,6 +918,33 @@ mod tests {
     }
 
     #[test]
+    fn a_prefix_count_holds_the_session_start_windows() {
+        for case in 0..100u64 {
+            let mut rng = StdRng::seed_from_u64(0x9e1f + case);
+            let vocabulary = rng.random_range(1u32..9);
+            let sessions = flat(&random_corpus(&mut rng, vocabulary));
+            let windows = SuffixTrie::count(&sessions, u32::MAX, every_id(), Starts::Anywhere);
+            let prefixes = SuffixTrie::count(&sessions, u32::MAX, every_id(), Starts::SessionStart);
+            // A prefix is a window counted at a session start, and nothing
+            // else: its nodes are the windows with at-start occurrences.
+            let mut path = Vec::new();
+            for node in 1..prefixes.len() as u32 {
+                prefixes.path(node, &mut path);
+                let window = windows.find(&path).unwrap();
+                assert_eq!(prefixes.total(node), prefixes.at_start(node), "case {case}");
+                assert_eq!(
+                    prefixes.total(node),
+                    windows.at_start(window),
+                    "case {case}"
+                );
+            }
+            let started = (1..windows.len() as u32).filter(|&n| windows.at_start(n) > 0);
+            assert_eq!(started.count(), prefixes.len() - 1, "case {case}");
+            assert_ranked_and_sized(&prefixes, &format!("prefix case {case}"));
+        }
+    }
+
+    #[test]
     fn random_tries_roundtrip_through_their_rows() {
         for case in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(0x7e1e + case);
@@ -898,6 +954,7 @@ mod tests {
                 &flat(&random_corpus(&mut rng, vocabulary)),
                 window_len,
                 every_id(),
+                Starts::Anywhere,
             );
             let loaded = from_rows(window_len, vocabulary as usize, &rows(&counted)).unwrap();
             assert_eq!(loaded, counted, "case {case}");
@@ -914,7 +971,8 @@ mod tests {
             let vocabulary = rng.random_range(1u32..12);
             let window_len = rng.random_range(0u32..5);
             let sessions = flat(&random_corpus(&mut rng, vocabulary));
-            let whole = SuffixTrie::count(&sessions, window_len, every_id());
+            let starts = [Starts::Anywhere, Starts::SessionStart][case as usize % 2];
+            let whole = SuffixTrie::count(&sessions, window_len, every_id(), starts);
             // Random ascending cut points, empty ranges included.
             let mut cuts: Vec<u32> = (0..rng.random_range(0usize..5))
                 .map(|_| rng.random_range(0..=vocabulary))
@@ -922,7 +980,7 @@ mod tests {
             cuts.sort_unstable();
             let bounds: Vec<u32> = [0].into_iter().chain(cuts).chain([vocabulary]).collect();
             let ranges: Vec<Range<u32>> = bounds.windows(2).map(|b| b[0]..b[1]).collect();
-            let joined = SuffixTrie::count(&sessions, window_len, &ranges);
+            let joined = SuffixTrie::count(&sessions, window_len, &ranges, starts);
             assert_eq!(joined, whole, "case {case}: {bounds:?}");
             assert_ranked_and_sized(&whole, &format!("whole case {case}"));
             assert_ranked_and_sized(&joined, &format!("joined case {case}: {bounds:?}"));
@@ -989,10 +1047,12 @@ mod tests {
                 sessions.push(sessions[i * 2].clone());
             }
             let counted_from = flat(&sessions);
-            let unbounded = SuffixTrie::count(&counted_from, u32::MAX, every_id());
+            let unbounded =
+                SuffixTrie::count(&counted_from, u32::MAX, every_id(), Starts::Anywhere);
             let unbounded_rows = rows(&unbounded);
             for window_len in [1, 2, 3, u32::MAX] {
-                let counted = SuffixTrie::count(&counted_from, window_len, every_id());
+                let counted =
+                    SuffixTrie::count(&counted_from, window_len, every_id(), Starts::Anywhere);
                 let rows = rows(&counted);
                 // A bounded count is the first rows of the unbounded one,
                 // and its windows are what a model bounded alike reads there.

@@ -25,21 +25,10 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// Wrap a static slice.
-    pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::from(bytes.to_vec())
-    }
-
     /// Unread bytes left.
     #[inline]
     pub fn remaining(&self) -> usize {
         self.end - self.start
-    }
-
-    /// Total unread length (alias of [`Bytes::remaining`], `bytes`-style).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.remaining()
     }
 
     /// True when fully consumed.
@@ -52,11 +41,6 @@ impl Bytes {
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
-    }
-
-    /// Copy the unread bytes out.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
     }
 
     /// A sub-view of the unread bytes (shares storage).

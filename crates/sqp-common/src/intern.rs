@@ -388,7 +388,7 @@ mod tests {
         let mut buf = crate::bytes::BytesMut::with_capacity(64);
         original.serialize_into(&mut buf);
         let blob = buf.freeze();
-        for cut in 0..blob.len() {
+        for cut in 0..blob.remaining() {
             let mut prefix = blob.slice(0..cut);
             assert!(
                 Interner::deserialize(&mut prefix).is_err(),
@@ -396,7 +396,7 @@ mod tests {
             );
         }
         // Bad declared content total.
-        let mut raw = blob.to_vec();
+        let mut raw = blob.as_slice().to_vec();
         raw[4] ^= 0xff;
         assert!(Interner::deserialize(&mut crate::bytes::Bytes::from(raw)).is_err());
         // Duplicate strings break the id bijection.

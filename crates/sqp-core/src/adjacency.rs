@@ -6,15 +6,14 @@
 //! query of the context is consulted; all earlier history is discarded.
 
 use crate::model::{Recommender, WeightedSessions};
-use sqp_common::mem::HASH_ENTRY_OVERHEAD;
+use crate::pairs::PairTable;
 use sqp_common::topk::Scored;
 use sqp_common::{Counter, FxHashMap, QueryId};
 
 /// Adjacency model: `q → ranked successors of q`.
 pub struct Adjacency {
-    /// Successor lists sorted by descending count, ties by ascending id.
     /// `pub(crate)` so [`crate::persist`] can round-trip the count table.
-    pub(crate) lists: FxHashMap<QueryId, Box<[(QueryId, u64)]>>,
+    pub(crate) pairs: PairTable,
 }
 
 impl Adjacency {
@@ -26,16 +25,9 @@ impl Adjacency {
                 counts.entry(w[0]).or_default().add(w[1], *f);
             }
         }
-        let lists = counts
-            .into_iter()
-            .map(|(q, c)| (q, c.sorted_desc().into_boxed_slice()))
-            .collect();
-        Adjacency { lists }
-    }
-
-    /// Ranked successors of `q` (empty slice when unknown).
-    pub fn successors(&self, q: QueryId) -> &[(QueryId, u64)] {
-        self.lists.get(&q).map(|b| b.as_ref()).unwrap_or(&[])
+        Adjacency {
+            pairs: PairTable::rank(counts),
+        }
     }
 }
 
@@ -44,34 +36,16 @@ impl Recommender for Adjacency {
         "Adj."
     }
 
-    fn recommend(&self, context: &[QueryId], k: usize) -> Vec<Scored> {
-        let Some(&last) = context.last() else {
-            return Vec::new();
-        };
-        self.successors(last)
-            .iter()
-            .take(k)
-            .map(|&(q, c)| Scored::new(q, c as f64))
-            .collect()
+    fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>) {
+        self.pairs.recommend_into(context, k, out);
     }
 
     fn covers(&self, context: &[QueryId]) -> bool {
-        context
-            .last()
-            .is_some_and(|q| !self.successors(*q).is_empty())
+        self.pairs.covers(context)
     }
 
     fn memory_bytes(&self) -> usize {
-        let shallow = self.lists.len()
-            * (std::mem::size_of::<QueryId>()
-                + std::mem::size_of::<Box<[(QueryId, u64)]>>()
-                + HASH_ENTRY_OVERHEAD);
-        let deep: usize = self
-            .lists
-            .values()
-            .map(|v| v.len() * std::mem::size_of::<(QueryId, u64)>())
-            .sum();
-        shallow + deep
+        self.pairs.heap_bytes()
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -95,13 +69,10 @@ mod tests {
     #[test]
     fn counts_adjacent_pairs_weighted() {
         let m = model();
-        assert_eq!(
-            m.successors(QueryId(0)),
-            &[(QueryId(1), 5), (QueryId(2), 3)]
-        );
-        assert_eq!(m.successors(QueryId(1)), &[(QueryId(2), 5)]);
-        assert!(m.successors(QueryId(2)).is_empty());
-        assert!(m.successors(QueryId(3)).is_empty());
+        assert_eq!(m.pairs.row(QueryId(0)), &[(QueryId(1), 5), (QueryId(2), 3)]);
+        assert_eq!(m.pairs.row(QueryId(1)), &[(QueryId(2), 5)]);
+        assert!(m.pairs.row(QueryId(2)).is_empty());
+        assert!(m.pairs.row(QueryId(3)).is_empty());
     }
 
     #[test]
@@ -133,10 +104,7 @@ mod tests {
     #[test]
     fn ties_break_by_ascending_id() {
         let m = Adjacency::train(&[(seq(&[0, 5]), 2), (seq(&[0, 3]), 2)]);
-        assert_eq!(
-            m.successors(QueryId(0)),
-            &[(QueryId(3), 2), (QueryId(5), 2)]
-        );
+        assert_eq!(m.pairs.row(QueryId(0)), &[(QueryId(3), 2), (QueryId(5), 2)]);
     }
 
     #[test]

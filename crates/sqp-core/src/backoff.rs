@@ -150,11 +150,12 @@ impl Recommender for BackoffNgram {
         "Backoff N-gram"
     }
 
-    fn recommend(&self, context: &[QueryId], k: usize) -> Vec<Scored> {
+    fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>) {
+        out.clear();
         // Coverage semantics consistent with the other ordered models: the
         // current query must have continuation evidence somewhere.
         let Some(suffix) = self.longest_suffix(context) else {
-            return Vec::new();
+            return;
         };
         // Candidates: continuations observed at the matched state plus, if
         // short, at its own suffixes (back-off can surface them).
@@ -173,7 +174,7 @@ impl Recommender for BackoffNgram {
             .into_iter()
             .map(|q| Scored::new(q, self.cond_prob(context, q)))
             .collect();
-        sqp_common::topk::top_k(scored, k)
+        out.extend(sqp_common::topk::top_k(scored, k));
     }
 
     fn covers(&self, context: &[QueryId]) -> bool {

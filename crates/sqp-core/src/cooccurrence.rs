@@ -7,14 +7,14 @@
 //! cost of the worst accuracy (Fig 8).
 
 use crate::model::{Recommender, WeightedSessions};
-use sqp_common::mem::HASH_ENTRY_OVERHEAD;
+use crate::pairs::PairTable;
 use sqp_common::topk::Scored;
 use sqp_common::{Counter, FxHashMap, QueryId};
 
 /// Co-occurrence model: `q → queries sharing a session with q`, ranked.
 pub struct Cooccurrence {
     /// `pub(crate)` so [`crate::persist`] can round-trip the count table.
-    pub(crate) lists: FxHashMap<QueryId, Box<[(QueryId, u64)]>>,
+    pub(crate) pairs: PairTable,
 }
 
 impl Cooccurrence {
@@ -32,16 +32,9 @@ impl Cooccurrence {
                 }
             }
         }
-        let lists = counts
-            .into_iter()
-            .map(|(q, c)| (q, c.sorted_desc().into_boxed_slice()))
-            .collect();
-        Cooccurrence { lists }
-    }
-
-    /// Ranked co-occurring queries of `q` (empty when unknown).
-    pub fn cooccurring(&self, q: QueryId) -> &[(QueryId, u64)] {
-        self.lists.get(&q).map(|b| b.as_ref()).unwrap_or(&[])
+        Cooccurrence {
+            pairs: PairTable::rank(counts),
+        }
     }
 }
 
@@ -50,34 +43,16 @@ impl Recommender for Cooccurrence {
         "Co-occ."
     }
 
-    fn recommend(&self, context: &[QueryId], k: usize) -> Vec<Scored> {
-        let Some(&last) = context.last() else {
-            return Vec::new();
-        };
-        self.cooccurring(last)
-            .iter()
-            .take(k)
-            .map(|&(q, c)| Scored::new(q, c as f64))
-            .collect()
+    fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>) {
+        self.pairs.recommend_into(context, k, out);
     }
 
     fn covers(&self, context: &[QueryId]) -> bool {
-        context
-            .last()
-            .is_some_and(|q| !self.cooccurring(*q).is_empty())
+        self.pairs.covers(context)
     }
 
     fn memory_bytes(&self) -> usize {
-        let shallow = self.lists.len()
-            * (std::mem::size_of::<QueryId>()
-                + std::mem::size_of::<Box<[(QueryId, u64)]>>()
-                + HASH_ENTRY_OVERHEAD);
-        let deep: usize = self
-            .lists
-            .values()
-            .map(|v| v.len() * std::mem::size_of::<(QueryId, u64)>())
-            .sum();
-        shallow + deep
+        self.pairs.heap_bytes()
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -101,10 +76,10 @@ mod tests {
     #[test]
     fn symmetric_counts() {
         let m = model();
-        let zero: Vec<_> = m.cooccurring(QueryId(0)).to_vec();
+        let zero: Vec<_> = m.pairs.row(QueryId(0)).to_vec();
         // 0 with 1 (weight 2), 0 with 2 (weight 2 + 1 = 3).
         assert_eq!(zero, vec![(QueryId(2), 3), (QueryId(1), 2)]);
-        let two: Vec<_> = m.cooccurring(QueryId(2)).to_vec();
+        let two: Vec<_> = m.pairs.row(QueryId(2)).to_vec();
         assert_eq!(two, vec![(QueryId(0), 3), (QueryId(1), 2)]);
     }
 
@@ -121,7 +96,7 @@ mod tests {
     #[test]
     fn repeated_queries_do_not_self_pair() {
         let m = Cooccurrence::train(&[(seq(&[7, 7]), 3)]);
-        assert!(m.cooccurring(QueryId(7)).is_empty());
+        assert!(m.pairs.row(QueryId(7)).is_empty());
     }
 
     #[test]

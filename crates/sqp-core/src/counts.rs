@@ -28,7 +28,7 @@
 //! [`SuffixTrie::count`] only relabels ids, and nothing is
 //! merged. One part is the range of every id and needs no join.
 
-use sqp_common::arena::{FlatSessions, SuffixTrie};
+use sqp_common::arena::{FlatSessions, Starts, SuffixTrie};
 use sqp_common::threads;
 use sqp_common::{QueryId, QuerySeq};
 use std::ops::Range;
@@ -86,7 +86,7 @@ impl WindowCounts {
         // Depth max_len+1 nodes carry the continuation counts of
         // depth-max_len windows (a window's next-query distribution is its
         // children's totals).
-        let trie = SuffixTrie::count(&flat, max_len as u32, &ranges);
+        let trie = SuffixTrie::count(&flat, max_len as u32, &ranges, Starts::Anywhere);
 
         let (root_keys, root_counts) = trie.continuations(SuffixTrie::ROOT);
         let n_queries = root_keys.len();

@@ -33,6 +33,7 @@ pub mod model;
 pub mod mvmm;
 pub mod newton;
 pub mod ngram;
+mod pairs;
 pub mod persist;
 pub mod pst;
 pub mod toy;

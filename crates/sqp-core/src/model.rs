@@ -14,23 +14,23 @@ pub type WeightedSessions = [(QuerySeq, u64)];
 
 /// A trained query-prediction model.
 ///
-/// `recommend` returning an empty list means the context is *not covered* —
-/// the model has no evidence to predict from (the paper's coverage metric
-/// counts exactly this).
+/// An empty recommendation means the context is *not covered* — the model
+/// has no evidence to predict from (the paper's coverage metric counts
+/// exactly this).
 pub trait Recommender: Send + Sync {
     /// Short display name ("Adj.", "Co-occ.", "N-gram", "VMM (0.05)", "MVMM").
     fn name(&self) -> &str;
 
-    /// Top-`k` next-query candidates for `context`, best first.
-    fn recommend(&self, context: &[QueryId], k: usize) -> Vec<Scored>;
+    /// Top-`k` next-query candidates for `context`, best first, into a
+    /// caller-owned buffer (cleared first), so serving loops reuse one
+    /// allocation across calls. Every model ranks here and only here.
+    fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>);
 
-    /// [`recommend`](Recommender::recommend) into a caller-owned buffer
-    /// (cleared first), so serving loops can reuse one allocation across
-    /// calls. The default delegates to `recommend`; models with an
-    /// allocation-free path (the VMM) override it.
-    fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>) {
-        out.clear();
-        out.extend(self.recommend(context, k));
+    /// [`recommend_into`](Recommender::recommend_into) into a new list.
+    fn recommend(&self, context: &[QueryId], k: usize) -> Vec<Scored> {
+        let mut out = Vec::new();
+        self.recommend_into(context, k, &mut out);
+        out
     }
 
     /// Approximate owned heap bytes (Table VII).
@@ -134,13 +134,11 @@ mod tests {
         fn name(&self) -> &str {
             "fixed"
         }
-        fn recommend(&self, context: &[QueryId], k: usize) -> Vec<Scored> {
-            if context.is_empty() {
-                return Vec::new();
+        fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>) {
+            out.clear();
+            if !context.is_empty() {
+                out.extend((0..k as u32).map(|i| Scored::new(QueryId(i), 1.0)));
             }
-            (0..k as u32)
-                .map(|i| Scored::new(QueryId(i), 1.0))
-                .collect()
         }
         fn memory_bytes(&self) -> usize {
             0

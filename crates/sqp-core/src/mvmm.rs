@@ -230,13 +230,14 @@ impl Recommender for Mvmm {
         "MVMM"
     }
 
-    fn recommend(&self, context: &[QueryId], k: usize) -> Vec<Scored> {
+    fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>) {
+        out.clear();
         if k == 0 || context.is_empty() {
-            return Vec::new();
+            return;
         }
         let weights = self.component_weights(context);
         if weights.iter().all(Option::is_none) {
-            return Vec::new();
+            return;
         }
 
         // Candidate pool: the matched state's observed continuations from
@@ -265,7 +266,7 @@ impl Recommender for Mvmm {
                 Scored::new(q, score)
             })
             .collect();
-        sqp_common::topk::top_k(scored, k)
+        out.extend(sqp_common::topk::top_k(scored, k));
     }
 
     fn covers(&self, context: &[QueryId]) -> bool {

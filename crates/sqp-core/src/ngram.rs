@@ -7,58 +7,53 @@
 //! `[q1,q2,q3]`, `[q1..q4]`, each predicting its following query with support
 //! 10. Sticking to the maximum-length context is what gives this model its
 //! slightly higher precision and its catastrophic coverage decay (Fig 11).
+//!
+//! The model is its prefix trie: the count of prefix `q1..qk` followed by
+//! `q` is the count of the prefix `q1..qk·q`, so the continuations of a
+//! state are its node's children, best first by the trie's rank (count
+//! descending, ties by ascending id).
 
 use crate::model::{Recommender, SequenceScorer, WeightedSessions};
-use sqp_common::mem::HASH_ENTRY_OVERHEAD;
+use sqp_common::arena::{FlatSessions, Starts, SuffixTrie};
 use sqp_common::topk::Scored;
-use sqp_common::{Counter, FxHashMap, QueryId, QuerySeq};
+use sqp_common::QueryId;
+use std::sync::Arc;
 
 /// Variable-length N-gram model over full prefix contexts.
 pub struct NGram {
-    /// state (full prefix context) → ranked continuations.
-    /// `pub(crate)` so [`crate::persist`] can round-trip the state table.
-    pub(crate) states: FxHashMap<QuerySeq, Box<[(QueryId, u64)]>>,
-    /// Largest trained context length (= N−1 of the largest N-gram).
-    pub(crate) max_order: usize,
+    /// The trie of session prefixes, every node's total its at-start
+    /// count. `pub(crate)` so [`crate::persist`] can round-trip it.
+    pub(crate) trie: Arc<SuffixTrie>,
 }
 
 impl NGram {
-    /// Train the family of N-gram models (one per context length) in one pass.
+    /// Train the family of N-gram models (one per context length) in one
+    /// count of every session prefix.
     pub fn train(sessions: &WeightedSessions) -> Self {
-        let mut counts: FxHashMap<QuerySeq, Counter<QueryId>> = FxHashMap::default();
-        let mut max_order = 0;
-        for (s, f) in sessions {
-            for i in 1..s.len() {
-                let ctx: QuerySeq = s[..i].into();
-                max_order = max_order.max(i);
-                counts.entry(ctx).or_default().add(s[i], *f);
-            }
+        let flat = FlatSessions::new(sessions.iter().map(|(s, f)| (&s[..], *f)));
+        // A state is at most one query shorter than its session.
+        let states = flat.longest().saturating_sub(1) as u32;
+        let every_id = 0..u32::MAX;
+        let trie = SuffixTrie::count(&flat, states, &[every_id], Starts::SessionStart);
+        NGram {
+            trie: Arc::new(trie),
         }
-        let states = counts
-            .into_iter()
-            .map(|(ctx, c)| (ctx, c.sorted_desc().into_boxed_slice()))
-            .collect();
-        NGram { states, max_order }
     }
 
-    /// Ranked continuations of an exact state (empty when untrained).
-    pub fn continuations(&self, context: &[QueryId]) -> &[(QueryId, u64)] {
-        self.states.get(context).map(|b| b.as_ref()).unwrap_or(&[])
+    /// The trie node of `context` when it is a trained state: a non-empty
+    /// prefix some session continues.
+    fn state(&self, context: &[QueryId]) -> Option<u32> {
+        if context.is_empty() {
+            return None;
+        }
+        self.trie
+            .window(context)
+            .filter(|&node| self.trie.cont_total(node) > 0)
     }
 
     /// Whether `context` is a trained state (Table VI reason 4 checks this).
     pub fn has_state(&self, context: &[QueryId]) -> bool {
-        self.states.contains_key(context)
-    }
-
-    /// Number of trained states across all orders.
-    pub fn state_count(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Largest trained context length.
-    pub fn max_order(&self) -> usize {
-        self.max_order
+        self.state(context).is_some()
     }
 }
 
@@ -67,31 +62,21 @@ impl Recommender for NGram {
         "N-gram"
     }
 
-    fn recommend(&self, context: &[QueryId], k: usize) -> Vec<Scored> {
-        if context.is_empty() {
-            return Vec::new();
+    fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>) {
+        out.clear();
+        if let Some(node) = self.state(context) {
+            let (keys, totals) = self.trie.continuations(node);
+            let best = self.trie.rank(node).iter().take(k).map(|&i| i as usize);
+            out.extend(best.map(|i| Scored::new(keys[i], totals[i] as f64)));
         }
-        self.continuations(context)
-            .iter()
-            .take(k)
-            .map(|&(q, c)| Scored::new(q, c as f64))
-            .collect()
     }
 
     fn covers(&self, context: &[QueryId]) -> bool {
-        !context.is_empty() && self.has_state(context)
+        self.has_state(context)
     }
 
     fn memory_bytes(&self) -> usize {
-        let mut bytes = 0usize;
-        for (ctx, list) in &self.states {
-            bytes += ctx.len() * std::mem::size_of::<QueryId>();
-            bytes += list.len() * std::mem::size_of::<(QueryId, u64)>();
-            bytes += std::mem::size_of::<QuerySeq>()
-                + std::mem::size_of::<Box<[(QueryId, u64)]>>()
-                + HASH_ENTRY_OVERHEAD;
-        }
-        bytes
+        self.trie.heap_bytes()
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -103,15 +88,16 @@ impl SequenceScorer for NGram {
     fn sequence_log10_prob(&self, seq: &[QueryId]) -> f64 {
         let mut lp = 0.0;
         for i in 1..seq.len() {
-            let list = self.continuations(&seq[..i]);
-            let total: u64 = list.iter().map(|(_, c)| c).sum();
-            let hit = list.iter().find(|(q, _)| *q == seq[i]).map(|(_, c)| *c);
-            match (hit, total) {
-                (Some(c), t) if t > 0 => lp += (c as f64 / t as f64).log10(),
+            let state = self.state(&seq[..i]);
+            match state.and_then(|node| Some((node, self.trie.child(node, seq[i])?))) {
+                Some((node, next)) => {
+                    let (c, t) = (self.trie.total(next), self.trie.cont_total(node));
+                    lp += (c as f64 / t as f64).log10();
+                }
                 // Untrained state or unseen continuation: the naive N-gram
                 // simply has no estimate; charge a floor so log-loss stays
                 // finite and comparable.
-                _ => lp += (1e-9f64).log10(),
+                None => lp += (1e-9f64).log10(),
             }
         }
         lp
@@ -122,6 +108,16 @@ impl SequenceScorer for NGram {
 mod tests {
     use super::*;
     use sqp_common::seq;
+
+    /// The ranked continuations of an exact state, read off the trie.
+    fn continuations(m: &NGram, context: &[QueryId]) -> Vec<(QueryId, u64)> {
+        let Some(node) = m.state(context) else {
+            return Vec::new();
+        };
+        let (keys, totals) = m.trie.continuations(node);
+        let best = m.trie.rank(node).iter().map(|&i| i as usize);
+        best.map(|i| (keys[i], totals[i])).collect()
+    }
 
     fn model() -> NGram {
         NGram::train(&[
@@ -136,13 +132,13 @@ mod tests {
         let m = model();
         // [0] trained with both continuations.
         assert_eq!(
-            m.continuations(&seq(&[0])),
-            &[(QueryId(1), 6), (QueryId(2), 2)]
+            continuations(&m, &seq(&[0])),
+            [(QueryId(1), 6), (QueryId(2), 2)]
         );
         // [1] appears mid-session in [0,1,2] but IS a prefix of [1,2,3,4].
-        assert_eq!(m.continuations(&seq(&[1])), &[(QueryId(2), 1)]);
+        assert_eq!(continuations(&m, &seq(&[1])), [(QueryId(2), 1)]);
         // [1,2] is a prefix state of the long session.
-        assert_eq!(m.continuations(&seq(&[1, 2])), &[(QueryId(3), 1)]);
+        assert_eq!(continuations(&m, &seq(&[1, 2])), [(QueryId(3), 1)]);
         // But [2] alone is never a prefix.
         assert!(!m.has_state(&seq(&[2])));
     }
@@ -161,8 +157,16 @@ mod tests {
 
     #[test]
     fn max_order_reported() {
-        assert_eq!(model().max_order(), 3);
-        assert_eq!(model().state_count(), 5); // [0],[1],[0,1],[1,2],[1,2,3]
+        let m = model();
+        // A state is at most one query shorter than the longest session.
+        assert_eq!(m.trie.window_len(), 3);
+        // [0],[1],[0,1],[1,2],[1,2,3]
+        let states = (1..m.trie.len() as u32).filter(|&n| m.trie.cont_total(n) > 0);
+        assert_eq!(states.count(), 5);
+        // Every node counts sessions that start with its prefix.
+        for node in 0..m.trie.len() as u32 {
+            assert_eq!(m.trie.at_start(node), m.trie.total(node));
+        }
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!   [`Recommender`] behind a [`ModelKind`] tag; a decoder is told the size
 //!   of the vocabulary the payload's query ids index and refuses any id
 //!   outside it before a model exists. The trie-backed models write what
-//!   they are — window trie columns, plus state node ids for the VMM and
-//!   the MVMM, or a config for the back-off N-gram; the pair-wise and
-//!   N-gram baselines serialize their raw count tables (reconstruction is
-//!   exact because ranked lists and smoothing are deterministic functions
-//!   of the counts).
+//!   they are — trie columns, plus state node ids for the VMM and the
+//!   MVMM, or a config for the back-off N-gram; the naive N-gram is its
+//!   prefix trie alone. The pair-wise baselines serialize their ranked
+//!   pair table (reconstruction is exact because ranked lists and
+//!   smoothing are deterministic functions of the counts).
 //!
 //! A VMM in memory is a window trie and the set of its nodes that are PST
 //! states, and that is all its payload holds: the trie's four stored
@@ -44,11 +44,12 @@
 
 use crate::model::Recommender;
 use crate::mvmm::Mvmm;
+use crate::pairs::PairTable;
 use crate::vmm::{Vmm, VmmConfig};
 use crate::{Adjacency, BackoffConfig, BackoffNgram, Cooccurrence, NGram};
 use sqp_common::arena::SuffixTrie;
 use sqp_common::bytes::{Bytes, BytesMut};
-use sqp_common::{FxHashMap, QueryId, QuerySeq};
+use sqp_common::QueryId;
 use std::sync::Arc;
 
 /// Which concrete model a serialized payload reconstructs — the model-kind
@@ -58,11 +59,12 @@ use std::sync::Arc;
 pub enum ModelKind {
     /// [`Vmm`] — window-trie columns + state node ids.
     Vmm,
-    /// [`Adjacency`] — successor count table.
+    /// [`Adjacency`] — ranked successor table.
     Adjacency,
-    /// [`Cooccurrence`] — co-occurrence count table.
+    /// [`Cooccurrence`] — ranked co-occurrence table.
     Cooccurrence,
-    /// [`NGram`] — prefix-state count table.
+    /// [`NGram`] — prefix-trie columns, every node's total its at-start
+    /// count.
     NGram,
     /// [`BackoffNgram`] — its config, then its window-trie columns.
     Backoff,
@@ -164,11 +166,17 @@ pub fn put_model(buf: &mut BytesMut, model: &dyn Recommender) -> Result<ModelKin
     let tag = "kind tag matches type";
     match kind {
         ModelKind::Vmm => put_vmm(buf, any.downcast_ref().expect(tag)),
-        ModelKind::Adjacency => put_lists(buf, &any.downcast_ref::<Adjacency>().expect(tag).lists),
-        ModelKind::Cooccurrence => {
-            put_lists(buf, &any.downcast_ref::<Cooccurrence>().expect(tag).lists)
+        ModelKind::Adjacency => any.downcast_ref::<Adjacency>().expect(tag).pairs.put(buf),
+        ModelKind::Cooccurrence => any
+            .downcast_ref::<Cooccurrence>()
+            .expect(tag)
+            .pairs
+            .put(buf),
+        ModelKind::NGram => {
+            let trie = &any.downcast_ref::<NGram>().expect(tag).trie;
+            buf.reserve(trie_block_len(trie));
+            put_trie(buf, trie);
         }
-        ModelKind::NGram => put_ngram(buf, any.downcast_ref().expect(tag)),
         ModelKind::Backoff => put_backoff(buf, any.downcast_ref().expect(tag)),
         ModelKind::Mvmm => put_mvmm(buf, any.downcast_ref().expect(tag)),
     }
@@ -183,24 +191,26 @@ pub fn put_model(buf: &mut BytesMut, model: &dyn Recommender) -> Result<ModelKin
 /// rendered.
 pub fn model_from_bytes(
     kind: ModelKind,
-    data: Bytes,
+    mut data: Bytes,
     vocabulary: usize,
 ) -> Result<Box<dyn Recommender>, String> {
     match kind {
         ModelKind::Vmm => Ok(Box::new(vmm_from_bytes(data, vocabulary)?)),
-        ModelKind::Adjacency => {
-            let mut data = data;
-            let lists = lists_from_bytes(&mut data, vocabulary)?;
+        ModelKind::Adjacency => Ok(Box::new(Adjacency {
+            pairs: PairTable::from_bytes(data, vocabulary)?,
+        })),
+        ModelKind::Cooccurrence => Ok(Box::new(Cooccurrence {
+            pairs: PairTable::from_bytes(data, vocabulary)?,
+        })),
+        ModelKind::NGram => {
+            let trie = get_trie(&mut data, vocabulary)?;
             expect_consumed(&data)?;
-            Ok(Box::new(Adjacency { lists }))
+            // Every window of a prefix trie starts a session.
+            match (1..trie.len() as u32).find(|&n| trie.at_start(n) != trie.total(n)) {
+                Some(node) => Err(format!("node {node} is not a prefix: at_start != total")),
+                None => Ok(Box::new(NGram { trie })),
+            }
         }
-        ModelKind::Cooccurrence => {
-            let mut data = data;
-            let lists = lists_from_bytes(&mut data, vocabulary)?;
-            expect_consumed(&data)?;
-            Ok(Box::new(Cooccurrence { lists }))
-        }
-        ModelKind::NGram => Ok(Box::new(ngram_from_bytes(data, vocabulary)?)),
         ModelKind::Backoff => Ok(Box::new(backoff_from_bytes(data, vocabulary)?)),
         ModelKind::Mvmm => Ok(Box::new(mvmm_from_bytes(data, vocabulary)?)),
     }
@@ -208,7 +218,7 @@ pub fn model_from_bytes(
 
 /// The next `u32` of a payload as a query id, refused unless the
 /// `vocabulary` holds it.
-fn get_query(data: &mut Bytes, vocabulary: usize) -> Result<QueryId, String> {
+pub(crate) fn get_query(data: &mut Bytes, vocabulary: usize) -> Result<QueryId, String> {
     let id = data.get_u32_le();
     if (id as usize) < vocabulary {
         Ok(QueryId(id))
@@ -219,7 +229,7 @@ fn get_query(data: &mut Bytes, vocabulary: usize) -> Result<QueryId, String> {
     }
 }
 
-fn expect_consumed(data: &Bytes) -> Result<(), String> {
+pub(crate) fn expect_consumed(data: &Bytes) -> Result<(), String> {
     if data.is_empty() {
         Ok(())
     } else {
@@ -228,142 +238,6 @@ fn expect_consumed(data: &Bytes) -> Result<(), String> {
             data.remaining()
         ))
     }
-}
-
-/// The order every context table is written in: shorter contexts first,
-/// ties by id sequence — so a reader that reinserts finds parents present.
-fn by_length_then_ids(a: &[QueryId], b: &[QueryId]) -> std::cmp::Ordering {
-    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
-}
-
-fn put_seq(buf: &mut BytesMut, seq: &[QueryId]) {
-    buf.put_u32_le(seq.len() as u32);
-    for q in seq {
-        buf.put_u32_le(q.0);
-    }
-}
-
-fn get_seq(data: &mut Bytes, vocabulary: usize) -> Result<QuerySeq, String> {
-    if data.remaining() < 4 {
-        return Err("truncated sequence length".into());
-    }
-    let len = data.get_u32_le() as usize;
-    if data.remaining() < len * 4 {
-        return Err("truncated sequence body".into());
-    }
-    let mut seq = Vec::with_capacity(len);
-    for _ in 0..len {
-        seq.push(get_query(data, vocabulary)?);
-    }
-    Ok(seq.into_boxed_slice())
-}
-
-/// Write a ranked `(query, count)` list, preserving its stored order (the
-/// training-time descending-count, ascending-id order is part of model
-/// behaviour and must survive the round trip).
-fn put_counts(buf: &mut BytesMut, counts: &[(QueryId, u64)]) {
-    buf.put_u32_le(counts.len() as u32);
-    for &(q, c) in counts {
-        buf.put_u32_le(q.0);
-        buf.put_u64_le(c);
-    }
-}
-
-fn get_counts(data: &mut Bytes, vocabulary: usize) -> Result<Box<[(QueryId, u64)]>, String> {
-    if data.remaining() < 4 {
-        return Err("truncated count-list length".into());
-    }
-    let n = data.get_u32_le() as usize;
-    if data.remaining() < n * 12 {
-        return Err("truncated count-list body".into());
-    }
-    let mut counts = Vec::with_capacity(n);
-    for _ in 0..n {
-        counts.push((get_query(data, vocabulary)?, data.get_u64_le()));
-    }
-    Ok(counts.into_boxed_slice())
-}
-
-/// The pair-wise count-table shape shared by Adjacency and Co-occurrence.
-type RankedLists = FxHashMap<QueryId, Box<[(QueryId, u64)]>>;
-
-/// The shared pair-wise count-table layout (Adjacency, Co-occurrence):
-/// `n_lists: u32`, then per source query (ascending id for determinism)
-/// `source: u32` followed by its ranked continuation list.
-fn put_lists(buf: &mut BytesMut, lists: &RankedLists) {
-    let entries: usize = lists.values().map(|l| l.len()).sum();
-    buf.reserve(8 + lists.len() * 8 + entries * 12);
-    let mut keys: Vec<QueryId> = lists.keys().copied().collect();
-    keys.sort_unstable();
-    buf.put_u32_le(keys.len() as u32);
-    for q in keys {
-        buf.put_u32_le(q.0);
-        put_counts(buf, &lists[&q]);
-    }
-}
-
-fn lists_from_bytes(data: &mut Bytes, vocabulary: usize) -> Result<RankedLists, String> {
-    if data.remaining() < 4 {
-        return Err("truncated list-table header".into());
-    }
-    let n = data.get_u32_le() as usize;
-    if data.remaining() < n * 8 {
-        return Err("truncated list table".into());
-    }
-    let mut lists = FxHashMap::default();
-    lists.reserve(n);
-    for _ in 0..n {
-        if data.remaining() < 4 {
-            return Err("truncated list source id".into());
-        }
-        let q = get_query(data, vocabulary)?;
-        let counts = get_counts(data, vocabulary)?;
-        if lists.insert(q, counts).is_some() {
-            return Err(format!("duplicate list for query {}", q.0));
-        }
-    }
-    Ok(lists)
-}
-
-/// N-gram payload: `n_states: u32`, then per state (sorted by context
-/// length then lexicographic id order) the context sequence followed by its
-/// ranked continuation list. `max_order` is recomputed on load.
-fn put_ngram(buf: &mut BytesMut, model: &NGram) {
-    let mut states: Vec<(&QuerySeq, &[(QueryId, u64)])> = model
-        .states
-        .iter()
-        .map(|(ctx, counts)| (ctx, counts.as_ref()))
-        .collect();
-    states.sort_by(|(a, _), (b, _)| by_length_then_ids(a, b));
-    buf.reserve(8 + states.len() * 32);
-    buf.put_u32_le(states.len() as u32);
-    for (ctx, counts) in states {
-        put_seq(buf, ctx);
-        put_counts(buf, counts);
-    }
-}
-
-fn ngram_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<NGram, String> {
-    if data.remaining() < 4 {
-        return Err("truncated n-gram header".into());
-    }
-    let n = data.get_u32_le() as usize;
-    if data.remaining() < n * 8 {
-        return Err("truncated n-gram state table".into());
-    }
-    let mut states = FxHashMap::default();
-    states.reserve(n);
-    let mut max_order = 0;
-    for _ in 0..n {
-        let ctx = get_seq(&mut data, vocabulary)?;
-        let counts = get_counts(&mut data, vocabulary)?;
-        max_order = max_order.max(ctx.len());
-        if states.insert(ctx, counts).is_some() {
-            return Err("duplicate n-gram state".into());
-        }
-    }
-    expect_consumed(&data)?;
-    Ok(NGram { states, max_order })
 }
 
 /// Back-off payload: its config (`max_order` with `u64::MAX` = unbounded,
@@ -604,7 +478,8 @@ mod tests {
     use super::*;
     use crate::model::{Recommender, SequenceScorer};
     use crate::toy::{toy_corpus, toy_test_sequence, TOY_EPSILON};
-    use sqp_common::seq;
+    use sqp_common::topk::Scored;
+    use sqp_common::{seq, QuerySeq};
 
     fn trained() -> Vmm {
         Vmm::train(&toy_corpus(), VmmConfig::with_epsilon(TOY_EPSILON))
@@ -682,7 +557,11 @@ mod tests {
     #[test]
     fn roundtrip_on_simulated_corpus() {
         let logs = sqp_logsim::generate(&sqp_logsim::SimConfig::small(3_000, 500, 21));
-        let p = sqp_sessions::process(&logs, &sqp_sessions::PipelineConfig::default());
+        // Every session kept, so the test epoch holds hundreds of contexts.
+        let pipeline = sqp_sessions::PipelineConfig {
+            reduction_threshold: 0,
+        };
+        let p = sqp_sessions::process(&logs, &pipeline);
         let original = Vmm::train(&p.train.aggregated.sessions, VmmConfig::bounded(3, 0.02));
         let restored =
             model_from_bytes(ModelKind::Vmm, to_bytes(&original), p.interner.len()).unwrap();
@@ -690,12 +569,15 @@ mod tests {
             as_vmm(restored.as_ref()).node_count(),
             original.node_count()
         );
-        for e in p.ground_truth.entries.iter().take(200) {
-            let a = original.recommend(&e.context, 5);
-            let b = restored.recommend(&e.context, 5);
+        assert!(p.ground_truth.entries.len() >= 200);
+        let answers = |model: &dyn Recommender, ctx: &[QueryId]| -> Vec<(QueryId, u64)> {
+            let top = model.recommend(ctx, 5).into_iter();
+            top.map(|r| (r.query, r.score.to_bits())).collect()
+        };
+        for e in &p.ground_truth.entries {
             assert_eq!(
-                a.iter().map(|r| r.query).collect::<Vec<_>>(),
-                b.iter().map(|r| r.query).collect::<Vec<_>>()
+                answers(&original, &e.context),
+                answers(restored.as_ref(), &e.context)
             );
         }
     }
@@ -710,10 +592,10 @@ mod tests {
 
     #[test]
     fn rejects_garbage_and_truncation() {
-        assert!(from_bytes(Bytes::from_static(b"")).is_err());
-        assert!(from_bytes(Bytes::from_static(b"NOPE0000")).is_err());
+        assert!(from_bytes(Bytes::from(Vec::new())).is_err());
+        assert!(from_bytes(Bytes::from(b"NOPE0000".to_vec())).is_err());
         let blob = to_bytes(&trained());
-        for cut in [3, 8, 20, blob.len() / 2, blob.len() - 1] {
+        for cut in [3, 8, 20, blob.remaining() / 2, blob.remaining() - 1] {
             assert!(
                 from_bytes(blob.slice(0..cut)).is_err(),
                 "cut at {cut} should fail"
@@ -827,8 +709,8 @@ mod tests {
             fn name(&self) -> &str {
                 "adhoc"
             }
-            fn recommend(&self, _: &[QueryId], _: usize) -> Vec<sqp_common::topk::Scored> {
-                Vec::new()
+            fn recommend_into(&self, _: &[QueryId], _: usize, out: &mut Vec<Scored>) {
+                out.clear();
             }
             fn memory_bytes(&self) -> usize {
                 0
@@ -874,7 +756,7 @@ mod tests {
     // ---- hostile payloads ----
 
     /// The toy payloads the sweeps below cut and corrupt: small enough to
-    /// visit every byte, and between them every section of the three
+    /// visit every byte, and between them every section of the four
     /// trie-backed layouts (the mixture's components read its one trie to
     /// two depth bounds).
     fn toy_payloads() -> Vec<(ModelKind, Bytes)> {
@@ -887,6 +769,7 @@ mod tests {
             (ModelKind::Vmm, to_bytes(&trained())),
             model_to_bytes(&mixture).unwrap(),
             model_to_bytes(&backoff).unwrap(),
+            model_to_bytes(&NGram::train(&toy_corpus())).unwrap(),
         ]
     }
 
@@ -911,11 +794,11 @@ mod tests {
     fn every_truncation_of_a_toy_payload_is_an_error() {
         for (kind, blob) in toy_payloads() {
             exercise(model_from_bytes(kind, blob.clone(), 2).unwrap().as_ref());
-            for cut in 0..blob.len() {
+            for cut in 0..blob.remaining() {
                 assert!(
                     model_from_bytes(kind, blob.slice(0..cut), 2).is_err(),
                     "{kind:?} cut at {cut}/{} loaded",
-                    blob.len()
+                    blob.remaining()
                 );
             }
         }
@@ -927,9 +810,9 @@ mod tests {
         // a flipped count can still be a model — but never a panic and
         // never a model that cannot answer.
         for (kind, blob) in toy_payloads() {
-            for i in 0..blob.len() {
+            for i in 0..blob.remaining() {
                 for mask in [0x01, 0x80, 0xFF] {
-                    let mut raw = blob.to_vec();
+                    let mut raw = blob.as_slice().to_vec();
                     raw[i] ^= mask;
                     if let Ok(model) = model_from_bytes(kind, Bytes::from(raw), 2) {
                         exercise(model.as_ref());
@@ -947,7 +830,7 @@ mod tests {
 
     /// The model's payload with `states` for its state list.
     fn payload_with_states(model: &Vmm, states: &[u32]) -> Vec<u8> {
-        let mut raw = to_bytes(model).to_vec();
+        let mut raw = to_bytes(model).as_slice().to_vec();
         raw.truncate(vmm_state_list_at(model));
         raw.extend_from_slice(&(states.len() as u64).to_le_bytes());
         for s in states {
@@ -1007,14 +890,14 @@ mod tests {
         expect_err(from_bytes(Bytes::from(raw)), "not a window node");
 
         // A list longer than the bytes behind it is refused by its length.
-        let mut raw = to_bytes(&model).to_vec();
+        let mut raw = to_bytes(&model).as_slice().to_vec();
         let at = vmm_state_list_at(&model);
         for claimed in [4u64, 1 << 40, u64::MAX] {
             raw[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
             expect_err(from_bytes(Bytes::from(raw.clone())), "truncated state list");
         }
         // And bytes past an honest list are not ignored.
-        let mut raw = to_bytes(&model).to_vec();
+        let mut raw = to_bytes(&model).as_slice().to_vec();
         raw.push(0);
         expect_err(from_bytes(Bytes::from(raw)), "trailing");
     }
@@ -1022,7 +905,7 @@ mod tests {
     #[test]
     fn a_hostile_mixture_is_rejected() {
         let mixture = Mvmm::train(&toy_corpus(), &crate::MvmmConfig::small());
-        let blob = model_to_bytes(&mixture).unwrap().1.to_vec();
+        let blob = model_to_bytes(&mixture).unwrap().1.as_slice().to_vec();
         let load = |raw: Vec<u8>| model_from_bytes(ModelKind::Mvmm, Bytes::from(raw), 2);
         // totals (24), trie header (12) + columns, then K.
         let k_at = 36 + (mixture.window_trie().len() - 1) * 24;
@@ -1082,19 +965,49 @@ mod tests {
     }
 
     #[test]
+    fn a_trie_that_is_not_a_prefix_trie_is_no_ngram() {
+        let blob = model_to_bytes(&NGram::train(&toy_corpus())).unwrap().1;
+        assert!(model_from_bytes(ModelKind::NGram, blob.clone(), 2).is_ok());
+        // Header (12), then parent, key (4 bytes a row), total, at_start (8).
+        let rows = (blob.remaining() - 12) / 24;
+        let last_at_start = 12 + rows * 24 - 8;
+        let mut raw = blob.as_slice().to_vec();
+        raw[last_at_start] ^= 1;
+        expect_err(
+            model_from_bytes(ModelKind::NGram, Bytes::from(raw), 2),
+            &format!("node {rows} is not a prefix"),
+        );
+        // The window trie of the same sessions counts mid-session windows.
+        let windows = crate::counts::WindowCounts::build(&toy_corpus(), None);
+        let mut buf = BytesMut::default();
+        put_trie(&mut buf, windows.trie());
+        expect_err(
+            model_from_bytes(ModelKind::NGram, buf.freeze(), 2),
+            "is not a prefix",
+        );
+    }
+
+    #[test]
     fn tagged_payloads_reject_truncation() {
         let sessions = sim_sessions();
         for kind in ModelKind::ALL {
             let (_, blob) = model_to_bytes(trained_kind(kind, &sessions).as_ref()).unwrap();
             let vocabulary = vocabulary(&sessions);
-            for cut in [0, 3, 7, blob.len() / 3, blob.len() / 2, blob.len() - 1] {
+            for cut in [
+                0,
+                3,
+                7,
+                blob.remaining() / 3,
+                blob.remaining() / 2,
+                blob.remaining() - 1,
+            ] {
                 assert!(
                     model_from_bytes(kind, blob.slice(0..cut), vocabulary).is_err(),
                     "{kind:?} cut at {cut} should fail"
                 );
             }
             // Trailing garbage after a complete payload must be rejected.
-            let mut raw = blob.to_vec();
+            let mut raw = blob.as_slice().to_vec();
             raw.extend_from_slice(&[0u8; 3]);
             assert!(
                 model_from_bytes(kind, Bytes::from(raw), vocabulary).is_err(),

@@ -535,11 +535,31 @@ impl Vmm {
         }
         lp
     }
+}
 
-    /// Top-k into a caller-owned buffer (cleared first). With a reused
-    /// buffer the whole serve path — suffix match, distribution lookup,
-    /// top-k — performs **zero heap allocations**.
-    pub fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>) {
+impl Recommender for Vmm {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Top-`k` by longest-suffix state matching. With a reused buffer the
+    /// whole serve path — suffix match, distribution lookup, top-k —
+    /// performs **zero heap allocations**.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sqp_core::{Recommender, Vmm, VmmConfig};
+    /// use sqp_core::toy::toy_corpus;
+    /// use sqp_common::{seq, QueryId};
+    ///
+    /// let vmm = Vmm::train(&toy_corpus(), VmmConfig::with_epsilon(0.1));
+    /// // §IV-B.2: after [q1, q0] the state q1q0 predicts q1 (P = 0.7).
+    /// let top = vmm.recommend(&seq(&[1, 0]), 1);
+    /// assert_eq!(top[0].query, QueryId(1));
+    /// assert!((top[0].score - 0.7).abs() < 1e-12);
+    /// ```
+    fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>) {
         out.clear();
         let Some((mut idx, _)) = self.match_state(context) else {
             return;
@@ -557,37 +577,6 @@ impl Vmm {
                 return;
             }
         }
-    }
-}
-
-impl Recommender for Vmm {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Top-`k` by longest-suffix state matching.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sqp_core::{Recommender, Vmm, VmmConfig};
-    /// use sqp_core::toy::toy_corpus;
-    /// use sqp_common::{seq, QueryId};
-    ///
-    /// let vmm = Vmm::train(&toy_corpus(), VmmConfig::with_epsilon(0.1));
-    /// // §IV-B.2: after [q1, q0] the state q1q0 predicts q1 (P = 0.7).
-    /// let top = vmm.recommend(&seq(&[1, 0]), 1);
-    /// assert_eq!(top[0].query, QueryId(1));
-    /// assert!((top[0].score - 0.7).abs() < 1e-12);
-    /// ```
-    fn recommend(&self, context: &[QueryId], k: usize) -> Vec<Scored> {
-        let mut out = Vec::new();
-        self.recommend_into(context, k, &mut out);
-        out
-    }
-
-    fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>) {
-        Vmm::recommend_into(self, context, k, out);
     }
 
     fn covers(&self, context: &[QueryId]) -> bool {

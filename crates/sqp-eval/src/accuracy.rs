@@ -136,12 +136,13 @@ mod tests {
             fn name(&self) -> &str {
                 "never"
             }
-            fn recommend(
+            fn recommend_into(
                 &self,
                 _: &[sqp_common::QueryId],
                 _: usize,
-            ) -> Vec<sqp_common::topk::Scored> {
-                Vec::new()
+                out: &mut Vec<sqp_common::topk::Scored>,
+            ) {
+                out.clear();
             }
             fn memory_bytes(&self) -> usize {
                 0

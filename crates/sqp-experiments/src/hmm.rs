@@ -299,18 +299,19 @@ impl Recommender for Hmm {
         "HMM"
     }
 
-    fn recommend(&self, context: &[QueryId], k: usize) -> Vec<Scored> {
+    fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>) {
+        out.clear();
         // Coverage gate aligned with the other models: the current query
         // must be known; an HMM could always emit *something*, but scoring
         // hallucinations against unseen queries is not a recommendation.
         let Some(&last) = context.last() else {
-            return Vec::new();
+            return;
         };
         if !self.vocabulary.contains(&last) {
-            return Vec::new();
+            return;
         }
         let Some(alpha) = self.belief(context) else {
-            return Vec::new();
+            return;
         };
         // Predicted state prior.
         let mut prior = vec![0.0; self.n_states];
@@ -338,7 +339,7 @@ impl Recommender for Hmm {
                 Scored::new(q, p)
             })
             .collect();
-        sqp_common::topk::top_k(scored, k)
+        out.extend(sqp_common::topk::top_k(scored, k));
     }
 
     fn covers(&self, context: &[QueryId]) -> bool {

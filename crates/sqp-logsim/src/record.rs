@@ -1,14 +1,6 @@
 //! Raw search-log records (the paper's Table III format) and their
-//! serialization.
-//!
-//! Two codecs are provided:
-//! * a human-readable TSV form mirroring Table III
-//!   (`machine ⟶ timestamp ⟶ query ⟶ #clicks ⟶ click list`);
-//! * a compact length-prefixed binary form built on [`sqp_common::bytes`],
-//!   used when logs
-//!   are staged on disk between the generator and the pipeline.
-
-use sqp_common::bytes::{Bytes, BytesMut};
+//! human-readable TSV form mirroring Table III
+//! (`machine ⟶ timestamp ⟶ query ⟶ #clicks ⟶ click list`).
 
 /// A URL click following a query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,79 +115,6 @@ pub fn from_tsv(text: &str) -> Result<Vec<RawLogRecord>, String> {
     Ok(records)
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, String> {
-    if buf.remaining() < 4 {
-        return Err("truncated string length".into());
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err("truncated string body".into());
-    }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| "invalid utf-8".into())
-}
-
-/// Encode records into the compact binary form.
-pub fn encode(records: &[RawLogRecord]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(records.len() * 48);
-    buf.put_u64_le(records.len() as u64);
-    for r in records {
-        buf.put_u64_le(r.machine_id);
-        buf.put_u64_le(r.timestamp);
-        put_str(&mut buf, &r.query);
-        buf.put_u32_le(r.clicks.len() as u32);
-        for c in &r.clicks {
-            put_str(&mut buf, &c.url);
-            buf.put_u64_le(c.timestamp);
-        }
-    }
-    buf.freeze()
-}
-
-/// Decode the binary form produced by [`encode`].
-pub fn decode(mut data: Bytes) -> Result<Vec<RawLogRecord>, String> {
-    if data.remaining() < 8 {
-        return Err("truncated header".into());
-    }
-    let n = data.get_u64_le() as usize;
-    let mut records = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        if data.remaining() < 16 {
-            return Err("truncated record".into());
-        }
-        let machine_id = data.get_u64_le();
-        let timestamp = data.get_u64_le();
-        let query = get_str(&mut data)?;
-        if data.remaining() < 4 {
-            return Err("truncated click count".into());
-        }
-        let n_clicks = data.get_u32_le() as usize;
-        let mut clicks = Vec::with_capacity(n_clicks.min(64));
-        for _ in 0..n_clicks {
-            let url = get_str(&mut data)?;
-            if data.remaining() < 8 {
-                return Err("truncated click timestamp".into());
-            }
-            clicks.push(Click {
-                url,
-                timestamp: data.get_u64_le(),
-            });
-        }
-        records.push(RawLogRecord {
-            machine_id,
-            timestamp,
-            query,
-            clicks,
-        });
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,28 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let records = sample();
-        let blob = encode(&records);
-        let parsed = decode(blob).unwrap();
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn binary_roundtrip_empty() {
-        assert_eq!(decode(encode(&[])).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn binary_rejects_truncation() {
-        let blob = encode(&sample());
-        for cut in [0, 4, 9, blob.len() / 2, blob.len() - 1] {
-            let truncated = blob.slice(0..cut);
-            assert!(decode(truncated).is_err(), "cut at {cut} should fail");
-        }
-    }
-
-    #[test]
     fn queries_with_commas_survive_tsv() {
         // Click URLs use rsplit_once so commas in URLs would break, but our
         // synthetic URLs never contain commas; queries may though.
@@ -344,32 +241,12 @@ mod randomized_tests {
     }
 
     #[test]
-    fn binary_roundtrips_arbitrary_records() {
-        for case in 0..128u64 {
-            let mut rng = StdRng::seed_from_u64(200 + case);
-            let records = arb_records(&mut rng);
-            let parsed = decode(encode(&records)).unwrap();
-            assert_eq!(parsed, records, "case {case}");
-        }
-    }
-
-    #[test]
     fn tsv_parser_never_panics_on_garbage() {
         for case in 0..128u64 {
             let mut rng = StdRng::seed_from_u64(400 + case);
             // Fuzz: any text either parses or errors cleanly.
             let input = rand_text(&mut rng, b"abc019\t\n,;.", 0, 200);
             let _ = from_tsv(&input);
-        }
-    }
-
-    #[test]
-    fn binary_decoder_never_panics_on_garbage() {
-        for case in 0..128u64 {
-            let mut rng = StdRng::seed_from_u64(600 + case);
-            let len = rng.random_range(0usize..256);
-            let input: Vec<u8> = (0..len).map(|_| rng.random_range(0u8..=255)).collect();
-            let _ = decode(Bytes::from(input));
         }
     }
 

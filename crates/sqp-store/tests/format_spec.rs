@@ -146,9 +146,9 @@ fn toy_snapshot_matches_the_documented_layout() {
     // Checksum at 157: the documented constant, which must equal the
     // document's word-wise FNV-1a 64 of everything before it — as the
     // document states it and as the library computes it.
-    assert_eq!(u64_at(&raw, 157), 0x38ae4ad5a5ce96ff);
-    assert_eq!(checksum_per_format_md(&raw[..157]), 0x38ae4ad5a5ce96ff);
-    assert_eq!(fnv1a64_words(&raw[..157]), 0x38ae4ad5a5ce96ff);
+    assert_eq!(u64_at(&raw, 157), 0x7ffbe848a5ce96ff);
+    assert_eq!(checksum_per_format_md(&raw[..157]), 0x7ffbe848a5ce96ff);
+    assert_eq!(fnv1a64_words(&raw[..157]), 0x7ffbe848a5ce96ff);
 
     // The library's own table parser agrees with the documented offsets.
     let entries = parse_section_table(&raw).unwrap();
@@ -268,4 +268,19 @@ fn toy_backoff_payload_matches_the_documented_layout() {
         "max_order, discount, min_support"
     );
     assert_toy_trie_block(p, 24);
+}
+
+#[test]
+fn toy_ngram_payload_matches_the_documented_layout() {
+    let ngram = sqp_core::NGram::train(&toy_sessions());
+    let raw = toy_bytes(Box::new(ngram));
+    let p = trie_backed_payload(&raw, 4, 60);
+
+    // The prefix trie: `window_len` 1 (the session is two queries long),
+    // two rows, node 1 `[0]` and node 2 `[0, 1]` under it.
+    assert_eq!((u32_at(p, 0), u64_at(p, 4)), (1, 2), "window_len, n_rows");
+    assert_eq!([u32_at(p, 12), u32_at(p, 16)], [0, 1], "parent column");
+    assert_eq!([u32_at(p, 20), u32_at(p, 24)], [0, 1], "key column");
+    assert_eq!([u64_at(p, 28), u64_at(p, 36)], [3, 3], "total column");
+    assert_eq!([u64_at(p, 44), u64_at(p, 52)], [3, 3], "at_start column");
 }

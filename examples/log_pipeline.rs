@@ -1,6 +1,6 @@
 //! The raw-log processing pipeline end to end, including serialization:
-//! generate Table III-style click logs, round-trip them through the TSV and
-//! binary codecs, then segment / aggregate / reduce and print the Table IV
+//! generate Table III-style click logs, round-trip them through the TSV
+//! codec, then segment / aggregate / reduce and print the Table IV
 //! statistics.
 //!
 //! ```sh
@@ -20,19 +20,15 @@ fn main() {
         println!("  {line}");
     }
 
-    // Round-trip through both codecs — this is how logs would be staged on
-    // disk between collection and the nightly model build.
+    // Round-trip through the TSV codec — this is how logs would be staged
+    // on disk between collection and the nightly model build.
     let tsv = record::to_tsv(&logs.train);
     let reparsed = record::from_tsv(&tsv).expect("TSV round-trip");
     assert_eq!(reparsed, logs.train);
-    let blob = record::encode(&logs.train);
-    let decoded = record::decode(blob.clone()).expect("binary round-trip");
-    assert_eq!(decoded, logs.train);
     println!(
-        "\nserialization: {} records; TSV {} KiB vs binary {} KiB",
+        "\nserialization: {} records; TSV {} KiB",
         logs.train.len(),
-        tsv.len() / 1024,
-        blob.len() / 1024
+        tsv.len() / 1024
     );
 
     // 30-minute-rule segmentation.

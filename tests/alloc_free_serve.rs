@@ -1,12 +1,14 @@
 //! The serve path must not allocate: longest-suffix matching, conditional
 //! probabilities, escape recursion and top-k into a reused buffer all run on
 //! the arena structures (binary-searched sorted slices), so a warmed-up
-//! prediction call performs zero heap allocations.
+//! prediction call performs zero heap allocations. The N-gram and the two
+//! pair-wise baselines write their top-k into the same reused buffer,
+//! called through `&dyn Recommender` as a serving engine calls them.
 //!
 //! Verified with a counting global allocator. This file holds exactly one
 //! test so no concurrent test can pollute the counter.
 
-use sqp::core::{Recommender, Vmm, VmmConfig};
+use sqp::core::{Adjacency, Cooccurrence, NGram, Recommender, Vmm, VmmConfig};
 use sqp_common::seq;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,4 +83,28 @@ fn prediction_serve_path_is_allocation_free() {
         after - before,
         200 * contexts.len() * 5,
     );
+
+    let baselines: [Box<dyn Recommender>; 3] = [
+        Box::new(NGram::train(sessions)),
+        Box::new(Adjacency::train(sessions)),
+        Box::new(Cooccurrence::train(sessions)),
+    ];
+    for model in &baselines {
+        let model: &dyn Recommender = model.as_ref();
+        let mut covered = 0;
+        for ctx in &contexts {
+            model.recommend_into(ctx, 5, &mut buf);
+            covered += usize::from(!buf.is_empty());
+        }
+        assert!(covered > 0, "{} covers no context", model.name());
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..200 {
+            for ctx in &contexts {
+                model.recommend_into(ctx, 5, &mut buf);
+                let _ = model.covers(ctx);
+            }
+        }
+        let allocated = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        assert_eq!(allocated, 0, "{} allocated {allocated} times", model.name());
+    }
 }

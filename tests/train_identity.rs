@@ -26,7 +26,7 @@ const GOLDEN_ANSWERS: u64 = 0x3bc5_e18d_84a5_3ecf;
 /// Suggestions hashed into [`GOLDEN_ANSWERS`].
 const GOLDEN_ANSWER_COUNT: usize = 27_762;
 
-/// The snapshot checksum ([`fnv1a64_words`]) of the whole v8 file of
+/// The snapshot checksum ([`fnv1a64_words`]) of the whole v9 file of
 /// `Vmm(ε = 0.05)` trained on `SimConfig::small(4_000, 400, 11)`, with the
 /// fixed meta below. Re-pinned when the payload became trie rows + state
 /// ids (v3: 366 934 bytes), when the checksum went word-wise (v5, same
@@ -35,8 +35,9 @@ const GOLDEN_ANSWER_COUNT: usize = 27_762;
 /// trie block became its four columns and the VMM payload lost its own
 /// 8-byte header (v7: the same values, 8 bytes shorter), and when the
 /// back-off payload became its trie (v8: the file differs from v7's only
-/// in the version field).
-const GOLDEN_CHECKSUM: u64 = 0x57fc_f366_d5d1_057d;
+/// in the version field), and when the N-gram payload became its prefix
+/// trie (v9: the file differs from v8's only in the version field).
+const GOLDEN_CHECKSUM: u64 = 0xd9f7_9335_d651_3eff;
 /// Length of the same file — a cheaper first clue than a checksum diff.
 const GOLDEN_LEN: usize = 291_466;
 
@@ -208,4 +209,92 @@ fn the_backoff_model_gives_the_pinned_answers_before_and_after_a_save() {
         GOLDEN_BACKOFF_ANSWERS,
         "the back-off models answer differently"
     );
+}
+
+/// Byte-serial FNV-1a 64 of what `model` says about every test context of
+/// `p`: `recommend(ctx, 5)` (ids and score bits), `covers`, and, for a
+/// sequence model, the context's `sequence_log10_prob` bits; with the
+/// number of suggestions hashed.
+fn answers_digest(
+    model: &dyn sqp::core::Recommender,
+    p: &sqp::sessions::ProcessedLogs,
+) -> (u64, usize) {
+    use sqp::core::{Mvmm, NGram, SequenceScorer};
+    let any = model.as_any().expect("every trained kind persists");
+    let scorer: Option<&dyn SequenceScorer> = match any.downcast_ref::<NGram>() {
+        Some(ngram) => Some(ngram),
+        None => any.downcast_ref::<Mvmm>().map(|m| m as &dyn SequenceScorer),
+    };
+    let mut hashed = Vec::new();
+    let mut count = 0;
+    for entry in &p.ground_truth.entries {
+        let ctx = &entry.context;
+        for s in model.recommend(ctx, 5) {
+            hashed.extend_from_slice(&s.query.0.to_le_bytes());
+            hashed.extend_from_slice(&s.score.to_bits().to_le_bytes());
+            count += 1;
+        }
+        hashed.push(u8::from(model.covers(ctx)));
+        if let Some(scorer) = scorer {
+            let lp = scorer.sequence_log10_prob(ctx);
+            hashed.extend_from_slice(&lp.to_bits().to_le_bytes());
+        }
+    }
+    (bytewise_fnv1a(&hashed), count)
+}
+
+/// `spec` trained on `SimConfig::small(4_000, 2_000, 11)` with every
+/// session kept answers as pinned, and so does the model loaded back from
+/// its save. The digests were pinned at the commit before the N-gram
+/// became a reading of its prefix trie and before every model served
+/// through one `recommend_into`; they must pass unedited through any change
+/// of representation.
+fn assert_pinned_answers(spec: ModelSpec, golden: u64, golden_count: usize) {
+    use sqp::core::{model_from_bytes, model_to_bytes};
+    let logs = sqp::logsim::generate(&SimConfig::small(4_000, 2_000, 11));
+    let pipeline = sqp::sessions::PipelineConfig {
+        reduction_threshold: 0,
+    };
+    let p = sqp::sessions::process(&logs, &pipeline);
+    let model = spec.train(&p.train.aggregated.sessions);
+    let (kind, blob) = model_to_bytes(&*model).expect("every spec persists");
+    let loaded = model_from_bytes(kind, blob, p.interner.len()).expect("and loads");
+    let answers = answers_digest(&*model, &p);
+    assert_eq!(
+        answers_digest(&*loaded, &p),
+        answers,
+        "{spec:?}: the loaded model answers differently"
+    );
+    assert_eq!(
+        answers,
+        (golden, golden_count),
+        "{spec:?} answers differently"
+    );
+}
+
+#[test]
+fn the_ngram_gives_the_pinned_answers_before_and_after_a_save() {
+    assert_pinned_answers(ModelSpec::NGram, 0x7bd2_d1ec_713e_8d83, 621);
+}
+
+#[test]
+fn adjacency_gives_the_pinned_answers_before_and_after_a_save() {
+    assert_pinned_answers(ModelSpec::Adjacency, 0xe765_2e5e_3bab_74e3, 1_750);
+}
+
+#[test]
+fn cooccurrence_gives_the_pinned_answers_before_and_after_a_save() {
+    assert_pinned_answers(ModelSpec::Cooccurrence, 0xe9ba_46a5_97b6_db69, 2_854);
+}
+
+#[test]
+fn the_epsilon_sweep_mixture_gives_the_pinned_answers_before_and_after_a_save() {
+    let spec = ModelSpec::Mvmm(sqp::core::MvmmConfig::epsilon_sweep());
+    assert_pinned_answers(spec, 0x61ff_9207_adb7_90fe, 1_748);
+}
+
+#[test]
+fn the_depth_mixture_gives_the_pinned_answers_before_and_after_a_save() {
+    let mixture = sqp::core::MvmmConfig::depth_mixture(&[(2, 0.05), (3, 0.05)]);
+    assert_pinned_answers(ModelSpec::Mvmm(mixture), 0x6a3b_aad7_2286_a1a0, 1_748);
 }
