@@ -85,13 +85,6 @@ impl Bytes {
     pub fn get_f64_le(&mut self) -> f64 {
         f64::from_le_bytes(self.get_slice(8).try_into().unwrap())
     }
-
-    /// Split off the next `n` bytes as a shared view.
-    pub fn copy_to_bytes(&mut self, n: usize) -> Bytes {
-        let out = self.slice(0..n);
-        self.start += n;
-        out
-    }
 }
 
 impl AsRef<[u8]> for Bytes {
@@ -286,14 +279,6 @@ mod tests {
         let s = b.slice(1..4);
         assert_eq!(s.as_slice(), &[2, 3, 4]);
         assert_eq!(b.remaining(), 5); // original untouched
-    }
-
-    #[test]
-    fn copy_to_bytes_advances() {
-        let mut b = Bytes::from(vec![9, 8, 7, 6]);
-        let head = b.copy_to_bytes(2);
-        assert_eq!(head.as_slice(), &[9, 8]);
-        assert_eq!(b.as_slice(), &[7, 6]);
     }
 
     #[test]

@@ -32,34 +32,30 @@ fn cmp_desc(a: &Scored, b: &Scored) -> Ordering {
         .then_with(|| a.query.cmp(&b.query))
 }
 
-/// Select the top `k` items from `items`, ordered best-first.
+/// Keep the top `k` of `items`, ordered best-first, in place — so a model
+/// that pools its candidates in the caller's buffer ranks them there.
 ///
 /// Uses a full sort for small inputs and a bounded selection otherwise;
 /// output ordering is always the deterministic total order above.
-pub fn top_k(mut items: Vec<Scored>, k: usize) -> Vec<Scored> {
-    if k == 0 || items.is_empty() {
-        return Vec::new();
-    }
-    if items.len() > k * 4 && items.len() > 64 {
+pub fn top_k_into(items: &mut Vec<Scored>, k: usize) {
+    if k > 0 && items.len() > k * 4 && items.len() > 64 {
         // Partial selection first to avoid sorting the long tail.
         items.select_nth_unstable_by(k - 1, cmp_desc);
         items.truncate(k);
     }
     items.sort_unstable_by(cmp_desc);
     items.truncate(k);
-    items
 }
 
 /// Top-k over `(QueryId, u64)` count pairs — the common case when ranking
 /// next-query candidates straight from frequency counts.
 pub fn top_k_counts<I: IntoIterator<Item = (QueryId, u64)>>(counts: I, k: usize) -> Vec<Scored> {
-    top_k(
-        counts
-            .into_iter()
-            .map(|(q, c)| Scored::new(q, c as f64))
-            .collect(),
-        k,
-    )
+    let mut items: Vec<Scored> = counts
+        .into_iter()
+        .map(|(q, c)| Scored::new(q, c as f64))
+        .collect();
+    top_k_into(&mut items, k);
+    items
 }
 
 #[cfg(test)]
@@ -68,6 +64,11 @@ mod tests {
 
     fn s(q: u32, score: f64) -> Scored {
         Scored::new(QueryId(q), score)
+    }
+
+    fn top_k(mut items: Vec<Scored>, k: usize) -> Vec<Scored> {
+        top_k_into(&mut items, k);
+        items
     }
 
     #[test]
@@ -135,7 +136,8 @@ mod randomized_tests {
             });
             expect.truncate(k);
 
-            let got = top_k(items, k);
+            let mut got = items;
+            top_k_into(&mut got, k);
             assert_eq!(got, expect, "case {case}");
         }
     }
@@ -154,7 +156,8 @@ mod randomized_tests {
                     )
                 })
                 .collect();
-            let out = top_k(items, k);
+            let mut out = items;
+            top_k_into(&mut out, k);
             assert!(out.len() <= k, "case {case}");
             for w in out.windows(2) {
                 assert!(w[0].score >= w[1].score, "case {case}");

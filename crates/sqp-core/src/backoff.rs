@@ -158,23 +158,24 @@ impl Recommender for BackoffNgram {
             return;
         };
         // Candidates: continuations observed at the matched state plus, if
-        // short, at its own suffixes (back-off can surface them).
-        let mut candidates: sqp_common::FxHashSet<QueryId> = Default::default();
+        // short, at its own suffixes (back-off can surface them), pooled in
+        // `out` and ranked there.
         let mut s = suffix;
         while !s.is_empty() {
             if let Some(node) = self.state(s) {
                 let keys = self.trie.continuations(node).0;
                 for &i in self.trie.rank(node).iter().take(k * 4) {
-                    candidates.insert(keys[i as usize]);
+                    out.push(Scored::new(keys[i as usize], 0.0));
                 }
             }
             s = &s[1..];
         }
-        let scored: Vec<Scored> = candidates
-            .into_iter()
-            .map(|q| Scored::new(q, self.cond_prob(context, q)))
-            .collect();
-        out.extend(sqp_common::topk::top_k(scored, k));
+        out.sort_unstable_by_key(|c| c.query);
+        out.dedup_by_key(|c| c.query);
+        for c in out.iter_mut() {
+            c.score = self.cond_prob(context, c.query);
+        }
+        sqp_common::topk::top_k_into(out, k);
     }
 
     fn covers(&self, context: &[QueryId]) -> bool {

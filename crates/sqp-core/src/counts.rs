@@ -135,12 +135,16 @@ impl WindowCounts {
     /// value is floored at 1e-6 so a mixture component is penalised, never
     /// annihilated; unobserved `s'` escapes freely (probability 1).
     pub fn escape_prob(&self, s: &[QueryId]) -> f64 {
-        escape_prob_in(
-            &self.trie,
-            None,
+        escape_prob_in(&self.trie, self.total_sessions, self.total_occurrences, s)
+    }
+
+    /// The corpus totals a model trained off these counts keeps: sessions,
+    /// query occurrences and |Q| (at least 1, the smoothing universe).
+    pub(crate) fn totals(&self) -> (u64, u64, usize) {
+        (
             self.total_sessions,
             self.total_occurrences,
-            s,
+            self.n_queries.max(1),
         )
     }
 
@@ -189,13 +193,11 @@ fn deal_ranges(starts: &[usize], parts: usize) -> Vec<Range<u32>> {
     ranges
 }
 
-/// Escape probability over a bare trie, reading its windows of at most
-/// `max_len` queries (`None`: every window) — shared by [`WindowCounts`]
-/// and the trained [`crate::Vmm`], which keeps only the trie and reads it
-/// to its own bound.
+/// Escape probability over a bare trie — shared by [`WindowCounts`] and the
+/// trained [`crate::Mvmm`], which keeps only the trie and applies each
+/// component's depth bound itself.
 pub(crate) fn escape_prob_in(
     trie: &SuffixTrie,
-    max_len: Option<usize>,
     total_sessions: u64,
     total_occurrences: u64,
     s: &[QueryId],
@@ -209,9 +211,6 @@ pub(crate) fn escape_prob_in(
             return 1.0;
         }
         return (total_sessions as f64 / den as f64).max(1e-6);
-    }
-    if max_len.is_some_and(|d| suffix.len() > d) {
-        return 1.0;
     }
     match trie.window(suffix) {
         None => 1.0,

@@ -37,11 +37,8 @@ pub trait Recommender: Send + Sync {
     fn memory_bytes(&self) -> usize;
 
     /// True when the model can produce at least one recommendation for
-    /// `context`. The default delegates to `recommend`; models override it
-    /// with a cheaper check where possible.
-    fn covers(&self, context: &[QueryId]) -> bool {
-        !self.recommend(context, 1).is_empty()
-    }
+    /// `context` — the paper's coverage, answered without ranking.
+    fn covers(&self, context: &[QueryId]) -> bool;
 
     /// Concrete-type escape hatch for the snapshot persistence layer
     /// ([`crate::persist`]): a model that wants to be savable behind a
@@ -122,33 +119,5 @@ impl ModelSpec {
             ModelSpec::NGram => Box::new(NGram::train(sessions)),
             ModelSpec::Backoff(c) => Box::new(BackoffNgram::train(sessions, *c)),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Fixed;
-    impl Recommender for Fixed {
-        fn name(&self) -> &str {
-            "fixed"
-        }
-        fn recommend_into(&self, context: &[QueryId], k: usize, out: &mut Vec<Scored>) {
-            out.clear();
-            if !context.is_empty() {
-                out.extend((0..k as u32).map(|i| Scored::new(QueryId(i), 1.0)));
-            }
-        }
-        fn memory_bytes(&self) -> usize {
-            0
-        }
-    }
-
-    #[test]
-    fn default_covers_delegates_to_recommend() {
-        let m = Fixed;
-        assert!(m.covers(&[QueryId(5)]));
-        assert!(!m.covers(&[]));
     }
 }

@@ -23,8 +23,9 @@
 //! — and the ascending list of state node ids. No context and no count is
 //! written a second time — a state's distribution is its node's child
 //! entries. The MVMM payload has the
-//! same shape: its one trie, then per component its config, its mixture
-//! deviation σ as an `f64` bit pattern, and its id list. Loading
+//! same shape: its one trie, then per component its config and its mixture
+//! deviation σ as an `f64` bit pattern, then the merged PST's id list and a
+//! component mask per id. Loading
 //! goes through the constructor training uses
 //! ([`Pst::from_states`](crate::Pst::from_states)), which checks every
 //! property of a state list the trainer guarantees, so a loaded model and a
@@ -45,6 +46,7 @@
 use crate::model::Recommender;
 use crate::mvmm::Mvmm;
 use crate::pairs::PairTable;
+use crate::pst::Pst;
 use crate::vmm::{Vmm, VmmConfig};
 use crate::{Adjacency, BackoffConfig, BackoffNgram, Cooccurrence, NGram};
 use sqp_common::arena::SuffixTrie;
@@ -68,8 +70,8 @@ pub enum ModelKind {
     NGram,
     /// [`BackoffNgram`] — its config, then its window-trie columns.
     Backoff,
-    /// [`Mvmm`] — its one window trie, then per component its config,
-    /// deviation and state node ids.
+    /// [`Mvmm`] — its one window trie, per component its config and
+    /// deviation, then the merged state node ids and their component masks.
     Mvmm,
 }
 
@@ -300,10 +302,10 @@ fn get_vmm_config(data: &mut Bytes) -> Result<VmmConfig, String> {
 
 /// The corpus constants every model counted from one corpus shares:
 /// `total_sessions`, `total_occurrences`, `n_queries` — 24 bytes.
-fn put_corpus_totals(buf: &mut BytesMut, model: &Vmm) {
-    buf.put_u64_le(model.total_sessions);
-    buf.put_u64_le(model.total_occurrences);
-    buf.put_u64_le(model.n_queries as u64);
+fn put_corpus_totals(buf: &mut BytesMut, (sessions, occurrences, n_queries): (u64, u64, usize)) {
+    buf.put_u64_le(sessions);
+    buf.put_u64_le(occurrences);
+    buf.put_u64_le(n_queries as u64);
 }
 
 fn get_corpus_totals(data: &mut Bytes) -> Result<(u64, u64, usize), String> {
@@ -361,10 +363,10 @@ fn get_column<T: Default, const N: usize>(
     std::iter::once(T::default()).chain(entries).collect()
 }
 
-/// State list: count, then the trie node ids of a model's non-root states,
+/// State list: count, then the trie node ids of a tree's non-root states,
 /// ascending.
-fn put_states(buf: &mut BytesMut, model: &Vmm) {
-    let nodes = model.pst.state_nodes();
+fn put_states(buf: &mut BytesMut, pst: &Pst) {
+    let nodes = pst.state_nodes();
     buf.put_u64_le(nodes.len() as u64);
     for node in nodes {
         buf.put_u32_le(node);
@@ -387,90 +389,79 @@ fn trie_block_len(trie: &SuffixTrie) -> usize {
     12 + (trie.len() - 1) * 24
 }
 
-fn state_list_len(model: &Vmm) -> usize {
-    8 + (model.node_count() - 1) * 4
+fn state_list_len(pst: &Pst) -> usize {
+    8 + (pst.len() - 1) * 4
 }
 
 /// Serialize a trained VMM: config, corpus totals, the window trie, the
 /// state list.
 fn put_vmm(buf: &mut BytesMut, model: &Vmm) {
     let trie = model.window_trie();
-    buf.reserve(48 + trie_block_len(trie) + state_list_len(model));
+    buf.reserve(48 + trie_block_len(trie) + state_list_len(&model.pst));
     put_vmm_config(buf, &model.config);
-    put_corpus_totals(buf, model);
+    put_corpus_totals(buf, model.totals);
     put_trie(buf, trie);
-    put_states(buf, model);
+    put_states(buf, &model.pst);
 }
 
 /// Reconstruct a VMM serialized with [`put_vmm`].
 fn vmm_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<Vmm, String> {
     let config = get_vmm_config(&mut data)?;
-    let (sessions, occurrences, n_queries) = get_corpus_totals(&mut data)?;
+    let totals = get_corpus_totals(&mut data)?;
     let trie = get_trie(&mut data, vocabulary)?;
     let states = get_states(&mut data)?;
     expect_consumed(&data)?;
-    Vmm::from_parts(trie, &states, sessions, occurrences, n_queries, config)
-        .map_err(|e| e.to_string())
+    Vmm::from_parts(trie, &states, totals, config).map_err(|e| e.to_string())
 }
 
-/// Serialize a trained MVMM: corpus totals; the window trie every
-/// component reads; then per component its config, its deviation σ and its
-/// state list.
+/// Serialize a trained MVMM: corpus totals; the window trie; per
+/// component its config and its deviation σ; then the merged PST's state
+/// list and, per state, its component mask (`u16`).
 fn put_mvmm(buf: &mut BytesMut, model: &Mvmm) {
-    let components = model.components();
+    let pst = model.pst();
+    let configs = model.configs();
     buf.reserve(
-        28 + trie_block_len(model.window_trie())
-            + components
-                .iter()
-                .map(|c| 32 + state_list_len(c))
-                .sum::<usize>(),
+        28 + trie_block_len(pst.trie()) + 32 * configs.len() + state_list_len(pst) + 2 * pst.len(),
     );
-    put_corpus_totals(buf, &components[0]);
-    put_trie(buf, model.window_trie());
-    buf.put_u32_le(components.len() as u32);
-    for (component, sigma) in components.iter().zip(model.sigmas()) {
-        put_vmm_config(buf, &component.config);
+    put_corpus_totals(buf, model.totals);
+    put_trie(buf, pst.trie());
+    buf.put_u32_le(configs.len() as u32);
+    for (config, sigma) in configs.iter().zip(model.sigmas()) {
+        put_vmm_config(buf, config);
         buf.put_u64_le(sigma.to_bits());
-        put_states(buf, component);
+    }
+    put_states(buf, pst);
+    for mask in &model.masks[1..] {
+        buf.put_slice(&mask.to_le_bytes());
     }
 }
 
 /// Reconstruct an MVMM serialized with [`put_mvmm`].
 fn mvmm_from_bytes(mut data: Bytes, vocabulary: usize) -> Result<Mvmm, String> {
-    let (sessions, occurrences, n_queries) = get_corpus_totals(&mut data)?;
+    let totals = get_corpus_totals(&mut data)?;
     let trie = get_trie(&mut data, vocabulary)?;
     if data.remaining() < 4 {
         return Err("truncated component count".into());
     }
-    // At least 40 bytes per component must follow, which bounds the count
-    // before anything is sized by it.
+    // 32 bytes per component must follow, which bounds the count before
+    // anything is sized by it.
     let n_components = data.get_u32_le() as usize;
-    if n_components > data.remaining() / 40 {
+    if n_components > data.remaining() / 32 {
         return Err("truncated component table".into());
     }
-    let mut components = Vec::with_capacity(n_components);
+    let mut configs = Vec::with_capacity(n_components);
     let mut sigmas = Vec::with_capacity(n_components);
     for _ in 0..n_components {
-        let config = get_vmm_config(&mut data)?;
-        if data.remaining() < 8 {
-            return Err("truncated mixture deviation".into());
-        }
+        configs.push(get_vmm_config(&mut data)?);
         sigmas.push(f64::from_bits(data.get_u64_le()));
-        let states = get_states(&mut data)?;
-        components.push(
-            Vmm::from_parts(
-                Arc::clone(&trie),
-                &states,
-                sessions,
-                occurrences,
-                n_queries,
-                config,
-            )
-            .map_err(|e| format!("component {}: {e}", components.len()))?,
-        );
     }
+    let states = get_states(&mut data)?;
+    if data.remaining() < 2 * states.len() {
+        return Err("truncated mask column".into());
+    }
+    let masks = get_column(&mut data, states.len(), u16::from_le_bytes);
     expect_consumed(&data)?;
-    Mvmm::from_parts(components, sigmas)
+    Mvmm::from_parts(trie, &states, masks, totals, configs, sigmas)
 }
 
 #[cfg(test)]
@@ -524,7 +515,7 @@ mod tests {
         assert_eq!(restored.config(), original.config());
         assert_eq!(restored.window_trie(), original.window_trie());
 
-        // Identical probabilities, escapes, recommendations, scores.
+        // Identical probabilities, recommendations, scores.
         for ctx in [
             &[][..],
             &seq(&[0]),
@@ -534,10 +525,6 @@ mod tests {
         ] {
             for q in [QueryId(0), QueryId(1), QueryId(7)] {
                 assert_eq!(original.cond_prob(ctx, q), restored.cond_prob(ctx, q));
-                assert_eq!(
-                    original.cond_prob_escaped(ctx, q),
-                    restored.cond_prob_escaped(ctx, q)
-                );
             }
             let a = original.recommend(ctx, 5);
             let b = restored.recommend(ctx, 5);
@@ -712,6 +699,9 @@ mod tests {
             fn recommend_into(&self, _: &[QueryId], _: usize, out: &mut Vec<Scored>) {
                 out.clear();
             }
+            fn covers(&self, _: &[QueryId]) -> bool {
+                false
+            }
             fn memory_bytes(&self) -> usize {
                 0
             }
@@ -733,18 +723,12 @@ mod tests {
         // The deviations are f64 bit patterns: nothing is approximated.
         let bits = |m: &Mvmm| m.sigmas().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(restored), bits(&original));
-        assert_eq!(restored.merged_state_count(), original.merged_state_count());
-        for (a, b) in original.components().iter().zip(restored.components()) {
-            assert_eq!(a.config(), b.config());
-            assert_eq!(a.node_count(), b.node_count());
-            assert_eq!(a.window_trie(), b.window_trie());
-        }
-        // One trie was written and one is held, by every component.
-        let first = restored.components()[0].window_trie();
-        assert!(restored
-            .components()
-            .iter()
-            .all(|c| Arc::ptr_eq(first, c.window_trie())));
+        assert_eq!(restored.configs(), original.configs());
+        assert_eq!(restored.pst().trie(), original.pst().trie());
+        let nodes = |m: &Mvmm| m.pst().state_nodes().collect::<Vec<_>>();
+        assert_eq!(nodes(restored), nodes(&original));
+        assert_eq!(restored.masks, original.masks);
+        assert_eq!(restored.memory_bytes(), original.memory_bytes());
         for (s, _) in sessions.iter().take(100) {
             assert_eq!(
                 original.sequence_log10_prob(s).to_bits(),
@@ -908,15 +892,27 @@ mod tests {
         let blob = model_to_bytes(&mixture).unwrap().1.as_slice().to_vec();
         let load = |raw: Vec<u8>| model_from_bytes(ModelKind::Mvmm, Bytes::from(raw), 2);
         // totals (24), trie header (12) + columns, then K.
-        let k_at = 36 + (mixture.window_trie().len() - 1) * 24;
+        let k_at = 36 + (mixture.pst().trie().len() - 1) * 24;
         let read_u32 = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
         assert_eq!(read_u32(k_at), 3);
-        // First component: config (24), then σ.
+        // First component: config (24), then σ; 32 bytes a component.
         let sigma_at = k_at + 4 + 24;
         assert_eq!(
             blob[sigma_at..sigma_at + 8],
             mixture.sigmas()[0].to_bits().to_le_bytes()
         );
+        // Then the merged state list, and a `u16` mask per state.
+        let states_at = k_at + 4 + 3 * 32;
+        let n_states = mixture.pst().len() - 1;
+        let masks_at = states_at + 8 + 4 * n_states;
+        assert_eq!(masks_at + 2 * n_states, blob.len());
+        let with_mask = |state: usize, mask: u16| {
+            let mut raw = blob.clone();
+            let at = masks_at + 2 * (state - 1);
+            raw[at..at + 2].copy_from_slice(&mask.to_le_bytes());
+            load(raw)
+        };
+        assert!(with_mask(1, mixture.masks[1]).is_ok());
 
         for sigma in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut raw = blob.clone();
@@ -930,16 +926,44 @@ mod tests {
             expect_err(load(raw), "component table");
         }
         // No components at all.
-        let mut raw = blob.clone();
-        raw.truncate(k_at);
+        let mut raw = blob[..k_at].to_vec();
         raw.extend_from_slice(&0u32.to_le_bytes());
+        raw.extend_from_slice(&blob[states_at..]);
         expect_err(load(raw), "at least one component");
-        // A bound below a state: the first component (ε = 0) keeps the
-        // depth-2 windows, and its `max_depth` (config bytes 8..16) becomes
-        // Some(1).
+        // More components than a mask has bits: 17 whole entries.
+        let mut raw = blob[..k_at].to_vec();
+        raw.extend_from_slice(&17u32.to_le_bytes());
+        for _ in 0..17 {
+            raw.extend_from_slice(&blob[k_at + 4..k_at + 36]);
+        }
+        raw.extend_from_slice(&blob[states_at..]);
+        expect_err(load(raw), "at most 16");
+
+        // A bit past K, and a state of no component.
+        expect_err(with_mask(1, mixture.masks[1] | 1 << 3), "component 3 of 3");
+        expect_err(with_mask(1, 1 << 15), "component 15 of 3");
+        expect_err(with_mask(1, 0), "no component");
+        // The first component (ε = 0) keeps the depth-2 windows; take one
+        // away from its one-shorter suffix, a depth-1 state.
+        let deep = (1..mixture.pst().len() as u32)
+            .find(|&s| mixture.pst().parent(s) != 0 && mixture.masks[s as usize] & 1 == 1)
+            .expect("a depth-2 state of component 0");
+        let parent = mixture.pst().parent(deep) as usize;
+        expect_err(
+            with_mask(parent, mixture.masks[parent] & !1),
+            "its one-shorter suffix lacks",
+        );
+        // A bound below a state: component 0's `max_depth` (config bytes
+        // 8..16) becomes Some(1).
         let mut raw = blob.clone();
         raw[k_at + 12..k_at + 20].copy_from_slice(&1u64.to_le_bytes());
-        expect_err(load(raw), "component 0: state");
+        expect_err(load(raw), "deeper than component 0's bound");
+        // A mask column cut short, by one byte or by one mask.
+        for cut in [1, 2] {
+            let mut raw = blob.clone();
+            raw.truncate(blob.len() - cut);
+            expect_err(load(raw), "truncated mask column");
+        }
     }
 
     #[test]

@@ -328,8 +328,9 @@ impl Pst {
         )
     }
 
+    /// The state one query older than `state` along `q`, if any.
     #[inline]
-    fn child_of(&self, state: u32, q: QueryId) -> Option<u32> {
+    pub(crate) fn child_of(&self, state: u32, q: QueryId) -> Option<u32> {
         let lo = self.states[state as usize].first_edge as usize;
         let hi = self.states[state as usize + 1].first_edge as usize;
         self.edge_queries[lo..hi]

@@ -5,8 +5,8 @@
 //! * **(a)** extract candidate suffix contexts `S′` from the window trie
 //!   (length ≤ D, continuation support ≥ the filter threshold). The trie
 //!   may be counted deeper than D — a mixture's is counted once for all
-//!   its bounds — and the model reads it to D: here, when its states are
-//!   validated, and in the escape probabilities;
+//!   its bounds — and the model reads it to D, when its states are
+//!   validated;
 //! * **(b)** grow the PST: every length-1 candidate is added; a longer
 //!   candidate `s` is added — together with all its suffixes, keeping the
 //!   state set suffix-closed — iff `D_KL(P(·|parent(s)) ‖ P(·|s)) > ε`
@@ -31,9 +31,10 @@
 //! model is the window trie it was counted in, shared and not copied, plus
 //! the [`Pst`] index over the nodes that became states. Prediction walks
 //! the longest matching suffix in O(D·log m) with no allocation. The
-//! context-escape mechanism of Eq. (5)–(6) reads the same trie.
+//! context-escape mechanism of Eq. (5)–(6), which only a mixture applies
+//! (§IV-C.2), reads the same trie ([`crate::Mvmm`]).
 
-use crate::counts::{escape_prob_in, WindowCounts};
+use crate::counts::WindowCounts;
 use crate::model::{Recommender, SequenceScorer, WeightedSessions};
 use crate::pst::{Pst, StateListError};
 use sqp_common::arena::SuffixTrie;
@@ -107,12 +108,10 @@ impl VmmConfig {
 /// A trained VMM.
 pub struct Vmm {
     /// The states, and through them the frozen window trie: child rows are
-    /// the distributions, per-window (total, at-start) counts drive the
-    /// escape probabilities of Eq. (6).
+    /// the distributions.
     pub(crate) pst: Pst,
-    pub(crate) total_sessions: u64,
-    pub(crate) total_occurrences: u64,
-    pub(crate) n_queries: usize,
+    /// The corpus totals: sessions, query occurrences and |Q|.
+    pub(crate) totals: (u64, u64, usize),
     pub(crate) config: VmmConfig,
     pub(crate) name: String,
 }
@@ -304,19 +303,11 @@ impl Vmm {
 
     /// Train from pre-built window counts, reading their windows up to
     /// `config.max_depth`: counts to that depth or deeper give the model
-    /// [`Vmm::train`] gives. Mixtures use this to count the corpus once, at
-    /// their deepest bound, and train every component off the shared trie,
-    /// which each of them then holds a handle to.
+    /// [`Vmm::train`] gives.
     pub fn train_with_counts(counts: &WindowCounts, config: VmmConfig) -> Self {
-        Self::from_parts(
-            counts.shared_trie(),
-            &Self::grow_pst(counts, config, None),
-            counts.total_sessions,
-            counts.total_occurrences,
-            counts.n_queries.max(1),
-            config,
-        )
-        .expect("stage (b) marks a suffix-closed set of windows")
+        let states = Self::grow_pst(counts, config, None).0;
+        Self::from_parts(counts.shared_trie(), &states, counts.totals(), config)
+            .expect("stage (b) marks a suffix-closed set of windows")
     }
 
     /// The model whose states are the windows `states` of `trie`, read to
@@ -325,39 +316,26 @@ impl Vmm {
     pub(crate) fn from_parts(
         trie: Arc<SuffixTrie>,
         states: &[u32],
-        total_sessions: u64,
-        total_occurrences: u64,
-        n_queries: usize,
+        totals: (u64, u64, usize),
         config: VmmConfig,
     ) -> Result<Self, StateListError> {
         Ok(Vmm {
-            pst: Pst::from_states(trie, n_queries, config.max_depth, states)?,
-            total_sessions,
-            total_occurrences,
-            n_queries,
+            pst: Pst::from_states(trie, totals.2, config.max_depth, states)?,
+            totals,
             name: config.display_name(),
             config,
         })
     }
 
     /// Stages (a) + (b): candidate extraction and KL growth. Returns the
-    /// trie nodes chosen as states, ascending. The parent sums and the
-    /// divergence tests run on `threads` threads — training passes `None`,
-    /// as many as the host and [`MIN_CANDIDATES_PER_THREAD`] allow — and
-    /// the state set does not depend on the count: each sum and each test
-    /// is a pure function of its row, and the marking pass reads the
-    /// verdicts in canonical order.
+    /// trie nodes chosen as states, ascending, and how many tests the
+    /// parent sums left to the exact walk because D′ lay within its
+    /// rounding bound of ε. The parent sums and the divergence tests run on
+    /// `threads` threads — training passes `None`, as many as the host and
+    /// [`MIN_CANDIDATES_PER_THREAD`] allow — and the state set does not
+    /// depend on the count: each sum and each test is a pure function of
+    /// its row, and the marking pass reads the verdicts in canonical order.
     pub(crate) fn grow_pst(
-        counts: &WindowCounts,
-        config: VmmConfig,
-        threads: Option<usize>,
-    ) -> Vec<u32> {
-        Self::grow_pst_counted(counts, config, threads).0
-    }
-
-    /// [`Vmm::grow_pst`], and how many tests the parent sums left to the
-    /// exact walk because D′ lay within its rounding bound of ε.
-    pub(crate) fn grow_pst_counted(
         counts: &WindowCounts,
         config: VmmConfig,
         threads: Option<usize>,
@@ -461,8 +439,8 @@ impl Vmm {
         &self.pst
     }
 
-    /// The frozen window trie the states index (distributions and escape
-    /// table). Mixture components trained off one count share one.
+    /// The frozen window trie the states index: its child rows are the
+    /// distributions.
     pub fn window_trie(&self) -> &Arc<SuffixTrie> {
         self.pst.trie()
     }
@@ -474,7 +452,7 @@ impl Vmm {
 
     /// |Q| seen at training time.
     pub fn n_queries(&self) -> usize {
-        self.n_queries
+        self.totals.2
     }
 
     /// Longest suffix of `context` that is a (non-root) state: `(state,
@@ -485,55 +463,12 @@ impl Vmm {
         (matched > 0).then_some((idx, matched))
     }
 
-    /// Escape probability of Eq. (6) for context `s` (see
-    /// [`WindowCounts::escape_prob`] for the derivation).
-    pub fn escape_prob(&self, s: &[QueryId]) -> f64 {
-        escape_prob_in(
-            self.pst.trie(),
-            self.config.max_depth,
-            self.total_sessions,
-            self.total_occurrences,
-            s,
-        )
-    }
-
     /// `P(q | context)` by longest-suffix matching **without** escape — the
     /// single-VMM convention (renormalization cancels escape, §IV-C.2(b)).
     /// Falls back to the root prior when nothing matches.
     pub fn cond_prob(&self, context: &[QueryId], q: QueryId) -> f64 {
         let (idx, _) = self.pst.longest_suffix(context);
         self.pst.dist(idx).prob(q)
-    }
-
-    /// `P̂(q | context)` with the context-escape recursion of Eq. (5):
-    /// unmatched contexts pay the escape penalty while trimming their oldest
-    /// query, which is what lets the MVMM discount partially-matching
-    /// components.
-    pub fn cond_prob_escaped(&self, context: &[QueryId], q: QueryId) -> f64 {
-        let mut s = context;
-        let mut factor = 1.0;
-        loop {
-            if s.is_empty() {
-                return factor * self.pst.dist(0).prob(q);
-            }
-            if let Some(idx) = self.pst.find(s) {
-                return factor * self.pst.dist(idx).prob(q);
-            }
-            factor *= self.escape_prob(s);
-            s = &s[1..];
-        }
-    }
-
-    /// `log10 P̂_D(sequence)` with escape (Eq. 3), used by the MVMM fit.
-    pub fn sequence_log10_prob_escaped(&self, seq: &[QueryId]) -> f64 {
-        let mut lp = 0.0;
-        for i in 1..seq.len() {
-            lp += self
-                .cond_prob_escaped(&seq[..i], seq[i])
-                .max(1e-300)
-                .log10();
-        }
-        lp
     }
 }
 
@@ -701,15 +636,32 @@ mod tests {
         assert!(m.pst().contains(&seq(&[1, 0])));
     }
 
+    /// A one-component mixture of `config`: its weight is 1 wherever it
+    /// matches, so its scores are the escaped conditionals of Eq. (5).
+    fn one_component(config: VmmConfig) -> crate::Mvmm {
+        let cfg = crate::MvmmConfig {
+            components: vec![config],
+            fit: crate::FitConfig::default(),
+        };
+        crate::Mvmm::train(&toy_corpus(), &cfg)
+    }
+
+    /// The escaped conditional `P̂(q | ctx)` from a one-component mixture.
+    fn escaped(m: &crate::Mvmm, ctx: &[QueryId], q: QueryId) -> f64 {
+        let top = m.recommend(ctx, 2);
+        top.iter().find(|s| s.query == q).expect("observed").score
+    }
+
     #[test]
     fn paper_escape_example_q1q1() {
         // §IV-C.1(b): user submits q1q1; the state used is q1. The escape
         // probability is ‖[e,q1]‖ / ‖q1‖ = 18/31.
         let m = toy_vmm();
         assert!(!m.pst().contains(&seq(&[1, 1])));
-        let esc = m.escape_prob(&seq(&[1, 1]));
+        let esc = WindowCounts::build(&toy_corpus(), None).escape_prob(&seq(&[1, 1]));
         assert!((esc - 18.0 / 31.0).abs() < 1e-12, "esc = {esc}");
-        let p = m.cond_prob_escaped(&seq(&[1, 1]), QueryId(0));
+        let mixture = one_component(VmmConfig::with_epsilon(TOY_EPSILON));
+        let p = escaped(&mixture, &seq(&[1, 1]), QueryId(0));
         assert!((p - (18.0 / 31.0) * 0.8).abs() < 1e-12);
         // Without escape the same context just uses state q1.
         assert!((m.cond_prob(&seq(&[1, 1]), QueryId(0)) - 0.8).abs() < 1e-12);
@@ -718,9 +670,10 @@ mod tests {
     #[test]
     fn escaped_prob_equals_plain_on_exact_states() {
         let m = toy_vmm();
+        let mixture = one_component(VmmConfig::with_epsilon(TOY_EPSILON));
         for ctx in [seq(&[0]), seq(&[1]), seq(&[1, 0])] {
             for q in [QueryId(0), QueryId(1)] {
-                assert!((m.cond_prob(&ctx, q) - m.cond_prob_escaped(&ctx, q)).abs() < 1e-15);
+                assert!((m.cond_prob(&ctx, q) - escaped(&mixture, &ctx, q)).abs() < 1e-15);
             }
         }
     }
@@ -795,10 +748,10 @@ mod tests {
     /// of threads runs the divergence tests — forced here, far below the
     /// per-thread floor — and it is the list training keeps.
     fn same_states_on_any_thread_count(counts: &WindowCounts, config: VmmConfig) -> Vec<u32> {
-        let states = Vmm::grow_pst(counts, config, None);
+        let states = Vmm::grow_pst(counts, config, None).0;
         for threads in [1, 2, 3, 5] {
             assert_eq!(
-                Vmm::grow_pst(counts, config, Some(threads)),
+                Vmm::grow_pst(counts, config, Some(threads)).0,
                 states,
                 "{threads} threads, {config:?}"
             );
@@ -902,7 +855,7 @@ mod tests {
             );
         }
         assert_eq!(
-            Vmm::grow_pst(counts, config, None),
+            Vmm::grow_pst(counts, config, None).0,
             exact_states(counts, config),
             "{config:?}"
         );
@@ -957,7 +910,7 @@ mod tests {
             })
             .expect("the simulated corpus has such a candidate");
         let config = VmmConfig::with_epsilon(d);
-        let (states, undecided) = Vmm::grow_pst_counted(&counts, config, None);
+        let (states, undecided) = Vmm::grow_pst(&counts, config, None);
         assert!(undecided >= 1, "ε = {d} was decided without the exact walk");
         assert_eq!(states, exact_states(&counts, config));
     }
@@ -1061,10 +1014,10 @@ mod randomized_tests {
         for case in 0..64u64 {
             let mut rng = StdRng::seed_from_u64(100 + case);
             let corpus = arbitrary_corpus(&mut rng);
-            let m = Vmm::train(&corpus, VmmConfig::default());
+            let counts = WindowCounts::build(&corpus, None);
             for q1 in 0..7u32 {
                 for q2 in 0..7u32 {
-                    let e = m.escape_prob(&sqp_common::seq(&[q1, q2]));
+                    let e = counts.escape_prob(&sqp_common::seq(&[q1, q2]));
                     assert!((0.0..=1.0).contains(&e), "case {case}: escape {e}");
                 }
             }

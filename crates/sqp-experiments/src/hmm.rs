@@ -320,26 +320,29 @@ impl Recommender for Hmm {
                 *pj += alpha[i] * self.trans[i][j];
             }
         }
-        // Candidates: top emissions of the most probable states.
-        let mut candidates: FxHashSet<QueryId> = FxHashSet::default();
+        // Candidates: top emissions of the most probable states, pooled in
+        // `out` and ranked there.
         let mut by_weight: Vec<usize> = (0..self.n_states).collect();
         by_weight.sort_unstable_by(|&a, &b| prior[b].partial_cmp(&prior[a]).unwrap());
         for &j in by_weight.iter().take(4) {
             for &(q, _) in self.emit_sorted[j].iter().take(k * 4) {
-                candidates.insert(q);
+                out.push(Scored::new(q, 0.0));
             }
         }
-        let scored: Vec<Scored> = candidates
-            .into_iter()
-            .map(|q| {
-                let mut p = 0.0;
-                for j in 0..self.n_states {
-                    p += prior[j] * self.emit[j].get(&q).copied().unwrap_or(self.emit_floor);
-                }
-                Scored::new(q, p)
-            })
-            .collect();
-        out.extend(sqp_common::topk::top_k(scored, k));
+        out.sort_unstable_by_key(|c| c.query);
+        out.dedup_by_key(|c| c.query);
+        for c in out.iter_mut() {
+            let mut p = 0.0;
+            for j in 0..self.n_states {
+                p += prior[j]
+                    * self.emit[j]
+                        .get(&c.query)
+                        .copied()
+                        .unwrap_or(self.emit_floor);
+            }
+            c.score = p;
+        }
+        sqp_common::topk::top_k_into(out, k);
     }
 
     fn covers(&self, context: &[QueryId]) -> bool {

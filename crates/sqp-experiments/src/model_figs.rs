@@ -170,7 +170,7 @@ pub fn tab06_unpredictable_reasons(wb: &Workbench, models: &TrainedModels) -> St
 
 /// Table VII: memory footprint per method, plus the merged-PST node counts.
 pub fn tab07_memory(wb: &Workbench, models: &TrainedModels) -> String {
-    let mut rows: Vec<Vec<String>> = models
+    let rows: Vec<Vec<String>> = models
         .all()
         .iter()
         .map(|(name, m)| {
@@ -180,17 +180,6 @@ pub fn tab07_memory(wb: &Workbench, models: &TrainedModels) -> String {
             ]
         })
         .collect();
-    rows.push(vec![
-        "MVMM (sum of components, unshared)".into(),
-        sqp_common::mem::format_megabytes(
-            models
-                .mvmm
-                .components()
-                .iter()
-                .map(|c| c.memory_bytes())
-                .sum(),
-        ),
-    ]);
     let mut out = render_table(
         "Table VII — memory footprint (MB)",
         &headers(&["method", "MB"]),

@@ -1,4 +1,4 @@
-//! Snapshot container format v9 — one file that boots a serving process.
+//! Snapshot container format v10 — one file that boots a serving process.
 //!
 //! A snapshot file bundles everything [`ModelSnapshot`] needs: the frozen
 //! [`Interner`], the trained model behind its
@@ -28,11 +28,11 @@ use std::path::Path;
 
 /// First four bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"SQPS";
-/// Container version this build writes and reads. Version 9's N-gram
-/// payload is its prefix trie block where version 8 wrote a table of
-/// prefix states; every other payload is version 8's. An older file is
-/// refused by version, not decoded.
-pub const FORMAT_VERSION: u32 = 9;
+/// Container version this build writes and reads. Version 10's MVMM
+/// payload is one merged state list with a component mask per state where
+/// version 9 wrote a state list per component; every other payload is
+/// version 9's. An older file is refused by version, not decoded.
+pub const FORMAT_VERSION: u32 = 10;
 /// Size of the fixed header: magic + version + section count.
 pub const HEADER_LEN: usize = 12;
 /// Size of one section-table entry: id `u32`, offset `u64`, length `u64`.
@@ -526,6 +526,9 @@ mod tests {
             ) {
                 out.clear();
             }
+            fn covers(&self, _: &[sqp_common::QueryId]) -> bool {
+                false
+            }
             fn memory_bytes(&self) -> usize {
                 0
             }
@@ -638,12 +641,12 @@ mod tests {
 
     #[test]
     fn a_file_of_the_previous_version_is_refused_by_version() {
-        let mut raw =
-            snapshot_to_bytes(&toy_snapshot(ModelSpec::NGram), &SnapshotMeta::default()).unwrap();
-        raw[4] = 8;
+        let spec = ModelSpec::Mvmm(sqp_core::MvmmConfig::small());
+        let mut raw = snapshot_to_bytes(&toy_snapshot(spec), &SnapshotMeta::default()).unwrap();
+        raw[4] = 9;
         let err = snapshot_from_bytes(&raw).unwrap_err();
-        assert!(matches!(err, SnapshotError::UnsupportedVersion(8)), "{err}");
-        assert!(err.to_string().contains("reads v9"), "{err}");
+        assert!(matches!(err, SnapshotError::UnsupportedVersion(9)), "{err}");
+        assert!(err.to_string().contains("reads v10"), "{err}");
     }
 
     #[test]
@@ -656,12 +659,12 @@ mod tests {
             SnapshotError::BadMagic
         ));
         let mut wrong_version = raw.clone();
-        wrong_version[4] = 10;
+        wrong_version[4] = 11;
         // Version is checked before the checksum so operators see the real
         // cause, not a checksum side effect.
         assert!(matches!(
             snapshot_from_bytes(&wrong_version).unwrap_err(),
-            SnapshotError::UnsupportedVersion(10)
+            SnapshotError::UnsupportedVersion(11)
         ));
         let mut flipped = raw.clone();
         let last = flipped.len() - 1;

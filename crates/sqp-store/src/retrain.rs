@@ -1061,6 +1061,9 @@ mod tests {
             ) {
                 out.clear();
             }
+            fn covers(&self, _: &[sqp_common::QueryId]) -> bool {
+                false
+            }
             fn memory_bytes(&self) -> usize {
                 0
             }

@@ -146,9 +146,9 @@ fn toy_snapshot_matches_the_documented_layout() {
     // Checksum at 157: the documented constant, which must equal the
     // document's word-wise FNV-1a 64 of everything before it — as the
     // document states it and as the library computes it.
-    assert_eq!(u64_at(&raw, 157), 0x7ffbe848a5ce96ff);
-    assert_eq!(checksum_per_format_md(&raw[..157]), 0x7ffbe848a5ce96ff);
-    assert_eq!(fnv1a64_words(&raw[..157]), 0x7ffbe848a5ce96ff);
+    assert_eq!(u64_at(&raw, 157), 0xde269e43a5ce96ff);
+    assert_eq!(checksum_per_format_md(&raw[..157]), 0xde269e43a5ce96ff);
+    assert_eq!(fnv1a64_words(&raw[..157]), 0xde269e43a5ce96ff);
 
     // The library's own table parser agrees with the documented offsets.
     let entries = parse_section_table(&raw).unwrap();
@@ -201,12 +201,12 @@ fn toy_mvmm_payload_matches_the_documented_layout() {
     );
     let sigmas = mixture.sigmas().to_vec();
     let raw = toy_bytes(Box::new(mixture));
-    let p = trie_backed_payload(&raw, 6, 200);
+    let p = trie_backed_payload(&raw, 6, 190);
 
     assert_eq!((u64_at(p, 0), u64_at(p, 8), u64_at(p, 16)), (3, 6, 2));
     assert_toy_trie_block(p, 24);
     assert_eq!(u32_at(p, 108), 2, "K");
-    for (component, (at, epsilon)) in [(112, 0.0), (156, 0.05)].into_iter().enumerate() {
+    for (component, (at, epsilon)) in [(112, 0.0), (144, 0.05)].into_iter().enumerate() {
         assert_eq!(
             (f64_at(p, at), u64_at(p, at + 8), u64_at(p, at + 16)),
             (epsilon, u64::MAX, 1)
@@ -216,8 +216,9 @@ fn toy_mvmm_payload_matches_the_documented_layout() {
             sigmas[component].to_bits(),
             "sigma, bit for bit"
         );
-        assert_eq!((u64_at(p, at + 32), u32_at(p, at + 40)), (1, 1));
     }
+    assert_eq!((u64_at(p, 176), u32_at(p, 184)), (1, 1), "node 1");
+    assert_eq!(&p[188..190], &[0b11, 0], "node 1 is both components' state");
 }
 
 #[test]

@@ -33,7 +33,7 @@ fn main() {
     let mvmm = Mvmm::train(&processed.train.aggregated.sessions, &MvmmConfig::small());
     println!(
         "MVMM trained: {} components, sigmas = {:?}",
-        mvmm.components().len(),
+        mvmm.configs().len(),
         mvmm.sigmas()
             .iter()
             .map(|s| format!("{s:.2}"))

@@ -22,7 +22,7 @@ fn main() {
     println!(
         "models ready: VMM(0.05) with {} PST nodes; MVMM with {} components\n",
         vmm.node_count(),
-        mvmm.components().len()
+        mvmm.configs().len()
     );
 
     // Replay a few multi-query test sessions through the recommender.

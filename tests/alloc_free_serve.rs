@@ -1,14 +1,18 @@
 //! The serve path must not allocate: longest-suffix matching, conditional
 //! probabilities, escape recursion and top-k into a reused buffer all run on
 //! the arena structures (binary-searched sorted slices), so a warmed-up
-//! prediction call performs zero heap allocations. The N-gram and the two
-//! pair-wise baselines write their top-k into the same reused buffer,
-//! called through `&dyn Recommender` as a serving engine calls them.
+//! prediction call performs zero heap allocations. Every other model — the
+//! MVMM, the two N-grams and the two pair-wise baselines — writes its top-k
+//! into the same reused buffer, pooling its candidates there, called
+//! through `&dyn Recommender` as a serving engine calls them.
 //!
 //! Verified with a counting global allocator. This file holds exactly one
 //! test so no concurrent test can pollute the counter.
 
-use sqp::core::{Adjacency, Cooccurrence, NGram, Recommender, Vmm, VmmConfig};
+use sqp::core::{
+    Adjacency, BackoffConfig, BackoffNgram, Cooccurrence, Mvmm, MvmmConfig, NGram, Recommender,
+    SequenceScorer, Vmm, VmmConfig,
+};
 use sqp_common::seq;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,6 +47,7 @@ fn prediction_serve_path_is_allocation_free() {
     let processed = sqp::sessions::process(&logs, &sqp::sessions::PipelineConfig::default());
     let sessions = &processed.train.aggregated.sessions;
     let vmm = Vmm::train(sessions, VmmConfig::with_epsilon(0.05));
+    let mvmm = Mvmm::train(sessions, &MvmmConfig::epsilon_sweep());
 
     let contexts: Vec<_> = processed
         .ground_truth
@@ -59,8 +64,8 @@ fn prediction_serve_path_is_allocation_free() {
     for ctx in &contexts {
         vmm.recommend_into(ctx, 5, &mut buf);
         let _ = vmm.cond_prob(ctx, probe[0]);
-        let _ = vmm.cond_prob_escaped(ctx, probe[0]);
-        let _ = vmm.escape_prob(&probe);
+        let _ = mvmm.sequence_log10_prob(ctx);
+        let _ = mvmm.sequence_log10_prob(&probe);
         let _ = vmm.covers(ctx);
     }
 
@@ -70,8 +75,8 @@ fn prediction_serve_path_is_allocation_free() {
         for ctx in &contexts {
             vmm.recommend_into(ctx, 5, &mut buf);
             let _ = vmm.cond_prob(ctx, probe[0]);
-            let _ = vmm.cond_prob_escaped(ctx, probe[0]);
-            let _ = vmm.escape_prob(&probe);
+            let _ = mvmm.sequence_log10_prob(ctx);
+            let _ = mvmm.sequence_log10_prob(&probe);
             let _ = vmm.covers(ctx);
         }
     }
@@ -84,13 +89,14 @@ fn prediction_serve_path_is_allocation_free() {
         200 * contexts.len() * 5,
     );
 
-    let baselines: [Box<dyn Recommender>; 3] = [
+    let others: [Box<dyn Recommender>; 4] = [
+        Box::new(BackoffNgram::train(sessions, BackoffConfig::default())),
         Box::new(NGram::train(sessions)),
         Box::new(Adjacency::train(sessions)),
         Box::new(Cooccurrence::train(sessions)),
     ];
-    for model in &baselines {
-        let model: &dyn Recommender = model.as_ref();
+    for model in std::iter::once(&mvmm as &dyn Recommender).chain(others.iter().map(|m| m.as_ref()))
+    {
         let mut covered = 0;
         for ctx in &contexts {
             model.recommend_into(ctx, 5, &mut buf);

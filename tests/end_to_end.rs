@@ -145,16 +145,24 @@ fn paper_shapes_hold_end_to_end() {
     assert!(entropy[1].mean_entropy >= entropy[2].mean_entropy - 1e-9);
 
     // ---- Table VII shape: MVMM memory ≈ single VMM, << sum of components.
-    // Measured, not priced: the mixture holds one window trie, which every
-    // component points into, plus one state index per component.
-    let components = w.mvmm.components();
-    let trie = components[0].window_trie();
-    assert!(components
+    // Measured, not priced: the mixture holds one window trie and one
+    // merged PST over it, with a component mask per state.
+    let merged = w.mvmm.pst();
+    let trie = merged.trie();
+    assert_eq!(
+        w.mvmm.memory_bytes(),
+        trie.heap_bytes() + merged.heap_bytes() + merged.len() * std::mem::size_of::<u16>()
+    );
+    // Less than the same trie with a state index per component.
+    let alone: Vec<Vmm> = w
+        .mvmm
+        .configs()
         .iter()
-        .all(|c| std::sync::Arc::ptr_eq(trie, c.window_trie())));
-    let indexes: usize = components.iter().map(|c| c.pst().heap_bytes()).sum();
-    assert_eq!(w.mvmm.memory_bytes(), trie.heap_bytes() + indexes);
-    let sum: usize = components.iter().map(|c| c.memory_bytes()).sum();
+        .map(|c| Vmm::train(&w.processed.train.aggregated.sessions, *c))
+        .collect();
+    let indexes: usize = alone.iter().map(|c| c.pst().heap_bytes()).sum();
+    assert!(w.mvmm.memory_bytes() < trie.heap_bytes() + indexes);
+    let sum: usize = alone.iter().map(|c| c.memory_bytes()).sum();
     assert!(2 * w.mvmm.memory_bytes() < sum);
     assert!(
         4 * w.mvmm.memory_bytes() < 5 * w.vmm.memory_bytes(),

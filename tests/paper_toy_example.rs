@@ -12,8 +12,9 @@
 //!   = 1 × 0.1 × 0.8 × 0.7 × 0.2 × 0.8;
 //! * the two recommendation examples (q0 after q0; q1 after [q1,q0]).
 
+use sqp::core::counts::WindowCounts;
 use sqp::core::toy::{toy_corpus, toy_test_sequence, TOY_EPSILON, TOY_TEST_SEQUENCE_PROB};
-use sqp::core::{Recommender, SequenceScorer, Vmm, VmmConfig};
+use sqp::core::{FitConfig, Mvmm, MvmmConfig, Recommender, SequenceScorer, Vmm, VmmConfig};
 use sqp_common::{seq, QueryId};
 
 fn q0() -> QueryId {
@@ -61,7 +62,7 @@ fn full_figure3_reproduction() {
 #[test]
 fn conditional_probability_table_ii() {
     // P(q0|[q1,q0]) = 3/10 straight from the window counts.
-    let counts = sqp::core::counts::WindowCounts::build(&toy_corpus(), None);
+    let counts = WindowCounts::build(&toy_corpus(), None);
     let node = counts.trie().window(&seq(&[1, 0])).unwrap();
     assert_eq!(
         counts.trie().continuations(node),
@@ -105,28 +106,33 @@ fn kl_thresholds_bracket_epsilon() {
 fn escape_of_unseen_context_matches_eq6() {
     // §IV-C.1(b): context q1q1 escapes to state q1 with probability
     // ‖[e,q1]‖ / ‖q1‖ = 18/31.
-    let vmm = Vmm::train(&toy_corpus(), VmmConfig::with_epsilon(TOY_EPSILON));
-    let esc = vmm.escape_prob(&seq(&[1, 1]));
+    let esc = WindowCounts::build(&toy_corpus(), None).escape_prob(&seq(&[1, 1]));
     assert!((esc - 18.0 / 31.0).abs() < 1e-12);
-    let p = vmm.cond_prob_escaped(&seq(&[1, 1]), q0());
+    // A one-component mixture weighs its one component 1, so it scores a
+    // candidate by the escaped conditional of Eq. (5).
+    let mixture = Mvmm::train(
+        &toy_corpus(),
+        &MvmmConfig {
+            components: vec![VmmConfig::with_epsilon(TOY_EPSILON)],
+            fit: FitConfig::default(),
+        },
+    );
+    let top = mixture.recommend(&seq(&[1, 1]), 2);
+    let p = top.iter().find(|s| s.query == q0()).unwrap().score;
     assert!((p - esc * 0.8).abs() < 1e-12);
 }
 
 #[test]
 fn mvmm_on_toy_corpus_agrees_with_components() {
-    use sqp::core::{Mvmm, MvmmConfig};
     let mvmm = Mvmm::train(&toy_corpus(), &MvmmConfig::small());
     // All components share the exact states for these contexts, so the
     // mixture must reproduce the paper's recommendations.
     assert_eq!(mvmm.recommend(&seq(&[0]), 1)[0].query, q0());
     assert_eq!(mvmm.recommend(&seq(&[1, 0]), 1)[0].query, q1());
-    // And the mixture weights are a proper distribution.
-    let w: f64 = mvmm
-        .component_weights(&seq(&[1, 0]))
-        .into_iter()
-        .flatten()
-        .sum();
-    assert!((w - 1.0).abs() < 1e-9);
+    // And the mixture weights are a proper distribution: every component
+    // matches the state q1q0 exactly, so the score is P(q1 | q1q0) = 0.7.
+    let w = mvmm.recommend(&seq(&[1, 0]), 1)[0].score;
+    assert!((w - 0.7).abs() < 1e-9, "{w}");
 }
 
 #[test]

@@ -26,7 +26,7 @@ const GOLDEN_ANSWERS: u64 = 0x3bc5_e18d_84a5_3ecf;
 /// Suggestions hashed into [`GOLDEN_ANSWERS`].
 const GOLDEN_ANSWER_COUNT: usize = 27_762;
 
-/// The snapshot checksum ([`fnv1a64_words`]) of the whole v9 file of
+/// The snapshot checksum ([`fnv1a64_words`]) of the whole v10 file of
 /// `Vmm(ε = 0.05)` trained on `SimConfig::small(4_000, 400, 11)`, with the
 /// fixed meta below. Re-pinned when the payload became trie rows + state
 /// ids (v3: 366 934 bytes), when the checksum went word-wise (v5, same
@@ -36,8 +36,11 @@ const GOLDEN_ANSWER_COUNT: usize = 27_762;
 /// 8-byte header (v7: the same values, 8 bytes shorter), and when the
 /// back-off payload became its trie (v8: the file differs from v7's only
 /// in the version field), and when the N-gram payload became its prefix
-/// trie (v9: the file differs from v8's only in the version field).
-const GOLDEN_CHECKSUM: u64 = 0xd9f7_9335_d651_3eff;
+/// trie (v9: the file differs from v8's only in the version field), and
+/// when the MVMM payload became one merged state list with a component
+/// mask per state (v10: the file differs from v9's only in the version
+/// field).
+const GOLDEN_CHECKSUM: u64 = 0xbd9b_e664_d3cc_d13f;
 /// Length of the same file — a cheaper first clue than a checksum diff.
 const GOLDEN_LEN: usize = 291_466;
 
