@@ -15,6 +15,7 @@
 #![allow(clippy::needless_range_loop)] // dense matrix math reads best indexed
 
 use sqp_common::math::{gaussian_pdf, gaussian_pdf_d2sigma, gaussian_pdf_dsigma};
+use sqp_common::FxHashMap;
 
 /// Optimizer configuration.
 #[derive(Clone, Copy, Debug)]
@@ -63,54 +64,116 @@ pub struct FitOutcome {
 
 const LN10: f64 = std::f64::consts::LN_10;
 
-fn objective(p: &[f64], a: &[Vec<f64>], d: &[Vec<f64>], sigma: &[f64]) -> f64 {
-    let mut f = 0.0;
-    for t in 0..p.len() {
-        let m: f64 = (0..sigma.len())
-            .map(|k| a[t][k] * gaussian_pdf(d[t][k], sigma[k]))
-            .sum();
-        f += p[t] * m.max(1e-300).log10();
-    }
-    f
+/// The fit's inputs, with each component's disparities deduplicated.
+/// Disparities are small integers (`|s| − 1 − matched`), so a σ evaluates
+/// the Gaussian and its derivatives once per component and distinct
+/// disparity instead of once per sequence. Every sum keeps the order of the
+/// per-sequence form, so the result is the same to the bit.
+struct Fit<'a> {
+    p: &'a [f64],
+    a: &'a [Vec<f64>],
+    /// `values[k]`: component k's distinct disparities.
+    values: Vec<Vec<f64>>,
+    /// `at[t * kn + k]`: where `d[t][k]` sits in `values[k]`.
+    at: Vec<u32>,
+    kn: usize,
 }
 
-fn gradient(p: &[f64], a: &[Vec<f64>], d: &[Vec<f64>], sigma: &[f64]) -> Vec<f64> {
-    let kn = sigma.len();
-    let mut g = vec![0.0; kn];
-    for t in 0..p.len() {
-        let m: f64 = (0..kn)
-            .map(|k| a[t][k] * gaussian_pdf(d[t][k], sigma[k]))
-            .sum::<f64>()
-            .max(1e-300);
-        for k in 0..kn {
-            g[k] += p[t] * a[t][k] * gaussian_pdf_dsigma(d[t][k], sigma[k]) / (m * LN10);
-        }
-    }
-    g
-}
-
-fn hessian(p: &[f64], a: &[Vec<f64>], d: &[Vec<f64>], sigma: &[f64]) -> Vec<Vec<f64>> {
-    let kn = sigma.len();
-    let mut h = vec![vec![0.0; kn]; kn];
-    for t in 0..p.len() {
-        let g_vals: Vec<f64> = (0..kn)
-            .map(|k| a[t][k] * gaussian_pdf_dsigma(d[t][k], sigma[k]))
-            .collect();
-        let m: f64 = (0..kn)
-            .map(|k| a[t][k] * gaussian_pdf(d[t][k], sigma[k]))
-            .sum::<f64>()
-            .max(1e-300);
-        for k in 0..kn {
-            for l in 0..kn {
-                let mut v = -g_vals[k] * g_vals[l] / (m * m);
-                if k == l {
-                    v += a[t][k] * gaussian_pdf_d2sigma(d[t][k], sigma[k]) / m;
+impl<'a> Fit<'a> {
+    fn new(p: &'a [f64], a: &'a [Vec<f64>], d: &[Vec<f64>]) -> Self {
+        let kn = a.first().map_or(0, Vec::len);
+        let mut values: Vec<Vec<f64>> = vec![Vec::new(); kn];
+        let mut seen: Vec<FxHashMap<u64, u32>> = vec![FxHashMap::default(); kn];
+        let mut at = Vec::with_capacity(p.len() * kn);
+        for row in &d[..p.len()] {
+            for (k, &x) in row[..kn].iter().enumerate() {
+                let next = values[k].len() as u32;
+                let index = *seen[k].entry(x.to_bits()).or_insert(next);
+                if index == next {
+                    values[k].push(x);
                 }
-                h[k][l] += p[t] * v / LN10;
+                at.push(index);
             }
         }
+        Self {
+            p,
+            a,
+            values,
+            at,
+            kn,
+        }
     }
-    h
+
+    /// `f(x, σ_k)` for every component k and each of its distinct
+    /// disparities x.
+    fn table(&self, sigma: &[f64], f: fn(f64, f64) -> f64) -> Vec<Vec<f64>> {
+        self.values
+            .iter()
+            .zip(sigma)
+            .map(|(values, &s)| values.iter().map(|&x| f(x, s)).collect())
+            .collect()
+    }
+
+    /// `table[k]` at sequence t's disparity for component k.
+    fn term(&self, table: &[Vec<f64>], t: usize, k: usize) -> f64 {
+        table[k][self.at[t * self.kn + k] as usize]
+    }
+
+    /// Σ_k a_tk · g(σ_k; d_tk), the mixture probability of sequence t.
+    fn mixture(&self, pdf: &[Vec<f64>], t: usize) -> f64 {
+        (0..self.kn)
+            .map(|k| self.a[t][k] * self.term(pdf, t, k))
+            .sum()
+    }
+
+    fn objective(&self, sigma: &[f64]) -> f64 {
+        let pdf = self.table(sigma, gaussian_pdf);
+        let mut f = 0.0;
+        for t in 0..self.p.len() {
+            f += self.p[t] * self.mixture(&pdf, t).max(1e-300).log10();
+        }
+        f
+    }
+
+    fn gradient(&self, sigma: &[f64]) -> Vec<f64> {
+        let (p, a, kn) = (self.p, self.a, self.kn);
+        let pdf = self.table(sigma, gaussian_pdf);
+        let dpdf = self.table(sigma, gaussian_pdf_dsigma);
+        let mut g = vec![0.0; kn];
+        for t in 0..p.len() {
+            let m = self.mixture(&pdf, t).max(1e-300);
+            for k in 0..kn {
+                g[k] += p[t] * a[t][k] * self.term(&dpdf, t, k) / (m * LN10);
+            }
+        }
+        g
+    }
+
+    fn hessian(&self, sigma: &[f64]) -> Vec<Vec<f64>> {
+        let (p, a, kn) = (self.p, self.a, self.kn);
+        let pdf = self.table(sigma, gaussian_pdf);
+        let dpdf = self.table(sigma, gaussian_pdf_dsigma);
+        let d2pdf = self.table(sigma, gaussian_pdf_d2sigma);
+        let mut h = vec![vec![0.0; kn]; kn];
+        // a_tk · g′(σ_k; d_tk) of the current sequence, one buffer for all.
+        let mut g_vals = vec![0.0; kn];
+        for t in 0..p.len() {
+            for (k, g) in g_vals.iter_mut().enumerate() {
+                *g = a[t][k] * self.term(&dpdf, t, k);
+            }
+            let m = self.mixture(&pdf, t).max(1e-300);
+            for k in 0..kn {
+                for l in 0..kn {
+                    let mut v = -g_vals[k] * g_vals[l] / (m * m);
+                    if k == l {
+                        v += a[t][k] * self.term(&d2pdf, t, k) / m;
+                    }
+                    h[k][l] += p[t] * v / LN10;
+                }
+            }
+        }
+        h
+    }
 }
 
 /// Solve `A x = b` by Gaussian elimination with partial pivoting.
@@ -179,22 +242,23 @@ pub fn fit_mixture_sigmas(
         };
     }
 
-    let mut f = objective(p, a, d, &sigma);
+    let fit = Fit::new(p, a, d);
+    let mut f = fit.objective(&sigma);
     let mut newton_steps = 0;
     let mut iterations = 0;
     let mut converged = false;
 
     for _ in 0..cfg.max_iters {
         iterations += 1;
-        let g = gradient(p, a, d, &sigma);
-        let h = hessian(p, a, d, &sigma);
+        let g = fit.gradient(&sigma);
+        let h = fit.hessian(&sigma);
 
         // Newton candidate: σ − H⁻¹ ∇f (Eq. 10).
         let mut improved = false;
         if let Some(step) = solve_linear(h, g.clone()) {
             let mut cand: Vec<f64> = sigma.iter().zip(&step).map(|(s, dx)| s - dx).collect();
             project(&mut cand, cfg);
-            let fc = objective(p, a, d, &cand);
+            let fc = fit.objective(&cand);
             if fc > f {
                 if (fc - f).abs() < cfg.tol {
                     sigma = cand;
@@ -217,7 +281,7 @@ pub fn fit_mixture_sigmas(
             for _ in 0..30 {
                 let mut cand: Vec<f64> = sigma.iter().zip(&g).map(|(s, gi)| s + eta * gi).collect();
                 project(&mut cand, cfg);
-                let fc = objective(p, a, d, &cand);
+                let fc = fit.objective(&cand);
                 if fc > f + 1e-15 {
                     if (fc - f).abs() < cfg.tol {
                         converged = true;
@@ -304,7 +368,7 @@ mod tests {
         );
         // Objective must have improved over the starting point.
         let start = vec![FitConfig::default().sigma_init; 2];
-        assert!(out.objective >= objective(&p, &a, &d, &start) - 1e-12);
+        assert!(out.objective >= Fit::new(&p, &a, &d).objective(&start) - 1e-12);
     }
 
     #[test]
@@ -369,14 +433,15 @@ mod tests {
         let a = vec![vec![0.3, 0.2], vec![0.15, 0.4]];
         let d = vec![vec![0.0, 2.0], vec![1.0, 0.0]];
         let sigma = vec![0.8, 1.3];
-        let g = gradient(&p, &a, &d, &sigma);
+        let fit = Fit::new(&p, &a, &d);
+        let g = fit.gradient(&sigma);
         let h = 1e-6;
         for k in 0..2 {
             let mut up = sigma.clone();
             up[k] += h;
             let mut down = sigma.clone();
             down[k] -= h;
-            let fd = (objective(&p, &a, &d, &up) - objective(&p, &a, &d, &down)) / (2.0 * h);
+            let fd = (fit.objective(&up) - fit.objective(&down)) / (2.0 * h);
             assert!(
                 (g[k] - fd).abs() < 1e-6,
                 "component {k}: {} vs {}",
@@ -392,7 +457,8 @@ mod tests {
         let a = vec![vec![0.3, 0.2], vec![0.15, 0.4]];
         let d = vec![vec![0.0, 2.0], vec![1.0, 0.0]];
         let sigma = vec![0.8, 1.3];
-        let hess = hessian(&p, &a, &d, &sigma);
+        let fit = Fit::new(&p, &a, &d);
+        let hess = fit.hessian(&sigma);
         let h = 1e-5;
         for k in 0..2 {
             for l in 0..2 {
@@ -400,8 +466,7 @@ mod tests {
                 up[l] += h;
                 let mut down = sigma.clone();
                 down[l] -= h;
-                let fd =
-                    (gradient(&p, &a, &d, &up)[k] - gradient(&p, &a, &d, &down)[k]) / (2.0 * h);
+                let fd = (fit.gradient(&up)[k] - fit.gradient(&down)[k]) / (2.0 * h);
                 assert!(
                     (hess[k][l] - fd).abs() < 1e-5,
                     "H[{k}][{l}]: {} vs {}",

@@ -134,13 +134,16 @@ pub struct NetClient {
     wbuf: Vec<u8>,
     rbuf: Vec<u8>,
     max_frame_len: usize,
+    /// The read and write timeout last set on `stream`; `None` when not
+    /// known (a set that failed halfway).
+    io_timeout: Option<Option<Duration>>,
 }
 
 impl NetClient {
     /// Connect with no I/O timeouts (reads block until the server
     /// replies or disconnects).
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
-        Self::from_stream(TcpStream::connect(addr)?)
+        Self::from_stream(TcpStream::connect(addr)?, None)
     }
 
     /// Connect and bound the connect itself *and* every read/write by
@@ -152,25 +155,35 @@ impl NetClient {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
-        Self::from_stream(stream)
+        Self::from_stream(stream, Some(timeout))
     }
 
-    fn from_stream(stream: TcpStream) -> io::Result<Self> {
+    /// Wrap a connected stream whose read and write timeouts are both
+    /// `io_timeout`.
+    fn from_stream(stream: TcpStream, io_timeout: Option<Duration>) -> io::Result<Self> {
         stream.set_nodelay(true)?;
         Ok(NetClient {
             stream,
             wbuf: Vec::new(),
             rbuf: Vec::new(),
             max_frame_len: wire::DEFAULT_MAX_FRAME,
+            io_timeout: Some(io_timeout),
         })
     }
 
     /// Rebound (or clear, with `None`) the read/write timeouts of this
     /// connection — how a pooled connection gets a fresh per-attempt
-    /// deadline without reconnecting.
-    pub fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+    /// deadline without reconnecting. Setting the timeout the connection
+    /// already has makes no system call.
+    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        if self.io_timeout == Some(timeout) {
+            return Ok(());
+        }
+        self.io_timeout = None;
         self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)
+        self.stream.set_write_timeout(timeout)?;
+        self.io_timeout = Some(timeout);
+        Ok(())
     }
 
     fn send(&mut self) -> Result<(), NetError> {
@@ -351,4 +364,55 @@ fn unexpected(reply: &Reply<'_>) -> NetError {
         Reply::Evicted { .. } => wire::op::R_EVICTED,
     };
     NetError::UnexpectedReply { opcode }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn set_io_timeout_skips_an_unchanged_timeout_and_applies_a_changed_one() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let ms = Duration::from_millis;
+        // The kernel keeps a timeout at its own granularity; a second
+        // socket shows what it reports back for a value.
+        let reference = TcpStream::connect(addr).unwrap();
+        let kernel = |timeout: Option<Duration>| {
+            reference.set_read_timeout(timeout).unwrap();
+            let got = reference.read_timeout().unwrap();
+            (got, got)
+        };
+        let read_back = |client: &NetClient| {
+            (
+                client.stream.read_timeout().unwrap(),
+                client.stream.write_timeout().unwrap(),
+            )
+        };
+        let mut client = NetClient::connect_timeout(addr, ms(250)).unwrap();
+        assert_eq!(read_back(&client), kernel(Some(ms(250))));
+
+        // The same value again is skipped: a timeout changed behind the
+        // client's back stays as it is.
+        client.stream.set_read_timeout(Some(ms(900))).unwrap();
+        client.set_io_timeout(Some(ms(250))).unwrap();
+        assert_eq!(read_back(&client).0, kernel(Some(ms(900))).0);
+        assert_eq!(read_back(&client).1, kernel(Some(ms(250))).1);
+
+        // A changed value reaches both directions.
+        client.set_io_timeout(Some(ms(400))).unwrap();
+        assert_eq!(read_back(&client), kernel(Some(ms(400))));
+        client.set_io_timeout(Some(ms(400))).unwrap();
+        assert_eq!(read_back(&client), kernel(Some(ms(400))));
+        client.set_io_timeout(None).unwrap();
+        assert_eq!(read_back(&client), (None, None));
+
+        // A set that fails leaves nothing cached to skip against.
+        assert!(client.set_io_timeout(Some(Duration::ZERO)).is_err());
+        assert_eq!(client.io_timeout, None);
+        client.set_io_timeout(None).unwrap();
+        assert_eq!(read_back(&client), (None, None));
+        assert_eq!(client.io_timeout, Some(None));
+    }
 }

@@ -56,8 +56,8 @@
 //! in a [`Swap`] — the same publication cell the serve tier uses for
 //! model snapshots — so it can change **at runtime, under traffic**, with
 //! one pointer swap and zero locks on the serving path. Every operation
-//! loads the view once and runs its whole deadline/retry/failover scan
-//! against it:
+//! reads the view once, through [`Swap::with`]'s per-thread handle, and
+//! runs its whole deadline/retry/failover scan against it:
 //!
 //! * [`add_endpoint`](RemoteEngine::add_endpoint) builds a new endpoint
 //!   (best-effort pool warmup, fresh breaker), puts it on the ring and
@@ -404,7 +404,7 @@ pub struct RemoteEngine {
     cfg: RemoteConfig,
     clock: Arc<dyn Clock>,
     /// The live endpoint set and its ring: swapped as one immutable view,
-    /// loaded once per operation. The [`Swap`] generation counts
+    /// read once per operation. The [`Swap`] generation counts
     /// membership changes. Serving never locks this; membership verbs
     /// serialize on `membership` and publish through one pointer swap.
     endpoints: Swap<Members<Arc<Endpoint>>>,
@@ -662,8 +662,9 @@ impl RemoteEngine {
         // One view for the whole operation: every attempt, breaker check,
         // and failover scan sees the same membership, even while
         // add/retire swap the live set underneath.
-        let endpoints = self.snapshot();
-        let outcome = self.attempt(&endpoints, user, self.deadline_at(), retryable, op);
+        let outcome = self
+            .endpoints
+            .with(|endpoints| self.attempt(endpoints, user, self.deadline_at(), retryable, op));
         self.count_degraded(&outcome);
         outcome
     }
@@ -860,7 +861,18 @@ impl RemoteEngine {
         requests: &[SuggestRequest],
         now: u64,
     ) -> RemoteOutcome<Vec<Vec<Suggestion>>> {
-        let endpoints = self.snapshot();
+        self.endpoints
+            .with(|endpoints| self.suggest_batch_over(endpoints, requests, now))
+    }
+
+    /// [`remote_suggest_batch`](Self::remote_suggest_batch) against one
+    /// endpoint view.
+    fn suggest_batch_over(
+        &self,
+        endpoints: &Members<Arc<Endpoint>>,
+        requests: &[SuggestRequest],
+        now: u64,
+    ) -> RemoteOutcome<Vec<Vec<Suggestion>>> {
         let deadline_at = self.deadline_at();
         let mut scatter = Scatter::default();
         let runs = endpoints.scatter(requests, &mut scatter);
@@ -875,7 +887,7 @@ impl RemoteEngine {
                 })
                 .collect();
             let user = Some(run[0].user);
-            let outcome = self.attempt(&endpoints, user, deadline_at, Retryable::Yes, |c| {
+            let outcome = self.attempt(endpoints, user, deadline_at, Retryable::Yes, |c| {
                 match c.suggest_batch(&entries, now)? {
                     // A reply the gather cannot place is the wrong reply.
                     BatchAnswer::Lists(got) if got.len() != entries.len() => {

@@ -41,9 +41,10 @@
 //! model publish: the ring plus the replica slots are one immutable
 //! [`Members`] view behind a [`Swap`] cell — the same view, and the same
 //! placement rule, the remote client in `sqp-net` routes its endpoints
-//! with. Every request loads the view once and runs wholly against it; a
-//! reconfiguration builds the next view off to the side and installs it
-//! with one pointer swap. The cell's generation counter is the **ring
+//! with. Every request reads the view once, through [`Swap::with`]'s
+//! per-thread handle (no lock, no reference count), and runs wholly
+//! against it; a reconfiguration builds the next view off to the side and
+//! installs it with one pointer swap. The cell's generation counter is the **ring
 //! generation** an operator watches ([`RouterStats::ring_generation`]).
 //!
 //! Three membership verbs, all serialized by one control-plane mutex
@@ -429,7 +430,7 @@ impl RouterEngine {
     /// found where it was written (and membership changes move the context
     /// along with the route).
     pub fn replica_for(&self, user: u64) -> usize {
-        self.state().home(user).0 as usize
+        self.state.with(|state| state.home(user).0 as usize)
     }
 
     /// Direct handle to the replica with `id` (for tests and publication
@@ -452,7 +453,7 @@ impl RouterEngine {
     /// amortization) and the results gathered back into request order.
     /// Each sub-batch runs against exactly one replica snapshot, so every
     /// entry's suggestions are wholly from one model even mid-roll; the
-    /// whole batch runs against exactly one membership view, loaded once.
+    /// whole batch runs against exactly one membership view, read once.
     /// Takes no admission permits; the admission-controlled form is
     /// [`ServeSurface::try_suggest_batch_into`].
     pub fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
@@ -485,31 +486,32 @@ impl RouterEngine {
         sink: &mut dyn SuggestSink,
         admit: bool,
     ) -> Result<(), Overloaded> {
-        let state = self.state();
-        scratch::with(&SCRATCH, |Scratch { scatter, gather }| {
-            let runs = state.scatter(requests, scatter);
-            let _permits = if admit {
-                runs.iter()
-                    .map(|(slot, _)| slot.engine.admit())
-                    .collect::<Result<Vec<_>, _>>()?
-            } else {
-                Vec::new()
-            };
-            if !runs.is_split() {
-                // One run is the whole batch, already in request order.
-                for (slot, run) in runs.iter() {
-                    slot.engine.suggest_batch_into(run, now, sink);
+        self.state.with(|state| {
+            scratch::with(&SCRATCH, |Scratch { scatter, gather }| {
+                let runs = state.scatter(requests, scatter);
+                let _permits = if admit {
+                    runs.iter()
+                        .map(|(slot, _)| slot.engine.admit())
+                        .collect::<Result<Vec<_>, _>>()?
+                } else {
+                    Vec::new()
+                };
+                if !runs.is_split() {
+                    // One run is the whole batch, already in request order.
+                    for (slot, run) in runs.iter() {
+                        slot.engine.suggest_batch_into(run, now, sink);
+                    }
+                    return Ok(());
                 }
-                return Ok(());
-            }
-            gather.clear();
-            for (slot, run) in runs.iter() {
-                slot.engine.suggest_batch_into(run, now, gather);
-            }
-            for &at in runs.order() {
-                gather.replay_list(at, sink);
-            }
-            Ok(())
+                gather.clear();
+                for (slot, run) in runs.iter() {
+                    slot.engine.suggest_batch_into(run, now, gather);
+                }
+                for &at in runs.order() {
+                    gather.replay_list(at, sink);
+                }
+                Ok(())
+            })
         })
     }
 
@@ -544,13 +546,14 @@ impl RouterEngine {
     /// involved, so any replica could answer; the context itself is hashed
     /// onto the ring to spread these deterministically.
     pub fn suggest_context(&self, context: &[&str], k: usize) -> Vec<Suggestion> {
-        let state = self.state();
-        let id = state.ring().route_hash(fx_hash_one(&context));
-        state
-            .get(id)
-            .expect("routed id has a slot")
-            .engine
-            .suggest_context(context, k)
+        self.state.with(|state| {
+            let id = state.ring().route_hash(fx_hash_one(&context));
+            state
+                .get(id)
+                .expect("routed id has a slot")
+                .engine
+                .suggest_context(context, k)
+        })
     }
 
     /// Fan an in-memory snapshot out to every replica — N atomic swaps, in
@@ -844,7 +847,8 @@ impl RouterEngine {
 /// ([`RouterEngine::aggregate_stats`]).
 impl ServeSurface for RouterEngine {
     fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
-        self.state().home(user).1.engine.track(user, query, now)
+        self.state
+            .with(|state| state.home(user).1.engine.track(user, query, now))
     }
     fn try_suggest_into(
         &self,
@@ -853,9 +857,10 @@ impl ServeSurface for RouterEngine {
         now: u64,
         sink: &mut dyn SuggestSink,
     ) -> Result<(), Overloaded> {
-        let state = self.state();
-        let home = &state.home(user).1.engine;
-        home.try_suggest_into(user, k, now, sink)
+        self.state.with(|state| {
+            let home = &state.home(user).1.engine;
+            home.try_suggest_into(user, k, now, sink)
+        })
     }
     fn try_track_and_suggest_into(
         &self,
@@ -865,9 +870,10 @@ impl ServeSurface for RouterEngine {
         now: u64,
         sink: &mut dyn SuggestSink,
     ) -> Result<(), Overloaded> {
-        let state = self.state();
-        let home = &state.home(user).1.engine;
-        home.try_track_and_suggest_into(user, query, k, now, sink)
+        self.state.with(|state| {
+            let home = &state.home(user).1.engine;
+            home.try_track_and_suggest_into(user, query, k, now, sink)
+        })
     }
     fn try_suggest_batch_into(
         &self,

@@ -8,7 +8,7 @@
 //! * [`suggest`](ServeEngine::suggest) /
 //!   [`suggest_batch`](ServeEngine::suggest_batch) — rank next-query
 //!   candidates for tracked sessions (batched requests amortize the
-//!   snapshot load, carry stripe locks across same-shard runs, and reuse
+//!   snapshot read, carry stripe locks across same-shard runs, and reuse
 //!   id/top-k buffers across the batch);
 //! * [`suggest_context`](ServeEngine::suggest_context) — stateless
 //!   suggestion for an explicit context;
@@ -30,10 +30,22 @@
 //! [`ServeSurface`](crate::ServeSurface) impl, which takes the permit
 //! first and therefore never touches the sink on a shed.
 //!
-//! Every suggestion is computed against exactly one snapshot handle loaded
-//! at the start of the request, so a mid-request publication can never mix
+//! Every suggestion is computed against exactly one snapshot, read once at
+//! the start of the request, so a mid-request publication can never mix
 //! two models' vocabularies (no torn reads — asserted by the concurrency
 //! tests in the umbrella crate).
+//!
+//! # What a request writes
+//!
+//! A steady-state request — a track, a track-and-suggest, a suggest or a
+//! batch entry — writes no cache line that a request on another stripe
+//! also writes. It reads the snapshot through [`Swap::with`], which
+//! revalidates this thread's cached handle with one load of the cell's
+//! generation and touches neither a lock word nor a reference count; and
+//! it counts itself in its session stripe's own counters, under the stripe
+//! lock it holds anyway. [`stats`](ServeEngine::stats) sums the stripes.
+//! Only the stateless [`suggest_context`](ServeEngine::suggest_context),
+//! which has no stripe, keeps a counter of its own.
 
 use crate::session::{SessionTracker, TrackOutcome, TrackerConfig};
 use crate::sink::SuggestSink;
@@ -184,8 +196,9 @@ pub struct EngineStats {
 pub struct ServeEngine {
     tracker: SessionTracker,
     current: Swap<ModelSnapshot>,
-    tracks: AtomicU64,
-    suggests: AtomicU64,
+    /// Stateless suggestions served; every session-backed one is counted
+    /// in its stripe.
+    context_suggests: AtomicU64,
     evictions: AtomicU64,
     max_in_flight: usize,
     in_flight: AtomicU64,
@@ -225,8 +238,7 @@ impl ServeEngine {
         Self {
             tracker,
             current: Swap::new(snapshot),
-            tracks: AtomicU64::new(0),
-            suggests: AtomicU64::new(0),
+            context_suggests: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             max_in_flight: cfg.max_in_flight,
             in_flight: AtomicU64::new(0),
@@ -302,21 +314,18 @@ impl ServeEngine {
     /// Record a query issued by `user` at `now` (seconds since any fixed
     /// epoch — only gaps matter).
     pub fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
-        let outcome = if self.is_draining() {
-            match self.tracker.track_existing(user, query, now) {
-                Some(outcome) => outcome,
-                None => return self.refuse_drain(),
-            }
+        if self.is_draining() {
+            self.tracker
+                .track_existing(user, query, now)
+                .unwrap_or_else(|| self.refuse_drain())
         } else {
             self.tracker.track(user, query, now)
-        };
-        self.tracks.fetch_add(1, Ordering::Relaxed);
-        outcome
+        }
     }
 
     /// Record `query` for `user` and immediately suggest against the
     /// updated context — the common search-box round trip — writing
-    /// exactly one list to `sink`. One snapshot load and one stripe
+    /// exactly one list to `sink`. One snapshot read and one stripe
     /// acquisition: the context is updated and its ids read out in the same
     /// critical section (one interner probe, for the new query, while the
     /// session's cache is current under the loaded snapshot), and model
@@ -330,53 +339,56 @@ impl ServeEngine {
         now: u64,
         sink: &mut dyn SuggestSink,
     ) {
-        let snapshot = self.current.load();
         let draining = self.is_draining();
-        scratch::with(&SCRATCH, |scratch| {
-            scratch.ids.clear();
-            scratch.topk.clear();
-            let covered = {
-                let shard_idx = self.tracker.shard_index(user);
-                let mut shard = self.tracker.lock_shard(shard_idx);
-                // Chaos seam, struck while the stripe is held: an injected
-                // panic here poisons the lock, exercising the tracker's
-                // poison recovery; an injected stall models a slow shard.
-                self.hazard.strike(&self.shard_sites[shard_idx]);
-                // Same rule as `SessionTracker::track_existing`, applied
-                // inside this path's own critical section: a draining
-                // engine extends only a session that is live *right now*.
-                let cutoff = self.tracker.config().idle_cutoff_secs;
-                let refused = draining
-                    && !shard.sessions.get(&user).is_some_and(|state| {
-                        !state.is_empty() && now.saturating_sub(state.last_seen) <= cutoff
-                    });
-                if refused {
-                    drop(shard);
-                    self.refuse_drain();
-                    false
-                } else {
-                    self.tracks.fetch_add(1, Ordering::Relaxed);
-                    self.suggests.fetch_add(1, Ordering::Relaxed);
-                    let (_, state, inserted) = shard.track(user, query, now, self.tracker.config());
-                    self.tracker.note_insert(inserted);
-                    snapshot.extend_from_session(state, &mut scratch.ids)
+        self.current.with(|snapshot| {
+            scratch::with(&SCRATCH, |scratch| {
+                scratch.ids.clear();
+                scratch.topk.clear();
+                let covered = {
+                    let shard_idx = self.tracker.shard_index(user);
+                    let stripe = self.tracker.stripe(shard_idx);
+                    let mut shard = stripe.lock();
+                    // Chaos seam, struck while the stripe is held: an injected
+                    // panic here poisons the lock, exercising the tracker's
+                    // poison recovery; an injected stall models a slow shard.
+                    self.hazard.strike(&self.shard_sites[shard_idx]);
+                    // Same rule as `SessionTracker::track_existing`, applied
+                    // inside this path's own critical section: a draining
+                    // engine extends only a session that is live *right now*.
+                    let cutoff = self.tracker.config().idle_cutoff_secs;
+                    let refused = draining
+                        && !shard.sessions.get(&user).is_some_and(|state| {
+                            !state.is_empty() && now.saturating_sub(state.last_seen) <= cutoff
+                        });
+                    if refused {
+                        drop(shard);
+                        self.refuse_drain();
+                        false
+                    } else {
+                        stripe.count(1, 1);
+                        let (_, state, inserted) =
+                            shard.track(user, query, now, self.tracker.config());
+                        stripe.note_insert(inserted);
+                        snapshot.extend_from_session(state, &mut scratch.ids)
+                    }
+                };
+                if covered {
+                    snapshot.recommend_ids_into(&scratch.ids, k, &mut scratch.topk);
                 }
-            };
-            if covered {
-                snapshot.recommend_ids_into(&scratch.ids, k, &mut scratch.topk);
-            }
-            snapshot.render(&scratch.topk, sink);
+                snapshot.render(&scratch.topk, sink);
+            })
         });
     }
 
     /// Batched suggestion: rank every request against **one** snapshot
-    /// handle loaded up front and write one list per request to `sink`, in
+    /// read up front and write one list per request to `sink`, in
     /// request order. Runs in two phases so that no model inference (and
     /// no sink call) ever happens under a session lock:
     ///
     /// 1. **Resolve** — walk the requests in order, carrying the stripe
-    ///    lock across consecutive requests that hash to the same shard, and
-    ///    copy each live context out as interned ids into one flat arena.
+    ///    lock across consecutive requests that hash to the same shard,
+    ///    count each request in its stripe, and copy each live context out
+    ///    as interned ids into one flat arena.
     ///    The critical section per request is a map probe plus a copy of
     ///    the session's cached ids — or, for a session last resolved under
     ///    another snapshot, one interner lookup per context entry.
@@ -396,50 +408,52 @@ impl ServeEngine {
         now: u64,
         sink: &mut dyn SuggestSink,
     ) {
-        self.suggests
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        let snapshot = self.current.load();
         let cutoff = self.tracker.config().idle_cutoff_secs;
-        scratch::with(&SCRATCH, |scratch| {
-            let Scratch { ids, spans, topk } = scratch;
-            // Phase 1: copy covered contexts out as ids. `spans[i]` is the
-            // request's range within the flat `ids` arena, or `None` when
-            // the session is absent, expired, or its context is uncovered.
-            ids.clear();
-            spans.clear();
-            let mut held: Option<(usize, std::sync::MutexGuard<'_, crate::session::Shard>)> = None;
-            for req in requests {
-                let shard_idx = self.tracker.shard_index(req.user);
-                if !matches!(&held, Some((idx, _)) if *idx == shard_idx) {
-                    // Release the previous stripe *before* locking the
-                    // next: at most one stripe lock is ever held, so
-                    // concurrent batches cannot form a lock-order cycle.
-                    drop(held.take());
-                    held = Some((shard_idx, self.tracker.lock_shard(shard_idx)));
-                    // Chaos seam: same semantics as in
-                    // `track_and_suggest_into`.
-                    self.hazard.strike(&self.shard_sites[shard_idx]);
-                }
-                let (_, guard) = held.as_mut().expect("stripe lock just taken");
-                let start = ids.len();
-                let covered = match guard.sessions.get_mut(&req.user) {
-                    Some(state) if now.saturating_sub(state.last_seen) <= cutoff => {
-                        snapshot.extend_from_session(state, ids)
+        self.current.with(|snapshot| {
+            scratch::with(&SCRATCH, |scratch| {
+                let Scratch { ids, spans, topk } = scratch;
+                // Phase 1: copy covered contexts out as ids. `spans[i]` is the
+                // request's range within the flat `ids` arena, or `None` when
+                // the session is absent, expired, or its context is uncovered.
+                ids.clear();
+                spans.clear();
+                let mut held: Option<(usize, std::sync::MutexGuard<'_, crate::session::Shard>)> =
+                    None;
+                for req in requests {
+                    let shard_idx = self.tracker.shard_index(req.user);
+                    let stripe = self.tracker.stripe(shard_idx);
+                    if !matches!(&held, Some((idx, _)) if *idx == shard_idx) {
+                        // Release the previous stripe *before* locking the
+                        // next: at most one stripe lock is ever held, so
+                        // concurrent batches cannot form a lock-order cycle.
+                        drop(held.take());
+                        held = Some((shard_idx, stripe.lock()));
+                        // Chaos seam: same semantics as in
+                        // `track_and_suggest_into`.
+                        self.hazard.strike(&self.shard_sites[shard_idx]);
                     }
-                    _ => false,
-                };
-                spans.push(covered.then_some((start, ids.len())));
-            }
-            drop(held);
-
-            // Phase 2: model inference and rendering, lock-free.
-            for (req, span) in requests.iter().zip(spans.iter()) {
-                topk.clear();
-                if let Some((start, end)) = *span {
-                    snapshot.recommend_ids_into(&ids[start..end], req.k, topk);
+                    let (_, guard) = held.as_mut().expect("stripe lock just taken");
+                    stripe.count(0, 1);
+                    let start = ids.len();
+                    let covered = match guard.sessions.get_mut(&req.user) {
+                        Some(state) if now.saturating_sub(state.last_seen) <= cutoff => {
+                            snapshot.extend_from_session(state, ids)
+                        }
+                        _ => false,
+                    };
+                    spans.push(covered.then_some((start, ids.len())));
                 }
-                snapshot.render(topk, sink);
-            }
+                drop(held);
+
+                // Phase 2: model inference and rendering, lock-free.
+                for (req, span) in requests.iter().zip(spans.iter()) {
+                    topk.clear();
+                    if let Some((start, end)) = *span {
+                        snapshot.recommend_ids_into(&ids[start..end], req.k, topk);
+                    }
+                    snapshot.render(topk, sink);
+                }
+            })
         });
     }
 
@@ -471,8 +485,8 @@ impl ServeEngine {
     /// Stateless suggestion for an explicit context (oldest query first),
     /// bypassing the session tracker.
     pub fn suggest_context(&self, context: &[&str], k: usize) -> Vec<Suggestion> {
-        self.suggests.fetch_add(1, Ordering::Relaxed);
-        self.current.load().suggest(context, k)
+        self.context_suggests.fetch_add(1, Ordering::Relaxed);
+        self.current.with(|snapshot| snapshot.suggest(context, k))
     }
 
     /// Atomically publish a freshly trained snapshot; in-flight requests
@@ -512,12 +526,14 @@ impl ServeEngine {
     }
 
     /// Snapshot of the operation counters and gauges. Entirely atomic
-    /// loads — no stripe lock is taken, so this is safe to poll at any
-    /// frequency (a router snapshots every replica per stats call).
+    /// loads — the stripes' counters are summed without taking any stripe
+    /// lock, so this is safe to poll at any frequency (a router snapshots
+    /// every replica per stats call).
     pub fn stats(&self) -> EngineStats {
+        let (tracks, suggests) = self.tracker.served();
         EngineStats {
-            tracks: self.tracks.load(Ordering::Relaxed),
-            suggests: self.suggests.load(Ordering::Relaxed),
+            tracks,
+            suggests: suggests + self.context_suggests.load(Ordering::Relaxed),
             publishes: self.current.generation(),
             shed: self.shed.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -764,6 +780,45 @@ mod tests {
         e.try_suggest_batch_into(&requests, 110, &mut sink).unwrap();
         assert_eq!(sink.len(), 2, "one list per request");
         assert_eq!(e.stats().suggests, 2);
+    }
+
+    #[test]
+    fn stripe_counters_sum_to_exact_stats_across_threads() {
+        // Two threads, each on its own users spread over every stripe:
+        // plain tracks, fused tracks and batch entries, then a stateless
+        // suggest, which has no stripe.
+        const TRACKS: u64 = 300;
+        const FUSED: u64 = 200;
+        const BATCHES: u64 = 50;
+        let e = engine();
+        std::thread::scope(|scope| {
+            for thread in 0..2u64 {
+                let e = &e;
+                scope.spawn(move || {
+                    let user = |i: u64| thread * 1_000 + i % 97;
+                    for i in 0..TRACKS {
+                        e.track(user(i), "start", 100 + i);
+                    }
+                    for i in 0..FUSED {
+                        e.track_and_suggest(user(i), "start", 3, 500 + i);
+                    }
+                    let requests: Vec<SuggestRequest> = (0..BATCHES)
+                        .map(|i| SuggestRequest {
+                            user: user(i * 7),
+                            k: 2,
+                        })
+                        .collect();
+                    for _ in 0..3 {
+                        assert_eq!(e.suggest_batch(&requests, 800).len(), BATCHES as usize);
+                    }
+                });
+            }
+        });
+        e.suggest_context(&["start"], 1);
+        let stats = e.stats();
+        assert_eq!(stats.tracks, 2 * (TRACKS + FUSED));
+        assert_eq!(stats.suggests, 2 * (FUSED + 3 * BATCHES) + 1);
+        assert_eq!(stats.active_sessions, 2 * 97);
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //!   [`Interner`](sqp_common::Interner) its ids are relative to. Ids never
 //!   cross snapshot boundaries, so a snapshot is always internally
 //!   consistent.
-//! * [`Swap`] — an arc-swap-style publication cell. Readers load an
-//!   [`Arc`](std::sync::Arc) handle; a retrain publishes a new snapshot with
-//!   [`Swap::store`] and in-flight requests finish on the old one. No locks
-//!   are held while a model is consulted and no request can observe a
-//!   half-swapped model.
+//! * [`Swap`] — an arc-swap-style publication cell. Readers go through
+//!   [`Swap::with`], which lends each thread its cached
+//!   [`Arc`](std::sync::Arc) after one load of the cell's generation, so a
+//!   steady-state read writes no shared cache line; a retrain publishes a
+//!   new snapshot with [`Swap::store`] and in-flight requests finish on the
+//!   old one. No locks are held while a model is consulted and no request
+//!   can observe a half-swapped model.
 //! * [`SessionTracker`] — sharded, lock-striped per-user context windows
 //!   (one block per session: the recent query text, and beside it the ids
 //!   that text resolved to under one snapshot) with the paper's 30-minute
@@ -23,7 +25,7 @@
 //!   [`SessionTracker::evict_idle`] reclaims abandoned ones.
 //!
 //! The engine's [`suggest_batch`](ServeEngine::suggest_batch) amortizes the
-//! per-request costs — one snapshot load per batch, stripe locks carried
+//! per-request costs — one snapshot read per batch, stripe locks carried
 //! across same-shard runs, and top-k selection running through buffers
 //! reused across the whole batch. Session locks cover only map probes and
 //! a copy of cached ids (interner lookups only for what a session has not

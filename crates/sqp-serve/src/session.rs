@@ -25,12 +25,17 @@
 //! session's id cache up to date in the same section — one interner probe
 //! for a newly tracked query, one per entry after a publish, none
 //! otherwise; model inference always runs with the stripe released).
+//!
+//! Each stripe is one 128-byte-aligned `Stripe`: its mutex and the
+//! counters its lock holder bumps (tracks, suggests, resident sessions), so
+//! a request writes only its own stripe's cache lines. The tracker-wide
+//! figures are sums over the stripes, read with plain loads and no lock.
 
 use sqp_common::bytes::{get_uvarint, put_uvarint, uvarint_len};
 use sqp_common::hash::fx_hash_one;
 use sqp_common::{FxHashMap, QueryId};
 use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The conventional idle cutoff, re-exported from the offline pipeline so
@@ -266,7 +271,7 @@ impl Session {
     }
 }
 
-/// One lock stripe of the session map.
+/// The session map of one lock stripe.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
     pub(crate) sessions: FxHashMap<u64, Session>,
@@ -277,10 +282,9 @@ impl Shard {
     /// if the idle cutoff has passed, append the query, stamp `last_seen`.
     /// Returns the outcome, the updated session (so fused serve paths can
     /// bring its id cache up to date in the same critical section), and
-    /// whether a new map entry was inserted (the caller bumps the
-    /// tracker-wide resident gauge while the stripe is still held, so the
-    /// gauge never transiently disagrees with an eviction on the same
-    /// stripe).
+    /// whether a new map entry was inserted (the caller bumps the stripe's
+    /// resident gauge while the stripe is still held, so the gauge never
+    /// transiently disagrees with an eviction on the same stripe).
     pub(crate) fn track(
         &mut self,
         user: u64,
@@ -311,6 +315,66 @@ impl Shard {
     }
 }
 
+/// One lock stripe: the session map and the counters of the requests
+/// served under its lock, on cache lines of their own. A request on another
+/// stripe writes none of these lines.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct Stripe {
+    shard: Mutex<Shard>,
+    /// Queries recorded here.
+    tracks: AtomicU64,
+    /// Suggestions served against sessions here (one per batch entry).
+    suggests: AtomicU64,
+    /// Sessions resident in `shard`.
+    resident: AtomicU64,
+}
+
+/// Add `delta` (wrapping) to one of a stripe's counters. Only the holder of
+/// the stripe's lock writes them, so a plain load and store is exact, and a
+/// stats reader's plain load sees a whole value.
+fn bump(counter: &AtomicU64, delta: u64) {
+    counter.store(
+        counter.load(Ordering::Relaxed).wrapping_add(delta),
+        Ordering::Relaxed,
+    );
+}
+
+impl Stripe {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Shard> {
+        // Poison recovery: every mutation under a stripe lock (map entry
+        // upsert, block append, retain) leaves the shard in a valid state at
+        // every step — a panicking thread (e.g. an injected chaos panic at a
+        // serve seam) cannot tear it, so the map is safe to keep serving.
+        self.shard.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Count `tracks` recorded queries and `suggests` served suggestions.
+    /// Call with this stripe's lock held.
+    pub(crate) fn count(&self, tracks: u64, suggests: u64) {
+        if tracks != 0 {
+            bump(&self.tracks, tracks);
+        }
+        if suggests != 0 {
+            bump(&self.suggests, suggests);
+        }
+    }
+
+    /// Bump the resident gauge for a fresh map insert. Call with this
+    /// stripe's lock held (see [`Shard::track`]).
+    pub(crate) fn note_insert(&self, inserted: bool) {
+        if inserted {
+            bump(&self.resident, 1);
+        }
+    }
+
+    /// Drop `removed` sessions from the resident gauge. Call with this
+    /// stripe's lock held, right after removing them from the map.
+    fn note_removed(&self, removed: usize) {
+        bump(&self.resident, (removed as u64).wrapping_neg());
+    }
+}
+
 /// Sharded map from hashed user id to bounded session context.
 ///
 /// # Examples
@@ -330,14 +394,9 @@ impl Shard {
 /// ```
 #[derive(Debug)]
 pub struct SessionTracker {
-    shards: Box<[Mutex<Shard>]>,
+    stripes: Box<[Stripe]>,
     mask: u64,
     cfg: TrackerConfig,
-    /// Sessions currently resident across all stripes. Maintained under the
-    /// owning stripe's lock at every insert/remove, so a plain atomic load
-    /// reads an exact count without touching any stripe — stats collection
-    /// (e.g. a router polling every replica) never contends with serving.
-    resident: AtomicUsize,
 }
 
 impl SessionTracker {
@@ -345,10 +404,9 @@ impl SessionTracker {
     pub fn new(cfg: TrackerConfig) -> Self {
         let n = cfg.shards.max(1).next_power_of_two();
         Self {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
+            stripes: (0..n).map(|_| Stripe::default()).collect(),
             mask: (n - 1) as u64,
             cfg,
-            resident: AtomicUsize::new(0),
         }
     }
 
@@ -366,35 +424,38 @@ impl SessionTracker {
     /// Actual stripe count (the configured value rounded up to a power of
     /// two).
     pub(crate) fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.stripes.len()
+    }
+
+    pub(crate) fn stripe(&self, index: usize) -> &Stripe {
+        &self.stripes[index]
     }
 
     pub(crate) fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
-        // Poison recovery: every mutation under a stripe lock (map entry
-        // upsert, block append, retain) leaves the shard in a valid state at
-        // every step — a panicking thread (e.g. an injected chaos panic at a
-        // serve seam) cannot tear it, so the map is safe to keep serving.
-        self.shards[index]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.stripes[index].lock()
     }
 
-    /// Bump the resident gauge for a fresh map insert. Must be called while
-    /// the stripe that performed the insert is still locked (see
-    /// [`Shard::track`]).
-    pub(crate) fn note_insert(&self, inserted: bool) {
-        if inserted {
-            self.resident.fetch_add(1, Ordering::Relaxed);
-        }
+    /// The stripes' `(tracks, suggests)` summed with plain loads, no lock.
+    pub(crate) fn served(&self) -> (u64, u64) {
+        self.stripes
+            .iter()
+            .fold((0, 0), |(tracks, suggests), stripe| {
+                (
+                    tracks.wrapping_add(stripe.tracks.load(Ordering::Relaxed)),
+                    suggests.wrapping_add(stripe.suggests.load(Ordering::Relaxed)),
+                )
+            })
     }
 
     /// Record a query issued by `user` at `now` (seconds). Applies the idle
     /// cutoff lazily: a gap beyond the cutoff discards the stale context and
     /// starts a fresh session.
     pub fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
-        let mut shard = self.lock_shard(self.shard_index(user));
+        let stripe = self.stripe(self.shard_index(user));
+        let mut shard = stripe.lock();
         let (outcome, _, inserted) = shard.track(user, query, now, &self.cfg);
-        self.note_insert(inserted);
+        stripe.note_insert(inserted);
+        stripe.count(1, 0);
         outcome
     }
 
@@ -412,11 +473,12 @@ impl SessionTracker {
 
     /// Forget `user` entirely. Returns true if a session existed.
     pub fn clear(&self, user: u64) -> bool {
-        let mut shard = self.lock_shard(self.shard_index(user));
+        let stripe = self.stripe(self.shard_index(user));
+        let mut shard = stripe.lock();
         let removed = shard.sessions.remove(&user).is_some();
         if removed {
             // Still under the stripe lock: the gauge and the map agree.
-            self.resident.fetch_sub(1, Ordering::Relaxed);
+            stripe.note_removed(1);
         }
         removed
     }
@@ -428,27 +490,28 @@ impl SessionTracker {
     pub fn evict_idle(&self, now: u64) -> usize {
         let cutoff = self.cfg.idle_cutoff_secs;
         let mut evicted = 0;
-        for shard in self.shards.iter() {
-            // Poison recovery: see `lock_shard`.
-            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+        for stripe in self.stripes.iter() {
+            let mut shard = stripe.lock();
             let before = shard.sessions.len();
             shard
                 .sessions
                 .retain(|_, state| now.saturating_sub(state.last_seen) <= cutoff);
             let dropped = before - shard.sessions.len();
             // Still under this stripe's lock: the gauge and the map agree.
-            self.resident.fetch_sub(dropped, Ordering::Relaxed);
+            stripe.note_removed(dropped);
             evicted += dropped;
         }
         evicted
     }
 
     /// Number of sessions currently resident (including idle ones not yet
-    /// evicted). Lock-free: reads a gauge maintained under the stripe locks,
-    /// so polling this (e.g. per-replica router stats) never contends with
-    /// `track`/`suggest` traffic.
+    /// evicted). Lock-free: sums the stripes' gauges, each maintained under
+    /// its stripe's lock, so polling this (e.g. per-replica router stats)
+    /// never contends with `track`/`suggest` traffic.
     pub fn active_sessions(&self) -> usize {
-        self.resident.load(Ordering::Relaxed)
+        self.stripes.iter().fold(0u64, |sum, stripe| {
+            sum.wrapping_add(stripe.resident.load(Ordering::Relaxed))
+        }) as usize
     }
 
     /// Like [`SessionTracker::track`], but **refuses to start a session**:
@@ -458,7 +521,8 @@ impl SessionTracker {
     /// This is the tracker half of a draining engine: existing sessions
     /// keep being served to completion, new ones are turned away.
     pub fn track_existing(&self, user: u64, query: &str, now: u64) -> Option<TrackOutcome> {
-        let mut shard = self.lock_shard(self.shard_index(user));
+        let stripe = self.stripe(self.shard_index(user));
+        let mut shard = stripe.lock();
         match shard.sessions.get(&user) {
             Some(state)
                 if !state.is_empty()
@@ -467,6 +531,7 @@ impl SessionTracker {
         }
         let (outcome, _, inserted) = shard.track(user, query, now, &self.cfg);
         debug_assert!(!inserted && !outcome.new_session);
+        stripe.count(1, 0);
         Some(outcome)
     }
 
@@ -485,7 +550,7 @@ impl SessionTracker {
     pub fn export_sessions(&self, now: u64, mut filter: impl FnMut(u64) -> bool) -> ExportBatch {
         let cutoff = self.cfg.idle_cutoff_secs;
         let mut batch = ExportBatch::default();
-        for index in 0..self.shards.len() {
+        for index in 0..self.stripes.len() {
             let shard = self.lock_shard(index);
             for (&user, state) in shard.sessions.iter() {
                 if !filter(user) {
@@ -519,7 +584,8 @@ impl SessionTracker {
     /// activity wins; the context window is truncated to this tracker's
     /// capacity, keeping the most recent queries.
     pub fn import_session(&self, export: &SessionExport) -> bool {
-        let mut shard = self.lock_shard(self.shard_index(export.user));
+        let stripe = self.stripe(self.shard_index(export.user));
+        let mut shard = stripe.lock();
         let mut inserted = false;
         let state = match shard.sessions.entry(export.user) {
             Entry::Occupied(entry) => {
@@ -546,7 +612,7 @@ impl SessionTracker {
         }
         state.last_seen = export.last_seen;
         // Still under the stripe lock: the gauge and the map agree.
-        self.note_insert(inserted);
+        stripe.note_insert(inserted);
         true
     }
 }

@@ -178,7 +178,7 @@ impl ServeSurface for ServeEngine {
         self.track_and_suggest_into(user, query, k, now, sink);
         Ok(())
     }
-    /// The whole batch costs one permit: it shares one snapshot load and
+    /// The whole batch costs one permit: it shares one snapshot read and
     /// its buffers, so per-entry admission would overcount its footprint.
     fn try_suggest_batch_into(
         &self,
