@@ -232,12 +232,7 @@ impl Mvmm {
     fn walk(&self, context: &[QueryId]) -> Walk<'_> {
         let k = self.configs.len();
         let (mut states, mut matched) = ([0u32; MAX_COMPONENTS], [0usize; MAX_COMPONENTS]);
-        let mut state = 0;
-        for (depth, &q) in (1..).zip(context.iter().rev()) {
-            let Some(child) = self.pst.child_of(state, q) else {
-                break;
-            };
-            state = child;
+        for (state, depth) in self.pst.suffix_states(context).zip(1..) {
             for c in (0..k).filter(|&c| self.masks[state as usize] >> c & 1 == 1) {
                 (states[c], matched[c]) = (state, depth);
             }
@@ -338,10 +333,12 @@ impl Recommender for Mvmm {
         // Components often match the state the one before them matched.
         let repeat = |c: usize| c > 0 && walk.state[c] == walk.state[c - 1];
 
-        // Candidate pool, in `out`: the matched states' observed continuations.
+        // Candidate pool, in `out`: the front of each matched state's ranked
+        // answer.
         for c in matched().filter(|&c| !repeat(c)) {
-            let pool = walk.dist[c].observed().take(k * 4);
-            out.extend(pool.map(|(q, _)| Scored::new(q, 0.0)));
+            let answer = self.pst.answer(walk.state[c]);
+            let pool = &answer[..answer.len().min(k * 4)];
+            out.extend(pool.iter().map(|s| Scored::new(s.query, 0.0)));
         }
         out.sort_unstable_by_key(|s| s.query);
         out.dedup_by_key(|s| s.query);

@@ -13,9 +13,19 @@
 //!
 //! States are labelled with contexts read chronologically; the parent of
 //! state `[q1,…,ql]` is its *suffix* `[q2,…,ql]` — walking down from the
-//! root prepends ever-older queries. Longest-suffix lookup is O(D·log m),
-//! the paper's prediction-time bound, with a binary-searched edge run per
-//! state (no hashing, no allocation on the serve path).
+//! root prepends ever-older queries.
+//!
+//! The constructor also lays out what serving reads, derived from the trie
+//! and never written to a file: each state's *answer* — its observed
+//! continuations best first with their smoothed probabilities, exactly what
+//! [`NodeDist::observed`] yields — as one run of a flat [`Scored`] array,
+//! and a dense root table from query id to depth-1 state. A suggest is one
+//! load from that table for the newest query, a binary-searched edge run
+//! for each older one (O(D·log m), the paper's prediction-time bound), and
+//! a copy of the front of the matched state's run: no hashing, no
+//! division, no allocation. That costs 16 B per observed continuation of a
+//! state and 4 B per query id up to the largest with a depth-1 state:
+//! +1.1 MB on the 7 947-state benchmark model over its 7.3 MB trie.
 
 use sqp_common::arena::SuffixTrie;
 use sqp_common::topk::Scored;
@@ -32,8 +42,8 @@ use std::sync::Arc;
 /// untouched.
 ///
 /// The raw ML counts are the trie's id-sorted child keys and totals, so
-/// `prob` is an O(log m) binary search; the trie's rank run keeps the
-/// best-first order for top-k without re-sorting at query time.
+/// `prob` is an O(log m) binary search; the trie's rank run gives the
+/// best-first order [`Pst::answer`] lays out once.
 #[derive(Clone, Copy, Debug)]
 pub struct NodeDist<'a> {
     /// Observed continuations, ascending by query id.
@@ -94,13 +104,6 @@ impl<'a> NodeDist<'a> {
         }
     }
 
-    /// Top-k into a caller-owned buffer (cleared first) — the allocation-free
-    /// serve path when the buffer is reused across requests.
-    pub fn top_k_into(&self, k: usize, out: &mut Vec<Scored>) {
-        out.clear();
-        out.extend(self.observed().take(k).map(|(q, p)| Scored::new(q, p)));
-    }
-
     /// Observed continuations `(query, smoothed prob)`, best first.
     pub fn observed(&self) -> impl Iterator<Item = (QueryId, f64)> + 'a {
         let dist = *self;
@@ -120,11 +123,6 @@ impl<'a> NodeDist<'a> {
     pub fn total(&self) -> u64 {
         self.total
     }
-
-    /// True when the node has no continuation evidence.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
 }
 
 /// One state's slots in the flat arrays. A run ends where the next state's
@@ -136,6 +134,7 @@ struct State {
     /// The state of the one-shorter suffix (the root's is itself).
     parent: u32,
     first_edge: u32,
+    first_answer: u32,
 }
 
 /// The prediction suffix tree. State `0` is the root (the empty context);
@@ -152,7 +151,16 @@ pub struct Pst {
     edge_queries: Vec<QueryId>,
     /// …and the states they lead to.
     edge_states: Vec<u32>,
+    /// Per state, its observed continuations best first with their smoothed
+    /// probabilities: [`NodeDist::observed`], laid out once.
+    answers: Vec<Scored>,
+    /// Per query id, the root's child state along it ([`NO_STATE`] for
+    /// none), up to the largest id with one.
+    root_states: Vec<u32>,
 }
+
+/// A `root_states` entry for a query with no depth-1 state.
+const NO_STATE: u32 = u32::MAX;
 
 /// Why a node list is not the state set of any PST over a given trie — what
 /// [`Pst::from_states`] returns instead of building from it. The list may
@@ -261,6 +269,7 @@ impl Pst {
                 node,
                 parent: 0,
                 first_edge: first_edge as u32,
+                first_answer: 0,
             });
         }
         debug_assert_eq!(next_edge, edges.len());
@@ -268,18 +277,43 @@ impl Pst {
             node: SuffixTrie::ROOT,
             parent: 0,
             first_edge: edges.len() as u32,
+            first_answer: 0,
         });
         for &(parent, _, child) in &edges {
             states[child as usize].parent = parent;
         }
 
-        Ok(Pst {
+        // The root's edges are the depth-1 states, ascending by query.
+        let root_edges = &edges[..states[1].first_edge as usize];
+        let width = root_edges.last().map_or(0, |e| e.1.index() + 1);
+        let mut root_states = vec![NO_STATE; width];
+        for &(_, q, child) in root_edges {
+            root_states[q.index()] = child;
+        }
+
+        let n_states = nodes.len() + 1;
+        let answer_len = states[..n_states]
+            .iter()
+            .map(|s| trie.rank(s.node).len())
+            .sum();
+        let mut pst = Pst {
             trie,
             n_queries,
             states,
             edge_queries: edges.iter().map(|e| e.1).collect(),
             edge_states: edges.iter().map(|e| e.2).collect(),
-        })
+            answers: Vec::with_capacity(answer_len),
+            root_states,
+        };
+        let mut answers = std::mem::take(&mut pst.answers);
+        for state in 0..n_states {
+            pst.states[state].first_answer = answers.len() as u32;
+            let ranked = pst.dist(state as u32).observed();
+            answers.extend(ranked.map(|(q, p)| Scored::new(q, p)));
+        }
+        pst.states[n_states].first_answer = answers.len() as u32;
+        pst.answers = answers;
+        Ok(pst)
     }
 
     /// Number of states, including the root (the paper's PST size metric).
@@ -328,7 +362,17 @@ impl Pst {
         )
     }
 
-    /// The state one query older than `state` along `q`, if any.
+    /// The observed continuations of `state`, best first, with their
+    /// smoothed probabilities: `dist(state).observed()`, bit for bit.
+    #[inline]
+    pub fn answer(&self, state: u32) -> &[Scored] {
+        let lo = self.states[state as usize].first_answer as usize;
+        let hi = self.states[state as usize + 1].first_answer as usize;
+        &self.answers[lo..hi]
+    }
+
+    /// The state one query older than `state` along `q`, if any, by a
+    /// binary search of `state`'s edge run.
     #[inline]
     pub(crate) fn child_of(&self, state: u32, q: QueryId) -> Option<u32> {
         let lo = self.states[state as usize].first_edge as usize;
@@ -339,21 +383,34 @@ impl Pst {
             .map(|i| self.edge_states[lo + i])
     }
 
+    /// The states on the newest-first walk of `context` below the root:
+    /// the i-th is its suffix of length i + 1. The first step is one load
+    /// from the root table, each deeper one a [`Pst::child_of`] search.
+    #[inline]
+    pub(crate) fn suffix_states<'c>(
+        &'c self,
+        context: &'c [QueryId],
+    ) -> impl Iterator<Item = u32> + 'c {
+        let mut older = context.iter().rev();
+        let first = older
+            .next()
+            .and_then(|q| self.root_states.get(q.index()))
+            .filter(|&&state| state != NO_STATE)
+            .copied();
+        std::iter::successors(first, move |&state| {
+            older.next().and_then(|&q| self.child_of(state, q))
+        })
+    }
+
     /// Longest suffix of `context` that is a state: returns `(state,
     /// matched length)`; `(0, 0)` means only the root matches.
+    #[inline]
     pub fn longest_suffix(&self, context: &[QueryId]) -> (u32, usize) {
-        let mut state = 0u32;
-        let mut matched = 0usize;
-        for &q in context.iter().rev() {
-            match self.child_of(state, q) {
-                Some(child) => {
-                    state = child;
-                    matched += 1;
-                }
-                None => break,
-            }
+        let mut found = (0, 0);
+        for (state, matched) in self.suffix_states(context).zip(1..) {
+            found = (state, matched);
         }
-        (state, matched)
+        found
     }
 
     /// True when `context` is exactly a state of the tree.
@@ -367,12 +424,14 @@ impl Pst {
         (matched == context.len()).then_some(state)
     }
 
-    /// Heap bytes of the index alone; the trie it points into is shared and
-    /// accounted by whoever holds it.
+    /// Heap bytes of the index, its ranked answers and its root table; the
+    /// trie it points into is shared and accounted by whoever holds it.
     pub fn heap_bytes(&self) -> usize {
         self.states.capacity() * std::mem::size_of::<State>()
             + self.edge_queries.capacity() * std::mem::size_of::<QueryId>()
             + self.edge_states.capacity() * std::mem::size_of::<u32>()
+            + self.answers.capacity() * std::mem::size_of::<Scored>()
+            + self.root_states.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -533,12 +592,9 @@ mod tests {
     #[test]
     fn top_k_orders_by_probability() {
         let pst = dist_tree(&[(5, 70), (2, 20), (9, 10)], 10);
-        let d = pst.dist(0);
-        let mut top = vec![Scored::new(QueryId(0), 0.0); 3];
-        d.top_k_into(2, &mut top);
-        assert_eq!(top.len(), 2, "the reused buffer is cleared first");
-        assert_eq!(top[0].query, QueryId(5));
-        assert_eq!(top[1].query, QueryId(2));
+        let ids: Vec<u32> = pst.answer(0).iter().map(|s| s.query.0).collect();
+        assert_eq!(ids, vec![5, 2, 9]);
+        assert_eq!(pst.answer(0)[0].score, pst.dist(0).prob(QueryId(5)));
     }
 
     #[test]
@@ -560,10 +616,99 @@ mod tests {
     fn empty_dist() {
         let pst = dist_tree(&[], 5);
         let d = pst.dist(0);
-        assert!(d.is_empty());
         assert_eq!(d.total(), 0);
         assert!((d.prob(QueryId(0)) - 0.2).abs() < 1e-12); // uniform
         assert_eq!(d.observed().count(), 0);
+        assert!(pst.answer(0).is_empty());
+    }
+
+    /// The newest-first walk that searches every edge run, the root's too.
+    fn reference_walk(pst: &Pst, context: &[QueryId]) -> (u32, usize) {
+        let (mut state, mut matched) = (0, 0);
+        for &q in context.iter().rev() {
+            let Some(child) = pst.child_of(state, q) else {
+                break;
+            };
+            (state, matched) = (child, matched + 1);
+        }
+        (state, matched)
+    }
+
+    #[test]
+    fn the_serve_layout_is_the_distributions_and_the_edge_walk() {
+        use crate::persist::{model_from_bytes, model_to_bytes};
+        use crate::{Mvmm, MvmmConfig, Recommender, Vmm, VmmConfig};
+        use sqp_common::rng::{Rng, StdRng};
+
+        let logs = sqp_logsim::generate(&sqp_logsim::SimConfig::small(4_000, 100, 44));
+        let pipeline = sqp_sessions::PipelineConfig {
+            reduction_threshold: 0,
+        };
+        let p = sqp_sessions::process(&logs, &pipeline);
+        let (sessions, vocabulary) = (&p.train.aggregated.sessions, p.interner.len());
+
+        let mut models: Vec<Box<dyn Recommender>> = [0.0, 0.05, 0.1]
+            .into_iter()
+            .map(|e| Box::new(Vmm::train(sessions, VmmConfig::with_epsilon(e))) as _)
+            .collect();
+        let depth_mixture = MvmmConfig::depth_mixture(&[(2, 0.1), (3, 0.2), (2, 0.0)]);
+        for config in [MvmmConfig::epsilon_sweep(), depth_mixture] {
+            models.push(Box::new(Mvmm::train(sessions, &config)));
+        }
+        for i in 0..models.len() {
+            let (kind, bytes) = model_to_bytes(models[i].as_ref()).unwrap();
+            models.push(model_from_bytes(kind, bytes, vocabulary).unwrap());
+        }
+
+        for model in &models {
+            let any = model.as_any().unwrap();
+            let pst = match any.downcast_ref::<Vmm>() {
+                Some(vmm) => vmm.pst(),
+                None => any.downcast_ref::<Mvmm>().unwrap().pst(),
+            };
+            for state in 0..pst.len() as u32 {
+                let laid_out = pst
+                    .answer(state)
+                    .iter()
+                    .map(|s| (s.query, s.score.to_bits()));
+                let observed = pst.dist(state).observed().map(|(q, p)| (q, p.to_bits()));
+                assert!(laid_out.eq(observed), "state {state} of {}", model.name());
+            }
+
+            // Contexts: suffixes of training sessions, some with a random
+            // id spliced in, random ids around the vocabulary's end, and
+            // the largest id.
+            let mut rng = StdRng::seed_from_u64(pst.len() as u64);
+            let (mut unrooted, mut past_end, mut deep) = (0, 0, 0);
+            for _ in 0..10_000 {
+                let (session, _) = &sessions[rng.random_range(0..sessions.len())];
+                let end = rng.random_range(0..=session.len());
+                let mut context = session[end - rng.random_range(0..=end.min(5))..end].to_vec();
+                if !context.is_empty() && rng.random_bool(0.3) {
+                    let at = rng.random_range(0..context.len());
+                    context[at] = match rng.random_range(0..3u32) {
+                        0 => QueryId(u32::MAX),
+                        _ => QueryId(rng.random_range(0..vocabulary as u32 + 4)),
+                    };
+                }
+                let expected = reference_walk(pst, &context);
+                assert_eq!(pst.longest_suffix(&context), expected, "{context:?}");
+                if let Some(&newest) = context.last() {
+                    if newest.index() >= vocabulary {
+                        past_end += 1;
+                    } else if expected.1 == 0 {
+                        unrooted += 1;
+                    }
+                }
+                deep += usize::from(expected.1 >= 2);
+            }
+            let name = model.name();
+            assert!(
+                unrooted > 0 && past_end > 0 && deep > 0,
+                "{name}: every kind of walk"
+            );
+            assert_eq!(pst.longest_suffix(&[]), (0, 0));
+        }
     }
 
     #[test]

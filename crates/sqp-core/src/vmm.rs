@@ -24,13 +24,18 @@
 //!   run on every core; the states are then marked in canonical order, so
 //!   the set is the same on any thread count;
 //! * **(c)** smooth every node distribution with the constant 1/|Q| for
-//!   unobserved queries and renormalize — at read time, from the trie row
-//!   the state points at ([`crate::pst::NodeDist`]); nothing is stored.
+//!   unobserved queries and renormalize — from the trie row the state
+//!   points at ([`crate::pst::NodeDist`]); no probability is stored in a
+//!   file.
 //!
 //! What training produces is therefore a *set of trie nodes*: the trained
 //! model is the window trie it was counted in, shared and not copied, plus
-//! the [`Pst`] index over the nodes that became states. Prediction walks
-//! the longest matching suffix in O(D·log m) with no allocation. The
+//! the [`Pst`] index over the nodes that became states. Building that index
+//! lays out each state's smoothed continuations once, best first, and a
+//! root table from query id to depth-1 state, so a prediction is one load
+//! for the newest query, a binary-searched edge run for each older one
+//! (O(D·log m)) and a copy of the front of the matched state's ranked run
+//! ([`Pst::answer`]), with no allocation. The
 //! context-escape mechanism of Eq. (5)–(6), which only a mixture applies
 //! (§IV-C.2), reads the same trie ([`crate::Mvmm`]).
 
@@ -477,9 +482,9 @@ impl Recommender for Vmm {
         &self.name
     }
 
-    /// Top-`k` by longest-suffix state matching. With a reused buffer the
-    /// whole serve path — suffix match, distribution lookup, top-k —
-    /// performs **zero heap allocations**.
+    /// Top-`k` by longest-suffix state matching: the first `k` entries of
+    /// the matched state's ranked answer. With a reused buffer the whole
+    /// serve path performs **zero heap allocations**.
     ///
     /// # Examples
     ///
@@ -502,9 +507,9 @@ impl Recommender for Vmm {
         // Walk toward the root if a state lacks evidence: the growth rule
         // never marks such a window, a state list read from disk may.
         loop {
-            let dist = self.pst.dist(idx);
-            if !dist.is_empty() {
-                dist.top_k_into(k, out);
+            let answer = self.pst.answer(idx);
+            if !answer.is_empty() {
+                out.extend_from_slice(&answer[..k.min(answer.len())]);
                 return;
             }
             idx = self.pst.parent(idx);
