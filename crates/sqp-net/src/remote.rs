@@ -81,7 +81,7 @@
 //! never touches.
 
 use crate::client::{BatchAnswer, NetClient, NetError, ServeAnswer};
-use crate::wire::{self, BatchEntry, WireStats};
+use crate::wire::{self, BatchEntry};
 use sqp_common::breaker::{Admission, Backoff, Breaker, BreakerConfig, BreakerStats};
 use sqp_common::clock::{Clock, RealClock};
 use sqp_router::{Members, Scatter};
@@ -396,6 +396,19 @@ enum Retryable {
     /// Only safe to retry failures that prove the request never left
     /// (`TRACK`, `TRACK_SUGGEST`).
     ConnectOnly,
+}
+
+/// How one attempt on one endpoint ended
+/// ([`RemoteEngine::try_endpoint`]).
+enum Try<T> {
+    /// The endpoint answered: a value, or a typed `R_ERROR`. Either way
+    /// the transport and the endpoint are healthy.
+    Answered(Result<T, NetError>),
+    /// No connection could be had: the request never left.
+    Unsent(NetError),
+    /// The connection failed mid-request: the request may have reached
+    /// the server.
+    Broken(NetError),
 }
 
 /// A resilient [`ServeSurface`] over remote [`NetServer`](crate::NetServer)
@@ -745,54 +758,21 @@ impl RemoteEngine {
             if at != 0 {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
             }
-            let _op = ep.begin_op();
-
             let remaining = Duration::from_millis(deadline_at - now);
-            match self.checkout(ep, remaining) {
-                Err(e) => {
-                    // The request never left: safe to retry for any op.
-                    ep.count_error(&e);
-                    ep.breaker.record_failure(self.clock.now_millis());
-                    last_error = Some(e);
+            match self.try_endpoint(ep, remaining, &mut op) {
+                Try::Answered(Ok(v)) => return RemoteOutcome::Answered(v),
+                // A typed error: the request is just wrong — retrying
+                // cannot help.
+                Try::Answered(Err(error)) => {
+                    return RemoteOutcome::Degraded(DegradedReason::NotRetryable { error })
                 }
-                Ok(mut client) => {
-                    let attempt_budget = self.cfg.attempt_timeout.min(remaining);
-                    let _ = client.set_io_timeout(Some(attempt_budget));
-                    match op(&mut client) {
-                        Ok(v) => {
-                            ep.counters.answered.fetch_add(1, Ordering::Relaxed);
-                            ep.breaker.record_success();
-                            self.checkin(ep, client);
-                            return RemoteOutcome::Answered(v);
-                        }
-                        Err(e @ NetError::Remote { .. }) => {
-                            // The server answered a typed error: transport
-                            // and endpoint are healthy, the request is
-                            // just wrong — retrying cannot help.
-                            ep.counters.answered.fetch_add(1, Ordering::Relaxed);
-                            ep.breaker.record_success();
-                            self.checkin(ep, client);
-                            return RemoteOutcome::Degraded(DegradedReason::NotRetryable {
-                                error: e,
-                            });
-                        }
-                        Err(e) => {
-                            // The connection is suspect (timed out,
-                            // dropped, desynchronized): never pool it.
-                            drop(client);
-                            ep.count_error(&e);
-                            ep.breaker.record_failure(self.clock.now_millis());
-                            if retryable == Retryable::ConnectOnly {
-                                // The bytes may have reached the server;
-                                // re-sending could double-apply.
-                                return RemoteOutcome::Degraded(DegradedReason::NotRetryable {
-                                    error: e,
-                                });
-                            }
-                            last_error = Some(e);
-                        }
-                    }
+                // The bytes may have reached the server; re-sending could
+                // double-apply.
+                Try::Broken(error) if retryable == Retryable::ConnectOnly => {
+                    return RemoteOutcome::Degraded(DegradedReason::NotRetryable { error })
                 }
+                // The request never left, or the op is idempotent: retry.
+                Try::Unsent(e) | Try::Broken(e) => last_error = Some(e),
             }
 
             // Prefer a different endpoint on the next attempt.
@@ -810,6 +790,45 @@ impl RemoteEngine {
         }
 
         RemoteOutcome::Degraded(DegradedReason::DeadlineExhausted { last_error })
+    }
+
+    /// One attempt of `op` on `ep`, whose breaker the caller has already
+    /// consulted: check a connection out within `budget`, run `op` under
+    /// the per-attempt timeout, and account for the result on `ep`. An
+    /// answer — a value or a typed `R_ERROR` — counts as answered and as a
+    /// breaker success and pools the connection; a transport failure
+    /// counts as an error and a breaker failure and drops it.
+    fn try_endpoint<T>(
+        &self,
+        ep: &Endpoint,
+        budget: Duration,
+        op: &mut impl FnMut(&mut NetClient) -> Result<T, NetError>,
+    ) -> Try<T> {
+        let _op = ep.begin_op();
+        let mut client = match self.checkout(ep, budget) {
+            Ok(client) => client,
+            Err(e) => {
+                ep.count_error(&e);
+                ep.breaker.record_failure(self.clock.now_millis());
+                return Try::Unsent(e);
+            }
+        };
+        let _ = client.set_io_timeout(Some(self.cfg.attempt_timeout.min(budget)));
+        match op(&mut client) {
+            answer @ (Ok(_) | Err(NetError::Remote { .. })) => {
+                ep.counters.answered.fetch_add(1, Ordering::Relaxed);
+                ep.breaker.record_success();
+                self.checkin(ep, client);
+                Try::Answered(answer)
+            }
+            // The connection is suspect (timed out, dropped,
+            // desynchronized): never pool it.
+            Err(e) => {
+                ep.count_error(&e);
+                ep.breaker.record_failure(self.clock.now_millis());
+                Try::Broken(e)
+            }
+        }
     }
 
     fn note_shed(&self) {
@@ -951,74 +970,23 @@ impl RemoteEngine {
 
     /// One bounded attempt of `op` against every endpoint whose breaker
     /// admits it (no retries — fan-out operations are best-effort per
-    /// endpoint).
+    /// endpoint): the answering endpoints' values.
     fn for_each_endpoint<T>(
         &self,
         mut op: impl FnMut(&mut NetClient) -> Result<T, NetError>,
-    ) -> Vec<Option<T>> {
+    ) -> Vec<T> {
         self.snapshot()
             .iter()
-            .map(|(_, ep)| {
-                let now = self.clock.now_millis();
-                match ep.breaker.admit(now) {
-                    Admission::Refused { .. } => return None,
-                    Admission::Allowed | Admission::Probe => {}
+            .filter_map(|(_, ep)| {
+                if let Admission::Refused { .. } = ep.breaker.admit(self.clock.now_millis()) {
+                    return None;
                 }
-                let _op = ep.begin_op();
-                let mut client = match self.checkout(ep, self.cfg.attempt_timeout) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        ep.count_error(&e);
-                        ep.breaker.record_failure(self.clock.now_millis());
-                        return None;
-                    }
-                };
-                let _ = client.set_io_timeout(Some(self.cfg.attempt_timeout));
-                match op(&mut client) {
-                    Ok(v) => {
-                        ep.counters.answered.fetch_add(1, Ordering::Relaxed);
-                        ep.breaker.record_success();
-                        self.checkin(ep, client);
-                        Some(v)
-                    }
-                    Err(e) => {
-                        ep.count_error(&e);
-                        ep.breaker.record_failure(self.clock.now_millis());
-                        None
-                    }
+                match self.try_endpoint(ep, self.cfg.attempt_timeout, &mut op) {
+                    Try::Answered(answer) => answer.ok(),
+                    Try::Unsent(_) | Try::Broken(_) => None,
                 }
             })
             .collect()
-    }
-
-    /// Aggregate wire stats across answering endpoints: traffic counters
-    /// and gauges sum; `generation` and `publishes` are the minimum — the
-    /// fully-propagated generation, matching the `ServeSurface` contract.
-    /// `None` when no endpoint answered.
-    pub fn remote_wire_stats(&self) -> Option<WireStats> {
-        let answers: Vec<WireStats> = self
-            .for_each_endpoint(|c| c.stats())
-            .into_iter()
-            .flatten()
-            .collect();
-        if answers.is_empty() {
-            return None;
-        }
-        let mut agg = WireStats {
-            generation: u64::MAX,
-            publishes: u64::MAX,
-            ..Default::default()
-        };
-        for s in &answers {
-            agg.generation = agg.generation.min(s.generation);
-            agg.tracks += s.tracks;
-            agg.suggests += s.suggests;
-            agg.publishes = agg.publishes.min(s.publishes);
-            agg.shed += s.shed;
-            agg.evictions += s.evictions;
-            agg.active_sessions += s.active_sessions;
-        }
-        Some(agg)
     }
 }
 
@@ -1098,7 +1066,6 @@ impl ServeSurface for RemoteEngine {
     fn evict_idle(&self, now: u64) -> usize {
         self.for_each_endpoint(|c| c.evict_idle(now))
             .into_iter()
-            .flatten()
             .sum::<u64>() as usize
     }
 
@@ -1108,23 +1075,13 @@ impl ServeSurface for RemoteEngine {
     /// through the serving client. Returns the tier's current generation.
     fn publish(&self, _snapshot: Arc<ModelSnapshot>) -> u64 {
         self.publishes_skipped.fetch_add(1, Ordering::Relaxed);
-        self.generation()
+        self.stats().publishes
     }
 
-    fn generation(&self) -> u64 {
-        self.remote_wire_stats().map_or(0, |s| s.generation)
-    }
-
+    /// The [`EngineStats::fold`] of the answering endpoints' `STATS`
+    /// replies.
     fn stats(&self) -> EngineStats {
-        let wire = self.remote_wire_stats().unwrap_or_default();
-        EngineStats {
-            tracks: wire.tracks,
-            suggests: wire.suggests,
-            publishes: wire.publishes,
-            shed: wire.shed,
-            evictions: wire.evictions,
-            active_sessions: wire.active_sessions,
-        }
+        EngineStats::fold(self.for_each_endpoint(|c| c.stats().map(EngineStats::from)))
     }
 }
 

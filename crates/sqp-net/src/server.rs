@@ -513,21 +513,7 @@ fn execute(shared: &Shared, req: Request<'_>, wbuf: &mut Vec<u8>, batch: &mut Ve
             let answered = surface.try_suggest_batch_into(batch, now, &mut frame);
             shed_if_overloaded(shared, wbuf, start, answered);
         }
-        Request::Stats => {
-            let stats = surface.stats();
-            wire::encode_stats_reply(
-                wbuf,
-                &WireStats {
-                    generation: surface.generation(),
-                    tracks: stats.tracks,
-                    suggests: stats.suggests,
-                    publishes: stats.publishes,
-                    shed: stats.shed,
-                    evictions: stats.evictions,
-                    active_sessions: stats.active_sessions,
-                },
-            );
-        }
+        Request::Stats => wire::encode_stats_reply(wbuf, &WireStats::from(surface.stats())),
         Request::Ping => wire::encode_pong(wbuf),
         Request::Evict { now } => {
             let count = surface.evict_idle(now) as u64;

@@ -38,7 +38,7 @@
 //!   is the answer — so callers drop it.
 
 use sqp_common::bytes::{get_uvarint, put_uvarint};
-use sqp_serve::{SuggestSink, Suggestion};
+use sqp_serve::{EngineStats, SuggestSink, Suggestion};
 use std::fmt;
 
 /// Size of the frame length prefix (`u32` little-endian), in bytes.
@@ -560,13 +560,14 @@ pub fn encode_rolling_publish(buf: &mut Vec<u8>, path: &str, abort_on_failure: b
 /// little-endian `u64`s — see `WIRE.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WireStats {
-    /// Fully-propagated model generation.
+    /// The surface's model generation: the same number as `publishes`
+    /// (both slots stay for deployed peers).
     pub generation: u64,
     /// Queries tracked.
     pub tracks: u64,
     /// Individual suggestions computed.
     pub suggests: u64,
-    /// Snapshot publishes observed by the surface.
+    /// The surface's [`EngineStats::publishes`].
     pub publishes: u64,
     /// Requests shed by admission control (engine-level).
     pub shed: u64,
@@ -574,6 +575,33 @@ pub struct WireStats {
     pub evictions: u64,
     /// Sessions currently resident.
     pub active_sessions: u64,
+}
+
+impl From<EngineStats> for WireStats {
+    fn from(stats: EngineStats) -> Self {
+        WireStats {
+            generation: stats.publishes,
+            tracks: stats.tracks,
+            suggests: stats.suggests,
+            publishes: stats.publishes,
+            shed: stats.shed,
+            evictions: stats.evictions,
+            active_sessions: stats.active_sessions,
+        }
+    }
+}
+
+impl From<WireStats> for EngineStats {
+    fn from(stats: WireStats) -> Self {
+        EngineStats {
+            tracks: stats.tracks,
+            suggests: stats.suggests,
+            publishes: stats.publishes,
+            shed: stats.shed,
+            evictions: stats.evictions,
+            active_sessions: stats.active_sessions,
+        }
+    }
 }
 
 /// Outcome summary of a `ROLLING_PUBLISH`, as carried by `R_ROLLED`.

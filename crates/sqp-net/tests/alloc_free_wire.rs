@@ -4,23 +4,38 @@
 //! connection turns requests into replies with zero heap traffic.
 //!
 //! Verified with a counting global allocator (same discipline as the
-//! repo-root `alloc_free_serve.rs`). This file holds exactly one test so
-//! no concurrent test can pollute the counter.
+//! repo-root `alloc_free_serve.rs`). The codec runs on the test's own
+//! thread, so the allocator counts only that thread, and only while it is
+//! inside the measured window: the harness's threads allocate whenever
+//! they like without touching the count.
 
 use sqp_net::frame::{read_frame, write_frame, FrameRead};
 use sqp_net::wire::{self, BatchEntry, Reply, Request};
 use sqp_serve::Suggestion;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the measuring thread for the measured window only. A
+    /// `const` initializer, so reading it never allocates.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if MEASURING.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -140,6 +155,7 @@ fn wire_codec_steady_state_is_allocation_free() {
 
     // Measure: many full encode→frame→read→decode rounds, zero allocs.
     let before = ALLOCATIONS.load(Ordering::SeqCst);
+    MEASURING.with(|m| m.set(true));
     let mut checksum = 0u64;
     for _ in 0..500 {
         checksum = checksum.wrapping_add(round(
@@ -150,6 +166,7 @@ fn wire_codec_steady_state_is_allocation_free() {
             &suggestions,
         ));
     }
+    MEASURING.with(|m| m.set(false));
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         checksum,

@@ -20,11 +20,11 @@ use sqp_common::breaker::BreakerConfig;
 use sqp_faults::{Chaos, ChaosProxy, FaultPlan};
 use sqp_logsim::RawLogRecord;
 use sqp_net::{
-    EndpointConfig, EndpointSetError, NetServer, RemoteConfig, RemoteEngine, RemoteOutcome,
-    ServerConfig,
+    EndpointConfig, EndpointSetError, NetClient, NetServer, RemoteConfig, RemoteEngine,
+    RemoteOutcome, ServerConfig,
 };
 use sqp_serve::{
-    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, TrainingConfig,
+    EngineConfig, EngineStats, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, TrainingConfig,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -168,11 +168,55 @@ fn added_endpoint_takes_traffic_without_a_restart() {
     for engine in &engines {
         engine.publish(engine.snapshot());
     }
-    assert_eq!(remote.generation(), 1);
-    assert_eq!(remote.stats().publishes, remote.generation());
+    assert_eq!(remote.stats().publishes, 1);
 
     a.shutdown();
     b.shutdown();
+}
+
+/// The remote tier's record is the field-by-field fold of its endpoints'
+/// `STATS` replies: counters and gauges sum, `publishes` is the minimum.
+/// Each reply's `generation` slot carries its `publishes`.
+#[test]
+fn the_remote_record_folds_its_endpoints_replies() {
+    let engines = [test_engine(), test_engine()];
+    let servers = [serve(engines[0].clone()), serve(engines[1].clone())];
+    for _ in 0..3 {
+        engines[0].publish(engines[0].snapshot());
+    }
+    engines[1].publish(engines[1].snapshot());
+    let remote = RemoteEngine::connect(
+        servers
+            .iter()
+            .map(|s| EndpointConfig::serve_only(s.serve_addr()))
+            .collect(),
+        fast_remote_config(),
+    );
+    for user in 0..40 {
+        remote.track_and_suggest(user, "weather", 1, 1_000);
+    }
+    assert_eq!(remote.evict_idle(u64::MAX / 2), 40);
+
+    let replies: Vec<_> = servers
+        .iter()
+        .map(|s| {
+            let reply = NetClient::connect(s.serve_addr()).unwrap().stats().unwrap();
+            assert_eq!(reply.generation, reply.publishes, "{reply:?}");
+            reply
+        })
+        .collect();
+    assert_eq!((replies[0].publishes, replies[1].publishes), (3, 1));
+    let expected = EngineStats {
+        tracks: replies.iter().map(|r| r.tracks).sum(),
+        suggests: replies.iter().map(|r| r.suggests).sum(),
+        publishes: replies.iter().map(|r| r.publishes).min().unwrap(),
+        shed: replies.iter().map(|r| r.shed).sum(),
+        evictions: replies.iter().map(|r| r.evictions).sum(),
+        active_sessions: replies.iter().map(|r| r.active_sessions).sum(),
+    };
+    assert_eq!(remote.stats(), expected);
+    assert_eq!((expected.tracks, expected.evictions), (40, 40));
+    servers.iter().for_each(NetServer::shutdown);
 }
 
 #[test]

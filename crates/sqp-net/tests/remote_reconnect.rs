@@ -10,15 +10,21 @@
 //! interesting case: it only works because `RemoteEngine::drain_pools`
 //! makes the *client* side close first (so the dying server's sockets
 //! skip `TIME_WAIT` and the port frees immediately).
+//!
+//! A typed `R_ERROR` reply is the other side of that typing: the endpoint
+//! answered, so its breaker records a success whichever operation asked.
 
 use sqp_common::breaker::{BreakerConfig, BreakerState};
 use sqp_faults::{Chaos, ChaosProxy, FaultPlan};
 use sqp_logsim::RawLogRecord;
+use sqp_net::frame::{read_frame, write_frame, FrameRead};
 use sqp_net::{
-    EndpointConfig, NetClient, NetError, NetServer, RemoteConfig, RemoteEngine, RemoteOutcome,
-    ServerConfig,
+    wire, EndpointConfig, NetClient, NetError, NetServer, RemoteConfig, RemoteEngine,
+    RemoteOutcome, ServerConfig,
 };
-use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
+use sqp_serve::{
+    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, TrainingConfig,
+};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
@@ -197,4 +203,58 @@ fn remote_engine_recovers_across_same_port_server_restart() {
     assert!(stats.degraded >= 5);
     assert!(stats.reconnects >= 1, "recovery implies a fresh connection");
     server.shutdown();
+}
+
+/// A listener that answers every frame on every connection with a typed
+/// `R_ERROR`.
+fn start_error_listener() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for mut conn in listener.incoming().flatten() {
+            std::thread::spawn(move || {
+                let (mut body, mut reply) = (Vec::new(), Vec::new());
+                while let Ok(FrameRead::Frame) =
+                    read_frame(&mut conn, &mut body, wire::DEFAULT_MAX_FRAME)
+                {
+                    reply.clear();
+                    wire::encode_error(&mut reply, wire::code::UNKNOWN_OPCODE, "no");
+                    if write_frame(&mut conn, &reply, wire::DEFAULT_MAX_FRAME).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_typed_error_on_a_fan_out_op_is_an_answer() {
+    let addr = start_error_listener();
+    let remote = RemoteEngine::connect(
+        vec![EndpointConfig::serve_only(addr)],
+        RemoteConfig {
+            pool_warmup: 0,
+            breaker: BreakerConfig {
+                threshold: 1,
+                cooldown: Duration::from_secs(60),
+            },
+            ..RemoteConfig::default()
+        },
+    );
+    let answered = || remote.remote_stats().endpoints[0].answered;
+    assert_eq!(answered(), 0);
+
+    // Neither fan-out op gets a value back, and neither trips the breaker:
+    // the endpoint answered both.
+    assert_eq!(remote.stats(), Default::default());
+    assert_eq!(remote.evict_idle(1_000), 0);
+    assert_eq!(remote.endpoint_breaker(0).state, BreakerState::Closed);
+    assert_eq!(answered(), 2);
+
+    // A serving op's typed error is the same answer.
+    assert!(matches!(remote.remote_ping(), RemoteOutcome::Degraded(_)));
+    assert_eq!(remote.endpoint_breaker(0).state, BreakerState::Closed);
+    assert_eq!(answered(), 3);
 }

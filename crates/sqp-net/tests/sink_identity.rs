@@ -249,8 +249,8 @@ fn replies_equal_the_encoded_owned_answers_byte_for_byte() {
     );
 
     // The served tier counted exactly the work it was sent.
-    let stats = served.aggregate_stats();
-    assert_eq!(stats.tracks, reference.aggregate_stats().tracks);
+    let stats = ServeSurface::stats(&*served);
+    assert_eq!(stats.tracks, ServeSurface::stats(&*reference).tracks);
     let batched: usize = batches.iter().map(Vec::len).sum();
     assert_eq!(stats.suggests, 600 + batched as u64);
     drop(raw);
@@ -285,7 +285,7 @@ fn a_batch_shed_at_the_last_replica_is_exactly_overloaded_and_leaves_no_stale_by
     wire::encode_overloaded(&mut expected, 1);
     assert_eq!(raw.round_trip(&request), expected);
     assert_eq!(
-        served.aggregate_stats().suggests,
+        ServeSurface::stats(&*served).suggests,
         0,
         "a shed batch counts nothing"
     );

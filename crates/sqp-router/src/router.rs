@@ -133,6 +133,15 @@ impl ReplicaSlot {
     fn generation(&self) -> u64 {
         self.gen_offset + self.engine.generation()
     }
+
+    /// The engine's counters and gauges, with `publishes` the replica's
+    /// tier-comparable generation.
+    fn stats(&self) -> EngineStats {
+        EngineStats {
+            publishes: self.generation(),
+            ..self.engine.stats()
+        }
+    }
 }
 
 /// Where a multi-replica batch waits to be put back in request order: the
@@ -199,10 +208,9 @@ pub struct ReplicaStats {
     /// tier. For a tier that has seen no membership changes, ids are the
     /// construction indices `0..replicas`.
     pub id: u32,
-    /// Model generation the replica is serving (its publish count, offset
-    /// so that replicas joined mid-life report tier-comparable values).
-    pub generation: u64,
-    /// The replica engine's lock-free counters and gauges.
+    /// The replica engine's lock-free counters and gauges. `publishes` is
+    /// the model generation it serves: its publish count, offset so that
+    /// replicas joined mid-life report tier-comparable values.
     pub stats: EngineStats,
     /// Requests currently holding the replica's admission permits.
     pub in_flight: u64,
@@ -240,7 +248,7 @@ impl RouterStats {
     pub fn min_generation(&self) -> u64 {
         self.replicas
             .iter()
-            .map(|r| r.generation)
+            .map(|r| r.stats.publishes)
             .min()
             .unwrap_or(0)
     }
@@ -249,7 +257,7 @@ impl RouterStats {
     pub fn max_generation(&self) -> u64 {
         self.replicas
             .iter()
-            .map(|r| r.generation)
+            .map(|r| r.stats.publishes)
             .max()
             .unwrap_or(0)
     }
@@ -515,33 +523,6 @@ impl RouterEngine {
         })
     }
 
-    /// The tier's counters and gauges folded into one [`EngineStats`]:
-    /// counters (tracks, suggests, shed, evictions) and the session gauge
-    /// sum across replicas, while `publishes` reports the *minimum* replica
-    /// generation — the fully-propagated trailing edge, matching what
-    /// [`ServeSurface::generation`](sqp_serve::ServeSurface::generation)
-    /// reports for a tier. Per-replica detail stays in [`Self::stats`].
-    pub fn aggregate_stats(&self) -> EngineStats {
-        let state = self.state();
-        let mut folded = EngineStats::default();
-        let mut min_generation = u64::MAX;
-        for (_, slot) in state.iter() {
-            let stats = slot.engine.stats();
-            folded.tracks += stats.tracks;
-            folded.suggests += stats.suggests;
-            folded.shed += stats.shed;
-            folded.evictions += stats.evictions;
-            folded.active_sessions += stats.active_sessions;
-            min_generation = min_generation.min(slot.generation());
-        }
-        folded.publishes = if min_generation == u64::MAX {
-            0
-        } else {
-            min_generation
-        };
-        folded
-    }
-
     /// Stateless suggestion for an explicit context. No session is
     /// involved, so any replica could answer; the context itself is hashed
     /// onto the ring to spread these deterministically.
@@ -799,12 +780,12 @@ impl RouterEngine {
         state.iter().map(|(_, s)| s.engine.active_sessions()).sum()
     }
 
-    /// Snapshot the whole tier's health: per-replica generation, counters,
-    /// in-flight, quarantine and draining state, plus the tier shape
-    /// (replica ids, draining set, ring generation). The engine
-    /// rows are pure atomic loads (no stripe locks — see [`EngineStats`]);
-    /// the only locks taken are the cold per-replica health mutexes, which
-    /// the serve path never touches.
+    /// Snapshot the whole tier's health: per-replica counters (`publishes`
+    /// the tier-comparable generation), in-flight, quarantine and draining
+    /// state, plus the tier shape (replica ids, draining set, ring
+    /// generation). The engine rows are pure atomic loads (no stripe
+    /// locks — see [`EngineStats`]); the only locks taken are the cold
+    /// per-replica health mutexes, which the serve path never touches.
     pub fn stats(&self) -> RouterStats {
         let state = self.state();
         let replicas = state
@@ -813,8 +794,7 @@ impl RouterEngine {
                 let health = Self::lock_health_slot(slot);
                 ReplicaStats {
                     id,
-                    generation: slot.generation(),
-                    stats: slot.engine.stats(),
+                    stats: slot.stats(),
                     in_flight: slot.engine.in_flight(),
                     quarantined: health.quarantined,
                     draining: !state.is_on_ring(id),
@@ -841,10 +821,9 @@ impl RouterEngine {
 /// it. A track goes to the user's home replica, and a single-user suggest
 /// is decided by the home replica's in-flight budget, so overload on one
 /// replica sheds only its own users; a batch goes through the tier's one
-/// scatter/gather with every involved replica's permit taken first. The
-/// tier-summary accessors report the trailing edge
-/// ([`RouterStats::min_generation`]) and fold counters across replicas
-/// ([`RouterEngine::aggregate_stats`]).
+/// scatter/gather with every involved replica's permit taken first. Its
+/// `stats` is the [`EngineStats::fold`] of the replica rows, so `publishes`
+/// is the trailing edge ([`RouterStats::min_generation`]).
 impl ServeSurface for RouterEngine {
     fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
         self.state
@@ -889,11 +868,8 @@ impl ServeSurface for RouterEngine {
     fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64 {
         RouterEngine::publish(self, snapshot)
     }
-    fn generation(&self) -> u64 {
-        self.aggregate_stats().publishes
-    }
     fn stats(&self) -> EngineStats {
-        self.aggregate_stats()
+        EngineStats::fold(self.state().iter().map(|(_, slot)| slot.stats()))
     }
 }
 
@@ -1110,20 +1086,57 @@ mod tests {
         let _permit = last_engine.admit().unwrap();
         assert_eq!(r.suggest_batch(&requests, 130), ok);
 
-        // Aggregated stats fold counters and report the trailing edge.
+        // The tier's stats fold counters and report the trailing edge.
         r.try_publish_to(0, snapshot("new"))
             .expect("replica 0 is live");
-        let folded = r.aggregate_stats();
+        let surface: &dyn ServeSurface = &r;
+        let folded = surface.stats();
         assert_eq!(folded.publishes, 0, "tier not fully propagated yet");
         assert_eq!(folded.tracks, 24);
         assert_eq!(folded.suggests, 3 * 24, "three answered batches, one shed");
         assert_eq!(folded.active_sessions, 24);
         assert_eq!(folded.shed, 1);
-        let surface: &dyn ServeSurface = &r;
-        assert_eq!(surface.generation(), 0);
         surface.publish(snapshot("new"));
-        assert_eq!(surface.generation(), r.stats().min_generation());
-        assert_eq!(surface.stats().publishes, surface.generation());
+        assert_eq!(surface.stats().publishes, r.stats().min_generation());
+    }
+
+    /// A joined replica's row carries the tier-comparable generation in
+    /// `stats.publishes`, and the tier's record is the field-by-field fold
+    /// of its rows: counters and gauges sum, `publishes` is the minimum.
+    #[test]
+    fn the_tier_record_folds_the_rows_across_a_join() {
+        let r = router(3);
+        for user in 0..60u64 {
+            r.track(user, "start", 100);
+        }
+        r.publish(snapshot("new"));
+        r.publish(snapshot("newer"));
+        for user in 0..60u64 {
+            r.try_suggest(user, 1, 110).unwrap();
+        }
+        let report = r.join_replica(120);
+        r.evict_idle(u64::MAX / 2);
+
+        let stats = r.stats();
+        let row = stats
+            .replicas
+            .iter()
+            .find(|row| row.id == report.replica)
+            .unwrap();
+        assert_eq!(row.stats.publishes, 2, "{stats:?}");
+        assert_eq!(stats.min_generation(), 2);
+        let rows = || stats.replicas.iter().map(|row| row.stats);
+        let expected = EngineStats {
+            tracks: rows().map(|s| s.tracks).sum(),
+            suggests: rows().map(|s| s.suggests).sum(),
+            publishes: rows().map(|s| s.publishes).min().unwrap(),
+            shed: rows().map(|s| s.shed).sum(),
+            evictions: rows().map(|s| s.evictions).sum(),
+            active_sessions: rows().map(|s| s.active_sessions).sum(),
+        };
+        assert_eq!(ServeSurface::stats(&r), expected);
+        assert_eq!((expected.tracks, expected.suggests), (60, 60));
+        assert!(expected.evictions > 0);
     }
 
     /// Compile-time audit (mirrors sqp-serve's): the tier is shareable
@@ -1210,7 +1223,7 @@ mod tests {
             .find(|row| row.id == report.replica)
             .unwrap();
         assert_eq!(
-            row.generation, 2,
+            row.stats.publishes, 2,
             "newcomer joins on the leading edge: {stats:?}"
         );
         assert_eq!(stats.max_generation(), 2);

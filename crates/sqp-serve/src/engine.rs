@@ -153,7 +153,8 @@ pub struct EngineStats {
     /// Suggestion computations served (batch entries count individually;
     /// an entry answered with the empty list was still served).
     pub suggests: u64,
-    /// Snapshots published.
+    /// Snapshots published: the surface's model generation (for a tier,
+    /// the fully-propagated one — see [`EngineStats::fold`]).
     pub publishes: u64,
     /// Requests shed by admission control ([`ServeEngine::admit`] refusals).
     pub shed: u64,
@@ -163,6 +164,26 @@ pub struct EngineStats {
     /// Sessions currently resident in the tracker (a gauge, not a counter —
     /// it goes down when sessions are evicted or cleared).
     pub active_sessions: u64,
+}
+
+impl EngineStats {
+    /// A tier's record from its members': `tracks`, `suggests`, `shed`,
+    /// `evictions` and `active_sessions` sum, while `publishes` is the
+    /// minimum — the generation every member has reached. No members fold
+    /// to all zeros.
+    pub fn fold(members: impl IntoIterator<Item = EngineStats>) -> EngineStats {
+        members
+            .into_iter()
+            .reduce(|a, b| EngineStats {
+                tracks: a.tracks + b.tracks,
+                suggests: a.suggests + b.suggests,
+                publishes: a.publishes.min(b.publishes),
+                shed: a.shed + b.shed,
+                evictions: a.evictions + b.evictions,
+                active_sessions: a.active_sessions + b.active_sessions,
+            })
+            .unwrap_or_default()
+    }
 }
 
 /// A concurrent query-suggestion server over a hot-swappable model.
@@ -632,6 +653,27 @@ mod tests {
         // The pre-publish handle still serves the old vocabulary.
         assert_eq!(held.suggest(&["start"], 1)[0].query, "old::next");
         assert_eq!(e.stats().publishes, 1);
+    }
+
+    #[test]
+    fn fold_sums_counters_and_keeps_the_trailing_generation() {
+        assert_eq!(EngineStats::fold([]), EngineStats::default());
+        let member = |publishes, n| EngineStats {
+            tracks: n,
+            suggests: 2 * n,
+            publishes,
+            shed: 3 * n,
+            evictions: 4 * n,
+            active_sessions: 5 * n,
+        };
+        assert_eq!(EngineStats::fold([member(7, 1)]), member(7, 1));
+        assert_eq!(
+            EngineStats::fold([member(3, 1), member(2, 10), member(5, 100)]),
+            EngineStats {
+                publishes: 2,
+                ..member(0, 111)
+            }
+        );
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   shed reply;
 //! * the **soak runner** (`sqp-soak::runner`) drives byte-identical
 //!   seeded traffic through any implementation's `try_*` forms;
-//! * **operations** polls [`stats`](ServeSurface::stats) /
-//!   [`generation`](ServeSurface::generation), which implementations keep
-//!   lock-free so a poller never contends with traffic.
+//! * **operations** polls [`stats`](ServeSurface::stats), which
+//!   implementations keep lock-free so a poller never contends with
+//!   traffic.
 //!
 //! # The suggest family
 //!
@@ -143,13 +143,10 @@ pub trait ServeSurface: Send + Sync {
     /// publish.
     fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64;
 
-    /// The surface's fully-propagated generation (minimum across replicas).
-    fn generation(&self) -> u64;
-
-    /// Lock-free counters and gauges, aggregated across replicas for a
-    /// tier (`publishes` reports the fully-propagated generation, matching
-    /// [`generation`](Self::generation)). This is what a wire-level stats
-    /// endpoint serves, so it must stay cheap enough to poll per request.
+    /// Lock-free counters and gauges; a tier reports its members'
+    /// [`EngineStats::fold`], so `publishes` is its fully-propagated model
+    /// generation. This is what a wire-level stats endpoint serves, so it
+    /// must stay cheap enough to poll per request.
     fn stats(&self) -> EngineStats;
 }
 
@@ -195,9 +192,6 @@ impl ServeSurface for ServeEngine {
     }
     fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64 {
         ServeEngine::publish(self, snapshot)
-    }
-    fn generation(&self) -> u64 {
-        ServeEngine::generation(self)
     }
     fn stats(&self) -> EngineStats {
         ServeEngine::stats(self)
@@ -276,7 +270,6 @@ mod tests {
             batch
         );
         assert_eq!(surface.publish(snapshot), 1);
-        assert_eq!(surface.generation(), 1);
         let stats = surface.stats();
         assert_eq!(stats.publishes, 1);
         assert_eq!(stats.suggests, engine.stats().suggests);

@@ -199,7 +199,7 @@ pub fn run_skew_soak(threads: usize, hold_ops_per_step: u64) -> SkewSoakReport {
     assert_eq!(stats.min_generation(), 1);
     assert_eq!(stats.quarantined(), 0);
     for row in &stats.replicas {
-        assert_eq!(row.generation, 1, "a replica missed the roll");
+        assert_eq!(row.stats.publishes, 1, "a replica missed the roll");
     }
     let count = |new: usize, mid_roll: usize| served[new][mid_roll].load(Ordering::Relaxed);
     let report = SkewSoakReport {
@@ -299,7 +299,7 @@ pub fn run_chaos_roll(seed: u64) -> ChaosRollReport {
     assert_eq!(stats.quarantined(), 1);
     assert!(stats.replicas[failed_replica].quarantined);
     assert_eq!(stats.generation_skew(), 1);
-    assert_eq!(stats.replicas[failed_replica].generation, 0);
+    assert_eq!(stats.replicas[failed_replica].stats.publishes, 0);
     // The quarantined replica serves its last-good model; upgraded
     // replicas serve the new one. Same request shape, different replica,
     // different — but never torn — provenance.

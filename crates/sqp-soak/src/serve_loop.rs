@@ -135,7 +135,7 @@ pub fn run_on<S: ServeSurface>(
         swaps_completed: published_at.len() as u64,
         // Traffic went on after these publishes: they raced live requests.
         mid_run_swaps: published_at.iter().filter(|&&at| at < ops_total).count() as u64,
-        final_generation: tier.generation(),
+        final_generation: stats.publishes,
         active_sessions: stats.active_sessions,
         evicted_at_end: tier.evict_idle(u64::MAX / 2) as u64,
     }

@@ -210,7 +210,9 @@ impl RouterPublish for RouterEngine {
             let trailing: Vec<usize> = stats
                 .replicas
                 .iter()
-                .filter(|row| row.generation < target && !attempted.contains(&(row.id as usize)))
+                .filter(|row| {
+                    row.stats.publishes < target && !attempted.contains(&(row.id as usize))
+                })
                 .map(|row| row.id as usize)
                 .collect();
             if trailing.is_empty() {
