@@ -1,8 +1,11 @@
 //! A blocking wire client with per-connection buffer reuse.
 //!
-//! [`NetClient`] owns one keep-alive TCP connection and two buffers (one
-//! outbound, one inbound) that every request reuses, so a serve loop
-//! driving millions of requests allocates only for the answers it keeps.
+//! [`NetClient`] owns one keep-alive TCP connection and three buffers that
+//! every request reuses — one outbound frame, one inbound frame, and the
+//! [`FlatAnswer`] a suggestion reply is decoded into — so a serve loop
+//! driving millions of requests allocates only for the answers it keeps,
+//! and an owned answer is one text allocation plus one `Vec` per
+//! non-empty list, converted from that flat answer.
 //! One client is one connection and is deliberately `!Sync` usage-wise:
 //! the protocol answers in request order, so concurrent callers would
 //! read each other's replies. Open one client per thread instead — the
@@ -11,7 +14,7 @@
 
 use crate::frame::{read_frame, write_frame, FrameRead};
 use crate::wire::{self, BatchEntry, Reply, RollSummary, WireError, WireStats};
-use sqp_serve::{SuggestSink, Suggestion};
+use sqp_serve::{FlatAnswer, Suggestion};
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -118,6 +121,38 @@ pub enum BatchAnswer {
     },
 }
 
+/// A suggestion reply as decoded into the connection's [`FlatAnswer`]:
+/// what the owned [`ServeAnswer`] and [`BatchAnswer`] are converted from,
+/// and what `RemoteEngine` writes into a caller's sink.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Answered<'a> {
+    /// The lists, as many as the request asked for.
+    Lists(&'a FlatAnswer),
+    /// The request was shed.
+    Overloaded {
+        /// The exhausted budget.
+        limit: u64,
+    },
+}
+
+impl From<Answered<'_>> for ServeAnswer {
+    fn from(answered: Answered<'_>) -> Self {
+        match answered {
+            Answered::Lists(answer) => ServeAnswer::Suggestions(answer.to_list()),
+            Answered::Overloaded { limit } => ServeAnswer::Overloaded { limit },
+        }
+    }
+}
+
+impl From<Answered<'_>> for BatchAnswer {
+    fn from(answered: Answered<'_>) -> Self {
+        match answered {
+            Answered::Lists(answer) => BatchAnswer::Lists(answer.to_lists()),
+            Answered::Overloaded { limit } => BatchAnswer::Overloaded { limit },
+        }
+    }
+}
+
 /// Acknowledgement of a `TRACK`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrackAck {
@@ -133,6 +168,8 @@ pub struct NetClient {
     stream: TcpStream,
     wbuf: Vec<u8>,
     rbuf: Vec<u8>,
+    /// The lists of the last suggestion reply, decoded out of `rbuf`.
+    answer: FlatAnswer,
     max_frame_len: usize,
     /// The read and write timeout last set on `stream`; `None` when not
     /// known (a set that failed halfway).
@@ -166,6 +203,7 @@ impl NetClient {
             stream,
             wbuf: Vec::new(),
             rbuf: Vec::new(),
+            answer: FlatAnswer::default(),
             max_frame_len: wire::DEFAULT_MAX_FRAME,
             io_timeout: Some(io_timeout),
         })
@@ -205,12 +243,23 @@ impl NetClient {
         wire::decode_reply(&self.rbuf).map_err(NetError::Wire)
     }
 
-    /// [`recv`](Self::recv), handing the lists of a suggestion reply to
-    /// `sink` during the decoder's single validating walk. The sink is
-    /// only meaningful when the reply is `Ok`.
-    fn recv_into(&mut self, sink: &mut dyn SuggestSink) -> Result<Reply<'_>, NetError> {
+    /// Read a suggestion reply: its lists are decoded into the
+    /// connection's [`FlatAnswer`] in the decoder's single validating walk,
+    /// and are only there when the reply is `Ok` — a reply that fails to
+    /// decode part-way is an `Err`, never a shorter answer. `batch` is the
+    /// entry count of a batch request (`None` for a single-list one); an
+    /// `R_BATCH` with any other list count is the wrong reply.
+    fn recv_answer(&mut self, batch: Option<usize>) -> Result<Answered<'_>, NetError> {
         self.recv_frame()?;
-        wire::decode_reply_into(&self.rbuf, sink).map_err(NetError::Wire)
+        self.answer.clear();
+        let reply =
+            wire::decode_reply_into(&self.rbuf, &mut self.answer).map_err(NetError::Wire)?;
+        match reply {
+            Reply::Suggestions(_) if batch.is_none() => Ok(Answered::Lists(&self.answer)),
+            Reply::Batch(lists) if batch == Some(lists.len()) => Ok(Answered::Lists(&self.answer)),
+            Reply::Overloaded { limit } => Ok(Answered::Overloaded { limit }),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// Track `query` for `user` at `now`.
@@ -232,10 +281,21 @@ impl NetClient {
 
     /// Suggest `k` continuations against `user`'s tracked session.
     pub fn suggest(&mut self, user: u64, k: usize, now: u64) -> Result<ServeAnswer, NetError> {
+        self.suggest_flat(user, k, now).map(ServeAnswer::from)
+    }
+
+    /// [`suggest`](Self::suggest), leaving the list in the connection's
+    /// flat answer.
+    pub(crate) fn suggest_flat(
+        &mut self,
+        user: u64,
+        k: usize,
+        now: u64,
+    ) -> Result<Answered<'_>, NetError> {
         self.wbuf.clear();
         wire::encode_suggest(&mut self.wbuf, user, k, now);
         self.send()?;
-        self.recv_serve_answer()
+        self.recv_answer(None)
     }
 
     /// Track `query`, then suggest `k` continuations, in one round trip.
@@ -246,39 +306,48 @@ impl NetClient {
         k: usize,
         now: u64,
     ) -> Result<ServeAnswer, NetError> {
+        self.track_and_suggest_flat(user, query, k, now)
+            .map(ServeAnswer::from)
+    }
+
+    /// [`track_and_suggest`](Self::track_and_suggest), leaving the list in
+    /// the connection's flat answer.
+    pub(crate) fn track_and_suggest_flat(
+        &mut self,
+        user: u64,
+        query: &str,
+        k: usize,
+        now: u64,
+    ) -> Result<Answered<'_>, NetError> {
         self.wbuf.clear();
         wire::encode_track_suggest(&mut self.wbuf, user, query, k, now);
         self.send()?;
-        self.recv_serve_answer()
-    }
-
-    fn recv_serve_answer(&mut self) -> Result<ServeAnswer, NetError> {
-        let mut suggestions: Vec<Suggestion> = Vec::new();
-        match self.recv_into(&mut suggestions)? {
-            Reply::Suggestions(_) => Ok(ServeAnswer::Suggestions(suggestions)),
-            Reply::Overloaded { limit } => Ok(ServeAnswer::Overloaded { limit }),
-            other => Err(unexpected(&other)),
-        }
+        self.recv_answer(None)
     }
 
     /// Batched suggestion at one shared timestamp. The reply is validated
-    /// and copied into owned lists in one walk; a reply that fails to
-    /// decode part-way is an `Err`, never a shorter answer.
+    /// and laid out flat in one walk, then converted to owned lists; a
+    /// reply that fails to decode part-way, or carries a list count other
+    /// than `entries.len()`, is an `Err`, never a shorter answer.
     pub fn suggest_batch(
         &mut self,
         entries: &[BatchEntry],
         now: u64,
     ) -> Result<BatchAnswer, NetError> {
+        self.suggest_batch_flat(entries, now).map(BatchAnswer::from)
+    }
+
+    /// [`suggest_batch`](Self::suggest_batch), leaving the lists in the
+    /// connection's flat answer.
+    pub(crate) fn suggest_batch_flat(
+        &mut self,
+        entries: &[BatchEntry],
+        now: u64,
+    ) -> Result<Answered<'_>, NetError> {
         self.wbuf.clear();
         wire::encode_suggest_batch(&mut self.wbuf, entries, now);
         self.send()?;
-        // Sized by what was asked for, not by what the reply claims.
-        let mut lists: Vec<Vec<Suggestion>> = Vec::with_capacity(entries.len());
-        match self.recv_into(&mut lists)? {
-            Reply::Batch(_) => Ok(BatchAnswer::Lists(lists)),
-            Reply::Overloaded { limit } => Ok(BatchAnswer::Overloaded { limit }),
-            other => Err(unexpected(&other)),
-        }
+        self.recv_answer(Some(entries.len()))
     }
 
     /// Read the surface's counters and generation.

@@ -26,7 +26,7 @@ pub enum FrameRead {
     Reject(WireError),
 }
 
-/// Read one frame body into `buf` (cleared and resized by this call).
+/// Read one frame body into `buf` (cleared and refilled by this call).
 ///
 /// Returns [`FrameRead::CleanEof`] only when the stream ends exactly at a
 /// frame boundary; an EOF mid-prefix or mid-body surfaces as an
@@ -56,12 +56,19 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>, max_body: usize) -> io::
             max: max_body as u64,
         }));
     }
-    // `len` is bounded by `max_body`, so this resize cannot be driven
+    // `len` is bounded by `max_body`, so this reserve cannot be driven
     // past the configured limit by a hostile prefix; once the buffer has
-    // grown to the connection's working size it is a plain truncate.
+    // grown to the connection's working size it allocates nothing. The
+    // body is read into the spare capacity, which a `TcpStream` fills
+    // without initialising it first.
     buf.clear();
-    buf.resize(len, 0);
-    r.read_exact(buf)?;
+    buf.reserve(len);
+    if r.take(len as u64).read_to_end(buf)? < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "eof inside frame body",
+        ));
+    }
     Ok(FrameRead::Frame)
 }
 

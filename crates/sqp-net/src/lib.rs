@@ -75,7 +75,7 @@ pub use admin::AdminSurface;
 pub use client::{BatchAnswer, NetClient, NetError, ServeAnswer, TrackAck};
 pub use remote::{
     DegradedReason, EndpointConfig, EndpointSetError, EndpointStats, RemoteConfig, RemoteEngine,
-    RemoteOutcome, RemoteStats,
+    RemoteOutcome, RemoteStats, StatsRecord,
 };
 pub use server::{NetServer, NetServerStats, NetSurface, ServerConfig};
 pub use wire::{BatchEntry, Reply, Request, RollSummary, WireError, WireStats};

@@ -80,16 +80,18 @@
 //! Membership changes serialize on a control-plane mutex that serving
 //! never touches.
 
-use crate::client::{BatchAnswer, NetClient, NetError, ServeAnswer};
-use crate::wire::{self, BatchEntry};
+use crate::client::{Answered, NetClient, NetError};
+use crate::wire::BatchEntry;
 use sqp_common::breaker::{Admission, Backoff, Breaker, BreakerConfig, BreakerStats};
 use sqp_common::clock::{Clock, RealClock};
+use sqp_common::scratch;
 use sqp_router::{Members, Scatter};
 use sqp_serve::TrackOutcome;
 use sqp_serve::{
-    EngineStats, ModelSnapshot, Overloaded, ServeSurface, SuggestRequest, SuggestSink, Suggestion,
-    Swap,
+    EngineStats, FlatAnswer, ModelSnapshot, Overloaded, ServeSurface, SuggestRequest, SuggestSink,
+    Suggestion, Swap,
 };
+use std::cell::RefCell;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -854,16 +856,53 @@ impl RemoteEngine {
         k: usize,
         now: u64,
     ) -> RemoteOutcome<Vec<Suggestion>> {
-        let out = self.call(Some(user), Retryable::ConnectOnly, |c| {
-            c.track_and_suggest(user, query, k, now)
-        });
-        self.map_serve_answer(out)
+        self.remote_list(
+            user,
+            Retryable::ConnectOnly,
+            |c| c.track_and_suggest_flat(user, query, k, now),
+            FlatAnswer::to_list,
+        )
     }
 
     /// `SUGGEST` with the full typed outcome (idempotent: retried).
     pub fn remote_suggest(&self, user: u64, k: usize, now: u64) -> RemoteOutcome<Vec<Suggestion>> {
-        let out = self.call(Some(user), Retryable::Yes, |c| c.suggest(user, k, now));
-        self.map_serve_answer(out)
+        self.remote_list(
+            user,
+            Retryable::Yes,
+            |c| c.suggest_flat(user, k, now),
+            FlatAnswer::to_list,
+        )
+    }
+
+    /// One single-list operation for `user`: `send` runs on an endpoint's
+    /// connection, and the list it leaves in the connection's flat answer
+    /// goes to `emit` — once, from the attempt that answered, while that
+    /// connection is still checked out — so the sink forms write it
+    /// straight into the caller's sink and the owned forms convert it,
+    /// with no owned list in between.
+    fn remote_list<R>(
+        &self,
+        user: u64,
+        retryable: Retryable,
+        mut send: impl for<'c> FnMut(&'c mut NetClient) -> Result<Answered<'c>, NetError>,
+        emit: impl FnOnce(&FlatAnswer) -> R,
+    ) -> RemoteOutcome<R> {
+        let mut emit = Some(emit);
+        let outcome = self.call(Some(user), retryable, |c| {
+            Ok(match send(c)? {
+                Answered::Lists(answer) => Ok(emit.take().expect(ANSWERED_ONCE)(answer)),
+                Answered::Overloaded { limit } => Err(limit),
+            })
+        });
+        match outcome {
+            RemoteOutcome::Answered(Ok(value)) => RemoteOutcome::Answered(value),
+            RemoteOutcome::Answered(Err(limit)) => {
+                self.note_shed();
+                RemoteOutcome::Shed { limit }
+            }
+            RemoteOutcome::Shed { limit } => RemoteOutcome::Shed { limit },
+            RemoteOutcome::Degraded(reason) => RemoteOutcome::Degraded(reason),
+        }
     }
 
     /// `SUGGEST_BATCH` with the full typed outcome (idempotent: retried).
@@ -880,74 +919,81 @@ impl RemoteEngine {
         requests: &[SuggestRequest],
         now: u64,
     ) -> RemoteOutcome<Vec<Vec<Suggestion>>> {
-        self.endpoints
-            .with(|endpoints| self.suggest_batch_over(endpoints, requests, now))
+        self.suggest_batch_with(requests, now, FlatAnswer::to_lists_in_order)
     }
 
-    /// [`remote_suggest_batch`](Self::remote_suggest_batch) against one
-    /// endpoint view.
-    fn suggest_batch_over(
+    /// The one batch path behind
+    /// [`remote_suggest_batch`](Self::remote_suggest_batch) and the sink
+    /// form, against one endpoint view: `emit` gets the whole answer once,
+    /// with the order that puts its lists in request order
+    /// ([`FlatAnswer::write_in_order`]). A batch that went whole to one
+    /// endpoint is emitted straight from that connection's flat answer; a
+    /// split one is gathered in run order into a per-thread one first.
+    fn suggest_batch_with<R>(
         &self,
-        endpoints: &Members<Arc<Endpoint>>,
         requests: &[SuggestRequest],
         now: u64,
-    ) -> RemoteOutcome<Vec<Vec<Suggestion>>> {
+        emit: impl FnOnce(&FlatAnswer, &[usize]) -> R,
+    ) -> RemoteOutcome<R> {
         let deadline_at = self.deadline_at();
-        let mut scatter = Scatter::default();
-        let runs = endpoints.scatter(requests, &mut scatter);
-        let mut lists: Vec<Vec<Suggestion>> = Vec::new();
+        let mut emit = Some(emit);
+        let mut emitted = None;
         let mut degraded = None;
-        for (_, run) in runs.iter() {
-            let entries: Vec<BatchEntry> = run
-                .iter()
-                .map(|r| BatchEntry {
-                    user: r.user,
-                    k: r.k,
-                })
-                .collect();
-            let user = Some(run[0].user);
-            let outcome = self.attempt(endpoints, user, deadline_at, Retryable::Yes, |c| {
-                match c.suggest_batch(&entries, now)? {
-                    // A reply the gather cannot place is the wrong reply.
-                    BatchAnswer::Lists(got) if got.len() != entries.len() => {
-                        Err(NetError::UnexpectedReply {
-                            opcode: wire::op::R_BATCH,
+        let outcome = self.endpoints.with(|endpoints| {
+            scratch::with(&SCRATCH, |scratch| {
+                let BatchScratch {
+                    scatter,
+                    entries,
+                    gather,
+                } = scratch;
+                let runs = endpoints.scatter(requests, scatter);
+                gather.clear();
+                for (_, run) in runs.iter() {
+                    entries.clear();
+                    entries.extend(run.iter().map(|r| BatchEntry {
+                        user: r.user,
+                        k: r.k,
+                    }));
+                    let user = Some(run[0].user);
+                    let outcome = self.attempt(endpoints, user, deadline_at, Retryable::Yes, |c| {
+                        Ok(match c.suggest_batch_flat(entries, now)? {
+                            Answered::Lists(answer) if runs.is_split() => {
+                                gather.extend_from(answer);
+                                None
+                            }
+                            Answered::Lists(answer) => {
+                                emitted = Some(emit.take().expect(ANSWERED_ONCE)(answer, &[]));
+                                None
+                            }
+                            Answered::Overloaded { limit } => Some(limit),
                         })
+                    });
+                    match outcome {
+                        RemoteOutcome::Answered(None) => {}
+                        RemoteOutcome::Answered(Some(limit)) => {
+                            self.note_shed();
+                            return RemoteOutcome::Shed { limit };
+                        }
+                        RemoteOutcome::Shed { limit } => return RemoteOutcome::Shed { limit },
+                        RemoteOutcome::Degraded(reason) => {
+                            degraded.get_or_insert(reason);
+                        }
                     }
-                    answer => Ok(answer),
                 }
-            });
-            match outcome {
-                RemoteOutcome::Answered(BatchAnswer::Lists(mut part)) => {
-                    if lists.is_empty() {
-                        lists = part;
-                    } else {
-                        lists.append(&mut part);
-                    }
+                if let Some(reason) = degraded.take() {
+                    return RemoteOutcome::Degraded(reason);
                 }
-                RemoteOutcome::Answered(BatchAnswer::Overloaded { limit }) => {
-                    self.note_shed();
-                    return RemoteOutcome::Shed { limit };
+                match emitted.take() {
+                    Some(value) => RemoteOutcome::Answered(value),
+                    None => RemoteOutcome::Answered(emit.take().expect(ANSWERED_ONCE)(
+                        gather,
+                        runs.order(),
+                    )),
                 }
-                RemoteOutcome::Shed { limit } => return RemoteOutcome::Shed { limit },
-                RemoteOutcome::Degraded(reason) => {
-                    degraded.get_or_insert(reason);
-                }
-            }
-        }
-        if let Some(reason) = degraded {
-            let outcome = RemoteOutcome::Degraded(reason);
-            self.count_degraded(&outcome);
-            return outcome;
-        }
-        if runs.is_split() {
-            lists = runs
-                .order()
-                .iter()
-                .map(|&at| std::mem::take(&mut lists[at]))
-                .collect();
-        }
-        RemoteOutcome::Answered(lists)
+            })
+        });
+        self.count_degraded(&outcome);
+        outcome
     }
 
     /// `PING` the tier (idempotent: retried, fails over). The soak's
@@ -956,26 +1002,16 @@ impl RemoteEngine {
         self.call(None, Retryable::Yes, |c| c.ping())
     }
 
-    fn map_serve_answer(&self, out: RemoteOutcome<ServeAnswer>) -> RemoteOutcome<Vec<Suggestion>> {
-        match out {
-            RemoteOutcome::Answered(ServeAnswer::Suggestions(s)) => RemoteOutcome::Answered(s),
-            RemoteOutcome::Answered(ServeAnswer::Overloaded { limit }) => {
-                self.note_shed();
-                RemoteOutcome::Shed { limit }
-            }
-            RemoteOutcome::Shed { limit } => RemoteOutcome::Shed { limit },
-            RemoteOutcome::Degraded(reason) => RemoteOutcome::Degraded(reason),
-        }
-    }
-
     /// One bounded attempt of `op` against every endpoint whose breaker
     /// admits it (no retries — fan-out operations are best-effort per
-    /// endpoint): the answering endpoints' values.
+    /// endpoint): the answering endpoints' values, and how many endpoints
+    /// the view held.
     fn for_each_endpoint<T>(
         &self,
         mut op: impl FnMut(&mut NetClient) -> Result<T, NetError>,
-    ) -> Vec<T> {
-        self.snapshot()
+    ) -> (Vec<T>, usize) {
+        let endpoints = self.snapshot();
+        let values = endpoints
             .iter()
             .filter_map(|(_, ep)| {
                 if let Admission::Refused { .. } = ep.breaker.admit(self.clock.now_millis()) {
@@ -986,24 +1022,68 @@ impl RemoteEngine {
                     Try::Unsent(_) | Try::Broken(_) => None,
                 }
             })
-            .collect()
+            .collect();
+        (values, endpoints.len())
+    }
+
+    /// The tier's `STATS` record: the [`EngineStats::fold`] of the
+    /// endpoints that answered, and how many of the tier's endpoints that
+    /// is. An endpoint that is down, breaker-open or answers `R_ERROR`
+    /// drops out of the fold but not out of the count, so a partial
+    /// record reads as partial.
+    pub fn stats_record(&self) -> StatsRecord {
+        let (replies, endpoints) = self.for_each_endpoint(|c| c.stats().map(EngineStats::from));
+        StatsRecord {
+            covered: replies.len(),
+            endpoints,
+            stats: EngineStats::fold(replies),
+        }
     }
 }
 
-/// Hand a finished remote outcome to a caller's sink. Only a whole,
-/// validated answer is ever replayed: retries and failover may run an
-/// operation more than once, so the sink cannot be written to while an
-/// attempt is still in doubt. A shed is the typed error and leaves the
-/// sink alone; degraded serving is `lists` empty lists, not an error — the
-/// search box renders nothing instead of breaking.
-fn deliver<T>(
-    outcome: RemoteOutcome<T>,
+/// A remote tier's record ([`RemoteEngine::stats_record`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StatsRecord {
+    /// [`EngineStats::fold`] of the `STATS` replies the endpoints gave.
+    pub stats: EngineStats,
+    /// Endpoints whose reply the fold covers.
+    pub covered: usize,
+    /// Endpoints in the tier when the record was taken.
+    pub endpoints: usize,
+}
+
+/// What an operation's `emit` is handed at most once: the attempt that
+/// answers ends the operation.
+const ANSWERED_ONCE: &str = "an operation is answered once";
+
+/// A batch's per-thread working buffers (a caller's thread sends batch
+/// after batch), so a warmed-up batch allocates only the answer it keeps.
+#[derive(Default)]
+struct BatchScratch {
+    scatter: Scatter,
+    entries: Vec<BatchEntry>,
+    /// A split batch's lists, in run order.
+    gather: FlatAnswer,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<BatchScratch> = RefCell::default();
+}
+
+/// Finish a sink form: its answer was written into the caller's sink by
+/// the attempt that answered (only a whole, validated answer ever is:
+/// retries and failover may run an operation more than once, so the sink
+/// cannot be written to while an attempt is still in doubt). A shed is the
+/// typed error and leaves the sink alone; degraded serving is `lists`
+/// empty lists, not an error — the search box renders nothing instead of
+/// breaking.
+fn deliver(
+    outcome: RemoteOutcome<()>,
     lists: usize,
     sink: &mut dyn SuggestSink,
-    replay: impl FnOnce(T, &mut dyn SuggestSink),
 ) -> Result<(), Overloaded> {
     match outcome {
-        RemoteOutcome::Answered(answer) => replay(answer, sink),
+        RemoteOutcome::Answered(()) => {}
         RemoteOutcome::Shed { limit } => {
             return Err(Overloaded {
                 limit: limit as usize,
@@ -1034,9 +1114,13 @@ impl ServeSurface for RemoteEngine {
         now: u64,
         sink: &mut dyn SuggestSink,
     ) -> Result<(), Overloaded> {
-        deliver(self.remote_suggest(user, k, now), 1, sink, |list, sink| {
-            sink.replay(&list)
-        })
+        let outcome = self.remote_list(
+            user,
+            Retryable::Yes,
+            |c| c.suggest_flat(user, k, now),
+            |answer| answer.write_to(sink),
+        );
+        deliver(outcome, 1, sink)
     }
 
     fn try_track_and_suggest_into(
@@ -1047,8 +1131,13 @@ impl ServeSurface for RemoteEngine {
         now: u64,
         sink: &mut dyn SuggestSink,
     ) -> Result<(), Overloaded> {
-        let outcome = self.remote_track_and_suggest(user, query, k, now);
-        deliver(outcome, 1, sink, |list, sink| sink.replay(&list))
+        let outcome = self.remote_list(
+            user,
+            Retryable::ConnectOnly,
+            |c| c.track_and_suggest_flat(user, query, k, now),
+            |answer| answer.write_to(sink),
+        );
+        deliver(outcome, 1, sink)
     }
 
     fn try_suggest_batch_into(
@@ -1057,16 +1146,15 @@ impl ServeSurface for RemoteEngine {
         now: u64,
         sink: &mut dyn SuggestSink,
     ) -> Result<(), Overloaded> {
-        let outcome = self.remote_suggest_batch(requests, now);
-        deliver(outcome, requests.len(), sink, |lists, sink| {
-            lists.iter().for_each(|list| sink.replay(list))
-        })
+        let outcome = self.suggest_batch_with(requests, now, |answer, order| {
+            answer.write_in_order(order, sink)
+        });
+        deliver(outcome, requests.len(), sink)
     }
 
     fn evict_idle(&self, now: u64) -> usize {
-        self.for_each_endpoint(|c| c.evict_idle(now))
-            .into_iter()
-            .sum::<u64>() as usize
+        let (evicted, _) = self.for_each_endpoint(|c| c.evict_idle(now));
+        evicted.into_iter().sum::<u64>() as usize
     }
 
     /// A counted no-op: servers load snapshots from their own disks, so
@@ -1078,10 +1166,10 @@ impl ServeSurface for RemoteEngine {
         self.stats().publishes
     }
 
-    /// The [`EngineStats::fold`] of the answering endpoints' `STATS`
-    /// replies.
+    /// The fold of [`RemoteEngine::stats_record`], which also says how
+    /// many endpoints it covers.
     fn stats(&self) -> EngineStats {
-        EngineStats::fold(self.for_each_endpoint(|c| c.stats().map(EngineStats::from)))
+        self.stats_record().stats
     }
 }
 

@@ -32,10 +32,10 @@
 //!   pushes what it validates into a sink: [`decode_reply_into`].
 //!   [`decode_reply`] is that walk with a sink that keeps nothing (the
 //!   borrowed [`SuggestionList`]/[`BatchLists`] views then re-read bytes
-//!   the walk has already vetted); a client that wants owned lists passes
-//!   a `Vec` and pays one validation and one copy per string. A sink may
-//!   have been written to when the walk fails — the error, not the sink,
-//!   is the answer — so callers drop it.
+//!   the walk has already vetted); the client passes its connection's
+//!   [`FlatAnswer`](sqp_serve::FlatAnswer) and pays one validation and
+//!   one copy of the text. A sink may have been written to when the walk
+//!   fails — the error, not the sink, is the answer — so callers drop it.
 
 use sqp_common::bytes::{get_uvarint, put_uvarint};
 use sqp_serve::{EngineStats, SuggestSink, Suggestion};

@@ -141,7 +141,7 @@ fn wire_codec_steady_state_is_allocation_free() {
     let entries: Vec<BatchEntry> = (0..16).map(|i| BatchEntry { user: i, k: 5 }).collect();
     let suggestions: Vec<Suggestion> = (0..8)
         .map(|i| Suggestion {
-            query: format!("suggestion number {i}"),
+            query: format!("suggestion number {i}").into(),
             score: 1.0 / (i + 1) as f64,
         })
         .collect();

@@ -59,7 +59,7 @@ fn engine() -> Arc<ServeEngine> {
 
 fn suggestions(answer: ServeAnswer) -> Vec<String> {
     match answer {
-        ServeAnswer::Suggestions(s) => s.into_iter().map(|x| x.query).collect(),
+        ServeAnswer::Suggestions(s) => s.into_iter().map(|x| x.query.to_string()).collect(),
         ServeAnswer::Overloaded { .. } => panic!("no admission limit configured"),
     }
 }

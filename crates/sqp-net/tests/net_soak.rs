@@ -201,7 +201,8 @@ fn soak_mixed_traffic_with_mid_flight_rolling_publish() {
                             {
                                 ServeAnswer::Suggestions(s) => {
                                     report.answered += 1;
-                                    let qs: Vec<String> = s.into_iter().map(|x| x.query).collect();
+                                    let qs: Vec<String> =
+                                        s.into_iter().map(|x| x.query.to_string()).collect();
                                     note(user, &qs, &mut report, &mut last_tag);
                                 }
                                 ServeAnswer::Overloaded { .. } => report.shed += 1,
@@ -211,7 +212,8 @@ fn soak_mixed_traffic_with_mid_flight_rolling_publish() {
                         5 => match client.suggest(user, 3, now).expect("suggest") {
                             ServeAnswer::Suggestions(s) => {
                                 report.answered += 1;
-                                let qs: Vec<String> = s.into_iter().map(|x| x.query).collect();
+                                let qs: Vec<String> =
+                                    s.into_iter().map(|x| x.query.to_string()).collect();
                                 note(user, &qs, &mut report, &mut last_tag);
                             }
                             ServeAnswer::Overloaded { .. } => report.shed += 1,
@@ -230,7 +232,7 @@ fn soak_mixed_traffic_with_mid_flight_rolling_publish() {
                                     report.answered += 1;
                                     for (entry, list) in entries.iter().zip(&lists) {
                                         let qs: Vec<String> =
-                                            list.iter().map(|x| x.query.clone()).collect();
+                                            list.iter().map(|x| x.query.to_string()).collect();
                                         note(entry.user, &qs, &mut report, &mut last_tag);
                                     }
                                 }

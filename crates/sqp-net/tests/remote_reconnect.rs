@@ -247,8 +247,11 @@ fn a_typed_error_on_a_fan_out_op_is_an_answer() {
     assert_eq!(answered(), 0);
 
     // Neither fan-out op gets a value back, and neither trips the breaker:
-    // the endpoint answered both.
-    assert_eq!(remote.stats(), Default::default());
+    // the endpoint answered both. The record says its fold covers none of
+    // the tier's one endpoint.
+    let record = remote.stats_record();
+    assert_eq!((record.covered, record.endpoints), (0, 1));
+    assert_eq!(record.stats, Default::default());
     assert_eq!(remote.evict_idle(1_000), 0);
     assert_eq!(remote.endpoint_breaker(0).state, BreakerState::Closed);
     assert_eq!(answered(), 2);
@@ -257,4 +260,41 @@ fn a_typed_error_on_a_fan_out_op_is_an_answer() {
     assert!(matches!(remote.remote_ping(), RemoteOutcome::Degraded(_)));
     assert_eq!(remote.endpoint_breaker(0).state, BreakerState::Closed);
     assert_eq!(answered(), 3);
+}
+
+/// With one of two endpoints black-holed, the tier's record is the fold of
+/// the one that answered, and says so: one of two.
+#[test]
+fn a_stats_record_says_how_many_endpoints_it_covers() {
+    let healthy = start_server("127.0.0.1:0".parse().unwrap());
+    let hidden = start_server("127.0.0.1:0".parse().unwrap());
+    let proxy = ChaosProxy::start(hidden.serve_addr(), Chaos::new(FaultPlan::quiet(7))).unwrap();
+    let remote = RemoteEngine::connect(
+        vec![
+            EndpointConfig::serve_only(healthy.serve_addr()),
+            EndpointConfig::serve_only(proxy.listen_addr()),
+        ],
+        RemoteConfig {
+            attempt_timeout: Duration::from_millis(150),
+            ..RemoteConfig::default()
+        },
+    );
+    for user in 0..20 {
+        remote.track(user, "weather", 1_000);
+    }
+    let both = remote.stats_record();
+    assert_eq!((both.covered, both.endpoints), (2, 2));
+    assert_eq!(both.stats.tracks, 20);
+
+    proxy.set_blackhole(true);
+    let record = remote.stats_record();
+    assert_eq!((record.covered, record.endpoints), (1, 2));
+    let mut direct = NetClient::connect(healthy.serve_addr()).unwrap();
+    let alone = sqp_serve::EngineStats::from(direct.stats().unwrap());
+    assert_eq!(record.stats, alone);
+    assert!(alone.tracks > 0 && alone.tracks < 20, "{alone:?}");
+    assert_eq!(ServeSurface::stats(&remote), remote.stats_record().stats);
+    proxy.shutdown();
+    healthy.shutdown();
+    hidden.shutdown();
 }

@@ -64,7 +64,7 @@ fn reference(body: &[u8]) -> Result<Lists, WireError> {
             let query =
                 std::str::from_utf8(take(body, at, len)?).map_err(|_| WireError::BadUtf8)?;
             out.push(Suggestion {
-                query: query.to_owned(),
+                query: query.into(),
                 score,
             });
         }
@@ -106,7 +106,10 @@ impl SuggestSink for Recording {
         self.lists.push(Vec::new());
     }
     fn suggestion(&mut self, query: &str, score: f64) {
-        self.lists.last_mut().unwrap().suggestion(query, score);
+        self.lists.last_mut().unwrap().push(Suggestion {
+            query: query.into(),
+            score,
+        });
     }
 }
 
@@ -156,7 +159,7 @@ fn check(body: &[u8], what: &str) {
 fn owned<'a>(pairs: impl Iterator<Item = (f64, &'a str)>) -> Vec<Suggestion> {
     pairs
         .map(|(score, query)| Suggestion {
-            query: query.to_owned(),
+            query: query.into(),
             score,
         })
         .collect()

@@ -1,6 +1,7 @@
 //! The reply a connection writes is rendered by the serving tier straight
 //! into the frame (a `ListWriter` sink); the `Vec`-returning surface calls
-//! are the same path with a `Vec` sink. This differential holds the two
+//! are the same path into a flat answer, converted to owned lists. This
+//! differential holds the two
 //! together byte for byte, through a live `NetServer`, on the hardest
 //! tier there is to gather from: four replicas held mid-roll, two on
 //! snapshot A and two on a snapshot B that shares no vocabulary with A.

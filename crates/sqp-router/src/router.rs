@@ -19,10 +19,11 @@
 //! behind both [`RouterEngine::suggest_batch`] and the surface's
 //! admission-controlled `try_suggest_batch_into`: [`Members::scatter`]
 //! sorts the requests into one contiguous run per replica, each replica
-//! renders its run against its own snapshot into a flat per-thread arena
-//! (one text buffer, one `(score, range)` per suggestion, one span per
-//! list), and only when the **last** involved replica has answered is the
-//! arena replayed into the caller's [`SuggestSink`] in request order. With admission, every
+//! renders its run against its own snapshot into a per-thread
+//! [`FlatAnswer`] (one text buffer, one `(score, span)` per suggestion, one
+//! span per list), and only when the **last** involved replica has
+//! answered is it written into the caller's [`SuggestSink`] in request
+//! order. With admission, every
 //! involved replica's permit is taken before any replica runs, so a shed
 //! batch computed nothing, counted nothing and wrote nothing. A batch
 //! whose users all live on one replica skips the arena and renders
@@ -78,7 +79,7 @@ use crate::ring::WouldEmptyRing;
 use sqp_common::hash::fx_hash_one;
 use sqp_common::scratch;
 use sqp_serve::{
-    EngineConfig, EngineStats, ModelSnapshot, Overloaded, ServeEngine, ServeSurface,
+    EngineConfig, EngineStats, FlatAnswer, ModelSnapshot, Overloaded, ServeEngine, ServeSurface,
     SuggestRequest, SuggestSink, Suggestion, Swap, TrackOutcome,
 };
 use std::cell::RefCell;
@@ -144,57 +145,14 @@ impl ReplicaSlot {
     }
 }
 
-/// Where a multi-replica batch waits to be put back in request order: the
-/// replicas' lists in the order they were rendered, flat — one text
-/// buffer, one `(score, text range)` per suggestion, one suggestion range
-/// per list — so gathering costs three growing buffers, not a `String` per
-/// suggestion.
-#[derive(Default)]
-struct Gather {
-    text: String,
-    /// `(score, start, end)`: the suggestion's text is `text[start..end]`.
-    suggestions: Vec<(f64, usize, usize)>,
-    /// `(start, end)` into `suggestions`, one per rendered list.
-    lists: Vec<(usize, usize)>,
-}
-
-impl Gather {
-    fn clear(&mut self) {
-        self.text.clear();
-        self.suggestions.clear();
-        self.lists.clear();
-    }
-
-    /// Write the `at`-th rendered list to `sink`.
-    fn replay_list(&self, at: usize, sink: &mut dyn SuggestSink) {
-        let (start, end) = self.lists[at];
-        sink.list(end - start);
-        for &(score, from, to) in &self.suggestions[start..end] {
-            sink.suggestion(&self.text[from..to], score);
-        }
-    }
-}
-
-impl SuggestSink for Gather {
-    fn list(&mut self, len: usize) {
-        let start = self.suggestions.len();
-        self.lists.push((start, start + len));
-    }
-
-    fn suggestion(&mut self, query: &str, score: f64) {
-        let from = self.text.len();
-        self.text.push_str(query);
-        self.suggestions.push((score, from, self.text.len()));
-    }
-}
-
 /// The scatter/gather's working buffers, kept per thread (a connection's
 /// thread serves batch after batch) so a warmed-up batch allocates nothing
 /// here whatever its size.
 #[derive(Default)]
 struct Scratch {
     scatter: Scatter,
-    gather: Gather,
+    /// A split batch's lists in the order the replicas rendered them.
+    gather: FlatAnswer,
 }
 
 thread_local! {
@@ -465,10 +423,11 @@ impl RouterEngine {
     /// Takes no admission permits; the admission-controlled form is
     /// [`ServeSurface::try_suggest_batch_into`].
     pub fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
-        let mut out = Vec::with_capacity(requests.len());
-        self.scatter_gather(requests, now, &mut out, false)
-            .expect("only admission sheds, and none was asked for");
-        out
+        FlatAnswer::with_scratch(|answer| {
+            self.scatter_gather(requests, now, answer, false)
+                .expect("only admission sheds, and none was asked for");
+            answer.to_lists()
+        })
     }
 
     /// The tier's one scatter/gather: one list per request to `sink`, in
@@ -483,9 +442,10 @@ impl RouterEngine {
     ///
     /// *Gather*: a batch that lives on one replica (always, for a
     /// one-replica tier) renders straight into `sink`. Otherwise each
-    /// replica renders its run into the per-thread [`Gather`] arena, and
-    /// only after the last replica has answered is the arena replayed into
-    /// `sink` in request order — the caller's sink never sees replica
+    /// replica renders its run into a per-thread [`FlatAnswer`], and only
+    /// after the last replica has answered is it written into `sink` in
+    /// request order ([`FlatAnswer::write_in_order`] with
+    /// [`Runs::order`](crate::Runs::order)) — the caller's sink never sees replica
     /// order, and never sees part of a batch.
     fn scatter_gather(
         &self,
@@ -515,9 +475,7 @@ impl RouterEngine {
                 for (slot, run) in runs.iter() {
                     slot.engine.suggest_batch_into(run, now, gather);
                 }
-                for &at in runs.order() {
-                    gather.replay_list(at, sink);
-                }
+                gather.write_in_order(runs.order(), sink);
                 Ok(())
             })
         })
@@ -1066,7 +1024,7 @@ mod tests {
         );
         let last_engine = r.replica(2);
         let permit = last_engine.admit().unwrap();
-        let mut sink: Vec<Vec<Suggestion>> = Vec::new();
+        let mut sink = FlatAnswer::default();
         assert_eq!(
             r.try_suggest_batch_into(&requests, 130, &mut sink),
             Err(Overloaded { limit: 1 })

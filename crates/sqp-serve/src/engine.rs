@@ -24,8 +24,10 @@
 //! write their answer to a [`SuggestSink`] — one `list` per request, in
 //! request order, with every session lock already released — through
 //! per-thread scratch buffers, so between the session lookup and the sink
-//! a warmed-up call allocates nothing. The `Vec`-returning methods are
-//! those same calls with a `Vec` sink. Neither takes an admission permit:
+//! a warmed-up call allocates nothing. The `Vec`-returning methods run the
+//! same paths: a single list is built straight from the ranked ids
+//! ([`ModelSnapshot::render_into`]), a batch is converted from this
+//! thread's [`FlatAnswer`]. Neither takes an admission permit:
 //! the admission-controlled sink forms are the engine's
 //! [`ServeSurface`](crate::ServeSurface) impl, which takes the permit
 //! first and therefore never touches the sink on a shed.
@@ -47,6 +49,7 @@
 //! Only the stateless [`suggest_context`](ServeEngine::suggest_context),
 //! which has no stripe, keeps a counter of its own.
 
+use crate::answer::FlatAnswer;
 use crate::session::{SessionTracker, TrackOutcome, TrackerConfig};
 use crate::sink::SuggestSink;
 use crate::snapshot::{ModelSnapshot, Suggestion};
@@ -360,6 +363,21 @@ impl ServeEngine {
         now: u64,
         sink: &mut dyn SuggestSink,
     ) {
+        self.track_and_suggest_with(user, query, k, now, |snapshot, topk| {
+            snapshot.render(topk, sink)
+        });
+    }
+
+    /// The one track-and-suggest path: `render` gets the snapshot and the
+    /// ranked ids, once, after the stripe lock is released.
+    fn track_and_suggest_with(
+        &self,
+        user: u64,
+        query: &str,
+        k: usize,
+        now: u64,
+        render: impl FnOnce(&ModelSnapshot, &[Scored]),
+    ) {
         let draining = self.is_draining();
         self.current.with(|snapshot| {
             scratch::with(&SCRATCH, |scratch| {
@@ -396,7 +414,7 @@ impl ServeEngine {
                 if covered {
                     snapshot.recommend_ids_into(&scratch.ids, k, &mut scratch.topk);
                 }
-                snapshot.render(&scratch.topk, sink);
+                render(snapshot, &scratch.topk);
             })
         });
     }
@@ -428,6 +446,17 @@ impl ServeEngine {
         requests: &[SuggestRequest],
         now: u64,
         sink: &mut dyn SuggestSink,
+    ) {
+        self.suggest_batch_with(requests, now, |snapshot, topk| snapshot.render(topk, sink));
+    }
+
+    /// The one batch path: `render` gets the snapshot and each request's
+    /// ranked ids, in request order, with every stripe lock released.
+    fn suggest_batch_with(
+        &self,
+        requests: &[SuggestRequest],
+        now: u64,
+        mut render: impl FnMut(&ModelSnapshot, &[Scored]),
     ) {
         let cutoff = self.tracker.config().idle_cutoff_secs;
         self.current.with(|snapshot| {
@@ -472,7 +501,7 @@ impl ServeEngine {
                     if let Some((start, end)) = *span {
                         snapshot.recommend_ids_into(&ids[start..end], req.k, topk);
                     }
-                    snapshot.render(topk, sink);
+                    render(snapshot, topk);
                 }
             })
         });
@@ -483,24 +512,31 @@ impl ServeEngine {
     /// uncovered by the current model.
     pub fn suggest(&self, user: u64, k: usize, now: u64) -> Vec<Suggestion> {
         let mut out = Vec::new();
-        self.suggest_batch_into(&[SuggestRequest { user, k }], now, &mut out);
+        self.suggest_batch_with(&[SuggestRequest { user, k }], now, |snapshot, topk| {
+            snapshot.render_into(topk, &mut out)
+        });
         out
     }
 
     /// [`track_and_suggest_into`](Self::track_and_suggest_into) as an
-    /// owned list.
+    /// owned list, built directly
+    /// ([`ModelSnapshot::render_into`]).
     pub fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {
         let mut out = Vec::new();
-        self.track_and_suggest_into(user, query, k, now, &mut out);
+        self.track_and_suggest_with(user, query, k, now, |snapshot, topk| {
+            snapshot.render_into(topk, &mut out)
+        });
         out
     }
 
     /// [`suggest_batch_into`](Self::suggest_batch_into) as owned lists,
-    /// one per request, in request order.
+    /// one per request, in request order, converted from this thread's
+    /// [`FlatAnswer`].
     pub fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
-        let mut out = Vec::with_capacity(requests.len());
-        self.suggest_batch_into(requests, now, &mut out);
-        out
+        FlatAnswer::with_scratch(|answer| {
+            self.suggest_batch_into(requests, now, answer);
+            answer.to_lists()
+        })
     }
 
     /// Stateless suggestion for an explicit context (oldest query first),
@@ -807,7 +843,7 @@ mod tests {
         );
         e.track(1, "start", 100);
         let permit = e.admit().unwrap();
-        let mut sink: Vec<Vec<Suggestion>> = Vec::new();
+        let mut sink = FlatAnswer::default();
         let requests = [SuggestRequest { user: 1, k: 3 }; 2];
         assert!(e.try_suggest_into(1, 3, 110, &mut sink).is_err());
         assert!(e
@@ -867,7 +903,7 @@ mod tests {
     fn every_form_writes_one_list_per_request_through_the_same_path() {
         let e = engine();
         e.track(1, "start", 100);
-        let mut lists: Vec<Vec<Suggestion>> = Vec::new();
+        let mut lists = FlatAnswer::default();
         let one = |user, k| [SuggestRequest { user, k }];
         e.suggest_batch_into(&one(1, 3), 110, &mut lists); // covered
         e.suggest_batch_into(&one(9, 3), 110, &mut lists); // unknown user
@@ -875,7 +911,7 @@ mod tests {
         e.track_and_suggest_into(2, "start", 3, 110, &mut lists);
         e.track_and_suggest_into(2, "unseen", 3, 111, &mut lists); // uncovered
         assert_eq!(
-            lists,
+            lists.to_lists(),
             vec![
                 e.suggest(1, 3, 110),
                 vec![],
@@ -884,7 +920,7 @@ mod tests {
                 vec![]
             ]
         );
-        assert_eq!(lists[0][0].query, "old::next");
+        assert_eq!(lists.to_lists()[0][0].query, "old::next");
     }
 
     #[test]

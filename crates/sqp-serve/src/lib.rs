@@ -70,6 +70,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod answer;
 pub mod engine;
 pub mod session;
 pub mod sink;
@@ -77,6 +78,7 @@ pub mod snapshot;
 pub mod surface;
 pub mod swap;
 
+pub use answer::{FlatAnswer, QueryText};
 pub use engine::{
     EngineConfig, EngineStats, InFlightPermit, Overloaded, ServeEngine, SuggestRequest,
 };

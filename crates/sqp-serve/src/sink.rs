@@ -4,9 +4,10 @@
 //! [`ServeEngine`](crate::ServeEngine), the router's scatter/gather, the
 //! network server, the wire client's decoder — hands suggestions to a sink
 //! instead of returning owned lists, so an answer is materialized exactly
-//! once, in whatever form its final consumer wants: heap `String`s for an
-//! in-process caller (`Vec<Suggestion>` is a sink), wire bytes for a
-//! connection's reply frame (`sqp-net`'s `ListWriter`).
+//! once, in whatever form its final consumer wants: wire bytes for a
+//! connection's reply frame (`sqp-net`'s `ListWriter`), or one text buffer
+//! with a span per suggestion ([`FlatAnswer`](crate::FlatAnswer)), which is
+//! what every owned list is converted from.
 //!
 //! # The protocol
 //!
@@ -47,66 +48,5 @@ pub trait SuggestSink {
         for s in list {
             self.suggestion(&s.query, s.score);
         }
-    }
-}
-
-/// One owned list: the sink of a single-user answer. (Given several lists
-/// it keeps them all, end to end.)
-impl SuggestSink for Vec<Suggestion> {
-    fn list(&mut self, len: usize) {
-        self.reserve_exact(len);
-    }
-
-    fn suggestion(&mut self, query: &str, score: f64) {
-        self.push(Suggestion {
-            query: query.to_owned(),
-            score,
-        });
-    }
-}
-
-/// One owned list per `list` call: the sink of a batch answer.
-impl SuggestSink for Vec<Vec<Suggestion>> {
-    fn list(&mut self, len: usize) {
-        self.push(Vec::with_capacity(len));
-    }
-
-    fn suggestion(&mut self, query: &str, score: f64) {
-        self.last_mut()
-            .expect("SuggestSink protocol: `list` precedes `suggestion`")
-            .suggestion(query, score);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sugg(q: &str, score: f64) -> Suggestion {
-        Suggestion {
-            query: q.into(),
-            score,
-        }
-    }
-
-    #[test]
-    fn vec_sinks_rebuild_what_was_replayed() {
-        let lists = vec![
-            vec![sugg("a", 1.0), sugg("b", 0.5)],
-            vec![],
-            vec![sugg("c", 0.25)],
-        ];
-        let mut batch: Vec<Vec<Suggestion>> = Vec::new();
-        let mut flat: Vec<Suggestion> = Vec::new();
-        for list in &lists {
-            batch.replay(list);
-            flat.replay(list);
-        }
-        assert_eq!(batch, lists);
-        assert_eq!(flat, lists.concat());
-        // Usable behind the pointer type every tier takes.
-        let dynamic: &mut dyn SuggestSink = &mut batch;
-        dynamic.list(0);
-        assert_eq!(batch.len(), 4);
     }
 }

@@ -11,14 +11,22 @@
 //! so ids resolved against snapshot N are never mixed with a model from
 //! snapshot N+1.
 
+use crate::answer::{build_list, QueryText};
 use crate::session::Session;
 use crate::sink::SuggestSink;
+use sqp_common::scratch;
 use sqp_common::topk::Scored;
 use sqp_common::{Interner, QueryId};
 use sqp_core::{ModelSpec, Recommender};
 use sqp_logsim::RawLogRecord;
 use sqp_sessions::{aggregate, reduce_in_place, segment_with_parallelism, DEFAULT_CUTOFF_SECS};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    /// [`ModelSnapshot::suggest`]'s resolved context and ranked candidates.
+    static CONTEXT: RefCell<(Vec<QueryId>, Vec<Scored>)> = RefCell::default();
+}
 
 /// The next [`ModelSnapshot`] identity. Identities are what sessions tag
 /// their cached ids with, so they must never repeat within a process — an
@@ -77,8 +85,11 @@ impl Default for TrainingConfig {
 /// A ranked suggestion.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Suggestion {
-    /// Suggested query text.
-    pub query: String,
+    /// Suggested query text: a span of the one text buffer its whole
+    /// answer shares, which it keeps alive — at most one reply frame's
+    /// worth — until the answer's last suggestion drops (see
+    /// [`QueryText`]).
+    pub query: QueryText,
     /// Model score (higher is better).
     pub score: f64,
 }
@@ -192,11 +203,12 @@ impl ModelSnapshot {
         self.model.recommend_into(ids, k, out);
     }
 
-    /// Write scored ids to `sink` as one list of `(text, score)` — the one
-    /// place in the workspace where a model's ids become query text. The
-    /// text is borrowed from the snapshot's interner; what it costs to keep
-    /// is the sink's business (a `Vec<Suggestion>` copies each string, a
-    /// wire frame copies the bytes once).
+    /// Write scored ids to `sink` as one list of `(text, score)` — with
+    /// [`render_into`](Self::render_into), the one place in the workspace
+    /// where a model's ids become query text. The text is borrowed from
+    /// the snapshot's interner; what it costs to keep is the sink's
+    /// business (a wire frame copies the bytes once, a
+    /// [`FlatAnswer`](crate::FlatAnswer) appends them to its one buffer).
     pub fn render(&self, scored: &[Scored], sink: &mut dyn SuggestSink) {
         sink.list(scored.len());
         for s in scored {
@@ -204,22 +216,31 @@ impl ModelSnapshot {
         }
     }
 
-    /// [`render`](Self::render) into an owned list, appending to `out`.
+    /// [`render`](Self::render) as an owned list, appended to `out`: the
+    /// texts are joined in a per-thread buffer and copied once into the
+    /// one text every suggestion's [`QueryText`] is a span of — that text
+    /// and `out`'s growth, whatever `k` is.
     pub fn render_into(&self, scored: &[Scored], out: &mut Vec<Suggestion>) {
-        self.render(scored, out);
+        let texts = scored
+            .iter()
+            .map(|s| (self.interner.resolve(s.query), s.score));
+        build_list(texts, out);
     }
 
     /// Top-`k` suggestions for the session so far (oldest query first).
-    /// Empty when the context is uncovered.
+    /// Empty when the context is uncovered. The ids and the ranking go
+    /// through per-thread scratch, so a warmed-up call allocates only the
+    /// list it returns ([`render_into`](Self::render_into)).
     pub fn suggest(&self, context: &[&str], k: usize) -> Vec<Suggestion> {
-        let mut ids = Vec::new();
-        let mut scored = Vec::new();
-        if self.resolve_context_into(context.iter().copied(), &mut ids) {
-            self.recommend_ids_into(&ids, k, &mut scored);
-        }
-        let mut out = Vec::new();
-        self.render(&scored, &mut out);
-        out
+        scratch::with(&CONTEXT, |(ids, scored)| {
+            scored.clear();
+            if self.resolve_context_into(context.iter().copied(), ids) {
+                self.recommend_ids_into(ids, k, scored);
+            }
+            let mut out = Vec::new();
+            self.render_into(scored, &mut out);
+            out
+        })
     }
 
     /// Can the snapshot say anything for this context?

@@ -24,8 +24,9 @@
 //! admission-controlled and each writing whole answers to a
 //! [`SuggestSink`] (see [`crate::sink`] for the call protocol and for what
 //! a shed leaves behind: nothing). The five `Vec`-returning forms are
-//! provided on top of those with a `Vec` sink, so there is one suggest
-//! path per tier, not an owned one beside a streaming one — and one suggest
+//! provided on top of those, converted from this thread's
+//! [`FlatAnswer`], so there is one suggest path per tier, not an owned one
+//! beside a streaming one — and one suggest
 //! family: no tier re-declares these methods inherently, so a call means
 //! the same whether or not this trait is in scope. The exceptions are the
 //! benchmark's, kept until it moves to the trait: the engine's inherent
@@ -38,6 +39,7 @@
 //! an accidentally-non-`Sync` implementation into a compile error at `impl`
 //! time rather than a usage error at spawn time.
 
+use crate::answer::FlatAnswer;
 use crate::engine::{EngineStats, Overloaded, ServeEngine, SuggestRequest};
 use crate::session::TrackOutcome;
 use crate::sink::SuggestSink;
@@ -90,9 +92,10 @@ pub trait ServeSurface: Send + Sync {
 
     /// [`try_suggest_into`](Self::try_suggest_into) as an owned list.
     fn try_suggest(&self, user: u64, k: usize, now: u64) -> Result<Vec<Suggestion>, Overloaded> {
-        let mut out = Vec::new();
-        self.try_suggest_into(user, k, now, &mut out)?;
-        Ok(out)
+        FlatAnswer::with_scratch(|answer| {
+            self.try_suggest_into(user, k, now, answer)?;
+            Ok(answer.to_list())
+        })
     }
 
     /// [`try_track_and_suggest_into`](Self::try_track_and_suggest_into) as
@@ -104,9 +107,10 @@ pub trait ServeSurface: Send + Sync {
         k: usize,
         now: u64,
     ) -> Result<Vec<Suggestion>, Overloaded> {
-        let mut out = Vec::new();
-        self.try_track_and_suggest_into(user, query, k, now, &mut out)?;
-        Ok(out)
+        FlatAnswer::with_scratch(|answer| {
+            self.try_track_and_suggest_into(user, query, k, now, answer)?;
+            Ok(answer.to_list())
+        })
     }
 
     /// [`try_suggest_batch_into`](Self::try_suggest_batch_into) as owned
@@ -116,9 +120,10 @@ pub trait ServeSurface: Send + Sync {
         requests: &[SuggestRequest],
         now: u64,
     ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
-        let mut out = Vec::with_capacity(requests.len());
-        self.try_suggest_batch_into(requests, now, &mut out)?;
-        Ok(out)
+        FlatAnswer::with_scratch(|answer| {
+            self.try_suggest_batch_into(requests, now, answer)?;
+            Ok(answer.to_lists())
+        })
     }
 
     /// [`try_track_and_suggest`](Self::try_track_and_suggest) with a shed
@@ -259,12 +264,12 @@ mod tests {
             .try_suggest_batch(&[SuggestRequest { user: 1, k: 1 }], 120)
             .unwrap();
         assert_eq!(batch[0][0].query, "start::next");
-        // The owned forms are the sink forms with a `Vec` sink.
-        let mut lists: Vec<Vec<Suggestion>> = Vec::new();
+        // The owned forms are the sink forms, converted from a flat answer.
+        let mut lists = FlatAnswer::default();
         surface
             .try_suggest_batch_into(&[SuggestRequest { user: 1, k: 1 }], 120, &mut lists)
             .unwrap();
-        assert_eq!(lists, batch);
+        assert_eq!(lists.to_lists(), batch);
         assert_eq!(
             surface.suggest_batch(&[SuggestRequest { user: 1, k: 1 }], 120),
             batch

@@ -241,7 +241,7 @@ pub fn run_replay_soak(seed: u64) -> ReplaySoakReport {
         serving_top: engine
             .suggest_context(&["start"], 1)
             .first()
-            .map(|s| s.query.clone()),
+            .map(|s| s.query.to_string()),
         publishes: engine.stats().publishes,
     };
     let _ = std::fs::remove_dir_all(&dir);
