@@ -397,7 +397,8 @@ impl NetClient {
     }
 
     /// Admin: roll the server-local snapshot file at `path` across
-    /// replicas. Only answered on the admin port.
+    /// replicas (a single engine is one replica). Only answered on the
+    /// admin port.
     pub fn rolling_publish(
         &mut self,
         path: &str,

@@ -1,7 +1,7 @@
 //! # sqp-net — hermetic TCP serving front-end
 //!
-//! Puts a real network edge on the serving stack: any
-//! [`ServeSurface`](sqp_serve::ServeSurface) — a single
+//! Puts a real network edge on the serving stack: either tier that takes
+//! models through `sqp-store`'s [`Publish`] — a single
 //! [`ServeEngine`](sqp_serve::ServeEngine) or a replicated
 //! [`RouterEngine`](sqp_router::RouterEngine) — becomes a TCP server
 //! speaking a compact length-prefixed binary protocol ([`wire`], spec in
@@ -12,7 +12,8 @@
 //!   admin port, and one thread per keep-alive connection that reads,
 //!   executes and answers that connection's frames in order. The
 //!   engine's admission budget load-sheds with a typed `R_OVERLOADED`
-//!   reply.
+//!   reply; the admin port's `PUBLISH` and `ROLLING_PUBLISH` load a
+//!   snapshot file and publish it through the tier's [`Publish`] impl.
 //! * [`NetClient`] — a blocking keep-alive client reusing its buffers
 //!   across requests.
 //! * [`RemoteEngine`] — a resilient [`ServeSurface`](sqp_serve::ServeSurface)
@@ -20,13 +21,8 @@
 //!   consistent-hash ring: deadlines, idempotent-only retries with
 //!   backoff, per-endpoint circuit breakers, failover along the ring, and
 //!   typed degradation ([`remote`]).
-//! * [`AdminSurface`] — live snapshot publication (`PUBLISH`,
-//!   `ROLLING_PUBLISH`) driven through `sqp-store`'s [`publish_from_path`]
-//!   (one engine or every replica) and [`RouterPublish`]
-//!   (replica-by-replica roll).
 //!
-//! [`publish_from_path`]: sqp_store::publish_from_path
-//! [`RouterPublish`]: sqp_store::RouterPublish
+//! [`Publish`]: sqp_store::Publish
 //!
 //! # Examples
 //!
@@ -64,18 +60,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod admin;
 pub mod client;
 pub mod frame;
 pub mod remote;
 pub mod server;
 pub mod wire;
 
-pub use admin::AdminSurface;
 pub use client::{BatchAnswer, NetClient, NetError, ServeAnswer, TrackAck};
 pub use remote::{
     DegradedReason, EndpointConfig, EndpointSetError, EndpointStats, RemoteConfig, RemoteEngine,
     RemoteOutcome, RemoteStats, StatsRecord,
 };
-pub use server::{NetServer, NetServerStats, NetSurface, ServerConfig};
+pub use server::{NetServer, NetServerStats, ServerConfig};
 pub use wire::{BatchEntry, Reply, Request, RollSummary, WireError, WireStats};

@@ -88,8 +88,8 @@ use sqp_common::scratch;
 use sqp_router::{Members, Scatter};
 use sqp_serve::TrackOutcome;
 use sqp_serve::{
-    EngineStats, FlatAnswer, ModelSnapshot, Overloaded, ServeSurface, SuggestRequest, SuggestSink,
-    Suggestion, Swap,
+    EngineStats, FlatAnswer, Overloaded, ServeSurface, SuggestRequest, SuggestSink, Suggestion,
+    Swap,
 };
 use std::cell::RefCell;
 use std::fmt;
@@ -99,7 +99,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// One remote endpoint: its public serve port. A `RemoteEngine` never
-/// talks to a server's admin port — see [`ServeSurface::publish`] on it.
+/// talks to a server's admin port: a remote tier is published to through
+/// each server's admin port ([`NetClient::publish`] /
+/// [`NetClient::rolling_publish`]), never through the serving client.
 #[derive(Clone, Copy, Debug)]
 pub struct EndpointConfig {
     /// The endpoint's serve listener.
@@ -272,9 +274,6 @@ pub struct RemoteStats {
     /// Typed sheds observed (mapped to [`Overloaded`] on the `try_*`
     /// surface forms).
     pub sheds: u64,
-    /// [`ServeSurface::publish`] calls, every one of which is dropped: a
-    /// remote tier is published to through its servers' admin ports.
-    pub publishes_skipped: u64,
     /// Per-endpoint detail.
     pub endpoints: Vec<EndpointStats>,
 }
@@ -435,7 +434,6 @@ pub struct RemoteEngine {
     retries: AtomicU64,
     reconnects: AtomicU64,
     sheds: AtomicU64,
-    publishes_skipped: AtomicU64,
 }
 
 impl RemoteEngine {
@@ -472,7 +470,6 @@ impl RemoteEngine {
             retries: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
-            publishes_skipped: AtomicU64::new(0),
         }
     }
 
@@ -592,7 +589,6 @@ impl RemoteEngine {
             retries: self.retries.load(Ordering::Relaxed),
             reconnects: self.reconnects.load(Ordering::Relaxed),
             sheds: self.sheds.load(Ordering::Relaxed),
-            publishes_skipped: self.publishes_skipped.load(Ordering::Relaxed),
             endpoints: self
                 .snapshot()
                 .iter()
@@ -711,87 +707,94 @@ impl RemoteEngine {
         mut op: impl FnMut(&mut NetClient) -> Result<T, NetError>,
     ) -> RemoteOutcome<T> {
         let seq = self.op_seq.fetch_add(1, Ordering::Relaxed);
-        // Scan order; `order[0]` is home.
-        let order: Vec<&Endpoint> = match user {
-            Some(user) => endpoints.successors(user).map(|(_, ep)| &**ep).collect(),
-            None => {
-                let mut all: Vec<&Endpoint> = endpoints.iter().map(|(_, ep)| &**ep).collect();
-                let start = (seq % all.len() as u64) as usize;
-                all.rotate_left(start);
-                all
-            }
-        };
-        let n = order.len();
-        let mut backoff = Backoff::with_jitter(
-            self.cfg.backoff_initial,
-            self.cfg.backoff_cap,
-            Self::BACKOFF_JITTER,
-            self.cfg.seed ^ seq,
-        );
-        let max_attempts = self.cfg.max_attempts.max(1);
-        let mut shift = 0usize; // scan origin advances past failing endpoints
-        let mut last_error: Option<NetError> = None;
-
-        for attempt in 0..max_attempts {
-            let now = self.clock.now_millis();
-            if now >= deadline_at {
-                break;
-            }
-            if attempt > 0 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-            }
-
-            // First breaker-admitted endpoint, scanning from home + shift.
-            let mut admitted = None;
-            for i in 0..n {
-                let at = (shift + i) % n;
-                match order[at].breaker.admit(now) {
-                    Admission::Allowed | Admission::Probe => {
-                        admitted = Some(at);
-                        break;
-                    }
-                    Admission::Refused { .. } => continue,
+        scratch::with(&SCAN, |order| {
+            // Scan order, as endpoint ids; `order[0]` is home.
+            match user {
+                Some(user) => endpoints.ring().successors_into(user, order),
+                None => {
+                    order.clear();
+                    order.extend(endpoints.iter().map(|(id, _)| id));
+                    let start = (seq % order.len() as u64) as usize;
+                    order.rotate_left(start);
                 }
             }
-            let Some(at) = admitted else {
-                return RemoteOutcome::Degraded(DegradedReason::AllBreakersOpen);
+            let n = order.len();
+            let endpoint = |at: usize| -> &Endpoint {
+                endpoints
+                    .get(order[at])
+                    .expect("the scan order names only members")
             };
-            let ep = order[at];
-            if at != 0 {
-                self.failovers.fetch_add(1, Ordering::Relaxed);
-            }
-            let remaining = Duration::from_millis(deadline_at - now);
-            match self.try_endpoint(ep, remaining, &mut op) {
-                Try::Answered(Ok(v)) => return RemoteOutcome::Answered(v),
-                // A typed error: the request is just wrong — retrying
-                // cannot help.
-                Try::Answered(Err(error)) => {
-                    return RemoteOutcome::Degraded(DegradedReason::NotRetryable { error })
-                }
-                // The bytes may have reached the server; re-sending could
-                // double-apply.
-                Try::Broken(error) if retryable == Retryable::ConnectOnly => {
-                    return RemoteOutcome::Degraded(DegradedReason::NotRetryable { error })
-                }
-                // The request never left, or the op is idempotent: retry.
-                Try::Unsent(e) | Try::Broken(e) => last_error = Some(e),
-            }
+            let mut backoff = Backoff::with_jitter(
+                self.cfg.backoff_initial,
+                self.cfg.backoff_cap,
+                Self::BACKOFF_JITTER,
+                self.cfg.seed ^ seq,
+            );
+            let max_attempts = self.cfg.max_attempts.max(1);
+            let mut shift = 0usize; // scan origin advances past failing endpoints
+            let mut last_error: Option<NetError> = None;
 
-            // Prefer a different endpoint on the next attempt.
-            shift += 1;
-            if attempt + 1 < max_attempts {
+            for attempt in 0..max_attempts {
                 let now = self.clock.now_millis();
                 if now >= deadline_at {
                     break;
                 }
-                let nap = backoff
-                    .next_delay()
-                    .min(Duration::from_millis(deadline_at - now));
-                self.clock.sleep(nap);
-            }
-        }
+                if attempt > 0 {
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                }
 
-        RemoteOutcome::Degraded(DegradedReason::DeadlineExhausted { last_error })
+                // First breaker-admitted endpoint, scanning from home + shift.
+                let mut admitted = None;
+                for i in 0..n {
+                    let at = (shift + i) % n;
+                    match endpoint(at).breaker.admit(now) {
+                        Admission::Allowed | Admission::Probe => {
+                            admitted = Some(at);
+                            break;
+                        }
+                        Admission::Refused { .. } => continue,
+                    }
+                }
+                let Some(at) = admitted else {
+                    return RemoteOutcome::Degraded(DegradedReason::AllBreakersOpen);
+                };
+                let ep = endpoint(at);
+                if at != 0 {
+                    self.failovers.fetch_add(1, Ordering::Relaxed);
+                }
+                let remaining = Duration::from_millis(deadline_at - now);
+                match self.try_endpoint(ep, remaining, &mut op) {
+                    Try::Answered(Ok(v)) => return RemoteOutcome::Answered(v),
+                    // A typed error: the request is just wrong — retrying
+                    // cannot help.
+                    Try::Answered(Err(error)) => {
+                        return RemoteOutcome::Degraded(DegradedReason::NotRetryable { error })
+                    }
+                    // The bytes may have reached the server; re-sending could
+                    // double-apply.
+                    Try::Broken(error) if retryable == Retryable::ConnectOnly => {
+                        return RemoteOutcome::Degraded(DegradedReason::NotRetryable { error })
+                    }
+                    // The request never left, or the op is idempotent: retry.
+                    Try::Unsent(e) | Try::Broken(e) => last_error = Some(e),
+                }
+
+                // Prefer a different endpoint on the next attempt.
+                shift += 1;
+                if attempt + 1 < max_attempts {
+                    let now = self.clock.now_millis();
+                    if now >= deadline_at {
+                        break;
+                    }
+                    let nap = backoff
+                        .next_delay()
+                        .min(Duration::from_millis(deadline_at - now));
+                    self.clock.sleep(nap);
+                }
+            }
+
+            RemoteOutcome::Degraded(DegradedReason::DeadlineExhausted { last_error })
+        })
     }
 
     /// One attempt of `op` on `ep`, whose breaker the caller has already
@@ -1068,6 +1071,8 @@ struct BatchScratch {
 
 thread_local! {
     static SCRATCH: RefCell<BatchScratch> = RefCell::default();
+    /// An operation's endpoint scan order, reused call after call.
+    static SCAN: RefCell<Vec<u32>> = RefCell::default();
 }
 
 /// Finish a sink form: its answer was written into the caller's sink by
@@ -1155,15 +1160,6 @@ impl ServeSurface for RemoteEngine {
     fn evict_idle(&self, now: u64) -> usize {
         let (evicted, _) = self.for_each_endpoint(|c| c.evict_idle(now));
         evicted.into_iter().sum::<u64>() as usize
-    }
-
-    /// A counted no-op: servers load snapshots from their own disks, so
-    /// a remote tier is published to through each server's admin port
-    /// ([`NetClient::publish`] / [`NetClient::rolling_publish`]), never
-    /// through the serving client. Returns the tier's current generation.
-    fn publish(&self, _snapshot: Arc<ModelSnapshot>) -> u64 {
-        self.publishes_skipped.fetch_add(1, Ordering::Relaxed);
-        self.stats().publishes
     }
 
     /// The fold of [`RemoteEngine::stats_record`], which also says how

@@ -1,13 +1,22 @@
 //! The TCP serving front-end: two accept loops and one thread per
-//! connection over one [`ServeSurface`].
+//! connection over one tier that takes models through [`Publish`].
 //!
 //! # Topology
 //!
 //! ```text
 //!   serve port ──► accept loop ─┬─► connection thread 1 ─┐
-//!   admin port ──► accept loop ─┼─► connection thread 2 ─┼─► ServeSurface
+//!   admin port ──► accept loop ─┼─► connection thread 2 ─┼─► Publish
 //!                               └─► connection thread N ─┘
 //! ```
+//!
+//! The serve port speaks only traffic opcodes; `PUBLISH` or
+//! `ROLLING_PUBLISH` arriving there is answered with a typed `ADMIN_ONLY`
+//! error and the connection is closed. The admin port accepts everything,
+//! so an operator (or the retrain loop) pushes a freshly saved snapshot
+//! into a live server with one frame: the connection's thread loads the
+//! file from the server's own disk through the tier's [`Publish`] impl
+//! ([`publish_from_path`] for `PUBLISH`, [`Publish::rolling_publish`] for
+//! `ROLLING_PUBLISH`) and replies when it has landed.
 //!
 //! A connection's thread does the whole job for that connection: read a
 //! frame, decode it, call the surface, encode and write the reply, into
@@ -45,10 +54,10 @@
 //! [`NetServerStats::handler_panics`], and every other connection (and
 //! the accept loops) keeps serving.
 
-use crate::admin::AdminSurface;
 use crate::frame::{read_frame, write_frame, FrameRead};
-use crate::wire::{self, ListWriter, Request, WireStats};
-use sqp_serve::{Overloaded, ServeSurface, SuggestRequest};
+use crate::wire::{self, ListWriter, Request, RollSummary, WireStats};
+use sqp_serve::{Overloaded, SuggestRequest};
+use sqp_store::{publish_from_path, Publish, RollPolicy};
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -57,14 +66,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
-
-/// Everything the network front-end needs from the tier it serves:
-/// traffic ops ([`ServeSurface`]) plus admin-port publication
-/// ([`AdminSurface`]). Blanket-implemented, so both `ServeEngine` and
-/// `RouterEngine` qualify automatically.
-pub trait NetSurface: ServeSurface + AdminSurface {}
-
-impl<T: ServeSurface + AdminSurface> NetSurface for T {}
 
 /// Tuning for [`NetServer::start`].
 #[derive(Debug, Clone)]
@@ -155,7 +156,7 @@ impl Counters {
 }
 
 struct Shared {
-    surface: Arc<dyn NetSurface>,
+    surface: Arc<dyn Publish>,
     max_frame_len: usize,
     write_timeout: Option<Duration>,
     /// Open connections, so `shutdown()` can unblock a thread parked in
@@ -176,7 +177,7 @@ impl Shared {
     }
 }
 
-/// A running TCP front-end over a [`ServeSurface`]. Dropping the server
+/// A running TCP front-end over a tier ([`Publish`]). Dropping the server
 /// (or calling [`shutdown`](NetServer::shutdown)) stops accepting, lets
 /// every connection finish the reply it is working on, and joins every
 /// thread.
@@ -190,14 +191,14 @@ pub struct NetServer {
 
 impl NetServer {
     /// Bind both listeners and spawn the accept loops.
-    pub fn start<S: NetSurface + 'static>(surface: Arc<S>, cfg: ServerConfig) -> io::Result<Self> {
+    pub fn start<S: Publish + 'static>(surface: Arc<S>, cfg: ServerConfig) -> io::Result<Self> {
         let serve_listener = TcpListener::bind(cfg.addr)?;
         let admin_listener = TcpListener::bind(cfg.admin_addr)?;
         let serve_addr = serve_listener.local_addr()?;
         let admin_addr = admin_listener.local_addr()?;
 
         let shared = Arc::new(Shared {
-            surface: surface as Arc<dyn NetSurface>,
+            surface: surface as Arc<dyn Publish>,
             max_frame_len: cfg.max_frame_len,
             write_timeout: cfg.write_timeout,
             conns: Mutex::new(HashMap::new()),
@@ -519,21 +520,32 @@ fn execute(shared: &Shared, req: Request<'_>, wbuf: &mut Vec<u8>, batch: &mut Ve
             let count = surface.evict_idle(now) as u64;
             wire::encode_evicted(wbuf, count);
         }
-        Request::Publish { path } => match surface.admin_publish(Path::new(path)) {
-            Ok(generation) => {
+        Request::Publish { path } => match publish_from_path(surface, path) {
+            Ok(published) => {
                 Counters::bump(&shared.counters.publishes_ok);
-                wire::encode_published(wbuf, generation);
+                wire::encode_published(wbuf, published.engine_generation);
             }
-            Err(message) => {
+            Err(error) => {
                 Counters::bump(&shared.counters.publishes_failed);
-                wire::encode_error(wbuf, wire::code::PUBLISH_FAILED, &message);
+                wire::encode_error(wbuf, wire::code::PUBLISH_FAILED, &error.to_string());
             }
         },
         Request::RollingPublish {
             abort_on_failure,
             path,
         } => {
-            let summary = surface.admin_rolling_publish(Path::new(path), abort_on_failure);
+            let policy = if abort_on_failure {
+                RollPolicy::AbortOnFailure
+            } else {
+                RollPolicy::ContinueOnFailure
+            };
+            let report = surface.rolling_publish(Path::new(path), policy);
+            let summary = RollSummary {
+                aborted: report.aborted,
+                upgraded: report.upgraded.len() as u64,
+                failed: report.failed.len() as u64,
+                skipped: report.skipped.len() as u64,
+            };
             if summary.failed == 0 && !summary.aborted {
                 Counters::bump(&shared.counters.publishes_ok);
             } else {

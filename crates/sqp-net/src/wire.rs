@@ -611,9 +611,12 @@ pub struct RollSummary {
     pub aborted: bool,
     /// Replicas upgraded to the new snapshot.
     pub upgraded: u64,
-    /// Replicas whose publish failed.
+    /// Replicas whose load or validation failed: a router's are
+    /// quarantined on their last-good snapshot, a single engine keeps
+    /// serving its current model.
     pub failed: u64,
-    /// Replicas skipped (quarantined, or unvisited after an abort).
+    /// Replicas left unvisited because the roll aborted first. A replica
+    /// that left the tier mid-roll is in none of the three counts.
     pub skipped: u64,
 }
 

@@ -5,10 +5,11 @@
 //! `ADMIN_ONLY` error and a closed connection. On the admin port the
 //! same opcodes work — and a *failed* publish (bad path) is a typed
 //! `PUBLISH_FAILED` error that keeps the connection alive, because an
-//! operator fat-fingering a path should not have to reconnect.
+//! operator fat-fingering a path should not have to reconnect. A single
+//! engine answers `ROLLING_PUBLISH` as a one-replica roll.
 
 use sqp_logsim::RawLogRecord;
-use sqp_net::{NetClient, NetError, NetServer, ServerConfig};
+use sqp_net::{NetClient, NetError, NetServer, RollSummary, ServerConfig};
 use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
 use sqp_store::{save_snapshot, SnapshotMeta};
 use std::sync::Arc;
@@ -89,6 +90,64 @@ fn admin_opcodes_are_refused_on_the_serve_port_and_work_on_the_admin_port() {
     let stats = server.stats();
     assert_eq!(stats.publishes_ok, 1);
     assert_eq!(stats.publishes_failed, 1);
+    server.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_single_engine_rolls_as_one_replica() {
+    let engine = Arc::new(ServeEngine::new(snapshot(), EngineConfig::default()));
+    let server = NetServer::start(Arc::clone(&engine), ServerConfig::default()).expect("start");
+    let deadline = Duration::from_secs(10);
+    let mut admin = NetClient::connect_timeout(server.admin_addr(), deadline).unwrap();
+    let before = engine.snapshot();
+
+    // A missing file: one failed replica, the connection stays usable and
+    // the engine keeps serving the model it had.
+    let path = std::env::temp_dir().join(format!("sqp-net-admin-roll-{}.sqps", std::process::id()));
+    let path_str = path.to_str().unwrap().to_owned();
+    let summary = admin.rolling_publish(&path_str, false).expect("R_ROLLED");
+    let failed = RollSummary {
+        aborted: false,
+        upgraded: 0,
+        failed: 1,
+        skipped: 0,
+    };
+    assert_eq!(summary, failed);
+    admin
+        .ping()
+        .expect("the admin connection survives a failed roll");
+    assert_eq!(engine.generation(), 0);
+    assert!(
+        Arc::ptr_eq(&engine.snapshot(), &before),
+        "still the old model"
+    );
+    assert_eq!(engine.suggest_context(&["alpha"], 1)[0].query, "beta");
+    assert_eq!(
+        (server.stats().publishes_ok, server.stats().publishes_failed),
+        (0, 1)
+    );
+
+    // A good file: one upgraded replica, one generation on.
+    let next = snapshot();
+    save_snapshot(&path, &next, &SnapshotMeta::describe(&next, 1, 0)).expect("save snapshot");
+    let summary = admin.rolling_publish(&path_str, false).expect("R_ROLLED");
+    let rolled = RollSummary {
+        aborted: false,
+        upgraded: 1,
+        failed: 0,
+        skipped: 0,
+    };
+    assert_eq!(summary, rolled);
+    assert_eq!(engine.generation(), 1);
+    assert!(
+        !Arc::ptr_eq(&engine.snapshot(), &before),
+        "the file's model"
+    );
+    assert_eq!(
+        (server.stats().publishes_ok, server.stats().publishes_failed),
+        (1, 1)
+    );
     server.shutdown();
     let _ = std::fs::remove_file(&path);
 }

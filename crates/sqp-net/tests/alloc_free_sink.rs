@@ -1,9 +1,10 @@
 //! The server's half of a suggest round trip must not allocate per
 //! suggestion: the serving tier renders into the connection's reply frame
 //! through a `ListWriter` sink, the engine ranks through per-thread
-//! scratch, and the router reorders a multi-replica batch through one
-//! per-thread arena. So the allocations of a warmed-up batch do not depend
-//! on `entries × k`, and a warmed-up single suggest makes none at all. Nor
+//! scratch, the router reorders a multi-replica batch through one
+//! per-thread arena and holds the involved replicas' admission permits on
+//! the stack. So a warmed-up batch, of 32 entries or of 256, makes no
+//! allocation at all, and neither does a warmed-up single suggest. Nor
 //! does a `track_and_suggest` once its session's window has turned over:
 //! a session is one block, and a full window appends into the room the
 //! entry it drops leaves behind.
@@ -134,14 +135,10 @@ fn server_side_suggest_allocations_do_not_scale_with_the_answer() {
         rendered > 256,
         "the large batch must carry real answers, got {rendered} suggestions"
     );
-    assert!(
-        large_allocs <= small_allocs + ROUNDS as u64 * 2,
-        "256 entries cost {large_allocs} allocations in {ROUNDS} rounds, 32 entries {small_allocs}"
-    );
-    assert!(
-        large_allocs <= ROUNDS as u64 * 16,
-        "a warmed 256-entry batch made {} allocations for {rendered} suggestions",
-        large_allocs as f64 / ROUNDS as f64
+    assert_eq!(
+        (small_allocs, large_allocs),
+        (0, 0),
+        "warmed 32- and 256-entry batches allocated in {ROUNDS} rounds ({rendered} suggestions)"
     );
 
     // A single engine, one suggest at a time: nothing at all.

@@ -3,8 +3,8 @@
 //! A list ranked in process is built straight from the ranked ids, its
 //! texts joined in a reused per-thread buffer and copied from there once;
 //! a list that came over the wire is converted from the connection's
-//! reused flat answer. The remote client's endpoint scan order costs it
-//! two more, so it is held to four.
+//! reused flat answer. The remote client builds its endpoint scan order
+//! in a reused per-thread buffer, so it is held to the same two.
 //!
 //! Counted with a counting global allocator on the test's own thread only,
 //! inside each measured call (same discipline as `alloc_free_wire.rs`): the
@@ -74,9 +74,6 @@ const USERS: u64 = 200;
 const NOW: u64 = 1_000;
 /// An owned list: its `Vec` and its shared text.
 const LIST: u64 = 2;
-/// The remote client's endpoint scan order (the ring's successor walk and
-/// the list it is collected into).
-const SCAN: u64 = 2;
 
 #[test]
 fn an_owned_single_list_allocates_its_vec_and_one_text() {
@@ -156,12 +153,12 @@ fn an_owned_single_list_allocates_its_vec_and_one_text() {
         ),
         (
             "RemoteEngine::remote_suggest",
-            LIST + SCAN,
+            LIST,
             Box::new(|u, k| remote_list(remote.remote_suggest(u, k, NOW))),
         ),
         (
             "RemoteEngine::remote_track_and_suggest",
-            LIST + SCAN,
+            LIST,
             Box::new(|u, k| remote_list(remote.remote_track_and_suggest(u, query(u), k, NOW))),
         ),
     ];

@@ -26,8 +26,8 @@
 //!   during a roll.
 //!
 //! Storage-aware publication (fan-out and rolling publish *from disk*,
-//! with per-replica validation and quarantine-on-failure) lives in
-//! `sqp-store`'s `rollout` module, which builds on the primitives here.
+//! with per-replica validation and quarantine-on-failure) is this tier's
+//! impl of `sqp-store`'s `Publish`, which builds on the primitives here.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

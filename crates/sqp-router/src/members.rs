@@ -99,15 +99,6 @@ impl<T> Members<T> {
         (id, self.get(id).expect("the ring routes only to members"))
     }
 
-    /// Every member on the ring exactly once, starting with `user`'s home
-    /// and then in the order [`HashRing::successors`] gives: the second is
-    /// the member `user` would move to if the first left the ring.
-    pub fn successors(&self, user: u64) -> impl Iterator<Item = (u32, &T)> + '_ {
-        self.ring
-            .successors(user)
-            .map(|id| (id, self.get(id).expect("the ring routes only to members")))
-    }
-
     /// The id the next [`join`](Self::join) gets: one past the highest id
     /// this view holds, so an id that left is never handed out again while
     /// a higher one remains.

@@ -154,24 +154,25 @@ impl HashRing {
         self.route_hash(fx_hash_one(&user))
     }
 
-    /// Every live replica id exactly once, in the order a walk clockwise
-    /// from `user`'s point meets them: first [`route(user)`](Self::route),
-    /// then the replica that would serve `user` if that one left the
-    /// ring, and so on. This is the failover order that keeps a user's
-    /// writes where a removal would route them. Empty on an empty ring.
-    pub fn successors(&self, user: u64) -> impl Iterator<Item = u32> + '_ {
+    /// Every live replica id exactly once into `out` (cleared first), in
+    /// the order a walk clockwise from `user`'s point meets them: first
+    /// [`route(user)`](Self::route), then the replica that would serve
+    /// `user` if that one left the ring, and so on. This is the failover
+    /// order that keeps a user's writes where a removal would route them.
+    /// Empty on an empty ring. A caller that reuses `out` allocates
+    /// nothing here once it has held every id.
+    pub fn successors_into(&self, user: u64, out: &mut Vec<u32>) {
+        out.clear();
         let start = self.point_index(fx_hash_one(&user));
-        let mut seen = Vec::with_capacity(self.replicas.len());
-        (0..self.points.len())
-            .map(move |step| self.points[(start + step) % self.points.len()].1)
-            .filter(move |id| {
-                let fresh = !seen.contains(id);
-                if fresh {
-                    seen.push(*id);
-                }
-                fresh
-            })
-            .take(self.replicas.len())
+        for step in 0..self.points.len() {
+            if out.len() == self.replicas.len() {
+                break;
+            }
+            let id = self.points[(start + step) % self.points.len()].1;
+            if !out.contains(&id) {
+                out.push(id);
+            }
+        }
     }
 
     /// Route a precomputed hash — for callers that place non-user keys
@@ -333,8 +334,9 @@ mod tests {
     fn successors_start_at_the_route_and_yield_every_id_once() {
         let mut ring = HashRing::with_ids([0, 2, 5, 7, 11], 16);
         ring.remove(5).unwrap();
+        let mut walk = vec![99];
         for user in 0..500u64 {
-            let walk: Vec<u32> = ring.successors(user).collect();
+            ring.successors_into(user, &mut walk);
             assert_eq!(walk[0], ring.route(user), "user {user}");
             let mut sorted = walk.clone();
             sorted.sort_unstable();
@@ -344,7 +346,8 @@ mod tests {
             shrunk.remove(walk[0]).unwrap();
             assert_eq!(shrunk.route(user), walk[1], "user {user}");
         }
-        assert_eq!(HashRing::with_ids([], 8).successors(1).count(), 0);
+        HashRing::with_ids([], 8).successors_into(1, &mut walk);
+        assert!(walk.is_empty());
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //! Publication comes in two shapes, both replica-at-a-time underneath:
 //! [`RouterEngine::publish`] fans one in-memory snapshot out to every
 //! replica (an atomic swap each), while the rolling/fan-out *from disk*
-//! paths — which validate bytes per replica and quarantine failures — live
-//! in `sqp-store`'s `rollout` module, keeping this crate free of any
-//! storage dependency.
+//! paths — which validate bytes per replica and quarantine failures — are
+//! this tier's impl of `sqp-store`'s `Publish`, keeping this crate free of
+//! any storage dependency.
 //!
 //! # Live membership
 //!
@@ -457,26 +457,26 @@ impl RouterEngine {
         self.state.with(|state| {
             scratch::with(&SCRATCH, |Scratch { scatter, gather }| {
                 let runs = state.scatter(requests, scatter);
-                let _permits = if admit {
-                    runs.iter()
-                        .map(|(slot, _)| slot.engine.admit())
-                        .collect::<Result<Vec<_>, _>>()?
-                } else {
-                    Vec::new()
-                };
-                if !runs.is_split() {
-                    // One run is the whole batch, already in request order.
-                    for (slot, run) in runs.iter() {
-                        slot.engine.suggest_batch_into(run, now, sink);
+                let mut answer = || {
+                    if !runs.is_split() {
+                        // One run is the whole batch, already in request order.
+                        for (slot, run) in runs.iter() {
+                            slot.engine.suggest_batch_into(run, now, sink);
+                        }
+                        return;
                     }
-                    return Ok(());
+                    gather.clear();
+                    for (slot, run) in runs.iter() {
+                        slot.engine.suggest_batch_into(run, now, gather);
+                    }
+                    gather.write_in_order(runs.order(), sink);
+                };
+                if admit {
+                    admitted(runs.iter().map(|(slot, _)| &*slot.engine), answer)
+                } else {
+                    answer();
+                    Ok(())
                 }
-                gather.clear();
-                for (slot, run) in runs.iter() {
-                    slot.engine.suggest_batch_into(run, now, gather);
-                }
-                gather.write_in_order(runs.order(), sink);
-                Ok(())
             })
         })
     }
@@ -823,11 +823,28 @@ impl ServeSurface for RouterEngine {
     fn evict_idle(&self, now: u64) -> usize {
         RouterEngine::evict_idle(self, now)
     }
-    fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64 {
-        RouterEngine::publish(self, snapshot)
-    }
     fn stats(&self) -> EngineStats {
         EngineStats::fold(self.state().iter().map(|(_, slot)| slot.stats()))
+    }
+}
+
+/// Run `f` holding one admission permit from each of `engines`, every
+/// permit held in its own stack frame (no list to allocate). The first
+/// refusal fails the call before `f` runs, and unwinding the frames drops
+/// every permit already taken.
+fn admitted<'a>(
+    mut engines: impl Iterator<Item = &'a ServeEngine>,
+    f: impl FnOnce(),
+) -> Result<(), Overloaded> {
+    match engines.next() {
+        Some(engine) => {
+            let _permit = engine.admit()?;
+            admitted(engines, f)
+        }
+        None => {
+            f();
+            Ok(())
+        }
     }
 }
 
@@ -1054,7 +1071,7 @@ mod tests {
         assert_eq!(folded.suggests, 3 * 24, "three answered batches, one shed");
         assert_eq!(folded.active_sessions, 24);
         assert_eq!(folded.shed, 1);
-        surface.publish(snapshot("new"));
+        r.publish(snapshot("new"));
         assert_eq!(surface.stats().publishes, r.stats().min_generation());
     }
 

@@ -17,6 +17,10 @@
 //!   implementations keep lock-free so a poller never contends with
 //!   traffic.
 //!
+//! A model does not reach a tier through this trait: the two in-process
+//! tiers take one through `sqp-store`'s `Publish`, and a remote tier is
+//! published to through its servers' admin ports.
+//!
 //! # The suggest family
 //!
 //! An implementation writes three methods — `try_suggest_into`,
@@ -43,8 +47,7 @@ use crate::answer::FlatAnswer;
 use crate::engine::{EngineStats, Overloaded, ServeEngine, SuggestRequest};
 use crate::session::TrackOutcome;
 use crate::sink::SuggestSink;
-use crate::snapshot::{ModelSnapshot, Suggestion};
-use std::sync::Arc;
+use crate::snapshot::Suggestion;
 
 /// The operations a serving tier exposes to front-ends, harnesses, and
 /// operators — the common surface of [`ServeEngine`], `RouterEngine` and
@@ -143,11 +146,6 @@ pub trait ServeSurface: Send + Sync {
     /// Drop idle sessions; returns how many.
     fn evict_idle(&self, now: u64) -> usize;
 
-    /// Publish a new snapshot to the whole surface (every replica, for a
-    /// tier). Returns the surface's fully-propagated generation after the
-    /// publish.
-    fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64;
-
     /// Lock-free counters and gauges; a tier reports its members'
     /// [`EngineStats::fold`], so `publishes` is its fully-propagated model
     /// generation. This is what a wire-level stats endpoint serves, so it
@@ -195,9 +193,6 @@ impl ServeSurface for ServeEngine {
     fn evict_idle(&self, now: u64) -> usize {
         ServeEngine::evict_idle(self, now)
     }
-    fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64 {
-        ServeEngine::publish(self, snapshot)
-    }
     fn stats(&self) -> EngineStats {
         ServeEngine::stats(self)
     }
@@ -206,6 +201,8 @@ impl ServeSurface for ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::ModelSnapshot;
+    use std::sync::Arc;
 
     /// Compile-time audit: the surface trait itself guarantees
     /// `Send + Sync` (it is a supertrait bound, so every implementation is
@@ -274,7 +271,7 @@ mod tests {
             surface.suggest_batch(&[SuggestRequest { user: 1, k: 1 }], 120),
             batch
         );
-        assert_eq!(surface.publish(snapshot), 1);
+        assert_eq!(engine.publish(snapshot), 1);
         let stats = surface.stats();
         assert_eq!(stats.publishes, 1);
         assert_eq!(stats.suggests, engine.stats().suggests);

@@ -31,7 +31,7 @@ use crate::{save_tagged, scratch_dir, tagged_tier};
 use sqp_common::hash::FNV_OFFSET_BASIS;
 use sqp_common::rng::Rng;
 use sqp_router::RouterEngine;
-use sqp_store::{RollPolicy, RouterPublish};
+use sqp_store::{Publish, RollPolicy};
 use std::collections::HashSet;
 
 /// Workers hammering the tier (the acceptance floor).

@@ -20,7 +20,7 @@ use crate::runner::{drive, surface, Op, Outcome, Scenario, Stop};
 use crate::{save_tagged, scratch_dir, tagged_tier};
 use sqp_faults::{Chaos, FaultPlan};
 use sqp_serve::{ServeSurface, Suggestion};
-use sqp_store::{RollPolicy, RouterPublish};
+use sqp_store::{Publish, RollPolicy};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -7,8 +7,8 @@
 //! and publication accounting; latency and throughput are `benchmark/`'s
 //! job.
 //!
-//! The workload is generic over [`ServeSurface`] — implemented by the
-//! single [`ServeEngine`](sqp_serve::ServeEngine) and by the replicated
+//! The workload is generic over [`Publish`] — implemented by the single
+//! [`ServeEngine`](sqp_serve::ServeEngine) and by the replicated
 //! [`RouterEngine`](sqp_router::RouterEngine) tier — so [`run_on`] drives
 //! either with byte-identical traffic.
 //!
@@ -23,7 +23,8 @@
 use crate::runner::{drive, surface, Op, Outcome, Scenario, Stop, Tally};
 use sqp_common::rng::Rng;
 use sqp_core::VmmConfig;
-use sqp_serve::{ModelSnapshot, ModelSpec, ServeSurface, TrainingConfig};
+use sqp_serve::{ModelSnapshot, ModelSpec, TrainingConfig};
+use sqp_store::Publish;
 use std::sync::Arc;
 
 /// Worker threads driving traffic (the acceptance floor is 4).
@@ -64,11 +65,11 @@ pub struct ServeLoopReport {
     pub evicted_at_end: u64,
 }
 
-/// Run the stress loop against any [`ServeSurface`] serving the parts
+/// Run the stress loop against either [`Publish`] tier serving the parts
 /// [`build_parts`](crate::build_parts) made from [`CORPUS_SESSIONS`] and
 /// [`SEED`]: [`THREADS`] workers of mixed traffic with [`SWAPS`] mid-run
 /// publications. Traffic is identical whatever the surface.
-pub fn run_on<S: ServeSurface>(
+pub fn run_on<S: Publish>(
     tier: &S,
     vocabulary: &[String],
     records: &[sqp_logsim::RawLogRecord],

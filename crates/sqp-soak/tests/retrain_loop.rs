@@ -20,8 +20,9 @@ use sqp_serve::{EngineConfig, ModelSpec, ServeEngine, TrainingConfig};
 use sqp_soak::runner::{drive, surface, Op, Scenario, Stop};
 use sqp_soak::serve_loop::{CORPUS_SESSIONS, SEED, THREADS};
 use sqp_soak::{build_parts, rec, scratch_dir};
-use sqp_store::{latest_generation_on_disk, RetrainConfig, Retrainer, WarmStart};
+use sqp_store::{latest_generation_on_disk, load_snapshot, RetrainConfig, Retrainer};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const TARGET_GENERATIONS: u64 = 2;
@@ -156,7 +157,8 @@ fn retrainer_publishes_generations_under_live_traffic() {
         "rotation kept too many files: {snaps:?}"
     );
     let latest = snaps.last().expect("no snapshot written");
-    let warm = ServeEngine::from_path(latest, EngineConfig::default()).unwrap();
+    let (snapshot, _meta) = load_snapshot(latest).unwrap();
+    let warm = ServeEngine::new(Arc::new(snapshot), EngineConfig::default());
     assert_eq!(
         warm.suggest_context(&["fresh::a"], 5),
         engine.suggest_context(&["fresh::a"], 5),

@@ -15,7 +15,7 @@
 //!   ready [`ModelSnapshot`](sqp_serve::ModelSnapshot); the length-prefixed
 //!   section layout (specified byte-by-byte in the repository's
 //!   `FORMAT.md`) lets the loader pre-size every structure.
-//! * [`warm`] — **warm start**: [`WarmStart::from_path`] boots a
+//! * [`warm`] — **warm start**: [`load_snapshot`] boots a
 //!   [`ServeEngine`](sqp_serve::ServeEngine) directly from a snapshot
 //!   file; [`publish_from_path`] hot-swaps a newly written file into a
 //!   live tier, one engine or a replicated one.
@@ -37,12 +37,13 @@
 //!
 //! And for the replicated tier ([`RouterEngine`](sqp_router::RouterEngine)):
 //!
-//! * [`rollout`] — **rolling publication**: where [`publish_from_path`]
-//!   loads a snapshot file once and swaps it into every replica,
-//!   [`RouterPublish::rolling_publish`] upgrades replicas one at a time
-//!   (each re-validating the bytes itself), quarantining a failed replica
-//!   on its last-good snapshot while the roll continues or aborts by
-//!   [`RollPolicy`].
+//! * [`rollout`] — **[`Publish`]**, the one way a model reaches a tier,
+//!   implemented by the two in-process tiers only: where
+//!   [`publish_from_path`] loads a snapshot file once and swaps it into
+//!   every replica, [`Publish::rolling_publish`] upgrades replicas one at
+//!   a time (each re-validating the bytes itself), quarantining a failed
+//!   replica on its last-good snapshot while the roll continues or aborts
+//!   by [`RollPolicy`]; a single engine is a one-member roll.
 //!
 //! The retrain loop and the roll run on the [`sqp_common::fsio::FsIo`] /
 //! [`sqp_common::clock::Clock`] / [`sqp_common::hazard::Hazard`] seams, so
@@ -57,7 +58,8 @@
 //! ```
 //! use sqp_logsim::RawLogRecord;
 //! use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
-//! use sqp_store::{save_snapshot, RetrainConfig, Retrainer, SnapshotMeta, WarmStart};
+//! use sqp_store::{load_snapshot, save_snapshot, RetrainConfig, Retrainer, SnapshotMeta};
+//! use std::sync::Arc;
 //!
 //! let rec = |machine, ts, q: &str| RawLogRecord {
 //!     machine_id: machine, timestamp: ts, query: q.into(), clicks: vec![],
@@ -73,7 +75,8 @@
 //! save_snapshot(&path, &trained, &SnapshotMeta::describe(&trained, 0, seed.len() as u64)).unwrap();
 //!
 //! // Online: warm-start serving from the file, then fold in new traffic.
-//! let engine = ServeEngine::from_path(&path, EngineConfig::default()).unwrap();
+//! let (snapshot, _meta) = load_snapshot(&path).unwrap();
+//! let engine = ServeEngine::new(Arc::new(snapshot), EngineConfig::default());
 //! let retrainer = Retrainer::new(
 //!     RetrainConfig { training, ..RetrainConfig::default() },
 //!     seed,
@@ -116,8 +119,8 @@ pub use retrain::{
     rotate_snapshots_with, snapshot_file_name, BreakerState, RetrainConfig, Retrainer,
     RetrainerHealth, RotationReport, StepOutcome,
 };
-pub use rollout::{RollPolicy, RollReport, RollStep, RouterPublish};
-pub use warm::{publish_from_path, Published, WarmStart};
+pub use rollout::{Publish, RollPolicy, RollReport, RollStep};
+pub use warm::{publish_from_path, Published};
 
 // The model-kind tag is defined next to the model codecs in sqp-core;
 // re-exported here because it is part of the snapshot file's vocabulary.

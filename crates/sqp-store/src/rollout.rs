@@ -1,5 +1,6 @@
-//! Publishing snapshot files into a replicated tier: fan-out and rolling
-//! upgrades with per-replica quarantine.
+//! [`Publish`], the one way a model reaches a serving tier, and its two
+//! impls: a [`ServeEngine`] (a one-member roll) and a [`RouterEngine`]
+//! (fan-out and rolling upgrades with per-replica quarantine).
 //!
 //! Two publication shapes for a [`RouterEngine`]:
 //!
@@ -9,7 +10,7 @@
 //!   allocation serves the whole tier; an unreadable file publishes
 //!   nowhere (all replicas keep serving, converged on the old
 //!   generation).
-//! * [`RouterPublish::rolling_publish`] — **rolling upgrade**: each
+//! * [`Publish::rolling_publish`] — **rolling upgrade**: each
 //!   replica performs its *own* read-and-validate of the file, in replica
 //!   order, publishing as it goes. This is the deployment shape for
 //!   validating new bytes incrementally: replica 0 is the canary, and mid-
@@ -22,7 +23,7 @@
 //!   live membership changes: a replica that leaves the tier mid-roll is
 //!   recorded in [`RollReport::retired`] (never panicked on), and one
 //!   that joins behind the leading edge is brought up by a trailing pass
-//!   (see [`RouterPublish::rolling_publish_with`]).
+//!   (see [`Publish::rolling_publish_with`]).
 //!
 //! Everything runs through the [`FsIo`] seam, so the chaos harness can
 //! fail exactly one replica's read mid-roll and replay it bit-identically
@@ -31,6 +32,7 @@
 use crate::format::{load_snapshot_with, SnapshotMeta};
 use sqp_common::fsio::{FsIo, RealFs};
 use sqp_router::RouterEngine;
+use sqp_serve::{ModelSnapshot, ServeEngine, ServeSurface};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
@@ -60,7 +62,7 @@ pub struct RollStep {
     pub outcome: Result<u64, String>,
 }
 
-/// Outcome of a [`RouterPublish::rolling_publish`] run.
+/// Outcome of a [`Publish::rolling_publish`] run.
 #[derive(Debug, Default)]
 pub struct RollReport {
     /// Metadata of the target snapshot (from the first load that reached
@@ -91,7 +93,15 @@ impl RollReport {
     }
 }
 
-/// Snapshot-file publication into a replicated serving tier.
+/// The one way a model reaches a serving tier: an in-memory snapshot
+/// ([`publish`](Self::publish)) or a snapshot file rolled member by
+/// member ([`rolling_publish_with`](Self::rolling_publish_with)). Both
+/// in-process tiers implement it — a [`ServeEngine`] is a one-member
+/// roll, a [`RouterEngine`] rolls its replicas — and so does nothing
+/// else: a remote tier's servers load files from their own disks, so it
+/// is published to through each server's admin port.
+/// [`publish_from_path`](crate::publish_from_path) is the file-driven
+/// fan-out over this trait.
 ///
 /// # Examples
 ///
@@ -99,7 +109,7 @@ impl RollReport {
 /// use sqp_logsim::RawLogRecord;
 /// use sqp_router::{RouterConfig, RouterEngine};
 /// use sqp_serve::{ModelSnapshot, ModelSpec, TrainingConfig};
-/// use sqp_store::{save_snapshot, RollPolicy, RouterPublish, SnapshotMeta};
+/// use sqp_store::{save_snapshot, Publish, RollPolicy, SnapshotMeta};
 /// use std::sync::Arc;
 ///
 /// let rec = |machine, ts, q: &str| RawLogRecord {
@@ -124,25 +134,37 @@ impl RollReport {
 /// assert_eq!(router.suggest_context(&["tea"], 1)[0].query, "new kettle");
 /// # std::fs::remove_file(&path).unwrap();
 /// ```
-pub trait RouterPublish {
-    /// Upgrade replicas one at a time, each re-reading and re-validating
+pub trait Publish: ServeSurface {
+    /// Swap `snapshot` into every member (an atomic swap each, any
+    /// quarantine lifted). Returns the tier's fully-propagated generation
+    /// afterwards.
+    fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64;
+
+    /// Upgrade members one at a time, each re-reading and re-validating
     /// the file through the default filesystem. See
     /// [`rolling_publish_with`](Self::rolling_publish_with).
-    fn rolling_publish(&self, path: impl AsRef<Path>, policy: RollPolicy) -> RollReport;
+    fn rolling_publish(&self, path: &Path, policy: RollPolicy) -> RollReport {
+        self.rolling_publish_with(&RealFs, path, policy, &mut |_| {})
+    }
 
-    /// Upgrade replicas one at a time through an explicit [`FsIo`] (the
-    /// chaos seam), invoking `on_step` after every replica attempt — the
+    /// Upgrade members one at a time through an explicit [`FsIo`] (the
+    /// chaos seam), invoking `on_step` after every member attempt — the
     /// hook tests use to hold the tier mid-roll, and operators use to
     /// pace a canary bake.
     ///
-    /// Per replica, in id order over the membership pinned at roll start
-    /// (draining replicas included — they are still serving): read +
-    /// validate the file (container checksum and section structure),
-    /// check its metadata matches the first load that reached a publish
-    /// (a file swapped mid-roll must not split the tier across *three*
-    /// generations), and atomically publish. Failures quarantine that
-    /// replica — it keeps serving its last-good snapshot — and the roll
-    /// continues or aborts per `policy`.
+    /// A [`ServeEngine`] is member 0 of a one-member roll: it loads the
+    /// file and publishes it, or reports `failed: [(0, error)]` and keeps
+    /// serving its current model (an engine has no quarantine flag);
+    /// `on_step` fires once and nothing is ever skipped or aborted.
+    ///
+    /// A [`RouterEngine`], per replica, in id order over the membership
+    /// pinned at roll start (draining replicas included — they are still
+    /// serving): read + validate the file (container checksum and section
+    /// structure), check its metadata matches the first load that reached
+    /// a publish (a file swapped mid-roll must not split the tier across
+    /// *three* generations), and atomically publish. Failures quarantine
+    /// that replica — it keeps serving its last-good snapshot — and the
+    /// roll continues or aborts per `policy`.
     ///
     /// A roll takes no membership lock, so the tier may reconfigure
     /// under it; both directions are absorbed rather than raced:
@@ -163,25 +185,57 @@ pub trait RouterPublish {
     fn rolling_publish_with(
         &self,
         io: &dyn FsIo,
-        path: impl AsRef<Path>,
+        path: &Path,
         policy: RollPolicy,
         on_step: &mut dyn FnMut(&RollStep),
     ) -> RollReport;
 }
 
-impl RouterPublish for RouterEngine {
-    fn rolling_publish(&self, path: impl AsRef<Path>, policy: RollPolicy) -> RollReport {
-        self.rolling_publish_with(&RealFs, path, policy, &mut |_| {})
+impl Publish for ServeEngine {
+    fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64 {
+        ServeEngine::publish(self, snapshot)
     }
 
     fn rolling_publish_with(
         &self,
         io: &dyn FsIo,
-        path: impl AsRef<Path>,
+        path: &Path,
+        _policy: RollPolicy,
+        on_step: &mut dyn FnMut(&RollStep),
+    ) -> RollReport {
+        let mut report = RollReport::default();
+        let outcome = match load_snapshot_with(io, path) {
+            Ok((snapshot, meta)) => {
+                report.meta = Some(meta);
+                report.upgraded.push(0);
+                Ok(ServeEngine::publish(self, Arc::new(snapshot)))
+            }
+            Err(error) => {
+                let error = error.to_string();
+                report.failed.push((0, error.clone()));
+                Err(error)
+            }
+        };
+        on_step(&RollStep {
+            replica: 0,
+            outcome,
+        });
+        report
+    }
+}
+
+impl Publish for RouterEngine {
+    fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64 {
+        RouterEngine::publish(self, snapshot)
+    }
+
+    fn rolling_publish_with(
+        &self,
+        io: &dyn FsIo,
+        path: &Path,
         policy: RollPolicy,
         on_step: &mut dyn FnMut(&RollStep),
     ) -> RollReport {
-        let path = path.as_ref();
         let mut report = RollReport::default();
         // Pin the membership once for the main pass. Ids are not handles:
         // each step re-resolves its id against the live tier (see the
@@ -412,13 +466,13 @@ mod tests {
     fn missing_file_quarantines_everyone_or_aborts() {
         let dir = scratch("roll-missing");
         let r = router();
-        let report = r.rolling_publish(dir.join("missing.sqps"), RollPolicy::ContinueOnFailure);
+        let report = r.rolling_publish(&dir.join("missing.sqps"), RollPolicy::ContinueOnFailure);
         assert_eq!(report.failed.len(), 4);
         assert!(report.meta.is_none());
         assert_eq!(r.stats().quarantined(), 4);
 
         let r2 = router();
-        let report = r2.rolling_publish(dir.join("missing.sqps"), RollPolicy::AbortOnFailure);
+        let report = r2.rolling_publish(&dir.join("missing.sqps"), RollPolicy::AbortOnFailure);
         assert!(report.aborted);
         assert_eq!(report.failed.len(), 1);
         assert_eq!(report.skipped, vec![1, 2, 3]);
@@ -486,7 +540,7 @@ mod tests {
         // canary's step, so its failure has no live replica to quarantine.
         let report = r.rolling_publish_with(
             &RealFs,
-            dir.join("missing.sqps"),
+            &dir.join("missing.sqps"),
             RollPolicy::ContinueOnFailure,
             &mut |step| {
                 if step.replica == 0 {
@@ -560,7 +614,7 @@ mod tests {
         let r = router();
         // Every replica fails: bogus file.
         std::fs::write(dir.join("bogus.sqps"), b"not a snapshot").unwrap();
-        let report = r.rolling_publish(dir.join("bogus.sqps"), RollPolicy::ContinueOnFailure);
+        let report = r.rolling_publish(&dir.join("bogus.sqps"), RollPolicy::ContinueOnFailure);
         assert_eq!(report.failed.len(), 4);
         // Still serving the old model.
         assert_eq!(r.suggest_context(&["start"], 1)[0].query, "old::next");
@@ -569,6 +623,39 @@ mod tests {
         publish_from_path(&r, &path).unwrap();
         assert_eq!(r.stats().quarantined(), 0);
         assert_eq!(r.suggest_context(&["start"], 1)[0].query, "new::next");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_engine_is_a_one_member_roll() {
+        let dir = scratch("roll-engine");
+        let engine = ServeEngine::new(Arc::new(trained("old")), Default::default());
+        let mut steps = Vec::new();
+        let report = engine.rolling_publish_with(
+            &RealFs,
+            &dir.join("missing.sqps"),
+            RollPolicy::AbortOnFailure,
+            &mut |step| steps.push((step.replica, step.outcome.is_ok())),
+        );
+        assert_eq!(report.failed.len(), 1);
+        assert_eq!(report.failed[0].0, 0);
+        assert!(report.upgraded.is_empty() && report.skipped.is_empty() && !report.aborted);
+        assert_eq!(engine.generation(), 0, "a failed roll keeps the old model");
+        assert_eq!(engine.suggest_context(&["start"], 1)[0].query, "old::next");
+
+        let path = save(&dir, 1, "new");
+        let report = engine.rolling_publish_with(
+            &RealFs,
+            &path,
+            RollPolicy::ContinueOnFailure,
+            &mut |step| steps.push((step.replica, step.outcome.is_ok())),
+        );
+        assert_eq!(report.upgraded, vec![0]);
+        assert!(report.complete());
+        assert_eq!(report.meta.map(|meta| meta.generation), Some(1));
+        assert_eq!(engine.generation(), 1);
+        assert_eq!(engine.suggest_context(&["start"], 1)[0].query, "new::next");
+        assert_eq!(steps, vec![(0, false), (0, true)], "one step per roll");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -9,6 +9,7 @@
 use sqp::logsim::RawLogRecord;
 use sqp::prelude::*;
 use sqp::serve::{ModelSpec, TrainingConfig};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn rec(machine: u64, ts: u64, q: &str) -> RawLogRecord {
@@ -52,7 +53,8 @@ fn main() {
 
     // ── Warm start: a serving process boots from the file alone.
     let t = Instant::now();
-    let engine = ServeEngine::from_path(&gen0, EngineConfig::default()).unwrap();
+    let (snapshot, _meta) = load_snapshot(&gen0).unwrap();
+    let engine = ServeEngine::new(Arc::new(snapshot), EngineConfig::default());
     println!(
         "warm start: engine ready in {:.1?} (no retraining)",
         t.elapsed()

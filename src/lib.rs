@@ -37,8 +37,8 @@ pub mod prelude {
         TrainingConfig,
     };
     pub use sqp_store::{
-        load_snapshot, publish_from_path, save_snapshot, RetrainConfig, Retrainer, RollPolicy,
-        RouterPublish, SnapshotError, SnapshotMeta, WarmStart,
+        load_snapshot, publish_from_path, save_snapshot, Publish, RetrainConfig, Retrainer,
+        RollPolicy, SnapshotError, SnapshotMeta,
     };
 }
 
