@@ -22,9 +22,6 @@
 //! assert_eq!(recs[0].query, sqp_common::QueryId(1)); // P(q1|q1q0) = 0.7
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod adjacency;
 pub mod backoff;
 pub mod cooccurrence;

@@ -13,9 +13,6 @@
 //! Flags: `--train-sessions N --test-sessions N --seed N --reduction N
 //! --quick`.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod data_figs;
 pub mod extras;
 pub mod harness;

@@ -25,9 +25,6 @@
 //! with the same plan makes bit-identical fault decisions, which the chaos
 //! soak test asserts by comparing digests across runs.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod chaos;
 mod clock;
 mod fs;

@@ -13,9 +13,6 @@
 //! assert!(!logs.train.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod config;
 pub mod generator;
 pub mod patterns;

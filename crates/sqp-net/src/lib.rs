@@ -57,9 +57,6 @@
 //! server.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod client;
 pub mod frame;
 pub mod remote;

@@ -15,6 +15,9 @@
 //! as `alloc_free_wire.rs`). This file holds exactly one test so no
 //! concurrent test can pollute the counter.
 
+// A counting `GlobalAlloc` needs `unsafe impl`; the libraries deny it.
+#![allow(unsafe_code)]
+
 use sqp_core::VmmConfig;
 use sqp_logsim::SimConfig;
 use sqp_net::wire::{self, ListWriter, Reply};

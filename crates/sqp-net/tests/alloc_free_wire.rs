@@ -9,6 +9,9 @@
 //! inside the measured window: the harness's threads allocate whenever
 //! they like without touching the count.
 
+// A counting `GlobalAlloc` needs `unsafe impl`; the libraries deny it.
+#![allow(unsafe_code)]
+
 use sqp_net::frame::{read_frame, write_frame, FrameRead};
 use sqp_net::wire::{self, BatchEntry, Reply, Request};
 use sqp_serve::Suggestion;

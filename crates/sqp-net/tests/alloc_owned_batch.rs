@@ -9,6 +9,9 @@
 //! server's connection threads answer the wire forms and allocate whatever
 //! they like without touching the count. This file holds exactly one test.
 
+// A counting `GlobalAlloc` needs `unsafe impl`; the libraries deny it.
+#![allow(unsafe_code)]
+
 use sqp_core::VmmConfig;
 use sqp_logsim::SimConfig;
 use sqp_net::{

@@ -29,9 +29,6 @@
 //! with per-replica validation and quarantine-on-failure) is this tier's
 //! impl of `sqp-store`'s `Publish`, which builds on the primitives here.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod members;
 mod ring;
 mod router;

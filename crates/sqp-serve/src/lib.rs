@@ -67,9 +67,6 @@
 //! assert_eq!(engine.generation(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod answer;
 pub mod engine;
 pub mod session;

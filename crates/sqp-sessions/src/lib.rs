@@ -15,9 +15,6 @@
 //! assert!(!processed.ground_truth.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod aggregate;
 pub mod contexts;
 pub mod incremental;

@@ -95,9 +95,6 @@
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod error;
 pub mod format;
 pub mod quarantine;

@@ -6,8 +6,6 @@
 //! The workspace reproduces He, Jiang, Liao, Hoi, Chang, Lim & Li,
 //! *Web Query Recommendation via Sequential Query Prediction*, ICDE 2009.
 
-#![forbid(unsafe_code)]
-
 pub mod service;
 
 pub use sqp_common as common;

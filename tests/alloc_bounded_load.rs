@@ -7,6 +7,9 @@
 //! Verified with a counting global allocator. This file holds exactly one
 //! test so no concurrent test can pollute the counter.
 
+// A counting `GlobalAlloc` needs `unsafe impl`; the libraries deny it.
+#![allow(unsafe_code)]
+
 use sqp::core::{model_from_bytes, model_to_bytes, ModelKind, Vmm, VmmConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

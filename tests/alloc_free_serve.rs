@@ -9,6 +9,9 @@
 //! Verified with a counting global allocator. This file holds exactly one
 //! test so no concurrent test can pollute the counter.
 
+// A counting `GlobalAlloc` needs `unsafe impl`; the libraries deny it.
+#![allow(unsafe_code)]
+
 use sqp::core::{
     Adjacency, BackoffConfig, BackoffNgram, Cooccurrence, Mvmm, MvmmConfig, NGram, Recommender,
     SequenceScorer, Vmm, VmmConfig,
