@@ -165,7 +165,7 @@ pub struct SuffixTrie {
 
 impl SuffixTrie {
     /// An empty trie (root only).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self::count(&FlatSessions::default(), 0, &[], Starts::Anywhere)
     }
 
@@ -370,7 +370,7 @@ impl SuffixTrie {
     }
 
     /// True when only the root exists.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.parents.len() <= 1
     }
 

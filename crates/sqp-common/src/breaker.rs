@@ -157,7 +157,7 @@ impl Breaker {
     }
 
     /// The breaker's configuration.
-    pub fn config(&self) -> BreakerConfig {
+    pub(crate) fn config(&self) -> BreakerConfig {
         self.cfg
     }
 
@@ -227,7 +227,7 @@ impl Breaker {
     }
 
     /// Current position.
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.lock().state
     }
 

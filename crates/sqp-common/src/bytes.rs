@@ -140,7 +140,7 @@ impl BytesMut {
 
     /// True when nothing has been written.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
@@ -200,7 +200,7 @@ impl BytesMut {
 }
 
 /// Longest legal LEB128 encoding of a `u64`: ⌈64 / 7⌉ bytes.
-pub const MAX_UVARINT_LEN: usize = 10;
+pub(crate) const MAX_UVARINT_LEN: usize = 10;
 
 /// Append `v` as an unsigned LEB128 varint: 7 value bits per byte, low
 /// group first, high bit set on every byte except the last. Values below

@@ -39,7 +39,7 @@ impl<K: Eq + Hash> Counter<K> {
     }
 
     /// Add one occurrence.
-    pub fn observe(&mut self, key: K) {
+    pub(crate) fn observe(&mut self, key: K) {
         self.add(key, 1);
     }
 
@@ -58,12 +58,12 @@ impl<K: Eq + Hash> Counter<K> {
     }
 
     /// Number of distinct keys.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// True when no key has been observed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
@@ -73,7 +73,7 @@ impl<K: Eq + Hash> Counter<K> {
     }
 
     /// Probability of `key` under the empirical distribution.
-    pub fn probability<Q>(&self, key: &Q) -> f64
+    pub(crate) fn probability<Q>(&self, key: &Q) -> f64
     where
         K: std::borrow::Borrow<Q>,
         Q: Eq + Hash + ?Sized,
@@ -88,7 +88,7 @@ impl<K: Eq + Hash> Counter<K> {
 
 impl<K: Eq + Hash + Clone> Counter<K> {
     /// Merge counts from another counter.
-    pub fn merge(&mut self, other: &Counter<K>) {
+    pub(crate) fn merge(&mut self, other: &Counter<K>) {
         for (k, v) in other.iter() {
             self.add(k.clone(), v);
         }

@@ -40,7 +40,7 @@ pub fn levenshtein_str(a: &str, b: &str) -> usize {
 
 /// Normalized string edit distance in [0, 1]: distance / max(len).
 /// Returns 0 for two empty strings.
-pub fn normalized_levenshtein_str(a: &str, b: &str) -> f64 {
+pub(crate) fn normalized_levenshtein_str(a: &str, b: &str) -> f64 {
     let max_len = a.chars().count().max(b.chars().count());
     if max_len == 0 {
         return 0.0;
@@ -51,7 +51,7 @@ pub fn normalized_levenshtein_str(a: &str, b: &str) -> f64 {
 /// Damerau-style check used by the spelling classifier: true when `a` and `b`
 /// differ by a single adjacent transposition (e.g. "goggle" vs "google" is a
 /// substitution, "form" vs "from" is a transposition).
-pub fn is_adjacent_transposition(a: &str, b: &str) -> bool {
+pub(crate) fn is_adjacent_transposition(a: &str, b: &str) -> bool {
     let av: Vec<char> = a.chars().collect();
     let bv: Vec<char> = b.chars().collect();
     if av.len() != bv.len() {

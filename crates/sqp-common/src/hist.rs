@@ -37,7 +37,7 @@ impl Histogram {
     }
 
     /// Total weight across all buckets.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.total
     }
 
@@ -47,7 +47,7 @@ impl Histogram {
     }
 
     /// Number of distinct keys.
-    pub fn distinct(&self) -> usize {
+    pub(crate) fn distinct(&self) -> usize {
         self.buckets.len()
     }
 
@@ -66,7 +66,7 @@ impl Histogram {
     }
 
     /// Fraction of total weight in buckets with `key <= bound`.
-    pub fn cumulative_fraction(&self, bound: u64) -> f64 {
+    pub(crate) fn cumulative_fraction(&self, bound: u64) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
@@ -79,7 +79,7 @@ impl Histogram {
     }
 
     /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (k, v) in other.iter() {
             self.add(k, v);
         }

@@ -58,7 +58,7 @@ impl Interner {
     }
 
     /// Create an interner sized for roughly `capacity` distinct queries.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let slots = (capacity * 2).next_power_of_two().max(16);
         Self {
             strings: Vec::with_capacity(capacity),
@@ -158,7 +158,7 @@ impl Interner {
     }
 
     /// True when no query has been interned.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.strings.is_empty()
     }
 

@@ -37,13 +37,13 @@ pub mod arena;
 pub mod breaker;
 pub mod bytes;
 pub mod clock;
-pub mod counter;
+mod counter;
 pub mod dist;
 pub mod fsio;
 pub mod hash;
 pub mod hazard;
 pub mod hist;
-pub mod intern;
+mod intern;
 pub mod math;
 pub mod mem;
 pub mod rng;

@@ -7,7 +7,7 @@
 
 /// Natural-feeling alias so call sites read like the paper.
 #[inline]
-pub fn log10(x: f64) -> f64 {
+pub(crate) fn log10(x: f64) -> f64 {
     x.log10()
 }
 
@@ -15,7 +15,7 @@ pub fn log10(x: f64) -> f64 {
 /// vector. Zero-weight entries are skipped (0·log 0 ≡ 0).
 ///
 /// Returns 0 for empty or single-outcome distributions.
-pub fn entropy_base10(weights: &[f64]) -> f64 {
+pub(crate) fn entropy_base10(weights: &[f64]) -> f64 {
     let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
     if total <= 0.0 {
         return 0.0;

@@ -66,7 +66,7 @@ impl BackoffNgram {
     }
 
     /// Number of stored context states (excluding the unigram floor).
-    pub fn state_count(&self) -> usize {
+    pub(crate) fn state_count(&self) -> usize {
         let windows = self.trie.window_ids(self.config.max_order);
         windows.filter(|&node| self.supported(node)).count()
     }
@@ -87,7 +87,7 @@ impl BackoffNgram {
     }
 
     /// Longest suffix of `context` that is a state, if any.
-    pub fn longest_suffix<'a>(&self, context: &'a [QueryId]) -> Option<&'a [QueryId]> {
+    pub(crate) fn longest_suffix<'a>(&self, context: &'a [QueryId]) -> Option<&'a [QueryId]> {
         (0..context.len())
             .map(|start| &context[start..])
             .find(|suffix| self.state(suffix).is_some())

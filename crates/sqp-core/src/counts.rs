@@ -161,7 +161,7 @@ impl WindowCounts {
     /// Another handle to the arena — what a trained VMM keeps: its states'
     /// distributions and its escape table (total / at-start counts per
     /// window, Eq. 6) are this trie's rows.
-    pub fn shared_trie(&self) -> Arc<SuffixTrie> {
+    pub(crate) fn shared_trie(&self) -> Arc<SuffixTrie> {
         Arc::clone(&self.trie)
     }
 }

@@ -22,19 +22,19 @@
 //! assert_eq!(recs[0].query, sqp_common::QueryId(1)); // P(q1|q1q0) = 0.7
 //! ```
 
-pub mod adjacency;
-pub mod backoff;
-pub mod cooccurrence;
+mod adjacency;
+mod backoff;
+mod cooccurrence;
 pub mod counts;
-pub mod model;
-pub mod mvmm;
-pub mod newton;
-pub mod ngram;
+mod model;
+mod mvmm;
+mod newton;
+mod ngram;
 mod pairs;
 pub mod persist;
-pub mod pst;
+mod pst;
 pub mod toy;
-pub mod vmm;
+mod vmm;
 
 pub use adjacency::Adjacency;
 pub use backoff::{BackoffConfig, BackoffNgram};

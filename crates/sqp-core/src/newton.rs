@@ -21,17 +21,17 @@ use sqp_common::FxHashMap;
 #[derive(Clone, Copy, Debug)]
 pub struct FitConfig {
     /// Maximum Newton/gradient iterations.
-    pub max_iters: usize,
+    pub(crate) max_iters: usize,
     /// Convergence threshold on objective improvement.
-    pub tol: f64,
+    pub(crate) tol: f64,
     /// Initial σ for every component.
-    pub sigma_init: f64,
+    pub(crate) sigma_init: f64,
     /// Lower projection bound (σ must stay positive).
-    pub sigma_min: f64,
+    pub(crate) sigma_min: f64,
     /// Upper projection bound.
-    pub sigma_max: f64,
+    pub(crate) sigma_max: f64,
     /// Cap on the number of training sequences used for the fit.
-    pub max_fit_sequences: usize,
+    pub(crate) max_fit_sequences: usize,
 }
 
 impl Default for FitConfig {
@@ -51,15 +51,15 @@ impl Default for FitConfig {
 #[derive(Clone, Debug)]
 pub struct FitOutcome {
     /// Fitted deviations, one per mixture component.
-    pub sigmas: Vec<f64>,
+    pub(crate) sigmas: Vec<f64>,
     /// Final objective value (Eq. 9, base-10 logs).
-    pub objective: f64,
+    pub(crate) objective: f64,
     /// Iterations performed.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// True when the improvement fell below tolerance before `max_iters`.
-    pub converged: bool,
+    pub(crate) converged: bool,
     /// How many iterations accepted the pure Newton step.
-    pub newton_steps: usize,
+    pub(crate) newton_steps: usize,
 }
 
 const LN10: f64 = std::f64::consts::LN_10;
@@ -178,7 +178,7 @@ impl<'a> Fit<'a> {
 
 /// Solve `A x = b` by Gaussian elimination with partial pivoting.
 /// Returns `None` for (near-)singular systems.
-pub fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+pub(crate) fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = b.len();
     for col in 0..n {
         // Pivot.

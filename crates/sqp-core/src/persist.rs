@@ -77,7 +77,7 @@ pub enum ModelKind {
 
 impl ModelKind {
     /// Every kind the persistence layer supports, in tag order.
-    pub const ALL: [ModelKind; 6] = [
+    pub(crate) const ALL: [ModelKind; 6] = [
         ModelKind::Vmm,
         ModelKind::Adjacency,
         ModelKind::Cooccurrence,

@@ -105,7 +105,7 @@ impl<'a> NodeDist<'a> {
     }
 
     /// Observed continuations `(query, smoothed prob)`, best first.
-    pub fn observed(&self) -> impl Iterator<Item = (QueryId, f64)> + 'a {
+    pub(crate) fn observed(&self) -> impl Iterator<Item = (QueryId, f64)> + 'a {
         let dist = *self;
         dist.rank.iter().map(move |&i| {
             let i = i as usize;
@@ -115,12 +115,12 @@ impl<'a> NodeDist<'a> {
 
     /// Raw ML counts as parallel slices `(queries, counts)`, ascending by
     /// query id.
-    pub fn raw_counts(&self) -> (&'a [QueryId], &'a [u64]) {
+    pub(crate) fn raw_counts(&self) -> (&'a [QueryId], &'a [u64]) {
         (self.queries, self.counts)
     }
 
     /// Total observed continuation mass.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.total
     }
 }
@@ -211,7 +211,7 @@ impl Pst {
     /// `max_len`, or to the trie's window length when that is shorter or
     /// `max_len` is `None`) and be suffix-closed; `n_queries` is the
     /// universe size |Q| the distributions are smoothed over.
-    pub fn from_states(
+    pub(crate) fn from_states(
         trie: Arc<SuffixTrie>,
         n_queries: usize,
         max_len: Option<usize>,
@@ -322,7 +322,7 @@ impl Pst {
     }
 
     /// True when only the root exists.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() <= 1
     }
 
@@ -333,7 +333,7 @@ impl Pst {
 
     /// The trie nodes of the non-root states, ascending — the list
     /// [`Pst::from_states`] rebuilds this tree from.
-    pub fn state_nodes(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+    pub(crate) fn state_nodes(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
         self.states[1..self.len()].iter().map(|s| s.node)
     }
 
@@ -344,7 +344,7 @@ impl Pst {
     }
 
     /// The state of `state`'s one-shorter suffix (the root's is the root).
-    pub fn parent(&self, state: u32) -> u32 {
+    pub(crate) fn parent(&self, state: u32) -> u32 {
         self.states[state as usize].parent
     }
 
@@ -365,7 +365,7 @@ impl Pst {
     /// The observed continuations of `state`, best first, with their
     /// smoothed probabilities: `dist(state).observed()`, bit for bit.
     #[inline]
-    pub fn answer(&self, state: u32) -> &[Scored] {
+    pub(crate) fn answer(&self, state: u32) -> &[Scored] {
         let lo = self.states[state as usize].first_answer as usize;
         let hi = self.states[state as usize + 1].first_answer as usize;
         &self.answers[lo..hi]
@@ -405,7 +405,7 @@ impl Pst {
     /// Longest suffix of `context` that is a state: returns `(state,
     /// matched length)`; `(0, 0)` means only the root matches.
     #[inline]
-    pub fn longest_suffix(&self, context: &[QueryId]) -> (u32, usize) {
+    pub(crate) fn longest_suffix(&self, context: &[QueryId]) -> (u32, usize) {
         let mut found = (0, 0);
         for (state, matched) in self.suffix_states(context).zip(1..) {
             found = (state, matched);
@@ -419,7 +419,7 @@ impl Pst {
     }
 
     /// The state labelled exactly `context`, if present.
-    pub fn find(&self, context: &[QueryId]) -> Option<u32> {
+    pub(crate) fn find(&self, context: &[QueryId]) -> Option<u32> {
         let (state, matched) = self.longest_suffix(context);
         (matched == context.len()).then_some(state)
     }

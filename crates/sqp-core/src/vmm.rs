@@ -53,11 +53,11 @@ use std::sync::Arc;
 pub struct VmmConfig {
     /// PST growth threshold ε; 0 admits every candidate, +∞ degenerates to
     /// the Adjacency-like 2-gram (Fig 4 of the paper).
-    pub epsilon: f64,
+    pub(crate) epsilon: f64,
     /// Context-length bound D; `None` = unbounded ("infinite order").
     pub max_depth: Option<usize>,
     /// Minimum continuation support for a candidate context.
-    pub min_support: u64,
+    pub(crate) min_support: u64,
     /// Ignored: window counting sizes its own parts (see
     /// [`crate::counts`]) and PST growth its own divergence-test threads,
     /// each from the host and the amount of work. The field and
@@ -102,7 +102,7 @@ impl VmmConfig {
     }
 
     /// Display name in the paper's style: "VMM (0.05)", "2-bounded VMM (0.1)".
-    pub fn display_name(&self) -> String {
+    pub(crate) fn display_name(&self) -> String {
         match self.max_depth {
             Some(d) => format!("{d}-bounded VMM ({})", self.epsilon),
             None => format!("VMM ({})", self.epsilon),
@@ -446,24 +446,24 @@ impl Vmm {
 
     /// The frozen window trie the states index: its child rows are the
     /// distributions.
-    pub fn window_trie(&self) -> &Arc<SuffixTrie> {
+    pub(crate) fn window_trie(&self) -> &Arc<SuffixTrie> {
         self.pst.trie()
     }
 
     /// Training configuration.
-    pub fn config(&self) -> &VmmConfig {
+    pub(crate) fn config(&self) -> &VmmConfig {
         &self.config
     }
 
     /// |Q| seen at training time.
-    pub fn n_queries(&self) -> usize {
+    pub(crate) fn n_queries(&self) -> usize {
         self.totals.2
     }
 
     /// Longest suffix of `context` that is a (non-root) state: `(state,
     /// matched length)` — the state's context is the last `matched` queries
     /// of `context`.
-    pub fn match_state(&self, context: &[QueryId]) -> Option<(u32, usize)> {
+    pub(crate) fn match_state(&self, context: &[QueryId]) -> Option<(u32, usize)> {
         let (idx, matched) = self.pst.longest_suffix(context);
         (matched > 0).then_some((idx, matched))
     }

@@ -15,7 +15,7 @@ use sqp_sessions::GroundTruth;
 #[derive(Clone, Debug)]
 pub struct AccuracyPoint {
     /// Context length (number of past queries).
-    pub context_len: usize,
+    pub(crate) context_len: usize,
     /// Support-weighted mean NDCG@1 over covered contexts.
     pub ndcg1: f64,
     /// Support-weighted mean NDCG@3.
@@ -25,7 +25,7 @@ pub struct AccuracyPoint {
     /// Distinct covered contexts contributing.
     pub covered_contexts: usize,
     /// Support mass of the covered contexts.
-    pub covered_support: u64,
+    pub(crate) covered_support: u64,
 }
 
 /// Evaluate a model over ground truth contexts of lengths `1..=max_len`.

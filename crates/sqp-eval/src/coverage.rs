@@ -12,7 +12,7 @@ use sqp_sessions::{GroundTruth, QueryTrainingIndex, UnpredictableReason};
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CoveragePoint {
     /// Context length.
-    pub context_len: usize,
+    pub(crate) context_len: usize,
     /// Support mass of covered contexts.
     pub covered_support: u64,
     /// Total support mass at this length.
@@ -76,7 +76,7 @@ pub fn overall_coverage(model: &dyn Recommender, gt: &GroundTruth) -> f64 {
 #[derive(Clone, Debug, Default)]
 pub struct ReasonCounts {
     /// Support-weighted count per reason.
-    pub counts: FxHashMap<UnpredictableReason, u64>,
+    pub(crate) counts: FxHashMap<UnpredictableReason, u64>,
     /// Support mass of covered (predictable) contexts.
     pub covered: u64,
     /// Total support mass.

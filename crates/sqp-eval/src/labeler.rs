@@ -22,7 +22,7 @@ pub struct LabelerOracle<'a> {
 
 impl<'a> LabelerOracle<'a> {
     /// Wrap a vocabulary.
-    pub fn new(vocab: &'a Vocabulary) -> Self {
+    pub(crate) fn new(vocab: &'a Vocabulary) -> Self {
         Self { vocab }
     }
 
@@ -79,7 +79,7 @@ impl<'a> LabelerOracle<'a> {
     }
 
     /// Would a labeler approve `predicted` as a follow-up to `context_last`?
-    pub fn approve(&self, context_last: &str, predicted: &str) -> bool {
+    pub(crate) fn approve(&self, context_last: &str, predicted: &str) -> bool {
         if context_last == predicted {
             // Recommending the query the user just typed is not helpful,
             // but it is "appropriate" (repeated-query pattern): approve.

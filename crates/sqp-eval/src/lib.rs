@@ -5,16 +5,16 @@
 //! reasons, the Figure 2 entropy curve, the §V-H user study driven by a
 //! simulated labeler oracle, and the Figure 12 training-time sweep.
 
-pub mod accuracy;
-pub mod coverage;
-pub mod entropy;
-pub mod labeler;
-pub mod metrics;
-pub mod ndcg;
+mod accuracy;
+mod coverage;
+mod entropy;
+mod labeler;
+mod metrics;
+mod ndcg;
 pub mod report;
-pub mod suite;
-pub mod timing;
-pub mod user_eval;
+mod suite;
+mod timing;
+mod user_eval;
 
 pub use accuracy::{evaluate_accuracy, overall_ndcg, AccuracyPoint};
 pub use coverage::{

@@ -11,7 +11,7 @@ use sqp_sessions::GroundTruth;
 
 /// Reciprocal rank of the best ground-truth continuation in `predicted`
 /// (0 when absent). "Best" = the truth's top-1 query.
-pub fn reciprocal_rank(predicted: &[QueryId], truth_top: QueryId) -> f64 {
+pub(crate) fn reciprocal_rank(predicted: &[QueryId], truth_top: QueryId) -> f64 {
     predicted
         .iter()
         .position(|&q| q == truth_top)
@@ -20,7 +20,7 @@ pub fn reciprocal_rank(predicted: &[QueryId], truth_top: QueryId) -> f64 {
 }
 
 /// Did any of the ground-truth top-n continuations appear in `predicted`?
-pub fn any_hit(predicted: &[QueryId], truth: &[(QueryId, u64)]) -> bool {
+pub(crate) fn any_hit(predicted: &[QueryId], truth: &[(QueryId, u64)]) -> bool {
     predicted
         .iter()
         .any(|p| truth.iter().any(|&(t, _)| t == *p))

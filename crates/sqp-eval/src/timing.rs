@@ -16,7 +16,7 @@ pub struct TimingRow {
     /// Distinct aggregated sessions in the slice.
     pub unique_sessions: usize,
     /// Session mass in the slice.
-    pub session_mass: u64,
+    pub(crate) session_mass: u64,
     /// `(label, wall time)` per method.
     pub times: Vec<(String, Duration)>,
 }

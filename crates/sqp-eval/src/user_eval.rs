@@ -53,9 +53,9 @@ pub struct MethodUserEval {
     /// Approved predicted queries (Table VIII row 2).
     pub approved: u64,
     /// Predictions per rank position (0-based index = position − 1).
-    pub position_predicted: Vec<u64>,
+    pub(crate) position_predicted: Vec<u64>,
     /// Approvals per rank position.
-    pub position_approved: Vec<u64>,
+    pub(crate) position_approved: Vec<u64>,
 }
 
 impl MethodUserEval {

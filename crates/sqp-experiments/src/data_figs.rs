@@ -10,7 +10,7 @@ use sqp_sessions::patterns::{classify_session, order_sensitive_fraction, pattern
 
 /// Figure 1: distribution of the seven session-pattern types, classified by
 /// the rule-based labeler, with generator ground truth and agreement rate.
-pub fn fig01_patterns(wb: &Workbench) -> String {
+pub(crate) fn fig01_patterns(wb: &Workbench) -> String {
     let vocab = &wb.logs.truth.vocabulary;
     let sample: Vec<&[String]> = wb
         .logs
@@ -66,7 +66,7 @@ pub fn fig01_patterns(wb: &Workbench) -> String {
 }
 
 /// Table I: one example session per pattern type.
-pub fn tab01_pattern_examples(wb: &Workbench) -> String {
+pub(crate) fn tab01_pattern_examples(wb: &Workbench) -> String {
     let mut rows = Vec::new();
     for p in PatternType::ALL {
         let example = wb
@@ -87,7 +87,7 @@ pub fn tab01_pattern_examples(wb: &Workbench) -> String {
 }
 
 /// Figure 2: average prediction entropy versus context length.
-pub fn fig02_entropy(wb: &Workbench) -> String {
+pub(crate) fn fig02_entropy(wb: &Workbench) -> String {
     let pts = sqp_eval::entropy_by_context_length(wb.train_sessions(), 5);
     let rows: Vec<Vec<String>> = pts
         .iter()
@@ -116,7 +116,7 @@ pub fn fig02_entropy(wb: &Workbench) -> String {
 }
 
 /// Figure 3 + Table II: the toy PST, checked against the paper's numbers.
-pub fn fig03_toy_pst() -> String {
+pub(crate) fn fig03_toy_pst() -> String {
     let corpus = toy_corpus();
     let vmm = Vmm::train(&corpus, VmmConfig::with_epsilon(TOY_EPSILON));
 
@@ -185,7 +185,7 @@ pub fn fig03_toy_pst() -> String {
 }
 
 /// Table IV: summary statistics of segmented sessions.
-pub fn tab04_dataset_stats(wb: &Workbench) -> String {
+pub(crate) fn tab04_dataset_stats(wb: &Workbench) -> String {
     let tr = &wb.processed.train.stats;
     let te = &wb.processed.test.stats;
     let rows = vec![
@@ -223,7 +223,7 @@ pub fn tab04_dataset_stats(wb: &Workbench) -> String {
 }
 
 /// Table V: sample sessions of each length.
-pub fn tab05_sample_sessions(wb: &Workbench) -> String {
+pub(crate) fn tab05_sample_sessions(wb: &Workbench) -> String {
     let interner = &wb.processed.interner;
     let mut rows = Vec::new();
     for len in 2..=5usize {
@@ -250,7 +250,7 @@ pub fn tab05_sample_sessions(wb: &Workbench) -> String {
 }
 
 /// Figure 5: session count versus session length (train and test).
-pub fn fig05_session_histogram(wb: &Workbench) -> String {
+pub(crate) fn fig05_session_histogram(wb: &Workbench) -> String {
     let mut out = String::new();
     for (name, epoch) in [
         ("training", &wb.processed.train),
@@ -273,7 +273,7 @@ pub fn fig05_session_histogram(wb: &Workbench) -> String {
 }
 
 /// Figure 6: power-law distribution of aggregated session frequencies.
-pub fn fig06_power_law(wb: &Workbench) -> String {
+pub(crate) fn fig06_power_law(wb: &Workbench) -> String {
     let mut out = String::new();
     for (name, epoch) in [
         ("training", &wb.processed.train),
@@ -304,7 +304,7 @@ pub fn fig06_power_law(wb: &Workbench) -> String {
 }
 
 /// Figure 7: session histogram after data reduction, with retention stats.
-pub fn fig07_reduction(wb: &Workbench) -> String {
+pub(crate) fn fig07_reduction(wb: &Workbench) -> String {
     let mut out = String::new();
     for (name, epoch, paper_pct) in [
         ("training", &wb.processed.train, "60.48%"),

@@ -18,7 +18,7 @@ use std::time::Instant;
 /// ground truth (the paper's protocol, head-heavy) and the unreduced one
 /// (tail included). ε prunes low-divergence deep states; its effect is
 /// visible in tree size always, and in accuracy mostly on the tail.
-pub fn ablation_epsilon(wb: &Workbench) -> String {
+pub(crate) fn ablation_epsilon(wb: &Workbench) -> String {
     let sessions = wb.train_sessions();
     // Unreduced ground truth over the same logs (the interner is assigned
     // before reduction, so ids are compatible by construction).
@@ -70,7 +70,7 @@ pub fn ablation_epsilon(wb: &Workbench) -> String {
 /// Ablation: MVMM mixture size K — accuracy, coverage, merged tree size,
 /// training time. The paper uses K = 11; is the mixture worth its K-fold
 /// training cost?
-pub fn ablation_mixture(wb: &Workbench) -> String {
+pub(crate) fn ablation_mixture(wb: &Workbench) -> String {
     let sessions = wb.train_sessions();
     let gt = &wb.processed.ground_truth;
     let mut rows = Vec::new();
@@ -119,7 +119,7 @@ pub fn ablation_mixture(wb: &Workbench) -> String {
 
 /// Ablation: the data-reduction threshold of §V-A.4 — how much cleaning is
 /// too much? Shows retention, ground-truth size, and downstream accuracy.
-pub fn ablation_reduction(wb: &Workbench) -> String {
+pub(crate) fn ablation_reduction(wb: &Workbench) -> String {
     let logs = &wb.logs;
     let mut rows = Vec::new();
     for threshold in [0u64, 1, 2, 5] {
@@ -160,7 +160,7 @@ pub fn ablation_reduction(wb: &Workbench) -> String {
 /// Extension (§VI): retraining cadence. Train on the first half of the
 /// training epoch vs all of it; newer data covers new trends (fresh canonical
 /// sessions), so both coverage and accuracy should improve with retraining.
-pub fn ext_retraining(wb: &Workbench) -> String {
+pub(crate) fn ext_retraining(wb: &Workbench) -> String {
     let sessions = wb.train_sessions();
     let gt = &wb.processed.ground_truth;
     let mut rows = Vec::new();
@@ -196,7 +196,7 @@ pub fn ext_retraining(wb: &Workbench) -> String {
 /// Extension: the Eq. (1) average log-loss — the framework objective the
 /// paper optimizes but never plots. Lower is better; the mixture should not
 /// be worse than its best component.
-pub fn ext_logloss(wb: &Workbench) -> String {
+pub(crate) fn ext_logloss(wb: &Workbench) -> String {
     let sessions = wb.train_sessions();
     let ngram = NGram::train(sessions);
     let vmm0 = Vmm::train(sessions, VmmConfig::with_epsilon(0.0));
@@ -248,7 +248,7 @@ pub fn ext_logloss(wb: &Workbench) -> String {
 
 /// Extension: coverage/accuracy of the MVMM as the recommendation list size
 /// N varies — the deployment knob of §I-B (the paper fixes N = 5).
-pub fn ext_list_size(wb: &Workbench) -> String {
+pub(crate) fn ext_list_size(wb: &Workbench) -> String {
     let sessions = wb.train_sessions();
     let gt = &wb.processed.ground_truth;
     let mvmm = Mvmm::train(sessions, &MvmmConfig::small());
@@ -288,7 +288,7 @@ pub fn ext_list_size(wb: &Workbench) -> String {
 /// back-off N-gram family the VMM descends from, benchmarked against the
 /// paper's own line-up. Answers the paper's open question — does hidden-state
 /// modelling raise the bar? — on the simulator.
-pub fn ext_future_models(wb: &Workbench) -> String {
+pub(crate) fn ext_future_models(wb: &Workbench) -> String {
     let sessions = wb.train_sessions();
     let gt = &wb.processed.ground_truth;
 

@@ -9,15 +9,15 @@ use sqp_sessions::{PipelineConfig, ProcessedLogs};
 #[derive(Clone, Debug)]
 pub struct ExpArgs {
     /// Sessions in the training epoch.
-    pub train_sessions: usize,
+    pub(crate) train_sessions: usize,
     /// Sessions in the test epoch.
-    pub test_sessions: usize,
+    pub(crate) test_sessions: usize,
     /// Master seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Aggregated-session frequency reduction threshold (drop ≤ t).
-    pub reduction_threshold: u64,
+    pub(crate) reduction_threshold: u64,
     /// Use the 3-component MVMM instead of the 11-component ε sweep.
-    pub quick: bool,
+    pub(crate) quick: bool,
 }
 
 impl Default for ExpArgs {
@@ -64,7 +64,7 @@ impl ExpArgs {
     }
 
     /// The simulator configuration for these arguments.
-    pub fn sim_config(&self) -> SimConfig {
+    pub(crate) fn sim_config(&self) -> SimConfig {
         SimConfig {
             train_sessions: self.train_sessions,
             test_sessions: self.test_sessions,
@@ -74,7 +74,7 @@ impl ExpArgs {
     }
 
     /// The pipeline configuration for these arguments.
-    pub fn pipeline_config(&self) -> PipelineConfig {
+    pub(crate) fn pipeline_config(&self) -> PipelineConfig {
         PipelineConfig {
             reduction_threshold: self.reduction_threshold,
         }
@@ -84,16 +84,16 @@ impl ExpArgs {
 /// The generated + processed corpus every experiment works from.
 pub struct Workbench {
     /// Raw simulated logs with ground truth.
-    pub logs: SimulatedLogs,
+    pub(crate) logs: SimulatedLogs,
     /// Pipeline output.
-    pub processed: ProcessedLogs,
+    pub(crate) processed: ProcessedLogs,
     /// The arguments that produced this bench.
-    pub args: ExpArgs,
+    pub(crate) args: ExpArgs,
 }
 
 impl Workbench {
     /// Generate and process the corpus.
-    pub fn build(args: &ExpArgs) -> Self {
+    pub(crate) fn build(args: &ExpArgs) -> Self {
         let logs = sqp_logsim::generate(&args.sim_config());
         let processed = sqp_sessions::process(&logs, &args.pipeline_config());
         Workbench {
@@ -104,7 +104,7 @@ impl Workbench {
     }
 
     /// The weighted training sessions models consume.
-    pub fn train_sessions(&self) -> &[(sqp_common::QuerySeq, u64)] {
+    pub(crate) fn train_sessions(&self) -> &[(sqp_common::QuerySeq, u64)] {
         &self.processed.train.aggregated.sessions
     }
 }
@@ -112,24 +112,24 @@ impl Workbench {
 /// The paper's model roster, trained once and shared by the experiments.
 pub struct TrainedModels {
     /// Adjacency baseline.
-    pub adjacency: Adjacency,
+    pub(crate) adjacency: Adjacency,
     /// Co-occurrence baseline.
-    pub cooccurrence: Cooccurrence,
+    pub(crate) cooccurrence: Cooccurrence,
     /// Variable-length N-gram.
-    pub ngram: NGram,
+    pub(crate) ngram: NGram,
     /// VMM (0.0) — the full-size PST.
-    pub vmm_00: Vmm,
+    pub(crate) vmm_00: Vmm,
     /// VMM (0.05) — the paper's sweet spot.
-    pub vmm_005: Vmm,
+    pub(crate) vmm_005: Vmm,
     /// VMM (0.1).
-    pub vmm_01: Vmm,
+    pub(crate) vmm_01: Vmm,
     /// The MVMM mixture.
-    pub mvmm: Mvmm,
+    pub(crate) mvmm: Mvmm,
 }
 
 impl TrainedModels {
     /// Train the full roster.
-    pub fn train(wb: &Workbench) -> Self {
+    pub(crate) fn train(wb: &Workbench) -> Self {
         let sessions = wb.train_sessions();
         let mvmm_cfg = if wb.args.quick {
             MvmmConfig::small()
@@ -148,7 +148,7 @@ impl TrainedModels {
     }
 
     /// All models as `(label, &dyn Recommender)` in the paper's order.
-    pub fn all(&self) -> Vec<(&str, &dyn Recommender)> {
+    pub(crate) fn all(&self) -> Vec<(&str, &dyn Recommender)> {
         vec![
             ("Co-occ.", &self.cooccurrence),
             ("Adj.", &self.adjacency),
@@ -161,7 +161,7 @@ impl TrainedModels {
     }
 
     /// The §V-H user-study roster (Adj., Co-occ., N-gram, MVMM).
-    pub fn user_study(&self) -> Vec<&dyn Recommender> {
+    pub(crate) fn user_study(&self) -> Vec<&dyn Recommender> {
         vec![&self.cooccurrence, &self.adjacency, &self.ngram, &self.mvmm]
     }
 }

@@ -25,17 +25,17 @@ use sqp_core::{Recommender, SequenceScorer, WeightedSessions};
 
 /// HMM training configuration.
 #[derive(Clone, Copy, Debug)]
-pub struct HmmConfig {
+pub(crate) struct HmmConfig {
     /// Number of hidden intent states.
-    pub n_states: usize,
+    pub(crate) n_states: usize,
     /// Baum–Welch iterations.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Cap on training sequences (most frequent first) for tractability.
-    pub max_sequences: usize,
+    pub(crate) max_sequences: usize,
     /// RNG seed for the parameter initialization.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Dirichlet-style pseudo-count added to every re-estimated parameter.
-    pub smoothing: f64,
+    pub(crate) smoothing: f64,
 }
 
 impl Default for HmmConfig {
@@ -51,7 +51,7 @@ impl Default for HmmConfig {
 }
 
 /// The trained model.
-pub struct Hmm {
+pub(crate) struct Hmm {
     n_states: usize,
     /// Initial state distribution π.
     start: Vec<f64>,
@@ -68,12 +68,12 @@ pub struct Hmm {
     /// Final training log10-likelihood per EM iteration: a diagnostic the
     /// experiment does not print and the tests hold non-decreasing.
     #[cfg_attr(not(test), allow(dead_code))]
-    pub log_likelihood_trace: Vec<f64>,
+    pub(crate) log_likelihood_trace: Vec<f64>,
 }
 
 impl Hmm {
     /// Train with Baum–Welch.
-    pub fn train(sessions: &WeightedSessions, config: HmmConfig) -> Self {
+    pub(crate) fn train(sessions: &WeightedSessions, config: HmmConfig) -> Self {
         let k = config.n_states.max(1);
         let mut rng = StdRng::seed_from_u64(config.seed);
 
@@ -250,7 +250,7 @@ impl Hmm {
 
     /// Forward belief over hidden states after observing `context`
     /// (normalized); `None` when the context is empty.
-    pub fn belief(&self, context: &[QueryId]) -> Option<Vec<f64>> {
+    pub(crate) fn belief(&self, context: &[QueryId]) -> Option<Vec<f64>> {
         if context.is_empty() {
             return None;
         }
@@ -278,7 +278,7 @@ impl Hmm {
     }
 
     /// `P(q | context)` by one-step belief propagation.
-    pub fn cond_prob(&self, context: &[QueryId], q: QueryId) -> f64 {
+    pub(crate) fn cond_prob(&self, context: &[QueryId], q: QueryId) -> f64 {
         let Some(alpha) = self.belief(context) else {
             return 0.0;
         };

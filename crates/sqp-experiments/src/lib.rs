@@ -13,12 +13,12 @@
 //! Flags: `--train-sessions N --test-sessions N --seed N --reduction N
 //! --quick`.
 
-pub mod data_figs;
-pub mod extras;
-pub mod harness;
+mod data_figs;
+mod extras;
+mod harness;
 mod hmm;
-pub mod model_figs;
-pub mod user_figs;
+mod model_figs;
+mod user_figs;
 
 pub use harness::{ExpArgs, TrainedModels, Workbench};
 
@@ -38,7 +38,7 @@ pub enum Runner {
 
 /// One entry of [`EXPERIMENTS`]: `(name, paper artifact, runner)`. The
 /// name is the `repro` subcommand.
-pub type Experiment = (&'static str, &'static str, Runner);
+pub(crate) type Experiment = (&'static str, &'static str, Runner);
 
 /// Every entry, in the order `repro all` runs them: the paper's figures
 /// and tables, then the ablations and extensions.

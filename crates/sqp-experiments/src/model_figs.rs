@@ -56,7 +56,7 @@ fn accuracy_tables(
 }
 
 /// Figure 8: sequence models (MVMM, N-gram) versus the pair-wise baselines.
-pub fn fig08_accuracy_pairwise(wb: &Workbench, models: &TrainedModels) -> String {
+pub(crate) fn fig08_accuracy_pairwise(wb: &Workbench, models: &TrainedModels) -> String {
     let roster: Vec<(&str, &dyn Recommender)> = vec![
         ("Co-occ.", &models.cooccurrence),
         ("Adj.", &models.adjacency),
@@ -72,7 +72,7 @@ pub fn fig08_accuracy_pairwise(wb: &Workbench, models: &TrainedModels) -> String
 }
 
 /// Figure 9: MVMM versus representative single VMMs.
-pub fn fig09_accuracy_vmm(wb: &Workbench, models: &TrainedModels) -> String {
+pub(crate) fn fig09_accuracy_vmm(wb: &Workbench, models: &TrainedModels) -> String {
     let roster: Vec<(&str, &dyn Recommender)> = vec![
         ("VMM (0)", &models.vmm_00),
         ("VMM (0.05)", &models.vmm_005),
@@ -88,7 +88,7 @@ pub fn fig09_accuracy_vmm(wb: &Workbench, models: &TrainedModels) -> String {
 }
 
 /// Figure 10: overall coverage per method.
-pub fn fig10_coverage(wb: &Workbench, models: &TrainedModels) -> String {
+pub(crate) fn fig10_coverage(wb: &Workbench, models: &TrainedModels) -> String {
     let gt = &wb.processed.ground_truth;
     let rows: Vec<Vec<String>> = models
         .all()
@@ -105,7 +105,7 @@ pub fn fig10_coverage(wb: &Workbench, models: &TrainedModels) -> String {
 }
 
 /// Figure 11: coverage versus context length for the sequence models.
-pub fn fig11_coverage_by_length(wb: &Workbench, models: &TrainedModels) -> String {
+pub(crate) fn fig11_coverage_by_length(wb: &Workbench, models: &TrainedModels) -> String {
     let gt = &wb.processed.ground_truth;
     let roster: Vec<(&str, &dyn Recommender)> = vec![
         ("N-gram", &models.ngram),
@@ -131,7 +131,7 @@ pub fn fig11_coverage_by_length(wb: &Workbench, models: &TrainedModels) -> Strin
 }
 
 /// Table VI: measured reasons for unpredictable queries.
-pub fn tab06_unpredictable_reasons(wb: &Workbench, models: &TrainedModels) -> String {
+pub(crate) fn tab06_unpredictable_reasons(wb: &Workbench, models: &TrainedModels) -> String {
     let analysis = reason_analysis(
         &wb.processed.ground_truth,
         &wb.processed.train_index,
@@ -169,7 +169,7 @@ pub fn tab06_unpredictable_reasons(wb: &Workbench, models: &TrainedModels) -> St
 }
 
 /// Table VII: memory footprint per method, plus the merged-PST node counts.
-pub fn tab07_memory(wb: &Workbench, models: &TrainedModels) -> String {
+pub(crate) fn tab07_memory(wb: &Workbench, models: &TrainedModels) -> String {
     let rows: Vec<Vec<String>> = models
         .all()
         .iter()
@@ -205,7 +205,7 @@ pub fn tab07_memory(wb: &Workbench, models: &TrainedModels) -> String {
 }
 
 /// Figure 12: training time versus amount of training data.
-pub fn fig12_training_time(wb: &Workbench) -> String {
+pub(crate) fn fig12_training_time(wb: &Workbench) -> String {
     let specs = vec![
         ModelSpec::Adjacency,
         ModelSpec::Cooccurrence,

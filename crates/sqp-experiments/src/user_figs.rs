@@ -5,7 +5,7 @@ use sqp_eval::report::{headers, pct, render_table};
 use sqp_eval::{run_user_eval, UserEvalConfig, UserEvalResult};
 
 /// Run the §V-H protocol once (shared by the three artifacts).
-pub fn user_eval(wb: &Workbench, models: &TrainedModels) -> UserEvalResult {
+pub(crate) fn user_eval(wb: &Workbench, models: &TrainedModels) -> UserEvalResult {
     let cfg = UserEvalConfig {
         per_length: 500,
         lengths: vec![1, 2, 3, 4],
@@ -23,7 +23,7 @@ pub fn user_eval(wb: &Workbench, models: &TrainedModels) -> UserEvalResult {
 }
 
 /// Table VIII: user labeling distribution over the four methods.
-pub fn tab08_user_labels(wb: &Workbench, models: &TrainedModels) -> String {
+pub(crate) fn tab08_user_labels(wb: &Workbench, models: &TrainedModels) -> String {
     let res = user_eval(wb, models);
     let mut hdr = vec!["".to_string()];
     hdr.extend(res.methods.iter().map(|m| m.name.clone()));
@@ -46,7 +46,7 @@ pub fn tab08_user_labels(wb: &Workbench, models: &TrainedModels) -> String {
 }
 
 /// Figure 13: precision and recall of the user evaluation.
-pub fn fig13_user_eval(wb: &Workbench, models: &TrainedModels) -> String {
+pub(crate) fn fig13_user_eval(wb: &Workbench, models: &TrainedModels) -> String {
     let res = user_eval(wb, models);
     let rows: Vec<Vec<String>> = res
         .methods
@@ -72,7 +72,7 @@ pub fn fig13_user_eval(wb: &Workbench, models: &TrainedModels) -> String {
 }
 
 /// Figure 14: precision across the top-5 positions.
-pub fn fig14_precision_positions(wb: &Workbench, models: &TrainedModels) -> String {
+pub(crate) fn fig14_precision_positions(wb: &Workbench, models: &TrainedModels) -> String {
     let res = user_eval(wb, models);
     let mut hdr = vec!["method".to_string()];
     hdr.extend((1..=5).map(|p| format!("pos {p}")));

@@ -38,7 +38,7 @@ pub struct ChaosStats {
     /// File reads observed.
     pub reads: u64,
     /// File writes observed.
-    pub writes: u64,
+    pub(crate) writes: u64,
     /// Reads failed with an injected error.
     pub read_errors: u64,
     /// Reads returned truncated.
@@ -48,7 +48,7 @@ pub struct ChaosStats {
     /// Writes whose payload was corrupted in flight.
     pub corrupt_writes: u64,
     /// Hazard strikes that stalled the calling thread.
-    pub delays: u64,
+    pub(crate) delays: u64,
     /// Hazard strikes that panicked the calling thread.
     pub panics: u64,
 }
@@ -125,7 +125,7 @@ impl Chaos {
     }
 
     /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
+    pub(crate) fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 

@@ -39,7 +39,7 @@ impl VirtualClock {
     }
 
     /// Move time forward by `ms` without any thread sleeping.
-    pub fn advance(&self, ms: u64) {
+    pub(crate) fn advance(&self, ms: u64) {
         self.now_ms.fetch_add(ms, Ordering::SeqCst);
     }
 }

@@ -46,7 +46,7 @@ pub struct FaultyFs {
 
 impl FaultyFs {
     /// A fault-injecting filesystem driven by `chaos`.
-    pub fn new(chaos: Arc<Chaos>) -> Self {
+    pub(crate) fn new(chaos: Arc<Chaos>) -> Self {
         Self {
             chaos,
             inner: RealFs,

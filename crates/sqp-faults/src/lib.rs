@@ -28,7 +28,7 @@
 mod chaos;
 mod clock;
 mod fs;
-pub mod netchaos;
+mod netchaos;
 mod plan;
 
 pub use chaos::{Chaos, ChaosStats, PANIC_MARKER};

@@ -54,19 +54,19 @@ const MAX_PLAUSIBLE_FRAME: usize = 64 << 20;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProxyStats {
     /// Connections accepted (including refused and black-holed ones).
-    pub accepted: u64,
+    pub(crate) accepted: u64,
     /// Connections dropped immediately after accept.
-    pub refused: u64,
+    pub(crate) refused: u64,
     /// Connections black-holed from the start.
-    pub blackholed: u64,
+    pub(crate) blackholed: u64,
     /// Complete client→server frames forwarded or killed.
-    pub frames_c2s: u64,
+    pub(crate) frames_c2s: u64,
     /// Complete server→client frames forwarded or killed.
-    pub frames_s2c: u64,
+    pub(crate) frames_s2c: u64,
     /// Frames killed mid-body (client→server cuts).
-    pub cut_frames: u64,
+    pub(crate) cut_frames: u64,
     /// Frames forwarded missing their last byte (server→client).
-    pub truncated_frames: u64,
+    pub(crate) truncated_frames: u64,
 }
 
 #[derive(Clone, Copy)]
@@ -197,7 +197,7 @@ impl ChaosProxy {
     }
 
     /// The upstream this proxy forwards to.
-    pub fn upstream(&self) -> SocketAddr {
+    pub(crate) fn upstream(&self) -> SocketAddr {
         self.inner.upstream
     }
 
@@ -224,7 +224,7 @@ impl ChaosProxy {
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> ProxyStats {
+    pub(crate) fn stats(&self) -> ProxyStats {
         ProxyStats {
             accepted: self.inner.conn_seq.load(Ordering::Relaxed),
             refused: self.inner.refused.load(Ordering::Relaxed),

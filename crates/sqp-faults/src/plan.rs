@@ -78,7 +78,7 @@ impl FaultPlan {
     }
 
     /// True when no fault of any kind can fire.
-    pub fn is_quiet(&self) -> bool {
+    pub(crate) fn is_quiet(&self) -> bool {
         self.read_error_on.is_empty()
             && self.short_read_on.is_empty()
             && self.write_error_on.is_empty()

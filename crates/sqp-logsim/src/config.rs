@@ -52,26 +52,26 @@ pub struct SessionConfig {
     ///
     /// Default puts the order-sensitive trio (spelling + generalization +
     /// specialization) at 34.34%, matching Fig 1.
-    pub pattern_weights: [f64; 7],
+    pub(crate) pattern_weights: [f64; 7],
     /// Unnormalized probabilities of session lengths 1, 2, 3, … .
-    pub length_weights: Vec<f64>,
+    pub(crate) length_weights: Vec<f64>,
     /// Zipf exponent for intent (topic) popularity.
-    pub zipf_theta: f64,
+    pub(crate) zipf_theta: f64,
     /// Number of canonical walk variants per intent; repeated sessions reuse
     /// them, producing the power-law aggregated-session spectrum of Fig 6.
-    pub walk_variants: usize,
+    pub(crate) walk_variants: usize,
     /// Zipf exponent over walk variants.
-    pub variant_theta: f64,
+    pub(crate) variant_theta: f64,
     /// Probability that a session takes a fresh random walk instead of a
     /// canonical variant (the long tail of unique sessions).
-    pub fresh_walk_prob: f64,
+    pub(crate) fresh_walk_prob: f64,
     /// Per-transition probability that a canonical walk deviates from its
     /// script (an "exploration" step). Noise is what gives deep contexts
     /// non-zero prediction entropy (Fig 2) and makes long test contexts
     /// diverge from training prefixes (the N-gram coverage collapse, Fig 11).
-    pub walk_noise: f64,
+    pub(crate) walk_noise: f64,
     /// Probability that a *test-epoch* session targets a test-only topic.
-    pub test_novelty_prob: f64,
+    pub(crate) test_novelty_prob: f64,
 }
 
 impl Default for SessionConfig {
@@ -96,19 +96,19 @@ impl Default for SessionConfig {
 #[derive(Clone, Debug)]
 pub struct TrafficConfig {
     /// Number of distinct machines (users). 0 ⇒ derived as n_sessions / 20.
-    pub n_machines: usize,
+    pub(crate) n_machines: usize,
     /// Mean seconds between queries inside a session (exponential).
-    pub intra_gap_mean_secs: f64,
+    pub(crate) intra_gap_mean_secs: f64,
     /// Hard cap on intra-session gaps, kept safely below the 30-minute
     /// segmentation cutoff.
-    pub intra_gap_cap_secs: u64,
+    pub(crate) intra_gap_cap_secs: u64,
     /// Minimum seconds between two sessions of the same machine, kept safely
     /// above the cutoff so segmentation can recover session boundaries.
-    pub inter_gap_min_secs: u64,
+    pub(crate) inter_gap_min_secs: u64,
     /// Mean of the additional exponential inter-session gap.
-    pub inter_gap_mean_secs: f64,
+    pub(crate) inter_gap_mean_secs: f64,
     /// Maximum clicks recorded after a query.
-    pub max_clicks: usize,
+    pub(crate) max_clicks: usize,
 }
 
 impl Default for TrafficConfig {
@@ -171,7 +171,7 @@ impl SimConfig {
 
     /// Scale both epochs by `factor` (used by the training-time sweep,
     /// Fig 12).
-    pub fn scaled(&self, factor: f64) -> Self {
+    pub(crate) fn scaled(&self, factor: f64) -> Self {
         let mut c = self.clone();
         c.train_sessions = ((self.train_sessions as f64) * factor).round().max(1.0) as usize;
         c.test_sessions = ((self.test_sessions as f64) * factor).round().max(1.0) as usize;

@@ -29,16 +29,16 @@ use sqp_common::FxHashMap;
 #[derive(Clone, Debug)]
 pub struct GeneratedSession {
     /// Machine (user) that issued the session.
-    pub machine_id: u64,
+    pub(crate) machine_id: u64,
     /// Timestamp of the first query.
-    pub start_time: u64,
+    pub(crate) start_time: u64,
     /// Query surfaces in order.
     pub queries: Vec<String>,
     /// The intent topic the walk started from.
-    pub intent: TopicId,
+    pub(crate) intent: TopicId,
     /// Ground-truth pattern label of each transition
     /// (`labels.len() == queries.len() - 1`).
-    pub labels: Vec<PatternType>,
+    pub(crate) labels: Vec<PatternType>,
 }
 
 impl GeneratedSession {
@@ -75,9 +75,9 @@ pub struct SimulatedLogs {
 
 const DAY: u64 = 86_400;
 /// Training epoch length: the paper uses the first 120 days of its log.
-pub const TRAIN_EPOCH_DAYS: u64 = 120;
+pub(crate) const TRAIN_EPOCH_DAYS: u64 = 120;
 /// Test epoch length: the following 30 days.
-pub const TEST_EPOCH_DAYS: u64 = 30;
+pub(crate) const TEST_EPOCH_DAYS: u64 = 30;
 
 struct Samplers {
     length: CumulativeSampler,

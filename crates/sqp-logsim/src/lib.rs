@@ -13,12 +13,12 @@
 //! assert!(!logs.train.is_empty());
 //! ```
 
-pub mod config;
-pub mod generator;
-pub mod patterns;
+mod config;
+mod generator;
+mod patterns;
 pub mod record;
-pub mod vocab;
-pub mod zipf;
+mod vocab;
+mod zipf;
 
 pub use config::{SessionConfig, SimConfig, TrafficConfig, VocabConfig};
 pub use generator::{generate, GeneratedSession, SimTruth, SimulatedLogs};

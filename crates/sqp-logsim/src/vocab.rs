@@ -15,12 +15,12 @@ use sqp_common::{FxHashMap, FxHashSet};
 
 /// Identifier of a topic node in the vocabulary forest.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct TopicId(pub u32);
+pub struct TopicId(pub(crate) u32);
 
 impl TopicId {
     /// Index form.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -31,19 +31,19 @@ pub struct Topic {
     /// This node's id.
     pub id: TopicId,
     /// Parent topic (None for roots).
-    pub parent: Option<TopicId>,
+    pub(crate) parent: Option<TopicId>,
     /// Child topics (specializations).
     pub children: Vec<TopicId>,
     /// Depth in the tree; roots are 0.
-    pub depth: usize,
+    pub(crate) depth: usize,
     /// Root ancestor (self for roots).
-    pub root: TopicId,
+    pub(crate) root: TopicId,
     /// Canonical query surface: the space-joined term path from the root.
     pub query: String,
     /// Optional alternate surface form (acronym or alias).
     pub synonym: Option<String>,
     /// True when this topic exists only in the test epoch (fresh queries).
-    pub test_only: bool,
+    pub(crate) test_only: bool,
 }
 
 /// The complete synthetic vocabulary.
@@ -196,12 +196,12 @@ impl Vocabulary {
     }
 
     /// Number of topics in the forest.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.topics.len()
     }
 
     /// True when the forest is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.topics.is_empty()
     }
 
@@ -216,22 +216,22 @@ impl Vocabulary {
     }
 
     /// Topics available to the training epoch.
-    pub fn train_topics(&self) -> &[TopicId] {
+    pub(crate) fn train_topics(&self) -> &[TopicId] {
         &self.train_topics
     }
 
     /// Topics reserved for the test epoch (fresh queries).
-    pub fn test_only_topics(&self) -> &[TopicId] {
+    pub(crate) fn test_only_topics(&self) -> &[TopicId] {
         &self.test_only_topics
     }
 
     /// Canonical surface of a topic.
-    pub fn canonical(&self, id: TopicId) -> &str {
+    pub(crate) fn canonical(&self, id: TopicId) -> &str {
         &self.topics[id.index()].query
     }
 
     /// Alternate surface, if assigned.
-    pub fn synonym(&self, id: TopicId) -> Option<&str> {
+    pub(crate) fn synonym(&self, id: TopicId) -> Option<&str> {
         self.topics[id.index()].synonym.as_deref()
     }
 
@@ -251,7 +251,7 @@ impl Vocabulary {
     }
 
     /// Siblings: other children of the same parent (roots have none).
-    pub fn siblings(&self, id: TopicId) -> Vec<TopicId> {
+    pub(crate) fn siblings(&self, id: TopicId) -> Vec<TopicId> {
         match self.topics[id.index()].parent {
             None => Vec::new(),
             Some(p) => self.topics[p.index()]
@@ -264,7 +264,7 @@ impl Vocabulary {
     }
 
     /// True when `a` is a strict ancestor of `b`.
-    pub fn is_ancestor(&self, a: TopicId, b: TopicId) -> bool {
+    pub(crate) fn is_ancestor(&self, a: TopicId, b: TopicId) -> bool {
         let mut cur = self.topics[b.index()].parent;
         while let Some(p) = cur {
             if p == a {

@@ -9,7 +9,7 @@ use sqp_common::rng::Rng;
 
 /// Sampler over `{0, …, n-1}` from a cumulative distribution table.
 #[derive(Clone, Debug)]
-pub struct CumulativeSampler {
+pub(crate) struct CumulativeSampler {
     cum: Vec<f64>,
 }
 
@@ -18,7 +18,7 @@ impl CumulativeSampler {
     ///
     /// # Panics
     /// Panics if `weights` is empty or sums to zero.
-    pub fn from_weights(weights: &[f64]) -> Self {
+    pub(crate) fn from_weights(weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "empty weight vector");
         let mut cum = Vec::with_capacity(weights.len());
         let mut acc = 0.0;
@@ -37,30 +37,30 @@ impl CumulativeSampler {
     }
 
     /// Zipf(θ) over `n` ranks: weight of rank r (0-based) ∝ 1/(r+1)^θ.
-    pub fn zipf(n: usize, theta: f64) -> Self {
+    pub(crate) fn zipf(n: usize, theta: f64) -> Self {
         assert!(n > 0);
         let weights: Vec<f64> = (1..=n).map(|r| (r as f64).powf(-theta)).collect();
         Self::from_weights(&weights)
     }
 
     /// Number of outcomes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cum.len()
     }
 
     /// True when there are no outcomes (cannot occur post-construction).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.cum.is_empty()
     }
 
     /// Draw one outcome index.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random::<f64>();
         self.index_of(u)
     }
 
     /// Outcome whose CDF interval contains `u` ∈ [0,1).
-    pub fn index_of(&self, u: f64) -> usize {
+    pub(crate) fn index_of(&self, u: f64) -> usize {
         match self
             .cum
             .binary_search_by(|c| c.partial_cmp(&u).expect("NaN in CDF"))
@@ -71,7 +71,7 @@ impl CumulativeSampler {
     }
 
     /// Probability mass of outcome `i`.
-    pub fn probability(&self, i: usize) -> f64 {
+    pub(crate) fn probability(&self, i: usize) -> f64 {
         if i == 0 {
             self.cum[0]
         } else {

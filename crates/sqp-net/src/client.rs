@@ -159,7 +159,7 @@ pub struct TrackAck {
     /// The track started a fresh session (idle cutoff or first contact).
     pub new_session: bool,
     /// Queries now in the user's context window.
-    pub context_len: usize,
+    pub(crate) context_len: usize,
 }
 
 /// One blocking keep-alive connection to a [`NetServer`](crate::NetServer)
@@ -213,7 +213,7 @@ impl NetClient {
     /// connection — how a pooled connection gets a fresh per-attempt
     /// deadline without reconnecting. Setting the timeout the connection
     /// already has makes no system call.
-    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn set_io_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         if self.io_timeout == Some(timeout) {
             return Ok(());
         }

@@ -57,10 +57,10 @@
 //! server.shutdown();
 //! ```
 
-pub mod client;
+mod client;
 pub mod frame;
-pub mod remote;
-pub mod server;
+mod remote;
+mod server;
 pub mod wire;
 
 pub use client::{BatchAnswer, NetClient, NetError, ServeAnswer, TrackAck};

@@ -105,7 +105,7 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug)]
 pub struct EndpointConfig {
     /// The endpoint's serve listener.
-    pub serve_addr: SocketAddr,
+    pub(crate) serve_addr: SocketAddr,
 }
 
 impl EndpointConfig {
@@ -238,19 +238,19 @@ pub struct EndpointStats {
     /// The endpoint's serve address.
     pub serve_addr: SocketAddr,
     /// Breaker position and counters.
-    pub breaker: BreakerStats,
+    pub(crate) breaker: BreakerStats,
     /// Attempts this endpoint answered (including typed sheds).
     pub answered: u64,
     /// Attempts that timed out (connect or I/O deadline).
-    pub timeouts: u64,
+    pub(crate) timeouts: u64,
     /// Connects actively refused.
-    pub refused: u64,
+    pub(crate) refused: u64,
     /// Connections that dropped mid-request or mid-frame.
-    pub disconnects: u64,
+    pub(crate) disconnects: u64,
     /// Other failed attempts (wire decode, unexpected reply, other I/O).
-    pub other_errors: u64,
+    pub(crate) other_errors: u64,
     /// Idle pooled connections right now.
-    pub pooled: usize,
+    pub(crate) pooled: usize,
     /// Operations executing against this endpoint right now — what
     /// retirement waits to reach zero.
     pub in_flight: u64,
@@ -448,7 +448,7 @@ impl RemoteEngine {
     /// [`connect`](Self::connect) with an explicit clock seam — what
     /// deterministic harnesses use to make deadlines and cooldowns
     /// virtual.
-    pub fn with_clock(
+    pub(crate) fn with_clock(
         endpoints: Vec<EndpointConfig>,
         cfg: RemoteConfig,
         clock: Arc<dyn Clock>,

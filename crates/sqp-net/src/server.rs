@@ -100,7 +100,7 @@ impl Default for ServerConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetServerStats {
     /// Connections accepted (both ports).
-    pub accepted: u64,
+    pub(crate) accepted: u64,
     /// Complete frames read off sockets.
     pub frames_in: u64,
     /// Reply frames written.

@@ -51,7 +51,7 @@ pub const DEFAULT_MAX_FRAME: usize = 256 * 1024;
 pub const MAX_QUERY_LEN: usize = 4096;
 
 /// Maximum byte length of a snapshot path in an admin request.
-pub const MAX_PATH_LEN: usize = 4096;
+pub(crate) const MAX_PATH_LEN: usize = 4096;
 
 /// Maximum entries in one `SUGGEST_BATCH` request.
 pub const MAX_BATCH: usize = 4096;
@@ -61,28 +61,28 @@ pub const MAX_K: usize = 1024;
 
 /// Maximum byte length of an error message on the wire (longer messages
 /// are truncated at a char boundary by the encoder).
-pub const MAX_ERROR_MSG: usize = 512;
+pub(crate) const MAX_ERROR_MSG: usize = 512;
 
 /// Request and reply opcodes (the first body byte of every frame).
 pub mod op {
     /// Track a query for a user (no suggestions wanted).
-    pub const TRACK: u8 = 0x01;
+    pub(crate) const TRACK: u8 = 0x01;
     /// Suggest against a user's tracked session.
-    pub const SUGGEST: u8 = 0x02;
+    pub(crate) const SUGGEST: u8 = 0x02;
     /// Track a query, then suggest against the updated session.
     pub const TRACK_SUGGEST: u8 = 0x03;
     /// Batched suggestion for many users at one timestamp.
     pub const SUGGEST_BATCH: u8 = 0x04;
     /// Read the surface's counters and generation.
-    pub const STATS: u8 = 0x05;
+    pub(crate) const STATS: u8 = 0x05;
     /// Liveness probe.
-    pub const PING: u8 = 0x06;
+    pub(crate) const PING: u8 = 0x06;
     /// Evict idle sessions as of a timestamp.
-    pub const EVICT: u8 = 0x07;
+    pub(crate) const EVICT: u8 = 0x07;
     /// Admin: load a snapshot file and publish it to the whole surface.
-    pub const PUBLISH: u8 = 0x10;
+    pub(crate) const PUBLISH: u8 = 0x10;
     /// Admin: load a snapshot file and roll it across replicas.
-    pub const ROLLING_PUBLISH: u8 = 0x11;
+    pub(crate) const ROLLING_PUBLISH: u8 = 0x11;
 
     /// Reply to [`TRACK`].
     pub const R_ACK: u8 = 0x81;
@@ -111,21 +111,21 @@ pub mod code {
     /// The opcode byte is not one this peer understands.
     pub const UNKNOWN_OPCODE: u8 = 1;
     /// The body ended before a field was complete.
-    pub const TRUNCATED: u8 = 2;
+    pub(crate) const TRUNCATED: u8 = 2;
     /// The body continued past the last field of its opcode.
-    pub const TRAILING_BYTES: u8 = 3;
+    pub(crate) const TRAILING_BYTES: u8 = 3;
     /// The length prefix exceeded the receiver's frame limit.
-    pub const FRAME_TOO_LARGE: u8 = 4;
+    pub(crate) const FRAME_TOO_LARGE: u8 = 4;
     /// The length prefix was zero (a frame must carry an opcode).
-    pub const EMPTY_FRAME: u8 = 5;
+    pub(crate) const EMPTY_FRAME: u8 = 5;
     /// A string field was not valid UTF-8.
-    pub const BAD_UTF8: u8 = 6;
+    pub(crate) const BAD_UTF8: u8 = 6;
     /// An admin opcode arrived on the public serve port.
     pub const ADMIN_ONLY: u8 = 7;
     /// An admin publish was attempted and failed (body carries why).
     pub const PUBLISH_FAILED: u8 = 8;
     /// A count/length field exceeded a protocol limit.
-    pub const LIMIT_EXCEEDED: u8 = 9;
+    pub(crate) const LIMIT_EXCEEDED: u8 = 9;
 }
 
 /// A malformed frame, as discovered while decoding.
@@ -169,7 +169,7 @@ pub enum WireError {
 
 impl WireError {
     /// The typed wire error code for this error (for `R_ERROR` replies).
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         match self {
             WireError::EmptyFrame => code::EMPTY_FRAME,
             WireError::UnknownOpcode(_) => code::UNKNOWN_OPCODE,
@@ -312,12 +312,12 @@ pub struct BatchEntries<'a> {
 
 impl<'a> BatchEntries<'a> {
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.count
     }
 
     /// True when the batch carries no entries.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
@@ -401,7 +401,7 @@ pub enum Request<'a> {
 
 impl Request<'_> {
     /// True for opcodes that may only be served on the admin port.
-    pub fn is_admin(&self) -> bool {
+    pub(crate) fn is_admin(&self) -> bool {
         matches!(
             self,
             Request::Publish { .. } | Request::RollingPublish { .. }
@@ -540,13 +540,13 @@ pub fn encode_evict(buf: &mut Vec<u8>, now: u64) {
 }
 
 /// Append a `PUBLISH` admin request body to `buf`.
-pub fn encode_publish(buf: &mut Vec<u8>, path: &str) {
+pub(crate) fn encode_publish(buf: &mut Vec<u8>, path: &str) {
     buf.push(op::PUBLISH);
     put_str(buf, path);
 }
 
 /// Append a `ROLLING_PUBLISH` admin request body to `buf`.
-pub fn encode_rolling_publish(buf: &mut Vec<u8>, path: &str, abort_on_failure: bool) {
+pub(crate) fn encode_rolling_publish(buf: &mut Vec<u8>, path: &str, abort_on_failure: bool) {
     buf.push(op::ROLLING_PUBLISH);
     buf.push(u8::from(abort_on_failure));
     put_str(buf, path);
@@ -635,7 +635,7 @@ impl<'a> SuggestionList<'a> {
     }
 
     /// True when the list is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
@@ -664,12 +664,12 @@ pub struct BatchLists<'a> {
 
 impl<'a> BatchLists<'a> {
     /// Number of per-entry suggestion lists.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.count
     }
 
     /// True when the reply carries no lists.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 

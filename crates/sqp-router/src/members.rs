@@ -70,7 +70,7 @@ impl<T> Members<T> {
     }
 
     /// True when the view has no members.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
 
@@ -102,17 +102,17 @@ impl<T> Members<T> {
     /// The id the next [`join`](Self::join) gets: one past the highest id
     /// this view holds, so an id that left is never handed out again while
     /// a higher one remains.
-    pub fn next_id(&self) -> u32 {
+    pub(crate) fn next_id(&self) -> u32 {
         self.members.last().map_or(0, |&(id, _)| id + 1)
     }
 
     /// True when users route to member `id`.
-    pub fn is_on_ring(&self, id: u32) -> bool {
+    pub(crate) fn is_on_ring(&self, id: u32) -> bool {
         self.ring.replica_ids().binary_search(&id).is_ok()
     }
 
     /// Ids of the members no user routes to, ascending.
-    pub fn off_ring_ids(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn off_ring_ids(&self) -> impl Iterator<Item = u32> + '_ {
         self.iter()
             .map(|(id, _)| id)
             .filter(|&id| !self.is_on_ring(id))
@@ -198,7 +198,7 @@ impl<T: Clone> Members<T> {
     /// # Errors
     ///
     /// [`WouldEmptyRing`] when `id` is the last member on the ring.
-    pub fn take_off_ring(&self, id: u32) -> Result<Self, WouldEmptyRing> {
+    pub(crate) fn take_off_ring(&self, id: u32) -> Result<Self, WouldEmptyRing> {
         let mut next = self.clone();
         next.ring.remove(id)?;
         Ok(next)

@@ -91,7 +91,7 @@ impl HashRing {
 
     /// Ring over an explicit id set — ids need not be contiguous, so a
     /// caller can model "replica 2 was decommissioned" without renumbering.
-    pub fn with_ids(ids: impl IntoIterator<Item = u32>, vnodes: usize) -> Self {
+    pub(crate) fn with_ids(ids: impl IntoIterator<Item = u32>, vnodes: usize) -> Self {
         let mut ring = Self {
             points: Vec::new(),
             replicas: Vec::new(),
@@ -183,7 +183,7 @@ impl HashRing {
     /// # Panics
     ///
     /// Panics if the ring is empty.
-    pub fn route_hash(&self, hash: u64) -> u32 {
+    pub(crate) fn route_hash(&self, hash: u64) -> u32 {
         assert!(!self.points.is_empty(), "routing over an empty ring");
         self.points[self.point_index(hash)].1
     }
@@ -201,22 +201,22 @@ impl HashRing {
     }
 
     /// Live replica ids, sorted ascending.
-    pub fn replica_ids(&self) -> &[u32] {
+    pub(crate) fn replica_ids(&self) -> &[u32] {
         &self.replicas
     }
 
     /// Number of live replicas.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.replicas.len()
     }
 
     /// True when no replicas are registered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.replicas.is_empty()
     }
 
     /// Virtual nodes contributed per replica.
-    pub fn vnodes(&self) -> usize {
+    pub(crate) fn vnodes(&self) -> usize {
         self.vnodes
     }
 }

@@ -171,18 +171,18 @@ pub struct ReplicaStats {
     /// replicas joined mid-life report tier-comparable values.
     pub stats: EngineStats,
     /// Requests currently holding the replica's admission permits.
-    pub in_flight: u64,
+    pub(crate) in_flight: u64,
     /// True when the replica's last publication attempt failed validation
     /// and it is pinned on its last-good snapshot.
     pub quarantined: bool,
     /// True when the replica is draining: off the ring, serving resident
     /// sessions to completion, refusing new ones, awaiting retirement.
-    pub draining: bool,
+    pub(crate) draining: bool,
     /// Tracks the replica refused while draining (would-be new sessions).
-    pub drain_refused: u64,
+    pub(crate) drain_refused: u64,
     /// The error that quarantined it, if any (kept after recovery until the
     /// next successful publish overwrites it).
-    pub last_error: Option<String>,
+    pub(crate) last_error: Option<String>,
 }
 
 /// Point-in-time view of the whole tier, one row per replica, plus the
@@ -292,7 +292,7 @@ pub struct HandoffReport {
     /// cutoff at handoff time — dead context is not worth moving.
     pub skipped_idle: usize,
     /// The tier's ring generation after the membership swap.
-    pub ring_generation: u64,
+    pub(crate) ring_generation: u64,
 }
 
 /// A replicated query-suggestion tier: consistent-hash routing over N
@@ -381,13 +381,13 @@ impl RouterEngine {
     }
 
     /// Replica ids currently draining (serving stragglers, off the ring).
-    pub fn draining_ids(&self) -> Vec<u32> {
+    pub(crate) fn draining_ids(&self) -> Vec<u32> {
         self.state().off_ring_ids().collect()
     }
 
     /// Membership swap counter: 0 at construction, +1 per join / drain /
     /// retire / remove.
-    pub fn ring_generation(&self) -> u64 {
+    pub(crate) fn ring_generation(&self) -> u64 {
         self.state.generation()
     }
 
@@ -558,7 +558,7 @@ impl RouterEngine {
     /// # Panics
     ///
     /// Panics if no live replica has this id.
-    pub fn is_quarantined(&self, id: usize) -> bool {
+    pub(crate) fn is_quarantined(&self, id: usize) -> bool {
         let state = self.state();
         let slot = state
             .get(id as u32)
@@ -733,7 +733,7 @@ impl RouterEngine {
 
     /// Sessions resident across the tier (sum of per-replica lock-free
     /// gauges).
-    pub fn active_sessions(&self) -> usize {
+    pub(crate) fn active_sessions(&self) -> usize {
         let state = self.state();
         state.iter().map(|(_, s)| s.engine.active_sessions()).sum()
     }

@@ -235,7 +235,7 @@ impl FlatAnswer {
     }
 
     /// Number of lists.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lists.len()
     }
 

@@ -355,7 +355,7 @@ impl ServeEngine {
     /// session's cache is current under the loaded snapshot), and model
     /// inference runs after the lock is released. A track refused by
     /// draining mode answers the empty list.
-    pub fn track_and_suggest_into(
+    pub(crate) fn track_and_suggest_into(
         &self,
         user: u64,
         query: &str,

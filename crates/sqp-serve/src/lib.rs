@@ -67,13 +67,13 @@
 //! assert_eq!(engine.generation(), 1);
 //! ```
 
-pub mod answer;
-pub mod engine;
-pub mod session;
-pub mod sink;
-pub mod snapshot;
-pub mod surface;
-pub mod swap;
+mod answer;
+mod engine;
+mod session;
+mod sink;
+mod snapshot;
+mod surface;
+mod swap;
 
 pub use answer::{FlatAnswer, QueryText};
 pub use engine::{

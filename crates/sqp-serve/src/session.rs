@@ -134,7 +134,7 @@ const TEXT_RESERVE: usize = 192;
 /// tail and nothing else, and a cached suggest reads its head and nothing
 /// else. A full window drops its oldest entry by moving the rest down.
 #[derive(Debug)]
-pub(crate) struct Session {
+pub struct Session {
     block: Vec<u8>,
     pub(crate) last_seen: u64,
     /// Identity of the snapshot slots `0..resolved` were filled under
@@ -411,7 +411,7 @@ impl SessionTracker {
     }
 
     /// The configuration the tracker was built with.
-    pub fn config(&self) -> &TrackerConfig {
+    pub(crate) fn config(&self) -> &TrackerConfig {
         &self.cfg
     }
 
@@ -487,7 +487,7 @@ impl SessionTracker {
     /// memory. Returns the number of sessions evicted. Intended to run
     /// periodically from a maintenance thread; serving correctness does not
     /// depend on it (`track`/`context` apply the cutoff lazily).
-    pub fn evict_idle(&self, now: u64) -> usize {
+    pub(crate) fn evict_idle(&self, now: u64) -> usize {
         let cutoff = self.cfg.idle_cutoff_secs;
         let mut evicted = 0;
         for stripe in self.stripes.iter() {

@@ -187,7 +187,7 @@ impl ModelSnapshot {
     /// context, fed from the session's id cache — which probes this
     /// snapshot's interner only for entries it does not already hold under
     /// this snapshot's identity.
-    pub(crate) fn extend_from_session(
+    pub fn extend_from_session(
         &self,
         session: &mut Session,
         ids: &mut Vec<QueryId>,
@@ -209,7 +209,7 @@ impl ModelSnapshot {
     /// the snapshot's interner; what it costs to keep is the sink's
     /// business (a wire frame copies the bytes once, a
     /// [`FlatAnswer`](crate::FlatAnswer) appends them to its one buffer).
-    pub fn render(&self, scored: &[Scored], sink: &mut dyn SuggestSink) {
+    pub(crate) fn render(&self, scored: &[Scored], sink: &mut dyn SuggestSink) {
         sink.list(scored.len());
         for s in scored {
             sink.suggestion(self.interner.resolve(s.query), s.score);

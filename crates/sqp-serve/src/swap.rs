@@ -197,7 +197,7 @@ impl<T> Swap<T> {
     }
 
     /// Publish a replacement and return the previous value.
-    pub fn swap(&self, value: Arc<T>) -> Arc<T> {
+    pub(crate) fn swap(&self, value: Arc<T>) -> Arc<T> {
         // Poison recovery and ordering: see `store`.
         let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let old = std::mem::replace(&mut *slot, value);

@@ -46,12 +46,12 @@ impl Aggregated {
     }
 
     /// Total searches (queries weighted by frequency).
-    pub fn total_searches(&self) -> u64 {
+    pub(crate) fn total_searches(&self) -> u64 {
         self.sessions.iter().map(|(s, f)| s.len() as u64 * f).sum()
     }
 
     /// Distinct query ids appearing anywhere.
-    pub fn unique_queries(&self) -> usize {
+    pub(crate) fn unique_queries(&self) -> usize {
         let mut set: sqp_common::FxHashSet<QueryId> = Default::default();
         for (s, _) in &self.sessions {
             set.extend(s.iter().copied());
@@ -60,7 +60,7 @@ impl Aggregated {
     }
 
     /// Frequencies of each session length (weighted histogram).
-    pub fn length_histogram(&self) -> sqp_common::Histogram {
+    pub(crate) fn length_histogram(&self) -> sqp_common::Histogram {
         let mut h = sqp_common::Histogram::new();
         for (s, f) in &self.sessions {
             h.add(s.len() as u64, *f);

@@ -17,7 +17,7 @@ pub struct ContextTable {
 
 impl ContextTable {
     /// Build from aggregated sessions.
-    pub fn build(agg: &Aggregated) -> Self {
+    pub(crate) fn build(agg: &Aggregated) -> Self {
         let mut map: FxHashMap<QuerySeq, Counter<QueryId>> = FxHashMap::default();
         for (s, f) in &agg.sessions {
             for i in 1..s.len() {
@@ -29,22 +29,22 @@ impl ContextTable {
     }
 
     /// Next-query distribution for `context`, if trained.
-    pub fn next_counts(&self, context: &[QueryId]) -> Option<&Counter<QueryId>> {
+    pub(crate) fn next_counts(&self, context: &[QueryId]) -> Option<&Counter<QueryId>> {
         self.map.get(context)
     }
 
     /// Number of distinct contexts.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// True when no context is stored.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
     /// Iterate `(context, next-query counter)` pairs (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = (&QuerySeq, &Counter<QueryId>)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&QuerySeq, &Counter<QueryId>)> {
         self.map.iter()
     }
 }
@@ -100,7 +100,7 @@ impl GroundTruth {
     }
 
     /// Largest context length present.
-    pub fn max_context_length(&self) -> usize {
+    pub(crate) fn max_context_length(&self) -> usize {
         self.entries
             .iter()
             .map(|e| e.context.len())
@@ -114,7 +114,7 @@ impl GroundTruth {
     }
 
     /// True when empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 }

@@ -46,7 +46,7 @@ pub struct SlidingCorpus {
 
 impl SlidingCorpus {
     /// An empty window holding at most `capacity` records (min 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             records: VecDeque::with_capacity(capacity.clamp(1, 1 << 20)),
             capacity: capacity.max(1),
@@ -82,7 +82,7 @@ impl SlidingCorpus {
     }
 
     /// Records currently resident in the window.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
     }
 
@@ -92,17 +92,17 @@ impl SlidingCorpus {
     }
 
     /// The configured window capacity, in records.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Total records ever appended (including the seed).
-    pub fn appended(&self) -> u64 {
+    pub(crate) fn appended(&self) -> u64 {
         self.appended
     }
 
     /// Records evicted off the old end of the window so far.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 }

@@ -101,17 +101,17 @@ impl QueryTrainingIndex {
     }
 
     /// Total training occurrences of `q` (0 when unseen or out of range).
-    pub fn occurrences(&self, q: QueryId) -> u64 {
+    pub(crate) fn occurrences(&self, q: QueryId) -> u64 {
         self.total.get(q.index()).copied().unwrap_or(0)
     }
 
     /// Occurrences where `q` is followed by another query.
-    pub fn followed_count(&self, q: QueryId) -> u64 {
+    pub(crate) fn followed_count(&self, q: QueryId) -> u64 {
         self.followed.get(q.index()).copied().unwrap_or(0)
     }
 
     /// Occurrences of `q` as a successor (position ≥ 1).
-    pub fn successor_count(&self, q: QueryId) -> u64 {
+    pub(crate) fn successor_count(&self, q: QueryId) -> u64 {
         self.as_successor.get(q.index()).copied().unwrap_or(0)
     }
 
@@ -147,7 +147,7 @@ impl QueryTrainingIndex {
     }
 
     /// Known query universe size at build time.
-    pub fn n_queries(&self) -> usize {
+    pub(crate) fn n_queries(&self) -> usize {
         self.total.len()
     }
 }

@@ -15,15 +15,15 @@
 //! assert!(!processed.ground_truth.is_empty());
 //! ```
 
-pub mod aggregate;
-pub mod contexts;
-pub mod incremental;
-pub mod index;
+mod aggregate;
+mod contexts;
+mod incremental;
+mod index;
 pub mod patterns;
 pub mod pipeline;
-pub mod reduce;
-pub mod segment;
-pub mod stats;
+mod reduce;
+mod segment;
+mod stats;
 
 pub use aggregate::{aggregate, Aggregated};
 pub use contexts::{ContextTable, GroundTruth, GroundTruthEntry};

@@ -44,7 +44,7 @@ fn is_sibling_shape(a: &str, b: &str) -> bool {
 ///
 /// `vocab` supplies world knowledge (synonym/topic identity). Pass `None` to
 /// classify from text alone, as an external user of the library would.
-pub fn classify_transition(a: &str, b: &str, vocab: Option<&Vocabulary>) -> PatternType {
+pub(crate) fn classify_transition(a: &str, b: &str, vocab: Option<&Vocabulary>) -> PatternType {
     if a == b {
         return PatternType::RepeatedQuery;
     }

@@ -11,13 +11,13 @@ use crate::aggregate::Aggregated;
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ReductionReport {
     /// Distinct aggregated sessions kept.
-    pub kept_unique: usize,
+    pub(crate) kept_unique: usize,
     /// Distinct aggregated sessions dropped.
-    pub dropped_unique: usize,
+    pub(crate) dropped_unique: usize,
     /// Session mass kept (sum of frequencies).
-    pub kept_mass: u64,
+    pub(crate) kept_mass: u64,
     /// Session mass dropped.
-    pub dropped_mass: u64,
+    pub(crate) dropped_mass: u64,
 }
 
 impl ReductionReport {

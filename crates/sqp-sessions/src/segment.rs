@@ -50,19 +50,19 @@ pub struct TextSession {
     /// Machine that issued the session.
     pub machine_id: u64,
     /// Timestamp of the first query.
-    pub start_time: u64,
+    pub(crate) start_time: u64,
     /// Query texts in issue order.
     pub queries: Vec<String>,
 }
 
 impl TextSession {
     /// Number of queries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queries.len()
     }
 
     /// True when the session holds no queries (never produced by [`segment`]).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queries.is_empty()
     }
 }
@@ -106,19 +106,19 @@ pub struct SessionRef<'a> {
     /// Machine that issued the session.
     pub machine_id: u64,
     /// Timestamp of the first query.
-    pub start_time: u64,
+    pub(crate) start_time: u64,
     ids: &'a [QueryId],
     table: &'a Interner,
 }
 
 impl<'a> SessionRef<'a> {
     /// Number of queries (never 0).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
     }
 
     /// True when the session holds no queries (never produced by [`segment`]).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
 
@@ -136,17 +136,17 @@ impl Segmented {
     }
 
     /// True when the log was empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.spans.is_empty()
     }
 
     /// Total queries over all sessions — one per input record.
-    pub fn searches(&self) -> usize {
+    pub(crate) fn searches(&self) -> usize {
         self.ids.len()
     }
 
     /// Number of distinct query texts.
-    pub fn unique_queries(&self) -> usize {
+    pub(crate) fn unique_queries(&self) -> usize {
         self.table.len()
     }
 
@@ -163,7 +163,7 @@ impl Segmented {
     ///
     /// # Panics
     /// Panics when `i >= self.len()`.
-    pub fn get(&self, i: usize) -> SessionRef<'_> {
+    pub(crate) fn get(&self, i: usize) -> SessionRef<'_> {
         let span = self.spans[i];
         SessionRef {
             machine_id: span.machine_id,

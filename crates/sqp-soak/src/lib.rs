@@ -72,7 +72,7 @@ pub fn rec(machine: u64, ts: u64, q: &str) -> RawLogRecord {
 
 /// A snapshot whose every suggestion after `"seed"` is tagged
 /// `{prefix}::…`, so an answer's provenance is readable off its text.
-pub fn tagged_snapshot(prefix: &str) -> ModelSnapshot {
+pub(crate) fn tagged_snapshot(prefix: &str) -> ModelSnapshot {
     let mut records = Vec::new();
     let mut machine = 0u64;
     for continuation in ["alpha", "beta", "gamma"] {
@@ -93,7 +93,7 @@ pub fn tagged_snapshot(prefix: &str) -> ModelSnapshot {
 
 /// A router tier of `replicas` replicas serving
 /// [`tagged_snapshot`]`(prefix)`.
-pub fn tagged_tier(prefix: &str, replicas: usize) -> RouterEngine {
+pub(crate) fn tagged_tier(prefix: &str, replicas: usize) -> RouterEngine {
     let snapshot = Arc::new(tagged_snapshot(prefix));
     RouterEngine::new(
         snapshot,
@@ -106,7 +106,7 @@ pub fn tagged_tier(prefix: &str, replicas: usize) -> RouterEngine {
 
 /// Save [`tagged_snapshot`]`(prefix)` as generation `generation` in `dir`;
 /// returns the file's path.
-pub fn save_tagged(dir: &Path, prefix: &str, generation: u64) -> PathBuf {
+pub(crate) fn save_tagged(dir: &Path, prefix: &str, generation: u64) -> PathBuf {
     let snapshot = tagged_snapshot(prefix);
     let path = dir.join(format!("gen-{generation}.sqps"));
     let meta = SnapshotMeta::describe(&snapshot, generation, 24);

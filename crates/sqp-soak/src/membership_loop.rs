@@ -37,7 +37,7 @@ use std::collections::HashSet;
 /// Workers hammering the tier (the acceptance floor).
 pub const WORKERS: usize = 4;
 /// Users per worker; user ids are disjoint across workers.
-pub const USERS_PER_WORKER: u64 = 32;
+pub(crate) const USERS_PER_WORKER: u64 = 32;
 /// Operations per worker per phase.
 pub const OPS_PER_WORKER: u64 = 120;
 
@@ -47,7 +47,7 @@ pub const OPS_PER_WORKER: u64 = 120;
 #[derive(Clone, Debug)]
 pub struct MembershipSoakReport {
     /// Worker threads.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Phase ledgers: steady / after-join / after-drain / after-kill.
     pub steady: Tally,
     /// Traffic after a replica joined (handed-off users continue).
@@ -62,9 +62,9 @@ pub struct MembershipSoakReport {
     /// digest — replay equality only covers the deterministic pair.
     pub churn: Tally,
     /// Sessions the join handoff moved to the new replica.
-    pub join_moved: usize,
+    pub(crate) join_moved: usize,
     /// Sessions the drain handoff moved off the victim.
-    pub drain_moved: usize,
+    pub(crate) drain_moved: usize,
     /// Sessions lost to the undrained kill (== the victim's routed set).
     pub kill_lost: usize,
     /// Replica ids alive after the whole scenario.

@@ -61,9 +61,9 @@ pub struct SkewSoakReport {
     /// Total suggest calls classified for provenance.
     pub ops_total: u64,
     /// Calls answered wholly from the old snapshot.
-    pub saw_old: u64,
+    pub(crate) saw_old: u64,
     /// Calls answered wholly from the new snapshot.
-    pub saw_new: u64,
+    pub(crate) saw_new: u64,
     /// Calls answered from the old snapshot *while the roll was in flight*
     /// — proof the skew window carried live traffic on both generations.
     pub old_during_roll: u64,

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 /// User ids per worker: worker `w`'s users are `w * USER_STRIDE + u`, so
 /// no two workers ever share a session.
-pub const USER_STRIDE: u64 = 1_000_000;
+pub(crate) const USER_STRIDE: u64 = 1_000_000;
 
 /// Fold a `u64` into an FNV-1a state.
 pub fn fold_u64(hash: u64, v: u64) -> u64 {
@@ -61,7 +61,7 @@ impl Op {
     }
 
     /// The user each answered list belongs to, in list order.
-    pub fn users(&self) -> Vec<u64> {
+    pub(crate) fn users(&self) -> Vec<u64> {
         match self {
             Op::Suggest(user, _) | Op::TrackAndSuggest(user, _, _) => vec![*user],
             Op::Batch(requests) => requests.iter().map(|r| r.user).collect(),
@@ -194,7 +194,7 @@ impl Tally {
 #[derive(Clone, Copy, Debug)]
 pub struct Ctx {
     /// The worker's index.
-    pub worker: usize,
+    pub(crate) worker: usize,
     /// The op's index within this worker's phase.
     pub i: u64,
 }
@@ -247,7 +247,7 @@ pub struct Progress {
 
 impl Progress {
     /// Ops completed so far, across every worker.
-    pub fn ops(&self) -> u64 {
+    pub(crate) fn ops(&self) -> u64 {
         self.ops.load(Ordering::Relaxed)
     }
 }

@@ -34,23 +34,23 @@ pub const MAGIC: [u8; 4] = *b"SQPS";
 /// version 9's. An older file is refused by version, not decoded.
 pub const FORMAT_VERSION: u32 = 10;
 /// Size of the fixed header: magic + version + section count.
-pub const HEADER_LEN: usize = 12;
+pub(crate) const HEADER_LEN: usize = 12;
 /// Size of one section-table entry: id `u32`, offset `u64`, length `u64`.
-pub const SECTION_ENTRY_LEN: usize = 20;
+pub(crate) const SECTION_ENTRY_LEN: usize = 20;
 /// Size of the trailing checksum.
-pub const CHECKSUM_LEN: usize = 8;
+pub(crate) const CHECKSUM_LEN: usize = 8;
 
 /// Section id of the metadata block.
-pub const SECTION_META: u32 = 1;
+pub(crate) const SECTION_META: u32 = 1;
 /// Section id of the interner block.
-pub const SECTION_INTERNER: u32 = 2;
+pub(crate) const SECTION_INTERNER: u32 = 2;
 /// Section id of the model block.
-pub const SECTION_MODEL: u32 = 3;
+pub(crate) const SECTION_MODEL: u32 = 3;
 /// Sections every snapshot carries, in file order.
-pub const SECTION_IDS: [u32; 3] = [SECTION_META, SECTION_INTERNER, SECTION_MODEL];
+pub(crate) const SECTION_IDS: [u32; 3] = [SECTION_META, SECTION_INTERNER, SECTION_MODEL];
 
 /// Byte length of the META section payload (three `u64` fields).
-pub const META_SECTION_LEN: usize = 24;
+pub(crate) const META_SECTION_LEN: usize = 24;
 
 /// Lifecycle metadata stored alongside the model.
 ///

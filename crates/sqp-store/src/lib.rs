@@ -95,12 +95,12 @@
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
 
-pub mod error;
-pub mod format;
-pub mod quarantine;
-pub mod retrain;
-pub mod rollout;
-pub mod warm;
+mod error;
+mod format;
+mod quarantine;
+mod retrain;
+mod rollout;
+mod warm;
 
 pub use error::{RetrainError, SnapshotError};
 pub use format::{

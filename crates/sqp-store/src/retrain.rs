@@ -140,9 +140,9 @@ pub struct RetrainerHealth {
     /// Rollback publishes performed after a quarantine.
     pub rollbacks: u64,
     /// Unreadable files skipped over by rollback scans.
-    pub rollback_files_skipped: u64,
+    pub(crate) rollback_files_skipped: u64,
     /// Rotation passes that reported per-file deletion errors.
-    pub rotation_errors: u64,
+    pub(crate) rotation_errors: u64,
     /// Times the breaker tripped open.
     pub breaker_trips: u64,
     /// Times a half-open probe closed the breaker again.
@@ -355,7 +355,7 @@ impl Retrainer {
     }
 
     /// Records buffered but not yet folded into a retrain.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.lock_queue().pending.len()
     }
 
@@ -365,7 +365,7 @@ impl Retrainer {
     /// number, before it has saved or published anything: to learn that a
     /// publish landed, read [`RetrainerHealth::retrains_ok`] or the
     /// engine's generation instead.
-    pub fn latest_generation(&self) -> u64 {
+    pub(crate) fn latest_generation(&self) -> u64 {
         self.generations.load(Ordering::Acquire)
     }
 
@@ -383,7 +383,7 @@ impl Retrainer {
     }
 
     /// True once [`shutdown`](Retrainer::shutdown) has been requested.
-    pub fn is_shutting_down(&self) -> bool {
+    pub(crate) fn is_shutting_down(&self) -> bool {
         self.stop.load(Ordering::Acquire)
     }
 
@@ -641,7 +641,7 @@ impl Retrainer {
     ///
     /// While the breaker is open the loop naps one poll interval per
     /// refused step instead of spinning.
-    pub fn run(&self, engine: &ServeEngine) -> RetrainerHealth {
+    pub(crate) fn run(&self, engine: &ServeEngine) -> RetrainerHealth {
         loop {
             let stopping = self.wait_for_work();
             if stopping && self.pending() == 0 {
@@ -733,16 +733,16 @@ pub fn latest_generation_on_disk_with(io: &dyn FsIo, dir: &Path) -> u64 {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RotationReport {
     /// Old snapshot files deleted.
-    pub removed: usize,
+    pub(crate) removed: usize,
     /// Directory entries skipped because they are not canonical
     /// `snapshot-N.sqps` files (alien files, tmp leftovers, quarantined
     /// snapshots). Rotation never touches what it does not own.
-    pub skipped: usize,
+    pub(crate) skipped: usize,
     /// Per-file deletion failures. Rotation keeps going past them — one
     /// undeletable file must not wedge the whole pass — so entries here
     /// mean disk usage is higher than `keep` intends, not that rotation
     /// aborted.
-    pub errors: Vec<String>,
+    pub(crate) errors: Vec<String>,
 }
 
 /// Rotate snapshot generations in `dir` down to the newest `keep` (min 1),

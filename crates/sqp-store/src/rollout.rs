@@ -59,7 +59,7 @@ pub struct RollStep {
     /// The replica that was just attempted.
     pub replica: usize,
     /// Its new engine generation on success, or why it was quarantined.
-    pub outcome: Result<u64, String>,
+    pub(crate) outcome: Result<u64, String>,
 }
 
 /// Outcome of a [`Publish::rolling_publish`] run.
@@ -67,7 +67,7 @@ pub struct RollStep {
 pub struct RollReport {
     /// Metadata of the target snapshot (from the first load that reached
     /// a publish); `None` when no replica managed to read the file.
-    pub meta: Option<SnapshotMeta>,
+    pub(crate) meta: Option<SnapshotMeta>,
     /// Replicas now serving the new generation, in upgrade order
     /// (replicas that joined mid-roll and were repaired by the trailing
     /// pass included).
@@ -80,7 +80,7 @@ pub struct RollReport {
     /// remove) before their step could publish. Not counted against
     /// [`complete`](Self::complete): a replica that is gone serves
     /// nothing, on any generation.
-    pub retired: Vec<usize>,
+    pub(crate) retired: Vec<usize>,
     /// True when [`RollPolicy::AbortOnFailure`] stopped the roll early.
     pub aborted: bool,
 }

@@ -49,7 +49,7 @@ pub struct Published {
     /// minimum across replicas), not snapshot-file generations.
     pub engine_generation: u64,
     /// Metadata of the snapshot file that was published.
-    pub meta: SnapshotMeta,
+    pub(crate) meta: SnapshotMeta,
 }
 
 /// Load a snapshot file and publish it into a live tier through

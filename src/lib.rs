@@ -6,7 +6,7 @@
 //! The workspace reproduces He, Jiang, Liao, Hoi, Chang, Lim & Li,
 //! *Web Query Recommendation via Sequential Query Prediction*, ICDE 2009.
 
-pub mod service;
+mod service;
 
 pub use sqp_common as common;
 pub use sqp_core as core;

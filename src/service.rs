@@ -41,7 +41,7 @@ impl RecommenderService {
     }
 
     /// Wrap an existing snapshot (e.g. one retrained off-thread).
-    pub fn from_snapshot(snapshot: Arc<ModelSnapshot>) -> Self {
+    pub(crate) fn from_snapshot(snapshot: Arc<ModelSnapshot>) -> Self {
         Self { snapshot }
     }
 
@@ -80,7 +80,7 @@ impl RecommenderService {
     /// Persist the service's snapshot (model + interner + metadata) as one
     /// file at `path`, written atomically. `generation` tags which
     /// (re)train produced it — see `FORMAT.md` for the byte layout.
-    pub fn save(
+    pub(crate) fn save(
         &self,
         path: impl AsRef<std::path::Path>,
         generation: u64,
@@ -122,34 +122,34 @@ impl RecommenderService {
     }
 
     /// Can the service say anything for this context?
-    pub fn covers(&self, context: &[&str]) -> bool {
+    pub(crate) fn covers(&self, context: &[&str]) -> bool {
         self.snapshot.covers(context)
     }
 
     /// Name of the underlying model.
-    pub fn model_name(&self) -> &str {
+    pub(crate) fn model_name(&self) -> &str {
         self.snapshot.model_name()
     }
 
     /// Session mass the model was trained on.
-    pub fn trained_sessions(&self) -> u64 {
+    pub(crate) fn trained_sessions(&self) -> u64 {
         self.snapshot.trained_sessions()
     }
 
     /// Distinct queries known to the service.
-    pub fn vocabulary_size(&self) -> usize {
+    pub(crate) fn vocabulary_size(&self) -> usize {
         self.snapshot.vocabulary_size()
     }
 
     /// Approximate model heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.snapshot.memory_bytes()
     }
 
     /// Handle to the underlying immutable snapshot — publishable into a
     /// running [`ServeEngine`] via
     /// [`publish`](sqp_serve::ServeEngine::publish).
-    pub fn snapshot(&self) -> Arc<ModelSnapshot> {
+    pub(crate) fn snapshot(&self) -> Arc<ModelSnapshot> {
         Arc::clone(&self.snapshot)
     }
 
@@ -164,7 +164,7 @@ impl RecommenderService {
     /// publication (see `sqp_store::rollout`) and per-replica health. The
     /// serve surface matches [`into_engine`](Self::into_engine)'s, so
     /// callers upgrade transparently when one engine stops being enough.
-    pub fn into_router(self, cfg: RouterConfig) -> RouterEngine {
+    pub(crate) fn into_router(self, cfg: RouterConfig) -> RouterEngine {
         RouterEngine::new(self.snapshot, cfg)
     }
 }
