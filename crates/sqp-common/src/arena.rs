@@ -164,10 +164,6 @@ pub struct SuffixTrie {
 }
 
 impl SuffixTrie {
-    /// An empty trie (root only).
-    pub(crate) fn empty() -> Self {
-        Self::count(&FlatSessions::default(), 0, &[], Starts::Anywhere)
-    }
 
     /// The root node id.
     pub const ROOT: u32 = 0;
@@ -367,11 +363,6 @@ impl SuffixTrie {
     /// Number of nodes including the root and continuation-only nodes.
     pub fn len(&self) -> usize {
         self.parents.len()
-    }
-
-    /// True when only the root exists.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.parents.len() <= 1
     }
 
     /// Deepest depth that counts as a window.
@@ -872,7 +863,7 @@ mod tests {
         );
         assert_eq!(back, Ok(t));
         // The root alone has no rows and loads back.
-        assert_eq!(from_rows(0, 0, &[]), Ok(SuffixTrie::empty()));
+        assert_eq!(from_rows(0, 0, &[]), Ok(count(&[], 0)));
     }
 
     /// A seeded random corpus: ids below `vocabulary`, sessions of 1 to
@@ -1159,9 +1150,8 @@ mod tests {
 
     #[test]
     fn empty_trie() {
-        let t = SuffixTrie::empty();
-        assert_eq!(t, count(&[], 0));
-        assert!(t.is_empty());
+        let t = count(&[], 0);
+        assert_eq!(t.len(), 1);
         assert_eq!(t.window_count(), 0);
         assert!(t.window(&seq(&[0])).is_none());
         assert!(t.window_ids(None).is_empty());

@@ -118,13 +118,13 @@ struct Inner {
 /// assert_eq!(breaker.admit(0), Admission::Allowed);
 /// breaker.record_failure(0);
 /// breaker.record_failure(1); // second consecutive failure: trips open
-/// assert_eq!(breaker.state(), BreakerState::Open);
+/// assert_eq!(breaker.stats().state, BreakerState::Open);
 /// assert!(matches!(breaker.admit(50), Admission::Refused { remaining_millis: 51 }));
 /// // Cooldown elapsed: exactly one probe is admitted.
 /// assert_eq!(breaker.admit(101), Admission::Probe);
 /// assert!(matches!(breaker.admit(101), Admission::Refused { .. }));
 /// breaker.record_success();
-/// assert_eq!(breaker.state(), BreakerState::Closed);
+/// assert_eq!(breaker.stats().state, BreakerState::Closed);
 /// assert_eq!(breaker.stats().recoveries, 1);
 /// ```
 #[derive(Debug)]
@@ -154,11 +154,6 @@ impl Breaker {
         // that leave `Inner` valid at any interleaving point, so a panic
         // elsewhere while holding the lock cannot corrupt it.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The breaker's configuration.
-    pub(crate) fn config(&self) -> BreakerConfig {
-        self.cfg
     }
 
     /// Decide whether a caller may proceed at `now_millis` (from the
@@ -224,11 +219,6 @@ impl Breaker {
     /// probe is held.
     pub fn cancel_probe(&self) {
         self.lock().probe_in_flight = false;
-    }
-
-    /// Current position.
-    pub(crate) fn state(&self) -> BreakerState {
-        self.lock().state
     }
 
     /// Snapshot position and counters.
@@ -319,9 +309,9 @@ mod tests {
         let b = Breaker::new(cfg(3, 100));
         assert!(!b.record_failure(0));
         assert!(!b.record_failure(1));
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.stats().state, BreakerState::Closed);
         assert!(b.record_failure(2));
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.stats().state, BreakerState::Open);
         assert_eq!(b.stats().trips, 1);
         assert!(matches!(
             b.admit(50),
@@ -337,9 +327,9 @@ mod tests {
         b.record_failure(0);
         b.record_success();
         b.record_failure(1);
-        assert_eq!(b.state(), BreakerState::Closed, "streak was reset");
+        assert_eq!(b.stats().state, BreakerState::Closed, "streak was reset");
         b.record_failure(2);
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.stats().state, BreakerState::Open);
     }
 
     #[test]
@@ -355,9 +345,9 @@ mod tests {
                 remaining_millis: 0
             }
         ));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.stats().state, BreakerState::HalfOpen);
         b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.stats().state, BreakerState::Closed);
         let s = b.stats();
         assert_eq!((s.trips, s.recoveries), (1, 1));
     }
@@ -368,10 +358,10 @@ mod tests {
         for t in 0..10 {
             b.record_failure(t);
         }
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.stats().state, BreakerState::Open);
         assert_eq!(b.admit(200), Admission::Probe);
         assert!(b.record_failure(200), "one probe failure re-trips");
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.stats().state, BreakerState::Open);
         assert_eq!(b.stats().trips, 2);
         assert!(matches!(
             b.admit(250),
@@ -388,13 +378,13 @@ mod tests {
         assert_eq!(b.admit(20), Admission::Probe);
         b.cancel_probe();
         // The state is still HalfOpen, but the next caller gets the probe.
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.stats().state, BreakerState::HalfOpen);
         assert_eq!(b.admit(20), Admission::Probe);
         // cancel_probe with no probe held is a no-op.
         let open = Breaker::new(cfg(1, 1000));
         open.record_failure(0);
         open.cancel_probe();
-        assert_eq!(open.state(), BreakerState::Open);
+        assert_eq!(open.stats().state, BreakerState::Open);
     }
 
     #[test]

@@ -138,12 +138,6 @@ impl BytesMut {
         self.data.len()
     }
 
-    /// True when nothing has been written.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Append a little-endian `u32`.
     #[inline]
     pub fn put_u32_le(&mut self, v: u32) {
@@ -198,9 +192,6 @@ impl BytesMut {
         self.data
     }
 }
-
-/// Longest legal LEB128 encoding of a `u64`: ⌈64 / 7⌉ bytes.
-pub(crate) const MAX_UVARINT_LEN: usize = 10;
 
 /// Append `v` as an unsigned LEB128 varint: 7 value bits per byte, low
 /// group first, high bit set on every byte except the last. Values below

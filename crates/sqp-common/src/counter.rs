@@ -57,42 +57,14 @@ impl<K: Eq + Hash> Counter<K> {
         self.total
     }
 
-    /// Number of distinct keys.
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no key has been observed.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Iterate `(key, count)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
         self.map.iter().map(|(k, &v)| (k, v))
     }
 
-    /// Probability of `key` under the empirical distribution.
-    pub(crate) fn probability<Q>(&self, key: &Q) -> f64
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Eq + Hash + ?Sized,
-    {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.get(key) as f64 / self.total as f64
-        }
-    }
 }
 
 impl<K: Eq + Hash + Clone> Counter<K> {
-    /// Merge counts from another counter.
-    pub(crate) fn merge(&mut self, other: &Counter<K>) {
-        for (k, v) in other.iter() {
-            self.add(k.clone(), v);
-        }
-    }
 }
 
 impl<K: Eq + Hash> FromIterator<K> for Counter<K> {
@@ -128,31 +100,7 @@ mod tests {
         assert_eq!(c.get("sun java"), 3);
         assert_eq!(c.get("missing"), 0);
         assert_eq!(c.total(), 5);
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn probability_sums_to_one() {
-        let c: Counter<u32> = [1u32, 1, 2, 3].into_iter().collect();
-        let p: f64 = [1u32, 2, 3].iter().map(|k| c.probability(k)).sum();
-        assert!((p - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probability_of_empty_counter() {
-        let c: Counter<u32> = Counter::new();
-        assert_eq!(c.probability(&1), 0.0);
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn merge_adds() {
-        let a: Counter<u32> = [1u32, 2].into_iter().collect();
-        let mut b: Counter<u32> = [2u32].into_iter().collect();
-        b.merge(&a);
-        assert_eq!(b.get(&1), 1);
-        assert_eq!(b.get(&2), 2);
-        assert_eq!(b.total(), 3);
+        assert_eq!(c.iter().count(), 2);
     }
 
     #[test]
@@ -168,7 +116,7 @@ mod tests {
     fn zero_weight_add_is_noop() {
         let mut c: Counter<u32> = Counter::new();
         c.add(1, 0);
-        assert!(c.is_empty());
+        assert_eq!(c.iter().count(), 0);
         assert_eq!(c.total(), 0);
     }
 }

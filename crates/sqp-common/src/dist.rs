@@ -38,30 +38,6 @@ pub fn levenshtein_str(a: &str, b: &str) -> usize {
     levenshtein(&av, &bv)
 }
 
-/// Normalized string edit distance in [0, 1]: distance / max(len).
-/// Returns 0 for two empty strings.
-pub(crate) fn normalized_levenshtein_str(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
-    if max_len == 0 {
-        return 0.0;
-    }
-    levenshtein_str(a, b) as f64 / max_len as f64
-}
-
-/// Damerau-style check used by the spelling classifier: true when `a` and `b`
-/// differ by a single adjacent transposition (e.g. "goggle" vs "google" is a
-/// substitution, "form" vs "from" is a transposition).
-pub(crate) fn is_adjacent_transposition(a: &str, b: &str) -> bool {
-    let av: Vec<char> = a.chars().collect();
-    let bv: Vec<char> = b.chars().collect();
-    if av.len() != bv.len() {
-        return false;
-    }
-    let diffs: Vec<usize> = (0..av.len()).filter(|&i| av[i] != bv[i]).collect();
-    matches!(diffs.as_slice(),
-        &[i, j] if j == i + 1 && av[i] == bv[j] && av[j] == bv[i])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,24 +57,6 @@ mod tests {
         assert_eq!(levenshtein(&[1u32, 2, 3], &[1, 3]), 1);
         assert_eq!(levenshtein(&[1u32, 2, 3], &[1, 2, 3]), 0);
         assert_eq!(levenshtein::<u32>(&[], &[7, 8]), 2);
-    }
-
-    #[test]
-    fn normalized_bounds() {
-        assert_eq!(normalized_levenshtein_str("", ""), 0.0);
-        assert_eq!(normalized_levenshtein_str("abc", "abc"), 0.0);
-        assert_eq!(normalized_levenshtein_str("abc", "xyz"), 1.0);
-        let d = normalized_levenshtein_str("google", "goggle");
-        assert!(d > 0.0 && d < 0.5);
-    }
-
-    #[test]
-    fn transposition_detection() {
-        assert!(is_adjacent_transposition("form", "from"));
-        assert!(is_adjacent_transposition("gogole", "google"));
-        assert!(!is_adjacent_transposition("google", "google"));
-        assert!(!is_adjacent_transposition("goggle", "google")); // substitution
-        assert!(!is_adjacent_transposition("abc", "abcd"));
     }
 
     #[test]

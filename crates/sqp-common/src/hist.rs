@@ -36,19 +36,9 @@ impl Histogram {
         self.add(key, 1);
     }
 
-    /// Total weight across all buckets.
-    pub(crate) fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Weight in `key`'s bucket.
     pub fn count(&self, key: u64) -> u64 {
         self.buckets.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Number of distinct keys.
-    pub(crate) fn distinct(&self) -> usize {
-        self.buckets.len()
     }
 
     /// Iterate `(key, weight)` in ascending key order.
@@ -65,25 +55,6 @@ impl Histogram {
         sum / self.total as f64
     }
 
-    /// Fraction of total weight in buckets with `key <= bound`.
-    pub(crate) fn cumulative_fraction(&self, bound: u64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let below: u64 = self
-            .iter()
-            .take_while(|(k, _)| *k <= bound)
-            .map(|(_, v)| v)
-            .sum();
-        below as f64 / self.total as f64
-    }
-
-    /// Merge another histogram into this one.
-    pub(crate) fn merge(&mut self, other: &Histogram) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
 }
 
 impl FromIterator<u64> for Histogram {
@@ -134,36 +105,20 @@ mod tests {
         assert_eq!(h.count(2), 2);
         assert_eq!(h.count(3), 5);
         assert_eq!(h.count(9), 0);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.distinct(), 2);
+        assert_eq!(h.iter().collect::<Vec<_>>(), vec![(2, 2), (3, 5)]);
     }
 
     #[test]
     fn zero_weight_is_noop() {
         let mut h = Histogram::new();
         h.add(1, 0);
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.distinct(), 0);
+        assert_eq!(h.iter().count(), 0);
     }
 
     #[test]
     fn mean_and_cumulative() {
         let h: Histogram = [1u64, 1, 2, 4].into_iter().collect();
         assert!((h.mean() - 2.0).abs() < 1e-12);
-        assert!((h.cumulative_fraction(1) - 0.5).abs() < 1e-12);
-        assert!((h.cumulative_fraction(2) - 0.75).abs() < 1e-12);
-        assert!((h.cumulative_fraction(100) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_sums() {
-        let a: Histogram = [1u64, 2].into_iter().collect();
-        let mut b: Histogram = [2u64, 3].into_iter().collect();
-        b.merge(&a);
-        assert_eq!(b.count(1), 1);
-        assert_eq!(b.count(2), 2);
-        assert_eq!(b.count(3), 1);
-        assert_eq!(b.total(), 4);
     }
 
     #[test]

@@ -157,11 +157,6 @@ impl Interner {
         self.strings.len()
     }
 
-    /// True when no query has been interned.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
     /// Bytes of query text resident (each string stored exactly once).
     pub fn bytes_resident(&self) -> usize {
         self.string_bytes
@@ -377,7 +372,7 @@ mod tests {
         let mut buf = crate::bytes::BytesMut::with_capacity(16);
         Interner::new().serialize_into(&mut buf);
         let restored = Interner::deserialize(&mut buf.freeze()).unwrap();
-        assert!(restored.is_empty());
+        assert_eq!(restored.len(), 0);
     }
 
     #[test]

@@ -5,12 +5,6 @@
 //! `log10`, which is what makes the published toy-example numbers (e.g.
 //! D_KL = 0.3449) reproducible to four decimals.
 
-/// Natural-feeling alias so call sites read like the paper.
-#[inline]
-pub(crate) fn log10(x: f64) -> f64 {
-    x.log10()
-}
-
 /// Shannon entropy in base 10 of a (possibly unnormalized) positive weight
 /// vector. Zero-weight entries are skipped (0·log 0 ≡ 0).
 ///

@@ -65,12 +65,6 @@ impl BackoffNgram {
         }
     }
 
-    /// Number of stored context states (excluding the unigram floor).
-    pub(crate) fn state_count(&self) -> usize {
-        let windows = self.trie.window_ids(self.config.max_order);
-        windows.filter(|&node| self.supported(node)).count()
-    }
-
     /// Whether the window at `node` has the continuations a state needs.
     fn supported(&self, node: u32) -> bool {
         self.trie.cont_total(node) >= self.config.min_support.max(1)
@@ -211,11 +205,17 @@ mod tests {
         BackoffNgram::train(&toy_corpus(), BackoffConfig::default())
     }
 
+    /// The windows of `m`'s trie that are states.
+    fn state_count(m: &BackoffNgram) -> usize {
+        let windows = m.trie.window_ids(m.config.max_order);
+        windows.filter(|&node| m.supported(node)).count()
+    }
+
     #[test]
     fn window_states_are_stored() {
         let m = model();
         // The toy candidate set: [0], [1], [0,1], [1,0].
-        assert_eq!(m.state_count(), 4);
+        assert_eq!(state_count(&m), 4);
         assert!(m.state(&seq(&[1, 0])).is_some());
         assert!(m.state(&seq(&[0, 1])).is_some()); // no KL pruning here
     }
@@ -282,7 +282,7 @@ mod tests {
                 ..BackoffConfig::default()
             },
         );
-        assert_eq!(m.state_count(), 2); // only [0] and [1]
+        assert_eq!(state_count(&m), 2); // only [0] and [1]
                                         // A length-3 context still answers through its last query.
         assert!(!m.recommend(&seq(&[0, 1, 0]), 3).is_empty());
     }
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn empty_corpus() {
         let m = BackoffNgram::train(&[], BackoffConfig::default());
-        assert_eq!(m.state_count(), 0);
+        assert_eq!(state_count(&m), 0);
         assert!(m.recommend(&seq(&[0]), 5).is_empty());
     }
 }

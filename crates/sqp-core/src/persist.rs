@@ -511,8 +511,8 @@ mod tests {
 
         assert_eq!(restored.node_count(), original.node_count());
         assert_eq!(restored.name(), original.name());
-        assert_eq!(restored.n_queries(), original.n_queries());
-        assert_eq!(restored.config(), original.config());
+        assert_eq!(restored.totals, original.totals);
+        assert_eq!(restored.config, original.config);
         assert_eq!(restored.window_trie(), original.window_trie());
 
         // Identical probabilities, recommendations, scores.
@@ -605,7 +605,7 @@ mod tests {
             let m = Vmm::train(&toy_corpus(), cfg);
             let r = from_bytes(to_bytes(&m)).unwrap();
             let r = as_vmm(r.as_ref());
-            assert_eq!(r.config(), &cfg);
+            assert_eq!(r.config, cfg);
             assert_eq!(r.node_count(), m.node_count());
         }
     }

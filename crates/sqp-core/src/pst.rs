@@ -113,16 +113,6 @@ impl<'a> NodeDist<'a> {
         })
     }
 
-    /// Raw ML counts as parallel slices `(queries, counts)`, ascending by
-    /// query id.
-    pub(crate) fn raw_counts(&self) -> (&'a [QueryId], &'a [u64]) {
-        (self.queries, self.counts)
-    }
-
-    /// Total observed continuation mass.
-    pub(crate) fn total(&self) -> u64 {
-        self.total
-    }
 }
 
 /// One state's slots in the flat arrays. A run ends where the next state's
@@ -321,11 +311,6 @@ impl Pst {
         self.states.len() - 1
     }
 
-    /// True when only the root exists.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() <= 1
-    }
-
     /// The window trie the states index.
     pub fn trie(&self) -> &Arc<SuffixTrie> {
         &self.trie
@@ -479,7 +464,6 @@ mod tests {
     #[test]
     fn node_count_includes_root() {
         assert_eq!(toy_tree().len(), 4);
-        assert!(!toy_tree().is_empty());
         assert_eq!(toy_tree().state_nodes().len(), 3);
     }
 
@@ -523,10 +507,10 @@ mod tests {
         // Figure 3's numbers, read through the index: no count was copied.
         let pst = toy_tree();
         let d = pst.dist(pst.find(&seq(&[1, 0])).unwrap());
-        assert_eq!(d.raw_counts(), (&seq(&[0, 1])[..], &[3u64, 7][..]));
-        assert_eq!(d.total(), 10);
+        assert_eq!((d.queries, d.counts), (&seq(&[0, 1])[..], &[3u64, 7][..]));
+        assert_eq!(d.total, 10);
         let root = pst.dist(0);
-        assert_eq!(root.raw_counts().1, &[187, 31]);
+        assert_eq!(root.counts, &[187, 31]);
     }
 
     #[test]
@@ -601,7 +585,7 @@ mod tests {
     fn raw_counts_are_id_sorted() {
         let pst = dist_tree(&[(9, 10), (2, 20), (5, 70)], 10);
         let d = pst.dist(0);
-        let ids: Vec<u32> = d.raw_counts().0.iter().map(|q| q.0).collect();
+        let ids: Vec<u32> = d.queries.iter().map(|q| q.0).collect();
         assert_eq!(ids, vec![2, 5, 9]);
         // Best-first iteration still ranks by probability.
         let ranked: Vec<u32> = d.observed().map(|(q, _)| q.0).collect();
@@ -616,7 +600,7 @@ mod tests {
     fn empty_dist() {
         let pst = dist_tree(&[], 5);
         let d = pst.dist(0);
-        assert_eq!(d.total(), 0);
+        assert_eq!(d.total, 0);
         assert!((d.prob(QueryId(0)) - 0.2).abs() < 1e-12); // uniform
         assert_eq!(d.observed().count(), 0);
         assert!(pst.answer(0).is_empty());

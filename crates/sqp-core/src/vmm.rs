@@ -450,16 +450,6 @@ impl Vmm {
         self.pst.trie()
     }
 
-    /// Training configuration.
-    pub(crate) fn config(&self) -> &VmmConfig {
-        &self.config
-    }
-
-    /// |Q| seen at training time.
-    pub(crate) fn n_queries(&self) -> usize {
-        self.totals.2
-    }
-
     /// Longest suffix of `context` that is a (non-root) state: `(state,
     /// matched length)` — the state's context is the last `matched` queries
     /// of `context`.
@@ -621,7 +611,7 @@ mod tests {
     fn depth_bound_caps_states() {
         let m = Vmm::train(&toy_corpus(), VmmConfig::bounded(1, 0.0));
         assert_eq!(m.node_count(), 3);
-        assert_eq!(m.config().max_depth, Some(1));
+        assert_eq!(m.config.max_depth, Some(1));
         assert_eq!(m.name(), "1-bounded VMM (0)");
     }
 
@@ -1039,7 +1029,7 @@ mod randomized_tests {
             // actually observed in training (ids need not be dense).
             let universe: std::collections::BTreeSet<QueryId> =
                 corpus.iter().flat_map(|(s, _)| s.iter().copied()).collect();
-            assert_eq!(universe.len(), m.n_queries(), "case {case}");
+            assert_eq!(universe.len(), m.totals.2, "case {case}");
             // Check a handful of contexts, including unmatched ones.
             for ctx in [&[][..], &sqp_common::seq(&[0]), &sqp_common::seq(&[1, 2])] {
                 let total: f64 = universe.iter().map(|&q| m.cond_prob(ctx, q)).sum();

@@ -14,8 +14,6 @@ use sqp_sessions::GroundTruth;
 /// Accuracy of one model at one context length.
 #[derive(Clone, Debug)]
 pub struct AccuracyPoint {
-    /// Context length (number of past queries).
-    pub(crate) context_len: usize,
     /// Support-weighted mean NDCG@1 over covered contexts.
     pub ndcg1: f64,
     /// Support-weighted mean NDCG@3.
@@ -24,8 +22,6 @@ pub struct AccuracyPoint {
     pub ndcg5: f64,
     /// Distinct covered contexts contributing.
     pub covered_contexts: usize,
-    /// Support mass of the covered contexts.
-    pub(crate) covered_support: u64,
 }
 
 /// Evaluate a model over ground truth contexts of lengths `1..=max_len`.
@@ -56,12 +52,10 @@ pub fn evaluate_accuracy(
         }
         let denom = support.max(1) as f64;
         out.push(AccuracyPoint {
-            context_len: len,
             ndcg1: w1 / denom,
             ndcg3: w3 / denom,
             ndcg5: w5 / denom,
             covered_contexts: contexts,
-            covered_support: support,
         });
     }
     out
@@ -159,13 +153,4 @@ mod tests {
         assert_eq!(overall_ndcg(&Never, &truth(), 5), 0.0);
     }
 
-    #[test]
-    fn support_weighting_prefers_heavy_contexts() {
-        // A model that only answers the heavy context [0] must outscore one
-        // that only answers the light context [3,0] at the same accuracy…
-        // proxied by comparing covered_support.
-        let adj = Adjacency::train(&corpus());
-        let pts = evaluate_accuracy(&adj, &truth(), 2);
-        assert!(pts[0].covered_support > pts[1].covered_support);
-    }
 }

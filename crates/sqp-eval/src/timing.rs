@@ -15,8 +15,6 @@ pub struct TimingRow {
     pub fraction: f64,
     /// Distinct aggregated sessions in the slice.
     pub unique_sessions: usize,
-    /// Session mass in the slice.
-    pub(crate) session_mass: u64,
     /// `(label, wall time)` per method.
     pub times: Vec<(String, Duration)>,
 }
@@ -58,7 +56,6 @@ pub fn training_time_sweep(
     let mut rows = Vec::with_capacity(fractions.len());
     for &f in fractions {
         let slice = subsample(sessions, f);
-        let mass = slice.iter().map(|(_, c)| c).sum();
         let mut times = Vec::with_capacity(specs.len());
         for spec in specs {
             let start = Instant::now();
@@ -70,7 +67,6 @@ pub fn training_time_sweep(
         rows.push(TimingRow {
             fraction: f,
             unique_sessions: slice.len(),
-            session_mass: mass,
             times,
         });
     }

@@ -38,10 +38,6 @@ impl VirtualClock {
         Self::default()
     }
 
-    /// Move time forward by `ms` without any thread sleeping.
-    pub(crate) fn advance(&self, ms: u64) {
-        self.now_ms.fetch_add(ms, Ordering::SeqCst);
-    }
 }
 
 impl Clock for VirtualClock {
@@ -73,8 +69,6 @@ mod tests {
         clock.sleep(Duration::from_secs(3600));
         assert!(t0.elapsed() < Duration::from_secs(1));
         assert_eq!(clock.now_millis(), 3_600_000);
-        clock.advance(5);
-        assert_eq!(clock.now_millis(), 3_600_005);
     }
 
     #[test]

@@ -34,5 +34,5 @@ mod plan;
 pub use chaos::{Chaos, ChaosStats, PANIC_MARKER};
 pub use clock::VirtualClock;
 pub use fs::FaultyFs;
-pub use netchaos::{ChaosProxy, ProxyStats};
+pub use netchaos::ChaosProxy;
 pub use plan::FaultPlan;

@@ -50,25 +50,6 @@ const POLL: Duration = Duration::from_millis(25);
 /// beyond this) are forwarded transparently instead.
 const MAX_PLAUSIBLE_FRAME: usize = 64 << 20;
 
-/// Counters of one proxy's life, snapshotted by [`ChaosProxy::stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProxyStats {
-    /// Connections accepted (including refused and black-holed ones).
-    pub(crate) accepted: u64,
-    /// Connections dropped immediately after accept.
-    pub(crate) refused: u64,
-    /// Connections black-holed from the start.
-    pub(crate) blackholed: u64,
-    /// Complete client→server frames forwarded or killed.
-    pub(crate) frames_c2s: u64,
-    /// Complete server→client frames forwarded or killed.
-    pub(crate) frames_s2c: u64,
-    /// Frames killed mid-body (client→server cuts).
-    pub(crate) cut_frames: u64,
-    /// Frames forwarded missing their last byte (server→client).
-    pub(crate) truncated_frames: u64,
-}
-
 #[derive(Clone, Copy)]
 enum Dir {
     C2s,
@@ -196,11 +177,6 @@ impl ChaosProxy {
         self.listen_addr
     }
 
-    /// The upstream this proxy forwards to.
-    pub(crate) fn upstream(&self) -> SocketAddr {
-        self.inner.upstream
-    }
-
     /// Black-hole the proxy from now on: existing and new connections
     /// have their bytes swallowed (connections stay open; nothing is
     /// forwarded or answered). `false` restores forwarding for *new*
@@ -221,19 +197,6 @@ impl ChaosProxy {
             c.threads.retain(|t| !t.is_finished());
             !c.threads.is_empty()
         });
-    }
-
-    /// Counter snapshot.
-    pub(crate) fn stats(&self) -> ProxyStats {
-        ProxyStats {
-            accepted: self.inner.conn_seq.load(Ordering::Relaxed),
-            refused: self.inner.refused.load(Ordering::Relaxed),
-            blackholed: self.inner.blackholed.load(Ordering::Relaxed),
-            frames_c2s: self.inner.frames_c2s.load(Ordering::Relaxed),
-            frames_s2c: self.inner.frames_s2c.load(Ordering::Relaxed),
-            cut_frames: self.inner.cut_frames.load(Ordering::Relaxed),
-            truncated_frames: self.inner.truncated_frames.load(Ordering::Relaxed),
-        }
     }
 
     /// Stop accepting, kill every connection, and join all proxy threads.
@@ -551,10 +514,10 @@ mod tests {
         send_frame(&mut ok, b"again");
         assert_eq!(read_body(&mut ok).unwrap(), b"again");
 
-        let stats = proxy.stats();
-        assert_eq!(stats.refused, 1);
-        assert_eq!(stats.frames_c2s, 2);
-        assert_eq!(stats.frames_s2c, 2);
+        let stats = &proxy.inner;
+        assert_eq!(stats.refused.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.frames_c2s.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.frames_s2c.load(Ordering::Relaxed), 2);
         drop(ok);
         proxy.shutdown();
         server.join().unwrap();
@@ -580,7 +543,7 @@ mod tests {
         // both directions: no reply ever comes.
         send_frame(&mut client, b"second is cut");
         assert!(read_body(&mut client).is_none());
-        assert_eq!(proxy.stats().cut_frames, 1);
+        assert_eq!(proxy.inner.cut_frames.load(Ordering::Relaxed), 1);
         proxy.shutdown();
     }
 
@@ -606,7 +569,7 @@ mod tests {
         assert_eq!(u32::from_le_bytes(prefix), 7);
         let mut body = vec![0u8; 7];
         assert!(client.read_exact(&mut body).is_err());
-        assert_eq!(proxy.stats().truncated_frames, 1);
+        assert_eq!(proxy.inner.truncated_frames.load(Ordering::Relaxed), 1);
         proxy.shutdown();
     }
 
@@ -664,9 +627,13 @@ mod tests {
         send_frame(&mut fine, b"works");
         assert_eq!(read_body(&mut fine).unwrap(), b"works");
 
-        let stats = proxy.stats();
-        assert_eq!(stats.blackholed, 1);
-        assert_eq!(stats.frames_c2s, 1, "the void frame was never counted");
+        let stats = &proxy.inner;
+        assert_eq!(stats.blackholed.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            stats.frames_c2s.load(Ordering::Relaxed),
+            1,
+            "the void frame was never counted"
+        );
         proxy.shutdown();
     }
 }

@@ -77,31 +77,4 @@ impl FaultPlan {
         }
     }
 
-    /// True when no fault of any kind can fire.
-    pub(crate) fn is_quiet(&self) -> bool {
-        self.read_error_on.is_empty()
-            && self.short_read_on.is_empty()
-            && self.write_error_on.is_empty()
-            && self.corrupt_write_on.is_empty()
-            && (self.panic_sites.is_empty() || self.panic_on.is_empty())
-            && (self.p_delay <= 0.0 || self.delay_site_prefixes.is_empty())
-            && self.refuse_accept_on.is_empty()
-            && self.blackhole_conn_on.is_empty()
-            && self.cut_frame_c2s_on.is_empty()
-            && self.truncate_frame_s2c_on.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_plan_is_quiet() {
-        assert!(FaultPlan::default().is_quiet());
-        assert!(FaultPlan::quiet(7).is_quiet());
-        let mut p = FaultPlan::quiet(7);
-        p.corrupt_write_on = vec![2];
-        assert!(!p.is_quiet());
-    }
 }

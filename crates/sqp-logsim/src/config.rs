@@ -169,14 +169,6 @@ impl SimConfig {
         }
     }
 
-    /// Scale both epochs by `factor` (used by the training-time sweep,
-    /// Fig 12).
-    pub(crate) fn scaled(&self, factor: f64) -> Self {
-        let mut c = self.clone();
-        c.train_sessions = ((self.train_sessions as f64) * factor).round().max(1.0) as usize;
-        c.test_sessions = ((self.test_sessions as f64) * factor).round().max(1.0) as usize;
-        c
-    }
 }
 
 #[cfg(test)]
@@ -212,10 +204,4 @@ mod tests {
         assert!(t.inter_gap_min_secs > 30 * 60);
     }
 
-    #[test]
-    fn scaled_changes_session_counts() {
-        let c = SimConfig::default().scaled(0.5);
-        assert_eq!(c.train_sessions, 100_000);
-        assert_eq!(c.test_sessions, 25_000);
-    }
 }

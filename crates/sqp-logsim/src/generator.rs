@@ -28,14 +28,8 @@ use sqp_common::FxHashMap;
 /// A generated session together with its ground-truth annotations.
 #[derive(Clone, Debug)]
 pub struct GeneratedSession {
-    /// Machine (user) that issued the session.
-    pub(crate) machine_id: u64,
-    /// Timestamp of the first query.
-    pub(crate) start_time: u64,
     /// Query surfaces in order.
     pub queries: Vec<String>,
-    /// The intent topic the walk started from.
-    pub(crate) intent: TopicId,
     /// Ground-truth pattern label of each transition
     /// (`labels.len() == queries.len() - 1`).
     pub(crate) labels: Vec<PatternType>,
@@ -76,8 +70,6 @@ pub struct SimulatedLogs {
 const DAY: u64 = 86_400;
 /// Training epoch length: the paper uses the first 120 days of its log.
 pub(crate) const TRAIN_EPOCH_DAYS: u64 = 120;
-/// Test epoch length: the following 30 days.
-pub(crate) const TEST_EPOCH_DAYS: u64 = 30;
 
 struct Samplers {
     length: CumulativeSampler,
@@ -416,13 +408,7 @@ fn gen_epoch(
         let last_activity = records.last().map(|r| r.last_activity()).unwrap_or(t);
         machine_clock.insert(machine, last_activity.max(t));
 
-        sessions.push(GeneratedSession {
-            machine_id: machine,
-            start_time: start,
-            queries,
-            intent,
-            labels,
-        });
+        sessions.push(GeneratedSession { queries, labels });
     }
 
     // Emit a realistic, globally time-ordered stream.
@@ -579,28 +565,6 @@ mod tests {
                     }
                     PatternType::Other => {}
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn intra_session_gaps_stay_below_cutoff() {
-        let logs = small_logs();
-        // Group records by machine, check that consecutive queries of the
-        // same generated session are < 30 minutes apart.
-        for s in &logs.truth.train_sessions {
-            // Find this session's records by machine + time window.
-            let recs: Vec<&RawLogRecord> = logs
-                .train
-                .iter()
-                .filter(|r| r.machine_id == s.machine_id && r.timestamp >= s.start_time)
-                .take(s.queries.len())
-                .collect();
-            for w in recs.windows(2) {
-                assert!(
-                    w[1].timestamp.saturating_sub(w[0].last_activity()) < 30 * 60 + 60,
-                    "intra-session gap too large"
-                );
             }
         }
     }

@@ -195,16 +195,6 @@ impl Vocabulary {
         self.topics[id.index()].synonym = Some(alt);
     }
 
-    /// Number of topics in the forest.
-    pub(crate) fn len(&self) -> usize {
-        self.topics.len()
-    }
-
-    /// True when the forest is empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.topics.is_empty()
-    }
-
     /// The topic node for `id`.
     pub fn topic(&self, id: TopicId) -> &Topic {
         &self.topics[id.index()]
@@ -261,18 +251,6 @@ impl Vocabulary {
                 .filter(|&c| c != id)
                 .collect(),
         }
-    }
-
-    /// True when `a` is a strict ancestor of `b`.
-    pub(crate) fn is_ancestor(&self, a: TopicId, b: TopicId) -> bool {
-        let mut cur = self.topics[b.index()].parent;
-        while let Some(p) = cur {
-            if p == a {
-                return true;
-            }
-            cur = self.topics[p.index()].parent;
-        }
-        false
     }
 
     /// True when `a` and `b` live in the same topic tree.
@@ -358,7 +336,7 @@ mod tests {
     fn deterministic_in_seed() {
         let a = Vocabulary::build(&VocabConfig::default(), 3);
         let b = Vocabulary::build(&VocabConfig::default(), 3);
-        assert_eq!(a.len(), b.len());
+        assert_eq!(a.iter().count(), b.iter().count());
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.query, y.query);
             assert_eq!(x.synonym, y.synonym);
@@ -417,12 +395,10 @@ mod tests {
             let root = v.topic(t.id).root;
             assert!(v.roots().contains(&root));
             if t.depth > 0 {
-                assert!(v.is_ancestor(root, t.id) || root == t.id);
                 assert!(v.same_root(root, t.id));
             }
             for &c in v.children(t.id) {
-                assert!(v.is_ancestor(t.id, c));
-                assert!(!v.is_ancestor(c, t.id));
+                assert_eq!(v.topic(c).parent, Some(t.id));
             }
         }
     }
@@ -449,7 +425,7 @@ mod tests {
         for &id in v.train_topics() {
             assert!(!v.topic(id).test_only);
         }
-        assert_eq!(v.test_only_topics().len() + v.train_topics().len(), v.len());
+        assert_eq!(v.test_only_topics().len() + v.train_topics().len(), v.iter().count());
     }
 
     #[test]

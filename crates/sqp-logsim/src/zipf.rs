@@ -43,16 +43,6 @@ impl CumulativeSampler {
         Self::from_weights(&weights)
     }
 
-    /// Number of outcomes.
-    pub(crate) fn len(&self) -> usize {
-        self.cum.len()
-    }
-
-    /// True when there are no outcomes (cannot occur post-construction).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.cum.is_empty()
-    }
-
     /// Draw one outcome index.
     pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random::<f64>();
@@ -70,19 +60,16 @@ impl CumulativeSampler {
         }
     }
 
-    /// Probability mass of outcome `i`.
-    pub(crate) fn probability(&self, i: usize) -> f64 {
-        if i == 0 {
-            self.cum[0]
-        } else {
-            self.cum[i] - self.cum[i - 1]
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The mass the sampler gives outcome `i`: one step of its CDF.
+    pub(super) fn mass(s: &CumulativeSampler, i: usize) -> f64 {
+        s.cum[i] - if i == 0 { 0.0 } else { s.cum[i - 1] }
+    }
     use sqp_common::rng::StdRng;
 
     #[test]
@@ -101,7 +88,7 @@ mod tests {
     fn zipf_is_monotone_decreasing() {
         let s = CumulativeSampler::zipf(100, 1.0);
         for i in 1..100 {
-            assert!(s.probability(i) <= s.probability(i - 1) + 1e-15);
+            assert!(mass(&s, i) <= mass(&s, i - 1) + 1e-15);
         }
     }
 
@@ -110,7 +97,7 @@ mod tests {
         // For n = 1000, θ = 1.0, rank 1 has mass 1/H_1000 ≈ 0.1338.
         let s = CumulativeSampler::zipf(1000, 1.0);
         let h: f64 = (1..=1000).map(|r| 1.0 / r as f64).sum();
-        assert!((s.probability(0) - 1.0 / h).abs() < 1e-12);
+        assert!((mass(&s, 0) - 1.0 / h).abs() < 1e-12);
     }
 
     #[test]
@@ -156,6 +143,7 @@ mod tests {
 
 #[cfg(test)]
 mod randomized_tests {
+    use super::tests::mass;
     use super::*;
     use sqp_common::rng::StdRng;
 
@@ -169,7 +157,7 @@ mod randomized_tests {
         for case in 0..128u64 {
             let mut rng = StdRng::seed_from_u64(case);
             let s = CumulativeSampler::from_weights(&rand_weights(&mut rng));
-            let sum: f64 = (0..s.len()).map(|i| s.probability(i)).sum();
+            let sum: f64 = (0..s.cum.len()).map(|i| mass(&s, i)).sum();
             assert!((sum - 1.0).abs() < 1e-9, "case {case}");
         }
     }
@@ -181,7 +169,7 @@ mod randomized_tests {
             let s = CumulativeSampler::from_weights(&rand_weights(&mut rng));
             for _ in 0..16 {
                 let u: f64 = rng.random();
-                assert!(s.index_of(u) < s.len(), "case {case}");
+                assert!(s.index_of(u) < s.cum.len(), "case {case}");
             }
         }
     }

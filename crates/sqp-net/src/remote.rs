@@ -237,20 +237,8 @@ impl<T> RemoteOutcome<T> {
 pub struct EndpointStats {
     /// The endpoint's serve address.
     pub serve_addr: SocketAddr,
-    /// Breaker position and counters.
-    pub(crate) breaker: BreakerStats,
     /// Attempts this endpoint answered (including typed sheds).
     pub answered: u64,
-    /// Attempts that timed out (connect or I/O deadline).
-    pub(crate) timeouts: u64,
-    /// Connects actively refused.
-    pub(crate) refused: u64,
-    /// Connections that dropped mid-request or mid-frame.
-    pub(crate) disconnects: u64,
-    /// Other failed attempts (wire decode, unexpected reply, other I/O).
-    pub(crate) other_errors: u64,
-    /// Idle pooled connections right now.
-    pub(crate) pooled: usize,
     /// Operations executing against this endpoint right now — what
     /// retirement waits to reach zero.
     pub in_flight: u64,
@@ -594,13 +582,7 @@ impl RemoteEngine {
                 .iter()
                 .map(|(_, ep)| EndpointStats {
                     serve_addr: ep.serve_addr,
-                    breaker: ep.breaker.stats(),
                     answered: ep.counters.answered.load(Ordering::Relaxed),
-                    timeouts: ep.counters.timeouts.load(Ordering::Relaxed),
-                    refused: ep.counters.refused.load(Ordering::Relaxed),
-                    disconnects: ep.counters.disconnects.load(Ordering::Relaxed),
-                    other_errors: ep.counters.other_errors.load(Ordering::Relaxed),
-                    pooled: ep.lock_pool().len(),
                     in_flight: ep.in_flight.load(Ordering::Acquire),
                 })
                 .collect(),

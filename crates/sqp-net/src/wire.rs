@@ -311,15 +311,6 @@ pub struct BatchEntries<'a> {
 }
 
 impl<'a> BatchEntries<'a> {
-    /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True when the batch carries no entries.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.count == 0
-    }
 
     /// Iterate the entries in wire order.
     pub fn iter(&self) -> impl Iterator<Item = BatchEntry> + 'a {
@@ -634,11 +625,6 @@ impl<'a> SuggestionList<'a> {
         self.count
     }
 
-    /// True when the list is empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Iterate `(score, query)` pairs in rank order.
     pub fn iter(&self) -> impl Iterator<Item = (f64, &'a str)> + 'a {
         let raw = self.raw;
@@ -666,11 +652,6 @@ impl<'a> BatchLists<'a> {
     /// Number of per-entry suggestion lists.
     pub(crate) fn len(&self) -> usize {
         self.count
-    }
-
-    /// True when the reply carries no lists.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Iterate the per-entry lists in request order. Finding where a list

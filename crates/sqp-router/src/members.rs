@@ -69,11 +69,6 @@ impl<T> Members<T> {
         self.members.len()
     }
 
-    /// True when the view has no members.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
     /// Every member with its id, in id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
         self.members.iter().map(|(id, value)| (*id, value))

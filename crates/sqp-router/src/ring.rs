@@ -205,20 +205,6 @@ impl HashRing {
         &self.replicas
     }
 
-    /// Number of live replicas.
-    pub(crate) fn len(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// True when no replicas are registered.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
-    }
-
-    /// Virtual nodes contributed per replica.
-    pub(crate) fn vnodes(&self) -> usize {
-        self.vnodes
-    }
 }
 
 /// Domain-separation salt for vnode placement. Without it, replica 0's
@@ -261,7 +247,7 @@ mod tests {
         assert_eq!(ring.remove(1), Ok(false));
         assert_eq!(ring.replica_ids(), &[0, 2]);
         assert!(ring.add(1));
-        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.replica_ids().len(), 3);
     }
 
     #[test]

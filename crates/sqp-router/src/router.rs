@@ -170,19 +170,9 @@ pub struct ReplicaStats {
     /// the model generation it serves: its publish count, offset so that
     /// replicas joined mid-life report tier-comparable values.
     pub stats: EngineStats,
-    /// Requests currently holding the replica's admission permits.
-    pub(crate) in_flight: u64,
     /// True when the replica's last publication attempt failed validation
     /// and it is pinned on its last-good snapshot.
     pub quarantined: bool,
-    /// True when the replica is draining: off the ring, serving resident
-    /// sessions to completion, refusing new ones, awaiting retirement.
-    pub(crate) draining: bool,
-    /// Tracks the replica refused while draining (would-be new sessions).
-    pub(crate) drain_refused: u64,
-    /// The error that quarantined it, if any (kept after recovery until the
-    /// next successful publish overwrites it).
-    pub(crate) last_error: Option<String>,
 }
 
 /// Point-in-time view of the whole tier, one row per replica, plus the
@@ -380,17 +370,6 @@ impl RouterEngine {
         self.state().iter().map(|(id, _)| id).collect()
     }
 
-    /// Replica ids currently draining (serving stragglers, off the ring).
-    pub(crate) fn draining_ids(&self) -> Vec<u32> {
-        self.state().off_ring_ids().collect()
-    }
-
-    /// Membership swap counter: 0 at construction, +1 per join / drain /
-    /// retire / remove.
-    pub(crate) fn ring_generation(&self) -> u64 {
-        self.state.generation()
-    }
-
     /// The replica id serving `user` under the current membership — stable
     /// between membership changes, so a user's session context is always
     /// found where it was written (and membership changes move the context
@@ -551,20 +530,6 @@ impl RouterEngine {
         health.quarantined = true;
         health.last_error = Some(error.into());
         true
-    }
-
-    /// True when replica `id` is quarantined.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no live replica has this id.
-    pub(crate) fn is_quarantined(&self, id: usize) -> bool {
-        let state = self.state();
-        let slot = state
-            .get(id as u32)
-            .unwrap_or_else(|| panic!("no live replica with id {id}"));
-        let quarantined = Self::lock_health_slot(slot).quarantined;
-        quarantined
     }
 
     fn lock_health_slot(slot: &ReplicaSlot) -> std::sync::MutexGuard<'_, Health> {
@@ -731,13 +696,6 @@ impl RouterEngine {
         state.iter().map(|(_, s)| s.engine.evict_idle(now)).sum()
     }
 
-    /// Sessions resident across the tier (sum of per-replica lock-free
-    /// gauges).
-    pub(crate) fn active_sessions(&self) -> usize {
-        let state = self.state();
-        state.iter().map(|(_, s)| s.engine.active_sessions()).sum()
-    }
-
     /// Snapshot the whole tier's health: per-replica counters (`publishes`
     /// the tier-comparable generation), in-flight, quarantine and draining
     /// state, plus the tier shape (replica ids, draining set, ring
@@ -753,11 +711,7 @@ impl RouterEngine {
                 ReplicaStats {
                     id,
                     stats: slot.stats(),
-                    in_flight: slot.engine.in_flight(),
                     quarantined: health.quarantined,
-                    draining: !state.is_on_ring(id),
-                    drain_refused: slot.engine.drain_refused(),
-                    last_error: health.last_error.clone(),
                 }
             })
             .collect();
@@ -963,13 +917,9 @@ mod tests {
     fn quarantine_marks_report_and_publish_clears() {
         let r = router(2);
         assert!(r.try_mark_quarantined(1, "checksum mismatch"));
-        assert!(r.is_quarantined(1));
+        assert!(r.stats().replicas[1].quarantined);
         let stats = r.stats();
         assert_eq!(stats.quarantined(), 1);
-        assert_eq!(
-            stats.replicas[1].last_error.as_deref(),
-            Some("checksum mismatch")
-        );
         // A quarantined replica still serves.
         r.track(2, "start", 100);
         let home = r.replica_for(2);
@@ -978,7 +928,7 @@ mod tests {
         // Publishing good bytes lifts the quarantine.
         r.try_publish_to(1, snapshot("new"))
             .expect("replica 1 is live");
-        assert!(!r.is_quarantined(1));
+        assert!(!r.stats().replicas[1].quarantined);
     }
 
     #[test]
@@ -1051,7 +1001,7 @@ mod tests {
         let suggests_after: Vec<u64> = after.replicas.iter().map(|x| x.stats.suggests).collect();
         assert_eq!(suggests_after, suggests_before);
         assert_eq!(
-            after.replicas.iter().map(|x| x.in_flight).sum::<u64>(),
+            (0..3).map(|id| r.replica(id).in_flight()).sum::<u64>(),
             1,
             "only the test's own permit is out"
         );
@@ -1131,9 +1081,9 @@ mod tests {
         for user in 0..50 {
             r.track(user, "start", 0);
         }
-        assert_eq!(r.active_sessions(), 50);
+        assert_eq!(ServeSurface::stats(&r).active_sessions, 50);
         assert_eq!(r.evict_idle(u64::MAX / 2), 50);
-        assert_eq!(r.active_sessions(), 0);
+        assert_eq!(ServeSurface::stats(&r).active_sessions, 0);
         let total_evictions: u64 = r.stats().replicas.iter().map(|x| x.stats.evictions).sum();
         assert_eq!(total_evictions, 50);
     }
@@ -1148,8 +1098,6 @@ mod tests {
         assert_eq!(stats.replicas.len(), 3);
         for (at, row) in stats.replicas.iter().enumerate() {
             assert_eq!(row.id as usize, at);
-            assert!(!row.draining);
-            assert_eq!(row.drain_refused, 0);
         }
     }
 
@@ -1222,8 +1170,7 @@ mod tests {
         let report = r.begin_drain(1, 120).unwrap();
         assert_eq!(report.replica, 1);
         assert_eq!(report.moved_sessions, victims.len());
-        assert_eq!(r.draining_ids(), vec![1]);
-        assert!(r.stats().replicas[1].draining);
+        assert_eq!(r.stats().draining, vec![1]);
         // Nothing routes to the draining replica; every session is intact.
         for user in 0..200u64 {
             assert_ne!(r.replica_for(user), 1);
@@ -1240,7 +1187,7 @@ mod tests {
         assert_eq!(r.retire_replica(0), Err(MembershipError::NotDraining(0)));
         assert_eq!(r.retire_replica(1), Ok(()));
         assert_eq!(r.replica_ids(), vec![0, 2]);
-        assert_eq!(r.ring_generation(), 2, "drain + retire = two swaps");
+        assert_eq!(r.stats().ring_generation, 2, "drain + retire = two swaps");
         // Double-retire reports the id as unknown.
         assert_eq!(r.retire_replica(1), Err(MembershipError::UnknownReplica(1)));
     }
@@ -1314,7 +1261,7 @@ mod tests {
         // On a live replica the try forms behave exactly like the verbs.
         assert_eq!(r.try_publish_to(0, snapshot("new")), Some(1));
         assert!(r.try_mark_quarantined(1, "bad bytes"));
-        assert!(r.is_quarantined(1));
+        assert!(r.stats().replicas[1].quarantined);
     }
 
     #[test]

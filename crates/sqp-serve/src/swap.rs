@@ -196,15 +196,6 @@ impl<T> Swap<T> {
         self.generation.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Publish a replacement and return the previous value.
-    pub(crate) fn swap(&self, value: Arc<T>) -> Arc<T> {
-        // Poison recovery and ordering: see `store`.
-        let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
-        let old = std::mem::replace(&mut *slot, value);
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        old
-    }
-
     /// Number of publications so far (0 until the first [`store`](Swap::store)).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
@@ -290,15 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_returns_previous() {
-        let cell = Swap::new(Arc::new("a"));
-        let old = cell.swap(Arc::new("b"));
-        assert_eq!(*old, "a");
-        assert_eq!(*cell.load(), "b");
-        assert_eq!(cell.generation(), 1);
-    }
-
-    #[test]
     fn old_handles_survive_publication() {
         let cell = Swap::new(Arc::new(vec![1, 2, 3]));
         let held = cell.load();
@@ -341,7 +323,7 @@ mod tests {
         cell.store(Arc::new(2));
         assert_eq!(cell.with(|v| *v), 2);
         assert_eq!(*cell.load(), 2);
-        cell.swap(Arc::new(3));
+        cell.store(Arc::new(3));
         assert_eq!(*cell.load(), 3);
         assert_eq!(cell.with(|v| *v), 3);
     }

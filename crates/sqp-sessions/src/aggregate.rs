@@ -45,20 +45,6 @@ impl Aggregated {
         self.sessions.len()
     }
 
-    /// Total searches (queries weighted by frequency).
-    pub(crate) fn total_searches(&self) -> u64 {
-        self.sessions.iter().map(|(s, f)| s.len() as u64 * f).sum()
-    }
-
-    /// Distinct query ids appearing anywhere.
-    pub(crate) fn unique_queries(&self) -> usize {
-        let mut set: sqp_common::FxHashSet<QueryId> = Default::default();
-        for (s, _) in &self.sessions {
-            set.extend(s.iter().copied());
-        }
-        set.len()
-    }
-
     /// Frequencies of each session length (weighted histogram).
     pub(crate) fn length_histogram(&self) -> sqp_common::Histogram {
         let mut h = sqp_common::Histogram::new();
@@ -255,16 +241,6 @@ mod tests {
         let mut interner = Interner::new();
         let agg = aggregate(&sessions(&each), &mut interner);
         assert_eq!(agg.total_sessions(), 40);
-        assert_eq!(agg.total_searches(), 40);
-    }
-
-    #[test]
-    fn searches_weighted_by_length_and_freq() {
-        let sessions = sessions(&[&["a", "b", "c"], &["a", "b", "c"], &["d"]]);
-        let mut interner = Interner::new();
-        let agg = aggregate(&sessions, &mut interner);
-        assert_eq!(agg.total_searches(), 7);
-        assert_eq!(agg.unique_queries(), 4);
     }
 
     #[test]

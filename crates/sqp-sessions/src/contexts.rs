@@ -28,21 +28,6 @@ impl ContextTable {
         ContextTable { map }
     }
 
-    /// Next-query distribution for `context`, if trained.
-    pub(crate) fn next_counts(&self, context: &[QueryId]) -> Option<&Counter<QueryId>> {
-        self.map.get(context)
-    }
-
-    /// Number of distinct contexts.
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no context is stored.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Iterate `(context, next-query counter)` pairs (arbitrary order).
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&QuerySeq, &Counter<QueryId>)> {
         self.map.iter()
@@ -99,24 +84,11 @@ impl GroundTruth {
         self.entries.iter().filter(move |e| e.context.len() == len)
     }
 
-    /// Largest context length present.
-    pub(crate) fn max_context_length(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| e.context.len())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Total number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -137,23 +109,23 @@ mod tests {
     fn prefix_contexts_carry_session_frequency() {
         let table = ContextTable::build(&corpus());
         // Context [0]: next 1 (10+6=16), next 2 (4).
-        let c0 = table.next_counts(&seq(&[0])).unwrap();
+        let c0 = table.map.get(&seq(&[0])).unwrap();
         assert_eq!(c0.get(&sqp_common::QueryId(1)), 16);
         assert_eq!(c0.get(&sqp_common::QueryId(2)), 4);
         // Context [0,1]: next 2 (10), next 3 (6).
-        let c01 = table.next_counts(&seq(&[0, 1])).unwrap();
+        let c01 = table.map.get(&seq(&[0, 1])).unwrap();
         assert_eq!(c01.get(&sqp_common::QueryId(2)), 10);
         assert_eq!(c01.get(&sqp_common::QueryId(3)), 6);
         // Length-1 sessions contribute no contexts.
-        assert!(table.next_counts(&seq(&[4])).is_none());
-        assert_eq!(table.len(), 2);
+        assert!(table.map.get(&seq(&[4])).is_none());
+        assert_eq!(table.map.len(), 2);
     }
 
     #[test]
     fn contexts_are_prefixes_only() {
         let table = ContextTable::build(&corpus());
         // [1] appears mid-session but never as a prefix context.
-        assert!(table.next_counts(&seq(&[1])).is_none());
+        assert!(table.map.get(&seq(&[1])).is_none());
     }
 
     #[test]
@@ -188,7 +160,7 @@ mod tests {
         let gt = GroundTruth::build(&corpus(), 5);
         assert_eq!(gt.by_length(1).count(), 1);
         assert_eq!(gt.by_length(2).count(), 1);
-        assert_eq!(gt.max_context_length(), 2);
+        assert_eq!(gt.entries.last().map(|e| e.context.len()), Some(2));
         for w in gt.entries.windows(2) {
             assert!(w[0].context.len() <= w[1].context.len());
         }
@@ -197,7 +169,6 @@ mod tests {
     #[test]
     fn empty_corpus_gives_empty_truth() {
         let gt = GroundTruth::build(&Aggregated::default(), 5);
-        assert!(gt.is_empty());
-        assert_eq!(gt.max_context_length(), 0);
+        assert_eq!(gt.len(), 0);
     }
 }

@@ -81,30 +81,11 @@ impl SlidingCorpus {
         self.records.make_contiguous()
     }
 
-    /// Records currently resident in the window.
-    pub(crate) fn len(&self) -> usize {
-        self.records.len()
-    }
-
     /// True when no records have been retained.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
 
-    /// The configured window capacity, in records.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total records ever appended (including the seed).
-    pub(crate) fn appended(&self) -> u64 {
-        self.appended
-    }
-
-    /// Records evicted off the old end of the window so far.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 #[cfg(test)]
@@ -126,8 +107,8 @@ mod tests {
         c.append([rec(1, 100, "a"), rec(1, 160, "b"), rec(2, 90, "c")]);
         let queries: Vec<&str> = c.records().iter().map(|r| r.query.as_str()).collect();
         assert_eq!(queries, ["a", "b", "c"]);
-        assert_eq!(c.len(), 3);
-        assert_eq!((c.appended(), c.dropped()), (3, 0));
+        assert_eq!(c.records().len(), 3);
+        assert_eq!((c.appended, c.dropped), (3, 0));
     }
 
     #[test]
@@ -138,14 +119,14 @@ mod tests {
         }
         let queries: Vec<&str> = c.records().iter().map(|r| r.query.as_str()).collect();
         assert_eq!(queries, ["q4", "q5", "q6"]);
-        assert_eq!((c.appended(), c.dropped()), (7, 4));
+        assert_eq!((c.appended, c.dropped), (7, 4));
     }
 
     #[test]
     fn seed_is_trimmed_to_capacity() {
         let seed: Vec<_> = (0..5).map(|i| rec(1, i * 10, &format!("s{i}"))).collect();
         let mut c = SlidingCorpus::with_seed(2, seed);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.records().len(), 2);
         assert_eq!(c.records()[0].query, "s3");
     }
 
@@ -153,8 +134,8 @@ mod tests {
     fn zero_capacity_is_clamped_to_one() {
         let mut c = SlidingCorpus::new(0);
         c.append([rec(1, 0, "only")]);
-        assert_eq!(c.capacity(), 1);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.capacity, 1);
+        assert_eq!(c.records().len(), 1);
     }
 
     #[test]
@@ -163,7 +144,7 @@ mod tests {
         c.append(std::iter::empty());
         assert!(c.is_empty());
         assert_eq!(c.records(), &[]);
-        assert_eq!((c.appended(), c.dropped()), (0, 0));
+        assert_eq!((c.appended, c.dropped), (0, 0));
         // Seeding with nothing is the same as starting empty.
         let mut seeded = SlidingCorpus::with_seed(4, Vec::new());
         assert!(seeded.is_empty());
@@ -178,12 +159,12 @@ mod tests {
         c.append((0..5u64).map(|i| rec(1, i * 60, &format!("q{i}"))));
         let queries: Vec<&str> = c.records().iter().map(|r| r.query.as_str()).collect();
         assert_eq!(queries, ["q3", "q4"]);
-        assert_eq!((c.appended(), c.dropped()), (5, 3));
+        assert_eq!((c.appended, c.dropped), (5, 3));
         // A follow-up append keeps rolling the same window.
         c.append([rec(1, 999, "q5")]);
         let queries: Vec<&str> = c.records().iter().map(|r| r.query.as_str()).collect();
         assert_eq!(queries, ["q4", "q5"]);
-        assert_eq!(c.dropped(), 4);
+        assert_eq!(c.dropped, 4);
     }
 
     #[test]

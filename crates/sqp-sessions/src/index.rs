@@ -100,21 +100,6 @@ impl QueryTrainingIndex {
         idx
     }
 
-    /// Total training occurrences of `q` (0 when unseen or out of range).
-    pub(crate) fn occurrences(&self, q: QueryId) -> u64 {
-        self.total.get(q.index()).copied().unwrap_or(0)
-    }
-
-    /// Occurrences where `q` is followed by another query.
-    pub(crate) fn followed_count(&self, q: QueryId) -> u64 {
-        self.followed.get(q.index()).copied().unwrap_or(0)
-    }
-
-    /// Occurrences of `q` as a successor (position ≥ 1).
-    pub(crate) fn successor_count(&self, q: QueryId) -> u64 {
-        self.as_successor.get(q.index()).copied().unwrap_or(0)
-    }
-
     /// Structural reason no session-ordered model (Adjacency, VMM, MVMM,
     /// N-gram) can predict anything when the current query is `q`, or `None`
     /// when prediction is possible in principle. Reasons are checked in
@@ -146,10 +131,6 @@ impl QueryTrainingIndex {
         None
     }
 
-    /// Known query universe size at build time.
-    pub(crate) fn n_queries(&self) -> usize {
-        self.total.len()
-    }
 }
 
 #[cfg(test)]
@@ -169,21 +150,21 @@ mod tests {
     #[test]
     fn occurrence_accounting() {
         let idx = QueryTrainingIndex::build(&corpus(), 6);
-        assert_eq!(idx.occurrences(QueryId(0)), 5);
-        assert_eq!(idx.occurrences(QueryId(2)), 7);
-        assert_eq!(idx.occurrences(QueryId(3)), 7);
-        assert_eq!(idx.occurrences(QueryId(5)), 0);
-        assert_eq!(idx.n_queries(), 6);
+        assert_eq!(idx.total[0], 5);
+        assert_eq!(idx.total[2], 7);
+        assert_eq!(idx.total[3], 7);
+        assert_eq!(idx.total[5], 0);
+        assert_eq!(idx.total.len(), 6);
     }
 
     #[test]
     fn followed_and_successor_counts() {
         let idx = QueryTrainingIndex::build(&corpus(), 6);
-        assert_eq!(idx.followed_count(QueryId(0)), 5);
-        assert_eq!(idx.followed_count(QueryId(1)), 5);
-        assert_eq!(idx.followed_count(QueryId(2)), 0); // always last
-        assert_eq!(idx.successor_count(QueryId(2)), 7);
-        assert_eq!(idx.successor_count(QueryId(0)), 0);
+        assert_eq!(idx.followed[0], 5);
+        assert_eq!(idx.followed[1], 5);
+        assert_eq!(idx.followed[2], 0); // always last
+        assert_eq!(idx.as_successor[2], 7);
+        assert_eq!(idx.as_successor[0], 0);
     }
 
     #[test]

@@ -56,15 +56,7 @@ pub struct TextSession {
 }
 
 impl TextSession {
-    /// Number of queries.
-    pub(crate) fn len(&self) -> usize {
-        self.queries.len()
-    }
 
-    /// True when the session holds no queries (never produced by [`segment`]).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
 }
 
 /// One record reduced to what segmentation needs. Keys stay in input order;
@@ -117,11 +109,6 @@ impl<'a> SessionRef<'a> {
         self.ids.len()
     }
 
-    /// True when the session holds no queries (never produced by [`segment`]).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
     /// Query texts in issue order.
     pub fn queries(&self) -> impl ExactSizeIterator<Item = &'a str> + 'a {
         let table = self.table;
@@ -133,11 +120,6 @@ impl Segmented {
     /// Number of sessions.
     pub fn len(&self) -> usize {
         self.spans.len()
-    }
-
-    /// True when the log was empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.spans.is_empty()
     }
 
     /// Total queries over all sessions — one per input record.
@@ -485,7 +467,7 @@ pub(crate) mod tests {
     #[test]
     fn empty_input() {
         let sessions = segment_default(&[]);
-        assert!(sessions.is_empty());
+        assert_eq!(sessions.len(), 0);
         assert_eq!(sessions.searches(), 0);
         assert!(sessions.to_text_sessions().is_empty());
     }
@@ -517,7 +499,7 @@ pub(crate) mod tests {
         assert_eq!(text.len(), 2);
         assert_eq!((text[0].machine_id, text[0].start_time), (3, 1));
         assert_eq!(text[1].queries, ["x", "y"]);
-        assert_eq!(text[1].len(), sessions.get(1).len());
+        assert_eq!(text[1].queries.len(), sessions.get(1).len());
     }
 }
 

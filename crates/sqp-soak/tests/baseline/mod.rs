@@ -10,7 +10,7 @@ use sqp_common::{Counter, FxHashMap, FxHashSet, QueryId, QuerySeq};
 
 /// Counts for one window under the baseline layout.
 #[derive(Clone, Debug, Default)]
-pub struct BaselineEntry {
+pub(crate) struct BaselineEntry {
     /// Weighted occurrences of the window anywhere in a session.
     pub total: u64,
     /// Weighted occurrences at the very start of a session.
@@ -21,7 +21,7 @@ pub struct BaselineEntry {
 
 /// The baseline counter: one owned-key hashmap entry per distinct window.
 #[derive(Debug)]
-pub struct BaselineWindowCounts {
+pub(crate) struct BaselineWindowCounts {
     /// Window → statistics.
     pub entries: FxHashMap<QuerySeq, BaselineEntry>,
     /// Prior (root) distribution: weighted occurrences of every query.
@@ -39,7 +39,7 @@ pub struct BaselineWindowCounts {
 impl BaselineWindowCounts {
     /// Count windows of length `1..=max_len` over weighted sessions,
     /// exactly as the seed implementation did.
-    pub fn build(sessions: &[(QuerySeq, u64)], max_len: Option<usize>) -> Self {
+    pub(crate) fn build(sessions: &[(QuerySeq, u64)], max_len: Option<usize>) -> Self {
         let longest = sessions.iter().map(|(s, _)| s.len()).max().unwrap_or(0);
         let max_len = max_len.unwrap_or(longest).min(longest.max(1));
 

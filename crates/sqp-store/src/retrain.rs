@@ -359,16 +359,6 @@ impl Retrainer {
         self.lock_queue().pending.len()
     }
 
-    /// The newest snapshot generation number issued — on disk, quarantined
-    /// or burned by a failed step. Starts at the newest generation found
-    /// in `snapshot_dir` (0 when none) and rises when a step *reserves* a
-    /// number, before it has saved or published anything: to learn that a
-    /// publish landed, read [`RetrainerHealth::retrains_ok`] or the
-    /// engine's generation instead.
-    pub(crate) fn latest_generation(&self) -> u64 {
-        self.generations.load(Ordering::Acquire)
-    }
-
     /// Total records ingested so far.
     pub fn records_ingested(&self) -> u64 {
         self.ingested.load(Ordering::Relaxed)
@@ -894,7 +884,7 @@ mod tests {
             .collect();
         kept.sort();
         assert_eq!(kept, ["snapshot-00000003.sqps", "snapshot-00000004.sqps"]);
-        assert_eq!(retrainer.latest_generation(), 4);
+        assert_eq!(retrainer.generations.load(Ordering::Acquire), 4);
         let health = retrainer.health();
         assert_eq!((health.retrains_ok, health.failures), (4, 0));
         assert_eq!(health.last_good_generation, Some(4));
@@ -977,7 +967,7 @@ mod tests {
             },
             seed_records("old"),
         );
-        assert_eq!(retrainer.latest_generation(), 5, "seeded from disk");
+        assert_eq!(retrainer.generations.load(Ordering::Acquire), 5, "seeded from disk");
         let outcome = retrainer.step(&e);
         // The "restarted" process publishes generation 6, and rotation
         // (keep 2) retires the pre-restart file, never the new one — the

@@ -58,8 +58,6 @@ pub enum RollPolicy {
 pub struct RollStep {
     /// The replica that was just attempted.
     pub replica: usize,
-    /// Its new engine generation on success, or why it was quarantined.
-    pub(crate) outcome: Result<u64, String>,
 }
 
 /// Outcome of a [`Publish::rolling_publish`] run.
@@ -204,22 +202,15 @@ impl Publish for ServeEngine {
         on_step: &mut dyn FnMut(&RollStep),
     ) -> RollReport {
         let mut report = RollReport::default();
-        let outcome = match load_snapshot_with(io, path) {
+        match load_snapshot_with(io, path) {
             Ok((snapshot, meta)) => {
                 report.meta = Some(meta);
                 report.upgraded.push(0);
-                Ok(ServeEngine::publish(self, Arc::new(snapshot)))
+                ServeEngine::publish(self, Arc::new(snapshot));
             }
-            Err(error) => {
-                let error = error.to_string();
-                report.failed.push((0, error.clone()));
-                Err(error)
-            }
-        };
-        on_step(&RollStep {
-            replica: 0,
-            outcome,
-        });
+            Err(error) => report.failed.push((0, error.to_string())),
+        }
+        on_step(&RollStep { replica: 0 });
         report
     }
 }
@@ -311,12 +302,11 @@ fn roll_step(
             )),
             _ => Ok((snapshot, meta)),
         });
-    let outcome = match attempt {
+    match attempt {
         Ok((snapshot, meta)) => match router.try_publish_to(replica, Arc::new(snapshot)) {
-            Some(generation) => {
+            Some(_) => {
                 report.meta.get_or_insert(meta);
                 report.upgraded.push(replica);
-                Ok(generation)
             }
             None => {
                 report.retired.push(replica);
@@ -328,14 +318,13 @@ fn roll_step(
                 report.retired.push(replica);
                 return;
             }
-            report.failed.push((replica, error.clone()));
+            report.failed.push((replica, error));
             if policy == RollPolicy::AbortOnFailure {
                 report.aborted = true;
             }
-            Err(error)
         }
-    };
-    on_step(&RollStep { replica, outcome });
+    }
+    on_step(&RollStep { replica });
 }
 
 #[cfg(test)]
@@ -635,7 +624,7 @@ mod tests {
             &RealFs,
             &dir.join("missing.sqps"),
             RollPolicy::AbortOnFailure,
-            &mut |step| steps.push((step.replica, step.outcome.is_ok())),
+            &mut |step| steps.push(step.replica),
         );
         assert_eq!(report.failed.len(), 1);
         assert_eq!(report.failed[0].0, 0);
@@ -648,14 +637,14 @@ mod tests {
             &RealFs,
             &path,
             RollPolicy::ContinueOnFailure,
-            &mut |step| steps.push((step.replica, step.outcome.is_ok())),
+            &mut |step| steps.push(step.replica),
         );
         assert_eq!(report.upgraded, vec![0]);
         assert!(report.complete());
         assert_eq!(report.meta.map(|meta| meta.generation), Some(1));
         assert_eq!(engine.generation(), 1);
         assert_eq!(engine.suggest_context(&["start"], 1)[0].query, "new::next");
-        assert_eq!(steps, vec![(0, false), (0, true)], "one step per roll");
+        assert_eq!(steps, vec![0, 0], "one step per roll");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

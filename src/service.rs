@@ -9,15 +9,11 @@
 //! For concurrent traffic (per-user session tracking, batched suggestion,
 //! zero-downtime retrains) promote the service into a
 //! [`ServeEngine`] with
-//! [`RecommenderService::into_engine`] — or, when one engine's tracker and
-//! stripes are the bottleneck, into a replicated
-//! [`RouterEngine`] tier with
-//! [`RecommenderService::into_router`].
+//! [`RecommenderService::into_engine`].
 
 use std::sync::Arc;
 
 use sqp_logsim::RawLogRecord;
-use sqp_router::{RouterConfig, RouterEngine};
 use sqp_serve::{EngineConfig, ModelSnapshot, ServeEngine, TrainingConfig};
 
 pub use sqp_serve::Suggestion;
@@ -45,9 +41,9 @@ impl RecommenderService {
         Self { snapshot }
     }
 
-    /// Warm-start a service from a snapshot file written by
-    /// [`save`](RecommenderService::save) (or any snapshot file): no raw
-    /// logs, no retraining — milliseconds instead of a full pipeline run.
+    /// Warm-start a service from a snapshot file (one written by
+    /// `sqp_store::save_snapshot` or the retrainer): no raw logs, no
+    /// retraining — milliseconds instead of a full pipeline run.
     ///
     /// # Examples
     ///
@@ -61,38 +57,21 @@ impl RecommenderService {
     /// let records: Vec<_> = (0..8)
     ///     .flat_map(|u| [rec(u, 100, "kidney stones"), rec(u, 200, "kidney stone symptoms")])
     ///     .collect();
-    /// let svc = RecommenderService::from_raw_logs(&records, &TrainingConfig {
+    /// let snapshot = ModelSnapshot::from_raw_logs(&records, &TrainingConfig {
     ///     model: ModelSpec::Adjacency,
     ///     ..TrainingConfig::default()
     /// });
     ///
     /// let path = std::env::temp_dir().join(format!("sqp-doc-svc-{}.sqps", std::process::id()));
-    /// svc.save(&path, 0).unwrap();
+    /// let meta = sqp::store::SnapshotMeta::describe(&snapshot, 0, 0);
+    /// sqp::store::save_snapshot(&path, &snapshot, &meta).unwrap();
     /// let warm = RecommenderService::load(&path).unwrap();
-    /// assert_eq!(warm.suggest(&["kidney stones"], 1), svc.suggest(&["kidney stones"], 1));
+    /// assert_eq!(warm.suggest(&["kidney stones"], 1), snapshot.suggest(&["kidney stones"], 1));
     /// # std::fs::remove_file(&path).unwrap();
     /// ```
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, sqp_store::SnapshotError> {
         let (snapshot, _meta) = sqp_store::load_snapshot(path)?;
         Ok(Self::from_snapshot(Arc::new(snapshot)))
-    }
-
-    /// Persist the service's snapshot (model + interner + metadata) as one
-    /// file at `path`, written atomically. `generation` tags which
-    /// (re)train produced it — see `FORMAT.md` for the byte layout.
-    pub(crate) fn save(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        generation: u64,
-    ) -> Result<(), sqp_store::SnapshotError> {
-        let meta = sqp_store::SnapshotMeta::describe(
-            &self.snapshot,
-            generation,
-            // Raw-record provenance is not tracked at service level; the
-            // retrainer records it when it owns the corpus window.
-            0,
-        );
-        sqp_store::save_snapshot(path, &self.snapshot, &meta)
     }
 
     /// Top-`k` suggestions for the session so far (oldest query first).
@@ -121,51 +100,10 @@ impl RecommenderService {
         self.snapshot.suggest(context, k)
     }
 
-    /// Can the service say anything for this context?
-    pub(crate) fn covers(&self, context: &[&str]) -> bool {
-        self.snapshot.covers(context)
-    }
-
-    /// Name of the underlying model.
-    pub(crate) fn model_name(&self) -> &str {
-        self.snapshot.model_name()
-    }
-
-    /// Session mass the model was trained on.
-    pub(crate) fn trained_sessions(&self) -> u64 {
-        self.snapshot.trained_sessions()
-    }
-
-    /// Distinct queries known to the service.
-    pub(crate) fn vocabulary_size(&self) -> usize {
-        self.snapshot.vocabulary_size()
-    }
-
-    /// Approximate model heap footprint in bytes.
-    pub(crate) fn memory_bytes(&self) -> usize {
-        self.snapshot.memory_bytes()
-    }
-
-    /// Handle to the underlying immutable snapshot — publishable into a
-    /// running [`ServeEngine`] via
-    /// [`publish`](sqp_serve::ServeEngine::publish).
-    pub(crate) fn snapshot(&self) -> Arc<ModelSnapshot> {
-        Arc::clone(&self.snapshot)
-    }
-
     /// Promote into a concurrent serving engine with session tracking,
     /// batched suggestion, and hot-swappable retrains.
     pub fn into_engine(self, cfg: EngineConfig) -> ServeEngine {
         ServeEngine::new(self.snapshot, cfg)
-    }
-
-    /// Promote into a replicated serving tier: N independent engines
-    /// behind consistent-hash user routing, with fan-out/rolling snapshot
-    /// publication (see `sqp_store::rollout`) and per-replica health. The
-    /// serve surface matches [`into_engine`](Self::into_engine)'s, so
-    /// callers upgrade transparently when one engine stops being enough.
-    pub(crate) fn into_router(self, cfg: RouterConfig) -> RouterEngine {
-        RouterEngine::new(self.snapshot, cfg)
     }
 }
 
@@ -173,7 +111,7 @@ impl RecommenderService {
 mod tests {
     use super::*;
     use sqp_core::{MvmmConfig, VmmConfig};
-    use sqp_serve::{ModelSpec, ServeSurface};
+    use sqp_serve::ModelSpec;
 
     fn rec(machine: u64, ts: u64, q: &str) -> RawLogRecord {
         RawLogRecord {
@@ -220,7 +158,7 @@ mod tests {
         ] {
             let svc = service(model);
             let suggestions = svc.suggest(&["kidney stones"], 3);
-            assert!(!suggestions.is_empty(), "{}", svc.model_name());
+            assert!(!suggestions.is_empty(), "{}", svc.snapshot.model_name());
             assert_eq!(suggestions[0].query, "kidney stone symptoms");
             assert!(suggestions[0].score > 0.0);
         }
@@ -237,26 +175,26 @@ mod tests {
     fn unknown_current_query_is_uncovered() {
         let svc = service(ModelSpec::Adjacency);
         assert!(svc.suggest(&["never seen before"], 5).is_empty());
-        assert!(!svc.covers(&["never seen before"]));
+        assert!(!svc.snapshot.covers(&["never seen before"]));
         assert!(svc.suggest(&[], 5).is_empty());
         // Unknown *prefix* is fine.
-        assert!(svc.covers(&["never seen before", "kidney stones"]));
+        assert!(svc.snapshot.covers(&["never seen before", "kidney stones"]));
     }
 
     #[test]
     fn terminal_queries_are_uncovered_for_ordered_models() {
         let svc = service(ModelSpec::Adjacency);
         // "muzzle brake" only appears as a singleton session.
-        assert!(!svc.covers(&["muzzle brake"]));
+        assert!(!svc.snapshot.covers(&["muzzle brake"]));
     }
 
     #[test]
     fn service_metadata() {
         let svc = service(ModelSpec::Vmm(VmmConfig::with_epsilon(0.05)));
-        assert_eq!(svc.model_name(), "VMM (0.05)");
-        assert_eq!(svc.vocabulary_size(), 4);
-        assert_eq!(svc.trained_sessions(), 14);
-        assert!(svc.memory_bytes() > 0);
+        assert_eq!(svc.snapshot.model_name(), "VMM (0.05)");
+        assert_eq!(svc.snapshot.vocabulary_size(), 4);
+        assert_eq!(svc.snapshot.trained_sessions(), 14);
+        assert!(svc.snapshot.memory_bytes() > 0);
     }
 
     #[test]
@@ -270,8 +208,8 @@ mod tests {
             },
         );
         // Only the 10x session survives; the deep refinement is gone.
-        assert!(svc.covers(&["kidney stones"]));
-        assert!(!svc.covers(&["kidney stone symptoms"]));
+        assert!(svc.snapshot.covers(&["kidney stones"]));
+        assert!(!svc.snapshot.covers(&["kidney stone symptoms"]));
     }
 
     #[test]
@@ -291,9 +229,10 @@ mod tests {
         ] {
             let svc = service(model);
             let path = dir.join(format!("{name}.sqps"));
-            svc.save(&path, 4).unwrap();
+            let meta = sqp_store::SnapshotMeta::describe(&svc.snapshot, 4, 0);
+            sqp_store::save_snapshot(&path, &svc.snapshot, &meta).unwrap();
             let warm = RecommenderService::load(&path).unwrap();
-            assert_eq!(warm.model_name(), svc.model_name());
+            assert_eq!(warm.snapshot.model_name(), svc.snapshot.model_name());
             assert_eq!(
                 warm.suggest(&["kidney stones"], 3),
                 svc.suggest(&["kidney stones"], 3),
@@ -306,9 +245,9 @@ mod tests {
     #[test]
     fn snapshot_handle_is_shared_not_copied() {
         let svc = service(ModelSpec::Adjacency);
-        let a = svc.snapshot();
-        let b = svc.snapshot();
-        assert!(Arc::ptr_eq(&a, &b));
+        let snapshot = Arc::clone(&svc.snapshot);
+        let engine = svc.into_engine(sqp_serve::EngineConfig::default());
+        assert!(Arc::ptr_eq(&engine.snapshot(), &snapshot));
     }
 
     #[test]
@@ -320,18 +259,4 @@ mod tests {
         assert_eq!(engine.suggest(1, 2, 101), expected);
     }
 
-    #[test]
-    fn into_router_serves_the_same_model_on_every_replica() {
-        let svc = service(ModelSpec::Adjacency);
-        let expected = svc.suggest(&["kidney stones"], 2);
-        let router = svc.into_router(RouterConfig::default());
-        for user in [1u64, 2, 3, 4, 5, 6, 7, 8] {
-            assert_eq!(
-                router.track_and_suggest(user, "kidney stones", 2, 100),
-                expected,
-                "user {user} (replica {})",
-                router.replica_for(user)
-            );
-        }
-    }
 }
