@@ -164,7 +164,6 @@ pub struct SuffixTrie {
 }
 
 impl SuffixTrie {
-
     /// The root node id.
     pub const ROOT: u32 = 0;
 

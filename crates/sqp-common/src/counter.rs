@@ -61,11 +61,9 @@ impl<K: Eq + Hash> Counter<K> {
     pub fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
         self.map.iter().map(|(k, &v)| (k, v))
     }
-
 }
 
-impl<K: Eq + Hash + Clone> Counter<K> {
-}
+impl<K: Eq + Hash + Clone> Counter<K> {}
 
 impl<K: Eq + Hash> FromIterator<K> for Counter<K> {
     fn from_iter<T: IntoIterator<Item = K>>(iter: T) -> Self {

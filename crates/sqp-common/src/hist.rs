@@ -54,7 +54,6 @@ impl Histogram {
         let sum: f64 = self.iter().map(|(k, v)| k as f64 * v as f64).sum();
         sum / self.total as f64
     }
-
 }
 
 impl FromIterator<u64> for Histogram {

@@ -55,12 +55,13 @@ pub use arena::{FlatSessions, SuffixTrie};
 pub use breaker::{Admission, Backoff, Breaker, BreakerConfig, BreakerState, BreakerStats};
 pub use clock::{Clock, RealClock};
 pub use counter::Counter;
+
 pub use fsio::{FsIo, RealFs};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxHashMap, FxHashSet};
 pub use hazard::{Hazard, NoHazard};
 pub use hist::Histogram;
+
 pub use intern::Interner;
-pub use mem::HeapSize;
 
 /// Identifier of an interned query string.
 ///

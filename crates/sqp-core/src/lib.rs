@@ -37,12 +37,13 @@ pub mod toy;
 mod vmm;
 
 pub use adjacency::Adjacency;
+
 pub use backoff::{BackoffConfig, BackoffNgram};
 pub use cooccurrence::Cooccurrence;
+
 pub use model::{ModelSpec, Recommender, SequenceScorer, WeightedSessions};
 pub use mvmm::{Mvmm, MvmmConfig};
-pub use newton::{fit_mixture_sigmas, FitConfig, FitOutcome};
 pub use ngram::NGram;
+
 pub use persist::{model_from_bytes, model_to_bytes, ModelKind};
-pub use pst::{NodeDist, Pst, StateListError};
 pub use vmm::{Vmm, VmmConfig};

@@ -21,7 +21,7 @@
 
 use crate::counts::{escape_prob_in, WindowCounts};
 use crate::model::{Recommender, SequenceScorer, WeightedSessions};
-use crate::newton::{fit_mixture_sigmas, FitConfig};
+use crate::newton::fit_mixture_sigmas;
 use crate::pst::{NodeDist, Pst};
 use crate::vmm::{Vmm, VmmConfig};
 use sqp_common::arena::SuffixTrie;
@@ -36,8 +36,9 @@ use std::sync::Arc;
 pub struct MvmmConfig {
     /// The VMM components to mix.
     pub components: Vec<VmmConfig>,
-    /// Newton-fit parameters for the mixture deviations.
-    pub fit: FitConfig,
+    /// Cap on the training sequences the mixture deviations are fitted
+    /// on (the most frequent multi-query sessions).
+    pub max_fit_sequences: usize,
 }
 
 impl Default for MvmmConfig {
@@ -54,7 +55,7 @@ impl MvmmConfig {
             components: (0..=10)
                 .map(|i| VmmConfig::with_epsilon(i as f64 * 0.01))
                 .collect(),
-            fit: FitConfig::default(),
+            max_fit_sequences: FIT_SEQUENCES,
         }
     }
 
@@ -66,7 +67,7 @@ impl MvmmConfig {
                 .iter()
                 .map(|&(d, e)| VmmConfig::bounded(d, e))
                 .collect(),
-            fit: FitConfig::default(),
+            max_fit_sequences: FIT_SEQUENCES,
         }
     }
 
@@ -78,13 +79,13 @@ impl MvmmConfig {
                 VmmConfig::with_epsilon(0.05),
                 VmmConfig::with_epsilon(0.1),
             ],
-            fit: FitConfig {
-                max_fit_sequences: 300,
-                ..FitConfig::default()
-            },
+            max_fit_sequences: 300,
         }
     }
 }
+
+/// The default cap on the σ fit's training sequences.
+const FIT_SEQUENCES: usize = 2_000;
 
 /// Most components a mixture holds: a state's mask has one bit for each.
 const MAX_COMPONENTS: usize = 16;
@@ -150,7 +151,7 @@ impl Mvmm {
         let mut multi: Vec<&(QuerySeq, u64)> =
             sessions.iter().filter(|(s, _)| s.len() >= 2).collect();
         multi.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        multi.truncate(cfg.fit.max_fit_sequences);
+        multi.truncate(cfg.max_fit_sequences);
         let mass: u64 = multi.iter().map(|(_, f)| f).sum();
 
         let (mut p, mut a, mut d) = (Vec::new(), Vec::new(), Vec::new());
@@ -161,10 +162,10 @@ impl Mvmm {
             d.push(walk.matched.map(|m| (s.len() - 1 - m) as f64)[..k].to_vec());
         }
 
-        mixture.sigmas = fit_mixture_sigmas(&p, &a, &d, &cfg.fit).sigmas;
+        mixture.sigmas = fit_mixture_sigmas(&p, &a, &d);
         assert!(
             mixture.sigmas.iter().all(|s| s.is_finite() && *s > 0.0),
-            "the fit bounds every deviation by its FitConfig"
+            "the fit bounds every deviation"
         );
         mixture
     }
@@ -504,7 +505,7 @@ mod tests {
     fn memory_is_the_trie_plus_the_merged_pst_and_its_masks() {
         let sessions = narrow_sessions();
         let mut cfg = MvmmConfig::epsilon_sweep();
-        cfg.fit.max_fit_sequences = 100;
+        cfg.max_fit_sequences = 100;
         let sweep = Mvmm::train(&sessions, &cfg);
         let trie = sweep.pst().trie();
         assert_eq!(
@@ -534,7 +535,7 @@ mod tests {
         // by every component to its own.
         let sessions = narrow_sessions();
         let mut cfg = MvmmConfig::depth_mixture(&[(2, 0.1), (3, 0.2), (2, 0.0)]);
-        cfg.fit.max_fit_sequences = 100;
+        cfg.max_fit_sequences = 100;
         let depths = Mvmm::train(&sessions, &cfg);
         let trie = depths.pst().trie();
         let deepest = WindowCounts::build(&sessions, Some(3));
@@ -560,7 +561,7 @@ mod tests {
                 &sessions,
                 &MvmmConfig {
                     components: vec![*config],
-                    fit: cfg.fit,
+                    max_fit_sequences: cfg.max_fit_sequences,
                 },
             );
             let name = config.display_name();
@@ -623,7 +624,7 @@ mod tests {
         // names the same nodes as its bit in the merged PST.
         let sessions = narrow_sessions();
         let mut sweep = MvmmConfig::epsilon_sweep();
-        sweep.fit.max_fit_sequences = 100;
+        sweep.max_fit_sequences = 100;
         let depths = MvmmConfig::depth_mixture(&[(2, 0.1), (3, 0.2), (2, 0.0)]);
         for cfg in [sweep, depths] {
             let m = Mvmm::train(&sessions, &cfg);
@@ -702,7 +703,7 @@ mod tests {
     fn empty_component_list_panics() {
         let cfg = MvmmConfig {
             components: vec![],
-            fit: FitConfig::default(),
+            ..MvmmConfig::default()
         };
         Mvmm::train(&toy_corpus(), &cfg);
     }

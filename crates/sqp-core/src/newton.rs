@@ -17,50 +17,16 @@
 use sqp_common::math::{gaussian_pdf, gaussian_pdf_d2sigma, gaussian_pdf_dsigma};
 use sqp_common::FxHashMap;
 
-/// Optimizer configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct FitConfig {
-    /// Maximum Newton/gradient iterations.
-    pub(crate) max_iters: usize,
-    /// Convergence threshold on objective improvement.
-    pub(crate) tol: f64,
-    /// Initial σ for every component.
-    pub(crate) sigma_init: f64,
-    /// Lower projection bound (σ must stay positive).
-    pub(crate) sigma_min: f64,
-    /// Upper projection bound.
-    pub(crate) sigma_max: f64,
-    /// Cap on the number of training sequences used for the fit.
-    pub(crate) max_fit_sequences: usize,
-}
-
-impl Default for FitConfig {
-    fn default() -> Self {
-        Self {
-            max_iters: 60,
-            tol: 1e-10,
-            sigma_init: 1.0,
-            sigma_min: 0.05,
-            sigma_max: 64.0,
-            max_fit_sequences: 2_000,
-        }
-    }
-}
-
-/// Result of the σ fit.
-#[derive(Clone, Debug)]
-pub struct FitOutcome {
-    /// Fitted deviations, one per mixture component.
-    pub(crate) sigmas: Vec<f64>,
-    /// Final objective value (Eq. 9, base-10 logs).
-    pub(crate) objective: f64,
-    /// Iterations performed.
-    pub(crate) iterations: usize,
-    /// True when the improvement fell below tolerance before `max_iters`.
-    pub(crate) converged: bool,
-    /// How many iterations accepted the pure Newton step.
-    pub(crate) newton_steps: usize,
-}
+/// Newton/gradient iterations at most.
+const MAX_ITERS: usize = 60;
+/// Convergence threshold on objective improvement.
+const TOL: f64 = 1e-10;
+/// Initial σ for every component.
+const SIGMA_INIT: f64 = 1.0;
+/// Lower projection bound (σ must stay positive).
+pub(crate) const SIGMA_MIN: f64 = 0.05;
+/// Upper projection bound.
+pub(crate) const SIGMA_MAX: f64 = 64.0;
 
 const LN10: f64 = std::f64::consts::LN_10;
 
@@ -211,9 +177,9 @@ pub(crate) fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<
     Some(x)
 }
 
-fn project(sigma: &mut [f64], cfg: &FitConfig) {
+fn project(sigma: &mut [f64]) {
     for s in sigma {
-        *s = s.clamp(cfg.sigma_min, cfg.sigma_max);
+        *s = s.clamp(SIGMA_MIN, SIGMA_MAX);
     }
 }
 
@@ -223,33 +189,21 @@ fn project(sigma: &mut [f64], cfg: &FitConfig) {
 /// * `a[t][k]` — generative probability `P̂_k(X_t)` of sequence t under
 ///   component k (Eq. 3, with escape);
 /// * `d[t][k]` — context disparity (edit distance to the matched state).
-pub fn fit_mixture_sigmas(
-    p: &[f64],
-    a: &[Vec<f64>],
-    d: &[Vec<f64>],
-    cfg: &FitConfig,
-) -> FitOutcome {
+///
+/// Returns one σ per component, each within `[SIGMA_MIN, SIGMA_MAX]`.
+pub(crate) fn fit_mixture_sigmas(p: &[f64], a: &[Vec<f64>], d: &[Vec<f64>]) -> Vec<f64> {
     let kn = a.first().map(|row| row.len()).unwrap_or(0);
-    let mut sigma = vec![cfg.sigma_init; kn];
-    project(&mut sigma, cfg);
+    let mut sigma = vec![SIGMA_INIT; kn];
+    project(&mut sigma);
     if p.is_empty() || kn == 0 {
-        return FitOutcome {
-            objective: 0.0,
-            sigmas: sigma,
-            iterations: 0,
-            converged: true,
-            newton_steps: 0,
-        };
+        return sigma;
     }
 
     let fit = Fit::new(p, a, d);
     let mut f = fit.objective(&sigma);
-    let mut newton_steps = 0;
-    let mut iterations = 0;
     let mut converged = false;
 
-    for _ in 0..cfg.max_iters {
-        iterations += 1;
+    for _ in 0..MAX_ITERS {
         let g = fit.gradient(&sigma);
         let h = fit.hessian(&sigma);
 
@@ -257,19 +211,15 @@ pub fn fit_mixture_sigmas(
         let mut improved = false;
         if let Some(step) = solve_linear(h, g.clone()) {
             let mut cand: Vec<f64> = sigma.iter().zip(&step).map(|(s, dx)| s - dx).collect();
-            project(&mut cand, cfg);
+            project(&mut cand);
             let fc = fit.objective(&cand);
             if fc > f {
-                if (fc - f).abs() < cfg.tol {
+                if (fc - f).abs() < TOL {
                     sigma = cand;
-                    f = fc;
-                    converged = true;
-                    newton_steps += 1;
                     break;
                 }
                 sigma = cand;
                 f = fc;
-                newton_steps += 1;
                 improved = true;
             }
         }
@@ -280,10 +230,10 @@ pub fn fit_mixture_sigmas(
             let mut accepted = false;
             for _ in 0..30 {
                 let mut cand: Vec<f64> = sigma.iter().zip(&g).map(|(s, gi)| s + eta * gi).collect();
-                project(&mut cand, cfg);
+                project(&mut cand);
                 let fc = fit.objective(&cand);
                 if fc > f + 1e-15 {
-                    if (fc - f).abs() < cfg.tol {
+                    if (fc - f).abs() < TOL {
                         converged = true;
                     }
                     sigma = cand;
@@ -293,23 +243,14 @@ pub fn fit_mixture_sigmas(
                 }
                 eta *= 0.5;
             }
-            if !accepted {
-                converged = true; // no ascent direction improves: at an optimum
-                break;
-            }
-            if converged {
+            // No ascent direction improves: at an optimum.
+            if !accepted || converged {
                 break;
             }
         }
     }
 
-    FitOutcome {
-        sigmas: sigma,
-        objective: f,
-        iterations,
-        converged,
-        newton_steps,
-    }
+    sigma
 }
 
 #[cfg(test)]
@@ -358,17 +299,12 @@ mod tests {
         let p = vec![1.0 / n as f64; n];
         let a: Vec<Vec<f64>> = (0..n).map(|_| vec![0.4, 0.05]).collect();
         let d: Vec<Vec<f64>> = (0..n).map(|_| vec![0.0, 3.0]).collect();
-        let out = fit_mixture_sigmas(&p, &a, &d, &FitConfig::default());
-        assert!(out.iterations >= 1);
+        let sigmas = fit_mixture_sigmas(&p, &a, &d);
         // At d = 0 the Gaussian pdf grows as σ shrinks: expect σ0 pinned low.
-        assert!(
-            out.sigmas[0] < out.sigmas[1] + 1e-9,
-            "sigmas = {:?}",
-            out.sigmas
-        );
+        assert!(sigmas[0] < sigmas[1] + 1e-9, "sigmas = {sigmas:?}");
         // Objective must have improved over the starting point.
-        let start = vec![FitConfig::default().sigma_init; 2];
-        assert!(out.objective >= Fit::new(&p, &a, &d).objective(&start) - 1e-12);
+        let fit = Fit::new(&p, &a, &d);
+        assert!(fit.objective(&sigmas) > fit.objective(&[SIGMA_INIT; 2]));
     }
 
     #[test]
@@ -376,55 +312,28 @@ mod tests {
         let p = vec![0.5, 0.5];
         let a = vec![vec![0.3, 0.2], vec![0.1, 0.4]];
         let d = vec![vec![0.0, 1.0], vec![2.0, 0.0]];
-        let o1 = fit_mixture_sigmas(&p, &a, &d, &FitConfig::default());
-        let o2 = fit_mixture_sigmas(&p, &a, &d, &FitConfig::default());
-        assert_eq!(o1.sigmas, o2.sigmas);
-        assert_eq!(o1.objective, o2.objective);
+        let o1 = fit_mixture_sigmas(&p, &a, &d);
+        let o2 = fit_mixture_sigmas(&p, &a, &d);
+        assert_eq!(o1, o2);
     }
 
     #[test]
     fn fit_respects_bounds() {
-        let cfg = FitConfig {
-            sigma_min: 0.5,
-            sigma_max: 2.0,
-            ..FitConfig::default()
-        };
+        // Evidence only at d = 0 drives σ toward 0 and evidence only far
+        // away drives it up: both stop at a bound.
         let p = vec![1.0];
-        let a = vec![vec![0.9]];
-        let d = vec![vec![0.0]];
-        let out = fit_mixture_sigmas(&p, &a, &d, &cfg);
-        assert!(out.sigmas[0] >= 0.5 - 1e-12);
-        assert!(out.sigmas[0] <= 2.0 + 1e-12);
+        let near = fit_mixture_sigmas(&p, &[vec![0.9]], &[vec![0.0]]);
+        assert_eq!(near, [SIGMA_MIN]);
+        let far = fit_mixture_sigmas(&p, &[vec![0.9, 0.9]], &[vec![1e4, 0.0]]);
+        assert!(
+            far.iter().all(|s| (SIGMA_MIN..=SIGMA_MAX).contains(s)),
+            "{far:?}"
+        );
     }
 
     #[test]
     fn empty_inputs() {
-        let out = fit_mixture_sigmas(&[], &[], &[], &FitConfig::default());
-        assert!(out.converged);
-        assert!(out.sigmas.is_empty());
-    }
-
-    #[test]
-    fn objective_monotone_over_iterations() {
-        // Indirect check: running with max_iters = 1 can never beat
-        // max_iters = 60.
-        let n = 20;
-        let p = vec![1.0 / n as f64; n];
-        let a: Vec<Vec<f64>> = (0..n)
-            .map(|t| vec![0.1 + 0.01 * (t % 5) as f64, 0.3, 0.05])
-            .collect();
-        let d: Vec<Vec<f64>> = (0..n).map(|t| vec![(t % 3) as f64, 1.0, 2.0]).collect();
-        let short = fit_mixture_sigmas(
-            &p,
-            &a,
-            &d,
-            &FitConfig {
-                max_iters: 1,
-                ..FitConfig::default()
-            },
-        );
-        let long = fit_mixture_sigmas(&p, &a, &d, &FitConfig::default());
-        assert!(long.objective >= short.objective - 1e-12);
+        assert!(fit_mixture_sigmas(&[], &[], &[]).is_empty());
     }
 
     #[test]

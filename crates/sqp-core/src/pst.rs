@@ -112,7 +112,6 @@ impl<'a> NodeDist<'a> {
             (dist.queries[i], dist.smooth(dist.counts[i]))
         })
     }
-
 }
 
 /// One state's slots in the flat arrays. A run ends where the next state's
@@ -156,7 +155,7 @@ const NO_STATE: u32 = u32::MAX;
 /// [`Pst::from_states`] returns instead of building from it. The list may
 /// come from disk, so each property the trainer guarantees is checked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StateListError {
+pub(crate) enum StateListError {
     /// An id is not larger than the one before it.
     NotAscending {
         /// The offending id.

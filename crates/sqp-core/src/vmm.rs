@@ -636,7 +636,7 @@ mod tests {
     fn one_component(config: VmmConfig) -> crate::Mvmm {
         let cfg = crate::MvmmConfig {
             components: vec![config],
-            fit: crate::FitConfig::default(),
+            ..crate::MvmmConfig::default()
         };
         crate::Mvmm::train(&toy_corpus(), &cfg)
     }

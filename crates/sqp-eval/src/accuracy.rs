@@ -152,5 +152,4 @@ mod tests {
         }
         assert_eq!(overall_ndcg(&Never, &truth(), 5), 0.0);
     }
-
 }

@@ -16,7 +16,7 @@ use sqp_common::dist::levenshtein_str;
 use sqp_logsim::{TopicId, Vocabulary};
 
 /// Judgment oracle backed by vocabulary world knowledge.
-pub struct LabelerOracle<'a> {
+pub(crate) struct LabelerOracle<'a> {
     vocab: &'a Vocabulary,
 }
 

@@ -9,7 +9,7 @@ use sqp_common::QueryId;
 
 /// Rating of the ground-truth continuation at 0-based position `pos`:
 /// 5, 4, 3, 2, 1, then 0.
-pub fn position_rating(pos: usize) -> u32 {
+pub(crate) fn position_rating(pos: usize) -> u32 {
     (5usize.saturating_sub(pos)) as u32
 }
 

@@ -3,20 +3,6 @@
 
 use sqp_core::{ModelSpec, MvmmConfig, Recommender, VmmConfig, WeightedSessions};
 
-/// The paper's §V-D line-up: two pair-wise baselines, the N-gram, three
-/// representative VMMs (ε = 0.0, 0.05, 0.1) and the 11-component MVMM.
-pub fn paper_lineup() -> Vec<ModelSpec> {
-    vec![
-        ModelSpec::Adjacency,
-        ModelSpec::Cooccurrence,
-        ModelSpec::NGram,
-        ModelSpec::Vmm(VmmConfig::with_epsilon(0.0)),
-        ModelSpec::Vmm(VmmConfig::with_epsilon(0.05)),
-        ModelSpec::Vmm(VmmConfig::with_epsilon(0.1)),
-        ModelSpec::Mvmm(MvmmConfig::epsilon_sweep()),
-    ]
-}
-
 /// A faster line-up for tests and smoke runs (3-component MVMM).
 pub fn quick_lineup() -> Vec<ModelSpec> {
     vec![
@@ -43,13 +29,6 @@ pub fn train_models(
 mod tests {
     use super::*;
     use sqp_core::toy::toy_corpus;
-
-    #[test]
-    fn labels_are_unique_in_paper_lineup() {
-        let labels: std::collections::HashSet<String> =
-            paper_lineup().iter().map(|s| s.label()).collect();
-        assert_eq!(labels.len(), paper_lineup().len());
-    }
 
     #[test]
     fn all_kinds_train_on_toy_corpus() {

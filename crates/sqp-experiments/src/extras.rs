@@ -80,7 +80,7 @@ pub(crate) fn ablation_mixture(wb: &Workbench) -> String {
             .collect();
         let cfg = MvmmConfig {
             components,
-            fit: sqp_core::FitConfig::default(),
+            ..MvmmConfig::default()
         };
         let start = Instant::now();
         let mvmm = Mvmm::train(sessions, &cfg);

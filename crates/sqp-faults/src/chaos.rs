@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// Marker embedded in every injected panic's payload, so panic hooks and
 /// supervisors can distinguish scheduled chaos from genuine bugs.
-pub const PANIC_MARKER: &str = "injected chaos panic";
+pub(crate) const PANIC_MARKER: &str = "injected chaos panic";
 
 /// One hazard site's deterministic decision stream.
 struct SiteStream {

@@ -37,7 +37,6 @@ impl VirtualClock {
     pub fn new() -> Self {
         Self::default()
     }
-
 }
 
 impl Clock for VirtualClock {

@@ -31,8 +31,10 @@ mod fs;
 mod netchaos;
 mod plan;
 
-pub use chaos::{Chaos, ChaosStats, PANIC_MARKER};
+pub use chaos::{Chaos, ChaosStats};
 pub use clock::VirtualClock;
 pub use fs::FaultyFs;
+
 pub use netchaos::ChaosProxy;
+
 pub use plan::FaultPlan;

@@ -76,5 +76,4 @@ impl FaultPlan {
             ..Self::default()
         }
     }
-
 }

@@ -168,7 +168,6 @@ impl SimConfig {
             ..Self::default()
         }
     }
-
 }
 
 #[cfg(test)]
@@ -203,5 +202,4 @@ mod tests {
         assert!(t.intra_gap_cap_secs < 30 * 60);
         assert!(t.inter_gap_min_secs > 30 * 60);
     }
-
 }

@@ -425,7 +425,10 @@ mod tests {
         for &id in v.train_topics() {
             assert!(!v.topic(id).test_only);
         }
-        assert_eq!(v.test_only_topics().len() + v.train_topics().len(), v.iter().count());
+        assert_eq!(
+            v.test_only_topics().len() + v.train_topics().len(),
+            v.iter().count()
+        );
     }
 
     #[test]

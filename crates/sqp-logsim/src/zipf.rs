@@ -59,7 +59,6 @@ impl CumulativeSampler {
             Err(i) => i.min(self.cum.len() - 1),
         }
     }
-
 }
 
 #[cfg(test)]

@@ -63,10 +63,9 @@ mod remote;
 mod server;
 pub mod wire;
 
-pub use client::{BatchAnswer, NetClient, NetError, ServeAnswer, TrackAck};
+pub use client::{BatchAnswer, NetClient, NetError, ServeAnswer};
 pub use remote::{
-    DegradedReason, EndpointConfig, EndpointSetError, EndpointStats, RemoteConfig, RemoteEngine,
-    RemoteOutcome, RemoteStats, StatsRecord,
+    DegradedReason, EndpointConfig, EndpointSetError, RemoteConfig, RemoteEngine, RemoteOutcome,
 };
 pub use server::{NetServer, NetServerStats, ServerConfig};
 pub use wire::{BatchEntry, Reply, Request, RollSummary, WireError, WireStats};

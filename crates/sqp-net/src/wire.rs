@@ -311,7 +311,6 @@ pub struct BatchEntries<'a> {
 }
 
 impl<'a> BatchEntries<'a> {
-
     /// Iterate the entries in wire order.
     pub fn iter(&self) -> impl Iterator<Item = BatchEntry> + 'a {
         let raw = self.raw;

@@ -204,7 +204,6 @@ impl HashRing {
     pub(crate) fn replica_ids(&self) -> &[u32] {
         &self.replicas
     }
-
 }
 
 /// Domain-separation salt for vnode placement. Without it, replica 0's

@@ -11,7 +11,7 @@ use sqp_common::{Counter, FxHashMap, QueryId, QuerySeq};
 
 /// Prefix-context table: context → next-query counts.
 #[derive(Clone, Debug, Default)]
-pub struct ContextTable {
+pub(crate) struct ContextTable {
     map: FxHashMap<QuerySeq, Counter<QueryId>>,
 }
 
@@ -88,7 +88,6 @@ impl GroundTruth {
     pub fn len(&self) -> usize {
         self.entries.len()
     }
-
 }
 
 #[cfg(test)]

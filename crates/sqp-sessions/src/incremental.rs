@@ -85,7 +85,6 @@ impl SlidingCorpus {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
 }
 
 #[cfg(test)]

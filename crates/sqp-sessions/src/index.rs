@@ -130,7 +130,6 @@ impl QueryTrainingIndex {
         }
         None
     }
-
 }
 
 #[cfg(test)]

@@ -26,13 +26,11 @@ mod segment;
 mod stats;
 
 pub use aggregate::{aggregate, Aggregated};
-pub use contexts::{ContextTable, GroundTruth, GroundTruthEntry};
+pub use contexts::{GroundTruth, GroundTruthEntry};
 pub use incremental::SlidingCorpus;
+
 pub use index::{QueryTrainingIndex, UnpredictableReason};
-pub use pipeline::{process, EpochData, PipelineConfig, ProcessedLogs};
-pub use reduce::{reduce, reduce_in_place, ReductionReport};
-pub use segment::{
-    segment, segment_default, segment_with_parallelism, Segmented, SessionRef, TextSession,
-    DEFAULT_CUTOFF_SECS,
-};
-pub use stats::{corpus_stats, CorpusStats};
+pub use pipeline::{process, PipelineConfig, ProcessedLogs};
+pub use reduce::{reduce, reduce_in_place};
+pub use segment::{segment, segment_default, segment_with_parallelism, DEFAULT_CUTOFF_SECS};
+pub use stats::corpus_stats;

@@ -55,9 +55,7 @@ pub struct TextSession {
     pub queries: Vec<String>,
 }
 
-impl TextSession {
-
-}
+impl TextSession {}
 
 /// One record reduced to what segmentation needs. Keys stay in input order;
 /// a record's input position is its index.

@@ -27,7 +27,7 @@ use sqp_serve::ModelSnapshot;
 use std::path::Path;
 
 /// First four bytes of every snapshot file.
-pub const MAGIC: [u8; 4] = *b"SQPS";
+pub(crate) const MAGIC: [u8; 4] = *b"SQPS";
 /// Container version this build writes and reads. Version 10's MVMM
 /// payload is one merged state list with a component mask per state where
 /// version 9 wrote a state list per component; every other payload is
@@ -278,7 +278,9 @@ pub fn snapshot_from_bytes(raw: &[u8]) -> Result<(ModelSnapshot, SnapshotMeta), 
 /// panic when an answer is rendered. Any violation returns the matching
 /// [`SnapshotError`] variant; no code path panics and no partial snapshot
 /// escapes.
-pub fn snapshot_from_vec(raw: Vec<u8>) -> Result<(ModelSnapshot, SnapshotMeta), SnapshotError> {
+pub(crate) fn snapshot_from_vec(
+    raw: Vec<u8>,
+) -> Result<(ModelSnapshot, SnapshotMeta), SnapshotError> {
     let entries = parse_section_table(&raw)?;
     // The file itself becomes the shared storage; the interner and model
     // payloads below are zero-copy cursor views into it.
@@ -380,7 +382,7 @@ pub fn save_snapshot(
 /// seam — the variant the retrain loop uses so fault-injection
 /// harnesses can fail or corrupt the write deterministically. Atomicity is
 /// the seam's contract ([`FsIo::write_atomic`](sqp_common::fsio::FsIo)).
-pub fn save_snapshot_with(
+pub(crate) fn save_snapshot_with(
     io: &dyn sqp_common::fsio::FsIo,
     path: &Path,
     snapshot: &ModelSnapshot,
@@ -431,7 +433,7 @@ pub fn load_snapshot(
 /// [`load_snapshot`] through an explicit [`FsIo`](sqp_common::fsio::FsIo)
 /// seam, so fault-injection harnesses can fail or truncate the read. A
 /// short read surfaces as the same typed error a truncated file would.
-pub fn load_snapshot_with(
+pub(crate) fn load_snapshot_with(
     io: &dyn sqp_common::fsio::FsIo,
     path: &Path,
 ) -> Result<(ModelSnapshot, SnapshotMeta), SnapshotError> {

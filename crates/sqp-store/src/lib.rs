@@ -104,19 +104,14 @@ mod warm;
 
 pub use error::{RetrainError, SnapshotError};
 pub use format::{
-    fnv1a64_words, load_snapshot, load_snapshot_with, parse_section_table, save_snapshot,
-    save_snapshot_with, snapshot_from_bytes, snapshot_from_vec, snapshot_to_bytes, SectionEntry,
-    SnapshotMeta, FORMAT_VERSION, MAGIC,
-};
-pub use quarantine::{
-    newest_good_snapshot, quarantine_file, quarantine_path, validate_snapshot_file,
+    fnv1a64_words, load_snapshot, parse_section_table, save_snapshot, snapshot_from_bytes,
+    snapshot_to_bytes, SnapshotMeta, FORMAT_VERSION,
 };
 pub use retrain::{
-    latest_generation_on_disk, latest_generation_on_disk_with, parse_snapshot_name,
-    rotate_snapshots_with, snapshot_file_name, BreakerState, RetrainConfig, Retrainer,
-    RetrainerHealth, RotationReport, StepOutcome,
+    latest_generation_on_disk, snapshot_file_name, BreakerState, RetrainConfig, Retrainer,
+    RetrainerHealth, StepOutcome,
 };
-pub use rollout::{Publish, RollPolicy, RollReport, RollStep};
+pub use rollout::{Publish, RollPolicy};
 pub use warm::{publish_from_path, Published};
 
 // The model-kind tag is defined next to the model codecs in sqp-core;

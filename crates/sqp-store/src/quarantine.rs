@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 /// The quarantine name for a snapshot file (`<name>.quarantine` appended,
 /// e.g. `snapshot-00000007.sqps.quarantine`).
-pub fn quarantine_path(path: &Path) -> PathBuf {
+pub(crate) fn quarantine_path(path: &Path) -> PathBuf {
     let mut name = path.as_os_str().to_owned();
     name.push(".quarantine");
     PathBuf::from(name)
@@ -32,7 +32,7 @@ pub fn quarantine_path(path: &Path) -> PathBuf {
 /// (an operator can inspect what corrupted) but its name no longer parses
 /// as a live generation, so warm starts, rollback scans, and rotation all
 /// ignore it. Returns the quarantine path.
-pub fn quarantine_file(io: &dyn FsIo, path: &Path) -> Result<PathBuf, SnapshotError> {
+pub(crate) fn quarantine_file(io: &dyn FsIo, path: &Path) -> Result<PathBuf, SnapshotError> {
     let target = quarantine_path(path);
     io.rename(path, &target)?;
     Ok(target)
@@ -52,7 +52,7 @@ pub fn quarantine_file(io: &dyn FsIo, path: &Path) -> Result<PathBuf, SnapshotEr
 /// Returns the loaded snapshot — the retrain loop publishes this
 /// loaded-from-disk value, never the in-memory one, so what serves is
 /// exactly what a restart would recover.
-pub fn validate_snapshot_file(
+pub(crate) fn validate_snapshot_file(
     io: &dyn FsIo,
     path: &Path,
     expect: &SnapshotMeta,
@@ -89,7 +89,7 @@ pub fn validate_snapshot_file(
 /// many unreadable candidates were skipped on the way. Quarantined and
 /// alien files are not candidates. Returns `(None, skipped)` when no
 /// loadable snapshot exists (including when `dir` cannot be listed).
-pub fn newest_good_snapshot(
+pub(crate) fn newest_good_snapshot(
     io: &dyn FsIo,
     dir: &Path,
 ) -> (Option<(PathBuf, ModelSnapshot, SnapshotMeta)>, usize) {

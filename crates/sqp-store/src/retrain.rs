@@ -683,7 +683,7 @@ pub fn snapshot_file_name(generation: u64) -> String {
 /// strictly `snapshot-N.sqps` or its quarantined form
 /// `snapshot-N.sqps.quarantine`. Returns the generation and whether the
 /// file is quarantined; anything else (aliens, tmp files) is `None`.
-pub fn parse_snapshot_name(name: &str) -> Option<(u64, bool)> {
+pub(crate) fn parse_snapshot_name(name: &str) -> Option<(u64, bool)> {
     let (rest, quarantined) = match name.strip_suffix(".quarantine") {
         Some(rest) => (rest, true),
         None => (name, false),
@@ -707,7 +707,7 @@ pub fn latest_generation_on_disk(dir: &Path) -> u64 {
 
 /// [`latest_generation_on_disk`] through an explicit
 /// [`FsIo`] seam.
-pub fn latest_generation_on_disk_with(io: &dyn FsIo, dir: &Path) -> u64 {
+pub(crate) fn latest_generation_on_disk_with(io: &dyn FsIo, dir: &Path) -> u64 {
     let Ok(entries) = io.list(dir) else {
         return 0;
     };
@@ -721,7 +721,7 @@ pub fn latest_generation_on_disk_with(io: &dyn FsIo, dir: &Path) -> u64 {
 
 /// What one rotation pass did (and declined to do).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RotationReport {
+pub(crate) struct RotationReport {
     /// Old snapshot files deleted.
     pub(crate) removed: usize,
     /// Directory entries skipped because they are not canonical
@@ -752,7 +752,7 @@ pub struct RotationReport {
 ///   [`RotationReport::errors`] and the pass continues.
 ///
 /// Errors only when the directory itself cannot be listed.
-pub fn rotate_snapshots_with(
+pub(crate) fn rotate_snapshots_with(
     io: &dyn FsIo,
     dir: &Path,
     keep: usize,
@@ -967,7 +967,11 @@ mod tests {
             },
             seed_records("old"),
         );
-        assert_eq!(retrainer.generations.load(Ordering::Acquire), 5, "seeded from disk");
+        assert_eq!(
+            retrainer.generations.load(Ordering::Acquire),
+            5,
+            "seeded from disk"
+        );
         let outcome = retrainer.step(&e);
         // The "restarted" process publishes generation 6, and rotation
         // (keep 2) retires the pre-restart file, never the new one — the

@@ -196,7 +196,7 @@ fn toy_mvmm_payload_matches_the_documented_layout() {
                 sqp_core::VmmConfig::with_epsilon(0.0),
                 sqp_core::VmmConfig::with_epsilon(0.05),
             ],
-            fit: sqp_core::FitConfig::default(),
+            ..sqp_core::MvmmConfig::default()
         },
     );
     let sigmas = mixture.sigmas().to_vec();

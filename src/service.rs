@@ -258,5 +258,4 @@ mod tests {
         engine.track(1, "kidney stones", 100);
         assert_eq!(engine.suggest(1, 2, 101), expected);
     }
-
 }

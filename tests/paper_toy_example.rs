@@ -14,7 +14,7 @@
 
 use sqp::core::counts::WindowCounts;
 use sqp::core::toy::{toy_corpus, toy_test_sequence, TOY_EPSILON, TOY_TEST_SEQUENCE_PROB};
-use sqp::core::{FitConfig, Mvmm, MvmmConfig, Recommender, SequenceScorer, Vmm, VmmConfig};
+use sqp::core::{Mvmm, MvmmConfig, Recommender, SequenceScorer, Vmm, VmmConfig};
 use sqp_common::{seq, QueryId};
 
 fn q0() -> QueryId {
@@ -114,7 +114,7 @@ fn escape_of_unseen_context_matches_eq6() {
         &toy_corpus(),
         &MvmmConfig {
             components: vec![VmmConfig::with_epsilon(TOY_EPSILON)],
-            fit: FitConfig::default(),
+            ..MvmmConfig::default()
         },
     );
     let top = mixture.recommend(&seq(&[1, 1]), 2);
