@@ -364,6 +364,11 @@ impl SuffixTrie {
         self.parents.len()
     }
 
+    /// True when only the root exists.
+    pub fn is_empty(&self) -> bool {
+        self.parents.len() <= 1
+    }
+
     /// Deepest depth that counts as a window.
     pub fn window_len(&self) -> usize {
         self.window_len as usize

@@ -138,6 +138,12 @@ impl BytesMut {
         self.data.len()
     }
 
+    /// True when nothing has been written.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
     /// Append a little-endian `u32`.
     #[inline]
     pub fn put_u32_le(&mut self, v: u32) {
@@ -208,7 +214,7 @@ pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
 
 /// Decode an unsigned LEB128 varint from `bytes` starting at `*at`,
 /// advancing `*at` past it. Returns `None` on truncated input or on an
-/// encoding longer than [`MAX_UVARINT_LEN`] / overflowing 64 bits —
+/// encoding longer than 10 bytes / overflowing 64 bits —
 /// malformed network input must surface as a typed decode error, never a
 /// panic or a silently wrapped value.
 #[inline]

@@ -157,6 +157,11 @@ impl Interner {
         self.strings.len()
     }
 
+    /// True when no query has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.strings.is_empty()
+    }
+
     /// Bytes of query text resident (each string stored exactly once).
     pub fn bytes_resident(&self) -> usize {
         self.string_bytes

@@ -14,7 +14,7 @@
 //!   the MVMM mixture weighting and the spelling-change classifier);
 //! * [`topk`] — deterministic top-k selection of scored items;
 //! * [`hist`] — integer-keyed histograms (session-length distributions);
-//! * [`counter`] — convenience counting maps;
+//! * `counter` — convenience counting maps;
 //! * [`arena`] — the arena-backed suffix trie shared by window counting and
 //!   the serve path (zero-allocation counting, binary-search lookups);
 //! * [`rng`] — a seedable xoshiro256++ PRNG (the workspace builds with no

@@ -27,7 +27,7 @@
 //! deviation σ as an `f64` bit pattern, then the merged PST's id list and a
 //! component mask per id. Loading
 //! goes through the constructor training uses
-//! ([`Pst::from_states`](crate::Pst::from_states)), which checks every
+//! (`Pst::from_states`), which checks every
 //! property of a state list the trainer guarantees, so a loaded model and a
 //! trained one are one type with one set of invariants.
 //!

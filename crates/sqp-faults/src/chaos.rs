@@ -61,7 +61,7 @@ pub struct ChaosStats {
 ///
 /// ```
 /// use sqp_common::hazard::Hazard;
-/// use sqp_faults::{Chaos, FaultPlan, PANIC_MARKER};
+/// use sqp_faults::{Chaos, FaultPlan};
 ///
 /// let chaos = Chaos::new(FaultPlan {
 ///     seed: 42,
@@ -72,7 +72,7 @@ pub struct ChaosStats {
 /// let caught =
 ///     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| chaos.strike("store.retrain.train")));
 /// let payload = caught.unwrap_err();
-/// assert!(payload.downcast_ref::<String>().unwrap().contains(PANIC_MARKER));
+/// assert!(payload.downcast_ref::<String>().unwrap().contains("store.retrain.train"));
 /// // The ordinal was consumed: the second strike passes clean.
 /// chaos.strike("store.retrain.train");
 /// assert_eq!(chaos.stats().panics, 1);
@@ -183,7 +183,7 @@ impl Chaos {
     }
 
     /// Install a process-wide panic hook that silences injected chaos
-    /// panics (payloads carrying [`PANIC_MARKER`]) and forwards everything
+    /// panics (payloads carrying `PANIC_MARKER`) and forwards everything
     /// else to the previous hook. Idempotent; intended for chaos test
     /// binaries, where scheduled panics would otherwise spray backtraces
     /// over the output.

@@ -11,9 +11,7 @@ use sqp_common::clock::Clock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// A [`Clock`] whose time advances only via `sleep` (or [`advance`]).
-///
-/// [`advance`]: VirtualClock::advance
+/// A [`Clock`] whose time advances only via `sleep`.
 ///
 /// # Examples
 ///

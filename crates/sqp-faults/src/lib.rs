@@ -16,7 +16,7 @@
 //! * [`VirtualClock`] — a [`Clock`](sqp_common::clock::Clock) whose sleeps
 //!   advance instantly, so backoff- and cooldown-heavy scenarios run in
 //!   microseconds.
-//! * [`ChaosProxy`] ([`netchaos`]) — a loopback TCP forwarder that injects
+//! * [`ChaosProxy`] (`netchaos`) — a loopback TCP forwarder that injects
 //!   the plan's *network* faults (refuse-accept, black-hole,
 //!   close-mid-frame, byte-truncate, delay) between any client and a real
 //!   server, so cross-process resilience is provable in-repo.

@@ -132,7 +132,7 @@ enum FrameFault {
 
 /// A loopback TCP forwarder that injects the [`FaultPlan`]'s network
 /// faults between any client and one upstream address. See the
-/// [module docs](self) for the fault menu.
+/// module docs for the fault menu.
 ///
 /// [`FaultPlan`]: crate::FaultPlan
 pub struct ChaosProxy {

@@ -29,7 +29,7 @@ pub enum PatternType {
 
 impl PatternType {
     /// All seven patterns, in the order used by
-    /// [`crate::config::SessionConfig::pattern_weights`].
+    /// `SessionConfig::pattern_weights`.
     pub const ALL: [PatternType; 7] = [
         PatternType::SpellingChange,
         PatternType::ParallelMovement,

@@ -90,7 +90,7 @@ pub fn from_tsv(text: &str) -> Result<Vec<RawLogRecord>, String> {
             .parse()
             .map_err(|_| err("bad click count"))?;
         let clicks_field = parts.next().unwrap_or("");
-        let mut clicks = Vec::with_capacity(n_clicks);
+        let mut clicks = Vec::new();
         if !clicks_field.is_empty() {
             for chunk in clicks_field.split(';') {
                 let (url, ts) = chunk
@@ -175,6 +175,9 @@ mod tests {
         assert!(from_tsv("not a record").is_err());
         assert!(from_tsv("1\tx\tq\t0\t").is_err());
         assert!(from_tsv("1\t5\tq\t2\tu,1").is_err()); // count mismatch
+                                                       // A count no line could hold is a mismatch, not an allocation.
+        let huge = from_tsv("1\t5\tq\t1000000000000000000\t");
+        assert_eq!(huge, Err("line 1: click count mismatch".to_owned()));
     }
 
     #[test]

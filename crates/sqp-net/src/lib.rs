@@ -20,7 +20,7 @@
 //!   over one or more remote endpoints, placing users on the router's
 //!   consistent-hash ring: deadlines, idempotent-only retries with
 //!   backoff, per-endpoint circuit breakers, failover along the ring, and
-//!   typed degradation ([`remote`]).
+//!   typed degradation (`remote`).
 //!
 //! [`Publish`]: sqp_store::Publish
 //!

@@ -237,8 +237,16 @@ impl<T> RemoteOutcome<T> {
 pub struct EndpointStats {
     /// The endpoint's serve address.
     pub serve_addr: SocketAddr,
+    /// Breaker position and counters.
+    pub breaker: BreakerStats,
     /// Attempts this endpoint answered (including typed sheds).
     pub answered: u64,
+    /// Attempts that timed out (connect or I/O deadline).
+    pub timeouts: u64,
+    /// Connects actively refused.
+    pub refused: u64,
+    /// Connections that dropped mid-request or mid-frame.
+    pub disconnects: u64,
     /// Operations executing against this endpoint right now — what
     /// retirement waits to reach zero.
     pub in_flight: u64,
@@ -401,7 +409,7 @@ enum Try<T> {
 }
 
 /// A resilient [`ServeSurface`] over remote [`NetServer`](crate::NetServer)
-/// endpoints. See the [module docs](self) for the resilience model.
+/// endpoints. See the module docs for the resilience model.
 pub struct RemoteEngine {
     cfg: RemoteConfig,
     clock: Arc<dyn Clock>,
@@ -582,7 +590,11 @@ impl RemoteEngine {
                 .iter()
                 .map(|(_, ep)| EndpointStats {
                     serve_addr: ep.serve_addr,
+                    breaker: ep.breaker.stats(),
                     answered: ep.counters.answered.load(Ordering::Relaxed),
+                    timeouts: ep.counters.timeouts.load(Ordering::Relaxed),
+                    refused: ep.counters.refused.load(Ordering::Relaxed),
+                    disconnects: ep.counters.disconnects.load(Ordering::Relaxed),
                     in_flight: ep.in_flight.load(Ordering::Acquire),
                 })
                 .collect(),

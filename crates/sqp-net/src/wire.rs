@@ -84,25 +84,25 @@ pub mod op {
     /// Admin: load a snapshot file and roll it across replicas.
     pub(crate) const ROLLING_PUBLISH: u8 = 0x11;
 
-    /// Reply to [`TRACK`].
+    /// Reply to `TRACK`.
     pub const R_ACK: u8 = 0x81;
-    /// Reply to [`SUGGEST`]/[`TRACK_SUGGEST`]: a suggestion list.
+    /// Reply to `SUGGEST`/[`TRACK_SUGGEST`]: a suggestion list.
     pub const R_SUGGESTIONS: u8 = 0x82;
     /// Reply to [`SUGGEST_BATCH`]: one suggestion list per entry.
     pub const R_BATCH: u8 = 0x83;
-    /// Reply to [`STATS`].
+    /// Reply to `STATS`.
     pub const R_STATS: u8 = 0x84;
     /// The surface shed the request.
     pub const R_OVERLOADED: u8 = 0x85;
     /// Typed protocol or execution error.
     pub const R_ERROR: u8 = 0x86;
-    /// Reply to [`PUBLISH`].
+    /// Reply to `PUBLISH`.
     pub const R_PUBLISHED: u8 = 0x87;
-    /// Reply to [`ROLLING_PUBLISH`].
+    /// Reply to `ROLLING_PUBLISH`.
     pub const R_ROLLED: u8 = 0x88;
-    /// Reply to [`PING`].
+    /// Reply to `PING`.
     pub const R_PONG: u8 = 0x89;
-    /// Reply to [`EVICT`].
+    /// Reply to `EVICT`.
     pub const R_EVICTED: u8 = 0x8A;
 }
 
@@ -130,7 +130,7 @@ pub mod code {
 
 /// A malformed frame, as discovered while decoding.
 ///
-/// Every variant maps onto a typed wire error code ([`WireError::code`]),
+/// Every variant maps onto a typed wire error code (`WireError::code`),
 /// so a server can reject bad input with a structured `R_ERROR` reply
 /// instead of a panic or a silent hang.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -624,6 +624,11 @@ impl<'a> SuggestionList<'a> {
         self.count
     }
 
+    /// True when the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
     /// Iterate `(score, query)` pairs in rank order.
     pub fn iter(&self) -> impl Iterator<Item = (f64, &'a str)> + 'a {
         let raw = self.raw;
@@ -881,7 +886,7 @@ pub fn encode_overloaded(buf: &mut Vec<u8>, limit: u64) {
 }
 
 /// Append an `R_ERROR` reply body to `buf`, truncating the message to
-/// [`MAX_ERROR_MSG`] bytes at a char boundary.
+/// `MAX_ERROR_MSG` bytes at a char boundary.
 pub fn encode_error(buf: &mut Vec<u8>, code: u8, message: &str) {
     let mut end = message.len().min(MAX_ERROR_MSG);
     while !message.is_char_boundary(end) {

@@ -69,6 +69,11 @@ impl<T> Members<T> {
         self.members.len()
     }
 
+    /// True when the view has no members.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
     /// Every member with its id, in id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
         self.members.iter().map(|(id, value)| (*id, value))
@@ -176,7 +181,7 @@ impl<T> Members<T> {
 }
 
 impl<T: Clone> Members<T> {
-    /// The next view: `value` joins as member [`next_id`](Self::next_id)
+    /// The next view: `value` joins as member `next_id`
     /// and goes on the ring. Returns the newcomer's id and the view.
     pub fn join(&self, value: T) -> (u32, Self) {
         let id = self.next_id();
@@ -204,7 +209,7 @@ impl<T: Clone> Members<T> {
     ///
     /// # Errors
     ///
-    /// [`WouldEmptyRing`] when `id` is the last member on the ring.
+    /// `WouldEmptyRing` when `id` is the last member on the ring.
     pub fn remove(&self, id: u32) -> Result<Self, WouldEmptyRing> {
         let mut next = self.take_off_ring(id)?;
         next.members.retain(|&(member, _)| member != id);

@@ -111,7 +111,6 @@ impl Default for RouterConfig {
 #[derive(Debug, Default)]
 struct Health {
     quarantined: bool,
-    last_error: Option<String>,
 }
 
 /// One replica of the tier inside the [`Members`] view: the engine plus
@@ -234,7 +233,7 @@ pub enum MembershipError {
     /// The id names no live replica (never joined, or already retired).
     UnknownReplica(u32),
     /// The operation would leave the ring empty — a tier must keep at
-    /// least one routed replica (the ring-level [`WouldEmptyRing`]
+    /// least one routed replica (the ring-level `WouldEmptyRing`
     /// invariant, surfaced through the membership API).
     LastReplica,
     /// `begin_drain` on a replica that is already draining.
@@ -282,7 +281,7 @@ pub struct HandoffReport {
     /// cutoff at handoff time — dead context is not worth moving.
     pub skipped_idle: usize,
     /// The tier's ring generation after the membership swap.
-    pub(crate) ring_generation: u64,
+    pub ring_generation: u64,
 }
 
 /// A replicated query-suggestion tier: consistent-hash routing over N
@@ -516,19 +515,17 @@ impl RouterEngine {
         Some(slot.generation())
     }
 
-    /// Pin the replica with `id` on its current (last-good) snapshot and
-    /// record why its publication failed. The replica keeps serving —
+    /// Pin the replica with `id` on its current (last-good) snapshot after
+    /// its publication failed. The replica keeps serving —
     /// quarantine is a publication-side state, not a traffic stop.
     /// Returns whether `id` still named a live replica (and was marked):
     /// a replica that left the tier mid-roll has nothing to quarantine.
-    pub fn try_mark_quarantined(&self, id: usize, error: impl Into<String>) -> bool {
+    pub fn try_mark_quarantined(&self, id: usize) -> bool {
         let state = self.state();
         let Some(slot) = state.get(id as u32) else {
             return false;
         };
-        let mut health = Self::lock_health_slot(slot);
-        health.quarantined = true;
-        health.last_error = Some(error.into());
+        Self::lock_health_slot(slot).quarantined = true;
         true
     }
 
@@ -916,14 +913,14 @@ mod tests {
     #[test]
     fn quarantine_marks_report_and_publish_clears() {
         let r = router(2);
-        assert!(r.try_mark_quarantined(1, "checksum mismatch"));
+        assert!(r.try_mark_quarantined(1));
         assert!(r.stats().replicas[1].quarantined);
         let stats = r.stats();
         assert_eq!(stats.quarantined(), 1);
         // A quarantined replica still serves.
         r.track(2, "start", 100);
         let home = r.replica_for(2);
-        assert!(r.try_mark_quarantined(home, "still serving?"));
+        assert!(r.try_mark_quarantined(home));
         assert_eq!(r.try_suggest(2, 1, 110).unwrap()[0].query, "old::next");
         // Publishing good bytes lifts the quarantine.
         r.try_publish_to(1, snapshot("new"))
@@ -1256,11 +1253,11 @@ mod tests {
         let r = router(3);
         r.remove_replica(2).unwrap();
         assert_eq!(r.try_publish_to(2, snapshot("new")), None);
-        assert!(!r.try_mark_quarantined(2, "late quarantine"));
+        assert!(!r.try_mark_quarantined(2));
         assert_eq!(r.stats().quarantined(), 0, "departed id must mark nothing");
         // On a live replica the try forms behave exactly like the verbs.
         assert_eq!(r.try_publish_to(0, snapshot("new")), Some(1));
-        assert!(r.try_mark_quarantined(1, "bad bytes"));
+        assert!(r.try_mark_quarantined(1));
         assert!(r.stats().replicas[1].quarantined);
     }
 

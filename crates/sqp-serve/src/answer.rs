@@ -33,7 +33,7 @@ use std::sync::Arc;
 ///
 /// Derefs to, compares as, hashes as and prints as its `str`; cloning is
 /// one reference-count increment. It keeps its answer's whole text alive
-/// (see the [module docs](self)).
+/// (see the module docs).
 #[derive(Clone)]
 pub struct QueryText {
     text: Arc<str>,

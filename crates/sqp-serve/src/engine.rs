@@ -518,7 +518,7 @@ impl ServeEngine {
         out
     }
 
-    /// [`track_and_suggest_into`](Self::track_and_suggest_into) as an
+    /// `track_and_suggest_into` as an
     /// owned list, built directly
     /// ([`ModelSnapshot::render_into`]).
     pub fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {

@@ -22,7 +22,7 @@
 //!   (one block per session: the recent query text, and beside it the ids
 //!   that text resolved to under one snapshot) with the paper's 30-minute
 //!   rule applied online: long idle gaps start fresh sessions, and
-//!   [`SessionTracker::evict_idle`] reclaims abandoned ones.
+//!   `SessionTracker::evict_idle` reclaims abandoned ones.
 //!
 //! The engine's [`suggest_batch`](ServeEngine::suggest_batch) amortizes the
 //! per-request costs — one snapshot read per batch, stripe locks carried

@@ -543,7 +543,7 @@ impl SessionTracker {
     ///   therefore always finds their context *somewhere* the ring routes
     ///   them, whichever side of the swap an operation lands on.
     /// * **Idle sessions are skipped** (counted in
-    ///   [`ExportBatch::skipped_idle`]): their context is already dead
+    ///   `ExportBatch::skipped_idle`): their context is already dead
     ///   under the 30-minute rule.
     /// * Stripes are locked one at a time — export never stalls traffic on
     ///   more than one stripe, and never holds two locks at once.

@@ -31,7 +31,7 @@
 
 use crate::snapshot::Suggestion;
 
-/// Destination of rendered suggestions; see the [module docs](self) for
+/// Destination of rendered suggestions; see the module docs for
 /// the call protocol. Object-safe: tiers are held as trait objects, and
 /// their sink-taking methods take `&mut dyn SuggestSink`.
 pub trait SuggestSink {

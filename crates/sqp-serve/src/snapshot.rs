@@ -212,7 +212,7 @@ impl ModelSnapshot {
         }
     }
 
-    /// [`render`](Self::render) as an owned list, appended to `out`: the
+    /// `render` as an owned list, appended to `out`: the
     /// texts are joined in a per-thread buffer and copied once into the
     /// one text every suggestion's [`QueryText`] is a span of — that text
     /// and `out`'s growth, whatever `k` is.

@@ -88,6 +88,11 @@ impl GroundTruth {
     pub fn len(&self) -> usize {
         self.entries.len()
     }
+
+    /// True when no context has ground truth.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -116,7 +121,7 @@ mod tests {
         assert_eq!(c01.get(&sqp_common::QueryId(2)), 10);
         assert_eq!(c01.get(&sqp_common::QueryId(3)), 6);
         // Length-1 sessions contribute no contexts.
-        assert!(table.map.get(&seq(&[4])).is_none());
+        assert!(!table.map.contains_key(&seq(&[4])));
         assert_eq!(table.map.len(), 2);
     }
 
@@ -124,7 +129,7 @@ mod tests {
     fn contexts_are_prefixes_only() {
         let table = ContextTable::build(&corpus());
         // [1] appears mid-session but never as a prefix context.
-        assert!(table.map.get(&seq(&[1])).is_none());
+        assert!(!table.map.contains_key(&seq(&[1])));
     }
 
     #[test]

@@ -30,10 +30,9 @@ use std::collections::VecDeque;
 /// let rec = |ts, q: &str| RawLogRecord {
 ///     machine_id: 1, timestamp: ts, query: q.into(), clicks: vec![],
 /// };
-/// let mut corpus = SlidingCorpus::new(2);
-/// corpus.append([rec(100, "old"), rec(160, "mid"), rec(220, "new")]);
-/// assert_eq!(corpus.len(), 2);          // capacity 2: "old" fell off
-/// assert_eq!(corpus.dropped(), 1);
+/// let mut corpus = SlidingCorpus::with_seed(2, vec![rec(100, "old")]);
+/// corpus.append([rec(160, "mid"), rec(220, "new")]);
+/// assert_eq!(corpus.records().len(), 2); // capacity 2: "old" fell off
 /// assert_eq!(corpus.records()[0].query, "mid");
 /// ```
 #[derive(Debug)]

@@ -12,7 +12,7 @@
 //! let logs = sqp_logsim::generate(&sqp_logsim::SimConfig::small(2_000, 800, 3));
 //! let processed = process(&logs, &PipelineConfig::default());
 //! assert!(processed.train.aggregated.total_sessions() > 0);
-//! assert!(!processed.ground_truth.is_empty());
+//! assert!(processed.ground_truth.len() > 0);
 //! ```
 
 mod aggregate;

@@ -264,7 +264,7 @@ fn required_section(
 
 /// Reconstruct a snapshot and its metadata from container bytes the
 /// caller only borrows; the decoder works on a copy. A caller that owns
-/// the buffer hands it to [`snapshot_from_vec`] instead.
+/// the buffer hands it to `snapshot_from_vec` instead.
 pub fn snapshot_from_bytes(raw: &[u8]) -> Result<(ModelSnapshot, SnapshotMeta), SnapshotError> {
     snapshot_from_vec(raw.to_vec())
 }

@@ -8,23 +8,23 @@
 //!
 //! Three layers:
 //!
-//! * [`mod@format`] — **snapshot persistence**: one versioned, checksummed
+//! * `format` — **snapshot persistence**: one versioned, checksummed
 //!   file carrying the frozen [`Interner`](sqp_common::Interner), the
 //!   trained model behind a [`ModelKind`] tag, and lifecycle
 //!   [`SnapshotMeta`]. [`save_snapshot`] / [`load_snapshot`] round-trip a
 //!   ready [`ModelSnapshot`](sqp_serve::ModelSnapshot); the length-prefixed
 //!   section layout (specified byte-by-byte in the repository's
 //!   `FORMAT.md`) lets the loader pre-size every structure.
-//! * [`warm`] — **warm start**: [`load_snapshot`] boots a
+//! * `warm` — **warm start**: [`load_snapshot`] boots a
 //!   [`ServeEngine`](sqp_serve::ServeEngine) directly from a snapshot
 //!   file; [`publish_from_path`] hot-swaps a newly written file into a
 //!   live tier, one engine or a replicated one.
-//! * [`retrain`] — the **retrain loop**: a [`Retrainer`] buffers incoming
+//! * `retrain` — the **retrain loop**: a [`Retrainer`] buffers incoming
 //!   [`RawLogRecord`](sqp_logsim::RawLogRecord)s and, on a background
 //!   scoped thread, re-runs the training pipeline over a sliding corpus
 //!   window, writes each generation to disk, loads it back, validates it
-//!   ([`quarantine`]: [`validate_snapshot_file`], `*.quarantine` parking,
-//!   rollback to the [`newest_good_snapshot`]) and only then publishes it
+//!   (`quarantine`: `validate_snapshot_file`, `*.quarantine` parking,
+//!   rollback to the `newest_good_snapshot`) and only then publishes it
 //!   through the engine's swap cell. Training panics are isolated, saves
 //!   retry with capped backoff, and a circuit breaker degrades to "serve
 //!   the last good snapshot" under persistent failure, all reported as
@@ -37,7 +37,7 @@
 //!
 //! And for the replicated tier ([`RouterEngine`](sqp_router::RouterEngine)):
 //!
-//! * [`rollout`] — **[`Publish`]**, the one way a model reaches a tier,
+//! * `rollout` — **[`Publish`]**, the one way a model reaches a tier,
 //!   implemented by the two in-process tiers only: where
 //!   [`publish_from_path`] loads a snapshot file once and swaps it into
 //!   every replica, [`Publish::rolling_publish`] upgrades replicas one at

@@ -648,7 +648,7 @@ impl Retrainer {
         self.health()
     }
 
-    /// Spawn [`run`](Retrainer::run) as a background thread inside a
+    /// Spawn `run` as a background thread inside a
     /// caller-owned scope. The scope guarantees the loop cannot outlive
     /// the engine or the retrainer it borrows.
     pub fn spawn<'scope, 'env>(

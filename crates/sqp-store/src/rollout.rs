@@ -169,7 +169,7 @@ pub trait Publish: ServeSurface {
     ///
     /// * a replica **retired or removed mid-roll** is re-resolved at its
     ///   step against the live tier and recorded in
-    ///   [`RollReport::retired`] (no step callback — it is no longer part
+    ///   `RollReport::retired` (no step callback — it is no longer part
     ///   of the tier being upgraded), never panicked on;
     /// * a replica that **joined mid-roll** seeds from the freshest live
     ///   replica, which is the roll's leading edge once the canary has
@@ -314,7 +314,7 @@ fn roll_step(
             }
         },
         Err(error) => {
-            if !router.try_mark_quarantined(replica, error.clone()) {
+            if !router.try_mark_quarantined(replica) {
                 report.retired.push(replica);
                 return;
             }

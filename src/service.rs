@@ -21,8 +21,8 @@ pub use sqp_serve::Suggestion;
 /// A trained, self-contained query-suggestion service.
 ///
 /// This is a thin, single-handle façade over an immutable
-/// [`ModelSnapshot`]; cloning via [`snapshot`](RecommenderService::snapshot)
-/// and publishing into a [`ServeEngine`] are free of retraining cost.
+/// [`ModelSnapshot`]; promoting it into a [`ServeEngine`] is free of
+/// retraining cost.
 pub struct RecommenderService {
     snapshot: Arc<ModelSnapshot>,
 }
