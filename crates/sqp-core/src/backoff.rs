@@ -206,7 +206,7 @@ mod tests {
     }
 
     /// The windows of `m`'s trie that are states.
-    fn state_count(m: &BackoffNgram) -> usize {
+    fn stored_states(m: &BackoffNgram) -> usize {
         let windows = m.trie.window_ids(m.config.max_order);
         windows.filter(|&node| m.supported(node)).count()
     }
@@ -215,7 +215,7 @@ mod tests {
     fn window_states_are_stored() {
         let m = model();
         // The toy candidate set: [0], [1], [0,1], [1,0].
-        assert_eq!(state_count(&m), 4);
+        assert_eq!(stored_states(&m), 4);
         assert!(m.state(&seq(&[1, 0])).is_some());
         assert!(m.state(&seq(&[0, 1])).is_some()); // no KL pruning here
     }
@@ -282,7 +282,7 @@ mod tests {
                 ..BackoffConfig::default()
             },
         );
-        assert_eq!(state_count(&m), 2); // only [0] and [1]
+        assert_eq!(stored_states(&m), 2); // only [0] and [1]
                                         // A length-3 context still answers through its last query.
         assert!(!m.recommend(&seq(&[0, 1, 0]), 3).is_empty());
     }
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn empty_corpus() {
         let m = BackoffNgram::train(&[], BackoffConfig::default());
-        assert_eq!(state_count(&m), 0);
+        assert_eq!(stored_states(&m), 0);
         assert!(m.recommend(&seq(&[0]), 5).is_empty());
     }
 }

@@ -33,7 +33,7 @@
 //! that to the surface's `try_*_into` form, so each suggestion's text is
 //! copied once, from the model's interner into the bytes that go to the
 //! socket. No `Vec<Suggestion>` exists on this path. Only the surface
-//! writes to the sink, only whole answers (see `sqp_serve::sink`), and it
+//! writes to the sink, only whole answers (see `sqp_serve::SuggestSink`), and it
 //! has returned before the frame is written.
 //!
 //! # Overload behavior

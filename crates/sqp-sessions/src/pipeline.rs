@@ -121,6 +121,8 @@ pub fn process(logs: &SimulatedLogs, cfg: &PipelineConfig) -> ProcessedLogs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::UnpredictableReason;
+    use sqp_common::QueryId;
     use sqp_logsim::SimConfig;
 
     fn processed() -> ProcessedLogs {
@@ -216,6 +218,24 @@ mod tests {
         let slope = sqp_common::hist::log_log_slope(&p.train.spectrum).unwrap();
         // Rank/frequency log-log slope should be clearly negative.
         assert!(slope < -0.4, "slope {slope} too flat for a power law");
+    }
+
+    #[test]
+    fn train_index_covers_training_queries_only() {
+        let p = processed();
+        for (session, _) in &p.train.aggregated.sessions {
+            for &q in session.iter() {
+                assert_ne!(
+                    p.train_index.classify_cooccurrence(q),
+                    Some(UnpredictableReason::NewQuery)
+                );
+            }
+        }
+        let unseen = QueryId(p.interner.len() as u32);
+        assert_eq!(
+            p.train_index.classify_cooccurrence(unseen),
+            Some(UnpredictableReason::NewQuery)
+        );
     }
 
     #[test]

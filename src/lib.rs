@@ -23,20 +23,10 @@ pub use service::{RecommenderService, Suggestion};
 /// Convenient glob-import surface for applications and examples.
 pub mod prelude {
     pub use crate::service::{RecommenderService, Suggestion};
-    pub use sqp_common::{QueryId, QuerySeq};
-    pub use sqp_core::Recommender;
-    pub use sqp_net::{
-        EndpointConfig, EndpointSetError, NetClient, NetServer, RemoteConfig, RemoteEngine,
-        RemoteOutcome, ServeAnswer, ServerConfig,
-    };
-    pub use sqp_router::{HandoffReport, MembershipError, RouterConfig, RouterEngine, RouterStats};
-    pub use sqp_serve::{
-        EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, SuggestRequest,
-        TrainingConfig,
-    };
+    pub use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
     pub use sqp_store::{
-        load_snapshot, publish_from_path, save_snapshot, Publish, RetrainConfig, Retrainer,
-        RollPolicy, SnapshotError, SnapshotMeta,
+        load_snapshot, save_snapshot, Publish, RetrainConfig, Retrainer, SnapshotError,
+        SnapshotMeta,
     };
 }
 

@@ -111,7 +111,8 @@ impl RecommenderService {
 mod tests {
     use super::*;
     use sqp_core::{MvmmConfig, VmmConfig};
-    use sqp_serve::ModelSpec;
+    use sqp_router::{RouterConfig, RouterEngine};
+    use sqp_serve::{ModelSpec, ServeSurface};
 
     fn rec(machine: u64, ts: u64, q: &str) -> RawLogRecord {
         RawLogRecord {
@@ -257,5 +258,20 @@ mod tests {
         let engine = svc.into_engine(sqp_serve::EngineConfig::default());
         engine.track(1, "kidney stones", 100);
         assert_eq!(engine.suggest(1, 2, 101), expected);
+    }
+
+    #[test]
+    fn into_router_serves_the_same_model_on_every_replica() {
+        let svc = service(ModelSpec::Adjacency);
+        let expected = svc.suggest(&["kidney stones"], 2);
+        let router = RouterEngine::new(Arc::clone(&svc.snapshot), RouterConfig::default());
+        for user in [1u64, 2, 3, 4, 5, 6, 7, 8] {
+            assert_eq!(
+                router.track_and_suggest(user, "kidney stones", 2, 100),
+                expected,
+                "user {user} (replica {})",
+                router.replica_for(user)
+            );
+        }
     }
 }
