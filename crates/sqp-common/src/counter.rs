@@ -63,8 +63,6 @@ impl<K: Eq + Hash> Counter<K> {
     }
 }
 
-impl<K: Eq + Hash + Clone> Counter<K> {}
-
 impl<K: Eq + Hash> FromIterator<K> for Counter<K> {
     fn from_iter<T: IntoIterator<Item = K>>(iter: T) -> Self {
         let mut c = Counter::new();

@@ -282,8 +282,8 @@ mod tests {
                 ..BackoffConfig::default()
             },
         );
-        assert_eq!(stored_states(&m), 2); // only [0] and [1]
-                                        // A length-3 context still answers through its last query.
+        // Only [0] and [1]; a length-3 context still answers through its last query.
+        assert_eq!(stored_states(&m), 2);
         assert!(!m.recommend(&seq(&[0, 1, 0]), 3).is_empty());
     }
 

@@ -46,4 +46,5 @@ pub use mvmm::{Mvmm, MvmmConfig};
 pub use ngram::NGram;
 
 pub use persist::{model_from_bytes, model_to_bytes, ModelKind};
+pub use pst::{NodeDist, Pst};
 pub use vmm::{Vmm, VmmConfig};

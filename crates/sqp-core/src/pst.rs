@@ -43,7 +43,7 @@ use std::sync::Arc;
 ///
 /// The raw ML counts are the trie's id-sorted child keys and totals, so
 /// `prob` is an O(log m) binary search; the trie's rank run gives the
-/// best-first order [`Pst::answer`] lays out once.
+/// best-first order `Pst::answer` lays out once.
 #[derive(Clone, Copy, Debug)]
 pub struct NodeDist<'a> {
     /// Observed continuations, ascending by query id.
@@ -310,6 +310,11 @@ impl Pst {
         self.states.len() - 1
     }
 
+    /// True when only the root exists.
+    pub fn is_empty(&self) -> bool {
+        self.len() <= 1
+    }
+
     /// The window trie the states index.
     pub fn trie(&self) -> &Arc<SuffixTrie> {
         &self.trie
@@ -463,6 +468,7 @@ mod tests {
     #[test]
     fn node_count_includes_root() {
         assert_eq!(toy_tree().len(), 4);
+        assert!(!toy_tree().is_empty());
         assert_eq!(toy_tree().state_nodes().len(), 3);
     }
 

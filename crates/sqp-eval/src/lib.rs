@@ -17,10 +17,12 @@ mod timing;
 mod user_eval;
 
 pub use accuracy::{evaluate_accuracy, overall_ndcg, AccuracyPoint};
-pub use coverage::{coverage_by_length, overall_coverage, reason_analysis};
-pub use entropy::entropy_by_context_length;
+pub use coverage::{
+    coverage_by_length, overall_coverage, reason_analysis, CoveragePoint, ReasonCounts,
+};
+pub use entropy::{entropy_by_context_length, EntropyPoint};
 pub use metrics::{hit_rate, mean_reciprocal_rank};
 pub use ndcg::{dcg, ndcg_at};
 pub use suite::{quick_lineup, train_models};
-pub use timing::{subsample, training_time_sweep};
-pub use user_eval::{run_user_eval, UserEvalConfig, UserEvalResult};
+pub use timing::{subsample, training_time_sweep, TimingRow};
+pub use user_eval::{run_user_eval, MethodUserEval, UserEvalConfig, UserEvalResult};

@@ -20,8 +20,7 @@ mod hmm;
 mod model_figs;
 mod user_figs;
 
-pub use harness::ExpArgs;
-use harness::{TrainedModels, Workbench};
+pub use harness::{ExpArgs, TrainedModels, Workbench};
 
 use std::io::{self, Write};
 use Runner::{Data, Models, Toy};

@@ -20,9 +20,9 @@ pub mod record;
 mod vocab;
 mod zipf;
 
-pub use config::{SimConfig, VocabConfig};
-pub use generator::{generate, GeneratedSession, SimulatedLogs};
+pub use config::{SessionConfig, SimConfig, TrafficConfig, VocabConfig};
+pub use generator::{generate, GeneratedSession, SimTruth, SimulatedLogs};
 pub use patterns::PatternType;
 
 pub use record::{Click, RawLogRecord};
-pub use vocab::{TopicId, Vocabulary};
+pub use vocab::{Topic, TopicId, Vocabulary};

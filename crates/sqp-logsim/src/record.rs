@@ -174,8 +174,9 @@ mod tests {
     fn tsv_rejects_malformed() {
         assert!(from_tsv("not a record").is_err());
         assert!(from_tsv("1\tx\tq\t0\t").is_err());
-        assert!(from_tsv("1\t5\tq\t2\tu,1").is_err()); // count mismatch
-                                                       // A count no line could hold is a mismatch, not an allocation.
+        // A click count the clicks do not match is refused, and so is a
+        // count no line could hold: a mismatch, not an allocation.
+        assert!(from_tsv("1\t5\tq\t2\tu,1").is_err());
         let huge = from_tsv("1\t5\tq\t1000000000000000000\t");
         assert_eq!(huge, Err("line 1: click count mismatch".to_owned()));
     }

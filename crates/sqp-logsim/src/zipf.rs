@@ -64,12 +64,12 @@ impl CumulativeSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqp_common::rng::StdRng;
 
     /// The mass the sampler gives outcome `i`: one step of its CDF.
     pub(super) fn mass(s: &CumulativeSampler, i: usize) -> f64 {
         s.cum[i] - if i == 0 { 0.0 } else { s.cum[i - 1] }
     }
-    use sqp_common::rng::StdRng;
 
     #[test]
     fn respects_weights_roughly() {

@@ -63,9 +63,10 @@ mod remote;
 mod server;
 pub mod wire;
 
-pub use client::{BatchAnswer, NetClient, NetError, ServeAnswer};
+pub use client::{BatchAnswer, NetClient, NetError, ServeAnswer, TrackAck};
 pub use remote::{
-    DegradedReason, EndpointConfig, EndpointSetError, RemoteConfig, RemoteEngine, RemoteOutcome,
+    DegradedReason, EndpointConfig, EndpointSetError, EndpointStats, RemoteConfig, RemoteEngine,
+    RemoteOutcome, RemoteStats, StatsRecord,
 };
 pub use server::{NetServer, NetServerStats, ServerConfig};
 pub use wire::{BatchEntry, Reply, Request, RollSummary, WireError, WireStats};

@@ -34,5 +34,7 @@ mod ring;
 mod router;
 
 pub use members::{Members, Runs, Scatter};
-pub use ring::{HashRing, DEFAULT_VNODES};
-pub use router::{HandoffReport, MembershipError, RouterConfig, RouterEngine, RouterStats};
+pub use ring::{HashRing, WouldEmptyRing, DEFAULT_VNODES};
+pub use router::{
+    HandoffReport, MembershipError, ReplicaStats, RouterConfig, RouterEngine, RouterStats,
+};

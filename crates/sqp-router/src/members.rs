@@ -209,7 +209,7 @@ impl<T: Clone> Members<T> {
     ///
     /// # Errors
     ///
-    /// `WouldEmptyRing` when `id` is the last member on the ring.
+    /// [`WouldEmptyRing`] when `id` is the last member on the ring.
     pub fn remove(&self, id: u32) -> Result<Self, WouldEmptyRing> {
         let mut next = self.take_off_ring(id)?;
         next.members.retain(|&(member, _)| member != id);

@@ -127,7 +127,7 @@ impl HashRing {
     ///
     /// # Errors
     ///
-    /// Returns `WouldEmptyRing` — and changes nothing — when `id` is the
+    /// Returns [`WouldEmptyRing`] — and changes nothing — when `id` is the
     /// only replica: a non-empty ring never becomes empty through
     /// `remove`, which is what keeps [`HashRing::route`] total on any ring
     /// constructed with at least one replica.
@@ -149,7 +149,7 @@ impl HashRing {
     ///
     /// Panics if the ring is empty — an empty serving tier cannot route.
     /// Rings built with ≥1 replica never reach that state (see
-    /// `WouldEmptyRing`).
+    /// [`WouldEmptyRing`]).
     pub fn route(&self, user: u64) -> u32 {
         self.route_hash(fx_hash_one(&user))
     }

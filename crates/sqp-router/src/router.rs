@@ -233,7 +233,7 @@ pub enum MembershipError {
     /// The id names no live replica (never joined, or already retired).
     UnknownReplica(u32),
     /// The operation would leave the ring empty — a tier must keep at
-    /// least one routed replica (the ring-level `WouldEmptyRing`
+    /// least one routed replica (the ring-level [`WouldEmptyRing`]
     /// invariant, surfaced through the membership API).
     LastReplica,
     /// `begin_drain` on a replica that is already draining.

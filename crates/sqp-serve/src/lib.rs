@@ -76,15 +76,14 @@ mod surface;
 mod swap;
 
 pub use answer::{FlatAnswer, QueryText};
-pub use engine::{EngineConfig, EngineStats, Overloaded, ServeEngine, SuggestRequest};
+pub use engine::{
+    EngineConfig, EngineStats, InFlightPermit, Overloaded, ServeEngine, SuggestRequest,
+};
 pub use session::{
-    SessionExport, SessionTracker, TrackOutcome, TrackerConfig, DEFAULT_CUTOFF_SECS,
+    ExportBatch, SessionExport, SessionTracker, TrackOutcome, TrackerConfig, DEFAULT_CUTOFF_SECS,
 };
 pub use sink::SuggestSink;
-
 pub use snapshot::{ModelSnapshot, Suggestion, TrainingConfig};
 pub use sqp_core::ModelSpec;
-
 pub use surface::ServeSurface;
-
 pub use swap::Swap;

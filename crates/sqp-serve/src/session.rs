@@ -134,7 +134,7 @@ const TEXT_RESERVE: usize = 192;
 /// tail and nothing else, and a cached suggest reads its head and nothing
 /// else. A full window drops its oldest entry by moving the rest down.
 #[derive(Debug)]
-pub struct Session {
+pub(crate) struct Session {
     block: Vec<u8>,
     pub(crate) last_seen: u64,
     /// Identity of the snapshot slots `0..resolved` were filled under
@@ -543,7 +543,7 @@ impl SessionTracker {
     ///   therefore always finds their context *somewhere* the ring routes
     ///   them, whichever side of the swap an operation lands on.
     /// * **Idle sessions are skipped** (counted in
-    ///   `ExportBatch::skipped_idle`): their context is already dead
+    ///   [`ExportBatch::skipped_idle`]): their context is already dead
     ///   under the 30-minute rule.
     /// * Stripes are locked one at a time — export never stalls traffic on
     ///   more than one stripe, and never holds two locks at once.

@@ -187,7 +187,11 @@ impl ModelSnapshot {
     /// context, fed from the session's id cache — which probes this
     /// snapshot's interner only for entries it does not already hold under
     /// this snapshot's identity.
-    pub fn extend_from_session(&self, session: &mut Session, ids: &mut Vec<QueryId>) -> bool {
+    pub(crate) fn extend_from_session(
+        &self,
+        session: &mut Session,
+        ids: &mut Vec<QueryId>,
+    ) -> bool {
         extend_covered(session.ids_under(self.id, |q| self.interner.get(q)), ids)
     }
 

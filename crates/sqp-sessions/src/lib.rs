@@ -31,6 +31,9 @@ pub use incremental::SlidingCorpus;
 
 pub use index::{QueryTrainingIndex, UnpredictableReason};
 pub use pipeline::{process, PipelineConfig, ProcessedLogs};
-pub use reduce::{reduce, reduce_in_place};
-pub use segment::{segment, segment_default, segment_with_parallelism, DEFAULT_CUTOFF_SECS};
-pub use stats::corpus_stats;
+pub use reduce::{reduce, reduce_in_place, ReductionReport};
+pub use segment::{
+    segment, segment_default, segment_with_parallelism, Segmented, SessionRef, TextSession,
+    DEFAULT_CUTOFF_SECS,
+};
+pub use stats::{corpus_stats, CorpusStats};

@@ -55,8 +55,6 @@ pub struct TextSession {
     pub queries: Vec<String>,
 }
 
-impl TextSession {}
-
 /// One record reduced to what segmentation needs. Keys stay in input order;
 /// a record's input position is its index.
 #[derive(Clone, Copy, Debug)]
@@ -118,6 +116,11 @@ impl Segmented {
     /// Number of sessions.
     pub fn len(&self) -> usize {
         self.spans.len()
+    }
+
+    /// True when the log was empty.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
     }
 
     /// Total queries over all sessions — one per input record.
@@ -465,7 +468,7 @@ pub(crate) mod tests {
     #[test]
     fn empty_input() {
         let sessions = segment_default(&[]);
-        assert_eq!(sessions.len(), 0);
+        assert!(sessions.is_empty());
         assert_eq!(sessions.searches(), 0);
         assert!(sessions.to_text_sessions().is_empty());
     }

@@ -157,7 +157,7 @@ pub fn snapshot_to_bytes(
 /// `FORMAT.md` conformance test).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SectionEntry {
-    /// Section id (one of [`SECTION_IDS`]).
+    /// Section id: 1 metadata, 2 interner, 3 model (`FORMAT.md`).
     pub id: u32,
     /// Absolute byte offset of the section payload within the file.
     pub offset: usize,

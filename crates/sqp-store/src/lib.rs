@@ -105,13 +105,13 @@ mod warm;
 pub use error::{RetrainError, SnapshotError};
 pub use format::{
     fnv1a64_words, load_snapshot, parse_section_table, save_snapshot, snapshot_from_bytes,
-    snapshot_to_bytes, SnapshotMeta, FORMAT_VERSION,
+    snapshot_to_bytes, SectionEntry, SnapshotMeta, FORMAT_VERSION,
 };
 pub use retrain::{
     latest_generation_on_disk, snapshot_file_name, BreakerState, RetrainConfig, Retrainer,
     RetrainerHealth, StepOutcome,
 };
-pub use rollout::{Publish, RollPolicy};
+pub use rollout::{Publish, RollPolicy, RollReport, RollStep};
 pub use warm::{publish_from_path, Published};
 
 // The model-kind tag is defined next to the model codecs in sqp-core;
